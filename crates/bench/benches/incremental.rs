@@ -7,6 +7,13 @@
 //! from a cloned scorer so state mutation does not compound across
 //! iterations. The 10% delta intentionally sits at the push gate — it
 //! measures the fallback cost, not a push win.
+//!
+//! `with_delta_200k/{8,800,8000}` time the successor network alone (no
+//! solve): `CitationNetwork::with_delta`'s copy-and-merge at three batch
+//! sizes, against `rebuild_200k` — the edge-list round trip through
+//! `Csr::from_edges` + `transpose` it replaced, producing the same
+//! adjacencies in the same run. `rebuild_200k` over `with_delta_200k/800`
+//! is gated by bench-check as `incremental/delta_apply_speedup`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
@@ -14,7 +21,7 @@ use attrank::{AttRank, AttRankParams, IncrementalAttRank};
 use citegen::{generate, publish_delta, DatasetProfile};
 use citegraph::Ranker;
 use repro_bench::DEFAULT_SEED;
-use sparsela::KernelWorkspace;
+use sparsela::{Csr, KernelWorkspace};
 
 /// The paper's primary convergence setting (§4.4 studies α = 0.5).
 fn params() -> AttRankParams {
@@ -82,5 +89,32 @@ fn bench_incremental(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_incremental);
+fn bench_delta_apply(c: &mut Criterion) {
+    let mut group = c.benchmark_group("incremental");
+    let net = generate(&DatasetProfile::dblp().scaled(200_000), DEFAULT_SEED);
+    for &edges in &[8usize, 800, 8000] {
+        let delta = publish_delta(&net, edges, 8, 99);
+        group.bench_with_input(
+            BenchmarkId::new("with_delta_200k", edges),
+            &delta,
+            |b, delta| b.iter(|| net.with_delta(delta).unwrap()),
+        );
+    }
+    let delta = publish_delta(&net, 800, 8, 99);
+    let n_new = net.n_papers() + delta.n_papers();
+    group.bench_function("rebuild_200k", |b| {
+        b.iter(|| {
+            let mut edges = Vec::with_capacity(net.n_citations() + delta.n_citations());
+            for j in 0..net.n_papers() as u32 {
+                edges.extend(net.references(j).iter().map(|&i| (j, i)));
+            }
+            edges.extend_from_slice(&delta.citations);
+            let refs = Csr::from_edges(n_new, n_new, &edges);
+            (refs.transpose(), refs)
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_incremental, bench_delta_apply);
 criterion_main!(benches);

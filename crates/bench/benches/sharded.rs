@@ -25,7 +25,12 @@
 //!   paper citing the newest, published every batch. The sharded engine
 //!   rebuilds + re-ranks only the tail band; the flat engine pays the
 //!   whole corpus. Forms the gated `tail_ingest_speedup` ratio (floor
-//!   4x).
+//!   4x). The ratio fell from 18.5x to ~12x when `with_delta` became a
+//!   copy-and-merge: its numerator, the whole-corpus publish, is what
+//!   that change sped up most (52.7 ms -> 2.3 ms; the tail publish went
+//!   2.85 ms -> 0.19 ms). A cheaper whole-corpus publish is the point, so
+//!   the floor stays at 4x and this bench is not to be reshaped to win the
+//!   ratio back.
 //!
 //! Both gated ratios divide two measurements from the same run, so they
 //! hold across machines (this container has a 1-CPU quota; the wins are

@@ -334,6 +334,33 @@ pub fn batched_throughput_speedup(records: &[BenchRecord]) -> Option<f64> {
 /// same queries served sequentially).
 pub const MIN_BATCHED_THROUGHPUT_SPEEDUP: f64 = 2.0;
 
+/// The delta-apply speedup recorded in a report: `min_ns` of the
+/// edge-list rebuild of a 200k-paper successor network (`rebuild_200k`:
+/// `Csr::from_edges` + `transpose`) over the copy-and-merge
+/// `CitationNetwork::with_delta` that replaced it on the publish path
+/// (`with_delta_200k/800`), both in the `incremental` group on the same
+/// graph and batch. `None` when either record is absent.
+///
+/// A ratio of two measurements from the same run, so — like the other
+/// ratio gates — it holds across machines and is enforced directly by
+/// `repro bench-check`.
+pub fn delta_apply_speedup(records: &[BenchRecord]) -> Option<f64> {
+    let find = |id: &str| {
+        records
+            .iter()
+            .find(|r| r.group == "incremental" && r.id == id)
+            .map(|r| r.min_ns)
+    };
+    let merged = find("with_delta_200k/800")?;
+    let rebuilt = find("rebuild_200k")?;
+    Some(rebuilt / merged.max(1.0))
+}
+
+/// Acceptance floor for [`delta_apply_speedup`] (ISSUE 13: building the
+/// successor network by copy-and-merge ≥4× faster than rebuilding it
+/// from its edge list at 200k papers).
+pub const MIN_DELTA_APPLY_SPEEDUP: f64 = 4.0;
+
 /// Outcome of one guarded comparison.
 #[derive(Debug)]
 pub struct Comparison {
@@ -598,6 +625,25 @@ mod tests {
         assert_eq!(batched_throughput_speedup(&records[..1]), None);
         assert_eq!(batched_throughput_speedup(&records[1..]), None);
         assert_eq!(batched_throughput_speedup(&[]), None);
+    }
+
+    #[test]
+    fn delta_apply_speedup_is_the_min_ns_ratio() {
+        let rec = |id: &str, min_ns: f64| BenchRecord {
+            group: "incremental".into(),
+            id: id.into(),
+            min_ns,
+        };
+        let records = vec![
+            rec("with_delta_200k/8", 1_000_000.0),
+            rec("with_delta_200k/800", 4_000_000.0),
+            rec("rebuild_200k", 28_000_000.0),
+        ];
+        assert_eq!(delta_apply_speedup(&records), Some(7.0));
+        // Either side missing → no ratio; the reference rows are unguarded.
+        assert_eq!(delta_apply_speedup(&records[..2]), None);
+        assert_eq!(delta_apply_speedup(&records[2..]), None);
+        assert!(records.iter().all(|r| !is_guarded(r)));
     }
 
     #[test]

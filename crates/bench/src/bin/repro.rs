@@ -357,6 +357,20 @@ fn run_bench_check() -> ExitCode {
                 benchcheck::MIN_BATCHED_THROUGHPUT_SPEEDUP
             );
         }
+        if let Some(speedup) = benchcheck::delta_apply_speedup(records) {
+            let verdict = if speedup >= benchcheck::MIN_DELTA_APPLY_SPEEDUP {
+                "ok"
+            } else {
+                failed = true;
+                "REGRESSED"
+            };
+            println!(
+                "{:<44} {:>27.1}x  (floor {:.0}x)  {verdict}",
+                format!("incremental/delta_apply_speedup ({origin})"),
+                speedup,
+                benchcheck::MIN_DELTA_APPLY_SPEEDUP
+            );
+        }
         // Overhead ratio: a *ceiling*, not a floor — instrumentation must
         // stay within 10% of the bare query path.
         if let Some(ratio) = benchcheck::metrics_overhead_ratio(records) {

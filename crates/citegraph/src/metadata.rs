@@ -271,8 +271,11 @@ impl AuthorTable {
     /// build. Authors that gained no papers keep (or are created with)
     /// empty posting lists.
     ///
-    /// Beyond the unavoidable copy of the existing arrays the work is
-    /// O(batch + n_authors) — this is the delta-publish maintenance path.
+    /// The existing arrays are copied in spans between touched authors
+    /// (`extend_postings`), so beyond that copy the work is
+    /// O(batch log batch) with no per-author pass — this is the
+    /// delta-publish maintenance path, and a shard's table pays for its
+    /// own papers, not for the global author id space.
     pub fn extend(&self, new_per_paper: &[Vec<AuthorId>], n_authors: usize) -> AuthorTable {
         assert!(
             n_authors >= self.n_authors,
@@ -280,10 +283,13 @@ impl AuthorTable {
             self.n_authors
         );
         let n_old_papers = self.n_papers();
-        let old_nnz = self.author_ids.len();
-        let mut offsets = self.offsets.clone();
-        let mut author_ids = self.author_ids.clone();
-        for authors in new_per_paper {
+        let mut offsets = Vec::with_capacity(self.offsets.len() + new_per_paper.len());
+        offsets.extend_from_slice(&self.offsets);
+        let added: usize = new_per_paper.iter().map(Vec::len).sum();
+        let mut author_ids = Vec::with_capacity(self.author_ids.len() + added);
+        author_ids.extend_from_slice(&self.author_ids);
+        let mut postings: Vec<(AuthorId, PaperId)> = Vec::with_capacity(added);
+        for (i, authors) in new_per_paper.iter().enumerate() {
             let start = author_ids.len();
             for &a in authors {
                 assert!(
@@ -292,41 +298,14 @@ impl AuthorTable {
                 );
                 if !author_ids[start..].contains(&a) {
                     author_ids.push(a);
+                    postings.push((a, (n_old_papers + i) as PaperId));
                 }
             }
             offsets.push(author_ids.len());
         }
-
-        let mut add_counts = vec![0usize; n_authors];
-        for &a in &author_ids[old_nnz..] {
-            add_counts[a as usize] += 1;
-        }
-        let mut rev_offsets = Vec::with_capacity(n_authors + 1);
-        rev_offsets.push(0usize);
-        let mut acc = 0;
-        for (a, &added) in add_counts.iter().enumerate() {
-            let old = if a < self.n_authors {
-                self.rev_offsets[a + 1] - self.rev_offsets[a]
-            } else {
-                0
-            };
-            acc += old + added;
-            rev_offsets.push(acc);
-        }
-        let mut rev_paper_ids = vec![0 as PaperId; author_ids.len()];
-        let mut cursor = rev_offsets[..n_authors].to_vec();
-        for a in 0..self.n_authors {
-            let seg = &self.rev_paper_ids[self.rev_offsets[a]..self.rev_offsets[a + 1]];
-            rev_paper_ids[cursor[a]..cursor[a] + seg.len()].copy_from_slice(seg);
-            cursor[a] += seg.len();
-        }
-        for i in 0..new_per_paper.len() {
-            let p = (n_old_papers + i) as PaperId;
-            for &a in &author_ids[offsets[n_old_papers + i]..offsets[n_old_papers + i + 1]] {
-                rev_paper_ids[cursor[a as usize]] = p;
-                cursor[a as usize] += 1;
-            }
-        }
+        postings.sort_unstable();
+        let (rev_offsets, rev_paper_ids) =
+            extend_postings(&self.rev_offsets, &self.rev_paper_ids, n_authors, &postings);
         Self {
             offsets,
             author_ids,
@@ -548,8 +527,9 @@ impl VenueTable {
     /// posting lists, so [`Self::papers_at`] returns an empty slice for
     /// them, never panicking on an in-range id.
     ///
-    /// Beyond the unavoidable copy of the existing arrays the work is
-    /// O(batch + n_venues) — this is the delta-publish maintenance path.
+    /// The existing arrays are copied in spans between touched venues
+    /// (`extend_postings`), so beyond that copy the work is
+    /// O(batch log batch) — this is the delta-publish maintenance path.
     pub fn extend(&self, new_slots: &[Option<VenueId>], n_venues: usize) -> VenueTable {
         assert!(
             n_venues >= self.n_venues,
@@ -560,38 +540,17 @@ impl VenueTable {
             assert!((*v as usize) < n_venues, "venue id {v} out of range");
         }
         let n_old = self.venue.len();
-        let mut venue = self.venue.clone();
+        let mut venue = Vec::with_capacity(n_old + new_slots.len());
+        venue.extend_from_slice(&self.venue);
         venue.extend_from_slice(new_slots);
-
-        let mut add_counts = vec![0usize; n_venues];
-        for v in new_slots.iter().flatten() {
-            add_counts[*v as usize] += 1;
-        }
-        let mut post_offsets = Vec::with_capacity(n_venues + 1);
-        post_offsets.push(0usize);
-        let mut acc = 0;
-        for (v, &added) in add_counts.iter().enumerate() {
-            let old = if v < self.n_venues {
-                self.post_offsets[v + 1] - self.post_offsets[v]
-            } else {
-                0
-            };
-            acc += old + added;
-            post_offsets.push(acc);
-        }
-        let mut post_papers = vec![0 as PaperId; acc];
-        let mut cursor = post_offsets[..n_venues].to_vec();
-        for v in 0..self.n_venues {
-            let seg = &self.post_papers[self.post_offsets[v]..self.post_offsets[v + 1]];
-            post_papers[cursor[v]..cursor[v] + seg.len()].copy_from_slice(seg);
-            cursor[v] += seg.len();
-        }
-        for (i, v) in new_slots.iter().enumerate() {
-            if let Some(v) = v {
-                post_papers[cursor[*v as usize]] = (n_old + i) as PaperId;
-                cursor[*v as usize] += 1;
-            }
-        }
+        let mut postings: Vec<(VenueId, PaperId)> = new_slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, v)| v.map(|v| (v, (n_old + i) as PaperId)))
+            .collect();
+        postings.sort_unstable();
+        let (post_offsets, post_papers) =
+            extend_postings(&self.post_offsets, &self.post_papers, n_venues, &postings);
         Self {
             venue,
             n_venues,
@@ -615,6 +574,47 @@ impl VenueTable {
         assert!(start <= end && end <= self.n_papers());
         VenueTable::new(self.venue[start..end].to_vec(), self.n_venues)
     }
+}
+
+/// Facet posting lists (`offsets[k]..offsets[k + 1]` indexes `papers` for
+/// facet id `k`) grown to `n_keys` lists with the `extra` `(key, paper)`
+/// pairs appended. `extra` is sorted, and its papers exceed every paper
+/// already listed, so each key's additions land at the end of its list and
+/// every list stays ascending. The lists between two touched keys are
+/// copied as one span with shifted offsets — the cost is a copy of the
+/// arrays plus the batch, with no per-key work for untouched keys.
+fn extend_postings(
+    offsets: &[usize],
+    papers: &[PaperId],
+    n_keys: usize,
+    extra: &[(u32, PaperId)],
+) -> (Vec<usize>, Vec<PaperId>) {
+    let n_old = offsets.len() - 1;
+    let mut out_offsets: Vec<usize> = Vec::with_capacity(n_keys + 1);
+    let mut out_papers: Vec<PaperId> = Vec::with_capacity(papers.len() + extra.len());
+    // Emits the lists of keys `out_offsets.len()..to` as they were (empty
+    // for keys past the old id space).
+    let copy_lists_until =
+        |to: usize, out_offsets: &mut Vec<usize>, out_papers: &mut Vec<PaperId>| {
+            let (from, old_to) = (out_offsets.len(), to.min(n_old));
+            if from < old_to {
+                let (s, e) = (offsets[from], offsets[old_to]);
+                let shift = out_papers.len() - s;
+                out_offsets.extend(offsets[from..old_to].iter().map(|&o| o + shift));
+                out_papers.extend_from_slice(&papers[s..e]);
+            }
+            out_offsets.resize(to, out_papers.len());
+        };
+    let mut rest = extra;
+    while let Some(&(key, _)) = rest.first() {
+        let (added, tail) = rest.split_at(rest.partition_point(|e| e.0 == key));
+        rest = tail;
+        copy_lists_until(key as usize + 1, &mut out_offsets, &mut out_papers);
+        out_papers.extend(added.iter().map(|e| e.1));
+    }
+    copy_lists_until(n_keys, &mut out_offsets, &mut out_papers);
+    out_offsets.push(out_papers.len());
+    (out_offsets, out_papers)
 }
 
 #[cfg(test)]

@@ -93,13 +93,26 @@ impl CitationNetwork {
         authors: Option<AuthorTable>,
         venues: Option<VenueTable>,
     ) -> Self {
+        let citers = refs.transpose();
+        Self::from_parts_with_citers(years, refs, citers, authors, venues)
+    }
+
+    /// [`Self::from_parts`] for a caller that already holds the transpose
+    /// (the delta path merges both adjacencies instead of re-deriving one
+    /// from the other); `citers` must equal `refs.transpose()`.
+    pub(crate) fn from_parts_with_citers(
+        years: Vec<Year>,
+        refs: Csr,
+        citers: Csr,
+        authors: Option<AuthorTable>,
+        venues: Option<VenueTable>,
+    ) -> Self {
         debug_assert_eq!(refs.nrows(), years.len());
         debug_assert_eq!(refs.ncols(), years.len());
         debug_assert!(
             years.windows(2).all(|w| w[0] <= w[1]),
             "years must be sorted"
         );
-        let citers = refs.transpose();
         Self {
             years,
             refs,

@@ -255,6 +255,21 @@ impl EpochSnapshot {
     pub(crate) fn lineage(&self) -> Option<&EpochLineage> {
         self.lineage.as_ref()
     }
+
+    /// This epoch's network, if it is `parent` with exactly `delta`
+    /// applied — what a sibling engine publishing the same batch over the
+    /// same parent would otherwise build again. The parent is compared by
+    /// `Arc` identity (the lineage keeps it alive, so the address cannot
+    /// have been reused) and the delta by value.
+    fn successor_of(
+        &self,
+        parent: &Arc<CitationNetwork>,
+        delta: &GraphDelta,
+    ) -> Option<Arc<CitationNetwork>> {
+        let lineage = self.lineage.as_ref()?;
+        (Arc::ptr_eq(&lineage.parent_net, parent) && *lineage.delta == *delta)
+            .then(|| self.net.clone())
+    }
 }
 
 /// Outcome of one [`RankingEngine::ingest`] call.
@@ -322,8 +337,11 @@ struct WriterState {
     ranker: EngineRanker,
     workspace: KernelWorkspace,
     /// Validated-but-unapplied additions. Ingests merge into this staged
-    /// delta in O(batch); the O(n + m) network rebuild happens once per
-    /// publish, not once per batch.
+    /// delta in O(batch); the successor network — an O(V + E) copy of the
+    /// arrays plus an O(batch log batch) merge, see
+    /// [`CitationNetwork::with_delta`] — is built once per publish, not
+    /// once per batch, and not at all when a sibling engine over the same
+    /// parent network has already built it.
     staged: GraphDelta,
     pending_batches: usize,
     next_epoch: u64,
@@ -372,12 +390,17 @@ pub struct RankingEngine {
 impl RankingEngine {
     /// Builds an engine from a validated spec, performs the initial rank,
     /// and publishes epoch 0.
+    ///
+    /// `net` is an owned network or an `Arc` share of one: engines built
+    /// over clones of one `Arc` hold a single copy of the corpus between
+    /// them (and of its cached stochastic operator) — networks are
+    /// immutable, a publish swaps in a successor `Arc`.
     pub fn new(
-        net: CitationNetwork,
+        net: impl Into<Arc<CitationNetwork>>,
         spec: &MethodSpec,
         policy: RerankPolicy,
     ) -> Result<Self, SpecError> {
-        let net = Arc::new(net);
+        let net = net.into();
         let mut ranker = Self::make_ranker(spec)?;
         let mut workspace = KernelWorkspace::new();
         let scores = ranker.rank_full(&net, &mut workspace);
@@ -420,7 +443,7 @@ impl RankingEngine {
     /// [`Self::new`] from a config string, e.g.
     /// `"attrank:alpha=0.2,beta=0.4,y=3,w=-0.16"`.
     pub fn from_config(
-        net: CitationNetwork,
+        net: impl Into<Arc<CitationNetwork>>,
         config: &str,
         policy: RerankPolicy,
     ) -> Result<Self, SpecError> {
@@ -462,9 +485,9 @@ impl RankingEngine {
     /// network, re-ranking and publishing a new epoch if the policy fires.
     ///
     /// Validation runs immediately (`O(batch)`, against the network plus
-    /// everything already staged), but the network itself is rebuilt only
+    /// everything already staged), but the successor network is built only
     /// when a publish actually happens — a deferred-publish policy fed many
-    /// small batches pays one rebuild per epoch, not one per batch.
+    /// small batches pays one corpus copy per epoch, not one per batch.
     ///
     /// With a WAL attached ([`Self::attach_wal`] /
     /// [`Self::open_from_store`]), the validated batch is appended to the
@@ -476,6 +499,19 @@ impl RankingEngine {
     /// Returns the delta validation error (or the WAL append failure);
     /// the engine state is untouched on failure.
     pub fn ingest(&self, delta: &GraphDelta) -> Result<IngestReport, EngineError> {
+        self.ingest_after(delta, None)
+    }
+
+    /// [`Self::ingest`] for a fan-out caller: `sibling` is the epoch
+    /// another engine just published off the same batch. If this publish
+    /// applies the same delta to the same parent network, it adopts the
+    /// sibling's successor instead of building an identical one; a member
+    /// whose lineage diverged misses and builds its own.
+    pub(crate) fn ingest_after(
+        &self,
+        delta: &GraphDelta,
+        sibling: Option<&EpochSnapshot>,
+    ) -> Result<IngestReport, EngineError> {
         let mut state = self.writer.lock().expect("writer lock poisoned");
         if state.restoring {
             return Err(EngineError::Restore(
@@ -488,7 +524,7 @@ impl RankingEngine {
             wal.append(seq, delta)?;
         }
         state.next_seq += 1;
-        Ok(self.stage_locked(&mut state, delta))
+        Ok(self.stage_locked(&mut state, delta, sibling))
     }
 
     /// Validates `delta` against the authoritative network plus
@@ -514,11 +550,16 @@ impl RankingEngine {
     fn ingest_replayed(&self, delta: &GraphDelta) -> Result<IngestReport, EngineError> {
         let mut state = self.writer.lock().expect("writer lock poisoned");
         state.net.validate_delta(&state.staged, delta)?;
-        Ok(self.stage_locked(&mut state, delta))
+        Ok(self.stage_locked(&mut state, delta, None))
     }
 
     /// Stages a validated batch and publishes if the policy fires.
-    fn stage_locked(&self, state: &mut WriterState, delta: &GraphDelta) -> IngestReport {
+    fn stage_locked(
+        &self,
+        state: &mut WriterState,
+        delta: &GraphDelta,
+        sibling: Option<&EpochSnapshot>,
+    ) -> IngestReport {
         state.staged.merge(delta);
         state.pending_batches += 1;
         let mut published = false;
@@ -526,7 +567,7 @@ impl RankingEngine {
             .policy
             .should_publish(state.staged.n_citations(), state.pending_batches)
         {
-            published = self.publish_locked(state);
+            published = self.publish_locked(state, sibling);
         }
         IngestReport {
             epoch: state.next_epoch - 1,
@@ -539,8 +580,14 @@ impl RankingEngine {
     /// Forces a re-rank (folding in any staged ingests) and publishes the
     /// new epoch. Returns the published epoch number.
     pub fn rerank(&self) -> u64 {
+        self.rerank_after(None)
+    }
+
+    /// [`Self::rerank`] with a sibling's fresh epoch to adopt the
+    /// successor network from (see [`Self::ingest_after`]).
+    pub(crate) fn rerank_after(&self, sibling: Option<&EpochSnapshot>) -> u64 {
         let mut state = self.writer.lock().expect("writer lock poisoned");
-        let _ = self.publish_locked(&mut state);
+        let _ = self.publish_locked(&mut state, sibling);
         state.next_epoch - 1
     }
 
@@ -784,11 +831,12 @@ impl RankingEngine {
         })
     }
 
-    /// Folds staged deltas into the network, re-ranks (push when the
-    /// delta qualifies, full solve otherwise), and swaps in the new
-    /// epoch. Returns `false` when the solve produced non-finite scores
-    /// and the previous epoch was kept.
-    fn publish_locked(&self, state: &mut WriterState) -> bool {
+    /// Folds staged deltas into the network (adopting `sibling`'s
+    /// successor when it is the same parent plus the same delta), re-ranks
+    /// (push when the delta qualifies, full solve otherwise), and swaps in
+    /// the new epoch. Returns `false` when the solve produced non-finite
+    /// scores and the previous epoch was kept.
+    fn publish_locked(&self, state: &mut WriterState, sibling: Option<&EpochSnapshot>) -> bool {
         let publish_started = Instant::now();
         state.pending_batches = 0;
         // Lineage capture: the pre-publish network and the batch folded
@@ -806,13 +854,29 @@ impl RankingEngine {
             )
         } else {
             let staged = std::mem::replace(&mut state.staged, GraphDelta::new());
-            let next = Arc::new(
-                state
-                    .net
-                    .with_delta(&staged)
-                    .expect("staged deltas were validated at ingest"),
-            );
+            let (next, shared) = match sibling.and_then(|s| s.successor_of(&state.net, &staged)) {
+                Some(next) => (next, true),
+                None => (
+                    Arc::new(
+                        state
+                            .net
+                            .with_delta(&staged)
+                            .expect("staged deltas were validated at ingest"),
+                    ),
+                    false,
+                ),
+            };
             solve_started = Instant::now();
+            if let Some(ins) = self.instruments.get() {
+                ins.apply_seconds
+                    .observe(solve_started.duration_since(publish_started));
+                let outcome = if shared {
+                    &ins.successor_shared
+                } else {
+                    &ins.successor_built
+                };
+                outcome.inc();
+            }
             let (scores, strategy) = state.ranker.rank_delta(
                 &state.net,
                 &staged,

@@ -19,7 +19,8 @@
 use std::sync::Arc;
 
 use obsv::{
-    CounterVec, Gauge, GaugeVec, Histogram, HistogramVec, MetricsRegistry, LATENCY_BOUNDS_NS,
+    Counter, CounterVec, Gauge, GaugeVec, Histogram, HistogramVec, MetricsRegistry,
+    LATENCY_BOUNDS_NS,
 };
 
 use graphstore::WalObservers;
@@ -69,6 +70,11 @@ pub const CURSOR_ERROR_LABELS: [&str; 2] = ["stale", "mismatch"];
 /// capacity evictions).
 pub const PLAN_CACHE_LABELS: [&str; 4] = ["hit", "miss", "stale", "evict"];
 
+/// Label values of the successor-network `outcome` axis: a publish
+/// either built its successor network or adopted the one a sibling
+/// method's engine had just built from the same parent and batch.
+pub const SUCCESSOR_LABELS: [&str; 2] = ["built", "shared"];
+
 /// Label values of the sharded query `shape` axis.
 pub const SHAPE_LABELS: [&str; 4] = ["unfiltered", "year_range", "faceted", "seeded"];
 
@@ -82,14 +88,23 @@ pub const SHAPE_FACETED: usize = 2;
 pub const SHAPE_SEEDED: usize = 3;
 
 /// Per-method live instruments handed to a
-/// [`RankingEngine`](crate::RankingEngine): publish/solve latency, push
-/// work gauges, and the WAL's append/fsync observers. The handles alias
+/// [`RankingEngine`](crate::RankingEngine): publish/apply/solve latency,
+/// successor-network reuse, push work gauges, and the WAL's append/fsync
+/// observers. The handles alias
 /// children of the registering [`ServingMetrics`], so the engine records
 /// directly into the rendered families.
 #[derive(Debug, Clone)]
 pub struct EngineInstruments {
-    /// Whole-publish latency (solve + snapshot build + swap).
+    /// Whole-publish latency (apply + solve + snapshot build + swap).
     pub publish_seconds: Arc<Histogram>,
+    /// Obtaining the successor network: the copy-and-merge
+    /// `with_delta`, or the check that adopts a sibling's. Not observed by
+    /// a publish with nothing staged.
+    pub apply_seconds: Arc<Histogram>,
+    /// Publishes that built their successor network.
+    pub successor_built: Arc<Counter>,
+    /// Publishes that adopted a sibling engine's successor network.
+    pub successor_shared: Arc<Counter>,
     /// The ranking solve alone (`rank_full` / `rank_delta`).
     pub solve_seconds: Arc<Histogram>,
     /// Pushes spent by the last incremental publish (0 on full solves).
@@ -145,6 +160,8 @@ pub struct ServingMetrics {
     /// (`attrank_wal_replay_depth`).
     pub wal_replay_depth: GaugeVec,
     publish_seconds: HistogramVec,
+    apply_seconds: HistogramVec,
+    successor_networks: CounterVec,
     solve_seconds: HistogramVec,
     push_pushes: GaugeVec,
     push_edge_work: GaugeVec,
@@ -236,10 +253,23 @@ impl ServingMetrics {
             ),
             publish_seconds: registry.histogram_vec(
                 "attrank_publish_seconds",
-                "Whole-publish latency (solve + snapshot swap)",
+                "Whole-publish latency (apply + solve + snapshot swap)",
                 "method",
                 methods,
                 &LATENCY_BOUNDS_NS,
+            ),
+            apply_seconds: registry.histogram_vec(
+                "attrank_apply_seconds",
+                "Successor-network latency inside publish (built or shared)",
+                "method",
+                methods,
+                &LATENCY_BOUNDS_NS,
+            ),
+            successor_networks: registry.counter_vec(
+                "attrank_successor_networks_total",
+                "Publishes by how the successor network was obtained",
+                "outcome",
+                &SUCCESSOR_LABELS,
             ),
             solve_seconds: registry.histogram_vec(
                 "attrank_solve_seconds",
@@ -286,10 +316,14 @@ impl ServingMetrics {
 
     /// The live instruments for the method at child index `idx` —
     /// what a [`RankingEngine`](crate::RankingEngine) records into. The
-    /// WAL histograms are engine-wide (every method's log shares them).
+    /// WAL histograms and the successor-network counter are engine-wide
+    /// (every method records into the same children).
     pub fn instruments(&self, idx: usize) -> Arc<EngineInstruments> {
         Arc::new(EngineInstruments {
             publish_seconds: self.publish_seconds.share(idx),
+            apply_seconds: self.apply_seconds.share(idx),
+            successor_built: self.successor_networks.share(0),
+            successor_shared: self.successor_networks.share(1),
             solve_seconds: self.solve_seconds.share(idx),
             push_pushes: self.push_pushes.share(idx),
             push_edge_work: self.push_edge_work.share(idx),

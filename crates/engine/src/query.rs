@@ -1831,10 +1831,11 @@ pub struct Comparison {
 /// front-end.
 ///
 /// Each registered [`MethodSpec`] gets its own [`RankingEngine`] over
-/// the same initial corpus; [`Self::ingest`] fans a delta out to all of
-/// them so their network lineages stay identical (epochs may differ if
-/// policies fire differently — that is what per-snapshot pinning and
-/// cursor epochs are for). Queries address methods by their canonical
+/// one shared copy of the corpus; [`Self::ingest`] fans a delta out to
+/// all of them so their network lineages stay identical — the first
+/// member to publish builds the successor network and the others adopt it
+/// (epochs may differ if policies fire differently — that is what
+/// per-snapshot pinning and cursor epochs are for). Queries address methods by their canonical
 /// name (`attrank`, `cc`, …).
 ///
 /// Seeded queries (`seed=`) are served through one engine-wide
@@ -1867,13 +1868,16 @@ struct MetricsBundle {
 }
 
 impl QueryEngine {
-    /// Builds one engine per spec over clones of `net` and publishes
-    /// each method's epoch 0. The first spec is the default method.
+    /// Builds one engine per spec, all sharing one `Arc` of `net` (one
+    /// resident corpus and one cached stochastic operator however many
+    /// methods are served), and publishes each method's epoch 0. The
+    /// first spec is the default method.
     pub fn new(
-        net: CitationNetwork,
+        net: impl Into<Arc<CitationNetwork>>,
         specs: &[MethodSpec],
         policy: RerankPolicy,
     ) -> Result<Self, QueryError> {
+        let net: Arc<CitationNetwork> = net.into();
         if specs.is_empty() {
             return Err(QueryError::Syntax {
                 message: "QueryEngine needs at least one method spec".into(),
@@ -1905,7 +1909,7 @@ impl QueryEngine {
 
     /// [`Self::new`] from config strings, e.g. `["attrank", "cc"]`.
     pub fn from_configs(
-        net: CitationNetwork,
+        net: impl Into<Arc<CitationNetwork>>,
         configs: &[&str],
         policy: RerankPolicy,
     ) -> Result<Self, QueryError> {
@@ -2474,21 +2478,40 @@ impl QueryEngine {
     /// directly (or mid-restore) can diverge, and without the pre-flight
     /// a mid-loop failure would commit the batch to some members only,
     /// silently splitting the lineages for every later query.
+    ///
+    /// A publish costs one successor network per *corpus*, not per
+    /// method: each member is handed the epoch the previous member just
+    /// published and adopts its network when parent and staged delta
+    /// match (always, unless a member was ingested directly).
     pub fn ingest(&self, delta: &GraphDelta) -> Result<Vec<IngestReport>, EngineError> {
         for (_, engine) in &self.engines {
             engine.check_delta(delta)?;
         }
         let mut reports = Vec::with_capacity(self.engines.len());
+        let mut sibling: Option<Arc<EpochSnapshot>> = None;
         for (_, engine) in &self.engines {
-            reports.push(engine.ingest(delta)?);
+            let report = engine.ingest_after(delta, sibling.as_deref())?;
+            if report.published {
+                sibling = Some(engine.snapshot());
+            }
+            reports.push(report);
         }
         Ok(reports)
     }
 
     /// Forces a re-rank + publish on every engine; returns the published
-    /// epochs in registration order.
+    /// epochs in registration order. Members share the successor network
+    /// as in [`Self::ingest`].
     pub fn rerank(&self) -> Vec<u64> {
-        self.engines.iter().map(|(_, e)| e.rerank()).collect()
+        let mut sibling: Option<Arc<EpochSnapshot>> = None;
+        self.engines
+            .iter()
+            .map(|(_, engine)| {
+                let epoch = engine.rerank_after(sibling.as_deref());
+                sibling = Some(engine.snapshot());
+                epoch
+            })
+            .collect()
     }
 }
 

@@ -18,7 +18,7 @@ fn temp_wal(name: &str) -> PathBuf {
 }
 
 /// Every family the two stacks register, flat then sharded.
-const FAMILIES: [&str; 26] = [
+const FAMILIES: [&str; 28] = [
     "attrank_query_seconds",
     "attrank_planner_decisions_total",
     "attrank_cursor_errors_total",
@@ -32,6 +32,8 @@ const FAMILIES: [&str; 26] = [
     "attrank_staged_edges",
     "attrank_wal_replay_depth",
     "attrank_publish_seconds",
+    "attrank_apply_seconds",
+    "attrank_successor_networks_total",
     "attrank_solve_seconds",
     "attrank_push_pushes",
     "attrank_push_edge_work",
@@ -156,6 +158,11 @@ fn scripted_workload_renders_valid_exposition() {
     assert!(text.contains("attrank_admission_decisions_total{decision=\"k_clamped\"} 1"));
     assert!(text.contains("attrank_admission_decisions_total{decision=\"shed\"} 1"));
     assert!(text.contains("attrank_cache_outcomes_total{outcome=\"cold_push\"} 1"));
+    // One ingest over two methods: the first built the successor network,
+    // the second adopted it; each timed its apply step once.
+    assert!(text.contains("attrank_successor_networks_total{outcome=\"built\"} 1"));
+    assert!(text.contains("attrank_successor_networks_total{outcome=\"shared\"} 1"));
+    assert!(text.contains("attrank_apply_seconds_count{method=\"cc\"} 1"));
     // Boundary edges from the 3-way partition land on their shards.
     assert!(sh.boundary_edges() > 0);
     let by_shard = sh.boundary_edges_by_shard();

@@ -40,8 +40,9 @@ impl std::error::Error for CsrError {}
 ///
 /// [`Csr::from_edges`] / [`WeightedCsr::from_triples`] assert this guard
 /// (a graph that large cannot be represented and the panic names the
-/// limit); it is exposed so the overflow path is unit-testable without
-/// materializing a 4-billion-edge input.
+/// limit) and [`Csr::merged_with`] returns its error; it is exposed so the
+/// overflow path is unit-testable without materializing a 4-billion-edge
+/// input.
 pub fn check_nnz(nnz: usize) -> Result<(), CsrError> {
     if nnz > MAX_NNZ {
         Err(CsrError::new(format!(
@@ -204,6 +205,96 @@ impl Csr {
             indices,
             ncols: self.nrows(),
         }
+    }
+
+    /// The matrix grown to `nrows × ncols` with `extra` entries added:
+    /// each row is the set union of the existing row and the `extra`
+    /// entries of that row, so an entry that is already stored changes
+    /// nothing, and `m.merged_with(r, c, e).transpose()` equals
+    /// `m.transpose().merged_with(c, r, flipped e)`.
+    ///
+    /// `extra` must be strictly increasing in `(row, col)` order — sorted
+    /// and deduplicated by the caller. Untouched row spans are copied
+    /// wholesale (one `extend_from_slice` and a shifted `indptr` span per
+    /// gap between touched rows) and only touched rows are merged, so the
+    /// cost is an `O(V + E)` copy plus `O(batch · log degree)` of merging —
+    /// no per-edge scatter and no re-sort of rows that did not change. The
+    /// result is identical to [`Self::from_edges`] over the combined edge
+    /// list.
+    ///
+    /// # Errors
+    /// Rejects a shrinking shape, an `extra` that is not strictly
+    /// increasing, an entry outside `nrows × ncols`, and a total entry
+    /// count past [`MAX_NNZ`].
+    pub fn merged_with(
+        &self,
+        nrows: usize,
+        ncols: usize,
+        extra: &[(u32, u32)],
+    ) -> Result<Csr, CsrError> {
+        let n_old = self.nrows();
+        if nrows < n_old || ncols < self.ncols {
+            return Err(CsrError::new(format!(
+                "cannot shrink {n_old}x{} to {nrows}x{ncols}",
+                self.ncols
+            )));
+        }
+        if extra.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(CsrError::new(
+                "extra entries are not strictly increasing in (row, col) order",
+            ));
+        }
+        if let Some(&(r, c)) = extra
+            .iter()
+            .find(|&&(r, c)| r as usize >= nrows || c as usize >= ncols)
+        {
+            return Err(CsrError::new(format!(
+                "extra entry ({r}, {c}) is outside {nrows}x{ncols}"
+            )));
+        }
+        check_nnz(self.nnz() + extra.len())?;
+
+        let mut indptr: Vec<u32> = Vec::with_capacity(nrows + 1);
+        let mut indices: Vec<u32> = Vec::with_capacity(self.nnz() + extra.len());
+        // Emits rows `indptr.len()..to` unchanged: old rows as one span
+        // whose row pointers shift by what was inserted before them, rows
+        // past the old shape as empty.
+        let copy_rows_until = |to: usize, indptr: &mut Vec<u32>, indices: &mut Vec<u32>| {
+            let (from, old_to) = (indptr.len(), to.min(n_old));
+            if from < old_to {
+                let (s, e) = (self.indptr[from] as usize, self.indptr[old_to] as usize);
+                let shift = (indices.len() - s) as u32;
+                indptr.extend(self.indptr[from..old_to].iter().map(|&p| p + shift));
+                indices.extend_from_slice(&self.indices[s..e]);
+            }
+            indptr.resize(to, indices.len() as u32);
+        };
+        let mut rest = extra;
+        while let Some(&(r, _)) = rest.first() {
+            let (touched, tail) = rest.split_at(rest.partition_point(|e| e.0 == r));
+            rest = tail;
+            copy_rows_until(r as usize, &mut indptr, &mut indices);
+            indptr.push(indices.len() as u32);
+            let mut old: &[u32] = if (r as usize) < n_old {
+                self.row(r)
+            } else {
+                &[]
+            };
+            for &(_, c) in touched {
+                let (below, from_c) = old.split_at(old.partition_point(|&o| o < c));
+                indices.extend_from_slice(below);
+                indices.push(c);
+                old = from_c.strip_prefix(&[c]).unwrap_or(from_c);
+            }
+            indices.extend_from_slice(old);
+        }
+        copy_rows_until(nrows, &mut indptr, &mut indices);
+        indptr.push(indices.len() as u32);
+        Ok(Csr {
+            indptr,
+            indices,
+            ncols,
+        })
     }
 
     /// Returns the out-degree of every row as a dense vector.
@@ -678,6 +769,69 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("u32 row-pointer range"), "{msg}");
         assert!(msg.contains(&MAX_NNZ.to_string()), "{msg}");
+    }
+
+    /// `from_edges` over the old entries plus `extra` — what `merged_with`
+    /// must reproduce.
+    fn rebuilt(m: &Csr, nrows: usize, ncols: usize, extra: &[(u32, u32)]) -> Csr {
+        let mut edges: Vec<_> = m.iter_edges().collect();
+        edges.extend_from_slice(extra);
+        Csr::from_edges(nrows, ncols, &edges)
+    }
+
+    #[test]
+    fn merged_with_nothing_is_the_same_matrix_at_the_grown_shape() {
+        let m = sample();
+        assert_eq!(m.merged_with(4, 4, &[]).unwrap(), m);
+        let grown = m.merged_with(6, 7, &[]).unwrap();
+        assert_eq!(grown, rebuilt(&m, 6, 7, &[]));
+        assert_eq!((grown.nrows(), grown.ncols(), grown.nnz()), (6, 7, 6));
+        assert_eq!(grown.row(3), m.row(3));
+        assert_eq!(grown.row(5), &[] as &[u32]);
+        // Growing an empty matrix works too.
+        assert_eq!(
+            Csr::empty(0, 0).merged_with(2, 2, &[(1, 0)]).unwrap(),
+            Csr::from_edges(2, 2, &[(1, 0)])
+        );
+    }
+
+    #[test]
+    fn merged_with_touches_boundary_rows() {
+        let m = sample(); // n_old = 4
+        for extra in [
+            vec![(0, 0), (0, 3)], // first row, both ends
+            vec![(3, 3), (3, 5)], // last old row
+            vec![(4, 0), (4, 4)], // first new row
+            vec![(6, 1)],         // last new row, gap before
+            vec![(0, 3), (2, 1), (3, 3), (4, 2), (6, 0), (6, 6)],
+            vec![(0, 1), (0, 2), (1, 2), (3, 1)], // all already stored
+            vec![(0, 0), (0, 1), (0, 5), (3, 2), (3, 6)], // mixed
+        ] {
+            let merged = m.merged_with(7, 7, &extra).unwrap();
+            assert_eq!(merged, rebuilt(&m, 7, 7, &extra), "extra {extra:?}");
+            // The same union applied to the transpose stays the transpose.
+            let mut flipped: Vec<_> = extra.iter().map(|&(r, c)| (c, r)).collect();
+            flipped.sort_unstable();
+            assert_eq!(
+                m.transpose().merged_with(7, 7, &flipped).unwrap(),
+                merged.transpose(),
+                "extra {extra:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn merged_with_rejects_bad_input() {
+        let m = sample();
+        let msg = |r: Result<Csr, CsrError>| r.unwrap_err().to_string();
+        assert!(msg(m.merged_with(3, 4, &[])).contains("shrink"));
+        assert!(msg(m.merged_with(4, 3, &[])).contains("shrink"));
+        assert!(msg(m.merged_with(5, 5, &[(5, 0)])).contains("outside"));
+        assert!(msg(m.merged_with(5, 5, &[(0, 5)])).contains("outside"));
+        // Unsorted rows, unsorted columns and duplicates are all rejected.
+        for extra in [[(2, 0), (1, 0)], [(1, 3), (1, 0)], [(1, 0), (1, 0)]] {
+            assert!(msg(m.merged_with(5, 5, &extra)).contains("strictly increasing"));
+        }
     }
 
     #[test]
