@@ -6,8 +6,8 @@
 //! `α = 0.5` (Chen et al. 2007), the default here.
 
 use citegraph::{
-    try_push_rerank, CitationNetwork, DanglingResolution, DeltaRank, DeltaStrategy, GraphDelta,
-    PushRankConfig, Ranker,
+    try_push_lane, CitationNetwork, DanglingResolution, DeltaRank, DeltaStrategy, GraphDelta,
+    Personalization, PushRankConfig, Ranker,
 };
 use sparsela::{KernelWorkspace, PowerEngine, PowerOptions, ScoreVec};
 
@@ -90,20 +90,16 @@ impl Ranker for PageRank {
     ) -> DeltaRank {
         let alpha = self.alpha;
         if alpha > 0.0 && old.n_papers() > 0 {
-            let mut b_old = workspace.take_zeros(old.n_papers());
-            b_old.fill((1.0 - alpha) / old.n_papers() as f64);
-            let mut b_new = workspace.take_zeros(new.n_papers());
-            b_new.fill((1.0 - alpha) / new.n_papers() as f64);
             // PageRank is proportional to the uniform kernel itself
             // (`x* = (1−α)·u`), so deferred dangling mass resolves in
             // closed form — no flushes, no kernel cache needed.
-            let pushed = try_push_rerank(
+            let pushed = try_push_lane(
                 old,
                 delta,
                 new,
                 previous,
-                b_old.as_slice(),
-                b_new.as_slice(),
+                Personalization::Uniform((1.0 - alpha) / old.n_papers() as f64),
+                Personalization::Uniform((1.0 - alpha) / new.n_papers() as f64),
                 alpha,
                 DanglingResolution::SelfSimilar {
                     kernel_factor: 1.0 / (1.0 - alpha),
@@ -111,8 +107,6 @@ impl Ranker for PageRank {
                 &PushRankConfig::default(),
                 workspace,
             );
-            workspace.recycle(b_old);
-            workspace.recycle(b_new);
             if let Some((scores, outcome)) = pushed {
                 return DeltaRank {
                     scores,

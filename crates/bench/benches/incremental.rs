@@ -14,14 +14,27 @@
 //! `Csr::from_edges` + `transpose` it replaced, producing the same
 //! adjacencies in the same run. `rebuild_200k` over `with_delta_200k/800`
 //! is gated by bench-check as `incremental/delta_apply_speedup`.
+//!
+//! `update_delta_200k/{8,800,8000}` time the steady-state push publish
+//! alone at e2ebench's batch sizes (1 / 100 / 1000 papers × 8 references,
+//! default `attrank` parameters): carried personalization, one 3-lane
+//! push, one resolution sweep. `three_pushes_200k/800` is its same-run
+//! comparator — the sequence the 3-lane push replaced, driven through the
+//! public `K = 1` entry points over the same transition (uniform kernel,
+//! then each component against it; the new personalization is handed to
+//! it precomputed). `three_pushes_200k/800` over `update_delta_200k/800`
+//! is gated by bench-check as `incremental/fused_push_speedup`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
-use attrank::{AttRank, AttRankParams, IncrementalAttRank};
+use attrank::{jump_components, AttRank, AttRankParams, IncrementalAttRank};
 use citegen::{generate, publish_delta, DatasetProfile};
-use citegraph::Ranker;
+use citegraph::{
+    try_push_rerank, uniform_kernel, update_uniform_kernel, DanglingResolution, PushRankConfig,
+    Ranker,
+};
 use repro_bench::DEFAULT_SEED;
-use sparsela::{Csr, KernelWorkspace};
+use sparsela::{Csr, KernelWorkspace, PowerEngine, PowerOptions, ScoreVec};
 
 /// The paper's primary convergence setting (§4.4 studies α = 0.5).
 fn params() -> AttRankParams {
@@ -116,5 +129,93 @@ fn bench_delta_apply(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_incremental, bench_delta_apply);
+fn bench_update_delta(c: &mut Criterion) {
+    let mut group = c.benchmark_group("incremental");
+    let net = generate(&DatasetProfile::dblp().scaled(200_000), DEFAULT_SEED);
+    // The serving default (`MethodSpec` "attrank").
+    let params = AttRankParams::new(0.2, 0.4, 3, -0.16).unwrap();
+    let alpha = params.alpha();
+
+    // Prime: initial rank + one small publish to build the split.
+    let mut scorer = IncrementalAttRank::new(params);
+    scorer.update(&net);
+    let prime = publish_delta(&net, 80, 8, 5);
+    let primed = net.with_delta(&prime).unwrap();
+    scorer.update_delta(&net, &prime, &primed);
+
+    for &edges in &[8usize, 800, 8000] {
+        let delta = publish_delta(&primed, edges, 8, 99);
+        let new = primed.with_delta(&delta).unwrap();
+        group.bench_with_input(
+            BenchmarkId::new("update_delta_200k", edges),
+            &new,
+            |b, new| {
+                b.iter_batched(
+                    || scorer.clone(),
+                    |mut inc| inc.update_delta(&primed, &delta, new),
+                    BatchSize::LargeInput,
+                )
+            },
+        );
+    }
+
+    // The comparator's state on `primed`: the kernel and both component
+    // fixed points, each with its personalization.
+    let delta = publish_delta(&primed, 800, 8, 99);
+    let new = primed.with_delta(&delta).unwrap();
+    let mut ws = KernelWorkspace::new();
+    let kernel0 = uniform_kernel(&primed, alpha, &mut ws);
+    let (b_att0, b_rec0) = jump_components(&primed, &params, &mut ws);
+    let (b_att1, b_rec1) = jump_components(&new, &params, &mut ws);
+    let op = primed.stochastic_operator();
+    let solve = |b: &ScoreVec| {
+        let start = ScoreVec::uniform(primed.n_papers());
+        PowerEngine::new(PowerOptions::default())
+            .run(start, |cur, next| {
+                op.apply_damped(alpha, cur.as_slice(), b.as_slice(), next.as_mut_slice())
+            })
+            .scores
+    };
+    let (att0, rec0) = (solve(&b_att0), solve(&b_rec0));
+    let cfg = PushRankConfig::default();
+    group.bench_function(BenchmarkId::new("three_pushes_200k", 800), |b| {
+        b.iter(|| {
+            let (kernel1, _) =
+                update_uniform_kernel(&primed, &delta, &new, &kernel0, alpha, &cfg, &mut ws)
+                    .expect("a 100-paper batch pushes");
+            let mut component = |previous: &ScoreVec, b_old: &ScoreVec, b_new: &ScoreVec| {
+                try_push_rerank(
+                    &primed,
+                    &delta,
+                    &new,
+                    previous,
+                    b_old.as_slice(),
+                    b_new.as_slice(),
+                    alpha,
+                    DanglingResolution::Kernel(kernel1.as_slice()),
+                    &cfg,
+                    &mut ws,
+                )
+                .expect("a 100-paper batch pushes")
+                .0
+            };
+            let mut total = component(&att0, &b_att0, &b_att1);
+            let rec1 = component(&rec0, &b_rec0, &b_rec1);
+            total.axpy(1.0, &rec1);
+            let sum = total.sum();
+            for v in [kernel1, total, rec1] {
+                ws.recycle(v);
+            }
+            sum
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_incremental,
+    bench_delta_apply,
+    bench_update_delta
+);
 criterion_main!(benches);

@@ -361,6 +361,36 @@ pub fn delta_apply_speedup(records: &[BenchRecord]) -> Option<f64> {
 /// from its edge list at 200k papers).
 pub const MIN_DELTA_APPLY_SPEEDUP: f64 = 4.0;
 
+/// The fused-push speedup recorded in a report: `min_ns` of the three
+/// sequential `K = 1` pushes a publish used to make (uniform kernel, then
+/// the attention and recency components against it —
+/// `three_pushes_200k/800`) over the steady-state
+/// `IncrementalAttRank::update_delta` that replaced them with one 3-lane
+/// push (`update_delta_200k/800`, which also pays for carrying the
+/// personalization across the delta), both in the `incremental` group
+/// over the same transition. `None` when either record is absent.
+///
+/// A same-run ratio like the other ratio gates, enforced directly by
+/// `repro bench-check`.
+pub fn fused_push_speedup(records: &[BenchRecord]) -> Option<f64> {
+    let find = |id: &str| {
+        records
+            .iter()
+            .find(|r| r.group == "incremental" && r.id == id)
+            .map(|r| r.min_ns)
+    };
+    let fused = find("update_delta_200k/800")?;
+    let sequential = find("three_pushes_200k/800")?;
+    Some(sequential / fused.max(1.0))
+}
+
+/// Acceptance floor for [`fused_push_speedup`] (ISSUE 17: one traversal
+/// of the perturbed cone for AttRank's three systems ≥1.25× faster than
+/// three, at 200k papers and a 100-paper batch; not 3× — the interleaved
+/// residual is three times the footprint and the union of the three push
+/// sets is a quarter larger than any one).
+pub const MIN_FUSED_PUSH_SPEEDUP: f64 = 1.25;
+
 /// Outcome of one guarded comparison.
 #[derive(Debug)]
 pub struct Comparison {
@@ -643,6 +673,26 @@ mod tests {
         // Either side missing → no ratio; the reference rows are unguarded.
         assert_eq!(delta_apply_speedup(&records[..2]), None);
         assert_eq!(delta_apply_speedup(&records[2..]), None);
+        assert!(records.iter().all(|r| !is_guarded(r)));
+    }
+
+    #[test]
+    fn fused_push_speedup_is_the_min_ns_ratio() {
+        let rec = |id: &str, min_ns: f64| BenchRecord {
+            group: "incremental".into(),
+            id: id.into(),
+            min_ns,
+        };
+        let records = vec![
+            rec("update_delta_200k/8", 5_000_000.0),
+            rec("update_delta_200k/800", 8_000_000.0),
+            rec("three_pushes_200k/800", 14_000_000.0),
+        ];
+        assert_eq!(fused_push_speedup(&records), Some(1.75));
+        // Either side missing → no ratio; the rows are unguarded (the
+        // gate is the same-run ratio, not an absolute time).
+        assert_eq!(fused_push_speedup(&records[..2]), None);
+        assert_eq!(fused_push_speedup(&records[2..]), None);
         assert!(records.iter().all(|r| !is_guarded(r)));
     }
 

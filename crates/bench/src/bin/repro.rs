@@ -371,6 +371,20 @@ fn run_bench_check() -> ExitCode {
                 benchcheck::MIN_DELTA_APPLY_SPEEDUP
             );
         }
+        if let Some(speedup) = benchcheck::fused_push_speedup(records) {
+            let verdict = if speedup >= benchcheck::MIN_FUSED_PUSH_SPEEDUP {
+                "ok"
+            } else {
+                failed = true;
+                "REGRESSED"
+            };
+            println!(
+                "{:<44} {:>26.2}x  (floor {:.2}x)  {verdict}",
+                format!("incremental/fused_push_speedup ({origin})"),
+                speedup,
+                benchcheck::MIN_FUSED_PUSH_SPEEDUP
+            );
+        }
         // Overhead ratio: a *ceiling*, not a floor — instrumentation must
         // stay within 10% of the bare query path.
         if let Some(ratio) = benchcheck::metrics_overhead_ratio(records) {

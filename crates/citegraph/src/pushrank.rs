@@ -7,10 +7,10 @@
 //! is captured by a residual that is **sparse in magnitude** — large only
 //! where reference lists or personalization mass actually moved.
 //!
-//! [`try_push_rerank`] seeds that residual in `O(n + |delta-adjacent
-//! edges|)` cheap vector work (no SpMV) and hands it to
-//! [`sparsela::push::solve`], which localizes the remaining work to the
-//! perturbed neighborhood. The derivation, writing `S = N + (1/n)·1·dᵀ`
+//! The entry points here seed that residual in `O(n + |delta-adjacent
+//! edges|)` cheap vector work (no SpMV) and hand it to [`sparsela::push`],
+//! which localizes the remaining work to the perturbed neighborhood. The
+//! derivation, writing `S = N + (1/n)·1·dᵀ`
 //! (non-dangling columns plus the uniform dangling rank-1 part) and using
 //! that the old state satisfied `b₀ + α·S₀·x₀ − x₀ ≈ 0`:
 //!
@@ -41,13 +41,31 @@
 //! leaving a residual that is sparse again: only genuinely perturbed
 //! entries survive.
 //!
+//! ## One traversal for K systems
+//!
+//! Systems on the same operator that differ only in `b` — AttRank's
+//! attention and recency components and the uniform kernel they resolve
+//! against — are perturbed by a delta over almost the same cone, so they
+//! are seeded and pushed together: [`try_push_lanes`] takes `K`
+//! [`PushLane`]s — each a fixed point to update in place — makes **one**
+//! fused seeding pass (scaled warm starts, personalization residuals and
+//! dangling sums of every lane, then the rewired columns once for all
+//! lanes) and **one** run of [`sparsela::push::solve_lanes`]. A
+//! [`Personalization`] is a dense slice or a uniform constant, so
+//! `(1/n)·1` teleports are never materialized. [`try_push_rerank`],
+//! [`try_push_lane`] and [`update_uniform_kernel`] are the `K = 1` callers
+//! of the same seeding and the same loop, on a copy of the caller's
+//! vector.
+//!
 //! When the delta is too large a fraction of the graph, or the push
-//! exhausts its work budget (a few full-SpMV equivalents), the function
-//! returns `None` and the caller falls back to a (warm-started) full
-//! solve — the worst case never regresses beyond the bounded budget.
+//! exhausts its work budget (a few full-SpMV equivalents, shared by all
+//! lanes of a run), the function returns `None` and the caller falls back
+//! to a (warm-started) full solve — the worst case never regresses beyond
+//! the bounded budget.
 
 use sparsela::{
-    push, KernelWorkspace, PowerEngine, PowerOptions, PushConfig, PushOutcome, ScoreVec,
+    push, KernelWorkspace, LanesOutcome, PowerEngine, PowerOptions, PushConfig, PushOutcome,
+    ScoreVec,
 };
 
 use crate::delta::GraphDelta;
@@ -101,7 +119,8 @@ impl Default for PushRankConfig {
             // iterations; capping the push at 4 sweeps bounds the
             // worst-case fallback overhead to a fraction of one solve
             // while leaving gate-sized deltas comfortable headroom (a 1%
-            // publish measures ~0.8 sweeps per push stage).
+            // publish measures ~0.8 sweeps for its one K-lane stage: a
+            // traversed edge is counted once whatever the lane count).
             budget_sweeps: 4.0,
             max_delta_fraction: 0.05,
         }
@@ -138,22 +157,59 @@ impl PushRankConfig {
     }
 }
 
-/// Fits the global rescaling factor `c` with `b_new ≈ c·b_old` as the
-/// median of sampled entry ratios (robust: any sparse set of genuinely
-/// perturbed entries cannot move the median as long as most sampled
-/// entries carry the pure rescaling). Returns 1.0 when no informative
-/// entries exist.
-fn fit_scale(b_old: &[f64], b_new: &[f64]) -> f64 {
-    const SAMPLES: usize = 129;
-    let n = b_old.len();
-    if n == 0 {
-        return 1.0;
+/// A personalization vector `b` as the push seeding reads it: a dense
+/// slice, or one constant in every entry — the uniform teleports of
+/// PageRank and of the uniform kernel, which are then never materialized.
+#[derive(Debug, Clone, Copy)]
+pub enum Personalization<'a> {
+    /// One entry per paper.
+    Dense(&'a [f64]),
+    /// Every entry equals this constant.
+    Uniform(f64),
+}
+
+impl Personalization<'_> {
+    fn at(self, i: usize) -> f64 {
+        match self {
+            Personalization::Dense(b) => b[i],
+            Personalization::Uniform(c) => c,
+        }
     }
+
+    fn covers(self, n: usize) -> bool {
+        match self {
+            Personalization::Dense(b) => b.len() == n,
+            Personalization::Uniform(_) => true,
+        }
+    }
+}
+
+/// One system `x = α·S·x + b` carried across a delta, updated in place.
+#[derive(Debug)]
+pub struct PushLane<'a> {
+    /// In: the fixed point on `old` (`old.n_papers()` entries). Out, when
+    /// the push succeeds: the estimate on `new`. When it declines after
+    /// its gates passed, the vector is left part-way (grown, rescaled,
+    /// partially pushed) and is only good as a warm start.
+    pub x: &'a mut ScoreVec,
+    /// Personalization of the old state (`old.n_papers()` entries).
+    pub b_old: Personalization<'a>,
+    /// Personalization of the new state (`new.n_papers()` entries).
+    pub b_new: Personalization<'a>,
+}
+
+/// Fits the global rescaling factor `c` with `b_new ≈ c·b_old` as the
+/// median of sampled entry ratios over the first `n` entries (robust: any
+/// sparse set of genuinely perturbed entries cannot move the median as
+/// long as most sampled entries carry the pure rescaling). Returns 1.0
+/// when no informative entries exist.
+fn fit_scale(b_old: Personalization<'_>, b_new: Personalization<'_>, n: usize) -> f64 {
+    const SAMPLES: usize = 129;
     let stride = (n / SAMPLES).max(1);
     let mut ratios: Vec<f64> = (0..n)
         .step_by(stride)
-        .filter(|&i| b_old[i] != 0.0 && b_new[i].is_finite())
-        .map(|i| b_new[i] / b_old[i])
+        .filter(|&i| b_old.at(i) != 0.0 && b_new.at(i).is_finite())
+        .map(|i| b_new.at(i) / b_old.at(i))
         .filter(|r| r.is_finite() && *r > 0.0)
         .collect();
     if ratios.is_empty() {
@@ -161,6 +217,199 @@ fn fit_scale(b_old: &[f64], b_new: &[f64]) -> f64 {
     }
     let mid = ratios.len() / 2;
     *ratios.select_nth_unstable_by(mid, |a, b| a.total_cmp(b)).1
+}
+
+/// Seeds `K` lanes for a push across `delta` in one fused pass over the
+/// old rows: the scale-invariant warm start `x_k ← c_k·x_k` (zero-padded
+/// for the new papers), the personalization residual `b_new − c_k·b_old`,
+/// and the dangling score sums behind the denominator shift — then the
+/// rewired columns, walked once for all lanes. Every entry of the
+/// lane-interleaved `r` is assigned.
+///
+/// The dangling-denominator shift decomposes into one scalar `kappa`
+/// uniform over *all* rows plus a sparse correction on the (few) new rows.
+/// When `flush` is set the uniform part is added densely to the residual;
+/// otherwise it is returned, per lane, as the deferred mass `kappa·n₁`
+/// the push starts from. Returns `None` when a fixed point is not finite.
+fn seed_lanes<const K: usize>(
+    old: &CitationNetwork,
+    delta: &GraphDelta,
+    new: &CitationNetwork,
+    lanes: &mut [PushLane<'_>; K],
+    alpha: f64,
+    flush: bool,
+    r: &mut [f64],
+) -> Option<[f64; K]> {
+    let n_old = old.n_papers();
+    let n_new = new.n_papers();
+    // Scale-invariant warm start: begin from `c·x₀` so the ubiquitous
+    // renormalization component of the personalization shift cancels out
+    // of the seed (see the module docs) and only genuinely perturbed
+    // entries carry residual.
+    let scale = lanes
+        .each_ref()
+        .map(|lane| fit_scale(lane.b_old, lane.b_new, n_old));
+    let b_old = lanes.each_ref().map(|lane| lane.b_old);
+    let b_new = lanes.each_ref().map(|lane| lane.b_new);
+    let x = lanes.each_mut().map(|lane| {
+        lane.x.resize(n_new);
+        lane.x.as_mut_slice()
+    });
+
+    // Dangling score mass before/after the delta (only old papers carry
+    // score; a paper can gain references but never lose them).
+    let mut d_old = [0.0f64; K];
+    let mut d_new = [0.0f64; K];
+    let mut finite = true;
+    for (i, ri) in r[..n_old * K].chunks_exact_mut(K).enumerate() {
+        let was_dangling = old.reference_count(i as u32) == 0;
+        let still_dangling = was_dangling && new.reference_count(i as u32) == 0;
+        for k in 0..K {
+            let xi = scale[k] * x[k][i];
+            finite &= xi.is_finite();
+            x[k][i] = xi;
+            ri[k] = b_new[k].at(i) - scale[k] * b_old[k].at(i);
+            if was_dangling {
+                d_old[k] += xi;
+            }
+            if still_dangling {
+                d_new[k] += xi;
+            }
+        }
+    }
+    if !finite {
+        return None;
+    }
+
+    let mut initial_deferred = [0.0f64; K];
+    for k in 0..K {
+        let kappa = alpha * (d_new[k] / n_new as f64 - d_old[k] / n_old as f64);
+        let new_row_extra = alpha * d_old[k] / n_old as f64;
+        let dense_kappa = if flush { kappa } else { 0.0 };
+        if flush {
+            for ri in r[..n_old * K].chunks_exact_mut(K) {
+                ri[k] += dense_kappa;
+            }
+        } else {
+            initial_deferred[k] = kappa * n_new as f64;
+        }
+        // New rows hold no score; the residual seeds them with their full
+        // score mass.
+        for i in n_old..n_new {
+            r[i * K + k] = b_new[k].at(i) + dense_kappa + new_row_extra;
+        }
+    }
+
+    // Rewired columns: distinct old papers whose reference lists the
+    // delta extended (new papers hold no score and contribute nothing).
+    let mut changed: Vec<u32> = delta
+        .citations
+        .iter()
+        .map(|&(citing, _)| citing)
+        .filter(|&c| (c as usize) < n_old)
+        .collect();
+    changed.sort_unstable();
+    changed.dedup();
+    let mut spread = |row: &[u32], w: [f64; K]| {
+        for &i in row {
+            for (ri, w) in r[i as usize * K..][..K].iter_mut().zip(w) {
+                *ri += w;
+            }
+        }
+    };
+    for &j in &changed {
+        let xj: [f64; K] = std::array::from_fn(|k| x[k][j as usize]);
+        if xj.iter().all(|&xj| xj == 0.0) {
+            continue;
+        }
+        // A column that was dangling (no old row) is already handled by
+        // the dangling shift above.
+        let (before, after) = (old.references(j), new.references(j));
+        if !before.is_empty() {
+            spread(before, xj.map(|xj| -(alpha * xj / before.len() as f64)));
+        }
+        if !after.is_empty() {
+            spread(after, xj.map(|xj| alpha * xj / after.len() as f64));
+        }
+    }
+    Some(initial_deferred)
+}
+
+/// The gates every push entry point shares, then the fused seeding
+/// ([`seed_lanes`]) of the lanes and of the caller's residual `r`
+/// (`new.n_papers()·K` entries). Returns the per-lane deferred mass to
+/// start from and the push configuration — or `None` when the push is not
+/// worthwhile or the inputs are inconsistent (no lane is touched unless
+/// the gates pass).
+#[allow(clippy::too_many_arguments)] // the two network states, the delta between them, the knobs
+fn prepare_lanes<const K: usize>(
+    old: &CitationNetwork,
+    delta: &GraphDelta,
+    new: &CitationNetwork,
+    lanes: &mut [PushLane<'_>; K],
+    alpha: f64,
+    flush: bool,
+    cfg: &PushRankConfig,
+    r: &mut [f64],
+) -> Option<([f64; K], PushConfig)> {
+    let n_old = old.n_papers();
+    let n_new = new.n_papers();
+    if n_old == 0
+        || !(0.0..1.0).contains(&alpha)
+        || n_new != n_old + delta.n_papers()
+        || lanes.iter().any(|lane| {
+            lane.x.len() != n_old || !lane.b_old.covers(n_old) || !lane.b_new.covers(n_new)
+        })
+        || !cfg.gates_delta(old, delta)
+    {
+        return None;
+    }
+    let initial_deferred = seed_lanes(old, delta, new, lanes, alpha, flush, r)?;
+    let push_cfg = PushConfig {
+        alpha,
+        epsilon: cfg.epsilon,
+        max_edge_work: cfg.max_edge_work(new.n_citations(), n_new),
+    };
+    Some((initial_deferred, push_cfg))
+}
+
+/// Attempts a push-based re-rank of `K` systems `x_k = α·S·x_k + b_k`
+/// across a delta in **one** traversal of the perturbed cone: one fused
+/// seeding pass, one [`push::solve_lanes`] run, each lane's vector
+/// updated in place.
+///
+/// `old` is the network every `lanes[k].x` was solved on and `new` must
+/// be `old.with_delta(delta)`. `residual` is the caller's
+/// lane-interleaved scratch (resized here to `new.n_papers()·K`; keep it
+/// across publishes, and out of an `n`-sized [`KernelWorkspace`] pool,
+/// whose every buffer it would drift to its own size).
+///
+/// Dangling mass is always deferred: on success the lanes hold
+/// *unresolved* estimates and [`LanesOutcome::deferred`] each lane's
+/// uniform-direction mass `g_k`; lane `k`'s fixed point is
+/// `x_k + g_k·u` with `u` the uniform kernel of `new` (which may itself
+/// be one of the lanes — see [`DanglingResolution`]). Returns `None` when
+/// the push is not worthwhile / did not converge in budget.
+pub fn try_push_lanes<const K: usize>(
+    old: &CitationNetwork,
+    delta: &GraphDelta,
+    new: &CitationNetwork,
+    mut lanes: [PushLane<'_>; K],
+    alpha: f64,
+    cfg: &PushRankConfig,
+    residual: &mut Vec<f64>,
+) -> Option<LanesOutcome<K>> {
+    residual.resize(new.n_papers() * K, 0.0);
+    let (initial_deferred, push_cfg) =
+        prepare_lanes(old, delta, new, &mut lanes, alpha, false, cfg, residual)?;
+    let outcome = push::solve_lanes(
+        new.refs_csr(),
+        &push_cfg,
+        lanes.map(|lane| lane.x.as_mut_slice()),
+        residual,
+        initial_deferred,
+    );
+    outcome.converged.then_some(outcome)
 }
 
 /// Attempts a push-based re-rank of `x = α·S·x + b` across a delta.
@@ -190,133 +439,88 @@ pub fn try_push_rerank(
     cfg: &PushRankConfig,
     workspace: &mut KernelWorkspace,
 ) -> Option<(ScoreVec, PushOutcome)> {
+    try_push_lane(
+        old,
+        delta,
+        new,
+        previous,
+        Personalization::Dense(b_old),
+        Personalization::Dense(b_new),
+        alpha,
+        resolution,
+        cfg,
+        workspace,
+    )
+}
+
+/// [`try_push_rerank`] with either personalization given as a dense slice
+/// or as a uniform constant: the `K = 1` caller of the fused seeding, on a
+/// pooled copy of `previous`, with the deferred mass resolved as
+/// `resolution` says.
+#[allow(clippy::too_many_arguments)] // as try_push_rerank
+pub fn try_push_lane(
+    old: &CitationNetwork,
+    delta: &GraphDelta,
+    new: &CitationNetwork,
+    previous: &ScoreVec,
+    b_old: Personalization<'_>,
+    b_new: Personalization<'_>,
+    alpha: f64,
+    resolution: DanglingResolution<'_>,
+    cfg: &PushRankConfig,
+    workspace: &mut KernelWorkspace,
+) -> Option<(ScoreVec, PushOutcome)> {
+    let n_new = new.n_papers();
     if let DanglingResolution::Kernel(u) = resolution {
-        if u.len() != new.n_papers() {
+        if u.len() != n_new {
             return None;
         }
     }
-    let n_old = old.n_papers();
-    let n_new = new.n_papers();
-    if n_old == 0
-        || !(0.0..1.0).contains(&alpha)
-        || previous.len() != n_old
-        || b_old.len() != n_old
-        || b_new.len() != n_new
-        || n_new != n_old + delta.n_papers()
-        || !previous.all_finite()
-    {
-        return None;
-    }
-    if !cfg.gates_delta(old, delta) {
-        return None;
-    }
-
-    // Scale-invariant warm start: begin from `c·x₀` so the ubiquitous
-    // renormalization component of the personalization shift cancels out
-    // of the seed (see the module docs) and only genuinely perturbed
-    // entries carry residual.
-    let scale = fit_scale(b_old, &b_new[..n_old]);
-
-    // Pad the scaled previous fixed point with zeros for the new papers;
-    // the residual seeds them with their full score mass.
-    let mut x = workspace.take_zeros(n_new);
-    for (xi, &pi) in x.as_mut_slice()[..n_old].iter_mut().zip(previous.iter()) {
-        *xi = scale * pi;
-    }
-
-    // Dangling score mass before/after the delta (only old papers carry
-    // score; a paper can gain references but never lose them).
-    let mut d_old = 0.0f64;
-    let mut d_new = 0.0f64;
-    for j in 0..n_old as u32 {
-        if old.reference_count(j) == 0 {
-            let xj = scale * previous[j as usize];
-            d_old += xj;
-            if new.reference_count(j) == 0 {
-                d_new += xj;
-            }
-        }
-    }
-    // The dangling-denominator shift decomposes into one scalar `kappa`
-    // uniform over *all* rows plus a sparse correction on the (few) new
-    // rows. With a kernel/self-similar resolution the uniform part is
-    // deferred (seed mass `kappa·n₁`) instead of densifying the seed.
-    let kappa = alpha * (d_new / n_new as f64 - d_old / n_old as f64);
-    let new_row_extra = alpha * d_old / n_old as f64;
-    let flushing = matches!(resolution, DanglingResolution::Flush);
-    let (dense_kappa, initial_deferred) = if flushing {
-        (kappa, 0.0)
-    } else {
-        (0.0, kappa * n_new as f64)
-    };
-
+    let flush = matches!(resolution, DanglingResolution::Flush);
+    let mut x = workspace.take_zeros(previous.len());
+    x.copy_from_slice(previous);
     let mut r = workspace.take_zeros(n_new);
-    {
-        let r = r.as_mut_slice();
-        for i in 0..n_old {
-            r[i] = b_new[i] - scale * b_old[i] + dense_kappa;
-        }
-        for i in n_old..n_new {
-            r[i] = b_new[i] + dense_kappa + new_row_extra;
-        }
-        // Rewired columns: distinct old papers whose reference lists the
-        // delta extended (new papers hold no score and contribute nothing).
-        let mut changed: Vec<u32> = delta
-            .citations
-            .iter()
-            .map(|&(citing, _)| citing)
-            .filter(|&c| (c as usize) < n_old)
-            .collect();
-        changed.sort_unstable();
-        changed.dedup();
-        for &j in &changed {
-            let xj = scale * previous[j as usize];
-            if xj == 0.0 {
-                continue;
-            }
-            let deg0 = old.reference_count(j);
-            if deg0 > 0 {
-                let w = alpha * xj / deg0 as f64;
-                for &i in old.references(j) {
-                    r[i as usize] -= w;
-                }
-            }
-            // deg0 == 0 is already handled by the dangling shift above.
-            let deg1 = new.reference_count(j);
-            if deg1 > 0 {
-                let w = alpha * xj / deg1 as f64;
-                for &i in new.references(j) {
-                    r[i as usize] += w;
-                }
-            }
-        }
-    }
-
-    let push_cfg = PushConfig {
+    let mut lane = [PushLane {
+        x: &mut x,
+        b_old,
+        b_new,
+    }];
+    let prepared = prepare_lanes(
+        old,
+        delta,
+        new,
+        &mut lane,
         alpha,
-        epsilon: cfg.epsilon,
-        max_edge_work: cfg.max_edge_work(new.n_citations(), n_new),
-    };
-    let mut outcome = match resolution {
-        DanglingResolution::Flush => push::solve(
-            new.refs_csr(),
-            &push_cfg,
-            x.as_mut_slice(),
-            r.as_mut_slice(),
-        ),
-        _ => push::solve_deferring(
-            new.refs_csr(),
-            &push_cfg,
-            x.as_mut_slice(),
-            r.as_mut_slice(),
-            initial_deferred,
-        ),
-    };
+        flush,
+        cfg,
+        r.as_mut_slice(),
+    );
+    let pushed = prepared.map(|([initial_deferred], push_cfg)| {
+        let columns = new.refs_csr();
+        if flush {
+            push::solve(columns, &push_cfg, x.as_mut_slice(), r.as_mut_slice())
+        } else {
+            push::solve_deferring(
+                columns,
+                &push_cfg,
+                x.as_mut_slice(),
+                r.as_mut_slice(),
+                initial_deferred,
+            )
+        }
+    });
     workspace.recycle(r);
-    if !outcome.converged {
+    // The self-similar closed form needs (1 − g·f) safely positive; a
+    // delta perturbation keeps g tiny, so failing this means the caller
+    // handed us an inconsistent state — decline.
+    let denom = |outcome: &PushOutcome| match resolution {
+        DanglingResolution::SelfSimilar { kernel_factor } => 1.0 - outcome.deferred * kernel_factor,
+        _ => 1.0,
+    };
+    let Some(mut outcome) = pushed.filter(|o| o.converged && denom(o) > 0.5) else {
         workspace.recycle(x);
         return None;
-    }
+    };
     // Resolve the deferred uniform mass exactly (see DanglingResolution).
     match resolution {
         DanglingResolution::Flush => {}
@@ -325,23 +529,16 @@ pub fn try_push_rerank(
             for (xi, &ui) in x.iter_mut().zip(u) {
                 *xi += g * ui;
             }
-            outcome.edge_work += n_new as u64;
         }
-        DanglingResolution::SelfSimilar { kernel_factor } => {
-            let denom = 1.0 - outcome.deferred * kernel_factor;
-            // The closed form needs (1 − g·f) safely positive; a delta
-            // perturbation keeps g tiny, so failing this means the caller
-            // handed us an inconsistent state — decline.
-            if denom <= 0.5 {
-                workspace.recycle(x);
-                return None;
-            }
-            let inv = 1.0 / denom;
+        DanglingResolution::SelfSimilar { .. } => {
+            let inv = 1.0 / denom(&outcome);
             for xi in x.iter_mut() {
                 *xi *= inv;
             }
-            outcome.edge_work += n_new as u64;
         }
+    }
+    if !flush {
+        outcome.edge_work += n_new as u64;
     }
     Some((x, outcome))
 }
@@ -386,29 +583,18 @@ pub fn update_uniform_kernel(
     cfg: &PushRankConfig,
     workspace: &mut KernelWorkspace,
 ) -> Option<(ScoreVec, PushOutcome)> {
-    let (n_old, n_new) = (old.n_papers(), new.n_papers());
-    if n_old == 0 {
-        return None;
-    }
-    let mut b_old = workspace.take_zeros(n_old);
-    b_old.fill(1.0 / n_old as f64);
-    let mut b_new = workspace.take_zeros(n_new);
-    b_new.fill(1.0 / n_new as f64);
-    let result = try_push_rerank(
+    try_push_lane(
         old,
         delta,
         new,
         previous,
-        b_old.as_slice(),
-        b_new.as_slice(),
+        Personalization::Uniform(1.0 / old.n_papers() as f64),
+        Personalization::Uniform(1.0 / new.n_papers() as f64),
         alpha,
         DanglingResolution::SelfSimilar { kernel_factor: 1.0 },
         cfg,
         workspace,
-    );
-    workspace.recycle(b_old);
-    workspace.recycle(b_new);
-    result
+    )
 }
 
 #[cfg(test)]

@@ -19,10 +19,13 @@ pub enum DeltaStrategy {
     Full,
     /// A residual-push update localized to the perturbed neighborhood.
     Push {
-        /// Residual pushes executed.
+        /// Residual pushes executed (nodes pushed; a K-lane push moves
+        /// every lane's residual at the node and counts once).
         pushes: u64,
         /// Edge traversals spent (compare to `iterations × E` for a full
-        /// solve).
+        /// solve). A traversed edge is counted once whatever the lane
+        /// count of the push, so the figure stays comparable with
+        /// [`crate::PushRankConfig::max_edge_work`].
         edge_work: u64,
     },
 }

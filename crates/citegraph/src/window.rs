@@ -41,6 +41,17 @@ pub fn recent_citation_counts(net: &CitationNetwork, y: u32) -> Vec<u32> {
     citations_in_window(net, t_n - y as Year, t_n)
 }
 
+/// Id of the first citing paper inside the trailing window
+/// `(t_N − y, t_N]`. Papers are time-sorted, so the window's citing papers
+/// are exactly the ids from here on, and the id moves only when `t_N`
+/// does — which is what lets [`recent_citation_counts`] be maintained
+/// across appended batches. 0 for an empty network; `y ≥ 1` is required.
+pub fn recent_window_start(net: &CitationNetwork, y: u32) -> usize {
+    assert!(y >= 1, "window must span at least one year");
+    net.current_year()
+        .map_or(0, |t_n| net.papers_until(t_n - y as Year))
+}
+
 /// The ids of the `k` papers with the most citations received in the last
 /// `y` years (ties broken by smaller id). Used for the Table-1
 /// "recently popular" analysis.
@@ -102,6 +113,16 @@ mod tests {
         assert_eq!(recent_citation_counts(&net, 1), vec![1, 1, 1, 1, 0]);
         // y=2 → (2002, 2004]
         assert_eq!(recent_citation_counts(&net, 2), vec![2, 2, 2, 1, 0]);
+    }
+
+    #[test]
+    fn window_start_is_the_first_citing_id() {
+        let net = chain();
+        // y=2 → (2002, 2004]: the 2003 paper (id 3) is the first inside.
+        assert_eq!(recent_window_start(&net, 2), 3);
+        assert_eq!(recent_window_start(&net, 10), 0);
+        let empty = NetworkBuilder::new().build().unwrap();
+        assert_eq!(recent_window_start(&empty, 3), 0);
     }
 
     #[test]

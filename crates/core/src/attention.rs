@@ -12,7 +12,7 @@
 //! handles that case by construction (β·0 contributes nothing and the
 //! Theorem-1 argument falls back on `γ·T > 0`).
 
-use citegraph::{window, CitationNetwork};
+use citegraph::{window, CitationNetwork, GraphDelta, PaperId};
 use sparsela::ScoreVec;
 
 /// Computes the attention vector for the trailing `y`-year window of `net`.
@@ -22,9 +22,93 @@ use sparsela::ScoreVec;
 /// in [`crate::AttRankParams`] already forbids it).
 pub fn attention_vector(net: &CitationNetwork, y: u32) -> ScoreVec {
     let counts = window::recent_citation_counts(net, y);
-    let mut v = ScoreVec::from_vec(counts.into_iter().map(f64::from).collect());
-    v.normalize_l1();
+    let mut v = ScoreVec::zeros(counts.len());
+    scaled_attention_into(&counts, 1.0, &mut v);
     v
+}
+
+/// Writes `scale · A` into `out`, `A` being the attention vector of the
+/// window counts `counts` — the one normalization every caller goes
+/// through, so a vector built from carried counts equals one built from a
+/// recount bit for bit. All-zero counts give the all-zero vector.
+pub(crate) fn scaled_attention_into(counts: &[u32], scale: f64, out: &mut [f64]) {
+    assert_eq!(counts.len(), out.len(), "attention: length mismatch");
+    let total: u64 = counts.iter().map(|&c| u64::from(c)).sum();
+    let inv = if total == 0 { 0.0 } else { 1.0 / total as f64 };
+    for (a, &c) in out.iter_mut().zip(counts) {
+        *a = scale * (f64::from(c) * inv);
+    }
+}
+
+/// The attention window's integer citation counts
+/// ([`window::recent_citation_counts`]), maintained across deltas: a batch
+/// changes a handful of counts, so the incremental scorer updates them
+/// from the batch instead of recounting the window's edges, and recounts
+/// only when the window itself moves.
+#[derive(Debug, Clone)]
+pub(crate) struct WindowCounts {
+    /// First citing id of the window ([`window::recent_window_start`]).
+    start: usize,
+    counts: Vec<u32>,
+}
+
+impl WindowCounts {
+    /// Counts the trailing `y`-year window of `net` from its edges.
+    pub(crate) fn count(net: &CitationNetwork, y: u32) -> Self {
+        Self {
+            start: window::recent_window_start(net, y),
+            counts: window::recent_citation_counts(net, y),
+        }
+    }
+
+    /// Citations received inside the window, one entry per paper.
+    pub(crate) fn counts(&self) -> &[u32] {
+        &self.counts
+    }
+
+    /// Carries the counts of `old` over to `new = old.with_delta(delta)`.
+    pub(crate) fn advance(
+        &mut self,
+        old: &CitationNetwork,
+        delta: &GraphDelta,
+        new: &CitationNetwork,
+        y: u32,
+    ) {
+        if window::recent_window_start(new, y) != self.start {
+            // The batch advanced `t_N`: citing papers fell out of the
+            // window, and only a recount knows which edges were theirs.
+            *self = Self::count(new, y);
+            return;
+        }
+        self.counts.resize(new.n_papers(), 0);
+        let mut citing: Vec<PaperId> = delta
+            .citations
+            .iter()
+            .map(|&(citing, _)| citing)
+            .filter(|&citing| citing as usize >= self.start)
+            .collect();
+        citing.sort_unstable();
+        citing.dedup();
+        for citing in citing {
+            // Reference rows are sorted and duplicate-free and a delta
+            // only adds to them, so the edges the batch really added —
+            // not its duplicates of existing edges or of itself — are the
+            // new row minus the old one.
+            let old_row: &[PaperId] = if (citing as usize) < old.n_papers() {
+                old.references(citing)
+            } else {
+                &[]
+            };
+            let mut before = old_row.iter().peekable();
+            for cited in new.references(citing) {
+                if before.peek() == Some(&cited) {
+                    before.next();
+                } else {
+                    self.counts[*cited as usize] += 1;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

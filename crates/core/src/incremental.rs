@@ -23,22 +23,72 @@
 //! those seeds sparse requires per-component state, because AttRank's
 //! personalization `β·A + γ·T` is two probability vectors that rescale by
 //! *different* global factors as the network grows: the scorer therefore
-//! maintains the attention-component fixed point (`x = α·S·x + β·A`)
-//! alongside the served total (the recency component is their
-//! difference), plus the operator's *uniform kernel*
+//! maintains the attention-component fixed point (`x = α·S·x + β·A`) and
+//! the recency-component one (`x = α·S·x + γ·T`) — the served total is
+//! their sum — plus the operator's *uniform kernel*
 //! `u = (I − α·S)⁻¹·(1/n)·1` used to resolve deferred dangling mass
-//! analytically. The component split is (re)built after every full solve
-//! at the cost of two extra power runs — paid once per fallback, then
-//! amortized across every push-updated publish that follows.
+//! analytically. The three systems share the matrix and, after a delta,
+//! almost the whole perturbed cone, so a publish is **one** 3-lane push
+//! ([`citegraph::try_push_lanes`]: one fused seeding pass and one
+//! traversal, the three vectors updated in place) followed by one
+//! resolution sweep.
+//!
+//! The personalization is carried across the delta too rather than
+//! rebuilt from the corpus: the attention window's integer citation
+//! counts are updated from the batch (and recounted only when a year
+//! rollover moves the window), so `β·A` is one scaling pass over them,
+//! and `γ·T` costs one `exp` per distinct year.
+//!
+//! The component split is (re)built after every full solve at the cost of
+//! two extra power runs — paid once per fallback, then amortized across
+//! every push-updated publish that follows.
 
 use citegraph::{
-    try_push_rerank, uniform_kernel, update_uniform_kernel, CitationNetwork, DanglingResolution,
-    DeltaStrategy, GraphDelta, PushRankConfig,
+    try_push_lanes, uniform_kernel, CitationNetwork, DeltaStrategy, GraphDelta, Personalization,
+    PushLane, PushRankConfig,
 };
-use sparsela::{KernelWorkspace, PowerEngine, PowerOptions, PushOutcome, ScoreVec};
+use sparsela::{KernelWorkspace, PowerEngine, PowerOptions, ScoreVec};
 
-use crate::model::{jump_components, jump_vector, AttRankDiagnostics};
+use crate::attention::WindowCounts;
+use crate::model::{components_from_counts, jump_vector, AttRankDiagnostics};
 use crate::params::AttRankParams;
+
+/// Lane order of the 3-lane push: the uniform kernel, then the attention
+/// and recency components it resolves.
+const KERNEL: usize = 0;
+const ATT: usize = 1;
+const REC: usize = 2;
+
+/// The per-snapshot state the push path updates in place: everything here
+/// belongs to the same network state as [`IncrementalAttRank::previous`].
+#[derive(Debug, Clone)]
+struct PushSplit {
+    /// Attention-component fixed point (`x = α·S·x + β·A`).
+    att: ScoreVec,
+    /// Recency-component fixed point (`x = α·S·x + γ·T`); `att + rec` is
+    /// the served total.
+    rec: ScoreVec,
+    /// Personalization components `β·A` and `γ·T` — the `b₀`s the push
+    /// seeding diffs against.
+    b_att: ScoreVec,
+    b_rec: ScoreVec,
+    /// Uniform kernel `u = (I − α·S)⁻¹·(1/n)·1`.
+    kernel: ScoreVec,
+    /// The attention window's citation counts behind `b_att`.
+    window: WindowCounts,
+}
+
+/// What a test may read of the personalization carried across deltas
+/// ([`IncrementalAttRank::carried_personalization`]).
+#[derive(Debug, Clone, Copy)]
+pub struct CarriedPersonalization<'a> {
+    /// Citations received inside the attention window, per paper.
+    pub window_counts: &'a [u32],
+    /// `β·A` of the last scored snapshot.
+    pub b_att: &'a ScoreVec,
+    /// `γ·T` of the last scored snapshot.
+    pub b_rec: &'a ScoreVec,
+}
 
 /// AttRank with warm-started re-scoring across network snapshots.
 #[derive(Debug, Clone)]
@@ -49,18 +99,15 @@ pub struct IncrementalAttRank {
     push_config: PushRankConfig,
     /// Fixed point of the previously scored snapshot.
     previous: Option<ScoreVec>,
-    /// Attention-component fixed point (`x = α·S·x + β·A`) of the same
-    /// snapshot; the recency component is `previous − component_att`.
-    component_att: Option<ScoreVec>,
-    /// Personalization components `β·A` and `γ·T` of the same snapshot —
-    /// the `b₀`s the push seeding diffs against.
-    b_att: Option<ScoreVec>,
-    b_rec: Option<ScoreVec>,
-    /// Uniform kernel `u = (I − α·S)⁻¹·(1/n)·1` of the same snapshot.
-    kernel: Option<ScoreVec>,
+    /// Push state of the same snapshot, present after a delta update.
+    split: Option<PushSplit>,
     /// Scratch buffers reused across updates (a daily re-scoring loop
     /// allocates nothing after the first solve).
     workspace: KernelWorkspace,
+    /// The 3-lane push's interleaved residual (`3n` entries). Held apart
+    /// from `workspace`, whose pool hands any buffer to any taker and
+    /// would drift every `n`-sized vector to this capacity.
+    lane_residual: Vec<f64>,
 }
 
 impl IncrementalAttRank {
@@ -76,11 +123,9 @@ impl IncrementalAttRank {
             options,
             push_config: PushRankConfig::default(),
             previous: None,
-            component_att: None,
-            b_att: None,
-            b_rec: None,
-            kernel: None,
+            split: None,
             workspace: KernelWorkspace::new(),
+            lane_residual: Vec::new(),
         }
     }
 
@@ -101,6 +146,16 @@ impl IncrementalAttRank {
         self.previous.is_some()
     }
 
+    /// The personalization state [`Self::update_delta`] carries from one
+    /// snapshot to the next; `None` until a delta update has built it.
+    pub fn carried_personalization(&self) -> Option<CarriedPersonalization<'_>> {
+        self.split.as_ref().map(|split| CarriedPersonalization {
+            window_counts: split.window.counts(),
+            b_att: &split.b_att,
+            b_rec: &split.b_rec,
+        })
+    }
+
     /// Drops the cached fixed point (next update is a cold start).
     pub fn reset(&mut self) {
         self.previous = None;
@@ -109,16 +164,10 @@ impl IncrementalAttRank {
 
     /// Invalidates the per-component push state (recycling its buffers).
     fn drop_split(&mut self) {
-        for slot in [
-            self.component_att.take(),
-            self.b_att.take(),
-            self.b_rec.take(),
-            self.kernel.take(),
-        ]
-        .into_iter()
-        .flatten()
-        {
-            self.workspace.recycle(slot);
+        if let Some(split) = self.split.take() {
+            for v in [split.att, split.rec, split.b_att, split.b_rec, split.kernel] {
+                self.workspace.recycle(v);
+            }
         }
     }
 
@@ -150,22 +199,16 @@ impl IncrementalAttRank {
     /// fallback can push again.
     ///
     /// For the push path the returned diagnostics report `iterations` as
-    /// the number of *pushes* and `final_error` as the residual L1 bound.
+    /// the number of *pushes* and `final_error` as the residual L1 bound
+    /// (summed over the three systems).
     pub fn update_delta(
         &mut self,
         old: &CitationNetwork,
         delta: &GraphDelta,
         new: &CitationNetwork,
     ) -> (AttRankDiagnostics, DeltaStrategy) {
-        let alpha = self.params.alpha();
-        if let Some((diag, outcome)) = self.try_push_delta(old, delta, new) {
-            return (
-                diag,
-                DeltaStrategy::Push {
-                    pushes: outcome.pushes,
-                    edge_work: outcome.edge_work,
-                },
-            );
+        if let Some(pushed) = self.try_push_delta(old, delta, new) {
+            return pushed;
         }
 
         // Full path: warm-started combined solve, then rebuild the
@@ -175,14 +218,18 @@ impl IncrementalAttRank {
         // paying two extra solves per publish for push state it never
         // uses; the split invalidates either way (its vectors belong to
         // the pre-delta network) and is rebuilt on the next small delta.
-        let rebuild = alpha > 0.0 && new.n_papers() > 0 && self.push_config.gates_delta(old, delta);
-        let (b_att, b_rec) = jump_components(new, &self.params, &mut self.workspace);
+        let rebuild = self.params.alpha() > 0.0
+            && new.n_papers() > 0
+            && self.push_config.gates_delta(old, delta);
+        let window = WindowCounts::count(new, self.params.attention_years);
+        let (b_att, b_rec) =
+            components_from_counts(new, &self.params, window.counts(), &mut self.workspace);
         let mut jump = self.workspace.take_zeros(new.n_papers());
         jump.axpy(1.0, &b_att);
         jump.axpy(1.0, &b_rec);
         let diag = self.solve_with_jump(new, jump);
         if rebuild && diag.converged {
-            self.rebuild_split(new, b_att, b_rec);
+            self.rebuild_split(new, b_att, b_rec, window);
         } else {
             self.drop_split();
             self.workspace.recycle(b_att);
@@ -191,168 +238,157 @@ impl IncrementalAttRank {
         (diag, DeltaStrategy::Full)
     }
 
-    /// The push attempt: updates the uniform kernel, then both
-    /// personalization components, each seeded sparsely. Returns `None`
-    /// when any stage declines — state is left for the full path.
+    /// The push attempt: carries the personalization across the delta,
+    /// then updates the uniform kernel and both components in place in one
+    /// 3-lane push and resolves them in one sweep. Returns `None` when the
+    /// push declines — the split may then be part-way, and the full path
+    /// replaces (or drops) it.
     fn try_push_delta(
         &mut self,
         old: &CitationNetwork,
         delta: &GraphDelta,
         new: &CitationNetwork,
-    ) -> Option<(AttRankDiagnostics, PushOutcome)> {
+    ) -> Option<(AttRankDiagnostics, DeltaStrategy)> {
         let alpha = self.params.alpha();
-        let n_old = old.n_papers();
-        let n_new = new.n_papers();
-        if alpha == 0.0 || n_old == 0 {
+        let (n_old, n_new) = (old.n_papers(), new.n_papers());
+        let split = self.split.as_mut()?;
+        if alpha == 0.0
+            || n_old == 0
+            || split.att.len() != n_old
+            || !self.push_config.gates_delta(old, delta)
+        {
             return None;
         }
-        let (prev, att0, b_att0, b_rec0, kernel0) = match (
-            &self.previous,
-            &self.component_att,
-            &self.b_att,
-            &self.b_rec,
-            &self.kernel,
-        ) {
-            (Some(p), Some(a), Some(ba), Some(br), Some(k))
-                if p.len() == n_old && a.len() == n_old && k.len() == n_old =>
-            {
-                (p, a, ba, br, k)
-            }
-            _ => return None,
-        };
-        let cfg = self.push_config;
 
-        // 1. Uniform kernel across the delta (self-similar resolution).
-        let mut workspace = std::mem::take(&mut self.workspace);
-        let kernel_res =
-            update_uniform_kernel(old, delta, new, kernel0, alpha, &cfg, &mut workspace);
-        let Some((kernel1, k_out)) = kernel_res else {
-            self.workspace = workspace;
-            return None;
-        };
-
-        // 2. Attention component, resolved against the fresh kernel.
-        let (b_att1, b_rec1) = jump_components(new, &self.params, &mut workspace);
-        let att_res = try_push_rerank(
+        split
+            .window
+            .advance(old, delta, new, self.params.attention_years);
+        let (b_att1, b_rec1) = components_from_counts(
+            new,
+            &self.params,
+            split.window.counts(),
+            &mut self.workspace,
+        );
+        let lanes = [
+            PushLane {
+                x: &mut split.kernel,
+                b_old: Personalization::Uniform(1.0 / n_old as f64),
+                b_new: Personalization::Uniform(1.0 / n_new as f64),
+            },
+            PushLane {
+                x: &mut split.att,
+                b_old: Personalization::Dense(&split.b_att),
+                b_new: Personalization::Dense(&b_att1),
+            },
+            PushLane {
+                x: &mut split.rec,
+                b_old: Personalization::Dense(&split.b_rec),
+                b_new: Personalization::Dense(&b_rec1),
+            },
+        ];
+        let pushed = try_push_lanes(
             old,
             delta,
             new,
-            att0,
-            b_att0.as_slice(),
-            b_att1.as_slice(),
+            lanes,
             alpha,
-            DanglingResolution::Kernel(kernel1.as_slice()),
-            &cfg,
-            &mut workspace,
+            &self.push_config,
+            &mut self.lane_residual,
         );
-        // 3. Recency component (previous − attention component).
-        let rec_res = att_res.and_then(|(att1, a_out)| {
-            let mut rec0 = workspace.take_zeros(n_old);
-            for ((ri, &pi), &ai) in rec0
-                .as_mut_slice()
-                .iter_mut()
-                .zip(prev.iter())
-                .zip(att0.iter())
-            {
-                *ri = pi - ai;
-            }
-            let res = try_push_rerank(
-                old,
-                delta,
-                new,
-                &rec0,
-                b_rec0.as_slice(),
-                b_rec1.as_slice(),
-                alpha,
-                DanglingResolution::Kernel(kernel1.as_slice()),
-                &cfg,
-                &mut workspace,
-            );
-            workspace.recycle(rec0);
-            res.map(|(rec1, r_out)| (att1, a_out, rec1, r_out))
-        });
-        self.workspace = workspace;
+        // The new personalization replaces the old one whatever the push
+        // said (a declined push leaves the split to the full path anyway).
+        self.workspace
+            .recycle(std::mem::replace(&mut split.b_att, b_att1));
+        self.workspace
+            .recycle(std::mem::replace(&mut split.b_rec, b_rec1));
+        // The kernel is its own resolution (`u = x_u / (1 − g_u)`), which
+        // needs the denominator safely positive; a delta perturbation
+        // keeps `g_u` tiny, so failing this means an inconsistent state.
+        let out = pushed.filter(|out| 1.0 - out.deferred[KERNEL] > 0.5)?;
 
-        let Some((att1, a_out, rec1, r_out)) = rec_res else {
-            self.workspace.recycle(kernel1);
-            return None;
-        };
-
-        // Serve the sum of the components; cache everything for the next
-        // delta.
+        // One resolution sweep: the kernel in closed form, each component
+        // against the fresh kernel, and the served sum of the components
+        // (twice — one copy is returned, one kept for the next warm start).
+        let inv = 1.0 / (1.0 - out.deferred[KERNEL]);
+        let (g_att, g_rec) = (out.deferred[ATT], out.deferred[REC]);
         let mut total = self.workspace.take_zeros(n_new);
-        for ((ti, &ai), &ri) in total
-            .as_mut_slice()
-            .iter_mut()
-            .zip(att1.iter())
-            .zip(rec1.iter())
-        {
-            *ti = ai + ri;
-        }
-        self.workspace.recycle(rec1);
         let mut kept = self.workspace.take_zeros(n_new);
-        kept.as_mut_slice().copy_from_slice(total.as_slice());
-        for (slot, value) in [
-            (&mut self.previous, kept),
-            (&mut self.component_att, att1),
-            (&mut self.b_att, b_att1),
-            (&mut self.b_rec, b_rec1),
-            (&mut self.kernel, kernel1),
-        ] {
-            if let Some(stale) = slot.replace(value) {
-                self.workspace.recycle(stale);
-            }
+        for ((((u, a), r), t), k) in split
+            .kernel
+            .iter_mut()
+            .zip(split.att.iter_mut())
+            .zip(split.rec.iter_mut())
+            .zip(total.iter_mut())
+            .zip(kept.iter_mut())
+        {
+            *u *= inv;
+            *a += g_att * *u;
+            *r += g_rec * *u;
+            *t = *a + *r;
+            *k = *t;
         }
-        let outcome = PushOutcome {
-            converged: true,
-            pushes: k_out.pushes + a_out.pushes + r_out.pushes,
-            edge_work: k_out.edge_work + a_out.edge_work + r_out.edge_work,
-            residual_l1: k_out.residual_l1 + a_out.residual_l1 + r_out.residual_l1,
-            deferred: 0.0,
-        };
+        if let Some(stale) = self.previous.replace(kept) {
+            self.workspace.recycle(stale);
+        }
         let diag = AttRankDiagnostics {
             scores: total,
-            iterations: outcome.pushes as usize,
+            iterations: out.pushes as usize,
             converged: true,
-            final_error: outcome.residual_l1,
+            final_error: out.residual_l1.iter().sum(),
             error_log: Vec::new(),
         };
-        Some((diag, outcome))
+        let strategy = DeltaStrategy::Push {
+            pushes: out.pushes,
+            edge_work: out.edge_work + n_new as u64,
+        };
+        Some((diag, strategy))
     }
 
     /// (Re)builds the per-component push state after a full solve on
     /// `net`: one power solve for the attention component (warm-started
     /// from its previous value when shapes allow) and one for the uniform
-    /// kernel. Consumes the personalization components into the cache.
-    fn rebuild_split(&mut self, net: &CitationNetwork, b_att: ScoreVec, b_rec: ScoreVec) {
+    /// kernel; the recency component is what remains of the served total.
+    /// Consumes the personalization components and the window counts they
+    /// were built from into the cache.
+    fn rebuild_split(
+        &mut self,
+        net: &CitationNetwork,
+        b_att: ScoreVec,
+        b_rec: ScoreVec,
+        window: WindowCounts,
+    ) {
         let n = net.n_papers();
         let alpha = self.params.alpha();
         let op = net.stochastic_operator();
         let engine = PowerEngine::new(self.options);
 
-        let initial = match &self.component_att {
-            Some(prev_att) if prev_att.len() <= n && !prev_att.is_empty() => {
-                let mut init = self.workspace.take_zeros(n);
-                init.as_mut_slice()[..prev_att.len()].copy_from_slice(prev_att.as_slice());
-                init
-            }
-            _ => self.workspace.take_zeros(n),
-        };
-        let att = engine.run_with(&mut self.workspace, initial, |cur, next| {
-            op.apply_damped(alpha, cur.as_slice(), b_att.as_slice(), next.as_mut_slice());
-        });
-        let kernel = uniform_kernel(net, alpha, &mut self.workspace);
-
-        for (slot, value) in [
-            (&mut self.component_att, att.scores),
-            (&mut self.b_att, b_att),
-            (&mut self.b_rec, b_rec),
-            (&mut self.kernel, kernel),
-        ] {
-            if let Some(stale) = slot.replace(value) {
-                self.workspace.recycle(stale);
+        let mut initial = self.workspace.take_zeros(n);
+        if let Some(prev_att) = self.split.as_ref().map(|split| &split.att) {
+            if prev_att.len() <= n {
+                initial.as_mut_slice()[..prev_att.len()].copy_from_slice(prev_att.as_slice());
             }
         }
+        let att = engine
+            .run_with(&mut self.workspace, initial, |cur, next| {
+                op.apply_damped(alpha, cur.as_slice(), b_att.as_slice(), next.as_mut_slice());
+            })
+            .scores;
+        let kernel = uniform_kernel(net, alpha, &mut self.workspace);
+        let mut rec = self.workspace.take_zeros(n);
+        let total = self.previous.as_ref().expect("a full solve just cached it");
+        for ((r, &t), &a) in rec.iter_mut().zip(total.iter()).zip(att.iter()) {
+            *r = t - a;
+        }
+
+        self.drop_split();
+        self.split = Some(PushSplit {
+            att,
+            rec,
+            b_att,
+            b_rec,
+            kernel,
+            window,
+        });
     }
 
     /// Warm-started power solve against a precomputed personalization

@@ -50,7 +50,7 @@ pub mod params;
 pub mod recency;
 
 pub use attention::attention_vector;
-pub use incremental::IncrementalAttRank;
-pub use model::{AttRank, AttRankDiagnostics};
+pub use incremental::{CarriedPersonalization, IncrementalAttRank};
+pub use model::{jump_components, AttRank, AttRankDiagnostics};
 pub use params::{AttRankParams, ParamError};
 pub use recency::{fit_decay_from_network, recency_vector};

@@ -1,14 +1,14 @@
 //! The AttRank fixed-point model (paper Eq. 4 and Theorem 1).
 
 use citegraph::{
-    try_push_rerank, CitationNetwork, DanglingResolution, DeltaRank, DeltaStrategy, GraphDelta,
-    PushRankConfig, Ranker,
+    try_push_rerank, window, CitationNetwork, DanglingResolution, DeltaRank, DeltaStrategy,
+    GraphDelta, PushRankConfig, Ranker,
 };
 use sparsela::{KernelWorkspace, PowerEngine, PowerOptions, PowerOutcome, ScoreVec};
 
-use crate::attention::attention_vector;
+use crate::attention::{attention_vector, scaled_attention_into};
 use crate::params::AttRankParams;
-use crate::recency::recency_vector;
+use crate::recency::{recency_into, recency_vector};
 
 /// Builds AttRank's personalization vector `β·A + γ·T` (the fixed part of
 /// Eq. 4) for the current state of `net`, drawing the buffer from
@@ -33,18 +33,30 @@ pub(crate) fn jump_vector(
 /// as the network grows, which is what keeps its push seed sparse — their
 /// sum shifts by two different factors and cannot be seeded sparsely as a
 /// single vector.
-pub(crate) fn jump_components(
+pub fn jump_components(
     net: &CitationNetwork,
     params: &AttRankParams,
     workspace: &mut KernelWorkspace,
 ) -> (ScoreVec, ScoreVec) {
-    let attention = attention_vector(net, params.attention_years);
-    let recency = recency_vector(net, params.decay_w);
+    let counts = window::recent_citation_counts(net, params.attention_years);
+    components_from_counts(net, params, &counts, workspace)
+}
+
+/// [`jump_components`] given the attention window's citation counts of
+/// `net` — what the incremental scorer, which carries the counts across
+/// deltas, calls instead of recounting the window.
+pub(crate) fn components_from_counts(
+    net: &CitationNetwork,
+    params: &AttRankParams,
+    window_counts: &[u32],
+    workspace: &mut KernelWorkspace,
+) -> (ScoreVec, ScoreVec) {
     let n = net.n_papers();
     let mut b_att = workspace.take_zeros(n);
-    b_att.axpy(params.beta(), &attention);
+    scaled_attention_into(window_counts, params.beta(), &mut b_att);
     let mut b_rec = workspace.take_zeros(n);
-    b_rec.axpy(params.gamma(), &recency);
+    recency_into(net, params.decay_w, &mut b_rec);
+    b_rec.scale(params.gamma());
     (b_att, b_rec)
 }
 

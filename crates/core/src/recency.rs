@@ -19,18 +19,27 @@ use sparsela::{fit_exponential, ScoreVec};
 /// 0` yields the uniform vector, recovering PageRank's random jump.
 /// Returns an empty vector for an empty network.
 pub fn recency_vector(net: &CitationNetwork, w: f64) -> ScoreVec {
-    assert!(w <= 0.0, "recency decay must be non-positive, got {w}");
-    let n = net.n_papers();
-    let Some(t_n) = net.current_year() else {
-        return ScoreVec::zeros(0);
-    };
-    let mut v = ScoreVec::zeros(n);
-    for p in 0..n {
-        let age = (t_n - net.years()[p]) as f64;
-        v[p] = (w * age).exp();
-    }
-    v.normalize_l1();
+    let mut v = ScoreVec::zeros(net.n_papers());
+    recency_into(net, w, &mut v);
     v
+}
+
+/// [`recency_vector`] written into `out` (one entry per paper).
+pub(crate) fn recency_into(net: &CitationNetwork, w: f64, out: &mut ScoreVec) {
+    assert!(w <= 0.0, "recency decay must be non-positive, got {w}");
+    assert_eq!(out.len(), net.n_papers(), "recency: length mismatch");
+    let Some(t_n) = net.current_year() else {
+        return;
+    };
+    // Papers are time-sorted: one `exp` per run of equal years, not one
+    // per paper.
+    let mut filled = 0;
+    for run in net.years().chunk_by(|a, b| a == b) {
+        let age = (t_n - run[0]) as f64;
+        out.as_mut_slice()[filled..filled + run.len()].fill((w * age).exp());
+        filled += run.len();
+    }
+    out.normalize_l1();
 }
 
 /// Fits the exponential decay rate `w` from the network's citation-age

@@ -45,10 +45,12 @@ pub enum RerankStrategy {
     Full,
     /// A residual-push update localized to the published delta.
     Push {
-        /// Residual pushes executed across all push stages.
+        /// Residual pushes executed (nodes pushed, whatever the number of
+        /// systems the push carried).
         pushes: u64,
         /// Edge traversals spent (compare with `iterations × E` for a
-        /// full solve).
+        /// full solve). A traversed edge is counted once whatever the
+        /// push's lane count.
         edge_work: u64,
     },
     /// Scores restored verbatim from a persisted snapshot store at
@@ -885,6 +887,9 @@ impl RankingEngine {
                 &mut state.workspace,
             );
             state.net = next;
+            if let (RerankStrategy::Full, Some(ins)) = (strategy, self.instruments.get()) {
+                ins.push_fallbacks.inc();
+            }
             (scores, strategy, Arc::new(staged))
         };
         if let Some(ins) = self.instruments.get() {

@@ -89,8 +89,8 @@ pub const SHAPE_SEEDED: usize = 3;
 
 /// Per-method live instruments handed to a
 /// [`RankingEngine`](crate::RankingEngine): publish/apply/solve latency,
-/// successor-network reuse, push work gauges, and the WAL's append/fsync
-/// observers. The handles alias
+/// successor-network reuse, push work gauges, push fallbacks, and the
+/// WAL's append/fsync observers. The handles alias
 /// children of the registering [`ServingMetrics`], so the engine records
 /// directly into the rendered families.
 #[derive(Debug, Clone)]
@@ -109,12 +109,20 @@ pub struct EngineInstruments {
     pub solve_seconds: Arc<Histogram>,
     /// Pushes spent by the last incremental publish (0 on full solves).
     pub push_pushes: Arc<Gauge>,
-    /// Edge traversals spent by the last incremental publish.
+    /// Edge traversals spent by the last incremental publish. A traversed
+    /// edge is counted once whatever the push's lane count (AttRank
+    /// carries three systems through one traversal), so the gauge stays
+    /// comparable with [`Self::push_edge_budget`].
     pub push_edge_work: Arc<Gauge>,
     /// The push budget the last publish ran under
     /// ([`citegraph::PushRankConfig::max_edge_work`] of the published
     /// network under the default config).
     pub push_edge_budget: Arc<Gauge>,
+    /// Publishes that had a staged delta and still ran a full solve: the
+    /// push declined (oversized delta, exhausted budget, state not yet
+    /// built — the first delta after a start) or the method has no push
+    /// at all, in which case every delta publish counts.
+    pub push_fallbacks: Arc<Counter>,
     /// WAL append/fsync latency observers, attached to the engine's log.
     pub wal: WalObservers,
 }
@@ -166,6 +174,7 @@ pub struct ServingMetrics {
     push_pushes: GaugeVec,
     push_edge_work: GaugeVec,
     push_edge_budget: GaugeVec,
+    push_fallbacks: CounterVec,
     wal_append_seconds: Arc<Histogram>,
     wal_fsync_seconds: Arc<Histogram>,
 }
@@ -286,13 +295,19 @@ impl ServingMetrics {
             ),
             push_edge_work: registry.gauge_vec(
                 "attrank_push_edge_work",
-                "Edge traversals spent by the last incremental publish",
+                "Edge traversals spent by the last incremental publish (once per edge, not per lane)",
                 "method",
                 methods,
             ),
             push_edge_budget: registry.gauge_vec(
                 "attrank_push_edge_budget",
                 "Edge-traversal budget the last publish ran under",
+                "method",
+                methods,
+            ),
+            push_fallbacks: registry.counter_vec(
+                "attrank_push_fallbacks_total",
+                "Publishes with a staged delta that ran a full solve",
                 "method",
                 methods,
             ),
@@ -328,6 +343,7 @@ impl ServingMetrics {
             push_pushes: self.push_pushes.share(idx),
             push_edge_work: self.push_edge_work.share(idx),
             push_edge_budget: self.push_edge_budget.share(idx),
+            push_fallbacks: self.push_fallbacks.share(idx),
             wal: WalObservers {
                 append: Arc::clone(&self.wal_append_seconds),
                 fsync: Arc::clone(&self.wal_fsync_seconds),

@@ -18,7 +18,7 @@ fn temp_wal(name: &str) -> PathBuf {
 }
 
 /// Every family the two stacks register, flat then sharded.
-const FAMILIES: [&str; 28] = [
+const FAMILIES: [&str; 29] = [
     "attrank_query_seconds",
     "attrank_planner_decisions_total",
     "attrank_cursor_errors_total",
@@ -38,6 +38,7 @@ const FAMILIES: [&str; 28] = [
     "attrank_push_pushes",
     "attrank_push_edge_work",
     "attrank_push_edge_budget",
+    "attrank_push_fallbacks_total",
     "attrank_wal_append_seconds",
     "attrank_wal_fsync_seconds",
     "attrank_sharded_query_seconds",
@@ -163,6 +164,12 @@ fn scripted_workload_renders_valid_exposition() {
     assert!(text.contains("attrank_successor_networks_total{outcome=\"built\"} 1"));
     assert!(text.contains("attrank_successor_networks_total{outcome=\"shared\"} 1"));
     assert!(text.contains("attrank_apply_seconds_count{method=\"cc\"} 1"));
+    // That ingest was each method's only publish with a staged delta, and
+    // neither could push it: attrank's first delta builds its push state
+    // behind a full solve, cc has no push. The `rerank()` further up had
+    // nothing staged, so it is a full solve but not a fallback.
+    assert!(text.contains("attrank_push_fallbacks_total{method=\"attrank\"} 1"));
+    assert!(text.contains("attrank_push_fallbacks_total{method=\"cc\"} 1"));
     // Boundary edges from the 3-way partition land on their shards.
     assert!(sh.boundary_edges() > 0);
     let by_shard = sh.boundary_edges_by_shard();

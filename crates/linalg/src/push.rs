@@ -42,6 +42,20 @@
 //!   what keeps incremental re-ranking O(affected) on graphs where a
 //!   sizable fraction of papers cite nothing.
 //!
+//! ## Lanes: K right-hand sides, one traversal
+//!
+//! Systems that differ only in `b` share the matrix, and after a graph
+//! delta they share almost the whole perturbed cone as well. The loop is
+//! therefore written once, generic over a lane count `K`
+//! ([`solve_lanes`]): the residuals are lane-interleaved (`r[i·K + k]`,
+//! one cache line per visited node for all systems), a node is pushed when
+//! *any* of its lanes exceeds the threshold and then every lane is pushed
+//! (a push is exact for any amount, so a sub-threshold lane loses
+//! nothing), and deferred dangling mass and the final `‖r‖₁` are kept per
+//! lane. Each traversed edge is walked — and counted — once for all
+//! lanes. [`solve`] and [`solve_deferring`] are the `K = 1` instantiation
+//! of that same loop.
+//!
 //! The caller supplies the *column view* of `S`: a [`Csr`] whose row `u`
 //! lists the rows receiving mass `1/degree(u)` when `u` pushes (for the
 //! citation operator that is the *reference* adjacency — walking
@@ -96,6 +110,39 @@ impl PushOutcome {
     }
 }
 
+/// Diagnostics of a `K`-lane run ([`solve_lanes`]). The lanes share one
+/// traversal, so convergence, the push count and the edge work are single
+/// figures; the residual bound and the deferred mass are per lane.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LanesOutcome<const K: usize> {
+    /// Whether *every* lane's residual dropped below `epsilon` within the
+    /// work budget (the budget is shared, so exhausting it fails all
+    /// lanes at once).
+    pub converged: bool,
+    /// Nodes pushed; a push moves every lane's residual at that node.
+    pub pushes: u64,
+    /// Edge traversals. A traversed edge is counted once whatever `K`, so
+    /// the figure stays comparable with [`PushConfig::max_edge_work`].
+    pub edge_work: u64,
+    /// Final `‖r‖₁` of each lane (deferred mass excluded).
+    pub residual_l1: [f64; K],
+    /// Uniform-direction residual mass accumulated by each lane, on top
+    /// of its `initial_deferred` seed.
+    pub deferred: [f64; K],
+}
+
+impl From<LanesOutcome<1>> for PushOutcome {
+    fn from(o: LanesOutcome<1>) -> Self {
+        Self {
+            converged: o.converged,
+            pushes: o.pushes,
+            edge_work: o.edge_work,
+            residual_l1: o.residual_l1[0],
+            deferred: o.deferred[0],
+        }
+    }
+}
+
 /// Refines `x` in place until the residual `r` of `x = α·S·x + b` is below
 /// `cfg.epsilon` in L1 (or the work budget runs out).
 ///
@@ -119,7 +166,7 @@ pub fn solve(columns: &Csr, cfg: &PushConfig, x: &mut [f64], r: &mut [f64]) -> P
     let mut total_outcome: Option<PushOutcome> = None;
     let mut deferred = 0.0f64;
     loop {
-        let mut outcome = run(columns, cfg, x, r, deferred);
+        let mut outcome = solve_deferring(columns, cfg, x, r, deferred);
         if let Some(prior) = total_outcome {
             outcome.pushes += prior.pushes;
             outcome.edge_work += prior.edge_work;
@@ -159,27 +206,39 @@ pub fn solve_deferring(
     r: &mut [f64],
     initial_deferred: f64,
 ) -> PushOutcome {
-    run(columns, cfg, x, r, initial_deferred)
+    solve_lanes(columns, cfg, [x], r, [initial_deferred]).into()
 }
 
-/// Core push loop: processes the queue until every entry is below the
-/// threshold (success: `Σ|r| ≤ ε/2 ≤ ε`) or the budget runs out. Uniform
-/// mass accumulates into the returned `deferred`.
-fn run(
+/// The push loop, over `K` systems `x_k = α·S·x_k + b_k` on the same
+/// matrix at once (see the module docs, "Lanes"). `x[k]` is lane `k`'s
+/// estimate; `r` holds all residuals lane-interleaved,
+/// `r[i·K + k]` = lane `k` at node `i`. Processes the residual until every
+/// entry of every lane is below the threshold (success: `Σ|r_k| ≤ ε/2 ≤ ε`
+/// per lane) or the shared budget runs out. Uniform mass is never flushed:
+/// it accumulates per lane into [`LanesOutcome::deferred`], as in
+/// [`solve_deferring`] — which is this function at `K = 1`.
+///
+/// # Panics
+/// Panics unless `0 ≤ α < 1`, `epsilon > 0`, `columns` is square, every
+/// `x[k]` matches its dimension `n`, and `r.len() == n·K`.
+#[allow(clippy::needless_range_loop)] // `k` indexes the lane of several arrays at once
+pub fn solve_lanes<const K: usize>(
     columns: &Csr,
     cfg: &PushConfig,
-    x: &mut [f64],
+    x: [&mut [f64]; K],
     r: &mut [f64],
-    initial_deferred: f64,
-) -> PushOutcome {
+    initial_deferred: [f64; K],
+) -> LanesOutcome<K> {
     let n = columns.nrows();
     assert_eq!(
         n,
         columns.ncols(),
         "push::solve: column view must be square"
     );
-    assert_eq!(x.len(), n, "push::solve: x length mismatch");
-    assert_eq!(r.len(), n, "push::solve: r length mismatch");
+    for lane in &x {
+        assert_eq!(lane.len(), n, "push::solve: x length mismatch");
+    }
+    assert_eq!(r.len(), n * K, "push::solve: r length mismatch");
     assert!(
         (0.0..1.0).contains(&cfg.alpha),
         "push::solve: alpha {} outside [0, 1)",
@@ -187,21 +246,25 @@ fn run(
     );
     assert!(cfg.epsilon > 0.0, "push::solve: epsilon must be positive");
 
-    let mut outcome = PushOutcome {
+    let mut outcome = LanesOutcome {
         converged: true,
         pushes: 0,
         edge_work: 0,
-        residual_l1: 0.0,
+        residual_l1: [0.0; K],
         deferred: initial_deferred,
     };
-    if n == 0 {
+    if n == 0 || K == 0 {
         return outcome;
     }
 
     let alpha = cfg.alpha;
     // Entries at or below θ are left in place; with θ = ε/(2n) their total
-    // is at most ε/2 ≤ ε once the queue drains.
+    // is at most ε/2 ≤ ε per lane once the queue drains.
     let theta = cfg.epsilon / (2.0 * n as f64);
+    // A node is live while any of its lanes is above θ; pushing it then
+    // moves every lane (exact for any amount, so a sub-threshold lane
+    // riding along loses nothing).
+    let live = |lanes: &[f64]| lanes.iter().any(|v| v.abs() > theta);
 
     // Highest node id first. In a citation network the column view's rows
     // are reference lists, which point (almost) strictly backwards in
@@ -215,10 +278,7 @@ fn run(
     // bookkeeping. Residual landing *above* the running cursor (possible
     // only through same-year forward edges or cycles) triggers another
     // pass; correctness never depends on the order.
-    let mut hi: i64 = (0..n as i64)
-        .rev()
-        .find(|&i| r[i as usize].abs() > theta)
-        .unwrap_or(-1);
+    let mut hi: i64 = r.chunks_exact(K).rposition(live).map_or(-1, |i| i as i64);
 
     'passes: while hi >= 0 {
         let mut cursor = hi;
@@ -226,24 +286,38 @@ fn run(
         while cursor >= 0 {
             let u = cursor as usize;
             cursor -= 1;
-            let rho = r[u];
-            if rho.abs() <= theta {
+            let at = u * K;
+            if !live(&r[at..at + K]) {
                 continue;
             }
-            x[u] += rho;
-            r[u] = 0.0;
+            let mut rho = [0.0f64; K];
+            for k in 0..K {
+                rho[k] = r[at + k];
+                r[at + k] = 0.0;
+                x[k][u] += rho[k];
+            }
             let row = columns.row(u as u32);
             outcome.pushes += 1;
             outcome.edge_work += row.len().max(1) as u64;
             if row.is_empty() {
                 // Dangling column: its uniform spread is deferred.
-                outcome.deferred += alpha * rho;
+                for k in 0..K {
+                    outcome.deferred[k] += alpha * rho[k];
+                }
             } else {
-                let spread = alpha * rho / row.len() as f64;
+                let spread = rho.map(|rho| alpha * rho / row.len() as f64);
                 for &i in row {
-                    let i = i as usize;
-                    r[i] += spread;
-                    if i as i64 > cursor && r[i].abs() > theta {
+                    let at = i as usize * K;
+                    // The one per-edge, per-lane loop. A `while`, not a
+                    // range `for`: optimized builds compile both to the
+                    // same code, but the unoptimized builds the tier-1
+                    // timing pins run under pay a call per `Range::next`.
+                    let mut k = 0;
+                    while k < K {
+                        r[at + k] += spread[k];
+                        k += 1;
+                    }
+                    if i as i64 > cursor && live(&r[at..at + K]) {
                         hi = hi.max(i as i64);
                     }
                 }
@@ -254,9 +328,13 @@ fn run(
             }
         }
     }
-    outcome.residual_l1 = r.iter().map(|v| v.abs()).sum::<f64>();
+    for lanes in r.chunks_exact(K) {
+        for k in 0..K {
+            outcome.residual_l1[k] += lanes[k].abs();
+        }
+    }
     if outcome.converged {
-        outcome.converged = outcome.residual_l1 <= cfg.epsilon;
+        outcome.converged = outcome.residual_l1.iter().all(|&l1| l1 <= cfg.epsilon);
     }
     outcome
 }
@@ -494,6 +572,162 @@ mod tests {
             &mut [0.0; 2],
             &mut [0.0; 2],
         );
+    }
+
+    /// 7 papers with everything the descending cursor does not settle in
+    /// one pass: two cycles (0→3→1→0, 2→5→4→2), forward edges (0→3, 2→5,
+    /// 5→6) and a cited dangling paper (6).
+    fn cyclic_refs() -> Csr {
+        Csr::from_edges(
+            7,
+            7,
+            &[
+                (0, 3),
+                (3, 1),
+                (1, 0),
+                (2, 5),
+                (5, 4),
+                (4, 2),
+                (5, 6),
+                (3, 2),
+            ],
+        )
+    }
+
+    /// Three right-hand sides of mixed sign and support.
+    fn three_seeds(n: usize) -> [Vec<f64>; 3] {
+        [
+            vec![1.0 / n as f64; n],
+            (0..n).map(|i| 0.3 - 0.11 * i as f64).collect(),
+            (0..n).map(|i| if i % 3 == 1 { 0.4 } else { 0.0 }).collect(),
+        ]
+    }
+
+    fn interleave<const K: usize>(seeds: &[Vec<f64>; K]) -> Vec<f64> {
+        let n = seeds[0].len();
+        (0..n * K).map(|at| seeds[at % K][at / K]).collect()
+    }
+
+    #[test]
+    fn three_lanes_match_three_single_runs_and_the_dense_reference() {
+        for refs in [sample_refs(), cyclic_refs()] {
+            let n = refs.nrows();
+            let alpha = 0.6;
+            let cfg = cfg(alpha);
+            let bound = 2.0 * cfg.epsilon / (1.0 - alpha);
+            // Each run's deferred mass is short of its limit by at most
+            // α/(1−α) of the residual (≤ ε/2) it left unpushed.
+            let deferred_bound = cfg.epsilon * (alpha / (1.0 - alpha)).max(1.0);
+            let kernel = dense_solve(&refs, alpha, &vec![1.0 / n as f64; n]);
+            let seeds = three_seeds(n);
+
+            let mut x3 = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
+            let mut r3 = interleave(&seeds);
+            let out3 = solve_lanes(
+                &refs,
+                &cfg,
+                x3.each_mut().map(Vec::as_mut_slice),
+                &mut r3,
+                [0.0; 3],
+            );
+            assert!(out3.converged);
+
+            for k in 0..3 {
+                let mut x1 = vec![0.0; n];
+                let mut r1 = seeds[k].clone();
+                let out1 = solve_deferring(&refs, &cfg, &mut x1, &mut r1, 0.0);
+                assert!(out1.converged);
+                assert!(out3.residual_l1[k] <= cfg.epsilon);
+                assert!(
+                    (out3.deferred[k] - out1.deferred).abs() <= deferred_bound,
+                    "lane {k}: deferred {} vs {}",
+                    out3.deferred[k],
+                    out1.deferred
+                );
+                let reference = dense_solve(&refs, alpha, &seeds[k]);
+                let resolved = |x: &[f64], g: f64| -> Vec<f64> {
+                    x.iter().zip(&kernel).map(|(x, u)| x + g * u).collect()
+                };
+                let l1 = |a: &[f64], b: &[f64]| -> f64 {
+                    a.iter().zip(b).map(|(a, b)| (a - b).abs()).sum()
+                };
+                let lanes = resolved(&x3[k], out3.deferred[k]);
+                let single = resolved(&x1, out1.deferred);
+                assert!(l1(&lanes, &reference) <= bound, "lane {k} vs dense");
+                assert!(l1(&single, &reference) <= bound, "single {k} vs dense");
+                assert!(l1(&lanes, &single) <= bound, "lane {k} vs single");
+            }
+        }
+    }
+
+    #[test]
+    fn an_all_zero_lane_rides_along_untouched() {
+        let refs = cyclic_refs();
+        let n = refs.nrows();
+        let seeds = three_seeds(n);
+        let idle: Vec<f64> = (0..n).map(|i| 0.125 * (i + 1) as f64).collect();
+        let mut x = [vec![0.0; n], idle.clone(), vec![0.0; n]];
+        let mut r = interleave(&[seeds[1].clone(), vec![0.0; n], seeds[2].clone()]);
+        let out = solve_lanes(
+            &refs,
+            &cfg(0.7),
+            x.each_mut().map(Vec::as_mut_slice),
+            &mut r,
+            [0.0, 0.375, 0.0],
+        );
+        assert!(out.converged && out.pushes > 0);
+        let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&x[1]), bits(&idle));
+        assert_eq!(out.deferred[1].to_bits(), 0.375f64.to_bits());
+        assert_eq!(out.residual_l1[1], 0.0);
+        assert!(out.deferred[0] != 0.0, "the live lanes did defer mass");
+    }
+
+    #[test]
+    fn exhausted_budget_fails_every_lane_at_once() {
+        let refs = sample_refs();
+        let n = refs.nrows();
+        let mut x = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
+        // Only lane 0 carries residual; the shared budget still fails the
+        // run as a whole.
+        let mut r = interleave(&[vec![0.5; n], vec![0.0; n], vec![0.0; n]]);
+        let out = solve_lanes(
+            &refs,
+            &PushConfig {
+                alpha: 0.5,
+                epsilon: 1e-12,
+                max_edge_work: 0,
+            },
+            x.each_mut().map(Vec::as_mut_slice),
+            &mut r,
+            [0.0; 3],
+        );
+        assert!(!out.converged);
+        assert_eq!(out.pushes, 1, "the budget is checked once per push");
+        assert!(out.residual_l1[0] > 1e-12);
+    }
+
+    #[test]
+    fn an_edge_is_counted_once_whatever_the_lane_count() {
+        // The same seed in one lane or in all three walks the same nodes.
+        let refs = sample_refs();
+        let n = refs.nrows();
+        let b = three_seeds(n)[0].clone();
+        let mut x1 = vec![0.0; n];
+        let single = solve_deferring(&refs, &cfg(0.5), &mut x1, &mut b.clone(), 0.0);
+        let mut x3 = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
+        let lanes = solve_lanes(
+            &refs,
+            &cfg(0.5),
+            x3.each_mut().map(Vec::as_mut_slice),
+            &mut interleave(&[b.clone(), b.clone(), b]),
+            [0.0; 3],
+        );
+        assert_eq!(lanes.edge_work, single.edge_work);
+        assert_eq!(lanes.pushes, single.pushes);
+        for lane in &x3 {
+            assert_eq!(lane, &x1);
+        }
     }
 
     #[test]

@@ -148,6 +148,11 @@ impl ScoreVec {
         self.data.fill(value);
     }
 
+    /// Grows to `n` entries, the new ones zero (or truncates to `n`).
+    pub fn resize(&mut self, n: usize) {
+        self.data.resize(n, 0.0);
+    }
+
     /// `self ← self + alpha * other`.
     ///
     /// # Panics

@@ -2,9 +2,9 @@
 
 use proptest::prelude::*;
 use sparsela::{
-    average_ranks, fit_exponential, ordinal_ranks, sort_indices_desc, top_k_filtered,
+    average_ranks, fit_exponential, ordinal_ranks, push, sort_indices_desc, top_k_filtered,
     top_k_indices, top_k_masked, top_k_where, CitationOperator, Csr, IdMask, PowerEngine,
-    PowerOptions, ScoreVec, WeightedCsr,
+    PowerOptions, PushConfig, ScoreVec, WeightedCsr,
 };
 
 /// Strategy: a random edge list on `n` nodes.
@@ -15,7 +15,109 @@ fn edges_strategy(max_n: u32) -> impl Strategy<Value = (usize, Vec<(u32, u32)>)>
     })
 }
 
+/// Dense reference solve of `x = α·S·x + b` (dangling columns uniform).
+fn dense_fixed_point(refs: &Csr, alpha: f64, b: &[f64]) -> Vec<f64> {
+    let op = CitationOperator::from_references(refs);
+    let engine = PowerEngine::new(PowerOptions {
+        epsilon: 1e-15,
+        max_iterations: 3000,
+        record_errors: false,
+    });
+    let outcome = engine.run(ScoreVec::zeros(refs.nrows()), |cur, next| {
+        op.apply_damped(alpha, cur.as_slice(), b, next.as_mut_slice());
+    });
+    outcome.scores.as_slice().to_vec()
+}
+
+fn l1_gap(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(a, b)| (a - b).abs()).sum()
+}
+
 proptest! {
+    #[test]
+    fn push_lanes_match_single_runs_and_dense_reference(
+        (n, edges) in edges_strategy(30),
+        alpha in 0.05f64..0.85,
+        salt in 0u64..1000,
+    ) {
+        // Arbitrary edges: dangling rows, forward edges and cycles all
+        // occur, so the descending cursor needs more than one pass.
+        let refs = Csr::from_edges(n, n, &edges);
+        let cfg = PushConfig { alpha, epsilon: 1e-10, max_edge_work: u64::MAX };
+        let bound = 2.0 * cfg.epsilon / (1.0 - alpha);
+        // Each run's deferred mass is short of its limit by at most
+        // α/(1−α) of the residual (≤ ε/2) it left unpushed.
+        let deferred_bound = cfg.epsilon * (alpha / (1.0 - alpha)).max(1.0);
+        // Three seeds of mixed sign and support: uniform, signed dense,
+        // and one-in-three sparse.
+        let seeds: [Vec<f64>; 3] = [
+            vec![1.0 / n as f64; n],
+            (0..n as u64).map(|i| ((i * 37 + salt) % 19) as f64 / 19.0 - 0.4).collect(),
+            (0..n as u64).map(|i| if (i + salt) % 3 == 0 { 0.25 } else { 0.0 }).collect(),
+        ];
+        let kernel = dense_fixed_point(&refs, alpha, &seeds[0]);
+
+        let mut x3 = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
+        let mut r3: Vec<f64> = (0..n * 3).map(|at| seeds[at % 3][at / 3]).collect();
+        let out3 = push::solve_lanes(
+            &refs,
+            &cfg,
+            x3.each_mut().map(Vec::as_mut_slice),
+            &mut r3,
+            [0.0; 3],
+        );
+        prop_assert!(out3.converged);
+
+        for k in 0..3 {
+            let mut x1 = vec![0.0; n];
+            let mut r1 = seeds[k].clone();
+            let out1 = push::solve_deferring(&refs, &cfg, &mut x1, &mut r1, 0.0);
+            prop_assert!(out1.converged);
+            prop_assert!(out3.residual_l1[k] <= cfg.epsilon);
+            prop_assert!(
+                (out3.deferred[k] - out1.deferred).abs() <= deferred_bound,
+                "lane {}: deferred {} vs {}", k, out3.deferred[k], out1.deferred
+            );
+            let resolved = |x: &[f64], g: f64| -> Vec<f64> {
+                x.iter().zip(&kernel).map(|(x, u)| x + g * u).collect()
+            };
+            let reference = dense_fixed_point(&refs, alpha, &seeds[k]);
+            let lanes = resolved(&x3[k], out3.deferred[k]);
+            let single = resolved(&x1, out1.deferred);
+            prop_assert!(l1_gap(&lanes, &reference) <= bound, "lane {} vs dense", k);
+            prop_assert!(l1_gap(&single, &reference) <= bound, "single {} vs dense", k);
+            prop_assert!(l1_gap(&lanes, &single) <= bound, "lane {} vs single", k);
+        }
+    }
+
+    #[test]
+    fn push_idle_lane_is_bit_identical(
+        (n, edges) in edges_strategy(30),
+        alpha in 0.05f64..0.85,
+        held in 0.0f64..1.0,
+    ) {
+        // A lane seeded all-zero rides along every push of the live lane
+        // and comes back exactly as it went in.
+        let refs = Csr::from_edges(n, n, &edges);
+        let cfg = PushConfig { alpha, epsilon: 1e-10, max_edge_work: u64::MAX };
+        let idle: Vec<f64> = (0..n).map(|i| held + i as f64).collect();
+        let mut x = [vec![0.0; n], idle.clone()];
+        let mut r: Vec<f64> = (0..n * 2)
+            .map(|at| if at % 2 == 0 { 1.0 / n as f64 } else { 0.0 })
+            .collect();
+        let out = push::solve_lanes(
+            &refs,
+            &cfg,
+            x.each_mut().map(Vec::as_mut_slice),
+            &mut r,
+            [0.0, held],
+        );
+        prop_assert!(out.converged && out.pushes > 0);
+        prop_assert!(x[1].iter().zip(&idle).all(|(a, b)| a.to_bits() == b.to_bits()));
+        prop_assert_eq!(out.deferred[1].to_bits(), held.to_bits());
+        prop_assert_eq!(out.residual_l1[1], 0.0);
+    }
+
     #[test]
     fn csr_transpose_is_involution((n, edges) in edges_strategy(40)) {
         let m = Csr::from_edges(n, n, &edges);
