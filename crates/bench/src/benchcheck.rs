@@ -8,6 +8,9 @@
 //! the minimum is far more stable than the mean on shared/quota-throttled
 //! runners, which is also why the committed baseline records it.
 //!
+//! Beside the absolute guards sit the same-run ratio gates — one table,
+//! [`GATES`], one [`Gate::ratio`] — which hold across machines.
+//!
 //! Parsing is a dependency-free scanner for the flat `{"group": …,
 //! "id": …, "min_ns": …}` objects both file formats contain; surrounding
 //! structure (top-level object vs array, pretty-printing) is irrelevant.
@@ -106,290 +109,122 @@ pub fn is_guarded(r: &BenchRecord) -> bool {
         || (r.group == "throughput" && !r.id.contains("sequential"))
 }
 
-/// The cold-start speedup recorded in a report: `min_ns` of the TSV
-/// parse + full re-rank path over the snapshot-store path (both in the
-/// `store_load` group). `None` when either record is absent.
+/// Which side of its bound a ratio gate must stay on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// A speedup: the ratio must be at least this.
+    Floor(f64),
+    /// An overhead: the ratio must be at most this.
+    Ceiling(f64),
+}
+
+impl Bound {
+    /// `("floor" | "ceiling", x)` — how reports spell the bound.
+    pub fn parts(self) -> (&'static str, f64) {
+        match self {
+            Bound::Floor(x) => ("floor", x),
+            Bound::Ceiling(x) => ("ceiling", x),
+        }
+    }
+}
+
+/// One same-run ratio gate: `min_ns` of the `numerator` record over
+/// `min_ns` of the `denominator` record, both in `group`. A ratio of two
+/// measurements from the same run holds across machines, so — unlike the
+/// absolute `min_ns` guards — `repro bench-check` enforces it on the
+/// committed baseline and on the current run alike.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Gate {
+    /// Benchmark group holding both records.
+    pub group: &'static str,
+    /// What `repro bench-check` prints the gate as (after `group/`).
+    pub name: &'static str,
+    /// Id of the reference row: the slow path a speedup is measured
+    /// against, or the instrumented path of an overhead.
+    pub numerator: &'static str,
+    /// Id of the row the gate protects.
+    pub denominator: &'static str,
+    /// The acceptance bound.
+    pub bound: Bound,
+}
+
+/// Every ratio gate, in the order `repro bench-check` prints them, each
+/// under the issue that set its bound and what it promises (200k-paper
+/// corpus throughout).
+#[rustfmt::skip]
+pub const GATES: &[Gate] = &[
+    // ISSUE 4: first `top_k` from the snapshot store vs TSV parse + full re-rank.
+    Gate { group: "store_load", name: "cold_start_speedup", bound: Bound::Floor(10.0),
+           numerator: "first_topk_tsv_200k", denominator: "first_topk_store_200k" },
+    // ISSUE 5: a selective filtered query at k=10 vs filtering the materialized full ranking.
+    Gate { group: "query", name: "filtered_speedup", bound: Bound::Floor(10.0),
+           numerator: "post_filter_200k", denominator: "selective_venue_200k" },
+    // ISSUE 6: a year-filtered top-k, 8 shards pruned vs the unsharded scan.
+    Gate { group: "sharded", name: "pruned_speedup", bound: Bound::Floor(3.0),
+           numerator: "year_filtered_scan_200k", denominator: "year_filtered_8shard_200k" },
+    // ISSUE 6: a tail-shard ingest + publish vs a whole-corpus one.
+    Gate { group: "sharded", name: "tail_ingest_speedup", bound: Bound::Floor(4.0),
+           numerator: "full_ingest_unsharded_200k", denominator: "tail_ingest_8shard_200k" },
+    // ISSUE 7: a selective author-filtered top-k at k=10, posting list vs IdMask-residual scan.
+    Gate { group: "index_vs_scan", name: "index_speedup", bound: Bound::Floor(10.0),
+           numerator: "author_mask_residual_200k", denominator: "author_posting_200k" },
+    // ISSUE 8: a cached `seed=` top-k vs a cold push solve.
+    Gate { group: "personalized", name: "cache_speedup", bound: Bound::Floor(50.0),
+           numerator: "cold_push_200k", denominator: "cache_hit_200k" },
+    // ISSUE 8: a cold push solve vs the dense power-iteration solve.
+    Gate { group: "personalized", name: "push_speedup", bound: Bound::Floor(5.0),
+           numerator: "dense_solve_200k", denominator: "cold_push_200k" },
+    // ISSUE 8: a warm re-push across a ~1% publish must beat re-solving cold.
+    Gate { group: "personalized", name: "warm_speedup", bound: Bound::Floor(1.0),
+           numerator: "cold_push_200k", denominator: "warm_repush_200k" },
+    // ISSUE 10: one `query_batch` over the mixed workload vs the same queries sequentially.
+    Gate { group: "throughput", name: "batched_speedup", bound: Bound::Floor(2.0),
+           numerator: "sequential_mixed_200k", denominator: "batched_mixed_200k" },
+    // ISSUE 13: the successor network by copy-and-merge (`with_delta`, 800-edge batch) vs
+    // the edge-list rebuild it replaced (`Csr::from_edges` + `transpose`).
+    Gate { group: "incremental", name: "delta_apply_speedup", bound: Bound::Floor(4.0),
+           numerator: "rebuild_200k", denominator: "with_delta_200k/800" },
+    // ISSUE 17: one 3-lane push (steady-state `update_delta`, carrying the personalization
+    // too) vs the three `K = 1` pushes it replaced, 100-paper batch. Not 3x: the interleaved
+    // residual is three times the footprint and the union of the three push sets is a
+    // quarter larger than any one.
+    Gate { group: "incremental", name: "fused_push_speedup", bound: Bound::Floor(1.25),
+           numerator: "three_pushes_200k/800", denominator: "update_delta_200k/800" },
+    // ISSUE 9: the instrumented query path within 10% of the bare one — a ceiling.
+    Gate { group: "metrics_overhead", name: "instrumented_ratio", bound: Bound::Ceiling(1.10),
+           numerator: "selective_venue_instrumented", denominator: "selective_venue_bare" },
+];
+
+/// The table row printed as `group/name`.
 ///
-/// Unlike the absolute `min_ns` gates this is a *ratio*, so it holds
-/// across machines — `repro bench-check` fails when it drops below
-/// [`MIN_COLD_START_SPEEDUP`].
-pub fn cold_start_speedup(records: &[BenchRecord]) -> Option<f64> {
-    let find = |prefix: &str| {
-        records
-            .iter()
-            .find(|r| r.group == "store_load" && r.id.starts_with(prefix))
-            .map(|r| r.min_ns)
-    };
-    let store = find("first_topk_store")?;
-    let tsv = find("first_topk_tsv")?;
-    Some(tsv / store.max(1.0))
-}
-
-/// Acceptance floor for [`cold_start_speedup`] (ISSUE 4: ≥10× faster
-/// cold start to first `top_k` on the 200k-paper graph).
-pub const MIN_COLD_START_SPEEDUP: f64 = 10.0;
-
-/// The filtered-query speedup recorded in a report: `min_ns` of the
-/// filter-after-full-top-k materialization over the planner-driven
-/// selective query (both in the `query` group, 200k-paper graph, k=10).
-/// `None` when either record is absent.
-///
-/// A ratio of two measurements from the same run, so — like
-/// [`cold_start_speedup`] — it holds across machines and is gated
-/// directly by `repro bench-check`.
-pub fn filtered_query_speedup(records: &[BenchRecord]) -> Option<f64> {
-    let find = |prefix: &str| {
-        records
-            .iter()
-            .find(|r| r.group == "query" && r.id.starts_with(prefix))
-            .map(|r| r.min_ns)
-    };
-    let selective = find("selective_venue_200k")?;
-    let naive = find("post_filter_200k")?;
-    Some(naive / selective.max(1.0))
-}
-
-/// Acceptance floor for [`filtered_query_speedup`] (ISSUE 5: a selective
-/// filtered query at k=10 on the 200k-paper graph ≥10× faster than
-/// filtering the materialized full ranking).
-pub const MIN_FILTERED_QUERY_SPEEDUP: f64 = 10.0;
-
-/// The shard-pruning speedup recorded in a report: `min_ns` of the
-/// unsharded full scan (`year_filtered_scan_*`) over the shard-pruned
-/// scatter-gather path (`year_filtered_8shard_*`), both in the
-/// `sharded` group on the same 200k-paper graph. `None` when either
-/// record is absent.
-///
-/// A ratio of two measurements from the same run, so — like the other
-/// ratio gates — it holds across machines and is enforced directly by
-/// `repro bench-check`.
-pub fn pruned_speedup(records: &[BenchRecord]) -> Option<f64> {
-    let find = |prefix: &str| {
-        records
-            .iter()
-            .find(|r| r.group == "sharded" && r.id.starts_with(prefix))
-            .map(|r| r.min_ns)
-    };
-    let pruned = find("year_filtered_8shard")?;
-    let scan = find("year_filtered_scan")?;
-    Some(scan / pruned.max(1.0))
-}
-
-/// Acceptance floor for [`pruned_speedup`] (ISSUE 6: a year-filtered
-/// top-k on an 8-shard 200k-paper corpus ≥3× faster than the unsharded
-/// scan by min wall-clock).
-pub const MIN_PRUNED_SPEEDUP: f64 = 3.0;
-
-/// The tail-routed ingest speedup recorded in a report: `min_ns` of the
-/// flat engine's whole-corpus ingest+publish
-/// (`full_ingest_unsharded_*`) over the sharded engine's tail-band-only
-/// ingest+publish (`tail_ingest_8shard_*`), both in the `sharded`
-/// group. `None` when either record is absent.
-pub fn tail_ingest_speedup(records: &[BenchRecord]) -> Option<f64> {
-    let find = |prefix: &str| {
-        records
-            .iter()
-            .find(|r| r.group == "sharded" && r.id.starts_with(prefix))
-            .map(|r| r.min_ns)
-    };
-    let tail = find("tail_ingest_8shard")?;
-    let full = find("full_ingest_unsharded")?;
-    Some(full / tail.max(1.0))
-}
-
-/// Acceptance floor for [`tail_ingest_speedup`] (ISSUE 6: a tail-shard
-/// ingest publish ≥4× faster than a whole-corpus publish at 200k).
-pub const MIN_TAIL_INGEST_SPEEDUP: f64 = 4.0;
-
-/// The index-vs-scan speedup recorded in a report: `min_ns` of the
-/// IdMask-residual scan (`author_mask_residual_200k`) over the banded
-/// posting-list drive (`author_posting_200k`), both in the
-/// `index_vs_scan` group on the same 200k-paper graph at k=10. `None`
-/// when either record is absent.
-///
-/// A ratio of two measurements from the same run, so — like the other
-/// ratio gates — it holds across machines and is enforced directly by
-/// `repro bench-check`.
-pub fn index_vs_scan_speedup(records: &[BenchRecord]) -> Option<f64> {
-    let find = |prefix: &str| {
-        records
-            .iter()
-            .find(|r| r.group == "index_vs_scan" && r.id.starts_with(prefix))
-            .map(|r| r.min_ns)
-    };
-    let indexed = find("author_posting_200k")?;
-    let residual = find("author_mask_residual_200k")?;
-    Some(residual / indexed.max(1.0))
-}
-
-/// Acceptance floor for [`index_vs_scan_speedup`] (ISSUE 7: a selective
-/// author-filtered top-k at k=10 on the 200k-paper graph ≥10× faster
-/// through the posting list than through the IdMask-residual scan).
-pub const MIN_INDEX_VS_SCAN_SPEEDUP: f64 = 10.0;
-
-/// Finds the `min_ns` of the `personalized`-group record whose id starts
-/// with `prefix`.
-fn personalized_min_ns(records: &[BenchRecord], prefix: &str) -> Option<f64> {
-    records
+/// # Panics
+/// When no gate has that name (names are unique across groups).
+pub fn gate(name: &str) -> &'static Gate {
+    GATES
         .iter()
-        .find(|r| r.group == "personalized" && r.id.starts_with(prefix))
-        .map(|r| r.min_ns)
+        .find(|g| g.name == name)
+        .unwrap_or_else(|| panic!("no ratio gate named {name:?}"))
 }
 
-/// The personalization cache-hit speedup recorded in a report: `min_ns`
-/// of the cold push solve (`cold_push_200k`) over the cache's hit path
-/// (`cache_hit_200k`), both in the `personalized` group on the same
-/// 200k-paper graph. `None` when either record is absent.
-///
-/// A ratio of two measurements from the same run, so — like the other
-/// ratio gates — it holds across machines and is enforced directly by
-/// `repro bench-check`.
-pub fn personalized_cache_speedup(records: &[BenchRecord]) -> Option<f64> {
-    let cold = personalized_min_ns(records, "cold_push")?;
-    let hit = personalized_min_ns(records, "cache_hit")?;
-    Some(cold / hit.max(1.0))
+impl Gate {
+    /// The gate's ratio as recorded in a report; `None` when either row
+    /// is absent.
+    pub fn ratio(&self, records: &[BenchRecord]) -> Option<f64> {
+        let min_ns = |id: &str| {
+            let row = records.iter().find(|r| r.group == self.group && r.id == id);
+            row.map(|r| r.min_ns)
+        };
+        Some(min_ns(self.numerator)? / min_ns(self.denominator)?.max(1.0))
+    }
+
+    /// Whether `ratio` is on the right side of the bound.
+    pub fn holds(&self, ratio: f64) -> bool {
+        match self.bound {
+            Bound::Floor(floor) => ratio >= floor,
+            Bound::Ceiling(ceiling) => ratio <= ceiling,
+        }
+    }
 }
-
-/// Acceptance floor for [`personalized_cache_speedup`] (ISSUE 8: a
-/// cached `seed=` top-k on the 200k-paper graph ≥50× faster than a cold
-/// push solve).
-pub const MIN_PERSONALIZED_CACHE_SPEEDUP: f64 = 50.0;
-
-/// The seed-set push speedup recorded in a report: `min_ns` of the dense
-/// power-iteration reference (`dense_solve_200k`) over the budgeted push
-/// solve (`cold_push_200k`), both in the `personalized` group. `None`
-/// when either record is absent.
-pub fn personalized_push_speedup(records: &[BenchRecord]) -> Option<f64> {
-    let dense = personalized_min_ns(records, "dense_solve")?;
-    let cold = personalized_min_ns(records, "cold_push")?;
-    Some(dense / cold.max(1.0))
-}
-
-/// Acceptance floor for [`personalized_push_speedup`] (ISSUE 8: a cold
-/// push solve ≥5× faster than the dense solve on the 200k-paper graph).
-pub const MIN_PERSONALIZED_PUSH_SPEEDUP: f64 = 5.0;
-
-/// The warm re-push speedup recorded in a report: `min_ns` of the cold
-/// push solve (`cold_push_200k`) over the warm re-push across a ~1%
-/// publish batch (`warm_repush_200k`), both in the `personalized` group.
-/// `None` when either record is absent.
-pub fn personalized_warm_speedup(records: &[BenchRecord]) -> Option<f64> {
-    let cold = personalized_min_ns(records, "cold_push")?;
-    let warm = personalized_min_ns(records, "warm_repush")?;
-    Some(cold / warm.max(1.0))
-}
-
-/// Acceptance floor for [`personalized_warm_speedup`] (ISSUE 8: a warm
-/// re-push after a 1% delta must beat re-solving cold).
-pub const MIN_PERSONALIZED_WARM_SPEEDUP: f64 = 1.0;
-
-/// The instrumentation overhead recorded in a report: `min_ns` of the
-/// metered query path (`selective_venue_instrumented`) over the bare one
-/// (`selective_venue_bare`), both in the `metrics_overhead` group on the
-/// same corpus and query. `None` when either record is absent.
-///
-/// A ratio of two measurements from the same run, so — like the other
-/// ratio gates — it holds across machines and is enforced directly by
-/// `repro bench-check`.
-pub fn metrics_overhead_ratio(records: &[BenchRecord]) -> Option<f64> {
-    let find = |needle: &str| {
-        records
-            .iter()
-            .find(|r| r.group == "metrics_overhead" && r.id.contains(needle))
-            .map(|r| r.min_ns)
-    };
-    let instrumented = find("instrumented")?;
-    let bare = find("bare")?;
-    Some(instrumented / bare.max(1.0))
-}
-
-/// Acceptance ceiling for [`metrics_overhead_ratio`] (ISSUE 9: the
-/// instrumented query path within 10% of the bare one by min
-/// wall-clock).
-pub const MAX_METRICS_OVERHEAD_RATIO: f64 = 1.10;
-
-/// The batched-serving speedup recorded in a report: `min_ns` of the
-/// sequential per-query loop (`sequential_mixed_200k`) over one
-/// `query_batch` call on the same mixed workload (`batched_mixed_200k`),
-/// both in the `throughput` group on the same 200k-paper graph. `None`
-/// when either record is absent.
-///
-/// A ratio of two measurements from the same run, so — like the other
-/// ratio gates — it holds across machines and is enforced directly by
-/// `repro bench-check`.
-pub fn batched_throughput_speedup(records: &[BenchRecord]) -> Option<f64> {
-    let find = |prefix: &str| {
-        records
-            .iter()
-            .find(|r| r.group == "throughput" && r.id.starts_with(prefix))
-            .map(|r| r.min_ns)
-    };
-    let batched = find("batched_mixed_200k")?;
-    let sequential = find("sequential_mixed_200k")?;
-    Some(sequential / batched.max(1.0))
-}
-
-/// Acceptance floor for [`batched_throughput_speedup`] (ISSUE 10: one
-/// `query_batch` over the mixed 200k workload ≥2× the throughput of the
-/// same queries served sequentially).
-pub const MIN_BATCHED_THROUGHPUT_SPEEDUP: f64 = 2.0;
-
-/// The delta-apply speedup recorded in a report: `min_ns` of the
-/// edge-list rebuild of a 200k-paper successor network (`rebuild_200k`:
-/// `Csr::from_edges` + `transpose`) over the copy-and-merge
-/// `CitationNetwork::with_delta` that replaced it on the publish path
-/// (`with_delta_200k/800`), both in the `incremental` group on the same
-/// graph and batch. `None` when either record is absent.
-///
-/// A ratio of two measurements from the same run, so — like the other
-/// ratio gates — it holds across machines and is enforced directly by
-/// `repro bench-check`.
-pub fn delta_apply_speedup(records: &[BenchRecord]) -> Option<f64> {
-    let find = |id: &str| {
-        records
-            .iter()
-            .find(|r| r.group == "incremental" && r.id == id)
-            .map(|r| r.min_ns)
-    };
-    let merged = find("with_delta_200k/800")?;
-    let rebuilt = find("rebuild_200k")?;
-    Some(rebuilt / merged.max(1.0))
-}
-
-/// Acceptance floor for [`delta_apply_speedup`] (ISSUE 13: building the
-/// successor network by copy-and-merge ≥4× faster than rebuilding it
-/// from its edge list at 200k papers).
-pub const MIN_DELTA_APPLY_SPEEDUP: f64 = 4.0;
-
-/// The fused-push speedup recorded in a report: `min_ns` of the three
-/// sequential `K = 1` pushes a publish used to make (uniform kernel, then
-/// the attention and recency components against it —
-/// `three_pushes_200k/800`) over the steady-state
-/// `IncrementalAttRank::update_delta` that replaced them with one 3-lane
-/// push (`update_delta_200k/800`, which also pays for carrying the
-/// personalization across the delta), both in the `incremental` group
-/// over the same transition. `None` when either record is absent.
-///
-/// A same-run ratio like the other ratio gates, enforced directly by
-/// `repro bench-check`.
-pub fn fused_push_speedup(records: &[BenchRecord]) -> Option<f64> {
-    let find = |id: &str| {
-        records
-            .iter()
-            .find(|r| r.group == "incremental" && r.id == id)
-            .map(|r| r.min_ns)
-    };
-    let fused = find("update_delta_200k/800")?;
-    let sequential = find("three_pushes_200k/800")?;
-    Some(sequential / fused.max(1.0))
-}
-
-/// Acceptance floor for [`fused_push_speedup`] (ISSUE 17: one traversal
-/// of the perturbed cone for AttRank's three systems ≥1.25× faster than
-/// three, at 200k papers and a 100-paper batch; not 3× — the interleaved
-/// residual is three times the footprint and the union of the three push
-/// sets is a quarter larger than any one).
-pub const MIN_FUSED_PUSH_SPEEDUP: f64 = 1.25;
 
 /// Outcome of one guarded comparison.
 #[derive(Debug)]
@@ -525,12 +360,14 @@ mod tests {
             rec("tail_ingest_8shard_200k", 1_000_000.0),
             rec("full_ingest_unsharded_200k", 8_000_000.0),
         ];
-        assert_eq!(pruned_speedup(&records), Some(10.0));
-        assert_eq!(tail_ingest_speedup(&records), Some(8.0));
+        assert_eq!(gate("pruned_speedup").ratio(&records), Some(10.0));
+        assert_eq!(gate("tail_ingest_speedup").ratio(&records), Some(8.0));
+        assert_eq!(gate("pruned_speedup").bound, Bound::Floor(3.0));
+        assert!(gate("pruned_speedup").holds(3.0) && !gate("pruned_speedup").holds(2.9));
         // Either side missing → no ratio.
-        assert_eq!(pruned_speedup(&records[..1]), None);
-        assert_eq!(tail_ingest_speedup(&records[..2]), None);
-        assert_eq!(pruned_speedup(&[]), None);
+        assert_eq!(gate("pruned_speedup").ratio(&records[..1]), None);
+        assert_eq!(gate("tail_ingest_speedup").ratio(&records[..2]), None);
+        assert_eq!(gate("pruned_speedup").ratio(&[]), None);
     }
 
     #[test]
@@ -558,9 +395,9 @@ mod tests {
             rec("author_posting_200k", 20_000.0),
             rec("author_mask_residual_200k", 600_000.0),
         ];
-        assert_eq!(index_vs_scan_speedup(&records), Some(30.0));
-        assert_eq!(index_vs_scan_speedup(&records[..1]), None);
-        assert_eq!(index_vs_scan_speedup(&[]), None);
+        assert_eq!(gate("index_speedup").ratio(&records), Some(30.0));
+        assert_eq!(gate("index_speedup").ratio(&records[..1]), None);
+        assert_eq!(gate("index_speedup").ratio(&[]), None);
     }
 
     #[test]
@@ -589,14 +426,14 @@ mod tests {
             rec("cache_hit_200k", 400.0),
             rec("warm_repush_200k", 1_000_000.0),
         ];
-        assert_eq!(personalized_push_speedup(&records), Some(20.0));
-        assert_eq!(personalized_cache_speedup(&records), Some(10_000.0));
-        assert_eq!(personalized_warm_speedup(&records), Some(4.0));
+        assert_eq!(gate("push_speedup").ratio(&records), Some(20.0));
+        assert_eq!(gate("cache_speedup").ratio(&records), Some(10_000.0));
+        assert_eq!(gate("warm_speedup").ratio(&records), Some(4.0));
         // Either side missing → no ratio.
-        assert_eq!(personalized_push_speedup(&records[2..]), None);
-        assert_eq!(personalized_cache_speedup(&records[..2]), None);
-        assert_eq!(personalized_warm_speedup(&records[..3]), None);
-        assert_eq!(personalized_push_speedup(&[]), None);
+        assert_eq!(gate("push_speedup").ratio(&records[2..]), None);
+        assert_eq!(gate("cache_speedup").ratio(&records[..2]), None);
+        assert_eq!(gate("warm_speedup").ratio(&records[..3]), None);
+        assert_eq!(gate("push_speedup").ratio(&[]), None);
     }
 
     #[test]
@@ -621,11 +458,15 @@ mod tests {
             rec("selective_venue_bare", 40_000.0),
             rec("selective_venue_instrumented", 42_000.0),
         ];
-        assert_eq!(metrics_overhead_ratio(&records), Some(1.05));
+        let overhead = gate("instrumented_ratio");
+        assert_eq!(overhead.ratio(&records), Some(1.05));
+        // A ceiling, not a floor: at the bound holds, above it does not.
+        assert_eq!(overhead.bound, Bound::Ceiling(1.10));
+        assert!(overhead.holds(1.10) && !overhead.holds(1.11));
         // Either side missing → no ratio.
-        assert_eq!(metrics_overhead_ratio(&records[..1]), None);
-        assert_eq!(metrics_overhead_ratio(&records[1..]), None);
-        assert_eq!(metrics_overhead_ratio(&[]), None);
+        assert_eq!(gate("instrumented_ratio").ratio(&records[..1]), None);
+        assert_eq!(gate("instrumented_ratio").ratio(&records[1..]), None);
+        assert_eq!(gate("instrumented_ratio").ratio(&[]), None);
     }
 
     #[test]
@@ -650,11 +491,11 @@ mod tests {
             rec("sequential_mixed_200k", 9_000_000.0),
             rec("batched_mixed_200k", 3_000_000.0),
         ];
-        assert_eq!(batched_throughput_speedup(&records), Some(3.0));
+        assert_eq!(gate("batched_speedup").ratio(&records), Some(3.0));
         // Either side missing → no ratio.
-        assert_eq!(batched_throughput_speedup(&records[..1]), None);
-        assert_eq!(batched_throughput_speedup(&records[1..]), None);
-        assert_eq!(batched_throughput_speedup(&[]), None);
+        assert_eq!(gate("batched_speedup").ratio(&records[..1]), None);
+        assert_eq!(gate("batched_speedup").ratio(&records[1..]), None);
+        assert_eq!(gate("batched_speedup").ratio(&[]), None);
     }
 
     #[test]
@@ -669,10 +510,10 @@ mod tests {
             rec("with_delta_200k/800", 4_000_000.0),
             rec("rebuild_200k", 28_000_000.0),
         ];
-        assert_eq!(delta_apply_speedup(&records), Some(7.0));
+        assert_eq!(gate("delta_apply_speedup").ratio(&records), Some(7.0));
         // Either side missing → no ratio; the reference rows are unguarded.
-        assert_eq!(delta_apply_speedup(&records[..2]), None);
-        assert_eq!(delta_apply_speedup(&records[2..]), None);
+        assert_eq!(gate("delta_apply_speedup").ratio(&records[..2]), None);
+        assert_eq!(gate("delta_apply_speedup").ratio(&records[2..]), None);
         assert!(records.iter().all(|r| !is_guarded(r)));
     }
 
@@ -688,11 +529,11 @@ mod tests {
             rec("update_delta_200k/800", 8_000_000.0),
             rec("three_pushes_200k/800", 14_000_000.0),
         ];
-        assert_eq!(fused_push_speedup(&records), Some(1.75));
+        assert_eq!(gate("fused_push_speedup").ratio(&records), Some(1.75));
         // Either side missing → no ratio; the rows are unguarded (the
         // gate is the same-run ratio, not an absolute time).
-        assert_eq!(fused_push_speedup(&records[..2]), None);
-        assert_eq!(fused_push_speedup(&records[2..]), None);
+        assert_eq!(gate("fused_push_speedup").ratio(&records[..2]), None);
+        assert_eq!(gate("fused_push_speedup").ratio(&records[2..]), None);
         assert!(records.iter().all(|r| !is_guarded(r)));
     }
 
@@ -710,9 +551,9 @@ mod tests {
                 min_ns: 2_000_000.0,
             },
         ];
-        assert_eq!(filtered_query_speedup(&records), Some(40.0));
-        assert_eq!(filtered_query_speedup(&records[..1]), None);
-        assert_eq!(filtered_query_speedup(&[]), None);
+        assert_eq!(gate("filtered_speedup").ratio(&records), Some(40.0));
+        assert_eq!(gate("filtered_speedup").ratio(&records[..1]), None);
+        assert_eq!(gate("filtered_speedup").ratio(&[]), None);
     }
 
     #[test]
@@ -729,10 +570,31 @@ mod tests {
                 min_ns: 50_000_000.0,
             },
         ];
-        assert_eq!(cold_start_speedup(&records), Some(25.0));
+        assert_eq!(gate("cold_start_speedup").ratio(&records), Some(25.0));
         // Either record missing → no ratio.
-        assert_eq!(cold_start_speedup(&records[..1]), None);
-        assert_eq!(cold_start_speedup(&[]), None);
+        assert_eq!(gate("cold_start_speedup").ratio(&records[..1]), None);
+        assert_eq!(gate("cold_start_speedup").ratio(&[]), None);
+    }
+
+    #[test]
+    fn every_gate_finds_both_rows_in_the_committed_baseline() {
+        // A row whose id matches nothing never fails — it silently never
+        // gates. The committed baseline carries every gated bench, so
+        // each table row must resolve there (and hold).
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
+        let baseline = parse_records(&std::fs::read_to_string(path).expect("baseline"));
+        assert_eq!(GATES.len(), 12);
+        for g in GATES {
+            let ratio = g.ratio(&baseline);
+            assert!(
+                ratio.is_some_and(|r| g.holds(r)),
+                "{}/{}: {ratio:?} vs {:?}",
+                g.group,
+                g.name,
+                g.bound
+            );
+            assert_eq!(gate(g.name), g, "gate names are unique");
+        }
     }
 
     #[test]

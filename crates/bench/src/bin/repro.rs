@@ -231,175 +231,24 @@ fn run_bench_check() -> ExitCode {
     // the same hardware), so they are enforced for whichever report has
     // the records — the committed baseline always does.
     for (records, origin) in [(&baseline, "baseline"), (&current, "current run")] {
-        if let Some(speedup) = benchcheck::cold_start_speedup(records) {
-            let verdict = if speedup >= benchcheck::MIN_COLD_START_SPEEDUP {
+        for gate in benchcheck::GATES {
+            let Some(ratio) = gate.ratio(records) else {
+                continue;
+            };
+            let verdict = if gate.holds(ratio) {
                 "ok"
             } else {
                 failed = true;
                 "REGRESSED"
             };
-            println!(
-                "{:<44} {:>27.1}x  (floor {:.0}x)  {verdict}",
-                format!("store_load/cold_start_speedup ({origin})"),
-                speedup,
-                benchcheck::MIN_COLD_START_SPEEDUP
-            );
-        }
-        if let Some(speedup) = benchcheck::filtered_query_speedup(records) {
-            let verdict = if speedup >= benchcheck::MIN_FILTERED_QUERY_SPEEDUP {
-                "ok"
+            // Bounds within 2x of parity need the second decimal.
+            let (kind, bound) = gate.bound.parts();
+            let label = format!("{}/{} ({origin})", gate.group, gate.name);
+            if bound.fract() == 0.0 {
+                println!("{label:<44} {ratio:>27.1}x  ({kind} {bound:.0}x)  {verdict}");
             } else {
-                failed = true;
-                "REGRESSED"
-            };
-            println!(
-                "{:<44} {:>27.1}x  (floor {:.0}x)  {verdict}",
-                format!("query/filtered_speedup ({origin})"),
-                speedup,
-                benchcheck::MIN_FILTERED_QUERY_SPEEDUP
-            );
-        }
-        if let Some(speedup) = benchcheck::pruned_speedup(records) {
-            let verdict = if speedup >= benchcheck::MIN_PRUNED_SPEEDUP {
-                "ok"
-            } else {
-                failed = true;
-                "REGRESSED"
-            };
-            println!(
-                "{:<44} {:>27.1}x  (floor {:.0}x)  {verdict}",
-                format!("sharded/pruned_speedup ({origin})"),
-                speedup,
-                benchcheck::MIN_PRUNED_SPEEDUP
-            );
-        }
-        if let Some(speedup) = benchcheck::tail_ingest_speedup(records) {
-            let verdict = if speedup >= benchcheck::MIN_TAIL_INGEST_SPEEDUP {
-                "ok"
-            } else {
-                failed = true;
-                "REGRESSED"
-            };
-            println!(
-                "{:<44} {:>27.1}x  (floor {:.0}x)  {verdict}",
-                format!("sharded/tail_ingest_speedup ({origin})"),
-                speedup,
-                benchcheck::MIN_TAIL_INGEST_SPEEDUP
-            );
-        }
-        if let Some(speedup) = benchcheck::index_vs_scan_speedup(records) {
-            let verdict = if speedup >= benchcheck::MIN_INDEX_VS_SCAN_SPEEDUP {
-                "ok"
-            } else {
-                failed = true;
-                "REGRESSED"
-            };
-            println!(
-                "{:<44} {:>27.1}x  (floor {:.0}x)  {verdict}",
-                format!("index_vs_scan/index_speedup ({origin})"),
-                speedup,
-                benchcheck::MIN_INDEX_VS_SCAN_SPEEDUP
-            );
-        }
-        if let Some(speedup) = benchcheck::personalized_cache_speedup(records) {
-            let verdict = if speedup >= benchcheck::MIN_PERSONALIZED_CACHE_SPEEDUP {
-                "ok"
-            } else {
-                failed = true;
-                "REGRESSED"
-            };
-            println!(
-                "{:<44} {:>27.1}x  (floor {:.0}x)  {verdict}",
-                format!("personalized/cache_speedup ({origin})"),
-                speedup,
-                benchcheck::MIN_PERSONALIZED_CACHE_SPEEDUP
-            );
-        }
-        if let Some(speedup) = benchcheck::personalized_push_speedup(records) {
-            let verdict = if speedup >= benchcheck::MIN_PERSONALIZED_PUSH_SPEEDUP {
-                "ok"
-            } else {
-                failed = true;
-                "REGRESSED"
-            };
-            println!(
-                "{:<44} {:>27.1}x  (floor {:.0}x)  {verdict}",
-                format!("personalized/push_speedup ({origin})"),
-                speedup,
-                benchcheck::MIN_PERSONALIZED_PUSH_SPEEDUP
-            );
-        }
-        if let Some(speedup) = benchcheck::personalized_warm_speedup(records) {
-            let verdict = if speedup >= benchcheck::MIN_PERSONALIZED_WARM_SPEEDUP {
-                "ok"
-            } else {
-                failed = true;
-                "REGRESSED"
-            };
-            println!(
-                "{:<44} {:>27.1}x  (floor {:.0}x)  {verdict}",
-                format!("personalized/warm_speedup ({origin})"),
-                speedup,
-                benchcheck::MIN_PERSONALIZED_WARM_SPEEDUP
-            );
-        }
-        if let Some(speedup) = benchcheck::batched_throughput_speedup(records) {
-            let verdict = if speedup >= benchcheck::MIN_BATCHED_THROUGHPUT_SPEEDUP {
-                "ok"
-            } else {
-                failed = true;
-                "REGRESSED"
-            };
-            println!(
-                "{:<44} {:>27.1}x  (floor {:.0}x)  {verdict}",
-                format!("throughput/batched_speedup ({origin})"),
-                speedup,
-                benchcheck::MIN_BATCHED_THROUGHPUT_SPEEDUP
-            );
-        }
-        if let Some(speedup) = benchcheck::delta_apply_speedup(records) {
-            let verdict = if speedup >= benchcheck::MIN_DELTA_APPLY_SPEEDUP {
-                "ok"
-            } else {
-                failed = true;
-                "REGRESSED"
-            };
-            println!(
-                "{:<44} {:>27.1}x  (floor {:.0}x)  {verdict}",
-                format!("incremental/delta_apply_speedup ({origin})"),
-                speedup,
-                benchcheck::MIN_DELTA_APPLY_SPEEDUP
-            );
-        }
-        if let Some(speedup) = benchcheck::fused_push_speedup(records) {
-            let verdict = if speedup >= benchcheck::MIN_FUSED_PUSH_SPEEDUP {
-                "ok"
-            } else {
-                failed = true;
-                "REGRESSED"
-            };
-            println!(
-                "{:<44} {:>26.2}x  (floor {:.2}x)  {verdict}",
-                format!("incremental/fused_push_speedup ({origin})"),
-                speedup,
-                benchcheck::MIN_FUSED_PUSH_SPEEDUP
-            );
-        }
-        // Overhead ratio: a *ceiling*, not a floor — instrumentation must
-        // stay within 10% of the bare query path.
-        if let Some(ratio) = benchcheck::metrics_overhead_ratio(records) {
-            let verdict = if ratio <= benchcheck::MAX_METRICS_OVERHEAD_RATIO {
-                "ok"
-            } else {
-                failed = true;
-                "REGRESSED"
-            };
-            println!(
-                "{:<44} {:>26.2}x  (ceiling {:.2}x)  {verdict}",
-                format!("metrics_overhead/instrumented_ratio ({origin})"),
-                ratio,
-                benchcheck::MAX_METRICS_OVERHEAD_RATIO
-            );
+                println!("{label:<44} {ratio:>26.2}x  ({kind} {bound:.2}x)  {verdict}");
+            }
         }
     }
     if failed {
@@ -647,29 +496,7 @@ fn run_query(opts: &Options, grammar: Option<&String>) -> ExitCode {
             cmp.page.matched,
             elapsed.as_secs_f64() * 1e6
         );
-        let rows: Vec<Vec<String>> = cmp
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.id.to_string(),
-                    format!("{:.6}", r.score_a),
-                    r.rank_a.to_string(),
-                    r.score_b.map_or("-".into(), |s| format!("{s:.6}")),
-                    r.rank_b.map_or("-".into(), |r| r.to_string()),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            text_table(
-                &["paper", "score(a)", "rank(a)", "score(b)", "rank(b)"],
-                &rows
-            )
-        );
-        if let Some(cursor) = cmp.page.next {
-            println!("next page: append cursor={cursor}");
-        }
+        print_compare_rows(&cmp.rows, cmp.page.next);
     } else {
         let page = match engine.query(&query) {
             Ok(p) => p,
@@ -715,6 +542,33 @@ fn run_query(opts: &Options, grammar: Option<&String>) -> ExitCode {
         print_metric_deltas(&before, &after);
     }
     ExitCode::SUCCESS
+}
+
+/// The joined table of a `vs=` comparison, flat or sharded, and the
+/// next-page hint.
+fn print_compare_rows(rows: &[rankengine::CompareRow], next: Option<rankengine::Cursor>) {
+    let rows: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.id.to_string(),
+                format!("{:.6}", r.score_a),
+                r.rank_a.to_string(),
+                r.score_b.map_or("-".into(), |s| format!("{s:.6}")),
+                r.rank_b.map_or("-".into(), |r| r.to_string()),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        text_table(
+            &["paper", "score(a)", "rank(a)", "score(b)", "rank(b)"],
+            &rows
+        )
+    );
+    if let Some(cursor) = next {
+        println!("next page: append cursor={cursor}");
+    }
 }
 
 /// Reads a `--batch` workload file: one query grammar per line, blank
@@ -777,35 +631,11 @@ fn run_query_batch(opts: &Options, path: &std::path::Path) -> ExitCode {
     let metrics_before = engine.render_metrics();
     let t1 = std::time::Instant::now();
     let pages = engine.query_batch(&queries);
-    let elapsed = t1.elapsed();
-    let served = pages.iter().filter(|p| p.is_ok()).count();
-    println!(
-        "== batch: {served} of {} queries served in {:.1} µs ({:.0} queries/s) ==",
-        queries.len(),
-        elapsed.as_secs_f64() * 1e6,
-        queries.len() as f64 / elapsed.as_secs_f64().max(1e-9)
-    );
-    let mut failed = false;
-    for (i, (q, res)) in queries.iter().zip(&pages).enumerate() {
-        match res {
-            Ok(page) => {
-                println!(
-                    "[{i:>3}] {q} -> {} of {} matches (method {}, epoch {}){}",
-                    page.items.len(),
-                    page.matched,
-                    page.method,
-                    page.epoch,
-                    page.next
-                        .map(|c| format!(", next cursor={c}"))
-                        .unwrap_or_default()
-                );
-            }
-            Err(e) => {
-                failed = true;
-                println!("[{i:>3}] {q} -> error: {e}");
-            }
-        }
-    }
+    let all_served = print_batch_summary(&queries, &pages, t1.elapsed(), |page| {
+        let (n, matched) = (page.items.len(), page.matched);
+        let served = format!("(method {}, epoch {})", page.method, page.epoch);
+        (format!("{n} of {matched} matches {served}"), page.next)
+    });
     let stats = engine.plan_cache_stats();
     println!(
         "plan cache: {} hits, {} misses, {} stale, {} entries",
@@ -814,11 +644,37 @@ fn run_query_batch(opts: &Options, path: &std::path::Path) -> ExitCode {
     if let (Some(before), Some(after)) = (metrics_before, engine.render_metrics()) {
         print_metric_deltas(&before, &after);
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
+    if all_served {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
+}
+
+/// The summary both `--batch` modes print: a header, then one line per
+/// member — `describe`'s words for a served page plus its next cursor,
+/// the typed error otherwise. `true` when every member served.
+fn print_batch_summary<P, E: std::fmt::Display>(
+    queries: &[rankengine::Query],
+    pages: &[Result<P, E>],
+    elapsed: std::time::Duration,
+    describe: impl Fn(&P) -> (String, Option<rankengine::Cursor>),
+) -> bool {
+    let served = pages.iter().filter(|p| p.is_ok()).count();
+    println!(
+        "== batch: {served} of {} queries served in {:.1} µs ({:.0} queries/s) ==",
+        queries.len(),
+        elapsed.as_secs_f64() * 1e6,
+        queries.len() as f64 / elapsed.as_secs_f64().max(1e-9)
+    );
+    for (i, (q, res)) in queries.iter().zip(pages).enumerate() {
+        match res.as_ref().map(&describe) {
+            Ok((what, None)) => println!("[{i:>3}] {q} -> {what}"),
+            Ok((what, Some(c))) => println!("[{i:>3}] {q} -> {what}, next cursor={c}"),
+            Err(e) => println!("[{i:>3}] {q} -> error: {e}"),
+        }
+    }
+    served == pages.len()
 }
 
 /// `loadgen`: closed-loop serving throughput on the mixed dashboard
@@ -923,7 +779,10 @@ fn run_loadgen(opts: &Options) -> ExitCode {
     println!(
         "batched/sequential speedup: {:.1}x (bench-check floor {:.0}x on the 200k bench corpus)",
         seq_best / bat_best.max(1e-9),
-        repro_bench::benchcheck::MIN_BATCHED_THROUGHPUT_SPEEDUP
+        repro_bench::benchcheck::gate("batched_speedup")
+            .bound
+            .parts()
+            .1
     );
     ExitCode::SUCCESS
 }
@@ -968,7 +827,8 @@ fn print_metric_deltas(before: &str, after: &str) {
 /// `query --shards N|year:WIDTH`: the same filtered/paginated top-k
 /// served by a [`rankengine::ShardedEngine`] over a partitioned corpus.
 /// The plan line reports the shard-prune decision the read path takes;
-/// cursors are shard-aware `s…` tokens scoped to the pinned epoch *set*.
+/// `cursor=` tokens are the flat engine's, scoped to the pinned epoch
+/// *set* instead of one epoch.
 /// `vs=` builds a second engine over the same plan and joins the other
 /// method's rank/score through the merge; `seed=` routes per-band push
 /// solves through the personalization cache.
@@ -977,7 +837,7 @@ fn run_query_sharded(
     spec: citegraph::ShardSpec,
     grammar: Option<&String>,
 ) -> ExitCode {
-    use rankengine::{RerankPolicy, ShardCursor, ShardedEngine};
+    use rankengine::{RerankPolicy, ShardedEngine};
 
     if let Some(path) = opts.batch.clone() {
         return run_query_batch_sharded(opts, spec, &path);
@@ -989,31 +849,10 @@ fn run_query_sharded(
         );
         return ExitCode::FAILURE;
     };
-    // Shard-aware cursors are `s…` tokens, not the flat engine's `c…`
-    // grammar cursors — peel the component off before parsing the rest.
-    let mut cursor_tok: Option<String> = None;
-    let stripped: Vec<&str> = grammar
-        .split(',')
-        .filter(|part| match part.trim().strip_prefix("cursor=") {
-            Some(tok) => {
-                cursor_tok = Some(tok.trim().to_string());
-                false
-            }
-            None => true,
-        })
-        .collect();
-    let query: rankengine::Query = match stripped.join(",").parse() {
+    let query: rankengine::Query = match grammar.parse() {
         Ok(q) => q,
         Err(e) => {
             eprintln!("query: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cursor: Option<ShardCursor> = match cursor_tok.as_deref().map(str::parse) {
-        None => None,
-        Some(Ok(c)) => Some(c),
-        Some(Err(e)) => {
-            eprintln!("query: bad sharded cursor: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -1099,7 +938,7 @@ fn run_query_sharded(
             t_b.elapsed().as_secs_f64() * 1e3
         );
         let t1 = std::time::Instant::now();
-        let cmp = match engine.compare(&other, &query, cursor.as_ref()) {
+        let cmp = match engine.compare(&other, &query, None) {
             Ok(c) => c,
             Err(e) => {
                 eprintln!("query: {e}");
@@ -1120,29 +959,7 @@ fn run_query_sharded(
             cmp.page.shards_scanned,
             cmp.page.shards_total
         );
-        let rows: Vec<Vec<String>> = cmp
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.id.to_string(),
-                    format!("{:.6}", r.score_a),
-                    r.rank_a.to_string(),
-                    r.score_b.map_or("-".into(), |s| format!("{s:.6}")),
-                    r.rank_b.map_or("-".into(), |r| r.to_string()),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            text_table(
-                &["paper", "score(a)", "rank(a)", "score(b)", "rank(b)"],
-                &rows
-            )
-        );
-        if let Some(c) = cmp.page.next {
-            println!("next page: append cursor={c}");
-        }
+        print_compare_rows(&cmp.rows, cmp.page.next);
         if let (Some(before), Some(after)) = (metrics_before, engine.render_metrics()) {
             print_metric_deltas(&before, &after);
         }
@@ -1150,7 +967,7 @@ fn run_query_sharded(
     }
 
     let t1 = std::time::Instant::now();
-    let page = match engine.query(&query, cursor.as_ref()) {
+    let page = match engine.query(&query, None) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("query: {e}");
@@ -1198,7 +1015,7 @@ fn run_query_sharded(
 
 /// `query --shards … --batch FILE`: serves every query in FILE through
 /// one [`rankengine::ShardedEngine::query_batch`] call over the
-/// partitioned corpus (cursors come per line as `cursor=s…` components,
+/// partitioned corpus (cursors come per line as `cursor=` components,
 /// like single-query mode). All members run against the method in
 /// `--methods` (first spec); pages match serving each line alone.
 fn run_query_batch_sharded(
@@ -1208,57 +1025,15 @@ fn run_query_batch_sharded(
 ) -> ExitCode {
     use rankengine::{Query, RerankPolicy, ShardCursor, ShardedEngine};
 
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
+    let queries = match read_batch_queries(path) {
+        Ok(qs) => qs,
         Err(e) => {
-            eprintln!("query: cannot read {}: {e}", path.display());
+            eprintln!("query: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let mut batch: Vec<(Query, Option<ShardCursor>)> = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        // Shard-aware cursors are `s…` tokens, not grammar cursors —
-        // peel the component off before parsing the rest.
-        let mut cursor_tok: Option<String> = None;
-        let stripped: Vec<&str> = line
-            .split(',')
-            .filter(|part| match part.trim().strip_prefix("cursor=") {
-                Some(tok) => {
-                    cursor_tok = Some(tok.trim().to_string());
-                    false
-                }
-                None => true,
-            })
-            .collect();
-        let q: Query = match stripped.join(",").parse() {
-            Ok(q) => q,
-            Err(e) => {
-                eprintln!("query: {}:{}: {e}", path.display(), lineno + 1);
-                return ExitCode::FAILURE;
-            }
-        };
-        let cursor = match cursor_tok.as_deref().map(str::parse) {
-            None => None,
-            Some(Ok(c)) => Some(c),
-            Some(Err(e)) => {
-                eprintln!(
-                    "query: {}:{}: bad sharded cursor: {e}",
-                    path.display(),
-                    lineno + 1
-                );
-                return ExitCode::FAILURE;
-            }
-        };
-        batch.push((q, cursor));
-    }
-    if batch.is_empty() {
-        eprintln!("query: {}: no queries", path.display());
-        return ExitCode::FAILURE;
-    }
+    let batch: Vec<(Query, Option<ShardCursor>)> =
+        queries.iter().map(|q| (q.clone(), None)).collect();
 
     let scale = opts.scale.unwrap_or(20_000);
     let config = opts.methods[0].clone();
@@ -1296,42 +1071,21 @@ fn run_query_batch_sharded(
     let metrics_before = engine.render_metrics();
     let t1 = std::time::Instant::now();
     let pages = engine.query_batch(&batch);
-    let elapsed = t1.elapsed();
-    let served = pages.iter().filter(|p| p.is_ok()).count();
-    println!(
-        "== batch: {served} of {} queries served in {:.1} µs ({:.0} queries/s) ==",
-        batch.len(),
-        elapsed.as_secs_f64() * 1e6,
-        batch.len() as f64 / elapsed.as_secs_f64().max(1e-9)
-    );
-    let mut failed = false;
-    for (i, ((q, _), res)) in batch.iter().zip(&pages).enumerate() {
-        match res {
-            Ok(page) => {
-                println!(
-                    "[{i:>3}] {q} -> {} of {} matches ({} of {} shards scanned){}",
-                    page.items.len(),
-                    page.matched,
-                    page.shards_scanned,
-                    page.shards_total,
-                    page.next
-                        .map(|c| format!(", next cursor={c}"))
-                        .unwrap_or_default()
-                );
-            }
-            Err(e) => {
-                failed = true;
-                println!("[{i:>3}] {q} -> error: {e}");
-            }
-        }
-    }
+    let all_served = print_batch_summary(&queries, &pages, t1.elapsed(), |page| {
+        let (n, matched) = (page.items.len(), page.matched);
+        let scanned = format!(
+            "({} of {} shards scanned)",
+            page.shards_scanned, page.shards_total
+        );
+        (format!("{n} of {matched} matches {scanned}"), page.next)
+    });
     if let (Some(before), Some(after)) = (metrics_before, engine.render_metrics()) {
         print_metric_deltas(&before, &after);
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
+    if all_served {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 

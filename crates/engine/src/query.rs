@@ -63,11 +63,20 @@
 //!   AND across, year range) pushed down to word-wide [`IdMask`] set
 //!   operations via [`citegraph::FacetExpr`]; no residuals remain.
 //!
-//! A query with no predicates and no cursor falls through to the plain
-//! partial select — the unfiltered path costs exactly what it did
-//! before this layer existed. [`QueryEngine::explain`] surfaces the
+//! A query with no predicates and no cursor is the same streaming
+//! selection over the whole score vector ([`sparsela::top_k_indices`]);
+//! a year window with no facet residual and no cursor streams its id
+//! range with no per-id predicate. [`QueryEngine::explain`] surfaces the
 //! chosen driver, its exact (or bounded) candidate count, the estimated
 //! cost, and the surviving residual checks.
+//!
+//! Planning and selection work on a *partition* of the id space —
+//! network, first global id, score slice, score scale — so there is one
+//! read path in the crate: `validate_facets` checks facet ids against
+//! the partition set, `price_partition` prices one partition,
+//! `select_partition` runs the chosen driver over it. A [`QueryEngine`]
+//! is the one-partition case; [`ShardedEngine`](crate::ShardedEngine)
+//! calls the same functions once per shard and merges the runs.
 //!
 //! # Cursors
 //!
@@ -81,7 +90,9 @@
 //! epoch fails with [`QueryError::StaleCursor`] (results silently
 //! shifting under a client mid-pagination is the bug this type system
 //! exists to prevent); hold the `Arc<EpochSnapshot>` (or re-issue page 1)
-//! to paginate consistently across publishes.
+//! to paginate consistently across publishes. The sharded engine uses
+//! this same type, token and decoder, with the pinned shard set's epoch
+//! key in the epoch's place.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -98,7 +109,9 @@ use sparsela::{
     cmp_score_desc, top_k_filtered_into, top_k_indices_into, top_k_where_into, IdMask, ScoreVec,
 };
 
-use crate::admission::{AdmissionController, AdmissionPolicy, AdmissionStats, CostedQuery};
+use crate::admission::{
+    AdmissionController, AdmissionPolicy, AdmissionStats, AdmissionTicket, CostedQuery,
+};
 use crate::engine::{EngineError, EpochSnapshot, IngestReport, RankingEngine, RerankPolicy};
 use crate::metrics::{driver_index, ServingMetrics};
 use crate::personalization::{CacheConfig, CacheStats, PersonalizationCache};
@@ -473,8 +486,24 @@ pub struct Cursor {
 }
 
 impl Cursor {
-    /// The epoch this cursor paginates (queries against any other epoch
-    /// fail with [`QueryError::StaleCursor`]).
+    /// Mints the cursor resuming strictly after `(score, last_id)` on the
+    /// serving generation `epoch`, bound to the filter identity
+    /// `fingerprint`.
+    pub(crate) fn after(epoch: u64, score: f64, last_id: PaperId, fingerprint: u64) -> Self {
+        Cursor {
+            epoch,
+            score_bits: score.to_bits(),
+            last_id,
+            fingerprint,
+        }
+    }
+
+    /// The serving generation this cursor paginates: the snapshot's epoch
+    /// on a [`QueryEngine`], the pinned set's
+    /// [`ShardSnapshots::epoch_key`](crate::ShardSnapshots::epoch_key) on
+    /// a [`ShardedEngine`](crate::ShardedEngine). Queries against any
+    /// other generation fail with [`QueryError::StaleCursor`] — which is
+    /// also what keeps one engine's token from resuming on the other.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -517,9 +546,16 @@ impl FromStr for Cursor {
         };
         let body = s.strip_prefix('c').ok_or_else(bad)?;
         let mut parts = body.split('-');
+        // Only the spelling `Display` writes is accepted (lowercase hex,
+        // no sign, no leading zeros), so a token names one cursor and a
+        // cursor one token.
         let mut field = || {
             parts
                 .next()
+                .filter(|p| {
+                    p.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+                        && (*p == "0" || !p.starts_with('0'))
+                })
                 .and_then(|p| u64::from_str_radix(p, 16).ok())
                 .ok_or_else(bad)
         };
@@ -570,7 +606,9 @@ impl Fnv {
 }
 
 /// FNV-1a over the canonical `(method, filters, seeds)` identity of a
-/// query — what binds a [`Cursor`] to the result set it walks. Page
+/// query — what binds a [`Cursor`] to the result set it walks, on the
+/// flat and the sharded engine alike (tokens live for one epoch and are
+/// never persisted, so the hash is free to be an in-process detail). Page
 /// size and `vs` are deliberately excluded: changing `k` mid-pagination
 /// is legitimate, and compare mode joins onto the same primary ranking.
 /// The full facet *lists* are covered, so adding an id to an OR set
@@ -579,16 +617,10 @@ impl Fnv {
 /// is covered in *sorted* order (it is a set — `seed=3|1` and
 /// `seed=1|3` walk the same personalized ranking), so a cursor resumed
 /// under a different seed list fails with
-/// [`QueryError::CursorMismatch`].
-fn fingerprint(method: &str, q: &Query) -> u64 {
-    let mut tmp = Vec::new();
-    fingerprint_with(method, q, &mut tmp)
-}
-
-/// [`fingerprint`] with the seed sort buffer provided by the caller
-/// (the scratch-threaded path), so hashing a seeded repeat query
+/// [`QueryError::CursorMismatch`]. `seeds_tmp` is that sort's buffer
+/// (the scratch's, on the serve path), so hashing a seeded repeat query
 /// performs zero heap allocations.
-fn fingerprint_with(method: &str, q: &Query, seeds_tmp: &mut Vec<PaperId>) -> u64 {
+pub(crate) fn fingerprint_with(method: &str, q: &Query, seeds_tmp: &mut Vec<PaperId>) -> u64 {
     let mut h = Fnv::new();
     h.eat(method.as_bytes());
     h.eat_opt_year(q.year_min);
@@ -647,7 +679,7 @@ pub struct Hit {
 /// the planner judged cheapest under the measured cost model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryDriver {
-    /// No facets, no cursor: plain partial select over all scores.
+    /// No facets, no cursor: the streaming selection over all scores.
     Unfiltered,
     /// Scan of a contiguous id range (year bounds, or a cursor with no
     /// facets).
@@ -889,18 +921,11 @@ pub(crate) fn seed_error_to_query(e: SeedError) -> QueryError {
     }
 }
 
-/// Deduplicates a facet id list, preserving first-occurrence order (a
-/// repeated id in an OR list is legal and means the same set).
-pub(crate) fn dedup_ids(ids: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(ids.len());
-    dedup_ids_into(ids, &mut out);
-    out
-}
-
-/// [`dedup_ids`] writing into a caller-provided buffer (cleared first),
-/// so the normalization of a repeat query reuses warm storage instead
-/// of allocating a fresh `Vec` per call.
-pub(crate) fn dedup_ids_into(ids: &[u32], out: &mut Vec<u32>) {
+/// Deduplicates a facet id list into `out` (cleared first), preserving
+/// first-occurrence order — a repeated id in an OR list is legal and
+/// means the same set. Warm storage, so normalizing a repeat query
+/// allocates nothing.
+fn dedup_ids_into(ids: &[u32], out: &mut Vec<u32>) {
     out.clear();
     for &id in ids {
         if !out.contains(&id) {
@@ -1079,7 +1104,8 @@ impl PlanCache {
 /// gather or mask build entirely.
 #[derive(Default)]
 pub struct QueryScratch {
-    /// Deduplicated venue list of the current query.
+    /// Deduplicated venue list of the current query
+    /// ([`Self::set_facets`]).
     venues: Vec<VenueId>,
     /// Deduplicated author list of the current query.
     authors: Vec<AuthorId>,
@@ -1090,8 +1116,9 @@ pub struct QueryScratch {
     /// Identity of the pool's contents: (driver-kind/id hash, network
     /// address). `None` when the pool holds nothing reusable.
     pool_key: Option<(u64, usize)>,
-    /// Selection kernel output buffer.
-    select: Vec<u32>,
+    /// Selection kernel output buffer: the partition-local ids
+    /// [`select_partition`] picked, best first.
+    pub(crate) select: Vec<u32>,
     /// Facet mask storage, keyed by `mask_key`.
     mask: IdMask,
     /// Identity of the mask's contents, like `pool_key`.
@@ -1099,13 +1126,22 @@ pub struct QueryScratch {
     /// Second mask for AND-composition during mask builds.
     mask_tmp: IdMask,
     /// Seed sort buffer for fingerprint normalization.
-    seeds: Vec<PaperId>,
+    pub(crate) seeds: Vec<PaperId>,
 }
 
 impl QueryScratch {
     /// An empty scratch; the first query sizes every buffer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Loads the query's facet lists, deduplicated (a repeated id in an
+    /// OR list names the same set), for [`price_partition`] and
+    /// [`select_partition`] to read — once per query however many
+    /// partitions it touches.
+    pub(crate) fn set_facets(&mut self, q: &Query) {
+        dedup_ids_into(&q.venues, &mut self.venues);
+        dedup_ids_into(&q.authors, &mut self.authors);
     }
 }
 
@@ -1211,48 +1247,98 @@ fn plan(net: &CitationNetwork, q: &Query, cost: &CostModel) -> Result<QueryPlan,
     plan_shaped(net, q, cost, false)
 }
 
-/// [`plan`] with the admission controller's degradation knob: when
-/// `forbid_scan` is set, the id-range scan shape is priced (for the
-/// candidate table) but never chosen — the plan is the cheapest *indexed*
-/// shape instead. Faceted queries always have one (the mask shape is
-/// always priced), which is the only context the flag is used in.
+/// [`plan`] with the admission controller's degradation knob (see
+/// [`price_partition`]'s `forbid_scan`): the two halves of planning a
+/// one-partition engine — validate the facet ids, then price the shapes.
 fn plan_shaped(
     net: &CitationNetwork,
     q: &Query,
     cost: &CostModel,
     forbid_scan: bool,
 ) -> Result<QueryPlan, QueryError> {
-    // Resolve + bounds-check every facet first: a typed error beats a
-    // silent empty page for ids outside the corpus's id spaces.
-    let venues = dedup_ids(&q.venues);
-    let authors = dedup_ids(&q.authors);
-    if !venues.is_empty() {
-        let table = net.venues().ok_or(QueryError::NoVenueData)?;
-        for &v in &venues {
-            if (v as usize) >= table.n_venues() {
-                return Err(QueryError::UnknownVenue {
-                    id: v,
-                    n_venues: table.n_venues(),
-                });
-            }
+    validate_facets(std::iter::once(net), q)?;
+    let mut facets = QueryScratch::new();
+    facets.set_facets(q);
+    let resumed = q.cursor.is_some();
+    Ok(price_partition(net, q, &facets, resumed, cost, forbid_scan))
+}
+
+/// Typed facet validation against a partition **set** as a whole: a
+/// typed error beats a silent empty page for ids outside the corpus's id
+/// spaces. Ids are checked against the *largest* facet space any
+/// partition carries (a tail metadata delta grows the venue/author
+/// spaces in the tail shard only), and missing metadata is an error only
+/// when *no* partition has the table. A flat engine passes its one
+/// network; a partition whose own table is smaller — or absent — just
+/// contributes no matches for those ids ([`price_partition`]).
+pub(crate) fn validate_facets<'a>(
+    nets: impl Iterator<Item = &'a CitationNetwork> + Clone,
+    q: &Query,
+) -> Result<(), QueryError> {
+    if !q.venues.is_empty() {
+        let sizes = nets
+            .clone()
+            .filter_map(|net| Some(net.venues()?.n_venues()));
+        let n_venues = sizes.max().ok_or(QueryError::NoVenueData)?;
+        if let Some(&id) = q.venues.iter().find(|&&v| v as usize >= n_venues) {
+            return Err(QueryError::UnknownVenue { id, n_venues });
         }
     }
-    if !authors.is_empty() {
-        let table = net.authors().ok_or(QueryError::NoAuthorData)?;
-        for &a in &authors {
-            if (a as usize) >= table.n_authors() {
-                return Err(QueryError::UnknownAuthor {
-                    id: a,
-                    n_authors: table.n_authors(),
-                });
-            }
+    if !q.authors.is_empty() {
+        let sizes = nets.filter_map(|net| Some(net.authors()?.n_authors()));
+        let n_authors = sizes.max().ok_or(QueryError::NoAuthorData)?;
+        if let Some(&id) = q.authors.iter().find(|&&a| a as usize >= n_authors) {
+            return Err(QueryError::UnknownAuthor { id, n_authors });
         }
     }
+    Ok(())
+}
+
+/// Venue `v`'s posting list in this partition — empty when the partition
+/// was carved before venue metadata existed or `v` lies past its local
+/// table (set-wide validation already ran; see [`validate_facets`]).
+fn venue_postings(net: &CitationNetwork, v: VenueId) -> &[PaperId] {
+    net.venues()
+        .filter(|t| (v as usize) < t.n_venues())
+        .map_or(&[], |t| t.papers_at(v))
+}
+
+/// Author `a`'s posting list in this partition, tolerant like
+/// [`venue_postings`].
+fn author_postings(net: &CitationNetwork, a: AuthorId) -> &[PaperId] {
+    net.authors()
+        .filter(|t| (a as usize) < t.n_authors())
+        .map_or(&[], |t| t.papers_of(a))
+}
+
+/// Prices every execution shape of `q` over **one partition** (a flat
+/// engine's corpus or one shard's band) and picks the cheapest. `facets`
+/// holds the query's deduplicated facet lists
+/// ([`QueryScratch::set_facets`]), already validated set-wide; `resumed`
+/// says whether a cursor frontier applies.
+/// Infallible: a facet id with no postings here prices a zero-length
+/// band, which wins and selects nothing — the partition contributes no
+/// matches.
+///
+/// When `forbid_scan` is set (admission's degradation knob), the
+/// id-range scan shape is priced (for the candidate table) but never
+/// chosen — the plan is the cheapest *indexed* shape instead. Faceted
+/// queries always have one (the mask shape is always priced), which is
+/// the only context the flag is used in.
+pub(crate) fn price_partition(
+    net: &CitationNetwork,
+    q: &Query,
+    facets: &QueryScratch,
+    resumed: bool,
+    cost: &CostModel,
+    forbid_scan: bool,
+) -> QueryPlan {
+    let (venues, authors) = (&facets.venues, &facets.authors);
     let year_range = net.id_range_for_years(q.year_min, q.year_max);
     let year_len = (year_range.end - year_range.start) as usize;
 
     if q.is_unfiltered() {
-        return Ok(if q.cursor.is_some() {
+        return if resumed {
             // Position-only restriction: one sequential scan.
             let cost_ns = year_len as f64 * cost.scan_per_id;
             QueryPlan {
@@ -1282,51 +1368,38 @@ fn plan_shaped(
                     chosen: true,
                 }],
             }
-        });
+        };
     }
 
     // Exact banded selectivities: each facet's posting list cut to the
     // year id range by two binary searches (`citegraph::band`).
     let vband: Option<usize> = (!venues.is_empty()).then(|| {
-        let t = net.venues().expect("validated");
         venues
             .iter()
-            .map(|&v| citegraph::band(t.papers_at(v), &year_range).len())
+            .map(|&v| citegraph::band(venue_postings(net, v), &year_range).len())
             .sum()
     });
     let aband: Option<usize> = (!authors.is_empty()).then(|| {
-        let t = net.authors().expect("validated");
         authors
             .iter()
-            .map(|&a| citegraph::band(t.papers_of(a), &year_range).len())
+            .map(|&a| citegraph::band(author_postings(net, a), &year_range).len())
             .sum()
     });
     // Full (unbanded) posting mass: what a mask build has to insert.
+    let author_inserts: usize = authors.iter().map(|&a| author_postings(net, a).len()).sum();
     let mask_inserts: usize = venues
         .iter()
-        .map(|&v| net.venues().map_or(0, |t| t.n_papers_at(v)))
-        .chain(
-            authors
-                .iter()
-                .map(|&a| net.authors().map_or(0, |t| t.papers_of(a).len())),
-        )
-        .sum();
+        .map(|&v| venue_postings(net, v).len())
+        .sum::<usize>()
+        + author_inserts;
 
     // Candidate shapes, costed under the measured constants. Every
     // priced shape lands in the table; `best` tracks the cheapest
     // *eligible* one (the scan shape is ineligible under `forbid_scan`).
     let mut table: Vec<PlanCandidate> = Vec::with_capacity(4);
-    let idrange_cost = year_len as f64 * cost.scan_per_id
-        // An author residual over a scan builds the OR-mask first.
-        + if authors.is_empty() {
-            0.0
-        } else {
-            authors
-                .iter()
-                .map(|&a| net.authors().map_or(0, |t| t.papers_of(a).len()))
-                .sum::<usize>() as f64
-                * cost.mask_insert
-        };
+    // An author residual over a scan builds the OR-mask first.
+    let idrange_cost =
+        year_len as f64 * cost.scan_per_id + author_inserts as f64 * cost.mask_insert;
     table.push(PlanCandidate {
         driver: "id_range",
         cost_ns: idrange_cost,
@@ -1350,7 +1423,7 @@ fn plan_shaped(
             best = Some((
                 c,
                 QueryDriver::VenueBands {
-                    venues: venues.clone(),
+                    venues: venues.to_vec(),
                     len,
                 },
             ));
@@ -1370,7 +1443,7 @@ fn plan_shaped(
             best = Some((
                 c,
                 QueryDriver::AuthorBands {
-                    authors: authors.clone(),
+                    authors: authors.to_vec(),
                     len,
                 },
             ));
@@ -1437,16 +1510,16 @@ fn plan_shaped(
         QueryDriver::MaskAlgebra { .. } => {}
         QueryDriver::Unfiltered => unreachable!("filtered query"),
     }
-    if q.cursor.is_some() {
+    if resumed {
         residuals.push("cursor");
     }
-    Ok(QueryPlan {
+    QueryPlan {
         driver,
         candidates,
         cost_ns,
         residuals,
         table,
-    })
+    }
 }
 
 /// Executes `q` against one pinned snapshot. `method` is the resolved
@@ -1461,47 +1534,68 @@ fn execute(
     scores: &[f64],
     cost: &CostModel,
 ) -> Result<Page, QueryError> {
-    let fp = fingerprint(method, q);
-    let cursor_pos = validate_cursor(snap, q, fp)?;
-    let plan = plan(snap.network(), q, cost)?;
     let mut scratch = QueryScratch::new();
+    let fp = fingerprint_with(method, q, &mut scratch.seeds);
+    let cursor_pos = validate_cursor(q.cursor.as_ref(), snap.epoch(), fp)?;
+    let plan = plan(snap.network(), q, cost)?;
     let mut out = PageBuf::new();
     execute_plan_into(
         snap,
         method,
         q,
+        q.k,
         scores,
         &plan,
         fp,
         cursor_pos,
         &mut scratch,
         &mut out,
-    )?;
+    );
     Ok(out.take_page())
 }
 
-/// Cursor validity: right epoch, right (method, filter) identity.
-/// Returns the decoded resume position for a valid cursor.
-fn validate_cursor(
-    snap: &EpochSnapshot,
-    q: &Query,
+/// Cursor validity on either engine: minted on this serving
+/// `generation` (a snapshot's epoch, or a pinned shard set's epoch key),
+/// for this `(method, filter)` identity. Returns the decoded resume
+/// position — the `(score, global id)` frontier — of a valid cursor.
+pub(crate) fn validate_cursor(
+    cursor: Option<&Cursor>,
+    generation: u64,
     fp: u64,
 ) -> Result<Option<(f64, PaperId)>, QueryError> {
-    match q.cursor {
-        None => Ok(None),
-        Some(c) => {
-            if c.epoch != snap.epoch() {
-                return Err(QueryError::StaleCursor {
-                    cursor_epoch: c.epoch,
-                    current_epoch: snap.epoch(),
-                });
-            }
-            if c.fingerprint != fp {
-                return Err(QueryError::CursorMismatch);
-            }
-            Ok(Some((f64::from_bits(c.score_bits), c.last_id)))
-        }
+    let Some(c) = cursor else {
+        return Ok(None);
+    };
+    if c.epoch != generation {
+        return Err(QueryError::StaleCursor {
+            cursor_epoch: c.epoch,
+            current_epoch: generation,
+        });
     }
+    if c.fingerprint != fp {
+        return Err(QueryError::CursorMismatch);
+    }
+    Ok(Some((f64::from_bits(c.score_bits), c.last_id)))
+}
+
+/// The admission step both engines run between planning and selection:
+/// prices the planned query (`costed` is only evaluated when a policy is
+/// installed — none admits everything) and returns the ticket holding
+/// the in-flight reservation — execute with the *ticket's* `k`, which
+/// the ladder may have clamped — or the typed shed.
+pub(crate) fn admit(
+    admission: Option<&Arc<AdmissionController>>,
+    costed: impl FnOnce() -> CostedQuery,
+) -> Result<Option<AdmissionTicket>, QueryError> {
+    admission
+        .map(|a| {
+            a.admit(costed()).map_err(|o| QueryError::Overloaded {
+                cost_ns: o.cost_ns,
+                inflight_ns: o.inflight_ns,
+                limit_ns: o.limit_ns,
+            })
+        })
+        .transpose()
 }
 
 /// Scratch content-key kinds: what kind of materialization the
@@ -1542,7 +1636,8 @@ fn content_key(
 /// across them and the year range — directly into `acc` (with `tmp` as
 /// the AND partner), word-for-word the set `FacetExpr::All([Any(venues),
 /// Any(authors), Years])` evaluates to, but with zero allocations once
-/// the masks are warm. Facet ids are already validated by the planner.
+/// the masks are warm. A facet id with no postings in this partition
+/// contributes no bits.
 fn build_facet_mask(
     net: &CitationNetwork,
     venues: &[VenueId],
@@ -1555,23 +1650,17 @@ fn build_facet_mask(
     let n = net.n_papers();
     let mut have = false;
     if !venues.is_empty() {
-        let table = net.venues().expect("planned");
         acc.reset(n);
-        for &v in venues {
-            for &id in table.papers_at(v) {
-                acc.insert(id);
-            }
+        for &id in venues.iter().flat_map(|&v| venue_postings(net, v)) {
+            acc.insert(id);
         }
         have = true;
     }
     if !authors.is_empty() {
-        let table = net.authors().expect("planned");
         let target = if have { &mut *tmp } else { &mut *acc };
         target.reset(n);
-        for &a in authors {
-            for &id in table.papers_of(a) {
-                target.insert(id);
-            }
+        for &id in authors.iter().flat_map(|&a| author_postings(net, a)) {
+            target.insert(id);
         }
         if have {
             acc.intersect_with(tmp);
@@ -1593,25 +1682,45 @@ fn build_facet_mask(
     debug_assert!(have, "the mask driver implies at least one facet");
 }
 
-/// The dispatch half of [`execute`]: runs an already-validated query
-/// under an already-chosen plan, writing the page into `out` through
-/// the buffers of `scratch` — zero heap allocations once both are warm.
-/// Split out so the instrumented path can count cursor errors and
-/// planner decisions — and let admission control swap in a degraded
-/// plan — between the stages.
-#[allow(clippy::too_many_arguments)]
-fn execute_plan_into(
-    snap: &EpochSnapshot,
-    method: &str,
+/// One partition of the id space a query selects over: a flat engine's
+/// whole corpus (`start` 0, `scale` 1.0 — `x * 1.0` is bit-exact) or one
+/// shard's band of a [`ShardedEngine`](crate::ShardedEngine).
+pub(crate) struct Partition<'a> {
+    /// The partition's network (metadata tables, year index).
+    pub net: &'a CitationNetwork,
+    /// Global id of the partition's local id 0.
+    pub start: PaperId,
+    /// The ranking vector to select over, indexed by local id: the
+    /// snapshot's own scores or a personalized solve on its epoch.
+    pub scores: &'a [f64],
+    /// Multiplier that puts `scores` on the scale the frontier (and the
+    /// other partitions' runs) compare under — a seeded shard's share of
+    /// the global seed mass. Positive, so the in-partition order the
+    /// kernels see on the raw slice is the scaled order.
+    pub scale: f64,
+}
+
+/// The one selection block under both engines: runs `plan` — priced for
+/// this partition by [`price_partition`] — over `part` and leaves the
+/// best `k` partition-local ids strictly after `frontier` in
+/// `scratch.select`, best first. Returns how many candidates matched the
+/// filters at and after the frontier. `scratch` holds the query's
+/// deduplicated facet lists ([`QueryScratch::set_facets`]); every other
+/// buffer is this function's working set, so a steady-state call
+/// performs zero heap allocations.
+///
+/// Within one partition, ordering ties by local id equals ordering them
+/// by global id (`global = start + local` is monotone), so the ids a
+/// shard selects merge globally without re-sorting.
+pub(crate) fn select_partition(
+    part: &Partition<'_>,
     q: &Query,
-    scores: &[f64],
+    k: usize,
     plan: &QueryPlan,
-    fp: u64,
-    cursor_pos: Option<(f64, PaperId)>,
+    frontier: Option<(f64, PaperId)>,
     scratch: &mut QueryScratch,
-    out: &mut PageBuf,
-) -> Result<(), QueryError> {
-    let net = snap.network();
+) -> usize {
+    let (net, scores) = (part.net, part.scores);
     debug_assert_eq!(scores.len(), net.n_papers());
     let QueryScratch {
         venues,
@@ -1628,14 +1737,13 @@ fn execute_plan_into(
     // Residual closures over the *deduplicated* facet lists: a venue
     // residual is a small-list membership test on `venue_of`, an author
     // residual walks the paper's (collapsed) author row.
-    dedup_ids_into(&q.venues, venues);
-    dedup_ids_into(&q.authors, authors);
     let venues: &[VenueId] = venues;
     let authors: &[AuthorId] = authors;
-    let after_cursor = |id: u32| match cursor_pos {
+    let after_cursor = |id: u32| match frontier {
         None => true,
         Some((cs, cid)) => {
-            cmp_score_desc(scores[id as usize], id, cs, cid) == std::cmp::Ordering::Greater
+            cmp_score_desc(scores[id as usize] * part.scale, part.start + id, cs, cid)
+                == std::cmp::Ordering::Greater
         }
     };
     let venue_ok = |id: u32| {
@@ -1652,10 +1760,19 @@ fn execute_plan_into(
                 .is_some_and(|t| t.authors_of(id).iter().any(|a| authors.contains(a)))
     };
     let range = net.id_range_for_years(q.year_min, q.year_max);
-    let matched = match &plan.driver {
+    match &plan.driver {
         QueryDriver::Unfiltered => {
-            top_k_indices_into(scores, q.k, select);
+            top_k_indices_into(scores, k, select);
             net.n_papers()
+        }
+        QueryDriver::IdRange { start, end }
+            if venues.is_empty() && authors.is_empty() && frontier.is_none() =>
+        {
+            // The range *is* the whole predicate (a pure year window):
+            // every id in it matches, so the kernel runs with no
+            // per-id test and the count is the range's length.
+            top_k_where_into(scores, *start..*end, k, |_| true, select);
+            (*end - *start) as usize
         }
         QueryDriver::IdRange { start, end } => {
             // Residuals here are at most venue/author/cursor: the range
@@ -1667,12 +1784,9 @@ fn execute_plan_into(
             } else {
                 let key = content_key(KEY_AUTHOR_FULL_MASK, authors, &[], &(0..0), net);
                 if *mask_key != Some(key) {
-                    let table = net.authors().expect("planned");
                     mask.reset(net.n_papers());
-                    for &a in authors {
-                        for &id in table.papers_of(a) {
-                            mask.insert(id);
-                        }
+                    for &id in authors.iter().flat_map(|&a| author_postings(net, a)) {
+                        mask.insert(id);
                     }
                     *mask_key = Some(key);
                 }
@@ -1688,13 +1802,13 @@ fn execute_plan_into(
             // `matched` is a side effect of the predicate, so the scan
             // must run even when k = 0 and the selection kernel has
             // nothing to select (a k=0 query is a cheap count).
-            if q.k == 0 {
+            if k == 0 {
                 for id in *start..*end {
                     pred(id);
                 }
                 select.clear();
             } else {
-                top_k_where_into(scores, *start..*end, q.k, pred, select);
+                top_k_where_into(scores, *start..*end, k, pred, select);
             }
             matched
         }
@@ -1704,13 +1818,12 @@ fn execute_plan_into(
             // the band — only author and cursor residuals remain. The
             // pre-residual pool is keyed so batch members sharing the
             // filter reuse the gather.
-            let table = net.venues().expect("planned");
             let key = content_key(KEY_VENUE_BANDS, vs, &[], &range, net);
             if *pool_key != Some(key) {
                 pool.clear();
                 pool.extend(
                     vs.iter()
-                        .flat_map(|&v| citegraph::band(table.papers_at(v), &range))
+                        .flat_map(|&v| citegraph::band(venue_postings(net, v), &range))
                         .copied(),
                 );
                 *pool_key = Some(key);
@@ -1721,20 +1834,19 @@ fn execute_plan_into(
                     .copied()
                     .filter(|&id| author_ok(id) && after_cursor(id)),
             );
-            top_k_filtered_into(scores, candidates, q.k, select);
+            top_k_filtered_into(scores, candidates, k, select);
             candidates.len()
         }
         QueryDriver::AuthorBands { authors: aus, .. } => {
             // Band probes per author; co-authored papers appear in
             // several lists, so a multi-author union sort-dedups before
             // residual filtering (otherwise `matched` over-counts).
-            let table = net.authors().expect("planned");
             let key = content_key(KEY_AUTHOR_BANDS, aus, &[], &range, net);
             if *pool_key != Some(key) {
                 pool.clear();
                 pool.extend(
                     aus.iter()
-                        .flat_map(|&a| citegraph::band(table.papers_of(a), &range))
+                        .flat_map(|&a| citegraph::band(author_postings(net, a), &range))
                         .copied(),
                 );
                 if aus.len() > 1 {
@@ -1749,7 +1861,7 @@ fn execute_plan_into(
                     .copied()
                     .filter(|&id| venue_ok(id) && after_cursor(id)),
             );
-            top_k_filtered_into(scores, candidates, q.k, select);
+            top_k_filtered_into(scores, candidates, k, select);
             candidates.len()
         }
         QueryDriver::MaskAlgebra { .. } => {
@@ -1763,13 +1875,43 @@ fn execute_plan_into(
             }
             candidates.clear();
             candidates.extend(mask.ones().filter(|&id| after_cursor(id)));
-            top_k_filtered_into(scores, candidates, q.k, select);
+            top_k_filtered_into(scores, candidates, k, select);
             candidates.len()
         }
+    }
+}
+
+/// The flat engine's page assembly around [`select_partition`]: runs an
+/// already-validated query under an already-chosen plan over the
+/// snapshot as **one** partition (no run buffer, no merge) and writes
+/// the page into `out` — zero heap allocations once `scratch` and `out`
+/// are warm. `k` is the page size to serve, which admission may have
+/// clamped below `q.k`.
+#[allow(clippy::too_many_arguments)]
+fn execute_plan_into(
+    snap: &EpochSnapshot,
+    method: &str,
+    q: &Query,
+    k: usize,
+    scores: &[f64],
+    plan: &QueryPlan,
+    fp: u64,
+    cursor_pos: Option<(f64, PaperId)>,
+    scratch: &mut QueryScratch,
+    out: &mut PageBuf,
+) {
+    let net = snap.network();
+    let part = Partition {
+        net,
+        start: 0,
+        scores,
+        scale: 1.0,
     };
+    scratch.set_facets(q);
+    let matched = select_partition(&part, q, k, plan, cursor_pos, scratch);
 
     out.items.clear();
-    out.items.extend(select.iter().map(|&id| Hit {
+    out.items.extend(scratch.select.iter().map(|&id| Hit {
         id,
         score: scores[id as usize],
         year: net.year(id),
@@ -1778,19 +1920,15 @@ fn execute_plan_into(
     // More matches exist past this page ⇒ mint the resume cursor from
     // the last item's (score, id) position.
     out.next = match out.items.last() {
-        Some(last) if matched > out.items.len() => Some(Cursor {
-            epoch: snap.epoch(),
-            score_bits: last.score.to_bits(),
-            last_id: last.id,
-            fingerprint: fp,
-        }),
+        Some(last) if matched > out.items.len() => {
+            Some(Cursor::after(snap.epoch(), last.score, last.id, fp))
+        }
         _ => None,
     };
     out.epoch = snap.epoch();
     out.matched = matched;
     out.method.clear();
     out.method.push_str(method);
-    Ok(())
 }
 
 /// One row of a two-method comparison.
@@ -2083,13 +2221,9 @@ impl QueryEngine {
         Some(bundle.registry.render())
     }
 
-    /// The shared serve path behind [`Self::query`] / [`Self::query_at`]:
-    /// uninstrumented engines take the plain [`execute`] fast path
-    /// (no clock reads); instrumented ones interleave counting and
-    /// admission between the same stages, in the same error order —
-    /// seed resolution, cursor validation, planning, admission,
-    /// execution, latency observation (labeled by the *executed* plan's
-    /// driver, which an admission fallback may have changed).
+    /// The allocating serve path behind [`Self::query`] /
+    /// [`Self::query_at`]: [`Self::query_pinned_into`] through fresh
+    /// buffers.
     fn query_pinned(
         &self,
         idx: usize,
@@ -2123,11 +2257,11 @@ impl QueryEngine {
 
     /// The scored serve path: fingerprint, cursor validation, plan
     /// (through the [`PlanCache`]), admission, execution — writing the
-    /// page into `out` through `scratch`'s buffers. Uninstrumented
-    /// engines take the clock-free fast lane; instrumented ones
-    /// interleave counting and admission between the same stages, in
-    /// the same error order (latency is labeled by the *executed*
-    /// plan's driver, which an admission fallback may have changed).
+    /// page into `out` through `scratch`'s buffers. Counting and the
+    /// clock are interleaved between the stages only when metrics are
+    /// enabled (an uninstrumented engine reads no `Instant`); latency is
+    /// labeled by the *executed* plan's driver, which an admission
+    /// fallback may have changed.
     fn query_scored_into(
         &self,
         label: &str,
@@ -2139,27 +2273,17 @@ impl QueryEngine {
     ) -> Result<(), QueryError> {
         let fp = fingerprint_with(label, q, &mut scratch.seeds);
         let serving = self.metrics.as_ref().map(|m| &m.serving);
-        if serving.is_none() && self.admission.is_none() {
-            let cursor_pos = validate_cursor(snap, q, fp)?;
-            let plan = self
-                .plans
-                .get_or_plan(snap.network(), q, fp, snap.epoch(), &self.cost)?;
-            return execute_plan_into(snap, label, q, scores, &plan, fp, cursor_pos, scratch, out);
-        }
         let started = serving.is_some().then(Instant::now);
-        let cursor_pos = match validate_cursor(snap, q, fp) {
-            Ok(pos) => pos,
-            Err(err) => {
+        let cursor_pos =
+            validate_cursor(q.cursor.as_ref(), snap.epoch(), fp).inspect_err(|err| {
                 if let Some(m) = serving {
-                    let kind = match &err {
+                    let kind = match err {
                         QueryError::StaleCursor { .. } => 0,
                         _ => 1,
                     };
                     m.cursor_errors.at(kind).inc();
                 }
-                return Err(err);
-            }
-        };
+            })?;
         let mut plan = self
             .plans
             .get_or_plan(snap.network(), q, fp, snap.epoch(), &self.cost)?;
@@ -2168,49 +2292,27 @@ impl QueryEngine {
         }
         // The ticket (when admission is on) holds the in-flight cost
         // reservation until the page is built.
-        let clamped_q;
-        let mut q = q;
-        let _ticket = match &self.admission {
-            None => None,
-            Some(admission) => {
-                let costed = CostedQuery {
-                    plan_cost_ns: plan.cost_ns,
-                    indexed_alternative_ns: plan.indexed_alternative_ns(),
-                    scan_family: plan.is_residual_scan(),
-                    k: q.k,
-                };
-                match admission.admit(costed) {
-                    Err(overload) => {
-                        return Err(QueryError::Overloaded {
-                            cost_ns: overload.cost_ns,
-                            inflight_ns: overload.inflight_ns,
-                            limit_ns: overload.limit_ns,
-                        });
-                    }
-                    Ok(ticket) => {
-                        if ticket.use_indexed {
-                            // Degradation depends on instantaneous
-                            // load, not query identity: never cached.
-                            plan = Arc::new(plan_shaped(snap.network(), q, &self.cost, true)?);
-                        }
-                        if ticket.k != q.k {
-                            let mut degraded = q.clone();
-                            degraded.k = ticket.k;
-                            clamped_q = degraded;
-                            q = &clamped_q;
-                        }
-                        Some(ticket)
-                    }
-                }
-            }
-        };
-        let result = execute_plan_into(snap, label, q, scores, &plan, fp, cursor_pos, scratch, out);
+        let ticket = admit(self.admission.as_ref(), || CostedQuery {
+            plan_cost_ns: plan.cost_ns,
+            indexed_alternative_ns: plan.indexed_alternative_ns(),
+            scan_family: plan.is_residual_scan(),
+            k: q.k,
+        })?;
+        if ticket.as_ref().is_some_and(|t| t.use_indexed) {
+            // Degradation depends on instantaneous load, not query
+            // identity: never cached.
+            plan = Arc::new(plan_shaped(snap.network(), q, &self.cost, true)?);
+        }
+        let k = ticket.as_ref().map_or(q.k, |t| t.k);
+        execute_plan_into(
+            snap, label, q, k, scores, &plan, fp, cursor_pos, scratch, out,
+        );
         if let (Some(m), Some(at)) = (serving, started) {
             m.query_seconds
                 .at(driver_index(&plan.driver))
                 .observe(at.elapsed());
         }
-        result
+        Ok(())
     }
 
     /// Resolves the score vector a seeded query ranks by: the method's
@@ -2367,14 +2469,15 @@ impl QueryEngine {
         // too. The original index is the final sort key, so equal
         // groups keep submission order (first member executes, the
         // rest memo off it).
+        let mut scratch = QueryScratch::new();
         members.sort_by_key(|&(qi, idx, _)| {
+            let label = self.engines[idx].0.as_str();
             (
                 idx,
-                fingerprint(self.engines[idx].0.as_str(), &queries[qi]),
+                fingerprint_with(label, &queries[qi], &mut scratch.seeds),
                 qi,
             )
         });
-        let mut scratch = QueryScratch::new();
         let mut out = PageBuf::new();
         // (engine idx, epoch, seed set) → one cache probe for the batch.
         let mut seed_memo: Vec<(usize, u64, &[PaperId], Arc<ScoreVec>)> = Vec::new();
@@ -2653,6 +2756,39 @@ mod tests {
         assert!("c1-2-fffffffff-4".parse::<Cursor>().is_err(), "id overflow");
     }
 
+    proptest::proptest! {
+        /// The decoder contract, for whatever string reaches it: a typed
+        /// `BadValue` naming the cursor key, or a cursor whose token is
+        /// exactly that string — minted tokens, byte-mutated ones, and
+        /// the near-miss alphabet (uppercase hex, signs, padding, stray
+        /// separators, non-ASCII).
+        #[test]
+        fn cursor_decoder_is_total_and_canonical(
+            fields in (0u64..=u64::MAX, 0u64..=u64::MAX, 0u32..=u32::MAX, 0u64..=u64::MAX),
+            shrink in 0u32..64,
+            hits in proptest::collection::vec((0usize..80, 0u8..128), 0..4),
+            near in "[c0-9a-fA-F+ xé-]{0,40}",
+        ) {
+            // `shrink` makes short fields — and zeros — common.
+            let (epoch, bits, id, fp) = fields;
+            let (score, id) = (f64::from_bits(bits), id >> (shrink / 2));
+            let mut token = Cursor::after(epoch >> shrink, score, id, fp >> shrink).to_string().into_bytes();
+            for (at, byte) in hits {
+                let at = at % token.len();
+                token[at] = byte;
+            }
+            for s in [String::from_utf8(token).expect("ascii"), near] {
+                match s.parse::<Cursor>() {
+                    Ok(c) => proptest::prop_assert_eq!(c.to_string(), s),
+                    Err(e) => proptest::prop_assert_eq!(
+                        e,
+                        QueryError::BadValue { key: "cursor".into(), value: s }
+                    ),
+                }
+            }
+        }
+    }
+
     #[test]
     fn unfiltered_query_is_the_global_top_k() {
         let qe = engine();
@@ -2666,7 +2802,7 @@ mod tests {
         assert_eq!(
             qe.explain(&q).unwrap().driver,
             QueryDriver::Unfiltered,
-            "no facets, no cursor → plain partial select"
+            "no facets, no cursor → the whole-vector stream"
         );
     }
 

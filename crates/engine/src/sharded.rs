@@ -35,22 +35,25 @@
 //!
 //! # Read-path contract
 //!
-//! [`ShardedEngine::query_at`] executes a [`Query`] against a pinned
-//! [`ShardSnapshots`] set: each surviving shard picks its cheapest driver
-//! (year id-range scan vs banded venue/author posting lists — each list
-//! probed for its contiguous slice inside the year id-range, OR lists
-//! concatenated and deduplicated, mirroring the unsharded planner's
-//! drivers), collects at most `k` `(score, global id)` pairs,
-//! and the runs merge in `O(S + k log S)`. Pagination uses a
-//! [`ShardCursor`] embedding the `(shard, score, global id)` frontier of
-//! the last returned hit; successive pages off one pinned set tile the
+//! There is one read path in this crate and this module is a caller of
+//! it. [`ShardedEngine::query_at`] executes a [`Query`] against a pinned
+//! [`ShardSnapshots`] set by treating every shard that survives the year
+//! prune as one *partition* of the id space: the flat engine's planner
+//! prices it under the same [`CostModel`] and the flat engine's
+//! selection block picks at most `k` local ids from it (see the query
+//! module). What this module adds is the scatter-gather around that: the
+//! prune, the `(score · scale, start + local id)` runs, and the
+//! `O(S + k log S)` merge. Pagination uses the flat engine's [`Cursor`]
+//! and `c…` token ([`ShardCursor`] is an alias), bound to the set's
+//! [`ShardSnapshots::epoch_key`] and carrying the `(score, global id)`
+//! frontier of the last hit — in the grammar's `cursor=` or as the
+//! explicit argument; successive pages off one pinned set tile the
 //! merged total order with no overlaps or gaps, and a cursor minted
 //! against a different epoch set fails with a typed
 //! [`ShardedError::StaleCursor`].
 
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -62,10 +65,7 @@ use citegraph::{
     CitationNetwork, GraphDelta, PaperId, SeedPersonalization, ShardPlan, ShardPlanError,
 };
 use graphstore::{fnv1a64, fnv1a64_with, ShardManifest, Store};
-use sparsela::{
-    cmp_score_desc, merge_k_sorted_into, top_k_filtered_into, top_k_indices_into, top_k_where_into,
-    MergeScratch, ScoreVec,
-};
+use sparsela::{cmp_score_desc, merge_k_sorted_into, MergeScratch, ScoreVec};
 
 use crate::admission::{AdmissionController, AdmissionPolicy, AdmissionStats, CostedQuery};
 use crate::engine::{
@@ -76,7 +76,9 @@ use crate::metrics::{
 };
 use crate::personalization::{CacheConfig, PersonalizationCache};
 use crate::query::{
-    dedup_ids_into, seed_error_to_query, CompareRow, CostModel, Hit, Query, QueryError,
+    admit, fingerprint_with, price_partition, seed_error_to_query, select_partition,
+    validate_cursor, validate_facets, CompareRow, CostModel, Cursor, Hit, Partition, Query,
+    QueryError, QueryPlan, QueryScratch,
 };
 use crate::spec::MethodSpec;
 
@@ -100,7 +102,8 @@ pub enum ShardedError {
         current_key: u64,
     },
     /// The cursor belongs to a different method or filter set (or the
-    /// query carried an unsharded cursor in [`Query::cursor`]).
+    /// `cursor` argument and [`Query::cursor`] were both given and
+    /// disagree).
     CursorMismatch,
     /// Compare mode was asked to join two sharded engines whose shard
     /// plans disagree (different band starts) — their global ids name
@@ -150,8 +153,21 @@ impl From<EngineError> for ShardedError {
 }
 
 impl From<QueryError> for ShardedError {
+    /// Cursor rejections keep their sharded spellings (the "epoch" a
+    /// sharded cursor is bound to is an epoch-set key); everything else
+    /// wraps as [`ShardedError::Query`].
     fn from(e: QueryError) -> Self {
-        Self::Query(e)
+        match e {
+            QueryError::StaleCursor {
+                cursor_epoch,
+                current_epoch,
+            } => Self::StaleCursor {
+                cursor_key: cursor_epoch,
+                current_key: current_epoch,
+            },
+            QueryError::CursorMismatch => Self::CursorMismatch,
+            e => Self::Query(e),
+        }
     }
 }
 
@@ -160,7 +176,8 @@ impl From<QueryError> for ShardedError {
 /// consistently while writers keep publishing tail epochs.
 #[derive(Debug, Clone)]
 pub struct ShardSnapshots {
-    starts: Vec<PaperId>,
+    /// Shared with the engine: pinning a set copies no boundaries.
+    starts: Arc<[PaperId]>,
     snaps: Vec<Arc<EpochSnapshot>>,
 }
 
@@ -200,8 +217,10 @@ impl ShardSnapshots {
 
     /// Identity of this epoch set: an order-sensitive hash of every
     /// shard's epoch number. Two sets with any shard at a different
-    /// epoch get different keys, which is what makes [`ShardCursor`]
-    /// staleness detectable without carrying S epoch numbers per cursor.
+    /// epoch get different keys, which is what makes cursor staleness
+    /// detectable without carrying S epoch numbers per cursor — the key
+    /// is what a sharded [`Cursor`] holds as its
+    /// [`epoch`](Cursor::epoch).
     pub fn epoch_key(&self) -> u64 {
         let mut key = fnv1a64(b"shard-epochs");
         for snap in &self.snaps {
@@ -211,66 +230,12 @@ impl ShardSnapshots {
     }
 }
 
-/// Resume token for sharded pagination: the `(shard, score, global id)`
-/// frontier of the last hit, bound to an epoch-set key and a
-/// method + filter fingerprint. Serializes to an opaque
-/// `s<hex>-<hex>-<hex>-<hex>-<hex>` token (display/parse round-trips).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardCursor {
-    epoch_key: u64,
-    shard: u32,
-    score_bits: u64,
-    last_id: PaperId,
-    fingerprint: u64,
-}
-
-impl ShardCursor {
-    /// The shard that produced the frontier hit.
-    pub fn shard(&self) -> usize {
-        self.shard as usize
-    }
-
-    /// Epoch-set key the cursor was minted against.
-    pub fn epoch_key(&self) -> u64 {
-        self.epoch_key
-    }
-}
-
-impl fmt::Display for ShardCursor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "s{:x}-{:x}-{:x}-{:x}-{:x}",
-            self.epoch_key, self.shard, self.score_bits, self.last_id, self.fingerprint
-        )
-    }
-}
-
-impl FromStr for ShardCursor {
-    type Err = ShardedError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let body = s.strip_prefix('s').ok_or(ShardedError::CursorMismatch)?;
-        let mut parts = body.split('-');
-        let mut next = || {
-            parts
-                .next()
-                .and_then(|p| u64::from_str_radix(p, 16).ok())
-                .ok_or(ShardedError::CursorMismatch)
-        };
-        let cursor = ShardCursor {
-            epoch_key: next()?,
-            shard: u32::try_from(next()?).map_err(|_| ShardedError::CursorMismatch)?,
-            score_bits: next()?,
-            last_id: u32::try_from(next()?).map_err(|_| ShardedError::CursorMismatch)?,
-            fingerprint: next()?,
-        };
-        if parts.next().is_some() {
-            return Err(ShardedError::CursorMismatch);
-        }
-        Ok(cursor)
-    }
-}
+/// Resume token for sharded pagination: the flat engine's [`Cursor`] —
+/// same struct, same `c…` token, same decoder — holding the pinned set's
+/// [`ShardSnapshots::epoch_key`] where a flat cursor holds its epoch.
+/// The frontier is the `(score, global id)` of the last hit; which shard
+/// served it is [`ShardSnapshots::locate`] of that id.
+pub type ShardCursor = Cursor;
 
 /// One page of a sharded scatter-gather query.
 #[derive(Debug, Clone, PartialEq)]
@@ -331,24 +296,20 @@ pub struct ShardedIngestReport {
 /// seed mass (a score multiplier at merge time).
 type SeededShard = Option<(Arc<ScoreVec>, f64)>;
 
-/// Reusable buffers for the sharded scatter-gather path — the sharded
-/// counterpart of [`crate::QueryScratch`]. One scratch serves one
-/// caller thread; [`ShardedEngine::query_batch_at`] threads a single
-/// scratch through every member, so per-shard candidate pools, run
-/// buffers and the k-way merge heap warm once, and members repeating a
-/// seed set share one personalization-cache probe.
+/// Reusable buffers for the sharded scatter-gather path: the flat
+/// engine's [`QueryScratch`] for whichever shard is being selected over,
+/// plus what only a scatter-gather needs. One scratch serves one caller
+/// thread; [`ShardedEngine::query_batch_at`] threads a single scratch
+/// through every member, so per-shard candidate pools, run buffers and
+/// the k-way merge heap warm once, and members repeating a seed set
+/// share one personalization-cache probe.
 #[derive(Default)]
 pub struct ShardScratch {
-    /// Deduplicated venue list of the current query.
-    venues: Vec<u32>,
-    /// Deduplicated author list of the current query.
-    authors: Vec<u32>,
-    /// Post-residual candidate ids (selection kernel input).
-    candidates: Vec<PaperId>,
-    /// Pre-residual banded posting union (author driver).
-    pool: Vec<PaperId>,
-    /// Selection kernel output buffer.
-    select: Vec<u32>,
+    /// Facet lists, fingerprint buffer and the per-partition selection
+    /// working set.
+    part: QueryScratch,
+    /// The current query's plan per surviving shard, in shard order.
+    plans: Vec<(usize, QueryPlan)>,
     /// One `(score, global id)` run buffer per scanned shard, recycled
     /// across queries.
     runs: Vec<Vec<(f64, PaperId)>>,
@@ -375,8 +336,9 @@ impl ShardScratch {
 pub struct ShardedEngine {
     method: String,
     /// First global id of each shard. Fixed after construction: only the
-    /// tail shard grows, so `starts` never changes while serving.
-    starts: Vec<PaperId>,
+    /// tail shard grows, so `starts` never changes while serving (and
+    /// every pinned [`ShardSnapshots`] shares this one allocation).
+    starts: Arc<[PaperId]>,
     shards: Vec<Arc<RankingEngine>>,
     /// Cross-shard citations absorbed so far, per shard: partition-time
     /// drops land on the shard that lost the edge, routed-ingest drops
@@ -390,7 +352,8 @@ pub struct ShardedEngine {
     metrics: Option<ShardedMetricsBundle>,
     /// Admission controller, when backpressure is enabled.
     admission: Option<Arc<AdmissionController>>,
-    /// Per-id scan constant for the coarse admission cost estimate.
+    /// The planner's cost model: every shard's plan is priced under it,
+    /// exactly as the flat engine prices its one partition.
     cost: CostModel,
 }
 
@@ -436,7 +399,7 @@ impl ShardedEngine {
         }
         Ok(Self {
             method: shards[0].method().to_string(),
-            starts: plan.boundaries()[..n_shards].to_vec(),
+            starts: plan.boundaries()[..n_shards].into(),
             shards,
             boundary_edges,
             cache: PersonalizationCache::new(CacheConfig::default()),
@@ -527,12 +490,12 @@ impl ShardedEngine {
     /// Installs (or replaces) the admission policy guarding the
     /// scatter-gather read path.
     ///
-    /// Sharded admission is **coarser** than the flat engine's: the cost
-    /// estimate is the year-pruned id span times the scan constant (no
-    /// per-shard driver pricing), and the degradation ladder offers only
-    /// the k-clamp — there is no indexed fallback to steer to, because
-    /// each shard picks its own driver locally. Scan-ceiling policies
-    /// therefore behave like query-ceiling ones here.
+    /// A query is priced at the sum of its surviving shards' plan costs
+    /// — the same [`CostModel`] prices as the flat engine's — and runs
+    /// the same ladder, minus one rung: the degradation offered is the
+    /// k-clamp only. There is no indexed fallback to steer to, because
+    /// each shard's plan is chosen locally, so scan-ceiling policies
+    /// behave like query-ceiling ones here.
     pub fn set_admission(&mut self, policy: AdmissionPolicy) {
         self.admission = Some(Arc::new(AdmissionController::new(policy)));
     }
@@ -557,30 +520,6 @@ impl ShardedEngine {
             .serving
             .record_boundary_edges(&self.boundary_edges_by_shard());
         Some(bundle.registry.render())
-    }
-
-    /// Coarse serve-cost estimate for admission: the id span of every
-    /// shard surviving the year prune, priced at the planner's
-    /// per-id scan constant. Page assembly (`k × PAGE_ITEM_NS`) is
-    /// added by the controller itself.
-    fn estimate_cost_ns(&self, snaps: &ShardSnapshots, q: &Query) -> f64 {
-        let has_year = q.year_min.is_some() || q.year_max.is_some();
-        let mut ids = 0usize;
-        for snap in &snaps.snaps {
-            if has_year {
-                let net = snap.network();
-                let (Some(first), Some(last)) = (net.first_year(), net.current_year()) else {
-                    continue;
-                };
-                let disjoint = q.year_min.is_some_and(|lo| lo > last)
-                    || q.year_max.is_some_and(|hi| hi < first);
-                if disjoint {
-                    continue;
-                }
-            }
-            ids += snap.n_papers();
-        }
-        ids as f64 * self.cost.scan_per_id
     }
 
     /// Routes a **global-id** delta to the tail shard.
@@ -641,7 +580,7 @@ impl ShardedEngine {
     /// Pins the current epoch of every shard as one consistent read set.
     pub fn snapshots(&self) -> ShardSnapshots {
         ShardSnapshots {
-            starts: self.starts.clone(),
+            starts: Arc::clone(&self.starts),
             snaps: self.shards.iter().map(|e| e.snapshot()).collect(),
         }
     }
@@ -718,13 +657,14 @@ impl ShardedEngine {
     /// touching its snapshot's arrays (the page reports
     /// `shards_scanned` / `shards_total`). Facet ids are validated once
     /// against the pinned set as a whole (the maximum facet-space size
-    /// across shards, so tail-grown facet ids serve). Each surviving shard
-    /// then picks its cheapest driver — contiguous year id-range scan,
-    /// or banded venue / author posting lists (OR lists concatenated,
-    /// deduplicated when they can overlap), mirroring the unsharded
-    /// planner — collects at most `q.k` hits after the cursor frontier,
-    /// and the per-shard runs (each already in `cmp_score_desc` order
-    /// over global ids) merge through [`sparsela::merge_k_sorted`].
+    /// across shards, so tail-grown facet ids serve). Each surviving
+    /// shard is then planned and selected over by the flat engine's own
+    /// planner and selection block (`price_partition` /
+    /// `select_partition` in the query module — same [`CostModel`],
+    /// same five drivers, the shard being one partition of the id
+    /// space), yielding at most `k` hits after the cursor frontier, and
+    /// the per-shard runs (each already in `cmp_score_desc` order over
+    /// global ids) merge through [`sparsela::merge_k_sorted`].
     ///
     /// Seeded queries (`seed=`) rank by per-shard personalized solves
     /// (see `Self::seeded_shard_scores`): seeds route to their owning
@@ -735,14 +675,16 @@ impl ShardedEngine {
     /// resumes under a different personalization.
     ///
     /// `q.method` / `q.vs` are ignored (this engine serves one method;
-    /// compare mode is [`Self::compare`]); `q.cursor` must be `None` —
-    /// sharded pagination uses the `cursor` argument and mints
-    /// [`ShardCursor`]s.
+    /// compare mode is [`Self::compare`]). The page resumes after
+    /// `cursor` — or, when that is `None`, after the grammar's own
+    /// `cursor=` ([`Query::cursor`]); giving both is fine when they
+    /// agree and a [`ShardedError::CursorMismatch`] when they do not.
     ///
-    /// With metrics enabled the query's latency lands in the
+    /// With metrics enabled a served query's latency lands in the
     /// shape-labeled histogram; with admission enabled an over-budget
     /// query degrades (k-clamp) or sheds with a typed
-    /// [`QueryError::Overloaded`] before any shard is touched.
+    /// [`QueryError::Overloaded`] after planning and before any shard is
+    /// selected over.
     pub fn query_at(
         &self,
         snaps: &ShardSnapshots,
@@ -794,9 +736,12 @@ impl ShardedEngine {
         results
     }
 
-    /// The serve path behind [`Self::query_at`] and the batch APIs:
-    /// metrics/admission plumbing around [`Self::execute_sharded`],
-    /// writing through the caller's scratch.
+    /// The serve path behind [`Self::query_at`] and the batch APIs, in
+    /// the flat engine's stage order: cursor + facet validation, seeded
+    /// solves, fingerprint, plan (one price per shard surviving the
+    /// prune), admission, then per-shard selection and the k-way merge.
+    /// Every buffer comes from `scratch`; seeded solves memoize there per
+    /// (epoch set, seed set). An uninstrumented engine reads no clock.
     fn query_pinned(
         &self,
         snaps: &ShardSnapshots,
@@ -805,72 +750,12 @@ impl ShardedEngine {
         scratch: &mut ShardScratch,
     ) -> Result<ShardedPage, ShardedError> {
         let serving = self.metrics.as_ref().map(|m| &m.serving);
-        if serving.is_none() && self.admission.is_none() {
-            return self.execute_sharded(snaps, q, cursor, scratch);
-        }
         let started = serving.is_some().then(Instant::now);
-        let shape = if !q.seeds.is_empty() {
-            SHAPE_SEEDED
-        } else if !q.venues.is_empty() || !q.authors.is_empty() {
-            SHAPE_FACETED
-        } else if q.year_min.is_some() || q.year_max.is_some() {
-            SHAPE_YEAR_RANGE
-        } else {
-            SHAPE_UNFILTERED
+        let cursor = match (cursor, q.cursor.as_ref()) {
+            (Some(arg), Some(own)) if arg != own => return Err(ShardedError::CursorMismatch),
+            (arg, own) => arg.or(own),
         };
-        let clamped_q;
-        let mut q = q;
-        let _ticket = match &self.admission {
-            None => None,
-            Some(admission) => {
-                let costed = CostedQuery {
-                    plan_cost_ns: self.estimate_cost_ns(snaps, q),
-                    indexed_alternative_ns: None,
-                    scan_family: false,
-                    k: q.k,
-                };
-                match admission.admit(costed) {
-                    Err(overload) => {
-                        return Err(ShardedError::Query(QueryError::Overloaded {
-                            cost_ns: overload.cost_ns,
-                            inflight_ns: overload.inflight_ns,
-                            limit_ns: overload.limit_ns,
-                        }));
-                    }
-                    Ok(ticket) => {
-                        if ticket.k != q.k {
-                            let mut degraded = q.clone();
-                            degraded.k = ticket.k;
-                            clamped_q = degraded;
-                            q = &clamped_q;
-                        }
-                        Some(ticket)
-                    }
-                }
-            }
-        };
-        let result = self.execute_sharded(snaps, q, cursor, scratch);
-        if let (Some(m), Some(at)) = (serving, started) {
-            m.query_seconds.at(shape).observe(at.elapsed());
-        }
-        result
-    }
-
-    /// The scatter-gather body behind [`Self::query_at`] (prune, collect
-    /// per shard, k-way merge), free of metrics and admission plumbing.
-    /// Candidate pools, run buffers and the merge heap come from
-    /// `scratch`; seeded solves memoize there per (epoch set, seed set).
-    fn execute_sharded(
-        &self,
-        snaps: &ShardSnapshots,
-        q: &Query,
-        cursor: Option<&ShardCursor>,
-        scratch: &mut ShardScratch,
-    ) -> Result<ShardedPage, ShardedError> {
-        if q.cursor.is_some() {
-            return Err(ShardedError::CursorMismatch);
-        }
-        validate_facets(snaps, q)?;
+        validate_facets(snaps.snaps.iter().map(|s| &**s.network()), q)?;
         let key = snaps.epoch_key();
         let seeded_idx: Option<usize> = if q.seeds.is_empty() {
             None
@@ -888,88 +773,82 @@ impl ShardedEngine {
             Some(scratch.seed_memo.len() - 1)
         };
         let ShardScratch {
-            venues,
-            authors,
-            candidates,
-            pool,
-            select,
+            part,
+            plans,
             runs,
             merge,
             merged,
             seed_memo,
         } = scratch;
         let seeded: Option<&Vec<SeededShard>> = seeded_idx.map(|i| &seed_memo[i].2);
-        let fp = fingerprint(&self.method, q);
-        let frontier: Option<(f64, PaperId)> = match cursor {
-            None => None,
-            Some(c) => {
-                if c.epoch_key != key {
-                    return Err(ShardedError::StaleCursor {
-                        cursor_key: c.epoch_key,
-                        current_key: key,
-                    });
-                }
-                if c.fingerprint != fp {
-                    return Err(ShardedError::CursorMismatch);
-                }
-                Some((f64::from_bits(c.score_bits), c.last_id))
-            }
-        };
+        let fp = fingerprint_with(&self.method, q, &mut part.seeds);
+        let frontier = validate_cursor(cursor, key, fp)?;
 
-        dedup_ids_into(&q.venues, venues);
-        dedup_ids_into(&q.authors, authors);
-        let shards_total = snaps.n_shards();
-        let has_year = q.year_min.is_some() || q.year_max.is_some();
-        let mut used = 0usize;
-        let mut matched_total = 0usize;
-        let mut shards_scanned = 0usize;
-        for s in 0..shards_total {
-            let snap = &snaps.snaps[s];
-            let personalized = match &seeded {
-                None => None,
-                Some(per) => match &per[s] {
-                    // Pruned: no seed mass reaches this band, so every
-                    // personalized score in it is exactly zero.
-                    None => continue,
-                    Some((v, scale)) => Some((v.as_slice(), *scale)),
-                },
-            };
-            if has_year {
-                let net = snap.network();
-                let (Some(first), Some(last)) = (net.first_year(), net.current_year()) else {
-                    continue; // empty shard: nothing to match
-                };
-                let disjoint = q.year_min.is_some_and(|lo| lo > last)
-                    || q.year_max.is_some_and(|hi| hi < first);
-                if disjoint {
-                    continue; // pruned: span cannot intersect the filter
-                }
+        part.set_facets(q);
+        plans.clear();
+        for (s, snap) in snaps.snaps.iter().enumerate() {
+            // No seed mass reaches an unseeded band, so every
+            // personalized score in it is exactly zero: it prunes like a
+            // band whose year span misses the filter.
+            if seeded.is_some_and(|per| per[s].is_none()) || !overlaps(snap, q) {
+                continue;
             }
-            shards_scanned += 1;
+            let plan = price_partition(
+                snap.network(),
+                q,
+                part,
+                frontier.is_some(),
+                &self.cost,
+                false,
+            );
+            plans.push((s, plan));
+        }
+        // The ticket (when admission is on) holds the in-flight cost
+        // reservation until the page is built.
+        let ticket = admit(self.admission.as_ref(), || CostedQuery {
+            plan_cost_ns: plans.iter().map(|(_, plan)| plan.cost_ns).sum(),
+            indexed_alternative_ns: None,
+            scan_family: false,
+            k: q.k,
+        })?;
+        let k = ticket.as_ref().map_or(q.k, |t| t.k);
+
+        let mut used = 0usize;
+        let mut matched = 0usize;
+        for (s, plan) in plans.iter() {
+            let snap = &snaps.snaps[*s];
+            // A seeded shard ranks by its personalized solve, scaled by
+            // its share of the global seed mass so runs from
+            // differently-seeded shards merge under one distribution.
+            let (scores, scale) = match seeded.and_then(|per| per[*s].as_ref()) {
+                Some((v, share)) => (v.as_slice(), *share),
+                None => (snap.scores().as_slice(), 1.0),
+            };
+            let start = snaps.starts[*s];
+            let partition = Partition {
+                net: snap.network(),
+                start,
+                scores,
+                scale,
+            };
+            matched += select_partition(&partition, q, k, plan, frontier, part);
+            if part.select.is_empty() {
+                continue;
+            }
             if used == runs.len() {
                 runs.push(Vec::new());
             }
             let run = &mut runs[used];
-            matched_total += collect_shard(
-                snap,
-                snaps.starts[s],
-                q,
-                venues,
-                authors,
-                frontier,
-                personalized,
-                candidates,
-                pool,
-                select,
-                run,
+            run.clear();
+            run.extend(
+                part.select
+                    .iter()
+                    .map(|&l| (scores[l as usize] * scale, start + l)),
             );
-            if !run.is_empty() {
-                used += 1;
-            }
+            used += 1;
         }
 
-        let run_refs: Vec<&[(f64, PaperId)]> = runs[..used].iter().map(|r| r.as_slice()).collect();
-        merge_k_sorted_into(&run_refs, q.k, merge, merged);
+        merge_k_sorted_into(&runs[..used], k, merge, merged);
         let items: Vec<Hit> = merged
             .iter()
             .map(|&(score, id)| {
@@ -984,23 +863,31 @@ impl ShardedEngine {
             })
             .collect();
         let next = match items.last() {
-            Some(last) if matched_total > items.len() => Some(ShardCursor {
-                epoch_key: key,
-                shard: snaps.locate(last.id).0 as u32,
-                score_bits: last.score.to_bits(),
-                last_id: last.id,
-                fingerprint: fp,
-            }),
+            Some(last) if matched > items.len() => {
+                Some(Cursor::after(key, last.score, last.id, fp))
+            }
             _ => None,
         };
+        if let (Some(m), Some(at)) = (serving, started) {
+            let shape = if !q.seeds.is_empty() {
+                SHAPE_SEEDED
+            } else if !q.venues.is_empty() || !q.authors.is_empty() {
+                SHAPE_FACETED
+            } else if q.year_min.is_some() || q.year_max.is_some() {
+                SHAPE_YEAR_RANGE
+            } else {
+                SHAPE_UNFILTERED
+            };
+            m.query_seconds.at(shape).observe(at.elapsed());
+        }
         Ok(ShardedPage {
             method: self.method.clone(),
             epoch_key: key,
             items,
-            matched: matched_total,
+            matched,
             next,
-            shards_scanned,
-            shards_total,
+            shards_scanned: plans.len(),
+            shards_total: snaps.n_shards(),
         })
     }
 
@@ -1119,7 +1006,7 @@ impl ShardedEngine {
     pub fn persist_epochs<P: AsRef<Path>>(&self, stem: P) -> Result<Vec<u64>, ShardedError> {
         let stem = stem.as_ref();
         let tail = self.shards.len() - 1;
-        let mut boundaries = self.starts.clone();
+        let mut boundaries = self.starts.to_vec();
         boundaries.push(self.starts[tail] + self.shards[tail].snapshot().n_papers() as PaperId);
         let mut epochs = Vec::with_capacity(self.shards.len());
         for (s, e) in self.shards.iter().enumerate() {
@@ -1186,7 +1073,7 @@ impl ShardedEngine {
         }
         let engine = ShardedEngine {
             method,
-            starts: manifest.boundaries[..n_shards].to_vec(),
+            starts: manifest.boundaries[..n_shards].into(),
             shards,
             boundary_edges: (0..n_shards).map(|_| AtomicUsize::new(0)).collect(),
             cache: PersonalizationCache::new(CacheConfig::default()),
@@ -1223,55 +1110,18 @@ impl ShardedColdStart {
     }
 }
 
-/// Method + filter identity a [`ShardCursor`] is bound to (page size and
-/// cursor position intentionally excluded — same scheme as the unsharded
-/// cursor fingerprint). The seed set folds in *sorted*, so two spellings
-/// of one seed set share cursors while any different set — including the
-/// empty one — mismatches.
-fn fingerprint(method: &str, q: &Query) -> u64 {
-    let filters = format!(
-        "|{:?}|{:?}|{:?}|{:?}",
-        q.year_min, q.year_max, q.venues, q.authors
-    );
-    let mut fp = fnv1a64_with(fnv1a64(method.as_bytes()), filters.as_bytes());
-    if !q.seeds.is_empty() {
-        let mut seeds = q.seeds.clone();
-        seeds.sort_unstable();
-        fp = fnv1a64_with(fp, format!("|seed{seeds:?}").as_bytes());
+/// The year prune: whether shard `snap`'s year span can intersect the
+/// query's year window. Without a window every shard survives; with one,
+/// an empty shard has nothing to match.
+fn overlaps(snap: &EpochSnapshot, q: &Query) -> bool {
+    if q.year_min.is_none() && q.year_max.is_none() {
+        return true;
     }
-    fp
-}
-
-/// Typed facet validation against the pinned set **as a whole**: ids are
-/// checked against the *maximum* facet-space size across shards (a tail
-/// metadata delta can grow the venue/author spaces in the tail only),
-/// and missing metadata is an error only when *no* shard carries the
-/// table. Individual shards whose local table is smaller — or absent —
-/// simply contribute no matches for the out-of-range ids.
-fn validate_facets(snaps: &ShardSnapshots, q: &Query) -> Result<(), QueryError> {
-    if !q.venues.is_empty() {
-        let n_venues = (0..snaps.n_shards())
-            .filter_map(|s| snaps.snaps[s].network().venues().map(|t| t.n_venues()))
-            .max()
-            .ok_or(QueryError::NoVenueData)?;
-        for &v in &q.venues {
-            if (v as usize) >= n_venues {
-                return Err(QueryError::UnknownVenue { id: v, n_venues });
-            }
-        }
-    }
-    if !q.authors.is_empty() {
-        let n_authors = (0..snaps.n_shards())
-            .filter_map(|s| snaps.snaps[s].network().authors().map(|t| t.n_authors()))
-            .max()
-            .ok_or(QueryError::NoAuthorData)?;
-        for &a in &q.authors {
-            if (a as usize) >= n_authors {
-                return Err(QueryError::UnknownAuthor { id: a, n_authors });
-            }
-        }
-    }
-    Ok(())
+    let net = snap.network();
+    let (Some(first), Some(last)) = (net.first_year(), net.current_year()) else {
+        return false;
+    };
+    !(q.year_min.is_some_and(|lo| lo > last) || q.year_max.is_some_and(|hi| hi < first))
 }
 
 /// Per-shard `(score, global id)` runs in composed best-first order —
@@ -1309,194 +1159,6 @@ fn composed_rank(orders: &[Vec<(f64, PaperId)>], snaps: &ShardSnapshots, id: Pap
         .sum::<usize>()
 }
 
-/// Per-shard candidate driver (the sharded mirror of the unsharded
-/// planner's choice, minus the cursor-only special case and the mask
-/// fallback — per-shard candidate sets are already band-pruned).
-#[derive(Clone, Copy)]
-enum Driver {
-    Range,
-    Venues,
-    Authors,
-}
-
-/// Collects one shard's contribution to a scatter-gather page into
-/// `run`: up to `q.k` `(score, global id)` pairs in `cmp_score_desc`
-/// order. Returns the shard's count of candidates matching the filters
-/// after `frontier`.
-///
-/// Total by construction: facet validation already ran set-wide in
-/// [`validate_facets`], so a facet id beyond this shard's local table —
-/// or a missing local table — means "no matching papers here", never an
-/// error. `venues`/`authors` are the query's facet lists, already
-/// deduplicated by the caller.
-///
-/// `personalized` replaces the snapshot's scores with a seeded solve and
-/// its share of the global seed mass: every score read is scaled by the
-/// share, so runs from differently-seeded shards merge under the global
-/// distribution. A positive scale preserves the in-shard order the
-/// selection kernels assume, so `top_k_*` still run on the raw slice.
-///
-/// Within one shard, ordering by local id ties equals ordering by global
-/// id ties (`global = start + local` is monotone), so per-shard kernel
-/// output merges globally without re-sorting.
-#[allow(clippy::too_many_arguments)]
-fn collect_shard(
-    snap: &EpochSnapshot,
-    start: PaperId,
-    q: &Query,
-    venues: &[u32],
-    authors: &[u32],
-    frontier: Option<(f64, PaperId)>,
-    personalized: Option<(&[f64], f64)>,
-    candidates: &mut Vec<PaperId>,
-    pool: &mut Vec<PaperId>,
-    select: &mut Vec<u32>,
-    run: &mut Vec<(f64, PaperId)>,
-) -> usize {
-    run.clear();
-    let net = snap.network();
-    let (scores, scale) = match personalized {
-        Some((s, m)) => (s, m),
-        None => (snap.scores().as_slice(), 1.0),
-    };
-    let n = net.n_papers();
-    let after = |local: PaperId| match frontier {
-        None => true,
-        Some((cs, cid)) => {
-            cmp_score_desc(scores[local as usize] * scale, start + local, cs, cid)
-                == std::cmp::Ordering::Greater
-        }
-    };
-
-    let venue_table = net.venues();
-    let author_table = net.authors();
-    // A shard carved before metadata existed has no faceted papers at
-    // all: a facet-filtered query matches nothing in it.
-    if !venues.is_empty() && venue_table.is_none() {
-        return 0;
-    }
-    if !authors.is_empty() && author_table.is_none() {
-        return 0;
-    }
-
-    // Unfiltered, no frontier: plain partial select over the shard.
-    if venues.is_empty()
-        && authors.is_empty()
-        && frontier.is_none()
-        && q.year_min.is_none()
-        && q.year_max.is_none()
-    {
-        top_k_indices_into(scores, q.k, select);
-        run.extend(
-            select
-                .iter()
-                .map(|&l| (scores[l as usize] * scale, start + l)),
-        );
-        return n;
-    }
-
-    let range = net.id_range_for_years(q.year_min, q.year_max);
-    let year_len = (range.end - range.start) as usize;
-    // Banded candidate counts: each posting list is probed for its
-    // contiguous slice inside the shard-local year id-range, so the year
-    // bound folds into the drive instead of a residual scan.
-    let vband: Option<usize> = venue_table.filter(|_| !venues.is_empty()).map(|t| {
-        venues
-            .iter()
-            .filter(|&&v| (v as usize) < t.n_venues())
-            .map(|&v| citegraph::band(t.papers_at(v), &range).len())
-            .sum()
-    });
-    let aband: Option<usize> = author_table.filter(|_| !authors.is_empty()).map(|t| {
-        authors
-            .iter()
-            .filter(|&&a| (a as usize) < t.n_authors())
-            .map(|&a| citegraph::band(t.papers_of(a), &range).len())
-            .sum()
-    });
-    let mut best = (year_len, Driver::Range);
-    if let Some(len) = vband {
-        if len < best.0 {
-            best = (len, Driver::Venues);
-        }
-    }
-    if let Some(len) = aband {
-        if len < best.0 {
-            best = (len, Driver::Authors);
-        }
-    }
-
-    let venue_ok = |id: PaperId| {
-        venues.is_empty()
-            || venue_table.is_some_and(|t| t.venue_of(id).is_some_and(|v| venues.contains(&v)))
-    };
-    let author_ok = |id: PaperId| {
-        authors.is_empty()
-            || author_table.is_some_and(|t| t.authors_of(id).iter().any(|a| authors.contains(a)))
-    };
-
-    let matched = match best.1 {
-        Driver::Range => {
-            let mut matched = 0usize;
-            let mut pred = |id: u32| {
-                let ok = venue_ok(id) && author_ok(id) && after(id);
-                matched += ok as usize;
-                ok
-            };
-            // k = 0 is a count: the scan must still run for `matched`.
-            if q.k == 0 {
-                for id in range.clone() {
-                    pred(id);
-                }
-                select.clear();
-            } else {
-                top_k_where_into(scores, range.clone(), q.k, pred, select);
-            }
-            matched
-        }
-        Driver::Venues => {
-            let t = venue_table.expect("present: Venues driver was costed");
-            candidates.clear();
-            candidates.extend(
-                venues
-                    .iter()
-                    .filter(|&&v| (v as usize) < t.n_venues())
-                    .flat_map(|&v| citegraph::band(t.papers_at(v), &range))
-                    .copied()
-                    .filter(|&id| author_ok(id) && after(id)),
-            );
-            top_k_filtered_into(scores, candidates, q.k, select);
-            candidates.len()
-        }
-        Driver::Authors => {
-            let t = author_table.expect("present: Authors driver was costed");
-            pool.clear();
-            pool.extend(
-                authors
-                    .iter()
-                    .filter(|&&a| (a as usize) < t.n_authors())
-                    .flat_map(|&a| citegraph::band(t.papers_of(a), &range))
-                    .copied(),
-            );
-            if authors.len() > 1 {
-                // Overlapping author lists can list one paper twice.
-                pool.sort_unstable();
-                pool.dedup();
-            }
-            candidates.clear();
-            candidates.extend(pool.iter().copied().filter(|&id| venue_ok(id) && after(id)));
-            top_k_filtered_into(scores, candidates, q.k, select);
-            candidates.len()
-        }
-    };
-    run.extend(
-        select
-            .iter()
-            .map(|&l| (scores[l as usize] * scale, start + l)),
-    );
-    matched
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1509,6 +1171,12 @@ mod tests {
     /// `[id % 2]` plus author 2 on multiples of 4, and a citation fan-in
     /// that gives distinct cc mass to early papers.
     fn corpus() -> CitationNetwork {
+        corpus_with(true)
+    }
+
+    /// [`corpus`], or — `metadata = false` — the same papers and
+    /// citations carved before any venue/author metadata existed.
+    fn corpus_with(metadata: bool) -> CitationNetwork {
         let mut b = NetworkBuilder::new();
         for i in 0..12u32 {
             let mut authors = vec![i % 2];
@@ -1520,7 +1188,11 @@ mod tests {
                 1 => Some(1),
                 _ => None,
             };
-            b.add_paper_with_metadata(2000 + i as Year, authors, venue);
+            if metadata {
+                b.add_paper_with_metadata(2000 + i as Year, authors, venue);
+            } else {
+                b.add_paper(2000 + i as Year);
+            }
         }
         for i in 1..12u32 {
             for j in 0..i {
@@ -1681,6 +1353,16 @@ mod tests {
                         page.matched, remaining,
                         "{n_shards} shards{filter}: matched tracks the tail"
                     );
+                    // `cursor=` in the grammar (token → parse →
+                    // `Query::cursor`) is the same page as the argument.
+                    let text = Query {
+                        cursor,
+                        ..q.clone()
+                    }
+                    .to_string();
+                    let in_grammar: Query = text.parse().unwrap();
+                    assert_eq!(in_grammar.cursor, cursor, "{text}");
+                    assert_eq!(eng.query_at(&snaps, &in_grammar, None).unwrap(), page);
                     got.extend(ids(&page));
                     remaining -= page.items.len();
                     match page.next {
@@ -1701,9 +1383,12 @@ mod tests {
         let page = eng.query_at(&snaps, &q, None).unwrap();
         let cursor = page.next.expect("more than 2 venue-0 papers");
 
-        // Token round-trip.
+        // Token round-trip: the flat engine's `c…` token, bound to the
+        // pinned set's epoch key.
         let token = cursor.to_string();
+        assert!(token.starts_with('c'), "{token}");
         assert_eq!(token.parse::<ShardCursor>().unwrap(), cursor);
+        assert_eq!(cursor.epoch(), snaps.epoch_key());
         assert!("znot-a-cursor".parse::<ShardCursor>().is_err());
 
         // Different filters → CursorMismatch.
@@ -1712,6 +1397,21 @@ mod tests {
             eng.query_at(&snaps, &other, Some(&cursor)),
             Err(ShardedError::CursorMismatch)
         ));
+
+        // The argument and the grammar's `cursor=` both given: fine when
+        // they agree, typed when they do not (single query and batch).
+        let page2 = eng.query_at(&snaps, &q, Some(&cursor)).unwrap();
+        let earlier = eng.query_at(&snaps, &Query { k: 1, ..q.clone() }, None);
+        let earlier = earlier.unwrap().next.expect("more than 1 venue-0 paper");
+        let own = Query {
+            cursor: Some(cursor),
+            ..q.clone()
+        };
+        assert_eq!(eng.query_at(&snaps, &own, Some(&cursor)).unwrap(), page2);
+        let batch = [(own.clone(), Some(earlier)), (own, None)];
+        let pages = eng.query_batch_at(&snaps, &batch);
+        assert!(matches!(pages[0], Err(ShardedError::CursorMismatch)));
+        assert_eq!(pages[1].as_ref().unwrap(), &page2);
 
         // A tail publish moves the epoch set → StaleCursor against the
         // engine's *current* set, while the pinned set keeps serving.
@@ -2061,5 +1761,147 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(eng.top_k(12), flat.top_k(12));
+    }
+
+    /// A model under which one execution shape always prices cheapest
+    /// for a faceted query, whatever the shard: everything else costs
+    /// `1e9` per unit. (The mask shape shares the per-candidate constant
+    /// with the band shapes, so "always" needs a negative sweep price.)
+    fn forcing(shape: &str) -> CostModel {
+        let (free, dear) = (0.0, 1e9);
+        let [scan, band, insert, sweep] = match shape {
+            "id_range" => [free, dear, free, dear],
+            "bands" => [dear, free, dear, dear],
+            "mask_algebra" => [dear, dear, free, -dear],
+            other => panic!("no such shape {other}"),
+        };
+        CostModel {
+            scan_per_id: scan,
+            band_per_candidate: band,
+            dedup_per_candidate: band,
+            mask_insert: insert,
+            mask_per_word: sweep,
+        }
+    }
+
+    #[test]
+    fn shards_plan_by_cost_model_and_every_driver_serves_the_reference() {
+        // The flat planner's price over one shard must tolerate what only
+        // a shard sees — a facet id past its local table, no local table
+        // at all — and whichever driver the model picks, the merged page
+        // is the reference. `with_tables = false` carves the shards
+        // before metadata exists, so only the tail (after the
+        // metadata-bearing ingest) has facet tables.
+        let filters = [
+            "venue=0|1",
+            "author=0|2",
+            "author=1|2,year=2002..2009",
+            "venue=0|1,author=2",
+            "venue=5",
+            "author=7",
+            "venue=0|5,year=2006..",
+            "year=2003..2005",
+            "",
+        ];
+        for (with_tables, n_shards, shape) in [true, false]
+            .into_iter()
+            .flat_map(|t| [1, 3, 5].map(|n| (t, n)))
+            .flat_map(|(t, n)| ["id_range", "bands", "mask_algebra"].map(|s| (t, n, s)))
+        {
+            let net = corpus_with(with_tables);
+            let plan = ShardSpec::Fixed(n_shards).plan(&net).unwrap();
+            let mut eng =
+                ShardedEngine::from_plan(&net, &plan, "cc", RerankPolicy::EveryBatch).unwrap();
+            eng.cost = forcing(shape);
+            // Venue 5 and author 7 exist only in the tail's grown tables.
+            let mut delta = GraphDelta::new();
+            delta.add_paper_with_metadata(2012, vec![2, 7], Some(0));
+            delta.add_paper_with_metadata(2013, vec![1], Some(5));
+            delta.add_citation(12, 11);
+            eng.ingest(&delta).unwrap();
+            let snaps = eng.snapshots();
+
+            let mut chosen = std::collections::BTreeSet::new();
+            for filter in filters {
+                let case = format!("tables={with_tables}, {n_shards} shards, {shape}: {filter:?}");
+                let q: Query = format!("k=3,{filter}").parse().unwrap();
+                let want: Vec<PaperId> = reference(&snaps, &q).iter().map(|&(_, id)| id).collect();
+                // Two pages off one pinned set, then the k = 0 count.
+                let p1 = eng.query_at(&snaps, &q, None).unwrap();
+                assert_eq!(ids(&p1), want[..want.len().min(3)], "{case}");
+                assert_eq!(p1.matched, want.len(), "{case}");
+                assert_eq!(p1.next.is_some(), want.len() > 3, "{case}");
+                if let Some(c) = p1.next {
+                    let p2 = eng.query_at(&snaps, &q, Some(&c)).unwrap();
+                    assert_eq!(ids(&p2), want[3..want.len().min(6)], "{case} page 2");
+                    assert_eq!(p2.matched, want.len() - 3, "{case} page 2");
+                }
+                let p0 = eng.query_at(&snaps, &Query { k: 0, ..q.clone() }, None);
+                assert_eq!(p0.unwrap().matched, want.len(), "{case} k=0");
+                if filter == "year=2003..2005" {
+                    assert_eq!(p1.shards_scanned < p1.shards_total, n_shards > 1, "{case}");
+                }
+
+                // The drivers behind those pages: what the engine planned
+                // for each shard the year prune left.
+                let mut part = QueryScratch::new();
+                part.set_facets(&q);
+                for snap in snaps.snaps.iter().filter(|s| overlaps(s, &q)) {
+                    let plan = price_partition(snap.network(), &q, &part, false, &eng.cost, false);
+                    if !plan.table.iter().any(|c| c.driver == "unfiltered") {
+                        chosen.insert(plan.table.iter().find(|c| c.chosen).unwrap().driver);
+                    }
+                }
+            }
+            let want: &[&str] = match shape {
+                "bands" => &["author_bands", "id_range", "venue_bands"],
+                other => &[other],
+            };
+            assert_eq!(
+                chosen.into_iter().collect::<Vec<_>>(),
+                want,
+                "tables={with_tables}, {n_shards} shards, {shape}"
+            );
+        }
+    }
+
+    #[test]
+    fn flat_and_sharded_tokens_never_resume_on_the_other_engine() {
+        // One struct, one token format — so what keeps a flat engine's
+        // token off a sharded engine (and back) is the generation it is
+        // bound to: an epoch there, an epoch-set key here. Same corpus,
+        // same method label, same filter: the fingerprints agree, the
+        // generations cannot.
+        let sharded = sharded(1);
+        let flat = QueryEngine::from_configs(corpus(), &["cc"], RerankPolicy::EveryBatch).unwrap();
+        for s in ["k=2", "k=2,venue=0", "k=2,year=2002..2010"] {
+            let q: Query = s.parse().unwrap();
+            let from_flat = flat.query(&q).unwrap().next.expect("a page 2");
+            let from_sharded = sharded.query(&q, None).unwrap().next.expect("a page 2");
+            assert_ne!(from_flat.to_string(), from_sharded.to_string());
+            // In the grammar or as the argument, typed and pageless.
+            let in_grammar: Query = format!("{s},cursor={from_flat}").parse().unwrap();
+            for res in [
+                sharded.query(&in_grammar, None),
+                sharded.query(&q, Some(&from_flat)),
+            ] {
+                assert!(
+                    matches!(
+                        res,
+                        Err(ShardedError::StaleCursor { .. } | ShardedError::CursorMismatch)
+                    ),
+                    "{s}: flat token on the sharded engine: {res:?}"
+                );
+            }
+            let in_grammar: Query = format!("{s},cursor={from_sharded}").parse().unwrap();
+            let res = flat.query(&in_grammar);
+            assert!(
+                matches!(
+                    res,
+                    Err(QueryError::StaleCursor { .. } | QueryError::CursorMismatch)
+                ),
+                "{s}: sharded token on the flat engine: {res:?}"
+            );
+        }
     }
 }

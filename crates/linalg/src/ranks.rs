@@ -52,11 +52,12 @@ pub fn sort_indices_desc(scores: &[f64]) -> Vec<u32> {
 /// Indices of the `k` largest entries in decreasing score order, without
 /// sorting all `n` scores.
 ///
-/// Uses a quickselect partition (`select_nth_unstable_by`, expected `O(n)`)
-/// to isolate the top `k`, then sorts only those `k` (`O(k log k)`). The
-/// result is *identical* to `sort_indices_desc(scores).truncate(k)` —
-/// including the tie-break by smaller index — which the serving layer's
-/// `top_k` query relies on (property-tested in `tests/proptests.rs`).
+/// One pass of the streaming core ([`top_k_where`] with no predicate over
+/// `0..n`): a `2k` buffer and a running `(score, id)` threshold, `O(n)`
+/// compares plus `O(k log k)` for the final sort. The result is
+/// *identical* to `sort_indices_desc(scores).truncate(k)` — including the
+/// tie-break by smaller index — which the serving layer's `top_k` query
+/// relies on (property-tested in `tests/proptests.rs`).
 pub fn top_k_indices(scores: &[f64], k: usize) -> Vec<u32> {
     let mut out = Vec::new();
     top_k_indices_into(scores, k, &mut out);
@@ -65,22 +66,19 @@ pub fn top_k_indices(scores: &[f64], k: usize) -> Vec<u32> {
 
 /// [`top_k_indices`] writing into a caller-provided buffer.
 ///
-/// `out` is cleared first; once its capacity has grown to `n` it is never
-/// reallocated, so a steady-state caller performs zero heap allocations.
-/// The contents written are identical to [`top_k_indices`].
+/// `out` is cleared first and doubles as the bounded `2k` stream buffer;
+/// once warm it is never reallocated, so a steady-state caller performs
+/// zero heap allocations. The contents written are identical to
+/// [`top_k_indices`].
+///
+/// Worst case: scores strictly *ascending in id* defeat the threshold —
+/// every id beats the current k-th, so the buffer is re-selected every
+/// `k` ids (measured ~4x a copy-all quickselect at 200k scores, k = 10).
+/// No registered method produces such a vector (ids are time-sorted and
+/// recency ties break toward the smaller id), and every year-range and
+/// cursor scan shares the bound.
 pub fn top_k_indices_into(scores: &[f64], k: usize, out: &mut Vec<u32>) {
-    out.clear();
-    let n = scores.len();
-    let k = k.min(n);
-    if k == 0 {
-        return;
-    }
-    out.extend(0..n as u32);
-    if k < n {
-        out.select_nth_unstable_by(k - 1, desc_by_score(scores));
-        out.truncate(k);
-    }
-    out.sort_unstable_by(desc_by_score(scores));
+    top_k_stream(scores, 0..scores.len() as u32, k, out);
 }
 
 /// Indices of the `k` best-scoring entries among an explicit candidate
@@ -109,6 +107,13 @@ pub fn top_k_filtered(scores: &[f64], candidates: &[u32], k: usize) -> Vec<u32> 
 /// once its capacity has grown to the largest candidate list seen it is
 /// never reallocated. The contents written are identical to
 /// [`top_k_filtered`].
+///
+/// The one kernel that copies its candidates and partitions them instead
+/// of streaming: on the short lists a selective facet produces (a few
+/// hundred to a few thousand ids) one copy plus one `select_nth` beats
+/// the stream's per-id threshold compare, most clearly at large `k`; the
+/// stream only wins from ~10k candidates up, where the planner has
+/// usually picked a scan anyway.
 pub fn top_k_filtered_into(scores: &[f64], candidates: &[u32], k: usize, out: &mut Vec<u32>) {
     out.clear();
     let k = k.min(candidates.len());
@@ -123,11 +128,11 @@ pub fn top_k_filtered_into(scores: &[f64], candidates: &[u32], k: usize, out: &m
     out.sort_unstable_by(desc_by_score(scores));
 }
 
-/// Core of the scan-side selection kernels: streams candidate ids and
-/// keeps a bounded buffer of at most `2k`, pruning with a running
-/// `(score, id)` threshold once `k` survivors are known. Memory is
-/// `O(k)` and the scan never revisits an id, so a broad predicate costs
-/// one pass over its candidates.
+/// The streaming selection core behind [`top_k_indices`], [`top_k_where`]
+/// and [`top_k_masked`]: streams candidate ids and keeps a bounded buffer
+/// of at most `2k`, pruning with a running `(score, id)` threshold once
+/// `k` survivors are known. Memory is `O(k)` and the scan never revisits
+/// an id, so a broad predicate costs one pass over its candidates.
 fn top_k_stream<I: Iterator<Item = u32>>(scores: &[f64], ids: I, k: usize, buf: &mut Vec<u32>) {
     buf.clear();
     if k == 0 {
@@ -308,36 +313,35 @@ impl MergeScratch {
 }
 
 /// [`merge_k_sorted`] writing into a caller-provided buffer, with the
-/// merge heap's storage recycled through `scratch`.
+/// merge heap's storage recycled through `scratch`. Runs are anything
+/// that derefs to a pair slice, so a caller holding `Vec` run buffers
+/// passes them as they are instead of collecting borrowed slices first.
 ///
 /// `out` is cleared first; once `out` holds capacity `k` and `scratch`
 /// holds one head per run, the merge performs zero heap allocations.
 /// The contents written are identical to [`merge_k_sorted`].
-pub fn merge_k_sorted_into(
-    runs: &[&[(f64, u32)]],
+pub fn merge_k_sorted_into<R: AsRef<[(f64, u32)]>>(
+    runs: &[R],
     k: usize,
     scratch: &mut MergeScratch,
     out: &mut Vec<(f64, u32)>,
 ) {
     out.clear();
-    let total: usize = runs.iter().map(|r| r.len()).sum();
+    let total: usize = runs.iter().map(|r| r.as_ref().len()).sum();
     let k = k.min(total);
     if k == 0 {
         return;
     }
     let mut heads = std::mem::take(&mut scratch.heads);
     heads.clear();
-    heads.extend(
-        runs.iter()
-            .enumerate()
-            .filter(|(_, r)| !r.is_empty())
-            .map(|(run, r)| MergeHead {
-                score: r[0].0,
-                id: r[0].1,
-                run,
-                pos: 0,
-            }),
-    );
+    heads.extend(runs.iter().enumerate().filter_map(|(run, r)| {
+        r.as_ref().first().map(|&(score, id)| MergeHead {
+            score,
+            id,
+            run,
+            pos: 0,
+        })
+    }));
     // Heapify in place: reuses the scratch Vec's allocation, and pops
     // always precede pushes so the heap never outgrows its initial size.
     let mut heap = std::collections::BinaryHeap::from(heads);
@@ -348,7 +352,7 @@ pub fn merge_k_sorted_into(
             break;
         }
         let next = head.pos + 1;
-        if let Some(&(score, id)) = runs[head.run].get(next) {
+        if let Some(&(score, id)) = runs[head.run].as_ref().get(next) {
             heap.push(MergeHead {
                 score,
                 id,

@@ -400,13 +400,31 @@ proptest! {
     fn top_k_equals_full_sort_then_truncate(
         raw in proptest::collection::vec(-8i32..8, 0..120),
         k in 0usize..140,
+        shape in 0u8..5,
     ) {
         // Small integer grid → plenty of exact ties, the case where a
-        // sloppy partial select would diverge from the full sort.
-        let scores: Vec<f64> = raw.iter().map(|&v| v as f64 / 4.0).collect();
-        let mut expected = sort_indices_desc(&scores);
-        expected.truncate(k);
-        prop_assert_eq!(top_k_indices(&scores, k), expected);
+        // sloppy partial select would diverge from the full sort. The
+        // other shapes are the streaming threshold's edge cases: NaN
+        // scores (rank last, by id), every score equal (no id after the
+        // first k ever beats the threshold), strictly ascending in id
+        // (every id does) and strictly descending (none does).
+        let scores: Vec<f64> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| match shape {
+                0 => v as f64 / 4.0,
+                1 if v % 3 == 0 => f64::NAN,
+                1 => v as f64 / 4.0,
+                2 => 0.25,
+                3 => i as f64,
+                _ => -(i as f64),
+            })
+            .collect();
+        let n = scores.len();
+        let full = sort_indices_desc(&scores);
+        for k in [k, 0, 1, n.saturating_sub(1), n, n + 1] {
+            prop_assert_eq!(top_k_indices(&scores, k), &full[..k.min(n)], "k={}", k);
+        }
     }
 
     #[test]
