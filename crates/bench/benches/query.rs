@@ -20,13 +20,32 @@
 //! selective_venue_200k ≥ 10` by min wall-clock; `repro bench-check`
 //! gates the recorded ratio alongside +25% min-ns regressions of the
 //! non-reference entries.
+//!
+//! On the 200k corpus's real `cc` vector (long tie runs — the hardest of
+//! the three served vectors for a threshold), the block-pruned arm
+//! (ISSUE 19):
+//!
+//! * `unfiltered_200k` / `unfiltered_page2_200k` — the global top 10 and
+//!   the page behind its cursor through `query_at`: a walk over the
+//!   epoch's block maxima that reads about `k` blocks of 64 scores;
+//! * `unfiltered_stream_200k` — the summary-less `top_k_indices` on the
+//!   same slice, which reads every score. `repro bench-check` gates
+//!   `unfiltered_stream_200k / unfiltered_200k ≥ 4`
+//!   (`query/block_pruned_speedup`);
+//! * `pruned_*_200k` / `stream_*_200k` — the inputs on which the walk
+//!   prunes nothing and must cost what the plain stream costs (≤ 1.1×):
+//!   a `k` at the block count, a cursor 5,000 hits deep with its exact
+//!   `matched`, and a `k = 0` count behind that cursor.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use citegen::{generate, DatasetProfile};
 use citegraph::{CitationNetwork, VenueId};
 use rankengine::{Query, QueryEngine, RerankPolicy};
-use sparsela::{sort_indices_desc, top_k_masked, IdMask};
+use sparsela::{
+    sort_indices_desc, top_k_indices_into, top_k_masked, top_k_pruned_into, top_k_where_into,
+    BlockMaxima, Frontier, IdMask, BLOCK_LEN,
+};
 
 /// The most-populated venue — a *selective* predicate that still has
 /// comfortably more than k matches.
@@ -85,6 +104,73 @@ fn bench_query(c: &mut Criterion) {
             group.bench_function(format!("masked_venue_{label}"), |b| {
                 b.iter(|| black_box(top_k_masked(snap.scores().as_slice(), &mask, 10)))
             });
+
+            // The block-pruned arm against the stream it replaced.
+            let all_q: Query = "k=10".parse().unwrap();
+            group.bench_function(format!("unfiltered_{label}"), |b| {
+                b.iter(|| black_box(qe.query_at(&snap, black_box(&all_q)).unwrap()))
+            });
+            let page2_q = Query {
+                cursor: qe.query_at(&snap, &all_q).unwrap().next,
+                ..all_q.clone()
+            };
+            assert!(page2_q.cursor.is_some(), "the corpus has a second page");
+            group.bench_function(format!("unfiltered_page2_{label}"), |b| {
+                b.iter(|| black_box(qe.query_at(&snap, black_box(&page2_q)).unwrap()))
+            });
+            let scores = snap.scores().as_slice();
+            let mut out = Vec::new();
+            group.bench_function(format!("unfiltered_stream_{label}"), |b| {
+                b.iter(|| top_k_indices_into(black_box(scores), 10, &mut out))
+            });
+
+            // Where the walk cannot prune it must cost the plain stream.
+            let maxima = BlockMaxima::new(scores);
+            let all = 0..scores.len() as u32;
+            let n_blocks = scores.len().div_ceil(BLOCK_LEN);
+            group.bench_function(format!("pruned_k_blocks_{label}"), |b| {
+                b.iter(|| top_k_pruned_into(scores, &maxima, all.clone(), n_blocks, None, &mut out))
+            });
+            group.bench_function(format!("stream_k_blocks_{label}"), |b| {
+                b.iter(|| top_k_indices_into(black_box(scores), n_blocks, &mut out))
+            });
+            top_k_indices_into(scores, 5_000, &mut out);
+            let last = *out.last().expect("5,000 hits deep");
+            let deep = Frontier {
+                score: scores[last as usize],
+                id: last,
+                scale: 1.0,
+                base: 0,
+            };
+            // The stream's frontier test, counting its matches, as the
+            // engine ran it before the walk (and still does under a facet
+            // residual).
+            let stream_after = |k: usize, out: &mut Vec<u32>| {
+                let mut matched = 0usize;
+                let mut after = |id: u32| {
+                    let ok = deep.admits(scores[id as usize], id);
+                    matched += ok as usize;
+                    ok
+                };
+                if k == 0 {
+                    all.clone().for_each(|id| {
+                        after(id);
+                    });
+                } else {
+                    top_k_where_into(scores, all.clone(), k, after, out);
+                }
+                matched
+            };
+            for (name, k) in [("deep_cursor", 10), ("deep_count", 0)] {
+                group.bench_function(format!("pruned_{name}_{label}"), |b| {
+                    b.iter(|| {
+                        top_k_pruned_into(scores, &maxima, all.clone(), k, Some(&deep), &mut out)
+                    })
+                });
+                group.bench_function(format!("stream_{name}_{label}"), |b| {
+                    b.iter(|| black_box(stream_after(k, &mut out)))
+                });
+            }
         }
 
         // The pre-query-layer reference: materialize the full ranking,

@@ -89,9 +89,9 @@ pub fn is_guarded(r: &BenchRecord) -> bool {
     r.group == "top_k"
         || r.id.starts_with("stochastic_apply")
         || (r.group == "store_load" && r.id.starts_with("first_topk_store"))
-        // The query group is guarded except its naive reference rows
-        // (post_filter_*), which exist only to form the speedup ratio.
-        || (r.group == "query" && !r.id.starts_with("post_filter"))
+        // The query group is guarded except its reference rows
+        // (post_filter_*, *stream_*), which exist only to form ratios.
+        || (r.group == "query" && !(r.id.starts_with("post_filter") || r.id.contains("stream_")))
         // The sharded group is guarded except its unsharded/scan
         // reference rows, which exist only to form the speedup ratios.
         || (r.group == "sharded" && !(r.id.contains("unsharded") || r.id.contains("scan")))
@@ -159,6 +159,10 @@ pub const GATES: &[Gate] = &[
     // ISSUE 5: a selective filtered query at k=10 vs filtering the materialized full ranking.
     Gate { group: "query", name: "filtered_speedup", bound: Bound::Floor(10.0),
            numerator: "post_filter_200k", denominator: "selective_venue_200k" },
+    // ISSUE 19: the global top 10 on the real `cc` vector, the walk over the epoch's block
+    // maxima (whole query path) vs the summary-less stream that reads every score.
+    Gate { group: "query", name: "block_pruned_speedup", bound: Bound::Floor(4.0),
+           numerator: "unfiltered_stream_200k", denominator: "unfiltered_200k" },
     // ISSUE 6: a year-filtered top-k, 8 shards pruned vs the unsharded scan.
     Gate { group: "sharded", name: "pruned_speedup", bound: Bound::Floor(3.0),
            numerator: "year_filtered_scan_200k", denominator: "year_filtered_8shard_200k" },
@@ -327,8 +331,12 @@ mod tests {
         assert!(is_guarded(&rec("selective_author_50k")));
         assert!(is_guarded(&rec("broad_year_200k")));
         assert!(is_guarded(&rec("masked_venue_200k")));
+        assert!(is_guarded(&rec("unfiltered_200k")));
+        assert!(is_guarded(&rec("pruned_deep_cursor_200k")));
         assert!(!is_guarded(&rec("post_filter_200k")));
         assert!(!is_guarded(&rec("post_filter_50k")));
+        assert!(!is_guarded(&rec("unfiltered_stream_200k")));
+        assert!(!is_guarded(&rec("stream_deep_count_200k")));
     }
 
     #[test]
@@ -583,7 +591,7 @@ mod tests {
         // each table row must resolve there (and hold).
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
         let baseline = parse_records(&std::fs::read_to_string(path).expect("baseline"));
-        assert_eq!(GATES.len(), 12);
+        assert_eq!(GATES.len(), 13);
         for g in GATES {
             let ratio = g.ratio(&baseline);
             assert!(

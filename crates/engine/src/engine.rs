@@ -5,7 +5,11 @@
 //! stochastic operator is built once and cached per state), a
 //! [`KernelWorkspace`] buffer pool for allocation-free re-ranks, and the
 //! configured ranking method. Scores are published as immutable
-//! [`EpochSnapshot`]s behind an `Arc` swap: readers grab the current `Arc`
+//! [`EpochSnapshot`]s behind an `Arc` swap — each frozen together with
+//! the per-block maxima of its scores (one extra `O(n)` pass per publish,
+//! ~0.1 ms per 200k papers), which is what lets every unfiltered, cursor
+//! and year-window page of the epoch skip the blocks that cannot reach
+//! it. Readers grab the current `Arc`
 //! (one `RwLock` read + one refcount bump, never blocked by a running
 //! re-rank) and answer `top_k` / `rank_of` queries against a frozen epoch,
 //! while the single writer folds [`GraphDelta`] batches in and publishes
@@ -18,7 +22,7 @@
 //! use-case (§1) calls for.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::thread;
 use std::time::Instant;
@@ -28,7 +32,7 @@ use citegraph::{
     CitationNetwork, DeltaError, DeltaStrategy, GraphDelta, PaperId, PushRankConfig, Year,
 };
 use graphstore::{DeltaWal, Store, StoreBuilder, StoreError};
-use sparsela::{top_k_indices, KernelWorkspace, ScoreVec};
+use sparsela::{top_k_pruned_into, BlockMaxima, KernelWorkspace, ScoreVec};
 
 use crate::metrics::EngineInstruments;
 use crate::registry::{self, BoxedRanker};
@@ -159,6 +163,17 @@ pub(crate) struct EpochLineage {
     pub(crate) delta: Arc<GraphDelta>,
 }
 
+/// A frozen ranking vector with the block-maxima summary built when it was
+/// frozen — an epoch's scores or a cached personalized solve. What the
+/// query layer's range-driven selection arms read.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ranking<'a> {
+    /// The scores, indexed by (partition-local) paper id.
+    pub(crate) scores: &'a [f64],
+    /// Their per-block maxima.
+    pub(crate) maxima: &'a BlockMaxima,
+}
+
 /// One immutable published ranking state.
 ///
 /// Snapshots are shared via `Arc`; everything here is read-only after
@@ -174,9 +189,18 @@ pub(crate) struct EpochLineage {
 #[derive(Debug)]
 pub struct EpochSnapshot {
     epoch: u64,
+    /// Process-unique identity of this snapshot: epoch numbers repeat
+    /// across engines and addresses are reused across publishes, this
+    /// never is — what per-epoch derived state held outside the snapshot
+    /// (a caller-owned scratch's posting pools and masks) is keyed by.
+    uid: u64,
     strategy: RerankStrategy,
     net: Arc<CitationNetwork>,
     scores: ScoreVec,
+    /// Per-block maxima of `scores`, built with the snapshot (one `O(n)`
+    /// pass per publish): every unfiltered, cursor and year-window page
+    /// of this epoch skips the blocks that cannot reach it.
+    maxima: BlockMaxima,
     /// `positions[p]` = 0-based rank position of paper `p`, built on the
     /// first `rank_of` call (a top-k-only reader never pays for it).
     positions: OnceLock<Vec<u32>>,
@@ -231,10 +255,27 @@ impl EpochSnapshot {
         self.scores.as_slice().get(p as usize).copied()
     }
 
+    /// This snapshot's process-unique identity.
+    pub(crate) fn uid(&self) -> u64 {
+        self.uid
+    }
+
+    /// The score vector with its block-maxima summary.
+    pub(crate) fn ranking(&self) -> Ranking<'_> {
+        Ranking {
+            scores: self.scores.as_slice(),
+            maxima: &self.maxima,
+        }
+    }
+
     /// Ids of the `k` highest-scoring papers in decreasing order, via
-    /// partial selection — no full sort of all `n` scores.
+    /// block-pruned partial selection — no full sort, and no read of a
+    /// block whose maximum cannot reach the top `k`.
     pub fn top_k(&self, k: usize) -> Vec<PaperId> {
-        top_k_indices(self.scores.as_slice(), k)
+        let mut out = Vec::new();
+        let all = 0..self.scores.len() as PaperId;
+        top_k_pruned_into(self.scores.as_slice(), &self.maxima, all, k, None, &mut out);
+        out
     }
 
     /// 1-based rank of paper `p` (1 = best), `None` for an out-of-range id.
@@ -944,6 +985,8 @@ impl RankingEngine {
         Self::freeze_with(epoch, net, scores, strategy, None)
     }
 
+    /// The one place a snapshot is frozen — initial rank, publish and
+    /// restore alike — so the scores' summary can never be stale.
     fn freeze_with(
         epoch: u64,
         net: &Arc<CitationNetwork>,
@@ -951,10 +994,13 @@ impl RankingEngine {
         strategy: RerankStrategy,
         lineage: Option<EpochLineage>,
     ) -> Arc<EpochSnapshot> {
+        static NEXT_UID: AtomicU64 = AtomicU64::new(0);
         Arc::new(EpochSnapshot {
             epoch,
+            uid: NEXT_UID.fetch_add(1, Ordering::Relaxed),
             strategy,
             net: net.clone(),
+            maxima: BlockMaxima::new(scores.as_slice()),
             scores,
             positions: OnceLock::new(),
             lineage,

@@ -24,6 +24,7 @@ use obsv::{
 };
 
 use graphstore::WalObservers;
+use sparsela::BlockWalk;
 
 use crate::admission::AdmissionStats;
 use crate::personalization::CacheStats;
@@ -74,6 +75,24 @@ pub const PLAN_CACHE_LABELS: [&str; 4] = ["hit", "miss", "stale", "evict"];
 /// either built its successor network or adopted the one a sibling
 /// method's engine had just built from the same parent and batch.
 pub const SUCCESSOR_LABELS: [&str; 2] = ["built", "shared"];
+
+/// Label values of the block-walk `outcome` axis: blocks of a
+/// range-driven selection whose ids were read, and blocks the block
+/// maxima let it skip. `skipped / (scanned + skipped)` is what the
+/// summaries save; a `scanned` share near 1 is a walk that prunes nothing.
+pub const SELECT_BLOCK_LABELS: [&str; 2] = ["scanned", "skipped"];
+
+/// Adds one selection's block counts to a [`SELECT_BLOCK_LABELS`] family.
+/// Selections that walked no range (posting-list and mask drivers) touch
+/// no counter.
+pub(crate) fn record_blocks(blocks: &CounterVec, walk: &BlockWalk) {
+    if walk.blocks_in_range > 0 {
+        blocks.at(0).add(walk.blocks_scanned as u64);
+        blocks
+            .at(1)
+            .add((walk.blocks_in_range - walk.blocks_scanned) as u64);
+    }
+}
 
 /// Label values of the sharded query `shape` axis.
 pub const SHAPE_LABELS: [&str; 4] = ["unfiltered", "year_range", "faceted", "seeded"];
@@ -139,6 +158,9 @@ pub struct ServingMetrics {
     /// Cursor validation failures by kind
     /// (`attrank_cursor_errors_total`).
     pub cursor_errors: CounterVec,
+    /// Blocks read and skipped by range-driven selections
+    /// (`attrank_select_blocks_total`).
+    pub select_blocks: CounterVec,
     /// Plan-cache outcomes (`attrank_plan_cache_events_total`),
     /// refreshed at render.
     pub plan_cache_events: CounterVec,
@@ -207,6 +229,12 @@ impl ServingMetrics {
                 "Cursor validation failures by kind",
                 "kind",
                 &CURSOR_ERROR_LABELS,
+            ),
+            select_blocks: registry.counter_vec(
+                "attrank_select_blocks_total",
+                "Score blocks of range-driven selections, read vs skipped by block maxima",
+                "outcome",
+                &SELECT_BLOCK_LABELS,
             ),
             plan_cache_events: registry.counter_vec(
                 "attrank_plan_cache_events_total",
@@ -399,6 +427,9 @@ pub struct ShardedServingMetrics {
     /// Per-query latency by query shape
     /// (`attrank_sharded_query_seconds`).
     pub query_seconds: HistogramVec,
+    /// Blocks read and skipped by range-driven selections, summed over
+    /// the shards a query scanned (`attrank_sharded_select_blocks_total`).
+    pub select_blocks: CounterVec,
     /// Personalization cache outcomes across shard solves
     /// (`attrank_sharded_cache_outcomes_total`), refreshed at render.
     pub cache_outcomes: CounterVec,
@@ -429,6 +460,12 @@ impl ShardedServingMetrics {
                 "shape",
                 &SHAPE_LABELS,
                 &LATENCY_BOUNDS_NS,
+            ),
+            select_blocks: registry.counter_vec(
+                "attrank_sharded_select_blocks_total",
+                "Score blocks of sharded range-driven selections, read vs skipped by block maxima",
+                "outcome",
+                &SELECT_BLOCK_LABELS,
             ),
             cache_outcomes: registry.counter_vec(
                 "attrank_sharded_cache_outcomes_total",

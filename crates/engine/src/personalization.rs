@@ -7,7 +7,10 @@
 //! same epoch many times. The cache turns that workload into three tiers:
 //!
 //! * **hit** — the entry was solved on exactly the requested epoch: serve
-//!   the `Arc`'d vector with zero solve work;
+//!   the `Arc`'d vector with zero solve work — and, to the engines, the
+//!   block maxima built when the entry was inserted, so a seeded page is
+//!   block-pruned like an unseeded one instead of re-scanning the vector
+//!   it just got for free;
 //! * **warm re-push** — the entry was solved on the epoch's *parent*
 //!   (recorded in the snapshot's lineage): every entry keeps its
 //!   *unresolved* form (pure-citation part + dangling mass,
@@ -37,9 +40,9 @@ use citegraph::{
     personalize, repersonalize, uniform_kernel, update_uniform_kernel, PaperId, PushRankConfig,
     SeedPersonalization, WarmStart,
 };
-use sparsela::{KernelWorkspace, ScoreVec};
+use sparsela::{BlockMaxima, KernelWorkspace, ScoreVec};
 
-use crate::engine::EpochSnapshot;
+use crate::engine::{EpochSnapshot, Ranking};
 
 /// Capacity/memory bounds and solve tuning for a [`PersonalizationCache`].
 #[derive(Debug, Clone, Copy)]
@@ -47,9 +50,10 @@ pub struct CacheConfig {
     /// Maximum number of cached personalization vectors (LRU-evicted).
     pub capacity: usize,
     /// Memory bound over the cached vectors, in bytes. Each entry holds
-    /// the resolved scores plus (for push-solved entries) the unresolved
-    /// warm-start form; both are counted. Uniform kernels are per-`α`
-    /// singletons and are not.
+    /// the resolved scores, their block-maxima summary (1/64 of the
+    /// scores, in 8 KiB steps) plus (for push-solved entries) the
+    /// unresolved warm-start form; all are counted. Uniform kernels are
+    /// per-`α` singletons and are not.
     pub max_bytes: usize,
     /// Push tuning for cold solves, warm re-pushes, and kernel updates.
     pub push: PushRankConfig,
@@ -127,11 +131,37 @@ impl CacheKey {
     }
 }
 
+/// A cached personalized vector with the block-maxima summary built when
+/// it was inserted: what [`PersonalizationCache::ranking`] hands the query
+/// layer, so a seeded page prunes like an unseeded one.
+#[derive(Debug, Clone)]
+pub(crate) struct CachedRanking {
+    pub(crate) scores: Arc<ScoreVec>,
+    maxima: Arc<BlockMaxima>,
+}
+
+impl CachedRanking {
+    fn new(scores: ScoreVec) -> Self {
+        Self {
+            maxima: Arc::new(BlockMaxima::new(scores.as_slice())),
+            scores: Arc::new(scores),
+        }
+    }
+
+    /// The borrowed form the selection block reads.
+    pub(crate) fn view(&self) -> Ranking<'_> {
+        Ranking {
+            scores: self.scores.as_slice(),
+            maxima: &self.maxima,
+        }
+    }
+}
+
 struct CacheEntry {
     /// Epoch the vector was solved on (must match the serving snapshot,
     /// directly or through one lineage hop).
     epoch: u64,
-    scores: Arc<ScoreVec>,
+    ranking: CachedRanking,
     /// Warm-start form (unresolved pure-citation part) — `None` for
     /// fallback-solved entries, which can only be revalidated cold.
     raw: Option<Arc<ScoreVec>>,
@@ -143,7 +173,7 @@ struct CacheEntry {
 impl CacheEntry {
     fn bytes(&self) -> usize {
         let raw = self.raw.as_ref().map_or(0, |r| r.len());
-        (self.scores.len() + raw) * std::mem::size_of::<f64>()
+        (self.ranking.scores.len() + raw) * std::mem::size_of::<f64>() + self.ranking.maxima.bytes()
     }
 }
 
@@ -224,6 +254,19 @@ impl PersonalizationCache {
         seed: &SeedPersonalization,
         alpha: f64,
     ) -> (Arc<ScoreVec>, CacheOutcome) {
+        let (ranking, outcome) = self.ranking(method, snap, seed, alpha);
+        (ranking.scores, outcome)
+    }
+
+    /// [`Self::scores`] with the entry's block-maxima summary — the form
+    /// the engines serve seeded pages from.
+    pub(crate) fn ranking(
+        &self,
+        method: &str,
+        snap: &EpochSnapshot,
+        seed: &SeedPersonalization,
+        alpha: f64,
+    ) -> (CachedRanking, CacheOutcome) {
         let key = CacheKey::new(method, seed);
         // Fast path under the lock: exact-epoch hit, or a warm-start
         // candidate to re-push outside the lock.
@@ -232,10 +275,10 @@ impl PersonalizationCache {
             inner.tick += 1;
             let tick = inner.tick;
             match inner.entries.get_mut(&key) {
-                Some(e) if e.epoch == snap.epoch() && e.scores.len() == snap.n_papers() => {
+                Some(e) if e.epoch == snap.epoch() && e.ranking.scores.len() == snap.n_papers() => {
                     e.last_used = tick;
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return (e.scores.clone(), CacheOutcome::Hit);
+                    return (e.ranking.clone(), CacheOutcome::Hit);
                 }
                 Some(e) => snap.lineage().and_then(|lin| match &e.raw {
                     Some(raw)
@@ -269,16 +312,16 @@ impl PersonalizationCache {
                 &self.config.push,
                 &mut ws,
             ) {
-                let scores = Arc::new(solved.scores);
+                let ranking = CachedRanking::new(solved.scores);
                 self.insert(
                     key,
                     snap.epoch(),
-                    scores.clone(),
+                    ranking.clone(),
                     solved.raw.map(Arc::new),
                     solved.dangling_mass,
                 );
                 self.warm_repushes.fetch_add(1, Ordering::Relaxed);
-                return (scores, CacheOutcome::WarmRepush);
+                return (ranking, CacheOutcome::WarmRepush);
             }
         }
 
@@ -297,15 +340,15 @@ impl PersonalizationCache {
             self.cold_pushes.fetch_add(1, Ordering::Relaxed);
             CacheOutcome::ColdPush
         };
-        let scores = Arc::new(solved.scores);
+        let ranking = CachedRanking::new(solved.scores);
         self.insert(
             key,
             snap.epoch(),
-            scores.clone(),
+            ranking.clone(),
             solved.raw.map(Arc::new),
             solved.dangling_mass,
         );
-        (scores, outcome)
+        (ranking, outcome)
     }
 
     /// The uniform kernel `u = (I − α·S)⁻¹·(1/n)·1` for `snap`'s network:
@@ -354,14 +397,14 @@ impl PersonalizationCache {
         kernel
     }
 
-    /// Stores a completed vector (with its warm-start form, when the
-    /// solve kept one) and evicts least-recently-used entries past the
-    /// capacity/memory bounds.
+    /// Stores a completed vector (with its summary, and its warm-start
+    /// form when the solve kept one) and evicts least-recently-used
+    /// entries past the capacity/memory bounds.
     fn insert(
         &self,
         key: CacheKey,
         epoch: u64,
-        scores: Arc<ScoreVec>,
+        ranking: CachedRanking,
         raw: Option<Arc<ScoreVec>>,
         dangling_mass: f64,
     ) {
@@ -370,7 +413,7 @@ impl PersonalizationCache {
         let tick = inner.tick;
         let entry = CacheEntry {
             epoch,
-            scores,
+            ranking,
             raw,
             dangling_mass,
             last_used: tick,
@@ -557,19 +600,20 @@ mod tests {
             "s2 was evicted"
         );
 
-        // Byte bound: one 12-paper entry is 192 bytes (resolved vector
-        // plus its warm-start form); a 200-byte bound holds exactly one
-        // entry (the bound never evicts the last one).
+        // Byte bound: one 12-paper entry is 192 bytes of vectors (resolved
+        // plus warm-start form) and one 8 KiB step of block maxima; a
+        // bound one byte short of two entries holds exactly one.
+        let entry = 192 + 8192;
         let tight = PersonalizationCache::new(CacheConfig {
             capacity: 10,
-            max_bytes: 200,
+            max_bytes: 2 * entry - 1,
             ..permissive()
         });
         tight.scores("m", &snap, &s1, 0.5);
         tight.scores("m", &snap, &s2, 0.5);
         let stats = tight.stats();
         assert_eq!(stats.entries, 1);
-        assert!(stats.bytes <= 200);
+        assert_eq!(stats.bytes, entry);
     }
 
     #[test]

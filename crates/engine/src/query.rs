@@ -63,15 +63,21 @@
 //!   AND across, year range) pushed down to word-wide [`IdMask`] set
 //!   operations via [`citegraph::FacetExpr`]; no residuals remain.
 //!
-//! A query with no predicates and no cursor is the same streaming
-//! selection over the whole score vector ([`sparsela::top_k_indices`]);
-//! a year window with no facet residual and no cursor streams its id
-//! range with no per-id predicate. [`QueryEngine::explain`] surfaces the
-//! chosen driver, its exact (or bounded) candidate count, the estimated
-//! cost, and the surviving residual checks.
+//! A range with no facet residual — the whole vector, a year window,
+//! either one resumed behind a cursor — is not streamed at all: every
+//! frozen score vector carries per-block maxima
+//! ([`sparsela::BlockMaxima`], built with the epoch snapshot or the
+//! personalization-cache entry), and [`sparsela::top_k_pruned_into`]
+//! reads only the blocks that can reach the page, counting what lies
+//! behind the cursor by blocks. Such plans are priced by blocks, not by
+//! ids. A scan under a venue or author residual needs every id for its
+//! match count and keeps the plain stream. [`QueryEngine::explain`]
+//! surfaces the chosen driver, its exact (or bounded) candidate count,
+//! the estimated cost, and the surviving residual checks.
 //!
 //! Planning and selection work on a *partition* of the id space —
-//! network, first global id, score slice, score scale — so there is one
+//! network, first global id, score slice with its block maxima, score
+//! scale — so there is one
 //! read path in the crate: `validate_facets` checks facet ids against
 //! the partition set, `price_partition` prices one partition,
 //! `select_partition` runs the chosen driver over it. A [`QueryEngine`]
@@ -106,15 +112,18 @@ use citegraph::{
 };
 use obsv::MetricsRegistry;
 use sparsela::{
-    cmp_score_desc, top_k_filtered_into, top_k_indices_into, top_k_where_into, IdMask, ScoreVec,
+    top_k_filtered_into, top_k_pruned_into, top_k_where_into, BlockWalk, Frontier, IdMask,
+    BLOCK_LEN,
 };
 
 use crate::admission::{
     AdmissionController, AdmissionPolicy, AdmissionStats, AdmissionTicket, CostedQuery,
 };
-use crate::engine::{EngineError, EpochSnapshot, IngestReport, RankingEngine, RerankPolicy};
-use crate::metrics::{driver_index, ServingMetrics};
-use crate::personalization::{CacheConfig, CacheStats, PersonalizationCache};
+use crate::engine::{
+    EngineError, EpochSnapshot, IngestReport, Ranking, RankingEngine, RerankPolicy,
+};
+use crate::metrics::{driver_index, record_blocks, ServingMetrics};
+use crate::personalization::{CacheConfig, CacheStats, CachedRanking, PersonalizationCache};
 use crate::spec::{MethodSpec, SpecError};
 
 /// A filtered, paginated top-k request.
@@ -1113,16 +1122,16 @@ pub struct QueryScratch {
     candidates: Vec<PaperId>,
     /// Pre-residual banded posting union, keyed by `pool_key`.
     pool: Vec<PaperId>,
-    /// Identity of the pool's contents: (driver-kind/id hash, network
-    /// address). `None` when the pool holds nothing reusable.
-    pool_key: Option<(u64, usize)>,
+    /// Identity of the pool's contents: (driver-kind/id hash, snapshot
+    /// uid). `None` when the pool holds nothing reusable.
+    pool_key: Option<(u64, u64)>,
     /// Selection kernel output buffer: the partition-local ids
     /// [`select_partition`] picked, best first.
     pub(crate) select: Vec<u32>,
     /// Facet mask storage, keyed by `mask_key`.
     mask: IdMask,
     /// Identity of the mask's contents, like `pool_key`.
-    mask_key: Option<(u64, usize)>,
+    mask_key: Option<(u64, u64)>,
     /// Second mask for AND-composition during mask builds.
     mask_tmp: IdMask,
     /// Seed sort buffer for fingerprint normalization.
@@ -1311,6 +1320,22 @@ fn author_postings(net: &CitationNetwork, a: AuthorId) -> &[PaperId] {
         .map_or(&[], |t| t.papers_of(a))
 }
 
+/// Price of a range scan with no facet residual — the plans
+/// [`select_partition`] runs through the block walk — in `scan_per_id`
+/// units, so a re-fit model moves it with every other scan: about four
+/// ids' worth per block in range (its maximum is read by the pre-pass and
+/// again by the walk) plus the blocks a page reads and the selection over
+/// them, about 4096 ids' worth (fitted on the 200k-paper `cc` vector at
+/// `k = 10`: 21.6 µs priced, 12–24 µs measured; 8.2 µs priced for a
+/// 36k-id year window, 7–9 µs measured). Independent of `k` and of a
+/// cursor's depth — plans are cached without either — and never above
+/// the plain stream's `len` ids, which is what a range too short to
+/// prune costs.
+fn pruned_scan_ns(len: usize, cost: &CostModel) -> f64 {
+    let by_blocks = 4.0 * len.div_ceil(BLOCK_LEN) as f64 + 4096.0;
+    (len as f64).min(by_blocks) * cost.scan_per_id
+}
+
 /// Prices every execution shape of `q` over **one partition** (a flat
 /// engine's corpus or one shard's band) and picks the cheapest. `facets`
 /// holds the query's deduplicated facet lists
@@ -1339,8 +1364,8 @@ pub(crate) fn price_partition(
 
     if q.is_unfiltered() {
         return if resumed {
-            // Position-only restriction: one sequential scan.
-            let cost_ns = year_len as f64 * cost.scan_per_id;
+            // Position-only restriction: one block walk.
+            let cost_ns = pruned_scan_ns(year_len, cost);
             QueryPlan {
                 driver: QueryDriver::IdRange {
                     start: year_range.start,
@@ -1356,7 +1381,7 @@ pub(crate) fn price_partition(
                 }],
             }
         } else {
-            let cost_ns = net.n_papers() as f64 * cost.scan_per_id;
+            let cost_ns = pruned_scan_ns(net.n_papers(), cost);
             QueryPlan {
                 driver: QueryDriver::Unfiltered,
                 candidates: net.n_papers(),
@@ -1397,9 +1422,13 @@ pub(crate) fn price_partition(
     // priced shape lands in the table; `best` tracks the cheapest
     // *eligible* one (the scan shape is ineligible under `forbid_scan`).
     let mut table: Vec<PlanCandidate> = Vec::with_capacity(4);
-    // An author residual over a scan builds the OR-mask first.
-    let idrange_cost =
-        year_len as f64 * cost.scan_per_id + author_inserts as f64 * cost.mask_insert;
+    // A pure year window is a block walk; a facet residual reads every
+    // id of the range, and an author residual builds the OR-mask first.
+    let idrange_cost = if venues.is_empty() && authors.is_empty() {
+        pruned_scan_ns(year_len, cost)
+    } else {
+        year_len as f64 * cost.scan_per_id + author_inserts as f64 * cost.mask_insert
+    };
     table.push(PlanCandidate {
         driver: "id_range",
         cost_ns: idrange_cost,
@@ -1524,14 +1553,14 @@ pub(crate) fn price_partition(
 
 /// Executes `q` against one pinned snapshot. `method` is the resolved
 /// method label (for the page header and the cursor fingerprint).
-/// `scores` is the ranking vector to select over — the snapshot's own
-/// global scores, or a personalized vector of the same length solved on
-/// the same epoch.
+/// `ranking` is the vector to select over — the snapshot's own global
+/// scores, or a personalized vector of the same length solved on the
+/// same epoch.
 fn execute(
     snap: &EpochSnapshot,
     method: &str,
     q: &Query,
-    scores: &[f64],
+    ranking: Ranking<'_>,
     cost: &CostModel,
 ) -> Result<Page, QueryError> {
     let mut scratch = QueryScratch::new();
@@ -1544,7 +1573,7 @@ fn execute(
         method,
         q,
         q.k,
-        scores,
+        ranking,
         &plan,
         fp,
         cursor_pos,
@@ -1607,16 +1636,21 @@ const KEY_FACET_MASK: u8 = 4;
 
 /// Identity of a scratch-materialized posting pool or facet mask: an
 /// FNV-1a hash over the driver kind, its id lists and the year band,
-/// paired with the network's address (distinct epochs serve distinct
-/// network allocations). Consecutive batch members sharing a filter
-/// compare keys and skip the posting-band gather or mask build.
+/// paired with the process-unique id of the snapshot it was gathered from
+/// ([`EpochSnapshot::uid`]). Consecutive queries sharing a filter on one
+/// epoch compare keys and skip the posting-band gather or mask build.
+///
+/// The second half used to be the network's address. A caller-owned
+/// scratch outlives publishes, and the allocator may hand a freed
+/// network's address to a successor (ABA) — another epoch's pool served
+/// as this one's. A uid is never reused, and holds on to nothing.
 fn content_key(
     kind: u8,
     a: &[u32],
     b: &[u32],
     range: &std::ops::Range<u32>,
-    net: &CitationNetwork,
-) -> (u64, usize) {
+    epoch_uid: u64,
+) -> (u64, u64) {
     let mut h = Fnv::new();
     h.eat(&[kind]);
     h.eat_u64(range.start as u64);
@@ -1629,7 +1663,7 @@ fn content_key(
     for &id in b {
         h.eat_u64(id as u64);
     }
-    (h.0, net as *const CitationNetwork as usize)
+    (h.0, epoch_uid)
 }
 
 /// Builds the whole-predicate facet mask — OR within classes, AND
@@ -1688,11 +1722,15 @@ fn build_facet_mask(
 pub(crate) struct Partition<'a> {
     /// The partition's network (metadata tables, year index).
     pub net: &'a CitationNetwork,
+    /// [`EpochSnapshot::uid`] of the snapshot `net` and `ranking` belong
+    /// to: what the scratch's gathered pools and masks are keyed by.
+    pub epoch_uid: u64,
     /// Global id of the partition's local id 0.
     pub start: PaperId,
-    /// The ranking vector to select over, indexed by local id: the
-    /// snapshot's own scores or a personalized solve on its epoch.
-    pub scores: &'a [f64],
+    /// The ranking vector to select over, indexed by local id, with its
+    /// block maxima: the snapshot's own scores or a personalized solve on
+    /// its epoch.
+    pub ranking: Ranking<'a>,
     /// Multiplier that puts `scores` on the scale the frontier (and the
     /// other partitions' runs) compare under — a seeded shard's share of
     /// the global seed mass. Positive, so the in-partition order the
@@ -1704,10 +1742,17 @@ pub(crate) struct Partition<'a> {
 /// this partition by [`price_partition`] — over `part` and leaves the
 /// best `k` partition-local ids strictly after `frontier` in
 /// `scratch.select`, best first. Returns how many candidates matched the
-/// filters at and after the frontier. `scratch` holds the query's
-/// deduplicated facet lists ([`QueryScratch::set_facets`]); every other
-/// buffer is this function's working set, so a steady-state call
-/// performs zero heap allocations.
+/// filters at and after the frontier (and, for the block-pruned arms, how
+/// many blocks the walk read of how many the range spans). `scratch`
+/// holds the query's deduplicated facet lists
+/// ([`QueryScratch::set_facets`]); every other buffer is this function's
+/// working set, so a steady-state call performs zero heap allocations.
+///
+/// A range with no facet residual — everything, a year window, either one
+/// resumed behind a cursor — goes through [`top_k_pruned_into`] over the
+/// vector's block maxima: the frontier is the only per-id test, and the
+/// walk counts it by blocks. A venue or author residual needs every id
+/// for its count and keeps the plain stream.
 ///
 /// Within one partition, ordering ties by local id equals ordering them
 /// by global id (`global = start + local` is monotone), so the ids a
@@ -1719,8 +1764,8 @@ pub(crate) fn select_partition(
     plan: &QueryPlan,
     frontier: Option<(f64, PaperId)>,
     scratch: &mut QueryScratch,
-) -> usize {
-    let (net, scores) = (part.net, part.scores);
+) -> BlockWalk {
+    let (net, Ranking { scores, maxima }) = (part.net, part.ranking);
     debug_assert_eq!(scores.len(), net.n_papers());
     let QueryScratch {
         venues,
@@ -1739,13 +1784,13 @@ pub(crate) fn select_partition(
     // residual walks the paper's (collapsed) author row.
     let venues: &[VenueId] = venues;
     let authors: &[AuthorId] = authors;
-    let after_cursor = |id: u32| match frontier {
-        None => true,
-        Some((cs, cid)) => {
-            cmp_score_desc(scores[id as usize] * part.scale, part.start + id, cs, cid)
-                == std::cmp::Ordering::Greater
-        }
-    };
+    let frontier = frontier.map(|(score, id)| Frontier {
+        score,
+        id,
+        scale: part.scale,
+        base: part.start,
+    });
+    let after_cursor = |id: u32| frontier.is_none_or(|f| f.admits(scores[id as usize], id));
     let venue_ok = |id: u32| {
         venues.is_empty()
             || net
@@ -1760,29 +1805,32 @@ pub(crate) fn select_partition(
                 .is_some_and(|t| t.authors_of(id).iter().any(|a| authors.contains(a)))
     };
     let range = net.id_range_for_years(q.year_min, q.year_max);
+    // The arms that enumerate candidates count them; only a walk counts
+    // blocks.
+    let counted = |matched: usize| BlockWalk {
+        matched,
+        ..BlockWalk::default()
+    };
     match &plan.driver {
         QueryDriver::Unfiltered => {
-            top_k_indices_into(scores, k, select);
-            net.n_papers()
+            let all = 0..net.n_papers() as u32;
+            top_k_pruned_into(scores, maxima, all, k, frontier.as_ref(), select)
         }
-        QueryDriver::IdRange { start, end }
-            if venues.is_empty() && authors.is_empty() && frontier.is_none() =>
-        {
-            // The range *is* the whole predicate (a pure year window):
-            // every id in it matches, so the kernel runs with no
-            // per-id test and the count is the range's length.
-            top_k_where_into(scores, *start..*end, k, |_| true, select);
-            (*end - *start) as usize
+        QueryDriver::IdRange { start, end } if venues.is_empty() && authors.is_empty() => {
+            // The range *is* the whole predicate (a year window, or a
+            // cursor over everything).
+            let ids = *start..*end;
+            top_k_pruned_into(scores, maxima, ids, k, frontier.as_ref(), select)
         }
         QueryDriver::IdRange { start, end } => {
-            // Residuals here are at most venue/author/cursor: the range
+            // Residuals here are venue/author (and cursor): the range
             // itself is the year predicate. The author residual is the
             // historical IdMask path: OR the authors' posting lists into
             // one membership mask, then test per candidate.
             let author_mask: Option<&IdMask> = if authors.is_empty() {
                 None
             } else {
-                let key = content_key(KEY_AUTHOR_FULL_MASK, authors, &[], &(0..0), net);
+                let key = content_key(KEY_AUTHOR_FULL_MASK, authors, &[], &(0..0), part.epoch_uid);
                 if *mask_key != Some(key) {
                     mask.reset(net.n_papers());
                     for &id in authors.iter().flat_map(|&a| author_postings(net, a)) {
@@ -1810,7 +1858,7 @@ pub(crate) fn select_partition(
             } else {
                 top_k_where_into(scores, *start..*end, k, pred, select);
             }
-            matched
+            counted(matched)
         }
         QueryDriver::VenueBands { venues: vs, .. } => {
             // One band probe per venue; venue lists are disjoint, so the
@@ -1818,7 +1866,7 @@ pub(crate) fn select_partition(
             // the band — only author and cursor residuals remain. The
             // pre-residual pool is keyed so batch members sharing the
             // filter reuse the gather.
-            let key = content_key(KEY_VENUE_BANDS, vs, &[], &range, net);
+            let key = content_key(KEY_VENUE_BANDS, vs, &[], &range, part.epoch_uid);
             if *pool_key != Some(key) {
                 pool.clear();
                 pool.extend(
@@ -1835,13 +1883,13 @@ pub(crate) fn select_partition(
                     .filter(|&id| author_ok(id) && after_cursor(id)),
             );
             top_k_filtered_into(scores, candidates, k, select);
-            candidates.len()
+            counted(candidates.len())
         }
         QueryDriver::AuthorBands { authors: aus, .. } => {
             // Band probes per author; co-authored papers appear in
             // several lists, so a multi-author union sort-dedups before
             // residual filtering (otherwise `matched` over-counts).
-            let key = content_key(KEY_AUTHOR_BANDS, aus, &[], &range, net);
+            let key = content_key(KEY_AUTHOR_BANDS, aus, &[], &range, part.epoch_uid);
             if *pool_key != Some(key) {
                 pool.clear();
                 pool.extend(
@@ -1862,13 +1910,13 @@ pub(crate) fn select_partition(
                     .filter(|&id| venue_ok(id) && after_cursor(id)),
             );
             top_k_filtered_into(scores, candidates, k, select);
-            candidates.len()
+            counted(candidates.len())
         }
         QueryDriver::MaskAlgebra { .. } => {
             // Whole-predicate pushdown: OR within classes, AND across
             // them and the year range, evaluated word-wide; the ones of
             // the final mask are the exact match set (before cursor).
-            let key = content_key(KEY_FACET_MASK, venues, authors, &range, net);
+            let key = content_key(KEY_FACET_MASK, venues, authors, &range, part.epoch_uid);
             if *mask_key != Some(key) {
                 build_facet_mask(net, venues, authors, q.year_min, q.year_max, mask, mask_tmp);
                 *mask_key = Some(key);
@@ -1876,7 +1924,7 @@ pub(crate) fn select_partition(
             candidates.clear();
             candidates.extend(mask.ones().filter(|&id| after_cursor(id)));
             top_k_filtered_into(scores, candidates, k, select);
-            candidates.len()
+            counted(candidates.len())
         }
     }
 }
@@ -1886,29 +1934,32 @@ pub(crate) fn select_partition(
 /// snapshot as **one** partition (no run buffer, no merge) and writes
 /// the page into `out` — zero heap allocations once `scratch` and `out`
 /// are warm. `k` is the page size to serve, which admission may have
-/// clamped below `q.k`.
+/// clamped below `q.k`. Returns the selection's counts.
 #[allow(clippy::too_many_arguments)]
 fn execute_plan_into(
     snap: &EpochSnapshot,
     method: &str,
     q: &Query,
     k: usize,
-    scores: &[f64],
+    ranking: Ranking<'_>,
     plan: &QueryPlan,
     fp: u64,
     cursor_pos: Option<(f64, PaperId)>,
     scratch: &mut QueryScratch,
     out: &mut PageBuf,
-) {
+) -> BlockWalk {
     let net = snap.network();
+    let scores = ranking.scores;
     let part = Partition {
         net,
+        epoch_uid: snap.uid(),
         start: 0,
-        scores,
+        ranking,
         scale: 1.0,
     };
     scratch.set_facets(q);
-    let matched = select_partition(&part, q, k, plan, cursor_pos, scratch);
+    let walk = select_partition(&part, q, k, plan, cursor_pos, scratch);
+    let matched = walk.matched;
 
     out.items.clear();
     out.items.extend(scratch.select.iter().map(|&id| Hit {
@@ -1929,6 +1980,13 @@ fn execute_plan_into(
     out.matched = matched;
     out.method.clear();
     out.method.push_str(method);
+    walk
+}
+
+/// The vector a query ranks by: its seeded solve when it has one, else
+/// the snapshot's own scores.
+fn ranking_of<'a>(snap: &'a EpochSnapshot, seeded: &'a Option<CachedRanking>) -> Ranking<'a> {
+    seeded.as_ref().map_or(snap.ranking(), CachedRanking::view)
 }
 
 /// One row of a two-method comparison.
@@ -2248,11 +2306,8 @@ impl QueryEngine {
         out: &mut PageBuf,
     ) -> Result<(), QueryError> {
         let seeded = self.seeded_scores(idx, snap, q)?;
-        let scores: &[f64] = match &seeded {
-            Some(s) => s.as_slice(),
-            None => snap.scores().as_slice(),
-        };
-        self.query_scored_into(self.engines[idx].0.as_str(), snap, q, scores, scratch, out)
+        let ranking = ranking_of(snap, &seeded);
+        self.query_scored_into(self.engines[idx].0.as_str(), snap, q, ranking, scratch, out)
     }
 
     /// The scored serve path: fingerprint, cursor validation, plan
@@ -2267,7 +2322,7 @@ impl QueryEngine {
         label: &str,
         snap: &EpochSnapshot,
         q: &Query,
-        scores: &[f64],
+        ranking: Ranking<'_>,
         scratch: &mut QueryScratch,
         out: &mut PageBuf,
     ) -> Result<(), QueryError> {
@@ -2304,13 +2359,14 @@ impl QueryEngine {
             plan = Arc::new(plan_shaped(snap.network(), q, &self.cost, true)?);
         }
         let k = ticket.as_ref().map_or(q.k, |t| t.k);
-        execute_plan_into(
-            snap, label, q, k, scores, &plan, fp, cursor_pos, scratch, out,
+        let walk = execute_plan_into(
+            snap, label, q, k, ranking, &plan, fp, cursor_pos, scratch, out,
         );
         if let (Some(m), Some(at)) = (serving, started) {
             m.query_seconds
                 .at(driver_index(&plan.driver))
                 .observe(at.elapsed());
+            record_blocks(&m.select_blocks, &walk);
         }
         Ok(())
     }
@@ -2325,7 +2381,7 @@ impl QueryEngine {
         idx: usize,
         snap: &EpochSnapshot,
         q: &Query,
-    ) -> Result<Option<Arc<ScoreVec>>, QueryError> {
+    ) -> Result<Option<CachedRanking>, QueryError> {
         if q.seeds.is_empty() {
             return Ok(None);
         }
@@ -2335,8 +2391,8 @@ impl QueryEngine {
         })?;
         let seed =
             SeedPersonalization::uniform(&q.seeds, snap.n_papers()).map_err(seed_error_to_query)?;
-        let (scores, _) = self.cache.scores(label, snap, &seed, alpha);
-        Ok(Some(scores))
+        let (ranking, _) = self.cache.ranking(label, snap, &seed, alpha);
+        Ok(Some(ranking))
     }
 
     /// Executes a query against the *current* snapshot of its method.
@@ -2480,7 +2536,7 @@ impl QueryEngine {
         });
         let mut out = PageBuf::new();
         // (engine idx, epoch, seed set) → one cache probe for the batch.
-        let mut seed_memo: Vec<(usize, u64, &[PaperId], Arc<ScoreVec>)> = Vec::new();
+        let mut seed_memo: Vec<(usize, u64, &[PaperId], CachedRanking)> = Vec::new();
         for w in 0..members.len() {
             let (qi, idx, snap) = members[w];
             let q = &queries[qi];
@@ -2492,29 +2548,26 @@ impl QueryEngine {
                 results[qi] = results[prev_qi].clone();
                 continue;
             }
-            let scores: Result<Option<Arc<ScoreVec>>, QueryError> = if q.seeds.is_empty() {
+            let seeded: Result<Option<CachedRanking>, QueryError> = if q.seeds.is_empty() {
                 Ok(None)
             } else if let Some((.., s)) = seed_memo
                 .iter()
                 .find(|(i, e, seeds, _)| *i == idx && *e == snap.epoch() && *seeds == q.seeds)
             {
-                Ok(Some(Arc::clone(s)))
+                Ok(Some(s.clone()))
             } else {
                 self.seeded_scores(idx, snap, q).inspect(|s| {
                     let s = s.as_ref().expect("seeds are non-empty");
-                    seed_memo.push((idx, snap.epoch(), &q.seeds, Arc::clone(s)));
+                    seed_memo.push((idx, snap.epoch(), &q.seeds, s.clone()));
                 })
             };
-            results[qi] = Some(scores.and_then(|seeded| {
-                let scores: &[f64] = match &seeded {
-                    Some(s) => s.as_slice(),
-                    None => snap.scores().as_slice(),
-                };
+            results[qi] = Some(seeded.and_then(|seeded| {
+                let ranking = ranking_of(snap, &seeded);
                 self.query_scored_into(
                     self.engines[idx].0.as_str(),
                     snap,
                     q,
-                    scores,
+                    ranking,
                     &mut scratch,
                     &mut out,
                 )
@@ -2546,10 +2599,14 @@ impl QueryEngine {
         let label_a = self.engines[idx_a].0.as_str();
         let snap_a = self.engines[idx_a].1.snapshot();
         let snap_b = engine_b.snapshot();
-        let page = match self.seeded_scores(idx_a, &snap_a, q)? {
-            Some(s) => execute(&snap_a, label_a, q, s.as_slice(), &self.cost)?,
-            None => execute(&snap_a, label_a, q, snap_a.scores().as_slice(), &self.cost)?,
-        };
+        let seeded = self.seeded_scores(idx_a, &snap_a, q)?;
+        let page = execute(
+            &snap_a,
+            label_a,
+            q,
+            ranking_of(&snap_a, &seeded),
+            &self.cost,
+        )?;
         let rows = page
             .items
             .iter()
@@ -3052,6 +3109,69 @@ mod tests {
         // And the OR/mask path sees the delta papers too.
         let page = qe.query(&"k=14,venue=0|5".parse().unwrap()).unwrap();
         assert!(ids(&page).contains(&12) && ids(&page).contains(&13));
+    }
+
+    #[test]
+    fn scratch_content_keys_are_bound_to_an_epoch_not_an_address() {
+        // A caller-owned scratch outlives publishes. Its pool and mask
+        // are keyed by content hash *and* origin, and the origin used to
+        // be the network's address, which the allocator may hand to a
+        // successor once the keyed network is freed — serving another
+        // epoch's mask. The shape with the most to lose is a scan under an
+        // author residual: its mask key hashes no year range, so two
+        // epochs differ in nothing but the origin.
+        let mut qe = engine();
+        qe.set_cost_model(CostModel {
+            scan_per_id: 1e-3,
+            mask_insert: 1e-3,
+            ..CostModel::default()
+        });
+        let q: Query = "k=20,author=2".parse().unwrap();
+        assert!(qe.explain(&q).unwrap().is_residual_scan());
+        let (mut scratch, mut out) = (QueryScratch::new(), PageBuf::new());
+        qe.query_with(&q, &mut scratch, &mut out).unwrap();
+        assert_eq!(out.matched(), 3);
+        let before = scratch.mask_key.expect("the author mask is keyed");
+
+        // Three publishes, each a new paper by author 2 (an epoch keeps
+        // its parent network alive, so the first network is only freed —
+        // its address only reusable — by the third).
+        for i in 0..3u32 {
+            let mut delta = GraphDelta::new();
+            delta.add_paper_with_metadata(2012 + i as Year, vec![2], None);
+            delta.add_citation(12 + i, 0);
+            qe.ingest(&delta).unwrap();
+        }
+
+        // Same scratch, same filter, so the same hash — and a new epoch:
+        // the mask is re-gathered.
+        qe.query_with(&q, &mut scratch, &mut out).unwrap();
+        assert_eq!(out.to_page(), qe.query(&q).unwrap());
+        assert_eq!(out.matched(), 6);
+        let after = scratch.mask_key.expect("the author mask is keyed");
+        assert_eq!(after.0, before.0);
+        assert_eq!(after.1, qe.snapshot(None).unwrap().uid());
+        assert_ne!(after.1, before.1);
+
+        // The posting pool of a band driver, likewise — and across
+        // engines, whose epoch numbers coincide.
+        let qe = engine();
+        let q: Query = "k=20,venue=0,year=..2011".parse().unwrap();
+        qe.query_with(&q, &mut scratch, &mut out).unwrap();
+        assert_eq!(out.matched(), 4);
+        let mut delta = GraphDelta::new();
+        delta.add_paper_with_metadata(2011, vec![0], Some(0));
+        qe.ingest(&delta).unwrap();
+        qe.query_with(&q, &mut scratch, &mut out).unwrap();
+        assert_eq!(out.to_page(), qe.query(&q).unwrap());
+        assert_eq!(out.matched(), 5);
+        let other = engine();
+        other.query_with(&q, &mut scratch, &mut out).unwrap();
+        assert_eq!(
+            out.matched(),
+            4,
+            "another engine's epoch 0 is another epoch"
+        );
     }
 
     #[test]

@@ -55,7 +55,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Instant;
 
@@ -65,16 +65,17 @@ use citegraph::{
     CitationNetwork, GraphDelta, PaperId, SeedPersonalization, ShardPlan, ShardPlanError,
 };
 use graphstore::{fnv1a64, fnv1a64_with, ShardManifest, Store};
-use sparsela::{cmp_score_desc, merge_k_sorted_into, MergeScratch, ScoreVec};
+use sparsela::{cmp_score_desc, merge_k_sorted_into, BlockWalk, MergeScratch};
 
 use crate::admission::{AdmissionController, AdmissionPolicy, AdmissionStats, CostedQuery};
 use crate::engine::{
     ColdStart, EngineError, EpochSnapshot, IngestReport, RankingEngine, RerankPolicy, WarmupReport,
 };
 use crate::metrics::{
-    ShardedServingMetrics, SHAPE_FACETED, SHAPE_SEEDED, SHAPE_UNFILTERED, SHAPE_YEAR_RANGE,
+    record_blocks, ShardedServingMetrics, SHAPE_FACETED, SHAPE_SEEDED, SHAPE_UNFILTERED,
+    SHAPE_YEAR_RANGE,
 };
-use crate::personalization::{CacheConfig, PersonalizationCache};
+use crate::personalization::{CacheConfig, CachedRanking, PersonalizationCache};
 use crate::query::{
     admit, fingerprint_with, price_partition, seed_error_to_query, select_partition,
     validate_cursor, validate_facets, CompareRow, CostModel, Cursor, Hit, Partition, Query,
@@ -292,17 +293,23 @@ pub struct ShardedIngestReport {
 
 /// One shard's contribution to a seeded query: `None` when the shard
 /// holds no seeds (its personalized scores are identically zero), else
-/// the shard-local score vector plus the shard's share of the global
-/// seed mass (a score multiplier at merge time).
-type SeededShard = Option<(Arc<ScoreVec>, f64)>;
+/// the shard-local score vector (with its block maxima) plus the shard's
+/// share of the global seed mass (a score multiplier at merge time).
+type SeededShard = Option<(CachedRanking, f64)>;
 
 /// Reusable buffers for the sharded scatter-gather path: the flat
 /// engine's [`QueryScratch`] for whichever shard is being selected over,
-/// plus what only a scatter-gather needs. One scratch serves one caller
-/// thread; [`ShardedEngine::query_batch_at`] threads a single scratch
-/// through every member, so per-shard candidate pools, run buffers and
-/// the k-way merge heap warm once, and members repeating a seed set
-/// share one personalization-cache probe.
+/// plus what only a scatter-gather needs. One scratch serves one query at
+/// a time; the engine keeps a few warm ones in a pool and every entry
+/// point borrows one, so per-shard candidate pools, run buffers and the
+/// k-way merge heap are sized once per engine, not once per call, and
+/// queries repeating a seed set share one personalization-cache probe.
+///
+/// What a pooled scratch may pin is bounded: the candidate pools key
+/// their epoch by id (they pin no corpus), and the seed memo holds a
+/// handful of solve sets (`SEED_MEMO_CAP`) of **one** epoch set — it is
+/// dropped when a query arrives on another — so no personalized vector
+/// outlives its epoch through the pool by more than one query.
 #[derive(Default)]
 pub struct ShardScratch {
     /// Facet lists, fingerprint buffer and the per-partition selection
@@ -317,10 +324,20 @@ pub struct ShardScratch {
     merge: MergeScratch,
     /// Merged page buffer.
     merged: Vec<(f64, PaperId)>,
-    /// One seeded solve set per (epoch-set key, seed set) — the batch's
-    /// "one cache probe per seed set" memo.
-    seed_memo: Vec<(u64, Vec<PaperId>, Vec<SeededShard>)>,
+    /// Epoch-set key every `seed_memo` entry was solved on.
+    seed_memo_key: u64,
+    /// One seeded solve set per seed set, oldest first — the "one cache
+    /// probe per seed set" memo.
+    seed_memo: Vec<(Vec<PaperId>, Vec<SeededShard>)>,
 }
+
+/// Seed sets a [`ShardScratch`] memoizes before dropping the oldest.
+const SEED_MEMO_CAP: usize = 4;
+
+/// Warm scratches a [`ShardedEngine`] keeps between queries: enough for a
+/// handful of concurrent readers; a burst beyond it builds cold ones and
+/// drops them.
+const SCRATCH_POOL_CAP: usize = 4;
 
 impl ShardScratch {
     /// An empty scratch; the first query sizes every buffer.
@@ -355,6 +372,9 @@ pub struct ShardedEngine {
     /// The planner's cost model: every shard's plan is priced under it,
     /// exactly as the flat engine prices its one partition.
     cost: CostModel,
+    /// Warm [`ShardScratch`]es, at most [`SCRATCH_POOL_CAP`]; the lock is
+    /// held for a pop or a push, never across a query.
+    scratches: Mutex<Vec<ShardScratch>>,
 }
 
 /// The registry a [`ShardedEngine`] renders through plus its registered
@@ -406,6 +426,7 @@ impl ShardedEngine {
             metrics: None,
             admission: None,
             cost: CostModel::from_baseline_env(),
+            scratches: Mutex::default(),
         })
     }
 
@@ -644,8 +665,8 @@ impl ShardedEngine {
             let seed = SeedPersonalization::uniform(ids, snap.n_papers())
                 .map_err(|e| ShardedError::Query(seed_error_to_query(e)))?;
             let label = format!("{}#s{s}", self.method);
-            let (scores, _) = self.cache.scores(&label, snap, &seed, alpha);
-            per.push(Some((scores, ids.len() as f64 / total)));
+            let (ranking, _) = self.cache.ranking(&label, snap, &seed, alpha);
+            per.push(Some((ranking, ids.len() as f64 / total)));
         }
         Ok(Some(per))
     }
@@ -691,8 +712,21 @@ impl ShardedEngine {
         q: &Query,
         cursor: Option<&ShardCursor>,
     ) -> Result<ShardedPage, ShardedError> {
-        let mut scratch = ShardScratch::new();
-        self.query_pinned(snaps, q, cursor, &mut scratch)
+        self.with_scratch(|scratch| self.query_pinned(snaps, q, cursor, scratch))
+    }
+
+    /// Runs `f` with a warm scratch borrowed from the engine's pool (a
+    /// cold one when the pool is empty), returning it afterwards unless
+    /// the pool is full.
+    fn with_scratch<R>(&self, f: impl FnOnce(&mut ShardScratch) -> R) -> R {
+        let pooled = self.scratches.lock().expect("scratch pool lock").pop();
+        let mut scratch = pooled.unwrap_or_default();
+        let result = f(&mut scratch);
+        let mut pool = self.scratches.lock().expect("scratch pool lock");
+        if pool.len() < SCRATCH_POOL_CAP {
+            pool.push(scratch);
+        }
+        result
     }
 
     /// Executes a batch of `(query, cursor)` members against a freshly
@@ -710,30 +744,32 @@ impl ShardedEngine {
     /// same typed errors).
     ///
     /// Cost amortizes across members: one [`ShardScratch`] (candidate
-    /// pools, per-shard run buffers, merge heap) warms over the batch,
-    /// members repeating a seed set share one personalization-cache
-    /// probe, and exact duplicates are served from the first member's
-    /// page without touching the shards.
+    /// pools, per-shard run buffers, merge heap) serves the whole batch,
+    /// members repeating a recent seed set share one
+    /// personalization-cache probe, and exact duplicates are served from
+    /// the first member's page without touching the shards.
     pub fn query_batch_at(
         &self,
         snaps: &ShardSnapshots,
         batch: &[(Query, Option<ShardCursor>)],
     ) -> Vec<Result<ShardedPage, ShardedError>> {
-        let mut scratch = ShardScratch::new();
-        let mut results: Vec<Result<ShardedPage, ShardedError>> = Vec::with_capacity(batch.len());
-        for (bi, (q, cursor)) in batch.iter().enumerate() {
-            // Exact-duplicate memo (successes only — error paths are
-            // cheap and `ShardedError` is not `Clone`).
-            let memo = batch[..bi]
-                .iter()
-                .position(|(pq, pc)| pq == q && pc == cursor)
-                .and_then(|prev| results[prev].as_ref().ok().cloned());
-            results.push(match memo {
-                Some(page) => Ok(page),
-                None => self.query_pinned(snaps, q, cursor.as_ref(), &mut scratch),
-            });
-        }
-        results
+        self.with_scratch(|scratch| {
+            let mut results: Vec<Result<ShardedPage, ShardedError>> =
+                Vec::with_capacity(batch.len());
+            for (bi, (q, cursor)) in batch.iter().enumerate() {
+                // Exact-duplicate memo (successes only — error paths are
+                // cheap and `ShardedError` is not `Clone`).
+                let memo = batch[..bi]
+                    .iter()
+                    .position(|(pq, pc)| pq == q && pc == cursor)
+                    .and_then(|prev| results[prev].as_ref().ok().cloned());
+                results.push(match memo {
+                    Some(page) => Ok(page),
+                    None => self.query_pinned(snaps, q, cursor.as_ref(), scratch),
+                });
+            }
+            results
+        })
     }
 
     /// The serve path behind [`Self::query_at`] and the batch APIs, in
@@ -757,19 +793,27 @@ impl ShardedEngine {
         };
         validate_facets(snaps.snaps.iter().map(|s| &**s.network()), q)?;
         let key = snaps.epoch_key();
+        if scratch.seed_memo_key != key {
+            // Solves of another epoch set: nothing here can serve this one.
+            scratch.seed_memo.clear();
+            scratch.seed_memo_key = key;
+        }
         let seeded_idx: Option<usize> = if q.seeds.is_empty() {
             None
         } else if let Some(i) = scratch
             .seed_memo
             .iter()
-            .position(|(k, seeds, _)| *k == key && *seeds == q.seeds)
+            .position(|(seeds, _)| *seeds == q.seeds)
         {
             Some(i)
         } else {
             let per = self
                 .seeded_shard_scores(snaps, q)?
                 .expect("seeds are non-empty");
-            scratch.seed_memo.push((key, q.seeds.clone(), per));
+            if scratch.seed_memo.len() == SEED_MEMO_CAP {
+                scratch.seed_memo.remove(0);
+            }
+            scratch.seed_memo.push((q.seeds.clone(), per));
             Some(scratch.seed_memo.len() - 1)
         };
         let ShardScratch {
@@ -779,8 +823,9 @@ impl ShardedEngine {
             merge,
             merged,
             seed_memo,
+            ..
         } = scratch;
-        let seeded: Option<&Vec<SeededShard>> = seeded_idx.map(|i| &seed_memo[i].2);
+        let seeded: Option<&Vec<SeededShard>> = seeded_idx.map(|i| &seed_memo[i].1);
         let fp = fingerprint_with(&self.method, q, &mut part.seeds);
         let frontier = validate_cursor(cursor, key, fp)?;
 
@@ -814,24 +859,29 @@ impl ShardedEngine {
         let k = ticket.as_ref().map_or(q.k, |t| t.k);
 
         let mut used = 0usize;
-        let mut matched = 0usize;
+        let mut walked = BlockWalk::default();
         for (s, plan) in plans.iter() {
             let snap = &snaps.snaps[*s];
             // A seeded shard ranks by its personalized solve, scaled by
             // its share of the global seed mass so runs from
             // differently-seeded shards merge under one distribution.
-            let (scores, scale) = match seeded.and_then(|per| per[*s].as_ref()) {
-                Some((v, share)) => (v.as_slice(), *share),
-                None => (snap.scores().as_slice(), 1.0),
+            let (ranking, scale) = match seeded.and_then(|per| per[*s].as_ref()) {
+                Some((cached, share)) => (cached.view(), *share),
+                None => (snap.ranking(), 1.0),
             };
+            let scores = ranking.scores;
             let start = snaps.starts[*s];
             let partition = Partition {
                 net: snap.network(),
+                epoch_uid: snap.uid(),
                 start,
-                scores,
+                ranking,
                 scale,
             };
-            matched += select_partition(&partition, q, k, plan, frontier, part);
+            let walk = select_partition(&partition, q, k, plan, frontier, part);
+            walked.matched += walk.matched;
+            walked.blocks_scanned += walk.blocks_scanned;
+            walked.blocks_in_range += walk.blocks_in_range;
             if part.select.is_empty() {
                 continue;
             }
@@ -848,6 +898,7 @@ impl ShardedEngine {
             used += 1;
         }
 
+        let matched = walked.matched;
         merge_k_sorted_into(&runs[..used], k, merge, merged);
         let items: Vec<Hit> = merged
             .iter()
@@ -879,6 +930,7 @@ impl ShardedEngine {
                 SHAPE_UNFILTERED
             };
             m.query_seconds.at(shape).observe(at.elapsed());
+            record_blocks(&m.select_blocks, &walked);
         }
         Ok(ShardedPage {
             method: self.method.clone(),
@@ -1080,6 +1132,7 @@ impl ShardedEngine {
             metrics: None,
             admission: None,
             cost: CostModel::from_baseline_env(),
+            scratches: Mutex::default(),
         };
         Ok(ShardedColdStart {
             engine,
@@ -1613,10 +1666,72 @@ mod tests {
         let page = eng.query(&"k=12,seed=1|10".parse().unwrap(), None).unwrap();
         assert_eq!(page.shards_scanned, 2);
         assert_eq!(page.matched, 6);
-        // A repeat of either seed set is served from the cache.
-        let hits_before = eng.cache.stats().hits;
+        // A repeat of either seed set costs no solve: the pooled scratch
+        // remembers its last few seed sets, and past that memo the cache
+        // serves it.
+        let solves = |eng: &ShardedEngine| {
+            let stats = eng.cache.stats();
+            stats.cold_pushes + stats.warm_repushes + stats.fallbacks
+        };
+        let (solves_before, hits_before) = (solves(&eng), eng.cache.stats().hits);
         eng.query(&"k=12,seed=0|2".parse().unwrap(), None).unwrap();
-        assert!(eng.cache.stats().hits > hits_before);
+        assert_eq!(eng.cache.stats().hits, hits_before, "served from the memo");
+        eng.scratches.lock().unwrap().clear();
+        eng.query(&"k=12,seed=0|2".parse().unwrap(), None).unwrap();
+        assert!(
+            eng.cache.stats().hits > hits_before,
+            "served from the cache"
+        );
+        assert_eq!(solves(&eng), solves_before);
+    }
+
+    #[test]
+    fn pooled_scratch_is_bounded_in_count_and_in_what_it_pins() {
+        let eng = sharded_with(2, "pagerank");
+        let seeded = |seed: u32| -> Query { format!("k=3,seed={seed}").parse().unwrap() };
+        // One warm scratch serves sequential queries; the pool never
+        // grows past its cap however many readers overlap.
+        for seed in 0..3 {
+            eng.query(&seeded(seed), None).unwrap();
+        }
+        assert_eq!(eng.scratches.lock().unwrap().len(), 1);
+        let all_inside = std::sync::Barrier::new(2 * SCRATCH_POOL_CAP);
+        thread::scope(|scope| {
+            for _ in 0..2 * SCRATCH_POOL_CAP {
+                scope.spawn(|| eng.with_scratch(|_| all_inside.wait()));
+            }
+        });
+        assert_eq!(eng.scratches.lock().unwrap().len(), SCRATCH_POOL_CAP);
+        eng.scratches.lock().unwrap().truncate(1);
+
+        // The memo keeps the most recent seed sets only…
+        for seed in 0..SEED_MEMO_CAP as u32 + 2 {
+            eng.query(&seeded(seed), None).unwrap();
+        }
+        {
+            let pool = eng.scratches.lock().unwrap();
+            let memo = &pool[0].seed_memo;
+            assert_eq!(memo.len(), SEED_MEMO_CAP);
+            assert_eq!(memo[SEED_MEMO_CAP - 1].0, [SEED_MEMO_CAP as u32 + 1]);
+        }
+        // …and only of one epoch set: the first query after a publish
+        // drops every vector solved before it, and is served the new
+        // epoch's solve, not the memo's.
+        let mut delta = GraphDelta::new();
+        delta.add_paper(2012);
+        delta.add_citation(12, 11);
+        eng.ingest(&delta).unwrap();
+        let page = eng.query(&seeded(11), None).unwrap();
+        let pool = eng.scratches.lock().unwrap();
+        assert_eq!(pool[0].seed_memo.len(), 1);
+        assert_eq!(pool[0].seed_memo_key, page.epoch_key);
+        let cached = pool[0].seed_memo[0].1[1]
+            .as_ref()
+            .expect("band 1 holds the seed");
+        assert_eq!(
+            cached.0.scores.len(),
+            eng.snapshots().snapshot(1).n_papers()
+        );
     }
 
     #[test]

@@ -1,0 +1,173 @@
+//! A score vector's block-maxima summary is built where the vector is
+//! frozen — `RankingEngine::freeze_with` for an epoch, the
+//! personalization cache's insert for a seeded solve — so it can never
+//! describe another vector. Pinned here for every way a vector comes to
+//! be served: the initial rank, a push publish, a full-solve publish, an
+//! epoch restored from a store, and a cache entry warm-re-pushed across a
+//! publish. In each, the block-pruned pages (unfiltered, resumed behind a
+//! cursor, year windows) must equal a fresh full sort.
+
+use std::path::PathBuf;
+
+use citegen::{generate, DatasetProfile};
+use citegraph::{GraphDelta, PaperId};
+use rankengine::{
+    EpochSnapshot, Hit, Query, QueryEngine, RankingEngine, RerankPolicy, RerankStrategy,
+};
+use sparsela::{cmp_score_desc, sort_indices_desc};
+
+const SCALE: usize = 3_000;
+
+fn temp_store(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join("rankengine_block_summary_tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(format!("{name}-{}.store", std::process::id()))
+}
+
+/// Every page of `filter` off one pinned snapshot, `k` hits at a time.
+/// Each page's `matched` must count exactly what is still to come.
+fn walk(qe: &QueryEngine, snap: &EpochSnapshot, filter: &str, k: usize, total: usize) -> Vec<Hit> {
+    let mut q: Query = format!("k={k},{filter}").parse().unwrap();
+    let mut hits: Vec<Hit> = Vec::new();
+    loop {
+        let page = qe.query_at(snap, &q).unwrap();
+        assert_eq!(
+            page.matched,
+            total - hits.len(),
+            "{filter} after {}",
+            hits.len()
+        );
+        hits.extend(&page.items);
+        match page.next {
+            Some(cursor) => q.cursor = Some(cursor),
+            None => return hits,
+        }
+    }
+}
+
+/// The pages of a method's current epoch against a fresh full sort of its
+/// scores: everything, and two year windows that start and end mid-block.
+fn assert_pages_are_the_full_sort(qe: &QueryEngine, method: &str, case: &str) {
+    let snap = qe.snapshot(Some(method)).unwrap();
+    let net = snap.network();
+    let full = sort_indices_desc(snap.scores().as_slice());
+    let years = net.years();
+    let (early, late) = (years[SCALE / 3], years[2 * SCALE / 3]);
+    for (filter, lo, hi) in [
+        (String::new(), None, None),
+        (format!("year={late}.."), Some(late), None),
+        (format!("year={early}..{late}"), Some(early), Some(late)),
+    ] {
+        let want: Vec<PaperId> = full
+            .iter()
+            .copied()
+            .filter(|&id| {
+                lo.is_none_or(|y| net.year(id) >= y) && hi.is_none_or(|y| net.year(id) <= y)
+            })
+            .collect();
+        let filter = format!("method={method},{filter}");
+        let got = walk(qe, &snap, &filter, 97, want.len());
+        let got: Vec<PaperId> = got.iter().map(|h| h.id).collect();
+        assert_eq!(got, want, "{case}: {filter}");
+        // A first page small enough that the walk prunes.
+        let first = qe
+            .query_at(&snap, &format!("k=5,{filter}").parse().unwrap())
+            .unwrap();
+        let first: Vec<PaperId> = first.items.iter().map(|h| h.id).collect();
+        assert_eq!(first, want[..5], "{case}: {filter}");
+    }
+    for k in [0, 1, 10, 100, SCALE + 100] {
+        assert_eq!(
+            snap.top_k(k),
+            full[..k.min(full.len())],
+            "{case}: top_k({k})"
+        );
+    }
+}
+
+/// A batch of new papers citing into the corpus.
+fn growth(n_papers: usize, year: i32, batch: usize) -> GraphDelta {
+    let mut delta = GraphDelta::new();
+    for j in 0..batch {
+        let id = (n_papers + delta.add_paper(year)) as PaperId;
+        delta.add_citation(id, (j * 7 % n_papers) as PaperId);
+        delta.add_citation(id, (j * 131 % n_papers) as PaperId);
+    }
+    delta
+}
+
+#[test]
+fn a_summary_is_never_stale() {
+    let net = generate(&DatasetProfile::dblp().scaled(SCALE), 11);
+    let year = net.current_year().unwrap();
+    let qe = QueryEngine::from_configs(
+        net,
+        &["attrank", "cc", "pagerank"],
+        RerankPolicy::EveryBatch,
+    )
+    .unwrap();
+    for method in ["attrank", "cc"] {
+        assert_pages_are_the_full_sort(&qe, method, "initial rank");
+    }
+
+    // A seeded solve cached on epoch 0, for the warm re-push below.
+    let seeded = "method=pagerank,seed=5|17|1200";
+    let snap = qe.snapshot(Some("pagerank")).unwrap();
+    let cold = walk(&qe, &snap, seeded, 97, snap.n_papers());
+    assert_eq!(qe.personalization_stats().cold_pushes, 1);
+
+    // Two delta publishes: the first builds attrank's push state behind a
+    // full solve, the second is a push. cc has no push — every delta
+    // publish of it is a full solve.
+    for round in 0..2 {
+        qe.ingest(&growth(SCALE + 20 * round, year + 1, 20))
+            .unwrap();
+    }
+    let attrank = qe.snapshot(Some("attrank")).unwrap();
+    assert!(matches!(attrank.strategy(), RerankStrategy::Push { .. }));
+    assert_pages_are_the_full_sort(&qe, "attrank", "push publish");
+    assert_eq!(
+        qe.snapshot(Some("cc")).unwrap().strategy(),
+        RerankStrategy::Full
+    );
+    assert_pages_are_the_full_sort(&qe, "cc", "full-solve publish");
+
+    // The cached seeded vector, re-pushed across the last publish: its
+    // pages are in order, complete, and not the old epoch's.
+    let snap = qe.snapshot(Some("pagerank")).unwrap();
+    let stale = qe.personalization_stats();
+    let warm = walk(&qe, &snap, seeded, 97, snap.n_papers());
+    let stats = qe.personalization_stats();
+    assert_eq!(
+        (stats.warm_repushes + stats.cold_pushes) - (stale.warm_repushes + stale.cold_pushes),
+        1,
+        "one solve for the new epoch, then hits"
+    );
+    assert_eq!(warm.len(), SCALE + 40);
+    assert!(warm.len() > cold.len());
+    for pair in warm.windows(2) {
+        assert_eq!(
+            cmp_score_desc(pair[0].score, pair[0].id, pair[1].score, pair[1].id),
+            std::cmp::Ordering::Less,
+            "seeded pages out of order at {:?}",
+            pair
+        );
+    }
+    let mut seen: Vec<PaperId> = warm.iter().map(|h| h.id).collect();
+    seen.sort_unstable();
+    assert!(seen.iter().copied().eq(0..(SCALE + 40) as PaperId));
+
+    // An epoch restored from a store: frozen by the same function.
+    let path = temp_store("restored");
+    let engine = qe.engine(Some("attrank")).unwrap();
+    engine.persist_epoch(&path).unwrap();
+    let cold_start =
+        RankingEngine::open_from_store(&path, None::<&PathBuf>, RerankPolicy::Manual).unwrap();
+    let restored = cold_start.engine().snapshot();
+    let full = sort_indices_desc(restored.scores().as_slice());
+    for k in [1, 10, 100] {
+        assert_eq!(restored.top_k(k), full[..k], "restored: top_k({k})");
+    }
+    cold_start.wait();
+    let _ = std::fs::remove_file(&path);
+}

@@ -18,10 +18,11 @@ fn temp_wal(name: &str) -> PathBuf {
 }
 
 /// Every family the two stacks register, flat then sharded.
-const FAMILIES: [&str; 29] = [
+const FAMILIES: [&str; 31] = [
     "attrank_query_seconds",
     "attrank_planner_decisions_total",
     "attrank_cursor_errors_total",
+    "attrank_select_blocks_total",
     "attrank_cache_outcomes_total",
     "attrank_cache_entries",
     "attrank_cache_bytes",
@@ -42,6 +43,7 @@ const FAMILIES: [&str; 29] = [
     "attrank_wal_append_seconds",
     "attrank_wal_fsync_seconds",
     "attrank_sharded_query_seconds",
+    "attrank_sharded_select_blocks_total",
     "attrank_sharded_cache_outcomes_total",
     "attrank_sharded_cache_entries",
     "attrank_sharded_cache_bytes",
@@ -170,6 +172,27 @@ fn scripted_workload_renders_valid_exposition() {
     // nothing staged, so it is a full solve but not a fallback.
     assert!(text.contains("attrank_push_fallbacks_total{method=\"attrank\"} 1"));
     assert!(text.contains("attrank_push_fallbacks_total{method=\"cc\"} 1"));
+    // The unfiltered and year-window pages walked their ranges by blocks
+    // and the block maxima let them skip some — on both stacks. The
+    // posting-list and mask pages walked none.
+    let counter = |series: &str| -> u64 {
+        let line = text.lines().find(|l| l.starts_with(series));
+        let value = line.and_then(|l| l.rsplit(' ').next()?.parse().ok());
+        value.unwrap_or_else(|| panic!("{series} missing from the exposition"))
+    };
+    for family in [
+        "attrank_select_blocks_total",
+        "attrank_sharded_select_blocks_total",
+    ] {
+        assert!(
+            counter(&format!("{family}{{outcome=\"scanned\"}}")) > 0,
+            "{family}"
+        );
+        assert!(
+            counter(&format!("{family}{{outcome=\"skipped\"}}")) > 0,
+            "{family}"
+        );
+    }
     // Boundary edges from the 3-way partition land on their shards.
     assert!(sh.boundary_edges() > 0);
     let by_shard = sh.boundary_edges_by_shard();

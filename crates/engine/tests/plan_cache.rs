@@ -142,3 +142,64 @@ fn plan_cache_counters_render_in_the_exposition() {
         "missing entries gauge in:\n{text}"
     );
 }
+
+#[test]
+fn pricing_ranges_by_blocks_changes_no_driver() {
+    // A residual-free range is priced by blocks since the block walk
+    // serves it; every residual-bearing price is as it was. Neither may
+    // move a plan: the driver of every shape this suite and the
+    // pagination suite serve, on their corpora, as planned before the
+    // re-pricing (and the re-priced rows only ever got cheaper).
+    let small = engine();
+    let paged = {
+        let net = citegen::generate(&citegen::DatasetProfile::dblp().scaled(3_000), 11);
+        QueryEngine::from_configs(net, &["cc"], RerankPolicy::EveryBatch).unwrap()
+    };
+    let cases: [(&QueryEngine, &str, &str); 14] = [
+        (&small, "k=2,venue=0", "venue_bands"),
+        (&small, "k=5,venue=0", "venue_bands"),
+        (&small, "k=2,venue=1", "venue_bands"),
+        (&small, "k=2,author=1", "author_bands"),
+        (&small, "k=0", "unfiltered"),
+        (&small, "k=2,year=2003..2008", "id_range"),
+        (&paged, "k=97", "unfiltered"),
+        (&paged, "k=1", "unfiltered"),
+        (&paged, "k=7,venue=0", "venue_bands"),
+        (&paged, "k=11,venue=1", "venue_bands"),
+        (&paged, "k=10,year=1990..", "id_range"),
+        (&paged, "k=10,venue=0,year=1990..", "venue_bands"),
+        (&paged, "k=10,author=3|5|8,venue=0|1|2", "author_bands"),
+        (&paged, "k=10,author=3,year=..2005", "author_bands"),
+    ];
+    for (qe, shape, driver) in cases {
+        let q: Query = shape.parse().unwrap();
+        let plan = qe.explain(&q).unwrap();
+        let chosen = plan.table.iter().find(|c| c.chosen).unwrap();
+        assert_eq!(chosen.driver, driver, "{shape}");
+        // Resumed behind a cursor the shape keeps its driver too (an
+        // unfiltered resume is a scan of everything).
+        let Some(cursor) = qe.query(&q).unwrap().next else {
+            continue;
+        };
+        let resumed = Query {
+            cursor: Some(cursor),
+            ..q
+        };
+        let plan = qe.explain(&resumed).unwrap();
+        let chosen = plan.table.iter().find(|c| c.chosen).unwrap();
+        let resumed_driver = if driver == "unfiltered" {
+            "id_range"
+        } else {
+            driver
+        };
+        assert_eq!(chosen.driver, resumed_driver, "{shape}, resumed");
+        if resumed.venues.is_empty() && resumed.authors.is_empty() {
+            let plain = plan.candidates as f64 * qe.cost_model().scan_per_id;
+            assert!(
+                chosen.cost_ns <= plain,
+                "{shape}: {} > {plain}",
+                chosen.cost_ns
+            );
+        }
+    }
+}

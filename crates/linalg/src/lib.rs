@@ -16,9 +16,10 @@
 //!   decay factor `w` from the citation-age distribution, paper §4.2),
 //! * [`ranks`] — rank assignment (ordinal and tie-averaged) used by rank
 //!   correlation metrics, plus the top-k selection family (full,
-//!   candidate-list, predicate-scan and bitmask variants) the serving
-//!   layer's filtered queries run on, and the k-way run merge the
-//!   sharded scatter-gather read path gathers pages with,
+//!   candidate-list, predicate-scan, bitmask and block-pruned variants)
+//!   the serving layer's queries run on, the per-block maxima the pruned
+//!   variant skips by, and the k-way run merge the sharded
+//!   scatter-gather read path gathers pages with,
 //! * [`mask`] — dense id bitsets with set algebra, the currency of
 //!   composed query predicates.
 //!
@@ -50,7 +51,8 @@ pub use push::{LanesOutcome, PushConfig, PushOutcome};
 pub use ranks::{
     average_ranks, cmp_score_desc, merge_k_sorted, merge_k_sorted_into, ordinal_ranks,
     sort_indices_desc, top_k_filtered, top_k_filtered_into, top_k_indices, top_k_indices_into,
-    top_k_masked, top_k_masked_into, top_k_where, top_k_where_into, MergeScratch,
+    top_k_masked, top_k_masked_into, top_k_pruned_into, top_k_where, top_k_where_into, BlockMaxima,
+    BlockWalk, Frontier, MergeScratch, BLOCK_LEN,
 };
 pub use stochastic::CitationOperator;
 pub use vector::{KernelWorkspace, ScoreVec};

@@ -474,6 +474,71 @@ proptest! {
     }
 
     #[test]
+    fn top_k_pruned_equals_sort_range_frontier_truncate(
+        raw in proptest::collection::vec(-8i32..8, 0..120),
+        bounds in (0u32..130, 0u32..130),
+        k in 0usize..140,
+        shape in 0u8..6,
+        block_len in 2usize..9,
+        at in 0usize..120,
+        tweak in 0u8..4,
+        scale in 0usize..3,
+        base in 0u32..1000,
+    ) {
+        use sparsela::{cmp_score_desc, top_k_pruned_into, BlockMaxima, Frontier};
+        let scale = [1.0, 0.25, 1.0 / 3.0][scale];
+        // The shapes of `top_k_equals_full_sort_then_truncate` plus a
+        // mostly-NaN one (whole blocks without a number, pages that must
+        // reach into the NaNs), under a summary with a tiny block so
+        // ranges start and end mid-block and `k` straddles the block
+        // count at these sizes.
+        let scores: Vec<f64> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| match shape {
+                0 => v as f64 / 4.0,
+                1 if v % 3 == 0 => f64::NAN,
+                1 => v as f64 / 4.0,
+                2 => 0.25,
+                3 => i as f64,
+                4 => -(i as f64),
+                _ if v % 4 == 0 => v as f64 / 4.0,
+                _ => f64::NAN,
+            })
+            .collect();
+        let n = scores.len();
+        let maxima = BlockMaxima::with_block_len(&scores, block_len);
+        let (lo, hi) = (bounds.0.min(bounds.1), bounds.0.max(bounds.1));
+        // A frontier sits on an item of the vector (so, under shapes 0–2,
+        // inside a tie run; under shape 1 possibly on a NaN), nudged to a
+        // neighbouring id or score so it also falls between items.
+        let frontier = (n > 0 && tweak < 3).then(|| {
+            let on = at % n;
+            let (score, id) = match tweak {
+                0 => (scores[on] * scale, base + on as u32),
+                1 => (scores[on] * scale, base + (on as u32).saturating_sub(1)),
+                _ => (scores[on] * scale + 0.125, base + on as u32),
+            };
+            Frontier { score, id, scale, base }
+        });
+        let eligible: Vec<u32> = sort_indices_desc(&scores)
+            .into_iter()
+            .filter(|&i| i >= lo && i < hi)
+            .filter(|&i| frontier.is_none_or(|f| {
+                cmp_score_desc(scores[i as usize] * scale, base + i, f.score, f.id)
+                    == std::cmp::Ordering::Greater
+            }))
+            .collect();
+        let mut out = vec![7u32; 3];
+        for k in [k, 0, 1, n.saturating_sub(1), n, n + 1] {
+            let walk = top_k_pruned_into(&scores, &maxima, lo..hi, k, frontier.as_ref(), &mut out);
+            prop_assert_eq!(&out, &eligible[..k.min(eligible.len())], "k={}", k);
+            prop_assert_eq!(walk.matched, eligible.len(), "k={}", k);
+            prop_assert!(walk.blocks_scanned <= walk.blocks_in_range);
+        }
+    }
+
+    #[test]
     fn score_vec_top_k_matches_partial_select(
         raw in proptest::collection::vec(-100i32..100, 1..80),
         k in 1usize..20,
