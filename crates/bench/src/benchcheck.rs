@@ -15,6 +15,8 @@
 //! "id": …, "min_ns": …}` objects both file formats contain; surrounding
 //! structure (top-level object vs array, pretty-printing) is irrelevant.
 
+use rankengine::CostModel;
+
 /// One benchmark measurement, as found in a report file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
@@ -107,6 +109,12 @@ pub fn is_guarded(r: &BenchRecord) -> bool {
         // The throughput group is guarded except its sequential
         // reference rows, which exist only to form the batching ratio.
         || (r.group == "throughput" && !r.id.contains("sequential"))
+}
+
+/// `min_ns` of the `(group, id)` record, when the report has one.
+fn min_ns(records: &[BenchRecord], group: &str, id: &str) -> Option<f64> {
+    let row = records.iter().find(|r| r.group == group && r.id == id);
+    row.map(|r| r.min_ns)
 }
 
 /// Which side of its bound a ratio gate must stay on.
@@ -214,10 +222,7 @@ impl Gate {
     /// The gate's ratio as recorded in a report; `None` when either row
     /// is absent.
     pub fn ratio(&self, records: &[BenchRecord]) -> Option<f64> {
-        let min_ns = |id: &str| {
-            let row = records.iter().find(|r| r.group == self.group && r.id == id);
-            row.map(|r| r.min_ns)
-        };
+        let min_ns = |id: &str| min_ns(records, self.group, id);
         Some(min_ns(self.numerator)? / min_ns(self.denominator)?.max(1.0))
     }
 
@@ -228,6 +233,35 @@ impl Gate {
             Bound::Ceiling(ceiling) => ratio <= ceiling,
         }
     }
+}
+
+/// `min_ns` of `index_vs_scan/author_posting_200k` in the baseline the
+/// baked [`CostModel`] was fit against: the gather-side anchor (scales
+/// the per-candidate constants).
+const REF_POSTING_NS: f64 = 861.0;
+/// `min_ns` of `index_vs_scan/author_mask_residual_200k` there: the
+/// scan-side anchor (scales the per-id and per-mask constants).
+const REF_RESIDUAL_NS: f64 = 268_024.0;
+
+/// The planner's [`CostModel`] re-fitted to a bench report: each baked
+/// constant scales by its anchor's measured/reference ratio, preserving
+/// the within-shape ratios. `None` when either anchor row is absent or
+/// degenerate. Nothing installs the result — engines plan under the baked
+/// constants, `repro bench-check` prints the two side by side, and
+/// `QueryEngine::set_cost_model` is the explicit way in.
+pub fn fit_cost_model(records: &[BenchRecord]) -> Option<CostModel> {
+    let anchor =
+        |id: &str| min_ns(records, "index_vs_scan", id).filter(|ns| ns.is_finite() && *ns > 0.0);
+    let band_ratio = anchor("author_posting_200k")? / REF_POSTING_NS;
+    let scan_ratio = anchor("author_mask_residual_200k")? / REF_RESIDUAL_NS;
+    let baked = CostModel::default();
+    Some(CostModel {
+        scan_per_id: baked.scan_per_id * scan_ratio,
+        band_per_candidate: baked.band_per_candidate * band_ratio,
+        dedup_per_candidate: baked.dedup_per_candidate * band_ratio,
+        mask_insert: baked.mask_insert * scan_ratio,
+        mask_per_word: baked.mask_per_word * scan_ratio,
+    })
 }
 
 /// Outcome of one guarded comparison.
@@ -603,6 +637,34 @@ mod tests {
             );
             assert_eq!(gate(g.name), g, "gate names are unique");
         }
+    }
+
+    #[test]
+    fn cost_model_refits_from_anchor_rows() {
+        // Both anchors measuring 2x the reference scale every constant
+        // by 2 (ratios between shapes preserved).
+        let fit = |json: &str| fit_cost_model(&parse_records(json));
+        let m = fit(r#"[
+          {"group": "index_vs_scan", "id": "author_posting_200k", "min_ns": 1722.0},
+          {"group": "index_vs_scan", "id": "author_mask_residual_200k", "min_ns": 536048.0}
+        ]"#)
+        .unwrap();
+        let baked = CostModel::default();
+        assert!((m.band_per_candidate - 2.0 * baked.band_per_candidate).abs() < 1e-9);
+        assert!((m.dedup_per_candidate - 2.0 * baked.dedup_per_candidate).abs() < 1e-9);
+        assert!((m.scan_per_id - 2.0 * baked.scan_per_id).abs() < 1e-9);
+        assert!((m.mask_insert - 2.0 * baked.mask_insert).abs() < 1e-9);
+        // Missing or degenerate anchors → None.
+        assert!(fit("{}").is_none());
+        assert!(fit(
+            r#"[{"group": "index_vs_scan", "id": "author_posting_200k", "min_ns": 10.0}]"#
+        )
+        .is_none());
+        assert!(fit(
+            r#"[{"group": "index_vs_scan", "id": "author_posting_200k", "min_ns": 0.0},
+                {"group": "index_vs_scan", "id": "author_mask_residual_200k", "min_ns": 1.0}]"#
+        )
+        .is_none());
     }
 
     #[test]

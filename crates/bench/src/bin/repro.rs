@@ -41,7 +41,7 @@
 
 use std::process::ExitCode;
 
-use citegraph::{stats, Ranker};
+use citegraph::{stats, CitationNetwork, Ranker, ShardPlan};
 use rankeval::experiment::{
     comparative_at_ratio, convergence_comparison, heatmap, table1, table2, DatasetBundle,
     DEFAULT_RATIO, PAPER_K_VALUES, PAPER_RATIOS,
@@ -144,7 +144,9 @@ fn main() -> ExitCode {
 /// `target/shim-criterion/` (or `CRITERION_SHIM_OUT_DIR`) against
 /// `BENCH_baseline.json` (or `BENCH_BASELINE_PATH`) and fails on a
 /// `min_ns` regression beyond `BENCH_CHECK_MAX_REGRESSION` (default 0.25)
-/// of any guarded benchmark (`top_k` group, `stochastic_apply*` ids).
+/// of any guarded benchmark (`top_k` group, `stochastic_apply*` ids), or
+/// on a same-run ratio gate. Its last line is the planner cost model as
+/// the baseline's machine would fit it, beside the baked constants.
 fn run_bench_check() -> ExitCode {
     use repro_bench::benchcheck;
 
@@ -250,6 +252,16 @@ fn run_bench_check() -> ExitCode {
                 println!("{label:<44} {ratio:>26.2}x  ({kind} {bound:.2}x)  {verdict}");
             }
         }
+    }
+    // Calibration drift, visible where the report is read: the planner's
+    // constants as that machine would fit them. Informational — engines
+    // plan under the baked ones.
+    match benchcheck::fit_cost_model(&baseline) {
+        Some(fit) => println!(
+            "planner cost model fitted to {baseline_path}: {fit:.2?} (baked: {:.2?})",
+            rankengine::CostModel::default()
+        ),
+        None => println!("planner cost model: no index_vs_scan anchor rows in {baseline_path}"),
     }
     if failed {
         eprintln!("bench-check: guarded benchmark regressed beyond the threshold");
@@ -367,39 +379,41 @@ fn run_compact(stem: Option<&String>) -> ExitCode {
     }
 }
 
-/// `query <grammar>`: serves a filtered/faceted/paginated top-k (or a
-/// two-method comparison with `vs=`) over a generated DBLP graph. The
-/// corpus is deterministic in `(--scale, --seed)` and epochs start at 0,
-/// so a printed `cursor=…` token pastes into the next invocation to
-/// fetch the following page.
+/// `query`: dispatches to the four runners — flat or `--shards`, one
+/// grammar or `--batch FILE` — and prints whichever error ends one.
 fn run_query(opts: &Options, grammar: Option<&String>) -> ExitCode {
-    use rankengine::{QueryDriver, QueryEngine, RerankPolicy};
-
-    if let Some(spec) = opts.shards {
-        return run_query_sharded(opts, spec, grammar);
-    }
-    if let Some(path) = opts.batch.clone() {
-        return run_query_batch(opts, &path);
-    }
-    let Some(grammar) = grammar else {
-        eprintln!(
-            "usage: repro query \"<grammar>\" [--scale N] [--seed N] [--methods \"SPEC;SPEC\"] \
-             [--shards N|year:WIDTH] [--batch FILE]"
-        );
-        eprintln!("grammar keys: method vs k year venue author seed cursor");
-        eprintln!("examples:     \"venue=3,k=10\"  \"method=attrank,vs=cc,author=7,year=2005..\"");
-        eprintln!("              \"seed=17|203,k=10\"   (seed-personalized ranking)");
-        eprintln!("              --batch FILE   (one grammar per line, served as one batch)");
-        return ExitCode::FAILURE;
-    };
-    let query: rankengine::Query = match grammar.parse() {
-        Ok(q) => q,
-        Err(e) => {
-            eprintln!("query: {e}");
+    let served = match (opts.shards, opts.batch.as_deref(), grammar) {
+        (None, Some(path), _) => run_query_batch(opts, path),
+        (Some(spec), Some(path), _) => run_query_batch_sharded(opts, spec, path),
+        (None, None, Some(grammar)) => run_query_flat(opts, grammar),
+        (Some(spec), None, Some(grammar)) => run_query_sharded(opts, spec, grammar),
+        (_, None, None) => {
+            eprintln!(
+                "usage: repro query \"<grammar>\" [--scale N] [--seed N] \
+                 [--methods \"SPEC;SPEC\"] [--shards N|year:WIDTH] [--batch FILE]"
+            );
+            eprintln!("grammar keys: method vs k year venue author seed cursor");
+            eprintln!(
+                "examples:     \"venue=3,k=10\"  \"method=attrank,vs=cc,author=7,year=2005..\""
+            );
+            eprintln!("              \"seed=17|203,k=10\"   (seed-personalized ranking)");
+            eprintln!("              --batch FILE   (one grammar per line, served as one batch)");
             return ExitCode::FAILURE;
         }
     };
+    match served {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("query: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
 
+/// The flat stack the two unsharded runners serve from: the generated
+/// DBLP corpus (deterministic in `(--scale, --seed)`), one engine per
+/// `--methods` spec, metrics when `--metrics` asks.
+fn flat_stack(opts: &Options) -> Result<rankengine::QueryEngine, String> {
     let scale = opts.scale.unwrap_or(20_000);
     eprintln!(
         "generating DBLP graph (scale = {scale}, seed = {}), ranking {:?}...",
@@ -408,83 +422,114 @@ fn run_query(opts: &Options, grammar: Option<&String>) -> ExitCode {
     let net = citegen::generate(&citegen::DatasetProfile::dblp().scaled(scale), opts.seed);
     let t0 = std::time::Instant::now();
     let specs: Vec<&str> = opts.methods.iter().map(String::as_str).collect();
-    let mut engine = match QueryEngine::from_configs(net, &specs, RerankPolicy::EveryBatch) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("query: cannot build engines: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let policy = rankengine::RerankPolicy::EveryBatch;
+    let mut engine = rankengine::QueryEngine::from_configs(net, &specs, policy)
+        .map_err(|e| format!("cannot build engines: {e}"))?;
     if opts.metrics {
         engine.enable_metrics();
     }
     eprintln!("ranked in {:.1} ms", t0.elapsed().as_secs_f64() * 1e3);
+    Ok(engine)
+}
+
+/// The sharded stack the two `--shards` runners serve from: the same
+/// corpus, its shard plan, and one [`rankengine::ShardedEngine`] ranking
+/// `config` over it (the corpus and the plan come back too — `vs=` builds
+/// a second engine over them).
+fn sharded_stack(
+    opts: &Options,
+    spec: citegraph::ShardSpec,
+    config: &str,
+) -> Result<(CitationNetwork, ShardPlan, rankengine::ShardedEngine), String> {
+    let scale = opts.scale.unwrap_or(20_000);
+    eprintln!(
+        "generating DBLP graph (scale = {scale}, seed = {}), shard plan {spec}, \
+         ranking {config:?}...",
+        opts.seed
+    );
+    let net = citegen::generate(&citegen::DatasetProfile::dblp().scaled(scale), opts.seed);
+    let plan = spec.plan(&net).map_err(|e| e.to_string())?;
+    let t0 = std::time::Instant::now();
+    let policy = rankengine::RerankPolicy::EveryBatch;
+    let mut engine = rankengine::ShardedEngine::from_plan(&net, &plan, config, policy)
+        .map_err(|e| format!("cannot build sharded engines: {e}"))?;
+    if opts.metrics {
+        engine.enable_metrics();
+    }
+    eprintln!(
+        "ranked {} shards in {:.1} ms ({} boundary edges absorbed)",
+        engine.n_shards(),
+        t0.elapsed().as_secs_f64() * 1e3,
+        engine.boundary_edges()
+    );
+    Ok((net, plan, engine))
+}
+
+/// `query <grammar>`: serves a filtered/faceted/paginated top-k (or a
+/// two-method comparison with `vs=`) over a generated DBLP graph. The
+/// corpus is deterministic in `(--scale, --seed)` and epochs start at 0,
+/// so a printed `cursor=…` token pastes into the next invocation to
+/// fetch the following page.
+fn run_query_flat(opts: &Options, grammar: &str) -> Result<(), String> {
+    use rankengine::QueryDriver;
+
+    let query = grammar
+        .parse::<rankengine::Query>()
+        .map_err(|e| e.to_string())?;
+    let engine = flat_stack(opts)?;
 
     // Explain line: what the planner chose and why.
-    match engine.explain(&query) {
-        Ok(plan) => {
-            let join = |ids: &[u32]| {
-                ids.iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join("|")
-            };
-            let driver = match &plan.driver {
-                QueryDriver::Unfiltered => "unfiltered partial select".to_string(),
-                QueryDriver::IdRange { start, end } => {
-                    format!("id-range scan [{start}, {end})")
-                }
-                QueryDriver::VenueBands { venues, len } => {
-                    format!("venue {} banded postings ({len} candidates)", join(venues))
-                }
-                QueryDriver::AuthorBands { authors, len } => {
-                    format!(
-                        "author {} banded postings ({len} candidates)",
-                        join(authors)
-                    )
-                }
-                QueryDriver::MaskAlgebra { candidates } => {
-                    format!("mask algebra pushdown ({candidates} candidates)")
-                }
-            };
-            println!(
-                "plan: driver = {driver}, candidates = {}, est cost = {:.0} ns, \
-                 residual checks = [{}]",
-                plan.candidates,
-                plan.cost_ns,
-                plan.residuals.join(", ")
-            );
-            // Every shape the planner priced, not just the winner.
-            let table: Vec<String> = plan
-                .table
-                .iter()
-                .map(|c| {
-                    format!(
-                        "{}{} = {:.0} ns",
-                        c.driver,
-                        if c.chosen { "*" } else { "" },
-                        c.cost_ns
-                    )
-                })
-                .collect();
-            println!("plan candidates (* = chosen): {}", table.join(", "));
+    let plan = engine.explain(&query).map_err(|e| e.to_string())?;
+    let join = |ids: &[u32]| {
+        ids.iter()
+            .map(|v| v.to_string())
+            .collect::<Vec<_>>()
+            .join("|")
+    };
+    let driver = match &plan.driver {
+        QueryDriver::Unfiltered => "unfiltered partial select".to_string(),
+        QueryDriver::IdRange { start, end } => {
+            format!("id-range scan [{start}, {end})")
         }
-        Err(e) => {
-            eprintln!("query: {e}");
-            return ExitCode::FAILURE;
+        QueryDriver::VenueBands { venues, len } => {
+            format!("venue {} banded postings ({len} candidates)", join(venues))
         }
-    }
+        QueryDriver::AuthorBands { authors, len } => {
+            format!(
+                "author {} banded postings ({len} candidates)",
+                join(authors)
+            )
+        }
+        QueryDriver::MaskAlgebra { candidates } => {
+            format!("mask algebra pushdown ({candidates} candidates)")
+        }
+    };
+    println!(
+        "plan: driver = {driver}, candidates = {}, est cost = {:.0} ns, \
+         residual checks = [{}]",
+        plan.candidates,
+        plan.cost_ns,
+        plan.residuals.join(", ")
+    );
+    // Every shape the planner priced, not just the winner.
+    let table: Vec<String> = plan
+        .table
+        .iter()
+        .map(|c| {
+            format!(
+                "{}{} = {:.0} ns",
+                c.driver,
+                if c.chosen { "*" } else { "" },
+                c.cost_ns
+            )
+        })
+        .collect();
+    println!("plan candidates (* = chosen): {}", table.join(", "));
 
     let metrics_before = engine.render_metrics();
     let t1 = std::time::Instant::now();
     if query.vs.is_some() {
-        let cmp = match engine.compare(&query) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("query: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let cmp = engine.compare(&query).map_err(|e| e.to_string())?;
         let elapsed = t1.elapsed();
         println!(
             "== {} (epoch {}) vs {} (epoch {}): {} of {} matches in {:.1} µs ==",
@@ -498,13 +543,7 @@ fn run_query(opts: &Options, grammar: Option<&String>) -> ExitCode {
         );
         print_compare_rows(&cmp.rows, cmp.page.next);
     } else {
-        let page = match engine.query(&query) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("query: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let page = engine.query(&query).map_err(|e| e.to_string())?;
         let elapsed = t1.elapsed();
         let snap = engine
             .snapshot(query.method.as_deref())
@@ -538,10 +577,8 @@ fn run_query(opts: &Options, grammar: Option<&String>) -> ExitCode {
             println!("next page: append cursor={cursor}");
         }
     }
-    if let (Some(before), Some(after)) = (metrics_before, engine.render_metrics()) {
-        print_metric_deltas(&before, &after);
-    }
-    ExitCode::SUCCESS
+    print_metric_deltas(metrics_before, engine.render_metrics());
+    Ok(())
 }
 
 /// The joined table of a `vs=` comparison, flat or sharded, and the
@@ -595,38 +632,12 @@ fn read_batch_queries(path: &std::path::Path) -> Result<Vec<rankengine::Query>, 
 
 /// `query --batch FILE`: serves every query in FILE through one
 /// [`rankengine::QueryEngine::query_batch`] call — one snapshot pin per
-/// method, members grouped by plan so pools/masks/seed probes carry
-/// across them — and prints a per-member summary line. Pages are
+/// method, one scratch, exact duplicates answered from the earlier
+/// member's page — and prints a per-member summary line. Pages are
 /// bit-identical to serving each line with `repro query`.
-fn run_query_batch(opts: &Options, path: &std::path::Path) -> ExitCode {
-    use rankengine::{QueryEngine, RerankPolicy};
-
-    let queries = match read_batch_queries(path) {
-        Ok(qs) => qs,
-        Err(e) => {
-            eprintln!("query: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let scale = opts.scale.unwrap_or(20_000);
-    eprintln!(
-        "generating DBLP graph (scale = {scale}, seed = {}), ranking {:?}...",
-        opts.seed, opts.methods
-    );
-    let net = citegen::generate(&citegen::DatasetProfile::dblp().scaled(scale), opts.seed);
-    let t0 = std::time::Instant::now();
-    let specs: Vec<&str> = opts.methods.iter().map(String::as_str).collect();
-    let mut engine = match QueryEngine::from_configs(net, &specs, RerankPolicy::EveryBatch) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("query: cannot build engines: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if opts.metrics {
-        engine.enable_metrics();
-    }
-    eprintln!("ranked in {:.1} ms", t0.elapsed().as_secs_f64() * 1e3);
+fn run_query_batch(opts: &Options, path: &std::path::Path) -> Result<(), String> {
+    let queries = read_batch_queries(path)?;
+    let engine = flat_stack(opts)?;
 
     let metrics_before = engine.render_metrics();
     let t1 = std::time::Instant::now();
@@ -641,25 +652,20 @@ fn run_query_batch(opts: &Options, path: &std::path::Path) -> ExitCode {
         "plan cache: {} hits, {} misses, {} stale, {} entries",
         stats.hits, stats.misses, stats.stale, stats.entries
     );
-    if let (Some(before), Some(after)) = (metrics_before, engine.render_metrics()) {
-        print_metric_deltas(&before, &after);
-    }
-    if all_served {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    print_metric_deltas(metrics_before, engine.render_metrics());
+    all_served
 }
 
 /// The summary both `--batch` modes print: a header, then one line per
 /// member — `describe`'s words for a served page plus its next cursor,
-/// the typed error otherwise. `true` when every member served.
+/// the typed error otherwise. `Err` with the tally unless every member
+/// served.
 fn print_batch_summary<P, E: std::fmt::Display>(
     queries: &[rankengine::Query],
     pages: &[Result<P, E>],
     elapsed: std::time::Duration,
     describe: impl Fn(&P) -> (String, Option<rankengine::Cursor>),
-) -> bool {
+) -> Result<(), String> {
     let served = pages.iter().filter(|p| p.is_ok()).count();
     println!(
         "== batch: {served} of {} queries served in {:.1} µs ({:.0} queries/s) ==",
@@ -674,7 +680,10 @@ fn print_batch_summary<P, E: std::fmt::Display>(
             Err(e) => println!("[{i:>3}] {q} -> error: {e}"),
         }
     }
-    served == pages.len()
+    match pages.len() - served {
+        0 => Ok(()),
+        failed => Err(format!("{failed} of {} batch members failed", pages.len())),
+    }
 }
 
 /// `loadgen`: closed-loop serving throughput on the mixed dashboard
@@ -789,8 +798,12 @@ fn run_loadgen(opts: &Options) -> ExitCode {
 
 /// Prints the samples that changed between two exposition renders — the
 /// per-query footprint `repro query --metrics` shows after the page.
-fn print_metric_deltas(before: &str, after: &str) {
+/// Nothing without `--metrics` (an engine with metrics off renders `None`).
+fn print_metric_deltas(before: Option<String>, after: Option<String>) {
     use obsv::validate::parse_samples;
+    let (Some(before), Some(after)) = (before, after) else {
+        return;
+    };
     let key = |s: &obsv::validate::Sample| {
         let labels: Vec<String> = s
             .labels
@@ -803,12 +816,12 @@ fn print_metric_deltas(before: &str, after: &str) {
             format!("{}{{{}}}", s.name, labels.join(","))
         }
     };
-    let prev: std::collections::HashMap<String, f64> = parse_samples(before)
+    let prev: std::collections::HashMap<String, f64> = parse_samples(&before)
         .iter()
         .map(|s| (key(s), s.value))
         .collect();
     let mut any = false;
-    for s in parse_samples(after) {
+    for s in parse_samples(&after) {
         let k = key(&s);
         let old = prev.get(&k).copied().unwrap_or(0.0);
         if s.value != old {
@@ -835,64 +848,15 @@ fn print_metric_deltas(before: &str, after: &str) {
 fn run_query_sharded(
     opts: &Options,
     spec: citegraph::ShardSpec,
-    grammar: Option<&String>,
-) -> ExitCode {
+    grammar: &str,
+) -> Result<(), String> {
     use rankengine::{RerankPolicy, ShardedEngine};
 
-    if let Some(path) = opts.batch.clone() {
-        return run_query_batch_sharded(opts, spec, &path);
-    }
-    let Some(grammar) = grammar else {
-        eprintln!(
-            "usage: repro query \"<grammar>\" --shards N|year:WIDTH [--scale N] [--seed N] \
-             [--methods \"SPEC\"] [--batch FILE]"
-        );
-        return ExitCode::FAILURE;
-    };
-    let query: rankengine::Query = match grammar.parse() {
-        Ok(q) => q,
-        Err(e) => {
-            eprintln!("query: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let scale = opts.scale.unwrap_or(20_000);
-    let config = query
-        .method
-        .clone()
-        .unwrap_or_else(|| opts.methods[0].clone());
-    eprintln!(
-        "generating DBLP graph (scale = {scale}, seed = {}), shard plan {spec}, \
-         ranking {config:?}...",
-        opts.seed
-    );
-    let net = citegen::generate(&citegen::DatasetProfile::dblp().scaled(scale), opts.seed);
-    let plan = match spec.plan(&net) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("query: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let t0 = std::time::Instant::now();
-    let mut engine = match ShardedEngine::from_plan(&net, &plan, &config, RerankPolicy::EveryBatch)
-    {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("query: cannot build sharded engines: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if opts.metrics {
-        engine.enable_metrics();
-    }
-    eprintln!(
-        "ranked {} shards in {:.1} ms ({} boundary edges absorbed)",
-        engine.n_shards(),
-        t0.elapsed().as_secs_f64() * 1e3,
-        engine.boundary_edges()
-    );
+    let query = grammar
+        .parse::<rankengine::Query>()
+        .map_err(|e| e.to_string())?;
+    let config = query.method.as_ref().unwrap_or(&opts.methods[0]);
+    let (net, plan, engine) = sharded_stack(opts, spec, config)?;
 
     // Plan line: the shard-prune decision the scatter-gather read takes.
     let scanned = plan.overlapping(query.year_min, query.year_max);
@@ -924,27 +888,18 @@ fn run_query_sharded(
 
     // vs=: a second sharded engine over the *same* plan, the comparison
     // column joined through the scatter-gather merge (composed ranks).
-    if let Some(vs) = query.vs.clone() {
+    if let Some(vs) = &query.vs {
         let t_b = std::time::Instant::now();
-        let other = match ShardedEngine::from_plan(&net, &plan, &vs, RerankPolicy::EveryBatch) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("query: cannot build vs= sharded engines: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let other = ShardedEngine::from_plan(&net, &plan, vs, RerankPolicy::EveryBatch)
+            .map_err(|e| format!("cannot build vs= sharded engines: {e}"))?;
         eprintln!(
             "ranked vs-method {vs:?} over the same plan in {:.1} ms",
             t_b.elapsed().as_secs_f64() * 1e3
         );
         let t1 = std::time::Instant::now();
-        let cmp = match engine.compare(&other, &query, None) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("query: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let cmp = engine
+            .compare(&other, &query, None)
+            .map_err(|e| e.to_string())?;
         let elapsed = t1.elapsed();
         println!(
             "== {} (epoch set {:x}) vs {} (epoch set {:x}): {} of {} matches in {:.1} µs \
@@ -960,57 +915,45 @@ fn run_query_sharded(
             cmp.page.shards_total
         );
         print_compare_rows(&cmp.rows, cmp.page.next);
-        if let (Some(before), Some(after)) = (metrics_before, engine.render_metrics()) {
-            print_metric_deltas(&before, &after);
+    } else {
+        let t1 = std::time::Instant::now();
+        let page = engine.query(&query, None).map_err(|e| e.to_string())?;
+        let elapsed = t1.elapsed();
+        println!(
+            "== {} (epoch set {:x}): {} of {} matches in {:.1} µs ({} of {} shards scanned) ==",
+            page.method,
+            page.epoch_key,
+            page.items.len(),
+            page.matched,
+            elapsed.as_secs_f64() * 1e6,
+            page.shards_scanned,
+            page.shards_total
+        );
+        let starts = engine.starts();
+        let rows: Vec<Vec<String>> = page
+            .items
+            .iter()
+            .map(|h| {
+                let shard = starts.partition_point(|&b| b <= h.id) - 1;
+                vec![
+                    h.id.to_string(),
+                    format!("{:.6}", h.score),
+                    h.year.to_string(),
+                    h.venue.map_or("-".into(), |v| v.to_string()),
+                    shard.to_string(),
+                ]
+            })
+            .collect();
+        println!(
+            "{}",
+            text_table(&["paper", "score", "year", "venue", "shard"], &rows)
+        );
+        if let Some(c) = page.next {
+            println!("next page: append cursor={c}");
         }
-        return ExitCode::SUCCESS;
     }
-
-    let t1 = std::time::Instant::now();
-    let page = match engine.query(&query, None) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("query: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let elapsed = t1.elapsed();
-    println!(
-        "== {} (epoch set {:x}): {} of {} matches in {:.1} µs ({} of {} shards scanned) ==",
-        page.method,
-        page.epoch_key,
-        page.items.len(),
-        page.matched,
-        elapsed.as_secs_f64() * 1e6,
-        page.shards_scanned,
-        page.shards_total
-    );
-    let starts = engine.starts();
-    let rows: Vec<Vec<String>> = page
-        .items
-        .iter()
-        .map(|h| {
-            let shard = starts.partition_point(|&b| b <= h.id) - 1;
-            vec![
-                h.id.to_string(),
-                format!("{:.6}", h.score),
-                h.year.to_string(),
-                h.venue.map_or("-".into(), |v| v.to_string()),
-                shard.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        text_table(&["paper", "score", "year", "venue", "shard"], &rows)
-    );
-    if let Some(c) = page.next {
-        println!("next page: append cursor={c}");
-    }
-    if let (Some(before), Some(after)) = (metrics_before, engine.render_metrics()) {
-        print_metric_deltas(&before, &after);
-    }
-    ExitCode::SUCCESS
+    print_metric_deltas(metrics_before, engine.render_metrics());
+    Ok(())
 }
 
 /// `query --shards … --batch FILE`: serves every query in FILE through
@@ -1022,51 +965,13 @@ fn run_query_batch_sharded(
     opts: &Options,
     spec: citegraph::ShardSpec,
     path: &std::path::Path,
-) -> ExitCode {
-    use rankengine::{Query, RerankPolicy, ShardCursor, ShardedEngine};
+) -> Result<(), String> {
+    use rankengine::{Query, ShardCursor};
 
-    let queries = match read_batch_queries(path) {
-        Ok(qs) => qs,
-        Err(e) => {
-            eprintln!("query: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let queries = read_batch_queries(path)?;
     let batch: Vec<(Query, Option<ShardCursor>)> =
         queries.iter().map(|q| (q.clone(), None)).collect();
-
-    let scale = opts.scale.unwrap_or(20_000);
-    let config = opts.methods[0].clone();
-    eprintln!(
-        "generating DBLP graph (scale = {scale}, seed = {}), shard plan {spec}, \
-         ranking {config:?}...",
-        opts.seed
-    );
-    let net = citegen::generate(&citegen::DatasetProfile::dblp().scaled(scale), opts.seed);
-    let plan = match spec.plan(&net) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("query: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let t0 = std::time::Instant::now();
-    let mut engine = match ShardedEngine::from_plan(&net, &plan, &config, RerankPolicy::EveryBatch)
-    {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("query: cannot build sharded engines: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if opts.metrics {
-        engine.enable_metrics();
-    }
-    eprintln!(
-        "ranked {} shards in {:.1} ms",
-        engine.n_shards(),
-        t0.elapsed().as_secs_f64() * 1e3
-    );
+    let (_, _, engine) = sharded_stack(opts, spec, &opts.methods[0])?;
 
     let metrics_before = engine.render_metrics();
     let t1 = std::time::Instant::now();
@@ -1079,14 +984,8 @@ fn run_query_batch_sharded(
         );
         (format!("{n} of {matched} matches {scanned}"), page.next)
     });
-    if let (Some(before), Some(after)) = (metrics_before, engine.render_metrics()) {
-        print_metric_deltas(&before, &after);
-    }
-    if all_served {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    print_metric_deltas(metrics_before, engine.render_metrics());
+    all_served
 }
 
 /// `metrics`: runs a scripted serving workload — a WAL-backed flat

@@ -84,6 +84,17 @@
 //! is the one-partition case; [`ShardedEngine`](crate::ShardedEngine)
 //! calls the same functions once per shard and merges the runs.
 //!
+//! # One serve route
+//!
+//! Every flat entry point — `query`, `query_at`, `query_with`,
+//! `query_with_at`, each `query_batch` member, the page under
+//! [`QueryEngine::compare`] — is the one private `serve_into`: seeded
+//! solve, fingerprint, cursor check, plan cache, admission, selection,
+//! metrics. A batch is `serve_batch`, shared with the sharded engine.
+//! Between queries the engine remembers plans ([`PlanCache`]) and seeded
+//! solves ([`crate::PersonalizationCache`]), a [`QueryScratch`] its last
+//! gathered pool and mask, and nothing else anything.
+//!
 //! # Cursors
 //!
 //! Pagination is offset-free: a [`Cursor`] embeds the epoch it was
@@ -731,13 +742,13 @@ pub enum QueryDriver {
 ///
 /// The baked defaults ([`CostModel::default`]) are fit to the
 /// `index_vs_scan` bench group at the 200k-paper scale on the baseline
-/// machine (see the README cost table). A [`QueryEngine`] **self-tunes**
-/// at construction: when a bench report carrying the two anchor rows is
-/// reachable ([`CostModel::from_baseline_env`]), the constants re-scale
-/// by the measured-over-reference ratio of each anchor, so the
-/// crossovers track the serving machine instead of the one the defaults
-/// were fit on. Missing or malformed reports fall back to the baked
-/// values — never an error.
+/// machine (see the README cost table), and every engine starts from
+/// them: construction reads no file and no environment variable, so the
+/// same corpus plans the same way wherever the process was started.
+/// Re-fitting to another machine is explicit — `repro bench-check` prints
+/// the constants fitted to the bench report it just read
+/// (`repro_bench::benchcheck::fit_cost_model`) beside the baked ones, and
+/// [`QueryEngine::set_cost_model`] installs a model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Per id enumerated by a contiguous range scan (`top_k_where`
@@ -767,89 +778,6 @@ impl Default for CostModel {
             mask_per_word: 0.6,
         }
     }
-}
-
-impl CostModel {
-    /// `min_ns` of `index_vs_scan/author_posting_200k` in the committed
-    /// baseline the baked constants were fit against — the gather-side
-    /// anchor (scales the per-candidate constants).
-    const REF_POSTING_NS: f64 = 861.0;
-    /// `min_ns` of `index_vs_scan/author_mask_residual_200k` in the same
-    /// baseline — the scan-side anchor (scales the per-id and per-mask
-    /// constants).
-    const REF_RESIDUAL_NS: f64 = 268_024.0;
-
-    /// Re-fits the constants from a bench report (criterion-shim JSON or
-    /// the committed `BENCH_baseline.json` — both carry flat
-    /// `{"group": …, "id": …, "min_ns": …}` records) holding the two
-    /// `index_vs_scan` anchor rows. Each constant scales by its anchor's
-    /// measured/reference ratio, preserving the within-shape ratios the
-    /// fit established. Returns `None` when either anchor is absent or
-    /// degenerate — callers fall back to the baked model.
-    pub fn from_bench_json(json: &str) -> Option<CostModel> {
-        let posting = bench_min_ns(json, "index_vs_scan", "author_posting_200k")?;
-        let residual = bench_min_ns(json, "index_vs_scan", "author_mask_residual_200k")?;
-        if !posting.is_finite() || !residual.is_finite() || posting <= 0.0 || residual <= 0.0 {
-            return None;
-        }
-        let band_ratio = posting / Self::REF_POSTING_NS;
-        let scan_ratio = residual / Self::REF_RESIDUAL_NS;
-        let baked = CostModel::default();
-        Some(CostModel {
-            scan_per_id: baked.scan_per_id * scan_ratio,
-            band_per_candidate: baked.band_per_candidate * band_ratio,
-            dedup_per_candidate: baked.dedup_per_candidate * band_ratio,
-            mask_insert: baked.mask_insert * scan_ratio,
-            mask_per_word: baked.mask_per_word * scan_ratio,
-        })
-    }
-
-    /// The model a [`QueryEngine`] self-tunes with at construction:
-    /// re-fit from the report at `$BENCH_BASELINE_PATH` (default
-    /// `./BENCH_baseline.json`) when the file exists and carries the
-    /// anchor rows; the baked defaults otherwise. Never errors.
-    pub fn from_baseline_env() -> CostModel {
-        let path =
-            std::env::var("BENCH_BASELINE_PATH").unwrap_or_else(|_| "BENCH_baseline.json".into());
-        std::fs::read_to_string(path)
-            .ok()
-            .and_then(|json| Self::from_bench_json(&json))
-            .unwrap_or_default()
-    }
-}
-
-/// `min_ns` of the `(group, id)` record in a bench report: a
-/// dependency-free scan over the flat `{…}` segments both report formats
-/// contain (a segment split at the next `}` only parses when the object
-/// is flat, which every record is — nested structure just fails the
-/// field probes and is skipped).
-fn bench_min_ns(json: &str, group: &str, id: &str) -> Option<f64> {
-    for seg in json.split('{').skip(1).filter_map(|s| s.split('}').next()) {
-        if json_str_field(seg, "group") == Some(group) && json_str_field(seg, "id") == Some(id) {
-            return json_num_field(seg, "min_ns");
-        }
-    }
-    None
-}
-
-/// Value of a `"key": "string"` field inside a flat object segment.
-fn json_str_field<'a>(seg: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\"");
-    let at = seg.find(&pat)? + pat.len();
-    let rest = seg[at..].trim_start().strip_prefix(':')?.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    rest.split('"').next()
-}
-
-/// Value of a `"key": number` field inside a flat object segment.
-fn json_num_field(seg: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\"");
-    let at = seg.find(&pat)? + pat.len();
-    let rest = seg[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// The planner's verdict for a query against one snapshot: which
@@ -1072,7 +1000,7 @@ impl PlanCache {
                 }
             }
         }
-        let planned = Arc::new(plan(net, q, cost)?);
+        let planned = Arc::new(plan_shaped(net, q, cost, false)?);
         let mut inner = self.inner.lock().expect("plan cache lock");
         let tick = inner.tick;
         if inner.entries.len() >= inner.capacity && !inner.entries.contains_key(&key) {
@@ -1107,10 +1035,11 @@ impl PlanCache {
 /// create one per worker and thread it through
 /// [`QueryEngine::query_with`] / the batch APIs.
 ///
-/// The `pool`/`mask` buffers double as cross-query memos inside a
-/// batch: their content keys record what is currently materialized, so
-/// consecutive batch members sharing a filter skip the posting-band
-/// gather or mask build entirely.
+/// The `pool`/`mask` buffers carry their contents from one query to the
+/// next: a content key records what is currently materialized, so
+/// *consecutive* queries through one scratch that share a filter on one
+/// epoch — in a batch or not — skip the posting-band gather or the mask
+/// build.
 #[derive(Default)]
 pub struct QueryScratch {
     /// Deduplicated venue list of the current query
@@ -1248,17 +1177,13 @@ fn driver_name(driver: &QueryDriver) -> &'static str {
     }
 }
 
-/// Plans `q` against the network of one snapshot under a [`CostModel`].
-/// Pure function of the predicate cardinalities and the model;
-/// separated from execution so tests (and the CLI's explain output) can
-/// inspect planner decisions directly.
-fn plan(net: &CitationNetwork, q: &Query, cost: &CostModel) -> Result<QueryPlan, QueryError> {
-    plan_shaped(net, q, cost, false)
-}
-
-/// [`plan`] with the admission controller's degradation knob (see
-/// [`price_partition`]'s `forbid_scan`): the two halves of planning a
-/// one-partition engine — validate the facet ids, then price the shapes.
+/// Plans `q` against the network of one snapshot under a [`CostModel`]:
+/// the two halves of planning a one-partition engine — validate the facet
+/// ids, then price the shapes. Pure function of the predicate
+/// cardinalities and the model; separated from execution so tests (and
+/// the CLI's explain output) can inspect planner decisions directly.
+/// `forbid_scan` is the admission controller's degradation knob (see
+/// [`price_partition`]).
 fn plan_shaped(
     net: &CitationNetwork,
     q: &Query,
@@ -1551,38 +1476,6 @@ pub(crate) fn price_partition(
     }
 }
 
-/// Executes `q` against one pinned snapshot. `method` is the resolved
-/// method label (for the page header and the cursor fingerprint).
-/// `ranking` is the vector to select over — the snapshot's own global
-/// scores, or a personalized vector of the same length solved on the
-/// same epoch.
-fn execute(
-    snap: &EpochSnapshot,
-    method: &str,
-    q: &Query,
-    ranking: Ranking<'_>,
-    cost: &CostModel,
-) -> Result<Page, QueryError> {
-    let mut scratch = QueryScratch::new();
-    let fp = fingerprint_with(method, q, &mut scratch.seeds);
-    let cursor_pos = validate_cursor(q.cursor.as_ref(), snap.epoch(), fp)?;
-    let plan = plan(snap.network(), q, cost)?;
-    let mut out = PageBuf::new();
-    execute_plan_into(
-        snap,
-        method,
-        q,
-        q.k,
-        ranking,
-        &plan,
-        fp,
-        cursor_pos,
-        &mut scratch,
-        &mut out,
-    );
-    Ok(out.take_page())
-}
-
 /// Cursor validity on either engine: minted on this serving
 /// `generation` (a snapshot's epoch, or a pinned shard set's epoch key),
 /// for this `(method, filter)` identity. Returns the decoded resume
@@ -1625,6 +1518,27 @@ pub(crate) fn admit(
             })
         })
         .transpose()
+}
+
+/// The batch executor of both engines: runs `members` in submission
+/// order through `serve` — the engine's single-query function, closed
+/// over the batch's pin and its one scratch — and answers a member equal
+/// to an earlier *served* member from that member's page (the only place
+/// a query is compared with another). An error is never remembered: the
+/// duplicate fails again with the same typed error.
+pub(crate) fn serve_batch<M: PartialEq, P: Clone, E>(
+    members: &[M],
+    mut serve: impl FnMut(&M) -> Result<P, E>,
+) -> Vec<Result<P, E>> {
+    let mut results: Vec<Result<P, E>> = Vec::with_capacity(members.len());
+    for (i, member) in members.iter().enumerate() {
+        let earlier = members[..i].iter().zip(&results);
+        let served = earlier
+            .filter(|(prev, _)| *prev == member)
+            .find_map(|(_, page)| page.as_ref().ok().cloned());
+        results.push(served.map_or_else(|| serve(member), Ok));
+    }
+    results
 }
 
 /// Scratch content-key kinds: what kind of materialization the
@@ -1864,8 +1778,8 @@ pub(crate) fn select_partition(
             // One band probe per venue; venue lists are disjoint, so the
             // concatenation has no duplicates. The year bound is inside
             // the band — only author and cursor residuals remain. The
-            // pre-residual pool is keyed so batch members sharing the
-            // filter reuse the gather.
+            // pre-residual pool is keyed so consecutive queries sharing
+            // the filter reuse the gather.
             let key = content_key(KEY_VENUE_BANDS, vs, &[], &range, part.epoch_uid);
             if *pool_key != Some(key) {
                 pool.clear();
@@ -1983,12 +1897,6 @@ fn execute_plan_into(
     walk
 }
 
-/// The vector a query ranks by: its seeded solve when it has one, else
-/// the snapshot's own scores.
-fn ranking_of<'a>(snap: &'a EpochSnapshot, seeded: &'a Option<CachedRanking>) -> Ranking<'a> {
-    seeded.as_ref().map_or(snap.ranking(), CachedRanking::view)
-}
-
 /// One row of a two-method comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompareRow {
@@ -2035,9 +1943,9 @@ pub struct Comparison {
 /// name (`attrank`, `cc`, …).
 ///
 /// Seeded queries (`seed=`) are served through one engine-wide
-/// [`PersonalizationCache`]; the planner runs under a [`CostModel`]
-/// re-fit from the bench baseline at construction when one is reachable
-/// (see [`CostModel::from_baseline_env`]).
+/// [`PersonalizationCache`] — the one place a solve is remembered; the
+/// planner runs under the baked [`CostModel`] until
+/// [`Self::set_cost_model`] installs another.
 pub struct QueryEngine {
     engines: Vec<(String, Arc<RankingEngine>)>,
     /// Per-method damping factor, parsed once at construction — the
@@ -2097,7 +2005,7 @@ impl QueryEngine {
             dampings,
             cache: PersonalizationCache::new(CacheConfig::default()),
             plans: PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY),
-            cost: CostModel::from_baseline_env(),
+            cost: CostModel::default(),
             metrics: None,
             admission: None,
         })
@@ -2154,8 +2062,8 @@ impl QueryEngine {
         self.resolve(method).map(|(_, e)| e.snapshot())
     }
 
-    /// The planner cost model in effect: the baked constants, or the
-    /// baseline-refit ones ([`CostModel::from_baseline_env`]).
+    /// The planner cost model in effect: the baked constants, or what
+    /// [`Self::set_cost_model`] installed.
     pub fn cost_model(&self) -> &CostModel {
         &self.cost
     }
@@ -2279,53 +2187,26 @@ impl QueryEngine {
         Some(bundle.registry.render())
     }
 
-    /// The allocating serve path behind [`Self::query`] /
-    /// [`Self::query_at`]: [`Self::query_pinned_into`] through fresh
-    /// buffers.
-    fn query_pinned(
-        &self,
-        idx: usize,
-        snap: &EpochSnapshot,
-        q: &Query,
-    ) -> Result<Page, QueryError> {
-        let mut scratch = QueryScratch::new();
-        let mut out = PageBuf::new();
-        self.query_pinned_into(idx, snap, q, &mut scratch, &mut out)?;
-        Ok(out.take_page())
-    }
-
-    /// [`Self::query_pinned`] writing through caller-owned buffers:
-    /// resolves the score vector (global or seeded) then runs the
-    /// scored path.
-    fn query_pinned_into(
-        &self,
-        idx: usize,
-        snap: &EpochSnapshot,
-        q: &Query,
-        scratch: &mut QueryScratch,
-        out: &mut PageBuf,
-    ) -> Result<(), QueryError> {
-        let seeded = self.seeded_scores(idx, snap, q)?;
-        let ranking = ranking_of(snap, &seeded);
-        self.query_scored_into(self.engines[idx].0.as_str(), snap, q, ranking, scratch, out)
-    }
-
-    /// The scored serve path: fingerprint, cursor validation, plan
+    /// The one serve route under every flat entry point — single query,
+    /// batch member, compare page: seeded solve (through the
+    /// [`PersonalizationCache`]), fingerprint, cursor validation, plan
     /// (through the [`PlanCache`]), admission, execution — writing the
     /// page into `out` through `scratch`'s buffers. Counting and the
     /// clock are interleaved between the stages only when metrics are
     /// enabled (an uninstrumented engine reads no `Instant`); latency is
     /// labeled by the *executed* plan's driver, which an admission
     /// fallback may have changed.
-    fn query_scored_into(
+    fn serve_into(
         &self,
-        label: &str,
+        idx: usize,
         snap: &EpochSnapshot,
         q: &Query,
-        ranking: Ranking<'_>,
         scratch: &mut QueryScratch,
         out: &mut PageBuf,
     ) -> Result<(), QueryError> {
+        let label = self.engines[idx].0.as_str();
+        let seeded = self.seeded_scores(idx, snap, q)?;
+        let ranking = seeded.as_ref().map_or(snap.ranking(), CachedRanking::view);
         let fp = fingerprint_with(label, q, &mut scratch.seeds);
         let serving = self.metrics.as_ref().map(|m| &m.serving);
         let started = serving.is_some().then(Instant::now);
@@ -2395,25 +2276,28 @@ impl QueryEngine {
         Ok(Some(ranking))
     }
 
-    /// Executes a query against the *current* snapshot of its method.
+    /// Executes a query against the *current* snapshot of its method:
+    /// [`Self::query_with`] through fresh buffers.
     ///
     /// A cursor minted before the last publish fails with
     /// [`QueryError::StaleCursor`]; use [`Self::query_at`] with a held
     /// snapshot to paginate across publishes.
     pub fn query(&self, q: &Query) -> Result<Page, QueryError> {
-        let idx = self.resolve_idx(q.method.as_deref())?;
-        let snap = self.engines[idx].1.snapshot();
-        self.query_pinned(idx, &snap, q)
+        let mut out = PageBuf::new();
+        self.query_with(q, &mut QueryScratch::new(), &mut out)?;
+        Ok(out.take_page())
     }
 
     /// Executes a query against a caller-pinned snapshot (from
-    /// [`Self::snapshot`] or a previous page's epoch). The query's
+    /// [`Self::snapshot`] or a previous page's epoch):
+    /// [`Self::query_with_at`] through fresh buffers. The query's
     /// method resolves the label/fingerprint (and, for seeded queries,
     /// the damping factor) — the scores come from `snap`, or from a
     /// personalized solve on exactly `snap`'s epoch.
     pub fn query_at(&self, snap: &EpochSnapshot, q: &Query) -> Result<Page, QueryError> {
-        let idx = self.resolve_idx(q.method.as_deref())?;
-        self.query_pinned(idx, snap, q)
+        let mut out = PageBuf::new();
+        self.query_with_at(snap, q, &mut QueryScratch::new(), &mut out)?;
+        Ok(out.take_page())
     }
 
     /// [`Self::query`] writing through caller-owned buffers instead of
@@ -2430,7 +2314,7 @@ impl QueryEngine {
     ) -> Result<(), QueryError> {
         let idx = self.resolve_idx(q.method.as_deref())?;
         let snap = self.engines[idx].1.snapshot();
-        self.query_pinned_into(idx, &snap, q, scratch, out)
+        self.serve_into(idx, &snap, q, scratch, out)
     }
 
     /// [`Self::query_with`] against a caller-pinned snapshot.
@@ -2442,46 +2326,29 @@ impl QueryEngine {
         out: &mut PageBuf,
     ) -> Result<(), QueryError> {
         let idx = self.resolve_idx(q.method.as_deref())?;
-        self.query_pinned_into(idx, snap, q, scratch, out)
+        self.serve_into(idx, snap, q, scratch, out)
     }
 
-    /// Executes a batch of queries, pinning **one snapshot per distinct
-    /// method** up front: every member sees the same epoch regardless
+    /// Executes a batch of queries in submission order under **one
+    /// snapshot per method**, pinned when that method's first member is
+    /// reached: every member of a method sees the same epoch regardless
     /// of concurrent publishes, and each page is bit-identical to what
     /// [`Self::query_at`] would return against that pinned snapshot
     /// member-by-member (same pages, same cursors, same typed errors).
     ///
-    /// Cost is amortized across members: queries are grouped by method
-    /// and filter fingerprint so consecutive members reuse the
-    /// scratch's posting-list pools and facet masks, seeded members
-    /// sharing a seed set share one personalization-cache probe, exact
-    /// duplicates are served from the first member's page, and all
-    /// members share one plan-cache/scratch/page-buffer set.
+    /// What a batch amortizes is its pins, its buffers (one scratch and
+    /// one page buffer serve every member) and its exact duplicates
+    /// (`serve_batch`); a distinct member costs what it costs through
+    /// [`Self::query_with`].
     pub fn query_batch(&self, queries: &[Query]) -> Vec<Result<Page, QueryError>> {
         let mut snaps: Vec<Option<Arc<EpochSnapshot>>> = vec![None; self.engines.len()];
-        let mut results: Vec<Option<Result<Page, QueryError>>> = Vec::new();
-        results.resize_with(queries.len(), || None);
-        let mut members: Vec<(usize, usize)> = Vec::with_capacity(queries.len());
-        for (qi, q) in queries.iter().enumerate() {
-            match self.resolve_idx(q.method.as_deref()) {
-                Err(e) => results[qi] = Some(Err(e)),
-                Ok(idx) => {
-                    if snaps[idx].is_none() {
-                        snaps[idx] = Some(self.engines[idx].1.snapshot());
-                    }
-                    members.push((qi, idx));
-                }
-            }
-        }
-        let pinned: Vec<(usize, usize, &EpochSnapshot)> = members
-            .into_iter()
-            .map(|(qi, idx)| (qi, idx, snaps[idx].as_deref().expect("pinned above")))
-            .collect();
-        self.run_batch(queries, pinned, &mut results);
-        results
-            .into_iter()
-            .map(|r| r.expect("every member resolved or executed"))
-            .collect()
+        let (mut scratch, mut out) = (QueryScratch::new(), PageBuf::new());
+        serve_batch(queries, |q| {
+            let idx = self.resolve_idx(q.method.as_deref())?;
+            let snap = snaps[idx].get_or_insert_with(|| self.engines[idx].1.snapshot());
+            self.serve_into(idx, snap, q, &mut scratch, &mut out)?;
+            Ok(out.to_page())
+        })
     }
 
     /// [`Self::query_batch`] with every member pinned to one
@@ -2492,88 +2359,11 @@ impl QueryEngine {
         snap: &EpochSnapshot,
         queries: &[Query],
     ) -> Vec<Result<Page, QueryError>> {
-        let mut results: Vec<Option<Result<Page, QueryError>>> = Vec::new();
-        results.resize_with(queries.len(), || None);
-        let mut pinned: Vec<(usize, usize, &EpochSnapshot)> = Vec::with_capacity(queries.len());
-        for (qi, q) in queries.iter().enumerate() {
-            match self.resolve_idx(q.method.as_deref()) {
-                Err(e) => results[qi] = Some(Err(e)),
-                Ok(idx) => pinned.push((qi, idx, snap)),
-            }
-        }
-        self.run_batch(queries, pinned, &mut results);
-        results
-            .into_iter()
-            .map(|r| r.expect("every member resolved or executed"))
-            .collect()
-    }
-
-    /// The shared batch executor behind [`Self::query_batch`] /
-    /// [`Self::query_batch_at`]: orders members for buffer locality,
-    /// memoizes exact duplicates and seed-set probes, and runs every
-    /// member through the same per-query path as sequential execution.
-    fn run_batch(
-        &self,
-        queries: &[Query],
-        mut members: Vec<(usize, usize, &EpochSnapshot)>,
-        results: &mut [Option<Result<Page, QueryError>>],
-    ) {
-        // Group by (method, filter fingerprint): the fingerprint hashes
-        // the facet lists and seed set but not `k` or the cursor, so
-        // members sharing a filter land adjacent and reuse the
-        // scratch's keyed pools/masks; exact duplicates land adjacent
-        // too. The original index is the final sort key, so equal
-        // groups keep submission order (first member executes, the
-        // rest memo off it).
-        let mut scratch = QueryScratch::new();
-        members.sort_by_key(|&(qi, idx, _)| {
-            let label = self.engines[idx].0.as_str();
-            (
-                idx,
-                fingerprint_with(label, &queries[qi], &mut scratch.seeds),
-                qi,
-            )
-        });
-        let mut out = PageBuf::new();
-        // (engine idx, epoch, seed set) → one cache probe for the batch.
-        let mut seed_memo: Vec<(usize, u64, &[PaperId], CachedRanking)> = Vec::new();
-        for w in 0..members.len() {
-            let (qi, idx, snap) = members[w];
-            let q = &queries[qi];
-            // Exact-duplicate memo: same engine, same pinned snapshot,
-            // equal query ⇒ the earlier member's page verbatim.
-            if let Some(&(prev_qi, ..)) = members[..w].iter().find(|&&(pqi, pidx, psnap)| {
-                pidx == idx && std::ptr::eq(psnap, snap) && queries[pqi] == *q
-            }) {
-                results[qi] = results[prev_qi].clone();
-                continue;
-            }
-            let seeded: Result<Option<CachedRanking>, QueryError> = if q.seeds.is_empty() {
-                Ok(None)
-            } else if let Some((.., s)) = seed_memo
-                .iter()
-                .find(|(i, e, seeds, _)| *i == idx && *e == snap.epoch() && *seeds == q.seeds)
-            {
-                Ok(Some(s.clone()))
-            } else {
-                self.seeded_scores(idx, snap, q).inspect(|s| {
-                    let s = s.as_ref().expect("seeds are non-empty");
-                    seed_memo.push((idx, snap.epoch(), &q.seeds, s.clone()));
-                })
-            };
-            results[qi] = Some(seeded.and_then(|seeded| {
-                let ranking = ranking_of(snap, &seeded);
-                self.query_scored_into(
-                    self.engines[idx].0.as_str(),
-                    snap,
-                    q,
-                    ranking,
-                    &mut scratch,
-                    &mut out,
-                )
-                .map(|()| out.to_page())
-            }));
-        }
+        let (mut scratch, mut out) = (QueryScratch::new(), PageBuf::new());
+        serve_batch(queries, |q| {
+            self.query_with_at(snap, q, &mut scratch, &mut out)?;
+            Ok(out.to_page())
+        })
     }
 
     /// The planner's decision for `q` against the current snapshot of
@@ -2581,32 +2371,27 @@ impl QueryEngine {
     /// explain line.
     pub fn explain(&self, q: &Query) -> Result<QueryPlan, QueryError> {
         let (_, engine) = self.resolve(q.method.as_deref())?;
-        plan(engine.snapshot().network(), q, &self.cost)
+        plan_shaped(engine.snapshot().network(), q, &self.cost, false)
     }
 
-    /// Compare mode: runs the filtered page under `q.method`, then joins
-    /// each hit's rank and score under `q.vs` — both from snapshots
-    /// pinned once at entry, the paper's §4-style "AttRank vs. citation
-    /// count" view in one pass. Ranks are global (1 = best), via each
-    /// snapshot's cached position table. Under `seed=` the page's
-    /// *scores* are personalized while both rank columns stay global —
-    /// "where do my related papers sit in each method's overall
-    /// ranking".
+    /// Compare mode: serves the filtered page under `q.method` like any
+    /// other query (planned from the cache, priced by admission, observed
+    /// by the metrics), then joins each hit's rank and score under
+    /// `q.vs` — both from snapshots pinned once at entry, the paper's
+    /// §4-style "AttRank vs. citation count" view in one pass. Ranks are
+    /// global (1 = best), via each snapshot's cached position table.
+    /// Under `seed=` the page's *scores* are personalized while both rank
+    /// columns stay global — "where do my related papers sit in each
+    /// method's overall ranking".
     pub fn compare(&self, q: &Query) -> Result<Comparison, QueryError> {
         let vs = q.vs.as_deref().ok_or(QueryError::MissingCompareMethod)?;
         let idx_a = self.resolve_idx(q.method.as_deref())?;
         let (label_b, engine_b) = self.resolve(Some(vs))?;
-        let label_a = self.engines[idx_a].0.as_str();
         let snap_a = self.engines[idx_a].1.snapshot();
         let snap_b = engine_b.snapshot();
-        let seeded = self.seeded_scores(idx_a, &snap_a, q)?;
-        let page = execute(
-            &snap_a,
-            label_a,
-            q,
-            ranking_of(&snap_a, &seeded),
-            &self.cost,
-        )?;
+        let mut out = PageBuf::new();
+        self.serve_into(idx_a, &snap_a, q, &mut QueryScratch::new(), &mut out)?;
+        let page = out.take_page();
         let rows = page
             .items
             .iter()
@@ -2619,7 +2404,7 @@ impl QueryEngine {
             })
             .collect();
         Ok(Comparison {
-            method_a: label_a.to_string(),
+            method_a: page.method.clone(),
             epoch_a: snap_a.epoch(),
             method_b: label_b.clone(),
             epoch_b: snap_b.epoch(),
@@ -3495,30 +3280,22 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_refits_from_anchor_rows() {
-        // Both anchors measuring 2x the reference scale every constant
-        // by 2 (ratios between shapes preserved).
-        let json = r#"[
-          {"group": "index_vs_scan", "id": "author_posting_200k", "min_ns": 1722.0},
-          {"group": "index_vs_scan", "id": "author_mask_residual_200k", "min_ns": 536048.0}
-        ]"#;
-        let m = CostModel::from_bench_json(json).unwrap();
-        let baked = CostModel::default();
-        assert!((m.band_per_candidate - 2.0 * baked.band_per_candidate).abs() < 1e-9);
-        assert!((m.dedup_per_candidate - 2.0 * baked.dedup_per_candidate).abs() < 1e-9);
-        assert!((m.scan_per_id - 2.0 * baked.scan_per_id).abs() < 1e-9);
-        assert!((m.mask_insert - 2.0 * baked.mask_insert).abs() < 1e-9);
-        // Missing or degenerate anchors → None (callers fall back).
-        assert!(CostModel::from_bench_json("{}").is_none());
-        assert!(CostModel::from_bench_json(
-            r#"[{"group": "index_vs_scan", "id": "author_posting_200k", "min_ns": 10.0}]"#
-        )
-        .is_none());
-        assert!(CostModel::from_bench_json(
-            r#"[{"group": "index_vs_scan", "id": "author_posting_200k", "min_ns": 0.0},
-                {"group": "index_vs_scan", "id": "author_mask_residual_200k", "min_ns": 1.0}]"#
-        )
-        .is_none());
+    fn serve_batch_serves_each_distinct_member_once() {
+        // Members are plain numbers; an odd one fails. A served member
+        // answers its later duplicates; an error is never remembered.
+        let mut calls = Vec::new();
+        let (a, b, err) = (2u32, 4, 7);
+        let results = serve_batch(&[a, b, a, err, err, a], |&m| {
+            calls.push(m);
+            if m % 2 == 0 {
+                Ok(m * 10)
+            } else {
+                Err(format!("{m} is odd"))
+            }
+        });
+        assert_eq!(calls, [a, b, err, err]);
+        let odd = || Err("7 is odd".to_string());
+        assert_eq!(results, [Ok(20), Ok(40), Ok(20), odd(), odd(), Ok(20)]);
     }
 
     #[test]
@@ -3538,17 +3315,19 @@ mod tests {
         }
         let net = b.build().unwrap();
         let q: Query = "k=5,author=0|1|2".parse().unwrap();
+        let baked = CostModel::default();
         assert!(matches!(
-            plan(&net, &q, &CostModel::default()).unwrap().driver,
+            plan_shaped(&net, &q, &baked, false).unwrap().driver,
             QueryDriver::MaskAlgebra { .. }
         ));
-        let json = r#"[
-          {"group": "index_vs_scan", "id": "author_posting_200k", "min_ns": 861.0},
-          {"group": "index_vs_scan", "id": "author_mask_residual_200k", "min_ns": 2680240.0}
-        ]"#;
-        let refit = CostModel::from_bench_json(json).unwrap();
+        let refit = CostModel {
+            scan_per_id: 10.0 * baked.scan_per_id,
+            mask_insert: 10.0 * baked.mask_insert,
+            mask_per_word: 10.0 * baked.mask_per_word,
+            ..baked
+        };
         assert!(matches!(
-            plan(&net, &q, &refit).unwrap().driver,
+            plan_shaped(&net, &q, &refit, false).unwrap().driver,
             QueryDriver::AuthorBands { .. }
         ));
         // The engine surface honors an installed model the same way.

@@ -51,6 +51,12 @@
 //! merged total order with no overlaps or gaps, and a cursor minted
 //! against a different epoch set fails with a typed
 //! [`ShardedError::StaleCursor`].
+//!
+//! Every entry point — `query`, `query_at`, each `query_batch_at` member,
+//! the page under [`ShardedEngine::compare`] — is the one private
+//! `query_pinned` through a pooled [`ShardScratch`]; a batch is the flat
+//! engine's `serve_batch` over it. Seeded solves are remembered by the
+//! engine's [`PersonalizationCache`] (per shard) and nowhere else.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -77,7 +83,7 @@ use crate::metrics::{
 };
 use crate::personalization::{CacheConfig, CachedRanking, PersonalizationCache};
 use crate::query::{
-    admit, fingerprint_with, price_partition, seed_error_to_query, select_partition,
+    admit, fingerprint_with, price_partition, seed_error_to_query, select_partition, serve_batch,
     validate_cursor, validate_facets, CompareRow, CostModel, Cursor, Hit, Partition, Query,
     QueryError, QueryPlan, QueryScratch,
 };
@@ -302,14 +308,11 @@ type SeededShard = Option<(CachedRanking, f64)>;
 /// plus what only a scatter-gather needs. One scratch serves one query at
 /// a time; the engine keeps a few warm ones in a pool and every entry
 /// point borrows one, so per-shard candidate pools, run buffers and the
-/// k-way merge heap are sized once per engine, not once per call, and
-/// queries repeating a seed set share one personalization-cache probe.
+/// k-way merge heap are sized once per engine, not once per call.
 ///
-/// What a pooled scratch may pin is bounded: the candidate pools key
-/// their epoch by id (they pin no corpus), and the seed memo holds a
-/// handful of solve sets (`SEED_MEMO_CAP`) of **one** epoch set — it is
-/// dropped when a query arrives on another — so no personalized vector
-/// outlives its epoch through the pool by more than one query.
+/// A scratch is buffers and nothing else: the candidate pools key their
+/// epoch by id (they pin no corpus), and no solve is remembered here —
+/// the engine's [`PersonalizationCache`] is the one place that is.
 #[derive(Default)]
 pub struct ShardScratch {
     /// Facet lists, fingerprint buffer and the per-partition selection
@@ -324,15 +327,7 @@ pub struct ShardScratch {
     merge: MergeScratch,
     /// Merged page buffer.
     merged: Vec<(f64, PaperId)>,
-    /// Epoch-set key every `seed_memo` entry was solved on.
-    seed_memo_key: u64,
-    /// One seeded solve set per seed set, oldest first — the "one cache
-    /// probe per seed set" memo.
-    seed_memo: Vec<(Vec<PaperId>, Vec<SeededShard>)>,
 }
-
-/// Seed sets a [`ShardScratch`] memoizes before dropping the oldest.
-const SEED_MEMO_CAP: usize = 4;
 
 /// Warm scratches a [`ShardedEngine`] keeps between queries: enough for a
 /// handful of concurrent readers; a burst beyond it builds cold ones and
@@ -352,6 +347,12 @@ impl ShardScratch {
 /// composition model.
 pub struct ShardedEngine {
     method: String,
+    /// The method's damping factor, parsed once at construction (`None`
+    /// for a method that cannot serve `seed=`).
+    damping: Option<f64>,
+    /// Personalization-cache label of each shard (`<method>#s<shard>`),
+    /// formatted once at construction.
+    cache_labels: Vec<String>,
     /// First global id of each shard. Fixed after construction: only the
     /// tail shard grows, so `starts` never changes while serving (and
     /// every pinned [`ShardSnapshots`] shares this one allocation).
@@ -417,17 +418,38 @@ impl ShardedEngine {
             boundary_edges.push(AtomicUsize::new(dropped));
             shards.push(engine);
         }
-        Ok(Self {
-            method: shards[0].method().to_string(),
-            starts: plan.boundaries()[..n_shards].into(),
+        let starts = plan.boundaries()[..n_shards].into();
+        Ok(Self::assemble(shards, starts, boundary_edges))
+    }
+
+    /// The engine over already-built shard engines — what [`Self::from_plan`]
+    /// and [`Self::open_from_store`] end in: the method label, damping
+    /// factor and cache labels read off the shards once, empty caches, no
+    /// metrics, no admission, the baked [`CostModel`].
+    fn assemble(
+        shards: Vec<Arc<RankingEngine>>,
+        starts: Arc<[PaperId]>,
+        boundary_edges: Vec<AtomicUsize>,
+    ) -> Self {
+        let method = shards[0].method().to_string();
+        // An engine's method label is its spec's canonical spelling, so
+        // it parses back.
+        let spec = method.parse::<MethodSpec>().ok();
+        Self {
+            damping: spec.and_then(|spec| spec.damping()),
+            cache_labels: (0..shards.len())
+                .map(|s| format!("{method}#s{s}"))
+                .collect(),
+            method,
+            starts,
             shards,
             boundary_edges,
             cache: PersonalizationCache::new(CacheConfig::default()),
             metrics: None,
             admission: None,
-            cost: CostModel::from_baseline_env(),
+            cost: CostModel::default(),
             scratches: Mutex::default(),
-        })
+        }
     }
 
     /// The served method's canonical config string.
@@ -641,8 +663,7 @@ impl ShardedEngine {
         if q.seeds.is_empty() {
             return Ok(None);
         }
-        let spec: MethodSpec = self.method.parse().map_err(QueryError::from)?;
-        let alpha = spec.damping().ok_or_else(|| {
+        let alpha = self.damping.ok_or_else(|| {
             ShardedError::Query(QueryError::SeedUnsupported {
                 method: self.method.clone(),
             })
@@ -664,8 +685,9 @@ impl ShardedEngine {
             let snap = snaps.snapshot(s);
             let seed = SeedPersonalization::uniform(ids, snap.n_papers())
                 .map_err(|e| ShardedError::Query(seed_error_to_query(e)))?;
-            let label = format!("{}#s{s}", self.method);
-            let (ranking, _) = self.cache.ranking(&label, snap, &seed, alpha);
+            let (ranking, _) = self
+                .cache
+                .ranking(&self.cache_labels[s], snap, &seed, alpha);
             per.push(Some((ranking, ids.len() as f64 / total)));
         }
         Ok(Some(per))
@@ -738,37 +760,25 @@ impl ShardedEngine {
         self.query_batch_at(&self.snapshots(), batch)
     }
 
-    /// Executes every `(query, cursor)` member against one pinned epoch
-    /// set, returning pages bit-identical to calling [`Self::query_at`]
-    /// member-by-member against the same set (same pages, same cursors,
-    /// same typed errors).
+    /// Executes every `(query, cursor)` member, in submission order,
+    /// against one pinned epoch set, returning pages bit-identical to
+    /// calling [`Self::query_at`] member-by-member against the same set
+    /// (same pages, same cursors, same typed errors).
     ///
-    /// Cost amortizes across members: one [`ShardScratch`] (candidate
-    /// pools, per-shard run buffers, merge heap) serves the whole batch,
-    /// members repeating a recent seed set share one
-    /// personalization-cache probe, and exact duplicates are served from
-    /// the first member's page without touching the shards.
+    /// What the batch amortizes: one [`ShardScratch`] (candidate pools,
+    /// per-shard run buffers, merge heap) serves every member, and a
+    /// member equal to an earlier served member is answered from that
+    /// member's page without touching the shards (`serve_batch` in the
+    /// query module — the flat engine's batch executor too).
     pub fn query_batch_at(
         &self,
         snaps: &ShardSnapshots,
         batch: &[(Query, Option<ShardCursor>)],
     ) -> Vec<Result<ShardedPage, ShardedError>> {
         self.with_scratch(|scratch| {
-            let mut results: Vec<Result<ShardedPage, ShardedError>> =
-                Vec::with_capacity(batch.len());
-            for (bi, (q, cursor)) in batch.iter().enumerate() {
-                // Exact-duplicate memo (successes only — error paths are
-                // cheap and `ShardedError` is not `Clone`).
-                let memo = batch[..bi]
-                    .iter()
-                    .position(|(pq, pc)| pq == q && pc == cursor)
-                    .and_then(|prev| results[prev].as_ref().ok().cloned());
-                results.push(match memo {
-                    Some(page) => Ok(page),
-                    None => self.query_pinned(snaps, q, cursor.as_ref(), scratch),
-                });
-            }
-            results
+            serve_batch(batch, |(q, cursor)| {
+                self.query_pinned(snaps, q, cursor.as_ref(), scratch)
+            })
         })
     }
 
@@ -776,8 +786,9 @@ impl ShardedEngine {
     /// the flat engine's stage order: cursor + facet validation, seeded
     /// solves, fingerprint, plan (one price per shard surviving the
     /// prune), admission, then per-shard selection and the k-way merge.
-    /// Every buffer comes from `scratch`; seeded solves memoize there per
-    /// (epoch set, seed set). An uninstrumented engine reads no clock.
+    /// Every buffer comes from `scratch`; seeded solves come from (and
+    /// are remembered by) the engine's cache alone. An uninstrumented
+    /// engine reads no clock.
     fn query_pinned(
         &self,
         snaps: &ShardSnapshots,
@@ -793,39 +804,15 @@ impl ShardedEngine {
         };
         validate_facets(snaps.snaps.iter().map(|s| &**s.network()), q)?;
         let key = snaps.epoch_key();
-        if scratch.seed_memo_key != key {
-            // Solves of another epoch set: nothing here can serve this one.
-            scratch.seed_memo.clear();
-            scratch.seed_memo_key = key;
-        }
-        let seeded_idx: Option<usize> = if q.seeds.is_empty() {
-            None
-        } else if let Some(i) = scratch
-            .seed_memo
-            .iter()
-            .position(|(seeds, _)| *seeds == q.seeds)
-        {
-            Some(i)
-        } else {
-            let per = self
-                .seeded_shard_scores(snaps, q)?
-                .expect("seeds are non-empty");
-            if scratch.seed_memo.len() == SEED_MEMO_CAP {
-                scratch.seed_memo.remove(0);
-            }
-            scratch.seed_memo.push((q.seeds.clone(), per));
-            Some(scratch.seed_memo.len() - 1)
-        };
+        let seeded = self.seeded_shard_scores(snaps, q)?;
+        let seeded = seeded.as_deref();
         let ShardScratch {
             part,
             plans,
             runs,
             merge,
             merged,
-            seed_memo,
-            ..
         } = scratch;
-        let seeded: Option<&Vec<SeededShard>> = seeded_idx.map(|i| &seed_memo[i].1);
         let fp = fingerprint_with(&self.method, q, &mut part.seeds);
         let frontier = validate_cursor(cursor, key, fp)?;
 
@@ -1115,7 +1102,7 @@ impl ShardedEngine {
             colds.push(r?);
         }
         let shards: Vec<Arc<RankingEngine>> = colds.iter().map(|c| c.engine()).collect();
-        let method = shards[0].method().to_string();
+        let method = shards[0].method();
         if let Some(odd) = shards.iter().find(|e| e.method() != method) {
             return Err(ShardedError::Engine(EngineError::Restore(format!(
                 "shard snapshots disagree on the method: {} vs {}",
@@ -1123,19 +1110,10 @@ impl ShardedEngine {
                 odd.method()
             ))));
         }
-        let engine = ShardedEngine {
-            method,
-            starts: manifest.boundaries[..n_shards].into(),
-            shards,
-            boundary_edges: (0..n_shards).map(|_| AtomicUsize::new(0)).collect(),
-            cache: PersonalizationCache::new(CacheConfig::default()),
-            metrics: None,
-            admission: None,
-            cost: CostModel::from_baseline_env(),
-            scratches: Mutex::default(),
-        };
+        let starts = manifest.boundaries[..n_shards].into();
+        let boundary_edges = (0..n_shards).map(|_| AtomicUsize::new(0)).collect();
         Ok(ShardedColdStart {
-            engine,
+            engine: Self::assemble(shards, starts, boundary_edges),
             shards: colds,
         })
     }
@@ -1666,17 +1644,13 @@ mod tests {
         let page = eng.query(&"k=12,seed=1|10".parse().unwrap(), None).unwrap();
         assert_eq!(page.shards_scanned, 2);
         assert_eq!(page.matched, 6);
-        // A repeat of either seed set costs no solve: the pooled scratch
-        // remembers its last few seed sets, and past that memo the cache
-        // serves it.
+        // A repeat of either seed set costs no solve: the cache — the
+        // one place a solve is remembered — serves it, and counts it.
         let solves = |eng: &ShardedEngine| {
             let stats = eng.cache.stats();
             stats.cold_pushes + stats.warm_repushes + stats.fallbacks
         };
         let (solves_before, hits_before) = (solves(&eng), eng.cache.stats().hits);
-        eng.query(&"k=12,seed=0|2".parse().unwrap(), None).unwrap();
-        assert_eq!(eng.cache.stats().hits, hits_before, "served from the memo");
-        eng.scratches.lock().unwrap().clear();
         eng.query(&"k=12,seed=0|2".parse().unwrap(), None).unwrap();
         assert!(
             eng.cache.stats().hits > hits_before,
@@ -1686,7 +1660,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_scratch_is_bounded_in_count_and_in_what_it_pins() {
+    fn pooled_scratch_is_bounded_in_count() {
         let eng = sharded_with(2, "pagerank");
         let seeded = |seed: u32| -> Query { format!("k=3,seed={seed}").parse().unwrap() };
         // One warm scratch serves sequential queries; the pool never
@@ -1702,36 +1676,6 @@ mod tests {
             }
         });
         assert_eq!(eng.scratches.lock().unwrap().len(), SCRATCH_POOL_CAP);
-        eng.scratches.lock().unwrap().truncate(1);
-
-        // The memo keeps the most recent seed sets only…
-        for seed in 0..SEED_MEMO_CAP as u32 + 2 {
-            eng.query(&seeded(seed), None).unwrap();
-        }
-        {
-            let pool = eng.scratches.lock().unwrap();
-            let memo = &pool[0].seed_memo;
-            assert_eq!(memo.len(), SEED_MEMO_CAP);
-            assert_eq!(memo[SEED_MEMO_CAP - 1].0, [SEED_MEMO_CAP as u32 + 1]);
-        }
-        // …and only of one epoch set: the first query after a publish
-        // drops every vector solved before it, and is served the new
-        // epoch's solve, not the memo's.
-        let mut delta = GraphDelta::new();
-        delta.add_paper(2012);
-        delta.add_citation(12, 11);
-        eng.ingest(&delta).unwrap();
-        let page = eng.query(&seeded(11), None).unwrap();
-        let pool = eng.scratches.lock().unwrap();
-        assert_eq!(pool[0].seed_memo.len(), 1);
-        assert_eq!(pool[0].seed_memo_key, page.epoch_key);
-        let cached = pool[0].seed_memo[0].1[1]
-            .as_ref()
-            .expect("band 1 holds the seed");
-        assert_eq!(
-            cached.0.scores.len(),
-            eng.snapshots().snapshot(1).n_papers()
-        );
     }
 
     #[test]

@@ -62,6 +62,48 @@ fn ladder_clamps_then_sheds_at_planner_prices() {
 }
 
 #[test]
+fn compare_is_planned_priced_and_observed_like_any_query() {
+    let net = generate(&DatasetProfile::dblp().scaled(3_000), 17);
+    let mut qe = QueryEngine::from_configs(net, &["attrank", "cc"], RerankPolicy::Manual).unwrap();
+    qe.enable_metrics();
+    let q: Query = "vs=cc,k=100".parse().unwrap();
+    // A family's total over its label sets, off the rendered exposition.
+    let total = |qe: &QueryEngine, name: &str| -> f64 {
+        let text = qe.render_metrics().unwrap();
+        let samples = obsv::validate::parse_samples(&text);
+        samples
+            .iter()
+            .filter(|s| s.name == name)
+            .map(|s| s.value)
+            .sum()
+    };
+
+    // One compare is one observed query and one planner decision...
+    let cmp = qe.compare(&q).unwrap();
+    assert_eq!(cmp.rows.len(), 100);
+    assert_eq!(total(&qe, "attrank_query_seconds_count"), 1.0);
+    assert_eq!(total(&qe, "attrank_planner_decisions_total"), 1.0);
+    // ...planned through the cache: the repeat is a hit.
+    let before = qe.plan_cache_stats();
+    assert_eq!((before.hits, before.misses), (0, 1));
+    assert_eq!(qe.compare(&q).unwrap(), cmp);
+    assert_eq!(qe.plan_cache_stats().hits, 1);
+    assert_eq!(total(&qe, "attrank_query_seconds_count"), 2.0);
+
+    // A ceiling below the price of the unfiltered page, with a degraded
+    // `k` that does not rescue it: the compare sheds like the query would.
+    qe.set_admission(AdmissionPolicy {
+        max_query_cost_ns: qe.explain(&q).unwrap().cost_ns * 0.5,
+        degraded_k: 100,
+        ..AdmissionPolicy::default()
+    });
+    assert!(matches!(qe.compare(&q), Err(QueryError::Overloaded { .. })));
+    assert!(matches!(qe.query(&q), Err(QueryError::Overloaded { .. })));
+    let stats = qe.admission_stats().unwrap();
+    assert_eq!((stats.admitted, stats.shed), (0, 2));
+}
+
+#[test]
 fn concurrent_overload_sheds_while_publishes_stay_bounded() {
     let net = generate(&DatasetProfile::dblp().scaled(3_000), 13);
     let mut qe = QueryEngine::from_configs(net.clone(), &["cc"], RerankPolicy::EveryBatch).unwrap();
