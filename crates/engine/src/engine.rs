@@ -13,7 +13,8 @@
 //! (one `RwLock` read + one refcount bump, never blocked by a running
 //! re-rank) and answer `top_k` / `rank_of` queries against a frozen epoch,
 //! while the single writer folds [`GraphDelta`] batches in and publishes
-//! the next epoch atomically when the [`RerankPolicy`] fires.
+//! the next epoch atomically when the [`RerankPolicy`] fires. A rank
+//! lookup is a binary search over the epoch's order, sorted on first use.
 //!
 //! When the configured method is AttRank, re-ranks warm-start from the
 //! previous epoch's fixed point ([`IncrementalAttRank`]): consecutive
@@ -32,7 +33,7 @@ use citegraph::{
     CitationNetwork, DeltaError, DeltaStrategy, GraphDelta, PaperId, PushRankConfig, Year,
 };
 use graphstore::{DeltaWal, Store, StoreBuilder, StoreError};
-use sparsela::{top_k_pruned_into, BlockMaxima, KernelWorkspace, ScoreVec};
+use sparsela::{cmp_score_desc, top_k_pruned_into, BlockMaxima, KernelWorkspace, ScoreVec};
 
 use crate::metrics::EngineInstruments;
 use crate::registry::{self, BoxedRanker};
@@ -177,7 +178,7 @@ pub(crate) struct Ranking<'a> {
 /// One immutable published ranking state.
 ///
 /// Snapshots are shared via `Arc`; everything here is read-only after
-/// construction (the lazily built rank-position table is a `OnceLock`), so
+/// construction (the lazily built rank order is a `OnceLock`), so
 /// any number of threads can query one snapshot concurrently.
 ///
 /// A snapshot pins the *network state* its scores were computed on (an
@@ -201,9 +202,9 @@ pub struct EpochSnapshot {
     /// pass per publish): every unfiltered, cursor and year-window page
     /// of this epoch skips the blocks that cannot reach it.
     maxima: BlockMaxima,
-    /// `positions[p]` = 0-based rank position of paper `p`, built on the
-    /// first `rank_of` call (a top-k-only reader never pays for it).
-    positions: OnceLock<Vec<u32>>,
+    /// Every paper id in `cmp_score_desc` order, built on the first rank
+    /// lookup (a top-k-only reader never pays for it).
+    order: OnceLock<Vec<u32>>,
     /// Provenance of this epoch's network state relative to its parent
     /// (`None` for epoch 0, restored epochs, and publishes after a
     /// rejected solve).
@@ -280,18 +281,25 @@ impl EpochSnapshot {
 
     /// 1-based rank of paper `p` (1 = best), `None` for an out-of-range id.
     ///
-    /// The position table is built once per snapshot on first use and
-    /// answers every subsequent lookup in O(1).
+    /// The rank order is sorted once per snapshot on first use; every
+    /// lookup after that is one binary search over it.
     pub fn rank_of(&self, p: PaperId) -> Option<usize> {
-        let positions = self.positions.get_or_init(|| {
-            let order = sparsela::sort_indices_desc(self.scores.as_slice());
-            let mut positions = vec![0u32; order.len()];
-            for (pos, &paper) in order.iter().enumerate() {
-                positions[paper as usize] = pos as u32;
-            }
-            positions
-        });
-        positions.get(p as usize).map(|&pos| pos as usize + 1)
+        let score = self.score(p)?;
+        Some(1 + self.ahead_of(score, p, 0))
+    }
+
+    /// How many papers of this snapshot rank strictly ahead of `(score,
+    /// id)` under `cmp_score_desc` when local id `l` is global id
+    /// `start + l` — the one rank primitive: summed over a ranking's
+    /// partitions it is a global rank, as a page is a merge of theirs.
+    pub(crate) fn ahead_of(&self, score: f64, id: PaperId, start: PaperId) -> usize {
+        let scores = self.scores.as_slice();
+        let order = self
+            .order
+            .get_or_init(|| sparsela::sort_indices_desc(scores));
+        order.partition_point(|&l| {
+            cmp_score_desc(scores[l as usize], start + l, score, id) == std::cmp::Ordering::Less
+        })
     }
 
     /// Provenance of this epoch relative to its parent, when known.
@@ -649,7 +657,7 @@ impl RankingEngine {
     ///
     /// An already-attached WAL picks up the append/fsync observers here;
     /// a WAL attached later ([`Self::attach_wal`]) picks them up there.
-    pub fn instrument(&self, instruments: Arc<EngineInstruments>) {
+    pub(crate) fn instrument(&self, instruments: Arc<EngineInstruments>) {
         let _ = self.instruments.set(instruments);
         if let Some(ins) = self.instruments.get() {
             let mut state = self.writer.lock().expect("writer lock poisoned");
@@ -1002,7 +1010,7 @@ impl RankingEngine {
             net: net.clone(),
             maxima: BlockMaxima::new(scores.as_slice()),
             scores,
-            positions: OnceLock::new(),
+            order: OnceLock::new(),
             lineage,
         })
     }

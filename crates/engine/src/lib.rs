@@ -26,6 +26,10 @@
 //!   scatter-gather read path that prunes non-overlapping shards and
 //!   k-way-merges per-shard runs under the global score order.
 //!
+//! The two engines share one planner, one cursor codec, one compare join
+//! and one set of read metric families (`attrank_*` / `attrank_sharded_*`
+//! through `enable_metrics` / `render_metrics`; the types are private).
+//!
 //! ```
 //! use citegraph::{GraphDelta, NetworkBuilder};
 //! use rankengine::{RankingEngine, RerankPolicy};
@@ -61,7 +65,7 @@
 
 pub mod admission;
 pub mod engine;
-pub mod metrics;
+mod metrics;
 pub mod personalization;
 pub mod query;
 pub mod registry;
@@ -75,7 +79,6 @@ pub use engine::{
     ColdStart, EngineError, EpochSnapshot, IngestReport, RankingEngine, RerankPolicy,
     RerankStrategy, WarmupReport,
 };
-pub use metrics::{EngineInstruments, ServingMetrics, ShardedServingMetrics};
 pub use personalization::{CacheConfig, CacheOutcome, CacheStats, PersonalizationCache};
 pub use query::{
     CompareRow, Comparison, CostModel, Cursor, Hit, Page, PageBuf, PlanCache, PlanCacheStats,

@@ -133,7 +133,7 @@ use crate::admission::{
 use crate::engine::{
     EngineError, EpochSnapshot, IngestReport, Ranking, RankingEngine, RerankPolicy,
 };
-use crate::metrics::{driver_index, record_blocks, ServingMetrics};
+use crate::metrics::{driver_index, ServingMetrics};
 use crate::personalization::{CacheConfig, CacheStats, CachedRanking, PersonalizationCache};
 use crate::spec::{MethodSpec, SpecError};
 
@@ -1913,6 +1913,43 @@ pub struct CompareRow {
     pub rank_b: Option<usize>,
 }
 
+/// `id`'s global score and 1-based rank under a ranking of `(first global
+/// id, snapshot)` partitions in id order (one per shard; one for a flat
+/// engine), `None` past its coverage.
+fn score_and_rank(parts: &[(PaperId, &EpochSnapshot)], id: PaperId) -> Option<(f64, usize)> {
+    let (start, snap) = parts.iter().rev().find(|(start, _)| *start <= id)?;
+    let score = snap.score(id - start)?;
+    let ahead: usize = parts
+        .iter()
+        .map(|(start, snap)| snap.ahead_of(score, id, *start))
+        .sum();
+    Some((score, 1 + ahead))
+}
+
+/// The compare join under both engines: each page hit with its global
+/// rank under ranking `a` (the page's own, so always covered) and its
+/// global score and rank under `b` (`None` past `b`'s coverage).
+pub(crate) fn join_ranks(
+    items: &[Hit],
+    a: &[(PaperId, &EpochSnapshot)],
+    b: &[(PaperId, &EpochSnapshot)],
+) -> Vec<CompareRow> {
+    items
+        .iter()
+        .map(|hit| {
+            let (_, rank_a) = score_and_rank(a, hit.id).expect("a page hit is in its own ranking");
+            let (score_b, rank_b) = score_and_rank(b, hit.id).unzip();
+            CompareRow {
+                id: hit.id,
+                score_a: hit.score,
+                rank_a,
+                score_b,
+                rank_b,
+            }
+        })
+        .collect()
+}
+
 /// The result of [`QueryEngine::compare`]: the primary method's filtered
 /// page, joined against a second method's ranking of the same papers.
 #[derive(Debug, Clone, PartialEq)]
@@ -1957,18 +1994,12 @@ pub struct QueryEngine {
     plans: PlanCache,
     cost: CostModel,
     /// Metric families + the registry they render through, when
-    /// observability is enabled ([`Self::enable_metrics`]).
-    metrics: Option<MetricsBundle>,
+    /// observability is enabled ([`Self::enable_metrics`]). Boxed: the
+    /// families are wide and most engines never enable them.
+    metrics: Option<Box<ServingMetrics>>,
     /// Admission controller, when backpressure is enabled
     /// ([`Self::set_admission`]).
     admission: Option<Arc<AdmissionController>>,
-}
-
-/// The registry a [`QueryEngine`] renders through plus its registered
-/// flat-stack families.
-struct MetricsBundle {
-    registry: Arc<MetricsRegistry>,
-    serving: Arc<ServingMetrics>,
 }
 
 impl QueryEngine {
@@ -2112,17 +2143,12 @@ impl QueryEngine {
     /// # Panics
     /// Panics if the flat-stack family names are already registered on
     /// `registry` (two `QueryEngine`s cannot share one registry).
-    pub fn enable_metrics_on(&mut self, registry: Arc<MetricsRegistry>) -> Arc<ServingMetrics> {
-        let methods: Vec<&str> = self.engines.iter().map(|(n, _)| n.as_str()).collect();
-        let serving = ServingMetrics::register(&registry, &methods);
+    pub fn enable_metrics_on(&mut self, registry: Arc<MetricsRegistry>) {
+        let serving = ServingMetrics::register(registry, &self.methods());
         for (idx, (_, engine)) in self.engines.iter().enumerate() {
             engine.instrument(serving.instruments(idx));
         }
-        self.metrics = Some(MetricsBundle {
-            registry,
-            serving: Arc::clone(&serving),
-        });
-        serving
+        self.metrics = Some(Box::new(serving));
     }
 
     /// [`Self::enable_metrics_on`] over a fresh registry; returns the
@@ -2132,11 +2158,6 @@ impl QueryEngine {
         let registry = Arc::new(MetricsRegistry::new());
         self.enable_metrics_on(Arc::clone(&registry));
         registry
-    }
-
-    /// The registered serving families, if metrics are enabled.
-    pub fn metrics(&self) -> Option<&Arc<ServingMetrics>> {
-        self.metrics.as_ref().map(|m| &m.serving)
     }
 
     /// Installs (or replaces) the admission policy guarding the query
@@ -2158,33 +2179,12 @@ impl QueryEngine {
     /// enabled. Renders *everything* on the registry — including a
     /// sharded stack registered on the same one.
     pub fn render_metrics(&self) -> Option<String> {
-        let bundle = self.metrics.as_ref()?;
-        bundle.serving.record_cache(&self.cache.stats());
-        bundle.serving.record_plan_cache(&self.plans.stats());
-        if let Some(admission) = &self.admission {
-            bundle.serving.record_admission(&admission.stats());
-        }
-        for (idx, (_, engine)) in self.engines.iter().enumerate() {
-            let epoch = engine.snapshot().epoch();
-            let (staged_edges, staged_batches) = engine.pending();
-            bundle
-                .serving
-                .epoch
-                .at(idx)
-                .set(epoch.min(i64::MAX as u64) as i64);
-            bundle
-                .serving
-                .staged_batches
-                .at(idx)
-                .set(staged_batches as i64);
-            bundle.serving.staged_edges.at(idx).set(staged_edges as i64);
-            bundle
-                .serving
-                .wal_replay_depth
-                .at(idx)
-                .set(engine.replay_backlog() as i64);
-        }
-        Some(bundle.registry.render())
+        Some(self.metrics.as_ref()?.render(
+            self.engines.iter().map(|(_, e)| &**e),
+            &self.cache.stats(),
+            &self.plans.stats(),
+            self.admission_stats(),
+        ))
     }
 
     /// The one serve route under every flat entry point — single query,
@@ -2208,7 +2208,7 @@ impl QueryEngine {
         let seeded = self.seeded_scores(idx, snap, q)?;
         let ranking = seeded.as_ref().map_or(snap.ranking(), CachedRanking::view);
         let fp = fingerprint_with(label, q, &mut scratch.seeds);
-        let serving = self.metrics.as_ref().map(|m| &m.serving);
+        let serving = self.metrics.as_deref();
         let started = serving.is_some().then(Instant::now);
         let cursor_pos =
             validate_cursor(q.cursor.as_ref(), snap.epoch(), fp).inspect_err(|err| {
@@ -2244,10 +2244,8 @@ impl QueryEngine {
             snap, label, q, k, ranking, &plan, fp, cursor_pos, scratch, out,
         );
         if let (Some(m), Some(at)) = (serving, started) {
-            m.query_seconds
-                .at(driver_index(&plan.driver))
-                .observe(at.elapsed());
-            record_blocks(&m.select_blocks, &walk);
+            m.read
+                .observe(driver_index(&plan.driver), at.elapsed(), &walk);
         }
         Ok(())
     }
@@ -2379,10 +2377,11 @@ impl QueryEngine {
     /// by the metrics), then joins each hit's rank and score under
     /// `q.vs` — both from snapshots pinned once at entry, the paper's
     /// §4-style "AttRank vs. citation count" view in one pass. Ranks are
-    /// global (1 = best), via each snapshot's cached position table.
-    /// Under `seed=` the page's *scores* are personalized while both rank
-    /// columns stay global — "where do my related papers sit in each
-    /// method's overall ranking".
+    /// global (1 = best): one binary search per row and ranking over each
+    /// snapshot's cached rank order (`join_ranks`, shared with the
+    /// sharded engine). Under `seed=` the page's *scores* are
+    /// personalized while both rank columns stay global — "where do my
+    /// related papers sit in each method's overall ranking".
     pub fn compare(&self, q: &Query) -> Result<Comparison, QueryError> {
         let vs = q.vs.as_deref().ok_or(QueryError::MissingCompareMethod)?;
         let idx_a = self.resolve_idx(q.method.as_deref())?;
@@ -2392,17 +2391,7 @@ impl QueryEngine {
         let mut out = PageBuf::new();
         self.serve_into(idx_a, &snap_a, q, &mut QueryScratch::new(), &mut out)?;
         let page = out.take_page();
-        let rows = page
-            .items
-            .iter()
-            .map(|hit| CompareRow {
-                id: hit.id,
-                score_a: hit.score,
-                rank_a: snap_a.rank_of(hit.id).expect("hit id is in range"),
-                score_b: snap_b.score(hit.id),
-                rank_b: snap_b.rank_of(hit.id),
-            })
-            .collect();
+        let rows = join_ranks(&page.items, &[(0, &*snap_a)], &[(0, &*snap_b)]);
         Ok(Comparison {
             method_a: page.method.clone(),
             epoch_a: snap_a.epoch(),

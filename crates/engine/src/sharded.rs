@@ -56,7 +56,8 @@
 //! the page under [`ShardedEngine::compare`] — is the one private
 //! `query_pinned` through a pooled [`ShardScratch`]; a batch is the flat
 //! engine's `serve_batch` over it. Seeded solves are remembered by the
-//! engine's [`PersonalizationCache`] (per shard) and nowhere else.
+//! engine's [`PersonalizationCache`] (per shard) and nowhere else. The
+//! compare join and the read metrics are the flat engine's too.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -71,21 +72,20 @@ use citegraph::{
     CitationNetwork, GraphDelta, PaperId, SeedPersonalization, ShardPlan, ShardPlanError,
 };
 use graphstore::{fnv1a64, fnv1a64_with, ShardManifest, Store};
-use sparsela::{cmp_score_desc, merge_k_sorted_into, BlockWalk, MergeScratch};
+use sparsela::{merge_k_sorted_into, BlockWalk, MergeScratch};
 
 use crate::admission::{AdmissionController, AdmissionPolicy, AdmissionStats, CostedQuery};
 use crate::engine::{
     ColdStart, EngineError, EpochSnapshot, IngestReport, RankingEngine, RerankPolicy, WarmupReport,
 };
 use crate::metrics::{
-    record_blocks, ShardedServingMetrics, SHAPE_FACETED, SHAPE_SEEDED, SHAPE_UNFILTERED,
-    SHAPE_YEAR_RANGE,
+    ShardedServingMetrics, SHAPE_FACETED, SHAPE_SEEDED, SHAPE_UNFILTERED, SHAPE_YEAR_RANGE,
 };
 use crate::personalization::{CacheConfig, CachedRanking, PersonalizationCache};
 use crate::query::{
-    admit, fingerprint_with, price_partition, seed_error_to_query, select_partition, serve_batch,
-    validate_cursor, validate_facets, CompareRow, CostModel, Cursor, Hit, Partition, Query,
-    QueryError, QueryPlan, QueryScratch,
+    admit, fingerprint_with, join_ranks, price_partition, seed_error_to_query, select_partition,
+    serve_batch, validate_cursor, validate_facets, CompareRow, CostModel, Cursor, Hit, Partition,
+    Query, QueryError, QueryPlan, QueryScratch,
 };
 use crate::spec::MethodSpec;
 
@@ -220,6 +220,15 @@ impl ShardSnapshots {
         );
         let s = self.starts.partition_point(|&b| b <= id) - 1;
         (s, id - self.starts[s])
+    }
+
+    /// The set as the compare join's `(first global id, snapshot)` list.
+    fn partitions(&self) -> Vec<(PaperId, &EpochSnapshot)> {
+        self.starts
+            .iter()
+            .copied()
+            .zip(self.snaps.iter().map(|s| &**s))
+            .collect()
     }
 
     /// Identity of this epoch set: an order-sensitive hash of every
@@ -367,7 +376,7 @@ pub struct ShardedEngine {
     /// LRU budget covers the whole partition.
     cache: PersonalizationCache,
     /// Metric families + registry, when observability is enabled.
-    metrics: Option<ShardedMetricsBundle>,
+    metrics: Option<Box<ShardedServingMetrics>>,
     /// Admission controller, when backpressure is enabled.
     admission: Option<Arc<AdmissionController>>,
     /// The planner's cost model: every shard's plan is priced under it,
@@ -376,13 +385,6 @@ pub struct ShardedEngine {
     /// Warm [`ShardScratch`]es, at most [`SCRATCH_POOL_CAP`]; the lock is
     /// held for a pop or a push, never across a query.
     scratches: Mutex<Vec<ShardScratch>>,
-}
-
-/// The registry a [`ShardedEngine`] renders through plus its registered
-/// sharded-stack families.
-struct ShardedMetricsBundle {
-    registry: Arc<MetricsRegistry>,
-    serving: Arc<ShardedServingMetrics>,
 }
 
 impl ShardedEngine {
@@ -498,23 +500,16 @@ impl ShardedEngine {
     /// shape; sampled families (cache occupancy, admission counters,
     /// per-shard boundary edges) refresh at [`Self::render_metrics`].
     ///
-    /// The family names are disjoint from the flat
-    /// [`QueryEngine`](crate::QueryEngine) stack's, so both can share
-    /// one registry and render in a single exposition.
+    /// The read families are the flat [`QueryEngine`](crate::QueryEngine)
+    /// stack's under the `attrank_sharded` prefix, so both can share one
+    /// registry and render in a single exposition.
     ///
     /// # Panics
     /// Panics if the sharded-stack family names are already registered
     /// on `registry`.
-    pub fn enable_metrics_on(
-        &mut self,
-        registry: Arc<MetricsRegistry>,
-    ) -> Arc<ShardedServingMetrics> {
-        let serving = ShardedServingMetrics::register(&registry, self.shards.len());
-        self.metrics = Some(ShardedMetricsBundle {
-            registry,
-            serving: Arc::clone(&serving),
-        });
-        serving
+    pub fn enable_metrics_on(&mut self, registry: Arc<MetricsRegistry>) {
+        let serving = ShardedServingMetrics::register(registry, self.shards.len());
+        self.metrics = Some(Box::new(serving));
     }
 
     /// [`Self::enable_metrics_on`] over a fresh registry; returns the
@@ -523,11 +518,6 @@ impl ShardedEngine {
         let registry = Arc::new(MetricsRegistry::new());
         self.enable_metrics_on(Arc::clone(&registry));
         registry
-    }
-
-    /// The registered sharded families, if metrics are enabled.
-    pub fn metrics(&self) -> Option<&Arc<ShardedServingMetrics>> {
-        self.metrics.as_ref().map(|m| &m.serving)
     }
 
     /// Installs (or replaces) the admission policy guarding the
@@ -554,15 +544,11 @@ impl ShardedEngine {
     /// are enabled. Renders *everything* on the registry — including a
     /// flat stack registered on the same one.
     pub fn render_metrics(&self) -> Option<String> {
-        let bundle = self.metrics.as_ref()?;
-        bundle.serving.record_cache(&self.cache.stats());
-        if let Some(admission) = &self.admission {
-            bundle.serving.record_admission(&admission.stats());
-        }
-        bundle
-            .serving
-            .record_boundary_edges(&self.boundary_edges_by_shard());
-        Some(bundle.registry.render())
+        Some(self.metrics.as_ref()?.render(
+            &self.cache.stats(),
+            self.admission_stats(),
+            &self.boundary_edges_by_shard(),
+        ))
     }
 
     /// Routes a **global-id** delta to the tail shard.
@@ -796,7 +782,7 @@ impl ShardedEngine {
         cursor: Option<&ShardCursor>,
         scratch: &mut ShardScratch,
     ) -> Result<ShardedPage, ShardedError> {
-        let serving = self.metrics.as_ref().map(|m| &m.serving);
+        let serving = self.metrics.as_deref();
         let started = serving.is_some().then(Instant::now);
         let cursor = match (cursor, q.cursor.as_ref()) {
             (Some(arg), Some(own)) if arg != own => return Err(ShardedError::CursorMismatch),
@@ -916,8 +902,7 @@ impl ShardedEngine {
             } else {
                 SHAPE_UNFILTERED
             };
-            m.query_seconds.at(shape).observe(at.elapsed());
-            record_blocks(&m.select_blocks, &walked);
+            m.read.observe(shape, at.elapsed(), &walked);
         }
         Ok(ShardedPage {
             method: self.method.clone(),
@@ -938,11 +923,10 @@ impl ShardedEngine {
     /// shard starts, else their global ids name different papers
     /// ([`ShardedError::PlanMismatch`]).
     ///
-    /// Ranks are 1-based positions in the cross-shard `cmp_score_desc`
-    /// merge of each engine's pinned snapshots: per-shard descending
-    /// runs are built once per call, then each row costs one
-    /// `partition_point` per shard (the page is at most `k` rows, so
-    /// the per-shard sorts dominate and amortize over the page). A hit
+    /// Ranks are 1-based places in the cross-shard `cmp_score_desc`
+    /// merge of each engine's pinned snapshots, from the flat engine's
+    /// join with one partition per shard: a row costs one binary search
+    /// per shard over its snapshot's cached rank order. A hit
     /// past the secondary engine's coverage — its tail has not ingested
     /// that paper yet — joins as `None`, mirroring the flat engine.
     /// Under `seed=` the page's *scores* are personalized while both
@@ -959,29 +943,7 @@ impl ShardedEngine {
         let snaps_a = self.snapshots();
         let snaps_b = other.snapshots();
         let page = self.query_at(&snaps_a, q, cursor)?;
-        let orders_a = rank_orders(&snaps_a);
-        let orders_b = rank_orders(&snaps_b);
-        let covered_b = snaps_b.n_papers();
-        let rows = page
-            .items
-            .iter()
-            .map(|hit| {
-                let in_b = (hit.id as usize) < covered_b;
-                let score_b = in_b
-                    .then(|| {
-                        let (s, local) = snaps_b.locate(hit.id);
-                        snaps_b.snapshot(s).score(local)
-                    })
-                    .flatten();
-                CompareRow {
-                    id: hit.id,
-                    score_a: hit.score,
-                    rank_a: composed_rank(&orders_a, &snaps_a, hit.id),
-                    score_b,
-                    rank_b: in_b.then(|| composed_rank(&orders_b, &snaps_b, hit.id)),
-                }
-            })
-            .collect();
+        let rows = join_ranks(&page.items, &snaps_a.partitions(), &snaps_b.partitions());
         Ok(ShardedComparison {
             method_a: self.method.clone(),
             method_b: other.method.clone(),
@@ -992,18 +954,16 @@ impl ShardedEngine {
         })
     }
 
-    /// Global top-`k` (unfiltered scatter-gather over all shards).
-    pub fn top_k(&self, k: usize) -> Vec<PaperId> {
+    /// Global top-`k` (unfiltered scatter-gather over all shards). Goes
+    /// through admission like any query: an installed policy can clamp
+    /// `k` or shed it with [`QueryError::Overloaded`].
+    pub fn top_k(&self, k: usize) -> Result<Vec<PaperId>, ShardedError> {
         let q = Query {
             k,
             ..Query::default()
         };
-        self.query(&q, None)
-            .expect("unfiltered query cannot fail")
-            .items
-            .into_iter()
-            .map(|h| h.id)
-            .collect()
+        let page = self.query(&q, None)?;
+        Ok(page.items.into_iter().map(|h| h.id).collect())
     }
 
     /// Path of shard `s`'s snapshot store under `stem`
@@ -1155,47 +1115,12 @@ fn overlaps(snap: &EpochSnapshot, q: &Query) -> bool {
     !(q.year_min.is_some_and(|lo| lo > last) || q.year_max.is_some_and(|hi| hi < first))
 }
 
-/// Per-shard `(score, global id)` runs in composed best-first order —
-/// the rank substrate [`ShardedEngine::compare`] builds once per call.
-fn rank_orders(snaps: &ShardSnapshots) -> Vec<Vec<(f64, PaperId)>> {
-    (0..snaps.n_shards())
-        .map(|s| {
-            let snap = snaps.snapshot(s);
-            let start = snaps.start(s);
-            let mut run: Vec<(f64, PaperId)> = snap
-                .scores()
-                .as_slice()
-                .iter()
-                .enumerate()
-                .map(|(l, &sc)| (sc, start + l as PaperId))
-                .collect();
-            run.sort_by(|&(xs, xi), &(ys, yi)| cmp_score_desc(xs, xi, ys, yi));
-            run
-        })
-        .collect()
-}
-
-/// 1-based rank of a covered `id` under the composed cross-shard order:
-/// one `partition_point` per shard counts the entries strictly better.
-fn composed_rank(orders: &[Vec<(f64, PaperId)>], snaps: &ShardSnapshots, id: PaperId) -> usize {
-    let (s, local) = snaps.locate(id);
-    let score = snaps.snapshot(s).score(local).expect("id is covered");
-    1 + orders
-        .iter()
-        .map(|run| {
-            run.partition_point(|&(sc, sid)| {
-                cmp_score_desc(sc, sid, score, id) == std::cmp::Ordering::Less
-            })
-        })
-        .sum::<usize>()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::query::QueryEngine;
     use citegraph::{dense_personalized, NetworkBuilder, ShardSpec, Year};
-    use sparsela::KernelWorkspace;
+    use sparsela::{cmp_score_desc, KernelWorkspace};
 
     /// 12 papers over 2000–2011 with venues and authors (same shape as
     /// the query-layer fixture): venue `id % 3` (2 → none), authors
@@ -1779,7 +1704,7 @@ mod tests {
         let ranks_a: Vec<usize> = cmp.rows.iter().map(|r| r.rank_a).collect();
         assert_eq!(ranks_a, (1..=12).collect::<Vec<_>>());
         // rank_b is each hit's 1-based position in b's composed top-k.
-        let order_b = b.top_k(12);
+        let order_b = b.top_k(12).unwrap();
         for row in &cmp.rows {
             let pos = order_b.iter().position(|&id| id == row.id).unwrap();
             assert_eq!(row.rank_b, Some(pos + 1), "paper {}", row.id);
@@ -1819,7 +1744,28 @@ mod tests {
         {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        assert_eq!(eng.top_k(12), flat.top_k(12));
+        assert_eq!(eng.top_k(12).unwrap(), flat.top_k(12));
+    }
+
+    #[test]
+    fn top_k_sheds_typed_under_admission() {
+        let net = citegen::generate(&citegen::DatasetProfile::dblp().scaled(2_000), 7);
+        let plan = ShardSpec::Fixed(4).plan(&net).unwrap();
+        let mut eng =
+            ShardedEngine::from_plan(&net, &plan, "cc", RerankPolicy::EveryBatch).unwrap();
+        assert_eq!(eng.top_k(3).unwrap().len(), 3);
+        // The convenience entry point does not bypass backpressure: under
+        // a ceiling no plan fits, it sheds with the typed error.
+        eng.set_admission(AdmissionPolicy {
+            max_query_cost_ns: 100.0,
+            degraded_k: 1,
+            ..AdmissionPolicy::default()
+        });
+        assert!(matches!(
+            eng.top_k(3),
+            Err(ShardedError::Query(QueryError::Overloaded { .. }))
+        ));
+        assert_eq!(eng.admission_stats().unwrap().shed, 1);
     }
 
     /// A model under which one execution shape always prices cheapest

@@ -49,7 +49,7 @@ fn sharded_cold_start_restores_every_shard_and_replays_tail_wal() {
     d2.add_paper(current_year + 2);
     d2.add_citation((n0 + 1) as PaperId, n0 as PaperId);
     eng.ingest(&d2).unwrap();
-    let want_top = eng.top_k(25);
+    let want_top = eng.top_k(25).unwrap();
     let want_key_papers = eng.snapshots().n_papers();
     drop(eng);
 
@@ -72,7 +72,7 @@ fn sharded_cold_start_restores_every_shard_and_replays_tail_wal() {
     );
     assert_eq!(reports.iter().map(|r| r.rejected).sum::<usize>(), 0);
     assert_eq!(eng.snapshots().n_papers(), want_key_papers);
-    assert_eq!(eng.top_k(25), want_top);
+    assert_eq!(eng.top_k(25).unwrap(), want_top);
 
     // The restored engine keeps ingesting durably under global ids.
     let mut d3 = GraphDelta::new();
