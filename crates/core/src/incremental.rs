@@ -41,7 +41,12 @@
 //!
 //! The component split is (re)built after every full solve at the cost of
 //! two extra power runs — paid once per fallback, then amortized across
-//! every push-updated publish that follows.
+//! every push-updated publish that follows. A restart does not pay them:
+//! [`IncrementalAttRank::push_state`] is the split's three solved vectors
+//! (24 B per paper), and [`IncrementalAttRank::restore`] rebuilds the rest
+//! from the network — the window counts by one recount, `β·A` / `γ·T` from
+//! them, bit for bit what the live scorer carried — so the first publish
+//! after a restore pushes.
 
 use citegraph::{
     try_push_lanes, uniform_kernel, CitationNetwork, DeltaStrategy, GraphDelta, Personalization,
@@ -154,6 +159,65 @@ impl IncrementalAttRank {
             b_att: &split.b_att,
             b_rec: &split.b_rec,
         })
+    }
+
+    /// The fixed point of the last scored snapshot — what the next full
+    /// solve warm-starts from.
+    pub fn fixed_point(&self) -> Option<&ScoreVec> {
+        self.previous.as_ref()
+    }
+
+    /// The push state of the last scored snapshot — its attention
+    /// component, recency component and uniform kernel, in that order —
+    /// or `None` while no split is cached. With the network and
+    /// [`Self::fixed_point`] it is everything [`Self::restore`] needs.
+    pub fn push_state(&self) -> Option<[&[f64]; 3]> {
+        self.split
+            .as_ref()
+            .map(|s| [s.att.as_slice(), s.rec.as_slice(), s.kernel.as_slice()])
+    }
+
+    /// Resumes from a persisted epoch of `net`: `scores` become the fixed
+    /// point the next solve warm-starts from, and a [`Self::push_state`]
+    /// whose three vectors all have `net`'s length rebuilds the component
+    /// split — the window counts recounted, `β·A` / `γ·T` computed from
+    /// them — so the next [`Self::update_delta`] can push. Returns whether
+    /// the split was restored.
+    pub fn restore(
+        &mut self,
+        net: &CitationNetwork,
+        scores: &[f64],
+        state: Option<[&[f64]; 3]>,
+    ) -> bool {
+        let n = net.n_papers();
+        self.drop_split();
+        let mut kept = self.workspace.take_zeros(scores.len());
+        kept.as_mut_slice().copy_from_slice(scores);
+        if let Some(stale) = self.previous.replace(kept) {
+            self.workspace.recycle(stale);
+        }
+        let Some(state) =
+            state.filter(|lanes| scores.len() == n && lanes.iter().all(|lane| lane.len() == n))
+        else {
+            return false;
+        };
+        let window = WindowCounts::count(net, self.params.attention_years);
+        let (b_att, b_rec) =
+            components_from_counts(net, &self.params, window.counts(), &mut self.workspace);
+        let [att, rec, kernel] = state.map(|lane| {
+            let mut v = self.workspace.take_zeros(n);
+            v.as_mut_slice().copy_from_slice(lane);
+            v
+        });
+        self.split = Some(PushSplit {
+            att,
+            rec,
+            b_att,
+            b_rec,
+            kernel,
+            window,
+        });
+        true
     }
 
     /// Drops the cached fixed point (next update is a cold start).

@@ -268,6 +268,50 @@ fn every_named_case_pushes_and_stays_exact() {
     }
 }
 
+/// A fresh scorer given a live one's fixed point and push state — what a
+/// restart reads back from its store — carries the same personalization
+/// and pushes the next delta to the same bits.
+#[test]
+fn restored_push_state_continues_like_the_live_scorer() {
+    let params = AttRankParams::new(0.2, 0.4, 3, -0.16).unwrap();
+    let mut net = generate(&DatasetProfile::hepth().scaled(1_500), 7);
+    let mut live = IncrementalAttRank::new(params);
+    live.set_push_config(permissive());
+    live.update(&net);
+    // The split build (full), then one push.
+    for seed in 1..=2 {
+        let delta = publish_delta(&net, 10, 5, seed);
+        let new = net.with_delta(&delta).unwrap();
+        live.update_delta(&net, &delta, &new);
+        net = new;
+    }
+
+    let mut restored = IncrementalAttRank::new(params);
+    restored.set_push_config(permissive());
+    let scores = live.fixed_point().unwrap().as_slice();
+    assert!(!restored.restore(&net, scores, None), "no state, no split");
+    assert!(restored.carried_personalization().is_none());
+    assert!(restored.restore(&net, scores, live.push_state()));
+    let (a, b) = (
+        live.carried_personalization().unwrap(),
+        restored.carried_personalization().unwrap(),
+    );
+    assert_eq!(a.window_counts, b.window_counts);
+    assert_eq!(bits(a.b_att), bits(b.b_att));
+    assert_eq!(bits(a.b_rec), bits(b.b_rec));
+
+    let delta = publish_delta(&net, 10, 5, 3);
+    let new = net.with_delta(&delta).unwrap();
+    let (want, want_strategy) = live.update_delta(&net, &delta, &new);
+    let (got, got_strategy) = restored.update_delta(&net, &delta, &new);
+    assert!(
+        matches!(got_strategy, DeltaStrategy::Push { .. }),
+        "{got_strategy:?}"
+    );
+    assert_eq!(got_strategy, want_strategy);
+    assert_eq!(bits(&got.scores), bits(&want.scores));
+}
+
 /// `recency_vector` as it was before the per-year `exp`: one `exp` per
 /// paper, then the same normalization.
 fn recency_per_paper(net: &CitationNetwork, w: f64) -> ScoreVec {

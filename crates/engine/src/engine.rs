@@ -378,6 +378,22 @@ impl EngineRanker {
             },
         }
     }
+
+    /// The incremental scorer's push state, if it belongs to the epoch
+    /// whose scores are `scores`: the scorer's cached fixed point must
+    /// equal them bit for bit, which rules out every path by which the
+    /// split could describe another network state.
+    fn push_state_of(&self, scores: &[f64]) -> Option<[&[f64]; 3]> {
+        let EngineRanker::Incremental(inc) = self else {
+            return None;
+        };
+        let fixed = inc.fixed_point()?.as_slice();
+        let same = fixed
+            .iter()
+            .map(|x| x.to_bits())
+            .eq(scores.iter().map(|x| x.to_bits()));
+        inc.push_state().filter(|_| same)
+    }
 }
 
 struct WriterState {
@@ -707,7 +723,8 @@ impl RankingEngine {
 
     /// Persists the current network and published epoch to a snapshot
     /// store at `path` (atomic temp-file + rename write; see
-    /// `graphstore`). Returns the persisted epoch number.
+    /// `graphstore`), with AttRank's push state when the scorer holds the
+    /// one that epoch was solved with. Returns the persisted epoch number.
     ///
     /// The snapshot records the WAL watermark of the first *staged*
     /// (unpublished) batch, so [`Self::open_from_store`] replays exactly
@@ -750,13 +767,17 @@ impl RankingEngine {
             )
         })?;
         let watermark = state.next_seq - state.pending_batches as u64;
-        extra(
+        let scores = snap.scores().as_slice();
+        let mut builder =
             StoreBuilder::new()
                 .network(&state.net)
-                .epoch(&self.method, snap.epoch(), snap.scores().as_slice())
-                .wal_watermark(watermark),
-        )
-        .write_to(path)?;
+                .epoch(&self.method, snap.epoch(), scores);
+        // The push state rides along whenever it is the epoch's own, so a
+        // restart resumes pushing (see `open_from_store`).
+        if let Some(lanes) = state.ranker.push_state_of(scores) {
+            builder = builder.push_state(snap.epoch(), lanes);
+        }
+        extra(builder.wal_watermark(watermark)).write_to(path)?;
         // With nothing staged, every WAL record is now folded into the
         // snapshot — truncate the log so it does not grow without bound
         // (this is the online compaction; the crash window between the
@@ -773,10 +794,14 @@ impl RankingEngine {
     /// Cold-starts an engine from a persisted snapshot (and optional
     /// WAL): the stored epoch is published **immediately** — readers get
     /// `top_k` answers after one file read, no solve — while a background
-    /// warmup thread replays the un-compacted WAL batches through the
-    /// configured ranker's `rank_delta` path and, when there was nothing
-    /// to replay, refreshes the restored epoch with one full background
-    /// re-rank.
+    /// warmup thread restores AttRank's push state from the snapshot
+    /// (verifying its checksum there, off the first page's path) and
+    /// replays the un-compacted WAL batches through the configured
+    /// ranker's `rank_delta` path. With the push state restored every
+    /// replayed batch is a push; without it ([`PushStateRestore`]) the
+    /// first one runs the full solve that rebuilds it. No solve runs when
+    /// there is nothing to replay: the restored epoch is the persisted
+    /// fixed point of the persisted network.
     ///
     /// The WAL (when given) is attached for durable ingests going
     /// forward. Reads are safe immediately; hold off on *writes*
@@ -787,7 +812,17 @@ impl RankingEngine {
         wal_path: Option<Q>,
         policy: RerankPolicy,
     ) -> Result<ColdStart, EngineError> {
-        let store = Store::open(store_path)?;
+        Self::open_store(Store::open(store_path)?, wal_path, policy)
+    }
+
+    /// [`Self::open_from_store`] over an already opened snapshot — how a
+    /// sharded cold start that read shard 0's file for its manifest hands
+    /// that file over instead of reading it twice.
+    pub(crate) fn open_store<Q: AsRef<Path>>(
+        store: Store,
+        wal_path: Option<Q>,
+        policy: RerankPolicy,
+    ) -> Result<ColdStart, EngineError> {
         let (spec, epoch, scores) = {
             let epochs = store.epochs();
             let restored = epochs.first().ok_or_else(|| {
@@ -848,6 +883,8 @@ impl RankingEngine {
         engine.replay_backlog.store(replay.len(), Ordering::Relaxed);
         let worker = engine.clone();
         let warmup = thread::spawn(move || {
+            let push_state = worker.restore_push_state(&store, epoch);
+            drop(store);
             let mut replayed = 0usize;
             let mut rejected = 0usize;
             for delta in &replay {
@@ -865,21 +902,35 @@ impl RankingEngine {
             if worker.pending() != (0, 0) {
                 // Deferred-publish policies: fold the replayed batches in.
                 worker.rerank();
-            } else if replayed == 0 {
-                // Nothing to replay — refresh the restored epoch with one
-                // full solve so serving state is provably current.
-                worker.rerank();
             }
             WarmupReport {
                 replayed,
                 rejected,
                 final_epoch: worker.snapshot().epoch(),
+                push_state,
             }
         });
-        Ok(ColdStart {
-            engine,
-            warmup: Some(warmup),
-        })
+        Ok(ColdStart { engine, warmup })
+    }
+
+    /// Seeds the incremental scorer with the restored epoch — its scores
+    /// as the warm start, and the push state `store` holds for `epoch`
+    /// when that verifies — before any batch replays.
+    fn restore_push_state(&self, store: &Store, epoch: u64) -> PushStateRestore {
+        let mut guard = self.writer.lock().expect("writer lock poisoned");
+        let state = &mut *guard;
+        let (EngineRanker::Incremental(inc), Some(snap)) = (&mut state.ranker, &state.previous)
+        else {
+            return PushStateRestore::Absent;
+        };
+        let verified = store.push_state(epoch);
+        let lanes = verified.as_ref().ok().copied().flatten();
+        let restored = inc.restore(&state.net, snap.scores().as_slice(), lanes);
+        match verified {
+            Err(_) => PushStateRestore::Corrupt,
+            Ok(_) if restored => PushStateRestore::Restored,
+            Ok(_) => PushStateRestore::Absent,
+        }
     }
 
     /// Folds staged deltas into the network (adopting `sibling`'s
@@ -1026,13 +1077,32 @@ pub struct WarmupReport {
     pub rejected: usize,
     /// Epoch visible to readers after warmup.
     pub final_epoch: u64,
+    /// Whether the replay started from the persisted push state.
+    pub push_state: PushStateRestore,
+}
+
+/// What a cold start made of the push state persisted with its epoch
+/// ([`WarmupReport::push_state`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PushStateRestore {
+    /// Restored: every replayed batch (and the first live one) can push.
+    Restored,
+    /// The snapshot holds none for its epoch — written before the section
+    /// existed, by a method without one, or while the scorer had none
+    /// (e.g. after an oversized delta). The first batch runs the full
+    /// solve that rebuilds it.
+    Absent,
+    /// The section failed its checksum and was not used; the engine
+    /// proceeds as for [`Self::Absent`].
+    Corrupt,
 }
 
 /// A warm-restarting engine: the restored epoch serves reads
-/// immediately, while a background thread replays the WAL and re-ranks.
+/// immediately, while a background thread restores the push state and
+/// replays the WAL.
 pub struct ColdStart {
     engine: Arc<RankingEngine>,
-    warmup: Option<thread::JoinHandle<WarmupReport>>,
+    warmup: thread::JoinHandle<WarmupReport>,
 }
 
 impl ColdStart {
@@ -1043,15 +1113,8 @@ impl ColdStart {
 
     /// Blocks until the background warmup finishes, returning the engine
     /// and what the warmup did.
-    pub fn wait(mut self) -> (Arc<RankingEngine>, WarmupReport) {
-        let report = match self.warmup.take() {
-            Some(handle) => handle.join().expect("warmup thread panicked"),
-            None => WarmupReport {
-                replayed: 0,
-                rejected: 0,
-                final_epoch: self.engine.snapshot().epoch(),
-            },
-        };
+    pub fn wait(self) -> (Arc<RankingEngine>, WarmupReport) {
+        let report = self.warmup.join().expect("warmup thread panicked");
         (self.engine, report)
     }
 }

@@ -76,8 +76,8 @@ pub use admission::{
     AdmissionController, AdmissionPolicy, AdmissionStats, AdmissionTicket, CostedQuery, Overload,
 };
 pub use engine::{
-    ColdStart, EngineError, EpochSnapshot, IngestReport, RankingEngine, RerankPolicy,
-    RerankStrategy, WarmupReport,
+    ColdStart, EngineError, EpochSnapshot, IngestReport, PushStateRestore, RankingEngine,
+    RerankPolicy, RerankStrategy, WarmupReport,
 };
 pub use personalization::{CacheConfig, CacheOutcome, CacheStats, PersonalizationCache};
 pub use query::{

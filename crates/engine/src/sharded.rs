@@ -1035,20 +1035,25 @@ impl ShardedEngine {
         policy: RerankPolicy,
     ) -> Result<ShardedColdStart, ShardedError> {
         let stem = stem.as_ref();
-        let manifest = Store::open(Self::shard_store_path(stem, 0))
-            .map_err(EngineError::from)?
-            .shard_manifest()
-            .ok_or_else(|| {
-                EngineError::Restore("shard 0 snapshot carries no shard manifest".into())
-            })?;
+        let first = Store::open(Self::shard_store_path(stem, 0)).map_err(EngineError::from)?;
+        let manifest = first.shard_manifest().ok_or_else(|| {
+            EngineError::Restore("shard 0 snapshot carries no shard manifest".into())
+        })?;
         let n_shards = manifest.n_shards();
+        // Shard 0's file is already read and checksummed: its thread takes
+        // it over instead of opening it again.
+        let mut first = Some(first);
         let opened: Vec<Result<ColdStart, EngineError>> = thread::scope(|scope| {
             let handles: Vec<_> = (0..n_shards)
                 .map(|s| {
+                    let opened = first.take();
                     scope.spawn(move || {
-                        let store = Self::shard_store_path(stem, s);
+                        let store = match opened {
+                            Some(store) => store,
+                            None => Store::open(Self::shard_store_path(stem, s))?,
+                        };
                         let wal = with_wal.then(|| Self::shard_wal_path(stem, s));
-                        RankingEngine::open_from_store(store, wal, policy)
+                        RankingEngine::open_store(store, wal, policy)
                     })
                 })
                 .collect();

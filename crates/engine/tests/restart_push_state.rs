@@ -1,0 +1,440 @@
+//! Restart is a replay of pushes: an engine restored from its store and
+//! replaying the log ends **bit for bit** where the live engine it was
+//! persisted from stands, and every replayed publish is a push — at every
+//! persist point (after pushes, with batches staged, straight after a
+//! restore), flat and with 4 shards. Where the store holds no usable push
+//! state (an oversized delta dropped it, a legacy or corrupted store) the
+//! report says so and the replay still ends ≤ 1e-9 from scratch.
+
+use std::path::{Path, PathBuf};
+
+use citegen::{generate, DatasetProfile};
+use citegraph::{CitationNetwork, GraphDelta, PaperId, ShardSpec};
+use graphstore::{Store, StoreBuilder, StoreError};
+use rankengine::{
+    PushStateRestore, RankingEngine, RerankPolicy, RerankStrategy, ShardedEngine, WarmupReport,
+};
+
+const SPEC: &str = "attrank:alpha=0.2,beta=0.4,y=3,w=-0.16";
+const N: usize = 600;
+const N_SHARDS: usize = 4;
+
+/// A fresh, empty directory for one test.
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir()
+        .join("rankengine_restart_push_state_tests")
+        .join(format!("{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn base_net() -> CitationNetwork {
+    generate(&DatasetProfile::hepth().scaled(N), 11)
+}
+
+/// One new current-year paper citing `k` papers of `lo..n` (global ids),
+/// `n` being the corpus size the batch lands on.
+fn batch(net: &CitationNetwork, n: usize, lo: usize, k: usize) -> GraphDelta {
+    let mut d = GraphDelta::new();
+    d.add_paper(net.current_year().unwrap());
+    for i in 0..k {
+        d.add_citation(n as PaperId, (lo + i * 37 % (n - lo)) as PaperId);
+    }
+    d
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+fn copy_into(files: &[PathBuf], dir: &Path) {
+    std::fs::create_dir_all(dir).unwrap();
+    for f in files {
+        std::fs::copy(f, dir.join(f.file_name().unwrap())).unwrap();
+    }
+}
+
+fn reopen(dir: &Path, policy: RerankPolicy) -> (std::sync::Arc<RankingEngine>, WarmupReport) {
+    RankingEngine::open_from_store(dir.join("e.store"), Some(dir.join("e.wal")), policy)
+        .unwrap()
+        .wait()
+}
+
+fn assert_scratch_close(engine: &RankingEngine) {
+    let snap = engine.snapshot();
+    let net = snap.network().as_ref().clone();
+    let scratch = RankingEngine::from_config(net, SPEC, RerankPolicy::Manual).unwrap();
+    let diff = snap
+        .scores()
+        .iter()
+        .zip(scratch.snapshot().scores().iter())
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0, f64::max);
+    assert!(diff <= 1e-9, "replay ended {diff:e} from scratch");
+}
+
+/// A live engine that has published once by delta, so its scorer holds the
+/// push state, with its log at `dir/e.wal`.
+fn live_engine(dir: &Path, policy: RerankPolicy) -> (RankingEngine, CitationNetwork) {
+    let net = base_net();
+    let engine = RankingEngine::from_config(net.clone(), SPEC, policy).unwrap();
+    engine.attach_wal(dir.join("e.wal")).unwrap();
+    engine.ingest(&batch(&net, N, 0, 6)).unwrap();
+    if engine.pending() != (0, 0) {
+        engine.rerank();
+    }
+    (engine, net)
+}
+
+#[test]
+fn every_batch_restart_replays_pushes_bit_for_bit() {
+    let dir = temp_dir("everybatch");
+    let (live, net) = live_engine(&dir, RerankPolicy::EveryBatch);
+    let epoch = live.persist_epoch(dir.join("e.store")).unwrap();
+    let files = [dir.join("e.store"), dir.join("e.wal")];
+
+    // One restart fixture per log length, so the t-th replayed publish is
+    // the last publish of fixture t.
+    let mut want = Vec::new();
+    for t in 1..=4 {
+        live.ingest(&batch(&net, N + t, N / 2, 4 + t)).unwrap();
+        want.push(live.snapshot());
+        copy_into(&files, &dir.join(format!("t{t}")));
+    }
+    for (t, want) in (1..=4).zip(want) {
+        let (engine, report) = reopen(&dir.join(format!("t{t}")), RerankPolicy::EveryBatch);
+        assert_eq!(report.push_state, PushStateRestore::Restored);
+        assert_eq!((report.replayed, report.rejected), (t, 0));
+        assert_eq!(report.final_epoch, epoch + t as u64);
+        let snap = engine.snapshot();
+        assert!(
+            matches!(snap.strategy(), RerankStrategy::Push { .. }),
+            "replayed publish {t}: {:?}",
+            snap.strategy()
+        );
+        assert_eq!(snap.strategy(), want.strategy(), "replayed publish {t}");
+        assert_eq!(
+            bits(snap.scores().as_slice()),
+            bits(want.scores().as_slice())
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn manual_persist_with_staged_batches_replays_them_as_one_push() {
+    let dir = temp_dir("manual");
+    let (live, net) = live_engine(&dir, RerankPolicy::Manual);
+    // Two batches staged at persist time: the push state belongs to the
+    // published network, and the staged batches are the replay set.
+    live.ingest(&batch(&net, N + 1, N / 2, 5)).unwrap();
+    live.ingest(&batch(&net, N + 2, N / 2, 7)).unwrap();
+    live.persist_epoch(dir.join("e.store")).unwrap();
+    live.ingest(&batch(&net, N + 3, N / 3, 3)).unwrap();
+    copy_into(&[dir.join("e.store"), dir.join("e.wal")], &dir.join("copy"));
+    live.rerank();
+    let want = live.snapshot();
+    assert!(matches!(want.strategy(), RerankStrategy::Push { .. }));
+
+    let (engine, report) = reopen(&dir.join("copy"), RerankPolicy::Manual);
+    assert_eq!(report.push_state, PushStateRestore::Restored);
+    assert_eq!(report.replayed, 3);
+    let snap = engine.snapshot();
+    assert_eq!(snap.strategy(), want.strategy());
+    assert_eq!(
+        bits(snap.scores().as_slice()),
+        bits(want.scores().as_slice())
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn first_live_ingest_after_an_empty_restart_pushes() {
+    let dir = temp_dir("emptytail");
+    let (live, net) = live_engine(&dir, RerankPolicy::EveryBatch);
+    let epoch = live.persist_epoch(dir.join("e.store")).unwrap();
+    copy_into(&[dir.join("e.store"), dir.join("e.wal")], &dir.join("copy"));
+
+    // Nothing to replay: no solve runs, the restored epoch stays served.
+    let (engine, report) = reopen(&dir.join("copy"), RerankPolicy::EveryBatch);
+    assert_eq!(report.push_state, PushStateRestore::Restored);
+    assert_eq!((report.replayed, report.final_epoch), (0, epoch));
+    assert_eq!(engine.snapshot().strategy(), RerankStrategy::Restored);
+
+    let d = batch(&net, N + 1, N / 2, 5);
+    live.ingest(&d).unwrap();
+    engine.ingest(&d).unwrap();
+    let (snap, want) = (engine.snapshot(), live.snapshot());
+    assert!(
+        matches!(snap.strategy(), RerankStrategy::Push { .. }),
+        "{:?}",
+        snap.strategy()
+    );
+    assert_eq!(
+        bits(snap.scores().as_slice()),
+        bits(want.scores().as_slice())
+    );
+    assert_scratch_close(&engine);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn repersist_straight_after_a_restore_keeps_the_push_state() {
+    let dir = temp_dir("repersist");
+    let (live, net) = live_engine(&dir, RerankPolicy::EveryBatch);
+    let epoch = live.persist_epoch(dir.join("e.store")).unwrap();
+    copy_into(&[dir.join("e.store"), dir.join("e.wal")], &dir.join("r"));
+
+    // Restore with nothing replayed, persist again at once, then log two
+    // batches — which the live engine ingests too.
+    let (restored, report) = reopen(&dir.join("r"), RerankPolicy::EveryBatch);
+    assert_eq!(report.push_state, PushStateRestore::Restored);
+    assert_eq!(
+        restored.persist_epoch(dir.join("r/e.store")).unwrap(),
+        epoch
+    );
+    for t in 1..=2 {
+        let d = batch(&net, N + t, N / 2, 4 + t);
+        live.ingest(&d).unwrap();
+        restored.ingest(&d).unwrap();
+    }
+    drop(restored);
+
+    let (engine, report) = reopen(&dir.join("r"), RerankPolicy::EveryBatch);
+    assert_eq!(report.push_state, PushStateRestore::Restored);
+    assert_eq!(report.replayed, 2);
+    let (snap, want) = (engine.snapshot(), live.snapshot());
+    assert!(matches!(snap.strategy(), RerankStrategy::Push { .. }));
+    assert_eq!(
+        bits(snap.scores().as_slice()),
+        bits(want.scores().as_slice())
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn oversized_delta_persists_no_push_state() {
+    let dir = temp_dir("oversized");
+    let (live, net) = live_engine(&dir, RerankPolicy::EveryBatch);
+    // Far past the push gate (5% of E + n): a full solve that drops the
+    // split instead of rebuilding it.
+    let mut big = GraphDelta::new();
+    for p in 0..N / 5 {
+        big.add_paper(net.current_year().unwrap());
+        for i in 0..4 {
+            big.add_citation((N + 1 + p) as PaperId, ((p * 13 + i * 101) % N) as PaperId);
+        }
+    }
+    live.ingest(&big).unwrap();
+    assert_eq!(live.snapshot().strategy(), RerankStrategy::Full);
+    live.persist_epoch(dir.join("e.store")).unwrap();
+    let n = N + 1 + N / 5;
+    for t in 0..2 {
+        live.ingest(&batch(&net, n + t, N / 2, 5)).unwrap();
+    }
+    copy_into(&[dir.join("e.store"), dir.join("e.wal")], &dir.join("copy"));
+
+    let store = Store::open(dir.join("copy/e.store")).unwrap();
+    let epoch = store.epochs()[0].epoch;
+    assert!(store.push_state(epoch).unwrap().is_none());
+    drop(store);
+    let (engine, report) = reopen(&dir.join("copy"), RerankPolicy::EveryBatch);
+    assert_eq!(report.push_state, PushStateRestore::Absent);
+    assert_eq!(report.replayed, 2);
+    // The first replayed batch rebuilt the split, warm-started from the
+    // restored epoch as the live engine was: the bits still agree.
+    let (snap, want) = (engine.snapshot(), live.snapshot());
+    assert!(matches!(snap.strategy(), RerankStrategy::Push { .. }));
+    assert_eq!(
+        bits(snap.scores().as_slice()),
+        bits(want.scores().as_slice())
+    );
+    assert_scratch_close(&engine);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn legacy_store_without_the_section_replays_from_a_full_solve() {
+    let dir = temp_dir("legacy");
+    let (live, net) = live_engine(&dir, RerankPolicy::EveryBatch);
+    live.persist_epoch(dir.join("e.store")).unwrap();
+    for t in 1..=2 {
+        live.ingest(&batch(&net, N + t, N / 2, 5)).unwrap();
+    }
+    // What a writer from before the section wrote: network, epoch,
+    // watermark.
+    let legacy = {
+        let store = Store::open(dir.join("e.store")).unwrap();
+        let e = store.epochs()[0];
+        assert!(store.push_state(e.epoch).unwrap().is_some());
+        StoreBuilder::new()
+            .network(&store.to_network().unwrap())
+            .epoch(e.spec, e.epoch, e.scores)
+            .wal_watermark(store.wal_watermark().unwrap())
+    };
+    std::fs::create_dir_all(dir.join("copy")).unwrap();
+    legacy.write_to(dir.join("copy/e.store")).unwrap();
+    copy_into(&[dir.join("e.wal")], &dir.join("copy"));
+
+    let (engine, report) = reopen(&dir.join("copy"), RerankPolicy::EveryBatch);
+    assert_eq!(report.push_state, PushStateRestore::Absent);
+    assert_eq!(report.replayed, 2);
+    assert_scratch_close(&engine);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Byte offset of the first payload byte of the section tagged `tag`.
+fn payload_offset(bytes: &[u8], tag: u32) -> Option<usize> {
+    let mut offset = 16;
+    while offset + 32 <= bytes.len() {
+        let t = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap());
+        let len = u64::from_le_bytes(bytes[offset + 8..offset + 16].try_into().unwrap()) as usize;
+        if t == tag {
+            return Some(offset + 32);
+        }
+        offset += 32 + len;
+        offset += (8 - offset % 8) % 8;
+    }
+    None
+}
+
+#[test]
+fn corrupt_push_state_is_reported_and_not_used() {
+    let dir = temp_dir("corrupt");
+    let (live, net) = live_engine(&dir, RerankPolicy::EveryBatch);
+    live.persist_epoch(dir.join("e.store")).unwrap();
+    for t in 1..=2 {
+        live.ingest(&batch(&net, N + t, N / 2, 5)).unwrap();
+    }
+    copy_into(&[dir.join("e.store"), dir.join("e.wal")], &dir.join("copy"));
+    let path = dir.join("copy/e.store");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let at = payload_offset(&bytes, 15).expect("push state persisted") + 8 * N;
+    bytes[at] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let store = Store::open(&path).expect("the checksum is deferred past open");
+    let epoch = store.epochs()[0].epoch;
+    assert!(matches!(
+        store.push_state(epoch),
+        Err(StoreError::Corrupt(_))
+    ));
+    drop(store);
+    let (engine, report) = reopen(&dir.join("copy"), RerankPolicy::EveryBatch);
+    assert_eq!(report.push_state, PushStateRestore::Corrupt);
+    assert_eq!(report.replayed, 2);
+    assert_scratch_close(&engine);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn shard_files(stem: &Path) -> Vec<PathBuf> {
+    (0..N_SHARDS)
+        .flat_map(|s| {
+            [
+                ShardedEngine::shard_store_path(stem, s),
+                ShardedEngine::shard_wal_path(stem, s),
+            ]
+        })
+        .collect()
+}
+
+/// A 4-shard engine whose tail has published once by delta, logging to
+/// `dir/e.shard<s>.wal`.
+fn live_sharded(dir: &Path) -> (ShardedEngine, CitationNetwork, usize) {
+    let net = base_net();
+    let plan = ShardSpec::Fixed(N_SHARDS).plan(&net).unwrap();
+    let eng = ShardedEngine::from_plan(&net, &plan, SPEC, RerankPolicy::EveryBatch).unwrap();
+    eng.attach_wals(dir.join("e")).unwrap();
+    let tail_start = eng.starts()[N_SHARDS - 1] as usize;
+    eng.ingest(&batch(&net, N, tail_start, 6)).unwrap();
+    (eng, net, tail_start)
+}
+
+fn assert_shards_equal(got: &ShardedEngine, want: &ShardedEngine) {
+    for (s, (g, w)) in got
+        .shard_engines()
+        .iter()
+        .zip(want.shard_engines())
+        .enumerate()
+    {
+        let (g, w) = (g.snapshot(), w.snapshot());
+        assert_eq!(g.epoch(), w.epoch(), "shard {s}");
+        assert_eq!(
+            bits(g.scores().as_slice()),
+            bits(w.scores().as_slice()),
+            "shard {s}"
+        );
+    }
+}
+
+#[test]
+fn sharded_restart_replays_tail_pushes_bit_for_bit() {
+    let dir = temp_dir("sharded");
+    let stem = dir.join("e");
+    let (live, net, tail_start) = live_sharded(&dir);
+    let epochs = live.persist_epochs(&stem).unwrap();
+    let files = shard_files(&stem);
+
+    for t in 1..=4 {
+        live.ingest(&batch(&net, N + t, tail_start, 3 + t)).unwrap();
+        copy_into(&files, &dir.join(format!("t{t}")));
+        let cold = ShardedEngine::open_from_store(
+            dir.join(format!("t{t}/e")),
+            true,
+            RerankPolicy::EveryBatch,
+        )
+        .unwrap();
+        let (engine, reports) = cold.wait();
+        for (s, r) in reports.iter().enumerate() {
+            let tail = s == N_SHARDS - 1;
+            let restored = if tail {
+                PushStateRestore::Restored
+            } else {
+                PushStateRestore::Absent
+            };
+            assert_eq!(r.push_state, restored, "shard {s}");
+            assert_eq!(r.replayed, if tail { t } else { 0 }, "shard {s}");
+            if !tail {
+                assert_eq!(r.final_epoch, epochs[s], "shard {s}: no solve ran");
+            }
+        }
+        let tail = engine.shard_engines()[N_SHARDS - 1].snapshot();
+        assert!(
+            matches!(tail.strategy(), RerankStrategy::Push { .. }),
+            "replayed publish {t}: {:?}",
+            tail.strategy()
+        );
+        assert_shards_equal(&engine, &live);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sharded_empty_log_restart_runs_no_solve() {
+    let dir = temp_dir("shardedempty");
+    let stem = dir.join("e");
+    let (live, net, tail_start) = live_sharded(&dir);
+    live.ingest(&batch(&net, N + 1, tail_start, 4)).unwrap();
+    let epochs = live.persist_epochs(&stem).unwrap();
+    copy_into(&shard_files(&stem), &dir.join("copy"));
+
+    let cold =
+        ShardedEngine::open_from_store(dir.join("copy/e"), true, RerankPolicy::EveryBatch).unwrap();
+    let (engine, reports) = cold.wait();
+    for (s, r) in reports.iter().enumerate() {
+        assert_eq!(r.replayed, 0, "shard {s}");
+        assert_eq!(r.final_epoch, epochs[s], "shard {s}: no solve ran");
+    }
+    assert_eq!(reports[N_SHARDS - 1].push_state, PushStateRestore::Restored);
+    assert_shards_equal(&engine, &live);
+
+    // The first live ingest after it pushes, to the live engine's bits.
+    let d = batch(&net, N + 2, tail_start, 5);
+    live.ingest(&d).unwrap();
+    engine.ingest(&d).unwrap();
+    let tail = engine.shard_engines()[N_SHARDS - 1].snapshot();
+    assert!(matches!(tail.strategy(), RerankStrategy::Push { .. }));
+    assert_shards_equal(&engine, &live);
+    std::fs::remove_dir_all(&dir).ok();
+}

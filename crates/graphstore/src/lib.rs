@@ -67,6 +67,7 @@
 //! | 12  | VENUE_POST_IDS | u32  | venue→papers posting ids       | n_venues   |
 //! | 13  | AUTHOR_POST_OFFSETS | u64 | author→papers offsets, A+1 | n_authors  |
 //! | 14  | AUTHOR_POST_IDS| u32  | author→papers posting ids      | n_authors  |
+//! | 15  | PUSH_STATE     | f64  | att ‖ rec ‖ kernel, 3·n values | epoch no.  |
 //!
 //! Sections 1–3 are mandatory and describe the reference adjacency (row
 //! `j` = papers cited by `j`); the citers transpose is rebuilt on load.
@@ -82,7 +83,15 @@
 //! written before the sections existed simply rebuild the indexes
 //! (counting sort) on load. Each published epoch contributes a 7+8 pair in
 //! order: the EPOCH_SCORES section belongs to the closest preceding
-//! EPOCH_META, and both carry the epoch number in `aux`. A
+//! EPOCH_META, and both carry the epoch number in `aux`. At most one
+//! PUSH_STATE section follows a complete 7+8 pair and carries that pair's
+//! epoch number in `aux`: the incremental AttRank scorer's attention
+//! component, recency component and uniform kernel, so a restart resumes
+//! pushing instead of re-solving. It is the one section whose checksum
+//! [`Store::open`] does **not** verify — the first page never reads its
+//! `24·n` bytes — so its shape (kind, length `3·n`, owning epoch, count)
+//! is checked at open and its checksum by [`Store::push_state`], before
+//! any byte of it is handed out. A
 //! WAL_WATERMARK section carries (in `aux`) the sequence number of the
 //! first WAL record the snapshot does *not* contain; restart replay and
 //! [`compact`] fold in only records at or past it, which makes the

@@ -44,6 +44,7 @@ mod tag {
     pub const VENUE_POST_IDS: u32 = 12;
     pub const AUTHOR_POST_OFFSETS: u32 = 13;
     pub const AUTHOR_POST_IDS: u32 = 14;
+    pub const PUSH_STATE: u32 = 15;
 }
 
 /// Element kinds (see the crate-level format table).
@@ -206,6 +207,20 @@ impl StoreBuilder {
     pub fn epoch(mut self, spec: &str, epoch: u64, scores: &[f64]) -> Self {
         self.push(tag::EPOCH_META, kind::RAW, epoch, spec.as_bytes().to_vec());
         self.push(tag::EPOCH_SCORES, kind::F64, epoch, encode_f64s(scores));
+        self
+    }
+
+    /// Stages the push state of `epoch` — the attention component, the
+    /// recency component and the uniform kernel an incremental AttRank
+    /// scorer resumes pushing from, concatenated in that order. Stage it
+    /// right after the [`Self::epoch`] it belongs to.
+    pub fn push_state(mut self, epoch: u64, lanes: [&[f64]; 3]) -> Self {
+        self.push(
+            tag::PUSH_STATE,
+            kind::F64,
+            epoch,
+            encode_f64s(&lanes.concat()),
+        );
         self
     }
 
@@ -392,13 +407,17 @@ pub struct Store {
     sections: Vec<Section>,
     /// `(meta_index, scores_index)` per published epoch, in file order.
     epochs: Vec<(usize, usize)>,
+    /// Index of the PUSH_STATE section, shape-checked but not yet
+    /// checksummed (see [`Self::push_state`]).
+    push_state: Option<usize>,
     n_papers: usize,
 }
 
 impl Store {
     /// Opens and fully validates a snapshot file — structure, checksums
     /// and shapes; the deeper CSR/temporal validation runs in
-    /// [`Self::to_network`].
+    /// [`Self::to_network`], and the push state's checksum in
+    /// [`Self::push_state`].
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, StoreError> {
         let mut f = fs::File::open(path)?;
         let len = f.metadata()?.len() as usize;
@@ -452,8 +471,12 @@ impl Store {
                     "section tag {tag} at offset {offset}: payload of {len} bytes overruns the file"
                 )));
             }
-            let payload = &bytes[start..start + len];
-            if section_checksum(&h[0..24], payload) != checksum {
+            // The push state is the one section the first page never
+            // reads: its checksum is verified by `push_state`, off the
+            // cold-start path.
+            if tag != tag::PUSH_STATE
+                && section_checksum(&h[0..24], &bytes[start..start + len]) != checksum
+            {
                 return Err(StoreError::Corrupt(format!(
                     "section tag {tag} at offset {offset}: checksum mismatch"
                 )));
@@ -489,6 +512,7 @@ impl Store {
             buf,
             sections,
             epochs: Vec::new(),
+            push_state: None,
             n_papers: 0,
         };
         store.validate_shapes()
@@ -616,6 +640,7 @@ impl Store {
         // Epochs: every SCORES pairs with the closest preceding META.
         let mut pending_meta: Option<usize> = None;
         let mut epochs = Vec::new();
+        let mut push_state = None;
         for (i, s) in self.sections.iter().enumerate() {
             match s.tag {
                 tag::EPOCH_META => {
@@ -650,6 +675,31 @@ impl Store {
                     }
                     epochs.push((meta, i));
                 }
+                // The push state belongs to the closest preceding complete
+                // EPOCH pair; its checksum is deferred, so these checks are
+                // what stand between a flipped tag and a misread section.
+                tag::PUSH_STATE => {
+                    let owner = match (pending_meta, epochs.last()) {
+                        (None, Some(&(meta, _))) => Some(self.sections[meta].aux),
+                        _ => None,
+                    };
+                    if owner != Some(s.aux) {
+                        return Err(StoreError::Format(format!(
+                            "PUSH_STATE for epoch {} does not follow that epoch's EPOCH pair",
+                            s.aux
+                        )));
+                    }
+                    if s.kind != kind::F64 || s.len / 8 != 3 * n {
+                        return Err(StoreError::Format(format!(
+                            "PUSH_STATE has the wrong kind or length (expected 3 x {n} f64)"
+                        )));
+                    }
+                    if push_state.replace(i).is_some() {
+                        return Err(StoreError::Format(
+                            "more than one PUSH_STATE section".into(),
+                        ));
+                    }
+                }
                 _ => {}
             }
         }
@@ -659,6 +709,7 @@ impl Store {
             ));
         }
         self.epochs = epochs;
+        self.push_state = push_state;
         self.n_papers = n;
         Ok(self)
     }
@@ -744,6 +795,36 @@ impl Store {
     /// The epoch persisted for `spec`, if any.
     pub fn epoch_for(&self, spec: &str) -> Option<EpochRef<'_>> {
         self.epochs().into_iter().find(|e| e.spec == spec)
+    }
+
+    /// The push state persisted with `epoch` (see
+    /// [`StoreBuilder::push_state`]) as its three lanes, `None` when the
+    /// snapshot carries none for that epoch.
+    ///
+    /// The section's checksum is verified here, on every call, not in
+    /// [`Self::open`]: a cold start serves its first page without reading
+    /// these `24·n` bytes.
+    ///
+    /// # Errors
+    /// [`StoreError::Corrupt`] when the section fails its checksum.
+    pub fn push_state(&self, epoch: u64) -> Result<Option<[&[f64]; 3]>, StoreError> {
+        let Some(s) = self.push_state.map(|i| &self.sections[i]) else {
+            return Ok(None);
+        };
+        if s.aux != epoch {
+            return Ok(None);
+        }
+        let header = &self.buf.bytes()[s.start - SECTION_HEADER_LEN..s.start];
+        let checksum = u64::from_le_bytes(header[24..32].try_into().expect("8 bytes"));
+        let payload = self.payload(s);
+        if section_checksum(&header[0..24], payload) != checksum {
+            return Err(StoreError::Corrupt(format!(
+                "PUSH_STATE of epoch {epoch}: checksum mismatch"
+            )));
+        }
+        let lanes = as_f64s(payload);
+        let n = self.n_papers;
+        Ok(Some([&lanes[..n], &lanes[n..2 * n], &lanes[2 * n..]]))
     }
 
     /// The shard manifest stored in this snapshot (see

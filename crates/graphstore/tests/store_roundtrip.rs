@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use citegraph::{CitationNetwork, GraphDelta, NetworkBuilder};
-use graphstore::{compact, DeltaWal, NetworkStoreExt, Store, StoreBuilder};
+use graphstore::{compact, DeltaWal, NetworkStoreExt, Store, StoreBuilder, StoreError};
 
 /// Strategy: a valid temporal citation network plus one score per paper.
 ///
@@ -86,33 +86,59 @@ proptest! {
     }
 
     #[test]
-    fn corrupt_payload_byte_is_detected((net, scores) in network_strategy(),
-                                        frac in 0.0f64..1.0) {
+    fn push_state_roundtrip_is_bit_exact((net, scores) in network_strategy()) {
+        let lanes = push_lanes(&scores);
         let bytes = StoreBuilder::new()
             .network(&net)
-            .epoch("cc", 0, &scores)
+            .epoch("attrank", 4, &scores)
+            .push_state(4, [&lanes[0], &lanes[1], &lanes[2]])
+            .wal_watermark(9)
             .to_bytes();
+        let store = Store::from_bytes(&bytes).unwrap();
+        let back = store.push_state(4).unwrap().expect("section present");
+        for (lane, got) in lanes.iter().zip(back) {
+            prop_assert_eq!(bits(lane), bits(got));
+        }
+        // Another epoch's push state is not this one.
+        prop_assert!(store.push_state(3).unwrap().is_none());
+    }
+
+    #[test]
+    fn corrupt_payload_byte_is_detected((net, scores) in network_strategy(),
+                                        frac in 0.0f64..1.0,
+                                        with_push_state in 0u8..2) {
+        let lanes = push_lanes(&scores);
+        let mut builder = StoreBuilder::new().network(&net).epoch("cc", 0, &scores);
+        if with_push_state == 1 {
+            builder = builder.push_state(0, [&lanes[0], &lanes[1], &lanes[2]]);
+        }
+        let bytes = builder.to_bytes();
         // Flip one byte anywhere past the file header: either a section
-        // checksum catches it, the structure walk rejects it, or (if the
-        // flip lands in padding) the file still parses — but it must
-        // never parse into *different* data.
+        // checksum catches it (at open, or at `push_state` for the one
+        // section whose checksum is deferred), the structure walk rejects
+        // it, or (if the flip lands in padding) the file still parses —
+        // but it must never parse into *different* data.
         let idx = 16 + ((bytes.len() - 17) as f64 * frac) as usize;
         let mut evil = bytes.clone();
         evil[idx] ^= 0x01;
         match Store::from_bytes(&evil) {
             Err(_) => {}
-            Ok(store) => {
-                // Flip landed in inter-section padding: content intact.
-                let clean = Store::from_bytes(&bytes).unwrap();
-                prop_assert_eq!(store.years(), clean.years());
-                prop_assert_eq!(store.indptr(), clean.indptr());
-                prop_assert_eq!(store.indices(), clean.indices());
-                let (a, b) = (store.epochs(), clean.epochs());
-                prop_assert_eq!(a.len(), b.len());
-                for (ea, eb) in a.iter().zip(&b) {
-                    prop_assert_eq!(ea.scores, eb.scores);
+            Ok(store) => match store.push_state(0) {
+                Err(e) => prop_assert!(matches!(e, StoreError::Corrupt(_)), "{}", e),
+                Ok(push_state) => {
+                    // Flip landed in inter-section padding: content intact.
+                    let clean = Store::from_bytes(&bytes).unwrap();
+                    prop_assert_eq!(store.years(), clean.years());
+                    prop_assert_eq!(store.indptr(), clean.indptr());
+                    prop_assert_eq!(store.indices(), clean.indices());
+                    let (a, b) = (store.epochs(), clean.epochs());
+                    prop_assert_eq!(a.len(), b.len());
+                    for (ea, eb) in a.iter().zip(&b) {
+                        prop_assert_eq!(ea.scores, eb.scores);
+                    }
+                    prop_assert_eq!(push_state, clean.push_state(0).unwrap());
                 }
-            }
+            },
         }
     }
 
@@ -406,6 +432,164 @@ fn malformed_shard_manifest_is_rejected() {
             "manifest {manifest:?} should be rejected"
         );
     }
+}
+
+/// Three push-state lanes derived from `scores`, distinct per lane.
+fn push_lanes(scores: &[f64]) -> [Vec<f64>; 3] {
+    [1.0, 0.5, -2.0].map(|k| scores.iter().map(|s| s * k + k).collect())
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `(tag, header offset)` of every section, in file order.
+fn section_headers(bytes: &[u8]) -> Vec<(u32, usize)> {
+    let mut headers = Vec::new();
+    let mut offset = 16usize;
+    while offset + 32 <= bytes.len() {
+        let tag = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap());
+        let len = u64::from_le_bytes(bytes[offset + 8..offset + 16].try_into().unwrap()) as usize;
+        headers.push((tag, offset));
+        offset += 32 + len;
+        offset += (8 - offset % 8) % 8;
+    }
+    headers
+}
+
+const SCORES: [f64; 4] = [0.4, 0.3, 0.2, 0.1];
+
+/// `rich_network` with every optional section: metadata, posting
+/// indexes, an epoch and its push state, a watermark.
+fn full_store() -> StoreBuilder {
+    let lanes = push_lanes(&SCORES);
+    StoreBuilder::new()
+        .network(&rich_network())
+        .epoch("attrank", 2, &SCORES)
+        .push_state(2, [&lanes[0], &lanes[1], &lanes[2]])
+        .wal_watermark(3)
+}
+
+#[test]
+fn one_bit_tag_flips_onto_the_push_state_tag_are_caught() {
+    // The push state's checksum is deferred past `open`, so a section
+    // whose tag flips to 15 is not checksummed there: the pair and shape
+    // checks must reject it.
+    let bytes = full_store().to_bytes();
+    let headers = section_headers(&bytes);
+    for from in [14u32, 11, 13, 7] {
+        assert_eq!((from ^ 15).count_ones(), 1);
+        let &(_, at) = headers.iter().find(|&&(tag, _)| tag == from).unwrap();
+        let mut evil = bytes.clone();
+        evil[at] ^= (from ^ 15) as u8;
+        match Store::from_bytes(&evil) {
+            Err(StoreError::Format(_)) => {}
+            other => panic!("tag {from} -> 15: expected a Format error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn malformed_push_state_is_a_format_error() {
+    let net = rich_network();
+    let lanes = push_lanes(&SCORES);
+    let lanes = [&lanes[0][..], &lanes[1][..], &lanes[2][..]];
+    let with_epoch = || {
+        StoreBuilder::new()
+            .network(&net)
+            .epoch("attrank", 2, &SCORES)
+    };
+    let cases = [
+        (
+            "length",
+            with_epoch().push_state(2, [lanes[0], lanes[1], &lanes[2][..3]]),
+        ),
+        ("orphan aux", with_epoch().push_state(1, lanes)),
+        (
+            "no epoch",
+            StoreBuilder::new().network(&net).push_state(2, lanes),
+        ),
+        (
+            "two sections",
+            with_epoch().push_state(2, lanes).push_state(2, lanes),
+        ),
+    ];
+    for (what, builder) in cases {
+        match Store::from_bytes(&builder.to_bytes()) {
+            Err(StoreError::Format(_)) => {}
+            other => panic!("{what}: expected a Format error, got {other:?}"),
+        }
+    }
+    // The kind: u64 in place of f64 (same width, so only the kind check
+    // can tell).
+    let mut bytes = full_store().to_bytes();
+    let &(_, at) = section_headers(&bytes)
+        .iter()
+        .find(|&&(tag, _)| tag == 15)
+        .unwrap();
+    bytes[at + 4..at + 8].copy_from_slice(&4u32.to_le_bytes());
+    assert!(matches!(
+        Store::from_bytes(&bytes),
+        Err(StoreError::Format(_))
+    ));
+}
+
+#[test]
+fn push_state_checksum_is_verified_on_read() {
+    let bytes = full_store().to_bytes();
+    let &(_, at) = section_headers(&bytes)
+        .iter()
+        .find(|&&(tag, _)| tag == 15)
+        .unwrap();
+    let clean = Store::from_bytes(&bytes).unwrap();
+    let lanes = push_lanes(&SCORES);
+    let got = clean.push_state(2).unwrap().unwrap();
+    for (lane, got) in lanes.iter().zip(got) {
+        assert_eq!(bits(lane), bits(got));
+    }
+    // One payload byte flipped: the store opens (the first page never
+    // reads the section) and the push state is refused.
+    let mut evil = bytes.clone();
+    evil[at + 32 + 17] ^= 0x40;
+    let store = Store::from_bytes(&evil).expect("open does not read the push state");
+    assert_eq!(store.epochs()[0].scores, &SCORES[..]);
+    assert!(matches!(store.push_state(2), Err(StoreError::Corrupt(_))));
+    // So is a flip in its checksum field.
+    let mut evil = bytes;
+    evil[at + 24] ^= 0x01;
+    let store = Store::from_bytes(&evil).unwrap();
+    assert!(matches!(store.push_state(2), Err(StoreError::Corrupt(_))));
+}
+
+#[test]
+fn compact_drops_the_push_state_with_the_epochs() {
+    let store_path = temp_file("compact-push.store");
+    let wal_path = temp_file("compact-push.wal");
+    let _ = std::fs::remove_file(&wal_path);
+    full_store().write_to(&store_path).unwrap();
+
+    // Nothing to fold: the snapshot is left as it is.
+    DeltaWal::open(&wal_path).unwrap();
+    assert!(!compact(&store_path, &wal_path).unwrap().epochs_dropped);
+    assert!(Store::open(&store_path)
+        .unwrap()
+        .push_state(2)
+        .unwrap()
+        .is_some());
+
+    // A folded record rewrites the network only.
+    let mut d = GraphDelta::new();
+    d.add_paper(2010);
+    d.add_citation(4, 0);
+    let (mut wal, _) = DeltaWal::open(&wal_path).unwrap();
+    wal.append(3, &d).unwrap();
+    drop(wal);
+    assert!(compact(&store_path, &wal_path).unwrap().epochs_dropped);
+    let store = Store::open(&store_path).unwrap();
+    assert!(store.epochs().is_empty());
+    assert!(store.push_state(2).unwrap().is_none());
+    std::fs::remove_file(&store_path).ok();
+    std::fs::remove_file(&wal_path).ok();
 }
 
 #[test]
