@@ -6,14 +6,18 @@
 //!
 //! * `first_topk_store` — `Store::open` + borrowed-scores partial select
 //!   (what `RankingEngine::open_from_store` serves before its background
-//!   warmup finishes): one buffer read, zero per-element parsing;
+//!   warmup finishes): one buffer read, zero per-element parsing, and
+//!   every section but the push state checked with the format-v2
+//!   word-lane checksum at memory speed;
 //! * `store_to_network` — the same plus materializing the validated
-//!   `CitationNetwork` (the writer-side state of a restored engine);
+//!   `CitationNetwork` (the writer-side state of a restored engine),
+//!   whose persisted venue/author posting indexes are compared, array for
+//!   array, with the inversions the load rebuilds;
 //! * `first_topk_tsv` — `citegraph::io::load` + a full AttRank solve +
 //!   `top_k`, the only restart path before the store existed.
 //!
-//! The acceptance target (ISSUE 4) is `first_topk_tsv / first_topk_store
-//! ≥ 10` by min wall-clock; `repro bench-check` gates the recorded ratio.
+//! The target is `first_topk_tsv / first_topk_store ≥ 10` by min
+//! wall-clock; `repro bench-check` gates the recorded ratio.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 

@@ -160,15 +160,15 @@ impl AuthorTable {
         if let Some(&a) = author_ids.iter().find(|&&a| a as usize >= n_authors) {
             return Err(format!("author id {a} out of range {n_authors}"));
         }
-        for (p, w) in offsets.windows(2).enumerate() {
-            let slice = &author_ids[w[0]..w[1]];
-            for (i, &a) in slice.iter().enumerate() {
-                if slice[..i].contains(&a) {
-                    return Err(format!("author id {a} repeated for paper {p}"));
-                }
+        let (rev_offsets, rev_paper_ids) = Self::invert(&offsets, &author_ids, n_authors);
+        // The inversion visits papers in ascending order, so an author
+        // repeated within one paper's slice is that paper twice in a row
+        // on the author's list.
+        for (a, w) in rev_offsets.windows(2).enumerate() {
+            if let Some(p) = rev_paper_ids[w[0]..w[1]].windows(2).find(|p| p[0] == p[1]) {
+                return Err(format!("author id {a} repeated for paper {}", p[0]));
             }
         }
-        let (rev_offsets, rev_paper_ids) = Self::invert(&offsets, &author_ids, n_authors);
         Ok(Self {
             offsets,
             author_ids,
@@ -180,86 +180,37 @@ impl AuthorTable {
 
     /// The transposed author→papers posting arrays: offsets of length
     /// `n_authors + 1` into the flat paper-id array. This is the index the
-    /// query layer probes; the snapshot store persists both arrays so a
-    /// cold start restores the index without re-inverting.
+    /// query layer probes; the snapshot store persists both arrays, and a
+    /// cold start checks its copy against the rebuilt inversion.
     pub fn postings(&self) -> (&[usize], &[PaperId]) {
         (&self.rev_offsets, &self.rev_paper_ids)
     }
 
-    /// Rebuilds a table from the flat forward arrays *and* the persisted
-    /// author→papers posting arrays, skipping the counting-sort inversion.
+    /// Rebuilds a table from the flat forward arrays (see
+    /// [`Self::from_flat`], which computes the author→papers inversion)
+    /// and checks a persisted copy of that inversion against it.
     ///
-    /// The postings are validated in O(nnz) instead of trusted: every
-    /// `(author, paper)` pair must exist in the forward view, lists must be
-    /// strictly increasing, and the pair count must match the forward
-    /// count. Distinct valid pairs + equal cardinality forces the posting
-    /// set to equal the inversion exactly, and ascending order within each
-    /// list pins the layout bit-for-bit — so corruption is detected, not
-    /// absorbed.
+    /// The persisted pair is accepted only when it equals the rebuilt
+    /// inversion array for array — one sequential comparison, instead of
+    /// probing every `(author, paper)` pair in the forward view at
+    /// random. Equality is exactly what strictly increasing lists,
+    /// membership of every pair and equal cardinality force, so the same
+    /// corruption is caught; the table returned is the rebuilt one.
     ///
     /// # Errors
     /// Returns a description on any forward-array defect (see
-    /// [`Self::from_flat`]) or posting-array mismatch.
+    /// [`Self::from_flat`]), or naming the first author whose persisted
+    /// list differs from the inversion.
     pub fn from_flat_with_postings(
         offsets: Vec<usize>,
         author_ids: Vec<AuthorId>,
         n_authors: usize,
-        rev_offsets: Vec<usize>,
-        rev_paper_ids: Vec<PaperId>,
+        rev_offsets: &[usize],
+        rev_paper_ids: &[PaperId],
     ) -> Result<Self, String> {
-        let forward = Self::from_flat(offsets, author_ids, n_authors)?;
-        let Self {
-            offsets,
-            author_ids,
-            ..
-        } = forward;
-        let n_papers = offsets.len() - 1;
-        if rev_offsets.len() != n_authors + 1 {
-            return Err(format!(
-                "author posting offsets have {} entries, want {}",
-                rev_offsets.len(),
-                n_authors + 1
-            ));
-        }
-        if rev_offsets[0] != 0 || rev_offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("author posting offsets do not start at 0 or decrease".into());
-        }
-        if *rev_offsets.last().expect("non-empty") != rev_paper_ids.len() {
-            return Err("author posting offsets do not cover the paper-id array".into());
-        }
-        if rev_paper_ids.len() != author_ids.len() {
-            return Err(format!(
-                "author postings hold {} pairs but the forward view holds {}",
-                rev_paper_ids.len(),
-                author_ids.len()
-            ));
-        }
-        for (a, w) in rev_offsets.windows(2).enumerate() {
-            let list = &rev_paper_ids[w[0]..w[1]];
-            if list.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("author {a} posting list not strictly increasing"));
-            }
-            for &p in list {
-                if p as usize >= n_papers {
-                    return Err(format!(
-                        "author {a} posting references paper {p} out of range"
-                    ));
-                }
-                let row = &author_ids[offsets[p as usize]..offsets[p as usize + 1]];
-                if !row.contains(&(a as AuthorId)) {
-                    return Err(format!(
-                        "author {a} posting lists paper {p} but paper {p} does not list author {a}"
-                    ));
-                }
-            }
-        }
-        Ok(Self {
-            offsets,
-            author_ids,
-            rev_offsets,
-            rev_paper_ids,
-            n_authors,
-        })
+        let table = Self::from_flat(offsets, author_ids, n_authors)?;
+        check_postings("author", table.postings(), (rev_offsets, rev_paper_ids))?;
+        Ok(table)
     }
 
     /// Appends per-paper author rows for papers `n_papers()..`, growing the
@@ -343,10 +294,10 @@ impl AuthorTable {
 /// Alongside the per-paper slots, the table prebuilds CSR posting lists
 /// (venue → papers, ascending paper id) so venue predicates in the query
 /// layer resolve to an id slice in O(1) instead of scanning all `n`
-/// papers per call. The posting lists are derived state: only the slots
-/// are serialized (see `graphstore`), and every construction path —
-/// including [`Self::prefix`] — rebuilds them, so round-trips stay
-/// bit-exact.
+/// papers per call. The posting lists are derived state: every
+/// construction path — including [`Self::prefix`] and a snapshot load
+/// (`graphstore` persists a copy and checks it against the rebuild, see
+/// [`Self::from_parts`]) — rebuilds them, so round-trips stay bit-exact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VenueTable {
     /// `venue[p]` is `Some(v)` when paper `p` appeared at venue `v`.
@@ -445,77 +396,35 @@ impl VenueTable {
     }
 
     /// The venue→papers posting arrays: offsets of length `n_venues + 1`
-    /// into the flat paper-id array (what the snapshot store persists so a
-    /// cold start restores the index without a counting-sort rebuild).
+    /// into the flat paper-id array (what the snapshot store persists; a
+    /// cold start checks its copy against the rebuilt lists).
     pub fn postings(&self) -> (&[usize], &[PaperId]) {
         (&self.post_offsets, &self.post_papers)
     }
 
-    /// Rebuilds a table from the per-paper slots *and* persisted posting
-    /// arrays, skipping the counting-sort rebuild.
+    /// Builds the table from the per-paper slots and checks a persisted
+    /// copy of its posting arrays against the counting-sort rebuild.
     ///
-    /// The postings are validated in O(n + nnz) instead of trusted: lists
-    /// must be strictly increasing, every listed paper's slot must name the
-    /// venue, and the pair count must equal the number of assigned slots —
-    /// which together force the arrays to equal the counting-sort output
-    /// bit-for-bit, so corruption is detected, not absorbed.
+    /// The persisted pair is accepted only when it equals the rebuilt
+    /// lists array for array — exactly what strictly increasing lists,
+    /// every listed paper's slot naming the venue and one pair per
+    /// assigned slot force, so corruption is detected, not absorbed.
     ///
     /// # Errors
-    /// Returns a description of the first defect found.
+    /// Returns a description when a slot is out of range, or naming the
+    /// first venue whose persisted list differs from the rebuild.
     pub fn from_parts(
         venue: Vec<Option<VenueId>>,
         n_venues: usize,
-        post_offsets: Vec<usize>,
-        post_papers: Vec<PaperId>,
+        post_offsets: &[usize],
+        post_papers: &[PaperId],
     ) -> Result<Self, String> {
         if let Some(v) = venue.iter().flatten().find(|&&v| v as usize >= n_venues) {
             return Err(format!("venue id {v} out of range {n_venues}"));
         }
-        if post_offsets.len() != n_venues + 1 {
-            return Err(format!(
-                "venue posting offsets have {} entries, want {}",
-                post_offsets.len(),
-                n_venues + 1
-            ));
-        }
-        if post_offsets[0] != 0 || post_offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("venue posting offsets do not start at 0 or decrease".into());
-        }
-        if *post_offsets.last().expect("non-empty") != post_papers.len() {
-            return Err("venue posting offsets do not cover the paper-id array".into());
-        }
-        let assigned = venue.iter().flatten().count();
-        if post_papers.len() != assigned {
-            return Err(format!(
-                "venue postings hold {} papers but {assigned} slots are assigned",
-                post_papers.len()
-            ));
-        }
-        for (v, w) in post_offsets.windows(2).enumerate() {
-            let list = &post_papers[w[0]..w[1]];
-            if list.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("venue {v} posting list not strictly increasing"));
-            }
-            for &p in list {
-                if p as usize >= venue.len() {
-                    return Err(format!(
-                        "venue {v} posting references paper {p} out of range"
-                    ));
-                }
-                if venue[p as usize] != Some(v as VenueId) {
-                    return Err(format!(
-                        "venue {v} posting lists paper {p} but its slot says {:?}",
-                        venue[p as usize]
-                    ));
-                }
-            }
-        }
-        Ok(Self {
-            venue,
-            n_venues,
-            post_offsets,
-            post_papers,
-        })
+        let table = Self::new(venue, n_venues);
+        check_postings("venue", table.postings(), (post_offsets, post_papers))?;
+        Ok(table)
     }
 
     /// Appends venue slots for papers `n_papers()..`, growing the venue id
@@ -574,6 +483,40 @@ impl VenueTable {
         assert!(start <= end && end <= self.n_papers());
         VenueTable::new(self.venue[start..end].to_vec(), self.n_venues)
     }
+}
+
+/// Checks a persisted copy of facet posting lists against the `built`
+/// ones, naming the first `facet` id whose list (or offset) differs.
+fn check_postings(
+    facet: &str,
+    built: (&[usize], &[PaperId]),
+    stored: (&[usize], &[PaperId]),
+) -> Result<(), String> {
+    let ((offsets, papers), (stored_offsets, stored_papers)) = (built, stored);
+    if offsets == stored_offsets && papers == stored_papers {
+        return Ok(());
+    }
+    if offsets.len() != stored_offsets.len() {
+        return Err(format!(
+            "{facet} posting offsets have {} entries, want {}",
+            stored_offsets.len(),
+            offsets.len()
+        ));
+    }
+    for (k, w) in offsets.windows(2).enumerate() {
+        if stored_offsets[k..k + 2] != *w
+            || stored_papers.get(w[0]..w[1]) != Some(&papers[w[0]..w[1]])
+        {
+            return Err(format!(
+                "{facet} {k} posting list differs from the rebuilt inversion"
+            ));
+        }
+    }
+    Err(format!(
+        "{facet} posting arrays differ from the rebuilt inversion ({} pairs stored, {} rebuilt)",
+        stored_papers.len(),
+        papers.len()
+    ))
 }
 
 /// Facet posting lists (`offsets[k]..offsets[k + 1]` indexes `papers` for
@@ -757,8 +700,8 @@ mod tests {
             t.offsets().to_vec(),
             t.flat_author_ids().to_vec(),
             t.n_authors(),
-            ro.to_vec(),
-            rp.to_vec(),
+            ro,
+            rp,
         )
         .unwrap();
         assert_eq!(back, t);
@@ -768,34 +711,42 @@ mod tests {
     fn author_postings_validation_rejects_corruption() {
         let t = sample_authors();
         let (ro, rp) = t.postings();
-        let flat = (t.offsets().to_vec(), t.flat_author_ids().to_vec());
+        let check = |ro: &[usize], rp: &[PaperId]| {
+            AuthorTable::from_flat_with_postings(
+                t.offsets().to_vec(),
+                t.flat_author_ids().to_vec(),
+                3,
+                ro,
+                rp,
+            )
+            .unwrap_err()
+        };
         // Wrong offsets length.
-        assert!(AuthorTable::from_flat_with_postings(
-            flat.0.clone(),
-            flat.1.clone(),
-            3,
-            ro[..3].to_vec(),
-            rp.to_vec()
-        )
-        .is_err());
+        let err = check(&ro[..3], rp);
+        assert!(err.contains("have 3 entries, want 4"), "{err}");
         // A pair swapped to an author that did not write the paper.
         let mut bad = rp.to_vec();
         bad[0] = 2; // author 0's list now claims paper 2 (no authors at all)
-        let err = AuthorTable::from_flat_with_postings(
-            flat.0.clone(),
-            flat.1.clone(),
-            3,
-            ro.to_vec(),
-            bad,
-        )
-        .unwrap_err();
-        assert!(err.contains("does not list"), "{err}");
+        let err = check(ro, &bad);
+        assert!(err.contains("author 0 posting list differs"), "{err}");
         // Out-of-order list.
         let mut bad = rp.to_vec();
         bad.swap(0, 1); // author 0: [3, 0]
-        let err =
-            AuthorTable::from_flat_with_postings(flat.0, flat.1, 3, ro.to_vec(), bad).unwrap_err();
-        assert!(err.contains("strictly increasing"), "{err}");
+        let err = check(ro, &bad);
+        assert!(err.contains("author 0 posting list differs"), "{err}");
+        // A paper moved to the last author's list: the first two lists
+        // are intact, so the error names author 2.
+        let mut bad = rp.to_vec();
+        *bad.last_mut().unwrap() = 1; // author 2: [1], but paper 1 is {1}
+        let err = check(ro, &bad);
+        assert!(err.contains("author 2 posting list differs"), "{err}");
+        // A dropped pair (cardinality), and a stray extra one.
+        let err = check(&[0, 2, 4, 4], &rp[..4]);
+        assert!(err.contains("author 2 posting list differs"), "{err}");
+        let mut extra = rp.to_vec();
+        extra.push(3);
+        let err = check(ro, &extra);
+        assert!(err.contains("6 pairs stored, 5 rebuilt"), "{err}");
     }
 
     #[test]
@@ -832,17 +783,26 @@ mod tests {
     fn venue_from_parts_roundtrip_and_corruption() {
         let t = VenueTable::new(vec![Some(2), None, Some(0), Some(2)], 3);
         let (po, pp) = t.postings();
-        let back = VenueTable::from_parts(t.slots().to_vec(), 3, po.to_vec(), pp.to_vec()).unwrap();
+        let back = VenueTable::from_parts(t.slots().to_vec(), 3, po, pp).unwrap();
         assert_eq!(back, t);
         // A posting pointing at a paper whose slot names another venue.
         let mut bad = pp.to_vec();
         bad[0] = 3; // venue 0's list now claims paper 3 (venue 2)
-        let err = VenueTable::from_parts(t.slots().to_vec(), 3, po.to_vec(), bad).unwrap_err();
-        assert!(err.contains("its slot says"), "{err}");
+        let err = VenueTable::from_parts(t.slots().to_vec(), 3, po, &bad).unwrap_err();
+        assert!(err.contains("venue 0 posting list differs"), "{err}");
         // A dropped pair (count mismatch against assigned slots).
-        let err = VenueTable::from_parts(t.slots().to_vec(), 3, vec![0, 1, 1, 2], pp[..2].to_vec())
-            .unwrap_err();
-        assert!(err.contains("slots are assigned"), "{err}");
+        let err =
+            VenueTable::from_parts(t.slots().to_vec(), 3, &[0, 1, 1, 2], &pp[..2]).unwrap_err();
+        assert!(err.contains("venue 2 posting list differs"), "{err}");
+        // Out-of-order list, wrong offsets length, out-of-range slot.
+        let mut bad = pp.to_vec();
+        bad.swap(1, 2); // venue 2: [3, 0]
+        let err = VenueTable::from_parts(t.slots().to_vec(), 3, po, &bad).unwrap_err();
+        assert!(err.contains("venue 2 posting list differs"), "{err}");
+        let err = VenueTable::from_parts(t.slots().to_vec(), 3, &po[..3], pp).unwrap_err();
+        assert!(err.contains("have 3 entries, want 4"), "{err}");
+        let err = VenueTable::from_parts(vec![Some(3)], 3, &[0, 0, 0, 0], &[]).unwrap_err();
+        assert!(err.contains("out of range"), "{err}");
     }
 
     #[test]

@@ -12,11 +12,16 @@
 //!
 //! Cold-start cost model (what this crate buys):
 //!
-//! | path                          | cost                                  |
-//! |-------------------------------|---------------------------------------|
-//! | TSV parse + full re-rank      | O(text) parse + O(E·iters) solve      |
-//! | `Store::open` + [`Store::top_k`] | O(file) read + O(n) partial select |
-//! | `+ to_network` (to keep serving) | + O(V + E) validate, two memcpys   |
+//! | path                             | cost                                       |
+//! |----------------------------------|--------------------------------------------|
+//! | TSV parse + full re-rank         | O(text) parse + O(E·iters) solve           |
+//! | `Store::open` + [`Store::top_k`] | O(file) read + checksum, O(n) select       |
+//! | `+ to_network` (to keep serving) | + O(V + E) validate, memcpys, inversions   |
+//!
+//! Every byte a cold start reads is checked once: the section checksums
+//! run at memory speed (four independent multiply lanes over u64 words),
+//! and a persisted posting index costs one sequential comparison against
+//! the inversion the load computes anyway.
 //!
 //! # Snapshot format, byte for byte
 //!
@@ -27,8 +32,8 @@
 //!
 //! ```text
 //! offset 0   magic           8 bytes   b"ATRSTOR1"
-//! offset 8   version         u32       currently 1
-//! offset 12  section_count   u32
+//! offset 8   version         u32       2 (1 is still read, see below)
+//! offset 12  section_count   u32       at most (file length − 16) / 32
 //! offset 16  sections …
 //! ```
 //!
@@ -43,12 +48,35 @@
 //!                       4 = u64, 5 = raw bytes (UTF-8 where noted)
 //! +8   len       u64    payload length in bytes
 //! +16  aux       u64    per-tag auxiliary value (table below)
-//! +24  checksum  u64    FNV-1a 64 of the 24 header bytes above
-//!                       (tag‖kind‖len‖aux, as serialized) followed by
-//!                       the payload bytes — aux values (epoch numbers,
-//!                       the WAL watermark) are integrity-checked too
+//! +24  checksum  u64    section checksum (below) of the 24 header bytes
+//!                       above (tag‖kind‖len‖aux, as serialized) and the
+//!                       payload bytes — aux values (epoch numbers, the
+//!                       WAL watermark) are integrity-checked too
 //! +32  payload   len bytes, then 0..7 bytes of zero padding
 //! ```
+//!
+//! The **v2 section checksum** is FNV-1a's xor-multiply step
+//! (`P = 0x100000001b3`, all arithmetic mod 2⁶⁴) over the payload read
+//! as little-endian u64 words in four interleaved lanes:
+//!
+//! ```text
+//! s       = fnv1a64(header24)                 byte FNV-1a 64 of the header
+//! lane[i] = s.rotate_left(16·i)               i = 0..4
+//! for each whole 32-byte block b of the payload, for i = 0..4:
+//!     lane[i] = (lane[i] ^ u64_le(b[8i..8i+8]))·P
+//! h = s;  for i = 0..4:  h = (h ^ lane[i])·P
+//! for each of the 0..31 tail bytes t:  h = (h ^ t)·P
+//! h = (h ^ len)·P                             len = payload length in bytes
+//! ```
+//!
+//! Every step is a bijection of the state it updates, so a change to the
+//! payload confined to one 8-byte word of its whole blocks, or to one of
+//! its bytes anywhere — every single-bit and single-byte flip — always
+//! changes the checksum. **Version 1** files are identical except
+//! that the checksum is byte FNV-1a 64 over the 24 header bytes followed
+//! by the payload; they still open and verify (the version in the header
+//! selects the function, for the deferred PUSH_STATE check too), and the
+//! next snapshot written over them — `persist_epoch`, [`compact`] — is v2.
 //!
 //! | tag | name           | kind | payload                        | aux        |
 //! |-----|----------------|------|--------------------------------|------------|
@@ -77,11 +105,13 @@
 //! ascending paper ids per list); each offsets/ids pair appears together
 //! or not at all, must hang off its base section (11/12 off 4, 13/14 off
 //! 5+6), and agrees with it on the facet-space size in `aux`. On load
-//! the pairs are **validated, not trusted**: list-wise strict increase
-//! plus membership against the forward arrays plus a cardinality check
-//! force the restored index to equal the inversion bit for bit. Files
-//! written before the sections existed simply rebuild the indexes
-//! (counting sort) on load. Each published epoch contributes a 7+8 pair in
+//! the pairs are **validated, not trusted**: the load rebuilds each
+//! inversion from the forward arrays (counting sort) and a persisted pair
+//! must be **equal to the rebuilt inversion**, array for array — the
+//! error names the first facet whose list differs. Equality is exactly
+//! what list-wise strict increase, membership and cardinality force.
+//! Files written before the sections existed skip the comparison. Each
+//! published epoch contributes a 7+8 pair in
 //! order: the EPOCH_SCORES section belongs to the closest preceding
 //! EPOCH_META, and both carry the epoch number in `aux`. At most one
 //! PUSH_STATE section follows a complete 7+8 pair and carries that pair's
@@ -170,9 +200,16 @@ pub use net::{compact, load_network, save_network, CompactReport, NetworkStoreEx
 pub use snapshot::{EpochRef, ShardManifest, Store, StoreBuilder, StoreError};
 pub use wal::{DeltaWal, WalObservers, WalRecord, WalRecovery};
 
-/// FNV-1a 64-bit checksum (the store's and WAL's per-section integrity
-/// check — dependency-free, one multiply per byte, and byte-order
-/// independent since it consumes the serialized little-endian payload).
+/// The FNV-1a 64 prime: every checksum step here is `h = (h ^ x)·P`.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64-bit checksum: one xor-multiply step per byte. It is the
+/// WAL's per-record check, the v1 snapshot's per-section check, and the
+/// seed and tail of the v2 section checksum (see the crate docs) —
+/// dependency-free and byte-order independent, since it consumes the
+/// serialized little-endian bytes. Byte-serial, so it runs at about one
+/// multiply latency per byte; the v2 snapshot checksum exists because a
+/// cold start reads tens of megabytes through it.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_with(0xcbf2_9ce4_8422_2325, bytes)
 }
@@ -183,9 +220,35 @@ pub fn fnv1a64_with(state: u64, bytes: &[u8]) -> u64 {
     let mut hash = state;
     for &b in bytes {
         hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// The v2 snapshot section checksum (byte for byte in the crate docs):
+/// FNV-1a's xor-multiply step over little-endian u64 words in four
+/// interleaved lanes, seeded by the FNV-1a 64 of the 24 section-header
+/// bytes, folded, then finished over the 0–31 tail bytes and the payload
+/// length. The four lanes are independent multiply chains, so the loop
+/// runs at memory speed instead of one multiply latency per byte. Each
+/// step is a bijection of the state it updates, so a change confined to
+/// one word of a whole block, or to one byte anywhere, always changes
+/// the result.
+pub(crate) fn section_checksum_v2(header24: &[u8], payload: &[u8]) -> u64 {
+    let seed = fnv1a64(header24);
+    let mut lanes = [0, 1, 2, 3].map(|i| seed.rotate_left(16 * i));
+    let blocks = payload.chunks_exact(32);
+    let tail = blocks.remainder();
+    for block in blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+            *lane = (*lane ^ word).wrapping_mul(FNV_PRIME);
+        }
+    }
+    let folded = lanes
+        .iter()
+        .fold(seed, |h, &lane| (h ^ lane).wrapping_mul(FNV_PRIME));
+    (fnv1a64_with(folded, tail) ^ payload.len() as u64).wrapping_mul(FNV_PRIME)
 }
 
 #[cfg(test)]
@@ -198,5 +261,40 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    /// The v2 section checksum is an on-disk format: these values pin it
+    /// (empty payload, a tail only, one block, blocks plus a tail).
+    #[test]
+    fn section_checksum_v2_reference_vectors() {
+        let header: Vec<u8> = (0u8..24).collect();
+        let payload: Vec<u8> = (0..100u32).map(|i| (i * 37 + 11) as u8).collect();
+        let got = [0, 31, 32, 100].map(|len| section_checksum_v2(&header, &payload[..len]));
+        assert_eq!(
+            got,
+            [
+                0xd993_497e_26c0_0dc8,
+                0xf508_00d5_374b_b8a3,
+                0xcf4e_7c72_ecad_1b9a,
+                0x4004_87b7_79e2_cb1e,
+            ]
+        );
+    }
+
+    #[test]
+    fn section_checksum_v2_detects_every_single_bit_flip() {
+        let header = [7u8; 24];
+        let payload: Vec<u8> = (0..257u32).map(|i| (i * 131 + 5) as u8).collect();
+        let clean = section_checksum_v2(&header, &payload);
+        let mut evil = payload.clone();
+        for bit in 0..payload.len() * 8 {
+            evil[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(
+                section_checksum_v2(&header, &evil),
+                clean,
+                "flip of bit {bit}"
+            );
+            evil[bit / 8] ^= 1 << (bit % 8);
+        }
     }
 }

@@ -15,12 +15,13 @@ use citegraph::{AuthorTable, CitationNetwork, VenueTable};
 use sparsela::{top_k_indices, Csr, CsrView};
 
 use crate::bytes::{as_f64s, as_i32s, as_u32s, as_u64s, AlignedBuf};
-use crate::fnv1a64;
+use crate::{fnv1a64, section_checksum_v2};
 
 /// File magic, bytes 0..8.
 pub const MAGIC: [u8; 8] = *b"ATRSTOR1";
-/// Current format version.
-pub const VERSION: u32 = 1;
+/// The format version [`StoreBuilder`] writes. Version 1 files (byte
+/// FNV-1a section checksums, otherwise identical) are still read.
+pub const VERSION: u32 = 2;
 
 /// Sentinel for "no venue" in a VENUES section.
 pub const NO_VENUE: u32 = u32::MAX;
@@ -101,12 +102,19 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// The per-section integrity check: FNV-1a 64 over the first 24 header
-/// bytes (tag, kind, len, aux) followed by the payload bytes — streamed,
-/// so the multi-megabyte payloads are never copied.
-fn section_checksum(header24: &[u8], payload: &[u8]) -> u64 {
+/// The per-section integrity check of format `version` over the first 24
+/// header bytes (tag, kind, len, aux) and the payload — streamed, so the
+/// multi-megabyte payloads are never copied. Version 1 is byte FNV-1a 64
+/// over header then payload; version 2 is [`section_checksum_v2`].
+fn section_checksum(version: u32, header24: &[u8], payload: &[u8]) -> u64 {
     debug_assert_eq!(header24.len(), 24);
-    crate::fnv1a64_with(fnv1a64(header24), payload)
+    match version {
+        1 => crate::fnv1a64_with(fnv1a64(header24), payload),
+        _ => {
+            debug_assert_eq!(version, VERSION);
+            section_checksum_v2(header24, payload)
+        }
+    }
 }
 
 /// One section staged for writing.
@@ -277,7 +285,8 @@ impl StoreBuilder {
             // payload, so corruption of tag/kind/len/aux (the WAL
             // watermark and epoch numbers live in `aux`) is caught, not
             // just payload corruption.
-            let checksum = section_checksum(&out[header_start..header_start + 24], &s.payload);
+            let checksum =
+                section_checksum(VERSION, &out[header_start..header_start + 24], &s.payload);
             out.extend_from_slice(&checksum.to_le_bytes());
             out.extend_from_slice(&s.payload);
             // Zero-pad so the next section header stays 8-aligned.
@@ -357,6 +366,11 @@ fn encode_f64s(values: &[f64]) -> Vec<u8> {
     out
 }
 
+/// A u64 offsets payload as the `usize` offsets the metadata tables hold.
+fn widen_offsets(payload: &[u8]) -> Vec<usize> {
+    as_u64s(payload).iter().map(|&o| o as usize).collect()
+}
+
 /// One section located inside the loaded buffer.
 #[derive(Debug, Clone, Copy)]
 struct Section {
@@ -404,6 +418,9 @@ pub struct EpochRef<'a> {
 #[derive(Debug)]
 pub struct Store {
     buf: AlignedBuf,
+    /// The file's format version (1 or 2): it selects the section
+    /// checksum, here and in the deferred [`Self::push_state`] check.
+    version: u32,
     sections: Vec<Section>,
     /// `(meta_index, scores_index)` per published epoch, in file order.
     epochs: Vec<(usize, usize)>,
@@ -444,12 +461,20 @@ impl Store {
             ));
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if version != VERSION {
+        if !(1..=VERSION).contains(&version) {
             return Err(StoreError::Format(format!(
-                "unsupported version {version} (reader supports {VERSION})"
+                "unsupported version {version} (reader supports 1 to {VERSION})"
             )));
         }
+        // No checksum covers the count: bound it by what the file can hold
+        // before allocating for it.
         let declared = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
+        let room = (bytes.len() - HEADER_LEN) / SECTION_HEADER_LEN;
+        if declared > room {
+            return Err(StoreError::Format(format!(
+                "header declares {declared} sections, the file has room for at most {room}"
+            )));
+        }
 
         let mut sections = Vec::with_capacity(declared);
         let mut offset = HEADER_LEN;
@@ -475,7 +500,7 @@ impl Store {
             // reads: its checksum is verified by `push_state`, off the
             // cold-start path.
             if tag != tag::PUSH_STATE
-                && section_checksum(&h[0..24], &bytes[start..start + len]) != checksum
+                && section_checksum(version, &h[0..24], &bytes[start..start + len]) != checksum
             {
                 return Err(StoreError::Corrupt(format!(
                     "section tag {tag} at offset {offset}: checksum mismatch"
@@ -510,6 +535,7 @@ impl Store {
 
         let store = Self {
             buf,
+            version,
             sections,
             epochs: Vec::new(),
             push_state: None,
@@ -817,7 +843,7 @@ impl Store {
         let header = &self.buf.bytes()[s.start - SECTION_HEADER_LEN..s.start];
         let checksum = u64::from_le_bytes(header[24..32].try_into().expect("8 bytes"));
         let payload = self.payload(s);
-        if section_checksum(&header[0..24], payload) != checksum {
+        if section_checksum(self.version, &header[0..24], payload) != checksum {
             return Err(StoreError::Corrupt(format!(
                 "PUSH_STATE of epoch {epoch}: checksum mismatch"
             )));
@@ -872,9 +898,9 @@ impl Store {
                         )));
                     }
                 }
-                // Restore the persisted posting index when present
-                // (validated against the slots in O(n + nnz)); older
-                // files without the sections rebuild it.
+                // The persisted posting index, when present, must equal
+                // the one rebuilt from the slots; older files without the
+                // sections just rebuild it.
                 let table = match (
                     self.find(tag::VENUE_POST_OFFSETS),
                     self.find(tag::VENUE_POST_IDS),
@@ -882,11 +908,8 @@ impl Store {
                     (Some(off), Some(ids)) => VenueTable::from_parts(
                         slots,
                         n_venues,
-                        as_u64s(self.payload(off))
-                            .iter()
-                            .map(|&o| o as usize)
-                            .collect(),
-                        as_u32s(self.payload(ids)).to_vec(),
+                        &widen_offsets(self.payload(off)),
+                        as_u32s(self.payload(ids)),
                     )
                     .map_err(StoreError::Invalid)?,
                     _ => VenueTable::new(slots, n_venues),
@@ -897,14 +920,11 @@ impl Store {
         };
         let authors = match (self.find(tag::AUTHOR_OFFSETS), self.find(tag::AUTHOR_IDS)) {
             (Some(off), Some(ids)) => {
-                let offsets: Vec<usize> = as_u64s(self.payload(off))
-                    .iter()
-                    .map(|&o| o as usize)
-                    .collect();
+                let offsets = widen_offsets(self.payload(off));
                 let flat_ids = as_u32s(self.payload(ids)).to_vec();
                 let n_authors = off.aux as usize;
-                // Same deal as venues: restore the persisted author→papers
-                // index when present, rebuild (counting sort) otherwise.
+                // Same deal as venues: the persisted author→papers index
+                // must equal the inversion `from_flat` builds anyway.
                 let table = match (
                     self.find(tag::AUTHOR_POST_OFFSETS),
                     self.find(tag::AUTHOR_POST_IDS),
@@ -913,11 +933,8 @@ impl Store {
                         offsets,
                         flat_ids,
                         n_authors,
-                        as_u64s(self.payload(poff))
-                            .iter()
-                            .map(|&o| o as usize)
-                            .collect(),
-                        as_u32s(self.payload(pids)).to_vec(),
+                        &widen_offsets(self.payload(poff)),
+                        as_u32s(self.payload(pids)),
                     )
                     .map_err(StoreError::Invalid)?,
                     _ => AuthorTable::from_flat(offsets, flat_ids, n_authors)
@@ -993,7 +1010,7 @@ mod tests {
         let store = Store::from_bytes(&builder.to_bytes()).unwrap();
         match store.to_network() {
             Err(StoreError::Invalid(msg)) => {
-                assert!(msg.contains("strictly increasing"), "{msg}")
+                assert!(msg.contains("author 0 posting list differs"), "{msg}")
             }
             other => panic!("expected Invalid, got {other:?}"),
         }

@@ -592,6 +592,110 @@ fn compact_drops_the_push_state_with_the_epochs() {
     std::fs::remove_file(&wal_path).ok();
 }
 
+/// Re-stamps a current (v2) snapshot image as format v1: version 1 in the
+/// header and every section re-checksummed with byte FNV-1a 64 over its
+/// 24 header bytes and payload — what a v1 writer produced.
+fn restamp_v1(bytes: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[8..12].copy_from_slice(&1u32.to_le_bytes());
+    for (_, at) in section_headers(bytes) {
+        let len = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap()) as usize;
+        let payload = &bytes[at + 32..at + 32 + len];
+        let checksum = graphstore::fnv1a64_with(graphstore::fnv1a64(&bytes[at..at + 24]), payload);
+        out[at + 24..at + 32].copy_from_slice(&checksum.to_le_bytes());
+    }
+    out
+}
+
+#[test]
+fn v1_store_still_opens_and_verifies() {
+    let bytes = full_store().to_bytes();
+    assert_eq!(bytes[8..12], 2u32.to_le_bytes(), "the builder writes v2");
+    let v1 = restamp_v1(&bytes);
+    let (old, new) = (
+        Store::from_bytes(&v1).unwrap(),
+        Store::from_bytes(&bytes).unwrap(),
+    );
+    let (a, b) = (old.to_network().unwrap(), new.to_network().unwrap());
+    assert_networks_identical(&a, &b);
+    assert_eq!(a.authors(), b.authors());
+    assert_eq!(a.venues(), b.venues());
+    let (ea, eb) = (old.epochs(), new.epochs());
+    assert_eq!(ea.len(), 1);
+    assert_eq!((ea[0].spec, ea[0].epoch), (eb[0].spec, eb[0].epoch));
+    assert_eq!(bits(ea[0].scores), bits(eb[0].scores));
+    let (pa, pb) = (old.push_state(2).unwrap(), new.push_state(2).unwrap());
+    for (la, lb) in pa.unwrap().iter().zip(pb.unwrap()) {
+        assert_eq!(bits(la), bits(lb));
+    }
+    assert_eq!(old.wal_watermark(), Some(3));
+
+    // A v1 file is checked with the v1 function: one flipped payload byte
+    // in any section is `Corrupt`, at open or (push state) on read.
+    for (tag, at) in section_headers(&v1) {
+        let len = u64::from_le_bytes(v1[at + 8..at + 16].try_into().unwrap()) as usize;
+        if len == 0 {
+            continue;
+        }
+        let mut evil = v1.clone();
+        evil[at + 32 + len / 2] ^= 0x10;
+        let caught = match Store::from_bytes(&evil) {
+            Err(e) => matches!(e, StoreError::Corrupt(_)),
+            Ok(store) => matches!(store.push_state(2), Err(StoreError::Corrupt(_))),
+        };
+        assert!(caught, "flip in section tag {tag} went undetected");
+    }
+
+    // A version past the reader's is a format error.
+    let mut v3 = bytes;
+    v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+    assert!(matches!(Store::from_bytes(&v3), Err(StoreError::Format(_))));
+}
+
+#[test]
+fn compact_rewrites_a_v1_store_as_v2() {
+    let store_path = temp_file("v1-compact.store");
+    let wal_path = temp_file("v1-compact.wal");
+    let _ = std::fs::remove_file(&wal_path);
+    std::fs::write(&store_path, restamp_v1(&full_store().to_bytes())).unwrap();
+    let mut d = GraphDelta::new();
+    d.add_paper(2010);
+    d.add_citation(4, 0);
+    let (mut wal, _) = DeltaWal::open(&wal_path).unwrap();
+    wal.append(3, &d).unwrap();
+    drop(wal);
+    assert_eq!(compact(&store_path, &wal_path).unwrap().records_folded, 1);
+    let bytes = std::fs::read(&store_path).unwrap();
+    assert_eq!(bytes[8..12], 2u32.to_le_bytes());
+    let expected = rich_network().with_delta(&d).unwrap();
+    let back = Store::from_bytes(&bytes).unwrap().to_network().unwrap();
+    assert_networks_identical(&expected, &back);
+    std::fs::remove_file(&store_path).ok();
+    std::fs::remove_file(&wal_path).ok();
+}
+
+#[test]
+fn section_count_that_disagrees_with_the_file_is_a_format_error() {
+    // No checksum covers the header's section count: a huge count must
+    // not be allocated for, and a wrong one must not be believed.
+    let mut header = graphstore::snapshot::MAGIC.to_vec();
+    header.extend_from_slice(&1u32.to_le_bytes());
+    header.extend_from_slice(&u32::MAX.to_le_bytes());
+    assert!(matches!(
+        Store::from_bytes(&header),
+        Err(StoreError::Format(_))
+    ));
+    let bytes = full_store().to_bytes();
+    for count in [0, u32::MAX] {
+        let mut evil = bytes.clone();
+        evil[12..16].copy_from_slice(&count.to_le_bytes());
+        match Store::from_bytes(&evil) {
+            Err(StoreError::Format(msg)) => assert!(msg.contains("declares"), "{msg}"),
+            other => panic!("count {count}: expected a Format error, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn empty_network_roundtrips() {
     let net = NetworkBuilder::new().build().unwrap();
