@@ -26,8 +26,11 @@
 //!   scatter-gather read path that prunes non-overlapping shards and
 //!   k-way-merges per-shard runs under the global score order.
 //!
-//! The two engines share one planner, one cursor codec, one compare join
-//! and one set of read metric families (`attrank_*` / `attrank_sharded_*`
+//! The two engines share one serve path — the flat engine is its
+//! one-partition case, the sharded engine passes one partition per shard
+//! — and with it one planner and plan cache, one admission ladder, one
+//! scratch pool, one cursor codec and cursor error, one compare join and
+//! one set of read metric families (`attrank_*` / `attrank_sharded_*`
 //! through `enable_metrics` / `render_metrics`; the types are private).
 //!
 //! ```
@@ -86,7 +89,7 @@ pub use query::{
 };
 pub use registry::{build, default_comparison_specs, known_methods, parse_and_build, BoxedRanker};
 pub use sharded::{
-    ShardCursor, ShardScratch, ShardSnapshots, ShardedColdStart, ShardedComparison, ShardedEngine,
-    ShardedError, ShardedIngestReport, ShardedPage,
+    ShardCursor, ShardSnapshots, ShardedColdStart, ShardedComparison, ShardedEngine, ShardedError,
+    ShardedIngestReport, ShardedPage,
 };
 pub use spec::{EnsembleRule, MethodSpec, SpecError};

@@ -35,7 +35,7 @@ use sparsela::BlockWalk;
 use crate::admission::AdmissionStats;
 use crate::engine::RankingEngine;
 use crate::personalization::CacheStats;
-use crate::query::{PlanCacheStats, QueryDriver};
+use crate::query::{PlanCacheStats, Query, QueryDriver, QueryError, QueryPlan};
 
 /// Label values of the `driver` axis, in [`driver_index`] order.
 const DRIVER_LABELS: [&str; 5] = [
@@ -47,7 +47,7 @@ const DRIVER_LABELS: [&str; 5] = [
 ];
 
 /// The `driver` label index of a plan's driver.
-pub(crate) fn driver_index(driver: &QueryDriver) -> usize {
+fn driver_index(driver: &QueryDriver) -> usize {
     match driver {
         QueryDriver::Unfiltered => 0,
         QueryDriver::IdRange { .. } => 1,
@@ -57,17 +57,29 @@ pub(crate) fn driver_index(driver: &QueryDriver) -> usize {
     }
 }
 
+/// The `driver` label index of a flat query's one partition plan (none:
+/// its year window misses the corpus, an empty id range).
+fn flat_driver(plans: &[(usize, QueryPlan)]) -> usize {
+    plans
+        .first()
+        .map_or(1, |(_, plan)| driver_index(&plan.driver))
+}
+
 /// Label values of the sharded query `shape` axis.
 const SHAPE_LABELS: [&str; 4] = ["unfiltered", "year_range", "faceted", "seeded"];
 
-/// Index into [`SHAPE_LABELS`]: shape of a sharded query.
-pub(crate) const SHAPE_UNFILTERED: usize = 0;
-/// Index into [`SHAPE_LABELS`]: year-bounded, facet-free.
-pub(crate) const SHAPE_YEAR_RANGE: usize = 1;
-/// Index into [`SHAPE_LABELS`]: carries venue or author facets.
-pub(crate) const SHAPE_FACETED: usize = 2;
-/// Index into [`SHAPE_LABELS`]: seeded (personalized).
-pub(crate) const SHAPE_SEEDED: usize = 3;
+/// The `shape` label index of a sharded query.
+fn shape_index(q: &Query) -> usize {
+    if !q.seeds.is_empty() {
+        3
+    } else if !q.venues.is_empty() || !q.authors.is_empty() {
+        2
+    } else if q.year_min.is_some() || q.year_max.is_some() {
+        1
+    } else {
+        0
+    }
+}
 
 /// Label values of the cache `outcome` axis (order matches
 /// [`CacheStats`] field order: hits, warm repushes, cold pushes,
@@ -230,17 +242,57 @@ impl ReadFamilies {
     }
 }
 
+/// The bundle the one serve path records into: a flat engine's (latency
+/// by executed driver, planner decisions, cursor errors) or a sharded
+/// engine's (latency by query shape).
+#[derive(Clone, Copy)]
+pub(crate) enum ReadObserver<'a> {
+    ByDriver(&'a ServingMetrics),
+    ByShape(&'a ShardedServingMetrics),
+}
+
+impl ReadObserver<'_> {
+    pub(crate) fn cursor_error(self, err: &QueryError) {
+        if let Self::ByDriver(m) = self {
+            let kind = match err {
+                QueryError::StaleCursor { .. } => 0,
+                _ => 1,
+            };
+            m.cursor_errors.at(kind).inc();
+        }
+    }
+
+    pub(crate) fn planned(self, plans: &[(usize, QueryPlan)]) {
+        if let Self::ByDriver(m) = self {
+            m.planner_decisions.at(flat_driver(plans)).inc();
+        }
+    }
+
+    pub(crate) fn served(
+        self,
+        q: &Query,
+        plans: &[(usize, QueryPlan)],
+        elapsed: Duration,
+        walk: &BlockWalk,
+    ) {
+        match self {
+            Self::ByDriver(m) => m.read.observe(flat_driver(plans), elapsed, walk),
+            Self::ByShape(m) => m.read.observe(shape_index(q), elapsed, walk),
+        }
+    }
+}
+
 /// The flat serving stack's metric families and the registry they render
 /// through.
 #[derive(Debug)]
 pub(crate) struct ServingMetrics {
     registry: Arc<MetricsRegistry>,
     /// The `attrank_*` read families, latency by plan `driver`.
-    pub(crate) read: ReadFamilies,
+    read: ReadFamilies,
     /// `attrank_planner_decisions_total`, by chosen driver.
-    pub(crate) planner_decisions: CounterVec,
+    planner_decisions: CounterVec,
     /// `attrank_cursor_errors_total`, by kind.
-    pub(crate) cursor_errors: CounterVec,
+    cursor_errors: CounterVec,
     plan_cache_events: CounterVec,
     plan_cache_entries: Arc<Gauge>,
     epoch: GaugeVec,
@@ -416,7 +468,7 @@ impl ServingMetrics {
 pub(crate) struct ShardedServingMetrics {
     registry: Arc<MetricsRegistry>,
     /// The `attrank_sharded_*` read families, latency by query `shape`.
-    pub(crate) read: ReadFamilies,
+    read: ReadFamilies,
     /// Teleport-absorbed boundary edges per shard
     /// (`attrank_shard_boundary_edges`), refreshed at render.
     boundary_edges: GaugeVec,

@@ -77,23 +77,23 @@
 //!
 //! Planning and selection work on a *partition* of the id space —
 //! network, first global id, score slice with its block maxima, score
-//! scale — so there is one
-//! read path in the crate: `validate_facets` checks facet ids against
-//! the partition set, `price_partition` prices one partition,
-//! `select_partition` runs the chosen driver over it. A [`QueryEngine`]
-//! is the one-partition case; [`ShardedEngine`](crate::ShardedEngine)
-//! calls the same functions once per shard and merges the runs.
+//! scale: `price_partition` prices one partition, `select_partition`
+//! runs the chosen driver over it.
 //!
-//! # One serve route
+//! # One serve path
 //!
-//! Every flat entry point — `query`, `query_at`, `query_with`,
-//! `query_with_at`, each `query_batch` member, the page under
-//! [`QueryEngine::compare`] — is the one private `serve_into`: seeded
-//! solve, fingerprint, cursor check, plan cache, admission, selection,
-//! metrics. A batch is `serve_batch`, shared with the sharded engine.
-//! Between queries the engine remembers plans ([`PlanCache`]) and seeded
-//! solves ([`crate::PersonalizationCache`]), a [`QueryScratch`] its last
-//! gathered pool and mask, and nothing else anything.
+//! Every entry point of both engines is a thin wrapper over one private
+//! `ReadPath::serve` on a pinned partition view: a [`QueryEngine`] passes
+//! its method's snapshot as one partition at id 0 with seed share 1.0
+//! (`x * 1.0` is bit-exact), a [`ShardedEngine`](crate::ShardedEngine)
+//! its shard set. Cursor check, fingerprint, seeded solves, plan
+//! ([`PlanCache`]), admission, selection per partition, the k-way merge
+//! and the page run in that order into a [`PageBuf`] through a
+//! [`QueryScratch`]; owned-page entry points borrow the scratch from one
+//! bounded pool, and a batch is `serve_batch` over one scratch. Between
+//! queries an engine remembers plans and seeded solves
+//! ([`crate::PersonalizationCache`]), a [`QueryScratch`] its last gathered
+//! pool and mask, and nothing else anything.
 //!
 //! # Cursors
 //!
@@ -108,14 +108,15 @@
 //! shifting under a client mid-pagination is the bug this type system
 //! exists to prevent); hold the `Arc<EpochSnapshot>` (or re-issue page 1)
 //! to paginate consistently across publishes. The sharded engine uses
-//! this same type, token and decoder, with the pinned shard set's epoch
-//! key in the epoch's place.
+//! this same type, token, decoder and error, with the pinned shard set's
+//! epoch key in the epoch's place.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use citegraph::{
@@ -123,8 +124,8 @@ use citegraph::{
 };
 use obsv::MetricsRegistry;
 use sparsela::{
-    top_k_filtered_into, top_k_pruned_into, top_k_where_into, BlockWalk, Frontier, IdMask,
-    BLOCK_LEN,
+    merge_k_sorted_into, top_k_filtered_into, top_k_pruned_into, top_k_where_into, BlockWalk,
+    Frontier, IdMask, MergeScratch, BLOCK_LEN,
 };
 
 use crate::admission::{
@@ -133,7 +134,7 @@ use crate::admission::{
 use crate::engine::{
     EngineError, EpochSnapshot, IngestReport, Ranking, RankingEngine, RerankPolicy,
 };
-use crate::metrics::{driver_index, ServingMetrics};
+use crate::metrics::{ReadObserver, ServingMetrics};
 use crate::personalization::{CacheConfig, CacheStats, CachedRanking, PersonalizationCache};
 use crate::spec::{MethodSpec, SpecError};
 
@@ -640,7 +641,7 @@ impl Fnv {
 /// [`QueryError::CursorMismatch`]. `seeds_tmp` is that sort's buffer
 /// (the scratch's, on the serve path), so hashing a seeded repeat query
 /// performs zero heap allocations.
-pub(crate) fn fingerprint_with(method: &str, q: &Query, seeds_tmp: &mut Vec<PaperId>) -> u64 {
+fn fingerprint_with(method: &str, q: &Query, seeds_tmp: &mut Vec<PaperId>) -> u64 {
     let mut h = Fnv::new();
     h.eat(method.as_bytes());
     h.eat_opt_year(q.year_min);
@@ -653,8 +654,8 @@ pub(crate) fn fingerprint_with(method: &str, q: &Query, seeds_tmp: &mut Vec<Pape
     for &a in &q.authors {
         h.eat_u64(a as u64);
     }
+    seeds_tmp.clear();
     if !q.seeds.is_empty() {
-        seeds_tmp.clear();
         seeds_tmp.extend_from_slice(&q.seeds);
         seeds_tmp.sort_unstable();
         h.eat(b"seed");
@@ -844,7 +845,7 @@ impl QueryPlan {
 /// [`QueryError::BadValue`], naming the offending id (the parser
 /// already rejects duplicates; this catches out-of-range ids against
 /// the serving snapshot and defends the rest in depth).
-pub(crate) fn seed_error_to_query(e: SeedError) -> QueryError {
+fn seed_error_to_query(e: SeedError) -> QueryError {
     let value = match e {
         SeedError::Duplicate(id) => format!("{id} (duplicate seed id)"),
         SeedError::OutOfRange { id, n_papers } => {
@@ -875,11 +876,12 @@ fn dedup_ids_into(ids: &[u32], out: &mut Vec<u32>) {
 /// construction. `hits + misses + stale` is the total lookup count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanCacheStats {
-    /// Lookups served from the cache (same fingerprint, same epoch).
+    /// Lookups served from the cache (same query, same generation).
     pub hits: u64,
-    /// Lookups for a fingerprint the cache had never seen.
+    /// Lookups for a fingerprint the cache had never seen (or held for
+    /// another query: a fingerprint collision).
     pub misses: u64,
-    /// Lookups that found the fingerprint but on an older epoch — a
+    /// Lookups that found the query but on an older generation — a
     /// publish invalidated the entry, so it was dropped and re-planned.
     /// A stale entry is *never* served (the plan was computed against
     /// the previous epoch's network).
@@ -890,41 +892,48 @@ pub struct PlanCacheStats {
     pub entries: usize,
 }
 
-/// One cached plan: the epoch generation it was computed against, an
-/// LRU recency stamp, and the shared plan itself.
+/// `(partition index, plan)` of each partition a query reads.
+type PartitionPlans = Arc<[(usize, QueryPlan)]>;
+
+/// One cached plan set: the identity of the query it was planned for
+/// ([`QueryScratch::set_identity`]) and the view generation it was planned
+/// against, an LRU recency stamp, and the shared plans.
 struct PlanCacheEntry {
-    epoch: u64,
+    identity: Box<[u32]>,
+    generation: u64,
     stamp: u64,
-    plan: Arc<QueryPlan>,
+    plans: PartitionPlans,
 }
 
 /// The mutable half of a [`PlanCache`]: fingerprint-keyed entries plus
 /// the LRU clock.
-struct PlanCacheInner {
+pub(crate) struct PlanCacheInner {
     entries: HashMap<(u64, bool), PlanCacheEntry>,
     tick: u64,
     capacity: usize,
 }
 
-/// Plan-cache capacity a [`QueryEngine`] starts with
+/// Plan-cache capacity every engine starts with
 /// ([`QueryEngine::set_plan_cache_capacity`] overrides).
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
 
 /// A bounded cache of planner verdicts keyed by (normalized query
-/// fingerprint, cursor presence), each entry pinned to the epoch it was
-/// planned against.
+/// fingerprint, cursor presence), each entry holding the plans of the
+/// partitions that survived the prune, pinned to the generation it was
+/// planned against (a snapshot's epoch, a shard set's epoch key).
 ///
-/// Invalidation is **lazy**: publishes advance the snapshot epoch, so a
-/// lookup after a publish finds the entry's recorded epoch differs,
+/// Invalidation is **lazy**: publishes advance the generation, so a
+/// lookup after a publish finds the entry's recorded generation differs,
 /// drops it, and re-plans — no publish hook, no cross-thread
 /// coordination beyond the lookup lock. The fingerprint covers method,
 /// facet lists, year bounds and seeds (page size `k` deliberately
 /// excluded — the plan is k-independent), and cursor *presence* is part
 /// of the key because the planner shapes cursor-resumed queries
-/// differently. A hit returns the shared `Arc<QueryPlan>` without
-/// allocating.
+/// differently. A hit also compares the stored query identity, so two
+/// queries colliding on one fingerprint each get their own plans, and
+/// returns the shared plans without allocating.
 pub struct PlanCache {
-    inner: Mutex<PlanCacheInner>,
+    pub(crate) inner: Mutex<PlanCacheInner>,
     hits: AtomicU64,
     misses: AtomicU64,
     stale: AtomicU64,
@@ -949,7 +958,7 @@ impl PlanCache {
 
     /// Counters and occupancy.
     pub fn stats(&self) -> PlanCacheStats {
-        let entries = self.inner.lock().expect("plan cache lock").entries.len();
+        let entries = self.lock().entries.len();
         PlanCacheStats {
             hits: self.hits.load(AtomicOrdering::Relaxed),
             misses: self.misses.load(AtomicOrdering::Relaxed),
@@ -963,47 +972,55 @@ impl PlanCache {
     /// when the cost model changes — cached verdicts priced under the
     /// old constants would otherwise survive.
     pub fn clear(&self) {
-        self.inner.lock().expect("plan cache lock").entries.clear();
+        self.lock().entries.clear();
     }
 
-    /// The plan for `q` on `epoch`: cached when fresh, recomputed (and
-    /// cached) otherwise. Planning errors are returned as-is and never
-    /// cached — an invalid facet must keep failing typed.
+    /// The entries; a lock poisoned by a panic mid-update is recovered by
+    /// dropping every plan (each is one planner call away).
+    fn lock(&self) -> MutexGuard<'_, PlanCacheInner> {
+        self.inner.lock().unwrap_or_else(|poisoned| {
+            let mut inner = poisoned.into_inner();
+            inner.entries.clear();
+            self.inner.clear_poison();
+            inner
+        })
+    }
+
+    /// The plans for the query `identity` names, under `(fingerprint,
+    /// resumed)` on `generation`: cached when the entry holds this
+    /// identity on this generation, else `plan()`'s, cached. Planning
+    /// errors are returned as-is and never cached — an invalid facet must
+    /// keep failing typed.
     fn get_or_plan(
         &self,
-        net: &CitationNetwork,
-        q: &Query,
-        fp: u64,
-        epoch: u64,
-        cost: &CostModel,
-    ) -> Result<Arc<QueryPlan>, QueryError> {
-        let key = (fp, q.cursor.is_some());
+        fp: (u64, bool),
+        generation: u64,
+        identity: &[u32],
+        plan: impl FnOnce() -> Result<Vec<(usize, QueryPlan)>, QueryError>,
+    ) -> Result<PartitionPlans, QueryError> {
         {
-            let mut inner = self.inner.lock().expect("plan cache lock");
+            let mut inner = self.lock();
             inner.tick += 1;
             let tick = inner.tick;
-            match inner.entries.get_mut(&key) {
-                Some(entry) if entry.epoch == epoch => {
+            let outcome = match inner.entries.get_mut(&fp) {
+                Some(entry) if *entry.identity != *identity => &self.misses,
+                // A publish moved the generation on: the cached plans were
+                // computed against networks that no longer serve.
+                Some(entry) if entry.generation != generation => &self.stale,
+                Some(entry) => {
                     entry.stamp = tick;
                     self.hits.fetch_add(1, AtomicOrdering::Relaxed);
-                    return Ok(Arc::clone(&entry.plan));
+                    return Ok(Arc::clone(&entry.plans));
                 }
-                Some(_) => {
-                    // A publish moved the generation on: the cached plan
-                    // was computed against a network that no longer
-                    // serves. Drop it — serving it would be wrong.
-                    inner.entries.remove(&key);
-                    self.stale.fetch_add(1, AtomicOrdering::Relaxed);
-                }
-                None => {
-                    self.misses.fetch_add(1, AtomicOrdering::Relaxed);
-                }
-            }
+                None => &self.misses,
+            };
+            outcome.fetch_add(1, AtomicOrdering::Relaxed);
+            inner.entries.remove(&fp);
         }
-        let planned = Arc::new(plan_shaped(net, q, cost, false)?);
-        let mut inner = self.inner.lock().expect("plan cache lock");
+        let planned: PartitionPlans = plan()?.into();
+        let mut inner = self.lock();
         let tick = inner.tick;
-        if inner.entries.len() >= inner.capacity && !inner.entries.contains_key(&key) {
+        if inner.entries.len() >= inner.capacity && !inner.entries.contains_key(&fp) {
             if let Some(victim) = inner
                 .entries
                 .iter()
@@ -1015,25 +1032,28 @@ impl PlanCache {
             }
         }
         inner.entries.insert(
-            key,
+            fp,
             PlanCacheEntry {
-                epoch,
+                identity: identity.into(),
+                generation,
                 stamp: tick,
-                plan: Arc::clone(&planned),
+                plans: Arc::clone(&planned),
             },
         );
         Ok(planned)
     }
 }
 
-/// Reusable buffers for the allocation-free execution path.
+/// Reusable buffers for the allocation-free serve path of both engines.
 ///
-/// Every `Vec`, `IdMask` and `String` the executor needs lives here and
-/// is cleared (never shrunk) between queries, so a steady-state query —
+/// Every `Vec`, `IdMask` and heap the serve path needs — per-partition
+/// selection, per-partition runs, the k-way merge — lives here and is
+/// cleared (never shrunk) between queries, so a steady-state query —
 /// same shape, warm scratch — performs **zero heap allocations** (pinned
 /// by the `alloc_free` test harness). One scratch serves one thread;
 /// create one per worker and thread it through
-/// [`QueryEngine::query_with`] / the batch APIs.
+/// [`QueryEngine::query_with`] (the owned-page entry points borrow one
+/// from the engine's pool).
 ///
 /// The `pool`/`mask` buffers carry their contents from one query to the
 /// next: a content key records what is currently materialized, so
@@ -1056,7 +1076,7 @@ pub struct QueryScratch {
     pool_key: Option<(u64, u64)>,
     /// Selection kernel output buffer: the partition-local ids
     /// [`select_partition`] picked, best first.
-    pub(crate) select: Vec<u32>,
+    select: Vec<u32>,
     /// Facet mask storage, keyed by `mask_key`.
     mask: IdMask,
     /// Identity of the mask's contents, like `pool_key`.
@@ -1064,7 +1084,15 @@ pub struct QueryScratch {
     /// Second mask for AND-composition during mask builds.
     mask_tmp: IdMask,
     /// Seed sort buffer for fingerprint normalization.
-    pub(crate) seeds: Vec<PaperId>,
+    seeds: Vec<PaperId>,
+    /// The query's normalized identity ([`Self::set_identity`]).
+    identity: Vec<u32>,
+    /// One `(score, global id)` run per partition read.
+    runs: Vec<Vec<(f64, PaperId)>>,
+    /// K-way merge heap storage.
+    merge: MergeScratch,
+    /// The merged page.
+    merged: Vec<(f64, PaperId)>,
 }
 
 impl QueryScratch {
@@ -1081,14 +1109,74 @@ impl QueryScratch {
         dedup_ids_into(&q.venues, &mut self.venues);
         dedup_ids_into(&q.authors, &mut self.authors);
     }
+
+    /// Writes the query's normalized identity as words — method label,
+    /// year bounds, the deduplicated facet lists ([`Self::set_facets`]),
+    /// the sorted seeds (the fingerprint's) — into `identity`: what a
+    /// [`PlanCache`] entry must equal, not only hash to, before its plans
+    /// serve. One flat buffer, so storing it is one allocation and
+    /// comparing it one `memcmp` (over real memory: it is never empty).
+    fn set_identity(&mut self, method: &str, q: &Query) {
+        let Self {
+            venues,
+            authors,
+            seeds,
+            identity,
+            ..
+        } = self;
+        identity.clear();
+        identity.push(method.len() as u32);
+        identity.extend(method.bytes().map(u32::from));
+        for year in [q.year_min, q.year_max] {
+            identity.extend(year.map_or([0, 0], |y| [1, y as u32]));
+        }
+        for list in [&*venues, &*authors, &*seeds] {
+            identity.push(list.len() as u32);
+            identity.extend_from_slice(list);
+        }
+    }
+}
+
+/// Warm scratches an engine keeps between queries: enough for a handful
+/// of concurrent readers; a burst beyond it builds cold ones and drops
+/// them.
+pub(crate) const SCRATCH_POOL_CAP: usize = 4;
+
+/// The warm scratches behind the owned-page entry points; the lock is
+/// held for a pop or a push, never across a query.
+#[derive(Default)]
+pub(crate) struct ScratchPool {
+    pub(crate) warm: Mutex<Vec<QueryScratch>>,
+}
+
+impl ScratchPool {
+    /// Runs `f` with a pooled scratch (a cold one when none is warm),
+    /// returning it afterwards unless the pool is full.
+    pub(crate) fn with<R>(&self, f: impl FnOnce(&mut QueryScratch) -> R) -> R {
+        // A pooled scratch is plain buffers with no invariant among them,
+        // so a lock poisoned by a panic elsewhere is safe to take over.
+        let pooled = self
+            .warm
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop();
+        let mut scratch = pooled.unwrap_or_default();
+        let result = f(&mut scratch);
+        let mut pool = self.warm.lock().unwrap_or_else(PoisonError::into_inner);
+        if pool.len() < SCRATCH_POOL_CAP {
+            pool.push(scratch);
+        }
+        result
+    }
 }
 
 /// A reusable result page: the allocation-free counterpart of [`Page`].
 ///
-/// [`QueryEngine::query_with`] writes each page into the same `PageBuf`,
-/// reusing the item vector and the method/cursor-token strings, so a
-/// steady-state query allocates nothing while the caller still sees the
-/// exact fields a [`Page`] carries.
+/// The serve path of both engines writes each page into a `PageBuf` (the
+/// caller's, under [`QueryEngine::query_with`]), reusing the item vector
+/// and the method/cursor-token strings, so a steady-state query
+/// allocates nothing while the caller still sees the exact fields a
+/// [`Page`] carries.
 #[derive(Debug, Default)]
 pub struct PageBuf {
     method: String,
@@ -1205,7 +1293,7 @@ fn plan_shaped(
 /// when *no* partition has the table. A flat engine passes its one
 /// network; a partition whose own table is smaller — or absent — just
 /// contributes no matches for those ids ([`price_partition`]).
-pub(crate) fn validate_facets<'a>(
+fn validate_facets<'a>(
     nets: impl Iterator<Item = &'a CitationNetwork> + Clone,
     q: &Query,
 ) -> Result<(), QueryError> {
@@ -1476,16 +1564,21 @@ pub(crate) fn price_partition(
     }
 }
 
-/// Cursor validity on either engine: minted on this serving
-/// `generation` (a snapshot's epoch, or a pinned shard set's epoch key),
-/// for this `(method, filter)` identity. Returns the decoded resume
-/// position — the `(score, global id)` frontier — of a valid cursor.
-pub(crate) fn validate_cursor(
+/// Cursor validity on either engine: the `cursor` argument and the
+/// grammar's `own` agree when both are given, and the cursor was minted
+/// on this serving `generation` (a snapshot's epoch, or a pinned shard
+/// set's epoch key) for this `(method, filter)` identity. Returns the
+/// decoded resume position — the `(score, global id)` frontier.
+fn resume_at(
     cursor: Option<&Cursor>,
+    own: Option<&Cursor>,
     generation: u64,
     fp: u64,
 ) -> Result<Option<(f64, PaperId)>, QueryError> {
-    let Some(c) = cursor else {
+    if cursor.zip(own).is_some_and(|(arg, own)| arg != own) {
+        return Err(QueryError::CursorMismatch);
+    }
+    let Some(c) = cursor.or(own) else {
         return Ok(None);
     };
     if c.epoch != generation {
@@ -1500,15 +1593,32 @@ pub(crate) fn validate_cursor(
     Ok(Some((f64::from_bits(c.score_bits), c.last_id)))
 }
 
-/// The admission step both engines run between planning and selection:
-/// prices the planned query (`costed` is only evaluated when a policy is
-/// installed — none admits everything) and returns the ticket holding
-/// the in-flight reservation — execute with the *ticket's* `k`, which
-/// the ladder may have clamped — or the typed shed.
-pub(crate) fn admit(
+/// The admission step: prices the query at the sum of its partitions'
+/// plans (none installed admits everything unpriced) and returns the
+/// ticket holding the in-flight reservation — execute with the
+/// *ticket's* `k`, re-planned without scans when it says `use_indexed` —
+/// or the typed shed.
+fn admit(
     admission: Option<&Arc<AdmissionController>>,
-    costed: impl FnOnce() -> CostedQuery,
+    plans: &[(usize, QueryPlan)],
+    k: usize,
 ) -> Result<Option<AdmissionTicket>, QueryError> {
+    let costed = || CostedQuery {
+        plan_cost_ns: plans.iter().map(|(_, p)| p.cost_ns).sum(),
+        // Every residual scan steered onto its partition's cheapest index.
+        indexed_alternative_ns: plans
+            .iter()
+            .map(|(_, p)| {
+                if p.is_residual_scan() {
+                    p.indexed_alternative_ns()
+                } else {
+                    Some(p.cost_ns)
+                }
+            })
+            .sum(),
+        scan_family: plans.iter().any(|(_, p)| p.is_residual_scan()),
+        k,
+    };
     admission
         .map(|a| {
             a.admit(costed()).map_err(|o| QueryError::Overloaded {
@@ -1630,32 +1740,11 @@ fn build_facet_mask(
     debug_assert!(have, "the mask driver implies at least one facet");
 }
 
-/// One partition of the id space a query selects over: a flat engine's
-/// whole corpus (`start` 0, `scale` 1.0 — `x * 1.0` is bit-exact) or one
-/// shard's band of a [`ShardedEngine`](crate::ShardedEngine).
-pub(crate) struct Partition<'a> {
-    /// The partition's network (metadata tables, year index).
-    pub net: &'a CitationNetwork,
-    /// [`EpochSnapshot::uid`] of the snapshot `net` and `ranking` belong
-    /// to: what the scratch's gathered pools and masks are keyed by.
-    pub epoch_uid: u64,
-    /// Global id of the partition's local id 0.
-    pub start: PaperId,
-    /// The ranking vector to select over, indexed by local id, with its
-    /// block maxima: the snapshot's own scores or a personalized solve on
-    /// its epoch.
-    pub ranking: Ranking<'a>,
-    /// Multiplier that puts `scores` on the scale the frontier (and the
-    /// other partitions' runs) compare under — a seeded shard's share of
-    /// the global seed mass. Positive, so the in-partition order the
-    /// kernels see on the raw slice is the scaled order.
-    pub scale: f64,
-}
-
 /// The one selection block under both engines: runs `plan` — priced for
-/// this partition by [`price_partition`] — over `part` and leaves the
-/// best `k` partition-local ids strictly after `frontier` in
-/// `scratch.select`, best first. Returns how many candidates matched the
+/// this partition by [`price_partition`] — over `ranking`, the scores
+/// of partition snapshot `snap` (or a personalized solve on its epoch),
+/// and leaves the best `k` partition-local ids strictly after `frontier`
+/// in `scratch.select`, best first. Returns how many candidates matched the
 /// filters at and after the frontier (and, for the block-pruned arms, how
 /// many blocks the walk read of how many the range spans). `scratch`
 /// holds the query's deduplicated facet lists
@@ -1671,15 +1760,16 @@ pub(crate) struct Partition<'a> {
 /// Within one partition, ordering ties by local id equals ordering them
 /// by global id (`global = start + local` is monotone), so the ids a
 /// shard selects merge globally without re-sorting.
-pub(crate) fn select_partition(
-    part: &Partition<'_>,
+fn select_partition(
+    snap: &EpochSnapshot,
+    Ranking { scores, maxima }: Ranking<'_>,
+    frontier: Option<Frontier>,
     q: &Query,
     k: usize,
     plan: &QueryPlan,
-    frontier: Option<(f64, PaperId)>,
     scratch: &mut QueryScratch,
 ) -> BlockWalk {
-    let (net, Ranking { scores, maxima }) = (part.net, part.ranking);
+    let net: &CitationNetwork = snap.network();
     debug_assert_eq!(scores.len(), net.n_papers());
     let QueryScratch {
         venues,
@@ -1698,12 +1788,6 @@ pub(crate) fn select_partition(
     // residual walks the paper's (collapsed) author row.
     let venues: &[VenueId] = venues;
     let authors: &[AuthorId] = authors;
-    let frontier = frontier.map(|(score, id)| Frontier {
-        score,
-        id,
-        scale: part.scale,
-        base: part.start,
-    });
     let after_cursor = |id: u32| frontier.is_none_or(|f| f.admits(scores[id as usize], id));
     let venue_ok = |id: u32| {
         venues.is_empty()
@@ -1744,7 +1828,7 @@ pub(crate) fn select_partition(
             let author_mask: Option<&IdMask> = if authors.is_empty() {
                 None
             } else {
-                let key = content_key(KEY_AUTHOR_FULL_MASK, authors, &[], &(0..0), part.epoch_uid);
+                let key = content_key(KEY_AUTHOR_FULL_MASK, authors, &[], &(0..0), snap.uid());
                 if *mask_key != Some(key) {
                     mask.reset(net.n_papers());
                     for &id in authors.iter().flat_map(|&a| author_postings(net, a)) {
@@ -1780,7 +1864,7 @@ pub(crate) fn select_partition(
             // the band — only author and cursor residuals remain. The
             // pre-residual pool is keyed so consecutive queries sharing
             // the filter reuse the gather.
-            let key = content_key(KEY_VENUE_BANDS, vs, &[], &range, part.epoch_uid);
+            let key = content_key(KEY_VENUE_BANDS, vs, &[], &range, snap.uid());
             if *pool_key != Some(key) {
                 pool.clear();
                 pool.extend(
@@ -1803,7 +1887,7 @@ pub(crate) fn select_partition(
             // Band probes per author; co-authored papers appear in
             // several lists, so a multi-author union sort-dedups before
             // residual filtering (otherwise `matched` over-counts).
-            let key = content_key(KEY_AUTHOR_BANDS, aus, &[], &range, part.epoch_uid);
+            let key = content_key(KEY_AUTHOR_BANDS, aus, &[], &range, snap.uid());
             if *pool_key != Some(key) {
                 pool.clear();
                 pool.extend(
@@ -1830,7 +1914,7 @@ pub(crate) fn select_partition(
             // Whole-predicate pushdown: OR within classes, AND across
             // them and the year range, evaluated word-wide; the ones of
             // the final mask are the exact match set (before cursor).
-            let key = content_key(KEY_FACET_MASK, venues, authors, &range, part.epoch_uid);
+            let key = content_key(KEY_FACET_MASK, venues, authors, &range, snap.uid());
             if *mask_key != Some(key) {
                 build_facet_mask(net, venues, authors, q.year_min, q.year_max, mask, mask_tmp);
                 *mask_key = Some(key);
@@ -1843,58 +1927,263 @@ pub(crate) fn select_partition(
     }
 }
 
-/// The flat engine's page assembly around [`select_partition`]: runs an
-/// already-validated query under an already-chosen plan over the
-/// snapshot as **one** partition (no run buffer, no merge) and writes
-/// the page into `out` — zero heap allocations once `scratch` and `out`
-/// are warm. `k` is the page size to serve, which admission may have
-/// clamped below `q.k`. Returns the selection's counts.
-#[allow(clippy::too_many_arguments)]
-fn execute_plan_into(
-    snap: &EpochSnapshot,
-    method: &str,
-    q: &Query,
-    k: usize,
-    ranking: Ranking<'_>,
-    plan: &QueryPlan,
-    fp: u64,
-    cursor_pos: Option<(f64, PaperId)>,
-    scratch: &mut QueryScratch,
-    out: &mut PageBuf,
-) -> BlockWalk {
+/// The year prune: whether partition `snap`'s year span can intersect the
+/// query's year window. Without a window every partition survives; with
+/// one, an empty partition has nothing to match.
+pub(crate) fn overlaps(snap: &EpochSnapshot, q: &Query) -> bool {
+    if q.year_min.is_none() && q.year_max.is_none() {
+        return true;
+    }
     let net = snap.network();
-    let scores = ranking.scores;
-    let part = Partition {
-        net,
-        epoch_uid: snap.uid(),
-        start: 0,
-        ranking,
-        scale: 1.0,
+    let (Some(first), Some(last)) = (net.first_year(), net.current_year()) else {
+        return false;
     };
-    scratch.set_facets(q);
-    let walk = select_partition(&part, q, k, plan, cursor_pos, scratch);
-    let matched = walk.matched;
+    !(q.year_min.is_some_and(|lo| lo > last) || q.year_max.is_some_and(|hi| hi < first))
+}
 
-    out.items.clear();
-    out.items.extend(scratch.select.iter().map(|&id| Hit {
-        id,
-        score: scores[id as usize],
-        year: net.year(id),
-        venue: net.venues().and_then(|t| t.venue_of(id)),
-    }));
-    // More matches exist past this page ⇒ mint the resume cursor from
-    // the last item's (score, id) position.
-    out.next = match out.items.last() {
-        Some(last) if matched > out.items.len() => {
-            Some(Cursor::after(snap.epoch(), last.score, last.id, fp))
+/// The pinned partitions one query reads: a flat engine's method
+/// snapshot as the one partition at id 0, or a pinned shard set.
+pub(crate) struct Pinned<'a, S> {
+    /// The served method's label.
+    pub(crate) method: &'a str,
+    /// Its damping factor (`None`: it cannot serve `seed=`).
+    pub(crate) damping: Option<f64>,
+    /// Global id of each partition's local id 0.
+    pub(crate) starts: &'a [PaperId],
+    /// Each partition's snapshot.
+    pub(crate) snaps: &'a [S],
+    /// Each partition's [`PersonalizationCache`] label.
+    pub(crate) labels: &'a [String],
+    /// What cursors and cached plans are bound to: a snapshot's epoch, or
+    /// a shard set's epoch key.
+    pub(crate) generation: u64,
+}
+
+impl<S: Borrow<EpochSnapshot>> Pinned<'_, S> {
+    fn snap(&self, s: usize) -> &EpochSnapshot {
+        self.snaps[s].borrow()
+    }
+
+    /// `(partition, local id)` of a global id the view covers.
+    fn locate(&self, id: PaperId) -> (usize, PaperId) {
+        let s = self.starts.partition_point(|&b| b <= id) - 1;
+        (s, id - self.starts[s])
+    }
+}
+
+/// One partition's ranking under a seeded query: `None` when it holds no
+/// seed (boundary edges are teleport-absorbed, so its personalized scores
+/// are identically zero), else its personalized solve and its share of
+/// the seed mass — a score multiplier, so runs compare under the global
+/// uniform distribution.
+type SeededPart = Option<(CachedRanking, f64)>;
+
+/// The per-partition solves of a seeded query (`Ok(None)` when unseeded):
+/// seeds validated once against the whole view, routed to their
+/// partitions and solved there through the [`PersonalizationCache`].
+fn seeded_partitions<S: Borrow<EpochSnapshot>>(
+    view: &Pinned<'_, S>,
+    cache: &PersonalizationCache,
+    q: &Query,
+) -> Result<Option<Vec<SeededPart>>, QueryError> {
+    if q.seeds.is_empty() {
+        return Ok(None);
+    }
+    let alpha = view.damping.ok_or_else(|| QueryError::SeedUnsupported {
+        method: view.method.to_string(),
+    })?;
+    let n_papers = (0..view.snaps.len()).map(|s| view.snap(s).n_papers()).sum();
+    SeedPersonalization::uniform(&q.seeds, n_papers).map_err(seed_error_to_query)?;
+    let mut locals: Vec<Vec<PaperId>> = vec![Vec::new(); view.snaps.len()];
+    for &g in &q.seeds {
+        let (s, local) = view.locate(g);
+        locals[s].push(local);
+    }
+    let total = q.seeds.len() as f64;
+    let mut per = Vec::with_capacity(locals.len());
+    for (s, ids) in locals.iter().enumerate() {
+        if ids.is_empty() {
+            per.push(None);
+            continue;
         }
-        _ => None,
-    };
-    out.epoch = snap.epoch();
-    out.matched = matched;
-    out.method.clear();
-    out.method.push_str(method);
-    walk
+        let snap = view.snap(s);
+        let seed =
+            SeedPersonalization::uniform(ids, snap.n_papers()).map_err(seed_error_to_query)?;
+        let (ranking, _) = cache.ranking(&view.labels[s], snap, &seed, alpha);
+        per.push(Some((ranking, ids.len() as f64 / total)));
+    }
+    Ok(Some(per))
+}
+
+/// Plans `q` over every partition of `view` that can match it — one
+/// [`price_partition`] each — skipping a partition whose year span misses
+/// the filter or, under `seed=`, that holds no seed.
+fn plan_partitions<S: Borrow<EpochSnapshot>>(
+    view: &Pinned<'_, S>,
+    q: &Query,
+    facets: &QueryScratch,
+    resumed: bool,
+    seeded: Option<&[SeededPart]>,
+    cost: &CostModel,
+    forbid_scan: bool,
+) -> Vec<(usize, QueryPlan)> {
+    (0..view.snaps.len())
+        .filter(|&s| seeded.is_none_or(|per| per[s].is_some()) && overlaps(view.snap(s), q))
+        .map(|s| {
+            let net = view.snap(s).network();
+            (
+                s,
+                price_partition(net, q, facets, resumed, cost, forbid_scan),
+            )
+        })
+        .collect()
+}
+
+/// What an engine keeps for its read path between queries — seeded
+/// solves, plans and their cost model, admission, warm scratches — and
+/// the one serve function over them. Both engines own one.
+pub(crate) struct ReadPath {
+    pub(crate) cache: PersonalizationCache,
+    pub(crate) plans: PlanCache,
+    pub(crate) cost: CostModel,
+    pub(crate) admission: Option<Arc<AdmissionController>>,
+    pub(crate) scratches: ScratchPool,
+}
+
+impl ReadPath {
+    /// Empty caches, the baked [`CostModel`], no admission.
+    pub(crate) fn new() -> Self {
+        Self {
+            cache: PersonalizationCache::new(CacheConfig::default()),
+            plans: PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY),
+            cost: CostModel::default(),
+            admission: None,
+            scratches: ScratchPool::default(),
+        }
+    }
+
+    /// The serve path under every entry point of both engines (see the
+    /// module docs), writing the page into `out` through `scratch` — zero
+    /// heap allocations for a steady-state unseeded query. `cursor` is an
+    /// explicit resume argument beside `q.cursor`. Returns how many
+    /// partitions were read. Without an `observer` no clock is read.
+    pub(crate) fn serve<S: Borrow<EpochSnapshot>>(
+        &self,
+        view: &Pinned<'_, S>,
+        observer: Option<ReadObserver<'_>>,
+        q: &Query,
+        cursor: Option<&Cursor>,
+        scratch: &mut QueryScratch,
+        out: &mut PageBuf,
+    ) -> Result<usize, QueryError> {
+        let started = observer.is_some().then(Instant::now);
+        let fp = fingerprint_with(view.method, q, &mut scratch.seeds);
+        let resume =
+            resume_at(cursor, q.cursor.as_ref(), view.generation, fp).inspect_err(|err| {
+                if let Some(o) = observer {
+                    o.cursor_error(err);
+                }
+            })?;
+        let seeded = seeded_partitions(view, &self.cache, q)?;
+        let seeded = seeded.as_deref();
+        scratch.set_facets(q);
+        scratch.set_identity(view.method, q);
+        let resumed = resume.is_some();
+        let identity = &scratch.identity;
+        let mut plans = self
+            .plans
+            .get_or_plan((fp, resumed), view.generation, identity, || {
+                validate_facets((0..view.snaps.len()).map(|s| &**view.snap(s).network()), q)?;
+                Ok(plan_partitions(
+                    view, q, scratch, resumed, seeded, &self.cost, false,
+                ))
+            })?;
+        if let Some(o) = observer {
+            o.planned(&plans);
+        }
+        // The ticket (when admission is on) holds the in-flight cost
+        // reservation until the page is built.
+        let ticket = admit(self.admission.as_ref(), &plans, q.k)?;
+        if ticket.as_ref().is_some_and(|t| t.use_indexed) {
+            // Degradation depends on instantaneous load, not query
+            // identity: never cached.
+            plans = plan_partitions(view, q, scratch, resumed, seeded, &self.cost, true).into();
+        }
+        let k = ticket.as_ref().map_or(q.k, |t| t.k);
+
+        let mut walked = BlockWalk::default();
+        let mut used = 0;
+        for (s, plan) in plans.iter() {
+            let snap = view.snap(*s);
+            // A seeded partition ranks by its solve, scaled by its seed
+            // share; a positive scale keeps the order the kernels see on
+            // the raw scores the order of the scaled runs.
+            let (ranking, scale) = match seeded.and_then(|per| per[*s].as_ref()) {
+                Some((cached, share)) => (cached.view(), *share),
+                None => (snap.ranking(), 1.0),
+            };
+            let start = view.starts[*s];
+            let frontier = resume.map(|(score, id)| Frontier {
+                score,
+                id,
+                scale,
+                base: start,
+            });
+            let walk = select_partition(snap, ranking, frontier, q, k, plan, scratch);
+            walked.matched += walk.matched;
+            walked.blocks_scanned += walk.blocks_scanned;
+            walked.blocks_in_range += walk.blocks_in_range;
+            if scratch.select.is_empty() {
+                continue;
+            }
+            if used == scratch.runs.len() {
+                scratch.runs.push(Vec::new());
+            }
+            let run = &mut scratch.runs[used];
+            run.clear();
+            run.extend(
+                scratch
+                    .select
+                    .iter()
+                    .map(|&l| (ranking.scores[l as usize] * scale, start + l)),
+            );
+            used += 1;
+        }
+        merge_k_sorted_into(
+            &scratch.runs[..used],
+            k,
+            &mut scratch.merge,
+            &mut scratch.merged,
+        );
+
+        out.items.clear();
+        out.items.extend(scratch.merged.iter().map(|&(score, id)| {
+            let (s, local) = view.locate(id);
+            let net = view.snap(s).network();
+            Hit {
+                id,
+                score,
+                year: net.year(local),
+                venue: net.venues().and_then(|t| t.venue_of(local)),
+            }
+        }));
+        // More matches exist past this page ⇒ mint the resume cursor from
+        // the last item's (score, id) position.
+        out.next = match out.items.last() {
+            Some(last) if walked.matched > out.items.len() => {
+                Some(Cursor::after(view.generation, last.score, last.id, fp))
+            }
+            _ => None,
+        };
+        out.epoch = view.generation;
+        out.matched = walked.matched;
+        out.method.clear();
+        out.method.push_str(view.method);
+        if let (Some(o), Some(at)) = (observer, started) {
+            o.served(q, &plans, at.elapsed(), &walked);
+        }
+        Ok(plans.len())
+    }
 }
 
 /// One row of a two-method comparison.
@@ -1988,18 +2277,13 @@ pub struct QueryEngine {
     /// Per-method damping factor, parsed once at construction — the
     /// seeded path must not re-parse the method spec per query.
     dampings: Vec<Option<f64>>,
-    cache: PersonalizationCache,
-    /// Cached plans keyed by (query fingerprint, cursor presence),
-    /// epoch-checked on every probe (lazy invalidation on publish).
-    plans: PlanCache,
-    cost: CostModel,
+    /// Caches, cost model, admission and scratch pool, shared by every
+    /// method.
+    read: ReadPath,
     /// Metric families + the registry they render through, when
     /// observability is enabled ([`Self::enable_metrics`]). Boxed: the
     /// families are wide and most engines never enable them.
     metrics: Option<Box<ServingMetrics>>,
-    /// Admission controller, when backpressure is enabled
-    /// ([`Self::set_admission`]).
-    admission: Option<Arc<AdmissionController>>,
 }
 
 impl QueryEngine {
@@ -2034,11 +2318,8 @@ impl QueryEngine {
         Ok(Self {
             engines,
             dampings,
-            cache: PersonalizationCache::new(CacheConfig::default()),
-            plans: PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY),
-            cost: CostModel::default(),
+            read: ReadPath::new(),
             metrics: None,
-            admission: None,
         })
     }
 
@@ -2096,37 +2377,37 @@ impl QueryEngine {
     /// The planner cost model in effect: the baked constants, or what
     /// [`Self::set_cost_model`] installed.
     pub fn cost_model(&self) -> &CostModel {
-        &self.cost
+        &self.read.cost
     }
 
     /// Replaces the planner cost model (explicit tuning; tests).
     /// Cached plans were priced under the old model, so the plan cache
     /// is dropped.
     pub fn set_cost_model(&mut self, cost: CostModel) {
-        self.cost = cost;
-        self.plans.clear();
+        self.read.cost = cost;
+        self.read.plans.clear();
     }
 
     /// Counters and occupancy of the plan cache.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.plans.stats()
+        self.read.plans.stats()
     }
 
     /// Replaces the plan cache with an empty one of the given capacity
     /// (entries; clamped to at least 1). Counters restart from zero.
     pub fn set_plan_cache_capacity(&mut self, capacity: usize) {
-        self.plans = PlanCache::new(capacity);
+        self.read.plans = PlanCache::new(capacity);
     }
 
     /// Counters and occupancy of the shared personalization cache.
     pub fn personalization_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.read.cache.stats()
     }
 
     /// Reconfigures the personalization cache (bounds, push budget).
     /// Drops every cached vector — the next seeded queries re-solve.
     pub fn set_personalization_config(&mut self, config: CacheConfig) {
-        self.cache = PersonalizationCache::new(config);
+        self.read.cache = PersonalizationCache::new(config);
     }
 
     /// Registers this engine's metric families on `registry` and wires
@@ -2165,12 +2446,12 @@ impl QueryEngine {
     /// degrades gracefully (k-clamp, scan→index fallback) before
     /// rejecting with [`QueryError::Overloaded`].
     pub fn set_admission(&mut self, policy: AdmissionPolicy) {
-        self.admission = Some(Arc::new(AdmissionController::new(policy)));
+        self.read.admission = Some(Arc::new(AdmissionController::new(policy)));
     }
 
     /// Counters of the admission controller, if one is installed.
     pub fn admission_stats(&self) -> Option<AdmissionStats> {
-        self.admission.as_ref().map(|a| a.stats())
+        self.read.admission.as_ref().map(|a| a.stats())
     }
 
     /// Refreshes every sampled family (cache occupancy, admission
@@ -2181,120 +2462,33 @@ impl QueryEngine {
     pub fn render_metrics(&self) -> Option<String> {
         Some(self.metrics.as_ref()?.render(
             self.engines.iter().map(|(_, e)| &**e),
-            &self.cache.stats(),
-            &self.plans.stats(),
+            &self.read.cache.stats(),
+            &self.read.plans.stats(),
             self.admission_stats(),
         ))
     }
 
-    /// The one serve route under every flat entry point — single query,
-    /// batch member, compare page: seeded solve (through the
-    /// [`PersonalizationCache`]), fingerprint, cursor validation, plan
-    /// (through the [`PlanCache`]), admission, execution — writing the
-    /// page into `out` through `scratch`'s buffers. Counting and the
-    /// clock are interleaved between the stages only when metrics are
-    /// enabled (an uninstrumented engine reads no `Instant`); latency is
-    /// labeled by the *executed* plan's driver, which an admission
-    /// fallback may have changed.
-    fn serve_into(
-        &self,
-        idx: usize,
-        snap: &EpochSnapshot,
-        q: &Query,
-        scratch: &mut QueryScratch,
-        out: &mut PageBuf,
-    ) -> Result<(), QueryError> {
-        let label = self.engines[idx].0.as_str();
-        let seeded = self.seeded_scores(idx, snap, q)?;
-        let ranking = seeded.as_ref().map_or(snap.ranking(), CachedRanking::view);
-        let fp = fingerprint_with(label, q, &mut scratch.seeds);
-        let serving = self.metrics.as_deref();
-        let started = serving.is_some().then(Instant::now);
-        let cursor_pos =
-            validate_cursor(q.cursor.as_ref(), snap.epoch(), fp).inspect_err(|err| {
-                if let Some(m) = serving {
-                    let kind = match err {
-                        QueryError::StaleCursor { .. } => 0,
-                        _ => 1,
-                    };
-                    m.cursor_errors.at(kind).inc();
-                }
-            })?;
-        let mut plan = self
-            .plans
-            .get_or_plan(snap.network(), q, fp, snap.epoch(), &self.cost)?;
-        if let Some(m) = serving {
-            m.planner_decisions.at(driver_index(&plan.driver)).inc();
-        }
-        // The ticket (when admission is on) holds the in-flight cost
-        // reservation until the page is built.
-        let ticket = admit(self.admission.as_ref(), || CostedQuery {
-            plan_cost_ns: plan.cost_ns,
-            indexed_alternative_ns: plan.indexed_alternative_ns(),
-            scan_family: plan.is_residual_scan(),
-            k: q.k,
-        })?;
-        if ticket.as_ref().is_some_and(|t| t.use_indexed) {
-            // Degradation depends on instantaneous load, not query
-            // identity: never cached.
-            plan = Arc::new(plan_shaped(snap.network(), q, &self.cost, true)?);
-        }
-        let k = ticket.as_ref().map_or(q.k, |t| t.k);
-        let walk = execute_plan_into(
-            snap, label, q, k, ranking, &plan, fp, cursor_pos, scratch, out,
-        );
-        if let (Some(m), Some(at)) = (serving, started) {
-            m.read
-                .observe(driver_index(&plan.driver), at.elapsed(), &walk);
-        }
-        Ok(())
-    }
-
-    /// Resolves the score vector a seeded query ranks by: the method's
-    /// damping factor (parsed once at construction), the seed
-    /// distribution validated against the snapshot's paper count, and
-    /// the solve served through the engine-wide
-    /// [`PersonalizationCache`]. `Ok(None)` for unseeded queries.
-    fn seeded_scores(
-        &self,
-        idx: usize,
-        snap: &EpochSnapshot,
-        q: &Query,
-    ) -> Result<Option<CachedRanking>, QueryError> {
-        if q.seeds.is_empty() {
-            return Ok(None);
-        }
-        let label = self.engines[idx].0.as_str();
-        let alpha = self.dampings[idx].ok_or_else(|| QueryError::SeedUnsupported {
-            method: label.to_string(),
-        })?;
-        let seed =
-            SeedPersonalization::uniform(&q.seeds, snap.n_papers()).map_err(seed_error_to_query)?;
-        let (ranking, _) = self.cache.ranking(label, snap, &seed, alpha);
-        Ok(Some(ranking))
-    }
-
     /// Executes a query against the *current* snapshot of its method:
-    /// [`Self::query_with`] through fresh buffers.
+    /// [`Self::query_at`] on a fresh pin.
     ///
     /// A cursor minted before the last publish fails with
     /// [`QueryError::StaleCursor`]; use [`Self::query_at`] with a held
     /// snapshot to paginate across publishes.
     pub fn query(&self, q: &Query) -> Result<Page, QueryError> {
-        let mut out = PageBuf::new();
-        self.query_with(q, &mut QueryScratch::new(), &mut out)?;
-        Ok(out.take_page())
+        self.query_at(&*self.snapshot(q.method.as_deref())?, q)
     }
 
     /// Executes a query against a caller-pinned snapshot (from
     /// [`Self::snapshot`] or a previous page's epoch):
-    /// [`Self::query_with_at`] through fresh buffers. The query's
-    /// method resolves the label/fingerprint (and, for seeded queries,
-    /// the damping factor) — the scores come from `snap`, or from a
-    /// personalized solve on exactly `snap`'s epoch.
+    /// [`Self::query_with_at`] through a pooled scratch and a fresh page.
+    /// The query's method resolves the label/fingerprint (and, for seeded
+    /// queries, the damping factor) — the scores come from `snap`, or
+    /// from a personalized solve on exactly `snap`'s epoch.
     pub fn query_at(&self, snap: &EpochSnapshot, q: &Query) -> Result<Page, QueryError> {
         let mut out = PageBuf::new();
-        self.query_with_at(snap, q, &mut QueryScratch::new(), &mut out)?;
+        self.read
+            .scratches
+            .with(|scratch| self.query_with_at(snap, q, scratch, &mut out))?;
         Ok(out.take_page())
     }
 
@@ -2310,12 +2504,13 @@ impl QueryEngine {
         scratch: &mut QueryScratch,
         out: &mut PageBuf,
     ) -> Result<(), QueryError> {
-        let idx = self.resolve_idx(q.method.as_deref())?;
-        let snap = self.engines[idx].1.snapshot();
-        self.serve_into(idx, &snap, q, scratch, out)
+        self.query_with_at(&*self.snapshot(q.method.as_deref())?, q, scratch, out)
     }
 
-    /// [`Self::query_with`] against a caller-pinned snapshot.
+    /// [`Self::query_with`] against a caller-pinned snapshot: the serve
+    /// path over `snap` as one partition. Metrics, when enabled, label
+    /// the latency by the *executed* plan's driver, which an admission
+    /// fallback may have changed.
     pub fn query_with_at(
         &self,
         snap: &EpochSnapshot,
@@ -2324,7 +2519,18 @@ impl QueryEngine {
         out: &mut PageBuf,
     ) -> Result<(), QueryError> {
         let idx = self.resolve_idx(q.method.as_deref())?;
-        self.serve_into(idx, snap, q, scratch, out)
+        let label = &self.engines[idx].0;
+        let view = Pinned {
+            method: label,
+            damping: self.dampings[idx],
+            starts: &[0],
+            snaps: std::slice::from_ref(snap),
+            labels: std::slice::from_ref(label),
+            generation: snap.epoch(),
+        };
+        let observer = self.metrics.as_deref().map(ReadObserver::ByDriver);
+        self.read.serve(&view, observer, q, None, scratch, out)?;
+        Ok(())
     }
 
     /// Executes a batch of queries in submission order under **one
@@ -2340,12 +2546,14 @@ impl QueryEngine {
     /// [`Self::query_with`].
     pub fn query_batch(&self, queries: &[Query]) -> Vec<Result<Page, QueryError>> {
         let mut snaps: Vec<Option<Arc<EpochSnapshot>>> = vec![None; self.engines.len()];
-        let (mut scratch, mut out) = (QueryScratch::new(), PageBuf::new());
-        serve_batch(queries, |q| {
-            let idx = self.resolve_idx(q.method.as_deref())?;
-            let snap = snaps[idx].get_or_insert_with(|| self.engines[idx].1.snapshot());
-            self.serve_into(idx, snap, q, &mut scratch, &mut out)?;
-            Ok(out.to_page())
+        let mut out = PageBuf::new();
+        self.read.scratches.with(|scratch| {
+            serve_batch(queries, |q| {
+                let idx = self.resolve_idx(q.method.as_deref())?;
+                let snap = snaps[idx].get_or_insert_with(|| self.engines[idx].1.snapshot());
+                self.query_with_at(snap, q, scratch, &mut out)?;
+                Ok(out.to_page())
+            })
         })
     }
 
@@ -2357,10 +2565,12 @@ impl QueryEngine {
         snap: &EpochSnapshot,
         queries: &[Query],
     ) -> Vec<Result<Page, QueryError>> {
-        let (mut scratch, mut out) = (QueryScratch::new(), PageBuf::new());
-        serve_batch(queries, |q| {
-            self.query_with_at(snap, q, &mut scratch, &mut out)?;
-            Ok(out.to_page())
+        let mut out = PageBuf::new();
+        self.read.scratches.with(|scratch| {
+            serve_batch(queries, |q| {
+                self.query_with_at(snap, q, scratch, &mut out)?;
+                Ok(out.to_page())
+            })
         })
     }
 
@@ -2369,7 +2579,7 @@ impl QueryEngine {
     /// explain line.
     pub fn explain(&self, q: &Query) -> Result<QueryPlan, QueryError> {
         let (_, engine) = self.resolve(q.method.as_deref())?;
-        plan_shaped(engine.snapshot().network(), q, &self.cost, false)
+        plan_shaped(engine.snapshot().network(), q, &self.read.cost, false)
     }
 
     /// Compare mode: serves the filtered page under `q.method` like any
@@ -2384,13 +2594,11 @@ impl QueryEngine {
     /// related papers sit in each method's overall ranking".
     pub fn compare(&self, q: &Query) -> Result<Comparison, QueryError> {
         let vs = q.vs.as_deref().ok_or(QueryError::MissingCompareMethod)?;
-        let idx_a = self.resolve_idx(q.method.as_deref())?;
+        let (_, engine_a) = self.resolve(q.method.as_deref())?;
         let (label_b, engine_b) = self.resolve(Some(vs))?;
-        let snap_a = self.engines[idx_a].1.snapshot();
+        let snap_a = engine_a.snapshot();
         let snap_b = engine_b.snapshot();
-        let mut out = PageBuf::new();
-        self.serve_into(idx_a, &snap_a, q, &mut QueryScratch::new(), &mut out)?;
-        let page = out.take_page();
+        let page = self.query_at(&snap_a, q)?;
         let rows = join_ranks(&page.items, &[(0, &*snap_a)], &[(0, &*snap_b)]);
         Ok(Comparison {
             method_a: page.method.clone(),
@@ -3285,6 +3493,56 @@ mod tests {
         assert_eq!(calls, [a, b, err, err]);
         let odd = || Err("7 is odd".to_string());
         assert_eq!(results, [Ok(20), Ok(40), Ok(20), odd(), odd(), Ok(20)]);
+    }
+
+    #[test]
+    fn plan_cache_serves_each_identity_its_own_plan() {
+        // Two queries forced onto one fingerprint (FNV-1a is collidable by
+        // whoever writes the grammar string): the entry's stored identity,
+        // not the hash, decides whether its plans serve.
+        let (net, cost, cache) = (corpus(), CostModel::default(), PlanCache::new(8));
+        let lookup = |s: &str| {
+            let q: Query = s.parse().unwrap();
+            let mut facets = QueryScratch::new();
+            facets.set_facets(&q);
+            facets.set_identity("cc", &q);
+            let plan = || price_partition(&net, &q, &facets, false, &cost, false);
+            let got = cache.get_or_plan((42, false), 0, &facets.identity, || Ok(vec![(0, plan())]));
+            assert_eq!(got.unwrap()[..], [(0, plan())], "{s}");
+        };
+        lookup("k=5,venue=0");
+        lookup("k=5,venue=1,author=2,year=2003..");
+        lookup("k=5,venue=0");
+        lookup("k=5,venue=0");
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.stale, s.entries), (1, 3, 0, 1));
+    }
+
+    #[test]
+    fn poisoned_serve_locks_recover() {
+        let qe = engine();
+        let q: Query = "k=4,venue=0|1".parse().unwrap();
+        let page = qe.query(&q).unwrap();
+        // Poison both locks on the serve path from panicking threads.
+        std::thread::scope(|scope| {
+            let pool = scope.spawn(|| {
+                let _held = qe.read.scratches.warm.lock();
+                panic!("poisoning the scratch pool");
+            });
+            let plans = scope.spawn(|| {
+                let _held = qe.read.plans.inner.lock();
+                panic!("poisoning the plan cache");
+            });
+            assert!(pool.join().is_err() && plans.join().is_err());
+        });
+        assert!(qe.read.scratches.warm.is_poisoned());
+        assert!(qe.read.plans.inner.is_poisoned());
+        assert_eq!(qe.query(&q).unwrap(), page);
+        // The plan cache dropped its entries and cleared the poison.
+        assert!(!qe.read.plans.inner.is_poisoned());
+        assert_eq!(qe.plan_cache_stats().entries, 1);
+        let batch = qe.query_batch(&[q.clone(), q]);
+        assert_eq!(batch, [Ok(page.clone()), Ok(page)]);
     }
 
     #[test]

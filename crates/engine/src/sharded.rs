@@ -35,57 +35,43 @@
 //!
 //! # Read-path contract
 //!
-//! There is one read path in this crate and this module is a caller of
-//! it. [`ShardedEngine::query_at`] executes a [`Query`] against a pinned
-//! [`ShardSnapshots`] set by treating every shard that survives the year
-//! prune as one *partition* of the id space: the flat engine's planner
-//! prices it under the same [`CostModel`] and the flat engine's
-//! selection block picks at most `k` local ids from it (see the query
-//! module). What this module adds is the scatter-gather around that: the
-//! prune, the `(score · scale, start + local id)` runs, and the
-//! `O(S + k log S)` merge. Pagination uses the flat engine's [`Cursor`]
-//! and `c…` token ([`ShardCursor`] is an alias), bound to the set's
-//! [`ShardSnapshots::epoch_key`] and carrying the `(score, global id)`
-//! frontier of the last hit — in the grammar's `cursor=` or as the
-//! explicit argument; successive pages off one pinned set tile the
-//! merged total order with no overlaps or gaps, and a cursor minted
-//! against a different epoch set fails with a typed
-//! [`ShardedError::StaleCursor`].
-//!
-//! Every entry point — `query`, `query_at`, each `query_batch_at` member,
-//! the page under [`ShardedEngine::compare`] — is the one private
-//! `query_pinned` through a pooled [`ShardScratch`]; a batch is the flat
-//! engine's `serve_batch` over it. Seeded solves are remembered by the
-//! engine's [`PersonalizationCache`] (per shard) and nowhere else. The
-//! compare join and the read metrics are the flat engine's too.
+//! There is one serve path in this crate and the flat engine is its
+//! one-partition case. Every entry point here — `query`, `query_at`, each
+//! `query_batch_at` member, the page under [`ShardedEngine::compare`],
+//! `top_k` — hands it a pinned [`ShardSnapshots`] set, one partition per
+//! shard, with the set's [`ShardSnapshots::epoch_key`] as its generation.
+//! It prunes every shard whose year span misses the filter (or, under
+//! `seed=`, that holds no seed), plans each survivor through the
+//! engine's plan cache, prices the query at the sum of those plans (the
+//! admission ladder has every rung), selects at most `k` local ids per
+//! shard, and k-way-merges the `(score · scale, start + local id)` runs.
+//! Pagination uses the flat engine's [`Cursor`] and `c…` token
+//! ([`ShardCursor`] is an alias), bound to the epoch key and carrying the
+//! `(score, global id)` frontier of the last hit — in the grammar's
+//! `cursor=` or as the explicit argument; successive pages off one pinned
+//! set tile the merged total order with no overlaps or gaps, and a cursor
+//! minted against a different epoch set fails with the flat engine's
+//! [`QueryError::StaleCursor`], wrapped in [`ShardedError::Query`].
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
-use std::time::Instant;
 
 use obsv::MetricsRegistry;
 
-use citegraph::{
-    CitationNetwork, GraphDelta, PaperId, SeedPersonalization, ShardPlan, ShardPlanError,
-};
+use citegraph::{CitationNetwork, GraphDelta, PaperId, ShardPlan, ShardPlanError};
 use graphstore::{fnv1a64, fnv1a64_with, ShardManifest, Store};
-use sparsela::{merge_k_sorted_into, BlockWalk, MergeScratch};
 
-use crate::admission::{AdmissionController, AdmissionPolicy, AdmissionStats, CostedQuery};
+use crate::admission::{AdmissionController, AdmissionPolicy, AdmissionStats};
 use crate::engine::{
     ColdStart, EngineError, EpochSnapshot, IngestReport, RankingEngine, RerankPolicy, WarmupReport,
 };
-use crate::metrics::{
-    ShardedServingMetrics, SHAPE_FACETED, SHAPE_SEEDED, SHAPE_UNFILTERED, SHAPE_YEAR_RANGE,
-};
-use crate::personalization::{CacheConfig, CachedRanking, PersonalizationCache};
+use crate::metrics::{ReadObserver, ShardedServingMetrics};
 use crate::query::{
-    admit, fingerprint_with, join_ranks, price_partition, seed_error_to_query, select_partition,
-    serve_batch, validate_cursor, validate_facets, CompareRow, CostModel, Cursor, Hit, Partition,
-    Query, QueryError, QueryPlan, QueryScratch,
+    join_ranks, serve_batch, CompareRow, Cursor, Hit, Page, PageBuf, Pinned, Query, QueryError,
+    ReadPath,
 };
 use crate::spec::MethodSpec;
 
@@ -97,21 +83,10 @@ pub enum ShardedError {
     /// A member engine operation failed (ingest validation, persistence,
     /// restore).
     Engine(EngineError),
-    /// A query-shaped failure (unknown facet id, missing metadata).
+    /// A query-shaped failure, typed as on the flat engine (unknown facet
+    /// id, missing metadata, a stale or mismatched cursor — its epochs
+    /// are epoch-set keys — or a shed).
     Query(QueryError),
-    /// The cursor was minted against a different pinned epoch set — the
-    /// caller must restart pagination (or keep paginating the original
-    /// [`ShardSnapshots`] it pinned).
-    StaleCursor {
-        /// Epoch-set key the cursor was minted against.
-        cursor_key: u64,
-        /// Epoch-set key of the snapshots queried now.
-        current_key: u64,
-    },
-    /// The cursor belongs to a different method or filter set (or the
-    /// `cursor` argument and [`Query::cursor`] were both given and
-    /// disagree).
-    CursorMismatch,
     /// Compare mode was asked to join two sharded engines whose shard
     /// plans disagree (different band starts) — their global ids name
     /// different papers, so a row-wise join would be meaningless.
@@ -124,17 +99,6 @@ impl fmt::Display for ShardedError {
             Self::Plan(e) => write!(f, "shard plan error: {e}"),
             Self::Engine(e) => write!(f, "shard engine error: {e}"),
             Self::Query(e) => write!(f, "sharded query error: {e}"),
-            Self::StaleCursor {
-                cursor_key,
-                current_key,
-            } => write!(
-                f,
-                "stale shard cursor: minted against epoch set {cursor_key:#x}, \
-                 current is {current_key:#x}"
-            ),
-            Self::CursorMismatch => {
-                write!(f, "shard cursor does not match this method + filter set")
-            }
             Self::PlanMismatch => {
                 write!(
                     f,
@@ -160,21 +124,8 @@ impl From<EngineError> for ShardedError {
 }
 
 impl From<QueryError> for ShardedError {
-    /// Cursor rejections keep their sharded spellings (the "epoch" a
-    /// sharded cursor is bound to is an epoch-set key); everything else
-    /// wraps as [`ShardedError::Query`].
     fn from(e: QueryError) -> Self {
-        match e {
-            QueryError::StaleCursor {
-                cursor_epoch,
-                current_epoch,
-            } => Self::StaleCursor {
-                cursor_key: cursor_epoch,
-                current_key: current_epoch,
-            },
-            QueryError::CursorMismatch => Self::CursorMismatch,
-            e => Self::Query(e),
-        }
+        Self::Query(e)
     }
 }
 
@@ -306,47 +257,17 @@ pub struct ShardedIngestReport {
     pub report: IngestReport,
 }
 
-/// One shard's contribution to a seeded query: `None` when the shard
-/// holds no seeds (its personalized scores are identically zero), else
-/// the shard-local score vector (with its block maxima) plus the shard's
-/// share of the global seed mass (a score multiplier at merge time).
-type SeededShard = Option<(CachedRanking, f64)>;
-
-/// Reusable buffers for the sharded scatter-gather path: the flat
-/// engine's [`QueryScratch`] for whichever shard is being selected over,
-/// plus what only a scatter-gather needs. One scratch serves one query at
-/// a time; the engine keeps a few warm ones in a pool and every entry
-/// point borrows one, so per-shard candidate pools, run buffers and the
-/// k-way merge heap are sized once per engine, not once per call.
-///
-/// A scratch is buffers and nothing else: the candidate pools key their
-/// epoch by id (they pin no corpus), and no solve is remembered here —
-/// the engine's [`PersonalizationCache`] is the one place that is.
-#[derive(Default)]
-pub struct ShardScratch {
-    /// Facet lists, fingerprint buffer and the per-partition selection
-    /// working set.
-    part: QueryScratch,
-    /// The current query's plan per surviving shard, in shard order.
-    plans: Vec<(usize, QueryPlan)>,
-    /// One `(score, global id)` run buffer per scanned shard, recycled
-    /// across queries.
-    runs: Vec<Vec<(f64, PaperId)>>,
-    /// K-way merge heap storage.
-    merge: MergeScratch,
-    /// Merged page buffer.
-    merged: Vec<(f64, PaperId)>,
-}
-
-/// Warm scratches a [`ShardedEngine`] keeps between queries: enough for a
-/// handful of concurrent readers; a burst beyond it builds cold ones and
-/// drops them.
-const SCRATCH_POOL_CAP: usize = 4;
-
-impl ShardScratch {
-    /// An empty scratch; the first query sizes every buffer.
-    pub fn new() -> Self {
-        Self::default()
+impl ShardedPage {
+    fn from_page(page: Page, shards_scanned: usize, shards_total: usize) -> Self {
+        Self {
+            method: page.method,
+            epoch_key: page.epoch,
+            items: page.items,
+            matched: page.matched,
+            next: page.next,
+            shards_scanned,
+            shards_total,
+        }
     }
 }
 
@@ -371,20 +292,11 @@ pub struct ShardedEngine {
     /// drops land on the shard that lost the edge, routed-ingest drops
     /// on the tail that absorbed them.
     boundary_edges: Vec<AtomicUsize>,
-    /// Engine-wide personalization cache for `seed=` queries; entries
-    /// are keyed per shard (the label carries the shard index), so one
-    /// LRU budget covers the whole partition.
-    cache: PersonalizationCache,
+    /// Caches, cost model, admission and scratch pool; personalization
+    /// entries are keyed per shard, under one LRU budget.
+    read: ReadPath,
     /// Metric families + registry, when observability is enabled.
     metrics: Option<Box<ShardedServingMetrics>>,
-    /// Admission controller, when backpressure is enabled.
-    admission: Option<Arc<AdmissionController>>,
-    /// The planner's cost model: every shard's plan is priced under it,
-    /// exactly as the flat engine prices its one partition.
-    cost: CostModel,
-    /// Warm [`ShardScratch`]es, at most [`SCRATCH_POOL_CAP`]; the lock is
-    /// held for a pop or a push, never across a query.
-    scratches: Mutex<Vec<ShardScratch>>,
 }
 
 impl ShardedEngine {
@@ -427,7 +339,7 @@ impl ShardedEngine {
     /// The engine over already-built shard engines — what [`Self::from_plan`]
     /// and [`Self::open_from_store`] end in: the method label, damping
     /// factor and cache labels read off the shards once, empty caches, no
-    /// metrics, no admission, the baked [`CostModel`].
+    /// metrics, no admission, the baked cost model.
     fn assemble(
         shards: Vec<Arc<RankingEngine>>,
         starts: Arc<[PaperId]>,
@@ -446,11 +358,8 @@ impl ShardedEngine {
             starts,
             shards,
             boundary_edges,
-            cache: PersonalizationCache::new(CacheConfig::default()),
+            read: ReadPath::new(),
             metrics: None,
-            admission: None,
-            cost: CostModel::default(),
-            scratches: Mutex::default(),
         }
     }
 
@@ -524,18 +433,17 @@ impl ShardedEngine {
     /// scatter-gather read path.
     ///
     /// A query is priced at the sum of its surviving shards' plan costs
-    /// — the same [`CostModel`] prices as the flat engine's — and runs
-    /// the same ladder, minus one rung: the degradation offered is the
-    /// k-clamp only. There is no indexed fallback to steer to, because
-    /// each shard's plan is chosen locally, so scan-ceiling policies
-    /// behave like query-ceiling ones here.
+    /// — the flat engine's prices — and runs the same ladder with every
+    /// rung: a residual scan over the scan ceiling re-plans every shard
+    /// onto its cheapest indexed shape, then `k` is clamped, then the
+    /// query sheds.
     pub fn set_admission(&mut self, policy: AdmissionPolicy) {
-        self.admission = Some(Arc::new(AdmissionController::new(policy)));
+        self.read.admission = Some(Arc::new(AdmissionController::new(policy)));
     }
 
     /// Counters of the admission controller, if one is installed.
     pub fn admission_stats(&self) -> Option<AdmissionStats> {
-        self.admission.as_ref().map(|a| a.stats())
+        self.read.admission.as_ref().map(|a| a.stats())
     }
 
     /// Refreshes every sampled sharded family (cache occupancy,
@@ -545,7 +453,7 @@ impl ShardedEngine {
     /// flat stack registered on the same one.
     pub fn render_metrics(&self) -> Option<String> {
         Some(self.metrics.as_ref()?.render(
-            &self.cache.stats(),
+            &self.read.cache.stats(),
             self.admission_stats(),
             &self.boundary_edges_by_shard(),
         ))
@@ -625,116 +533,53 @@ impl ShardedEngine {
         self.query_at(&self.snapshots(), q, cursor)
     }
 
-    /// Per-shard personalized score vectors for a seeded query: the
-    /// global seed set is validated once against the pinned corpus
-    /// (typed [`QueryError::BadValue`] naming the offending id), each
-    /// seed routed to its owning band via [`ShardSnapshots::locate`],
-    /// and each seeded shard solved on its own subgraph through the
-    /// engine-wide [`PersonalizationCache`] (cache keys carry the shard
-    /// index). `Ok(None)` for unseeded queries.
+    /// Scatter-gather execution of `q` against a pinned epoch set (see
+    /// the module docs). A shard whose year span misses the filter is
+    /// skipped without touching its arrays (the page reports
+    /// `shards_scanned` / `shards_total`); facet ids are validated against
+    /// the set as a whole, so tail-grown facet ids serve.
     ///
-    /// In the `Some` vector, a `None` entry means the shard holds no
-    /// seeds. Boundary edges are teleport-absorbed at partition time,
-    /// so personalization mass cannot leave a shard: an unseeded
-    /// shard's personalized scores are identically zero and the shard
-    /// prunes exactly like a disjoint year band. Each seeded shard's
-    /// entry carries its share of the seed mass (`local seeds / total
-    /// seeds`) as a score multiplier, so the merged runs compare under
-    /// the *global* uniform seed distribution.
-    fn seeded_shard_scores(
-        &self,
-        snaps: &ShardSnapshots,
-        q: &Query,
-    ) -> Result<Option<Vec<SeededShard>>, ShardedError> {
-        if q.seeds.is_empty() {
-            return Ok(None);
-        }
-        let alpha = self.damping.ok_or_else(|| {
-            ShardedError::Query(QueryError::SeedUnsupported {
-                method: self.method.clone(),
-            })
-        })?;
-        SeedPersonalization::uniform(&q.seeds, snaps.n_papers())
-            .map_err(|e| ShardedError::Query(seed_error_to_query(e)))?;
-        let mut locals: Vec<Vec<PaperId>> = vec![Vec::new(); snaps.n_shards()];
-        for &g in &q.seeds {
-            let (s, local) = snaps.locate(g);
-            locals[s].push(local);
-        }
-        let total = q.seeds.len() as f64;
-        let mut per = Vec::with_capacity(snaps.n_shards());
-        for (s, ids) in locals.iter().enumerate() {
-            if ids.is_empty() {
-                per.push(None);
-                continue;
-            }
-            let snap = snaps.snapshot(s);
-            let seed = SeedPersonalization::uniform(ids, snap.n_papers())
-                .map_err(|e| ShardedError::Query(seed_error_to_query(e)))?;
-            let (ranking, _) = self
-                .cache
-                .ranking(&self.cache_labels[s], snap, &seed, alpha);
-            per.push(Some((ranking, ids.len() as f64 / total)));
-        }
-        Ok(Some(per))
-    }
-
-    /// Scatter-gather execution of `q` against a pinned epoch set.
-    ///
-    /// Year-filtered queries first **prune**: a shard whose year span
-    /// cannot intersect `[year_min, year_max]` is skipped without
-    /// touching its snapshot's arrays (the page reports
-    /// `shards_scanned` / `shards_total`). Facet ids are validated once
-    /// against the pinned set as a whole (the maximum facet-space size
-    /// across shards, so tail-grown facet ids serve). Each surviving
-    /// shard is then planned and selected over by the flat engine's own
-    /// planner and selection block (`price_partition` /
-    /// `select_partition` in the query module — same [`CostModel`],
-    /// same five drivers, the shard being one partition of the id
-    /// space), yielding at most `k` hits after the cursor frontier, and
-    /// the per-shard runs (each already in `cmp_score_desc` order over
-    /// global ids) merge through [`sparsela::merge_k_sorted`].
-    ///
-    /// Seeded queries (`seed=`) rank by per-shard personalized solves
-    /// (see `Self::seeded_shard_scores`): seeds route to their owning
-    /// bands, shards holding no seeds prune (their personalized mass is
-    /// identically zero under the teleport-absorbed boundary model),
-    /// and repeat seed sets serve from the engine-wide cache. The
-    /// cursor fingerprint covers the sorted seed set, so a cursor never
-    /// resumes under a different personalization.
+    /// Seeded queries (`seed=`) rank by per-shard personalized solves:
+    /// seeds route to their owning bands, each seeded shard's scores are
+    /// scaled by its share of the seed mass, shards holding no seeds
+    /// prune (their personalized mass is identically zero under the
+    /// teleport-absorbed boundary model), and repeat seed sets serve from
+    /// the engine-wide cache.
     ///
     /// `q.method` / `q.vs` are ignored (this engine serves one method;
     /// compare mode is [`Self::compare`]). The page resumes after
     /// `cursor` — or, when that is `None`, after the grammar's own
     /// `cursor=` ([`Query::cursor`]); giving both is fine when they
-    /// agree and a [`ShardedError::CursorMismatch`] when they do not.
-    ///
-    /// With metrics enabled a served query's latency lands in the
-    /// shape-labeled histogram; with admission enabled an over-budget
-    /// query degrades (k-clamp) or sheds with a typed
-    /// [`QueryError::Overloaded`] after planning and before any shard is
-    /// selected over.
+    /// agree and a [`QueryError::CursorMismatch`] when they do not.
     pub fn query_at(
         &self,
         snaps: &ShardSnapshots,
         q: &Query,
         cursor: Option<&ShardCursor>,
     ) -> Result<ShardedPage, ShardedError> {
-        self.with_scratch(|scratch| self.query_pinned(snaps, q, cursor, scratch))
+        let mut out = PageBuf::new();
+        let scanned = self.read.scratches.with(|scratch| {
+            let observer = self.metrics.as_deref().map(ReadObserver::ByShape);
+            self.read
+                .serve(&self.view(snaps), observer, q, cursor, scratch, &mut out)
+        })?;
+        Ok(ShardedPage::from_page(
+            out.take_page(),
+            scanned,
+            snaps.n_shards(),
+        ))
     }
 
-    /// Runs `f` with a warm scratch borrowed from the engine's pool (a
-    /// cold one when the pool is empty), returning it afterwards unless
-    /// the pool is full.
-    fn with_scratch<R>(&self, f: impl FnOnce(&mut ShardScratch) -> R) -> R {
-        let pooled = self.scratches.lock().expect("scratch pool lock").pop();
-        let mut scratch = pooled.unwrap_or_default();
-        let result = f(&mut scratch);
-        let mut pool = self.scratches.lock().expect("scratch pool lock");
-        if pool.len() < SCRATCH_POOL_CAP {
-            pool.push(scratch);
+    /// The pinned set as the serve path's partition view.
+    fn view<'a>(&'a self, snaps: &'a ShardSnapshots) -> Pinned<'a, Arc<EpochSnapshot>> {
+        Pinned {
+            method: &self.method,
+            damping: self.damping,
+            starts: &snaps.starts,
+            snaps: &snaps.snaps,
+            labels: &self.cache_labels,
+            generation: snaps.epoch_key(),
         }
-        result
     }
 
     /// Executes a batch of `(query, cursor)` members against a freshly
@@ -751,7 +596,7 @@ impl ShardedEngine {
     /// calling [`Self::query_at`] member-by-member against the same set
     /// (same pages, same cursors, same typed errors).
     ///
-    /// What the batch amortizes: one [`ShardScratch`] (candidate pools,
+    /// What the batch amortizes: one pooled scratch (candidate pools,
     /// per-shard run buffers, merge heap) serves every member, and a
     /// member equal to an earlier served member is answered from that
     /// member's page without touching the shards (`serve_batch` in the
@@ -761,157 +606,21 @@ impl ShardedEngine {
         snaps: &ShardSnapshots,
         batch: &[(Query, Option<ShardCursor>)],
     ) -> Vec<Result<ShardedPage, ShardedError>> {
-        self.with_scratch(|scratch| {
+        let view = self.view(snaps);
+        let observer = self.metrics.as_deref().map(ReadObserver::ByShape);
+        let mut out = PageBuf::new();
+        self.read.scratches.with(|scratch| {
             serve_batch(batch, |(q, cursor)| {
-                self.query_pinned(snaps, q, cursor.as_ref(), scratch)
+                let cursor = cursor.as_ref();
+                let scanned = self
+                    .read
+                    .serve(&view, observer, q, cursor, scratch, &mut out)?;
+                Ok(ShardedPage::from_page(
+                    out.to_page(),
+                    scanned,
+                    snaps.n_shards(),
+                ))
             })
-        })
-    }
-
-    /// The serve path behind [`Self::query_at`] and the batch APIs, in
-    /// the flat engine's stage order: cursor + facet validation, seeded
-    /// solves, fingerprint, plan (one price per shard surviving the
-    /// prune), admission, then per-shard selection and the k-way merge.
-    /// Every buffer comes from `scratch`; seeded solves come from (and
-    /// are remembered by) the engine's cache alone. An uninstrumented
-    /// engine reads no clock.
-    fn query_pinned(
-        &self,
-        snaps: &ShardSnapshots,
-        q: &Query,
-        cursor: Option<&ShardCursor>,
-        scratch: &mut ShardScratch,
-    ) -> Result<ShardedPage, ShardedError> {
-        let serving = self.metrics.as_deref();
-        let started = serving.is_some().then(Instant::now);
-        let cursor = match (cursor, q.cursor.as_ref()) {
-            (Some(arg), Some(own)) if arg != own => return Err(ShardedError::CursorMismatch),
-            (arg, own) => arg.or(own),
-        };
-        validate_facets(snaps.snaps.iter().map(|s| &**s.network()), q)?;
-        let key = snaps.epoch_key();
-        let seeded = self.seeded_shard_scores(snaps, q)?;
-        let seeded = seeded.as_deref();
-        let ShardScratch {
-            part,
-            plans,
-            runs,
-            merge,
-            merged,
-        } = scratch;
-        let fp = fingerprint_with(&self.method, q, &mut part.seeds);
-        let frontier = validate_cursor(cursor, key, fp)?;
-
-        part.set_facets(q);
-        plans.clear();
-        for (s, snap) in snaps.snaps.iter().enumerate() {
-            // No seed mass reaches an unseeded band, so every
-            // personalized score in it is exactly zero: it prunes like a
-            // band whose year span misses the filter.
-            if seeded.is_some_and(|per| per[s].is_none()) || !overlaps(snap, q) {
-                continue;
-            }
-            let plan = price_partition(
-                snap.network(),
-                q,
-                part,
-                frontier.is_some(),
-                &self.cost,
-                false,
-            );
-            plans.push((s, plan));
-        }
-        // The ticket (when admission is on) holds the in-flight cost
-        // reservation until the page is built.
-        let ticket = admit(self.admission.as_ref(), || CostedQuery {
-            plan_cost_ns: plans.iter().map(|(_, plan)| plan.cost_ns).sum(),
-            indexed_alternative_ns: None,
-            scan_family: false,
-            k: q.k,
-        })?;
-        let k = ticket.as_ref().map_or(q.k, |t| t.k);
-
-        let mut used = 0usize;
-        let mut walked = BlockWalk::default();
-        for (s, plan) in plans.iter() {
-            let snap = &snaps.snaps[*s];
-            // A seeded shard ranks by its personalized solve, scaled by
-            // its share of the global seed mass so runs from
-            // differently-seeded shards merge under one distribution.
-            let (ranking, scale) = match seeded.and_then(|per| per[*s].as_ref()) {
-                Some((cached, share)) => (cached.view(), *share),
-                None => (snap.ranking(), 1.0),
-            };
-            let scores = ranking.scores;
-            let start = snaps.starts[*s];
-            let partition = Partition {
-                net: snap.network(),
-                epoch_uid: snap.uid(),
-                start,
-                ranking,
-                scale,
-            };
-            let walk = select_partition(&partition, q, k, plan, frontier, part);
-            walked.matched += walk.matched;
-            walked.blocks_scanned += walk.blocks_scanned;
-            walked.blocks_in_range += walk.blocks_in_range;
-            if part.select.is_empty() {
-                continue;
-            }
-            if used == runs.len() {
-                runs.push(Vec::new());
-            }
-            let run = &mut runs[used];
-            run.clear();
-            run.extend(
-                part.select
-                    .iter()
-                    .map(|&l| (scores[l as usize] * scale, start + l)),
-            );
-            used += 1;
-        }
-
-        let matched = walked.matched;
-        merge_k_sorted_into(&runs[..used], k, merge, merged);
-        let items: Vec<Hit> = merged
-            .iter()
-            .map(|&(score, id)| {
-                let (s, local) = snaps.locate(id);
-                let net = snaps.snaps[s].network();
-                Hit {
-                    id,
-                    score,
-                    year: net.year(local),
-                    venue: net.venues().and_then(|t| t.venue_of(local)),
-                }
-            })
-            .collect();
-        let next = match items.last() {
-            Some(last) if matched > items.len() => {
-                Some(Cursor::after(key, last.score, last.id, fp))
-            }
-            _ => None,
-        };
-        if let (Some(m), Some(at)) = (serving, started) {
-            let shape = if !q.seeds.is_empty() {
-                SHAPE_SEEDED
-            } else if !q.venues.is_empty() || !q.authors.is_empty() {
-                SHAPE_FACETED
-            } else if q.year_min.is_some() || q.year_max.is_some() {
-                SHAPE_YEAR_RANGE
-            } else {
-                SHAPE_UNFILTERED
-            };
-            m.read.observe(shape, at.elapsed(), &walked);
-        }
-        Ok(ShardedPage {
-            method: self.method.clone(),
-            epoch_key: key,
-            items,
-            matched,
-            next,
-            shards_scanned: plans.len(),
-            shards_total: snaps.n_shards(),
         })
     }
 
@@ -1106,25 +815,13 @@ impl ShardedColdStart {
     }
 }
 
-/// The year prune: whether shard `snap`'s year span can intersect the
-/// query's year window. Without a window every shard survives; with one,
-/// an empty shard has nothing to match.
-fn overlaps(snap: &EpochSnapshot, q: &Query) -> bool {
-    if q.year_min.is_none() && q.year_max.is_none() {
-        return true;
-    }
-    let net = snap.network();
-    let (Some(first), Some(last)) = (net.first_year(), net.current_year()) else {
-        return false;
-    };
-    !(q.year_min.is_some_and(|lo| lo > last) || q.year_max.is_some_and(|hi| hi < first))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::QueryEngine;
-    use citegraph::{dense_personalized, NetworkBuilder, ShardSpec, Year};
+    use crate::query::{
+        overlaps, price_partition, CostModel, QueryEngine, QueryScratch, SCRATCH_POOL_CAP,
+    };
+    use citegraph::{dense_personalized, NetworkBuilder, SeedPersonalization, ShardSpec, Year};
     use sparsela::{cmp_score_desc, KernelWorkspace};
 
     /// 12 papers over 2000–2011 with venues and authors (same shape as
@@ -1356,7 +1053,7 @@ mod tests {
         let other: Query = "k=2,venue=1".parse().unwrap();
         assert!(matches!(
             eng.query_at(&snaps, &other, Some(&cursor)),
-            Err(ShardedError::CursorMismatch)
+            Err(ShardedError::Query(QueryError::CursorMismatch))
         ));
 
         // The argument and the grammar's `cursor=` both given: fine when
@@ -1371,7 +1068,10 @@ mod tests {
         assert_eq!(eng.query_at(&snaps, &own, Some(&cursor)).unwrap(), page2);
         let batch = [(own.clone(), Some(earlier)), (own, None)];
         let pages = eng.query_batch_at(&snaps, &batch);
-        assert!(matches!(pages[0], Err(ShardedError::CursorMismatch)));
+        assert!(matches!(
+            pages[0],
+            Err(ShardedError::Query(QueryError::CursorMismatch))
+        ));
         assert_eq!(pages[1].as_ref().unwrap(), &page2);
 
         // A tail publish moves the epoch set → StaleCursor against the
@@ -1382,7 +1082,7 @@ mod tests {
         eng.ingest(&delta).unwrap();
         assert!(matches!(
             eng.query(&q, Some(&cursor)),
-            Err(ShardedError::StaleCursor { .. })
+            Err(ShardedError::Query(QueryError::StaleCursor { .. }))
         ));
         let page2 = eng.query_at(&snaps, &q, Some(&cursor)).unwrap();
         assert!(!page2.items.is_empty());
@@ -1485,7 +1185,7 @@ mod tests {
         let widened: Query = "k=2,venue=0|1".parse().unwrap();
         assert!(matches!(
             eng.query_at(&snaps, &widened, Some(&cursor)),
-            Err(ShardedError::CursorMismatch)
+            Err(ShardedError::Query(QueryError::CursorMismatch))
         ));
     }
 
@@ -1577,13 +1277,13 @@ mod tests {
         // A repeat of either seed set costs no solve: the cache — the
         // one place a solve is remembered — serves it, and counts it.
         let solves = |eng: &ShardedEngine| {
-            let stats = eng.cache.stats();
+            let stats = eng.read.cache.stats();
             stats.cold_pushes + stats.warm_repushes + stats.fallbacks
         };
-        let (solves_before, hits_before) = (solves(&eng), eng.cache.stats().hits);
+        let (solves_before, hits_before) = (solves(&eng), eng.read.cache.stats().hits);
         eng.query(&"k=12,seed=0|2".parse().unwrap(), None).unwrap();
         assert!(
-            eng.cache.stats().hits > hits_before,
+            eng.read.cache.stats().hits > hits_before,
             "served from the cache"
         );
         assert_eq!(solves(&eng), solves_before);
@@ -1598,14 +1298,65 @@ mod tests {
         for seed in 0..3 {
             eng.query(&seeded(seed), None).unwrap();
         }
-        assert_eq!(eng.scratches.lock().unwrap().len(), 1);
+        let pool = &eng.read.scratches;
+        assert_eq!(pool.warm.lock().unwrap().len(), 1);
         let all_inside = std::sync::Barrier::new(2 * SCRATCH_POOL_CAP);
         thread::scope(|scope| {
             for _ in 0..2 * SCRATCH_POOL_CAP {
-                scope.spawn(|| eng.with_scratch(|_| all_inside.wait()));
+                scope.spawn(|| pool.with(|_| all_inside.wait()));
             }
         });
-        assert_eq!(eng.scratches.lock().unwrap().len(), SCRATCH_POOL_CAP);
+        assert_eq!(pool.warm.lock().unwrap().len(), SCRATCH_POOL_CAP);
+    }
+
+    #[test]
+    fn repeated_query_hits_the_plan_cache_until_a_tail_publish() {
+        let eng = sharded(3);
+        let q: Query = "k=3,venue=0".parse().unwrap();
+        let first = eng.query(&q, None).unwrap();
+        assert_eq!(eng.query(&q, None).unwrap(), first);
+        let s = eng.read.plans.stats();
+        assert_eq!((s.hits, s.misses, s.stale, s.entries), (1, 1, 0, 1));
+
+        // A tail publish moves the epoch key: the entry is stale, dropped
+        // and re-planned against the new tail, and the page sees the new
+        // paper.
+        let mut delta = GraphDelta::new();
+        delta.add_paper_with_metadata(2012, vec![0], Some(0));
+        delta.add_citation(12, 11);
+        eng.ingest(&delta).unwrap();
+        let after = eng.query(&q, None).unwrap();
+        let s = eng.read.plans.stats();
+        assert_eq!((s.hits, s.misses, s.stale, s.entries), (1, 1, 1, 1));
+        assert_eq!(after.matched, first.matched + 1);
+        assert_eq!(after.items, eng.query(&q, None).unwrap().items);
+        assert_eq!(eng.read.plans.stats().hits, 2);
+    }
+
+    #[test]
+    fn poisoned_serve_locks_recover() {
+        let eng = sharded(3);
+        let q: Query = "k=4,venue=0|1".parse().unwrap();
+        let page = eng.query(&q, None).unwrap();
+        // Poison both locks on the serve path from panicking threads.
+        thread::scope(|scope| {
+            let pool = scope.spawn(|| {
+                let _held = eng.read.scratches.warm.lock();
+                panic!("poisoning the scratch pool");
+            });
+            let plans = scope.spawn(|| {
+                let _held = eng.read.plans.inner.lock();
+                panic!("poisoning the plan cache");
+            });
+            assert!(pool.join().is_err() && plans.join().is_err());
+        });
+        assert!(eng.read.scratches.warm.is_poisoned());
+        assert!(eng.read.plans.inner.is_poisoned());
+        assert_eq!(eng.query(&q, None).unwrap(), page);
+        // The plan cache dropped its entries and cleared the poison.
+        assert!(!eng.read.plans.inner.is_poisoned());
+        assert_eq!(eng.read.plans.stats().entries, 1);
+        assert_eq!(eng.query(&q, None).unwrap(), page);
     }
 
     #[test]
@@ -1657,7 +1408,7 @@ mod tests {
         // Different seed set → CursorMismatch; reordered same set resumes.
         assert!(matches!(
             eng.query_at(&snaps, &"k=2,seed=1".parse().unwrap(), Some(&cursor)),
-            Err(ShardedError::CursorMismatch)
+            Err(ShardedError::Query(QueryError::CursorMismatch))
         ));
         assert!(eng
             .query_at(&snaps, &"k=2,seed=7|1".parse().unwrap(), Some(&cursor))
@@ -1665,7 +1416,7 @@ mod tests {
         // An unseeded query cannot resume a seeded cursor.
         assert!(matches!(
             eng.query_at(&snaps, &"k=2".parse().unwrap(), Some(&cursor)),
-            Err(ShardedError::CursorMismatch)
+            Err(ShardedError::Query(QueryError::CursorMismatch))
         ));
         // A method with no damping factor rejects seed= with the typed
         // serve-time error; out-of-range seeds name the offending id.
@@ -1822,7 +1573,7 @@ mod tests {
             let plan = ShardSpec::Fixed(n_shards).plan(&net).unwrap();
             let mut eng =
                 ShardedEngine::from_plan(&net, &plan, "cc", RerankPolicy::EveryBatch).unwrap();
-            eng.cost = forcing(shape);
+            eng.read.cost = forcing(shape);
             // Venue 5 and author 7 exist only in the tail's grown tables.
             let mut delta = GraphDelta::new();
             delta.add_paper_with_metadata(2012, vec![2, 7], Some(0));
@@ -1857,7 +1608,8 @@ mod tests {
                 let mut part = QueryScratch::new();
                 part.set_facets(&q);
                 for snap in snaps.snaps.iter().filter(|s| overlaps(s, &q)) {
-                    let plan = price_partition(snap.network(), &q, &part, false, &eng.cost, false);
+                    let plan =
+                        price_partition(snap.network(), &q, &part, false, &eng.read.cost, false);
                     if !plan.table.iter().any(|c| c.driver == "unfiltered") {
                         chosen.insert(plan.table.iter().find(|c| c.chosen).unwrap().driver);
                     }
@@ -1898,7 +1650,9 @@ mod tests {
                 assert!(
                     matches!(
                         res,
-                        Err(ShardedError::StaleCursor { .. } | ShardedError::CursorMismatch)
+                        Err(ShardedError::Query(
+                            QueryError::StaleCursor { .. } | QueryError::CursorMismatch
+                        ))
                     ),
                     "{s}: flat token on the sharded engine: {res:?}"
                 );

@@ -4,12 +4,13 @@
 //! keeps publishing.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use citegen::{generate, DatasetProfile};
-use citegraph::GraphDelta;
+use citegraph::{GraphDelta, ShardSpec};
 use rankengine::admission::PAGE_ITEM_NS;
-use rankengine::{AdmissionPolicy, Query, QueryEngine, QueryError, RerankPolicy};
+use rankengine::{AdmissionPolicy, Query, QueryEngine, QueryError, RerankPolicy, ShardedEngine};
 
 /// A broad year-range query: every paper from the corpus midpoint on.
 fn broad_query(net: &citegraph::CitationNetwork, k: usize) -> Query {
@@ -101,6 +102,54 @@ fn compare_is_planned_priced_and_observed_like_any_query() {
     assert!(matches!(qe.query(&q), Err(QueryError::Overloaded { .. })));
     let stats = qe.admission_stats().unwrap();
     assert_eq!((stats.admitted, stats.shed), (0, 2));
+}
+
+#[test]
+fn sharded_scan_over_the_scan_ceiling_falls_back_to_the_index() {
+    let net = generate(&DatasetProfile::dblp().scaled(3_000), 11);
+    let plan = ShardSpec::Fixed(4).plan(&net).unwrap();
+    let build = || ShardedEngine::from_plan(&net, &plan, "cc", RerankPolicy::Manual).unwrap();
+    let (open, mut guarded) = (build(), build());
+
+    // Every venue over the tail shard's last two years: dense enough that
+    // an id-range scan with a venue residual is the tail's cheapest plan.
+    let tail = guarded.shard_engines().last().unwrap().snapshot();
+    let tail_net = tail.network();
+    let venues: Vec<String> = (0..tail_net.venues().unwrap().n_venues())
+        .map(|v| v.to_string())
+        .collect();
+    let from = tail_net.current_year().unwrap() - 1;
+    let q: Query = format!("k=10,year={from}..,venue={}", venues.join("|"))
+        .parse()
+        .unwrap();
+    // The tail's plan, as a flat engine over the tail's network prices it.
+    let tail_only = QueryEngine::from_configs(Arc::clone(tail_net), &["cc"], RerankPolicy::Manual);
+    let priced = tail_only.unwrap().explain(&q).unwrap();
+    assert!(priced.is_residual_scan(), "{priced:?}");
+    let indexed = priced.indexed_alternative_ns().unwrap();
+
+    // The scan ceiling sits below the scan; the query ceiling admits the
+    // indexed plan. The scan is steered onto the index, nothing is shed,
+    // and the page is the unguarded engine's.
+    guarded.set_admission(AdmissionPolicy {
+        max_scan_cost_ns: priced.cost_ns * 0.5,
+        max_query_cost_ns: indexed + q.k as f64 * PAGE_ITEM_NS + 1.0,
+        ..AdmissionPolicy::default()
+    });
+    let want = open.query(&q, None).unwrap();
+    assert_eq!(want.shards_scanned, 1, "only the tail overlaps the window");
+    assert!(!want.items.is_empty());
+    assert_eq!(guarded.query(&q, None).unwrap(), want);
+    let stats = guarded.admission_stats().unwrap();
+    assert_eq!(
+        (
+            stats.admitted,
+            stats.scan_fallbacks,
+            stats.k_clamped,
+            stats.shed
+        ),
+        (1, 1, 0, 0)
+    );
 }
 
 #[test]

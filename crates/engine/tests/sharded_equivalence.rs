@@ -11,7 +11,9 @@
 use proptest::prelude::*;
 
 use citegraph::{CitationNetwork, NetworkBuilder, ShardSpec, Year};
-use rankengine::{Query, QueryEngine, RankingEngine, RerankPolicy, ShardedEngine, ShardedPage};
+use rankengine::{
+    Cursor, Query, QueryEngine, RankingEngine, RerankPolicy, ShardedEngine, ShardedPage,
+};
 use sparsela::cmp_score_desc;
 
 /// A valid temporal network with venue + author metadata: years sorted
@@ -50,9 +52,18 @@ fn page_ids(page: &ShardedPage) -> Vec<(u64, u32)> {
         .collect()
 }
 
+/// A cursor's frontier — the `(score bits, last id)` fields of its token.
+/// The generation field differs between the engines by design.
+fn frontier(c: Option<Cursor>) -> Option<(String, String)> {
+    let token = c?.to_string();
+    let fields: Vec<&str> = token.split('-').collect();
+    Some((fields[1].to_string(), fields[2].to_string()))
+}
+
 proptest! {
     /// 1-shard plan ≡ unsharded engine: scores bit-identical, pages
-    /// identical, cursor walks tile the same sequence.
+    /// identical — seeded or not, counted at `k = 0` or paged — and
+    /// cursor walks tile the same sequence from the same frontiers.
     #[test]
     fn one_shard_plan_is_bit_identical_to_unsharded(
         net in network_strategy(),
@@ -62,8 +73,8 @@ proptest! {
     ) {
         let plan = ShardSpec::Fixed(1).plan(&net).unwrap();
         let sharded =
-            ShardedEngine::from_plan(&net, &plan, "cc", RerankPolicy::EveryBatch).unwrap();
-        let flat = QueryEngine::from_configs(net.clone(), &["cc"], RerankPolicy::EveryBatch)
+            ShardedEngine::from_plan(&net, &plan, "pagerank", RerankPolicy::EveryBatch).unwrap();
+        let flat = QueryEngine::from_configs(net.clone(), &["pagerank"], RerankPolicy::EveryBatch)
             .unwrap();
 
         // Scores: bit-identical (no edge was dropped).
@@ -81,13 +92,28 @@ proptest! {
 
         // Pages: identical hits and match counts for a spread of filters,
         // and full cursor walks tile the same sequence.
+        let n = net.n_papers() as u32;
+        let s1 = lo as u32 % n;
+        let s2 = (s1 + 1 + span as u32) % n;
+        let seeds = if s1 == s2 { s1.to_string() } else { format!("{s1}|{s2}") };
         let filters = [
             String::new(),
             ",venue=0".to_string(),
             ",author=1".to_string(),
             format!(",year={lo}..{}", lo + span),
+            format!(",seed={seeds}"),
+            format!(",seed={seeds},venue=0"),
+            format!(",seed={seeds},year={lo}.."),
         ];
         for filter in &filters {
+            // A k = 0 page is a count: no hits, no cursor.
+            let count: Query = format!("k=0{filter}").parse().unwrap();
+            let sp = sharded.query(&count, None).unwrap();
+            let fp = flat.query_at(&f_snap, &count).unwrap();
+            prop_assert!(sp.items.is_empty() && fp.items.is_empty(), "filter {:?}", filter);
+            prop_assert_eq!(sp.matched, fp.matched, "filter {:?}, k=0", filter);
+            prop_assert!(sp.next.is_none() && fp.next.is_none(), "filter {:?}", filter);
+
             let q: Query = format!("k={k}{filter}").parse().unwrap();
             let snaps = sharded.snapshots();
             let mut cursor = None;
@@ -99,7 +125,7 @@ proptest! {
                     .map(|h| (h.score.to_bits(), h.id)).collect::<Vec<_>>(),
                     "filter {:?}", filter);
                 prop_assert_eq!(sp.matched, fp.matched, "filter {:?}", filter);
-                prop_assert_eq!(sp.next.is_some(), fp.next.is_some(), "filter {:?}", filter);
+                prop_assert_eq!(frontier(sp.next), frontier(fp.next), "filter {:?}", filter);
                 match (sp.next, fp.next) {
                     (Some(sc), Some(fc)) => {
                         cursor = Some(sc);

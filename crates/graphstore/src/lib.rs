@@ -196,7 +196,7 @@ pub mod net;
 pub mod snapshot;
 pub mod wal;
 
-pub use net::{compact, load_network, save_network, CompactReport, NetworkStoreExt};
+pub use net::{compact, load_network, save_network, CompactReport};
 pub use snapshot::{EpochRef, ShardManifest, Store, StoreBuilder, StoreError};
 pub use wal::{DeltaWal, WalObservers, WalRecord, WalRecovery};
 

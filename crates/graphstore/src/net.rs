@@ -1,5 +1,5 @@
-//! Network-level convenience API: save/load whole networks, the
-//! `to_store`/`from_store` extension methods, and WAL compaction.
+//! Network-level convenience API: save/load whole networks and WAL
+//! compaction.
 
 use std::path::Path;
 
@@ -18,26 +18,6 @@ pub fn save_network<P: AsRef<Path>>(net: &CitationNetwork, path: P) -> Result<()
 /// `O(V + E)` validation — no text parsing).
 pub fn load_network<P: AsRef<Path>>(path: P) -> Result<CitationNetwork, StoreError> {
     Store::open(path)?.to_network()
-}
-
-/// `to_store` / `from_store` as methods on [`CitationNetwork`] (an
-/// extension trait: `citegraph` cannot depend on this crate, so the
-/// methods live here).
-pub trait NetworkStoreExt: Sized {
-    /// Persists this network to a snapshot store at `path`.
-    fn to_store<P: AsRef<Path>>(&self, path: P) -> Result<(), StoreError>;
-    /// Loads a network from the snapshot store at `path`.
-    fn from_store<P: AsRef<Path>>(path: P) -> Result<Self, StoreError>;
-}
-
-impl NetworkStoreExt for CitationNetwork {
-    fn to_store<P: AsRef<Path>>(&self, path: P) -> Result<(), StoreError> {
-        save_network(self, path)
-    }
-
-    fn from_store<P: AsRef<Path>>(path: P) -> Result<Self, StoreError> {
-        load_network(path)
-    }
 }
 
 /// Outcome of a [`compact`] run.

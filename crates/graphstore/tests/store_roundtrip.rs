@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use citegraph::{CitationNetwork, GraphDelta, NetworkBuilder};
-use graphstore::{compact, DeltaWal, NetworkStoreExt, Store, StoreBuilder, StoreError};
+use graphstore::{compact, load_network, save_network, DeltaWal, Store, StoreBuilder, StoreError};
 
 /// Strategy: a valid temporal citation network plus one score per paper.
 ///
@@ -218,8 +218,8 @@ fn temp_file(name: &str) -> std::path::PathBuf {
 fn file_roundtrip_with_metadata() {
     let path = temp_file("meta.store");
     let net = rich_network();
-    net.to_store(&path).unwrap();
-    let back = CitationNetwork::from_store(&path).unwrap();
+    save_network(&net, &path).unwrap();
+    let back = load_network(&path).unwrap();
     assert_networks_identical(&net, &back);
     let (a, b) = (net.authors().unwrap(), back.authors().unwrap());
     assert_eq!(a.n_authors(), b.n_authors());
@@ -259,15 +259,15 @@ fn store_top_k_matches_scores() {
 fn atomic_write_replaces_existing_snapshot() {
     let path = temp_file("replace.store");
     let net = rich_network();
-    net.to_store(&path).unwrap();
+    save_network(&net, &path).unwrap();
     // Overwrite with a larger network; the old file must be fully
     // replaced (no stale tail).
     let mut d = GraphDelta::new();
     d.add_paper(2010);
     d.add_citation(4, 0);
     let bigger = net.with_delta(&d).unwrap();
-    bigger.to_store(&path).unwrap();
-    let back = CitationNetwork::from_store(&path).unwrap();
+    save_network(&bigger, &path).unwrap();
+    let back = load_network(&path).unwrap();
     assert_networks_identical(&bigger, &back);
     std::fs::remove_file(&path).ok();
 }
@@ -325,7 +325,7 @@ fn compact_rejects_inconsistent_wal() {
     let store_path = temp_file("badcompact.store");
     let wal_path = temp_file("badcompact.wal");
     let _ = std::fs::remove_file(&wal_path);
-    rich_network().to_store(&store_path).unwrap();
+    save_network(&rich_network(), &store_path).unwrap();
     let mut d = GraphDelta::new();
     d.add_citation(99, 0); // unknown paper
     let (mut wal, _) = DeltaWal::open(&wal_path).unwrap();
@@ -334,7 +334,7 @@ fn compact_rejects_inconsistent_wal() {
     let err = compact(&store_path, &wal_path).unwrap_err();
     assert!(err.to_string().contains("WAL replay rejected"), "{err}");
     // The snapshot is untouched by the failed compact.
-    let back = CitationNetwork::from_store(&store_path).unwrap();
+    let back = load_network(&store_path).unwrap();
     assert_networks_identical(&rich_network(), &back);
     std::fs::remove_file(&store_path).ok();
     std::fs::remove_file(&wal_path).ok();

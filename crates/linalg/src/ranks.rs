@@ -625,6 +625,11 @@ pub fn merge_k_sorted_into<R: AsRef<[(f64, u32)]>>(
     if k == 0 {
         return;
     }
+    // One run is its own merge: a copy of its prefix, no heap.
+    if let [run] = runs {
+        out.extend_from_slice(&run.as_ref()[..k]);
+        return;
+    }
     let mut heads = std::mem::take(&mut scratch.heads);
     heads.clear();
     heads.extend(runs.iter().enumerate().filter_map(|(run, r)| {

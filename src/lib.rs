@@ -29,7 +29,7 @@ pub mod prelude {
     pub use baselines::{CiteRank, Ecm, FutureRank, PageRank, Ram, Wsdm};
     pub use citegen::{generate, DatasetProfile};
     pub use citegraph::{ratio_split, CitationNetwork, GraphDelta, NetworkBuilder, Ranker};
-    pub use graphstore::{DeltaWal, NetworkStoreExt, Store, StoreBuilder};
+    pub use graphstore::{DeltaWal, Store, StoreBuilder};
     pub use rankengine::{MethodSpec, RankingEngine, RerankPolicy};
     pub use rankeval::{ground_truth_sti, Metric};
 }
