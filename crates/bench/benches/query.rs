@@ -36,6 +36,16 @@
 //!   prunes nothing and must cost what the plain stream costs (≤ 1.1×):
 //!   a `k` at the block count, a cursor 5,000 hits deep with its exact
 //!   `matched`, and a `k = 0` count behind that cursor.
+//!
+//! A venue page over recent years, the listing page of a field (the
+//! same walk over the epoch's per-venue block maxima):
+//!
+//! * `venue_year_200k` — `k=10,year=<current−6>..,venue=<busiest>`
+//!   through `query_at`;
+//! * `venue_year_gather_200k` — the kernel it replaced on the same band:
+//!   copy the band, then `top_k_filtered_into` (quickselect). `repro
+//!   bench-check` gates `venue_year_gather_200k / venue_year_200k ≥ 2`
+//!   (`query/venue_band_pruned_speedup`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -43,8 +53,8 @@ use citegen::{generate, DatasetProfile};
 use citegraph::{CitationNetwork, VenueId};
 use rankengine::{Query, QueryEngine, RerankPolicy};
 use sparsela::{
-    sort_indices_desc, top_k_indices_into, top_k_masked, top_k_pruned_into, top_k_where_into,
-    BlockMaxima, Frontier, IdMask, BLOCK_LEN,
+    sort_indices_desc, top_k_filtered_into, top_k_indices_into, top_k_masked, top_k_pruned_into,
+    top_k_where_into, BlockMaxima, Frontier, IdMask, Segment, BLOCK_LEN,
 };
 
 /// The most-populated venue — a *selective* predicate that still has
@@ -124,12 +134,33 @@ fn bench_query(c: &mut Criterion) {
                 b.iter(|| top_k_indices_into(black_box(scores), 10, &mut out))
             });
 
+            // A recent-years venue page, and the gather + quickselect it
+            // replaced on the same band.
+            let net = snap.network();
+            let recent = net.current_year().expect("corpus is not empty") - 6;
+            let venue_year_q: Query = format!("k=10,year={recent}..,venue={venue}")
+                .parse()
+                .unwrap();
+            group.bench_function(format!("venue_year_{label}"), |b| {
+                b.iter(|| black_box(qe.query_at(&snap, black_box(&venue_year_q)).unwrap()))
+            });
+            let list = net.venues().expect("venues present").papers_at(venue);
+            let band = citegraph::band(list, &net.id_range_for_years(Some(recent), None));
+            let mut candidates = Vec::new();
+            group.bench_function(format!("venue_year_gather_{label}"), |b| {
+                b.iter(|| {
+                    candidates.clear();
+                    candidates.extend_from_slice(black_box(band));
+                    top_k_filtered_into(scores, &candidates, 10, &mut out)
+                })
+            });
+
             // Where the walk cannot prune it must cost the plain stream.
             let maxima = BlockMaxima::new(scores);
-            let all = 0..scores.len() as u32;
+            let all = [Segment::range(0..scores.len() as u32)];
             let n_blocks = scores.len().div_ceil(BLOCK_LEN);
             group.bench_function(format!("pruned_k_blocks_{label}"), |b| {
-                b.iter(|| top_k_pruned_into(scores, &maxima, all.clone(), n_blocks, None, &mut out))
+                b.iter(|| top_k_pruned_into(scores, &maxima, all, n_blocks, None, None, &mut out))
             });
             group.bench_function(format!("stream_k_blocks_{label}"), |b| {
                 b.iter(|| top_k_indices_into(black_box(scores), n_blocks, &mut out))
@@ -152,19 +183,20 @@ fn bench_query(c: &mut Criterion) {
                     matched += ok as usize;
                     ok
                 };
+                let ids = 0..scores.len() as u32;
                 if k == 0 {
-                    all.clone().for_each(|id| {
+                    ids.for_each(|id| {
                         after(id);
                     });
                 } else {
-                    top_k_where_into(scores, all.clone(), k, after, out);
+                    top_k_where_into(scores, ids, k, after, out);
                 }
                 matched
             };
             for (name, k) in [("deep_cursor", 10), ("deep_count", 0)] {
                 group.bench_function(format!("pruned_{name}_{label}"), |b| {
                     b.iter(|| {
-                        top_k_pruned_into(scores, &maxima, all.clone(), k, Some(&deep), &mut out)
+                        top_k_pruned_into(scores, &maxima, all, k, Some(&deep), None, &mut out)
                     })
                 });
                 group.bench_function(format!("stream_{name}_{label}"), |b| {

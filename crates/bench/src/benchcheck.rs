@@ -92,8 +92,12 @@ pub fn is_guarded(r: &BenchRecord) -> bool {
         || r.id.starts_with("stochastic_apply")
         || (r.group == "store_load" && r.id.starts_with("first_topk_store"))
         // The query group is guarded except its reference rows
-        // (post_filter_*, *stream_*), which exist only to form ratios.
-        || (r.group == "query" && !(r.id.starts_with("post_filter") || r.id.contains("stream_")))
+        // (post_filter_*, *stream_*, *gather_*), which exist only to form
+        // ratios.
+        || (r.group == "query"
+            && !(r.id.starts_with("post_filter")
+                || r.id.contains("stream_")
+                || r.id.contains("gather_")))
         // The sharded group is guarded except its unsharded/scan
         // reference rows, which exist only to form the speedup ratios.
         || (r.group == "sharded" && !(r.id.contains("unsharded") || r.id.contains("scan")))
@@ -171,6 +175,10 @@ pub const GATES: &[Gate] = &[
     // maxima (whole query path) vs the summary-less stream that reads every score.
     Gate { group: "query", name: "block_pruned_speedup", bound: Bound::Floor(4.0),
            numerator: "unfiltered_stream_200k", denominator: "unfiltered_200k" },
+    // A recent-years venue page (whole query path), the walk over the epoch's per-venue
+    // block maxima vs the band gather + quickselect it replaced.
+    Gate { group: "query", name: "venue_band_pruned_speedup", bound: Bound::Floor(2.0),
+           numerator: "venue_year_gather_200k", denominator: "venue_year_200k" },
     // ISSUE 6: a year-filtered top-k, 8 shards pruned vs the unsharded scan.
     Gate { group: "sharded", name: "pruned_speedup", bound: Bound::Floor(3.0),
            numerator: "year_filtered_scan_200k", denominator: "year_filtered_8shard_200k" },
@@ -367,6 +375,8 @@ mod tests {
         assert!(is_guarded(&rec("masked_venue_200k")));
         assert!(is_guarded(&rec("unfiltered_200k")));
         assert!(is_guarded(&rec("pruned_deep_cursor_200k")));
+        assert!(is_guarded(&rec("venue_year_200k")));
+        assert!(!is_guarded(&rec("venue_year_gather_200k")));
         assert!(!is_guarded(&rec("post_filter_200k")));
         assert!(!is_guarded(&rec("post_filter_50k")));
         assert!(!is_guarded(&rec("unfiltered_stream_200k")));
@@ -625,7 +635,7 @@ mod tests {
         // each table row must resolve there (and hold).
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
         let baseline = parse_records(&std::fs::read_to_string(path).expect("baseline"));
-        assert_eq!(GATES.len(), 13);
+        assert_eq!(GATES.len(), 14);
         for g in GATES {
             let ratio = g.ratio(&baseline);
             assert!(

@@ -31,9 +31,16 @@ use crate::network::{CitationNetwork, PaperId, Year};
 /// ids). Cost: two binary searches, O(log len), plus nothing — the result
 /// borrows the list.
 pub fn band<'a>(postings: &'a [PaperId], ids: &Range<PaperId>) -> &'a [PaperId] {
+    &postings[band_span(postings, ids)]
+}
+
+/// The positions in `postings` of [`band`]'s slice — what a block walk
+/// over the list's per-block maxima needs, where the slice alone loses
+/// its alignment to the list's blocks.
+pub fn band_span(postings: &[PaperId], ids: &Range<PaperId>) -> Range<usize> {
     let lo = postings.partition_point(|&p| p < ids.start);
     let hi = postings.partition_point(|&p| p < ids.end);
-    &postings[lo..hi]
+    lo..hi
 }
 
 /// A set-algebra expression over posting lists and year ranges,

@@ -33,7 +33,9 @@ use citegraph::{
     CitationNetwork, DeltaError, DeltaStrategy, GraphDelta, PaperId, PushRankConfig, Year,
 };
 use graphstore::{DeltaWal, Store, StoreBuilder, StoreError};
-use sparsela::{cmp_score_desc, top_k_pruned_into, BlockMaxima, KernelWorkspace, ScoreVec};
+use sparsela::{
+    cmp_score_desc, top_k_pruned_into, BlockMaxima, KernelWorkspace, ScoreVec, Segment,
+};
 
 use crate::metrics::EngineInstruments;
 use crate::registry::{self, BoxedRanker};
@@ -164,15 +166,45 @@ pub(crate) struct EpochLineage {
     pub(crate) delta: Arc<GraphDelta>,
 }
 
-/// A frozen ranking vector with the block-maxima summary built when it was
+/// The block-maxima summaries of one ranking vector, built in the one
+/// pass that freezes it (an epoch's scores, a cached personalized solve)
+/// against the network it ranks, so neither can describe another vector.
+#[derive(Debug)]
+pub(crate) struct BlockSummaries {
+    /// Over the id space: what unfiltered, cursor and year-window pages
+    /// walk.
+    pub(crate) ids: BlockMaxima,
+    /// Over the network's venue posting lists, blocks aligned to each
+    /// venue's start (no lists without venue metadata): what venue pages
+    /// walk.
+    pub(crate) venues: BlockMaxima,
+}
+
+impl BlockSummaries {
+    /// Both summaries of `scores`, which rank `net`'s papers.
+    pub(crate) fn new(scores: &[f64], net: &CitationNetwork) -> Self {
+        let (offsets, postings) = net.venues().map_or((&[0][..], &[][..]), |t| t.postings());
+        Self {
+            ids: BlockMaxima::new(scores),
+            venues: BlockMaxima::over_postings(scores, offsets, postings),
+        }
+    }
+
+    /// Heap bytes held.
+    pub(crate) fn bytes(&self) -> usize {
+        self.ids.bytes() + self.venues.bytes()
+    }
+}
+
+/// A frozen ranking vector with the block summaries built when it was
 /// frozen — an epoch's scores or a cached personalized solve. What the
-/// query layer's range-driven selection arms read.
+/// query layer's block-walk selection arms read, seeded or not.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Ranking<'a> {
     /// The scores, indexed by (partition-local) paper id.
     pub(crate) scores: &'a [f64],
-    /// Their per-block maxima.
-    pub(crate) maxima: &'a BlockMaxima,
+    /// Their block maxima over ids and over venue postings.
+    pub(crate) blocks: &'a BlockSummaries,
 }
 
 /// One immutable published ranking state.
@@ -198,10 +230,11 @@ pub struct EpochSnapshot {
     strategy: RerankStrategy,
     net: Arc<CitationNetwork>,
     scores: ScoreVec,
-    /// Per-block maxima of `scores`, built with the snapshot (one `O(n)`
-    /// pass per publish): every unfiltered, cursor and year-window page
-    /// of this epoch skips the blocks that cannot reach it.
-    maxima: BlockMaxima,
+    /// Per-block maxima of `scores` over ids and over venue postings,
+    /// built with the snapshot (one `O(n)` pass each per publish): every
+    /// unfiltered, cursor, year-window and venue page of this epoch skips
+    /// the blocks that cannot reach it.
+    blocks: BlockSummaries,
     /// Every paper id in `cmp_score_desc` order, built on the first rank
     /// lookup (a top-k-only reader never pays for it).
     order: OnceLock<Vec<u32>>,
@@ -261,11 +294,11 @@ impl EpochSnapshot {
         self.uid
     }
 
-    /// The score vector with its block-maxima summary.
+    /// The score vector with its block summaries.
     pub(crate) fn ranking(&self) -> Ranking<'_> {
         Ranking {
             scores: self.scores.as_slice(),
-            maxima: &self.maxima,
+            blocks: &self.blocks,
         }
     }
 
@@ -274,8 +307,9 @@ impl EpochSnapshot {
     /// block whose maximum cannot reach the top `k`.
     pub fn top_k(&self, k: usize) -> Vec<PaperId> {
         let mut out = Vec::new();
-        let all = 0..self.scores.len() as PaperId;
-        top_k_pruned_into(self.scores.as_slice(), &self.maxima, all, k, None, &mut out);
+        let all = [Segment::range(0..self.scores.len() as PaperId)];
+        let ids = &self.blocks.ids;
+        top_k_pruned_into(self.scores.as_slice(), ids, all, k, None, None, &mut out);
         out
     }
 
@@ -1045,7 +1079,7 @@ impl RankingEngine {
     }
 
     /// The one place a snapshot is frozen — initial rank, publish and
-    /// restore alike — so the scores' summary can never be stale.
+    /// restore alike — so the scores' summaries can never be stale.
     fn freeze_with(
         epoch: u64,
         net: &Arc<CitationNetwork>,
@@ -1059,7 +1093,7 @@ impl RankingEngine {
             uid: NEXT_UID.fetch_add(1, Ordering::Relaxed),
             strategy,
             net: net.clone(),
-            maxima: BlockMaxima::new(scores.as_slice()),
+            blocks: BlockSummaries::new(scores.as_slice(), net),
             scores,
             order: OnceLock::new(),
             lineage,

@@ -185,7 +185,7 @@ impl ReadFamilies {
             ),
             select_blocks: registry.counter_vec(
                 &format!("{prefix}_select_blocks_total"),
-                "Score blocks of range-driven selections, read vs skipped by block maxima",
+                "Score blocks of block walks (id ranges, venue bands), read vs skipped by block maxima",
                 "outcome",
                 &SELECT_BLOCK_LABELS,
             ),
@@ -217,8 +217,9 @@ impl ReadFamilies {
     }
 
     /// Records one served query: its latency under axis label `label`
-    /// and its selection's block counts. Selections that walked no range
-    /// (posting-list and mask drivers) touch no block counter.
+    /// and its selection's block counts. Id-range and venue-band walks
+    /// count blocks; selections that walked none (author bands, masks)
+    /// touch no block counter.
     pub(crate) fn observe(&self, label: usize, elapsed: Duration, walk: &BlockWalk) {
         self.query_seconds.at(label).observe(elapsed);
         if walk.blocks_in_range > 0 {

@@ -37,12 +37,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use citegraph::{
-    personalize, repersonalize, uniform_kernel, update_uniform_kernel, PaperId, PushRankConfig,
-    SeedPersonalization, WarmStart,
+    personalize, repersonalize, uniform_kernel, update_uniform_kernel, CitationNetwork, PaperId,
+    PushRankConfig, SeedPersonalization, WarmStart,
 };
-use sparsela::{BlockMaxima, KernelWorkspace, ScoreVec};
+use sparsela::{KernelWorkspace, ScoreVec};
 
-use crate::engine::{EpochSnapshot, Ranking};
+use crate::engine::{BlockSummaries, EpochSnapshot, Ranking};
 
 /// Capacity/memory bounds and solve tuning for a [`PersonalizationCache`].
 #[derive(Debug, Clone, Copy)]
@@ -131,19 +131,21 @@ impl CacheKey {
     }
 }
 
-/// A cached personalized vector with the block-maxima summary built when
-/// it was inserted: what [`PersonalizationCache::ranking`] hands the query
-/// layer, so a seeded page prunes like an unseeded one.
+/// A cached personalized vector with the block summaries (over ids and
+/// over the epoch's venue postings) built when it was solved: what
+/// [`PersonalizationCache::ranking`] hands the query layer, so a seeded
+/// page — a venue page included — prunes like an unseeded one.
 #[derive(Debug, Clone)]
 pub(crate) struct CachedRanking {
     pub(crate) scores: Arc<ScoreVec>,
-    maxima: Arc<BlockMaxima>,
+    blocks: Arc<BlockSummaries>,
 }
 
 impl CachedRanking {
-    fn new(scores: ScoreVec) -> Self {
+    /// `scores`, solved on `net`, with its summaries.
+    fn new(scores: ScoreVec, net: &CitationNetwork) -> Self {
         Self {
-            maxima: Arc::new(BlockMaxima::new(scores.as_slice())),
+            blocks: Arc::new(BlockSummaries::new(scores.as_slice(), net)),
             scores: Arc::new(scores),
         }
     }
@@ -152,7 +154,7 @@ impl CachedRanking {
     pub(crate) fn view(&self) -> Ranking<'_> {
         Ranking {
             scores: self.scores.as_slice(),
-            maxima: &self.maxima,
+            blocks: &self.blocks,
         }
     }
 }
@@ -173,7 +175,7 @@ struct CacheEntry {
 impl CacheEntry {
     fn bytes(&self) -> usize {
         let raw = self.raw.as_ref().map_or(0, |r| r.len());
-        (self.ranking.scores.len() + raw) * std::mem::size_of::<f64>() + self.ranking.maxima.bytes()
+        (self.ranking.scores.len() + raw) * std::mem::size_of::<f64>() + self.ranking.blocks.bytes()
     }
 }
 
@@ -312,7 +314,7 @@ impl PersonalizationCache {
                 &self.config.push,
                 &mut ws,
             ) {
-                let ranking = CachedRanking::new(solved.scores);
+                let ranking = CachedRanking::new(solved.scores, snap.network());
                 self.insert(
                     key,
                     snap.epoch(),
@@ -340,7 +342,7 @@ impl PersonalizationCache {
             self.cold_pushes.fetch_add(1, Ordering::Relaxed);
             CacheOutcome::ColdPush
         };
-        let ranking = CachedRanking::new(solved.scores);
+        let ranking = CachedRanking::new(solved.scores, snap.network());
         self.insert(
             key,
             snap.epoch(),
@@ -601,9 +603,11 @@ mod tests {
         );
 
         // Byte bound: one 12-paper entry is 192 bytes of vectors (resolved
-        // plus warm-start form) and one 8 KiB step of block maxima; a
-        // bound one byte short of two entries holds exactly one.
-        let entry = 192 + 8192;
+        // plus warm-start form), one 8 KiB step of block maxima over ids and
+        // three words of list offsets (two for the id space, one for the
+        // venue summary of a corpus without venues); a bound one byte short
+        // of two entries holds exactly one.
+        let entry = 192 + 8192 + 3 * 8;
         let tight = PersonalizationCache::new(CacheConfig {
             capacity: 10,
             max_bytes: 2 * entry - 1,

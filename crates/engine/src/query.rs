@@ -55,7 +55,8 @@
 //! constants come from the `index_vs_scan` bench group):
 //!
 //! * **banded postings** — the year-banded posting lists of the most
-//!   selective facet class drive ([`sparsela::top_k_filtered`]); other
+//!   selective facet class drive (venue bands through the block walk
+//!   below, author bands through [`sparsela::top_k_filtered`]); other
 //!   classes demote to per-candidate residual checks,
 //! * **range scan** — a contiguous id scan ([`sparsela::top_k_where`])
 //!   with facet residuals,
@@ -64,14 +65,18 @@
 //!   operations via [`citegraph::FacetExpr`]; no residuals remain.
 //!
 //! A range with no facet residual — the whole vector, a year window,
-//! either one resumed behind a cursor — is not streamed at all: every
-//! frozen score vector carries per-block maxima
-//! ([`sparsela::BlockMaxima`], built with the epoch snapshot or the
+//! either one resumed behind a cursor — is not streamed at all, and
+//! neither is a venue band: every frozen score vector carries per-block
+//! maxima over its ids and over each venue's posting list
+//! ([`sparsela::BlockMaxima`], both built with the epoch snapshot or the
 //! personalization-cache entry), and [`sparsela::top_k_pruned_into`]
-//! reads only the blocks that can reach the page, counting what lies
+//! reads only the blocks that can reach the page — of one id range, or
+//! of one band per venue feeding one selection — counting what lies
 //! behind the cursor by blocks. Such plans are priced by blocks, not by
 //! ids. A scan under a venue or author residual needs every id for its
-//! match count and keeps the plain stream. [`QueryEngine::explain`]
+//! match count and keeps the plain stream; a venue band under an author
+//! residual tests every posting for the count and offers only the blocks
+//! that can reach the page. [`QueryEngine::explain`]
 //! surfaces the chosen driver, its exact (or bounded) candidate count,
 //! the estimated cost, and the surviving residual checks.
 //!
@@ -125,7 +130,7 @@ use citegraph::{
 use obsv::MetricsRegistry;
 use sparsela::{
     merge_k_sorted_into, top_k_filtered_into, top_k_pruned_into, top_k_where_into, BlockWalk,
-    Frontier, IdMask, MergeScratch, BLOCK_LEN,
+    Frontier, IdMask, MergeScratch, Segment, BLOCK_LEN, POSTING_BLOCK_LEN,
 };
 
 use crate::admission::{
@@ -143,7 +148,7 @@ use crate::spec::{MethodSpec, SpecError};
 /// All facets are optional; an empty query is the global top-k. Parse
 /// one from the compact grammar (see the module docs) or build it
 /// directly.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Query {
     /// Registered method to rank by (`None` = the engine's default).
     pub method: Option<String>,
@@ -182,6 +187,42 @@ impl Default for Query {
             seeds: Vec::new(),
             cursor: None,
         }
+    }
+}
+
+/// Field by field — `serve_batch`'s duplicate memo compares every member
+/// with every earlier one, 2,016 comparisons in a 64-member round. An id
+/// list compares length first and its contents only when non-empty: an
+/// empty `Vec` that never allocated holds a dangling pointer, and `==` on
+/// two of them is a `memcmp` that costs ~130 ns through it (a derived
+/// `==` measured 146–153 ns a comparison on distinct `k=10,author=A`
+/// queries, this one 6.6 ns).
+impl PartialEq for Query {
+    fn eq(&self, other: &Self) -> bool {
+        // Exhaustive, so a new field fails to compile until it is compared.
+        let Query {
+            method,
+            vs,
+            k,
+            year_min,
+            year_max,
+            venues,
+            authors,
+            seeds,
+            cursor,
+        } = self;
+        fn same(a: &[u32], b: &[u32]) -> bool {
+            a.len() == b.len() && (a.is_empty() || a == b)
+        }
+        *k == other.k
+            && *year_min == other.year_min
+            && *year_max == other.year_max
+            && *cursor == other.cursor
+            && same(venues, &other.venues)
+            && same(authors, &other.authors)
+            && same(seeds, &other.seeds)
+            && *method == other.method
+            && *vs == other.vs
     }
 }
 
@@ -711,7 +752,7 @@ pub enum QueryDriver {
         end: PaperId,
     },
     /// Year-banded venue posting lists (OR over the listed venues —
-    /// disjoint by construction, so no dedup).
+    /// disjoint by construction, so no dedup), walked by blocks.
     VenueBands {
         /// The venues, deduplicated.
         venues: Vec<VenueId>,
@@ -1058,8 +1099,8 @@ impl PlanCache {
 /// The `pool`/`mask` buffers carry their contents from one query to the
 /// next: a content key records what is currently materialized, so
 /// *consecutive* queries through one scratch that share a filter on one
-/// epoch — in a batch or not — skip the posting-band gather or the mask
-/// build.
+/// epoch — in a batch or not — skip the author-band gather or the mask
+/// build. A venue band gathers nothing: it is walked in place.
 #[derive(Default)]
 pub struct QueryScratch {
     /// Deduplicated venue list of the current query
@@ -1069,7 +1110,10 @@ pub struct QueryScratch {
     authors: Vec<AuthorId>,
     /// Post-residual candidate ids (the selection kernel's input).
     candidates: Vec<PaperId>,
-    /// Pre-residual banded posting union, keyed by `pool_key`.
+    /// The current venue page's bands: each venue's band as positions in
+    /// its posting list.
+    bands: Vec<(VenueId, std::ops::Range<usize>)>,
+    /// Pre-residual banded author posting union, keyed by `pool_key`.
     pool: Vec<PaperId>,
     /// Identity of the pool's contents: (driver-kind/id hash, snapshot
     /// uid). `None` when the pool holds nothing reusable.
@@ -1349,6 +1393,19 @@ fn pruned_scan_ns(len: usize, cost: &CostModel) -> f64 {
     (len as f64).min(by_blocks) * cost.scan_per_id
 }
 
+/// Price of a venue-band walk with no author residual — `len` postings
+/// over `bands` venue bands — in `band_per_candidate` units, the way
+/// [`pruned_scan_ns`] prices a range: about four postings' worth per
+/// block the bands span (each band adds at most one partial block) plus
+/// the blocks a page reads and the selection over them, about 1024
+/// postings' worth (fitted on the 200k-paper vectors at `k = 10`: a
+/// ~900-posting band reads 2.6–3.0 µs). Never above the gather's `len`
+/// postings, so a band too short to prune prices as it always did.
+fn pruned_band_ns(len: usize, bands: usize, cost: &CostModel) -> f64 {
+    let by_blocks = 4.0 * (len.div_ceil(POSTING_BLOCK_LEN) + bands) as f64 + 1024.0;
+    (len as f64).min(by_blocks) * cost.band_per_candidate
+}
+
 /// Prices every execution shape of `q` over **one partition** (a flat
 /// engine's corpus or one shard's band) and picks the cheapest. `facets`
 /// holds the query's deduplicated facet lists
@@ -1455,7 +1512,12 @@ pub(crate) fn price_partition(
         },
     ));
     if let Some(len) = vband {
-        let c = len as f64 * cost.band_per_candidate;
+        // An author residual reads every posting for its count.
+        let c = if authors.is_empty() {
+            pruned_band_ns(len, venues.len(), cost)
+        } else {
+            len as f64 * cost.band_per_candidate
+        };
         table.push(PlanCandidate {
             driver: "venue_bands",
             cost_ns: c,
@@ -1653,7 +1715,6 @@ pub(crate) fn serve_batch<M: PartialEq, P: Clone, E>(
 
 /// Scratch content-key kinds: what kind of materialization the
 /// `pool`/`mask` buffers currently hold.
-const KEY_VENUE_BANDS: u8 = 1;
 const KEY_AUTHOR_BANDS: u8 = 2;
 const KEY_AUTHOR_FULL_MASK: u8 = 3;
 const KEY_FACET_MASK: u8 = 4;
@@ -1752,17 +1813,19 @@ fn build_facet_mask(
 /// working set, so a steady-state call performs zero heap allocations.
 ///
 /// A range with no facet residual — everything, a year window, either one
-/// resumed behind a cursor — goes through [`top_k_pruned_into`] over the
-/// vector's block maxima: the frontier is the only per-id test, and the
-/// walk counts it by blocks. A venue or author residual needs every id
-/// for its count and keeps the plain stream.
+/// resumed behind a cursor — and a union of venue bands go through
+/// [`top_k_pruned_into`] over the vector's block maxima (over ids, over
+/// venue postings): the frontier is the only per-id test, and the walk
+/// counts it by blocks. A range scan under a venue or author residual
+/// needs every id for its count and keeps the plain stream; an author
+/// residual on a venue band is tested per posting inside the walk.
 ///
 /// Within one partition, ordering ties by local id equals ordering them
 /// by global id (`global = start + local` is monotone), so the ids a
 /// shard selects merge globally without re-sorting.
 fn select_partition(
     snap: &EpochSnapshot,
-    Ranking { scores, maxima }: Ranking<'_>,
+    Ranking { scores, blocks }: Ranking<'_>,
     frontier: Option<Frontier>,
     q: &Query,
     k: usize,
@@ -1775,6 +1838,7 @@ fn select_partition(
         venues,
         authors,
         candidates,
+        bands,
         pool,
         pool_key,
         select,
@@ -1811,14 +1875,14 @@ fn select_partition(
     };
     match &plan.driver {
         QueryDriver::Unfiltered => {
-            let all = 0..net.n_papers() as u32;
-            top_k_pruned_into(scores, maxima, all, k, frontier.as_ref(), select)
+            let all = [Segment::range(0..net.n_papers() as u32)];
+            top_k_pruned_into(scores, &blocks.ids, all, k, frontier.as_ref(), None, select)
         }
         QueryDriver::IdRange { start, end } if venues.is_empty() && authors.is_empty() => {
             // The range *is* the whole predicate (a year window, or a
             // cursor over everything).
-            let ids = *start..*end;
-            top_k_pruned_into(scores, maxima, ids, k, frontier.as_ref(), select)
+            let ids = [Segment::range(*start..*end)];
+            top_k_pruned_into(scores, &blocks.ids, ids, k, frontier.as_ref(), None, select)
         }
         QueryDriver::IdRange { start, end } => {
             // Residuals here are venue/author (and cursor): the range
@@ -1859,29 +1923,28 @@ fn select_partition(
             counted(matched)
         }
         QueryDriver::VenueBands { venues: vs, .. } => {
-            // One band probe per venue; venue lists are disjoint, so the
-            // concatenation has no duplicates. The year bound is inside
-            // the band — only author and cursor residuals remain. The
-            // pre-residual pool is keyed so consecutive queries sharing
-            // the filter reuse the gather.
-            let key = content_key(KEY_VENUE_BANDS, vs, &[], &range, snap.uid());
-            if *pool_key != Some(key) {
-                pool.clear();
-                pool.extend(
-                    vs.iter()
-                        .flat_map(|&v| citegraph::band(venue_postings(net, v), &range))
-                        .copied(),
-                );
-                *pool_key = Some(key);
-            }
-            candidates.clear();
-            candidates.extend(
-                pool.iter()
-                    .copied()
-                    .filter(|&id| author_ok(id) && after_cursor(id)),
+            // One band probe per venue, walked over the venue summary's
+            // blocks; venue lists are disjoint, so the bands feed one walk
+            // as they are. The year bound is inside the band — only author
+            // and cursor residuals remain, and an author residual is tested
+            // per id, for the count. Each band is found once, as positions
+            // in its venue's list (the walk reads its segments more than
+            // once); an empty one — a venue past this partition's table
+            // included — has nothing to walk.
+            bands.clear();
+            bands.extend(
+                vs.iter()
+                    .map(|&v| (v, citegraph::band_span(venue_postings(net, v), &range)))
+                    .filter(|(_, span)| !span.is_empty()),
             );
-            top_k_filtered_into(scores, candidates, k, select);
-            counted(candidates.len())
+            let bands = bands
+                .iter()
+                .map(|(v, span)| Segment::band(*v as usize, venue_postings(net, *v), span.clone()));
+            let mut author_ok = author_ok;
+            let residual: Option<&mut dyn FnMut(u32) -> bool> =
+                (!authors.is_empty()).then_some(&mut author_ok);
+            let frontier = frontier.as_ref();
+            top_k_pruned_into(scores, &blocks.venues, bands, k, frontier, residual, select)
         }
         QueryDriver::AuthorBands { authors: aus, .. } => {
             // Band probes per author; co-authored papers appear in
@@ -3474,6 +3537,44 @@ mod tests {
                 if key == "seed" && value.starts_with("99")),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn query_eq_compares_every_field() {
+        let base: Query = "method=attrank,vs=cc,k=7,year=1990..2000,venue=1|2,author=3,seed=4|5"
+            .parse()
+            .unwrap();
+        assert_eq!(base, base.clone());
+        assert_eq!(Query::default(), Query::default());
+        let cursor = Cursor::after(1, 0.5, 9, 42);
+        type Tweak = (&'static str, fn(&mut Query));
+        let tweaks: [Tweak; 10] = [
+            ("method", |q| q.method = None),
+            ("vs", |q| q.vs = Some("pagerank".into())),
+            ("k", |q| q.k = 8),
+            ("year_min", |q| q.year_min = Some(1991)),
+            ("year_max", |q| q.year_max = None),
+            ("venues", |q| q.venues = vec![2, 1]),
+            ("authors", |q| q.authors.clear()),
+            ("seeds", |q| q.seeds.push(6)),
+            ("cursor", |q| q.cursor = Some(Cursor::after(1, 0.5, 9, 42))),
+            ("authors, one longer", |q| q.authors = vec![3, 3]),
+        ];
+        for (field, tweak) in tweaks {
+            let mut q = base.clone();
+            tweak(&mut q);
+            assert_ne!(q, base, "{field}");
+            assert_ne!(base, q, "{field}");
+        }
+        // Two empty lists are equal however they were made.
+        let q = Query {
+            venues: Vec::with_capacity(4),
+            ..Query::default()
+        };
+        assert_eq!(q, Query::default());
+        let mut q = base.clone();
+        q.cursor = Some(cursor);
+        assert_eq!(q, q.clone());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use citegraph::{CitationNetwork, NetworkBuilder, Year};
-use rankengine::{PageBuf, Query, QueryEngine, QueryScratch, RerankPolicy};
+use rankengine::{PageBuf, Query, QueryDriver, QueryEngine, QueryScratch, RerankPolicy};
 
 /// [`System`] plus a relaxed counter on every allocating entry point.
 /// Only allocations made *by the test thread* count: the libtest
@@ -88,16 +88,23 @@ fn steady_state_queries_allocate_nothing() {
     // cache probe hands back an Arc but its solve path is not part of
     // the zero-allocation contract).
     let shapes: Vec<Query> = [
-        "k=10",                      // unfiltered partial select
-        "k=10,year=2005..2015",      // id-range scan
-        "k=10,venue=0",              // venue banded postings
-        "k=10,author=1,year=2000..", // author bands under a year bound
-        "k=10,venue=0,author=1",     // mask-algebra pushdown
-        "k=0,venue=2",               // count-only path
+        "k=10",                       // unfiltered partial select
+        "k=10,year=2005..2015",       // id-range scan
+        "k=10,venue=0",               // venue banded postings
+        "k=10,venue=1|3,year=2000..", // OR-venue bands under a year bound
+        "k=10,author=1,year=2000..",  // author bands under a year bound
+        "k=10,venue=0,author=1",      // mask-algebra pushdown
+        "k=0,venue=2",                // count-only path
     ]
     .iter()
     .map(|s| s.parse().unwrap())
     .collect();
+
+    let or_venues = qe.explain(&shapes[3]).unwrap().driver;
+    assert!(
+        matches!(or_venues, QueryDriver::VenueBands { ref venues, .. } if venues.len() == 2),
+        "{or_venues:?}"
+    );
 
     for q in &shapes {
         // Warm: first call takes the plan-cache miss and grows every

@@ -1,18 +1,20 @@
-//! A score vector's block-maxima summary is built where the vector is
-//! frozen — `RankingEngine::freeze_with` for an epoch, the
-//! personalization cache's insert for a seeded solve — so it can never
-//! describe another vector. Pinned here for every way a vector comes to
-//! be served: the initial rank, a push publish, a full-solve publish, an
-//! epoch restored from a store, and a cache entry warm-re-pushed across a
-//! publish. In each, the block-pruned pages (unfiltered, resumed behind a
-//! cursor, year windows) must equal a fresh full sort.
+//! A score vector's block-maxima summaries — over ids and over venue
+//! postings — are built where the vector is frozen —
+//! `RankingEngine::freeze_with` for an epoch, the personalization cache's
+//! solve for a seeded one — so they can never describe another vector.
+//! Pinned here for every way a vector comes to be served: the initial
+//! rank, a push publish, a full-solve publish, an epoch restored from a
+//! store, and a cache entry warm-re-pushed across a publish. In each, the
+//! block-pruned pages (unfiltered, year windows, one venue and an OR of
+//! two, each resumed behind cursors) must equal a fresh full sort.
 
 use std::path::PathBuf;
 
 use citegen::{generate, DatasetProfile};
-use citegraph::{GraphDelta, PaperId};
+use citegraph::{CitationNetwork, GraphDelta, PaperId, VenueId};
 use rankengine::{
-    EpochSnapshot, Hit, Query, QueryEngine, RankingEngine, RerankPolicy, RerankStrategy,
+    EpochSnapshot, Hit, Query, QueryDriver, QueryEngine, RankingEngine, RerankPolicy,
+    RerankStrategy,
 };
 use sparsela::{cmp_score_desc, sort_indices_desc};
 
@@ -45,36 +47,67 @@ fn walk(qe: &QueryEngine, snap: &EpochSnapshot, filter: &str, k: usize, total: u
     }
 }
 
-/// The pages of a method's current epoch against a fresh full sort of its
-/// scores: everything, and two year windows that start and end mid-block.
-fn assert_pages_are_the_full_sort(qe: &QueryEngine, method: &str, case: &str) {
-    let snap = qe.snapshot(Some(method)).unwrap();
+/// The two venues with the most papers, busiest first.
+fn busiest_venues(net: &CitationNetwork) -> (VenueId, VenueId) {
+    let table = net.venues().expect("the DBLP profile has venues");
+    let mut venues: Vec<VenueId> = (0..table.n_venues() as VenueId).collect();
+    venues.sort_by_key(|&v| std::cmp::Reverse(table.n_papers_at(v)));
+    (venues[0], venues[1])
+}
+
+/// The pages of a method's epoch `snap` against a fresh full sort of its
+/// scores: everything, and two year windows that start and end mid-block,
+/// each over every paper, one venue, and an OR of two venues.
+fn assert_pages_are_the_full_sort(
+    qe: &QueryEngine,
+    snap: &EpochSnapshot,
+    method: &str,
+    case: &str,
+) {
     let net = snap.network();
     let full = sort_indices_desc(snap.scores().as_slice());
     let years = net.years();
     let (early, late) = (years[SCALE / 3], years[2 * SCALE / 3]);
-    for (filter, lo, hi) in [
+    let (a, b) = busiest_venues(net);
+    let venue = |id: PaperId| net.venues().unwrap().venue_of(id);
+    for (window, lo, hi) in [
         (String::new(), None, None),
         (format!("year={late}.."), Some(late), None),
         (format!("year={early}..{late}"), Some(early), Some(late)),
     ] {
-        let want: Vec<PaperId> = full
-            .iter()
-            .copied()
-            .filter(|&id| {
-                lo.is_none_or(|y| net.year(id) >= y) && hi.is_none_or(|y| net.year(id) <= y)
-            })
-            .collect();
-        let filter = format!("method={method},{filter}");
-        let got = walk(qe, &snap, &filter, 97, want.len());
-        let got: Vec<PaperId> = got.iter().map(|h| h.id).collect();
-        assert_eq!(got, want, "{case}: {filter}");
-        // A first page small enough that the walk prunes.
-        let first = qe
-            .query_at(&snap, &format!("k=5,{filter}").parse().unwrap())
-            .unwrap();
-        let first: Vec<PaperId> = first.items.iter().map(|h| h.id).collect();
-        assert_eq!(first, want[..5], "{case}: {filter}");
+        for (facet, venues) in [
+            (String::new(), vec![]),
+            (format!("venue={a},"), vec![a]),
+            (format!("venue={a}|{b},"), vec![a, b]),
+        ] {
+            let want: Vec<PaperId> = full
+                .iter()
+                .copied()
+                .filter(|&id| {
+                    lo.is_none_or(|y| net.year(id) >= y)
+                        && hi.is_none_or(|y| net.year(id) <= y)
+                        && (venues.is_empty() || venue(id).is_some_and(|v| venues.contains(&v)))
+                })
+                .collect();
+            let filter = format!("method={method},{facet}{window}");
+            let filter = filter.trim_end_matches(',');
+            if !venues.is_empty() {
+                let plan = qe.explain(&filter.parse().unwrap()).unwrap();
+                assert!(
+                    matches!(plan.driver, QueryDriver::VenueBands { .. }),
+                    "{filter}: {plan:?}"
+                );
+            }
+            let got = walk(qe, snap, filter, 97, want.len());
+            let got: Vec<PaperId> = got.iter().map(|h| h.id).collect();
+            assert_eq!(got, want, "{case}: {filter}");
+            // A first page small enough that the walk prunes.
+            let first = qe
+                .query_at(snap, &format!("k=5,{filter}").parse().unwrap())
+                .unwrap();
+            let first: Vec<PaperId> = first.items.iter().map(|h| h.id).collect();
+            assert_eq!(first, want[..5.min(want.len())], "{case}: {filter}");
+        }
     }
     for k in [0, 1, 10, 100, SCALE + 100] {
         assert_eq!(
@@ -107,7 +140,8 @@ fn a_summary_is_never_stale() {
     )
     .unwrap();
     for method in ["attrank", "cc"] {
-        assert_pages_are_the_full_sort(&qe, method, "initial rank");
+        let snap = qe.snapshot(Some(method)).unwrap();
+        assert_pages_are_the_full_sort(&qe, &snap, method, "initial rank");
     }
 
     // A seeded solve cached on epoch 0, for the warm re-push below.
@@ -125,12 +159,10 @@ fn a_summary_is_never_stale() {
     }
     let attrank = qe.snapshot(Some("attrank")).unwrap();
     assert!(matches!(attrank.strategy(), RerankStrategy::Push { .. }));
-    assert_pages_are_the_full_sort(&qe, "attrank", "push publish");
-    assert_eq!(
-        qe.snapshot(Some("cc")).unwrap().strategy(),
-        RerankStrategy::Full
-    );
-    assert_pages_are_the_full_sort(&qe, "cc", "full-solve publish");
+    assert_pages_are_the_full_sort(&qe, &attrank, "attrank", "push publish");
+    let cc = qe.snapshot(Some("cc")).unwrap();
+    assert_eq!(cc.strategy(), RerankStrategy::Full);
+    assert_pages_are_the_full_sort(&qe, &cc, "cc", "full-solve publish");
 
     // The cached seeded vector, re-pushed across the last publish: its
     // pages are in order, complete, and not the old epoch's.
@@ -156,6 +188,27 @@ fn a_summary_is_never_stale() {
     let mut seen: Vec<PaperId> = warm.iter().map(|h| h.id).collect();
     seen.sort_unstable();
     assert!(seen.iter().copied().eq(0..(SCALE + 40) as PaperId));
+    // Seeded venue pages off the same re-pushed entry walk its venue
+    // summary: the ranking above, cut to the venues and a year window.
+    let net = snap.network();
+    let (a, b) = busiest_venues(net);
+    let late = net.years()[2 * SCALE / 3];
+    for venues in [vec![a], vec![a, b]] {
+        let want: Vec<PaperId> = warm
+            .iter()
+            .filter(|h| h.year >= late && h.venue.is_some_and(|v| venues.contains(&v)))
+            .map(|h| h.id)
+            .collect();
+        let list: Vec<String> = venues.iter().map(|v| v.to_string()).collect();
+        let filter = format!("{seeded},venue={},year={late}..", list.join("|"));
+        let got = walk(&qe, &snap, &filter, 7, want.len());
+        let got: Vec<PaperId> = got.iter().map(|h| h.id).collect();
+        assert_eq!(got, want, "warm re-push: {filter}");
+    }
+    assert_eq!(
+        qe.personalization_stats().warm_repushes,
+        stats.warm_repushes
+    );
 
     // An epoch restored from a store: frozen by the same function.
     let path = temp_store("restored");
@@ -164,10 +217,33 @@ fn a_summary_is_never_stale() {
     let cold_start =
         RankingEngine::open_from_store(&path, None::<&PathBuf>, RerankPolicy::Manual).unwrap();
     let restored = cold_start.engine().snapshot();
-    let full = sort_indices_desc(restored.scores().as_slice());
-    for k in [1, 10, 100] {
-        assert_eq!(restored.top_k(k), full[..k], "restored: top_k({k})");
-    }
+    assert_eq!(restored.strategy(), RerankStrategy::Restored);
+    assert_pages_are_the_full_sort(&qe, &restored, "attrank", "restored epoch");
     cold_start.wait();
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_venue_page_counts_the_blocks_it_skips() {
+    let net = generate(&DatasetProfile::dblp().scaled(SCALE), 11);
+    let (a, _) = busiest_venues(&net);
+    let mut qe = QueryEngine::from_configs(net, &["attrank"], RerankPolicy::Manual).unwrap();
+    let registry = qe.enable_metrics();
+    let blocks = |outcome: &str| -> u64 {
+        let series = format!("attrank_select_blocks_total{{outcome=\"{outcome}\"}} ");
+        let text = registry.render();
+        let line = text.lines().find_map(|l| l.strip_prefix(series.as_str()));
+        line.map_or(0, |v| v.parse().unwrap())
+    };
+    let (scanned, skipped) = (blocks("scanned"), blocks("skipped"));
+    let q: Query = format!("k=1,venue={a}").parse().unwrap();
+    let plan = qe.explain(&q).unwrap();
+    assert!(
+        matches!(plan.driver, QueryDriver::VenueBands { .. }),
+        "{plan:?}"
+    );
+    qe.query(&q).unwrap();
+    // The page read at least one block and skipped at least one.
+    assert!(blocks("scanned") > scanned);
+    assert!(blocks("skipped") > skipped);
 }

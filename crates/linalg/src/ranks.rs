@@ -18,10 +18,11 @@
 //! k-th threshold): [`top_k_indices`], [`top_k_where`] and
 //! [`top_k_masked`] offer every id of a vector, a predicate-filtered range
 //! or a bitmask; [`top_k_pruned_into`] walks a vector's [`BlockMaxima`]
-//! and offers only the blocks that can still reach the page — about `k`
-//! blocks whatever the order of the scores, with an exact count of what
-//! lies behind a pagination [`Frontier`]. [`top_k_filtered`] copies a
-//! short explicit candidate list and partitions it instead.
+//! over an id range or a union of posting bands and offers only the
+//! blocks that can still reach the page — about `k` blocks whatever the
+//! order of the scores, with an exact count of what lies behind a
+//! pagination [`Frontier`]. [`top_k_filtered`] copies a short explicit
+//! candidate list and partitions it instead.
 //! [`merge_k_sorted`] merges per-partition pages.
 
 use crate::mask::IdMask;
@@ -101,7 +102,7 @@ pub fn top_k_indices_into(scores: &[f64], k: usize, out: &mut Vec<u32>) {
 ///
 /// This is the subset generalization of [`top_k_indices`]: cost is
 /// `O(m + k log k)` in the candidate count `m`, independent of the full
-/// score length — a selective predicate (one venue's posting list) pays
+/// score length — a selective predicate (one author's posting list) pays
 /// for its own selectivity, never for the corpus. The result is
 /// *identical* to filtering `sort_indices_desc(scores)` down to
 /// `candidates` and truncating to `k` (property-tested), which is what
@@ -128,7 +129,8 @@ pub fn top_k_filtered(scores: &[f64], candidates: &[u32], k: usize) -> Vec<u32> 
 /// hundred to a few thousand ids) one copy plus one `select_nth` beats
 /// the stream's per-id threshold compare, most clearly at large `k`; the
 /// stream only wins from ~10k candidates up, where the planner has
-/// usually picked a scan anyway.
+/// usually picked a scan anyway. A caller with a [`BlockMaxima`] summary
+/// of its posting lists walks them with [`top_k_pruned_into`] instead.
 pub fn top_k_filtered_into(scores: &[f64], candidates: &[u32], k: usize, out: &mut Vec<u32>) {
     out.clear();
     let k = k.min(candidates.len());
@@ -150,9 +152,13 @@ pub fn top_k_filtered_into(scores: &[f64], candidates: &[u32], k: usize, out: &m
 /// [`top_k_pruned_into`] offers it only the blocks that can still beat
 /// the threshold, and seeds the threshold before the first offer. With
 /// `k = 0` there is nothing to keep and callers offer nothing.
+///
+/// The candidates live in `buf[base..]`; `buf[..base]` is the caller's
+/// scratch (a block order), dropped by [`Self::finish`].
 struct TopK<'a> {
     scores: &'a [f64],
     buf: &'a mut Vec<u32>,
+    base: usize,
     k: usize,
     cap: usize,
     threshold: Option<(f64, u32)>,
@@ -161,16 +167,28 @@ struct TopK<'a> {
 impl<'a> TopK<'a> {
     /// An empty accumulator over `buf` (cleared; warmed to `2k` once).
     fn new(scores: &'a [f64], k: usize, buf: &'a mut Vec<u32>) -> Self {
+        Self::after_scratch(scores, k, buf, 0)
+    }
+
+    /// [`Self::new`] behind `base` ids of scratch at the front of `buf`.
+    fn after_scratch(scores: &'a [f64], k: usize, buf: &'a mut Vec<u32>, base: usize) -> Self {
         buf.clear();
+        buf.resize(base, 0);
         let cap = 2 * k.min(scores.len().max(1));
         buf.reserve(cap);
         Self {
             scores,
             buf,
+            base,
             k,
             cap,
             threshold: None,
         }
+    }
+
+    /// The scratch in front of the candidates.
+    fn scratch(&mut self) -> &mut [u32] {
+        &mut self.buf[..self.base]
     }
 
     /// Offers every id of `ids`: each is kept unless it cannot make the
@@ -184,7 +202,8 @@ impl<'a> TopK<'a> {
     #[inline]
     fn offer_all<I: Iterator<Item = u32>>(&mut self, ids: I) {
         debug_assert!(self.k > 0, "nothing is offered to an empty page");
-        let (scores, k, cap) = (self.scores, self.k, self.cap);
+        let (scores, k, base) = (self.scores, self.k, self.base);
+        let full = base + self.cap;
         let buf = &mut *self.buf;
         let mut threshold = self.threshold;
         for id in ids {
@@ -194,10 +213,10 @@ impl<'a> TopK<'a> {
                 }
             }
             buf.push(id);
-            if buf.len() == cap {
-                buf.select_nth_unstable_by(k - 1, desc_by_score(scores));
-                buf.truncate(k);
-                let worst = buf[k - 1];
+            if buf.len() == full {
+                buf[base..].select_nth_unstable_by(k - 1, desc_by_score(scores));
+                buf.truncate(base + k);
+                let worst = buf[base + k - 1];
                 threshold = Some((scores[worst as usize], worst));
             }
         }
@@ -213,14 +232,32 @@ impl<'a> TopK<'a> {
         self.threshold.is_some_and(|(ts, _)| block_max < ts)
     }
 
-    /// Leaves the best `k` offered ids in the buffer, best first.
-    fn finish(self) {
-        let Self { scores, buf, k, .. } = self;
-        if k < buf.len() {
-            buf.select_nth_unstable_by(k - 1, desc_by_score(scores));
-            buf.truncate(k);
+    /// Offers the ids at positions `at` of a segment's list (`postings`,
+    /// or the id space when `None`).
+    #[inline]
+    fn offer_span(&mut self, postings: Option<&[u32]>, at: std::ops::Range<usize>) {
+        match postings {
+            None => self.offer_all(at.start as u32..at.end as u32),
+            Some(list) => self.offer_all(list[at].iter().copied()),
         }
-        buf.sort_unstable_by(desc_by_score(scores));
+    }
+
+    /// Leaves the best `k` offered ids in the buffer, best first, and
+    /// nothing else.
+    fn finish(self) {
+        let Self {
+            scores,
+            buf,
+            base,
+            k,
+            ..
+        } = self;
+        if k < buf.len() - base {
+            buf[base..].select_nth_unstable_by(k - 1, desc_by_score(scores));
+            buf.truncate(base + k);
+        }
+        buf[base..].sort_unstable_by(desc_by_score(scores));
+        buf.drain(..base);
     }
 }
 
@@ -316,6 +353,18 @@ pub fn top_k_masked_into(scores: &[f64], mask: &IdMask, k: usize, out: &mut Vec<
 /// cache lines.
 pub const BLOCK_LEN: usize = 64;
 
+/// Postings per block of the summaries [`BlockMaxima::over_postings`]
+/// builds. Sized on the serving corpus's venue pages (200k papers, 112
+/// venues, `k = 10` over each venue's last seven years — 860–960
+/// postings a band; median per page over every venue): 16 postings
+/// 2.9 / 3.3 µs (attrank / cc), 32 postings 2.6 / 3.0 µs, 64 postings
+/// 5.1–5.7 µs, against 8.0 / 11.6 µs for the gather and quickselect. At
+/// 64 a band holds too few whole blocks to seed the threshold (rule 2 of
+/// [`top_k_pruned_into`] wants two per wanted item); 32 is the largest
+/// block that still seeds, and its summary builds in 0.16 ms per 200k
+/// scores.
+pub const POSTING_BLOCK_LEN: usize = 32;
+
 /// Block maxima a summary's storage grows by. A served vector grows with
 /// every publish and is re-summarized with it; sized exactly, each summary
 /// would be a few bytes larger than the one retired just before it, fit
@@ -327,30 +376,50 @@ pub const BLOCK_LEN: usize = 64;
 /// other's place (460–495 MB).
 const STORAGE_STEP: usize = 1024;
 
-/// Per-block maxima of a score vector: one `f64` per fixed-length block of
-/// consecutive ids, NaN ignored, `-inf` for a block holding no number.
+/// The maximum of `xs`, NaN ignored, `-inf` when it holds no number.
+#[inline]
+fn max_number(xs: impl Iterator<Item = f64>) -> f64 {
+    let mut max = f64::NEG_INFINITY;
+    for x in xs {
+        // False for NaN: a NaN never becomes the maximum.
+        if x > max {
+            max = x;
+        }
+    }
+    max
+}
+
+/// Per-block maxima of a score vector over one or more id lists: one
+/// `f64` per fixed-length run of each list, blocks aligned to the list's
+/// start, NaN ignored, `-inf` for a block holding no number.
 ///
-/// Built in one `O(n)` pass when a vector is frozen (an epoch's scores, a
-/// cached personalized solve), it lets [`top_k_pruned_into`] skip every
-/// block whose best score cannot reach the page. `n / 64 × 8` bytes,
-/// rounded up to 8 KiB.
+/// [`Self::new`] summarizes the id space itself — one list whose position
+/// `i` is id `i`. [`Self::over_postings`] summarizes posting lists (a
+/// venue table's), where the block maxima gather the scores of the ids
+/// each run lists. Built in one `O(n)` pass when a vector is frozen (an
+/// epoch's scores, a cached personalized solve), a summary lets
+/// [`top_k_pruned_into`] skip every block whose best score cannot reach
+/// the page. `n / block length × 8` bytes, rounded up to 8 KiB.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockMaxima {
     block_len: usize,
+    /// Scores summarized.
     len: usize,
+    /// First block of each list, then one past the last block.
+    lists: Vec<usize>,
     maxima: Vec<f64>,
 }
 
 impl BlockMaxima {
-    /// The summary of `scores` at the serving block length
-    /// ([`BLOCK_LEN`]).
+    /// The summary of `scores` over the id space at the serving block
+    /// length ([`BLOCK_LEN`]).
     pub fn new(scores: &[f64]) -> Self {
         Self::with_block_len(scores, BLOCK_LEN)
     }
 
-    /// The summary of `scores` with `block_len` ids per block — for
-    /// tests, which reach every block-boundary case at small sizes with
-    /// a tiny block, and for re-sizing [`BLOCK_LEN`].
+    /// The summary of `scores` over the id space with `block_len` ids per
+    /// block — for tests, which reach every block-boundary case at small
+    /// sizes with a tiny block, and for re-sizing [`BLOCK_LEN`].
     ///
     /// # Panics
     /// When `block_len` is 0.
@@ -358,19 +427,60 @@ impl BlockMaxima {
         assert!(block_len > 0, "a block holds at least one id");
         let n_blocks = scores.len().div_ceil(block_len);
         let mut maxima = Vec::with_capacity(n_blocks.next_multiple_of(STORAGE_STEP));
-        maxima.extend(scores.chunks(block_len).map(|block| {
-            let mut max = f64::NEG_INFINITY;
-            for &x in block {
-                // False for NaN: a NaN never becomes the maximum.
-                if x > max {
-                    max = x;
-                }
-            }
-            max
-        }));
+        maxima.extend(
+            scores
+                .chunks(block_len)
+                .map(|block| max_number(block.iter().copied())),
+        );
         Self {
             block_len,
             len: scores.len(),
+            lists: vec![0, n_blocks],
+            maxima,
+        }
+    }
+
+    /// The summary of `scores` over posting lists at the serving posting
+    /// block length ([`POSTING_BLOCK_LEN`]): list `l` is
+    /// `postings[offsets[l]..offsets[l + 1]]`, as
+    /// `VenueTable::postings` lays them out.
+    ///
+    /// # Panics
+    /// When `offsets` is empty or decreasing, runs past `postings`, or a
+    /// posting is not an index into `scores`.
+    pub fn over_postings(scores: &[f64], offsets: &[usize], postings: &[u32]) -> Self {
+        Self::over_postings_with_block_len(scores, offsets, postings, POSTING_BLOCK_LEN)
+    }
+
+    /// [`Self::over_postings`] with `block_len` postings per block — for
+    /// tests and for re-sizing [`POSTING_BLOCK_LEN`].
+    ///
+    /// # Panics
+    /// As [`Self::over_postings`], and when `block_len` is 0.
+    pub fn over_postings_with_block_len(
+        scores: &[f64],
+        offsets: &[usize],
+        postings: &[u32],
+        block_len: usize,
+    ) -> Self {
+        assert!(block_len > 0, "a block holds at least one id");
+        assert!(!offsets.is_empty(), "posting offsets start at 0");
+        let lists = offsets.windows(2).map(|w| &postings[w[0]..w[1]]);
+        let n_blocks: usize = lists.clone().map(|l| l.len().div_ceil(block_len)).sum();
+        let mut starts = Vec::with_capacity(offsets.len());
+        let mut maxima = Vec::with_capacity(n_blocks.next_multiple_of(STORAGE_STEP));
+        for list in lists {
+            starts.push(maxima.len());
+            maxima.extend(
+                list.chunks(block_len)
+                    .map(|block| max_number(block.iter().map(|&id| scores[id as usize]))),
+            );
+        }
+        starts.push(maxima.len());
+        Self {
+            block_len,
+            len: scores.len(),
+            lists: starts,
             maxima,
         }
     }
@@ -378,6 +488,73 @@ impl BlockMaxima {
     /// Heap bytes held.
     pub fn bytes(&self) -> usize {
         self.maxima.capacity() * std::mem::size_of::<f64>()
+            + self.lists.capacity() * std::mem::size_of::<usize>()
+    }
+
+    /// `segment` clamped to its list, with its list's first block.
+    ///
+    /// # Panics
+    /// When the summary holds no such list, or holds it at another
+    /// length: the segment's ids are not the ones summarized.
+    fn resolve<'a>(&self, segment: Segment<'a>) -> (Segment<'a>, usize) {
+        let Segment {
+            list,
+            postings,
+            start,
+            end,
+        } = segment;
+        let list_len = postings.map_or(self.len, <[u32]>::len);
+        let blocks = self.lists.get(list..=list + 1);
+        assert!(
+            blocks.is_some_and(|b| b[1] - b[0] == list_len.div_ceil(self.block_len)),
+            "summary does not cover list {list} of {list_len} ids"
+        );
+        let end = end.min(list_len);
+        let segment = Segment {
+            list,
+            postings,
+            start: start.min(end),
+            end,
+        };
+        (segment, self.lists[list])
+    }
+}
+
+/// One span of ids a block walk ([`top_k_pruned_into`]) reads: positions
+/// `start..end` of one list of a [`BlockMaxima`] summary. Segments of one
+/// walk must name disjoint ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Segment<'a> {
+    list: usize,
+    /// The list's ids; `None` for the id space, where position `i` is
+    /// id `i`.
+    postings: Option<&'a [u32]>,
+    start: usize,
+    end: usize,
+}
+
+impl<'a> Segment<'a> {
+    /// The ids `ids` of a vector summarized by [`BlockMaxima::new`]
+    /// (clamped to the vector).
+    pub fn range(ids: std::ops::Range<u32>) -> Self {
+        Self {
+            list: 0,
+            postings: None,
+            start: ids.start as usize,
+            end: ids.end as usize,
+        }
+    }
+
+    /// Positions `positions` (clamped to the list) of posting list `list`
+    /// of a summary built by [`BlockMaxima::over_postings`], whose ids are
+    /// `postings` — the whole list, not the band.
+    pub fn band(list: usize, postings: &'a [u32], positions: std::ops::Range<usize>) -> Self {
+        Self {
+            list,
+            postings: Some(postings),
+            start: positions.start,
+            end: positions.end,
+        }
     }
 }
 
@@ -420,42 +597,79 @@ impl Frontier {
 /// What one [`top_k_pruned_into`] walk counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockWalk {
-    /// Ids of the range at and after the frontier (the whole range when
-    /// there is none) — what later pages would still return, plus this
-    /// page.
+    /// Ids of the segments at and after the frontier (all of them when
+    /// there is none) that pass the residual — what later pages would
+    /// still return, plus this page.
     pub matched: usize,
     /// Blocks whose ids were read.
     pub blocks_scanned: usize,
-    /// Blocks overlapping the range.
+    /// Blocks overlapping the segments.
     pub blocks_in_range: usize,
 }
 
-/// [`top_k_where_into`] with no predicate but an optional frontier, over a
-/// vector that has a [`BlockMaxima`] summary: the best `k` ids of the
-/// range strictly after `frontier`, best first, into `out` (cleared first,
-/// warm at `2k`) — *identical* to full sort → range → frontier → truncate
-/// (property-tested), reading only the blocks that can matter:
+/// Runs `$visit` on each block `$b` of a segment's `$blocks`: in id
+/// order, or, given the maxima of its list (`$by_max`), best maximum
+/// first. A macro and not a function taking a closure: through a closure
+/// the id-order loop, the walk's hot path, read 8–27 % slower.
+macro_rules! each_block {
+    ($top:ident, $blocks:expr, $by_max:expr, |$b:ident| $visit:block) => {
+        match $by_max {
+            None => {
+                for $b in $blocks $visit
+            }
+            Some(maxima) => {
+                for at in 0..sort_best_first(&mut $top, $blocks, maxima) {
+                    let $b = $top.scratch()[at] as usize;
+                    $visit
+                }
+            }
+        }
+    };
+}
+
+/// The block walk: the best `k` ids of `segments` strictly after
+/// `frontier` that pass `residual`, best first, into `out` (cleared
+/// first, warm at `2k`), over a vector that has a [`BlockMaxima`] summary
+/// of the lists the segments cut. *Identical* to full sort → segments →
+/// residual → frontier → truncate (property-tested), reading only the
+/// blocks that can matter:
 ///
 /// 1. a block is **skipped** iff its maximum is strictly below the running
 ///    k-th score (an equal score may still win on id);
 /// 2. the k-th score is **seeded before the walk** with the k-th largest
-///    maximum among blocks wholly inside the range and wholly after the
+///    maximum among blocks wholly inside a segment and wholly after the
 ///    frontier — each witnesses one eligible item at least that good — so
 ///    about `k` blocks are read however the scores are ordered;
 /// 3. `matched` is **counted wholesale**: a block wholly after the
 ///    frontier adds its length unread, so only the blocks straddling the
-///    frontier (at most its rank, plus its tie run) are read for the count.
+///    frontier (at most its rank, plus its tie run) are read for the count;
+/// 4. when rule 2 cannot seed, a posting band's blocks are **visited best
+///    maximum first** instead of in id order, so scores that climb with
+///    id do not pass the running k-th one after another.
+///
+/// An id range is one [`Segment::range`] of an id-space summary; an OR of
+/// posting lists is one [`Segment::band`] per list, all feeding one
+/// selection. A `residual` predicate voids rules 2 and 3 — a block's
+/// maximum need not pass it — so every id is tested for the count, and
+/// only the blocks rule 1 keeps are offered. `out` also holds rule 4's
+/// block order while the walk runs.
 ///
 /// # Panics
-/// When `maxima` summarizes a vector of a different length.
-pub fn top_k_pruned_into(
+/// When `maxima` summarizes a vector of a different length, or lists
+/// other than the segments'.
+pub fn top_k_pruned_into<'a, S>(
     scores: &[f64],
     maxima: &BlockMaxima,
-    ids: std::ops::Range<u32>,
+    segments: S,
     k: usize,
     frontier: Option<&Frontier>,
+    mut residual: Option<&mut dyn FnMut(u32) -> bool>,
     out: &mut Vec<u32>,
-) -> BlockWalk {
+) -> BlockWalk
+where
+    S: IntoIterator<Item = Segment<'a>>,
+    S::IntoIter: Clone,
+{
     assert_eq!(
         maxima.len,
         scores.len(),
@@ -463,74 +677,169 @@ pub fn top_k_pruned_into(
         maxima.len,
         scores.len()
     );
-    let (start, end) = (
-        (ids.start as usize).min(scores.len()),
-        (ids.end as usize).min(scores.len()),
-    );
+    let segments = segments.into_iter().map(|s| maxima.resolve(s));
     let len = maxima.block_len;
-    // The frontier, for a block some of whose items may not lie after it.
-    let straddled = |block: usize| frontier.filter(|f| !f.clears(maxima.maxima[block]));
-
     // Rule 2. `out` serves the pre-pass too: only the k-th maximum leaves
     // it. With fewer than two blocks per wanted item the k-th maximum is
     // too low to skip much, and finding it is not free.
-    let whole = start.div_ceil(len)..end / len;
+    let whole = |(s, first): (Segment, usize)| first + s.start.div_ceil(len)..first + s.end / len;
+    let n_whole: usize = segments.clone().map(|s| whole(s).len()).sum();
     let mut seed = None;
-    if k > 0 && whole.len() / 2 >= k {
-        let blocks = whole.filter(|&b| straddled(b).is_none()).map(|b| b as u32);
-        top_k_stream(&maxima.maxima, blocks, k, out);
+    if k > 0 && residual.is_none() && n_whole / 2 >= k {
+        // One offer per segment: a tight loop over each one's blocks.
+        let mut blocks = TopK::new(&maxima.maxima, k, out);
+        for segment in segments.clone() {
+            let ids = whole(segment).map(|b| b as u32);
+            match frontier {
+                None => blocks.offer_all(ids),
+                Some(f) => blocks.offer_all(ids.filter(|&b| f.clears(maxima.maxima[b as usize]))),
+            }
+        }
+        blocks.finish();
         // `-inf` is also an all-NaN block, which witnesses no number.
         seed = (out.len() == k)
             .then(|| maxima.maxima[out[k - 1] as usize])
             .filter(|&kth| kth > f64::NEG_INFINITY);
     }
-    let mut top = TopK::new(scores, k, out);
+    let keeps = k > 0;
+    let blocks_of = |s: &Segment| match s.start < s.end {
+        true => s.start / len..s.end.div_ceil(len),
+        false => 0..0,
+    };
+    // Rule 4. Unseeded, the k-th score rises only with what is offered,
+    // and scores that climb in walk order would be kept one after
+    // another, re-selecting the buffer every `k` ids. A posting band's
+    // blocks are then visited best maximum first, their order sorted in
+    // scratch in front of the buffer: the first blocks fill the page and
+    // rule 1 skips most of the rest. The sort is `O(b log b)` in a band's
+    // `b` blocks, and unseeded there are fewer than `2k` whole blocks, or
+    // every id is read for the count anyway. A band reads scattered
+    // scores in any order; an id range keeps id order, which streams its
+    // scores (out of order, `k` at the block count read 2.2× slower).
+    let best_first = keeps && seed.is_none();
+    let by_max = |s: &Segment| best_first && s.postings.is_some();
+    let scratch = segments
+        .clone()
+        .filter(|(s, _)| by_max(s))
+        .map(|(s, _)| blocks_of(&s).len())
+        .max();
+    let mut top = TopK::after_scratch(scores, k, out, scratch.unwrap_or(0));
     if let Some(kth) = seed {
         // Every id ranks before `u32::MAX`: a score equal to the seed is kept.
         top.threshold = Some((kth, u32::MAX));
     }
 
     let mut walk = BlockWalk::default();
-    if start >= end {
-        return walk;
-    }
-    let blocks = start / len..end.div_ceil(len);
-    walk.blocks_in_range = blocks.len();
-    let keeps = k > 0;
-    if !keeps && frontier.is_none() {
-        // Nothing to keep and nothing to count against: a length.
-        walk.matched = end - start;
-        return walk;
-    }
-    for block in blocks {
-        let ids = (block * len).max(start) as u32..((block + 1) * len).min(end) as u32;
-        match straddled(block) {
-            // Every id is tested, for the count.
-            Some(f) => {
-                walk.blocks_scanned += 1;
-                let after = ids.filter(|&id| {
-                    let admitted = f.admits(scores[id as usize], id);
-                    walk.matched += admitted as usize;
-                    admitted
-                });
+    for (seg, first) in segments {
+        let blocks = blocks_of(&seg);
+        if blocks.is_empty() {
+            continue;
+        }
+        walk.blocks_in_range += blocks.len();
+        let span = |b: usize| (b * len).max(seg.start)..((b + 1) * len).min(seg.end);
+        let list_maxima = &maxima.maxima[first..first + blocks.end];
+        let max = |b: usize| list_maxima[b];
+        let order = by_max(&seg).then_some(list_maxima);
+        match (frontier, &mut residual) {
+            // Rule 3 for the whole segment, then rule 1 block by block.
+            (None, None) => {
+                walk.matched += seg.end - seg.start;
                 if keeps {
-                    top.offer_all(after);
-                } else {
-                    after.for_each(drop);
+                    each_block!(top, blocks, order, |b| {
+                        if !top.skips(max(b)) {
+                            walk.blocks_scanned += 1;
+                            top.offer_span(seg.postings, span(b));
+                        }
+                    });
                 }
             }
-            // Rules 3 and 1.
-            None => {
-                walk.matched += ids.len();
-                if keeps && !top.skips(maxima.maxima[block]) {
+            // Rules 3 and 1 where the frontier clears a block; where it
+            // straddles one, every id is tested, for the count.
+            (Some(&f), None) => {
+                walk.matched += seg.end - seg.start;
+                each_block!(top, blocks, order, |b| {
+                    let offer = keeps && !top.skips(max(b));
+                    if f.clears(max(b)) {
+                        if offer {
+                            walk.blocks_scanned += 1;
+                            top.offer_span(seg.postings, span(b));
+                        }
+                    } else {
+                        walk.blocks_scanned += 1;
+                        let (at, after) = (span(b), |id: u32| f.admits(scores[id as usize], id));
+                        let behind =
+                            at.len() - offer_passing(&mut top, offer, seg.postings, at, after);
+                        walk.matched -= behind;
+                    }
+                });
+            }
+            // Every id is tested, for the count; only the blocks rule 1
+            // keeps are offered.
+            (frontier, Some(residual)) => {
+                each_block!(top, blocks, order, |b| {
                     walk.blocks_scanned += 1;
-                    top.offer_all(ids);
-                }
+                    let offer = keeps && !top.skips(max(b));
+                    let passes = |id: u32| {
+                        frontier.is_none_or(|f| f.admits(scores[id as usize], id)) && residual(id)
+                    };
+                    walk.matched += offer_passing(&mut top, offer, seg.postings, span(b), passes);
+                });
             }
         }
     }
     top.finish();
     walk
+}
+
+/// Sorts a segment's `blocks` into `top`'s scratch best maximum first
+/// (`maxima` is its list's) and returns how many there are.
+fn sort_best_first(top: &mut TopK<'_>, blocks: std::ops::Range<usize>, maxima: &[f64]) -> usize {
+    let order = &mut top.scratch()[..blocks.len()];
+    for (slot, b) in order.iter_mut().zip(blocks) {
+        *slot = b as u32;
+    }
+    // Maxima are never NaN (`-inf` for a block without a number).
+    order.sort_unstable_by(|&a, &b| maxima[b as usize].total_cmp(&maxima[a as usize]));
+    order.len()
+}
+
+/// Counts the ids at positions `at` of a segment's list (`postings`,
+/// or the id space when `None`) that pass `test`, and offers them to
+/// `top` when `offer`. Returns the count.
+#[inline]
+fn offer_passing(
+    top: &mut TopK<'_>,
+    offer: bool,
+    postings: Option<&[u32]>,
+    at: std::ops::Range<usize>,
+    test: impl FnMut(u32) -> bool,
+) -> usize {
+    match postings {
+        None => offer_passing_ids(top, offer, at.start as u32..at.end as u32, test),
+        Some(list) => offer_passing_ids(top, offer, list[at].iter().copied(), test),
+    }
+}
+
+/// [`offer_passing`] over one id source.
+#[inline]
+fn offer_passing_ids(
+    top: &mut TopK<'_>,
+    offer: bool,
+    ids: impl Iterator<Item = u32>,
+    mut test: impl FnMut(u32) -> bool,
+) -> usize {
+    let mut passed = 0;
+    let eligible = ids.filter(|&id| {
+        let ok = test(id);
+        passed += ok as usize;
+        ok
+    });
+    if offer {
+        top.offer_all(eligible);
+    } else {
+        eligible.for_each(drop);
+    }
+    passed
 }
 
 /// One run head inside [`merge_k_sorted`]'s heap. Ordered so that the
@@ -884,12 +1193,12 @@ mod tests {
         let m = BlockMaxima::with_block_len(&s, 2);
         assert_eq!(m.len, 7);
         assert_eq!(m.maxima, vec![1.0, 3.0, f64::NEG_INFINITY, 7.0]);
-        assert_eq!(m.bytes(), STORAGE_STEP * 8, "storage grows in steps");
+        assert_eq!(m.bytes(), STORAGE_STEP * 8 + 16, "storage grows in steps");
         let empty = BlockMaxima::new(&[]);
         assert!(empty.maxima.is_empty());
         let mut out = vec![9];
         let all = 0..0;
-        let walk = top_k_pruned_into(&[], &empty, all, 3, None, &mut out);
+        let walk = top_k_pruned_into(&[], &empty, [Segment::range(all)], 3, None, None, &mut out);
         assert_eq!((walk, out.len()), (BlockWalk::default(), 0));
     }
 
@@ -901,7 +1210,7 @@ mod tests {
         let s: Vec<f64> = (0..6400).map(f64::from).collect();
         let m = BlockMaxima::new(&s);
         let mut out = Vec::new();
-        let walk = top_k_pruned_into(&s, &m, 0..6400, 10, None, &mut out);
+        let walk = top_k_pruned_into(&s, &m, [Segment::range(0..6400)], 10, None, None, &mut out);
         assert_eq!(out, (6390..6400).rev().collect::<Vec<u32>>());
         assert_eq!((walk.matched, walk.blocks_in_range), (6400, 100));
         assert_eq!(walk.blocks_scanned, 10);
@@ -913,19 +1222,51 @@ mod tests {
             scale: 1.0,
             base: 0,
         };
-        let walk = top_k_pruned_into(&s, &m, 0..6400, 10, Some(&frontier), &mut out);
+        let all = [Segment::range(0..6400)];
+        let walk = top_k_pruned_into(&s, &m, all, 10, Some(&frontier), None, &mut out);
         assert_eq!(out, (6380..6390).rev().collect::<Vec<u32>>());
         assert_eq!((walk.matched, walk.blocks_scanned), (6390, 11));
         // A count: nothing kept, the same blocks read for the frontier.
-        let walk = top_k_pruned_into(&s, &m, 0..6400, 0, Some(&frontier), &mut out);
+        let walk = top_k_pruned_into(&s, &m, all, 0, Some(&frontier), None, &mut out);
         assert_eq!((walk.matched, walk.blocks_scanned, out.len()), (6390, 1, 0));
+    }
+
+    #[test]
+    fn an_unseeded_band_is_walked_best_block_first() {
+        // Twenty 32-posting blocks cannot seed k = 15 (two whole blocks a
+        // wanted item), and the scores climb with id. In id order every
+        // block would be read; best first, the last block fills the page
+        // and every other one is skipped.
+        let s: Vec<f64> = (0..640).map(f64::from).collect();
+        let list: Vec<u32> = (0..640).collect();
+        let m = BlockMaxima::over_postings_with_block_len(&s, &[0, 640], &list, 32);
+        let band = [Segment::band(0, &list, 0..640)];
+        let mut out = Vec::new();
+        let walk = top_k_pruned_into(&s, &m, band, 15, None, None, &mut out);
+        assert_eq!(out, (625..640).rev().collect::<Vec<u32>>());
+        assert_eq!(
+            (walk.matched, walk.blocks_scanned, walk.blocks_in_range),
+            (640, 1, 20)
+        );
+        // Page 2: the best block straddles the cursor and is read id by
+        // id; the next one completes the page.
+        let frontier = Frontier {
+            score: 625.0,
+            id: 625,
+            scale: 1.0,
+            base: 0,
+        };
+        let walk = top_k_pruned_into(&s, &m, band, 15, Some(&frontier), None, &mut out);
+        assert_eq!(out, (610..625).rev().collect::<Vec<u32>>());
+        assert_eq!((walk.matched, walk.blocks_scanned), (625, 2));
     }
 
     #[test]
     #[should_panic(expected = "summary covers")]
     fn pruned_walk_rejects_another_vectors_summary() {
         let m = BlockMaxima::new(&[1.0, 2.0, 3.0]);
-        top_k_pruned_into(&[1.0, 2.0], &m, 0..2, 1, None, &mut Vec::new());
+        let all = [Segment::range(0..2)];
+        top_k_pruned_into(&[1.0, 2.0], &m, all, 1, None, None, &mut Vec::new());
     }
 
     #[test]

@@ -485,7 +485,7 @@ proptest! {
         scale in 0usize..3,
         base in 0u32..1000,
     ) {
-        use sparsela::{cmp_score_desc, top_k_pruned_into, BlockMaxima, Frontier};
+        use sparsela::{cmp_score_desc, top_k_pruned_into, BlockMaxima, Frontier, Segment};
         let scale = [1.0, 0.25, 1.0 / 3.0][scale];
         // The shapes of `top_k_equals_full_sort_then_truncate` plus a
         // mostly-NaN one (whole blocks without a number, pages that must
@@ -531,7 +531,85 @@ proptest! {
             .collect();
         let mut out = vec![7u32; 3];
         for k in [k, 0, 1, n.saturating_sub(1), n, n + 1] {
-            let walk = top_k_pruned_into(&scores, &maxima, lo..hi, k, frontier.as_ref(), &mut out);
+            let range = [Segment::range(lo..hi)];
+            let walk = top_k_pruned_into(&scores, &maxima, range, k, frontier.as_ref(), None, &mut out);
+            prop_assert_eq!(&out, &eligible[..k.min(eligible.len())], "k={}", k);
+            prop_assert_eq!(walk.matched, eligible.len(), "k={}", k);
+            prop_assert!(walk.blocks_scanned <= walk.blocks_in_range);
+        }
+    }
+
+    #[test]
+    fn top_k_pruned_bands_equal_sort_lists_range_frontier_truncate(
+        raw in proptest::collection::vec((-6i32..6, 0u8..5), 0..110),
+        n_lists in 1usize..5,
+        pick in 0u8..16,
+        bounds in (0u32..120, 0u32..120),
+        k in 0usize..120,
+        block_len in 1usize..6,
+        at in 0usize..110,
+        tweak in 0u8..4,
+        scale in 0usize..3,
+        base in 0u32..1000,
+        residual in 0u8..3,
+    ) {
+        use sparsela::{cmp_score_desc, top_k_pruned_into, BlockMaxima, Frontier, Segment};
+        let scale = [1.0, 0.25, 1.0 / 3.0][scale];
+        // Scores in ties of two, with NaNs and `-inf`s; each id on at most
+        // one of `n_lists` posting lists (owner ≥ `n_lists`: on none), so
+        // the lists are disjoint and ascending, like a venue table's.
+        let scores: Vec<f64> = raw
+            .iter()
+            .map(|&(v, _)| match v {
+                -6 => f64::NAN,
+                5 => f64::NEG_INFINITY,
+                v => (v / 2) as f64,
+            })
+            .collect();
+        let n = scores.len();
+        let mut offsets = vec![0usize];
+        let mut postings: Vec<u32> = Vec::new();
+        for list in 0..n_lists {
+            let on = raw.iter().enumerate().filter(|(_, &(_, o))| o as usize == list);
+            postings.extend(on.map(|(id, _)| id as u32));
+            offsets.push(postings.len());
+        }
+        let maxima = BlockMaxima::over_postings_with_block_len(&scores, &offsets, &postings, block_len);
+        // The OR of the picked lists, each cut to the id range `lo..hi` —
+        // a year window — so bands start and end mid-block.
+        let (lo, hi) = (bounds.0.min(bounds.1), bounds.0.max(bounds.1));
+        let picked: Vec<usize> = (0..n_lists).filter(|&l| pick >> l & 1 == 1).collect();
+        let segments = picked.iter().map(|&l| {
+            let list = &postings[offsets[l]..offsets[l + 1]];
+            let cut = list.partition_point(|&id| id < lo)..list.partition_point(|&id| id < hi);
+            Segment::band(l, list, cut)
+        });
+        let frontier = (n > 0 && tweak < 3).then(|| {
+            let on = at % n;
+            let (score, id) = match tweak {
+                0 => (scores[on] * scale, base + on as u32),
+                1 => (scores[on] * scale, base + (on as u32).saturating_sub(1)),
+                _ => (scores[on] * scale + 0.125, base + on as u32),
+            };
+            Frontier { score, id, scale, base }
+        });
+        let passes = |id: u32| residual == 0 || !id.is_multiple_of(residual as u32 + 1);
+        let eligible: Vec<u32> = sort_indices_desc(&scores)
+            .into_iter()
+            .filter(|&i| i >= lo && i < hi && passes(i))
+            .filter(|&i| picked.contains(&(raw[i as usize].1 as usize)))
+            .filter(|&i| frontier.is_none_or(|f| {
+                cmp_score_desc(scores[i as usize] * scale, base + i, f.score, f.id)
+                    == std::cmp::Ordering::Greater
+            }))
+            .collect();
+        let mut out = vec![7u32; 3];
+        for k in [k.min(n), 0, 1, n.saturating_sub(1), n] {
+            let mut pred = passes;
+            let pred: Option<&mut dyn FnMut(u32) -> bool> = (residual > 0).then_some(&mut pred as _);
+            let walk = top_k_pruned_into(
+                &scores, &maxima, segments.clone(), k, frontier.as_ref(), pred, &mut out,
+            );
             prop_assert_eq!(&out, &eligible[..k.min(eligible.len())], "k={}", k);
             prop_assert_eq!(walk.matched, eligible.len(), "k={}", k);
             prop_assert!(walk.blocks_scanned <= walk.blocks_in_range);
