@@ -26,16 +26,24 @@
 //! (ISSUE 19):
 //!
 //! * `unfiltered_200k` / `unfiltered_page2_200k` — the global top 10 and
-//!   the page behind its cursor through `query_at`: a walk over the
-//!   epoch's block maxima that reads about `k` blocks of 64 scores;
+//!   the page behind its cursor through `query_at`: slices of the head
+//!   frozen with the epoch's block maxima (its first 128 ids in order),
+//!   which read no block;
 //! * `unfiltered_stream_200k` — the summary-less `top_k_indices` on the
 //!   same slice, which reads every score. `repro bench-check` gates
 //!   `unfiltered_stream_200k / unfiltered_200k ≥ 4`
 //!   (`query/block_pruned_speedup`);
+//! * `unfiltered_page2_walk_200k` — the kernel alone on the same page 2
+//!   over a head-less summary: the walk that reads about `k` blocks of 64
+//!   scores and recounts behind the cursor, which the head slice
+//!   replaced. `repro bench-check` gates `unfiltered_page2_walk_200k /
+//!   unfiltered_page2_200k ≥ 5` (`query/head_slice_speedup`);
 //! * `pruned_*_200k` / `stream_*_200k` — the inputs on which the walk
 //!   prunes nothing and must cost what the plain stream costs (≤ 1.1×):
 //!   a `k` at the block count, a cursor 5,000 hits deep with its exact
-//!   `matched`, and a `k = 0` count behind that cursor.
+//!   `matched`, and a `k = 0` count behind that cursor. Each asks for more
+//!   than the head holds (a page past its 128 ids, or a cursor below its
+//!   last score), so each still times the walk.
 //!
 //! A venue page over recent years, the listing page of a field (the
 //! same walk over the epoch's per-venue block maxima):
@@ -133,6 +141,20 @@ fn bench_query(c: &mut Criterion) {
             group.bench_function(format!("unfiltered_stream_{label}"), |b| {
                 b.iter(|| top_k_indices_into(black_box(scores), 10, &mut out))
             });
+            // The same page 2, walked over a head-less summary.
+            let walked = BlockMaxima::with_block_len(scores, BLOCK_LEN, 0);
+            let all = [Segment::range(0..scores.len() as u32)];
+            let last = qe.query_at(&snap, &all_q).unwrap().items[9].id;
+            let behind_page1 = Frontier {
+                score: scores[last as usize],
+                id: last,
+                scale: 1.0,
+                base: 0,
+            };
+            let frontier = Some(&behind_page1);
+            group.bench_function(format!("unfiltered_page2_walk_{label}"), |b| {
+                b.iter(|| top_k_pruned_into(scores, &walked, all, 10, frontier, None, &mut out))
+            });
 
             // A recent-years venue page, and the gather + quickselect it
             // replaced on the same band.
@@ -156,8 +178,10 @@ fn bench_query(c: &mut Criterion) {
             });
 
             // Where the walk cannot prune it must cost the plain stream.
+            // Each of these asks for more than the head holds (a page past
+            // its 128 ids, a cursor below its last score), so the summary
+            // keeps its head and these rows still time the walk.
             let maxima = BlockMaxima::new(scores);
-            let all = [Segment::range(0..scores.len() as u32)];
             let n_blocks = scores.len().div_ceil(BLOCK_LEN);
             group.bench_function(format!("pruned_k_blocks_{label}"), |b| {
                 b.iter(|| top_k_pruned_into(scores, &maxima, all, n_blocks, None, None, &mut out))

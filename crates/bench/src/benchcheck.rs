@@ -92,12 +92,13 @@ pub fn is_guarded(r: &BenchRecord) -> bool {
         || r.id.starts_with("stochastic_apply")
         || (r.group == "store_load" && r.id.starts_with("first_topk_store"))
         // The query group is guarded except its reference rows
-        // (post_filter_*, *stream_*, *gather_*), which exist only to form
-        // ratios.
+        // (post_filter_*, *stream_*, *gather_*, *_walk_*), which exist only
+        // to form ratios.
         || (r.group == "query"
             && !(r.id.starts_with("post_filter")
                 || r.id.contains("stream_")
-                || r.id.contains("gather_")))
+                || r.id.contains("gather_")
+                || r.id.contains("_walk_")))
         // The sharded group is guarded except its unsharded/scan
         // reference rows, which exist only to form the speedup ratios.
         || (r.group == "sharded" && !(r.id.contains("unsharded") || r.id.contains("scan")))
@@ -175,6 +176,10 @@ pub const GATES: &[Gate] = &[
     // maxima (whole query path) vs the summary-less stream that reads every score.
     Gate { group: "query", name: "block_pruned_speedup", bound: Bound::Floor(4.0),
            numerator: "unfiltered_stream_200k", denominator: "unfiltered_200k" },
+    // Page 2 of the global top 10 on the real `cc` vector: the walk over a head-less summary
+    // (kernel alone) vs the slice of the epoch's head (whole query path).
+    Gate { group: "query", name: "head_slice_speedup", bound: Bound::Floor(5.0),
+           numerator: "unfiltered_page2_walk_200k", denominator: "unfiltered_page2_200k" },
     // A recent-years venue page (whole query path), the walk over the epoch's per-venue
     // block maxima vs the band gather + quickselect it replaced.
     Gate { group: "query", name: "venue_band_pruned_speedup", bound: Bound::Floor(2.0),
@@ -635,7 +640,7 @@ mod tests {
         // each table row must resolve there (and hold).
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
         let baseline = parse_records(&std::fs::read_to_string(path).expect("baseline"));
-        assert_eq!(GATES.len(), 14);
+        assert_eq!(GATES.len(), 15);
         for g in GATES {
             let ratio = g.ratio(&baseline);
             assert!(

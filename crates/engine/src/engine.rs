@@ -7,14 +7,17 @@
 //! configured ranking method. Scores are published as immutable
 //! [`EpochSnapshot`]s behind an `Arc` swap — each frozen together with
 //! the per-block maxima of its scores (one extra `O(n)` pass per publish,
-//! ~0.1 ms per 200k papers), which is what lets every unfiltered, cursor
-//! and year-window page of the epoch skip the blocks that cannot reach
-//! it. Readers grab the current `Arc`
+//! ~0.1 ms per 200k papers) and its head (the first ids in rank order,
+//! one walk of those maxima), which is what lets a shallow unfiltered,
+//! cursor or year-window page of the epoch be a slice of the head and
+//! every other one skip the blocks that cannot reach it. Readers grab the
+//! current `Arc`
 //! (one `RwLock` read + one refcount bump, never blocked by a running
 //! re-rank) and answer `top_k` / `rank_of` queries against a frozen epoch,
 //! while the single writer folds [`GraphDelta`] batches in and publishes
 //! the next epoch atomically when the [`RerankPolicy`] fires. A rank
-//! lookup is a binary search over the epoch's order, sorted on first use.
+//! lookup is a binary search over the epoch's head, or past it over the
+//! epoch's order, sorted on first use.
 //!
 //! When the configured method is AttRank, re-ranks warm-start from the
 //! previous epoch's fixed point ([`IncrementalAttRank`]): consecutive
@@ -24,7 +27,7 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::thread;
 use std::time::Instant;
 
@@ -171,8 +174,10 @@ pub(crate) struct EpochLineage {
 /// against the network it ranks, so neither can describe another vector.
 #[derive(Debug)]
 pub(crate) struct BlockSummaries {
-    /// Over the id space: what unfiltered, cursor and year-window pages
-    /// walk.
+    /// Over the id space, with the vector's head (its first
+    /// [`sparsela::HEAD_LEN`] ids in order): what unfiltered, cursor and
+    /// year-window pages read — a slice of the head when it holds the
+    /// page, a walk of the blocks otherwise.
     pub(crate) ids: BlockMaxima,
     /// Over the network's venue posting lists, blocks aligned to each
     /// venue's start (no lists without venue metadata): what venue pages
@@ -231,12 +236,14 @@ pub struct EpochSnapshot {
     net: Arc<CitationNetwork>,
     scores: ScoreVec,
     /// Per-block maxima of `scores` over ids and over venue postings,
-    /// built with the snapshot (one `O(n)` pass each per publish): every
-    /// unfiltered, cursor, year-window and venue page of this epoch skips
-    /// the blocks that cannot reach it.
+    /// built with the snapshot (one `O(n)` pass each per publish), and the
+    /// head of the id summary: a shallow unfiltered, cursor or year-window
+    /// page of this epoch is a slice of the head, and every other one
+    /// skips the blocks that cannot reach it.
     blocks: BlockSummaries,
     /// Every paper id in `cmp_score_desc` order, built on the first rank
-    /// lookup (a top-k-only reader never pays for it).
+    /// lookup past the head (a reader whose lookups all land in the head
+    /// never pays for it).
     order: OnceLock<Vec<u32>>,
     /// Provenance of this epoch's network state relative to its parent
     /// (`None` for epoch 0, restored epochs, and publishes after a
@@ -315,7 +322,8 @@ impl EpochSnapshot {
 
     /// 1-based rank of paper `p` (1 = best), `None` for an out-of-range id.
     ///
-    /// The rank order is sorted once per snapshot on first use; every
+    /// A paper in the head is one binary search over it; past the head,
+    /// the rank order is sorted once per snapshot on first use, and every
     /// lookup after that is one binary search over it.
     pub fn rank_of(&self, p: PaperId) -> Option<usize> {
         let score = self.score(p)?;
@@ -326,14 +334,23 @@ impl EpochSnapshot {
     /// id)` under `cmp_score_desc` when local id `l` is global id
     /// `start + l` — the one rank primitive: summed over a ranking's
     /// partitions it is a global rank, as a page is a merge of theirs.
+    ///
+    /// When `(score, id)` sorts no later than the head's last paper, every
+    /// paper ahead of it is in the head, and the answer is a search of the
+    /// head alone; otherwise it is a search of the whole order.
     pub(crate) fn ahead_of(&self, score: f64, id: PaperId, start: PaperId) -> usize {
         let scores = self.scores.as_slice();
+        let ahead = |&l: &u32| {
+            cmp_score_desc(scores[l as usize], start + l, score, id) == std::cmp::Ordering::Less
+        };
+        let head = self.blocks.ids.head();
+        if head.last().is_some_and(|last| !ahead(last)) {
+            return head.partition_point(ahead);
+        }
         let order = self
             .order
             .get_or_init(|| sparsela::sort_indices_desc(scores));
-        order.partition_point(|&l| {
-            cmp_score_desc(scores[l as usize], start + l, score, id) == std::cmp::Ordering::Less
-        })
+        order.partition_point(ahead)
     }
 
     /// Provenance of this epoch relative to its parent, when known.
@@ -565,9 +582,11 @@ impl RankingEngine {
     /// immutable view — hold it as long as needed; later publishes do not
     /// mutate it.
     pub fn snapshot(&self) -> Arc<EpochSnapshot> {
+        // The lock guards one `Arc` store, which a panic cannot leave
+        // half done: a poisoned lock still holds a whole snapshot.
         self.published
             .read()
-            .expect("snapshot lock poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .clone()
     }
 
@@ -1052,7 +1071,10 @@ impl RankingEngine {
         });
         let snapshot = Self::freeze_with(epoch, &state.net, scores, strategy, lineage);
         state.previous = Some(snapshot.clone());
-        *self.published.write().expect("snapshot lock poisoned") = snapshot;
+        *self
+            .published
+            .write()
+            .unwrap_or_else(PoisonError::into_inner) = snapshot;
         if let Some(ins) = self.instruments.get() {
             ins.publish_seconds.observe(publish_started.elapsed());
             let (pushes, edge_work) = match strategy {
@@ -1157,6 +1179,7 @@ impl ColdStart {
 mod tests {
     use super::*;
     use citegraph::NetworkBuilder;
+    use sparsela::HEAD_LEN;
 
     fn base_net() -> CitationNetwork {
         let mut b = NetworkBuilder::new();
@@ -1205,6 +1228,70 @@ mod tests {
         assert_eq!(snap.score(99), None);
         assert_eq!(engine.top_k(3), full[..3].to_vec());
         assert_eq!(engine.rank_of(full[0]), Some(1));
+    }
+
+    #[test]
+    fn a_rank_in_or_past_the_head_is_its_sort_position() {
+        // Tie runs, `-inf`s and NaNs; then mostly NaN, so the head holds
+        // NaNs too. The last 1,000 papers are past the head.
+        let n = HEAD_LEN + 1_000;
+        let mut b = NetworkBuilder::new();
+        for _ in 0..n {
+            b.add_paper(2000);
+        }
+        let net = Arc::new(b.build().unwrap());
+        let patterns: [fn(usize) -> f64; 2] = [
+            |i| match i % 11 {
+                0 => f64::NAN,
+                1 => f64::NEG_INFINITY,
+                _ => ((i * 7919) % 97) as f64 / 4.0,
+            },
+            |i| match i % 20 {
+                0 => (i % 3) as f64,
+                _ => f64::NAN,
+            },
+        ];
+        for pattern in patterns {
+            let scores: Vec<f64> = (0..n).map(pattern).collect();
+            let full = sparsela::sort_indices_desc(&scores);
+            let vector = ScoreVec::from_vec(scores);
+            let snap = RankingEngine::freeze(0, &net, vector, RerankStrategy::Initial);
+            assert_eq!(snap.blocks.ids.head(), &full[..HEAD_LEN]);
+            for (pos, &p) in full[..HEAD_LEN].iter().enumerate() {
+                assert_eq!(snap.rank_of(p), Some(pos + 1), "head paper {p}");
+                let score = snap.score(p).unwrap();
+                assert_eq!(snap.ahead_of(score, 5_000 + p, 5_000), pos, "as a shard");
+            }
+            assert!(
+                snap.order.get().is_none(),
+                "a rank in the head sorted the order"
+            );
+            for (pos, &p) in full.iter().enumerate().skip(HEAD_LEN) {
+                assert_eq!(snap.rank_of(p), Some(pos + 1), "paper {p} past the head");
+            }
+        }
+    }
+
+    #[test]
+    fn a_poisoned_snapshot_lock_still_serves_and_publishes() {
+        let engine =
+            RankingEngine::from_config(base_net(), "cc", RerankPolicy::EveryBatch).unwrap();
+        let engine = Arc::new(engine);
+        let want = engine.top_k(3);
+        let holder = Arc::clone(&engine);
+        let died = thread::spawn(move || {
+            let _guard = holder.published.write().unwrap();
+            panic!("a thread panics holding the snapshot lock");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(engine.published.is_poisoned());
+        assert_eq!(engine.top_k(3), want);
+        assert_eq!(engine.rank_of(want[0]), Some(1));
+        // The publish swap takes the poisoned lock too.
+        assert!(engine.ingest(&growth_delta(10, 2011)).unwrap().published);
+        assert_eq!(engine.snapshot().epoch(), 1);
+        assert_eq!(engine.snapshot().score(0), Some(9.0));
     }
 
     #[test]

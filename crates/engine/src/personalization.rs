@@ -131,10 +131,12 @@ impl CacheKey {
     }
 }
 
-/// A cached personalized vector with the block summaries (over ids and
-/// over the epoch's venue postings) built when it was solved: what
-/// [`PersonalizationCache::ranking`] hands the query layer, so a seeded
-/// page — a venue page included — prunes like an unseeded one.
+/// A cached personalized vector with the block summaries (over ids, with
+/// the vector's head, and over the epoch's venue postings) built when it
+/// was solved: what [`PersonalizationCache::ranking`] hands the query
+/// layer, so a shallow seeded page is a slice of its head like an
+/// unseeded one, and every other seeded page — a venue page included —
+/// prunes like an unseeded one.
 #[derive(Debug, Clone)]
 pub(crate) struct CachedRanking {
     pub(crate) scores: Arc<ScoreVec>,
@@ -603,11 +605,11 @@ mod tests {
         );
 
         // Byte bound: one 12-paper entry is 192 bytes of vectors (resolved
-        // plus warm-start form), one 8 KiB step of block maxima over ids and
+        // plus warm-start form), one 8 KiB step of block maxima over ids,
         // three words of list offsets (two for the id space, one for the
-        // venue summary of a corpus without venues); a bound one byte short
-        // of two entries holds exactly one.
-        let entry = 192 + 8192 + 3 * 8;
+        // venue summary of a corpus without venues) and a head of all 12
+        // ids; a bound one byte short of two entries holds exactly one.
+        let entry = 192 + 8192 + 3 * 8 + 12 * 4;
         let tight = PersonalizationCache::new(CacheConfig {
             capacity: 10,
             max_bytes: 2 * entry - 1,

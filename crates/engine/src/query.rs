@@ -72,7 +72,11 @@
 //! personalization-cache entry), and [`sparsela::top_k_pruned_into`]
 //! reads only the blocks that can reach the page — of one id range, or
 //! of one band per venue feeding one selection — counting what lies
-//! behind the cursor by blocks. Such plans are priced by blocks, not by
+//! behind the cursor by blocks. An id-range page the vector's head holds
+//! (its first [`sparsela::HEAD_LEN`] ids in order, frozen with the id
+//! maxima) reads no block at all: it is a slice of the head, and its
+//! count is the range less the head ids behind the cursor. Such plans
+//! are priced by blocks, not by
 //! ids. A scan under a venue or author residual needs every id for its
 //! match count and keeps the plain stream; a venue band under an author
 //! residual tests every posting for the count and offers only the blocks
@@ -1816,7 +1820,9 @@ fn build_facet_mask(
 /// resumed behind a cursor — and a union of venue bands go through
 /// [`top_k_pruned_into`] over the vector's block maxima (over ids, over
 /// venue postings): the frontier is the only per-id test, and the walk
-/// counts it by blocks. A range scan under a venue or author residual
+/// counts it by blocks. A range page the id summary's head holds is a
+/// slice of the head (rule 0 of the walk), unseeded or seeded, flat or
+/// one shard's. A range scan under a venue or author residual
 /// needs every id for its count and keeps the plain stream; an author
 /// residual on a venue band is tested per posting inside the walk.
 ///

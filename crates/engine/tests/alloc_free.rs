@@ -88,7 +88,8 @@ fn steady_state_queries_allocate_nothing() {
     // cache probe hands back an Arc but its solve path is not part of
     // the zero-allocation contract).
     let shapes: Vec<Query> = [
-        "k=10",                       // unfiltered partial select
+        "k=10",                       // unfiltered: a slice of the head
+        "k=25",                       // a deeper slice of the head
         "k=10,year=2005..2015",       // id-range scan
         "k=10,venue=0",               // venue banded postings
         "k=10,venue=1|3,year=2000..", // OR-venue bands under a year bound
@@ -100,7 +101,7 @@ fn steady_state_queries_allocate_nothing() {
     .map(|s| s.parse().unwrap())
     .collect();
 
-    let or_venues = qe.explain(&shapes[3]).unwrap().driver;
+    let or_venues = qe.explain(&shapes[4]).unwrap().driver;
     assert!(
         matches!(or_venues, QueryDriver::VenueBands { ref venues, .. } if venues.len() == 2),
         "{or_venues:?}"
@@ -128,20 +129,23 @@ fn steady_state_queries_allocate_nothing() {
 
     // Paginated steady state: resuming through a cursor is also free
     // once warm (the token decodes into stack values, the next token
-    // re-encodes into the reused buffer).
-    let first: Query = "k=10,venue=0".parse().unwrap();
-    qe.query_with(&first, &mut scratch, &mut out).unwrap();
-    let mut resumed = first.clone();
-    resumed.cursor = out.next();
-    assert!(resumed.cursor.is_some(), "venue=0 has a second page");
-    qe.query_with(&resumed, &mut scratch, &mut out).unwrap();
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..32 {
+    // re-encodes into the reused buffer) — a walked venue page 2, and
+    // unfiltered pages 2 that are slices of the head.
+    for first in ["k=10,venue=0", "k=10", "k=25"] {
+        let first: Query = first.parse().unwrap();
+        qe.query_with(&first, &mut scratch, &mut out).unwrap();
+        let mut resumed = first.clone();
+        resumed.cursor = out.next();
+        assert!(resumed.cursor.is_some(), "{first} has a second page");
         qe.query_with(&resumed, &mut scratch, &mut out).unwrap();
+        let before = ALLOCS.load(Ordering::Relaxed);
+        for _ in 0..32 {
+            qe.query_with(&resumed, &mut scratch, &mut out).unwrap();
+        }
+        assert_eq!(
+            ALLOCS.load(Ordering::Relaxed) - before,
+            0,
+            "steady-state cursor resume of {first} allocated"
+        );
     }
-    assert_eq!(
-        ALLOCS.load(Ordering::Relaxed) - before,
-        0,
-        "steady-state cursor resume allocated"
-    );
 }

@@ -4,17 +4,21 @@
 //! solve for a seeded one — so they can never describe another vector.
 //! Pinned here for every way a vector comes to be served: the initial
 //! rank, a push publish, a full-solve publish, an epoch restored from a
-//! store, and a cache entry warm-re-pushed across a publish. In each, the
-//! block-pruned pages (unfiltered, year windows, one venue and an OR of
-//! two, each resumed behind cursors) must equal a fresh full sort.
+//! store, a cache entry warm-re-pushed across a publish, and a sharded
+//! tail partition re-frozen by a tail publish. In each, the block-pruned
+//! pages (unfiltered, year windows, one venue and an OR of two, each
+//! resumed behind cursors) and the shallow pages the id summary's head
+//! serves (pages 1 and 2, unfiltered and of a year window) must equal a
+//! fresh full sort.
 
 use std::path::PathBuf;
 
 use citegen::{generate, DatasetProfile};
+use citegraph::ShardSpec;
 use citegraph::{CitationNetwork, GraphDelta, PaperId, VenueId};
 use rankengine::{
     EpochSnapshot, Hit, Query, QueryDriver, QueryEngine, RankingEngine, RerankPolicy,
-    RerankStrategy,
+    RerankStrategy, ShardedEngine,
 };
 use sparsela::{cmp_score_desc, sort_indices_desc};
 
@@ -44,6 +48,30 @@ fn walk(qe: &QueryEngine, snap: &EpochSnapshot, filter: &str, k: usize, total: u
             Some(cursor) => q.cursor = Some(cursor),
             None => return hits,
         }
+    }
+}
+
+/// The pages a head serves — pages 1 and 2 at `k` = 10 and 25, page 1
+/// at `k` = 100 — of `filter` on `snap`, against `want`, its full order.
+fn assert_head_pages(qe: &QueryEngine, snap: &EpochSnapshot, filter: &str, want: &[PaperId]) {
+    let ids = |page: &rankengine::Page| page.items.iter().map(|h| h.id).collect::<Vec<_>>();
+    for k in [10, 25, 100] {
+        let mut q: Query = format!("k={k},{filter}").parse().unwrap();
+        let first = qe.query_at(snap, &q).unwrap();
+        assert_eq!(ids(&first), want[..k.min(want.len())], "k={k},{filter}");
+        assert_eq!(first.matched, want.len(), "k={k},{filter}");
+        if k == 100 || first.next.is_none() {
+            continue;
+        }
+        q.cursor = first.next;
+        let second = qe.query_at(snap, &q).unwrap();
+        let rest = &want[k..];
+        assert_eq!(
+            ids(&second),
+            rest[..k.min(rest.len())],
+            "k={k},{filter} page 2"
+        );
+        assert_eq!(second.matched, rest.len(), "k={k},{filter} page 2");
     }
 }
 
@@ -101,6 +129,9 @@ fn assert_pages_are_the_full_sort(
             let got = walk(qe, snap, filter, 97, want.len());
             let got: Vec<PaperId> = got.iter().map(|h| h.id).collect();
             assert_eq!(got, want, "{case}: {filter}");
+            if venues.is_empty() {
+                assert_head_pages(qe, snap, filter, &want);
+            }
             // A first page small enough that the walk prunes.
             let first = qe
                 .query_at(snap, &format!("k=5,{filter}").parse().unwrap())
@@ -188,11 +219,21 @@ fn a_summary_is_never_stale() {
     let mut seen: Vec<PaperId> = warm.iter().map(|h| h.id).collect();
     seen.sort_unstable();
     assert!(seen.iter().copied().eq(0..(SCALE + 40) as PaperId));
+    let net = snap.network();
+    let late = net.years()[2 * SCALE / 3];
+    // Its shallow pages are slices of its head: the ranking above, and
+    // the ranking above cut to a year window.
+    let warm_ids: Vec<PaperId> = warm.iter().map(|h| h.id).collect();
+    assert_head_pages(&qe, &snap, seeded, &warm_ids);
+    let recent: Vec<PaperId> = warm
+        .iter()
+        .filter(|h| h.year >= late)
+        .map(|h| h.id)
+        .collect();
+    assert_head_pages(&qe, &snap, &format!("{seeded},year={late}.."), &recent);
     // Seeded venue pages off the same re-pushed entry walk its venue
     // summary: the ranking above, cut to the venues and a year window.
-    let net = snap.network();
     let (a, b) = busiest_venues(net);
-    let late = net.years()[2 * SCALE / 3];
     for venues in [vec![a], vec![a, b]] {
         let want: Vec<PaperId> = warm
             .iter()
@@ -221,6 +262,69 @@ fn a_summary_is_never_stale() {
     assert_pages_are_the_full_sort(&qe, &restored, "attrank", "restored epoch");
     cold_start.wait();
     let _ = std::fs::remove_file(&path);
+
+    // A sharded tail partition, re-frozen by a tail publish: its own
+    // top-k, and the shallow global pages it takes part in.
+    let net = generate(&DatasetProfile::dblp().scaled(SCALE), 11);
+    let plan = ShardSpec::Fixed(4).plan(&net).unwrap();
+    let eng = ShardedEngine::from_plan(&net, &plan, "attrank", RerankPolicy::EveryBatch).unwrap();
+    let report = eng.ingest(&growth(SCALE, year + 1, 20)).unwrap();
+    assert_eq!(report.shard, 3, "growth lands on the tail");
+    let snaps = eng.snapshots();
+    let tail = snaps.snapshot(3);
+    let full = sort_indices_desc(tail.scores().as_slice());
+    for k in [1, 10, 100, full.len() + 1] {
+        assert_eq!(tail.top_k(k), full[..k.min(full.len())], "tail top_k({k})");
+    }
+    for (filter, lo) in [("", None), (&*format!("year={late}.."), Some(late))] {
+        let mut pool: Vec<(f64, PaperId)> = Vec::new();
+        for s in 0..snaps.n_shards() {
+            let (snap, start) = (snaps.snapshot(s), snaps.start(s));
+            let scores = snap.scores().as_slice();
+            pool.extend(
+                (0..snap.n_papers() as PaperId)
+                    .filter(|&l| lo.is_none_or(|y| snap.network().year(l) >= y))
+                    .map(|l| (scores[l as usize], start + l)),
+            );
+        }
+        pool.sort_by(|&(xs, xi), &(ys, yi)| cmp_score_desc(xs, xi, ys, yi));
+        let want: Vec<PaperId> = pool.into_iter().map(|(_, id)| id).collect();
+        let q: Query = format!("k=10,{filter}")
+            .trim_end_matches(',')
+            .parse()
+            .unwrap();
+        let first = eng.query_at(&snaps, &q, None).unwrap();
+        let second = eng.query_at(&snaps, &q, first.next.as_ref()).unwrap();
+        for (page, at) in [(first, 0), (second, 10)] {
+            let got: Vec<PaperId> = page.items.iter().map(|h| h.id).collect();
+            assert_eq!(got, want[at..at + 10], "sharded k=10,{filter} from {at}");
+            assert_eq!(page.matched, want.len() - at, "sharded k=10,{filter}");
+        }
+    }
+}
+
+#[test]
+fn a_head_served_page_skips_every_block() {
+    let net = generate(&DatasetProfile::dblp().scaled(SCALE), 11);
+    let mut qe = QueryEngine::from_configs(net, &["attrank"], RerankPolicy::Manual).unwrap();
+    let registry = qe.enable_metrics();
+    let blocks = |outcome: &str| -> u64 {
+        let series = format!("attrank_select_blocks_total{{outcome=\"{outcome}\"}} ");
+        let text = registry.render();
+        let line = text.lines().find_map(|l| l.strip_prefix(series.as_str()));
+        line.map_or(0, |v| v.parse().unwrap())
+    };
+    let n_blocks = SCALE.div_ceil(sparsela::BLOCK_LEN) as u64;
+    let mut q: Query = "k=10".parse().unwrap();
+    // Page 1, then page 2 behind its cursor: both slices of the head.
+    for page in 1..=2 {
+        let (scanned, skipped) = (blocks("scanned"), blocks("skipped"));
+        let served = qe.query(&q).unwrap();
+        assert_eq!(served.items.len(), 10);
+        assert_eq!(blocks("scanned"), scanned, "page {page} read a block");
+        assert_eq!(blocks("skipped"), skipped + n_blocks, "page {page}");
+        q.cursor = served.next;
+    }
 }
 
 #[test]

@@ -21,8 +21,9 @@
 //! over an id range or a union of posting bands and offers only the
 //! blocks that can still reach the page — about `k` blocks whatever the
 //! order of the scores, with an exact count of what lies behind a
-//! pagination [`Frontier`]. [`top_k_filtered`] copies a short explicit
-//! candidate list and partitions it instead.
+//! pagination [`Frontier`] — and serves a shallow id-range page from the
+//! summary's ordered head without reading a block. [`top_k_filtered`]
+//! copies a short explicit candidate list and partitions it instead.
 //! [`merge_k_sorted`] merges per-partition pages.
 
 use crate::mask::IdMask;
@@ -242,6 +243,27 @@ impl<'a> TopK<'a> {
         }
     }
 
+    /// The `k`-th best offered id, when at least `k` were offered — what
+    /// [`Self::finish`] would leave last, found without sorting the rest
+    /// (the buffer is left in no order). A head's seed over a 25k-score
+    /// vector's 400 block maxima, caches flushed: 10–11 µs found this way,
+    /// 23–24 µs sorted.
+    fn kth(self) -> Option<u32> {
+        let Self {
+            scores,
+            buf,
+            base,
+            k,
+            ..
+        } = self;
+        let offered = &mut buf[base..];
+        (offered.len() >= k).then(|| {
+            *offered
+                .select_nth_unstable_by(k - 1, desc_by_score(scores))
+                .1
+        })
+    }
+
     /// Leaves the best `k` offered ids in the buffer, best first, and
     /// nothing else.
     fn finish(self) {
@@ -365,6 +387,21 @@ pub const BLOCK_LEN: usize = 64;
 /// scores.
 pub const POSTING_BLOCK_LEN: usize = 32;
 
+/// Ids in the ordered head [`BlockMaxima::new`] freezes with every
+/// id-space summary: the vector's first ids in [`cmp_score_desc`] order,
+/// from which rule 0 of [`top_k_pruned_into`] serves an id-range page
+/// without reading a block. Sized on the serving corpus's three published
+/// vectors (200k scores; attrank / cc / pagerank; medians on a 2-vCPU
+/// VM): the head adds 48–96 µs to the maxima's 139–159 µs at 128 ids,
+/// 87–144 µs at 256 and 198–268 µs at 512, and a 25k tail partition's
+/// whole summary costs 49–58, 87–100 and 157–208 µs. Every page the
+/// workloads ask for fits in 128 — page 1 to `k = 100`, page 2 to depth
+/// 50 — and so do 5 of `read_mixed`'s 8 `year=Y..` windows; 256 adds none
+/// of them (the windows 1, 5 and 9 years back hold 0–39 head ids at
+/// either length). A head slice costs 90–150 ns at `k = 10`–25, page 2
+/// 140–280 ns, against 14–43 µs for the walk.
+pub const HEAD_LEN: usize = 128;
+
 /// Block maxima a summary's storage grows by. A served vector grows with
 /// every publish and is re-summarized with it; sized exactly, each summary
 /// would be a few bytes larger than the one retired just before it, fit
@@ -400,6 +437,13 @@ fn max_number(xs: impl Iterator<Item = f64>) -> f64 {
 /// epoch's scores, a cached personalized solve), a summary lets
 /// [`top_k_pruned_into`] skip every block whose best score cannot reach
 /// the page. `n / block length × 8` bytes, rounded up to 8 KiB.
+///
+/// An id-space summary also freezes the vector's **head**: its first
+/// [`HEAD_LEN`] ids in [`cmp_score_desc`] order, found by one walk over the
+/// maxima just built. Rule 0 of [`top_k_pruned_into`] serves a shallow
+/// page of an id range — everything, a year window, either behind a
+/// cursor — as a slice of it. Built in the same call as the maxima, a
+/// head can only describe the vector they do.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockMaxima {
     block_len: usize,
@@ -408,22 +452,27 @@ pub struct BlockMaxima {
     /// First block of each list, then one past the last block.
     lists: Vec<usize>,
     maxima: Vec<f64>,
+    /// The vector's first ids in `cmp_score_desc` order; empty over
+    /// postings.
+    head: Vec<u32>,
 }
 
 impl BlockMaxima {
     /// The summary of `scores` over the id space at the serving block
-    /// length ([`BLOCK_LEN`]).
+    /// length ([`BLOCK_LEN`]), with a head of [`HEAD_LEN`] ids.
     pub fn new(scores: &[f64]) -> Self {
-        Self::with_block_len(scores, BLOCK_LEN)
+        Self::with_block_len(scores, BLOCK_LEN, HEAD_LEN)
     }
 
     /// The summary of `scores` over the id space with `block_len` ids per
-    /// block — for tests, which reach every block-boundary case at small
-    /// sizes with a tiny block, and for re-sizing [`BLOCK_LEN`].
+    /// block and a head of `head_len` ids (0: none, so every page is
+    /// walked) — for tests, which reach every block-boundary case at small
+    /// sizes with a tiny block, for timing the walk a head spares, and for
+    /// re-sizing [`BLOCK_LEN`] and [`HEAD_LEN`].
     ///
     /// # Panics
     /// When `block_len` is 0.
-    pub fn with_block_len(scores: &[f64], block_len: usize) -> Self {
+    pub fn with_block_len(scores: &[f64], block_len: usize, head_len: usize) -> Self {
         assert!(block_len > 0, "a block holds at least one id");
         let n_blocks = scores.len().div_ceil(block_len);
         let mut maxima = Vec::with_capacity(n_blocks.next_multiple_of(STORAGE_STEP));
@@ -432,12 +481,22 @@ impl BlockMaxima {
                 .chunks(block_len)
                 .map(|block| max_number(block.iter().copied())),
         );
-        Self {
+        let mut summary = Self {
             block_len,
             len: scores.len(),
             lists: vec![0, n_blocks],
             maxima,
+            head: Vec::new(),
+        };
+        if head_len > 0 {
+            // Head-less until this walk returns, so the walk is rule 0-free.
+            let mut head = Vec::new();
+            let all = [Segment::range(0..scores.len() as u32)];
+            top_k_pruned_into(scores, &summary, all, head_len, None, None, &mut head);
+            head.shrink_to_fit();
+            summary.head = head;
         }
+        summary
     }
 
     /// The summary of `scores` over posting lists at the serving posting
@@ -482,13 +541,22 @@ impl BlockMaxima {
             len: scores.len(),
             lists: starts,
             maxima,
+            head: Vec::new(),
         }
     }
 
-    /// Heap bytes held.
+    /// Heap bytes held, the head's included.
     pub fn bytes(&self) -> usize {
         self.maxima.capacity() * std::mem::size_of::<f64>()
             + self.lists.capacity() * std::mem::size_of::<usize>()
+            + self.head.capacity() * std::mem::size_of::<u32>()
+    }
+
+    /// The vector's first ids in [`cmp_score_desc`] order — all of them
+    /// when it has at most the head's length — or none for a summary
+    /// over postings or without a head.
+    pub fn head(&self) -> &[u32] {
+        &self.head
     }
 
     /// `segment` clamped to its list, with its list's first block.
@@ -518,6 +586,47 @@ impl BlockMaxima {
         };
         (segment, self.lists[list])
     }
+
+    /// Rule 0 of [`top_k_pruned_into`] on one resolved id range: the first
+    /// `k` head ids in range and after `frontier`, or `None` when the head
+    /// cannot decide the page. It decides when it is the whole vector, or
+    /// when it holds `k` such ids and every id past it sorts after the
+    /// frontier — there is none, or the head's last score clears it (later
+    /// scores are no higher, or NaN). Then the ids behind the frontier are
+    /// all in the head, and `matched` is the range less those.
+    fn head_slice(
+        &self,
+        scores: &[f64],
+        seg: Segment<'_>,
+        k: usize,
+        frontier: Option<&Frontier>,
+        out: &mut Vec<u32>,
+    ) -> Option<BlockWalk> {
+        let &last = self.head.last()?;
+        let whole = self.head.len() == self.len;
+        if !whole && frontier.is_some_and(|f| !f.clears(scores[last as usize])) {
+            return None;
+        }
+        let ids = seg.start as u32..seg.end as u32;
+        out.clear();
+        let mut behind = 0;
+        for &id in self.head.iter().filter(|id| ids.contains(id)) {
+            let score = scores[id as usize];
+            if frontier.is_some_and(|f| !f.admits(score, id)) {
+                behind += 1;
+            } else if out.len() < k {
+                out.push(id);
+            } else if frontier.is_none_or(|f| f.clears(score)) {
+                // The page is full, and no id from here on is behind.
+                break;
+            }
+        }
+        (whole || out.len() == k).then(|| BlockWalk {
+            matched: ids.len() - behind,
+            blocks_scanned: 0,
+            blocks_in_range: seg.blocks(self.block_len).len(),
+        })
+    }
 }
 
 /// One span of ids a block walk ([`top_k_pruned_into`]) reads: positions
@@ -542,6 +651,14 @@ impl<'a> Segment<'a> {
             postings: None,
             start: ids.start as usize,
             end: ids.end as usize,
+        }
+    }
+
+    /// The blocks, at `block_len` per block, its positions overlap.
+    fn blocks(&self, block_len: usize) -> std::ops::Range<usize> {
+        match self.start < self.end {
+            true => self.start / block_len..self.end.div_ceil(block_len),
+            false => 0..0,
         }
     }
 
@@ -634,6 +751,14 @@ macro_rules! each_block {
 /// residual → frontier → truncate (property-tested), reading only the
 /// blocks that can matter:
 ///
+/// 0. **one id range without a residual is a slice of the head** when the
+///    summary's head decides it: the page is the head's first `k` ids in
+///    range and after the frontier, `matched` is the range less the head
+///    ids in range behind the frontier, and no block is read. The head
+///    decides when it is the whole vector, or when it holds `k` such ids
+///    and the frontier is absent or strictly above its last score
+///    (as a block's maximum clears it), so no id past it is behind the
+///    frontier. Otherwise the walk below runs;
 /// 1. a block is **skipped** iff its maximum is strictly below the running
 ///    k-th score (an equal score may still win on id);
 /// 2. the k-th score is **seeded before the walk** with the k-th largest
@@ -677,7 +802,19 @@ where
         maxima.len,
         scores.len()
     );
-    let segments = segments.into_iter().map(|s| maxima.resolve(s));
+    let segments = segments.into_iter();
+    // Rule 0. A summary over postings has no head, so a band walk pays
+    // one test for it.
+    if !maxima.head.is_empty() && residual.is_none() {
+        let mut each = segments.clone();
+        if let (Some(range @ Segment { postings: None, .. }), None) = (each.next(), each.next()) {
+            let (range, _) = maxima.resolve(range);
+            if let Some(walk) = maxima.head_slice(scores, range, k, frontier, out) {
+                return walk;
+            }
+        }
+    }
+    let segments = segments.map(|s| maxima.resolve(s));
     let len = maxima.block_len;
     // Rule 2. `out` serves the pre-pass too: only the k-th maximum leaves
     // it. With fewer than two blocks per wanted item the k-th maximum is
@@ -695,17 +832,13 @@ where
                 Some(f) => blocks.offer_all(ids.filter(|&b| f.clears(maxima.maxima[b as usize]))),
             }
         }
-        blocks.finish();
         // `-inf` is also an all-NaN block, which witnesses no number.
-        seed = (out.len() == k)
-            .then(|| maxima.maxima[out[k - 1] as usize])
+        seed = blocks
+            .kth()
+            .map(|b| maxima.maxima[b as usize])
             .filter(|&kth| kth > f64::NEG_INFINITY);
     }
     let keeps = k > 0;
-    let blocks_of = |s: &Segment| match s.start < s.end {
-        true => s.start / len..s.end.div_ceil(len),
-        false => 0..0,
-    };
     // Rule 4. Unseeded, the k-th score rises only with what is offered,
     // and scores that climb in walk order would be kept one after
     // another, re-selecting the buffer every `k` ids. A posting band's
@@ -721,7 +854,7 @@ where
     let scratch = segments
         .clone()
         .filter(|(s, _)| by_max(s))
-        .map(|(s, _)| blocks_of(&s).len())
+        .map(|(s, _)| s.blocks(len).len())
         .max();
     let mut top = TopK::after_scratch(scores, k, out, scratch.unwrap_or(0));
     if let Some(kth) = seed {
@@ -731,7 +864,7 @@ where
 
     let mut walk = BlockWalk::default();
     for (seg, first) in segments {
-        let blocks = blocks_of(&seg);
+        let blocks = seg.blocks(len);
         if blocks.is_empty() {
             continue;
         }
@@ -1190,7 +1323,7 @@ mod tests {
             f64::NEG_INFINITY,
             7.0,
         ];
-        let m = BlockMaxima::with_block_len(&s, 2);
+        let m = BlockMaxima::with_block_len(&s, 2, 0);
         assert_eq!(m.len, 7);
         assert_eq!(m.maxima, vec![1.0, 3.0, f64::NEG_INFINITY, 7.0]);
         assert_eq!(m.bytes(), STORAGE_STEP * 8 + 16, "storage grows in steps");
@@ -1208,7 +1341,7 @@ mod tests {
         // id beats the running k-th). The seeded threshold makes it the
         // walk's best: only the last blocks can hold the page.
         let s: Vec<f64> = (0..6400).map(f64::from).collect();
-        let m = BlockMaxima::new(&s);
+        let m = BlockMaxima::with_block_len(&s, BLOCK_LEN, 0);
         let mut out = Vec::new();
         let walk = top_k_pruned_into(&s, &m, [Segment::range(0..6400)], 10, None, None, &mut out);
         assert_eq!(out, (6390..6400).rev().collect::<Vec<u32>>());
@@ -1229,6 +1362,91 @@ mod tests {
         // A count: nothing kept, the same blocks read for the frontier.
         let walk = top_k_pruned_into(&s, &m, all, 0, Some(&frontier), None, &mut out);
         assert_eq!((walk.matched, walk.blocks_scanned, out.len()), (6390, 1, 0));
+    }
+
+    #[test]
+    fn a_shallow_id_range_page_is_a_slice_of_the_head() {
+        // Scores in tie runs of three, ascending in id: the head is the
+        // last ids, each tie run by smaller id first.
+        let s: Vec<f64> = (0..6400).map(|i| f64::from(i / 3)).collect();
+        let m = BlockMaxima::new(&s);
+        let want = sort_indices_desc(&s);
+        assert_eq!(m.head(), &want[..HEAD_LEN]);
+        let mut out = Vec::new();
+        let all = [Segment::range(0..6400)];
+        let walk = top_k_pruned_into(&s, &m, all, 10, None, None, &mut out);
+        assert_eq!(out, want[..10]);
+        assert_eq!(
+            (walk.matched, walk.blocks_scanned, walk.blocks_in_range),
+            (6400, 0, 100)
+        );
+        // Page 2 behind a cursor inside a tie run: every id behind it is
+        // in the head, which still holds the page.
+        let &last = out.last().unwrap();
+        let frontier = Frontier {
+            score: s[last as usize],
+            id: last,
+            scale: 1.0,
+            base: 0,
+        };
+        let walk = top_k_pruned_into(&s, &m, all, 10, Some(&frontier), None, &mut out);
+        assert_eq!(out, want[10..20]);
+        assert_eq!((walk.matched, walk.blocks_scanned), (6390, 0));
+        // A year window cut mid-block: the head's in-range ids.
+        let late = [Segment::range(6300..6390)];
+        let walk = top_k_pruned_into(&s, &m, late, 5, None, None, &mut out);
+        let in_range = |ids: std::ops::Range<u32>, k: usize| -> Vec<u32> {
+            want.iter()
+                .copied()
+                .filter(|i| ids.contains(i))
+                .take(k)
+                .collect()
+        };
+        assert_eq!(out, in_range(6300..6390, 5));
+        assert_eq!(
+            (walk.matched, walk.blocks_scanned, walk.blocks_in_range),
+            (90, 0, 2)
+        );
+        // A window the head holds too little of is walked.
+        let early = [Segment::range(0..6000)];
+        let walk = top_k_pruned_into(&s, &m, early, 5, None, None, &mut out);
+        assert_eq!(out, in_range(0..6000, 5));
+        assert!(walk.blocks_scanned > 0);
+        // A frontier past the head's last score: walked.
+        let deep = Frontier {
+            score: 6000.0 / 3.0,
+            id: 6000,
+            scale: 1.0,
+            base: 0,
+        };
+        let walk = top_k_pruned_into(&s, &m, all, 3, Some(&deep), None, &mut out);
+        assert_eq!(out, [6001, 6002, 5997]);
+        assert!(walk.blocks_scanned > 0);
+    }
+
+    #[test]
+    fn a_head_slice_counts_what_a_scaled_frontier_reorders() {
+        // Neighbouring floats that a scale of 0.75 rounds onto one value:
+        // the head ranks ids 1 and 2 before id 0, the frontier's order
+        // puts id 0 first. Behind a frontier on id 0, ids 1 and 2 are
+        // admitted and id 0 is not, though it comes later in the head.
+        let ulp = |u: u64| f64::from_bits(1.5f64.to_bits() + u);
+        assert_eq!(ulp(2) * 0.75, ulp(3) * 0.75);
+        let mut s = vec![ulp(2), ulp(3), ulp(3)];
+        s.extend([1.0; 61]);
+        let m = BlockMaxima::with_block_len(&s, 2, 4);
+        assert_eq!(m.head(), [1, 2, 0, 3]);
+        let frontier = Frontier {
+            score: ulp(2) * 0.75,
+            id: 0,
+            scale: 0.75,
+            base: 0,
+        };
+        let mut out = Vec::new();
+        let all = [Segment::range(0..64)];
+        let walk = top_k_pruned_into(&s, &m, all, 1, Some(&frontier), None, &mut out);
+        assert_eq!(out, [1]);
+        assert_eq!((walk.matched, walk.blocks_scanned), (63, 0));
     }
 
     #[test]

@@ -507,7 +507,7 @@ proptest! {
             })
             .collect();
         let n = scores.len();
-        let maxima = BlockMaxima::with_block_len(&scores, block_len);
+        let maxima = BlockMaxima::with_block_len(&scores, block_len, 0);
         let (lo, hi) = (bounds.0.min(bounds.1), bounds.0.max(bounds.1));
         // A frontier sits on an item of the vector (so, under shapes 0–2,
         // inside a tie run; under shape 1 possibly on a NaN), nudged to a
@@ -536,6 +536,98 @@ proptest! {
             prop_assert_eq!(&out, &eligible[..k.min(eligible.len())], "k={}", k);
             prop_assert_eq!(walk.matched, eligible.len(), "k={}", k);
             prop_assert!(walk.blocks_scanned <= walk.blocks_in_range);
+        }
+    }
+
+    #[test]
+    fn top_k_head_slice_equals_walk_and_sort(
+        raw in proptest::collection::vec(-8i32..8, 0..120),
+        head_len in 0usize..123,
+        bounds in (0u32..130, 0u32..130),
+        k in 0usize..121,
+        shape in 0u8..5,
+        block_len in 2usize..9,
+        at in 0usize..120,
+        tweak in 0u8..5,
+        scale in 0usize..4,
+        base in 0u32..1000,
+        residual in 1u32..4,
+    ) {
+        use sparsela::{cmp_score_desc, top_k_pruned_into, BlockMaxima, Frontier, Segment};
+        let scale = [1.0, 0.25, 1.0 / 3.0, 0.75][scale];
+        // Ties, NaNs and `-inf`s; scores that climb with id, so the head
+        // is the last ids; one long tie run; and neighbouring floats,
+        // which a scale of 0.75 rounds onto each other, so scaled scores
+        // tie where raw ones differ and the frontier's order is not the
+        // head's.
+        let scores: Vec<f64> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| match shape {
+                0 => (v / 2) as f64,
+                1 if v == -8 => f64::NAN,
+                1 if v == 7 => f64::NEG_INFINITY,
+                1 => (v / 3) as f64 / 4.0,
+                2 => (i / 3) as f64,
+                3 => 0.25,
+                _ if v == -8 => f64::NAN,
+                _ => f64::from_bits(1.5f64.to_bits() + (v & 3) as u64),
+            })
+            .collect();
+        let n = scores.len();
+        // Heads of every length up to past the vector; 0 is none.
+        let head_len = head_len.min(n + 2);
+        let headed = BlockMaxima::with_block_len(&scores, block_len, head_len);
+        let walked = BlockMaxima::with_block_len(&scores, block_len, 0);
+        prop_assert_eq!(headed.head(), &sort_indices_desc(&scores)[..head_len.min(n)]);
+        let (lo, hi) = (bounds.0.min(bounds.1), bounds.0.max(bounds.1));
+        // A frontier on an item (inside a tie run, on a NaN or `-inf`),
+        // beside it, between items, or with a NaN score.
+        let frontier = (n > 0 && tweak < 4).then(|| {
+            let on = at % n;
+            let (score, id) = match tweak {
+                0 => (scores[on] * scale, base + on as u32),
+                1 => (scores[on] * scale, base + (on as u32).saturating_sub(1)),
+                2 => (scores[on] * scale + 0.125, base + on as u32),
+                _ => (f64::NAN, base + on as u32),
+            };
+            Frontier { score, id, scale, base }
+        });
+        let eligible: Vec<u32> = sort_indices_desc(&scores)
+            .into_iter()
+            .filter(|&i| i >= lo && i < hi)
+            .filter(|&i| frontier.is_none_or(|f| {
+                cmp_score_desc(scores[i as usize] * scale, base + i, f.score, f.id)
+                    == std::cmp::Ordering::Greater
+            }))
+            .collect();
+        let (mut out, mut reference) = (vec![7u32; 3], vec![9u32; 2]);
+        for k in [k.min(n), 0, 1, n / 2, n] {
+            let range = [Segment::range(lo..hi)];
+            let f = frontier.as_ref();
+            let walk = top_k_pruned_into(&scores, &headed, range, k, f, None, &mut out);
+            let parent = top_k_pruned_into(&scores, &walked, range, k, f, None, &mut reference);
+            prop_assert_eq!(&out, &reference, "k={}", k);
+            prop_assert_eq!(&out, &eligible[..k.min(eligible.len())], "k={}", k);
+            prop_assert_eq!(walk.matched, parent.matched, "k={}", k);
+            prop_assert_eq!(walk.matched, eligible.len(), "k={}", k);
+            prop_assert_eq!(walk.blocks_in_range, parent.blocks_in_range, "k={}", k);
+            prop_assert!(walk.blocks_scanned <= parent.blocks_scanned, "k={}", k);
+
+            // A residual, or the range cut in two segments: the head is
+            // ignored, and the walk is the head-less one block for block.
+            let mid = lo + (hi - lo) / 2;
+            let halves = [Segment::range(lo..mid), Segment::range(mid..hi)];
+            let walk = top_k_pruned_into(&scores, &headed, halves, k, f, None, &mut out);
+            let parent = top_k_pruned_into(&scores, &walked, halves, k, f, None, &mut reference);
+            prop_assert_eq!((&out, walk), (&reference, parent), "halves k={}", k);
+            prop_assert_eq!(&out, &eligible[..k.min(eligible.len())], "halves k={}", k);
+            let mut pred = |id: u32| !id.is_multiple_of(residual + 1);
+            let walk = top_k_pruned_into(&scores, &headed, range, k, f, Some(&mut pred), &mut out);
+            let mut pred = |id: u32| !id.is_multiple_of(residual + 1);
+            let parent =
+                top_k_pruned_into(&scores, &walked, range, k, f, Some(&mut pred), &mut reference);
+            prop_assert_eq!((&out, walk), (&reference, parent), "residual k={}", k);
         }
     }
 
