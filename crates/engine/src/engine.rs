@@ -26,7 +26,7 @@
 //! use-case (§1) calls for.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::thread;
 use std::time::Instant;
@@ -227,11 +227,6 @@ pub(crate) struct Ranking<'a> {
 #[derive(Debug)]
 pub struct EpochSnapshot {
     epoch: u64,
-    /// Process-unique identity of this snapshot: epoch numbers repeat
-    /// across engines and addresses are reused across publishes, this
-    /// never is — what per-epoch derived state held outside the snapshot
-    /// (a caller-owned scratch's posting pools and masks) is keyed by.
-    uid: u64,
     strategy: RerankStrategy,
     net: Arc<CitationNetwork>,
     scores: ScoreVec,
@@ -294,11 +289,6 @@ impl EpochSnapshot {
     /// Score of one paper, `None` for an out-of-range id.
     pub fn score(&self, p: PaperId) -> Option<f64> {
         self.scores.as_slice().get(p as usize).copied()
-    }
-
-    /// This snapshot's process-unique identity.
-    pub(crate) fn uid(&self) -> u64 {
-        self.uid
     }
 
     /// The score vector with its block summaries.
@@ -1109,10 +1099,8 @@ impl RankingEngine {
         strategy: RerankStrategy,
         lineage: Option<EpochLineage>,
     ) -> Arc<EpochSnapshot> {
-        static NEXT_UID: AtomicU64 = AtomicU64::new(0);
         Arc::new(EpochSnapshot {
             epoch,
-            uid: NEXT_UID.fetch_add(1, Ordering::Relaxed),
             strategy,
             net: net.clone(),
             blocks: BlockSummaries::new(scores.as_slice(), net),

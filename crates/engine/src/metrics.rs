@@ -37,32 +37,10 @@ use crate::engine::RankingEngine;
 use crate::personalization::CacheStats;
 use crate::query::{PlanCacheStats, Query, QueryDriver, QueryError, QueryPlan};
 
-/// Label values of the `driver` axis, in [`driver_index`] order.
-const DRIVER_LABELS: [&str; 5] = [
-    "unfiltered",
-    "id_range",
-    "venue_bands",
-    "author_bands",
-    "mask_algebra",
-];
-
-/// The `driver` label index of a plan's driver.
-fn driver_index(driver: &QueryDriver) -> usize {
-    match driver {
-        QueryDriver::Unfiltered => 0,
-        QueryDriver::IdRange { .. } => 1,
-        QueryDriver::VenueBands { .. } => 2,
-        QueryDriver::AuthorBands { .. } => 3,
-        QueryDriver::MaskAlgebra { .. } => 4,
-    }
-}
-
 /// The `driver` label index of a flat query's one partition plan (none:
 /// its year window misses the corpus, an empty id range).
 fn flat_driver(plans: &[(usize, QueryPlan)]) -> usize {
-    plans
-        .first()
-        .map_or(1, |(_, plan)| driver_index(&plan.driver))
+    plans.first().map_or(1, |(_, plan)| plan.driver.index())
 }
 
 /// Label values of the sharded query `shape` axis.
@@ -326,12 +304,12 @@ impl ServingMetrics {
             r.histogram_vec(name, help, "method", methods, &LATENCY_BOUNDS_NS)
         };
         Self {
-            read: ReadFamilies::register(r, "attrank", "driver", &DRIVER_LABELS),
+            read: ReadFamilies::register(r, "attrank", "driver", &QueryDriver::NAMES),
             planner_decisions: r.counter_vec(
                 "attrank_planner_decisions_total",
                 "Planner decisions by chosen driver",
                 "driver",
-                &DRIVER_LABELS,
+                &QueryDriver::NAMES,
             ),
             cursor_errors: r.counter_vec(
                 "attrank_cursor_errors_total",

@@ -34,7 +34,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use citegraph::{
     personalize, repersonalize, uniform_kernel, update_uniform_kernel, CitationNetwork, PaperId,
@@ -187,7 +187,7 @@ struct KernelEntry {
 }
 
 #[derive(Default)]
-struct CacheInner {
+pub(crate) struct CacheInner {
     entries: HashMap<CacheKey, CacheEntry>,
     /// Uniform kernels keyed by `α` bit pattern; one (latest-epoch)
     /// kernel per damping factor.
@@ -200,7 +200,7 @@ struct CacheInner {
 /// module docs for the serving tiers and concurrency discipline.
 pub struct PersonalizationCache {
     config: CacheConfig,
-    inner: Mutex<CacheInner>,
+    pub(crate) inner: Mutex<CacheInner>,
     hits: AtomicU64,
     warm_repushes: AtomicU64,
     cold_pushes: AtomicU64,
@@ -228,9 +228,23 @@ impl PersonalizationCache {
         &self.config
     }
 
+    /// The bookkeeping; a lock poisoned by a panic mid-update is recovered
+    /// by dropping every vector and kernel (each is one solve away), so
+    /// the byte count restarts at zero with them.
+    fn lock(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().unwrap_or_else(|poisoned| {
+            let mut inner = poisoned.into_inner();
+            inner.entries.clear();
+            inner.kernels.clear();
+            inner.bytes = 0;
+            self.inner.clear_poison();
+            inner
+        })
+    }
+
     /// Current counters and occupancy.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("cache lock poisoned");
+        let inner = self.lock();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             warm_repushes: self.warm_repushes.load(Ordering::Relaxed),
@@ -275,7 +289,7 @@ impl PersonalizationCache {
         // Fast path under the lock: exact-epoch hit, or a warm-start
         // candidate to re-push outside the lock.
         let warm_start: Option<(Arc<ScoreVec>, f64)> = {
-            let mut inner = self.inner.lock().expect("cache lock poisoned");
+            let mut inner = self.lock();
             inner.tick += 1;
             let tick = inner.tick;
             match inner.entries.get_mut(&key) {
@@ -361,7 +375,7 @@ impl PersonalizationCache {
     fn kernel(&self, snap: &EpochSnapshot, alpha: f64, ws: &mut KernelWorkspace) -> Arc<ScoreVec> {
         let bits = alpha.to_bits();
         let stale: Option<Arc<ScoreVec>> = {
-            let inner = self.inner.lock().expect("cache lock poisoned");
+            let inner = self.lock();
             match inner.kernels.get(&bits) {
                 Some(e) if e.epoch == snap.epoch() && e.kernel.len() == snap.n_papers() => {
                     return e.kernel.clone();
@@ -388,7 +402,7 @@ impl PersonalizationCache {
             Some(k) => k,
             None => uniform_kernel(snap.network(), alpha, ws),
         });
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.lock();
         // A racing builder may have stored a kernel meanwhile; last write
         // wins — both are correct for this epoch.
         inner.kernels.insert(
@@ -412,7 +426,7 @@ impl PersonalizationCache {
         raw: Option<Arc<ScoreVec>>,
         dangling_mass: f64,
     ) {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         let entry = CacheEntry {

@@ -56,31 +56,31 @@
 //!
 //! * **banded postings** — the year-banded posting lists of the most
 //!   selective facet class drive (venue bands through the block walk
-//!   below, author bands through [`sparsela::top_k_filtered`]); other
-//!   classes demote to per-candidate residual checks,
-//! * **range scan** — a contiguous id scan ([`sparsela::top_k_where`])
+//!   below, author bands gathered for [`sparsela::top_k_filtered`]);
+//!   other classes demote to per-candidate residual checks,
+//! * **range scan** — one contiguous id range through the block walk,
 //!   with facet residuals,
 //! * **mask algebra** — the whole predicate tree (OR within classes,
 //!   AND across, year range) pushed down to word-wide [`IdMask`] set
 //!   operations via [`citegraph::FacetExpr`]; no residuals remain.
 //!
-//! A range with no facet residual — the whole vector, a year window,
-//! either one resumed behind a cursor — is not streamed at all, and
-//! neither is a venue band: every frozen score vector carries per-block
-//! maxima over its ids and over each venue's posting list
+//! Two kernels serve every plan. Every frozen score vector carries
+//! per-block maxima over its ids and over each venue's posting list
 //! ([`sparsela::BlockMaxima`], both built with the epoch snapshot or the
 //! personalization-cache entry), and [`sparsela::top_k_pruned_into`]
-//! reads only the blocks that can reach the page — of one id range, or
-//! of one band per venue feeding one selection — counting what lies
-//! behind the cursor by blocks. An id-range page the vector's head holds
-//! (its first [`sparsela::HEAD_LEN`] ids in order, frozen with the id
-//! maxima) reads no block at all: it is a slice of the head, and its
-//! count is the range less the head ids behind the cursor. Such plans
-//! are priced by blocks, not by
-//! ids. A scan under a venue or author residual needs every id for its
-//! match count and keeps the plain stream; a venue band under an author
-//! residual tests every posting for the count and offers only the blocks
-//! that can reach the page. [`QueryEngine::explain`]
+//! walks an id range — the whole vector, a year window, either one
+//! resumed behind a cursor, with or without facet residuals — or one band
+//! per venue feeding one selection. The candidate lists of author bands
+//! and of the mask go to [`sparsela::top_k_filtered_into`]. Without a
+//! residual the walk reads only the blocks that can reach the page,
+//! counting what lies behind the cursor by blocks; an id-range page the
+//! vector's head holds (its first [`sparsela::HEAD_LEN`] ids in order,
+//! frozen with the id maxima) reads no block at all: it is a slice of the
+//! head, and its count is the range less the head ids behind the cursor.
+//! Such plans are priced by blocks, not by ids. A residual needs every id
+//! (or posting) tested for the match count, so a range under a venue or
+//! author residual is priced per id, and only the blocks that can reach
+//! the page are offered to the selection. [`QueryEngine::explain`]
 //! surfaces the chosen driver, its exact (or bounded) candidate count,
 //! the estimated cost, and the surviving residual checks.
 //!
@@ -101,8 +101,8 @@
 //! [`QueryScratch`]; owned-page entry points borrow the scratch from one
 //! bounded pool, and a batch is `serve_batch` over one scratch. Between
 //! queries an engine remembers plans and seeded solves
-//! ([`crate::PersonalizationCache`]), a [`QueryScratch`] its last gathered
-//! pool and mask, and nothing else anything.
+//! ([`crate::PersonalizationCache`]), and nothing else anything: a
+//! [`QueryScratch`] is warm capacity, and caches nothing.
 //!
 //! # Cursors
 //!
@@ -133,8 +133,8 @@ use citegraph::{
 };
 use obsv::MetricsRegistry;
 use sparsela::{
-    merge_k_sorted_into, top_k_filtered_into, top_k_pruned_into, top_k_where_into, BlockWalk,
-    Frontier, IdMask, MergeScratch, Segment, BLOCK_LEN, POSTING_BLOCK_LEN,
+    merge_k_sorted_into, top_k_filtered_into, top_k_pruned_into, BlockWalk, Frontier, IdMask,
+    MergeScratch, Segment, BLOCK_LEN, POSTING_BLOCK_LEN,
 };
 
 use crate::admission::{
@@ -782,6 +782,34 @@ pub enum QueryDriver {
     },
 }
 
+impl QueryDriver {
+    /// Every shape's name — its candidate-table row and its `driver`
+    /// metric label — in [`Self::index`] order.
+    pub(crate) const NAMES: [&'static str; 5] = [
+        "unfiltered",
+        "id_range",
+        "venue_bands",
+        "author_bands",
+        "mask_algebra",
+    ];
+
+    /// This shape's position in [`Self::NAMES`].
+    pub(crate) fn index(&self) -> usize {
+        match self {
+            Self::Unfiltered => 0,
+            Self::IdRange { .. } => 1,
+            Self::VenueBands { .. } => 2,
+            Self::AuthorBands { .. } => 3,
+            Self::MaskAlgebra { .. } => 4,
+        }
+    }
+
+    /// This shape's name.
+    pub(crate) fn name(&self) -> &'static str {
+        Self::NAMES[self.index()]
+    }
+}
+
 /// Planner cost constants: estimated nanoseconds per unit of work for
 /// each execution shape. Absolute values matter less than the ratios —
 /// they decide the crossover points between shapes.
@@ -797,9 +825,10 @@ pub enum QueryDriver {
 /// [`QueryEngine::set_cost_model`] installs a model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
-    /// Per id enumerated by a contiguous range scan (`top_k_where`
-    /// including cheap residual checks) — the residual rows measure
-    /// ~1.34–1.36 ns/id at 100k–200k ids on the baseline machine.
+    /// Per id of a contiguous range under a facet residual, which the
+    /// block walk tests id by id for its count — the residual rows measure
+    /// ~1.34–1.36 ns/id at 100k–200k ids on the baseline machine. A range
+    /// with no residual is priced by blocks in these units too.
     pub scan_per_id: f64,
     /// Per banded posting-list candidate (gathered score access,
     /// residual checks, selection) — `author_posting_200k` over the
@@ -1100,11 +1129,10 @@ impl PlanCache {
 /// [`QueryEngine::query_with`] (the owned-page entry points borrow one
 /// from the engine's pool).
 ///
-/// The `pool`/`mask` buffers carry their contents from one query to the
-/// next: a content key records what is currently materialized, so
-/// *consecutive* queries through one scratch that share a filter on one
-/// epoch — in a batch or not — skip the author-band gather or the mask
-/// build. A venue band gathers nothing: it is walked in place.
+/// A scratch is warm capacity and nothing more: every query rebuilds
+/// what it reads — its facet lists, its author-band candidates, its
+/// mask — so no query can see another's contents, whatever epoch or
+/// engine each ran on.
 #[derive(Default)]
 pub struct QueryScratch {
     /// Deduplicated venue list of the current query
@@ -1112,23 +1140,17 @@ pub struct QueryScratch {
     venues: Vec<VenueId>,
     /// Deduplicated author list of the current query.
     authors: Vec<AuthorId>,
-    /// Post-residual candidate ids (the selection kernel's input).
+    /// Candidate ids of an author-band or mask page, residuals applied
+    /// (the selection kernel's input).
     candidates: Vec<PaperId>,
     /// The current venue page's bands: each venue's band as positions in
     /// its posting list.
     bands: Vec<(VenueId, std::ops::Range<usize>)>,
-    /// Pre-residual banded author posting union, keyed by `pool_key`.
-    pool: Vec<PaperId>,
-    /// Identity of the pool's contents: (driver-kind/id hash, snapshot
-    /// uid). `None` when the pool holds nothing reusable.
-    pool_key: Option<(u64, u64)>,
     /// Selection kernel output buffer: the partition-local ids
     /// [`select_partition`] picked, best first.
     select: Vec<u32>,
-    /// Facet mask storage, keyed by `mask_key`.
+    /// Facet mask storage.
     mask: IdMask,
-    /// Identity of the mask's contents, like `pool_key`.
-    mask_key: Option<(u64, u64)>,
     /// Second mask for AND-composition during mask builds.
     mask_tmp: IdMask,
     /// Seed sort buffer for fingerprint normalization.
@@ -1302,17 +1324,6 @@ impl PageBuf {
     }
 }
 
-/// The candidate-table name of a driver shape.
-fn driver_name(driver: &QueryDriver) -> &'static str {
-    match driver {
-        QueryDriver::Unfiltered => "unfiltered",
-        QueryDriver::IdRange { .. } => "id_range",
-        QueryDriver::VenueBands { .. } => "venue_bands",
-        QueryDriver::AuthorBands { .. } => "author_bands",
-        QueryDriver::MaskAlgebra { .. } => "mask_algebra",
-    }
-}
-
 /// Plans `q` against the network of one snapshot under a [`CostModel`]:
 /// the two halves of planning a one-partition engine — validate the facet
 /// ids, then price the shapes. Pure function of the predicate
@@ -1390,8 +1401,8 @@ fn author_postings(net: &CitationNetwork, a: AuthorId) -> &[PaperId] {
 /// `k = 10`: 21.6 µs priced, 12–24 µs measured; 8.2 µs priced for a
 /// 36k-id year window, 7–9 µs measured). Independent of `k` and of a
 /// cursor's depth — plans are cached without either — and never above
-/// the plain stream's `len` ids, which is what a range too short to
-/// prune costs.
+/// `len` ids, the price of a range under a residual, which is what a
+/// range too short to prune costs.
 fn pruned_scan_ns(len: usize, cost: &CostModel) -> f64 {
     let by_blocks = 4.0 * len.div_ceil(BLOCK_LEN) as f64 + 4096.0;
     (len as f64).min(by_blocks) * cost.scan_per_id
@@ -1485,23 +1496,22 @@ pub(crate) fn price_partition(
             .sum()
     });
     // Full (unbanded) posting mass: what a mask build has to insert.
-    let author_inserts: usize = authors.iter().map(|&a| author_postings(net, a).len()).sum();
     let mask_inserts: usize = venues
         .iter()
         .map(|&v| venue_postings(net, v).len())
-        .sum::<usize>()
-        + author_inserts;
+        .chain(authors.iter().map(|&a| author_postings(net, a).len()))
+        .sum();
 
     // Candidate shapes, costed under the measured constants. Every
     // priced shape lands in the table; `best` tracks the cheapest
     // *eligible* one (the scan shape is ineligible under `forbid_scan`).
     let mut table: Vec<PlanCandidate> = Vec::with_capacity(4);
-    // A pure year window is a block walk; a facet residual reads every
-    // id of the range, and an author residual builds the OR-mask first.
+    // A pure year window is a block walk; a facet residual tests every
+    // id of the range.
     let idrange_cost = if venues.is_empty() && authors.is_empty() {
         pruned_scan_ns(year_len, cost)
     } else {
-        year_len as f64 * cost.scan_per_id + author_inserts as f64 * cost.mask_insert
+        year_len as f64 * cost.scan_per_id
     };
     table.push(PlanCandidate {
         driver: "id_range",
@@ -1582,7 +1592,7 @@ pub(crate) fn price_partition(
     }
 
     let (cost_ns, driver) = best.expect("the mask shape is always priced");
-    let chosen_name = driver_name(&driver);
+    let chosen_name = driver.name();
     for row in &mut table {
         row.chosen = row.driver == chosen_name;
     }
@@ -1717,44 +1727,6 @@ pub(crate) fn serve_batch<M: PartialEq, P: Clone, E>(
     results
 }
 
-/// Scratch content-key kinds: what kind of materialization the
-/// `pool`/`mask` buffers currently hold.
-const KEY_AUTHOR_BANDS: u8 = 2;
-const KEY_AUTHOR_FULL_MASK: u8 = 3;
-const KEY_FACET_MASK: u8 = 4;
-
-/// Identity of a scratch-materialized posting pool or facet mask: an
-/// FNV-1a hash over the driver kind, its id lists and the year band,
-/// paired with the process-unique id of the snapshot it was gathered from
-/// ([`EpochSnapshot::uid`]). Consecutive queries sharing a filter on one
-/// epoch compare keys and skip the posting-band gather or mask build.
-///
-/// The second half used to be the network's address. A caller-owned
-/// scratch outlives publishes, and the allocator may hand a freed
-/// network's address to a successor (ABA) — another epoch's pool served
-/// as this one's. A uid is never reused, and holds on to nothing.
-fn content_key(
-    kind: u8,
-    a: &[u32],
-    b: &[u32],
-    range: &std::ops::Range<u32>,
-    epoch_uid: u64,
-) -> (u64, u64) {
-    let mut h = Fnv::new();
-    h.eat(&[kind]);
-    h.eat_u64(range.start as u64);
-    h.eat_u64(range.end as u64);
-    h.eat_u64(a.len() as u64);
-    for &id in a {
-        h.eat_u64(id as u64);
-    }
-    h.eat_u64(b.len() as u64);
-    for &id in b {
-        h.eat_u64(id as u64);
-    }
-    (h.0, epoch_uid)
-}
-
 /// Builds the whole-predicate facet mask — OR within classes, AND
 /// across them and the year range — directly into `acc` (with `tmp` as
 /// the AND partner), word-for-word the set `FacetExpr::All([Any(venues),
@@ -1816,15 +1788,15 @@ fn build_facet_mask(
 /// ([`QueryScratch::set_facets`]); every other buffer is this function's
 /// working set, so a steady-state call performs zero heap allocations.
 ///
-/// A range with no facet residual — everything, a year window, either one
-/// resumed behind a cursor — and a union of venue bands go through
-/// [`top_k_pruned_into`] over the vector's block maxima (over ids, over
-/// venue postings): the frontier is the only per-id test, and the walk
-/// counts it by blocks. A range page the id summary's head holds is a
-/// slice of the head (rule 0 of the walk), unseeded or seeded, flat or
-/// one shard's. A range scan under a venue or author residual
-/// needs every id for its count and keeps the plain stream; an author
-/// residual on a venue band is tested per posting inside the walk.
+/// An id range — everything, a year window, either one resumed behind a
+/// cursor — and a union of venue bands go through [`top_k_pruned_into`]
+/// over the vector's block maxima (over ids, over venue postings). With no
+/// facet residual the frontier is the only per-id test, the walk counts it
+/// by blocks, and a range page the id summary's head holds is a slice of
+/// the head (rule 0 of the walk), unseeded or seeded, flat or one
+/// shard's. Facet residuals — venue and author on a range, author on a
+/// venue band — are tested per id inside the walk, for the count. Author
+/// bands and the mask gather their candidates for [`top_k_filtered_into`].
 ///
 /// Within one partition, ordering ties by local id equals ordering them
 /// by global id (`global = start + local` is monotone), so the ids a
@@ -1845,11 +1817,8 @@ fn select_partition(
         authors,
         candidates,
         bands,
-        pool,
-        pool_key,
         select,
         mask,
-        mask_key,
         mask_tmp,
         ..
     } = scratch;
@@ -1873,60 +1842,26 @@ fn select_partition(
                 .is_some_and(|t| t.authors_of(id).iter().any(|a| authors.contains(a)))
     };
     let range = net.id_range_for_years(q.year_min, q.year_max);
-    // The arms that enumerate candidates count them; only a walk counts
+    let frontier = frontier.as_ref();
+    // The arms that gather candidates count them; only a walk counts
     // blocks.
     let counted = |matched: usize| BlockWalk {
         matched,
         ..BlockWalk::default()
     };
     match &plan.driver {
-        QueryDriver::Unfiltered => {
-            let all = [Segment::range(0..net.n_papers() as u32)];
-            top_k_pruned_into(scores, &blocks.ids, all, k, frontier.as_ref(), None, select)
-        }
-        QueryDriver::IdRange { start, end } if venues.is_empty() && authors.is_empty() => {
-            // The range *is* the whole predicate (a year window, or a
-            // cursor over everything).
-            let ids = [Segment::range(*start..*end)];
-            top_k_pruned_into(scores, &blocks.ids, ids, k, frontier.as_ref(), None, select)
-        }
-        QueryDriver::IdRange { start, end } => {
-            // Residuals here are venue/author (and cursor): the range
-            // itself is the year predicate. The author residual is the
-            // historical IdMask path: OR the authors' posting lists into
-            // one membership mask, then test per candidate.
-            let author_mask: Option<&IdMask> = if authors.is_empty() {
-                None
-            } else {
-                let key = content_key(KEY_AUTHOR_FULL_MASK, authors, &[], &(0..0), snap.uid());
-                if *mask_key != Some(key) {
-                    mask.reset(net.n_papers());
-                    for &id in authors.iter().flat_map(|&a| author_postings(net, a)) {
-                        mask.insert(id);
-                    }
-                    *mask_key = Some(key);
-                }
-                Some(&*mask)
+        QueryDriver::Unfiltered | QueryDriver::IdRange { .. } => {
+            // The range is the year predicate (or the cursor's, or none);
+            // facets, when the query has any, are the residual.
+            let ids = match plan.driver {
+                QueryDriver::IdRange { start, end } => start..end,
+                _ => 0..net.n_papers() as u32,
             };
-            let mut matched = 0usize;
-            let mut pred = |id: u32| {
-                let ok =
-                    venue_ok(id) && author_mask.is_none_or(|m| m.contains(id)) && after_cursor(id);
-                matched += ok as usize;
-                ok
-            };
-            // `matched` is a side effect of the predicate, so the scan
-            // must run even when k = 0 and the selection kernel has
-            // nothing to select (a k=0 query is a cheap count).
-            if k == 0 {
-                for id in *start..*end {
-                    pred(id);
-                }
-                select.clear();
-            } else {
-                top_k_where_into(scores, *start..*end, k, pred, select);
-            }
-            counted(matched)
+            let mut facets_ok = |id: u32| venue_ok(id) && author_ok(id);
+            let residual: Option<&mut dyn FnMut(u32) -> bool> =
+                (!venues.is_empty() || !authors.is_empty()).then_some(&mut facets_ok);
+            let ids = [Segment::range(ids)];
+            top_k_pruned_into(scores, &blocks.ids, ids, k, frontier, residual, select)
         }
         QueryDriver::VenueBands { venues: vs, .. } => {
             // One band probe per venue, walked over the venue summary's
@@ -1949,33 +1884,23 @@ fn select_partition(
             let mut author_ok = author_ok;
             let residual: Option<&mut dyn FnMut(u32) -> bool> =
                 (!authors.is_empty()).then_some(&mut author_ok);
-            let frontier = frontier.as_ref();
             top_k_pruned_into(scores, &blocks.venues, bands, k, frontier, residual, select)
         }
         QueryDriver::AuthorBands { authors: aus, .. } => {
             // Band probes per author; co-authored papers appear in
             // several lists, so a multi-author union sort-dedups before
             // residual filtering (otherwise `matched` over-counts).
-            let key = content_key(KEY_AUTHOR_BANDS, aus, &[], &range, snap.uid());
-            if *pool_key != Some(key) {
-                pool.clear();
-                pool.extend(
-                    aus.iter()
-                        .flat_map(|&a| citegraph::band(author_postings(net, a), &range))
-                        .copied(),
-                );
-                if aus.len() > 1 {
-                    pool.sort_unstable();
-                    pool.dedup();
-                }
-                *pool_key = Some(key);
-            }
             candidates.clear();
             candidates.extend(
-                pool.iter()
-                    .copied()
-                    .filter(|&id| venue_ok(id) && after_cursor(id)),
+                aus.iter()
+                    .flat_map(|&a| citegraph::band(author_postings(net, a), &range))
+                    .copied(),
             );
+            if aus.len() > 1 {
+                candidates.sort_unstable();
+                candidates.dedup();
+            }
+            candidates.retain(|&id| venue_ok(id) && after_cursor(id));
             top_k_filtered_into(scores, candidates, k, select);
             counted(candidates.len())
         }
@@ -1983,11 +1908,7 @@ fn select_partition(
             // Whole-predicate pushdown: OR within classes, AND across
             // them and the year range, evaluated word-wide; the ones of
             // the final mask are the exact match set (before cursor).
-            let key = content_key(KEY_FACET_MASK, venues, authors, &range, snap.uid());
-            if *mask_key != Some(key) {
-                build_facet_mask(net, venues, authors, q.year_min, q.year_max, mask, mask_tmp);
-                *mask_key = Some(key);
-            }
+            build_facet_mask(net, venues, authors, q.year_min, q.year_max, mask, mask_tmp);
             candidates.clear();
             candidates.extend(mask.ones().filter(|&id| after_cursor(id)));
             top_k_filtered_into(scores, candidates, k, select);
@@ -3163,18 +3084,15 @@ mod tests {
     }
 
     #[test]
-    fn scratch_content_keys_are_bound_to_an_epoch_not_an_address() {
-        // A caller-owned scratch outlives publishes. Its pool and mask
-        // are keyed by content hash *and* origin, and the origin used to
-        // be the network's address, which the allocator may hand to a
-        // successor once the keyed network is freed — serving another
-        // epoch's mask. The shape with the most to lose is a scan under an
-        // author residual: its mask key hashes no year range, so two
-        // epochs differ in nothing but the origin.
+    fn a_scratch_serves_each_epoch_its_own_page() {
+        // A caller-owned scratch outlives publishes and is shared across
+        // engines, whose epoch numbers coincide: nothing one query
+        // gathered may reach another's page. First a scan under an author
+        // residual, whose filter names no year range, so two epochs differ
+        // in nothing but the corpus.
         let mut qe = engine();
         qe.set_cost_model(CostModel {
             scan_per_id: 1e-3,
-            mask_insert: 1e-3,
             ..CostModel::default()
         });
         let q: Query = "k=20,author=2".parse().unwrap();
@@ -3182,11 +3100,8 @@ mod tests {
         let (mut scratch, mut out) = (QueryScratch::new(), PageBuf::new());
         qe.query_with(&q, &mut scratch, &mut out).unwrap();
         assert_eq!(out.matched(), 3);
-        let before = scratch.mask_key.expect("the author mask is keyed");
 
-        // Three publishes, each a new paper by author 2 (an epoch keeps
-        // its parent network alive, so the first network is only freed —
-        // its address only reusable — by the third).
+        // Three publishes, each a new paper by author 2.
         for i in 0..3u32 {
             let mut delta = GraphDelta::new();
             delta.add_paper_with_metadata(2012 + i as Year, vec![2], None);
@@ -3194,30 +3109,46 @@ mod tests {
             qe.ingest(&delta).unwrap();
         }
 
-        // Same scratch, same filter, so the same hash — and a new epoch:
-        // the mask is re-gathered.
+        // Same scratch, same filter, a new epoch.
         qe.query_with(&q, &mut scratch, &mut out).unwrap();
         assert_eq!(out.to_page(), qe.query(&q).unwrap());
         assert_eq!(out.matched(), 6);
-        let after = scratch.mask_key.expect("the author mask is keyed");
-        assert_eq!(after.0, before.0);
-        assert_eq!(after.1, qe.snapshot(None).unwrap().uid());
-        assert_ne!(after.1, before.1);
 
-        // The posting pool of a band driver, likewise — and across
+        // An author band, a mask and a venue band, likewise — and across
         // engines, whose epoch numbers coincide.
-        let qe = engine();
-        let q: Query = "k=20,venue=0,year=..2011".parse().unwrap();
-        qe.query_with(&q, &mut scratch, &mut out).unwrap();
-        assert_eq!(out.matched(), 4);
+        let mut qe = engine();
+        qe.set_cost_model(CostModel {
+            scan_per_id: 1e3,
+            ..CostModel::default()
+        });
+        let shapes: Vec<Query> = [
+            "k=20,author=0,year=..2011",
+            "k=20,author=0|2",
+            "k=20,venue=0,year=..2011",
+        ]
+        .iter()
+        .map(|s| s.parse().unwrap())
+        .collect();
+        let drivers: Vec<_> = shapes
+            .iter()
+            .map(|q| qe.explain(q).unwrap().driver.name())
+            .collect();
+        assert_eq!(drivers, ["author_bands", "mask_algebra", "venue_bands"]);
+        for (q, matched) in shapes.iter().zip([6, 6, 4]) {
+            qe.query_with(q, &mut scratch, &mut out).unwrap();
+            assert_eq!(out.matched(), matched, "{q}");
+        }
         let mut delta = GraphDelta::new();
         delta.add_paper_with_metadata(2011, vec![0], Some(0));
         qe.ingest(&delta).unwrap();
-        qe.query_with(&q, &mut scratch, &mut out).unwrap();
-        assert_eq!(out.to_page(), qe.query(&q).unwrap());
-        assert_eq!(out.matched(), 5);
+        for (q, matched) in shapes.iter().zip([7, 7, 5]) {
+            qe.query_with(q, &mut scratch, &mut out).unwrap();
+            assert_eq!(out.to_page(), qe.query(q).unwrap());
+            assert_eq!(out.matched(), matched, "{q}");
+        }
+        let q = &shapes[2];
         let other = engine();
-        other.query_with(&q, &mut scratch, &mut out).unwrap();
+        other.query_with(q, &mut scratch, &mut out).unwrap();
         assert_eq!(
             out.matched(),
             4,
@@ -3650,6 +3581,32 @@ mod tests {
         assert_eq!(qe.plan_cache_stats().entries, 1);
         let batch = qe.query_batch(&[q.clone(), q]);
         assert_eq!(batch, [Ok(page.clone()), Ok(page)]);
+    }
+
+    #[test]
+    fn a_poisoned_personalization_cache_recovers() {
+        let qe = engine();
+        let q: Query = "method=pagerank,k=4,seed=3|7".parse().unwrap();
+        let page = qe.query(&q).unwrap();
+        let solved = qe.personalization_stats();
+        assert_eq!(solved.entries, 1);
+        std::thread::scope(|scope| {
+            let cache = scope.spawn(|| {
+                let _held = qe.read.cache.inner.lock();
+                panic!("poisoning the personalization cache");
+            });
+            assert!(cache.join().is_err());
+        });
+        assert!(qe.read.cache.inner.is_poisoned());
+        // The next seeded page re-solves into an emptied cache: the same
+        // page, one entry counted once, and the lock no longer poisoned.
+        assert_eq!(qe.query(&q).unwrap(), page);
+        assert!(!qe.read.cache.inner.is_poisoned());
+        let stats = qe.personalization_stats();
+        assert_eq!((stats.entries, stats.bytes), (1, solved.bytes));
+        assert_eq!((stats.hits, stats.cold_pushes), (0, solved.cold_pushes + 1));
+        assert_eq!(qe.query(&q).unwrap(), page);
+        assert_eq!(qe.personalization_stats().hits, 1);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! `QueryEngine::query_with` documents a hard contract: once a
 //! [`rankengine::QueryScratch`] and [`rankengine::PageBuf`] are warm,
 //! an unseeded query performs **zero heap allocations** — plan-cache
-//! hit, keyed pool/mask reuse, `_into` selection kernels, cursor encode
-//! into the reused token buffer. This crate swaps in a counting global
-//! allocator and pins that contract per plan driver. It must stay a
+//! hit, the block walk or a candidate gather into warm buffers, `_into`
+//! selection kernels, cursor encode into the reused token buffer. This
+//! crate swaps in a counting global allocator and pins that contract per
+//! plan driver, an id range under facet residuals included. It must stay a
 //! single `#[test]`: the counter is process-global, so a concurrent
 //! test's allocations would bleed into the measured window.
 
@@ -13,7 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use citegraph::{CitationNetwork, NetworkBuilder, Year};
-use rankengine::{PageBuf, Query, QueryDriver, QueryEngine, QueryScratch, RerankPolicy};
+use rankengine::{CostModel, PageBuf, Query, QueryDriver, QueryEngine, QueryScratch, RerankPolicy};
 
 /// [`System`] plus a relaxed counter on every allocating entry point.
 /// Only allocations made *by the test thread* count: the libtest
@@ -80,7 +81,7 @@ fn corpus() -> CitationNetwork {
 #[test]
 fn steady_state_queries_allocate_nothing() {
     MEASURED_THREAD.with(|f| f.store(1, Ordering::Relaxed));
-    let qe = QueryEngine::from_configs(corpus(), &["cc"], RerankPolicy::Manual).unwrap();
+    let mut qe = QueryEngine::from_configs(corpus(), &["cc"], RerankPolicy::Manual).unwrap();
     let mut scratch = QueryScratch::new();
     let mut out = PageBuf::new();
 
@@ -108,23 +109,7 @@ fn steady_state_queries_allocate_nothing() {
     );
 
     for q in &shapes {
-        // Warm: first call takes the plan-cache miss and grows every
-        // scratch buffer to its high-water mark.
-        qe.query_with(q, &mut scratch, &mut out).unwrap();
-        qe.query_with(q, &mut scratch, &mut out).unwrap();
-        let matched = out.matched();
-
-        let before = ALLOCS.load(Ordering::Relaxed);
-        for _ in 0..32 {
-            qe.query_with(q, &mut scratch, &mut out).unwrap();
-        }
-        let after = ALLOCS.load(Ordering::Relaxed);
-        assert_eq!(
-            after - before,
-            0,
-            "steady-state {q} allocated ({matched} matches)"
-        );
-        assert_eq!(out.matched(), matched, "reused buffers changed the page");
+        assert_steady_state_free(&qe, q, &mut scratch, &mut out);
     }
 
     // Paginated steady state: resuming through a cursor is also free
@@ -133,19 +118,74 @@ fn steady_state_queries_allocate_nothing() {
     // unfiltered pages 2 that are slices of the head.
     for first in ["k=10,venue=0", "k=10", "k=25"] {
         let first: Query = first.parse().unwrap();
-        qe.query_with(&first, &mut scratch, &mut out).unwrap();
-        let mut resumed = first.clone();
-        resumed.cursor = out.next();
-        assert!(resumed.cursor.is_some(), "{first} has a second page");
-        qe.query_with(&resumed, &mut scratch, &mut out).unwrap();
-        let before = ALLOCS.load(Ordering::Relaxed);
-        for _ in 0..32 {
-            qe.query_with(&resumed, &mut scratch, &mut out).unwrap();
-        }
-        assert_eq!(
-            ALLOCS.load(Ordering::Relaxed) - before,
-            0,
-            "steady-state cursor resume of {first} allocated"
-        );
+        let resumed = second_page(&qe, &first, &mut scratch, &mut out);
+        assert_steady_state_free(&qe, &resumed, &mut scratch, &mut out);
     }
+
+    // An id range under venue and author residuals: the baked model never
+    // plans one on this corpus, a model with cheap scans does. Its page 1,
+    // its page 2 and its count are walked with the residual per id.
+    qe.set_cost_model(CostModel {
+        scan_per_id: 1e-3,
+        ..CostModel::default()
+    });
+    let scan: Query = "k=10,venue=0,author=1,year=2000..".parse().unwrap();
+    let plan = qe.explain(&scan).unwrap();
+    assert!(
+        matches!(plan.driver, QueryDriver::IdRange { .. }),
+        "{plan:?}"
+    );
+    assert_eq!(plan.residuals, ["venue", "author"]);
+    // Six papers match, so the page that has a second one is shallower.
+    let shallow = Query {
+        k: 3,
+        ..scan.clone()
+    };
+    let resumed = second_page(&qe, &shallow, &mut scratch, &mut out);
+    let count = Query {
+        k: 0,
+        ..scan.clone()
+    };
+    for q in [&scan, &resumed, &count] {
+        assert_steady_state_free(&qe, q, &mut scratch, &mut out);
+    }
+}
+
+/// `first` resumed at its next page, which must exist.
+fn second_page(
+    qe: &QueryEngine,
+    first: &Query,
+    scratch: &mut QueryScratch,
+    out: &mut PageBuf,
+) -> Query {
+    qe.query_with(first, scratch, out).unwrap();
+    let mut resumed = first.clone();
+    resumed.cursor = out.next();
+    assert!(resumed.cursor.is_some(), "{first} has a second page");
+    resumed
+}
+
+/// Serves `q` twice to warm the plan cache and every buffer, then 32
+/// times more, which must allocate nothing and serve the same count.
+fn assert_steady_state_free(
+    qe: &QueryEngine,
+    q: &Query,
+    scratch: &mut QueryScratch,
+    out: &mut PageBuf,
+) {
+    qe.query_with(q, scratch, out).unwrap();
+    qe.query_with(q, scratch, out).unwrap();
+    let matched = out.matched();
+
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..32 {
+        qe.query_with(q, scratch, out).unwrap();
+    }
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state {q} allocated ({matched} matches)"
+    );
+    assert_eq!(out.matched(), matched, "reused buffers changed the page");
 }

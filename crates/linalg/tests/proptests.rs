@@ -484,6 +484,7 @@ proptest! {
         tweak in 0u8..4,
         scale in 0usize..3,
         base in 0u32..1000,
+        residual in 0u8..3,
     ) {
         use sparsela::{cmp_score_desc, top_k_pruned_into, BlockMaxima, Frontier, Segment};
         let scale = [1.0, 0.25, 1.0 / 3.0][scale];
@@ -521,9 +522,12 @@ proptest! {
             };
             Frontier { score, id, scale, base }
         });
+        // A residual — a facet test on an id range — drops every second
+        // or third id; 0 is none.
+        let passes = |id: u32| residual == 0 || !id.is_multiple_of(residual as u32 + 1);
         let eligible: Vec<u32> = sort_indices_desc(&scores)
             .into_iter()
-            .filter(|&i| i >= lo && i < hi)
+            .filter(|&i| i >= lo && i < hi && passes(i))
             .filter(|&i| frontier.is_none_or(|f| {
                 cmp_score_desc(scores[i as usize] * scale, base + i, f.score, f.id)
                     == std::cmp::Ordering::Greater
@@ -532,7 +536,9 @@ proptest! {
         let mut out = vec![7u32; 3];
         for k in [k, 0, 1, n.saturating_sub(1), n, n + 1] {
             let range = [Segment::range(lo..hi)];
-            let walk = top_k_pruned_into(&scores, &maxima, range, k, frontier.as_ref(), None, &mut out);
+            let mut pred = passes;
+            let pred: Option<&mut dyn FnMut(u32) -> bool> = (residual > 0).then_some(&mut pred as _);
+            let walk = top_k_pruned_into(&scores, &maxima, range, k, frontier.as_ref(), pred, &mut out);
             prop_assert_eq!(&out, &eligible[..k.min(eligible.len())], "k={}", k);
             prop_assert_eq!(walk.matched, eligible.len(), "k={}", k);
             prop_assert!(walk.blocks_scanned <= walk.blocks_in_range);
