@@ -530,18 +530,7 @@ fn run_query_flat(opts: &Options, grammar: &str) -> Result<(), String> {
     let t1 = std::time::Instant::now();
     if query.vs.is_some() {
         let cmp = engine.compare(&query).map_err(|e| e.to_string())?;
-        let elapsed = t1.elapsed();
-        println!(
-            "== {} (epoch {}) vs {} (epoch {}): {} of {} matches in {:.1} µs ==",
-            cmp.method_a,
-            cmp.epoch_a,
-            cmp.method_b,
-            cmp.epoch_b,
-            cmp.rows.len(),
-            cmp.page.matched,
-            elapsed.as_secs_f64() * 1e6
-        );
-        print_compare_rows(&cmp.rows, cmp.page.next);
+        print_comparison(&cmp, t1.elapsed());
     } else {
         let page = engine.query(&query).map_err(|e| e.to_string())?;
         let elapsed = t1.elapsed();
@@ -581,10 +570,22 @@ fn run_query_flat(opts: &Options, grammar: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// The joined table of a `vs=` comparison, flat or sharded, and the
+/// A `vs=` comparison, flat or sharded: its header (a sharded engine's
+/// epochs are its pinned sets' epoch keys), the joined table and the
 /// next-page hint.
-fn print_compare_rows(rows: &[rankengine::CompareRow], next: Option<rankengine::Cursor>) {
-    let rows: Vec<Vec<String>> = rows
+fn print_comparison(cmp: &rankengine::Comparison, elapsed: std::time::Duration) {
+    println!(
+        "== {} (epoch {}) vs {} (epoch {}): {} of {} matches in {:.1} µs ==",
+        cmp.method_a,
+        cmp.epoch_a,
+        cmp.method_b,
+        cmp.epoch_b,
+        cmp.rows.len(),
+        cmp.page.matched,
+        elapsed.as_secs_f64() * 1e6
+    );
+    let rows: Vec<Vec<String>> = cmp
+        .rows
         .iter()
         .map(|r| {
             vec![
@@ -603,7 +604,7 @@ fn print_compare_rows(rows: &[rankengine::CompareRow], next: Option<rankengine::
             &rows
         )
     );
-    if let Some(cursor) = next {
+    if let Some(cursor) = cmp.page.next {
         println!("next page: append cursor={cursor}");
     }
 }
@@ -900,21 +901,7 @@ fn run_query_sharded(
         let cmp = engine
             .compare(&other, &query, None)
             .map_err(|e| e.to_string())?;
-        let elapsed = t1.elapsed();
-        println!(
-            "== {} (epoch set {:x}) vs {} (epoch set {:x}): {} of {} matches in {:.1} µs \
-             ({} of {} shards scanned) ==",
-            cmp.method_a,
-            cmp.epoch_key_a,
-            cmp.method_b,
-            cmp.epoch_key_b,
-            cmp.rows.len(),
-            cmp.page.matched,
-            elapsed.as_secs_f64() * 1e6,
-            cmp.page.shards_scanned,
-            cmp.page.shards_total
-        );
-        print_compare_rows(&cmp.rows, cmp.page.next);
+        print_comparison(&cmp, t1.elapsed());
     } else {
         let t1 = std::time::Instant::now();
         let page = engine.query(&query, None).map_err(|e| e.to_string())?;

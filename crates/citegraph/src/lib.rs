@@ -41,7 +41,7 @@ pub mod window;
 
 pub use builder::{BuildError, NetworkBuilder};
 pub use delta::{DeltaError, GraphDelta};
-pub use index::{band, band_span, FacetExpr};
+pub use index::{band, band_span};
 pub use metadata::{AuthorId, AuthorTable, VenueId, VenueTable};
 pub use network::{CitationNetwork, PaperId, PartsError, Year};
 pub use personalize::{

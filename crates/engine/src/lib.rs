@@ -26,12 +26,16 @@
 //!   scatter-gather read path that prunes non-overlapping shards and
 //!   k-way-merges per-shard runs under the global score order.
 //!
-//! The two engines share one serve path — the flat engine is its
-//! one-partition case, the sharded engine passes one partition per shard
-//! — and with it one planner and plan cache, one admission ladder, one
-//! scratch pool, one cursor codec and cursor error, one compare join and
-//! one set of read metric families (`attrank_*` / `attrank_sharded_*`
-//! through `enable_metrics` / `render_metrics`; the types are private).
+//! The two engines are two facades over one private serving core of
+//! methods × partitions: a [`QueryEngine`] is the core with one partition
+//! per method, a [`ShardedEngine`] the core with one method over its
+//! shards, plus its shard plan (band starts, boundary edges, tail routing,
+//! per-shard files). With the core they share one serve path, one planner
+//! and plan cache, one admission ladder, one scratch pool, one cursor
+//! codec, one query error ([`QueryError`]), one [`Comparison`] and one
+//! metrics bundle, registered as `attrank_*` (latency by driver, children
+//! by method) or `attrank_sharded_*` (latency by shape, children by shard)
+//! through `enable_metrics` / `render_metrics`; the types are private.
 //!
 //! ```
 //! use citegraph::{GraphDelta, NetworkBuilder};
@@ -89,7 +93,6 @@ pub use query::{
 };
 pub use registry::{build, default_comparison_specs, known_methods, parse_and_build, BoxedRanker};
 pub use sharded::{
-    ShardCursor, ShardSnapshots, ShardedColdStart, ShardedComparison, ShardedEngine, ShardedError,
-    ShardedIngestReport, ShardedPage,
+    ShardCursor, ShardSnapshots, ShardedColdStart, ShardedEngine, ShardedIngestReport, ShardedPage,
 };
 pub use spec::{EnsembleRule, MethodSpec, SpecError};

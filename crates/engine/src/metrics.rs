@@ -1,16 +1,15 @@
 //! Serving-path metric families over an [`obsv::MetricsRegistry`].
 //!
-//! Both serving stacks register one set of read families
-//! ([`ReadFamilies`]: per-query latency, block walks, the personalization
-//! cache, admission) under their own prefix and latency axis — `attrank_*`
-//! by plan `driver` for a [`QueryEngine`](crate::QueryEngine),
-//! `attrank_sharded_*` by query `shape` for a
-//! [`ShardedEngine`](crate::ShardedEngine) — so the two fit one registry
-//! and `repro metrics` renders both stacks in one exposition. Around
-//! them the flat [`ServingMetrics`] adds the planner, cursor, plan-cache
-//! and per-method write-path families, the [`ShardedServingMetrics`] the
-//! per-shard boundary-edge gauges. Each bundle owns the registry it
-//! renders through.
+//! Both serving stacks register one bundle, [`ServingMetrics`], under
+//! their own [`Layout`]: `attrank_*` with query latency by plan `driver`
+//! and one write-path child per method for a
+//! [`QueryEngine`](crate::QueryEngine), `attrank_sharded_*` with latency
+//! by query `shape` and one child per shard for a
+//! [`ShardedEngine`](crate::ShardedEngine), which also gets the
+//! per-shard boundary-edge gauges (`attrank_shard_boundary_edges`). The
+//! family names are disjoint, so both stacks fit one registry and
+//! `repro metrics` renders them in one exposition. Each bundle owns the
+//! registry it renders through.
 //!
 //! The hot path records through pre-resolved handles — a histogram
 //! observation per query, counter bumps on planner/cursor events.
@@ -37,9 +36,9 @@ use crate::engine::RankingEngine;
 use crate::personalization::CacheStats;
 use crate::query::{PlanCacheStats, Query, QueryDriver, QueryError, QueryPlan};
 
-/// The `driver` label index of a flat query's one partition plan (none:
-/// its year window misses the corpus, an empty id range).
-fn flat_driver(plans: &[(usize, QueryPlan)]) -> usize {
+/// The `driver` label index of a query's first partition plan (none: its
+/// year window misses every partition, an empty id range).
+fn first_driver(plans: &[(usize, QueryPlan)]) -> usize {
     plans.first().map_or(1, |(_, plan)| plan.driver.index())
 }
 
@@ -93,7 +92,20 @@ fn record_totals<const N: usize>(family: &CounterVec, totals: [u64; N]) {
     }
 }
 
-/// Per-method live instruments handed to a [`RankingEngine`]:
+/// Which stack a [`ServingMetrics`] bundle serves — its family prefix,
+/// the axis its query latency splits along, and the axis of its
+/// per-partition children.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Layout {
+    /// `attrank_*`: latency by the executed plan's `driver`, one child
+    /// per `method`.
+    Flat,
+    /// `attrank_sharded_*`: latency by query `shape`, one child per
+    /// `shard`, plus `attrank_shard_boundary_edges`.
+    Sharded,
+}
+
+/// Per-partition live instruments handed to a [`RankingEngine`]:
 /// publish/apply/solve latency, successor-network reuse, push work
 /// gauges, push fallbacks, and the WAL's append/fsync observers. The
 /// handles alias children of the registering [`ServingMetrics`], so the
@@ -132,14 +144,18 @@ pub(crate) struct EngineInstruments {
     pub(crate) wal: WalObservers,
 }
 
-/// The read families both stacks register — one struct, one HELP
-/// wording, two prefixes: `<prefix>_query_seconds` (latency along the
-/// stack's axis) and `<prefix>_select_blocks_total` (blocks a selection
-/// read or skipped, summed over the shards it scanned) record per query;
-/// the cache (`outcomes_total`, `entries`, `bytes`) and admission
-/// (`decisions_total`, `inflight_cost_ns`) families refresh at render.
+/// One serving stack's metric families and the registry they render
+/// through. Per query: `<prefix>_query_seconds` (latency along the
+/// layout's axis), `_select_blocks_total` (blocks a selection read or
+/// skipped, summed over the partitions it read), planner decisions (one
+/// per partition plan) and cursor errors. At render: the personalization
+/// cache, admission, the plan cache and each partition engine's
+/// epoch/staged/replay gauges. Per partition engine, recorded by the
+/// engine itself ([`Self::instruments`]): the write-path families.
 #[derive(Debug)]
-pub(crate) struct ReadFamilies {
+pub(crate) struct ServingMetrics {
+    registry: Arc<MetricsRegistry>,
+    layout: Layout,
     query_seconds: HistogramVec,
     select_blocks: CounterVec,
     cache_outcomes: CounterVec,
@@ -147,130 +163,7 @@ pub(crate) struct ReadFamilies {
     cache_bytes: Arc<Gauge>,
     admission_decisions: CounterVec,
     admission_inflight: Arc<Gauge>,
-}
-
-impl ReadFamilies {
-    /// Registers the seven read families as `<prefix>_…`, with query
-    /// latency split along `axis` into `labels`.
-    fn register(registry: &MetricsRegistry, prefix: &str, axis: &str, labels: &[&str]) -> Self {
-        Self {
-            query_seconds: registry.histogram_vec(
-                &format!("{prefix}_query_seconds"),
-                &format!("Per-query serving latency by {axis}"),
-                axis,
-                labels,
-                &LATENCY_BOUNDS_NS,
-            ),
-            select_blocks: registry.counter_vec(
-                &format!("{prefix}_select_blocks_total"),
-                "Score blocks of block walks (id ranges, venue bands), read vs skipped by block maxima",
-                "outcome",
-                &SELECT_BLOCK_LABELS,
-            ),
-            cache_outcomes: registry.counter_vec(
-                &format!("{prefix}_cache_outcomes_total"),
-                "Personalization cache outcomes",
-                "outcome",
-                &CACHE_OUTCOME_LABELS,
-            ),
-            cache_entries: registry.gauge(
-                &format!("{prefix}_cache_entries"),
-                "Cached personalized vectors",
-            ),
-            cache_bytes: registry.gauge(
-                &format!("{prefix}_cache_bytes"),
-                "Byte occupancy of the personalization cache",
-            ),
-            admission_decisions: registry.counter_vec(
-                &format!("{prefix}_admission_decisions_total"),
-                "Admission-control decisions",
-                "decision",
-                &ADMISSION_LABELS,
-            ),
-            admission_inflight: registry.gauge(
-                &format!("{prefix}_admission_inflight_cost_ns"),
-                "Reserved in-flight estimated query cost in nanoseconds",
-            ),
-        }
-    }
-
-    /// Records one served query: its latency under axis label `label`
-    /// and its selection's block counts. Id-range and venue-band walks
-    /// count blocks; selections that walked none (author bands, masks)
-    /// touch no block counter.
-    pub(crate) fn observe(&self, label: usize, elapsed: Duration, walk: &BlockWalk) {
-        self.query_seconds.at(label).observe(elapsed);
-        if walk.blocks_in_range > 0 {
-            let skipped = walk.blocks_in_range - walk.blocks_scanned;
-            self.select_blocks.at(0).add(walk.blocks_scanned as u64);
-            self.select_blocks.at(1).add(skipped as u64);
-        }
-    }
-
-    /// Refreshes the cache and admission families from their live stats.
-    fn refresh(&self, c: &CacheStats, admission: Option<AdmissionStats>) {
-        let totals = [c.hits, c.warm_repushes, c.cold_pushes, c.fallbacks];
-        record_totals(&self.cache_outcomes, totals);
-        self.cache_entries.set(c.entries as i64);
-        self.cache_bytes.set(c.bytes as i64);
-        if let Some(a) = admission {
-            let totals = [a.admitted, a.k_clamped, a.scan_fallbacks, a.shed];
-            record_totals(&self.admission_decisions, totals);
-            self.admission_inflight.set(a.inflight_ns as i64);
-        }
-    }
-}
-
-/// The bundle the one serve path records into: a flat engine's (latency
-/// by executed driver, planner decisions, cursor errors) or a sharded
-/// engine's (latency by query shape).
-#[derive(Clone, Copy)]
-pub(crate) enum ReadObserver<'a> {
-    ByDriver(&'a ServingMetrics),
-    ByShape(&'a ShardedServingMetrics),
-}
-
-impl ReadObserver<'_> {
-    pub(crate) fn cursor_error(self, err: &QueryError) {
-        if let Self::ByDriver(m) = self {
-            let kind = match err {
-                QueryError::StaleCursor { .. } => 0,
-                _ => 1,
-            };
-            m.cursor_errors.at(kind).inc();
-        }
-    }
-
-    pub(crate) fn planned(self, plans: &[(usize, QueryPlan)]) {
-        if let Self::ByDriver(m) = self {
-            m.planner_decisions.at(flat_driver(plans)).inc();
-        }
-    }
-
-    pub(crate) fn served(
-        self,
-        q: &Query,
-        plans: &[(usize, QueryPlan)],
-        elapsed: Duration,
-        walk: &BlockWalk,
-    ) {
-        match self {
-            Self::ByDriver(m) => m.read.observe(flat_driver(plans), elapsed, walk),
-            Self::ByShape(m) => m.read.observe(shape_index(q), elapsed, walk),
-        }
-    }
-}
-
-/// The flat serving stack's metric families and the registry they render
-/// through.
-#[derive(Debug)]
-pub(crate) struct ServingMetrics {
-    registry: Arc<MetricsRegistry>,
-    /// The `attrank_*` read families, latency by plan `driver`.
-    read: ReadFamilies,
-    /// `attrank_planner_decisions_total`, by chosen driver.
     planner_decisions: CounterVec,
-    /// `attrank_cursor_errors_total`, by kind.
     cursor_errors: CounterVec,
     plan_cache_events: CounterVec,
     plan_cache_entries: Arc<Gauge>,
@@ -288,109 +181,165 @@ pub(crate) struct ServingMetrics {
     push_fallbacks: CounterVec,
     wal_append_seconds: Arc<Histogram>,
     wal_fsync_seconds: Arc<Histogram>,
+    /// Teleport-absorbed boundary edges per shard
+    /// (`attrank_shard_boundary_edges`; sharded layout only).
+    boundary_edges: Option<GaugeVec>,
 }
 
 impl ServingMetrics {
-    /// Registers every flat-stack family on `registry`, one per-method
-    /// child per entry of `methods`.
+    /// Registers every family of `layout` on `registry`, one write-path
+    /// child per entry of `children` (the partition engines, in order).
     ///
     /// # Panics
-    /// Panics if any family name is already registered (two flat bundles
-    /// cannot share one registry).
-    pub(crate) fn register(registry: Arc<MetricsRegistry>, methods: &[&str]) -> Self {
+    /// Panics if any family name is already registered (two bundles of
+    /// one layout cannot share one registry).
+    pub(crate) fn register(
+        registry: Arc<MetricsRegistry>,
+        layout: Layout,
+        children: &[&str],
+    ) -> Self {
         let r = &*registry;
-        let per_method_gauge = |name: &str, help: &str| r.gauge_vec(name, help, "method", methods);
-        let per_method_latency = |name: &str, help: &str| {
-            r.histogram_vec(name, help, "method", methods, &LATENCY_BOUNDS_NS)
+        // Family prefix, child axis, latency axis and its labels.
+        let (prefix, child, axis, labels): (_, _, _, &[&str]) = match layout {
+            Layout::Flat => ("attrank", "method", "driver", &QueryDriver::NAMES),
+            Layout::Sharded => ("attrank_sharded", "shard", "shape", &SHAPE_LABELS),
+        };
+        let name = |family: &str| format!("{prefix}_{family}");
+        let per_child_gauge =
+            |family: &str, help: &str| r.gauge_vec(&name(family), help, child, children);
+        let per_child_latency = |family: &str, help: &str| {
+            r.histogram_vec(&name(family), help, child, children, &LATENCY_BOUNDS_NS)
         };
         Self {
-            read: ReadFamilies::register(r, "attrank", "driver", &QueryDriver::NAMES),
+            query_seconds: r.histogram_vec(
+                &name("query_seconds"),
+                &format!("Per-query serving latency by {axis}"),
+                axis,
+                labels,
+                &LATENCY_BOUNDS_NS,
+            ),
+            select_blocks: r.counter_vec(
+                &name("select_blocks_total"),
+                "Score blocks of block walks (id ranges, venue bands), read vs skipped by block maxima",
+                "outcome",
+                &SELECT_BLOCK_LABELS,
+            ),
+            cache_outcomes: r.counter_vec(
+                &name("cache_outcomes_total"),
+                "Personalization cache outcomes",
+                "outcome",
+                &CACHE_OUTCOME_LABELS,
+            ),
+            cache_entries: r.gauge(&name("cache_entries"), "Cached personalized vectors"),
+            cache_bytes: r.gauge(
+                &name("cache_bytes"),
+                "Byte occupancy of the personalization cache",
+            ),
+            admission_decisions: r.counter_vec(
+                &name("admission_decisions_total"),
+                "Admission-control decisions",
+                "decision",
+                &ADMISSION_LABELS,
+            ),
+            admission_inflight: r.gauge(
+                &name("admission_inflight_cost_ns"),
+                "Reserved in-flight estimated query cost in nanoseconds",
+            ),
             planner_decisions: r.counter_vec(
-                "attrank_planner_decisions_total",
+                &name("planner_decisions_total"),
                 "Planner decisions by chosen driver",
                 "driver",
                 &QueryDriver::NAMES,
             ),
             cursor_errors: r.counter_vec(
-                "attrank_cursor_errors_total",
+                &name("cursor_errors_total"),
                 "Cursor validation failures by kind",
                 "kind",
                 &CURSOR_ERROR_LABELS,
             ),
             plan_cache_events: r.counter_vec(
-                "attrank_plan_cache_events_total",
+                &name("plan_cache_events_total"),
                 "Plan-cache outcomes",
                 "outcome",
                 &PLAN_CACHE_LABELS,
             ),
-            plan_cache_entries: r.gauge("attrank_plan_cache_entries", "Cached query plans"),
-            epoch: per_method_gauge("attrank_epoch", "Published ranking epoch"),
-            staged_batches: per_method_gauge(
-                "attrank_staged_batches",
+            plan_cache_entries: r.gauge(&name("plan_cache_entries"), "Cached query plans"),
+            epoch: per_child_gauge("epoch", "Published ranking epoch"),
+            staged_batches: per_child_gauge(
+                "staged_batches",
                 "Ingested batches staged but not yet published",
             ),
-            staged_edges: per_method_gauge(
-                "attrank_staged_edges",
+            staged_edges: per_child_gauge(
+                "staged_edges",
                 "Citation edges staged since the last publish",
             ),
-            wal_replay_depth: per_method_gauge(
-                "attrank_wal_replay_depth",
+            wal_replay_depth: per_child_gauge(
+                "wal_replay_depth",
                 "WAL batches recovered but not yet replayed (cold start)",
             ),
-            publish_seconds: per_method_latency(
-                "attrank_publish_seconds",
+            publish_seconds: per_child_latency(
+                "publish_seconds",
                 "Whole-publish latency (apply + solve + snapshot swap)",
             ),
-            apply_seconds: per_method_latency(
-                "attrank_apply_seconds",
+            apply_seconds: per_child_latency(
+                "apply_seconds",
                 "Successor-network latency inside publish (built or shared)",
             ),
             successor_networks: r.counter_vec(
-                "attrank_successor_networks_total",
+                &name("successor_networks_total"),
                 "Publishes by how the successor network was obtained",
                 "outcome",
                 &SUCCESSOR_LABELS,
             ),
-            solve_seconds: per_method_latency(
-                "attrank_solve_seconds",
+            solve_seconds: per_child_latency(
+                "solve_seconds",
                 "Ranking solve latency inside publish",
             ),
-            push_pushes: per_method_gauge(
-                "attrank_push_pushes",
+            push_pushes: per_child_gauge(
+                "push_pushes",
                 "Pushes spent by the last incremental publish",
             ),
-            push_edge_work: per_method_gauge(
-                "attrank_push_edge_work",
+            push_edge_work: per_child_gauge(
+                "push_edge_work",
                 "Edge traversals spent by the last incremental publish (once per edge, not per lane)",
             ),
-            push_edge_budget: per_method_gauge(
-                "attrank_push_edge_budget",
+            push_edge_budget: per_child_gauge(
+                "push_edge_budget",
                 "Edge-traversal budget the last publish ran under",
             ),
             push_fallbacks: r.counter_vec(
-                "attrank_push_fallbacks_total",
+                &name("push_fallbacks_total"),
                 "Publishes with a staged delta that ran a full solve",
-                "method",
-                methods,
+                child,
+                children,
             ),
             wal_append_seconds: r.histogram(
-                "attrank_wal_append_seconds",
+                &name("wal_append_seconds"),
                 "WAL append latency (serialize + write + fsync)",
                 &LATENCY_BOUNDS_NS,
             ),
             wal_fsync_seconds: r.histogram(
-                "attrank_wal_fsync_seconds",
+                &name("wal_fsync_seconds"),
                 "WAL fsync latency inside append",
                 &LATENCY_BOUNDS_NS,
             ),
+            boundary_edges: (layout == Layout::Sharded).then(|| {
+                r.gauge_vec(
+                    "attrank_shard_boundary_edges",
+                    "Cross-shard citation edges absorbed into the teleport",
+                    "shard",
+                    children,
+                )
+            }),
+            layout,
             registry,
         }
     }
 
-    /// The live instruments for the method at child index `idx` —
-    /// what a [`RankingEngine`] records into. The WAL histograms and the
-    /// successor-network counter are engine-wide (every method records
-    /// into the same children).
+    /// The live instruments for the partition engine at child index
+    /// `idx` — what a [`RankingEngine`] records into. The WAL histograms
+    /// and the successor-network counter are stack-wide (every child
+    /// records into the same series).
     pub(crate) fn instruments(&self, idx: usize) -> Arc<EngineInstruments> {
         Arc::new(EngineInstruments {
             publish_seconds: self.publish_seconds.share(idx),
@@ -409,17 +358,73 @@ impl ServingMetrics {
         })
     }
 
-    /// Refreshes every sampled family — the read families, the plan
-    /// cache, each method's epoch/staged/replay gauges (`engines` in
-    /// registration order) — and renders the whole registry.
+    /// Counts a cursor the serve path rejected, by kind.
+    pub(crate) fn cursor_error(&self, err: &QueryError) {
+        let kind = match err {
+            QueryError::StaleCursor { .. } => 0,
+            _ => 1,
+        };
+        self.cursor_errors.at(kind).inc();
+    }
+
+    /// Counts the planner's decisions: one per partition plan, or one
+    /// `id_range` (an empty one) when no partition can match.
+    pub(crate) fn planned(&self, plans: &[(usize, QueryPlan)]) {
+        if plans.is_empty() {
+            self.planner_decisions.at(first_driver(plans)).inc();
+        }
+        for (_, plan) in plans {
+            self.planner_decisions.at(plan.driver.index()).inc();
+        }
+    }
+
+    /// Records one served query: its latency under the layout's axis —
+    /// the executed plan's driver, or the query's shape — and its
+    /// selection's block counts. Id-range and venue-band walks count
+    /// blocks; selections that walked none (author bands, masks) touch no
+    /// block counter.
+    pub(crate) fn served(
+        &self,
+        q: &Query,
+        plans: &[(usize, QueryPlan)],
+        elapsed: Duration,
+        walk: &BlockWalk,
+    ) {
+        let label = match self.layout {
+            Layout::Flat => first_driver(plans),
+            Layout::Sharded => shape_index(q),
+        };
+        self.query_seconds.at(label).observe(elapsed);
+        if walk.blocks_in_range > 0 {
+            let skipped = walk.blocks_in_range - walk.blocks_scanned;
+            self.select_blocks.at(0).add(walk.blocks_scanned as u64);
+            self.select_blocks.at(1).add(skipped as u64);
+        }
+    }
+
+    /// Refreshes every sampled family — the personalization cache,
+    /// admission, the plan cache, each partition engine's
+    /// epoch/staged/replay gauges (`engines` in child order) and, on the
+    /// sharded layout, the per-shard `boundary_edges` — and renders the
+    /// whole registry.
     pub(crate) fn render<'a>(
         &self,
         engines: impl Iterator<Item = &'a RankingEngine>,
         cache: &CacheStats,
         plans: &PlanCacheStats,
         admission: Option<AdmissionStats>,
+        boundary_edges: &[usize],
     ) -> String {
-        self.read.refresh(cache, admission);
+        let c = cache;
+        let totals = [c.hits, c.warm_repushes, c.cold_pushes, c.fallbacks];
+        record_totals(&self.cache_outcomes, totals);
+        self.cache_entries.set(c.entries as i64);
+        self.cache_bytes.set(c.bytes as i64);
+        if let Some(a) = admission {
+            let totals = [a.admitted, a.k_clamped, a.scan_fallbacks, a.shed];
+            record_totals(&self.admission_decisions, totals);
+            self.admission_inflight.set(a.inflight_ns as i64);
+        }
         let p = plans;
         record_totals(
             &self.plan_cache_events,
@@ -436,55 +441,10 @@ impl ServingMetrics {
                 .at(idx)
                 .set(engine.replay_backlog() as i64);
         }
-        self.registry.render()
-    }
-}
-
-/// The sharded stack's metric families — the read families under the
-/// `attrank_sharded` prefix plus per-shard boundary edges — and the
-/// registry they render through.
-#[derive(Debug)]
-pub(crate) struct ShardedServingMetrics {
-    registry: Arc<MetricsRegistry>,
-    /// The `attrank_sharded_*` read families, latency by query `shape`.
-    read: ReadFamilies,
-    /// Teleport-absorbed boundary edges per shard
-    /// (`attrank_shard_boundary_edges`), refreshed at render.
-    boundary_edges: GaugeVec,
-}
-
-impl ShardedServingMetrics {
-    /// Registers every sharded-stack family on `registry`, with one
-    /// `shard` child per partition.
-    ///
-    /// # Panics
-    /// Panics if any family name is already registered.
-    pub(crate) fn register(registry: Arc<MetricsRegistry>, n_shards: usize) -> Self {
-        let shard_labels: Vec<String> = (0..n_shards).map(|s| s.to_string()).collect();
-        let shard_refs: Vec<&str> = shard_labels.iter().map(|s| s.as_str()).collect();
-        Self {
-            read: ReadFamilies::register(&registry, "attrank_sharded", "shape", &SHAPE_LABELS),
-            boundary_edges: registry.gauge_vec(
-                "attrank_shard_boundary_edges",
-                "Cross-shard citation edges absorbed into the teleport",
-                "shard",
-                &shard_refs,
-            ),
-            registry,
-        }
-    }
-
-    /// Refreshes the read families and the per-shard boundary-edge
-    /// gauges, then renders the whole registry.
-    pub(crate) fn render(
-        &self,
-        cache: &CacheStats,
-        admission: Option<AdmissionStats>,
-        boundary_edges: &[usize],
-    ) -> String {
-        self.read.refresh(cache, admission);
-        for (s, &n) in boundary_edges.iter().enumerate() {
-            self.boundary_edges.at(s).set(n as i64);
+        if let Some(gauges) = &self.boundary_edges {
+            for (s, &n) in boundary_edges.iter().enumerate() {
+                gauges.at(s).set(n as i64);
+            }
         }
         self.registry.render()
     }

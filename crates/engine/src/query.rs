@@ -62,7 +62,8 @@
 //!   with facet residuals,
 //! * **mask algebra** — the whole predicate tree (OR within classes,
 //!   AND across, year range) pushed down to word-wide [`IdMask`] set
-//!   operations via [`citegraph::FacetExpr`]; no residuals remain.
+//!   operations, the mask built per query from the posting lists and
+//!   the year range; no residuals remain.
 //!
 //! Two kernels serve every plan. Every frozen score vector carries
 //! per-block maxima over its ids and over each venue's posting list
@@ -89,26 +90,32 @@
 //! scale: `price_partition` prices one partition, `select_partition`
 //! runs the chosen driver over it.
 //!
-//! # One serve path
+//! # One core, one serve path
 //!
-//! Every entry point of both engines is a thin wrapper over one private
-//! `ReadPath::serve` on a pinned partition view: a [`QueryEngine`] passes
-//! its method's snapshot as one partition at id 0 with seed share 1.0
-//! (`x * 1.0` is bit-exact), a [`ShardedEngine`](crate::ShardedEngine)
-//! its shard set. Cursor check, fingerprint, seeded solves, plan
-//! ([`PlanCache`]), admission, selection per partition, the k-way merge
-//! and the page run in that order into a [`PageBuf`] through a
-//! [`QueryScratch`]; owned-page entry points borrow the scratch from one
-//! bounded pool, and a batch is `serve_batch` over one scratch. Between
-//! queries an engine remembers plans and seeded solves
-//! ([`crate::PersonalizationCache`]), and nothing else anything: a
+//! Both public engines are facades over one private serving core: methods
+//! × partitions over one partition plan, with one read path (plan cache,
+//! personalization cache, cost model, admission, scratch pool) and one
+//! metrics bundle. A [`QueryEngine`] is the core with one partition per
+//! method; a [`ShardedEngine`](crate::ShardedEngine) the core with one
+//! method over its shards. Every read entry point of both is a thin
+//! wrapper over the core's one serve function on a pinned partition set:
+//! a method's snapshot as one partition at id 0 with seed share 1.0
+//! (`x * 1.0` is bit-exact), or a shard set. Identity and fingerprint,
+//! cursor check, seeded solves, plan ([`PlanCache`]), admission, selection
+//! per partition, the k-way merge and the page run in that order into a
+//! [`PageBuf`] through a [`QueryScratch`]; owned-page entry points borrow
+//! the scratch from one bounded pool, and a batch is `serve_batch` over
+//! one scratch. Between queries an engine remembers plans and seeded
+//! solves ([`crate::PersonalizationCache`]), and nothing else anything: a
 //! [`QueryScratch`] is warm capacity, and caches nothing.
 //!
 //! # Cursors
 //!
 //! Pagination is offset-free: a [`Cursor`] embeds the epoch it was
 //! minted on, the `(score, id)` position of the last returned item, and
-//! a fingerprint of the filter set. Page `n+1` selects the best items
+//! a fingerprint of the query's normalized identity (method, year bounds,
+//! deduplicated facet lists, sorted seeds: the words a plan-cache entry
+//! is keyed by). Page `n+1` selects the best items
 //! *strictly after* that position in the total order
 //! ([`sparsela::cmp_score_desc`]: descending score, ties by ascending
 //! id, NaN last), so pages never overlap and never skip — even under
@@ -121,11 +128,13 @@
 //! epoch key in the epoch's place.
 
 use std::borrow::Borrow;
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread;
 use std::time::Instant;
 
 use citegraph::{
@@ -143,7 +152,7 @@ use crate::admission::{
 use crate::engine::{
     EngineError, EpochSnapshot, IngestReport, Ranking, RankingEngine, RerankPolicy,
 };
-use crate::metrics::{ReadObserver, ServingMetrics};
+use crate::metrics::{Layout, ServingMetrics};
 use crate::personalization::{CacheConfig, CacheStats, CachedRanking, PersonalizationCache};
 use crate::spec::{MethodSpec, SpecError};
 
@@ -445,6 +454,10 @@ pub enum QueryError {
     },
     /// [`QueryEngine::compare`] needs `vs=<method>` in the query.
     MissingCompareMethod,
+    /// Compare mode was asked to join two engines whose partition plans
+    /// disagree (different shard starts): their global ids name different
+    /// papers, so a row-wise join would be meaningless.
+    PlanMismatch,
     /// A method spec failed while building the engine set.
     Spec(SpecError),
     /// Two specs share one method name (queries could not address them).
@@ -510,6 +523,9 @@ impl fmt::Display for QueryError {
             ),
             QueryError::MissingCompareMethod => {
                 write!(f, "compare needs vs=<method> in the query")
+            }
+            QueryError::PlanMismatch => {
+                write!(f, "compare needs both engines on the same shard plan")
             }
             QueryError::Spec(e) => write!(f, "method spec: {e}"),
             QueryError::DuplicateMethod { name } => {
@@ -638,79 +654,6 @@ impl FromStr for Cursor {
     }
 }
 
-/// Incremental FNV-1a over the byte stream of a query identity. The
-/// fingerprint helpers feed it raw little-endian integers (with
-/// presence tags and length prefixes as separators) instead of
-/// formatted text, so hashing a repeat query allocates nothing.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn eat_u64(&mut self, v: u64) {
-        self.eat(&v.to_le_bytes());
-    }
-
-    fn eat_opt_year(&mut self, y: Option<Year>) {
-        match y {
-            None => self.eat(&[0]),
-            Some(y) => {
-                self.eat(&[1]);
-                self.eat(&(y as i64).to_le_bytes());
-            }
-        }
-    }
-}
-
-/// FNV-1a over the canonical `(method, filters, seeds)` identity of a
-/// query — what binds a [`Cursor`] to the result set it walks, on the
-/// flat and the sharded engine alike (tokens live for one epoch and are
-/// never persisted, so the hash is free to be an in-process detail). Page
-/// size and `vs` are deliberately excluded: changing `k` mid-pagination
-/// is legitimate, and compare mode joins onto the same primary ranking.
-/// The full facet *lists* are covered, so adding an id to an OR set
-/// (`venue=3` → `venue=3|5`) changes the identity and a resumed cursor
-/// fails typed instead of silently changing result sets. The seed set
-/// is covered in *sorted* order (it is a set — `seed=3|1` and
-/// `seed=1|3` walk the same personalized ranking), so a cursor resumed
-/// under a different seed list fails with
-/// [`QueryError::CursorMismatch`]. `seeds_tmp` is that sort's buffer
-/// (the scratch's, on the serve path), so hashing a seeded repeat query
-/// performs zero heap allocations.
-fn fingerprint_with(method: &str, q: &Query, seeds_tmp: &mut Vec<PaperId>) -> u64 {
-    let mut h = Fnv::new();
-    h.eat(method.as_bytes());
-    h.eat_opt_year(q.year_min);
-    h.eat_opt_year(q.year_max);
-    h.eat_u64(q.venues.len() as u64);
-    for &v in &q.venues {
-        h.eat_u64(v as u64);
-    }
-    h.eat_u64(q.authors.len() as u64);
-    for &a in &q.authors {
-        h.eat_u64(a as u64);
-    }
-    seeds_tmp.clear();
-    if !q.seeds.is_empty() {
-        seeds_tmp.extend_from_slice(&q.seeds);
-        seeds_tmp.sort_unstable();
-        h.eat(b"seed");
-        for &s in seeds_tmp.iter() {
-            h.eat_u64(s as u64);
-        }
-    }
-    h.0
-}
-
 /// One page of query results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Page {
@@ -772,9 +715,10 @@ pub enum QueryDriver {
         /// overlap).
         len: usize,
     },
-    /// The whole predicate pushed down to [`IdMask`] set algebra via
-    /// [`citegraph::index::FacetExpr`]: OR within facet classes, AND across them and the
-    /// year range, evaluated word-wide. No residual checks remain.
+    /// The whole predicate pushed down to [`IdMask`] set algebra: OR
+    /// within facet classes (posting lists inserted into one mask), AND
+    /// across them and the year range, evaluated word-wide. No residual
+    /// checks remain.
     MaskAlgebra {
         /// Upper bound on surviving candidates (the tightest class's
         /// banded selectivity).
@@ -1153,7 +1097,7 @@ pub struct QueryScratch {
     mask: IdMask,
     /// Second mask for AND-composition during mask builds.
     mask_tmp: IdMask,
-    /// Seed sort buffer for fingerprint normalization.
+    /// The query's seeds, sorted ([`Self::set_identity`]).
     seeds: Vec<PaperId>,
     /// The query's normalized identity ([`Self::set_identity`]).
     identity: Vec<u32>,
@@ -1182,11 +1126,16 @@ impl QueryScratch {
 
     /// Writes the query's normalized identity as words — method label,
     /// year bounds, the deduplicated facet lists ([`Self::set_facets`]),
-    /// the sorted seeds (the fingerprint's) — into `identity`: what a
-    /// [`PlanCache`] entry must equal, not only hash to, before its plans
-    /// serve. One flat buffer, so storing it is one allocation and
-    /// comparing it one `memcmp` (over real memory: it is never empty).
-    fn set_identity(&mut self, method: &str, q: &Query) {
+    /// the seeds sorted (a seed set is a set: `seed=3|1` and `seed=1|3`
+    /// walk one personalized ranking) — into `identity`, and returns its
+    /// [`fingerprint`]. The identity is what a [`PlanCache`] entry must
+    /// equal, not only hash to, before its plans serve; the fingerprint is
+    /// what binds a [`Cursor`] to the result set it walks. Page size and
+    /// `vs` are left out: changing `k` mid-pagination is legitimate, and
+    /// compare mode joins onto the same primary ranking. One flat buffer,
+    /// so storing it is one allocation and comparing it one `memcmp` (over
+    /// real memory: it is never empty).
+    fn set_identity(&mut self, method: &str, q: &Query) -> u64 {
         let Self {
             venues,
             authors,
@@ -1194,6 +1143,9 @@ impl QueryScratch {
             identity,
             ..
         } = self;
+        seeds.clear();
+        seeds.extend_from_slice(&q.seeds);
+        seeds.sort_unstable();
         identity.clear();
         identity.push(method.len() as u32);
         identity.extend(method.bytes().map(u32::from));
@@ -1204,7 +1156,22 @@ impl QueryScratch {
             identity.push(list.len() as u32);
             identity.extend_from_slice(list);
         }
+        fingerprint(identity)
     }
+}
+
+/// FNV-style hash of a query identity ([`QueryScratch::set_identity`]): one
+/// xor and one multiply per word. Tokens live for one epoch and are never
+/// persisted, so the hash is an in-process detail. Two identities that
+/// name one set — `venue=3|3` and `venue=3` — hash alike; any other
+/// difference in the lists (`venue=3` → `venue=3|5`) changes the words,
+/// so a resumed cursor fails typed instead of silently changing result
+/// sets. The hash is not keyed: a collision between two identities is
+/// possible, and a plan-cache hit compares the identity itself.
+fn fingerprint(identity: &[u32]) -> u64 {
+    identity.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| {
+        (h ^ u64::from(w)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Warm scratches an engine keeps between queries: enough for a handful
@@ -1712,7 +1679,7 @@ fn admit(
 /// to an earlier *served* member from that member's page (the only place
 /// a query is compared with another). An error is never remembered: the
 /// duplicate fails again with the same typed error.
-pub(crate) fn serve_batch<M: PartialEq, P: Clone, E>(
+fn serve_batch<M: PartialEq, P: Clone, E>(
     members: &[M],
     mut serve: impl FnMut(&M) -> Result<P, E>,
 ) -> Vec<Result<P, E>> {
@@ -1727,12 +1694,11 @@ pub(crate) fn serve_batch<M: PartialEq, P: Clone, E>(
     results
 }
 
-/// Builds the whole-predicate facet mask — OR within classes, AND
-/// across them and the year range — directly into `acc` (with `tmp` as
-/// the AND partner), word-for-word the set `FacetExpr::All([Any(venues),
-/// Any(authors), Years])` evaluates to, but with zero allocations once
-/// the masks are warm. A facet id with no postings in this partition
-/// contributes no bits.
+/// Builds the whole-predicate facet mask — the union of the venues'
+/// postings, AND the union of the authors' postings, AND the year range
+/// — directly into `acc` (with `tmp` as the AND partner), with zero
+/// allocations once the masks are warm. A facet id with no postings in
+/// this partition contributes no bits.
 fn build_facet_mask(
     net: &CitationNetwork,
     venues: &[VenueId],
@@ -1931,22 +1897,19 @@ pub(crate) fn overlaps(snap: &EpochSnapshot, q: &Query) -> bool {
     !(q.year_min.is_some_and(|lo| lo > last) || q.year_max.is_some_and(|hi| hi < first))
 }
 
-/// The pinned partitions one query reads: a flat engine's method
-/// snapshot as the one partition at id 0, or a pinned shard set.
-pub(crate) struct Pinned<'a, S> {
-    /// The served method's label.
-    pub(crate) method: &'a str,
-    /// Its damping factor (`None`: it cannot serve `seed=`).
-    pub(crate) damping: Option<f64>,
+/// The pinned partitions one query reads, as the serve path sees them: a
+/// flat engine's method snapshot as the one partition at id 0, or a
+/// pinned shard set.
+struct Pinned<'a, S> {
+    /// The served method.
+    method: &'a Method,
     /// Global id of each partition's local id 0.
-    pub(crate) starts: &'a [PaperId],
+    starts: &'a [PaperId],
     /// Each partition's snapshot.
-    pub(crate) snaps: &'a [S],
-    /// Each partition's [`PersonalizationCache`] label.
-    pub(crate) labels: &'a [String],
+    snaps: &'a [S],
     /// What cursors and cached plans are bound to: a snapshot's epoch, or
     /// a shard set's epoch key.
-    pub(crate) generation: u64,
+    generation: u64,
 }
 
 impl<S: Borrow<EpochSnapshot>> Pinned<'_, S> {
@@ -1979,9 +1942,12 @@ fn seeded_partitions<S: Borrow<EpochSnapshot>>(
     if q.seeds.is_empty() {
         return Ok(None);
     }
-    let alpha = view.damping.ok_or_else(|| QueryError::SeedUnsupported {
-        method: view.method.to_string(),
-    })?;
+    let alpha = view
+        .method
+        .damping
+        .ok_or_else(|| QueryError::SeedUnsupported {
+            method: view.method.name.clone(),
+        })?;
     let n_papers = (0..view.snaps.len()).map(|s| view.snap(s).n_papers()).sum();
     SeedPersonalization::uniform(&q.seeds, n_papers).map_err(seed_error_to_query)?;
     let mut locals: Vec<Vec<PaperId>> = vec![Vec::new(); view.snaps.len()];
@@ -1999,7 +1965,7 @@ fn seeded_partitions<S: Borrow<EpochSnapshot>>(
         let snap = view.snap(s);
         let seed =
             SeedPersonalization::uniform(ids, snap.n_papers()).map_err(seed_error_to_query)?;
-        let (ranking, _) = cache.ranking(&view.labels[s], snap, &seed, alpha);
+        let (ranking, _) = cache.ranking(&view.method.labels[s], snap, &seed, alpha);
         per.push(Some((ranking, ids.len() as f64 / total)));
     }
     Ok(Some(per))
@@ -2029,9 +1995,9 @@ fn plan_partitions<S: Borrow<EpochSnapshot>>(
         .collect()
 }
 
-/// What an engine keeps for its read path between queries — seeded
-/// solves, plans and their cost model, admission, warm scratches — and
-/// the one serve function over them. Both engines own one.
+/// What the serving core keeps for its read path between queries —
+/// seeded solves, plans and their cost model, admission, warm scratches —
+/// for every method it serves.
 pub(crate) struct ReadPath {
     pub(crate) cache: PersonalizationCache,
     pub(crate) plans: PlanCache,
@@ -2051,53 +2017,374 @@ impl ReadPath {
             scratches: ScratchPool::default(),
         }
     }
+}
+
+/// One row of a two-method comparison.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CompareRow {
+    /// The paper.
+    pub id: PaperId,
+    /// Score under the primary method.
+    pub score_a: f64,
+    /// 1-based global rank under the primary method.
+    pub rank_a: usize,
+    /// Score under the `vs` method (`None` when its epoch does not cover
+    /// the id yet).
+    pub score_b: Option<f64>,
+    /// 1-based global rank under the `vs` method.
+    pub rank_b: Option<usize>,
+}
+
+/// `id`'s global score and 1-based rank under the ranking of `snaps`,
+/// partitions in id order whose first global ids are `starts` (one per
+/// shard; one for a flat engine), `None` past its coverage.
+fn score_and_rank<S: Borrow<EpochSnapshot>>(
+    starts: &[PaperId],
+    snaps: &[S],
+    id: PaperId,
+) -> Option<(f64, usize)> {
+    let parts = starts.iter().zip(snaps);
+    let (start, snap) = parts.clone().rev().find(|(start, _)| **start <= id)?;
+    let score = snap.borrow().score(id - start)?;
+    let ahead: usize = parts
+        .map(|(&start, snap)| snap.borrow().ahead_of(score, id, start))
+        .sum();
+    Some((score, 1 + ahead))
+}
+
+/// The compare join under both engines: each page hit with its global
+/// rank under ranking `a` (the page's own, so always covered) and its
+/// global score and rank under `b` (`None` past `b`'s coverage), both
+/// over the partitions starting at `starts`.
+fn join_ranks<S: Borrow<EpochSnapshot>>(
+    items: &[Hit],
+    starts: &[PaperId],
+    a: &[S],
+    b: &[S],
+) -> Vec<CompareRow> {
+    items
+        .iter()
+        .map(|hit| {
+            let (_, rank_a) =
+                score_and_rank(starts, a, hit.id).expect("a page hit is in its own ranking");
+            let (score_b, rank_b) = score_and_rank(starts, b, hit.id).unzip();
+            CompareRow {
+                id: hit.id,
+                score_a: hit.score,
+                rank_a,
+                score_b,
+                rank_b,
+            }
+        })
+        .collect()
+}
+
+/// The result of a compare: the primary method's filtered page, joined
+/// against a second method's ranking of the same papers — two methods of
+/// one [`QueryEngine`] ([`QueryEngine::compare`]), or two
+/// [`ShardedEngine`](crate::ShardedEngine)s over one shard plan
+/// ([`ShardedEngine::compare`](crate::ShardedEngine::compare)).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Comparison {
+    /// Primary method label.
+    pub method_a: String,
+    /// Generation of the primary ranking: its snapshot's epoch, or its
+    /// pinned shard set's
+    /// [`epoch_key`](crate::ShardSnapshots::epoch_key).
+    pub epoch_a: u64,
+    /// Secondary (`vs`) method label.
+    pub method_b: String,
+    /// Generation of the secondary ranking, as `epoch_a`.
+    pub epoch_b: u64,
+    /// Joined rows, in the primary ranking's order.
+    pub rows: Vec<CompareRow>,
+    /// The primary page (cursor, match count) the rows were built from.
+    pub page: Page,
+}
+
+/// A pinned partition set one query reads: a method's snapshot (one
+/// partition at id 0) or a shard set. Its generation is what the set's
+/// cursors and cached plans are bound to.
+pub(crate) trait Pin {
+    /// How the set holds each partition's snapshot.
+    type Part: Borrow<EpochSnapshot>;
+    /// The partitions' snapshots, in id order.
+    fn parts(&self) -> &[Self::Part];
+    /// Each partition's first global id.
+    fn starts(&self) -> &[PaperId];
+    /// A snapshot's epoch, or a shard set's epoch key.
+    fn generation(&self) -> u64;
+}
+
+impl Pin for EpochSnapshot {
+    type Part = EpochSnapshot;
+
+    fn parts(&self) -> &[EpochSnapshot] {
+        std::slice::from_ref(self)
+    }
+
+    /// A constant, so the serve path compiled for one snapshot folds its
+    /// partition arithmetic away.
+    fn starts(&self) -> &[PaperId] {
+        &[0]
+    }
+
+    fn generation(&self) -> u64 {
+        self.epoch()
+    }
+}
+
+/// A batch member: its query and the explicit resume cursor beside it.
+pub(crate) trait Member: PartialEq {
+    fn query(&self) -> &Query;
+    fn cursor(&self) -> Option<&Cursor>;
+}
+
+impl Member for Query {
+    fn query(&self) -> &Query {
+        self
+    }
+
+    fn cursor(&self) -> Option<&Cursor> {
+        None
+    }
+}
+
+impl Member for (Query, Option<Cursor>) {
+    fn query(&self) -> &Query {
+        &self.0
+    }
+
+    fn cursor(&self) -> Option<&Cursor> {
+        self.1.as_ref()
+    }
+}
+
+/// `f` over `0..n`, one scoped thread each (none for a single call),
+/// results in order; a panic in any call re-raises here.
+pub(crate) fn par_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if n == 1 {
+        return vec![f(0)];
+    }
+    thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = (0..n).map(|i| scope.spawn(move || f(i))).collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
+}
+
+/// One method a [`Core`] serves: its label, its damping factor (parsed
+/// once — the seeded path must not re-parse the spec per query), the
+/// [`PersonalizationCache`] label of each partition, and the partition
+/// engines in id order.
+pub(crate) struct Method {
+    name: String,
+    damping: Option<f64>,
+    labels: Vec<String>,
+    parts: Vec<Arc<RankingEngine>>,
+}
+
+impl Method {
+    /// `name` served by `parts`. The damping factor is read off the
+    /// engines' method label, which is its spec's canonical spelling and
+    /// parses back (`None`: the method cannot serve `seed=`).
+    pub(crate) fn new(name: String, parts: Vec<Arc<RankingEngine>>) -> Self {
+        let spec = parts[0].method().parse::<MethodSpec>().ok();
+        Self {
+            damping: spec.and_then(|spec| spec.damping()),
+            labels: (0..parts.len()).map(|s| format!("{name}#s{s}")).collect(),
+            name,
+            parts,
+        }
+    }
+}
+
+/// The serving core under both public engines: methods × partitions over
+/// one partition plan (`starts`), with one [`ReadPath`] and one metrics
+/// bundle for all of them. A [`QueryEngine`] is the core with one
+/// partition per method; a [`ShardedEngine`](crate::ShardedEngine) is the
+/// core with one method over its shards, plus its shard plan.
+pub(crate) struct Core {
+    methods: Vec<Method>,
+    /// First global id of each partition. Fixed after construction (only
+    /// the last partition grows), so every pinned shard set shares it.
+    starts: Arc<[PaperId]>,
+    pub(crate) read: ReadPath,
+    /// The metric families, once [`Self::enable_metrics_on`] ran. Boxed:
+    /// they are wide and most engines never enable them.
+    metrics: Option<Box<ServingMetrics>>,
+}
+
+impl Core {
+    /// `methods` over the partitions starting at `starts`: empty caches,
+    /// the baked [`CostModel`], no admission, no metrics.
+    pub(crate) fn new(methods: Vec<Method>, starts: Arc<[PaperId]>) -> Self {
+        Self {
+            methods,
+            starts,
+            read: ReadPath::new(),
+            metrics: None,
+        }
+    }
+
+    /// Method `m`'s label.
+    pub(crate) fn method(&self, m: usize) -> &str {
+        &self.methods[m].name
+    }
+
+    /// Method `m`'s partition engines, in id order.
+    pub(crate) fn parts(&self, m: usize) -> &[Arc<RankingEngine>] {
+        &self.methods[m].parts
+    }
+
+    /// The partition plan: first global id of each partition.
+    pub(crate) fn starts(&self) -> &Arc<[PaperId]> {
+        &self.starts
+    }
+
+    /// Resolves a method name (`None` = the first) to its index.
+    fn resolve(&self, name: Option<&str>) -> Result<usize, QueryError> {
+        let Some(name) = name else { return Ok(0) };
+        self.methods
+            .iter()
+            .position(|m| m.name == name)
+            .ok_or_else(|| QueryError::UnknownMethod {
+                name: name.into(),
+                known: self.methods.iter().map(|m| m.name.clone()).collect(),
+            })
+    }
+
+    /// Method `m`'s current epoch in every partition.
+    pub(crate) fn pin(&self, m: usize) -> Vec<Arc<EpochSnapshot>> {
+        self.parts(m).iter().map(|e| e.snapshot()).collect()
+    }
+
+    /// Installs (or replaces) the admission policy.
+    pub(crate) fn set_admission(&mut self, policy: AdmissionPolicy) {
+        self.read.admission = Some(Arc::new(AdmissionController::new(policy)));
+    }
+
+    /// Counters of the admission controller, if one is installed.
+    pub(crate) fn admission_stats(&self) -> Option<AdmissionStats> {
+        self.read.admission.as_ref().map(|a| a.stats())
+    }
+
+    /// Every partition engine, method-major: the metric children's order.
+    fn engines(&self) -> impl Iterator<Item = &Arc<RankingEngine>> {
+        self.methods.iter().flat_map(|m| &m.parts)
+    }
+
+    /// Registers the `layout`'s families on `registry` — one write-path
+    /// child per partition engine, named by method (flat) or by shard
+    /// index (sharded) — and wires each engine's live instruments.
+    ///
+    /// # Panics
+    /// Panics if the layout's family names are already registered.
+    pub(crate) fn enable_metrics_on(&mut self, registry: Arc<MetricsRegistry>, layout: Layout) {
+        let children: Vec<String> = self
+            .methods
+            .iter()
+            .flat_map(|m| (0..m.parts.len()).map(move |s| (m, s)))
+            .map(|(m, s)| match layout {
+                Layout::Flat => m.name.clone(),
+                Layout::Sharded => s.to_string(),
+            })
+            .collect();
+        let children: Vec<&str> = children.iter().map(String::as_str).collect();
+        let serving = ServingMetrics::register(registry, layout, &children);
+        for (idx, engine) in self.engines().enumerate() {
+            engine.instrument(serving.instruments(idx));
+        }
+        self.metrics = Some(Box::new(serving));
+    }
+
+    /// [`Self::enable_metrics_on`] over a fresh registry, returned.
+    pub(crate) fn enable_metrics(&mut self, layout: Layout) -> Arc<MetricsRegistry> {
+        let registry = Arc::new(MetricsRegistry::new());
+        self.enable_metrics_on(Arc::clone(&registry), layout);
+        registry
+    }
+
+    /// Refreshes the sampled families (`boundary_edges` per shard on the
+    /// sharded layout) and renders the registry; `None` until metrics are
+    /// enabled.
+    pub(crate) fn render_metrics(&self, boundary_edges: &[usize]) -> Option<String> {
+        Some(self.metrics.as_ref()?.render(
+            self.engines().map(|e| &**e),
+            &self.read.cache.stats(),
+            &self.read.plans.stats(),
+            self.admission_stats(),
+            boundary_edges,
+        ))
+    }
 
     /// The serve path under every entry point of both engines (see the
-    /// module docs), writing the page into `out` through `scratch` — zero
-    /// heap allocations for a steady-state unseeded query. `cursor` is an
-    /// explicit resume argument beside `q.cursor`. Returns how many
-    /// partitions were read. Without an `observer` no clock is read.
-    pub(crate) fn serve<S: Borrow<EpochSnapshot>>(
+    /// module docs): `q` under method `m` over `pin`, written into `out`
+    /// through `scratch` — zero heap allocations for a steady-state
+    /// unseeded query. `cursor` is an explicit resume argument beside
+    /// `q.cursor`. Returns how many partitions were read. Without metrics
+    /// no clock is read.
+    fn serve<P: Pin + ?Sized>(
         &self,
-        view: &Pinned<'_, S>,
-        observer: Option<ReadObserver<'_>>,
+        m: usize,
+        pin: &P,
         q: &Query,
         cursor: Option<&Cursor>,
         scratch: &mut QueryScratch,
         out: &mut PageBuf,
     ) -> Result<usize, QueryError> {
-        let started = observer.is_some().then(Instant::now);
-        let fp = fingerprint_with(view.method, q, &mut scratch.seeds);
+        let view = &Pinned {
+            method: &self.methods[m],
+            starts: pin.starts(),
+            snaps: pin.parts(),
+            generation: pin.generation(),
+        };
+        let metrics = self.metrics.as_deref();
+        let started = metrics.is_some().then(Instant::now);
+        scratch.set_facets(q);
+        let fp = scratch.set_identity(&view.method.name, q);
         let resume =
             resume_at(cursor, q.cursor.as_ref(), view.generation, fp).inspect_err(|err| {
-                if let Some(o) = observer {
-                    o.cursor_error(err);
+                if let Some(metrics) = metrics {
+                    metrics.cursor_error(err);
                 }
             })?;
-        let seeded = seeded_partitions(view, &self.cache, q)?;
+        let seeded = seeded_partitions(view, &self.read.cache, q)?;
         let seeded = seeded.as_deref();
-        scratch.set_facets(q);
-        scratch.set_identity(view.method, q);
         let resumed = resume.is_some();
         let identity = &scratch.identity;
-        let mut plans = self
-            .plans
-            .get_or_plan((fp, resumed), view.generation, identity, || {
-                validate_facets((0..view.snaps.len()).map(|s| &**view.snap(s).network()), q)?;
-                Ok(plan_partitions(
-                    view, q, scratch, resumed, seeded, &self.cost, false,
-                ))
-            })?;
-        if let Some(o) = observer {
-            o.planned(&plans);
+        let mut plans =
+            self.read
+                .plans
+                .get_or_plan((fp, resumed), view.generation, identity, || {
+                    validate_facets((0..view.snaps.len()).map(|s| &**view.snap(s).network()), q)?;
+                    Ok(plan_partitions(
+                        view,
+                        q,
+                        scratch,
+                        resumed,
+                        seeded,
+                        &self.read.cost,
+                        false,
+                    ))
+                })?;
+        if let Some(metrics) = metrics {
+            metrics.planned(&plans);
         }
         // The ticket (when admission is on) holds the in-flight cost
         // reservation until the page is built.
-        let ticket = admit(self.admission.as_ref(), &plans, q.k)?;
+        let ticket = admit(self.read.admission.as_ref(), &plans, q.k)?;
         if ticket.as_ref().is_some_and(|t| t.use_indexed) {
             // Degradation depends on instantaneous load, not query
             // identity: never cached.
-            plans = plan_partitions(view, q, scratch, resumed, seeded, &self.cost, true).into();
+            plans =
+                plan_partitions(view, q, scratch, resumed, seeded, &self.read.cost, true).into();
         }
         let k = ticket.as_ref().map_or(q.k, |t| t.k);
 
@@ -2168,112 +2455,151 @@ impl ReadPath {
         out.epoch = view.generation;
         out.matched = walked.matched;
         out.method.clear();
-        out.method.push_str(view.method);
-        if let (Some(o), Some(at)) = (observer, started) {
-            o.served(q, &plans, at.elapsed(), &walked);
+        out.method.push_str(&view.method.name);
+        if let (Some(metrics), Some(at)) = (metrics, started) {
+            metrics.served(q, &plans, at.elapsed(), &walked);
         }
         Ok(plans.len())
     }
-}
 
-/// One row of a two-method comparison.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompareRow {
-    /// The paper.
-    pub id: PaperId,
-    /// Score under the primary method.
-    pub score_a: f64,
-    /// 1-based global rank under the primary method.
-    pub rank_a: usize,
-    /// Score under the `vs` method (`None` when its epoch does not cover
-    /// the id yet).
-    pub score_b: Option<f64>,
-    /// 1-based global rank under the `vs` method.
-    pub rank_b: Option<usize>,
-}
+    /// [`Self::serve`] through a pooled scratch into an owned page.
+    pub(crate) fn page<P: Pin + ?Sized>(
+        &self,
+        m: usize,
+        pin: &P,
+        q: &Query,
+        cursor: Option<&Cursor>,
+    ) -> Result<(Page, usize), QueryError> {
+        let mut out = PageBuf::new();
+        let read = self
+            .read
+            .scratches
+            .with(|scratch| self.serve(m, pin, q, cursor, scratch, &mut out))?;
+        Ok((out.take_page(), read))
+    }
 
-/// `id`'s global score and 1-based rank under a ranking of `(first global
-/// id, snapshot)` partitions in id order (one per shard; one for a flat
-/// engine), `None` past its coverage.
-fn score_and_rank(parts: &[(PaperId, &EpochSnapshot)], id: PaperId) -> Option<(f64, usize)> {
-    let (start, snap) = parts.iter().rev().find(|(start, _)| *start <= id)?;
-    let score = snap.score(id - start)?;
-    let ahead: usize = parts
-        .iter()
-        .map(|(start, snap)| snap.ahead_of(score, id, *start))
-        .sum();
-    Some((score, 1 + ahead))
-}
-
-/// The compare join under both engines: each page hit with its global
-/// rank under ranking `a` (the page's own, so always covered) and its
-/// global score and rank under `b` (`None` past `b`'s coverage).
-pub(crate) fn join_ranks(
-    items: &[Hit],
-    a: &[(PaperId, &EpochSnapshot)],
-    b: &[(PaperId, &EpochSnapshot)],
-) -> Vec<CompareRow> {
-    items
-        .iter()
-        .map(|hit| {
-            let (_, rank_a) = score_and_rank(a, hit.id).expect("a page hit is in its own ranking");
-            let (score_b, rank_b) = score_and_rank(b, hit.id).unzip();
-            CompareRow {
-                id: hit.id,
-                score_a: hit.score,
-                rank_a,
-                score_b,
-                rank_b,
-            }
+    /// Serves every member in submission order through one pooled scratch
+    /// and one page buffer, each under the method and pin `route` gives
+    /// its query, and hands each page (with the partitions it read) to
+    /// `finish`; a member equal to an earlier served one is answered from
+    /// that page (`serve_batch`).
+    pub(crate) fn batch<'p, M: Member, P: Pin + ?Sized + 'p, T: Clone>(
+        &self,
+        members: &[M],
+        route: impl Fn(&Query) -> Result<(usize, &'p P), QueryError>,
+        finish: impl Fn(Page, usize) -> T,
+    ) -> Vec<Result<T, QueryError>> {
+        let mut out = PageBuf::new();
+        self.read.scratches.with(|scratch| {
+            serve_batch(members, |member| {
+                let (m, pin) = route(member.query())?;
+                let read =
+                    self.serve(m, pin, member.query(), member.cursor(), scratch, &mut out)?;
+                Ok(finish(out.to_page(), read))
+            })
         })
-        .collect()
-}
+    }
 
-/// The result of [`QueryEngine::compare`]: the primary method's filtered
-/// page, joined against a second method's ranking of the same papers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Comparison {
-    /// Primary method label.
-    pub method_a: String,
-    /// Epoch of the primary snapshot.
-    pub epoch_a: u64,
-    /// Secondary (`vs`) method label.
-    pub method_b: String,
-    /// Epoch of the secondary snapshot.
-    pub epoch_b: u64,
-    /// Joined rows, in the primary ranking's order.
-    pub rows: Vec<CompareRow>,
-    /// The primary page (cursor, match count) the rows were built from.
-    pub page: Page,
+    /// Compare mode: the page of `q` under method `a` over `pin_a`, each
+    /// hit joined with its global score and rank under method `b` of
+    /// `other` over `pin_b` (`join_ranks`; a flat engine passes itself as
+    /// `other`). The two must share one partition plan.
+    pub(crate) fn compare<P: Pin>(
+        &self,
+        (a, pin_a): (usize, &P),
+        other: &Core,
+        (b, pin_b): (usize, &P),
+        q: &Query,
+        cursor: Option<&Cursor>,
+    ) -> Result<Comparison, QueryError> {
+        if self.starts != other.starts {
+            return Err(QueryError::PlanMismatch);
+        }
+        let (page, _) = self.page(a, pin_a, q, cursor)?;
+        let rows = join_ranks(&page.items, pin_a.starts(), pin_a.parts(), pin_b.parts());
+        Ok(Comparison {
+            method_a: page.method.clone(),
+            epoch_a: page.epoch,
+            method_b: other.methods[b].name.clone(),
+            epoch_b: pin_b.generation(),
+            rows,
+            page,
+        })
+    }
+
+    /// Stages `delta` (in partition `part`'s local ids) on that partition
+    /// of every method, in registration order; one report per method.
+    ///
+    /// When more than one method shares the batch it is all-or-nothing:
+    /// the delta is pre-validated against every member
+    /// ([`RankingEngine::check_delta`]) before it is staged in any, so a
+    /// rejection leaves all members unchanged — without the pre-flight a
+    /// member whose lineage diverged (ingested directly, or mid-restore)
+    /// could fail mid-loop and split the lineages for every later query. A
+    /// lone member validates before it stages anything.
+    ///
+    /// A publish costs one successor network per corpus, not per method:
+    /// each member is handed the epoch the previous member just published
+    /// and adopts its network when parent and staged delta match.
+    pub(crate) fn ingest(
+        &self,
+        part: usize,
+        delta: &GraphDelta,
+    ) -> Result<Vec<IngestReport>, EngineError> {
+        let members = || self.methods.iter().map(|m| &m.parts[part]);
+        if self.methods.len() > 1 {
+            for engine in members() {
+                engine.check_delta(delta)?;
+            }
+        }
+        let mut sibling: Option<Arc<EpochSnapshot>> = None;
+        members()
+            .map(|engine| {
+                let report = engine.ingest_after(delta, sibling.as_deref())?;
+                if report.published {
+                    sibling = Some(engine.snapshot());
+                }
+                Ok(report)
+            })
+            .collect()
+    }
+
+    /// Re-ranks and publishes every partition engine — a method's
+    /// partitions in parallel (one scoped thread each, each writer owning
+    /// its kernel workspace), its methods in sequence, so each partition
+    /// adopts the successor network the previous method's same partition
+    /// just published, as in [`Self::ingest`]. Returns the published
+    /// epochs, method-major.
+    pub(crate) fn rerank(&self) -> Vec<u64> {
+        let mut siblings: Vec<Option<Arc<EpochSnapshot>>> = vec![None; self.starts.len()];
+        let mut epochs = Vec::new();
+        for m in &self.methods {
+            epochs.extend(par_map(m.parts.len(), |s| {
+                m.parts[s].rerank_after(siblings[s].as_deref())
+            }));
+            siblings = m.parts.iter().map(|e| Some(e.snapshot())).collect();
+        }
+        epochs
+    }
 }
 
 /// A set of concurrently served ranking methods with a shared query
-/// front-end.
+/// front-end: the serving core with one partition per method.
 ///
 /// Each registered [`MethodSpec`] gets its own [`RankingEngine`] over
 /// one shared copy of the corpus; [`Self::ingest`] fans a delta out to
 /// all of them so their network lineages stay identical — the first
 /// member to publish builds the successor network and the others adopt it
 /// (epochs may differ if policies fire differently — that is what
-/// per-snapshot pinning and cursor epochs are for). Queries address methods by their canonical
-/// name (`attrank`, `cc`, …).
+/// per-snapshot pinning and cursor epochs are for). Queries address
+/// methods by their canonical name (`attrank`, `cc`, …).
 ///
 /// Seeded queries (`seed=`) are served through one engine-wide
 /// [`PersonalizationCache`] — the one place a solve is remembered; the
 /// planner runs under the baked [`CostModel`] until
 /// [`Self::set_cost_model`] installs another.
 pub struct QueryEngine {
-    engines: Vec<(String, Arc<RankingEngine>)>,
-    /// Per-method damping factor, parsed once at construction — the
-    /// seeded path must not re-parse the method spec per query.
-    dampings: Vec<Option<f64>>,
-    /// Caches, cost model, admission and scratch pool, shared by every
-    /// method.
-    read: ReadPath,
-    /// Metric families + the registry they render through, when
-    /// observability is enabled ([`Self::enable_metrics`]). Boxed: the
-    /// families are wide and most engines never enable them.
-    metrics: Option<Box<ServingMetrics>>,
+    core: Core,
 }
 
 impl QueryEngine {
@@ -2292,24 +2618,17 @@ impl QueryEngine {
                 message: "QueryEngine needs at least one method spec".into(),
             });
         }
-        let mut engines: Vec<(String, Arc<RankingEngine>)> = Vec::with_capacity(specs.len());
-        let mut dampings: Vec<Option<f64>> = Vec::with_capacity(specs.len());
+        let mut methods: Vec<Method> = Vec::with_capacity(specs.len());
         for spec in specs {
             let name = spec.method_name().to_string();
-            if engines.iter().any(|(n, _)| *n == name) {
+            if methods.iter().any(|m| m.name == name) {
                 return Err(QueryError::DuplicateMethod { name });
             }
-            dampings.push(spec.damping());
-            engines.push((
-                name,
-                Arc::new(RankingEngine::new(net.clone(), spec, policy)?),
-            ));
+            let engine = RankingEngine::new(net.clone(), spec, policy)?;
+            methods.push(Method::new(name, vec![Arc::new(engine)]));
         }
         Ok(Self {
-            engines,
-            dampings,
-            read: ReadPath::new(),
-            metrics: None,
+            core: Core::new(methods, Arc::new([0])),
         })
     }
 
@@ -2328,84 +2647,64 @@ impl QueryEngine {
 
     /// Canonical names of the served methods, default first.
     pub fn methods(&self) -> Vec<&str> {
-        self.engines.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
-    /// Resolves a method name (`None` = default) to its label + engine.
-    fn resolve(&self, name: Option<&str>) -> Result<&(String, Arc<RankingEngine>), QueryError> {
-        self.resolve_idx(name).map(|idx| &self.engines[idx])
-    }
-
-    /// Resolves a method name (`None` = default) to its registration
-    /// index — the key into `engines` and `dampings`.
-    fn resolve_idx(&self, name: Option<&str>) -> Result<usize, QueryError> {
-        match name {
-            None => Ok(0),
-            Some(n) => self
-                .engines
-                .iter()
-                .position(|(label, _)| label == n)
-                .ok_or_else(|| QueryError::UnknownMethod {
-                    name: n.into(),
-                    known: self.engines.iter().map(|(l, _)| l.clone()).collect(),
-                }),
-        }
+        self.core.methods.iter().map(|m| m.name.as_str()).collect()
     }
 
     /// The serving engine behind a method name (`None` = default) —
     /// for ingest policies, persistence, or direct snapshot access.
     pub fn engine(&self, method: Option<&str>) -> Result<&Arc<RankingEngine>, QueryError> {
-        self.resolve(method).map(|(_, e)| e)
+        Ok(&self.core.parts(self.core.resolve(method)?)[0])
     }
 
     /// Pins the current snapshot of a method (`None` = default). Hold
     /// the `Arc` to paginate consistently across concurrent publishes.
     pub fn snapshot(&self, method: Option<&str>) -> Result<Arc<EpochSnapshot>, QueryError> {
-        self.resolve(method).map(|(_, e)| e.snapshot())
+        self.engine(method).map(|e| e.snapshot())
     }
 
     /// The planner cost model in effect: the baked constants, or what
     /// [`Self::set_cost_model`] installed.
     pub fn cost_model(&self) -> &CostModel {
-        &self.read.cost
+        &self.core.read.cost
     }
 
     /// Replaces the planner cost model (explicit tuning; tests).
     /// Cached plans were priced under the old model, so the plan cache
     /// is dropped.
     pub fn set_cost_model(&mut self, cost: CostModel) {
-        self.read.cost = cost;
-        self.read.plans.clear();
+        self.core.read.cost = cost;
+        self.core.read.plans.clear();
     }
 
     /// Counters and occupancy of the plan cache.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.read.plans.stats()
+        self.core.read.plans.stats()
     }
 
     /// Replaces the plan cache with an empty one of the given capacity
     /// (entries; clamped to at least 1). Counters restart from zero.
     pub fn set_plan_cache_capacity(&mut self, capacity: usize) {
-        self.read.plans = PlanCache::new(capacity);
+        self.core.read.plans = PlanCache::new(capacity);
     }
 
     /// Counters and occupancy of the shared personalization cache.
     pub fn personalization_stats(&self) -> CacheStats {
-        self.read.cache.stats()
+        self.core.read.cache.stats()
     }
 
     /// Reconfigures the personalization cache (bounds, push budget).
     /// Drops every cached vector — the next seeded queries re-solve.
     pub fn set_personalization_config(&mut self, config: CacheConfig) {
-        self.read.cache = PersonalizationCache::new(config);
+        self.core.read.cache = PersonalizationCache::new(config);
     }
 
-    /// Registers this engine's metric families on `registry` and wires
-    /// live instruments (publish/solve latency, push-work gauges, WAL
+    /// Registers this engine's metric families (`attrank_*`, one
+    /// `method` child per served method) on `registry` and wires live
+    /// instruments (publish/solve latency, push-work gauges, WAL
     /// observers) into every member [`RankingEngine`]. From here on the
-    /// query path records per-query latency, planner decisions, and
-    /// cursor errors; sampled families (cache occupancy, admission
-    /// counters, epoch lag) refresh at [`Self::render_metrics`].
+    /// query path records per-query latency by executed driver, planner
+    /// decisions and cursor errors; sampled families (cache occupancy,
+    /// admission counters, epoch lag) refresh at [`Self::render_metrics`].
     ///
     /// Pass a shared registry to co-render with a
     /// [`ShardedEngine`](crate::ShardedEngine) — the family names are
@@ -2415,20 +2714,14 @@ impl QueryEngine {
     /// Panics if the flat-stack family names are already registered on
     /// `registry` (two `QueryEngine`s cannot share one registry).
     pub fn enable_metrics_on(&mut self, registry: Arc<MetricsRegistry>) {
-        let serving = ServingMetrics::register(registry, &self.methods());
-        for (idx, (_, engine)) in self.engines.iter().enumerate() {
-            engine.instrument(serving.instruments(idx));
-        }
-        self.metrics = Some(Box::new(serving));
+        self.core.enable_metrics_on(registry, Layout::Flat)
     }
 
     /// [`Self::enable_metrics_on`] over a fresh registry; returns the
     /// registry so the caller can render it (or hand it to a sharded
     /// stack).
     pub fn enable_metrics(&mut self) -> Arc<MetricsRegistry> {
-        let registry = Arc::new(MetricsRegistry::new());
-        self.enable_metrics_on(Arc::clone(&registry));
-        registry
+        self.core.enable_metrics(Layout::Flat)
     }
 
     /// Installs (or replaces) the admission policy guarding the query
@@ -2436,12 +2729,12 @@ impl QueryEngine {
     /// degrades gracefully (k-clamp, scan→index fallback) before
     /// rejecting with [`QueryError::Overloaded`].
     pub fn set_admission(&mut self, policy: AdmissionPolicy) {
-        self.read.admission = Some(Arc::new(AdmissionController::new(policy)));
+        self.core.set_admission(policy)
     }
 
     /// Counters of the admission controller, if one is installed.
     pub fn admission_stats(&self) -> Option<AdmissionStats> {
-        self.read.admission.as_ref().map(|a| a.stats())
+        self.core.admission_stats()
     }
 
     /// Refreshes every sampled family (cache occupancy, admission
@@ -2450,12 +2743,7 @@ impl QueryEngine {
     /// enabled. Renders *everything* on the registry — including a
     /// sharded stack registered on the same one.
     pub fn render_metrics(&self) -> Option<String> {
-        Some(self.metrics.as_ref()?.render(
-            self.engines.iter().map(|(_, e)| &**e),
-            &self.read.cache.stats(),
-            &self.read.plans.stats(),
-            self.admission_stats(),
-        ))
+        self.core.render_metrics(&[])
     }
 
     /// Executes a query against the *current* snapshot of its method:
@@ -2469,17 +2757,14 @@ impl QueryEngine {
     }
 
     /// Executes a query against a caller-pinned snapshot (from
-    /// [`Self::snapshot`] or a previous page's epoch):
-    /// [`Self::query_with_at`] through a pooled scratch and a fresh page.
-    /// The query's method resolves the label/fingerprint (and, for seeded
-    /// queries, the damping factor) — the scores come from `snap`, or
-    /// from a personalized solve on exactly `snap`'s epoch.
+    /// [`Self::snapshot`] or a previous page's epoch) through a pooled
+    /// scratch into a fresh page. The query's method resolves the
+    /// label/fingerprint (and, for seeded queries, the damping factor) —
+    /// the scores come from `snap`, or from a personalized solve on
+    /// exactly `snap`'s epoch.
     pub fn query_at(&self, snap: &EpochSnapshot, q: &Query) -> Result<Page, QueryError> {
-        let mut out = PageBuf::new();
-        self.read
-            .scratches
-            .with(|scratch| self.query_with_at(snap, q, scratch, &mut out))?;
-        Ok(out.take_page())
+        let m = self.core.resolve(q.method.as_deref())?;
+        self.core.page(m, snap, q, None).map(|(page, _)| page)
     }
 
     /// [`Self::query`] writing through caller-owned buffers instead of
@@ -2508,19 +2793,8 @@ impl QueryEngine {
         scratch: &mut QueryScratch,
         out: &mut PageBuf,
     ) -> Result<(), QueryError> {
-        let idx = self.resolve_idx(q.method.as_deref())?;
-        let label = &self.engines[idx].0;
-        let view = Pinned {
-            method: label,
-            damping: self.dampings[idx],
-            starts: &[0],
-            snaps: std::slice::from_ref(snap),
-            labels: std::slice::from_ref(label),
-            generation: snap.epoch(),
-        };
-        let observer = self.metrics.as_deref().map(ReadObserver::ByDriver);
-        self.read.serve(&view, observer, q, None, scratch, out)?;
-        Ok(())
+        let m = self.core.resolve(q.method.as_deref())?;
+        self.core.serve(m, snap, q, None, scratch, out).map(drop)
     }
 
     /// Executes a batch of queries in submission order under **one
@@ -2535,16 +2809,16 @@ impl QueryEngine {
     /// (`serve_batch`); a distinct member costs what it costs through
     /// [`Self::query_with`].
     pub fn query_batch(&self, queries: &[Query]) -> Vec<Result<Page, QueryError>> {
-        let mut snaps: Vec<Option<Arc<EpochSnapshot>>> = vec![None; self.engines.len()];
-        let mut out = PageBuf::new();
-        self.read.scratches.with(|scratch| {
-            serve_batch(queries, |q| {
-                let idx = self.resolve_idx(q.method.as_deref())?;
-                let snap = snaps[idx].get_or_insert_with(|| self.engines[idx].1.snapshot());
-                self.query_with_at(snap, q, scratch, &mut out)?;
-                Ok(out.to_page())
-            })
-        })
+        let pins: Vec<OnceCell<Arc<EpochSnapshot>>> =
+            self.core.methods.iter().map(|_| OnceCell::new()).collect();
+        let route = |q: &Query| {
+            let m = self.core.resolve(q.method.as_deref())?;
+            Ok((
+                m,
+                &**pins[m].get_or_init(|| self.core.parts(m)[0].snapshot()),
+            ))
+        };
+        self.core.batch(queries, route, |page, _| page)
     }
 
     /// [`Self::query_batch`] with every member pinned to one
@@ -2555,21 +2829,16 @@ impl QueryEngine {
         snap: &EpochSnapshot,
         queries: &[Query],
     ) -> Vec<Result<Page, QueryError>> {
-        let mut out = PageBuf::new();
-        self.read.scratches.with(|scratch| {
-            serve_batch(queries, |q| {
-                self.query_with_at(snap, q, scratch, &mut out)?;
-                Ok(out.to_page())
-            })
-        })
+        let route = |q: &Query| Ok((self.core.resolve(q.method.as_deref())?, snap));
+        self.core.batch(queries, route, |page, _| page)
     }
 
     /// The planner's decision for `q` against the current snapshot of
     /// its method, without executing — what `repro query` prints as its
     /// explain line.
     pub fn explain(&self, q: &Query) -> Result<QueryPlan, QueryError> {
-        let (_, engine) = self.resolve(q.method.as_deref())?;
-        plan_shaped(engine.snapshot().network(), q, &self.read.cost, false)
+        let snap = self.snapshot(q.method.as_deref())?;
+        plan_shaped(snap.network(), q, &self.core.read.cost, false)
     }
 
     /// Compare mode: serves the filtered page under `q.method` like any
@@ -2584,66 +2853,36 @@ impl QueryEngine {
     /// related papers sit in each method's overall ranking".
     pub fn compare(&self, q: &Query) -> Result<Comparison, QueryError> {
         let vs = q.vs.as_deref().ok_or(QueryError::MissingCompareMethod)?;
-        let (_, engine_a) = self.resolve(q.method.as_deref())?;
-        let (label_b, engine_b) = self.resolve(Some(vs))?;
-        let snap_a = engine_a.snapshot();
-        let snap_b = engine_b.snapshot();
-        let page = self.query_at(&snap_a, q)?;
-        let rows = join_ranks(&page.items, &[(0, &*snap_a)], &[(0, &*snap_b)]);
-        Ok(Comparison {
-            method_a: page.method.clone(),
-            epoch_a: snap_a.epoch(),
-            method_b: label_b.clone(),
-            epoch_b: snap_b.epoch(),
-            rows,
-            page,
-        })
+        let a = self.core.resolve(q.method.as_deref())?;
+        let b = self.core.resolve(Some(vs))?;
+        let (snap_a, snap_b) = (
+            self.core.parts(a)[0].snapshot(),
+            self.core.parts(b)[0].snapshot(),
+        );
+        self.core
+            .compare((a, &*snap_a), &self.core, (b, &*snap_b), q, None)
     }
 
-    /// Stages a delta on every served method's engine. Returns one
-    /// report per method, in registration order.
+    /// Stages a delta on every served method's engine. Returns one report
+    /// per method, in registration order.
     ///
-    /// The fan-out is all-or-nothing: the delta is pre-validated against
-    /// **every** member engine ([`RankingEngine::check_delta`]) before it
-    /// is staged in any, so a rejection leaves all members unchanged.
-    /// Member lineages normally stay identical — but an engine ingested
-    /// directly (or mid-restore) can diverge, and without the pre-flight
-    /// a mid-loop failure would commit the batch to some members only,
-    /// silently splitting the lineages for every later query.
-    ///
-    /// A publish costs one successor network per *corpus*, not per
-    /// method: each member is handed the epoch the previous member just
-    /// published and adopts its network when parent and staged delta
-    /// match (always, unless a member was ingested directly).
+    /// The fan-out is all-or-nothing: with more than one method the delta
+    /// is pre-validated against every member engine
+    /// ([`RankingEngine::check_delta`]) before it is staged in any, so a
+    /// rejection leaves all members unchanged (a lone method validates
+    /// before it stages anything). A publish costs one successor network
+    /// per *corpus*, not per method: each member adopts the network the
+    /// previous member just published when parent and staged delta match
+    /// (always, unless a member was ingested directly).
     pub fn ingest(&self, delta: &GraphDelta) -> Result<Vec<IngestReport>, EngineError> {
-        for (_, engine) in &self.engines {
-            engine.check_delta(delta)?;
-        }
-        let mut reports = Vec::with_capacity(self.engines.len());
-        let mut sibling: Option<Arc<EpochSnapshot>> = None;
-        for (_, engine) in &self.engines {
-            let report = engine.ingest_after(delta, sibling.as_deref())?;
-            if report.published {
-                sibling = Some(engine.snapshot());
-            }
-            reports.push(report);
-        }
-        Ok(reports)
+        self.core.ingest(0, delta)
     }
 
     /// Forces a re-rank + publish on every engine; returns the published
     /// epochs in registration order. Members share the successor network
     /// as in [`Self::ingest`].
     pub fn rerank(&self) -> Vec<u64> {
-        let mut sibling: Option<Arc<EpochSnapshot>> = None;
-        self.engines
-            .iter()
-            .map(|(_, engine)| {
-                let epoch = engine.rerank_after(sibling.as_deref());
-                sibling = Some(engine.snapshot());
-                epoch
-            })
-            .collect()
+        self.core.rerank()
     }
 }
 
@@ -3296,6 +3535,54 @@ mod tests {
     }
 
     #[test]
+    fn a_cursor_resumes_under_every_spelling_of_its_facet_set() {
+        // The fingerprint hashes the normalized identity, so `venue=0|0`
+        // and `venue=0` — one set — share cursors; `venue=0|1` does not.
+        let qe = engine();
+        let snap = qe.snapshot(None).unwrap();
+        let page1 = |s: &str| qe.query_at(&snap, &s.parse().unwrap()).unwrap();
+        let resume = |s: &str, cursor| {
+            let mut q: Query = s.parse().unwrap();
+            q.cursor = cursor;
+            qe.query_at(&snap, &q)
+        };
+        let doubled = page1("k=2,venue=0|0")
+            .next
+            .expect("4 venue-0 papers at k=2");
+        let single = page1("k=2,venue=0").next;
+        assert_eq!(
+            resume("k=2,venue=0", Some(doubled)).unwrap(),
+            resume("k=2,venue=0", single).unwrap()
+        );
+        assert_eq!(
+            resume("k=2,venue=0|1", Some(doubled)).unwrap_err(),
+            QueryError::CursorMismatch
+        );
+    }
+
+    #[test]
+    fn rerank_shares_one_successor_network_across_methods() {
+        // Methods re-rank in sequence, so the second adopts the successor
+        // network the first just built off the same staged batch.
+        let mut qe =
+            QueryEngine::from_configs(corpus(), &["cc", "pagerank"], RerankPolicy::Manual).unwrap();
+        qe.enable_metrics();
+        let mut delta = GraphDelta::new();
+        delta.add_paper(2012);
+        delta.add_citation(12, 11);
+        qe.ingest(&delta).unwrap();
+        assert_eq!(qe.rerank(), vec![1, 1]);
+        let text = qe.render_metrics().unwrap();
+        assert!(text.contains("attrank_successor_networks_total{outcome=\"built\"} 1"));
+        assert!(text.contains("attrank_successor_networks_total{outcome=\"shared\"} 1"));
+        let snaps = [
+            qe.snapshot(None).unwrap(),
+            qe.snapshot(Some("pagerank")).unwrap(),
+        ];
+        assert!(Arc::ptr_eq(snaps[0].network(), snaps[1].network()));
+    }
+
+    #[test]
     fn compare_joins_ranks_from_both_snapshots() {
         let qe = engine();
         let q: Query = "method=cc,vs=pagerank,k=4,venue=0".parse().unwrap();
@@ -3564,20 +3851,20 @@ mod tests {
         // Poison both locks on the serve path from panicking threads.
         std::thread::scope(|scope| {
             let pool = scope.spawn(|| {
-                let _held = qe.read.scratches.warm.lock();
+                let _held = qe.core.read.scratches.warm.lock();
                 panic!("poisoning the scratch pool");
             });
             let plans = scope.spawn(|| {
-                let _held = qe.read.plans.inner.lock();
+                let _held = qe.core.read.plans.inner.lock();
                 panic!("poisoning the plan cache");
             });
             assert!(pool.join().is_err() && plans.join().is_err());
         });
-        assert!(qe.read.scratches.warm.is_poisoned());
-        assert!(qe.read.plans.inner.is_poisoned());
+        assert!(qe.core.read.scratches.warm.is_poisoned());
+        assert!(qe.core.read.plans.inner.is_poisoned());
         assert_eq!(qe.query(&q).unwrap(), page);
         // The plan cache dropped its entries and cleared the poison.
-        assert!(!qe.read.plans.inner.is_poisoned());
+        assert!(!qe.core.read.plans.inner.is_poisoned());
         assert_eq!(qe.plan_cache_stats().entries, 1);
         let batch = qe.query_batch(&[q.clone(), q]);
         assert_eq!(batch, [Ok(page.clone()), Ok(page)]);
@@ -3592,16 +3879,16 @@ mod tests {
         assert_eq!(solved.entries, 1);
         std::thread::scope(|scope| {
             let cache = scope.spawn(|| {
-                let _held = qe.read.cache.inner.lock();
+                let _held = qe.core.read.cache.inner.lock();
                 panic!("poisoning the personalization cache");
             });
             assert!(cache.join().is_err());
         });
-        assert!(qe.read.cache.inner.is_poisoned());
+        assert!(qe.core.read.cache.inner.is_poisoned());
         // The next seeded page re-solves into an emptied cache: the same
         // page, one entry counted once, and the lock no longer poisoned.
         assert_eq!(qe.query(&q).unwrap(), page);
-        assert!(!qe.read.cache.inner.is_poisoned());
+        assert!(!qe.core.read.cache.inner.is_poisoned());
         let stats = qe.personalization_stats();
         assert_eq!((stats.entries, stats.bytes), (1, solved.bytes));
         assert_eq!((stats.hits, stats.cold_pushes), (0, solved.cold_pushes + 1));

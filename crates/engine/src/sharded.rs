@@ -33,101 +33,49 @@
 //! crate's test suite). Edges dropped at partition or ingest time are
 //! counted ([`ShardedEngine::boundary_edges`]), never silently lost.
 //!
-//! # Read-path contract
+//! # One core, two facades
 //!
-//! There is one serve path in this crate and the flat engine is its
-//! one-partition case. Every entry point here — `query`, `query_at`, each
-//! `query_batch_at` member, the page under [`ShardedEngine::compare`],
-//! `top_k` — hands it a pinned [`ShardSnapshots`] set, one partition per
-//! shard, with the set's [`ShardSnapshots::epoch_key`] as its generation.
-//! It prunes every shard whose year span misses the filter (or, under
-//! `seed=`, that holds no seed), plans each survivor through the
-//! engine's plan cache, prices the query at the sum of those plans (the
-//! admission ladder has every rung), selects at most `k` local ids per
-//! shard, and k-way-merges the `(score · scale, start + local id)` runs.
-//! Pagination uses the flat engine's [`Cursor`] and `c…` token
-//! ([`ShardCursor`] is an alias), bound to the epoch key and carrying the
-//! `(score, global id)` frontier of the last hit — in the grammar's
-//! `cursor=` or as the explicit argument; successive pages off one pinned
-//! set tile the merged total order with no overlaps or gaps, and a cursor
-//! minted against a different epoch set fails with the flat engine's
-//! [`QueryError::StaleCursor`], wrapped in [`ShardedError::Query`].
+//! A [`ShardedEngine`] is the crate's private serving core with one
+//! method over the shards (a [`QueryEngine`](crate::QueryEngine) is the
+//! same core with one partition per method), plus what only a shard plan
+//! has: the band starts and the boundary-edge counts, the routing of
+//! [`ShardedEngine::ingest`] into the tail's local ids, the per-shard
+//! files ([`ShardedEngine::attach_wals`],
+//! [`ShardedEngine::persist_epochs`], [`ShardedEngine::open_from_store`])
+//! and the [`ShardSnapshots`] / [`ShardedPage`] types. Every read, batch,
+//! compare, admission and metrics entry point forwards to the core.
+//!
+//! Every read hands the one serve path a pinned [`ShardSnapshots`] set,
+//! one partition per shard, with the set's
+//! [`ShardSnapshots::epoch_key`] as its generation. It prunes every shard
+//! whose year span misses the filter (or, under `seed=`, that holds no
+//! seed), plans each survivor through the engine's plan cache, prices the
+//! query at the sum of those plans (the admission ladder has every rung),
+//! selects at most `k` local ids per shard, and k-way-merges the
+//! `(score · scale, start + local id)` runs. Pagination uses the flat
+//! engine's [`Cursor`] and `c…` token ([`ShardCursor`] is an alias), bound
+//! to the epoch key and carrying the `(score, global id)` frontier of the
+//! last hit — in the grammar's `cursor=` or as the explicit argument;
+//! successive pages off one pinned set tile the merged total order with
+//! no overlaps or gaps, and a cursor minted against a different epoch set
+//! fails with [`QueryError::StaleCursor`]. Queries fail with
+//! [`QueryError`], builds, ingests and storage with [`EngineError`].
 
-use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread;
+use std::sync::{Arc, Mutex};
 
 use obsv::MetricsRegistry;
 
-use citegraph::{CitationNetwork, GraphDelta, PaperId, ShardPlan, ShardPlanError};
+use citegraph::{CitationNetwork, GraphDelta, PaperId, ShardPlan};
 use graphstore::{fnv1a64, fnv1a64_with, ShardManifest, Store};
 
-use crate::admission::{AdmissionController, AdmissionPolicy, AdmissionStats};
+use crate::admission::{AdmissionPolicy, AdmissionStats};
 use crate::engine::{
     ColdStart, EngineError, EpochSnapshot, IngestReport, RankingEngine, RerankPolicy, WarmupReport,
 };
-use crate::metrics::{ReadObserver, ShardedServingMetrics};
-use crate::query::{
-    join_ranks, serve_batch, CompareRow, Cursor, Hit, Page, PageBuf, Pinned, Query, QueryError,
-    ReadPath,
-};
-use crate::spec::MethodSpec;
-
-/// Errors from the sharded serving layer.
-#[derive(Debug)]
-pub enum ShardedError {
-    /// Partitioning the corpus failed (empty network, bad spec/boundaries).
-    Plan(ShardPlanError),
-    /// A member engine operation failed (ingest validation, persistence,
-    /// restore).
-    Engine(EngineError),
-    /// A query-shaped failure, typed as on the flat engine (unknown facet
-    /// id, missing metadata, a stale or mismatched cursor — its epochs
-    /// are epoch-set keys — or a shed).
-    Query(QueryError),
-    /// Compare mode was asked to join two sharded engines whose shard
-    /// plans disagree (different band starts) — their global ids name
-    /// different papers, so a row-wise join would be meaningless.
-    PlanMismatch,
-}
-
-impl fmt::Display for ShardedError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Plan(e) => write!(f, "shard plan error: {e}"),
-            Self::Engine(e) => write!(f, "shard engine error: {e}"),
-            Self::Query(e) => write!(f, "sharded query error: {e}"),
-            Self::PlanMismatch => {
-                write!(
-                    f,
-                    "sharded compare needs both engines on the same shard plan"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for ShardedError {}
-
-impl From<ShardPlanError> for ShardedError {
-    fn from(e: ShardPlanError) -> Self {
-        Self::Plan(e)
-    }
-}
-
-impl From<EngineError> for ShardedError {
-    fn from(e: EngineError) -> Self {
-        Self::Engine(e)
-    }
-}
-
-impl From<QueryError> for ShardedError {
-    fn from(e: QueryError) -> Self {
-        Self::Query(e)
-    }
-}
+use crate::metrics::Layout;
+use crate::query::{par_map, Comparison, Core, Cursor, Hit, Method, Page, Pin, Query, QueryError};
 
 /// A pinned, immutable set of per-shard epoch snapshots — the sharded
 /// analogue of holding one `Arc<EpochSnapshot>`. Hold it to paginate
@@ -173,15 +121,6 @@ impl ShardSnapshots {
         (s, id - self.starts[s])
     }
 
-    /// The set as the compare join's `(first global id, snapshot)` list.
-    fn partitions(&self) -> Vec<(PaperId, &EpochSnapshot)> {
-        self.starts
-            .iter()
-            .copied()
-            .zip(self.snaps.iter().map(|s| &**s))
-            .collect()
-    }
-
     /// Identity of this epoch set: an order-sensitive hash of every
     /// shard's epoch number. Two sets with any shard at a different
     /// epoch get different keys, which is what makes cursor staleness
@@ -194,6 +133,22 @@ impl ShardSnapshots {
             key = fnv1a64_with(key, &snap.epoch().to_le_bytes());
         }
         key
+    }
+}
+
+impl Pin for ShardSnapshots {
+    type Part = Arc<EpochSnapshot>;
+
+    fn parts(&self) -> &[Arc<EpochSnapshot>] {
+        &self.snaps
+    }
+
+    fn starts(&self) -> &[PaperId] {
+        &self.starts
+    }
+
+    fn generation(&self) -> u64 {
+        self.epoch_key()
     }
 }
 
@@ -223,26 +178,6 @@ pub struct ShardedPage {
     pub shards_scanned: usize,
     /// Shards in the plan.
     pub shards_total: usize,
-}
-
-/// The result of [`ShardedEngine::compare`]: the primary engine's
-/// scatter-gather page joined against a second sharded engine's composed
-/// ranking — the sharded analogue of [`crate::query::Comparison`], with
-/// epoch-set keys in place of single epochs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedComparison {
-    /// Primary method's canonical config string.
-    pub method_a: String,
-    /// Secondary (`vs`) method's canonical config string.
-    pub method_b: String,
-    /// Epoch-set key of the primary engine's pinned snapshots.
-    pub epoch_key_a: u64,
-    /// Epoch-set key of the secondary engine's pinned snapshots.
-    pub epoch_key_b: u64,
-    /// Joined rows, in the primary page's order.
-    pub rows: Vec<CompareRow>,
-    /// The primary page (cursor, match count) the rows were built from.
-    pub page: ShardedPage,
 }
 
 /// What one routed ingest did.
@@ -276,27 +211,12 @@ impl ShardedPage {
 /// scatter-gather read path. See the module docs for the score
 /// composition model.
 pub struct ShardedEngine {
-    method: String,
-    /// The method's damping factor, parsed once at construction (`None`
-    /// for a method that cannot serve `seed=`).
-    damping: Option<f64>,
-    /// Personalization-cache label of each shard (`<method>#s<shard>`),
-    /// formatted once at construction.
-    cache_labels: Vec<String>,
-    /// First global id of each shard. Fixed after construction: only the
-    /// tail shard grows, so `starts` never changes while serving (and
-    /// every pinned [`ShardSnapshots`] shares this one allocation).
-    starts: Arc<[PaperId]>,
-    shards: Vec<Arc<RankingEngine>>,
+    /// The serving core: one method, partition `s` = shard `s`.
+    core: Core,
     /// Cross-shard citations absorbed so far, per shard: partition-time
     /// drops land on the shard that lost the edge, routed-ingest drops
     /// on the tail that absorbed them.
     boundary_edges: Vec<AtomicUsize>,
-    /// Caches, cost model, admission and scratch pool; personalization
-    /// entries are keyed per shard, under one LRU budget.
-    read: ReadPath,
-    /// Metric families + registry, when observability is enabled.
-    metrics: Option<Box<ShardedServingMetrics>>,
 }
 
 impl ShardedEngine {
@@ -308,90 +228,62 @@ impl ShardedEngine {
         plan: &ShardPlan,
         config: &str,
         policy: RerankPolicy,
-    ) -> Result<Self, ShardedError> {
+    ) -> Result<Self, EngineError> {
         let n_shards = plan.n_shards();
-        let built: Vec<Result<(Arc<RankingEngine>, usize), EngineError>> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_shards)
-                .map(|s| {
-                    scope.spawn(move || {
-                        let (subnet, dropped) = plan.extract(net, s);
-                        let engine = RankingEngine::from_config(subnet, config, policy)?;
-                        Ok((Arc::new(engine), dropped))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard build thread panicked"))
-                .collect()
+        let built = par_map(n_shards, |s| {
+            let (subnet, dropped) = plan.extract(net, s);
+            let engine = RankingEngine::from_config(subnet, config, policy)?;
+            Ok::<_, EngineError>((Arc::new(engine), dropped))
         });
-        let mut shards = Vec::with_capacity(n_shards);
-        let mut boundary_edges = Vec::with_capacity(n_shards);
-        for r in built {
-            let (engine, dropped) = r?;
-            boundary_edges.push(AtomicUsize::new(dropped));
-            shards.push(engine);
-        }
-        let starts = plan.boundaries()[..n_shards].into();
-        Ok(Self::assemble(shards, starts, boundary_edges))
+        let (shards, dropped) = built
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?
+            .into_iter()
+            .unzip();
+        Ok(Self::over(
+            shards,
+            plan.boundaries()[..n_shards].into(),
+            dropped,
+        ))
     }
 
-    /// The engine over already-built shard engines — what [`Self::from_plan`]
-    /// and [`Self::open_from_store`] end in: the method label, damping
-    /// factor and cache labels read off the shards once, empty caches, no
-    /// metrics, no admission, the baked cost model.
-    fn assemble(
-        shards: Vec<Arc<RankingEngine>>,
-        starts: Arc<[PaperId]>,
-        boundary_edges: Vec<AtomicUsize>,
-    ) -> Self {
-        let method = shards[0].method().to_string();
-        // An engine's method label is its spec's canonical spelling, so
-        // it parses back.
-        let spec = method.parse::<MethodSpec>().ok();
+    /// The engine over built shard engines, with `dropped` boundary edges
+    /// already absorbed per shard — what [`Self::from_plan`] and
+    /// [`Self::open_from_store`] end in.
+    fn over(shards: Vec<Arc<RankingEngine>>, starts: Arc<[PaperId]>, dropped: Vec<usize>) -> Self {
+        let method = Method::new(shards[0].method().to_string(), shards);
         Self {
-            damping: spec.and_then(|spec| spec.damping()),
-            cache_labels: (0..shards.len())
-                .map(|s| format!("{method}#s{s}"))
-                .collect(),
-            method,
-            starts,
-            shards,
-            boundary_edges,
-            read: ReadPath::new(),
-            metrics: None,
+            core: Core::new(vec![method], starts),
+            boundary_edges: dropped.into_iter().map(AtomicUsize::new).collect(),
         }
     }
 
     /// The served method's canonical config string.
     pub fn method(&self) -> &str {
-        &self.method
+        self.core.method(0)
     }
 
     /// Number of shards.
     pub fn n_shards(&self) -> usize {
-        self.shards.len()
+        self.core.starts().len()
     }
 
     /// First global id of each shard (the plan's boundaries, minus the
     /// open tail end).
     pub fn starts(&self) -> &[PaperId] {
-        &self.starts
+        self.core.starts()
     }
 
     /// The per-shard engines, in id order (read access for tests and
     /// drivers; writes should go through [`Self::ingest`]).
     pub fn shard_engines(&self) -> &[Arc<RankingEngine>] {
-        &self.shards
+        self.core.parts(0)
     }
 
     /// Cross-shard citations absorbed so far: partition-time drops plus
     /// every boundary edge dropped by routed ingests.
     pub fn boundary_edges(&self) -> usize {
-        self.boundary_edges
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
+        self.boundary_edges_by_shard().iter().sum()
     }
 
     /// [`Self::boundary_edges`] broken down per shard, in id order:
@@ -404,29 +296,25 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Registers the sharded-stack metric families on `registry`. From
-    /// here on [`Self::query_at`] records per-query latency by query
-    /// shape; sampled families (cache occupancy, admission counters,
-    /// per-shard boundary edges) refresh at [`Self::render_metrics`].
-    ///
-    /// The read families are the flat [`QueryEngine`](crate::QueryEngine)
-    /// stack's under the `attrank_sharded` prefix, so both can share one
-    /// registry and render in a single exposition.
+    /// Registers the sharded-stack metric families on `registry`: the
+    /// flat [`QueryEngine`](crate::QueryEngine)'s families under the
+    /// `attrank_sharded` prefix — query latency by query `shape`, the
+    /// write-path families with one `shard` child per shard — plus the
+    /// per-shard boundary-edge gauges (`attrank_shard_boundary_edges`).
+    /// Both stacks can share one registry and render in a single
+    /// exposition.
     ///
     /// # Panics
     /// Panics if the sharded-stack family names are already registered
     /// on `registry`.
     pub fn enable_metrics_on(&mut self, registry: Arc<MetricsRegistry>) {
-        let serving = ShardedServingMetrics::register(registry, self.shards.len());
-        self.metrics = Some(Box::new(serving));
+        self.core.enable_metrics_on(registry, Layout::Sharded)
     }
 
     /// [`Self::enable_metrics_on`] over a fresh registry; returns the
     /// registry so the caller can render it.
     pub fn enable_metrics(&mut self) -> Arc<MetricsRegistry> {
-        let registry = Arc::new(MetricsRegistry::new());
-        self.enable_metrics_on(Arc::clone(&registry));
-        registry
+        self.core.enable_metrics(Layout::Sharded)
     }
 
     /// Installs (or replaces) the admission policy guarding the
@@ -438,25 +326,22 @@ impl ShardedEngine {
     /// onto its cheapest indexed shape, then `k` is clamped, then the
     /// query sheds.
     pub fn set_admission(&mut self, policy: AdmissionPolicy) {
-        self.read.admission = Some(Arc::new(AdmissionController::new(policy)));
+        self.core.set_admission(policy)
     }
 
     /// Counters of the admission controller, if one is installed.
     pub fn admission_stats(&self) -> Option<AdmissionStats> {
-        self.read.admission.as_ref().map(|a| a.stats())
+        self.core.admission_stats()
     }
 
     /// Refreshes every sampled sharded family (cache occupancy,
-    /// admission counters, per-shard boundary-edge gauges) and renders
-    /// the registry's Prometheus exposition text. `None` until metrics
-    /// are enabled. Renders *everything* on the registry — including a
-    /// flat stack registered on the same one.
+    /// admission and plan-cache counters, per-shard epoch/staged/replay
+    /// and boundary-edge gauges) and renders the registry's Prometheus
+    /// exposition text. `None` until metrics are enabled. Renders
+    /// *everything* on the registry — including a flat stack registered
+    /// on the same one.
     pub fn render_metrics(&self) -> Option<String> {
-        Some(self.metrics.as_ref()?.render(
-            &self.read.cache.stats(),
-            self.admission_stats(),
-            &self.boundary_edges_by_shard(),
-        ))
+        self.core.render_metrics(&self.boundary_edges_by_shard())
     }
 
     /// Routes a **global-id** delta to the tail shard.
@@ -470,9 +355,9 @@ impl ShardedEngine {
     /// (dropped and counted, exactly like partition-time cross-shard
     /// edges). The tail engine validates the translated batch, so a
     /// rejected delta changes nothing.
-    pub fn ingest(&self, delta: &GraphDelta) -> Result<ShardedIngestReport, ShardedError> {
-        let tail = self.shards.len() - 1;
-        let tail_start = self.starts[tail];
+    pub fn ingest(&self, delta: &GraphDelta) -> Result<ShardedIngestReport, EngineError> {
+        let tail = self.n_shards() - 1;
+        let tail_start = self.core.starts()[tail];
         let mut local = GraphDelta::new();
         local.papers = delta.papers.clone();
         // Venue/author metadata rides along unchanged — facet ids are
@@ -488,7 +373,7 @@ impl ShardedEngine {
                 absorbed += 1;
             }
         }
-        let report = self.shards[tail].ingest(&local)?;
+        let report = self.core.ingest(tail, &local)?.remove(0);
         self.boundary_edges[tail].fetch_add(absorbed, Ordering::Relaxed);
         Ok(ShardedIngestReport {
             shard: tail,
@@ -501,24 +386,14 @@ impl ShardedEngine {
     /// thread per shard; each engine's writer owns its own kernel
     /// workspace). Returns the published epoch per shard, in id order.
     pub fn rerank_all(&self) -> Vec<u64> {
-        thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|e| scope.spawn(move || e.rerank()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard rerank thread panicked"))
-                .collect()
-        })
+        self.core.rerank()
     }
 
     /// Pins the current epoch of every shard as one consistent read set.
     pub fn snapshots(&self) -> ShardSnapshots {
         ShardSnapshots {
-            starts: Arc::clone(&self.starts),
-            snaps: self.shards.iter().map(|e| e.snapshot()).collect(),
+            starts: Arc::clone(self.core.starts()),
+            snaps: self.core.pin(0),
         }
     }
 
@@ -529,7 +404,7 @@ impl ShardedEngine {
         &self,
         q: &Query,
         cursor: Option<&ShardCursor>,
-    ) -> Result<ShardedPage, ShardedError> {
+    ) -> Result<ShardedPage, QueryError> {
         self.query_at(&self.snapshots(), q, cursor)
     }
 
@@ -556,30 +431,10 @@ impl ShardedEngine {
         snaps: &ShardSnapshots,
         q: &Query,
         cursor: Option<&ShardCursor>,
-    ) -> Result<ShardedPage, ShardedError> {
-        let mut out = PageBuf::new();
-        let scanned = self.read.scratches.with(|scratch| {
-            let observer = self.metrics.as_deref().map(ReadObserver::ByShape);
-            self.read
-                .serve(&self.view(snaps), observer, q, cursor, scratch, &mut out)
-        })?;
-        Ok(ShardedPage::from_page(
-            out.take_page(),
-            scanned,
-            snaps.n_shards(),
-        ))
-    }
-
-    /// The pinned set as the serve path's partition view.
-    fn view<'a>(&'a self, snaps: &'a ShardSnapshots) -> Pinned<'a, Arc<EpochSnapshot>> {
-        Pinned {
-            method: &self.method,
-            damping: self.damping,
-            starts: &snaps.starts,
-            snaps: &snaps.snaps,
-            labels: &self.cache_labels,
-            generation: snaps.epoch_key(),
-        }
+    ) -> Result<ShardedPage, QueryError> {
+        self.core
+            .page(0, snaps, q, cursor)
+            .map(|(page, read)| ShardedPage::from_page(page, read, snaps.n_shards()))
     }
 
     /// Executes a batch of `(query, cursor)` members against a freshly
@@ -587,7 +442,7 @@ impl ShardedEngine {
     pub fn query_batch(
         &self,
         batch: &[(Query, Option<ShardCursor>)],
-    ) -> Vec<Result<ShardedPage, ShardedError>> {
+    ) -> Vec<Result<ShardedPage, QueryError>> {
         self.query_batch_at(&self.snapshots(), batch)
     }
 
@@ -605,23 +460,12 @@ impl ShardedEngine {
         &self,
         snaps: &ShardSnapshots,
         batch: &[(Query, Option<ShardCursor>)],
-    ) -> Vec<Result<ShardedPage, ShardedError>> {
-        let view = self.view(snaps);
-        let observer = self.metrics.as_deref().map(ReadObserver::ByShape);
-        let mut out = PageBuf::new();
-        self.read.scratches.with(|scratch| {
-            serve_batch(batch, |(q, cursor)| {
-                let cursor = cursor.as_ref();
-                let scanned = self
-                    .read
-                    .serve(&view, observer, q, cursor, scratch, &mut out)?;
-                Ok(ShardedPage::from_page(
-                    out.to_page(),
-                    scanned,
-                    snaps.n_shards(),
-                ))
-            })
-        })
+    ) -> Vec<Result<ShardedPage, QueryError>> {
+        self.core.batch(
+            batch,
+            |_| Ok((0, snaps)),
+            |page, read| ShardedPage::from_page(page, read, snaps.n_shards()),
+        )
     }
 
     /// Compare mode over the sharded surface: the primary page under
@@ -630,7 +474,8 @@ impl ShardedEngine {
     /// both engines — the sharded serving of `vs=` queries (the driver
     /// resolves `q.vs` to `other`). Both engines must share the same
     /// shard starts, else their global ids name different papers
-    /// ([`ShardedError::PlanMismatch`]).
+    /// ([`QueryError::PlanMismatch`]). The [`Comparison`]'s
+    /// `epoch_a` / `epoch_b` are the two pinned sets' epoch keys.
     ///
     /// Ranks are 1-based places in the cross-shard `cmp_score_desc`
     /// merge of each engine's pinned snapshots, from the flat engine's
@@ -645,34 +490,26 @@ impl ShardedEngine {
         other: &ShardedEngine,
         q: &Query,
         cursor: Option<&ShardCursor>,
-    ) -> Result<ShardedComparison, ShardedError> {
-        if self.starts != other.starts {
-            return Err(ShardedError::PlanMismatch);
-        }
-        let snaps_a = self.snapshots();
-        let snaps_b = other.snapshots();
-        let page = self.query_at(&snaps_a, q, cursor)?;
-        let rows = join_ranks(&page.items, &snaps_a.partitions(), &snaps_b.partitions());
-        Ok(ShardedComparison {
-            method_a: self.method.clone(),
-            method_b: other.method.clone(),
-            epoch_key_a: page.epoch_key,
-            epoch_key_b: snaps_b.epoch_key(),
-            rows,
-            page,
-        })
+    ) -> Result<Comparison, QueryError> {
+        self.core.compare(
+            (0, &self.snapshots()),
+            &other.core,
+            (0, &other.snapshots()),
+            q,
+            cursor,
+        )
     }
 
     /// Global top-`k` (unfiltered scatter-gather over all shards). Goes
     /// through admission like any query: an installed policy can clamp
     /// `k` or shed it with [`QueryError::Overloaded`].
-    pub fn top_k(&self, k: usize) -> Result<Vec<PaperId>, ShardedError> {
+    pub fn top_k(&self, k: usize) -> Result<Vec<PaperId>, QueryError> {
         let q = Query {
             k,
             ..Query::default()
         };
-        let page = self.query(&q, None)?;
-        Ok(page.items.into_iter().map(|h| h.id).collect())
+        self.query(&q, None)
+            .map(|page| page.items.iter().map(|h| h.id).collect())
     }
 
     /// Path of shard `s`'s snapshot store under `stem`
@@ -692,15 +529,12 @@ impl ShardedEngine {
 
     /// Attaches one durability WAL per shard (`<stem>.shard<s>.wal`).
     /// Returns the recovered record count per shard.
-    pub fn attach_wals<P: AsRef<Path>>(&self, stem: P) -> Result<Vec<usize>, ShardedError> {
+    pub fn attach_wals<P: AsRef<Path>>(&self, stem: P) -> Result<Vec<usize>, EngineError> {
         let stem = stem.as_ref();
-        self.shards
+        self.shard_engines()
             .iter()
             .enumerate()
-            .map(|(s, e)| {
-                e.attach_wal(Self::shard_wal_path(stem, s))
-                    .map_err(ShardedError::from)
-            })
+            .map(|(s, e)| e.attach_wal(Self::shard_wal_path(stem, s)))
             .collect()
     }
 
@@ -711,13 +545,14 @@ impl ShardedEngine {
     /// atomic (temp file + rename), so a crash mid-way leaves every
     /// shard either at its old snapshot or its new one, never torn.
     /// Returns the persisted epoch per shard.
-    pub fn persist_epochs<P: AsRef<Path>>(&self, stem: P) -> Result<Vec<u64>, ShardedError> {
+    pub fn persist_epochs<P: AsRef<Path>>(&self, stem: P) -> Result<Vec<u64>, EngineError> {
         let stem = stem.as_ref();
-        let tail = self.shards.len() - 1;
-        let mut boundaries = self.starts.to_vec();
-        boundaries.push(self.starts[tail] + self.shards[tail].snapshot().n_papers() as PaperId);
-        let mut epochs = Vec::with_capacity(self.shards.len());
-        for (s, e) in self.shards.iter().enumerate() {
+        let shards = self.shard_engines();
+        let tail = shards.len() - 1;
+        let mut boundaries = self.starts().to_vec();
+        boundaries.push(self.starts()[tail] + shards[tail].snapshot().n_papers() as PaperId);
+        let mut epochs = Vec::with_capacity(shards.len());
+        for (s, e) in shards.iter().enumerate() {
             let manifest = ShardManifest {
                 shard: s as u32,
                 boundaries: boundaries.clone(),
@@ -742,52 +577,38 @@ impl ShardedEngine {
         stem: P,
         with_wal: bool,
         policy: RerankPolicy,
-    ) -> Result<ShardedColdStart, ShardedError> {
+    ) -> Result<ShardedColdStart, EngineError> {
         let stem = stem.as_ref();
-        let first = Store::open(Self::shard_store_path(stem, 0)).map_err(EngineError::from)?;
+        let first = Store::open(Self::shard_store_path(stem, 0))?;
         let manifest = first.shard_manifest().ok_or_else(|| {
             EngineError::Restore("shard 0 snapshot carries no shard manifest".into())
         })?;
         let n_shards = manifest.n_shards();
         // Shard 0's file is already read and checksummed: its thread takes
         // it over instead of opening it again.
-        let mut first = Some(first);
-        let opened: Vec<Result<ColdStart, EngineError>> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_shards)
-                .map(|s| {
-                    let opened = first.take();
-                    scope.spawn(move || {
-                        let store = match opened {
-                            Some(store) => store,
-                            None => Store::open(Self::shard_store_path(stem, s))?,
-                        };
-                        let wal = with_wal.then(|| Self::shard_wal_path(stem, s));
-                        RankingEngine::open_store(store, wal, policy)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard open thread panicked"))
-                .collect()
+        let first = Mutex::new(Some(first));
+        let opened = par_map(n_shards, |s| {
+            let reused = (s == 0).then(|| first.lock().ok()?.take()).flatten();
+            let store = match reused {
+                Some(store) => store,
+                None => Store::open(Self::shard_store_path(stem, s))?,
+            };
+            let wal = with_wal.then(|| Self::shard_wal_path(stem, s));
+            RankingEngine::open_store(store, wal, policy)
         });
-        let mut colds = Vec::with_capacity(n_shards);
-        for r in opened {
-            colds.push(r?);
-        }
+        let colds = opened.into_iter().collect::<Result<Vec<_>, _>>()?;
         let shards: Vec<Arc<RankingEngine>> = colds.iter().map(|c| c.engine()).collect();
         let method = shards[0].method();
         if let Some(odd) = shards.iter().find(|e| e.method() != method) {
-            return Err(ShardedError::Engine(EngineError::Restore(format!(
+            return Err(EngineError::Restore(format!(
                 "shard snapshots disagree on the method: {} vs {}",
                 method,
                 odd.method()
-            ))));
+            )));
         }
         let starts = manifest.boundaries[..n_shards].into();
-        let boundary_edges = (0..n_shards).map(|_| AtomicUsize::new(0)).collect();
         Ok(ShardedColdStart {
-            engine: Self::assemble(shards, starts, boundary_edges),
+            engine: Self::over(shards, starts, vec![0; n_shards]),
             shards: colds,
         })
     }
@@ -823,6 +644,7 @@ mod tests {
     };
     use citegraph::{dense_personalized, NetworkBuilder, SeedPersonalization, ShardSpec, Year};
     use sparsela::{cmp_score_desc, KernelWorkspace};
+    use std::thread;
 
     /// 12 papers over 2000–2011 with venues and authors (same shape as
     /// the query-layer fixture): venue `id % 3` (2 → none), authors
@@ -1053,7 +875,7 @@ mod tests {
         let other: Query = "k=2,venue=1".parse().unwrap();
         assert!(matches!(
             eng.query_at(&snaps, &other, Some(&cursor)),
-            Err(ShardedError::Query(QueryError::CursorMismatch))
+            Err(QueryError::CursorMismatch)
         ));
 
         // The argument and the grammar's `cursor=` both given: fine when
@@ -1068,10 +890,7 @@ mod tests {
         assert_eq!(eng.query_at(&snaps, &own, Some(&cursor)).unwrap(), page2);
         let batch = [(own.clone(), Some(earlier)), (own, None)];
         let pages = eng.query_batch_at(&snaps, &batch);
-        assert!(matches!(
-            pages[0],
-            Err(ShardedError::Query(QueryError::CursorMismatch))
-        ));
+        assert!(matches!(pages[0], Err(QueryError::CursorMismatch)));
         assert_eq!(pages[1].as_ref().unwrap(), &page2);
 
         // A tail publish moves the epoch set → StaleCursor against the
@@ -1082,7 +901,7 @@ mod tests {
         eng.ingest(&delta).unwrap();
         assert!(matches!(
             eng.query(&q, Some(&cursor)),
-            Err(ShardedError::Query(QueryError::StaleCursor { .. }))
+            Err(QueryError::StaleCursor { .. })
         ));
         let page2 = eng.query_at(&snaps, &q, Some(&cursor)).unwrap();
         assert!(!page2.items.is_empty());
@@ -1142,10 +961,7 @@ mod tests {
         // A delta rejected by the tail changes nothing (year regression).
         let mut bad = GraphDelta::new();
         bad.add_paper(1990);
-        assert!(matches!(
-            eng.ingest(&bad),
-            Err(ShardedError::Engine(EngineError::Delta(_)))
-        ));
+        assert!(matches!(eng.ingest(&bad), Err(EngineError::Delta(_))));
         assert_eq!(eng.boundary_edges(), at_build + 1);
     }
 
@@ -1185,7 +1001,7 @@ mod tests {
         let widened: Query = "k=2,venue=0|1".parse().unwrap();
         assert!(matches!(
             eng.query_at(&snaps, &widened, Some(&cursor)),
-            Err(ShardedError::Query(QueryError::CursorMismatch))
+            Err(QueryError::CursorMismatch)
         ));
     }
 
@@ -1218,7 +1034,7 @@ mod tests {
         // Ids past even the grown space stay typed errors.
         assert!(matches!(
             eng.query(&"k=5,venue=99".parse().unwrap(), None),
-            Err(ShardedError::Query(QueryError::UnknownVenue { id: 99, .. }))
+            Err(QueryError::UnknownVenue { id: 99, .. })
         ));
         // The OR path crosses frozen and tail shards in one query.
         let page = eng.query(&"k=14,venue=0|5".parse().unwrap(), None).unwrap();
@@ -1261,6 +1077,47 @@ mod tests {
     }
 
     #[test]
+    fn a_shard_cursor_resumes_under_every_spelling_of_its_facet_set() {
+        let eng = sharded(3);
+        let snaps = eng.snapshots();
+        let resume = |s: &str, cursor: Option<ShardCursor>| {
+            eng.query_at(&snaps, &s.parse().unwrap(), cursor.as_ref())
+        };
+        let doubled = resume("k=2,venue=0|0", None).unwrap().next;
+        let single = resume("k=2,venue=0", None).unwrap().next;
+        assert!(doubled.is_some());
+        assert_eq!(
+            resume("k=2,venue=0", doubled).unwrap(),
+            resume("k=2,venue=0", single).unwrap()
+        );
+        assert!(matches!(
+            resume("k=2,venue=0|1", doubled),
+            Err(QueryError::CursorMismatch)
+        ));
+    }
+
+    #[test]
+    fn a_sharded_comparison_carries_the_pinned_sets_epoch_keys() {
+        let a = sharded(3);
+        let b = sharded_with(3, "pagerank");
+        let mut delta = GraphDelta::new();
+        delta.add_paper(2012);
+        delta.add_citation(12, 11);
+        a.ingest(&delta).unwrap();
+        let cmp = a
+            .compare(&b, &"k=2,venue=0".parse().unwrap(), None)
+            .unwrap();
+        assert_eq!(cmp.epoch_a, a.snapshots().epoch_key());
+        assert_eq!(cmp.epoch_b, b.snapshots().epoch_key());
+        assert_eq!(cmp.page.epoch, cmp.epoch_a);
+        assert_eq!(cmp.page.next.unwrap().epoch(), cmp.epoch_a);
+        assert_eq!(
+            (cmp.method_a.as_str(), cmp.method_b.as_str()),
+            ("cc", "pagerank:d=0.5")
+        );
+    }
+
+    #[test]
     fn seed_routing_prunes_unseeded_bands() {
         let eng = sharded_with(4, "pagerank"); // 3 papers per band
                                                // All seeds in band 0: every other band holds zero seed mass and
@@ -1277,13 +1134,13 @@ mod tests {
         // A repeat of either seed set costs no solve: the cache — the
         // one place a solve is remembered — serves it, and counts it.
         let solves = |eng: &ShardedEngine| {
-            let stats = eng.read.cache.stats();
+            let stats = eng.core.read.cache.stats();
             stats.cold_pushes + stats.warm_repushes + stats.fallbacks
         };
-        let (solves_before, hits_before) = (solves(&eng), eng.read.cache.stats().hits);
+        let (solves_before, hits_before) = (solves(&eng), eng.core.read.cache.stats().hits);
         eng.query(&"k=12,seed=0|2".parse().unwrap(), None).unwrap();
         assert!(
-            eng.read.cache.stats().hits > hits_before,
+            eng.core.read.cache.stats().hits > hits_before,
             "served from the cache"
         );
         assert_eq!(solves(&eng), solves_before);
@@ -1298,7 +1155,7 @@ mod tests {
         for seed in 0..3 {
             eng.query(&seeded(seed), None).unwrap();
         }
-        let pool = &eng.read.scratches;
+        let pool = &eng.core.read.scratches;
         assert_eq!(pool.warm.lock().unwrap().len(), 1);
         let all_inside = std::sync::Barrier::new(2 * SCRATCH_POOL_CAP);
         thread::scope(|scope| {
@@ -1315,7 +1172,7 @@ mod tests {
         let q: Query = "k=3,venue=0".parse().unwrap();
         let first = eng.query(&q, None).unwrap();
         assert_eq!(eng.query(&q, None).unwrap(), first);
-        let s = eng.read.plans.stats();
+        let s = eng.core.read.plans.stats();
         assert_eq!((s.hits, s.misses, s.stale, s.entries), (1, 1, 0, 1));
 
         // A tail publish moves the epoch key: the entry is stale, dropped
@@ -1326,11 +1183,11 @@ mod tests {
         delta.add_citation(12, 11);
         eng.ingest(&delta).unwrap();
         let after = eng.query(&q, None).unwrap();
-        let s = eng.read.plans.stats();
+        let s = eng.core.read.plans.stats();
         assert_eq!((s.hits, s.misses, s.stale, s.entries), (1, 1, 1, 1));
         assert_eq!(after.matched, first.matched + 1);
         assert_eq!(after.items, eng.query(&q, None).unwrap().items);
-        assert_eq!(eng.read.plans.stats().hits, 2);
+        assert_eq!(eng.core.read.plans.stats().hits, 2);
     }
 
     #[test]
@@ -1341,21 +1198,21 @@ mod tests {
         // Poison both locks on the serve path from panicking threads.
         thread::scope(|scope| {
             let pool = scope.spawn(|| {
-                let _held = eng.read.scratches.warm.lock();
+                let _held = eng.core.read.scratches.warm.lock();
                 panic!("poisoning the scratch pool");
             });
             let plans = scope.spawn(|| {
-                let _held = eng.read.plans.inner.lock();
+                let _held = eng.core.read.plans.inner.lock();
                 panic!("poisoning the plan cache");
             });
             assert!(pool.join().is_err() && plans.join().is_err());
         });
-        assert!(eng.read.scratches.warm.is_poisoned());
-        assert!(eng.read.plans.inner.is_poisoned());
+        assert!(eng.core.read.scratches.warm.is_poisoned());
+        assert!(eng.core.read.plans.inner.is_poisoned());
         assert_eq!(eng.query(&q, None).unwrap(), page);
         // The plan cache dropped its entries and cleared the poison.
-        assert!(!eng.read.plans.inner.is_poisoned());
-        assert_eq!(eng.read.plans.stats().entries, 1);
+        assert!(!eng.core.read.plans.inner.is_poisoned());
+        assert_eq!(eng.core.read.plans.stats().entries, 1);
         assert_eq!(eng.query(&q, None).unwrap(), page);
     }
 
@@ -1408,7 +1265,7 @@ mod tests {
         // Different seed set → CursorMismatch; reordered same set resumes.
         assert!(matches!(
             eng.query_at(&snaps, &"k=2,seed=1".parse().unwrap(), Some(&cursor)),
-            Err(ShardedError::Query(QueryError::CursorMismatch))
+            Err(QueryError::CursorMismatch)
         ));
         assert!(eng
             .query_at(&snaps, &"k=2,seed=7|1".parse().unwrap(), Some(&cursor))
@@ -1416,18 +1273,18 @@ mod tests {
         // An unseeded query cannot resume a seeded cursor.
         assert!(matches!(
             eng.query_at(&snaps, &"k=2".parse().unwrap(), Some(&cursor)),
-            Err(ShardedError::Query(QueryError::CursorMismatch))
+            Err(QueryError::CursorMismatch)
         ));
         // A method with no damping factor rejects seed= with the typed
         // serve-time error; out-of-range seeds name the offending id.
         let cc = sharded(2);
         assert!(matches!(
             cc.query(&"k=2,seed=1".parse().unwrap(), None),
-            Err(ShardedError::Query(QueryError::SeedUnsupported { ref method })) if method == "cc"
+            Err(QueryError::SeedUnsupported { ref method }) if method == "cc"
         ));
         assert!(matches!(
             eng.query(&"k=2,seed=99".parse().unwrap(), None),
-            Err(ShardedError::Query(QueryError::BadValue { ref key, ref value }))
+            Err(QueryError::BadValue { ref key, ref value })
                 if key == "seed" && value.starts_with("99")
         ));
     }
@@ -1470,7 +1327,7 @@ mod tests {
         // Mismatched plans cannot join.
         assert!(matches!(
             a.compare(&sharded_with(2, "pagerank"), &q, None),
-            Err(ShardedError::PlanMismatch)
+            Err(QueryError::PlanMismatch)
         ));
         // A hit past b's coverage (a's tail ingested a paper b has not
         // seen) joins as None, mirroring the flat engine.
@@ -1517,10 +1374,7 @@ mod tests {
             degraded_k: 1,
             ..AdmissionPolicy::default()
         });
-        assert!(matches!(
-            eng.top_k(3),
-            Err(ShardedError::Query(QueryError::Overloaded { .. }))
-        ));
+        assert!(matches!(eng.top_k(3), Err(QueryError::Overloaded { .. })));
         assert_eq!(eng.admission_stats().unwrap().shed, 1);
     }
 
@@ -1573,7 +1427,7 @@ mod tests {
             let plan = ShardSpec::Fixed(n_shards).plan(&net).unwrap();
             let mut eng =
                 ShardedEngine::from_plan(&net, &plan, "cc", RerankPolicy::EveryBatch).unwrap();
-            eng.read.cost = forcing(shape);
+            eng.core.read.cost = forcing(shape);
             // Venue 5 and author 7 exist only in the tail's grown tables.
             let mut delta = GraphDelta::new();
             delta.add_paper_with_metadata(2012, vec![2, 7], Some(0));
@@ -1608,8 +1462,14 @@ mod tests {
                 let mut part = QueryScratch::new();
                 part.set_facets(&q);
                 for snap in snaps.snaps.iter().filter(|s| overlaps(s, &q)) {
-                    let plan =
-                        price_partition(snap.network(), &q, &part, false, &eng.read.cost, false);
+                    let plan = price_partition(
+                        snap.network(),
+                        &q,
+                        &part,
+                        false,
+                        &eng.core.read.cost,
+                        false,
+                    );
                     if !plan.table.iter().any(|c| c.driver == "unfiltered") {
                         chosen.insert(plan.table.iter().find(|c| c.chosen).unwrap().driver);
                     }
@@ -1650,9 +1510,7 @@ mod tests {
                 assert!(
                     matches!(
                         res,
-                        Err(ShardedError::Query(
-                            QueryError::StaleCursor { .. } | QueryError::CursorMismatch
-                        ))
+                        Err(QueryError::StaleCursor { .. } | QueryError::CursorMismatch)
                     ),
                     "{s}: flat token on the sharded engine: {res:?}"
                 );

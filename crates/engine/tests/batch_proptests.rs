@@ -138,8 +138,8 @@ proptest! {
     }
 
     /// Sharded engine: `query_batch_at` ≡ member-wise `query_at` across
-    /// shard counts, including shard-cursor continuations. `ShardedError`
-    /// carries no `PartialEq`, so errors compare by debug rendering.
+    /// shard counts, including shard-cursor continuations. Pages and
+    /// errors compare by debug rendering.
     #[test]
     fn sharded_batch_equals_sequential(
         queries in proptest::collection::vec(sharded_query_strategy(30), 1..16),

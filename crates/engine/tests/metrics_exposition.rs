@@ -18,7 +18,7 @@ fn temp_wal(name: &str) -> PathBuf {
 }
 
 /// Every family the two stacks register, flat then sharded.
-const FAMILIES: [&str; 31] = [
+const FAMILIES: [&str; 49] = [
     "attrank_query_seconds",
     "attrank_planner_decisions_total",
     "attrank_cursor_errors_total",
@@ -49,6 +49,24 @@ const FAMILIES: [&str; 31] = [
     "attrank_sharded_cache_bytes",
     "attrank_sharded_admission_decisions_total",
     "attrank_sharded_admission_inflight_cost_ns",
+    "attrank_sharded_planner_decisions_total",
+    "attrank_sharded_cursor_errors_total",
+    "attrank_sharded_plan_cache_events_total",
+    "attrank_sharded_plan_cache_entries",
+    "attrank_sharded_epoch",
+    "attrank_sharded_staged_batches",
+    "attrank_sharded_staged_edges",
+    "attrank_sharded_wal_replay_depth",
+    "attrank_sharded_publish_seconds",
+    "attrank_sharded_apply_seconds",
+    "attrank_sharded_successor_networks_total",
+    "attrank_sharded_solve_seconds",
+    "attrank_sharded_push_pushes",
+    "attrank_sharded_push_edge_work",
+    "attrank_sharded_push_edge_budget",
+    "attrank_sharded_push_fallbacks_total",
+    "attrank_sharded_wal_append_seconds",
+    "attrank_sharded_wal_fsync_seconds",
     "attrank_shard_boundary_edges",
 ];
 
@@ -198,4 +216,53 @@ fn scripted_workload_renders_valid_exposition() {
     let by_shard = sh.boundary_edges_by_shard();
     assert_eq!(by_shard.iter().sum::<usize>(), sh.boundary_edges());
     assert!(by_shard.iter().any(|&n| n > 0));
+}
+
+#[test]
+fn the_sharded_write_path_renders_per_shard() {
+    // Every shard engine records into the `attrank_sharded_*` write-path
+    // families under its `shard` label: a routed ingest publishes the
+    // tail, and its publish, epoch and push work show there.
+    let net = generate(&DatasetProfile::dblp().scaled(1_500), 11);
+    let plan = ShardSpec::Fixed(3).plan(&net).unwrap();
+    let mut sh =
+        ShardedEngine::from_plan(&net, &plan, "attrank", RerankPolicy::EveryBatch).unwrap();
+    sh.enable_metrics();
+    let n0 = net.n_papers() as u32;
+    let mut delta = GraphDelta::new();
+    delta.add_paper(2021);
+    delta.add_citation(n0, n0 - 1);
+    let report = sh.ingest(&delta).unwrap();
+    assert!(report.report.published);
+    let tail = report.shard;
+    // One unfiltered query: a planner decision per shard plan.
+    sh.query(&Query::default(), None).unwrap();
+
+    let text = sh.render_metrics().unwrap();
+    obsv::validate::validate(&text)
+        .unwrap_or_else(|e| panic!("exposition failed self-validation: {e}\n{text}"));
+    let sample = |series: &str| -> f64 {
+        let line = text.lines().find(|l| l.starts_with(series));
+        let value = line.and_then(|l| l.rsplit(' ').next()?.parse().ok());
+        value.unwrap_or_else(|| panic!("{series} missing from the exposition\n{text}"))
+    };
+    let shard = |family: &str, s: usize| format!("{family}{{shard=\"{s}\"}}");
+    assert!(sample(&shard("attrank_sharded_publish_seconds_count", tail)) >= 1.0);
+    let tail_epoch = sh.shard_engines()[tail].snapshot().epoch();
+    assert_eq!(
+        sample(&shard("attrank_sharded_epoch", tail)),
+        tail_epoch as f64
+    );
+    for s in 0..sh.n_shards() {
+        sample(&shard("attrank_sharded_push_edge_work", s));
+    }
+    let decisions: f64 = ["unfiltered", "id_range"]
+        .iter()
+        .map(|d| {
+            sample(&format!(
+                "attrank_sharded_planner_decisions_total{{driver=\"{d}\"}}"
+            ))
+        })
+        .sum();
+    assert_eq!(decisions, sh.n_shards() as f64);
 }

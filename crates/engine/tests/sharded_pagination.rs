@@ -14,9 +14,7 @@ use std::time::Duration;
 
 use citegen::{generate, DatasetProfile};
 use citegraph::{GraphDelta, PaperId, ShardSpec};
-use rankengine::{
-    Query, QueryError, RerankPolicy, ShardCursor, ShardSnapshots, ShardedEngine, ShardedError,
-};
+use rankengine::{Query, QueryError, RerankPolicy, ShardCursor, ShardSnapshots, ShardedEngine};
 use sparsela::cmp_score_desc;
 
 const SCALE: usize = 3_000;
@@ -141,10 +139,10 @@ fn pinned_shard_pagination_is_immune_to_tail_publishes() {
         .unwrap();
     let stale = first.next.expect("more than one page");
     match eng.query(&"k=7,venue=0".parse().unwrap(), Some(&stale)) {
-        Err(ShardedError::Query(QueryError::StaleCursor {
+        Err(QueryError::StaleCursor {
             cursor_epoch: cursor_key,
             current_epoch: current_key,
-        })) => {
+        }) => {
             assert_eq!(cursor_key, pinned_key);
             assert_eq!(current_key, eng.snapshots().epoch_key());
         }
