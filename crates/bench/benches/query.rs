@@ -26,9 +26,9 @@
 //! (ISSUE 19):
 //!
 //! * `unfiltered_200k` / `unfiltered_page2_200k` — the global top 10 and
-//!   the page behind its cursor through `query_at`: slices of the head
-//!   frozen with the epoch's block maxima (its first 128 ids in order),
-//!   which read no block;
+//!   the page behind its cursor through `query_at`: slices of the whole
+//!   vector's head (its first 128 ids in order, built by the first page
+//!   that reads it), which read no block;
 //! * `unfiltered_stream_200k` — the summary-less `top_k_indices` on the
 //!   same slice, which reads every score. `repro bench-check` gates
 //!   `unfiltered_stream_200k / unfiltered_200k ≥ 4`
@@ -38,6 +38,14 @@
 //!   scores and recounts behind the cursor, which the head slice
 //!   replaced. `repro bench-check` gates `unfiltered_page2_walk_200k /
 //!   unfiltered_page2_200k ≥ 5` (`query/head_slice_speedup`);
+//! * `year_suffix_page_200k` — `k=25,year=<current>..` through
+//!   `query_at`: a slice of the head of the current year's cut (the first
+//!   128 ids, in order, of the suffix from the year's first paper; the
+//!   whole vector's head holds none of them);
+//! * `year_suffix_walk_200k` — the kernel alone on the same range over a
+//!   summary without heads: the walk the cut's head replaced. `repro
+//!   bench-check` gates `year_suffix_walk_200k / year_suffix_page_200k
+//!   ≥ 5` (`query/year_head_slice_speedup`);
 //! * `pruned_*_200k` / `stream_*_200k` — the inputs on which the walk
 //!   prunes nothing and must cost what the plain stream costs (≤ 1.1×):
 //!   a `k` at the block count, a cursor 5,000 hits deep with its exact
@@ -142,7 +150,7 @@ fn bench_query(c: &mut Criterion) {
                 b.iter(|| top_k_indices_into(black_box(scores), 10, &mut out))
             });
             // The same page 2, walked over a head-less summary.
-            let walked = BlockMaxima::with_block_len(scores, BLOCK_LEN, 0);
+            let walked = BlockMaxima::with_block_len(scores, BLOCK_LEN, 0, &[]);
             let all = [Segment::range(0..scores.len() as u32)];
             let last = qe.query_at(&snap, &all_q).unwrap().items[9].id;
             let behind_page1 = Frontier {
@@ -154,6 +162,20 @@ fn bench_query(c: &mut Criterion) {
             let frontier = Some(&behind_page1);
             group.bench_function(format!("unfiltered_page2_walk_{label}"), |b| {
                 b.iter(|| top_k_pruned_into(scores, &walked, all, 10, frontier, None, &mut out))
+            });
+
+            // The current year's page: a slice of its cut's head, and the
+            // walk of the same range without heads.
+            let year = snap.network().current_year().expect("corpus is not empty");
+            let suffix_q: Query = format!("k=25,year={year}..").parse().unwrap();
+            group.bench_function(format!("year_suffix_page_{label}"), |b| {
+                b.iter(|| black_box(qe.query_at(&snap, black_box(&suffix_q)).unwrap()))
+            });
+            let suffix = [Segment::range(
+                snap.network().id_range_for_years(Some(year), None),
+            )];
+            group.bench_function(format!("year_suffix_walk_{label}"), |b| {
+                b.iter(|| top_k_pruned_into(scores, &walked, suffix, 25, None, None, &mut out))
             });
 
             // A recent-years venue page, and the gather + quickselect it
@@ -179,8 +201,8 @@ fn bench_query(c: &mut Criterion) {
 
             // Where the walk cannot prune it must cost the plain stream.
             // Each of these asks for more than the head holds (a page past
-            // its 128 ids, a cursor below its last score), so the summary
-            // keeps its head and these rows still time the walk.
+            // its 128 ids, a cursor below its last score), so these rows
+            // still time the walk over a summary with a head.
             let maxima = BlockMaxima::new(scores);
             let n_blocks = scores.len().div_ceil(BLOCK_LEN);
             group.bench_function(format!("pruned_k_blocks_{label}"), |b| {

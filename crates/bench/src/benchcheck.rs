@@ -180,6 +180,11 @@ pub const GATES: &[Gate] = &[
     // (kernel alone) vs the slice of the epoch's head (whole query path).
     Gate { group: "query", name: "head_slice_speedup", bound: Bound::Floor(5.0),
            numerator: "unfiltered_page2_walk_200k", denominator: "unfiltered_page2_200k" },
+    // The current year's page at k=25 on the real `cc` vector: the walk of its id range over
+    // a summary without heads (kernel alone) vs the slice of its year cut's head (whole query
+    // path).
+    Gate { group: "query", name: "year_head_slice_speedup", bound: Bound::Floor(5.0),
+           numerator: "year_suffix_walk_200k", denominator: "year_suffix_page_200k" },
     // A recent-years venue page (whole query path), the walk over the epoch's per-venue
     // block maxima vs the band gather + quickselect it replaced.
     Gate { group: "query", name: "venue_band_pruned_speedup", bound: Bound::Floor(2.0),
@@ -321,6 +326,357 @@ pub fn compare(
             })
         })
         .collect()
+}
+
+/// A JSON value: what `BENCH_history.jsonl` lines and `e2ebench` result
+/// lines are read as, and history lines written from. Objects keep their
+/// key order.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number.
+    Num(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object, keys in document order.
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// Parses one JSON document (surrounding whitespace allowed).
+    pub fn parse(text: &str) -> Result<Json, String> {
+        let mut p = JsonParser {
+            bytes: text.as_bytes(),
+            at: 0,
+        };
+        let value = p.value()?;
+        p.skip_ws();
+        match p.at == p.bytes.len() {
+            true => Ok(value),
+            false => Err(format!("trailing characters at byte {}", p.at)),
+        }
+    }
+
+    /// The value of `key` when this is an object holding it.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The number this is, if it is one.
+    pub fn as_f64(&self) -> Option<f64> {
+        match *self {
+            Json::Num(x) => Some(x),
+            _ => None,
+        }
+    }
+}
+
+impl std::fmt::Display for Json {
+    /// Compact JSON; a non-finite number is written `null`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(x) if x.is_finite() => write!(f, "{x}"),
+            Json::Num(_) => f.write_str("null"),
+            Json::Str(s) => write_json_str(f, s),
+            Json::Arr(items) => {
+                f.write_str("[")?;
+                for (i, item) in items.iter().enumerate() {
+                    write!(f, "{}{item}", if i > 0 { ", " } else { "" })?;
+                }
+                f.write_str("]")
+            }
+            Json::Obj(fields) => {
+                f.write_str("{")?;
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    f.write_str(if i > 0 { ", " } else { "" })?;
+                    write_json_str(f, key)?;
+                    write!(f, ": {value}")?;
+                }
+                f.write_str("}")
+            }
+        }
+    }
+}
+
+/// `s` as a JSON string literal.
+fn write_json_str(f: &mut std::fmt::Formatter<'_>, s: &str) -> std::fmt::Result {
+    f.write_str("\"")?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            c if c.is_control() => write!(f, "\\u{:04x}", c as u32)?,
+            c => write!(f, "{c}")?,
+        }
+    }
+    f.write_str("\"")
+}
+
+/// Recursive-descent reader behind [`Json::parse`].
+struct JsonParser<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl JsonParser<'_> {
+    fn skip_ws(&mut self) {
+        while self.bytes.get(self.at).is_some_and(u8::is_ascii_whitespace) {
+            self.at += 1;
+        }
+    }
+
+    fn expect(&mut self, token: &str) -> Result<(), String> {
+        match self.bytes[self.at..].starts_with(token.as_bytes()) {
+            true => {
+                self.at += token.len();
+                Ok(())
+            }
+            false => Err(format!("expected {token:?} at byte {}", self.at)),
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        match self.bytes.get(self.at) {
+            Some(b'n') => self.expect("null").map(|_| Json::Null),
+            Some(b't') => self.expect("true").map(|_| Json::Bool(true)),
+            Some(b'f') => self.expect("false").map(|_| Json::Bool(false)),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b'[') => {
+                self.at += 1;
+                let mut items = Vec::new();
+                self.skip_ws();
+                if self.bytes.get(self.at) == Some(&b']') {
+                    self.at += 1;
+                    return Ok(Json::Arr(items));
+                }
+                loop {
+                    items.push(self.value()?);
+                    self.skip_ws();
+                    if self.bytes.get(self.at) == Some(&b']') {
+                        self.at += 1;
+                        return Ok(Json::Arr(items));
+                    }
+                    self.expect(",")?;
+                }
+            }
+            Some(b'{') => {
+                self.at += 1;
+                let mut fields = Vec::new();
+                self.skip_ws();
+                if self.bytes.get(self.at) == Some(&b'}') {
+                    self.at += 1;
+                    return Ok(Json::Obj(fields));
+                }
+                loop {
+                    self.skip_ws();
+                    let key = self.string()?;
+                    self.skip_ws();
+                    self.expect(":")?;
+                    fields.push((key, self.value()?));
+                    self.skip_ws();
+                    if self.bytes.get(self.at) == Some(&b'}') {
+                        self.at += 1;
+                        return Ok(Json::Obj(fields));
+                    }
+                    self.expect(",")?;
+                }
+            }
+            Some(_) => {
+                let len = self.bytes[self.at..]
+                    .iter()
+                    .take_while(|c| {
+                        c.is_ascii_digit() || matches!(c, b'.' | b'-' | b'+' | b'e' | b'E')
+                    })
+                    .count();
+                let text = std::str::from_utf8(&self.bytes[self.at..self.at + len]).unwrap_or("");
+                let x = text
+                    .parse()
+                    .map_err(|_| format!("bad value at byte {}", self.at))?;
+                self.at += len;
+                Ok(Json::Num(x))
+            }
+            None => Err("unexpected end of input".into()),
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect("\"")?;
+        let mut out = String::new();
+        loop {
+            let rest = std::str::from_utf8(&self.bytes[self.at..]).map_err(|e| e.to_string())?;
+            let mut chars = rest.chars();
+            let c = chars.next().ok_or("unterminated string")?;
+            self.at += c.len_utf8();
+            match c {
+                '"' => return Ok(out),
+                '\\' => {
+                    let e = chars.next().ok_or("unterminated escape")?;
+                    self.at += 1;
+                    out.push(match e {
+                        'n' => '\n',
+                        't' => '\t',
+                        'r' => '\r',
+                        'b' => '\u{8}',
+                        'f' => '\u{c}',
+                        'u' => {
+                            let hex = rest.get(2..6).ok_or("short \\u escape")?;
+                            self.at += 4;
+                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                            char::from_u32(code).unwrap_or('\u{fffd}')
+                        }
+                        other => other,
+                    });
+                }
+                c => out.push(c),
+            }
+        }
+    }
+}
+
+/// Medians of the end-to-end metrics over the `e2ebench` result lines in
+/// `text` (each run's last stdout line; any other line is skipped), with
+/// how many runs there were: `{"runs": n, "<metric>": median, …}`, the
+/// metrics in the first run's order.
+///
+/// # Errors
+/// When `text` holds no result line, or a run is not `correct` or failed
+/// an operation — a history records only sound runs.
+pub fn e2e_medians(text: &str) -> Result<Json, String> {
+    let runs: Vec<Json> = text
+        .lines()
+        .filter_map(|line| Json::parse(line).ok())
+        .filter(|run| run.get("metrics").is_some())
+        .collect();
+    if runs.is_empty() {
+        return Err("no e2ebench result line".into());
+    }
+    for run in &runs {
+        let failed = run.get("failed").and_then(Json::as_f64);
+        if run.get("correct") != Some(&Json::Bool(true)) || failed != Some(0.0) {
+            return Err(format!("a run was not correct or failed operations: {run}"));
+        }
+    }
+    let Some(Json::Obj(first)) = runs[0].get("metrics") else {
+        return Err("`metrics` is not an object".into());
+    };
+    let mut medians = vec![("runs".to_string(), Json::Num(runs.len() as f64))];
+    for (name, _) in first {
+        let mut values: Vec<f64> = runs
+            .iter()
+            .filter_map(|run| run.get("metrics")?.get(name)?.get("value")?.as_f64())
+            .collect();
+        values.sort_by(f64::total_cmp);
+        let mid = values.len() / 2;
+        let median = match values.len() % 2 {
+            1 => values[mid],
+            _ => (values[mid - 1] + values[mid]) / 2.0,
+        };
+        medians.push((name.clone(), Json::Num(median)));
+    }
+    Ok(Json::Obj(medians))
+}
+
+/// One `BENCH_history.jsonl` line: `date`, `commit`, every [`GATES`]
+/// ratio `records` hold (`null` where a row is missing) under
+/// `group/name`, and the end-to-end medians of each workload in `e2e`
+/// ([`e2e_medians`]).
+pub fn history_line(
+    date: &str,
+    commit: &str,
+    records: &[BenchRecord],
+    e2e: Vec<(String, Json)>,
+) -> String {
+    let gates = GATES
+        .iter()
+        .map(|g| {
+            let ratio = g.ratio(records).map_or(Json::Null, Json::Num);
+            (format!("{}/{}", g.group, g.name), ratio)
+        })
+        .collect();
+    let line = Json::Obj(vec![
+        ("date".into(), Json::Str(date.into())),
+        ("commit".into(), Json::Str(commit.into())),
+        ("gates".into(), Json::Obj(gates)),
+        ("e2e".into(), Json::Obj(e2e)),
+    ]);
+    line.to_string()
+}
+
+/// Checks one `BENCH_history.jsonl` line: an object with a `date`
+/// (`YYYY-MM-DD`) and a `commit` string, `gates` mapping names to ratios
+/// or `null`, and `e2e` mapping workloads to objects of numbers that
+/// count their `runs`.
+pub fn check_history_line(line: &str) -> Result<(), String> {
+    let entry = Json::parse(line)?;
+    let is_date = |s: &str| {
+        let b = s.as_bytes();
+        b.len() == 10
+            && b[4] == b'-'
+            && b[7] == b'-'
+            && s.replace('-', "").bytes().all(|c| c.is_ascii_digit())
+    };
+    match entry.get("date") {
+        Some(Json::Str(d)) if is_date(d) => {}
+        other => return Err(format!("`date` is not YYYY-MM-DD: {other:?}")),
+    }
+    if !matches!(entry.get("commit"), Some(Json::Str(c)) if !c.is_empty()) {
+        return Err("`commit` is not a string".into());
+    }
+    let Some(Json::Obj(gates)) = entry.get("gates") else {
+        return Err("`gates` is not an object".into());
+    };
+    if let Some((name, _)) = gates
+        .iter()
+        .find(|(_, r)| !matches!(r, Json::Num(_) | Json::Null))
+    {
+        return Err(format!("gate {name} is neither a ratio nor null"));
+    }
+    let Some(Json::Obj(workloads)) = entry.get("e2e") else {
+        return Err("`e2e` is not an object".into());
+    };
+    for (workload, medians) in workloads {
+        let Json::Obj(fields) = medians else {
+            return Err(format!("e2e {workload} is not an object"));
+        };
+        if medians
+            .get("runs")
+            .and_then(Json::as_f64)
+            .is_none_or(|n| n < 1.0)
+        {
+            return Err(format!("e2e {workload} counts no runs"));
+        }
+        if let Some((name, _)) = fields.iter().find(|(_, v)| v.as_f64().is_none()) {
+            return Err(format!("e2e {workload}: {name} is not a number"));
+        }
+    }
+    Ok(())
+}
+
+/// The UTC calendar date `secs` seconds after the Unix epoch, as
+/// `YYYY-MM-DD` (the proleptic Gregorian civil-from-days conversion).
+pub fn utc_date(secs: u64) -> String {
+    let days = (secs / 86_400) as i64 + 719_468;
+    let era = days.div_euclid(146_097);
+    let doe = days.rem_euclid(146_097);
+    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
+    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+    let mp = (5 * doy + 2) / 153;
+    let day = doy - (153 * mp + 2) / 5 + 1;
+    let month = if mp < 10 { mp + 3 } else { mp - 9 };
+    let year = yoe + era * 400 + i64::from(month <= 2);
+    format!("{year:04}-{month:02}-{day:02}")
 }
 
 #[cfg(test)]
@@ -640,7 +996,7 @@ mod tests {
         // each table row must resolve there (and hold).
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
         let baseline = parse_records(&std::fs::read_to_string(path).expect("baseline"));
-        assert_eq!(GATES.len(), 15);
+        assert_eq!(GATES.len(), 16);
         for g in GATES {
             let ratio = g.ratio(&baseline);
             assert!(
@@ -652,6 +1008,67 @@ mod tests {
             );
             assert_eq!(gate(g.name), g, "gate names are unique");
         }
+    }
+
+    #[test]
+    fn every_committed_history_line_parses() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_history.jsonl");
+        let history = std::fs::read_to_string(path).expect("history");
+        assert!(history.lines().count() > 0);
+        for (i, line) in history.lines().enumerate() {
+            check_history_line(line).unwrap_or_else(|e| panic!("line {}: {e}", i + 1));
+        }
+    }
+
+    #[test]
+    fn a_history_line_round_trips_gates_and_medians() {
+        let runs = [1.0, 3.0, 2.0]
+            .iter()
+            .map(|qps| {
+                format!(
+                    r#"{{"correct": true, "attempted": 9, "failed": 0, "metrics": {{"read_qps": {{"value": {qps}, "unit": "1/s"}}, "setup_s": {{"value": 0.5, "unit": "s"}}}}}}"#
+                )
+            })
+            .collect::<Vec<_>>()
+            .join("\nnot a result\n");
+        let medians = e2e_medians(&runs).unwrap();
+        assert_eq!(
+            medians.to_string(),
+            r#"{"runs": 3, "read_qps": 2, "setup_s": 0.5}"#
+        );
+        let records = parse_records(
+            r#"[{"group": "store_load", "id": "first_topk_tsv_200k", "min_ns": 50.0},
+                {"group": "store_load", "id": "first_topk_store_200k", "min_ns": 2.0}]"#,
+        );
+        let line = history_line(
+            "2026-10-17",
+            "abc1234",
+            &records,
+            vec![("read_mixed".into(), medians)],
+        );
+        check_history_line(&line).unwrap();
+        let entry = Json::parse(&line).unwrap();
+        let gates = entry.get("gates").unwrap();
+        assert_eq!(
+            gates.get("store_load/cold_start_speedup"),
+            Some(&Json::Num(25.0))
+        );
+        assert_eq!(
+            gates.get("query/year_head_slice_speedup"),
+            Some(&Json::Null)
+        );
+        let qps = entry
+            .get("e2e")
+            .and_then(|e| e.get("read_mixed")?.get("read_qps"));
+        assert_eq!(qps, Some(&Json::Num(2.0)));
+        // An unsound run is refused; a malformed line is reported.
+        assert!(e2e_medians(&runs.replace("\"failed\": 0", "\"failed\": 1")).is_err());
+        assert!(
+            check_history_line(r#"{"date": "17 Oct", "commit": "x", "gates": {}, "e2e": {}}"#)
+                .is_err()
+        );
+        assert_eq!(utc_date(0), "1970-01-01");
+        assert_eq!(utc_date(1_792_195_200), "2026-10-17");
     }
 
     #[test]

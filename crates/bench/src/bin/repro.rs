@@ -53,6 +53,9 @@ use repro_bench::{paper_bundles, Options};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "bench-check") {
+        return run_bench_check(&args[1..]);
+    }
     let (opts, rest) = match Options::parse(&args) {
         Ok(x) => x,
         Err(e) => {
@@ -67,7 +70,8 @@ fn main() -> ExitCode {
         );
         eprintln!("subcommands: summary methods fig1a fig1b table1 table2 table3 table4");
         eprintln!("             fig2corr fig2ndcg fig3 fig4 fig5 convergence");
-        eprintln!("             robustness significance bench-check all");
+        eprintln!("             robustness significance all");
+        eprintln!("             bench-check [--append-history [WORKLOAD=E2EBENCH_RESULTS ...]]");
         eprintln!("             export <stem> | import <stem> | compact <stem>");
         eprintln!("             query <grammar> [--metrics]   (e.g. query \"venue=3,k=10\")");
         eprintln!("             query --batch FILE   (one query per line, one query_batch call)");
@@ -81,7 +85,6 @@ fn main() -> ExitCode {
     match cmd.as_str() {
         "table3" => return run_table3(),
         "table4" => return run_table4(),
-        "bench-check" => return run_bench_check(),
         "export" => return run_export(&opts, rest.get(1)),
         "import" => return run_import(rest.get(1)),
         "compact" => return run_compact(rest.get(1)),
@@ -147,8 +150,23 @@ fn main() -> ExitCode {
 /// of any guarded benchmark (`top_k` group, `stochastic_apply*` ids), or
 /// on a same-run ratio gate. Its last line is the planner cost model as
 /// the baseline's machine would fit it, beside the baked constants.
-fn run_bench_check() -> ExitCode {
+///
+/// With `--append-history` it also appends one line to
+/// `BENCH_history.jsonl`: today's date, `git describe --always --dirty`,
+/// every gate's ratio in this run, and — for each `WORKLOAD=FILE` that
+/// follows, FILE holding `e2ebench` result lines (one per run) — the
+/// workload's end-to-end medians.
+fn run_bench_check(args: &[String]) -> ExitCode {
     use repro_bench::benchcheck;
+
+    let history = match args.split_first() {
+        None => None,
+        Some((flag, runs)) if flag == "--append-history" => Some(runs),
+        Some((other, _)) => {
+            eprintln!("bench-check: unknown argument {other:?} (expected --append-history)");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let baseline_path =
         std::env::var("BENCH_BASELINE_PATH").unwrap_or_else(|_| "BENCH_baseline.json".to_string());
@@ -263,12 +281,59 @@ fn run_bench_check() -> ExitCode {
         ),
         None => println!("planner cost model: no index_vs_scan anchor rows in {baseline_path}"),
     }
+    if let Some(runs) = history {
+        if let Err(e) = append_history(&current, runs) {
+            eprintln!("bench-check: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
     if failed {
         eprintln!("bench-check: guarded benchmark regressed beyond the threshold");
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
     }
+}
+
+/// Appends this run's line to `BENCH_history.jsonl` (see
+/// [`run_bench_check`]); `runs` are its `WORKLOAD=FILE` arguments.
+fn append_history(
+    current: &[repro_bench::benchcheck::BenchRecord],
+    runs: &[String],
+) -> Result<(), String> {
+    use repro_bench::benchcheck;
+    use std::io::Write;
+
+    let mut e2e = Vec::new();
+    for run in runs {
+        let (workload, file) = run
+            .split_once('=')
+            .ok_or_else(|| format!("{run:?} is not WORKLOAD=FILE"))?;
+        let text = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
+        let medians = benchcheck::e2e_medians(&text).map_err(|e| format!("{file}: {e}"))?;
+        e2e.push((workload.to_string(), medians));
+    }
+    let secs = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs());
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    let line = benchcheck::history_line(&benchcheck::utc_date(secs), &commit, current, e2e);
+    benchcheck::check_history_line(&line)?;
+    let path = "BENCH_history.jsonl";
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .and_then(|mut f| writeln!(f, "{line}"))
+        .map_err(|e| format!("appending to {path}: {e}"))?;
+    println!("appended to {path}: {line}");
+    Ok(())
 }
 
 /// `export <stem>`: `<stem>.papers.tsv` + `<stem>.citations.tsv` →

@@ -306,6 +306,18 @@ impl CitationNetwork {
         self.prefix(self.papers_until(year))
     }
 
+    /// The first id of each year that has papers, ascending: where every
+    /// `year=Y..` id range can start. One binary search per year.
+    pub fn year_starts(&self) -> Vec<PaperId> {
+        let mut starts = Vec::new();
+        let mut at = 0;
+        while let Some(&year) = self.years.get(at) {
+            starts.push(at as PaperId);
+            at += self.years[at..].partition_point(|&y| y <= year);
+        }
+        starts
+    }
+
     /// The contiguous id range of papers published within `[lo, hi]`
     /// (either bound optional; `None` means unbounded on that side).
     ///
@@ -436,6 +448,24 @@ mod tests {
             net.id_range_for_years(None, Some(1992)).end as usize,
             net.papers_until(1992)
         );
+    }
+
+    #[test]
+    fn year_starts_are_every_years_first_id() {
+        let mut b = NetworkBuilder::new();
+        for year in [1990, 1990, 1992, 1992, 1992, 1995] {
+            b.add_paper(year);
+        }
+        let net = b.build().unwrap();
+        assert_eq!(net.year_starts(), [0, 2, 5]);
+        for (lo, start) in [(1990, 0), (1991, 2), (1993, 5)] {
+            assert_eq!(net.id_range_for_years(Some(lo), None).start, start);
+        }
+        assert!(NetworkBuilder::new()
+            .build()
+            .unwrap()
+            .year_starts()
+            .is_empty());
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! configured ranking method. Scores are published as immutable
 //! [`EpochSnapshot`]s behind an `Arc` swap — each frozen together with
 //! the per-block maxima of its scores (one extra `O(n)` pass per publish,
-//! ~0.1 ms per 200k papers) and its head (the first ids in rank order,
-//! one walk of those maxima), which is what lets a shallow unfiltered,
-//! cursor or year-window page of the epoch be a slice of the head and
-//! every other one skip the blocks that cannot reach it. Readers grab the
-//! current `Arc`
+//! ~0.1 ms per 200k papers) and room for one head per year of its network
+//! (the first ids in rank order of the papers from that year on, each one
+//! walk of those maxima, run by the first page that reads it), which is
+//! what lets a shallow unfiltered, cursor or `year=Y..` page of the epoch
+//! be a slice of a head and every other one skip the blocks that cannot
+//! reach it. Readers grab the current `Arc`
 //! (one `RwLock` read + one refcount bump, never blocked by a running
 //! re-rank) and answer `top_k` / `rank_of` queries against a frozen epoch,
 //! while the single writer folds [`GraphDelta`] batches in and publishes
@@ -171,13 +172,17 @@ pub(crate) struct EpochLineage {
 
 /// The block-maxima summaries of one ranking vector, built in the one
 /// pass that freezes it (an epoch's scores, a cached personalized solve)
-/// against the network it ranks, so neither can describe another vector.
+/// against the network it ranks, and kept beside the scores they were
+/// built from — [`EpochSnapshot`] and `CachedRanking` own both — so
+/// neither the maxima nor a head built later can describe another vector.
 #[derive(Debug)]
 pub(crate) struct BlockSummaries {
-    /// Over the id space, with the vector's head (its first
-    /// [`sparsela::HEAD_LEN`] ids in order): what unfiltered, cursor and
-    /// year-window pages read — a slice of the head when it holds the
-    /// page, a walk of the blocks otherwise.
+    /// Over the id space, with one head (the first [`sparsela::HEAD_LEN`]
+    /// ids in order) per year cut of the network — the suffix from each
+    /// year's first paper — each built on the first page that reads it:
+    /// what unfiltered, cursor and year-window pages read — a slice of
+    /// the head of the window's first year when it holds the page, a walk
+    /// of the blocks otherwise.
     pub(crate) ids: BlockMaxima,
     /// Over the network's venue posting lists, blocks aligned to each
     /// venue's start (no lists without venue metadata): what venue pages
@@ -190,12 +195,12 @@ impl BlockSummaries {
     pub(crate) fn new(scores: &[f64], net: &CitationNetwork) -> Self {
         let (offsets, postings) = net.venues().map_or((&[0][..], &[][..]), |t| t.postings());
         Self {
-            ids: BlockMaxima::new(scores),
+            ids: BlockMaxima::with_cuts(scores, &net.year_starts()),
             venues: BlockMaxima::over_postings(scores, offsets, postings),
         }
     }
 
-    /// Heap bytes held.
+    /// Heap bytes held, heads counted whether built or not.
     pub(crate) fn bytes(&self) -> usize {
         self.ids.bytes() + self.venues.bytes()
     }
@@ -232,9 +237,9 @@ pub struct EpochSnapshot {
     scores: ScoreVec,
     /// Per-block maxima of `scores` over ids and over venue postings,
     /// built with the snapshot (one `O(n)` pass each per publish), and the
-    /// head of the id summary: a shallow unfiltered, cursor or year-window
-    /// page of this epoch is a slice of the head, and every other one
-    /// skips the blocks that cannot reach it.
+    /// id summary's per-year heads, built on first use: a shallow
+    /// unfiltered, cursor or `year=Y..` page of this epoch is a slice of
+    /// a head, and every other one skips the blocks that cannot reach it.
     blocks: BlockSummaries,
     /// Every paper id in `cmp_score_desc` order, built on the first rank
     /// lookup past the head (a reader whose lookups all land in the head
@@ -325,15 +330,17 @@ impl EpochSnapshot {
     /// `start + l` — the one rank primitive: summed over a ranking's
     /// partitions it is a global rank, as a page is a merge of theirs.
     ///
-    /// When `(score, id)` sorts no later than the head's last paper, every
-    /// paper ahead of it is in the head, and the answer is a search of the
-    /// head alone; otherwise it is a search of the whole order.
+    /// When `(score, id)` sorts no later than the last paper of the whole
+    /// vector's head (the head at cut 0, built on the first lookup if no
+    /// page has built it), every paper ahead of it is in the head, and the
+    /// answer is a search of the head alone; otherwise it is a search of
+    /// the whole order.
     pub(crate) fn ahead_of(&self, score: f64, id: PaperId, start: PaperId) -> usize {
         let scores = self.scores.as_slice();
         let ahead = |&l: &u32| {
             cmp_score_desc(scores[l as usize], start + l, score, id) == std::cmp::Ordering::Less
         };
-        let head = self.blocks.ids.head();
+        let head = self.blocks.ids.head(scores, 0);
         if head.last().is_some_and(|last| !ahead(last)) {
             return head.partition_point(ahead);
         }
@@ -493,6 +500,10 @@ pub struct RankingEngine {
     /// WAL batches recovered at [`Self::open_from_store`] but not yet
     /// replayed by the warmup thread — the cold-start staleness gauge.
     replay_backlog: AtomicUsize,
+    /// What the cold start's warmup made of the persisted push state;
+    /// unset for an engine not opened from a store, or until the warmup
+    /// has restored it.
+    push_state: OnceLock<PushStateRestore>,
 }
 
 impl RankingEngine {
@@ -532,6 +543,7 @@ impl RankingEngine {
             published: RwLock::new(snapshot),
             instruments: OnceLock::new(),
             replay_backlog: AtomicUsize::new(0),
+            push_state: OnceLock::new(),
         })
     }
 
@@ -733,6 +745,13 @@ impl RankingEngine {
         self.replay_backlog.load(Ordering::Relaxed)
     }
 
+    /// What the cold start's warmup made of the persisted push state —
+    /// `None` for an engine not opened from a store, or while its warmup
+    /// has not got that far.
+    pub(crate) fn push_state_restore(&self) -> Option<PushStateRestore> {
+        self.push_state.get().copied()
+    }
+
     /// Attaches a durability WAL at `path` (creating it if absent, and
     /// recovering/truncating a torn tail). From here on every accepted
     /// [`Self::ingest`] is fsynced to the log before it is staged.
@@ -905,6 +924,7 @@ impl RankingEngine {
             published: RwLock::new(snapshot),
             instruments: OnceLock::new(),
             replay_backlog: AtomicUsize::new(0),
+            push_state: OnceLock::new(),
         });
 
         let mut replay: Vec<GraphDelta> = Vec::new();
@@ -927,6 +947,7 @@ impl RankingEngine {
         let worker = engine.clone();
         let warmup = thread::spawn(move || {
             let push_state = worker.restore_push_state(&store, epoch);
+            let _ = worker.push_state.set(push_state);
             drop(store);
             let mut replayed = 0usize;
             let mut rejected = 0usize;
@@ -1244,7 +1265,11 @@ mod tests {
             let full = sparsela::sort_indices_desc(&scores);
             let vector = ScoreVec::from_vec(scores);
             let snap = RankingEngine::freeze(0, &net, vector, RerankStrategy::Initial);
-            assert_eq!(snap.blocks.ids.head(), &full[..HEAD_LEN]);
+            assert_eq!(snap.blocks.ids.heads_built(), 0, "a freeze builds no head");
+            assert_eq!(
+                snap.blocks.ids.head(snap.scores.as_slice(), 0),
+                &full[..HEAD_LEN]
+            );
             for (pos, &p) in full[..HEAD_LEN].iter().enumerate() {
                 assert_eq!(snap.rank_of(p), Some(pos + 1), "head paper {p}");
                 let score = snap.score(p).unwrap();
@@ -1258,6 +1283,59 @@ mod tests {
                 assert_eq!(snap.rank_of(p), Some(pos + 1), "paper {p} past the head");
             }
         }
+    }
+
+    #[test]
+    fn racing_readers_build_a_year_head_once() {
+        let net = citegen::generate(&citegen::DatasetProfile::dblp().scaled(3_000), 11);
+        let year = net.current_year().unwrap();
+        let n = net.n_papers();
+        let qe = crate::QueryEngine::from_configs(net, &["cc"], RerankPolicy::EveryBatch).unwrap();
+        let mut delta = GraphDelta::new();
+        for j in 0..20 {
+            let id = (n + delta.add_paper(year)) as PaperId;
+            delta.add_citation(id, (j * 131 % n) as PaperId);
+        }
+        qe.ingest(&delta).unwrap();
+        let snap = qe.snapshot(Some("cc")).unwrap();
+        assert_eq!(snap.epoch(), 1);
+        assert_eq!(snap.blocks.ids.heads_built(), 0, "a publish builds no head");
+        let q: crate::Query = format!("k=25,year={}..", year - 1).parse().unwrap();
+        let start = std::sync::Barrier::new(8);
+        let pages: Vec<crate::Page> = thread::scope(|s| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        qe.query_at(&snap, &q).unwrap()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(snap.blocks.ids.heads_built(), 1, "the head is built once");
+        let bits = |p: &crate::Page| -> Vec<(PaperId, u64)> {
+            p.items.iter().map(|h| (h.id, h.score.to_bits())).collect()
+        };
+        for page in &pages[1..] {
+            assert_eq!(bits(page), bits(&pages[0]));
+            assert_eq!(
+                (page.matched, &page.next),
+                (pages[0].matched, &pages[0].next)
+            );
+        }
+        let scores = snap.scores.as_slice();
+        let from = snap
+            .network()
+            .id_range_for_years(Some(year - 1), None)
+            .start;
+        let want: Vec<PaperId> = sparsela::sort_indices_desc(scores)
+            .into_iter()
+            .filter(|&id| id >= from)
+            .collect();
+        let got: Vec<PaperId> = pages[0].items.iter().map(|h| h.id).collect();
+        assert_eq!(got, want[..25]);
+        assert_eq!(pages[0].matched, want.len());
     }
 
     #[test]

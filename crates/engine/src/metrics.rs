@@ -85,6 +85,12 @@ const SUCCESSOR_LABELS: [&str; 2] = ["built", "shared"];
 /// summaries save; a `scanned` share near 1 is a walk that prunes nothing.
 const SELECT_BLOCK_LABELS: [&str; 2] = ["scanned", "skipped"];
 
+/// Label values of the push-state restore `outcome` axis, in
+/// [`PushStateRestore`](crate::PushStateRestore) order: a cold start
+/// restored the persisted push state, found none, or found one failing its
+/// checksum.
+const PUSH_STATE_LABELS: [&str; 3] = ["restored", "absent", "corrupt"];
+
 /// Refreshes a counter family from cumulative totals, in label order.
 fn record_totals<const N: usize>(family: &CounterVec, totals: [u64; N]) {
     for (i, total) in totals.into_iter().enumerate() {
@@ -149,8 +155,9 @@ pub(crate) struct EngineInstruments {
 /// layout's axis), `_select_blocks_total` (blocks a selection read or
 /// skipped, summed over the partitions it read), planner decisions (one
 /// per partition plan) and cursor errors. At render: the personalization
-/// cache, admission, the plan cache and each partition engine's
-/// epoch/staged/replay gauges. Per partition engine, recorded by the
+/// cache, admission, the plan cache, each partition engine's
+/// epoch/staged/replay gauges and its cold start's push-state restore.
+/// Per partition engine, recorded by the
 /// engine itself ([`Self::instruments`]): the write-path families.
 #[derive(Debug)]
 pub(crate) struct ServingMetrics {
@@ -179,6 +186,7 @@ pub(crate) struct ServingMetrics {
     push_edge_work: GaugeVec,
     push_edge_budget: GaugeVec,
     push_fallbacks: CounterVec,
+    push_state_restores: CounterVec,
     wal_append_seconds: Arc<Histogram>,
     wal_fsync_seconds: Arc<Histogram>,
     /// Teleport-absorbed boundary edges per shard
@@ -313,6 +321,12 @@ impl ServingMetrics {
                 child,
                 children,
             ),
+            push_state_restores: r.counter_vec(
+                &name("push_state_restore_total"),
+                "Cold starts by what their warmup made of the persisted push state",
+                "outcome",
+                &PUSH_STATE_LABELS,
+            ),
             wal_append_seconds: r.histogram(
                 &name("wal_append_seconds"),
                 "WAL append latency (serialize + write + fsync)",
@@ -404,7 +418,8 @@ impl ServingMetrics {
 
     /// Refreshes every sampled family — the personalization cache,
     /// admission, the plan cache, each partition engine's
-    /// epoch/staged/replay gauges (`engines` in child order) and, on the
+    /// epoch/staged/replay gauges (`engines` in child order), the
+    /// push-state restores their cold starts counted and, on the
     /// sharded layout, the per-shard `boundary_edges` — and renders the
     /// whole registry.
     pub(crate) fn render<'a>(
@@ -431,7 +446,11 @@ impl ServingMetrics {
             [p.hits, p.misses, p.stale, p.evictions],
         );
         self.plan_cache_entries.set(p.entries as i64);
+        let mut restores = [0u64; PUSH_STATE_LABELS.len()];
         for (idx, engine) in engines.enumerate() {
+            if let Some(outcome) = engine.push_state_restore() {
+                restores[outcome as usize] += 1;
+            }
             let (staged_edges, staged_batches) = engine.pending();
             let epoch = engine.snapshot().epoch();
             self.epoch.at(idx).set(epoch.min(i64::MAX as u64) as i64);
@@ -441,6 +460,7 @@ impl ServingMetrics {
                 .at(idx)
                 .set(engine.replay_backlog() as i64);
         }
+        record_totals(&self.push_state_restores, restores);
         if let Some(gauges) = &self.boundary_edges {
             for (s, &n) in boundary_edges.iter().enumerate() {
                 gauges.at(s).set(n as i64);

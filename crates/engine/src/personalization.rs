@@ -132,9 +132,10 @@ impl CacheKey {
 }
 
 /// A cached personalized vector with the block summaries (over ids, with
-/// the vector's head, and over the epoch's venue postings) built when it
-/// was solved: what [`PersonalizationCache::ranking`] hands the query
-/// layer, so a shallow seeded page is a slice of its head like an
+/// room for a head per year cut, and over the epoch's venue postings)
+/// built when it was solved, kept beside the scores they describe: what
+/// [`PersonalizationCache::ranking`] hands the query layer, so a shallow
+/// seeded page — a `year=Y..` one included — is a slice of a head like an
 /// unseeded one, and every other seeded page — a venue page included —
 /// prunes like an unseeded one.
 #[derive(Debug, Clone)]
@@ -621,9 +622,12 @@ mod tests {
         // Byte bound: one 12-paper entry is 192 bytes of vectors (resolved
         // plus warm-start form), one 8 KiB step of block maxima over ids,
         // three words of list offsets (two for the id space, one for the
-        // venue summary of a corpus without venues) and a head of all 12
-        // ids; a bound one byte short of two entries holds exactly one.
-        let entry = 192 + 8192 + 3 * 8 + 12 * 4;
+        // venue summary of a corpus without venues), and for each of the
+        // 12 years a cut, its head's cell and the head — the whole suffix,
+        // built or not; a bound one byte short of two entries holds
+        // exactly one.
+        let cell = std::mem::size_of::<(u32, std::sync::OnceLock<Vec<u32>>)>();
+        let entry = 192 + 8192 + 3 * 8 + 12 * cell + (1..=12).sum::<usize>() * 4;
         let tight = PersonalizationCache::new(CacheConfig {
             capacity: 10,
             max_bytes: 2 * entry - 1,

@@ -75,8 +75,9 @@
 //! and of the mask go to [`sparsela::top_k_filtered_into`]. Without a
 //! residual the walk reads only the blocks that can reach the page,
 //! counting what lies behind the cursor by blocks; an id-range page the
-//! vector's head holds (its first [`sparsela::HEAD_LEN`] ids in order,
-//! frozen with the id maxima) reads no block at all: it is a slice of the
+//! head of its year cut holds (the first [`sparsela::HEAD_LEN`] ids, in
+//! order, of the papers from the range's first year on, built by the
+//! first page that reads it) reads no block at all: it is a slice of the
 //! head, and its count is the range less the head ids behind the cursor.
 //! Such plans are priced by blocks, not by ids. A residual needs every id
 //! (or posting) tested for the match count, so a range under a venue or
@@ -1758,8 +1759,8 @@ fn build_facet_mask(
 /// cursor — and a union of venue bands go through [`top_k_pruned_into`]
 /// over the vector's block maxima (over ids, over venue postings). With no
 /// facet residual the frontier is the only per-id test, the walk counts it
-/// by blocks, and a range page the id summary's head holds is a slice of
-/// the head (rule 0 of the walk), unseeded or seeded, flat or one
+/// by blocks, and a range page the head of its year cut holds is a slice
+/// of that head (rule 0 of the walk), unseeded or seeded, flat or one
 /// shard's. Facet residuals — venue and author on a range, author on a
 /// venue band — are tested per id inside the walk, for the count. Author
 /// bands and the mask gather their candidates for [`top_k_filtered_into`].

@@ -91,6 +91,7 @@ fn steady_state_queries_allocate_nothing() {
     let shapes: Vec<Query> = [
         "k=10",                       // unfiltered: a slice of the head
         "k=25",                       // a deeper slice of the head
+        "k=5,year=2019..",            // the current year: its cut's head
         "k=10,year=2005..2015",       // id-range scan
         "k=10,venue=0",               // venue banded postings
         "k=10,venue=1|3,year=2000..", // OR-venue bands under a year bound
@@ -102,7 +103,7 @@ fn steady_state_queries_allocate_nothing() {
     .map(|s| s.parse().unwrap())
     .collect();
 
-    let or_venues = qe.explain(&shapes[4]).unwrap().driver;
+    let or_venues = qe.explain(&shapes[5]).unwrap().driver;
     assert!(
         matches!(or_venues, QueryDriver::VenueBands { ref venues, .. } if venues.len() == 2),
         "{or_venues:?}"
@@ -115,8 +116,8 @@ fn steady_state_queries_allocate_nothing() {
     // Paginated steady state: resuming through a cursor is also free
     // once warm (the token decodes into stack values, the next token
     // re-encodes into the reused buffer) — a walked venue page 2, and
-    // unfiltered pages 2 that are slices of the head.
-    for first in ["k=10,venue=0", "k=10", "k=25"] {
+    // unfiltered and current-year pages 2 that are slices of a head.
+    for first in ["k=10,venue=0", "k=10", "k=25", "k=5,year=2019.."] {
         let first: Query = first.parse().unwrap();
         let resumed = second_page(&qe, &first, &mut scratch, &mut out);
         assert_steady_state_free(&qe, &resumed, &mut scratch, &mut out);

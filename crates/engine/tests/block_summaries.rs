@@ -7,9 +7,9 @@
 //! store, a cache entry warm-re-pushed across a publish, and a sharded
 //! tail partition re-frozen by a tail publish. In each, the block-pruned
 //! pages (unfiltered, year windows, one venue and an OR of two, each
-//! resumed behind cursors) and the shallow pages the id summary's head
-//! serves (pages 1 and 2, unfiltered and of a year window) must equal a
-//! fresh full sort.
+//! resumed behind cursors) and the shallow pages the id summary's heads
+//! serve (pages 1 and 2, unfiltered, of a year window and of every
+//! `year=Y..` suffix) must equal a fresh full sort.
 
 use std::path::PathBuf;
 
@@ -51,8 +51,8 @@ fn walk(qe: &QueryEngine, snap: &EpochSnapshot, filter: &str, k: usize, total: u
     }
 }
 
-/// The pages a head serves — pages 1 and 2 at `k` = 10 and 25, page 1
-/// at `k` = 100 — of `filter` on `snap`, against `want`, its full order.
+/// The pages a head serves — pages 1 and 2 at `k` = 10, 25 and 100 —
+/// of `filter` on `snap`, against `want`, its full order.
 fn assert_head_pages(qe: &QueryEngine, snap: &EpochSnapshot, filter: &str, want: &[PaperId]) {
     let ids = |page: &rankengine::Page| page.items.iter().map(|h| h.id).collect::<Vec<_>>();
     for k in [10, 25, 100] {
@@ -60,7 +60,7 @@ fn assert_head_pages(qe: &QueryEngine, snap: &EpochSnapshot, filter: &str, want:
         let first = qe.query_at(snap, &q).unwrap();
         assert_eq!(ids(&first), want[..k.min(want.len())], "k={k},{filter}");
         assert_eq!(first.matched, want.len(), "k={k},{filter}");
-        if k == 100 || first.next.is_none() {
+        if first.next.is_none() {
             continue;
         }
         q.cursor = first.next;
@@ -140,12 +140,25 @@ fn assert_pages_are_the_full_sort(
             assert_eq!(first, want[..5.min(want.len())], "{case}: {filter}");
         }
     }
+    assert_year_pages(qe, snap, &format!("method={method}"), &full);
     for k in [0, 1, 10, 100, SCALE + 100] {
         assert_eq!(
             snap.top_k(k),
             full[..k.min(full.len())],
             "{case}: top_k({k})"
         );
+    }
+}
+
+/// Every `year=Y..` page a year cut's head serves — pages 1 and 2 at `k`
+/// = 10, 25 and 100 — for every year of `snap`'s network, of `filter`
+/// (a method, seeds) on `snap`, against `ranking`, its full order.
+fn assert_year_pages(qe: &QueryEngine, snap: &EpochSnapshot, filter: &str, ranking: &[PaperId]) {
+    let net = snap.network();
+    for start in net.year_starts() {
+        let year = net.year(start);
+        let want: Vec<PaperId> = ranking.iter().copied().filter(|&id| id >= start).collect();
+        assert_head_pages(qe, snap, &format!("{filter},year={year}.."), &want);
     }
 }
 
@@ -231,6 +244,7 @@ fn a_summary_is_never_stale() {
         .map(|h| h.id)
         .collect();
     assert_head_pages(&qe, &snap, &format!("{seeded},year={late}.."), &recent);
+    assert_year_pages(&qe, &snap, seeded, &warm_ids);
     // Seeded venue pages off the same re-pushed entry walk its venue
     // summary: the ranking above, cut to the venues and a year window.
     let (a, b) = busiest_venues(net);
@@ -276,7 +290,10 @@ fn a_summary_is_never_stale() {
     for k in [1, 10, 100, full.len() + 1] {
         assert_eq!(tail.top_k(k), full[..k.min(full.len())], "tail top_k({k})");
     }
-    for (filter, lo) in [("", None), (&*format!("year={late}.."), Some(late))] {
+    let years: Vec<_> = net.year_starts().iter().map(|&id| net.year(id)).collect();
+    let windows = std::iter::once(None).chain(years.into_iter().chain([year + 1]).map(Some));
+    for lo in windows {
+        let filter = lo.map_or(String::new(), |y| format!("year={y}.."));
         let mut pool: Vec<(f64, PaperId)> = Vec::new();
         for s in 0..snaps.n_shards() {
             let (snap, start) = (snaps.snapshot(s), snaps.start(s));
@@ -289,16 +306,26 @@ fn a_summary_is_never_stale() {
         }
         pool.sort_by(|&(xs, xi), &(ys, yi)| cmp_score_desc(xs, xi, ys, yi));
         let want: Vec<PaperId> = pool.into_iter().map(|(_, id)| id).collect();
-        let q: Query = format!("k=10,{filter}")
-            .trim_end_matches(',')
-            .parse()
-            .unwrap();
-        let first = eng.query_at(&snaps, &q, None).unwrap();
-        let second = eng.query_at(&snaps, &q, first.next.as_ref()).unwrap();
-        for (page, at) in [(first, 0), (second, 10)] {
-            let got: Vec<PaperId> = page.items.iter().map(|h| h.id).collect();
-            assert_eq!(got, want[at..at + 10], "sharded k=10,{filter} from {at}");
-            assert_eq!(page.matched, want.len() - at, "sharded k=10,{filter}");
+        for k in [10, 25, 100] {
+            let q: Query = format!("k={k},{filter}")
+                .trim_end_matches(',')
+                .parse()
+                .unwrap();
+            let first = eng.query_at(&snaps, &q, None).unwrap();
+            let second = first
+                .next
+                .as_ref()
+                .map(|cursor| eng.query_at(&snaps, &q, Some(cursor)).unwrap());
+            for (page, at) in std::iter::once((first, 0)).chain(second.map(|p| (p, k))) {
+                let got: Vec<PaperId> = page.items.iter().map(|h| h.id).collect();
+                let rest = &want[at.min(want.len())..];
+                assert_eq!(
+                    got,
+                    rest[..k.min(rest.len())],
+                    "sharded k={k},{filter} from {at}"
+                );
+                assert_eq!(page.matched, rest.len(), "sharded k={k},{filter}");
+            }
         }
     }
 }
@@ -317,6 +344,34 @@ fn a_head_served_page_skips_every_block() {
     let n_blocks = SCALE.div_ceil(sparsela::BLOCK_LEN) as u64;
     let mut q: Query = "k=10".parse().unwrap();
     // Page 1, then page 2 behind its cursor: both slices of the head.
+    for page in 1..=2 {
+        let (scanned, skipped) = (blocks("scanned"), blocks("skipped"));
+        let served = qe.query(&q).unwrap();
+        assert_eq!(served.items.len(), 10);
+        assert_eq!(blocks("scanned"), scanned, "page {page} read a block");
+        assert_eq!(blocks("skipped"), skipped + n_blocks, "page {page}");
+        q.cursor = served.next;
+    }
+}
+
+#[test]
+fn a_year_page_skips_every_block() {
+    let net = generate(&DatasetProfile::dblp().scaled(SCALE), 11);
+    let year = net.current_year().unwrap();
+    let range = net.id_range_for_years(Some(year), None);
+    let mut qe = QueryEngine::from_configs(net, &["attrank"], RerankPolicy::Manual).unwrap();
+    let registry = qe.enable_metrics();
+    let blocks = |outcome: &str| -> u64 {
+        let series = format!("attrank_select_blocks_total{{outcome=\"{outcome}\"}} ");
+        let text = registry.render();
+        let line = text.lines().find_map(|l| l.strip_prefix(series.as_str()));
+        line.map_or(0, |v| v.parse().unwrap())
+    };
+    let block = sparsela::BLOCK_LEN as u32;
+    let n_blocks = (range.end.div_ceil(block) - range.start / block) as u64;
+    let mut q: Query = format!("k=10,year={year}..").parse().unwrap();
+    // Page 1, then page 2 behind its cursor: both slices of the head of
+    // the current year's cut, which the first page builds uncounted.
     for page in 1..=2 {
         let (scanned, skipped) = (blocks("scanned"), blocks("skipped"));
         let served = qe.query(&q).unwrap();

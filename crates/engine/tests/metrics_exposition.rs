@@ -7,7 +7,9 @@ use std::path::PathBuf;
 
 use citegen::{generate, DatasetProfile};
 use citegraph::{GraphDelta, ShardSpec};
-use rankengine::{AdmissionPolicy, Query, QueryEngine, QueryError, RerankPolicy, ShardedEngine};
+use rankengine::{
+    AdmissionPolicy, PushStateRestore, Query, QueryEngine, QueryError, RerankPolicy, ShardedEngine,
+};
 
 fn temp_wal(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("rankengine_metrics_tests");
@@ -18,7 +20,7 @@ fn temp_wal(name: &str) -> PathBuf {
 }
 
 /// Every family the two stacks register, flat then sharded.
-const FAMILIES: [&str; 49] = [
+const FAMILIES: [&str; 51] = [
     "attrank_query_seconds",
     "attrank_planner_decisions_total",
     "attrank_cursor_errors_total",
@@ -40,6 +42,7 @@ const FAMILIES: [&str; 49] = [
     "attrank_push_edge_work",
     "attrank_push_edge_budget",
     "attrank_push_fallbacks_total",
+    "attrank_push_state_restore_total",
     "attrank_wal_append_seconds",
     "attrank_wal_fsync_seconds",
     "attrank_sharded_query_seconds",
@@ -65,6 +68,7 @@ const FAMILIES: [&str; 49] = [
     "attrank_sharded_push_edge_work",
     "attrank_sharded_push_edge_budget",
     "attrank_sharded_push_fallbacks_total",
+    "attrank_sharded_push_state_restore_total",
     "attrank_sharded_wal_append_seconds",
     "attrank_sharded_wal_fsync_seconds",
     "attrank_shard_boundary_edges",
@@ -265,4 +269,64 @@ fn the_sharded_write_path_renders_per_shard() {
         })
         .sum();
     assert_eq!(decisions, sh.n_shards() as f64);
+}
+
+/// Byte offset of the first payload byte of the store section tagged
+/// `tag` (the store's framing: a 16-byte header, then sections of a
+/// 32-byte header and a payload padded to 8 bytes).
+fn payload_offset(bytes: &[u8], tag: u32) -> Option<usize> {
+    let mut offset = 16;
+    while offset + 32 <= bytes.len() {
+        let t = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap());
+        let len = u64::from_le_bytes(bytes[offset + 8..offset + 16].try_into().unwrap()) as usize;
+        if t == tag {
+            return Some(offset + 32);
+        }
+        offset += 32 + len;
+        offset += (8 - offset % 8) % 8;
+    }
+    None
+}
+
+#[test]
+fn a_corrupt_push_state_is_counted_on_restore() {
+    // A 3-shard AttRank engine whose tail has pushed: the tail's store
+    // holds a push state, the other shards' hold none. One byte of the
+    // tail's `PUSH_STATE` section (tag 15) flipped, the cold start counts
+    // it `corrupt`, and the other shards `absent`.
+    let net = generate(&DatasetProfile::dblp().scaled(1_500), 11);
+    let plan = ShardSpec::Fixed(3).plan(&net).unwrap();
+    let live = ShardedEngine::from_plan(&net, &plan, "attrank", RerankPolicy::EveryBatch).unwrap();
+    let n0 = net.n_papers() as u32;
+    for round in 0..2 {
+        let mut delta = GraphDelta::new();
+        delta.add_paper(2021);
+        delta.add_citation(n0 + round, n0 - 1);
+        live.ingest(&delta).unwrap();
+    }
+    let dir =
+        std::env::temp_dir().join(format!("rankengine_metrics_restore-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let stem = dir.join("e");
+    live.persist_epochs(&stem).unwrap();
+    let tail = ShardedEngine::shard_store_path(&stem, 2);
+    let mut bytes = std::fs::read(&tail).unwrap();
+    let at = payload_offset(&bytes, 15).expect("the tail persisted its push state") + 8;
+    bytes[at] ^= 0x01;
+    std::fs::write(&tail, &bytes).unwrap();
+
+    let (mut sh, reports) = ShardedEngine::open_from_store(&stem, false, RerankPolicy::EveryBatch)
+        .unwrap()
+        .wait();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(reports[2].push_state, PushStateRestore::Corrupt);
+    sh.enable_metrics();
+    let text = sh.render_metrics().unwrap();
+    obsv::validate::validate(&text)
+        .unwrap_or_else(|e| panic!("exposition failed self-validation: {e}\n{text}"));
+    for (outcome, count) in [("restored", 0), ("absent", 2), ("corrupt", 1)] {
+        let series =
+            format!("attrank_sharded_push_state_restore_total{{outcome=\"{outcome}\"}} {count}");
+        assert!(text.lines().any(|l| l == series), "{series} not in\n{text}");
+    }
 }

@@ -21,10 +21,13 @@
 //! over an id range or a union of posting bands and offers only the
 //! blocks that can still reach the page — about `k` blocks whatever the
 //! order of the scores, with an exact count of what lies behind a
-//! pagination [`Frontier`] — and serves a shallow id-range page from the
-//! summary's ordered head without reading a block. [`top_k_filtered`]
+//! pagination [`Frontier`] — and serves a shallow id-range page from one
+//! of the summary's ordered heads (one per year cut, each built on first
+//! use) without reading a block. [`top_k_filtered`]
 //! copies a short explicit candidate list and partitions it instead.
 //! [`merge_k_sorted`] merges per-partition pages.
+
+use std::sync::OnceLock;
 
 use crate::mask::IdMask;
 
@@ -387,19 +390,20 @@ pub const BLOCK_LEN: usize = 64;
 /// scores.
 pub const POSTING_BLOCK_LEN: usize = 32;
 
-/// Ids in the ordered head [`BlockMaxima::new`] freezes with every
-/// id-space summary: the vector's first ids in [`cmp_score_desc`] order,
-/// from which rule 0 of [`top_k_pruned_into`] serves an id-range page
-/// without reading a block. Sized on the serving corpus's three published
+/// Ids in each ordered head of an id-space [`BlockMaxima`]: the first ids,
+/// in [`cmp_score_desc`] order, of the suffix from one year cut on, from
+/// which rule 0 of [`top_k_pruned_into`] serves an id-range page without
+/// reading a block. Each head is built on first use, by one walk of its
+/// suffix at `k` = 128. Sized on the serving corpus's three published
 /// vectors (200k scores; attrank / cc / pagerank; medians on a 2-vCPU
-/// VM): the head adds 48–96 µs to the maxima's 139–159 µs at 128 ids,
-/// 87–144 µs at 256 and 198–268 µs at 512, and a 25k tail partition's
-/// whole summary costs 49–58, 87–100 and 157–208 µs. Every page the
-/// workloads ask for fits in 128 — page 1 to `k = 100`, page 2 to depth
-/// 50 — and so do 5 of `read_mixed`'s 8 `year=Y..` windows; 256 adds none
-/// of them (the windows 1, 5 and 9 years back hold 0–39 head ids at
-/// either length). A head slice costs 90–150 ns at `k = 10`–25, page 2
-/// 140–280 ns, against 14–43 µs for the walk.
+/// VM): the whole-vector head costs 48–96 µs at 128 ids, 87–144 µs at 256
+/// and 198–268 µs at 512, and a 25k tail partition's 47 µs at 128. Every
+/// page the workloads ask for fits in 128 — page 1 to `k = 100`, page 2
+/// to depth 50 — and, since each `year=Y..` suffix has a head of its own,
+/// so do all of `read_mixed`'s `year=Y..` pages (the whole vector's head
+/// held 0 of 128 ids from the last seven years). A head slice costs
+/// 90–150 ns at `k = 10`–25, page 2 140–280 ns, against 3.5–43 µs for
+/// the walk.
 pub const HEAD_LEN: usize = 128;
 
 /// Block maxima a summary's storage grows by. A served vector grows with
@@ -438,12 +442,18 @@ fn max_number(xs: impl Iterator<Item = f64>) -> f64 {
 /// [`top_k_pruned_into`] skip every block whose best score cannot reach
 /// the page. `n / block length × 8` bytes, rounded up to 8 KiB.
 ///
-/// An id-space summary also freezes the vector's **head**: its first
-/// [`HEAD_LEN`] ids in [`cmp_score_desc`] order, found by one walk over the
-/// maxima just built. Rule 0 of [`top_k_pruned_into`] serves a shallow
-/// page of an id range — everything, a year window, either behind a
-/// cursor — as a slice of it. Built in the same call as the maxima, a
-/// head can only describe the vector they do.
+/// An id-space summary also keeps one **head** per **cut**: the first
+/// [`HEAD_LEN`] ids, in [`cmp_score_desc`] order, of the suffix
+/// `cut..n`. Cut 0 is always kept, and [`Self::with_cuts`] adds more (an
+/// epoch's are the first id of each year of the network it ranks). Rule 0
+/// of [`top_k_pruned_into`] serves a shallow page of an id range —
+/// everything, a year window, either behind a cursor — as a slice of the
+/// head of the largest cut at or below the range's start. No head is
+/// built with the maxima: each is one walk of its suffix over them, run
+/// on the first page that reads it (a `OnceLock` per cut, so racing
+/// readers build it once). A head keeps what that walk was given, so a
+/// summary must only ever be handed the scores it was built from — as
+/// every walk's exactness already requires.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockMaxima {
     block_len: usize,
@@ -452,27 +462,36 @@ pub struct BlockMaxima {
     /// First block of each list, then one past the last block.
     lists: Vec<usize>,
     maxima: Vec<f64>,
-    /// The vector's first ids in `cmp_score_desc` order; empty over
-    /// postings.
-    head: Vec<u32>,
+    /// Ids in each head; 0 over postings or without heads.
+    head_len: usize,
+    /// Each cut, ascending from 0, with its head, built on first use;
+    /// empty without heads.
+    heads: Box<[(u32, OnceLock<Vec<u32>>)]>,
 }
 
 impl BlockMaxima {
     /// The summary of `scores` over the id space at the serving block
-    /// length ([`BLOCK_LEN`]), with a head of [`HEAD_LEN`] ids.
+    /// length ([`BLOCK_LEN`]), with a head of [`HEAD_LEN`] ids at cut 0.
     pub fn new(scores: &[f64]) -> Self {
-        Self::with_block_len(scores, BLOCK_LEN, HEAD_LEN)
+        Self::with_cuts(scores, &[])
+    }
+
+    /// [`Self::new`] with a head also at each of `cuts` (ids, in any
+    /// order; those past the vector are dropped).
+    pub fn with_cuts(scores: &[f64], cuts: &[u32]) -> Self {
+        Self::with_block_len(scores, BLOCK_LEN, HEAD_LEN, cuts)
     }
 
     /// The summary of `scores` over the id space with `block_len` ids per
-    /// block and a head of `head_len` ids (0: none, so every page is
-    /// walked) — for tests, which reach every block-boundary case at small
-    /// sizes with a tiny block, for timing the walk a head spares, and for
-    /// re-sizing [`BLOCK_LEN`] and [`HEAD_LEN`].
+    /// block and heads of `head_len` ids at 0 and at each of `cuts` (0:
+    /// none, so every page is walked) — for tests, which reach every
+    /// block-boundary case at small sizes with a tiny block, for timing
+    /// the walk a head spares, and for re-sizing [`BLOCK_LEN`] and
+    /// [`HEAD_LEN`].
     ///
     /// # Panics
     /// When `block_len` is 0.
-    pub fn with_block_len(scores: &[f64], block_len: usize, head_len: usize) -> Self {
+    pub fn with_block_len(scores: &[f64], block_len: usize, head_len: usize, cuts: &[u32]) -> Self {
         assert!(block_len > 0, "a block holds at least one id");
         let n_blocks = scores.len().div_ceil(block_len);
         let mut maxima = Vec::with_capacity(n_blocks.next_multiple_of(STORAGE_STEP));
@@ -481,22 +500,21 @@ impl BlockMaxima {
                 .chunks(block_len)
                 .map(|block| max_number(block.iter().copied())),
         );
-        let mut summary = Self {
+        let mut kept = Vec::new();
+        if head_len > 0 {
+            kept.push(0);
+            kept.extend(cuts.iter().filter(|&&c| (c as usize) < scores.len()));
+            kept.sort_unstable();
+            kept.dedup();
+        }
+        Self {
             block_len,
             len: scores.len(),
             lists: vec![0, n_blocks],
             maxima,
-            head: Vec::new(),
-        };
-        if head_len > 0 {
-            // Head-less until this walk returns, so the walk is rule 0-free.
-            let mut head = Vec::new();
-            let all = [Segment::range(0..scores.len() as u32)];
-            top_k_pruned_into(scores, &summary, all, head_len, None, None, &mut head);
-            head.shrink_to_fit();
-            summary.head = head;
+            head_len,
+            heads: kept.into_iter().map(|cut| (cut, OnceLock::new())).collect(),
         }
-        summary
     }
 
     /// The summary of `scores` over posting lists at the serving posting
@@ -541,22 +559,76 @@ impl BlockMaxima {
             len: scores.len(),
             lists: starts,
             maxima,
-            head: Vec::new(),
+            head_len: 0,
+            heads: Box::default(),
         }
     }
 
-    /// Heap bytes held, the head's included.
+    /// Heap bytes held, every head counted at its full length whether it
+    /// is built yet or not (so the figure never changes after the build).
     pub fn bytes(&self) -> usize {
+        let cell = std::mem::size_of::<(u32, OnceLock<Vec<u32>>)>();
+        let head = |&(cut, _): &(u32, _)| cell + self.head_len.min(self.len - cut as usize) * 4;
         self.maxima.capacity() * std::mem::size_of::<f64>()
             + self.lists.capacity() * std::mem::size_of::<usize>()
-            + self.head.capacity() * std::mem::size_of::<u32>()
+            + self.heads.iter().map(head).sum::<usize>()
     }
 
-    /// The vector's first ids in [`cmp_score_desc`] order — all of them
-    /// when it has at most the head's length — or none for a summary
-    /// over postings or without a head.
-    pub fn head(&self) -> &[u32] {
-        &self.head
+    /// The head of the largest cut at or below id `start` — the first
+    /// ids, in [`cmp_score_desc`] order, of the suffix from that cut on;
+    /// all of them when it has at most the head's length — built now if
+    /// no page has read it yet. Empty for a summary over postings or
+    /// without heads.
+    ///
+    /// # Panics
+    /// When `scores` is not as long as the vector summarized; they must
+    /// be the scores it was built from.
+    pub fn head(&self, scores: &[f64], start: u32) -> &[u32] {
+        self.check_len(scores);
+        self.head_from(scores, start as usize)
+            .map_or(&[], |(_, head)| head)
+    }
+
+    /// How many heads have been built so far.
+    pub fn heads_built(&self) -> usize {
+        self.heads.iter().filter(|(_, h)| h.get().is_some()).count()
+    }
+
+    fn check_len(&self, scores: &[f64]) {
+        assert_eq!(
+            self.len,
+            scores.len(),
+            "summary covers {} scores but there are {}",
+            self.len,
+            scores.len()
+        );
+    }
+
+    /// The cut a range starting at position `start` is served from, and
+    /// its head, built by one walk of the suffix on first use; `None`
+    /// without heads.
+    fn head_from(&self, scores: &[f64], start: usize) -> Option<(usize, &[u32])> {
+        let at = self
+            .heads
+            .partition_point(|&(cut, _)| cut as usize <= start)
+            .checked_sub(1)?;
+        let (cut, head) = &self.heads[at];
+        let cut = *cut;
+        let head = head.get_or_init(|| {
+            debug_assert!(
+                scores
+                    .chunks(self.block_len)
+                    .map(|block| max_number(block.iter().copied()))
+                    .eq(self.maxima.iter().copied()),
+                "a head is built from the scores its summary was built from"
+            );
+            let mut head = Vec::new();
+            let suffix = [Segment::range(cut..self.len as u32)];
+            walk_blocks(scores, self, suffix, self.head_len, None, None, &mut head);
+            head.shrink_to_fit();
+            head
+        });
+        Some((cut as usize, head))
     }
 
     /// `segment` clamped to its list, with its list's first block.
@@ -588,29 +660,32 @@ impl BlockMaxima {
     }
 
     /// Rule 0 of [`top_k_pruned_into`] on one resolved id range: the first
-    /// `k` head ids in range and after `frontier`, or `None` when the head
-    /// cannot decide the page. It decides when it is the whole vector, or
-    /// when it holds `k` such ids and every id past it sorts after the
-    /// frontier — there is none, or the head's last score clears it (later
-    /// scores are no higher, or NaN). Then the ids behind the frontier are
-    /// all in the head, and `matched` is the range less those.
+    /// `k` ids in range and after `frontier` of `head`, the head of the
+    /// suffix from `cut` (at or below the range's start), or `None` when
+    /// the head cannot decide the page. It decides when it is the whole
+    /// suffix, or when it holds `k` such ids and every suffix id past it
+    /// sorts after the frontier — there is none, or the head's last score
+    /// clears it (later scores are no higher, or NaN). Then the ids behind
+    /// the frontier are all in the head, and `matched` is the range less
+    /// those.
     fn head_slice(
         &self,
         scores: &[f64],
+        (cut, head): (usize, &[u32]),
         seg: Segment<'_>,
         k: usize,
         frontier: Option<&Frontier>,
         out: &mut Vec<u32>,
     ) -> Option<BlockWalk> {
-        let &last = self.head.last()?;
-        let whole = self.head.len() == self.len;
+        let &last = head.last()?;
+        let whole = head.len() == self.len - cut;
         if !whole && frontier.is_some_and(|f| !f.clears(scores[last as usize])) {
             return None;
         }
         let ids = seg.start as u32..seg.end as u32;
         out.clear();
         let mut behind = 0;
-        for &id in self.head.iter().filter(|id| ids.contains(id)) {
+        for &id in head.iter().filter(|id| ids.contains(id)) {
             let score = scores[id as usize];
             if frontier.is_some_and(|f| !f.admits(score, id)) {
                 behind += 1;
@@ -751,14 +826,17 @@ macro_rules! each_block {
 /// residual → frontier → truncate (property-tested), reading only the
 /// blocks that can matter:
 ///
-/// 0. **one id range without a residual is a slice of the head** when the
-///    summary's head decides it: the page is the head's first `k` ids in
-///    range and after the frontier, `matched` is the range less the head
-///    ids in range behind the frontier, and no block is read. The head
-///    decides when it is the whole vector, or when it holds `k` such ids
-///    and the frontier is absent or strictly above its last score
-///    (as a block's maximum clears it), so no id past it is behind the
-///    frontier. Otherwise the walk below runs;
+/// 0. **one id range without a residual is a slice of a head**: of the
+///    summary's head for the largest cut at or below the range's start
+///    (built now if no page has read it yet), when that head decides it.
+///    The page is the head's first `k` ids in range and after the
+///    frontier, `matched` is the range less the head ids in range behind
+///    the frontier, and no block is read. The head decides when it is the
+///    whole suffix from its cut, or when it holds `k` such ids and the
+///    frontier is absent or strictly above its last score (as a block's
+///    maximum clears it), so no id past it is behind the frontier. A
+///    page deeper than a head, and one the head cannot decide, is walked
+///    as below;
 /// 1. a block is **skipped** iff its maximum is strictly below the running
 ///    k-th score (an equal score may still win on id);
 /// 2. the k-th score is **seeded before the walk** with the k-th largest
@@ -788,6 +866,43 @@ pub fn top_k_pruned_into<'a, S>(
     segments: S,
     k: usize,
     frontier: Option<&Frontier>,
+    residual: Option<&mut dyn FnMut(u32) -> bool>,
+    out: &mut Vec<u32>,
+) -> BlockWalk
+where
+    S: IntoIterator<Item = Segment<'a>>,
+    S::IntoIter: Clone,
+{
+    maxima.check_len(scores);
+    let segments = segments.into_iter();
+    // Rule 0. A summary over postings has no head, so a band walk pays
+    // one test for it.
+    if maxima.head_len > 0 && residual.is_none() {
+        let mut each = segments.clone();
+        if let (Some(range @ Segment { postings: None, .. }), None) = (each.next(), each.next()) {
+            let (range, _) = maxima.resolve(range);
+            // A page deeper than a head is walked, and builds no head.
+            if k <= maxima.head_len {
+                let head = maxima.head_from(scores, range.start);
+                if let Some(walk) =
+                    head.and_then(|h| maxima.head_slice(scores, h, range, k, frontier, out))
+                {
+                    return walk;
+                }
+            }
+        }
+    }
+    walk_blocks(scores, maxima, segments, k, frontier, residual, out)
+}
+
+/// Rules 1–4 of [`top_k_pruned_into`]: its walk, which also builds the
+/// heads rule 0 slices.
+fn walk_blocks<'a, S>(
+    scores: &[f64],
+    maxima: &BlockMaxima,
+    segments: S,
+    k: usize,
+    frontier: Option<&Frontier>,
     mut residual: Option<&mut dyn FnMut(u32) -> bool>,
     out: &mut Vec<u32>,
 ) -> BlockWalk
@@ -795,25 +910,7 @@ where
     S: IntoIterator<Item = Segment<'a>>,
     S::IntoIter: Clone,
 {
-    assert_eq!(
-        maxima.len,
-        scores.len(),
-        "summary covers {} scores but there are {}",
-        maxima.len,
-        scores.len()
-    );
     let segments = segments.into_iter();
-    // Rule 0. A summary over postings has no head, so a band walk pays
-    // one test for it.
-    if !maxima.head.is_empty() && residual.is_none() {
-        let mut each = segments.clone();
-        if let (Some(range @ Segment { postings: None, .. }), None) = (each.next(), each.next()) {
-            let (range, _) = maxima.resolve(range);
-            if let Some(walk) = maxima.head_slice(scores, range, k, frontier, out) {
-                return walk;
-            }
-        }
-    }
     let segments = segments.map(|s| maxima.resolve(s));
     let len = maxima.block_len;
     // Rule 2. `out` serves the pre-pass too: only the k-th maximum leaves
@@ -1323,7 +1420,7 @@ mod tests {
             f64::NEG_INFINITY,
             7.0,
         ];
-        let m = BlockMaxima::with_block_len(&s, 2, 0);
+        let m = BlockMaxima::with_block_len(&s, 2, 0, &[]);
         assert_eq!(m.len, 7);
         assert_eq!(m.maxima, vec![1.0, 3.0, f64::NEG_INFINITY, 7.0]);
         assert_eq!(m.bytes(), STORAGE_STEP * 8 + 16, "storage grows in steps");
@@ -1341,7 +1438,7 @@ mod tests {
         // id beats the running k-th). The seeded threshold makes it the
         // walk's best: only the last blocks can hold the page.
         let s: Vec<f64> = (0..6400).map(f64::from).collect();
-        let m = BlockMaxima::with_block_len(&s, BLOCK_LEN, 0);
+        let m = BlockMaxima::with_block_len(&s, BLOCK_LEN, 0, &[]);
         let mut out = Vec::new();
         let walk = top_k_pruned_into(&s, &m, [Segment::range(0..6400)], 10, None, None, &mut out);
         assert_eq!(out, (6390..6400).rev().collect::<Vec<u32>>());
@@ -1371,7 +1468,7 @@ mod tests {
         let s: Vec<f64> = (0..6400).map(|i| f64::from(i / 3)).collect();
         let m = BlockMaxima::new(&s);
         let want = sort_indices_desc(&s);
-        assert_eq!(m.head(), &want[..HEAD_LEN]);
+        assert_eq!(m.head(&s, 0), &want[..HEAD_LEN]);
         let mut out = Vec::new();
         let all = [Segment::range(0..6400)];
         let walk = top_k_pruned_into(&s, &m, all, 10, None, None, &mut out);
@@ -1434,8 +1531,8 @@ mod tests {
         assert_eq!(ulp(2) * 0.75, ulp(3) * 0.75);
         let mut s = vec![ulp(2), ulp(3), ulp(3)];
         s.extend([1.0; 61]);
-        let m = BlockMaxima::with_block_len(&s, 2, 4);
-        assert_eq!(m.head(), [1, 2, 0, 3]);
+        let m = BlockMaxima::with_block_len(&s, 2, 4, &[]);
+        assert_eq!(m.head(&s, 0), [1, 2, 0, 3]);
         let frontier = Frontier {
             score: ulp(2) * 0.75,
             id: 0,
@@ -1447,6 +1544,53 @@ mod tests {
         let walk = top_k_pruned_into(&s, &m, all, 1, Some(&frontier), None, &mut out);
         assert_eq!(out, [1]);
         assert_eq!((walk.matched, walk.blocks_scanned), (63, 0));
+    }
+
+    #[test]
+    fn a_suffix_page_is_a_slice_of_its_cuts_head() {
+        // Scores falling with id: the whole vector's head is the first
+        // ids, and holds nothing of a late range. The cut at 6000 keeps a
+        // head of its own, built by the first page that reads it.
+        let s: Vec<f64> = (0..6400).map(|i| f64::from(6400 - i)).collect();
+        let m = BlockMaxima::with_cuts(&s, &[6000, 7000, 3000]);
+        let cuts: Vec<u32> = m.heads.iter().map(|&(cut, _)| cut).collect();
+        assert_eq!(cuts, [0, 3000, 6000]);
+        assert_eq!(m.heads_built(), 0, "a summary builds no head");
+        let mut out = Vec::new();
+        for (range, cut) in [(6000..6400, 6000), (6100..6200, 6000), (3050..6400, 3000)] {
+            let walk = top_k_pruned_into(
+                &s,
+                &m,
+                [Segment::range(range.clone())],
+                25,
+                None,
+                None,
+                &mut out,
+            );
+            assert_eq!(out, range.clone().take(25).collect::<Vec<u32>>());
+            assert_eq!((walk.matched, walk.blocks_scanned), (range.len(), 0));
+            assert_eq!(
+                m.head(&s, range.start),
+                (cut..cut + HEAD_LEN as u32).collect::<Vec<_>>()
+            );
+        }
+        assert_eq!(m.heads_built(), 2);
+        // Page 2 of the late suffix, behind a cursor: still the head.
+        let frontier = Frontier {
+            score: s[6024],
+            id: 6024,
+            scale: 1.0,
+            base: 0,
+        };
+        let late = [Segment::range(6000..6400)];
+        let walk = top_k_pruned_into(&s, &m, late, 25, Some(&frontier), None, &mut out);
+        assert_eq!(out, (6025..6050).collect::<Vec<u32>>());
+        assert_eq!((walk.matched, walk.blocks_scanned), (375, 0));
+        // Deeper than a head: walked, and the cut-0 head stays unbuilt.
+        let walk = top_k_pruned_into(&s, &m, [Segment::range(0..6400)], 200, None, None, &mut out);
+        assert_eq!(out, (0..200).collect::<Vec<u32>>());
+        assert!(walk.blocks_scanned > 0);
+        assert_eq!(m.heads_built(), 2);
     }
 
     #[test]

@@ -508,7 +508,7 @@ proptest! {
             })
             .collect();
         let n = scores.len();
-        let maxima = BlockMaxima::with_block_len(&scores, block_len, 0);
+        let maxima = BlockMaxima::with_block_len(&scores, block_len, 0, &[]);
         let (lo, hi) = (bounds.0.min(bounds.1), bounds.0.max(bounds.1));
         // A frontier sits on an item of the vector (so, under shapes 0–2,
         // inside a tie run; under shape 1 possibly on a NaN), nudged to a
@@ -583,9 +583,9 @@ proptest! {
         let n = scores.len();
         // Heads of every length up to past the vector; 0 is none.
         let head_len = head_len.min(n + 2);
-        let headed = BlockMaxima::with_block_len(&scores, block_len, head_len);
-        let walked = BlockMaxima::with_block_len(&scores, block_len, 0);
-        prop_assert_eq!(headed.head(), &sort_indices_desc(&scores)[..head_len.min(n)]);
+        let headed = BlockMaxima::with_block_len(&scores, block_len, head_len, &[]);
+        let walked = BlockMaxima::with_block_len(&scores, block_len, 0, &[]);
+        prop_assert_eq!(headed.head(&scores, 0), &sort_indices_desc(&scores)[..head_len.min(n)]);
         let (lo, hi) = (bounds.0.min(bounds.1), bounds.0.max(bounds.1));
         // A frontier on an item (inside a tie run, on a NaN or `-inf`),
         // beside it, between items, or with a NaN score.
@@ -634,6 +634,87 @@ proptest! {
             let parent =
                 top_k_pruned_into(&scores, &walked, range, k, f, Some(&mut pred), &mut reference);
             prop_assert_eq!((&out, walk), (&reference, parent), "residual k={}", k);
+        }
+    }
+
+    #[test]
+    fn top_k_cut_heads_equal_walk_and_sort(
+        raw in proptest::collection::vec(-8i32..8, 0..110),
+        cuts in proptest::collection::vec(0u32..115, 0..7),
+        head_len in 1usize..40,
+        start in 0u8..3,
+        pick in 0usize..8,
+        len in 0u32..120,
+        shape in 0u8..4,
+        block_len in 2usize..9,
+        at in 0usize..110,
+        tweak in 0u8..5,
+        scale in 0usize..3,
+    ) {
+        use sparsela::{cmp_score_desc, top_k_pruned_into, BlockMaxima, Frontier, Segment};
+        let scale = [1.0, 0.25, 0.75][scale];
+        // Ties, NaNs and `-inf`s; scores that fall with id, so every cut's
+        // head differs from the whole vector's; scores that climb.
+        let scores: Vec<f64> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| match shape {
+                0 => (v / 2) as f64,
+                1 if v == -8 => f64::NAN,
+                1 if v == 7 => f64::NEG_INFINITY,
+                1 => (v / 3) as f64 / 4.0,
+                2 => -((i / 3) as f64),
+                _ => (i / 2) as f64,
+            })
+            .collect();
+        let n = scores.len();
+        let cut = BlockMaxima::with_block_len(&scores, block_len, head_len, &cuts);
+        let walked = BlockMaxima::with_block_len(&scores, block_len, 0, &[]);
+        // A range starting on a cut, between two, or before the first
+        // one past 0.
+        let mut kept: Vec<u32> = cuts.iter().copied().filter(|&c| (c as usize) < n).collect();
+        kept.sort_unstable();
+        let on = kept.get(pick % kept.len().max(1)).copied().unwrap_or(0);
+        let lo = match start {
+            0 => on,
+            1 => on + (pick as u32 % 5),
+            _ => on.saturating_sub(1 + pick as u32 % 3),
+        };
+        let hi = lo.saturating_add(len);
+        let frontier = (n > 0 && tweak < 4).then(|| {
+            let on = at % n;
+            let (score, id) = match tweak {
+                0 => (scores[on] * scale, on as u32),
+                1 => (scores[on] * scale, (on as u32).saturating_sub(1)),
+                2 => (scores[on] * scale + 0.125, on as u32),
+                _ => (f64::NAN, on as u32),
+            };
+            Frontier { score, id, scale, base: 0 }
+        });
+        let eligible: Vec<u32> = sort_indices_desc(&scores)
+            .into_iter()
+            .filter(|&i| i >= lo && i < hi)
+            .filter(|&i| frontier.is_none_or(|f| {
+                cmp_score_desc(scores[i as usize] * scale, i, f.score, f.id)
+                    == std::cmp::Ordering::Greater
+            }))
+            .collect();
+        let (mut out, mut reference) = (vec![7u32; 3], vec![9u32; 2]);
+        for k in 0..=n {
+            let range = [Segment::range(lo..hi)];
+            let f = frontier.as_ref();
+            let walk = top_k_pruned_into(&scores, &cut, range, k, f, None, &mut out);
+            let parent = top_k_pruned_into(&scores, &walked, range, k, f, None, &mut reference);
+            prop_assert_eq!(&out, &reference, "k={} {}..{}", k, lo, hi);
+            prop_assert_eq!(&out, &eligible[..k.min(eligible.len())], "k={}", k);
+            prop_assert_eq!(walk.matched, parent.matched, "k={}", k);
+            prop_assert_eq!(walk.matched, eligible.len(), "k={}", k);
+            prop_assert_eq!(walk.blocks_in_range, parent.blocks_in_range, "k={}", k);
+        }
+        // Each head built is its suffix's first ids.
+        for &c in kept.iter().chain([&0]) {
+            let suffix: Vec<u32> = sort_indices_desc(&scores).into_iter().filter(|&i| i >= c).collect();
+            prop_assert_eq!(cut.head(&scores, c), &suffix[..head_len.min(suffix.len())]);
         }
     }
 
