@@ -1,7 +1,5 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! * **warm-start vs. cold-start** re-scoring on a growing network — the
-//!   incremental API's reason to exist;
 //! * **pull-based matrix-free operator vs. materialized weighted CSR** —
 //!   the `CitationOperator` design choice in `sparsela`;
 //! * **ensemble overhead** — Borda fusion of three cheap rankers vs. the
@@ -9,39 +7,12 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use attrank::{AttRank, AttRankParams, IncrementalAttRank};
+use attrank::{AttRank, AttRankParams};
 use baselines::{Ensemble, FusionRule, PageRank, Ram};
 use citegen::{generate, DatasetProfile};
 use citegraph::rank::CitationCount;
 use citegraph::Ranker;
 use sparsela::{ScoreVec, WeightedCsr};
-
-fn bench_incremental(c: &mut Criterion) {
-    let net = generate(&DatasetProfile::dblp().scaled(20_000), 7);
-    let prev = net.prefix(19_000); // one growth step earlier
-    let params = AttRankParams::new(0.5, 0.3, 3, -0.16).unwrap();
-
-    let mut group = c.benchmark_group("incremental_vs_cold_20k");
-    group.sample_size(10);
-    group.bench_function("cold_start", |b| {
-        b.iter(|| {
-            let mut inc = IncrementalAttRank::new(params);
-            black_box(inc.update(&net))
-        })
-    });
-    group.bench_function("warm_start", |b| {
-        b.iter_batched(
-            || {
-                let mut inc = IncrementalAttRank::new(params);
-                inc.update(&prev);
-                inc
-            },
-            |mut inc| black_box(inc.update(&net)),
-            criterion::BatchSize::LargeInput,
-        )
-    });
-    group.finish();
-}
 
 fn bench_operator_representation(c: &mut Criterion) {
     // The matrix-free pull operator vs. an explicit weighted CSR holding
@@ -107,7 +78,6 @@ fn bench_ensemble_overhead(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_incremental,
     bench_operator_representation,
     bench_ensemble_overhead
 );

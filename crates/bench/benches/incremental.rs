@@ -1,12 +1,15 @@
-//! Incremental re-ranking benchmarks: residual push vs warm-started full
-//! solve vs from-scratch solve across delta publishes of 0.1%, 1% and 10%
-//! of the edge set, at 50k and 200k papers.
+//! Incremental re-ranking benchmarks: residual push vs the scorer's full
+//! solve vs a from-scratch power-iteration solve across delta publishes
+//! of 0.1%, 1% and 10% of the edge set, at 50k and 200k papers.
 //!
-//! The push scorer is primed (one full publish builds its component
-//! split); each measured iteration then replays the same delta publish
-//! from a cloned scorer so state mutation does not compound across
-//! iterations. The 10% delta intentionally sits at the push gate — it
-//! measures the fallback cost, not a push win.
+//! The push scorer is primed (one full publish leaves its push state);
+//! each measured iteration then replays the same delta publish from a
+//! cloned scorer so state mutation does not compound across iterations.
+//! The 10% delta intentionally sits at the push gate — it measures the
+//! fallback cost, not a push win. The `warm_*` rows keep their ids from
+//! when the full solve was a warm-started power iteration; they now time
+//! `IncrementalAttRank::update`, the one-pass 3-lane push solve, which
+//! starts from nothing. `scratch_*` is `AttRank`'s power iteration.
 //!
 //! `with_delta_200k/{8,800,8000}` time the successor network alone (no
 //! solve): `CitationNetwork::with_delta`'s copy-and-merge at three batch
@@ -48,7 +51,8 @@ fn bench_incremental(c: &mut Criterion) {
         let e = net.n_citations();
         let sk = scale / 1000;
 
-        // Prime: initial rank + one small publish to build the split.
+        // Prime: initial rank + one small publish that keeps the push
+        // state.
         let mut push_scorer = IncrementalAttRank::new(params());
         push_scorer.update(&net);
         let prime = publish_delta(&net, 10, 10, 5);
@@ -136,7 +140,7 @@ fn bench_update_delta(c: &mut Criterion) {
     let params = AttRankParams::new(0.2, 0.4, 3, -0.16).unwrap();
     let alpha = params.alpha();
 
-    // Prime: initial rank + one small publish to build the split.
+    // Prime: initial rank + one small publish that keeps the push state.
     let mut scorer = IncrementalAttRank::new(params);
     scorer.update(&net);
     let prime = publish_delta(&net, 80, 8, 5);

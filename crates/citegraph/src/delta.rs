@@ -7,7 +7,7 @@
 //! or bibliography corrections to existing ones).
 //!
 //! [`CitationNetwork::with_delta`] validates a [`GraphDelta`] and produces
-//! the successor network. Because ids are stable, warm-started solvers
+//! the successor network. Because ids are stable, push solvers
 //! (`attrank`'s incremental module) can carry their fixed point across the
 //! transition, which is exactly what the engine crate's re-rank path does.
 

@@ -60,13 +60,10 @@
 //! When the delta is too large a fraction of the graph, or the push
 //! exhausts its work budget (a few full-SpMV equivalents, shared by all
 //! lanes of a run), the function returns `None` and the caller falls back
-//! to a (warm-started) full solve — the worst case never regresses beyond
-//! the bounded budget.
+//! to its full solve — the worst case never regresses beyond the bounded
+//! budget.
 
-use sparsela::{
-    push, KernelWorkspace, LanesOutcome, PowerEngine, PowerOptions, PushConfig, PushOutcome,
-    ScoreVec,
-};
+use sparsela::{push, KernelWorkspace, LanesOutcome, PushConfig, PushOutcome, ScoreVec};
 
 use crate::delta::GraphDelta;
 use crate::network::CitationNetwork;
@@ -107,7 +104,7 @@ pub struct PushRankConfig {
     /// Skip the push entirely when the delta touches more than this
     /// fraction of the graph (`(new papers + new edges) / (E + n)`): past
     /// that point the perturbed frontier approaches the whole graph and a
-    /// warm full solve is the better tool.
+    /// full solve is the better tool.
     pub max_delta_fraction: f64,
 }
 
@@ -115,12 +112,12 @@ impl Default for PushRankConfig {
     fn default() -> Self {
         Self {
             epsilon: 1e-12,
-            // A warm full solve costs `iterations × (E + n)` with tens of
-            // iterations; capping the push at 4 sweeps bounds the
-            // worst-case fallback overhead to a fraction of one solve
-            // while leaving gate-sized deltas comfortable headroom (a 1%
+            // 4 sweeps leave gate-sized deltas comfortable headroom (a 1%
             // publish measures ~0.8 sweeps for its one K-lane stage: a
             // traversed edge is counted once whatever the lane count).
+            // A full solve is one pass, about one sweep, so a push that
+            // exhausts the cap has spent up to four full solves' work
+            // before its caller falls back.
             budget_sweeps: 4.0,
             max_delta_fraction: 0.05,
         }
@@ -138,10 +135,7 @@ impl PushRankConfig {
     }
 
     /// Whether `delta` is small enough (relative to `old`) to attempt a
-    /// push at all. Callers that maintain push state use this to decide
-    /// whether rebuilding that state after a fallback is worthwhile —
-    /// a stream of oversized deltas should not pay for push state it will
-    /// never use.
+    /// push at all: `(new papers + new edges) ≤ max_delta_fraction·(E + n)`.
     pub fn gates_delta(&self, old: &CitationNetwork, delta: &GraphDelta) -> bool {
         let graph_size = (old.n_citations() + old.n_papers()).max(1);
         let delta_size = delta.n_papers() + delta.n_citations();
@@ -543,30 +537,33 @@ pub fn try_push_lane(
     Some((x, outcome))
 }
 
-/// Cold-builds the uniform kernel `u = (I − α·S)⁻¹·(1/n)·1` for `net` by
-/// power iteration (one full solve; the incremental path then maintains it
-/// by push via [`update_uniform_kernel`]).
+/// Cold-builds the uniform kernel `u = (I − α·S)⁻¹·(1/n)·1` for `net`:
+/// one push from a zero estimate with the residual `(1/n)·1`, at the
+/// default push ε and no work budget — a single pass in descending id
+/// order when no paper cites a same-year paper with a higher id — with
+/// the deferred dangling mass resolved in closed form (the kernel is
+/// self-similar: `u = x / (1 − g)`). The incremental path then maintains
+/// it by push via [`update_uniform_kernel`].
+///
+/// # Panics
+/// Panics unless `0 ≤ α < 1`.
 pub fn uniform_kernel(
     net: &CitationNetwork,
     alpha: f64,
     workspace: &mut KernelWorkspace,
 ) -> ScoreVec {
     let n = net.n_papers();
-    if n == 0 {
-        return ScoreVec::zeros(0);
-    }
-    assert!(
-        (0.0..1.0).contains(&alpha),
-        "uniform_kernel: alpha {alpha} outside [0, 1)"
-    );
-    let op = net.stochastic_operator();
-    let b = 1.0 / n as f64;
-    let initial = workspace.take_uniform(n);
-    let outcome =
-        PowerEngine::new(PowerOptions::default()).run_with(workspace, initial, |cur, next| {
-            op.apply_damped_uniform(alpha, cur.as_slice(), b, next.as_mut_slice());
-        });
-    outcome.scores
+    let mut x = workspace.take_zeros(n);
+    let mut r = workspace.take_uniform(n);
+    let cfg = PushConfig {
+        alpha,
+        epsilon: PushRankConfig::default().epsilon,
+        max_edge_work: u64::MAX,
+    };
+    let outcome = push::solve_deferring(net.refs_csr(), &cfg, &mut x, &mut r, 0.0);
+    workspace.recycle(r);
+    x.scale(1.0 / (1.0 - outcome.deferred));
+    x
 }
 
 /// Push-updates the uniform kernel across a delta (its personalization
@@ -602,7 +599,6 @@ mod tests {
     use super::*;
     use crate::builder::NetworkBuilder;
     use crate::network::PaperId;
-    use sparsela::{PowerEngine, PowerOptions};
 
     fn base() -> CitationNetwork {
         let mut b = NetworkBuilder::new();
@@ -616,15 +612,20 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Full PageRank-style solve on `net` with personalization `b`.
+    /// Full PageRank-style solve on `net` with personalization `b`: the
+    /// plain Jacobi sweep, run until it stops moving.
     fn full_solve(net: &CitationNetwork, alpha: f64, b: &[f64]) -> ScoreVec {
         let op = net.stochastic_operator();
-        let out = PowerEngine::new(PowerOptions::default())
-            .run(ScoreVec::uniform(net.n_papers()), |cur, next| {
-                op.apply_damped(alpha, cur.as_slice(), b, next.as_mut_slice())
-            });
-        assert!(out.converged);
-        out.scores
+        let mut x = ScoreVec::uniform(net.n_papers());
+        let mut next = ScoreVec::zeros(net.n_papers());
+        for _ in 0..1000 {
+            op.apply_damped(alpha, x.as_slice(), b, next.as_mut_slice());
+            std::mem::swap(&mut x, &mut next);
+            if x.l1_distance(&next) <= 1e-15 {
+                return x;
+            }
+        }
+        panic!("the reference sweep did not converge");
     }
 
     fn uniform_b(n: usize, alpha: f64) -> Vec<f64> {

@@ -1,37 +1,46 @@
 //! Incremental AttRank for growing networks.
 //!
 //! A production deployment re-ranks the corpus as new papers arrive (the
-//! paper's §1 motivates exactly this monitoring use-case). Recomputing the
-//! fixed point from scratch wastes the fact that consecutive states of the
-//! network are nearly identical: the dominant eigenvector moves little when
-//! a day's worth of papers lands.
+//! paper's §1 motivates exactly this monitoring use-case).
+//! [`IncrementalAttRank`] solves Eq. 4 as three systems on the same
+//! operator: the attention-component fixed point (`x = α·S·x + β·A`), the
+//! recency-component one (`x = α·S·x + γ·T`) — the served total is their
+//! sum — and the operator's *uniform kernel* `u = (I − α·S)⁻¹·(1/n)·1`,
+//! against which both resolve the dangling mass their pushes defer. All
+//! three are solved by one residual push ([`sparsela::push::solve_lanes`]:
+//! one traversal, the three residuals interleaved) followed by one
+//! resolution sweep, and every solve — full or across a delta — is that.
 //!
-//! [`IncrementalAttRank`] keeps the previous fixed point and *warm-starts*
-//! the power iteration from it, padding new papers with the uniform mass
-//! they would receive in a cold start and re-normalizing. Because the
-//! AttRank operator is a contraction with factor `α` (the attention and
-//! recency terms are constant within one solve), the iteration count drops
-//! roughly by `log(ε/d)/log(α)` where `d` is the L1 drift between the old
-//! and new fixed points — typically a 2–4× saving at daily/yearly update
-//! cadence (measured in `benches/ablation.rs`).
+//! ## The full solve is one pass
+//!
+//! Citations point back in time and ids are time-sorted, so the citation
+//! part of `I − α·S` is triangular wherever no paper cites a same-year
+//! paper with a higher id. The push's descending-id cursor therefore
+//! settles all of a paper's inflow before it pushes the paper: from a zero
+//! estimate and the residual `[1/n, β·A, γ·T]`, each paper is pushed once
+//! and the solve is one pass over the edges — the triangular solve
+//! Langville & Meyer reach by reordering ("A Reordering for the PageRank
+//! Problem", SIAM J. Sci. Comput. 27(6), 2006); for a citation graph the
+//! order is free. A same-year citation to a higher id (legal input: a
+//! cycle inside one year) lands residual above the cursor and costs
+//! another pass over what it reaches, never accuracy. The run stops at the
+//! scorer's push ε with no work budget. A dangling paper's uniform column
+//! is never walked: each lane defers that mass to one scalar `g`, and the
+//! sweep resolves it in closed form — the kernel is self-similar,
+//! `u = x_u / (1 − g_u)`, and each component is `x + g·u`.
 //!
 //! ## Delta updates at push cost
 //!
-//! [`IncrementalAttRank::update_delta`] goes further: instead of any full
-//! sweep it *pushes* residuals seeded only where the [`GraphDelta`]
-//! actually perturbed the system (see [`citegraph::pushrank`]). Making
-//! those seeds sparse requires per-component state, because AttRank's
-//! personalization `β·A + γ·T` is two probability vectors that rescale by
-//! *different* global factors as the network grows: the scorer therefore
-//! maintains the attention-component fixed point (`x = α·S·x + β·A`) and
-//! the recency-component one (`x = α·S·x + γ·T`) — the served total is
-//! their sum — plus the operator's *uniform kernel*
-//! `u = (I − α·S)⁻¹·(1/n)·1` used to resolve deferred dangling mass
-//! analytically. The three systems share the matrix and, after a delta,
+//! [`IncrementalAttRank::update_delta`] pushes residuals seeded only where
+//! the [`GraphDelta`] actually perturbed the system (see
+//! [`citegraph::pushrank`]). Making those seeds sparse is why the state is
+//! split per component: AttRank's personalization `β·A + γ·T` is two
+//! probability vectors that rescale by *different* global factors as the
+//! network grows. The three systems share the matrix and, after a delta,
 //! almost the whole perturbed cone, so a publish is **one** 3-lane push
 //! ([`citegraph::try_push_lanes`]: one fused seeding pass and one
-//! traversal, the three vectors updated in place) followed by one
-//! resolution sweep.
+//! traversal, the three vectors updated in place) followed by the same
+//! resolution sweep as the full solve.
 //!
 //! The personalization is carried across the delta too rather than
 //! rebuilt from the corpus: the attention window's integer citation
@@ -39,23 +48,24 @@
 //! rollover moves the window), so `β·A` is one scaling pass over them,
 //! and `γ·T` costs one `exp` per distinct year.
 //!
-//! The component split is (re)built after every full solve at the cost of
-//! two extra power runs — paid once per fallback, then amortized across
-//! every push-updated publish that follows. A restart does not pay them:
-//! [`IncrementalAttRank::push_state`] is the split's three solved vectors
-//! (24 B per paper), and [`IncrementalAttRank::restore`] rebuilds the rest
-//! from the network — the window counts by one recount, `β·A` / `γ·T` from
-//! them, bit for bit what the live scorer carried — so the first publish
-//! after a restore pushes.
+//! The push state is what a full solve leaves behind, so it costs nothing
+//! to build: the full path of `update_delta` keeps it, and the publish
+//! after a fallback pushes again. [`IncrementalAttRank::update`] drops it,
+//! so a scorer that never publishes a delta holds none. A restart does
+//! not solve: [`IncrementalAttRank::push_state`] is the split's three
+//! solved vectors (24 B per paper), and [`IncrementalAttRank::restore`]
+//! rebuilds the rest from the network — the window counts by one recount,
+//! `β·A` / `γ·T` from them, bit for bit what the live scorer carried — so
+//! the first publish after a restore pushes.
 
 use citegraph::{
-    try_push_lanes, uniform_kernel, CitationNetwork, DeltaStrategy, GraphDelta, Personalization,
-    PushLane, PushRankConfig,
+    try_push_lanes, CitationNetwork, DeltaStrategy, GraphDelta, Personalization, PushLane,
+    PushRankConfig,
 };
-use sparsela::{KernelWorkspace, PowerEngine, PowerOptions, ScoreVec};
+use sparsela::{push, KernelWorkspace, LanesOutcome, PushConfig, ScoreVec};
 
 use crate::attention::WindowCounts;
-use crate::model::{components_from_counts, jump_vector, AttRankDiagnostics};
+use crate::model::{components_from_counts, AttRankDiagnostics};
 use crate::params::AttRankParams;
 
 /// Lane order of the 3-lane push: the uniform kernel, then the attention
@@ -83,6 +93,49 @@ struct PushSplit {
     window: WindowCounts,
 }
 
+impl PushSplit {
+    /// The resolution sweep every solve ends in: the kernel in closed form
+    /// (`u = x_u / (1 − g_u)`), each component against the fresh kernel
+    /// (`x + g·u`), and the served sum of the components — written twice,
+    /// one copy returned and one kept in `previous`.
+    fn resolve(
+        &mut self,
+        out: &LanesOutcome<3>,
+        previous: &mut Option<ScoreVec>,
+        workspace: &mut KernelWorkspace,
+    ) -> AttRankDiagnostics {
+        let n = self.kernel.len();
+        let inv = 1.0 / (1.0 - out.deferred[KERNEL]);
+        let (g_att, g_rec) = (out.deferred[ATT], out.deferred[REC]);
+        let mut total = workspace.take_zeros(n);
+        let mut kept = workspace.take_zeros(n);
+        for ((((u, a), r), t), k) in self
+            .kernel
+            .iter_mut()
+            .zip(self.att.iter_mut())
+            .zip(self.rec.iter_mut())
+            .zip(total.iter_mut())
+            .zip(kept.iter_mut())
+        {
+            *u *= inv;
+            *a += g_att * *u;
+            *r += g_rec * *u;
+            *t = *a + *r;
+            *k = *t;
+        }
+        if let Some(stale) = previous.replace(kept) {
+            workspace.recycle(stale);
+        }
+        AttRankDiagnostics {
+            scores: total,
+            iterations: out.pushes as usize,
+            converged: out.converged,
+            final_error: out.residual_l1.iter().sum(),
+            error_log: Vec::new(),
+        }
+    }
+}
+
 /// What a test may read of the personalization carried across deltas
 /// ([`IncrementalAttRank::carried_personalization`]).
 #[derive(Debug, Clone, Copy)]
@@ -95,16 +148,26 @@ pub struct CarriedPersonalization<'a> {
     pub b_rec: &'a ScoreVec,
 }
 
-/// AttRank with warm-started re-scoring across network snapshots.
+/// AttRank re-scored across network snapshots: every full solve is one
+/// 3-lane push pass, and a delta publish pushes only the perturbed cone
+/// (see the module docs).
+///
+/// Diagnostics count *pushes* as `iterations` (a one-pass full solve
+/// pushes each paper once) and report the residual L1 left behind, summed
+/// over the three systems, as `final_error`.
+///
+/// The solves require `α < 1` (they panic otherwise, as
+/// [`sparsela::push::solve_lanes`] does).
 #[derive(Debug, Clone)]
 pub struct IncrementalAttRank {
     params: AttRankParams,
-    options: PowerOptions,
-    /// Push-vs-full decision knobs for [`Self::update_delta`].
+    /// Push-vs-full decision knobs for [`Self::update_delta`]; their `ε`
+    /// is the full solve's too.
     push_config: PushRankConfig,
     /// Fixed point of the previously scored snapshot.
     previous: Option<ScoreVec>,
-    /// Push state of the same snapshot, present after a delta update.
+    /// Push state of the same snapshot, present after a full solve or a
+    /// push by [`Self::update_delta`], or a [`Self::restore`].
     split: Option<PushSplit>,
     /// Scratch buffers reused across updates (a daily re-scoring loop
     /// allocates nothing after the first solve).
@@ -116,16 +179,10 @@ pub struct IncrementalAttRank {
 }
 
 impl IncrementalAttRank {
-    /// Creates an incremental scorer with default convergence options.
+    /// Creates an incremental scorer with the default push configuration.
     pub fn new(params: AttRankParams) -> Self {
-        Self::with_options(params, PowerOptions::default())
-    }
-
-    /// Overrides the power-method options.
-    pub fn with_options(params: AttRankParams, options: PowerOptions) -> Self {
         Self {
             params,
-            options,
             push_config: PushRankConfig::default(),
             previous: None,
             split: None,
@@ -152,7 +209,7 @@ impl IncrementalAttRank {
     }
 
     /// The personalization state [`Self::update_delta`] carries from one
-    /// snapshot to the next; `None` until a delta update has built it.
+    /// snapshot to the next; `None` while no push state is cached.
     pub fn carried_personalization(&self) -> Option<CarriedPersonalization<'_>> {
         self.split.as_ref().map(|split| CarriedPersonalization {
             window_counts: split.window.counts(),
@@ -161,8 +218,8 @@ impl IncrementalAttRank {
         })
     }
 
-    /// The fixed point of the last scored snapshot — what the next full
-    /// solve warm-starts from.
+    /// The fixed point of the last scored snapshot — what a caller checks
+    /// [`Self::push_state`] against before persisting it.
     pub fn fixed_point(&self) -> Option<&ScoreVec> {
         self.previous.as_ref()
     }
@@ -178,11 +235,11 @@ impl IncrementalAttRank {
     }
 
     /// Resumes from a persisted epoch of `net`: `scores` become the fixed
-    /// point the next solve warm-starts from, and a [`Self::push_state`]
-    /// whose three vectors all have `net`'s length rebuilds the component
-    /// split — the window counts recounted, `β·A` / `γ·T` computed from
-    /// them — so the next [`Self::update_delta`] can push. Returns whether
-    /// the split was restored.
+    /// point of the last scored snapshot, and a [`Self::push_state`] whose
+    /// three vectors all have `net`'s length rebuilds the component split —
+    /// the window counts recounted, `β·A` / `γ·T` computed from them — so
+    /// the next [`Self::update_delta`] can push. Returns whether the split
+    /// was restored.
     pub fn restore(
         &mut self,
         net: &CitationNetwork,
@@ -220,7 +277,8 @@ impl IncrementalAttRank {
         true
     }
 
-    /// Drops the cached fixed point (next update is a cold start).
+    /// Drops the cached fixed point and push state (the next
+    /// [`Self::update_delta`] runs the full solve).
     pub fn reset(&mut self) {
         self.previous = None;
         self.drop_split();
@@ -235,36 +293,28 @@ impl IncrementalAttRank {
         }
     }
 
-    /// Scores the given snapshot, warm-starting from the previous one.
-    ///
-    /// The snapshot must contain at least as many papers as the previous
-    /// one and papers must keep their ids (which [`CitationNetwork`]
-    /// guarantees for growing prefixes of the same corpus: ids are
-    /// time-ordered). Shrinking inputs trigger a cold start rather than an
-    /// error — the caller may legitimately switch corpora.
+    /// Scores `net` by the full solve and drops the push state it leaves,
+    /// so a scorer that only ever runs `update` holds none. `net` need not
+    /// be related to the previously scored snapshot.
     pub fn update(&mut self, net: &CitationNetwork) -> AttRankDiagnostics {
-        // A full snapshot update invalidates the per-component push state
-        // (it is rebuilt by the next `update_delta`).
-        self.drop_split();
-        let jump = jump_vector(net, &self.params, &mut self.workspace);
-        self.solve_with_jump(net, jump)
+        let diag = self.solve_full(net);
+        // Freed, not pooled: a scorer that only runs `update` keeps no
+        // push buffers.
+        self.split = None;
+        self.lane_residual = Vec::new();
+        diag
     }
 
     /// Scores `new = old.with_delta(delta)`, choosing between a residual
-    /// push localized to the delta's neighborhood and the warm-started
-    /// full solve (the push falls back automatically when the delta is too
-    /// large or its work budget runs out — see [`PushRankConfig`]).
+    /// push localized to the delta's neighborhood and the full solve (the
+    /// push falls back automatically when the delta is too large or its
+    /// work budget runs out — see [`PushRankConfig`]).
     ///
     /// `old` must be the network the previous [`Self::update`] /
     /// [`Self::update_delta`] call scored; when it is not (cold scorer,
-    /// shape mismatch, non-finite cache) the full path runs. A full run
-    /// here also (re)builds the component split the push path needs, at
-    /// the cost of two extra power solves — so the publish *after* a
-    /// fallback can push again.
-    ///
-    /// For the push path the returned diagnostics report `iterations` as
-    /// the number of *pushes* and `final_error` as the residual L1 bound
-    /// (summed over the three systems).
+    /// shape mismatch, non-finite cache) the full path runs. The full path
+    /// keeps the push state its solve leaves, so the publish *after* a
+    /// fallback pushes again.
     pub fn update_delta(
         &mut self,
         old: &CitationNetwork,
@@ -274,39 +324,14 @@ impl IncrementalAttRank {
         if let Some(pushed) = self.try_push_delta(old, delta, new) {
             return pushed;
         }
-
-        // Full path: warm-started combined solve, then rebuild the
-        // component split for the next delta — but only when this delta
-        // was push-sized in the first place. A stream of oversized deltas
-        // (gate-rejected) re-ranks at plain warm-solve cost instead of
-        // paying two extra solves per publish for push state it never
-        // uses; the split invalidates either way (its vectors belong to
-        // the pre-delta network) and is rebuilt on the next small delta.
-        let rebuild = self.params.alpha() > 0.0
-            && new.n_papers() > 0
-            && self.push_config.gates_delta(old, delta);
-        let window = WindowCounts::count(new, self.params.attention_years);
-        let (b_att, b_rec) =
-            components_from_counts(new, &self.params, window.counts(), &mut self.workspace);
-        let mut jump = self.workspace.take_zeros(new.n_papers());
-        jump.axpy(1.0, &b_att);
-        jump.axpy(1.0, &b_rec);
-        let diag = self.solve_with_jump(new, jump);
-        if rebuild && diag.converged {
-            self.rebuild_split(new, b_att, b_rec, window);
-        } else {
-            self.drop_split();
-            self.workspace.recycle(b_att);
-            self.workspace.recycle(b_rec);
-        }
-        (diag, DeltaStrategy::Full)
+        (self.solve_full(new), DeltaStrategy::Full)
     }
 
     /// The push attempt: carries the personalization across the delta,
     /// then updates the uniform kernel and both components in place in one
     /// 3-lane push and resolves them in one sweep. Returns `None` when the
-    /// push declines — the split may then be part-way, and the full path
-    /// replaces (or drops) it.
+    /// push declines — the split may then be part-way, and the full solve
+    /// replaces it.
     fn try_push_delta(
         &mut self,
         old: &CitationNetwork,
@@ -369,38 +394,7 @@ impl IncrementalAttRank {
         // needs the denominator safely positive; a delta perturbation
         // keeps `g_u` tiny, so failing this means an inconsistent state.
         let out = pushed.filter(|out| 1.0 - out.deferred[KERNEL] > 0.5)?;
-
-        // One resolution sweep: the kernel in closed form, each component
-        // against the fresh kernel, and the served sum of the components
-        // (twice — one copy is returned, one kept for the next warm start).
-        let inv = 1.0 / (1.0 - out.deferred[KERNEL]);
-        let (g_att, g_rec) = (out.deferred[ATT], out.deferred[REC]);
-        let mut total = self.workspace.take_zeros(n_new);
-        let mut kept = self.workspace.take_zeros(n_new);
-        for ((((u, a), r), t), k) in split
-            .kernel
-            .iter_mut()
-            .zip(split.att.iter_mut())
-            .zip(split.rec.iter_mut())
-            .zip(total.iter_mut())
-            .zip(kept.iter_mut())
-        {
-            *u *= inv;
-            *a += g_att * *u;
-            *r += g_rec * *u;
-            *t = *a + *r;
-            *k = *t;
-        }
-        if let Some(stale) = self.previous.replace(kept) {
-            self.workspace.recycle(stale);
-        }
-        let diag = AttRankDiagnostics {
-            scores: total,
-            iterations: out.pushes as usize,
-            converged: true,
-            final_error: out.residual_l1.iter().sum(),
-            error_log: Vec::new(),
-        };
+        let diag = split.resolve(&out, &mut self.previous, &mut self.workspace);
         let strategy = DeltaStrategy::Push {
             pushes: out.pushes,
             edge_work: out.edge_work + n_new as u64,
@@ -408,118 +402,51 @@ impl IncrementalAttRank {
         Some((diag, strategy))
     }
 
-    /// (Re)builds the per-component push state after a full solve on
-    /// `net`: one power solve for the attention component (warm-started
-    /// from its previous value when shapes allow) and one for the uniform
-    /// kernel; the recency component is what remains of the served total.
-    /// Consumes the personalization components and the window counts they
-    /// were built from into the cache.
-    fn rebuild_split(
-        &mut self,
-        net: &CitationNetwork,
-        b_att: ScoreVec,
-        b_rec: ScoreVec,
-        window: WindowCounts,
-    ) {
+    /// The one full solve: the three lanes pushed from a zero estimate
+    /// with the residual `[1/n, β·A, γ·T]`, at the push ε with no work
+    /// budget, then [`PushSplit::resolve`]. Replaces the push state with
+    /// the one it solved.
+    fn solve_full(&mut self, net: &CitationNetwork) -> AttRankDiagnostics {
         let n = net.n_papers();
-        let alpha = self.params.alpha();
-        let op = net.stochastic_operator();
-        let engine = PowerEngine::new(self.options);
-
-        let mut initial = self.workspace.take_zeros(n);
-        if let Some(prev_att) = self.split.as_ref().map(|split| &split.att) {
-            if prev_att.len() <= n {
-                initial.as_mut_slice()[..prev_att.len()].copy_from_slice(prev_att.as_slice());
-            }
-        }
-        let att = engine
-            .run_with(&mut self.workspace, initial, |cur, next| {
-                op.apply_damped(alpha, cur.as_slice(), b_att.as_slice(), next.as_mut_slice());
-            })
-            .scores;
-        let kernel = uniform_kernel(net, alpha, &mut self.workspace);
-        let mut rec = self.workspace.take_zeros(n);
-        let total = self.previous.as_ref().expect("a full solve just cached it");
-        for ((r, &t), &a) in rec.iter_mut().zip(total.iter()).zip(att.iter()) {
-            *r = t - a;
-        }
-
         self.drop_split();
-        self.split = Some(PushSplit {
-            att,
-            rec,
+        let window = WindowCounts::count(net, self.params.attention_years);
+        let (b_att, b_rec) =
+            components_from_counts(net, &self.params, window.counts(), &mut self.workspace);
+        let uniform = 1.0 / n as f64;
+        self.lane_residual.clear();
+        self.lane_residual.extend(
+            b_att
+                .iter()
+                .zip(b_rec.iter())
+                .flat_map(|(&a, &r)| [uniform, a, r]),
+        );
+        let mut split = PushSplit {
+            att: self.workspace.take_zeros(n),
+            rec: self.workspace.take_zeros(n),
             b_att,
             b_rec,
-            kernel,
+            kernel: self.workspace.take_zeros(n),
             window,
-        });
-    }
-
-    /// Warm-started power solve against a precomputed personalization
-    /// vector; caches the fixed point for the next warm start.
-    fn solve_with_jump(&mut self, net: &CitationNetwork, jump: ScoreVec) -> AttRankDiagnostics {
-        let n = net.n_papers();
-        let alpha = self.params.alpha();
-
-        if n == 0 {
-            self.previous = Some(ScoreVec::zeros(0));
-            self.workspace.recycle(jump);
-            return AttRankDiagnostics {
-                scores: ScoreVec::zeros(0),
-                iterations: 0,
-                converged: true,
-                final_error: 0.0,
-                error_log: Vec::new(),
-            };
-        }
-
-        if alpha == 0.0 {
-            // Closed form — nothing to warm-start; the solution *is* the
-            // personalization.
-            self.previous = Some(jump.clone());
-            return AttRankDiagnostics {
-                scores: jump,
-                iterations: 1,
-                converged: true,
-                final_error: 0.0,
-                error_log: Vec::new(),
-            };
-        }
-
-        let initial = match &self.previous {
-            Some(prev) if prev.len() <= n && !prev.is_empty() => {
-                // Carry over old scores; new papers start with the uniform
-                // share a cold start would give them, then re-normalize so
-                // the iterate is a probability vector again.
-                let mut init = self.workspace.take_zeros(n);
-                init.as_mut_slice()[..prev.len()].copy_from_slice(prev.as_slice());
-                let fresh = 1.0 / n as f64;
-                for v in init.as_mut_slice()[prev.len()..].iter_mut() {
-                    *v = fresh;
-                }
-                init.normalize_l1();
-                init
-            }
-            _ => ScoreVec::uniform(n),
         };
-
-        let op = net.stochastic_operator();
-        let engine = PowerEngine::new(self.options);
-        // Fused Eq. 4 sweep; warm-started from the previous fixed point.
-        let outcome = engine.run_with(&mut self.workspace, initial, |cur, next| {
-            op.apply_damped(alpha, cur.as_slice(), jump.as_slice(), next.as_mut_slice());
-        });
-        self.workspace.recycle(jump);
-        // Keep the fixed point for the next warm start via a pooled copy
-        // (cloning here would re-allocate in the very loop the workspace
-        // exists to keep allocation-free).
-        let mut kept = self.workspace.take_zeros(n);
-        kept.as_mut_slice()
-            .copy_from_slice(outcome.scores.as_slice());
-        if let Some(prev) = self.previous.replace(kept) {
-            self.workspace.recycle(prev);
-        }
-        outcome.into()
+        let cfg = PushConfig {
+            alpha: self.params.alpha(),
+            epsilon: self.push_config.epsilon,
+            max_edge_work: u64::MAX,
+        };
+        let out = push::solve_lanes(
+            net.refs_csr(),
+            &cfg,
+            [
+                split.kernel.as_mut_slice(),
+                split.att.as_mut_slice(),
+                split.rec.as_mut_slice(),
+            ],
+            &mut self.lane_residual,
+            [0.0; 3],
+        );
+        let diag = split.resolve(&out, &mut self.previous, &mut self.workspace);
+        self.split = Some(split);
+        diag
     }
 }
 
@@ -545,6 +472,20 @@ mod tests {
             assert!((d.scores[i] - batch[i]).abs() < 1e-10, "paper {i}");
         }
         assert!(inc.is_warm());
+        assert!(inc.push_state().is_none(), "update keeps no push state");
+    }
+
+    #[test]
+    fn a_full_solve_pushes_each_paper_once() {
+        // Generated corpora cite only earlier ids, so the descending
+        // cursor settles every paper's inflow before pushing it.
+        for alpha in [0.2, 0.5, 0.85] {
+            let net = generate(&DatasetProfile::dblp().scaled(3000), 31);
+            let p = AttRankParams::new(alpha, (1.0 - alpha) / 2.0, 3, -0.16).unwrap();
+            let d = IncrementalAttRank::new(p).update(&net);
+            assert_eq!(d.iterations, net.n_papers(), "α = {alpha}");
+            assert!(d.converged && d.final_error <= 1e-12);
+        }
     }
 
     #[test]
@@ -564,36 +505,6 @@ mod tests {
                 cold[i]
             );
         }
-    }
-
-    #[test]
-    fn warm_start_saves_iterations() {
-        let net = generate(&DatasetProfile::dblp().scaled(2000), 7);
-        let early = net.prefix(1900); // small growth step
-        let mut inc = IncrementalAttRank::new(params());
-        inc.update(&early);
-        let warm = inc.update(&net);
-        let mut cold = IncrementalAttRank::new(params());
-        let cold_run = cold.update(&net);
-        assert!(
-            warm.iterations < cold_run.iterations,
-            "warm {} vs cold {}",
-            warm.iterations,
-            cold_run.iterations
-        );
-    }
-
-    #[test]
-    fn identical_snapshot_converges_immediately() {
-        let net = generate(&DatasetProfile::hepth().scaled(600), 9);
-        let mut inc = IncrementalAttRank::new(params());
-        inc.update(&net);
-        let again = inc.update(&net);
-        assert!(
-            again.iterations <= 2,
-            "re-scoring an unchanged network took {} iterations",
-            again.iterations
-        );
     }
 
     #[test]
@@ -626,7 +537,6 @@ mod tests {
         let p = AttRankParams::new(0.0, 0.5, 2, -0.3).unwrap();
         let mut inc = IncrementalAttRank::new(p);
         let d = inc.update(&net);
-        assert_eq!(d.iterations, 1);
         let batch = AttRank::new(p).rank(&net);
         for i in 0..net.n_papers() {
             assert!((d.scores[i] - batch[i]).abs() < 1e-15);
@@ -667,12 +577,12 @@ mod tests {
         let mut inc = IncrementalAttRank::new(params());
         inc.set_push_config(permissive_push());
         inc.update(&net);
-        // First delta publish runs the full path while the component
-        // split is built; the next one pushes.
+        // `update` keeps no push state, so the first delta publish runs
+        // the full solve; the next one pushes.
         let d0 = small_delta(&net);
         let mid = net.with_delta(&d0).unwrap();
         let (_, s0) = inc.update_delta(&net, &d0, &mid);
-        assert_eq!(s0, DeltaStrategy::Full, "split build publishes full");
+        assert_eq!(s0, DeltaStrategy::Full, "no push state after update");
 
         let delta = small_delta(&mid);
         let new = mid.with_delta(&delta).unwrap();
@@ -704,6 +614,10 @@ mod tests {
         inc.update(&net);
         let (diag, strategy) = inc.update_delta(&net, &delta, &new);
         assert_eq!(strategy, DeltaStrategy::Full);
+        assert!(
+            inc.push_state().is_some(),
+            "the full path keeps its push state"
+        );
         let scratch = AttRank::new(params()).rank(&new);
         for i in 0..new.n_papers() {
             assert!((diag.scores[i] - scratch[i]).abs() < 1e-9, "paper {i}");
@@ -731,8 +645,8 @@ mod tests {
     #[test]
     fn chained_delta_updates_stay_accurate() {
         // Consecutive push publishes must not drift: compare the final
-        // state against a cold scratch solve. (The first delta publish is
-        // the split build and runs full.)
+        // state against a cold scratch solve. (The first delta publish
+        // follows an `update` and runs full.)
         let mut net = generate(&DatasetProfile::hepth().scaled(800), 29);
         let mut inc = IncrementalAttRank::new(params());
         inc.set_push_config(permissive_push());

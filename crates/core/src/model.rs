@@ -1,9 +1,6 @@
 //! The AttRank fixed-point model (paper Eq. 4 and Theorem 1).
 
-use citegraph::{
-    try_push_rerank, window, CitationNetwork, DanglingResolution, DeltaRank, DeltaStrategy,
-    GraphDelta, PushRankConfig, Ranker,
-};
+use citegraph::{window, CitationNetwork, Ranker};
 use sparsela::{KernelWorkspace, PowerEngine, PowerOptions, PowerOutcome, ScoreVec};
 
 use crate::attention::{attention_vector, scaled_attention_into};
@@ -199,54 +196,6 @@ impl Ranker for AttRank {
 
     fn rank_into(&self, net: &CitationNetwork, workspace: &mut KernelWorkspace) -> ScoreVec {
         self.rank_with_diagnostics_in(net, workspace).scores
-    }
-
-    /// Residual-push delta update (falls back to a full solve when the
-    /// delta is too large, the push budget runs out, or `α = 0` makes the
-    /// closed form cheaper anyway).
-    fn rank_delta(
-        &self,
-        old: &CitationNetwork,
-        delta: &GraphDelta,
-        new: &CitationNetwork,
-        previous: &ScoreVec,
-        workspace: &mut KernelWorkspace,
-    ) -> DeltaRank {
-        let alpha = self.params.alpha();
-        if alpha > 0.0 && old.n_papers() > 0 {
-            let b_old = jump_vector(old, &self.params, workspace);
-            let b_new = jump_vector(new, &self.params, workspace);
-            // Stateless entry point: no maintained uniform kernel, so
-            // deferred dangling mass falls back to flushing (the stateful
-            // `IncrementalAttRank` path resolves it against its kernel).
-            let pushed = try_push_rerank(
-                old,
-                delta,
-                new,
-                previous,
-                b_old.as_slice(),
-                b_new.as_slice(),
-                alpha,
-                DanglingResolution::Flush,
-                &PushRankConfig::default(),
-                workspace,
-            );
-            workspace.recycle(b_old);
-            workspace.recycle(b_new);
-            if let Some((scores, outcome)) = pushed {
-                return DeltaRank {
-                    scores,
-                    strategy: DeltaStrategy::Push {
-                        pushes: outcome.pushes,
-                        edge_work: outcome.edge_work,
-                    },
-                };
-            }
-        }
-        DeltaRank {
-            scores: self.rank_into(new, workspace),
-            strategy: DeltaStrategy::Full,
-        }
     }
 }
 

@@ -20,11 +20,12 @@
 //! lookup is a binary search over the epoch's head, or past it over the
 //! epoch's order, sorted on first use.
 //!
-//! When the configured method is AttRank, re-ranks warm-start from the
-//! previous epoch's fixed point ([`IncrementalAttRank`]): consecutive
-//! network states are nearly identical, so the iteration count drops 2–4×
-//! versus a cold solve — the incremental path the paper's monitoring
-//! use-case (§1) calls for.
+//! When the configured method is AttRank, re-ranks run through
+//! [`IncrementalAttRank`]: a publish pushes residuals from the previous
+//! epoch's solution over the part of the network the batch perturbed, and
+//! a full solve is one push pass over the citations in descending id
+//! order — the incremental path the paper's monitoring use-case (§1)
+//! calls for.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -52,7 +53,7 @@ use crate::spec::{MethodSpec, SpecError};
 pub enum RerankStrategy {
     /// The initial rank at engine construction (epoch 0).
     Initial,
-    /// A full solve over the epoch's network (cold or warm-started).
+    /// A full solve over the epoch's network.
     Full,
     /// A residual-push update localized to the published delta.
     Push {
@@ -551,8 +552,8 @@ impl RankingEngine {
     fn make_ranker(spec: &MethodSpec) -> Result<EngineRanker, SpecError> {
         spec.validate()?;
         Ok(match *spec {
-            // AttRank gets the warm-started incremental solver; the params
-            // were just validated so the unwrap cannot fire.
+            // AttRank gets the incremental push solver; the params were
+            // just validated so the unwrap cannot fire.
             MethodSpec::AttRank { alpha, beta, y, w } => EngineRanker::Incremental(Box::new(
                 IncrementalAttRank::new(AttRankParams::new(alpha, beta, y, w)?),
             )),
@@ -977,9 +978,9 @@ impl RankingEngine {
         Ok(ColdStart { engine, warmup })
     }
 
-    /// Seeds the incremental scorer with the restored epoch — its scores
-    /// as the warm start, and the push state `store` holds for `epoch`
-    /// when that verifies — before any batch replays.
+    /// Seeds the incremental scorer with the restored epoch — its scores,
+    /// and the push state `store` holds for `epoch` when that verifies —
+    /// before any batch replays.
     fn restore_push_state(&self, store: &Store, epoch: u64) -> PushStateRestore {
         let mut guard = self.writer.lock().expect("writer lock poisoned");
         let state = &mut *guard;

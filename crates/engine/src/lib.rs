@@ -13,7 +13,7 @@
 //!   publishes scores as immutable, `Arc`-swapped [`EpochSnapshot`]s:
 //!   unlimited concurrent readers serve `top_k` (partial select) and rank
 //!   lookups while batched [`citegraph::GraphDelta`]s fold in under a
-//!   configurable [`RerankPolicy`], with warm-started re-ranks for AttRank,
+//!   configurable [`RerankPolicy`], with push re-ranks for AttRank,
 //! * [`query`] — [`QueryEngine`], the filtered/faceted/paginated read
 //!   workload: a compact [`Query`] grammar (venue, author, OR-of-facet
 //!   lists, year range, offset-free cursors), a cost-based planner

@@ -246,6 +246,13 @@ impl MethodSpec {
         match *self {
             MethodSpec::AttRank { alpha, beta, y, w } => {
                 AttRankParams::new(alpha, beta, y, w)?;
+                // The incremental solver's push needs `I − α·S` invertible.
+                if alpha >= 1.0 {
+                    return Err(invalid(
+                        "attrank",
+                        format!("alpha = {alpha} must be below 1"),
+                    ));
+                }
                 Ok(())
             }
             MethodSpec::PageRank { d } => {
@@ -891,6 +898,7 @@ mod tests {
             ("pagerank:d=1.5", "pagerank", "d"),
             ("citerank:tau=-2", "citerank", "tau"),
             ("katz:alpha=1.0", "katz", "alpha"),
+            ("attrank:alpha=1,beta=0", "attrank", "alpha"),
             ("ecm:alpha=0.2,gamma=1.0", "ecm", "gamma"),
             ("futurerank:rho=0.5", "futurerank", "rho"),
         ] {

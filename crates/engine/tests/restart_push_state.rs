@@ -2,9 +2,10 @@
 //! replaying the log ends **bit for bit** where the live engine it was
 //! persisted from stands, and every replayed publish is a push — at every
 //! persist point (after pushes, with batches staged, straight after a
-//! restore), flat and with 4 shards. Where the store holds no usable push
-//! state (an oversized delta dropped it, a legacy or corrupted store) the
-//! report says so and the replay still ends ≤ 1e-9 from scratch.
+//! restore, after an oversized delta's full solve), flat and with 4
+//! shards. Where the store holds no usable push state (a legacy or
+//! corrupted store, or a shard that never published a delta) the report
+//! says so and the replay still ends ≤ 1e-9 from scratch.
 
 use std::path::{Path, PathBuf};
 
@@ -214,11 +215,11 @@ fn repersist_straight_after_a_restore_keeps_the_push_state() {
 }
 
 #[test]
-fn oversized_delta_persists_no_push_state() {
+fn oversized_delta_persists_the_full_solves_push_state() {
     let dir = temp_dir("oversized");
     let (live, net) = live_engine(&dir, RerankPolicy::EveryBatch);
-    // Far past the push gate (5% of E + n): a full solve that drops the
-    // split instead of rebuilding it.
+    // Far past the push gate (5% of E + n): a full solve, whose push
+    // state is kept like a push's.
     let mut big = GraphDelta::new();
     for p in 0..N / 5 {
         big.add_paper(net.current_year().unwrap());
@@ -228,7 +229,7 @@ fn oversized_delta_persists_no_push_state() {
     }
     live.ingest(&big).unwrap();
     assert_eq!(live.snapshot().strategy(), RerankStrategy::Full);
-    live.persist_epoch(dir.join("e.store")).unwrap();
+    let epoch = live.persist_epoch(dir.join("e.store")).unwrap();
     let n = N + 1 + N / 5;
     for t in 0..2 {
         live.ingest(&batch(&net, n + t, N / 2, 5)).unwrap();
@@ -236,16 +237,15 @@ fn oversized_delta_persists_no_push_state() {
     copy_into(&[dir.join("e.store"), dir.join("e.wal")], &dir.join("copy"));
 
     let store = Store::open(dir.join("copy/e.store")).unwrap();
-    let epoch = store.epochs()[0].epoch;
-    assert!(store.push_state(epoch).unwrap().is_none());
+    assert_eq!(store.epochs()[0].epoch, epoch);
+    assert!(store.push_state(epoch).unwrap().is_some());
     drop(store);
     let (engine, report) = reopen(&dir.join("copy"), RerankPolicy::EveryBatch);
-    assert_eq!(report.push_state, PushStateRestore::Absent);
+    assert_eq!(report.push_state, PushStateRestore::Restored);
     assert_eq!(report.replayed, 2);
-    // The first replayed batch rebuilt the split, warm-started from the
-    // restored epoch as the live engine was: the bits still agree.
     let (snap, want) = (engine.snapshot(), live.snapshot());
     assert!(matches!(snap.strategy(), RerankStrategy::Push { .. }));
+    assert_eq!(snap.strategy(), want.strategy());
     assert_eq!(
         bits(snap.scores().as_slice()),
         bits(want.scores().as_slice())

@@ -103,13 +103,6 @@ pub struct PushOutcome {
     pub deferred: f64,
 }
 
-impl PushOutcome {
-    /// Upper bound on `‖x − x*‖₁` implied by the final residual.
-    pub fn error_bound(&self, alpha: f64) -> f64 {
-        self.residual_l1 / (1.0 - alpha)
-    }
-}
-
 /// Diagnostics of a `K`-lane run ([`solve_lanes`]). The lanes share one
 /// traversal, so convergence, the push count and the edge work are single
 /// figures; the residual bound and the deferred mass are per lane.

@@ -1,7 +1,9 @@
-//! Live monitoring: re-rank a growing corpus year after year with the
-//! incremental (warm-started) solver and watch the trending set evolve —
-//! the deployment pattern behind the paper's "identify papers that
-//! currently impact the research field" motivation.
+//! Live monitoring: re-rank a growing corpus batch after batch with the
+//! incremental solver and watch the trending set evolve — the deployment
+//! pattern behind the paper's "identify papers that currently impact the
+//! research field" motivation. Each batch is a delta publish, a residual
+//! push over the part of the network the new papers perturbed; a fresh
+//! scorer's full solve (one push pass over every paper) checks it.
 //!
 //! ```sh
 //! cargo run --release --example live_monitor
@@ -9,6 +11,22 @@
 
 use attrank::IncrementalAttRank;
 use attrank_repro::prelude::*;
+use citegraph::DeltaStrategy;
+
+/// The papers `from..to` of `full` and their reference lists, as a delta
+/// onto `full.prefix(from)`.
+fn batch(full: &CitationNetwork, from: usize, to: usize) -> GraphDelta {
+    let mut delta = GraphDelta::new();
+    for &year in &full.years()[from..to] {
+        delta.add_paper(year);
+    }
+    for citing in from as u32..to as u32 {
+        for &cited in full.references(citing) {
+            delta.add_citation(citing, cited);
+        }
+    }
+    delta
+}
 
 fn main() {
     let profile = DatasetProfile::hepth().scaled(8_000);
@@ -22,30 +40,32 @@ fn main() {
     let mut scorer = IncrementalAttRank::new(params);
 
     // Replay the newest half of the corpus in ~1.5% batches — the cadence
-    // of a weekly/monthly index refresh, where warm starts pay off.
+    // of a weekly/monthly index refresh.
     let n = full.n_papers();
+    let mut net = full.prefix(n / 2);
+    scorer.update(&net);
     let mut previous_top: Vec<u32> = Vec::new();
-    let mut total_warm_iters = 0usize;
-    let mut total_cold_iters = 0usize;
+    let mut total_delta_pushes = 0usize;
+    let mut total_full_pushes = 0usize;
     let step = n / 64;
-    let checkpoints: Vec<usize> = (0..=(n / 2) / step)
-        .map(|i| n / 2 + i * step)
-        .filter(|&k| k <= n)
-        .collect();
 
-    println!("\nyear   papers   iters(warm)  iters(cold)  top-5 (↑ = new entrant)");
-    for k in checkpoints {
-        let snapshot = full.prefix(k);
-        let year = snapshot.current_year().unwrap_or(profile.start_year);
+    println!("\nyear   papers   publish  pushes  full-solve pushes  top-5 (↑ = new entrant)");
+    while net.n_papers() < n {
+        let to = (net.n_papers() + step).min(n);
+        let delta = batch(&full, net.n_papers(), to);
+        let next = net.with_delta(&delta).expect("a prefix batch is valid");
+        let year = next.current_year().unwrap_or(profile.start_year);
 
-        // Cold baseline for the iteration comparison.
-        let mut cold = IncrementalAttRank::new(params);
-        let cold_run = cold.update(&snapshot);
-        let warm_run = scorer.update(&snapshot);
-        total_warm_iters += warm_run.iterations;
-        total_cold_iters += cold_run.iterations;
+        let (ranked, strategy) = scorer.update_delta(&net, &delta, &next);
+        let publish = match strategy {
+            DeltaStrategy::Push { .. } => "push",
+            DeltaStrategy::Full => "full",
+        };
+        let full_run = IncrementalAttRank::new(params).update(&next);
+        total_delta_pushes += ranked.iterations;
+        total_full_pushes += full_run.iterations;
 
-        let top: Vec<u32> = warm_run.scores.top_k(5);
+        let top: Vec<u32> = ranked.scores.top_k(5);
         let rendered: Vec<String> = top
             .iter()
             .map(|p| {
@@ -54,30 +74,32 @@ fn main() {
             })
             .collect();
         println!(
-            "{year}   {:>6}   {:>11}  {:>11}  {}",
-            snapshot.n_papers(),
-            warm_run.iterations,
-            cold_run.iterations,
+            "{year}   {:>6}   {publish:>7}  {:>6}  {:>17}  {}",
+            next.n_papers(),
+            ranked.iterations,
+            full_run.iterations,
             rendered.join("  ")
         );
         previous_top = top;
 
-        // Warm and cold must agree on the result — only the path differs.
-        for p in 0..snapshot.n_papers() {
+        // The publish and the full solve must agree — only the path
+        // differs.
+        for p in 0..next.n_papers() {
             assert!(
-                (warm_run.scores[p] - cold_run.scores[p]).abs() < 1e-9,
-                "warm/cold divergence at paper {p} in {year}"
+                (ranked.scores[p] - full_run.scores[p]).abs() < 1e-9,
+                "publish/full divergence at paper {p} in {year}"
             );
         }
+        net = next;
     }
 
     println!(
-        "\ntotal iterations: warm {total_warm_iters} vs cold {total_cold_iters} \
-         ({:.0}% saved by warm-starting)",
-        (1.0 - total_warm_iters as f64 / total_cold_iters as f64) * 100.0
+        "\ntotal pushes: publishes {total_delta_pushes} vs full solves {total_full_pushes} \
+         ({:.0}% saved by pushing only the perturbed cone)",
+        (1.0 - total_delta_pushes as f64 / total_full_pushes as f64) * 100.0
     );
     assert!(
-        total_warm_iters < total_cold_iters,
-        "warm starts must save work across a replay"
+        total_delta_pushes < total_full_pushes,
+        "delta publishes must push less than full solves across a replay"
     );
 }
