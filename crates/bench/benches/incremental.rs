@@ -33,8 +33,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use attrank::{jump_components, AttRank, AttRankParams, IncrementalAttRank};
 use citegen::{generate, publish_delta, DatasetProfile};
 use citegraph::{
-    try_push_rerank, uniform_kernel, update_uniform_kernel, DanglingResolution, PushRankConfig,
-    Ranker,
+    try_push_lane, uniform_kernel, update_uniform_kernel, DanglingResolution, Personalization,
+    PushRankConfig, Ranker,
 };
 use repro_bench::DEFAULT_SEED;
 use sparsela::{Csr, KernelWorkspace, PowerEngine, PowerOptions, ScoreVec};
@@ -188,13 +188,13 @@ fn bench_update_delta(c: &mut Criterion) {
                 update_uniform_kernel(&primed, &delta, &new, &kernel0, alpha, &cfg, &mut ws)
                     .expect("a 100-paper batch pushes");
             let mut component = |previous: &ScoreVec, b_old: &ScoreVec, b_new: &ScoreVec| {
-                try_push_rerank(
+                try_push_lane(
                     &primed,
                     &delta,
                     &new,
                     previous,
-                    b_old.as_slice(),
-                    b_new.as_slice(),
+                    Personalization::Dense(b_old.as_slice()),
+                    Personalization::Dense(b_new.as_slice()),
                     alpha,
                     DanglingResolution::Kernel(kernel1.as_slice()),
                     &cfg,

@@ -11,9 +11,11 @@
 //! Beside the absolute guards sit the same-run ratio gates — one table,
 //! [`GATES`], one [`Gate::ratio`] — which hold across machines.
 //!
-//! Parsing is a dependency-free scanner for the flat `{"group": …,
-//! "id": …, "min_ns": …}` objects both file formats contain; surrounding
-//! structure (top-level object vs array, pretty-printing) is irrelevant.
+//! Both file formats are read with the one JSON reader, [`Json::parse`],
+//! and every `{"group": …, "id": …, "min_ns": …}` object they contain is
+//! a record; surrounding structure (top-level object vs array,
+//! pretty-printing) is irrelevant, and a document that does not parse is
+//! an error.
 
 use rankengine::CostModel;
 
@@ -28,62 +30,29 @@ pub struct BenchRecord {
     pub min_ns: f64,
 }
 
-/// Extracts every flat object carrying `group`/`id`/`min_ns` fields from a
-/// JSON document (objects with nested braces are skipped — records in both
-/// the shim reports and the baseline are flat).
-pub fn parse_records(json: &str) -> Vec<BenchRecord> {
-    let bytes = json.as_bytes();
-    let mut records = Vec::new();
-    let mut stack: Vec<usize> = Vec::new();
-    let mut nested = vec![false];
-    for (i, &b) in bytes.iter().enumerate() {
-        match b {
-            b'{' => {
-                stack.push(i);
-                nested.push(false);
-            }
-            b'}' => {
-                let was_nested = nested.pop().unwrap_or(false);
-                if let Some(start) = stack.pop() {
-                    if let Some(top) = nested.last_mut() {
-                        *top = true;
-                    }
-                    if !was_nested {
-                        let seg = &json[start..=i];
-                        if let (Some(group), Some(id), Some(min_ns)) = (
-                            field_str(seg, "group"),
-                            field_str(seg, "id"),
-                            field_num(seg, "min_ns"),
-                        ) {
-                            records.push(BenchRecord { group, id, min_ns });
-                        }
-                    }
-                }
-            }
+/// Every object of a JSON document that carries a string `group`, a
+/// string `id` and a numeric `min_ns`, at any depth, in document order.
+/// A document that does not parse is an error, never a shorter list: a
+/// truncated report must not pass for a report with fewer benches.
+pub fn parse_records(json: &str) -> Result<Vec<BenchRecord>, String> {
+    fn collect(value: &Json, records: &mut Vec<BenchRecord>) {
+        let text = |key| match value.get(key) {
+            Some(Json::Str(s)) => Some(s.clone()),
+            _ => None,
+        };
+        let min_ns = value.get("min_ns").and_then(Json::as_f64);
+        if let (Some(group), Some(id), Some(min_ns)) = (text("group"), text("id"), min_ns) {
+            records.push(BenchRecord { group, id, min_ns });
+        }
+        match value {
+            Json::Obj(fields) => fields.iter().for_each(|(_, v)| collect(v, records)),
+            Json::Arr(items) => items.iter().for_each(|v| collect(v, records)),
             _ => {}
         }
     }
-    records
-}
-
-/// Value of a `"key": "string"` field inside a flat object segment.
-fn field_str(seg: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\"");
-    let at = seg.find(&pat)? + pat.len();
-    let rest = seg[at..].trim_start().strip_prefix(':')?.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Value of a `"key": number` field inside a flat object segment.
-fn field_num(seg: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\"");
-    let at = seg.find(&pat)? + pat.len();
-    let rest = seg[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    let mut records = Vec::new();
+    collect(&Json::parse(json)?, &mut records);
+    Ok(records)
 }
 
 /// `true` when a record belongs to the guarded regression set.
@@ -694,7 +663,7 @@ mod tests {
 
     #[test]
     fn parses_flat_records_from_nested_document() {
-        let records = parse_records(BASELINE);
+        let records = parse_records(BASELINE).unwrap();
         assert_eq!(records.len(), 3);
         assert_eq!(records[0].group, "top_k");
         assert_eq!(records[0].id, "partial_select_50k/10");
@@ -703,7 +672,7 @@ mod tests {
 
     #[test]
     fn guard_covers_top_k_stochastic_apply_and_store_load() {
-        let records = parse_records(BASELINE);
+        let records = parse_records(BASELINE).unwrap();
         let guarded: Vec<_> = records.iter().filter(|r| is_guarded(r)).collect();
         assert_eq!(guarded.len(), 2);
         assert!(guarded
@@ -995,7 +964,7 @@ mod tests {
         // gates. The committed baseline carries every gated bench, so
         // each table row must resolve there (and hold).
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
-        let baseline = parse_records(&std::fs::read_to_string(path).expect("baseline"));
+        let baseline = parse_records(&std::fs::read_to_string(path).expect("baseline")).unwrap();
         assert_eq!(GATES.len(), 16);
         for g in GATES {
             let ratio = g.ratio(&baseline);
@@ -1039,7 +1008,8 @@ mod tests {
         let records = parse_records(
             r#"[{"group": "store_load", "id": "first_topk_tsv_200k", "min_ns": 50.0},
                 {"group": "store_load", "id": "first_topk_store_200k", "min_ns": 2.0}]"#,
-        );
+        )
+        .unwrap();
         let line = history_line(
             "2026-10-17",
             "abc1234",
@@ -1075,7 +1045,7 @@ mod tests {
     fn cost_model_refits_from_anchor_rows() {
         // Both anchors measuring 2x the reference scale every constant
         // by 2 (ratios between shapes preserved).
-        let fit = |json: &str| fit_cost_model(&parse_records(json));
+        let fit = |json: &str| fit_cost_model(&parse_records(json).unwrap());
         let m = fit(r#"[
           {"group": "index_vs_scan", "id": "author_posting_200k", "min_ns": 1722.0},
           {"group": "index_vs_scan", "id": "author_mask_residual_200k", "min_ns": 536048.0}
@@ -1101,7 +1071,7 @@ mod tests {
 
     #[test]
     fn regression_detection_at_threshold() {
-        let baseline = parse_records(BASELINE);
+        let baseline = parse_records(BASELINE).unwrap();
         let current = vec![
             BenchRecord {
                 group: "top_k".into(),
@@ -1122,15 +1092,33 @@ mod tests {
 
     #[test]
     fn missing_current_records_are_skipped() {
-        let baseline = parse_records(BASELINE);
+        let baseline = parse_records(BASELINE).unwrap();
         assert!(compare(&baseline, &[], 0.25).is_empty());
     }
 
     #[test]
     fn shim_report_format_parses() {
         let shim = "[\n  {\"group\": \"top_k\", \"id\": \"full_sort_50k\", \"mean_ns\": 3.1, \"min_ns\": 2.5, \"iterations\": 96}\n]\n";
-        let records = parse_records(shim);
+        let records = parse_records(shim).unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].min_ns, 2.5);
+    }
+
+    #[test]
+    fn a_truncated_report_is_an_error() {
+        // Cut mid-way through the second record: the first record parsed
+        // whole, but the document did not, so nothing is returned.
+        let shim = "[\n  {\"group\": \"top_k\", \"id\": \"a\", \"min_ns\": 2.5},\n  {\"group\": \"top_k\", \"id\": \"b\", \"min";
+        assert!(parse_records(shim).is_err());
+        assert!(parse_records("").is_err());
+        // Objects missing a field, or with a field of the wrong type, are
+        // not records.
+        let records = parse_records(
+            r#"[{"group": "g", "id": "x"}, {"group": "g", "id": 3, "min_ns": 1.0},
+                {"group": "g", "id": "y", "min_ns": 4.0}]"#,
+        )
+        .unwrap();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].id, "y");
     }
 }

@@ -192,7 +192,13 @@ fn run_bench_check(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let baseline = benchcheck::parse_records(&baseline_json);
+    let baseline = match benchcheck::parse_records(&baseline_json) {
+        Ok(records) => records,
+        Err(e) => {
+            eprintln!("bench-check: cannot parse {baseline_path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     // Newest report first: `compare` takes the first record per
     // (group, id), so a stale report in one target dir cannot shadow a
@@ -215,8 +221,15 @@ fn run_bench_check(args: &[String]) -> ExitCode {
     report_files.sort_by_key(|(mtime, _)| std::cmp::Reverse(*mtime));
     let mut current = Vec::new();
     for (_, path) in &report_files {
-        if let Ok(s) = std::fs::read_to_string(path) {
-            current.extend(benchcheck::parse_records(&s));
+        let parsed = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|s| benchcheck::parse_records(&s));
+        match parsed {
+            Ok(records) => current.extend(records),
+            Err(e) => {
+                eprintln!("bench-check: cannot read report {}: {e}", path.display());
+                return ExitCode::FAILURE;
+            }
         }
     }
 
@@ -1322,14 +1335,8 @@ fn run_related(opts: &Options, id: Option<&String>) -> ExitCode {
     );
     let stats = engine.personalization_stats();
     println!(
-        "cache: {} hits, {} warm re-pushes, {} cold pushes, {} fallbacks \
-         ({} entries, {} bytes)",
-        stats.hits,
-        stats.warm_repushes,
-        stats.cold_pushes,
-        stats.fallbacks,
-        stats.entries,
-        stats.bytes
+        "cache: {} hits, {} warm re-pushes, {} cold pushes ({} entries, {} bytes)",
+        stats.hits, stats.warm_repushes, stats.cold_pushes, stats.entries, stats.bytes
     );
     ExitCode::SUCCESS
 }

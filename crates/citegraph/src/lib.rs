@@ -49,8 +49,8 @@ pub use personalize::{
     SeedError, SeedPersonalization, WarmStart,
 };
 pub use pushrank::{
-    try_push_lane, try_push_lanes, try_push_rerank, uniform_kernel, update_uniform_kernel,
-    DanglingResolution, Personalization, PushLane, PushRankConfig,
+    try_push_lane, try_push_lanes, uniform_kernel, update_uniform_kernel, DanglingResolution,
+    Personalization, PushLane, PushRankConfig,
 };
 pub use rank::{DeltaRank, DeltaStrategy, Ranker};
 pub use shard::{ShardPlan, ShardPlanError, ShardSpec};

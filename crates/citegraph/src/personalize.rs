@@ -2,26 +2,30 @@
 //! where `b` concentrates teleport mass on a validated seed set.
 //!
 //! The damped fixed point every method in this workspace iterates is
-//! exactly personalized PageRank when `b` is a seed distribution, and the
-//! Gauss–Southwell push machinery of [`sparsela::push`] makes a per-seed
-//! solve cost `O(ancestor cone)` instead of `O(iterations × E)`: the
-//! residual starts sparse (the seed entries only), citations always point
-//! backwards in time, and the solver's descending-id push order is then a
-//! near-topological sweep of the DAG — mass flows strictly toward older
-//! papers, so one pass drains almost everything. The only cycle in the
-//! system is the dangling rank-1 part, and resolving it against a
-//! maintained uniform kernel ([`crate::pushrank::uniform_kernel`]) keeps
-//! it out of the push entirely.
+//! exactly personalized PageRank when `b` is a seed distribution — the
+//! local push of Andersen, Chung & Lang ("Local Graph Partitioning using
+//! PageRank Vectors", FOCS 2006). The residual starts sparse (the seed
+//! entries only), citations always point backwards in time, and the push
+//! of [`sparsela::push`] runs in descending id order, the triangular order
+//! of Langville & Meyer ("A Reordering for the PageRank Problem", SIAM J.
+//! Sci. Comput. 27(6), 2006): mass flows strictly toward older papers, so
+//! one pass settles every paper of the seeds' reference cone once, at
+//! most `E + n` edge work and usually a small fraction of it. The only
+//! cycle in the system is the dangling rank-1 part, and resolving it
+//! against the uniform kernel ([`crate::pushrank::uniform_kernel`]) keeps
+//! it out of the push entirely. A cold solve therefore needs no work
+//! budget and no fallback: it is the same one-pass push as the scorer's
+//! full solve.
 //!
 //! Three entry points:
 //!
-//! * [`personalize`] — cold push solve from a zero start with a hard work
-//!   budget and a dense-solve fallback (never fails, only slows down),
+//! * [`personalize`] — cold push solve from a zero start, one unbudgeted
+//!   pass over the seeds' cone,
 //! * [`dense_personalized`] — the power-iteration reference the push is
-//!   pinned against (≤ 1e-9, proptest-enforced at the workspace root),
+//!   pinned against (≤ 1e-9, proptest-enforced); no serving path calls it,
 //! * [`repersonalize`] — warm re-push of a previously solved vector
-//!   across a [`GraphDelta`]. Completed solves keep their *unresolved*
-//!   form ([`WarmStart`]): the pure-citation part `y = (I − α·C)⁻¹·b`
+//!   across a [`GraphDelta`]. Every solve keeps its *unresolved* form
+//!   ([`WarmStart`]): the pure-citation part `y = (I − α·C)⁻¹·b`
 //!   (dangling columns spread nothing in `C`) plus the scalar dangling
 //!   mass `dᵀy`. Both are invariant under pure growth — the teleport
 //!   never renormalizes and the `1/n`-uniform dangling redistribution
@@ -36,7 +40,7 @@ use sparsela::{
 
 use crate::delta::GraphDelta;
 use crate::network::{CitationNetwork, PaperId};
-use crate::pushrank::PushRankConfig;
+use crate::pushrank::{uniform_kernel, PushRankConfig};
 
 /// A seed-set validation failure. Every variant names the offending id,
 /// so query layers can surface a precise, typed `BadValue`.
@@ -189,32 +193,28 @@ impl SeedPersonalization {
     }
 }
 
-/// Result of a [`personalize`] solve.
+/// Result of a [`personalize`] or [`repersonalize`] solve.
 #[derive(Debug)]
 pub struct PersonalizedScores {
     /// The personalized score vector (fixed point of `x = α·S·x + b`).
     pub scores: ScoreVec,
-    /// Push diagnostics — for a fallback, the work spent before the
-    /// budget aborted the push.
+    /// Push diagnostics; the edge work includes the `n`-entry resolution.
     pub outcome: PushOutcome,
-    /// Whether the push exhausted its budget and the dense solve ran.
-    pub fallback: bool,
     /// The unresolved pure-citation part `y` (`scores` minus the
-    /// `α·(dᵀy)·u` dangling term) — present when the solve pushed against
-    /// a kernel, absent for dense fallbacks and flush-mode solves. This is
-    /// what [`repersonalize`] warm-starts from.
-    pub raw: Option<ScoreVec>,
+    /// `α·(dᵀy)·u` dangling term). This is what [`repersonalize`]
+    /// warm-starts from.
+    pub raw: ScoreVec,
     /// Total pure-citation mass sitting on dangling papers, `dᵀy`.
-    /// Meaningful only alongside [`Self::raw`].
     pub dangling_mass: f64,
 }
 
 impl PersonalizedScores {
-    /// The warm-start form consumed by [`repersonalize`], when this solve
-    /// kept it (kernel-resolved pushes do; dense fallbacks cannot).
+    /// The warm-start form consumed by [`repersonalize`]. Every solve
+    /// keeps it, so this is always `Some`; the `Option` stays for callers
+    /// written against solves that could not.
     pub fn warm_start(&self) -> Option<WarmStart<'_>> {
-        self.raw.as_ref().map(|raw| WarmStart {
-            raw,
+        Some(WarmStart {
+            raw: &self.raw,
             dangling_mass: self.dangling_mass,
         })
     }
@@ -234,18 +234,18 @@ pub struct WarmStart<'a> {
 
 /// Cold push solve of the personalized fixed point from a zero start.
 ///
-/// `kernel`, when given, must be the uniform kernel
-/// `u = (I − α·S)⁻¹·(1/n)·1` of `net` (see
-/// [`crate::pushrank::uniform_kernel`]): dangling residual mass is then
-/// deferred to one exact dense AXPY instead of being flushed into the
-/// residual, which keeps the push a near-topological sweep of the seed's
-/// ancestor cone. Without a kernel the solver flushes — correct, but
-/// large dangling flows may densify the push into the budget.
+/// One [`push::solve_deferring`] run from `x = 0, r = b` at `cfg.epsilon`
+/// with no work budget: on a citation DAG the descending-id cursor pushes
+/// each paper of the seeds' reference cone once (a same-year citation to
+/// a higher id costs it another pass, never a wrong answer). The deferred
+/// dangling mass `g` resolves as `x = y + g·u` against `kernel`, which
+/// must be the uniform kernel `u = (I − α·S)⁻¹·(1/n)·1` of `net` (see
+/// [`crate::pushrank::uniform_kernel`]); a missing or mis-sized kernel is
+/// built here. `cfg`'s budget and gate are not read: they bound warm
+/// pushes, whose fallback is a cold solve.
 ///
-/// The work budget is `cfg.budget_sweeps × (E + n)` edge traversals;
-/// exhausting it falls back to [`dense_personalized`] (same `b`), so the
-/// entry point never fails and the worst case is one bounded push plus
-/// one dense solve.
+/// # Panics
+/// Panics unless `0 ≤ α < 1`.
 pub fn personalize(
     net: &CitationNetwork,
     seed: &SeedPersonalization,
@@ -259,74 +259,55 @@ pub fn personalize(
         (0.0..1.0).contains(&alpha),
         "personalize: alpha {alpha} outside [0, 1)"
     );
-    let mut x = workspace.take_zeros(n);
+    let built;
+    let u = match kernel {
+        Some(u) if u.len() == n => u,
+        _ => {
+            built = uniform_kernel(net, alpha, workspace);
+            built.as_slice()
+        }
+    };
+    let mut y = workspace.take_zeros(n);
     let mut r = seed.teleport(alpha, n, workspace);
     let push_cfg = PushConfig {
         alpha,
         epsilon: cfg.epsilon,
-        max_edge_work: cfg.max_edge_work(net.n_citations(), n),
+        max_edge_work: u64::MAX,
     };
-    let mut outcome = match kernel {
-        Some(u) if u.len() == n => push::solve_deferring(
-            net.refs_csr(),
-            &push_cfg,
-            x.as_mut_slice(),
-            r.as_mut_slice(),
-            0.0,
-        ),
-        _ => push::solve(
-            net.refs_csr(),
-            &push_cfg,
-            x.as_mut_slice(),
-            r.as_mut_slice(),
-        ),
-    };
+    let mut outcome = push::solve_deferring(
+        net.refs_csr(),
+        &push_cfg,
+        y.as_mut_slice(),
+        r.as_mut_slice(),
+        0.0,
+    );
     workspace.recycle(r);
-    if !outcome.converged {
-        workspace.recycle(x);
-        let scores = dense_personalized(net, seed, alpha, workspace);
-        return PersonalizedScores {
-            scores,
-            outcome,
-            fallback: true,
-            raw: None,
-            dangling_mass: 0.0,
-        };
-    }
-    if let Some(u) = kernel {
-        if u.len() == n {
-            // Resolve into a fresh vector so the unresolved `y` survives
-            // as the entry's warm-start form. The deferred scalar is
-            // `α·(dᵀy)` by construction: every push at a dangling row
-            // deferred exactly `α` times the mass it settled there.
-            let g = outcome.deferred;
-            let mut scores = workspace.take_zeros(n);
-            for ((s, &yi), &ui) in scores.iter_mut().zip(x.iter()).zip(u) {
-                *s = yi + g * ui;
-            }
-            outcome.edge_work += n as u64;
-            let dangling_mass = if alpha > 0.0 { g / alpha } else { 0.0 };
-            return PersonalizedScores {
-                scores,
-                outcome,
-                fallback: false,
-                raw: Some(x),
-                dangling_mass,
-            };
-        }
-    }
+    // The deferred scalar is `α·(dᵀy)` by construction: every push at a
+    // dangling row deferred exactly `α` times the mass it settled there.
+    let g = outcome.deferred;
+    let scores = resolve(&y, g, u, workspace);
+    outcome.edge_work += n as u64;
     PersonalizedScores {
-        scores: x,
+        scores,
         outcome,
-        fallback: false,
-        raw: None,
-        dangling_mass: 0.0,
+        raw: y,
+        dangling_mass: if alpha > 0.0 { g / alpha } else { 0.0 },
     }
 }
 
+/// The closed-form dangling resolution `x = y + g·u`, into a fresh vector
+/// so `y` survives as the warm-start form.
+fn resolve(y: &ScoreVec, g: f64, u: &[f64], workspace: &mut KernelWorkspace) -> ScoreVec {
+    let mut scores = workspace.take_zeros(y.len());
+    for ((s, &yi), &ui) in scores.iter_mut().zip(y.iter()).zip(u) {
+        *s = yi + g * ui;
+    }
+    scores
+}
+
 /// The dense reference: a full power-iteration solve of the personalized
-/// fixed point. This is what [`personalize`] falls back to, and the
-/// oracle its push path is pinned against (≤ 1e-9).
+/// fixed point — the oracle the push paths are pinned against (≤ 1e-9).
+/// No serving path calls it.
 pub fn dense_personalized(
     net: &CitationNetwork,
     seed: &SeedPersonalization,
@@ -367,7 +348,7 @@ pub fn dense_personalized(
 /// * one dense AXPY resolving the dangling part (`O(n)`).
 ///
 /// Unlike a scale-fitted re-seed of the *resolved* vector
-/// ([`crate::pushrank::try_push_rerank`], which stays the right tool for
+/// ([`crate::pushrank::try_push_lane`], which stays the right tool for
 /// dense teleports like global PageRank), no `α·d/n`-sized residual
 /// lands on appended rows, so there is no drizzle to cascade through
 /// their reference cones.
@@ -487,17 +468,12 @@ pub fn repersonalize(
     }
 
     // Closed-form dangling resolution: x = y + α·(dᵀy)·u.
-    let g = alpha * dangling_mass;
-    let mut scores = workspace.take_zeros(n_new);
-    for ((s, &yi), &ui) in scores.iter_mut().zip(y.iter()).zip(u) {
-        *s = yi + g * ui;
-    }
+    let scores = resolve(&y, alpha * dangling_mass, u, workspace);
     outcome.edge_work += seed_work + n_new as u64;
     Some(PersonalizedScores {
         scores,
         outcome,
-        fallback: false,
-        raw: Some(y),
+        raw: y,
         dangling_mass,
     })
 }
@@ -589,7 +565,6 @@ mod tests {
             let dense = dense_personalized(&net, &seed, alpha, &mut ws);
             for kernel in [Some(u.as_slice()), None] {
                 let got = personalize(&net, &seed, alpha, kernel, &permissive(), &mut ws);
-                assert!(!got.fallback, "seeds {seeds:?} should push within budget");
                 for i in 0..net.n_papers() {
                     assert!(
                         (got.scores[i] - dense[i]).abs() < 1e-9,
@@ -599,24 +574,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn zero_budget_falls_back_to_dense() {
-        let net = base();
-        let alpha = 0.5;
-        let mut ws = KernelWorkspace::new();
-        let seed = SeedPersonalization::uniform(&[11], net.n_papers()).unwrap();
-        let cfg = PushRankConfig {
-            max_delta_fraction: 1.0,
-            ..PushRankConfig::forced_fallback()
-        };
-        let got = personalize(&net, &seed, alpha, None, &cfg, &mut ws);
-        assert!(got.fallback);
-        let dense = dense_personalized(&net, &seed, alpha, &mut ws);
-        for i in 0..net.n_papers() {
-            assert!((got.scores[i] - dense[i]).abs() < 1e-12);
         }
     }
 
@@ -730,18 +687,11 @@ mod tests {
         let mut ws = KernelWorkspace::new();
         let seed = SeedPersonalization::uniform(&[8], net.n_papers()).unwrap();
 
-        // A flush-mode solve (no kernel) keeps no warm-start form.
-        let flushed = personalize(&net, &seed, alpha, None, &permissive(), &mut ws);
-        assert!(flushed.warm_start().is_none());
-        // A dense fallback keeps none either.
-        let cfg = PushRankConfig {
-            max_delta_fraction: 1.0,
-            ..PushRankConfig::forced_fallback()
-        };
-        let fell = personalize(&net, &seed, alpha, None, &cfg, &mut ws);
-        assert!(fell.fallback && fell.warm_start().is_none());
+        // A solve without a kernel builds one and keeps its warm form.
+        let unkerneled = personalize(&net, &seed, alpha, None, &permissive(), &mut ws);
+        assert!(unkerneled.warm_start().is_some());
 
-        // And a warm re-push without the new kernel declines.
+        // A warm re-push without the new kernel declines.
         let u_old = uniform_kernel(&net, alpha, &mut ws);
         let prev = personalize(
             &net,

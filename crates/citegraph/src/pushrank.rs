@@ -52,10 +52,15 @@
 //! dangling sums of every lane, then the rewired columns once for all
 //! lanes) and **one** run of [`sparsela::push::solve_lanes`]. A
 //! [`Personalization`] is a dense slice or a uniform constant, so
-//! `(1/n)·1` teleports are never materialized. [`try_push_rerank`],
-//! [`try_push_lane`] and [`update_uniform_kernel`] are the `K = 1` callers
-//! of the same seeding and the same loop, on a copy of the caller's
-//! vector.
+//! `(1/n)·1` teleports are never materialized. [`try_push_lane`] and
+//! [`update_uniform_kernel`] are the `K = 1` callers of the same seeding
+//! and the same loop, on a copy of the caller's vector.
+//!
+//! Every push here defers its dangling mass (see [`sparsela::push`]) and
+//! resolves it against the uniform kernel, or in closed form for a system
+//! that is a multiple of the kernel ([`DanglingResolution`]). The kernel
+//! itself is one cold push from zero ([`uniform_kernel`]), as is a
+//! seed-set solve ([`crate::personalize()`]).
 //!
 //! When the delta is too large a fraction of the graph, or the push
 //! exhausts its work budget (a few full-SpMV equivalents, shared by all
@@ -76,10 +81,6 @@ use crate::network::CitationNetwork;
 /// `u = (I − α·S)⁻¹·(1/n)·1` is the *uniform kernel* of the operator.
 #[derive(Debug, Clone, Copy)]
 pub enum DanglingResolution<'a> {
-    /// No kernel available: flush deferred mass into the dense residual
-    /// when it grows. Always correct, but large dangling flows densify
-    /// the push and may exhaust the budget (→ fallback).
-    Flush,
     /// Resolve against a maintained uniform-kernel solution for the *new*
     /// network state: `x += g·u`. One dense AXPY, no densification.
     Kernel(&'a [f64]),
@@ -100,6 +101,9 @@ pub struct PushRankConfig {
     pub epsilon: f64,
     /// Push work budget in full-SpMV equivalents (`budget × (E + n)` edge
     /// traversals). Exceeding it aborts the push and signals fallback.
+    /// It bounds pushes across a delta only: a cold solve from zero
+    /// ([`uniform_kernel`], [`crate::personalize()`]) is one unbudgeted
+    /// pass.
     pub budget_sweeps: f64,
     /// Skip the push entirely when the delta touches more than this
     /// fraction of the graph (`(new papers + new edges) / (E + n)`): past
@@ -222,8 +226,7 @@ fn fit_scale(b_old: Personalization<'_>, b_new: Personalization<'_>, n: usize) -
 ///
 /// The dangling-denominator shift decomposes into one scalar `kappa`
 /// uniform over *all* rows plus a sparse correction on the (few) new rows.
-/// When `flush` is set the uniform part is added densely to the residual;
-/// otherwise it is returned, per lane, as the deferred mass `kappa·n₁`
+/// The uniform part is returned, per lane, as the deferred mass `kappa·n₁`
 /// the push starts from. Returns `None` when a fixed point is not finite.
 fn seed_lanes<const K: usize>(
     old: &CitationNetwork,
@@ -231,7 +234,6 @@ fn seed_lanes<const K: usize>(
     new: &CitationNetwork,
     lanes: &mut [PushLane<'_>; K],
     alpha: f64,
-    flush: bool,
     r: &mut [f64],
 ) -> Option<[f64; K]> {
     let n_old = old.n_papers();
@@ -279,18 +281,11 @@ fn seed_lanes<const K: usize>(
     for k in 0..K {
         let kappa = alpha * (d_new[k] / n_new as f64 - d_old[k] / n_old as f64);
         let new_row_extra = alpha * d_old[k] / n_old as f64;
-        let dense_kappa = if flush { kappa } else { 0.0 };
-        if flush {
-            for ri in r[..n_old * K].chunks_exact_mut(K) {
-                ri[k] += dense_kappa;
-            }
-        } else {
-            initial_deferred[k] = kappa * n_new as f64;
-        }
+        initial_deferred[k] = kappa * n_new as f64;
         // New rows hold no score; the residual seeds them with their full
         // score mass.
         for i in n_old..n_new {
-            r[i * K + k] = b_new[k].at(i) + dense_kappa + new_row_extra;
+            r[i * K + k] = b_new[k].at(i) + new_row_extra;
         }
     }
 
@@ -342,7 +337,6 @@ fn prepare_lanes<const K: usize>(
     new: &CitationNetwork,
     lanes: &mut [PushLane<'_>; K],
     alpha: f64,
-    flush: bool,
     cfg: &PushRankConfig,
     r: &mut [f64],
 ) -> Option<([f64; K], PushConfig)> {
@@ -358,7 +352,7 @@ fn prepare_lanes<const K: usize>(
     {
         return None;
     }
-    let initial_deferred = seed_lanes(old, delta, new, lanes, alpha, flush, r)?;
+    let initial_deferred = seed_lanes(old, delta, new, lanes, alpha, r)?;
     let push_cfg = PushConfig {
         alpha,
         epsilon: cfg.epsilon,
@@ -395,7 +389,7 @@ pub fn try_push_lanes<const K: usize>(
 ) -> Option<LanesOutcome<K>> {
     residual.resize(new.n_papers() * K, 0.0);
     let (initial_deferred, push_cfg) =
-        prepare_lanes(old, delta, new, &mut lanes, alpha, false, cfg, residual)?;
+        prepare_lanes(old, delta, new, &mut lanes, alpha, cfg, residual)?;
     let outcome = push::solve_lanes(
         new.refs_csr(),
         &push_cfg,
@@ -410,10 +404,13 @@ pub fn try_push_lanes<const K: usize>(
 ///
 /// `old` is the network `previous` was solved on, `new` must be
 /// `old.with_delta(delta)`, and `b_old`/`b_new` are the personalization
-/// vectors of the two states (for PageRank the uniform teleport, for
-/// AttRank `β·A + γ·T`). Returns the updated scores and push diagnostics,
-/// or `None` when the push is not worthwhile / did not converge in budget
-/// — the caller then runs its full solve.
+/// vectors of the two states, each a dense slice or a uniform constant
+/// (for PageRank the uniform teleport, for AttRank `β·A + γ·T`). The push
+/// runs on a pooled copy of `previous` (the `K = 1` caller of the fused
+/// seeding), with the deferred mass resolved as `resolution` says.
+/// Returns the updated scores and push diagnostics, or `None` when the
+/// push is not worthwhile / did not converge in budget — the caller then
+/// runs its full solve.
 ///
 /// Accuracy: the result deviates from the true new fixed point by at most
 /// `ε/(1−α)` plus the (same-scale) residual the old solve left behind
@@ -421,37 +418,6 @@ pub fn try_push_lanes<const K: usize>(
 /// per publish — serving deployments bound the drift by letting their
 /// rerank policy force an occasional full solve).
 #[allow(clippy::too_many_arguments)] // one call site per ranker; a params struct would only rename the coupling
-pub fn try_push_rerank(
-    old: &CitationNetwork,
-    delta: &GraphDelta,
-    new: &CitationNetwork,
-    previous: &ScoreVec,
-    b_old: &[f64],
-    b_new: &[f64],
-    alpha: f64,
-    resolution: DanglingResolution<'_>,
-    cfg: &PushRankConfig,
-    workspace: &mut KernelWorkspace,
-) -> Option<(ScoreVec, PushOutcome)> {
-    try_push_lane(
-        old,
-        delta,
-        new,
-        previous,
-        Personalization::Dense(b_old),
-        Personalization::Dense(b_new),
-        alpha,
-        resolution,
-        cfg,
-        workspace,
-    )
-}
-
-/// [`try_push_rerank`] with either personalization given as a dense slice
-/// or as a uniform constant: the `K = 1` caller of the fused seeding, on a
-/// pooled copy of `previous`, with the deferred mass resolved as
-/// `resolution` says.
-#[allow(clippy::too_many_arguments)] // as try_push_rerank
 pub fn try_push_lane(
     old: &CitationNetwork,
     delta: &GraphDelta,
@@ -470,7 +436,6 @@ pub fn try_push_lane(
             return None;
         }
     }
-    let flush = matches!(resolution, DanglingResolution::Flush);
     let mut x = workspace.take_zeros(previous.len());
     x.copy_from_slice(previous);
     let mut r = workspace.take_zeros(n_new);
@@ -479,29 +444,15 @@ pub fn try_push_lane(
         b_old,
         b_new,
     }];
-    let prepared = prepare_lanes(
-        old,
-        delta,
-        new,
-        &mut lane,
-        alpha,
-        flush,
-        cfg,
-        r.as_mut_slice(),
-    );
+    let prepared = prepare_lanes(old, delta, new, &mut lane, alpha, cfg, r.as_mut_slice());
     let pushed = prepared.map(|([initial_deferred], push_cfg)| {
-        let columns = new.refs_csr();
-        if flush {
-            push::solve(columns, &push_cfg, x.as_mut_slice(), r.as_mut_slice())
-        } else {
-            push::solve_deferring(
-                columns,
-                &push_cfg,
-                x.as_mut_slice(),
-                r.as_mut_slice(),
-                initial_deferred,
-            )
-        }
+        push::solve_deferring(
+            new.refs_csr(),
+            &push_cfg,
+            x.as_mut_slice(),
+            r.as_mut_slice(),
+            initial_deferred,
+        )
     });
     workspace.recycle(r);
     // The self-similar closed form needs (1 − g·f) safely positive; a
@@ -517,7 +468,6 @@ pub fn try_push_lane(
     };
     // Resolve the deferred uniform mass exactly (see DanglingResolution).
     match resolution {
-        DanglingResolution::Flush => {}
         DanglingResolution::Kernel(u) => {
             let g = outcome.deferred;
             for (xi, &ui) in x.iter_mut().zip(u) {
@@ -531,9 +481,7 @@ pub fn try_push_lane(
             }
         }
     }
-    if !flush {
-        outcome.edge_work += n_new as u64;
-    }
+    outcome.edge_work += n_new as u64;
     Some((x, outcome))
 }
 
@@ -632,6 +580,13 @@ mod tests {
         vec![(1.0 - alpha) / n as f64; n]
     }
 
+    /// PageRank's fixed point is `(1−α)·u`: a multiple of the kernel.
+    fn pagerank_resolution(alpha: f64) -> DanglingResolution<'static> {
+        DanglingResolution::SelfSimilar {
+            kernel_factor: 1.0 / (1.0 - alpha),
+        }
+    }
+
     /// On the tiny fixture graphs the perturbed frontier *is* the whole
     /// graph, so the production-scale gates would (correctly) decline;
     /// open them up to exercise the push numerics themselves.
@@ -659,16 +614,17 @@ mod tests {
         let b1 = uniform_b(new.n_papers(), alpha);
 
         let mut ws = KernelWorkspace::new();
+        let u = uniform_kernel(&new, alpha, &mut ws);
         let cfg = permissive();
-        let (pushed, stats) = try_push_rerank(
+        let (pushed, stats) = try_push_lane(
             &old,
             &d,
             &new,
             &prev,
-            &b0,
-            &b1,
+            Personalization::Dense(&b0),
+            Personalization::Dense(&b1),
             alpha,
-            DanglingResolution::Flush,
+            DanglingResolution::Kernel(u.as_slice()),
             &cfg,
             &mut ws,
         )
@@ -700,15 +656,15 @@ mod tests {
         let b1 = uniform_b(new.n_papers(), alpha);
         let mut ws = KernelWorkspace::new();
         // 6 delta items on a ~25-item graph exceed a 10% gate.
-        assert!(try_push_rerank(
+        assert!(try_push_lane(
             &old,
             &d,
             &new,
             &prev,
-            &b0,
-            &b1,
+            Personalization::Dense(&b0),
+            Personalization::Dense(&b1),
             alpha,
-            DanglingResolution::Flush,
+            pagerank_resolution(alpha),
             &PushRankConfig::default(),
             &mut ws
         )
@@ -730,15 +686,15 @@ mod tests {
             max_delta_fraction: 1.0,
             ..PushRankConfig::forced_fallback()
         };
-        assert!(try_push_rerank(
+        assert!(try_push_lane(
             &old,
             &d,
             &new,
             &prev,
-            &b0,
-            &b1,
+            Personalization::Dense(&b0),
+            Personalization::Dense(&b1),
             alpha,
-            DanglingResolution::Flush,
+            pagerank_resolution(alpha),
             &cfg,
             &mut ws,
         )
@@ -757,30 +713,30 @@ mod tests {
         let mut ws = KernelWorkspace::new();
         let cfg = permissive();
         let short = ScoreVec::uniform(3);
-        assert!(try_push_rerank(
+        assert!(try_push_lane(
             &old,
             &d,
             &new,
             &short,
-            &b0,
-            &b1,
+            Personalization::Dense(&b0),
+            Personalization::Dense(&b1),
             alpha,
-            DanglingResolution::Flush,
+            pagerank_resolution(alpha),
             &cfg,
             &mut ws
         )
         .is_none());
         let mut nan = ScoreVec::uniform(old.n_papers());
         nan[0] = f64::NAN;
-        assert!(try_push_rerank(
+        assert!(try_push_lane(
             &old,
             &d,
             &new,
             &nan,
-            &b0,
-            &b1,
+            Personalization::Dense(&b0),
+            Personalization::Dense(&b1),
             alpha,
-            DanglingResolution::Flush,
+            pagerank_resolution(alpha),
             &cfg,
             &mut ws
         )
@@ -803,15 +759,15 @@ mod tests {
         let b1 = uniform_b(new.n_papers(), alpha);
         let mut ws = KernelWorkspace::new();
         let cfg = permissive();
-        let (pushed, _) = try_push_rerank(
+        let (pushed, _) = try_push_lane(
             &old,
             &d,
             &new,
             &prev,
-            &b0,
-            &b1,
+            Personalization::Dense(&b0),
+            Personalization::Dense(&b1),
             alpha,
-            DanglingResolution::Flush,
+            pagerank_resolution(alpha),
             &cfg,
             &mut ws,
         )

@@ -3,12 +3,15 @@
 //!
 //! Over random temporally-valid graphs the push path must stay within
 //! `1e-9` of [`citegraph::dense_personalized`] — for uniform and weighted
-//! seed sets, when the work budget forces the dense fallback, and for
-//! [`citegraph::repersonalize`] warm re-pushes across random tail deltas.
+//! seed sets, whatever the push budget says (a cold solve is one
+//! unbudgeted pass), and for [`citegraph::repersonalize`] warm re-pushes
+//! across random tail deltas. On a generated corpus the cold pass pushes
+//! each paper of the seeds' reference cone at most once.
 
+use citegen::{generate, DatasetProfile};
 use citegraph::{
-    dense_personalized, personalize, repersonalize, uniform_kernel, GraphDelta, NetworkBuilder,
-    PushRankConfig, SeedPersonalization,
+    dense_personalized, personalize, repersonalize, uniform_kernel, CitationNetwork, GraphDelta,
+    NetworkBuilder, PushRankConfig, SeedPersonalization,
 };
 use proptest::prelude::*;
 use sparsela::KernelWorkspace;
@@ -71,8 +74,8 @@ proptest! {
         for i in 0..net.n_papers() {
             prop_assert!(
                 (got.scores[i] - want[i]).abs() < 1e-9,
-                "paper {i}: push {} vs dense {} (fallback: {})",
-                got.scores[i], want[i], got.fallback
+                "paper {i}: push {} vs dense {}",
+                got.scores[i], want[i]
             );
         }
     }
@@ -108,7 +111,7 @@ proptest! {
     }
 
     #[test]
-    fn forced_fallback_still_matches_dense(
+    fn a_cold_solve_ignores_the_push_budget(
         (years, edges) in network_strategy(40),
         picks in proptest::collection::vec(0..1000usize, 1..4),
         alpha in 0.2f64..0.8,
@@ -118,13 +121,17 @@ proptest! {
         let seed = SeedPersonalization::uniform(&seeds, net.n_papers()).unwrap();
         let mut ws = KernelWorkspace::new();
         let kernel = uniform_kernel(&net, alpha, &mut ws);
-        // Zero work budget: the push must abort immediately and the dense
-        // fallback must carry the request — scores identical either way.
+        // A zero work budget bounds warm pushes only: the cold pass runs
+        // to the same bits as under the default config.
         let cfg = PushRankConfig { budget_sweeps: 0.0, ..PushRankConfig::default() };
         let got = personalize(&net, &seed, alpha, Some(kernel.as_slice()), &cfg, &mut ws);
-        prop_assert!(got.fallback, "zero budget must force the fallback");
+        let default = personalize(
+            &net, &seed, alpha, Some(kernel.as_slice()), &PushRankConfig::default(), &mut ws,
+        );
+        prop_assert!(got.warm_start().is_some(), "a cold solve keeps its warm form");
         let want = dense_personalized(&net, &seed, alpha, &mut ws);
         for i in 0..net.n_papers() {
+            prop_assert_eq!(got.scores[i].to_bits(), default.scores[i].to_bits());
             prop_assert!((got.scores[i] - want[i]).abs() < 1e-9);
         }
     }
@@ -185,6 +192,59 @@ proptest! {
                     "repersonalize declined a {touched}-item delta on a {size}-item graph"
                 );
             }
+        }
+    }
+}
+
+/// Papers reachable from `seeds` along references, seeds included.
+fn reference_cone(net: &CitationNetwork, seeds: &[u32]) -> Vec<u32> {
+    let mut seen = vec![false; net.n_papers()];
+    let mut stack = seeds.to_vec();
+    let mut cone = Vec::new();
+    while let Some(p) = stack.pop() {
+        if !std::mem::replace(&mut seen[p as usize], true) {
+            cone.push(p);
+            stack.extend_from_slice(net.references(p));
+        }
+    }
+    cone
+}
+
+#[test]
+fn a_cold_personalized_solve_pushes_each_cone_paper_once() {
+    // Generated corpora cite only earlier ids, so the descending cursor
+    // settles each cone paper's inflow before pushing it: one pass.
+    let net = generate(&DatasetProfile::dblp().scaled(3000), 31);
+    let (n, e) = (net.n_papers(), net.n_citations());
+    let mut ws = KernelWorkspace::new();
+    for alpha in [0.2, 0.5, 0.85] {
+        let kernel = uniform_kernel(&net, alpha, &mut ws);
+        for seeds in [vec![n as u32 - 1], vec![17, n as u32 / 2, n as u32 - 5]] {
+            let seed = SeedPersonalization::uniform(&seeds, n).unwrap();
+            let cone = reference_cone(&net, &seeds);
+            let got = personalize(
+                &net,
+                &seed,
+                alpha,
+                Some(kernel.as_slice()),
+                &PushRankConfig::default(),
+                &mut ws,
+            );
+            // The outcome's edge work includes the n-entry resolution.
+            let push_work = got.outcome.edge_work - n as u64;
+            let cone_work: u64 = cone
+                .iter()
+                .map(|&p| net.references(p).len().max(1) as u64)
+                .sum();
+            assert!(got.outcome.converged, "α = {alpha}, seeds {seeds:?}");
+            assert!(
+                got.outcome.pushes <= cone.len() as u64,
+                "α = {alpha}, seeds {seeds:?}: {} pushes over a {}-paper cone",
+                got.outcome.pushes,
+                cone.len()
+            );
+            assert!(push_work <= cone_work, "α = {alpha}, seeds {seeds:?}");
+            assert!(got.outcome.pushes <= n as u64 && push_work <= (e + n) as u64);
         }
     }
 }

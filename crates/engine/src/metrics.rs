@@ -59,9 +59,8 @@ fn shape_index(q: &Query) -> usize {
 }
 
 /// Label values of the cache `outcome` axis (order matches
-/// [`CacheStats`] field order: hits, warm repushes, cold pushes,
-/// fallbacks).
-const CACHE_OUTCOME_LABELS: [&str; 4] = ["hit", "warm_repush", "cold_push", "cold_fallback"];
+/// [`CacheStats`] field order: hits, warm repushes, cold pushes).
+const CACHE_OUTCOME_LABELS: [&str; 3] = ["hit", "warm_repush", "cold_push"];
 
 /// Label values of the admission `decision` axis.
 const ADMISSION_LABELS: [&str; 4] = ["admitted", "k_clamped", "scan_fallback", "shed"];
@@ -431,7 +430,7 @@ impl ServingMetrics {
         boundary_edges: &[usize],
     ) -> String {
         let c = cache;
-        let totals = [c.hits, c.warm_repushes, c.cold_pushes, c.fallbacks];
+        let totals = [c.hits, c.warm_repushes, c.cold_pushes];
         record_totals(&self.cache_outcomes, totals);
         self.cache_entries.set(c.entries as i64);
         self.cache_bytes.set(c.bytes as i64);

@@ -18,13 +18,19 @@
 //!   [`citegraph::repersonalize`] revalidates it with a push over the
 //!   delta-rewired columns plus one kernel AXPY — an epoch publish
 //!   *invalidates lazily*; stale entries are warm starts, not discards;
-//! * **cold** — no usable entry: budgeted push solve from zero (with the
-//!   dense fallback), then cache.
+//! * **cold** — no usable entry: one push pass from zero over the seeds'
+//!   reference cone ([`citegraph::personalize()`]: no work budget, no
+//!   fallback — on a citation DAG each cone paper is pushed once), then
+//!   cache.
 //!
-//! The dangling rank-1 part of every solve resolves against a per-`α`
-//! **uniform kernel** sub-cache, itself cold-built once per (α, epoch)
-//! and warm-updated across publishes by [`citegraph::update_uniform_kernel`]
-//! — so the only dense work in steady state is one kernel AXPY per solve.
+//! The dangling rank-1 part of every solve resolves against a **uniform
+//! kernel** sub-cache keyed like the entries, by partition label and `α`:
+//! a kernel belongs to the partition whose graph it was solved on, so one
+//! shard's kernel never resolves another's vectors. Each is cold-built
+//! once per (label, α, epoch) and warm-updated by
+//! [`citegraph::update_uniform_kernel`] only from the lineage's parent
+//! epoch — so the only dense work in steady state is one kernel AXPY per
+//! solve.
 //!
 //! Concurrency follows the engine's snapshot discipline: completed
 //! vectors are immutable behind `Arc`s, the interior mutex guards only
@@ -51,11 +57,13 @@ pub struct CacheConfig {
     pub capacity: usize,
     /// Memory bound over the cached vectors, in bytes. Each entry holds
     /// the resolved scores, their block-maxima summary (1/64 of the
-    /// scores, in 8 KiB steps) plus (for push-solved entries) the
-    /// unresolved warm-start form; all are counted. Uniform kernels are
-    /// per-`α` singletons and are not.
+    /// scores, in 8 KiB steps) and the unresolved warm-start form; all
+    /// are counted. Uniform kernels (one per partition label and `α`) are
+    /// not.
     pub max_bytes: usize,
-    /// Push tuning for cold solves, warm re-pushes, and kernel updates.
+    /// Push tuning: `epsilon` for every solve, the budget and the delta
+    /// gate for warm re-pushes and kernel updates (a cold solve has no
+    /// budget).
     pub push: PushRankConfig,
 }
 
@@ -64,14 +72,7 @@ impl Default for CacheConfig {
         Self {
             capacity: 1024,
             max_bytes: 256 << 20,
-            push: PushRankConfig {
-                // Serving headroom: a cold personalized push is a
-                // near-topological sweep of the seed's ancestor cone, but
-                // a hub seed can reach most of the corpus — allow a few
-                // sweeps before declaring the dense fallback cheaper.
-                budget_sweeps: 8.0,
-                ..PushRankConfig::default()
-            },
+            push: PushRankConfig::default(),
         }
     }
 }
@@ -84,11 +85,8 @@ pub enum CacheOutcome {
     /// Entry from the parent epoch revalidated by an `O(affected)` push
     /// across the published delta.
     WarmRepush,
-    /// No usable entry; budgeted push solve from a zero start.
+    /// No usable entry; one push pass from a zero start.
     ColdPush,
-    /// No usable entry and the push exhausted its budget; the dense
-    /// reference solve served the request.
-    ColdFallback,
 }
 
 /// Cache observability counters (monotonic since construction) plus the
@@ -101,7 +99,9 @@ pub struct CacheStats {
     pub warm_repushes: u64,
     /// Requests served by a cold push solve.
     pub cold_pushes: u64,
-    /// Requests where the cold push fell back to the dense solve.
+    /// Requests a cold solve could not serve by push. Always 0: a cold
+    /// solve is one unbudgeted pass and has no fallback. Kept for readers
+    /// that sum every outcome.
     pub fallbacks: u64,
     /// Vectors currently cached.
     pub entries: usize,
@@ -167,18 +167,17 @@ struct CacheEntry {
     /// directly or through one lineage hop).
     epoch: u64,
     ranking: CachedRanking,
-    /// Warm-start form (unresolved pure-citation part) — `None` for
-    /// fallback-solved entries, which can only be revalidated cold.
-    raw: Option<Arc<ScoreVec>>,
-    /// `dᵀy` of [`Self::raw`]; meaningless when `raw` is `None`.
+    /// Warm-start form (unresolved pure-citation part).
+    raw: Arc<ScoreVec>,
+    /// `dᵀy` of [`Self::raw`].
     dangling_mass: f64,
     last_used: u64,
 }
 
 impl CacheEntry {
     fn bytes(&self) -> usize {
-        let raw = self.raw.as_ref().map_or(0, |r| r.len());
-        (self.ranking.scores.len() + raw) * std::mem::size_of::<f64>() + self.ranking.blocks.bytes()
+        (self.ranking.scores.len() + self.raw.len()) * std::mem::size_of::<f64>()
+            + self.ranking.blocks.bytes()
     }
 }
 
@@ -190,9 +189,9 @@ struct KernelEntry {
 #[derive(Default)]
 pub(crate) struct CacheInner {
     entries: HashMap<CacheKey, CacheEntry>,
-    /// Uniform kernels keyed by `α` bit pattern; one (latest-epoch)
-    /// kernel per damping factor.
-    kernels: HashMap<u64, KernelEntry>,
+    /// Uniform kernels keyed by partition label and `α` bit pattern; one
+    /// (latest-epoch) kernel per partition and damping factor.
+    kernels: HashMap<(String, u64), KernelEntry>,
     tick: u64,
     bytes: usize,
 }
@@ -205,7 +204,6 @@ pub struct PersonalizationCache {
     hits: AtomicU64,
     warm_repushes: AtomicU64,
     cold_pushes: AtomicU64,
-    fallbacks: AtomicU64,
 }
 
 impl PersonalizationCache {
@@ -220,7 +218,6 @@ impl PersonalizationCache {
             hits: AtomicU64::new(0),
             warm_repushes: AtomicU64::new(0),
             cold_pushes: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
         }
     }
 
@@ -250,7 +247,7 @@ impl PersonalizationCache {
             hits: self.hits.load(Ordering::Relaxed),
             warm_repushes: self.warm_repushes.load(Ordering::Relaxed),
             cold_pushes: self.cold_pushes.load(Ordering::Relaxed),
-            fallbacks: self.fallbacks.load(Ordering::Relaxed),
+            fallbacks: 0,
             entries: inner.entries.len(),
             bytes: inner.bytes,
         }
@@ -299,21 +296,18 @@ impl PersonalizationCache {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return (e.ranking.clone(), CacheOutcome::Hit);
                 }
-                Some(e) => snap.lineage().and_then(|lin| match &e.raw {
-                    Some(raw)
-                        if e.epoch == lin.parent_epoch
-                            && raw.len() == lin.parent_net.n_papers() =>
-                    {
-                        Some((raw.clone(), e.dangling_mass))
-                    }
-                    _ => None,
-                }),
+                Some(e) => snap
+                    .lineage()
+                    .filter(|lin| {
+                        e.epoch == lin.parent_epoch && e.raw.len() == lin.parent_net.n_papers()
+                    })
+                    .map(|_| (e.raw.clone(), e.dangling_mass)),
                 None => None,
             }
         };
 
         let mut ws = KernelWorkspace::new();
-        let kernel = self.kernel(snap, alpha, &mut ws);
+        let kernel = self.kernel(method, snap, alpha, &mut ws);
 
         if let Some((raw, dangling_mass)) = warm_start {
             let lin = snap.lineage().expect("warm start implies lineage");
@@ -336,7 +330,7 @@ impl PersonalizationCache {
                     key,
                     snap.epoch(),
                     ranking.clone(),
-                    solved.raw.map(Arc::new),
+                    solved.raw,
                     solved.dangling_mass,
                 );
                 self.warm_repushes.fetch_add(1, Ordering::Relaxed);
@@ -352,42 +346,47 @@ impl PersonalizationCache {
             &self.config.push,
             &mut ws,
         );
-        let outcome = if solved.fallback {
-            self.fallbacks.fetch_add(1, Ordering::Relaxed);
-            CacheOutcome::ColdFallback
-        } else {
-            self.cold_pushes.fetch_add(1, Ordering::Relaxed);
-            CacheOutcome::ColdPush
-        };
+        self.cold_pushes.fetch_add(1, Ordering::Relaxed);
         let ranking = CachedRanking::new(solved.scores, snap.network());
         self.insert(
             key,
             snap.epoch(),
             ranking.clone(),
-            solved.raw.map(Arc::new),
+            solved.raw,
             solved.dangling_mass,
         );
-        (ranking, outcome)
+        (ranking, CacheOutcome::ColdPush)
     }
 
-    /// The uniform kernel `u = (I − α·S)⁻¹·(1/n)·1` for `snap`'s network:
-    /// served from the per-`α` sub-cache, warm-updated across the
-    /// snapshot's lineage when possible, cold-built otherwise.
-    fn kernel(&self, snap: &EpochSnapshot, alpha: f64, ws: &mut KernelWorkspace) -> Arc<ScoreVec> {
-        let bits = alpha.to_bits();
-        let stale: Option<Arc<ScoreVec>> = {
+    /// The uniform kernel `u = (I − α·S)⁻¹·(1/n)·1` for `snap`'s network,
+    /// the partition `method` labels: served from the sub-cache,
+    /// warm-updated from the lineage's parent epoch when that is what the
+    /// sub-cache holds, cold-built otherwise.
+    fn kernel(
+        &self,
+        method: &str,
+        snap: &EpochSnapshot,
+        alpha: f64,
+        ws: &mut KernelWorkspace,
+    ) -> Arc<ScoreVec> {
+        let key = (method.to_string(), alpha.to_bits());
+        let parent: Option<Arc<ScoreVec>> = {
             let inner = self.lock();
-            match inner.kernels.get(&bits) {
+            match inner.kernels.get(&key) {
                 Some(e) if e.epoch == snap.epoch() && e.kernel.len() == snap.n_papers() => {
                     return e.kernel.clone();
                 }
-                Some(e) => Some(e.kernel.clone()),
+                Some(e) => snap
+                    .lineage()
+                    .filter(|lin| {
+                        e.epoch == lin.parent_epoch && e.kernel.len() == lin.parent_net.n_papers()
+                    })
+                    .map(|_| e.kernel.clone()),
                 None => None,
             }
         };
-        let updated = stale.and_then(|prev| {
+        let updated = parent.and_then(|prev| {
             let lin = snap.lineage()?;
-            (lin.parent_net.n_papers() == prev.len()).then_some(())?;
             update_uniform_kernel(
                 &lin.parent_net,
                 &lin.delta,
@@ -407,7 +406,7 @@ impl PersonalizationCache {
         // A racing builder may have stored a kernel meanwhile; last write
         // wins — both are correct for this epoch.
         inner.kernels.insert(
-            bits,
+            key,
             KernelEntry {
                 epoch: snap.epoch(),
                 kernel: kernel.clone(),
@@ -416,15 +415,15 @@ impl PersonalizationCache {
         kernel
     }
 
-    /// Stores a completed vector (with its summary, and its warm-start
-    /// form when the solve kept one) and evicts least-recently-used
+    /// Stores a completed vector (with its summary and its warm-start
+    /// form) and evicts least-recently-used
     /// entries past the capacity/memory bounds.
     fn insert(
         &self,
         key: CacheKey,
         epoch: u64,
         ranking: CachedRanking,
-        raw: Option<Arc<ScoreVec>>,
+        raw: ScoreVec,
         dangling_mass: f64,
     ) {
         let mut inner = self.lock();
@@ -433,7 +432,7 @@ impl PersonalizationCache {
         let entry = CacheEntry {
             epoch,
             ranking,
-            raw,
+            raw: Arc::new(raw),
             dangling_mass,
             last_used: tick,
         };
@@ -572,28 +571,6 @@ mod tests {
         for i in 0..old.n_papers() {
             assert_eq!(pinned[i], before[i]);
         }
-    }
-
-    #[test]
-    fn forced_fallback_is_reported_and_correct() {
-        let engine = engine();
-        let cache = PersonalizationCache::new(CacheConfig {
-            push: PushRankConfig {
-                max_delta_fraction: 1.0,
-                ..PushRankConfig::forced_fallback()
-            },
-            ..CacheConfig::default()
-        });
-        let snap = engine.snapshot();
-        let s = seed(&[11], snap.n_papers());
-        let (scores, o) = cache.scores(engine.method(), &snap, &s, 0.5);
-        assert_eq!(o, CacheOutcome::ColdFallback);
-        let mut ws = KernelWorkspace::new();
-        let dense = dense_personalized(snap.network(), &s, 0.5, &mut ws);
-        for i in 0..snap.n_papers() {
-            assert!((scores[i] - dense[i]).abs() < 1e-9);
-        }
-        assert_eq!(cache.stats().fallbacks, 1);
     }
 
     #[test]

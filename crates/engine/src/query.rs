@@ -3689,7 +3689,7 @@ mod tests {
         qe.query(&q).unwrap();
         let stats = qe.personalization_stats();
         assert_eq!(stats.hits, 1);
-        assert!(stats.cold_pushes + stats.fallbacks >= 1);
+        assert!(stats.cold_pushes >= 1);
     }
 
     #[test]

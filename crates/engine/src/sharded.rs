@@ -657,6 +657,12 @@ mod tests {
     /// [`corpus`], or — `metadata = false` — the same papers and
     /// citations carved before any venue/author metadata existed.
     fn corpus_with(metadata: bool) -> CitationNetwork {
+        corpus_citing(metadata, |i, j| (i + j) % 3 != 0)
+    }
+
+    /// The twelve papers of [`corpus`], paper `i` citing each earlier `j`
+    /// where `cites(i, j)`.
+    fn corpus_citing(metadata: bool, cites: impl Fn(u32, u32) -> bool) -> CitationNetwork {
         let mut b = NetworkBuilder::new();
         for i in 0..12u32 {
             let mut authors = vec![i % 2];
@@ -676,7 +682,7 @@ mod tests {
         }
         for i in 1..12u32 {
             for j in 0..i {
-                if (i + j) % 3 != 0 {
+                if cites(i, j) {
                     b.add_citation(i, j).unwrap();
                 }
             }
@@ -1135,7 +1141,7 @@ mod tests {
         // one place a solve is remembered — serves it, and counts it.
         let solves = |eng: &ShardedEngine| {
             let stats = eng.core.read.cache.stats();
-            stats.cold_pushes + stats.warm_repushes + stats.fallbacks
+            stats.cold_pushes + stats.warm_repushes
         };
         let (solves_before, hits_before) = (solves(&eng), eng.core.read.cache.stats().hits);
         eng.query(&"k=12,seed=0|2".parse().unwrap(), None).unwrap();
@@ -1218,7 +1224,19 @@ mod tests {
 
     #[test]
     fn seeded_multi_shard_composes_scaled_per_band_solves() {
-        let eng = sharded_with(2, "pagerank");
+        // Two bands whose graphs differ — [`corpus`]'s bands are one graph
+        // up to an id shift: papers 7.. cite paper 6 and, across the
+        // boundary, what [`corpus`] has them cite.
+        let net = corpus_citing(true, |i, j| {
+            if i > 6 && j >= 6 {
+                j == 6
+            } else {
+                (i + j) % 3 != 0
+            }
+        });
+        let plan = ShardSpec::Fixed(2).plan(&net).unwrap();
+        let eng =
+            ShardedEngine::from_plan(&net, &plan, "pagerank", RerankPolicy::EveryBatch).unwrap();
         let seeds = [1u32, 7, 8];
         let want = seeded_reference(&eng, &seeds, 0.5);
         let q: Query = "k=12,seed=1|7|8".parse().unwrap();

@@ -4,13 +4,21 @@
 //! snapshot — scores match the dense reference on that snapshot's graph,
 //! no paper from a newer epoch leaks into an older page, and the
 //! personalization cache never mixes vectors across epochs.
+//!
+//! The uniform kernel every seeded solve resolves against belongs to one
+//! partition's graph at one epoch: two more tests serve seeded pages
+//! after a kernel of another shard, and of a grandparent epoch, was
+//! cached, and pin them to the dense reference too.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use citegen::{generate, publish_delta, DatasetProfile};
-use citegraph::{dense_personalized, PaperId, SeedPersonalization};
-use rankengine::{Query, QueryEngine, RerankPolicy};
+use citegraph::{
+    dense_personalized, CitationNetwork, GraphDelta, NetworkBuilder, PaperId, SeedPersonalization,
+    ShardSpec,
+};
+use rankengine::{EpochSnapshot, Hit, Query, QueryEngine, RerankPolicy, ShardedEngine};
 use sparsela::KernelWorkspace;
 
 const ALPHA: f64 = 0.5;
@@ -114,4 +122,103 @@ fn seeded_reads_pin_their_epoch_under_concurrent_publishes() {
     let stats = engine.personalization_stats();
     assert!(stats.hits + stats.warm_repushes + stats.cold_pushes > 0);
     assert!(stats.cold_pushes >= 1, "first epoch must cold-push");
+}
+
+/// The largest gap between served scores and the dense personalized
+/// reference of `seeds` (local ids) on `snap`, whose ids start at `start`.
+fn max_error(snap: &EpochSnapshot, seeds: &[PaperId], start: PaperId, items: &[Hit]) -> f64 {
+    let seed = SeedPersonalization::uniform(seeds, snap.n_papers()).unwrap();
+    let want = dense_personalized(snap.network(), &seed, ALPHA, &mut KernelWorkspace::new());
+    items
+        .iter()
+        .map(|h| (h.score - want[(h.id - start) as usize]).abs())
+        .fold(0.0, f64::max)
+}
+
+#[test]
+fn each_shard_resolves_against_its_own_kernel() {
+    // Two bands of six papers whose graphs differ: a chain, then a star
+    // into paper 6. Both sit at epoch 0 with the same length, so only the
+    // partition label tells their kernels apart.
+    let mut b = NetworkBuilder::new();
+    for i in 0..12 {
+        b.add_paper(2000 + i);
+    }
+    for i in 1..6 {
+        b.add_citation(i, i - 1).unwrap();
+    }
+    for i in 7..12 {
+        b.add_citation(i, 6).unwrap();
+    }
+    let net = b.build().unwrap();
+    let plan = ShardSpec::Fixed(2).plan(&net).unwrap();
+    let eng =
+        ShardedEngine::from_plan(&net, &plan, "pagerank:d=0.5", RerankPolicy::EveryBatch).unwrap();
+    let snaps = eng.snapshots();
+    for seed in [3, 10] {
+        let q: Query = format!("k=12,seed={seed}").parse().unwrap();
+        let page = eng.query_at(&snaps, &q, None).unwrap();
+        assert_eq!(page.items.len(), 6, "seed {seed}: its band only");
+        let (s, local) = snaps.locate(seed);
+        let err = max_error(snaps.snapshot(s), &[local], snaps.start(s), &page.items);
+        assert!(
+            err < 1e-9,
+            "seed {seed} (band {s}) served {err:e} off dense"
+        );
+    }
+}
+
+/// A publish of `count` new citations among `net`'s existing papers, each
+/// from a paper to an older one it does not cite yet.
+fn citations_only(net: &CitationNetwork, count: usize) -> GraphDelta {
+    let mut delta = GraphDelta::new();
+    let n = net.n_papers() as PaperId;
+    for citing in (n / 2..n).rev().step_by(7) {
+        let cited = (0..citing)
+            .rev()
+            .step_by(13)
+            .find(|&c| net.year(c) <= net.year(citing) && !net.references(citing).contains(&c));
+        if let Some(cited) = cited {
+            delta.add_citation(citing, cited);
+            if delta.n_citations() == count {
+                break;
+            }
+        }
+    }
+    assert_eq!(delta.n_citations(), count);
+    delta
+}
+
+#[test]
+fn a_kernel_warm_updates_only_from_the_parent_epoch() {
+    let net = generate(&DatasetProfile::dblp().scaled(400), 31);
+    let n = net.n_papers();
+    let engine =
+        QueryEngine::from_configs(net.clone(), &["pagerank:d=0.5"], RerankPolicy::EveryBatch)
+            .unwrap();
+    let q: Query = format!("k={n},seed=7|{}", n - 3).parse().unwrap();
+    engine.query(&q).unwrap();
+
+    // Epoch 1 rewires old columns and keeps the length; epoch 2 appends a
+    // paper. The kernel cached at epoch 0 has epoch 1's length but not
+    // its graph.
+    let rewire = citations_only(&net, 20);
+    let epoch1 = net.with_delta(&rewire).unwrap();
+    engine.ingest(&rewire).unwrap();
+    let mut tail = GraphDelta::new();
+    let p = (n + tail.add_paper(epoch1.current_year().unwrap())) as PaperId;
+    tail.add_citation(p, (n - 1) as PaperId);
+    engine.ingest(&tail).unwrap();
+
+    let snap = engine.snapshot(None).unwrap();
+    assert_eq!(snap.epoch(), 2);
+    let seeds = [11, (n / 2) as PaperId];
+    let q: Query = format!("k={},seed=11|{}", n + 1, n / 2).parse().unwrap();
+    let page = engine.query_at(&snap, &q).unwrap();
+    assert_eq!(page.items.len(), n + 1);
+    let err = max_error(&snap, &seeds, 0, &page.items);
+    assert!(
+        err < 1e-9,
+        "a new seed set at epoch 2 served {err:e} off dense"
+    );
 }

@@ -28,19 +28,15 @@
 //! A dangling paper's column of `S` is uniform (`1/n` in every row), so a
 //! naive push there would touch all `n` nodes — and worse, re-activate
 //! every node above the push threshold, degenerating the run into dense
-//! sweeps. The solver therefore accumulates all uniform-direction
-//! residual mass into one scalar. Two resolutions exist:
-//!
-//! * [`solve`] *flushes* the scalar into the dense residual (one `O(n)`
-//!   pass) when it grows past `ε/2` and otherwise carries it in the
-//!   convergence bound — self-contained but potentially dense;
-//! * [`solve_deferring`] never flushes: it returns the accumulated scalar
-//!   `g` to the caller, who resolves it *analytically* against a
-//!   maintained solution `u` of the uniform system `u = α·S·u + (1/n)·1`
-//!   (the "uniform kernel"): the exact missing contribution is `g·u`,
-//!   one dense AXPY, with no residual re-densification at all. This is
-//!   what keeps incremental re-ranking O(affected) on graphs where a
-//!   sizable fraction of papers cite nothing.
+//! sweeps. The solver therefore never pushes that mass: it accumulates
+//! all uniform-direction residual into one scalar `g` and returns it
+//! ([`solve_deferring`]). The caller resolves it *analytically* against a
+//! maintained solution `u` of the uniform system `u = α·S·u + (1/n)·1`
+//! (the "uniform kernel"): the exact missing contribution is `g·u`, one
+//! dense AXPY, with no residual re-densification at all — or, when the
+//! system *is* the uniform one, in closed form, `x / (1 − g)`. This is
+//! what keeps a push O(affected) on graphs where a sizable fraction of
+//! papers cite nothing.
 //!
 //! ## Lanes: K right-hand sides, one traversal
 //!
@@ -53,8 +49,18 @@
 //! (a push is exact for any amount, so a sub-threshold lane loses
 //! nothing), and deferred dangling mass and the final `‖r‖₁` are kept per
 //! lane. Each traversed edge is walked — and counted — once for all
-//! lanes. [`solve`] and [`solve_deferring`] are the `K = 1` instantiation
-//! of that same loop.
+//! lanes. [`solve_deferring`] is the `K = 1` instantiation of that same
+//! loop.
+//!
+//! ## One pass on a citation DAG
+//!
+//! Nodes are pushed in descending id order, and citations point to lower
+//! ids, so a node's whole inflow has landed before it is pushed: a cold
+//! solve (`x = 0`, `r = b`) settles each node reachable from `b`'s support
+//! once, at most `E + n` edge work — which is why the cold solves above
+//! this layer (the scorer's full solve, the uniform kernel, a seed set's
+//! personalization) pass no work budget. Only a citation to a higher id
+//! (same-year, or a cycle) costs another pass.
 //!
 //! The caller supplies the *column view* of `S`: a [`Csr`] whose row `u`
 //! lists the rows receiving mass `1/degree(u)` when `u` pushes (for the
@@ -74,10 +80,10 @@ pub struct PushConfig {
     /// `‖r‖₁ + |deferred dangling mass| ≤ epsilon`, guaranteeing
     /// `‖x − x*‖₁ ≤ epsilon / (1−α)`.
     pub epsilon: f64,
-    /// Hard cap on edge traversals (each push costs `max(degree, 1)`, each
-    /// dangling flush costs `n`). When exceeded the solver returns with
-    /// `converged = false` and the caller falls back to a full solve — the
-    /// worst case never regresses past `max_edge_work` of wasted work.
+    /// Hard cap on edge traversals (each push costs `max(degree, 1)`). When
+    /// exceeded the solver returns with `converged = false` and the caller
+    /// falls back to a full solve — the worst case never regresses past
+    /// `max_edge_work` of wasted work. A cold solve passes `u64::MAX`.
     pub max_edge_work: u64,
 }
 
@@ -94,12 +100,11 @@ pub struct PushOutcome {
     /// Total edge traversals (the push-side analogue of
     /// `iterations × nnz` for the power method).
     pub edge_work: u64,
-    /// Final residual bound. For [`solve`] this includes any leftover
-    /// deferred mass; for [`solve_deferring`] it is `‖r‖₁` alone (the
-    /// deferred mass is resolved exactly by the caller).
+    /// Final `‖r‖₁` (the deferred mass is excluded: the caller resolves it
+    /// exactly).
     pub residual_l1: f64,
-    /// Uniform-direction residual mass accumulated by [`solve_deferring`]
-    /// (zero after a converged [`solve`], which flushes it).
+    /// Uniform-direction residual mass accumulated by [`solve_deferring`],
+    /// on top of its `initial_deferred` seed.
     pub deferred: f64,
 }
 
@@ -146,52 +151,18 @@ impl From<LanesOutcome<1>> for PushOutcome {
 /// or `x = previous fixed point, r = `perturbation residual` for an
 /// incremental update. `r` is consumed (left near zero on success).
 ///
-/// Dangling mass is flushed into the dense residual when it grows; callers
-/// maintaining a uniform-kernel solution should use [`solve_deferring`]
-/// instead, which resolves that mass analytically and never densifies.
+/// Uniform-direction residual mass is never pushed: it accumulates into
+/// [`PushOutcome::deferred`] (on top of the caller's `initial_deferred`
+/// seed) and is *not* counted against convergence. The caller owns the
+/// resolution: the exact missing contribution is `deferred · u` where `u`
+/// solves `u = α·S·u + (1/n)·1` on the same matrix (see the module docs),
+/// so the final answer is `x + deferred·u` — or, when `x` itself is a
+/// scalar multiple `u = f·x*` of the kernel, the closed form
+/// `x / (1 − deferred·f)`.
 ///
 /// # Panics
 /// Panics unless `0 ≤ α < 1`, `epsilon > 0`, `columns` is square, and
 /// `x`/`r` match its dimension.
-pub fn solve(columns: &Csr, cfg: &PushConfig, x: &mut [f64], r: &mut [f64]) -> PushOutcome {
-    let n = columns.nrows();
-    let flush_bound = cfg.epsilon / 2.0;
-    let mut total_outcome: Option<PushOutcome> = None;
-    let mut deferred = 0.0f64;
-    loop {
-        let mut outcome = solve_deferring(columns, cfg, x, r, deferred);
-        if let Some(prior) = total_outcome {
-            outcome.pushes += prior.pushes;
-            outcome.edge_work += prior.edge_work;
-        }
-        deferred = outcome.deferred;
-        if !outcome.converged || deferred.abs() <= flush_bound {
-            outcome.residual_l1 += deferred.abs();
-            outcome.converged = outcome.converged && outcome.residual_l1 <= cfg.epsilon;
-            return outcome;
-        }
-        // Flush the deferred uniform mass into the dense residual (one
-        // O(n) pass) and push again.
-        let spread = deferred / n as f64;
-        deferred = 0.0;
-        for ri in r.iter_mut() {
-            *ri += spread;
-        }
-        outcome.edge_work += n as u64;
-        outcome.deferred = 0.0;
-        total_outcome = Some(outcome);
-    }
-}
-
-/// [`solve`] without dangling flushes: all uniform-direction residual mass
-/// accumulates into [`PushOutcome::deferred`] (on top of the caller's
-/// `initial_deferred` seed) and is *not* counted against convergence.
-///
-/// The caller owns the resolution: the exact missing contribution is
-/// `deferred · u` where `u` solves `u = α·S·u + (1/n)·1` on the same
-/// matrix (see the module docs), so the final answer is
-/// `x + deferred·u` — or, when `x` itself is a scalar multiple `u = f·x*`
-/// of the kernel, the closed form `x / (1 − deferred·f)`.
 pub fn solve_deferring(
     columns: &Csr,
     cfg: &PushConfig,
@@ -223,21 +194,17 @@ pub fn solve_lanes<const K: usize>(
     initial_deferred: [f64; K],
 ) -> LanesOutcome<K> {
     let n = columns.nrows();
-    assert_eq!(
-        n,
-        columns.ncols(),
-        "push::solve: column view must be square"
-    );
+    assert_eq!(n, columns.ncols(), "push: column view must be square");
     for lane in &x {
-        assert_eq!(lane.len(), n, "push::solve: x length mismatch");
+        assert_eq!(lane.len(), n, "push: x length mismatch");
     }
-    assert_eq!(r.len(), n * K, "push::solve: r length mismatch");
+    assert_eq!(r.len(), n * K, "push: r length mismatch");
     assert!(
         (0.0..1.0).contains(&cfg.alpha),
-        "push::solve: alpha {} outside [0, 1)",
+        "push: alpha {} outside [0, 1)",
         cfg.alpha
     );
-    assert!(cfg.epsilon > 0.0, "push::solve: epsilon must be positive");
+    assert!(cfg.epsilon > 0.0, "push: epsilon must be positive");
 
     let mut outcome = LanesOutcome {
         converged: true,
@@ -391,17 +358,26 @@ mod tests {
         }
     }
 
+    /// `x + g·u`, the deferred mass `g` resolved against the kernel `u`.
+    fn resolve(x: &mut [f64], g: f64, u: &[f64]) {
+        for (xi, ui) in x.iter_mut().zip(u) {
+            *xi += g * ui;
+        }
+    }
+
     #[test]
     fn cold_start_matches_dense_reference() {
         let refs = sample_refs();
         let n = refs.nrows();
         let alpha = 0.5;
+        let u = dense_solve(&refs, alpha, &vec![1.0 / n as f64; n]);
         let b: Vec<f64> = (0..n).map(|i| 0.1 + 0.05 * i as f64).collect();
         let mut x = vec![0.0; n];
         let mut r = b.clone();
-        let out = solve(&refs, &cfg(alpha), &mut x, &mut r);
+        let out = solve_deferring(&refs, &cfg(alpha), &mut x, &mut r, 0.0);
         assert!(out.converged);
         assert!(out.residual_l1 <= 1e-12);
+        resolve(&mut x, out.deferred, &u);
         let reference = dense_solve(&refs, alpha, &b);
         for i in 0..n {
             assert!(
@@ -418,38 +394,25 @@ mod tests {
         let refs = sample_refs();
         let n = refs.nrows();
         let alpha = 0.4;
+        let u = dense_solve(&refs, alpha, &vec![1.0 / n as f64; n]);
         let b0: Vec<f64> = vec![1.0 / n as f64; n];
         let mut x = vec![0.0; n];
         let mut r = b0.clone();
-        assert!(solve(&refs, &cfg(alpha), &mut x, &mut r).converged);
+        let out = solve_deferring(&refs, &cfg(alpha), &mut x, &mut r, 0.0);
+        assert!(out.converged);
+        resolve(&mut x, out.deferred, &u);
 
         // Perturb b and seed the residual with the difference only.
         let mut b1 = b0.clone();
         b1[2] += 0.3;
         b1[5] -= 0.05;
         let mut r: Vec<f64> = b1.iter().zip(&b0).map(|(a, c)| a - c).collect();
-        let out = solve(&refs, &cfg(alpha), &mut x, &mut r);
+        let out = solve_deferring(&refs, &cfg(alpha), &mut x, &mut r, 0.0);
         assert!(out.converged);
+        resolve(&mut x, out.deferred, &u);
         let reference = dense_solve(&refs, alpha, &b1);
         for i in 0..n {
             assert!((x[i] - reference[i]).abs() < 1e-10, "component {i}");
-        }
-    }
-
-    #[test]
-    fn dangling_mass_is_deferred_and_flushed() {
-        // Star into a dangling hub: all mass funnels into node 0, which
-        // cites nothing — the uniform spread must still be accounted for.
-        let refs = Csr::from_edges(5, 5, &[(1, 0), (2, 0), (3, 0), (4, 0)]);
-        let alpha = 0.85;
-        let b = vec![0.2; 5];
-        let mut x = vec![0.0; 5];
-        let mut r = b.clone();
-        let out = solve(&refs, &cfg(alpha), &mut x, &mut r);
-        assert!(out.converged);
-        let reference = dense_solve(&refs, alpha, &b);
-        for i in 0..5 {
-            assert!((x[i] - reference[i]).abs() < 1e-9, "component {i}");
         }
     }
 
@@ -468,9 +431,7 @@ mod tests {
         assert!(out.residual_l1 <= 1e-12);
         // Dangling node 0 is heavily cited, so mass must have deferred.
         assert!(out.deferred > 0.0);
-        for (xi, ui) in x.iter_mut().zip(&u) {
-            *xi += out.deferred * ui;
-        }
+        resolve(&mut x, out.deferred, &u);
         let reference = dense_solve(&refs, alpha, &b);
         for i in 0..n {
             assert!(
@@ -506,7 +467,7 @@ mod tests {
         let refs = sample_refs();
         let mut x = vec![0.0; 6];
         let mut r = vec![0.5; 6];
-        let out = solve(
+        let out = solve_deferring(
             &refs,
             &PushConfig {
                 alpha: 0.5,
@@ -515,6 +476,7 @@ mod tests {
             },
             &mut x,
             &mut r,
+            0.0,
         );
         assert!(!out.converged);
         assert!(out.residual_l1 > 1e-12);
@@ -526,7 +488,7 @@ mod tests {
         let mut x = vec![0.25; 6];
         let before = x.clone();
         let mut r = vec![0.0; 6];
-        let out = solve(&refs, &cfg(0.5), &mut x, &mut r);
+        let out = solve_deferring(&refs, &cfg(0.5), &mut x, &mut r, 0.0);
         assert!(out.converged);
         assert_eq!(out.pushes, 0);
         assert_eq!(x, before);
@@ -537,7 +499,7 @@ mod tests {
         let refs = sample_refs();
         let mut x = vec![0.0; 6];
         let mut r = vec![0.1, 0.2, 0.0, 0.0, 0.3, 0.0];
-        let out = solve(&refs, &cfg(0.0), &mut x, &mut r);
+        let out = solve_deferring(&refs, &cfg(0.0), &mut x, &mut r, 0.0);
         assert!(out.converged);
         assert_eq!(x, vec![0.1, 0.2, 0.0, 0.0, 0.3, 0.0]);
         assert_eq!(out.pushes, 3);
@@ -546,7 +508,7 @@ mod tests {
     #[test]
     fn empty_system_converges_trivially() {
         let refs = Csr::empty(0, 0);
-        let out = solve(&refs, &cfg(0.5), &mut [], &mut []);
+        let out = solve_deferring(&refs, &cfg(0.5), &mut [], &mut [], 0.0);
         assert!(out.converged);
         assert_eq!(out.edge_work, 0);
     }
@@ -555,7 +517,7 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn alpha_one_panics() {
         let refs = Csr::empty(2, 2);
-        let _ = solve(
+        let _ = solve_deferring(
             &refs,
             &PushConfig {
                 alpha: 1.0,
@@ -564,6 +526,7 @@ mod tests {
             },
             &mut [0.0; 2],
             &mut [0.0; 2],
+            0.0,
         );
     }
 
@@ -734,7 +697,7 @@ mod tests {
         // Converged state for b = uniform is not needed; seed a residual at
         // one node of a *zero* system (b = 0 everywhere except the seed).
         r[(n - 1) as usize] = 1.0;
-        let out = solve(
+        let out = solve_deferring(
             &refs,
             &PushConfig {
                 alpha: 0.5,
@@ -743,6 +706,7 @@ mod tests {
             },
             &mut x,
             &mut r,
+            0.0,
         );
         assert!(out.converged);
         // α^k decays below ε/(2n) after ~log₂(2n/ε) ≈ 32 hops; the other

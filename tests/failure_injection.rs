@@ -9,6 +9,7 @@
 use attrank_repro::prelude::*;
 use citegraph::NetworkBuilder;
 use proptest::prelude::*;
+use rankengine::{Cursor, Query};
 use rankeval::tuning::{tune, Candidate};
 use sparsela::ScoreVec;
 
@@ -101,8 +102,117 @@ fn single_paper_network_is_trivial() {
     assert!(d.scores[0] > 0.0);
 }
 
+/// Canonical query strings (as `Display` writes them), to mutate.
+const QUERIES: [&str; 4] = [
+    "k=10",
+    "method=attrank,vs=cc,k=5,seed=3|17,year=2001..2010,venue=1|2,author=7",
+    "k=20,year=..2004,cursor=c1-3fe0000000000000-2a-9f",
+    "k=3,seed=12,year=1999..,author=0|4|9,cursor=c0-0-0-0",
+];
+
+/// Canonical cursor tokens, to mutate.
+const CURSORS: [&str; 3] = [
+    "c0-0-0-0",
+    "c1-3fe0000000000000-2a-9f",
+    "cffffffffffffffff-7ff0000000000000-ffffffff-123456789abcdef",
+];
+
+/// Canonical method specs, to mutate.
+const SPECS: [&str; 6] = [
+    "attrank:alpha=0.2,beta=0.4,y=3,w=-0.16",
+    "pagerank:d=0.85",
+    "futurerank:alpha=0.4,beta=0.1,gamma=0.5,rho=-0.62",
+    "wsdm:alpha=1.7,beta=3,iters=5",
+    "ensemble:rule=rrf,k=60,members=(cc)+(pagerank:d=0.5)",
+    "ensemble:rule=borda,members=(ram:gamma=0.6)+(ensemble:members=(hits))",
+];
+
+/// One of `canonical`, with one to four printable characters deleted,
+/// inserted or replaced.
+fn mutated(canonical: &'static [&'static str]) -> impl Strategy<Value = String> {
+    let edits = proptest::collection::vec((0usize..80, 0u8..3, "[ -~]"), 1..5);
+    (0..canonical.len(), edits).prop_map(move |(i, edits)| {
+        let mut chars: Vec<char> = canonical[i].chars().collect();
+        for (at, op, c) in edits {
+            let c = c.chars().next().expect("one character");
+            let at = at % (chars.len() + 1);
+            match op {
+                0 if at < chars.len() => {
+                    chars.remove(at);
+                }
+                1 => chars.insert(at, c),
+                _ if at < chars.len() => chars[at] = c,
+                _ => chars.push(c),
+            }
+        }
+        chars.into_iter().collect()
+    })
+}
+
+/// Decodes `text`: a value must round-trip through `Display`, an error
+/// must render. Either way the decoder returned instead of panicking.
+fn decodes<T>(text: &str) -> Result<(), TestCaseError>
+where
+    T: std::str::FromStr + std::fmt::Display + PartialEq + std::fmt::Debug,
+    T::Err: std::fmt::Display + std::fmt::Debug,
+{
+    match text.parse::<T>() {
+        Ok(value) => {
+            let again = value.to_string().parse::<T>();
+            prop_assert!(
+                again.as_ref().is_ok_and(|again| *again == value),
+                "{text:?} decoded to {value:?}, whose display {:?} decodes to {again:?}",
+                value.to_string()
+            );
+        }
+        Err(e) => prop_assert!(!e.to_string().is_empty()),
+    }
+    Ok(())
+}
+
+#[test]
+fn deeply_nested_method_spec_is_refused_not_a_stack_overflow() {
+    // Ensemble members parse recursively; a thousand nested ensembles
+    // once overflowed the stack. Within the bound they still parse.
+    let nested = |depth: usize| {
+        format!(
+            "{}cc{}",
+            "ensemble:members=(".repeat(depth),
+            ")".repeat(depth)
+        )
+    };
+    assert!(matches!(
+        nested(1000).parse::<MethodSpec>(),
+        Err(rankengine::SpecError::Syntax { .. })
+    ));
+    let spec: MethodSpec = nested(16).parse().unwrap();
+    assert_eq!(spec.to_string().parse::<MethodSpec>().unwrap(), spec);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Query, cursor and method-spec decoders never panic on printable
+    /// text, and whatever they accept round-trips through `Display`.
+    #[test]
+    fn decoders_never_panic_on_printable_text(text in "[ -~]{0,80}") {
+        decodes::<Query>(&text)?;
+        decodes::<Cursor>(&text)?;
+        decodes::<MethodSpec>(&text)?;
+    }
+
+    /// The same on near-misses of valid input, which reach deeper into
+    /// each decoder than random text does.
+    #[test]
+    fn decoders_never_panic_on_mutated_canonical_forms(
+        query in mutated(&QUERIES),
+        cursor in mutated(&CURSORS),
+        spec in mutated(&SPECS),
+    ) {
+        decodes::<Query>(&query)?;
+        decodes::<Cursor>(&cursor)?;
+        decodes::<MethodSpec>(&spec)?;
+    }
 
     /// The TSV parser must never panic, whatever bytes arrive.
     #[test]
