@@ -53,15 +53,22 @@
 //!   than the head holds (a page past its 128 ids, or a cursor below its
 //!   last score), so each still times the walk.
 //!
-//! A venue page over recent years, the listing page of a field (the
-//! same walk over the epoch's per-venue block maxima):
+//! A venue page over recent years, the listing page of a field:
 //!
 //! * `venue_year_200k` — `k=10,year=<current−6>..,venue=<busiest>`
-//!   through `query_at`;
-//! * `venue_year_gather_200k` — the kernel it replaced on the same band:
-//!   copy the band, then `top_k_filtered_into` (quickselect). `repro
-//!   bench-check` gates `venue_year_gather_200k / venue_year_200k ≥ 2`
-//!   (`query/venue_band_pruned_speedup`).
+//!   through `query_at`: a slice of the head of the venue's cut at that
+//!   year (the first 128 ids, in order, of the suffix of its posting list
+//!   from the year's first paper);
+//! * `venue_year_walk_200k` — the kernel alone on the same band over a
+//!   posting summary without heads: the walk of the per-venue block
+//!   maxima the cut's head replaced. `repro bench-check` gates
+//!   `venue_year_walk_200k / venue_year_200k ≥ 1.5`
+//!   (`query/venue_head_slice_speedup`; at `k` = 10 the walk is ~1 µs, so
+//!   the query path's own cost holds the ratio near 2.2×);
+//! * `venue_year_gather_200k` — the kernel the walk replaced on the same
+//!   band: copy the band, then `top_k_filtered_into` (quickselect).
+//!   `repro bench-check` gates `venue_year_gather_200k / venue_year_200k
+//!   ≥ 2` (`query/venue_band_pruned_speedup`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -70,7 +77,7 @@ use citegraph::{CitationNetwork, VenueId};
 use rankengine::{Query, QueryEngine, RerankPolicy};
 use sparsela::{
     sort_indices_desc, top_k_filtered_into, top_k_indices_into, top_k_masked, top_k_pruned_into,
-    top_k_where_into, BlockMaxima, Frontier, IdMask, Segment, BLOCK_LEN,
+    top_k_where_into, BlockMaxima, Frontier, IdMask, Segment, BLOCK_LEN, POSTING_BLOCK_LEN,
 };
 
 /// The most-populated venue — a *selective* predicate that still has
@@ -178,8 +185,9 @@ fn bench_query(c: &mut Criterion) {
                 b.iter(|| top_k_pruned_into(scores, &walked, suffix, 25, None, None, &mut out))
             });
 
-            // A recent-years venue page, and the gather + quickselect it
-            // replaced on the same band.
+            // A recent-years venue page, the walk of its band over a
+            // posting summary without heads, and the gather + quickselect
+            // the walk replaced on the same band.
             let net = snap.network();
             let recent = net.current_year().expect("corpus is not empty") - 6;
             let venue_year_q: Query = format!("k=10,year={recent}..,venue={venue}")
@@ -188,8 +196,26 @@ fn bench_query(c: &mut Criterion) {
             group.bench_function(format!("venue_year_{label}"), |b| {
                 b.iter(|| black_box(qe.query_at(&snap, black_box(&venue_year_q)).unwrap()))
             });
-            let list = net.venues().expect("venues present").papers_at(venue);
-            let band = citegraph::band(list, &net.id_range_for_years(Some(recent), None));
+            let table = net.venues().expect("venues present");
+            let (offsets, postings) = table.postings();
+            let unheaded = BlockMaxima::over_postings_with_block_len(
+                scores,
+                offsets,
+                postings,
+                POSTING_BLOCK_LEN,
+                0,
+                &[],
+            );
+            let list = table.papers_at(venue);
+            let recent_ids = net.id_range_for_years(Some(recent), None);
+            let span = citegraph::band_span(list, &recent_ids);
+            let venue_band = [Segment::band(venue as usize, list, span)];
+            group.bench_function(format!("venue_year_walk_{label}"), |b| {
+                b.iter(|| {
+                    top_k_pruned_into(scores, &unheaded, venue_band, 10, None, None, &mut out)
+                })
+            });
+            let band = citegraph::band(list, &recent_ids);
             let mut candidates = Vec::new();
             group.bench_function(format!("venue_year_gather_{label}"), |b| {
                 b.iter(|| {

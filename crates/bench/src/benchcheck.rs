@@ -154,10 +154,16 @@ pub const GATES: &[Gate] = &[
     // path).
     Gate { group: "query", name: "year_head_slice_speedup", bound: Bound::Floor(5.0),
            numerator: "year_suffix_walk_200k", denominator: "year_suffix_page_200k" },
-    // A recent-years venue page (whole query path), the walk over the epoch's per-venue
-    // block maxima vs the band gather + quickselect it replaced.
+    // A recent-years venue page (whole query path: a slice of its venue's year-cut head) vs the
+    // band gather + quickselect.
     Gate { group: "query", name: "venue_band_pruned_speedup", bound: Bound::Floor(2.0),
            numerator: "venue_year_gather_200k", denominator: "venue_year_200k" },
+    // The same recent-years venue page: the walk of its band over a posting summary without
+    // heads (kernel alone) vs the slice of its venue's year-cut head (whole query path). The
+    // walk of a ~900-posting band at k=10 is ~1 µs, so the slice path's fixed cost caps the
+    // ratio near 2.2x (three runs): the floor keeps a margin below that.
+    Gate { group: "query", name: "venue_head_slice_speedup", bound: Bound::Floor(1.5),
+           numerator: "venue_year_walk_200k", denominator: "venue_year_200k" },
     // ISSUE 6: a year-filtered top-k, 8 shards pruned vs the unsharded scan.
     Gate { group: "sharded", name: "pruned_speedup", bound: Bound::Floor(3.0),
            numerator: "year_filtered_scan_200k", denominator: "year_filtered_8shard_200k" },
@@ -965,7 +971,7 @@ mod tests {
         // each table row must resolve there (and hold).
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
         let baseline = parse_records(&std::fs::read_to_string(path).expect("baseline")).unwrap();
-        assert_eq!(GATES.len(), 16);
+        assert_eq!(GATES.len(), 17);
         for g in GATES {
             let ratio = g.ratio(&baseline);
             assert!(

@@ -8,11 +8,12 @@
 //! [`EpochSnapshot`]s behind an `Arc` swap — each frozen together with
 //! the per-block maxima of its scores (one extra `O(n)` pass per publish,
 //! ~0.1 ms per 200k papers) and room for one head per year of its network
-//! (the first ids in rank order of the papers from that year on, each one
-//! walk of those maxima, run by the first page that reads it), which is
-//! what lets a shallow unfiltered, cursor or `year=Y..` page of the epoch
-//! be a slice of a head and every other one skip the blocks that cannot
-//! reach it. Readers grab the current `Arc`
+//! and per venue and year (the first ids in rank order of the papers —
+//! of the venue's papers — from that year on, each one walk of those
+//! maxima, run by the first page that reads it), which is what lets a
+//! shallow unfiltered, cursor, `year=Y..` or `venue=V,year=Y..` page of
+//! the epoch be a slice of heads and every other one skip the blocks that
+//! cannot reach it. Readers grab the current `Arc`
 //! (one `RwLock` read + one refcount bump, never blocked by a running
 //! re-rank) and answer `top_k` / `rank_of` queries against a frozen epoch,
 //! while the single writer folds [`GraphDelta`] batches in and publishes
@@ -186,8 +187,12 @@ pub(crate) struct BlockSummaries {
     /// of the blocks otherwise.
     pub(crate) ids: BlockMaxima,
     /// Over the network's venue posting lists, blocks aligned to each
-    /// venue's start (no lists without venue metadata): what venue pages
-    /// walk.
+    /// venue's start (no lists without venue metadata), with one head per
+    /// (venue, year cut) — the suffix of the venue's list from the
+    /// position where each year starts in it — each built on the first
+    /// page that reads it: what venue pages read — slices of their bands'
+    /// heads when those hold the page, a walk of the blocks otherwise (and
+    /// always under an author residual).
     pub(crate) venues: BlockMaxima,
 }
 
@@ -195,9 +200,10 @@ impl BlockSummaries {
     /// Both summaries of `scores`, which rank `net`'s papers.
     pub(crate) fn new(scores: &[f64], net: &CitationNetwork) -> Self {
         let (offsets, postings) = net.venues().map_or((&[0][..], &[][..]), |t| t.postings());
+        let cuts = net.year_starts();
         Self {
-            ids: BlockMaxima::with_cuts(scores, &net.year_starts()),
-            venues: BlockMaxima::over_postings(scores, offsets, postings),
+            ids: BlockMaxima::with_cuts(scores, &cuts),
+            venues: BlockMaxima::over_postings(scores, offsets, postings, &cuts),
         }
     }
 
@@ -237,10 +243,11 @@ pub struct EpochSnapshot {
     net: Arc<CitationNetwork>,
     scores: ScoreVec,
     /// Per-block maxima of `scores` over ids and over venue postings,
-    /// built with the snapshot (one `O(n)` pass each per publish), and the
-    /// id summary's per-year heads, built on first use: a shallow
-    /// unfiltered, cursor or `year=Y..` page of this epoch is a slice of
-    /// a head, and every other one skips the blocks that cannot reach it.
+    /// built with the snapshot (one `O(n)` pass each per publish), and
+    /// their per-year and per-(venue, year) heads, built on first use: a
+    /// shallow unfiltered, cursor, `year=Y..` or venue page of this epoch
+    /// is a slice of heads, and every other one skips the blocks that
+    /// cannot reach it.
     blocks: BlockSummaries,
     /// Every paper id in `cmp_score_desc` order, built on the first rank
     /// lookup past the head (a reader whose lookups all land in the head
@@ -1336,6 +1343,59 @@ mod tests {
             .collect();
         let got: Vec<PaperId> = pages[0].items.iter().map(|h| h.id).collect();
         assert_eq!(got, want[..25]);
+        assert_eq!(pages[0].matched, want.len());
+    }
+
+    #[test]
+    fn racing_readers_build_a_venue_head_once() {
+        let net = citegen::generate(&citegen::DatasetProfile::dblp().scaled(3_000), 11);
+        let table = net.venues().unwrap();
+        let venue = (0..table.n_venues() as u32)
+            .max_by_key(|&v| table.n_papers_at(v))
+            .unwrap();
+        let year = net.current_year().unwrap() - 6;
+        let qe = crate::QueryEngine::from_configs(net, &["cc"], RerankPolicy::Manual).unwrap();
+        let snap = qe.snapshot(Some("cc")).unwrap();
+        assert_eq!(
+            snap.blocks.venues.heads_built(),
+            0,
+            "a freeze builds no head"
+        );
+        let q: crate::Query = format!("k=10,year={year}..,venue={venue}").parse().unwrap();
+        let start = std::sync::Barrier::new(8);
+        let pages: Vec<crate::Page> = thread::scope(|s| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        qe.query_at(&snap, &q).unwrap()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(
+            snap.blocks.venues.heads_built(),
+            1,
+            "the head is built once"
+        );
+        let bits = |p: &crate::Page| -> Vec<(PaperId, u64)> {
+            p.items.iter().map(|h| (h.id, h.score.to_bits())).collect()
+        };
+        for page in &pages[1..] {
+            assert_eq!(bits(page), bits(&pages[0]));
+            assert_eq!(
+                (page.matched, &page.next),
+                (pages[0].matched, &pages[0].next)
+            );
+        }
+        let net = snap.network();
+        let want: Vec<PaperId> = sparsela::sort_indices_desc(snap.scores.as_slice())
+            .into_iter()
+            .filter(|&id| net.year(id) >= year && net.venues().unwrap().venue_of(id) == Some(venue))
+            .collect();
+        let got: Vec<PaperId> = pages[0].items.iter().map(|h| h.id).collect();
+        assert_eq!(got, want[..10]);
         assert_eq!(pages[0].matched, want.len());
     }
 

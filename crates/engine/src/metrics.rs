@@ -84,6 +84,12 @@ const SUCCESSOR_LABELS: [&str; 2] = ["built", "shared"];
 /// summaries save; a `scanned` share near 1 is a walk that prunes nothing.
 const SELECT_BLOCK_LABELS: [&str; 2] = ["scanned", "skipped"];
 
+/// Label values of the head `outcome` axis: selections served as slices
+/// of ordered heads (which read no block, so `select_blocks_total` counts
+/// all their blocks `skipped`), and heads built by the walk of their
+/// suffix on first use (which `select_blocks_total` does not count).
+const SELECT_HEAD_LABELS: [&str; 2] = ["slice", "build"];
+
 /// Label values of the push-state restore `outcome` axis, in
 /// [`PushStateRestore`](crate::PushStateRestore) order: a cold start
 /// restored the persisted push state, found none, or found one failing its
@@ -152,7 +158,9 @@ pub(crate) struct EngineInstruments {
 /// One serving stack's metric families and the registry they render
 /// through. Per query: `<prefix>_query_seconds` (latency along the
 /// layout's axis), `_select_blocks_total` (blocks a selection read or
-/// skipped, summed over the partitions it read), planner decisions (one
+/// skipped, summed over the partitions it read), `_select_heads_total`
+/// (partition selections served as head slices, heads built), planner
+/// decisions (one
 /// per partition plan) and cursor errors. At render: the personalization
 /// cache, admission, the plan cache, each partition engine's
 /// epoch/staged/replay gauges and its cold start's push-state restore.
@@ -164,6 +172,7 @@ pub(crate) struct ServingMetrics {
     layout: Layout,
     query_seconds: HistogramVec,
     select_blocks: CounterVec,
+    select_heads: CounterVec,
     cache_outcomes: CounterVec,
     cache_entries: Arc<Gauge>,
     cache_bytes: Arc<Gauge>,
@@ -230,6 +239,12 @@ impl ServingMetrics {
                 "Score blocks of block walks (id ranges, venue bands), read vs skipped by block maxima",
                 "outcome",
                 &SELECT_BLOCK_LABELS,
+            ),
+            select_heads: r.counter_vec(
+                &name("select_heads_total"),
+                "Selections served as slices of ordered heads, and heads built on first use",
+                "outcome",
+                &SELECT_HEAD_LABELS,
             ),
             cache_outcomes: r.counter_vec(
                 &name("cache_outcomes_total"),
@@ -393,9 +408,9 @@ impl ServingMetrics {
 
     /// Records one served query: its latency under the layout's axis —
     /// the executed plan's driver, or the query's shape — and its
-    /// selection's block counts. Id-range and venue-band walks count
-    /// blocks; selections that walked none (author bands, masks) touch no
-    /// block counter.
+    /// selection's block and head counts. Id-range and venue-band
+    /// selections count blocks; selections that walked none (author
+    /// bands, masks) touch no block counter.
     pub(crate) fn served(
         &self,
         q: &Query,
@@ -412,6 +427,12 @@ impl ServingMetrics {
             let skipped = walk.blocks_in_range - walk.blocks_scanned;
             self.select_blocks.at(0).add(walk.blocks_scanned as u64);
             self.select_blocks.at(1).add(skipped as u64);
+        }
+        if walk.head_slices > 0 {
+            self.select_heads.at(0).add(walk.head_slices as u64);
+        }
+        if walk.heads_built > 0 {
+            self.select_heads.at(1).add(walk.heads_built as u64);
         }
     }
 

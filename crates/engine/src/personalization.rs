@@ -56,10 +56,11 @@ pub struct CacheConfig {
     /// Maximum number of cached personalization vectors (LRU-evicted).
     pub capacity: usize,
     /// Memory bound over the cached vectors, in bytes. Each entry holds
-    /// the resolved scores, their block-maxima summary (1/64 of the
-    /// scores, in 8 KiB steps) and the unresolved warm-start form; all
-    /// are counted. Uniform kernels (one per partition label and `α`) are
-    /// not.
+    /// the resolved scores, their block-maxima summaries (1/64 of the
+    /// scores over ids, 1/32 over venue postings, in 8 KiB steps; their
+    /// head cells in 8 KiB steps; every head at its full length, built or
+    /// not) and the unresolved warm-start form; all are counted. Uniform
+    /// kernels (one per partition label and `α`) are not.
     pub max_bytes: usize,
     /// Push tuning: `epsilon` for every solve, the budget and the delta
     /// gate for warm re-pushes and kernel updates (a cold solve has no
@@ -131,12 +132,12 @@ impl CacheKey {
     }
 }
 
-/// A cached personalized vector with the block summaries (over ids, with
-/// room for a head per year cut, and over the epoch's venue postings)
-/// built when it was solved, kept beside the scores they describe: what
-/// [`PersonalizationCache::ranking`] hands the query layer, so a shallow
-/// seeded page — a `year=Y..` one included — is a slice of a head like an
-/// unseeded one, and every other seeded page — a venue page included —
+/// A cached personalized vector with the block summaries (over ids and
+/// over the epoch's venue postings, with room for a head per year cut of
+/// each list) built when it was solved, kept beside the scores they
+/// describe: what [`PersonalizationCache::ranking`] hands the query layer,
+/// so a shallow seeded page — a `year=Y..` or venue one included — is a
+/// slice of heads like an unseeded one, and every other seeded page
 /// prunes like an unseeded one.
 #[derive(Debug, Clone)]
 pub(crate) struct CachedRanking {
@@ -599,12 +600,11 @@ mod tests {
         // Byte bound: one 12-paper entry is 192 bytes of vectors (resolved
         // plus warm-start form), one 8 KiB step of block maxima over ids,
         // three words of list offsets (two for the id space, one for the
-        // venue summary of a corpus without venues), and for each of the
-        // 12 years a cut, its head's cell and the head — the whole suffix,
-        // built or not; a bound one byte short of two entries holds
-        // exactly one.
-        let cell = std::mem::size_of::<(u32, std::sync::OnceLock<Vec<u32>>)>();
-        let entry = 192 + 8192 + 3 * 8 + 12 * cell + (1..=12).sum::<usize>() * 4;
+        // venue summary of a corpus without venues), one 8 KiB step of
+        // head cells for the 12 year cuts (the venue summary has no list,
+        // so no cell), and each cut's head — the whole suffix, built or
+        // not; a bound one byte short of two entries holds exactly one.
+        let entry = 192 + 8192 + 3 * 8 + 8192 + (1..=12).sum::<usize>() * 4;
         let tight = PersonalizationCache::new(CacheConfig {
             capacity: 10,
             max_bytes: 2 * entry - 1,

@@ -74,12 +74,14 @@
 //! per venue feeding one selection. The candidate lists of author bands
 //! and of the mask go to [`sparsela::top_k_filtered_into`]. Without a
 //! residual the walk reads only the blocks that can reach the page,
-//! counting what lies behind the cursor by blocks; an id-range page the
-//! head of its year cut holds (the first [`sparsela::HEAD_LEN`] ids, in
-//! order, of the papers from the range's first year on, built by the
-//! first page that reads it) reads no block at all: it is a slice of the
-//! head, and its count is the range less the head ids behind the cursor.
-//! Such plans are priced by blocks, not by ids. A residual needs every id
+//! counting what lies behind the cursor by blocks; a page the heads of its
+//! year cuts hold reads no block at all — an id range's, from the head of
+//! its first year (the first [`sparsela::HEAD_LEN`] ids, in order, of the
+//! papers from that year on), and a venue band union's, from the head of
+//! each venue's list from that year on, each built by the first page that
+//! reads it: it is a slice of those heads, and its count is the range (or
+//! the bands) less the head ids behind the cursor. Such plans are priced
+//! by blocks, not by ids. A residual needs every id
 //! (or posting) tested for the match count, so a range under a venue or
 //! author residual is priced per id, and only the blocks that can reach
 //! the page are offered to the selection. [`QueryEngine::explain`]
@@ -1759,11 +1761,12 @@ fn build_facet_mask(
 /// cursor — and a union of venue bands go through [`top_k_pruned_into`]
 /// over the vector's block maxima (over ids, over venue postings). With no
 /// facet residual the frontier is the only per-id test, the walk counts it
-/// by blocks, and a range page the head of its year cut holds is a slice
-/// of that head (rule 0 of the walk), unseeded or seeded, flat or one
-/// shard's. Facet residuals — venue and author on a range, author on a
-/// venue band — are tested per id inside the walk, for the count. Author
-/// bands and the mask gather their candidates for [`top_k_filtered_into`].
+/// by blocks, and a page the heads of its year cuts hold — a range's, or
+/// every venue band's — is a slice of those heads (rule 0 of the walk),
+/// unseeded or seeded, flat or one shard's. Facet residuals — venue and
+/// author on a range, author on a venue band — are tested per id inside
+/// the walk, for the count. Author bands and the mask gather their
+/// candidates for [`top_k_filtered_into`].
 ///
 /// Within one partition, ordering ties by local id equals ordering them
 /// by global id (`global = start + local` is monotone), so the ids a
@@ -1831,11 +1834,11 @@ fn select_partition(
             top_k_pruned_into(scores, &blocks.ids, ids, k, frontier, residual, select)
         }
         QueryDriver::VenueBands { venues: vs, .. } => {
-            // One band probe per venue, walked over the venue summary's
-            // blocks; venue lists are disjoint, so the bands feed one walk
-            // as they are. The year bound is inside the band — only author
-            // and cursor residuals remain, and an author residual is tested
-            // per id, for the count. Each band is found once, as positions
+            // One band probe per venue, sliced from the venue summary's
+            // heads or walked over its blocks; venue lists are disjoint, so
+            // the bands feed one selection as they are. The year bound is
+            // inside the band — only author and cursor residuals remain,
+            // and an author residual is tested per id, for the count. Each band is found once, as positions
             // in its venue's list (the walk reads its segments more than
             // once); an empty one — a venue past this partition's table
             // included — has nothing to walk.
@@ -2411,6 +2414,8 @@ impl Core {
             walked.matched += walk.matched;
             walked.blocks_scanned += walk.blocks_scanned;
             walked.blocks_in_range += walk.blocks_in_range;
+            walked.head_slices += walk.head_slices;
+            walked.heads_built += walk.heads_built;
             if scratch.select.is_empty() {
                 continue;
             }

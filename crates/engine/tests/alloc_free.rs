@@ -93,8 +93,10 @@ fn steady_state_queries_allocate_nothing() {
         "k=25",                       // a deeper slice of the head
         "k=5,year=2019..",            // the current year: its cut's head
         "k=10,year=2005..2015",       // id-range scan
-        "k=10,venue=0",               // venue banded postings
+        "k=10,venue=0",               // venue banded postings: its head
         "k=10,venue=1|3,year=2000..", // OR-venue bands under a year bound
+        "k=5,year=2010..,venue=0",    // a venue's year: its cut's head
+        "k=5,year=2010..,venue=2|3",  // two venues' year cuts' heads
         "k=10,author=1,year=2000..",  // author bands under a year bound
         "k=10,venue=0,author=1",      // mask-algebra pushdown
         "k=0,venue=2",                // count-only path
@@ -115,9 +117,17 @@ fn steady_state_queries_allocate_nothing() {
 
     // Paginated steady state: resuming through a cursor is also free
     // once warm (the token decodes into stack values, the next token
-    // re-encodes into the reused buffer) — a walked venue page 2, and
-    // unfiltered and current-year pages 2 that are slices of a head.
-    for first in ["k=10,venue=0", "k=10", "k=25", "k=5,year=2019.."] {
+    // re-encodes into the reused buffer) — pages 2 that are slices of
+    // heads: unfiltered, current-year, one venue's and two venues' since a
+    // year.
+    for first in [
+        "k=10,venue=0",
+        "k=10",
+        "k=25",
+        "k=5,year=2019..",
+        "k=5,year=2010..,venue=0",
+        "k=5,year=2010..,venue=2|3",
+    ] {
         let first: Query = first.parse().unwrap();
         let resumed = second_page(&qe, &first, &mut scratch, &mut out);
         assert_steady_state_free(&qe, &resumed, &mut scratch, &mut out);

@@ -7,9 +7,10 @@
 //! store, a cache entry warm-re-pushed across a publish, and a sharded
 //! tail partition re-frozen by a tail publish. In each, the block-pruned
 //! pages (unfiltered, year windows, one venue and an OR of two, each
-//! resumed behind cursors) and the shallow pages the id summary's heads
+//! resumed behind cursors) and the shallow pages the summaries' heads
 //! serve (pages 1 and 2, unfiltered, of a year window and of every
-//! `year=Y..` suffix) must equal a fresh full sort.
+//! `year=Y..` suffix, each also of one venue and of an OR of two) must
+//! equal a fresh full sort.
 
 use std::path::PathBuf;
 
@@ -20,9 +21,14 @@ use rankengine::{
     EpochSnapshot, Hit, Query, QueryDriver, QueryEngine, RankingEngine, RerankPolicy,
     RerankStrategy, ShardedEngine,
 };
-use sparsela::{cmp_score_desc, sort_indices_desc};
+use sparsela::{cmp_score_desc, sort_indices_desc, HEAD_LEN};
 
 const SCALE: usize = 3_000;
+
+/// A corpus whose busiest venue has several heads' worth of papers (~960;
+/// at `SCALE` it has 40), so a page deeper than a head is walked and the
+/// walk still has blocks to skip.
+const VENUE_SCALE: usize = 100_000;
 
 fn temp_store(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("rankengine_block_summary_tests");
@@ -129,9 +135,7 @@ fn assert_pages_are_the_full_sort(
             let got = walk(qe, snap, filter, 97, want.len());
             let got: Vec<PaperId> = got.iter().map(|h| h.id).collect();
             assert_eq!(got, want, "{case}: {filter}");
-            if venues.is_empty() {
-                assert_head_pages(qe, snap, filter, &want);
-            }
+            assert_head_pages(qe, snap, filter, &want);
             // A first page small enough that the walk prunes.
             let first = qe
                 .query_at(snap, &format!("k=5,{filter}").parse().unwrap())
@@ -140,7 +144,9 @@ fn assert_pages_are_the_full_sort(
             assert_eq!(first, want[..5.min(want.len())], "{case}: {filter}");
         }
     }
-    assert_year_pages(qe, snap, &format!("method={method}"), &full);
+    for venues in [vec![], vec![a], vec![a, b]] {
+        assert_year_pages(qe, snap, &format!("method={method}"), &venues, &full);
+    }
     for k in [0, 1, 10, 100, SCALE + 100] {
         assert_eq!(
             snap.top_k(k),
@@ -150,15 +156,39 @@ fn assert_pages_are_the_full_sort(
     }
 }
 
-/// Every `year=Y..` page a year cut's head serves — pages 1 and 2 at `k`
+/// Every `year=Y..` page a year cut's heads serve — pages 1 and 2 at `k`
 /// = 10, 25 and 100 — for every year of `snap`'s network, of `filter`
-/// (a method, seeds) on `snap`, against `ranking`, its full order.
-fn assert_year_pages(qe: &QueryEngine, snap: &EpochSnapshot, filter: &str, ranking: &[PaperId]) {
+/// (a method, seeds) at `venues` (any venue when empty) on `snap`, against
+/// `ranking`, its full order.
+fn assert_year_pages(
+    qe: &QueryEngine,
+    snap: &EpochSnapshot,
+    filter: &str,
+    venues: &[VenueId],
+    ranking: &[PaperId],
+) {
     let net = snap.network();
+    let at = |id: PaperId| {
+        venues.is_empty()
+            || net
+                .venues()
+                .unwrap()
+                .venue_of(id)
+                .is_some_and(|v| venues.contains(&v))
+    };
+    let ids: Vec<String> = venues.iter().map(|v| v.to_string()).collect();
+    let facet = match ids.is_empty() {
+        true => String::new(),
+        false => format!(",venue={}", ids.join("|")),
+    };
     for start in net.year_starts() {
         let year = net.year(start);
-        let want: Vec<PaperId> = ranking.iter().copied().filter(|&id| id >= start).collect();
-        assert_head_pages(qe, snap, &format!("{filter},year={year}.."), &want);
+        let want: Vec<PaperId> = ranking
+            .iter()
+            .copied()
+            .filter(|&id| id >= start && at(id))
+            .collect();
+        assert_head_pages(qe, snap, &format!("{filter}{facet},year={year}.."), &want);
     }
 }
 
@@ -244,10 +274,12 @@ fn a_summary_is_never_stale() {
         .map(|h| h.id)
         .collect();
     assert_head_pages(&qe, &snap, &format!("{seeded},year={late}.."), &recent);
-    assert_year_pages(&qe, &snap, seeded, &warm_ids);
-    // Seeded venue pages off the same re-pushed entry walk its venue
-    // summary: the ranking above, cut to the venues and a year window.
     let (a, b) = busiest_venues(net);
+    for venues in [vec![], vec![a], vec![a, b]] {
+        assert_year_pages(&qe, &snap, seeded, &venues, &warm_ids);
+    }
+    // Seeded venue pages off the same re-pushed entry read its venue
+    // summary: the ranking above, cut to the venues and a year window.
     for venues in [vec![a], vec![a, b]] {
         let want: Vec<PaperId> = warm
             .iter()
@@ -292,15 +324,28 @@ fn a_summary_is_never_stale() {
     }
     let years: Vec<_> = net.year_starts().iter().map(|&id| net.year(id)).collect();
     let windows = std::iter::once(None).chain(years.into_iter().chain([year + 1]).map(Some));
-    for lo in windows {
-        let filter = lo.map_or(String::new(), |y| format!("year={y}.."));
+    let (a, b) = busiest_venues(&net);
+    for (lo, venues) in windows.flat_map(|lo| [vec![], vec![a], vec![a, b]].map(|v| (lo, v))) {
+        let ids: Vec<String> = venues.iter().map(|v| v.to_string()).collect();
+        let mut filter = lo.map_or(String::new(), |y| format!("year={y}.."));
+        if !ids.is_empty() {
+            filter = format!("venue={},{filter}", ids.join("|"));
+        }
+        let filter = filter.trim_end_matches(',');
         let mut pool: Vec<(f64, PaperId)> = Vec::new();
         for s in 0..snaps.n_shards() {
             let (snap, start) = (snaps.snapshot(s), snaps.start(s));
-            let scores = snap.scores().as_slice();
+            let (scores, net) = (snap.scores().as_slice(), snap.network());
+            let at = |l: PaperId| {
+                net.venues()
+                    .unwrap()
+                    .venue_of(l)
+                    .is_some_and(|v| venues.contains(&v))
+            };
             pool.extend(
                 (0..snap.n_papers() as PaperId)
-                    .filter(|&l| lo.is_none_or(|y| snap.network().year(l) >= y))
+                    .filter(|&l| lo.is_none_or(|y| net.year(l) >= y))
+                    .filter(|&l| venues.is_empty() || at(l))
                     .map(|l| (scores[l as usize], start + l)),
             );
         }
@@ -384,8 +429,10 @@ fn a_year_page_skips_every_block() {
 
 #[test]
 fn a_venue_page_counts_the_blocks_it_skips() {
-    let net = generate(&DatasetProfile::dblp().scaled(SCALE), 11);
+    let net = generate(&DatasetProfile::dblp().scaled(VENUE_SCALE), 11);
     let (a, _) = busiest_venues(&net);
+    let band = net.venues().unwrap().papers_at(a).len();
+    assert!(band > 3 * HEAD_LEN, "the busiest venue has {band} papers");
     let mut qe = QueryEngine::from_configs(net, &["attrank"], RerankPolicy::Manual).unwrap();
     let registry = qe.enable_metrics();
     let blocks = |outcome: &str| -> u64 {
@@ -402,7 +449,74 @@ fn a_venue_page_counts_the_blocks_it_skips() {
         "{plan:?}"
     );
     qe.query(&q).unwrap();
-    // The page read at least one block and skipped at least one.
+    // A slice of the venue's head: every block skipped, none read.
+    let n_blocks = band.div_ceil(sparsela::POSTING_BLOCK_LEN) as u64;
+    assert_eq!(blocks("scanned"), scanned);
+    assert_eq!(blocks("skipped"), skipped + n_blocks);
+    // A page deeper than a head is walked: it read at least one block and
+    // skipped at least one.
+    let deep: Query = format!("k={},venue={a}", HEAD_LEN + 1).parse().unwrap();
+    let (scanned, skipped) = (blocks("scanned"), blocks("skipped"));
+    qe.query(&deep).unwrap();
     assert!(blocks("scanned") > scanned);
     assert!(blocks("skipped") > skipped);
+}
+
+#[test]
+fn a_venue_year_page_skips_every_block() {
+    let net = generate(&DatasetProfile::dblp().scaled(VENUE_SCALE), 11);
+    let year = net.current_year().unwrap() - 3;
+    let (a, b) = busiest_venues(&net);
+    let range = net.id_range_for_years(Some(year), None);
+    let band = |v: VenueId| citegraph::band_span(net.venues().unwrap().papers_at(v), &range);
+    let blocks_of = |span: std::ops::Range<usize>| {
+        let block = sparsela::POSTING_BLOCK_LEN;
+        (span.end.div_ceil(block) - span.start / block) as u64
+    };
+    let (one, two) = (blocks_of(band(a)), blocks_of(band(a)) + blocks_of(band(b)));
+    let mut qe = QueryEngine::from_configs(net, &["attrank"], RerankPolicy::Manual).unwrap();
+    let registry = qe.enable_metrics();
+    let counter = |series: &str| -> u64 {
+        let text = registry.render();
+        let line = text.lines().find_map(|l| l.strip_prefix(series));
+        line.map_or(0, |v| v.trim().parse().unwrap())
+    };
+    let blocks = |outcome: &str| {
+        counter(&format!(
+            "attrank_select_blocks_total{{outcome=\"{outcome}\"}}"
+        ))
+    };
+    let heads = |outcome: &str| {
+        counter(&format!(
+            "attrank_select_heads_total{{outcome=\"{outcome}\"}}"
+        ))
+    };
+    // Pages 1 and 2 of one venue, then of an OR of two, since a year:
+    // slices of the heads of the venues' cuts at that year, which the
+    // first page of each builds, counted as builds and not as blocks.
+    for (venues, n_blocks, builds) in [(format!("{a}"), one, 1), (format!("{a}|{b}"), two, 1)] {
+        let mut q: Query = format!("k=10,year={year}..,venue={venues}")
+            .parse()
+            .unwrap();
+        for page in 1..=2 {
+            let (scanned, skipped) = (blocks("scanned"), blocks("skipped"));
+            let (slices, built) = (heads("slice"), heads("build"));
+            let served = qe.query(&q).unwrap();
+            assert_eq!(served.items.len(), 10);
+            assert_eq!(
+                blocks("scanned"),
+                scanned,
+                "{venues} page {page} read a block"
+            );
+            assert_eq!(
+                blocks("skipped"),
+                skipped + n_blocks,
+                "{venues} page {page}"
+            );
+            assert_eq!(heads("slice"), slices + 1, "{venues} page {page}");
+            let fresh = if page == 1 { builds } else { 0 };
+            assert_eq!(heads("build"), built + fresh, "{venues} page {page}");
+            q.cursor = served.next;
+        }
+    }
 }

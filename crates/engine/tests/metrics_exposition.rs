@@ -20,11 +20,12 @@ fn temp_wal(name: &str) -> PathBuf {
 }
 
 /// Every family the two stacks register, flat then sharded.
-const FAMILIES: [&str; 51] = [
+const FAMILIES: [&str; 53] = [
     "attrank_query_seconds",
     "attrank_planner_decisions_total",
     "attrank_cursor_errors_total",
     "attrank_select_blocks_total",
+    "attrank_select_heads_total",
     "attrank_cache_outcomes_total",
     "attrank_cache_entries",
     "attrank_cache_bytes",
@@ -47,6 +48,7 @@ const FAMILIES: [&str; 51] = [
     "attrank_wal_fsync_seconds",
     "attrank_sharded_query_seconds",
     "attrank_sharded_select_blocks_total",
+    "attrank_sharded_select_heads_total",
     "attrank_sharded_cache_outcomes_total",
     "attrank_sharded_cache_entries",
     "attrank_sharded_cache_bytes",
@@ -95,9 +97,12 @@ fn scripted_workload_renders_valid_exposition() {
     }
     qe.ingest(&delta).unwrap();
 
-    // One query per plan driver family, plus a seeded solve.
+    // One query per plan driver family, plus a seeded solve and a page
+    // deeper than a head, which is walked.
     let mid = net.years()[net.n_papers() / 2];
+    let deep = format!("k={}", sparsela::HEAD_LEN + 1);
     for g in [
+        deep.clone(),
         "k=5".to_string(),
         format!("k=5,year={mid}.."),
         "k=5,venue=0".to_string(),
@@ -155,6 +160,7 @@ fn scripted_workload_renders_valid_exposition() {
     sh.set_admission(AdmissionPolicy::default());
     sh.ingest(&delta).unwrap();
     for g in [
+        deep,
         "k=5".to_string(),
         format!("k=5,year={mid}.."),
         "k=5,venue=0".to_string(),
@@ -194,9 +200,10 @@ fn scripted_workload_renders_valid_exposition() {
     // nothing staged, so it is a full solve but not a fallback.
     assert!(text.contains("attrank_push_fallbacks_total{method=\"attrank\"} 1"));
     assert!(text.contains("attrank_push_fallbacks_total{method=\"cc\"} 1"));
-    // The unfiltered and year-window pages walked their ranges by blocks
-    // and the block maxima let them skip some — on both stacks. The
-    // posting-list and mask pages walked none.
+    // The deep page walked its range by blocks, and the shallow
+    // unfiltered, year-window and venue pages were slices of heads, which
+    // skip every block and build each head on first use — on both
+    // stacks.
     let counter = |series: &str| -> u64 {
         let line = text.lines().find(|l| l.starts_with(series));
         let value = line.and_then(|l| l.rsplit(' ').next()?.parse().ok());
@@ -214,6 +221,15 @@ fn scripted_workload_renders_valid_exposition() {
             counter(&format!("{family}{{outcome=\"skipped\"}}")) > 0,
             "{family}"
         );
+    }
+    for family in [
+        "attrank_select_heads_total",
+        "attrank_sharded_select_heads_total",
+    ] {
+        for outcome in ["slice", "build"] {
+            let series = format!("{family}{{outcome=\"{outcome}\"}}");
+            assert!(counter(&series) > 0, "{series}");
+        }
     }
     // Boundary edges from the 3-way partition land on their shards.
     assert!(sh.boundary_edges() > 0);

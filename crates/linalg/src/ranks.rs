@@ -21,9 +21,10 @@
 //! over an id range or a union of posting bands and offers only the
 //! blocks that can still reach the page — about `k` blocks whatever the
 //! order of the scores, with an exact count of what lies behind a
-//! pagination [`Frontier`] — and serves a shallow id-range page from one
-//! of the summary's ordered heads (one per year cut, each built on first
-//! use) without reading a block. [`top_k_filtered`]
+//! pagination [`Frontier`] — and serves a shallow page of an id range or
+//! of a union of bands from the summary's ordered heads (one per list and
+//! year cut, each built on first use) without reading a block.
+//! [`top_k_filtered`]
 //! copies a short explicit candidate list and partitions it instead.
 //! [`merge_k_sorted`] merges per-partition pages.
 
@@ -387,23 +388,26 @@ pub const BLOCK_LEN: usize = 64;
 /// 64 a band holds too few whole blocks to seed the threshold (rule 2 of
 /// [`top_k_pruned_into`] wants two per wanted item); 32 is the largest
 /// block that still seeds, and its summary builds in 0.16 ms per 200k
-/// scores.
+/// scores. These time the walk, which serves deeper venue pages, author
+/// residuals and head builds; a shallow venue page is a slice of its
+/// list's heads (rule 0).
 pub const POSTING_BLOCK_LEN: usize = 32;
 
-/// Ids in each ordered head of an id-space [`BlockMaxima`]: the first ids,
-/// in [`cmp_score_desc`] order, of the suffix from one year cut on, from
-/// which rule 0 of [`top_k_pruned_into`] serves an id-range page without
-/// reading a block. Each head is built on first use, by one walk of its
-/// suffix at `k` = 128. Sized on the serving corpus's three published
-/// vectors (200k scores; attrank / cc / pagerank; medians on a 2-vCPU
-/// VM): the whole-vector head costs 48–96 µs at 128 ids, 87–144 µs at 256
-/// and 198–268 µs at 512, and a 25k tail partition's 47 µs at 128. Every
-/// page the workloads ask for fits in 128 — page 1 to `k = 100`, page 2
-/// to depth 50 — and, since each `year=Y..` suffix has a head of its own,
-/// so do all of `read_mixed`'s `year=Y..` pages (the whole vector's head
-/// held 0 of 128 ids from the last seven years). A head slice costs
-/// 90–150 ns at `k = 10`–25, page 2 140–280 ns, against 3.5–43 µs for
-/// the walk.
+/// Ids in each ordered head of a [`BlockMaxima`]: the first ids, in
+/// [`cmp_score_desc`] order, of the suffix of one list (the id space, or
+/// one venue's postings) from one year cut on, from which rule 0 of
+/// [`top_k_pruned_into`] serves a page without reading a block. Each head
+/// is built on first use, by one walk of its suffix at `k` = 128. Sized on
+/// the serving corpus's three published vectors (200k scores; attrank /
+/// cc / pagerank; medians on a 2-vCPU VM): the whole-vector head costs
+/// 48–96 µs at 128 ids, 87–144 µs at 256 and 198–268 µs at 512, and a 25k
+/// tail partition's 47 µs at 128. Every page the workloads ask for fits
+/// in 128 — page 1 to `k = 100`, page 2 to depth 50 — and, since each
+/// `year=Y..` suffix of the vector and of each venue's list has a head of
+/// its own, so do all of the workloads' `year=Y..` and
+/// `venue=V,year=Y..` pages (the whole vector's head held 0 of 128 ids
+/// from the last seven years). A head slice costs 90–150 ns at `k` =
+/// 10–25, page 2 140–280 ns, against 3.5–43 µs for the walk.
 pub const HEAD_LEN: usize = 128;
 
 /// Block maxima a summary's storage grows by. A served vector grows with
@@ -414,8 +418,67 @@ pub const HEAD_LEN: usize = 128;
 /// allocator from trimming what the publishes in between free (200k-paper
 /// write path, glibc defaults: peak RSS 470 → 550 MB at identical live
 /// bytes). In steps, consecutive summaries are the same size and take each
-/// other's place (460–495 MB).
+/// other's place (460–495 MB). The head cells grow in steps of the same
+/// 8 KiB ([`CELL_STEP`]): a venue gains a cut with its first paper of a
+/// year.
 const STORAGE_STEP: usize = 1024;
+
+/// One head of a [`BlockMaxima`]: its list and cut (a position in the
+/// list) as one [`head_key`], and the head, built on first use.
+type HeadCell = (u64, OnceLock<Box<[u32]>>);
+
+/// The key of position `at` of list `list`: cells sorted by it are by
+/// list, then position, and one integer compare orders two (searched by a
+/// `(list, position)` tuple, a head lookup read 10 ns slower).
+fn head_key(list: usize, at: usize) -> u64 {
+    (list as u64) << 32 | at as u64
+}
+
+/// Head cells a summary's storage grows by: the bytes of [`STORAGE_STEP`]
+/// maxima.
+const CELL_STEP: usize =
+    STORAGE_STEP * std::mem::size_of::<f64>() / std::mem::size_of::<HeadCell>();
+
+/// The head cells of `lists` — `(length, postings)`, `None` for the id
+/// space — with heads of `head_len` ids (0: none), ordered by list, then
+/// cut: one at position 0 of each list, and one at each position where
+/// one of `cuts` (ids) starts in the list — the start of
+/// `citegraph::band_span` for a range from that id — below the list's
+/// end; and the ids they hold once all are built. The storage holds a
+/// cell for every list and cut, so it changes size only with their count.
+fn head_cells<'a, L>(lists: L, head_len: usize, cuts: &[u32]) -> (Vec<HeadCell>, usize)
+where
+    L: ExactSizeIterator<Item = (usize, Option<&'a [u32]>)>,
+{
+    if head_len == 0 {
+        return (Vec::new(), 0);
+    }
+    let mut cuts = cuts.to_vec();
+    cuts.sort_unstable();
+    let bound = lists.len() * (cuts.len() + 1);
+    let mut cells = Vec::with_capacity(bound.next_multiple_of(CELL_STEP));
+    let mut ids = 0;
+    for (list, (len, postings)) in lists.enumerate() {
+        let (mut cut, mut rest) = (0, cuts.iter());
+        while cut < len {
+            cells.push((head_key(list, cut), OnceLock::new()));
+            ids += head_len.min(len - cut);
+            // Ascending ids start at ascending positions: the next cut is
+            // the first later one, searched for past this one.
+            let from = cut;
+            let at = |&c: &u32| {
+                postings.map_or(c as usize, |l| {
+                    from + l[from..].partition_point(|&id| id < c)
+                })
+            };
+            match rest.by_ref().map(at).find(|&at| at > from) {
+                Some(at) => cut = at,
+                None => break,
+            }
+        }
+    }
+    (cells, ids)
+}
 
 /// The maximum of `xs`, NaN ignored, `-inf` when it holds no number.
 #[inline]
@@ -442,18 +505,21 @@ fn max_number(xs: impl Iterator<Item = f64>) -> f64 {
 /// [`top_k_pruned_into`] skip every block whose best score cannot reach
 /// the page. `n / block length × 8` bytes, rounded up to 8 KiB.
 ///
-/// An id-space summary also keeps one **head** per **cut**: the first
-/// [`HEAD_LEN`] ids, in [`cmp_score_desc`] order, of the suffix
-/// `cut..n`. Cut 0 is always kept, and [`Self::with_cuts`] adds more (an
-/// epoch's are the first id of each year of the network it ranks). Rule 0
-/// of [`top_k_pruned_into`] serves a shallow page of an id range —
-/// everything, a year window, either behind a cursor — as a slice of the
-/// head of the largest cut at or below the range's start. No head is
-/// built with the maxima: each is one walk of its suffix over them, run
-/// on the first page that reads it (a `OnceLock` per cut, so racing
-/// readers build it once). A head keeps what that walk was given, so a
-/// summary must only ever be handed the scores it was built from — as
-/// every walk's exactness already requires.
+/// A summary also keeps one **head** per list and **cut**: the first
+/// [`HEAD_LEN`] ids, in [`cmp_score_desc`] order, of the list's suffix
+/// from that position on. Position 0 of every list is a cut, and the
+/// constructors' `cuts` add more: each is an id, and cuts a list where
+/// its ids reach it (an epoch's are the first id of each year of the
+/// network it ranks, so each venue's list is cut where each year starts
+/// in it). Rule 0 of [`top_k_pruned_into`] serves a shallow page of an id
+/// range — everything, a year window, either behind a cursor — or of a
+/// union of posting bands — `venue=a|b`, within a year window — as slices
+/// of the heads of the largest cuts at or below each segment's start. No
+/// head is built with the maxima: each is one walk of its suffix over
+/// them, run on the first page that reads it (a `OnceLock` per cut, so
+/// racing readers build it once). A head keeps what that walk was given,
+/// so a summary must only ever be handed the scores it was built from —
+/// as every walk's exactness already requires.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockMaxima {
     block_len: usize,
@@ -462,11 +528,13 @@ pub struct BlockMaxima {
     /// First block of each list, then one past the last block.
     lists: Vec<usize>,
     maxima: Vec<f64>,
-    /// Ids in each head; 0 over postings or without heads.
+    /// Ids in each head; 0 without heads.
     head_len: usize,
-    /// Each cut, ascending from 0, with its head, built on first use;
+    /// Each list's cuts, by list, then ascending from 0, with their heads;
     /// empty without heads.
-    heads: Box<[(u32, OnceLock<Vec<u32>>)]>,
+    heads: Vec<HeadCell>,
+    /// Ids the heads hold once all are built.
+    head_ids: usize,
 }
 
 impl BlockMaxima {
@@ -500,37 +568,46 @@ impl BlockMaxima {
                 .chunks(block_len)
                 .map(|block| max_number(block.iter().copied())),
         );
-        let mut kept = Vec::new();
-        if head_len > 0 {
-            kept.push(0);
-            kept.extend(cuts.iter().filter(|&&c| (c as usize) < scores.len()));
-            kept.sort_unstable();
-            kept.dedup();
-        }
+        let (heads, head_ids) = head_cells(std::iter::once((scores.len(), None)), head_len, cuts);
         Self {
             block_len,
             len: scores.len(),
             lists: vec![0, n_blocks],
             maxima,
             head_len,
-            heads: kept.into_iter().map(|cut| (cut, OnceLock::new())).collect(),
+            heads,
+            head_ids,
         }
     }
 
     /// The summary of `scores` over posting lists at the serving posting
-    /// block length ([`POSTING_BLOCK_LEN`]): list `l` is
-    /// `postings[offsets[l]..offsets[l + 1]]`, as
-    /// `VenueTable::postings` lays them out.
+    /// block length ([`POSTING_BLOCK_LEN`]), with a head of [`HEAD_LEN`]
+    /// ids at the start of each list and where each of `cuts` (ids, in any
+    /// order) starts in it: list `l` is `postings[offsets[l]..offsets[l +
+    /// 1]]`, as `VenueTable::postings` lays them out, each ascending.
     ///
     /// # Panics
     /// When `offsets` is empty or decreasing, runs past `postings`, or a
     /// posting is not an index into `scores`.
-    pub fn over_postings(scores: &[f64], offsets: &[usize], postings: &[u32]) -> Self {
-        Self::over_postings_with_block_len(scores, offsets, postings, POSTING_BLOCK_LEN)
+    pub fn over_postings(
+        scores: &[f64],
+        offsets: &[usize],
+        postings: &[u32],
+        cuts: &[u32],
+    ) -> Self {
+        Self::over_postings_with_block_len(
+            scores,
+            offsets,
+            postings,
+            POSTING_BLOCK_LEN,
+            HEAD_LEN,
+            cuts,
+        )
     }
 
-    /// [`Self::over_postings`] with `block_len` postings per block — for
-    /// tests and for re-sizing [`POSTING_BLOCK_LEN`].
+    /// [`Self::over_postings`] with `block_len` postings per block and
+    /// heads of `head_len` ids (0: none) — for tests and for re-sizing
+    /// [`POSTING_BLOCK_LEN`].
     ///
     /// # Panics
     /// As [`Self::over_postings`], and when `block_len` is 0.
@@ -539,6 +616,8 @@ impl BlockMaxima {
         offsets: &[usize],
         postings: &[u32],
         block_len: usize,
+        head_len: usize,
+        cuts: &[u32],
     ) -> Self {
         assert!(block_len > 0, "a block holds at least one id");
         assert!(!offsets.is_empty(), "posting offsets start at 0");
@@ -546,7 +625,7 @@ impl BlockMaxima {
         let n_blocks: usize = lists.clone().map(|l| l.len().div_ceil(block_len)).sum();
         let mut starts = Vec::with_capacity(offsets.len());
         let mut maxima = Vec::with_capacity(n_blocks.next_multiple_of(STORAGE_STEP));
-        for list in lists {
+        for list in lists.clone() {
             starts.push(maxima.len());
             maxima.extend(
                 list.chunks(block_len)
@@ -554,39 +633,40 @@ impl BlockMaxima {
             );
         }
         starts.push(maxima.len());
+        let (heads, head_ids) = head_cells(lists.map(|l| (l.len(), Some(l))), head_len, cuts);
         Self {
             block_len,
             len: scores.len(),
             lists: starts,
             maxima,
-            head_len: 0,
-            heads: Box::default(),
+            head_len,
+            heads,
+            head_ids,
         }
     }
 
     /// Heap bytes held, every head counted at its full length whether it
     /// is built yet or not (so the figure never changes after the build).
     pub fn bytes(&self) -> usize {
-        let cell = std::mem::size_of::<(u32, OnceLock<Vec<u32>>)>();
-        let head = |&(cut, _): &(u32, _)| cell + self.head_len.min(self.len - cut as usize) * 4;
         self.maxima.capacity() * std::mem::size_of::<f64>()
             + self.lists.capacity() * std::mem::size_of::<usize>()
-            + self.heads.iter().map(head).sum::<usize>()
+            + self.heads.capacity() * std::mem::size_of::<HeadCell>()
+            + self.head_ids * std::mem::size_of::<u32>()
     }
 
-    /// The head of the largest cut at or below id `start` — the first
-    /// ids, in [`cmp_score_desc`] order, of the suffix from that cut on;
-    /// all of them when it has at most the head's length — built now if
-    /// no page has read it yet. Empty for a summary over postings or
-    /// without heads.
+    /// The head of an id-space summary's largest cut at or below id
+    /// `start` — the first ids, in [`cmp_score_desc`] order, of the suffix
+    /// from that cut on; all of them when it has at most the head's length
+    /// — built now if no page has read it yet. Empty without heads.
     ///
     /// # Panics
     /// When `scores` is not as long as the vector summarized; they must
     /// be the scores it was built from.
     pub fn head(&self, scores: &[f64], start: u32) -> &[u32] {
         self.check_len(scores);
-        self.head_from(scores, start as usize)
-            .map_or(&[], |(_, head)| head)
+        let n = self.len as u32;
+        self.head_from(scores, Segment::range(start.min(n)..n))
+            .map_or(&[], |((_, head), _)| head)
     }
 
     /// How many heads have been built so far.
@@ -604,31 +684,46 @@ impl BlockMaxima {
         );
     }
 
-    /// The cut a range starting at position `start` is served from, and
-    /// its head, built by one walk of the suffix on first use; `None`
-    /// without heads.
-    fn head_from(&self, scores: &[f64], start: usize) -> Option<(usize, &[u32])> {
+    /// The cut of its list a resolved segment is served from, with its
+    /// head, built by one walk of the suffix on first use — and whether
+    /// this call built it; `None` when the list has no head at or below
+    /// the segment's start.
+    fn head_from(&self, scores: &[f64], seg: Segment<'_>) -> Option<((usize, &[u32]), bool)> {
+        let key = head_key(seg.list, seg.start);
         let at = self
             .heads
-            .partition_point(|&(cut, _)| cut as usize <= start)
+            .partition_point(|(cell, _)| *cell <= key)
             .checked_sub(1)?;
-        let (cut, head) = &self.heads[at];
-        let cut = *cut;
+        let (cell, head) = &self.heads[at];
+        if cell >> 32 != key >> 32 {
+            return None;
+        }
+        let cut = *cell as u32 as usize;
+        let mut built = false;
         let head = head.get_or_init(|| {
+            let list_len = seg.postings.map_or(self.len, <[u32]>::len);
+            let list = |at: usize| at..list_len.min(at + self.block_len);
+            let block_max = |at| max_number(list(at).map(|p| scores[seg.id_at(p) as usize]));
             debug_assert!(
-                scores
-                    .chunks(self.block_len)
-                    .map(|block| max_number(block.iter().copied()))
-                    .eq(self.maxima.iter().copied()),
+                (0..list_len)
+                    .step_by(self.block_len)
+                    .map(block_max)
+                    .eq(self.maxima[self.lists[seg.list]..self.lists[seg.list + 1]]
+                        .iter()
+                        .copied()),
                 "a head is built from the scores its summary was built from"
             );
+            built = true;
             let mut head = Vec::new();
-            let suffix = [Segment::range(cut..self.len as u32)];
+            let suffix = [Segment {
+                start: cut,
+                end: list_len,
+                ..seg
+            }];
             walk_blocks(scores, self, suffix, self.head_len, None, None, &mut head);
-            head.shrink_to_fit();
-            head
+            head.into_boxed_slice()
         });
-        Some((cut as usize, head))
+        Some(((cut, head), built))
     }
 
     /// `segment` clamped to its list, with its list's first block.
@@ -659,15 +754,55 @@ impl BlockMaxima {
         (segment, self.lists[list])
     }
 
-    /// Rule 0 of [`top_k_pruned_into`] on one resolved id range: the first
-    /// `k` ids in range and after `frontier` of `head`, the head of the
-    /// suffix from `cut` (at or below the range's start), or `None` when
-    /// the head cannot decide the page. It decides when it is the whole
-    /// suffix, or when it holds `k` such ids and every suffix id past it
-    /// sorts after the frontier — there is none, or the head's last score
-    /// clears it (later scores are no higher, or NaN). Then the ids behind
-    /// the frontier are all in the head, and `matched` is the range less
-    /// those.
+    /// Rule 0 of [`top_k_pruned_into`]: the page as slices of the heads of
+    /// `segments` — one id range, or bands of posting lists — or `None`
+    /// when a head cannot decide it. Each non-empty segment is sliced from
+    /// the head of its list's largest cut at or below its start; the bands
+    /// are disjoint, so the best `k` of their slices are the page, and
+    /// `matched` is summed over them. Adds the heads it built to `built`.
+    fn head_slices<'a>(
+        &self,
+        scores: &[f64],
+        segments: impl Iterator<Item = Segment<'a>> + Clone,
+        k: usize,
+        frontier: Option<&Frontier>,
+        built: &mut usize,
+        out: &mut Vec<u32>,
+    ) -> Option<BlockWalk> {
+        // Two id ranges are walked: a range is one segment.
+        let mut each = segments.clone();
+        let one = each.next().is_some() && each.next().is_none();
+        if !one && segments.clone().any(|s| s.postings.is_none()) {
+            return None;
+        }
+        out.clear();
+        let mut walk = BlockWalk::default();
+        for seg in segments {
+            let (seg, _) = self.resolve(seg);
+            if seg.start == seg.end {
+                continue;
+            }
+            let (head, fresh) = self.head_from(scores, seg)?;
+            *built += fresh as usize;
+            let page = out.len();
+            let band = self.head_slice(scores, head, seg, k, frontier, out)?;
+            merge_front(scores, out, page, k);
+            walk.matched += band.matched;
+            walk.blocks_in_range += band.blocks_in_range;
+            walk.head_slices = 1;
+        }
+        Some(walk)
+    }
+
+    /// One segment of rule 0: appends to `out` the first `k` ids in the
+    /// segment and after `frontier` of `head`, the head of the suffix of
+    /// its list from `cut` (at or below the segment's start), or returns
+    /// `None` when the head cannot decide them. It decides when it is the
+    /// whole suffix, or when it holds `k` such ids and every suffix id
+    /// past it sorts after the frontier — there is none, or the head's last
+    /// score clears it (later scores are no higher, or NaN). Then the ids
+    /// behind the frontier are all in the head, and `matched` is the
+    /// segment less those.
     fn head_slice(
         &self,
         scores: &[f64],
@@ -678,30 +813,50 @@ impl BlockMaxima {
         out: &mut Vec<u32>,
     ) -> Option<BlockWalk> {
         let &last = head.last()?;
-        let whole = head.len() == self.len - cut;
+        let whole = head.len() == seg.postings.map_or(self.len, <[u32]>::len) - cut;
         if !whole && frontier.is_some_and(|f| !f.clears(scores[last as usize])) {
             return None;
         }
-        let ids = seg.start as u32..seg.end as u32;
-        out.clear();
-        let mut behind = 0;
+        let ids = seg.ids();
+        let (mut taken, mut behind) = (0, 0);
         for &id in head.iter().filter(|id| ids.contains(id)) {
             let score = scores[id as usize];
             if frontier.is_some_and(|f| !f.admits(score, id)) {
                 behind += 1;
-            } else if out.len() < k {
+            } else if taken < k {
                 out.push(id);
+                taken += 1;
             } else if frontier.is_none_or(|f| f.clears(score)) {
                 // The page is full, and no id from here on is behind.
                 break;
             }
         }
-        (whole || out.len() == k).then(|| BlockWalk {
-            matched: ids.len() - behind,
-            blocks_scanned: 0,
+        (whole || taken == k).then(|| BlockWalk {
+            matched: seg.end - seg.start - behind,
             blocks_in_range: seg.blocks(self.block_len).len(),
+            ..BlockWalk::default()
         })
     }
+}
+
+/// Leaves in `out` the best `k` of its two runs `..mid` and `mid..`, each
+/// in [`cmp_score_desc`] order and of distinct ids, in that order: one
+/// pass over their fronts, the result written behind them, then moved to
+/// the front.
+fn merge_front(scores: &[f64], out: &mut Vec<u32>, mid: usize, k: usize) {
+    let end = out.len();
+    if mid == 0 || mid == end {
+        return;
+    }
+    let (mut a, mut b) = (0, mid);
+    for _ in 0..k.min(end) {
+        let first = b == end
+            || a < mid && desc_by_score(scores)(&out[a], &out[b]) == std::cmp::Ordering::Less;
+        let at = if first { &mut a } else { &mut b };
+        out.push(out[*at]);
+        *at += 1;
+    }
+    out.drain(..end);
 }
 
 /// One span of ids a block walk ([`top_k_pruned_into`]) reads: positions
@@ -733,6 +888,20 @@ impl<'a> Segment<'a> {
     fn blocks(&self, block_len: usize) -> std::ops::Range<usize> {
         match self.start < self.end {
             true => self.start / block_len..self.end.div_ceil(block_len),
+            false => 0..0,
+        }
+    }
+
+    /// The id at position `at` of its list.
+    fn id_at(&self, at: usize) -> u32 {
+        self.postings.map_or(at as u32, |list| list[at])
+    }
+
+    /// The ids from its first to its last, as a range: of the ids of its
+    /// list (ascending), exactly its own. Empty for an empty segment.
+    fn ids(&self) -> std::ops::Range<u32> {
+        match self.start < self.end {
+            true => self.id_at(self.start)..self.id_at(self.end - 1) + 1,
             false => 0..0,
         }
     }
@@ -797,6 +966,12 @@ pub struct BlockWalk {
     pub blocks_scanned: usize,
     /// Blocks overlapping the segments.
     pub blocks_in_range: usize,
+    /// 1 when the page was served as slices of heads (rule 0), reading no
+    /// block; 0 when it was walked. Summed by callers over partitions.
+    pub head_slices: usize,
+    /// Heads built by this call, each on its first use, whether the page
+    /// was then sliced or walked.
+    pub heads_built: usize,
 }
 
 /// Runs `$visit` on each block `$b` of a segment's `$blocks`: in id
@@ -826,17 +1001,19 @@ macro_rules! each_block {
 /// residual → frontier → truncate (property-tested), reading only the
 /// blocks that can matter:
 ///
-/// 0. **one id range without a residual is a slice of a head**: of the
-///    summary's head for the largest cut at or below the range's start
-///    (built now if no page has read it yet), when that head decides it.
-///    The page is the head's first `k` ids in range and after the
-///    frontier, `matched` is the range less the head ids in range behind
-///    the frontier, and no block is read. The head decides when it is the
-///    whole suffix from its cut, or when it holds `k` such ids and the
-///    frontier is absent or strictly above its last score (as a block's
-///    maximum clears it), so no id past it is behind the frontier. A
-///    page deeper than a head, and one the head cannot decide, is walked
-///    as below;
+/// 0. **one id range, or a union of bands, without a residual is a slice
+///    of heads**: of the summary's head for the largest cut of each
+///    segment's list at or below the segment's start (built now if no
+///    page has read it yet), when every such head decides its segment.
+///    A segment's slice is its head's first `k` ids in the segment and
+///    after the frontier, its `matched` the segment less the head ids in
+///    it behind the frontier. The head decides when it is the whole
+///    suffix from its cut, or when it holds `k` such ids and the frontier
+///    is absent or strictly above its last score (as a block's maximum
+///    clears it), so no id past it is behind the frontier. Bands are
+///    disjoint, so the page is the best `k` of their slices, `matched`
+///    the sum, and no block is read. A page deeper than a head, and one
+///    a head cannot decide, is walked as below;
 /// 1. a block is **skipped** iff its maximum is strictly below the running
 ///    k-th score (an equal score may still win on id);
 /// 2. the k-th score is **seeded before the walk** with the k-th largest
@@ -875,24 +1052,21 @@ where
 {
     maxima.check_len(scores);
     let segments = segments.into_iter();
-    // Rule 0. A summary over postings has no head, so a band walk pays
-    // one test for it.
-    if maxima.head_len > 0 && residual.is_none() {
-        let mut each = segments.clone();
-        if let (Some(range @ Segment { postings: None, .. }), None) = (each.next(), each.next()) {
-            let (range, _) = maxima.resolve(range);
-            // A page deeper than a head is walked, and builds no head.
-            if k <= maxima.head_len {
-                let head = maxima.head_from(scores, range.start);
-                if let Some(walk) =
-                    head.and_then(|h| maxima.head_slice(scores, h, range, k, frontier, out))
-                {
-                    return walk;
-                }
-            }
+    // Rule 0. A page deeper than a head is walked, and builds no head.
+    let mut built = 0;
+    if maxima.head_len > 0 && k <= maxima.head_len && residual.is_none() {
+        let sliced = maxima.head_slices(scores, segments.clone(), k, frontier, &mut built, out);
+        if let Some(walk) = sliced {
+            return BlockWalk {
+                heads_built: built,
+                ..walk
+            };
         }
     }
-    walk_blocks(scores, maxima, segments, k, frontier, residual, out)
+    BlockWalk {
+        heads_built: built,
+        ..walk_blocks(scores, maxima, segments, k, frontier, residual, out)
+    }
 }
 
 /// Rules 1–4 of [`top_k_pruned_into`]: its walk, which also builds the
@@ -1553,7 +1727,7 @@ mod tests {
         // head of its own, built by the first page that reads it.
         let s: Vec<f64> = (0..6400).map(|i| f64::from(6400 - i)).collect();
         let m = BlockMaxima::with_cuts(&s, &[6000, 7000, 3000]);
-        let cuts: Vec<u32> = m.heads.iter().map(|&(cut, _)| cut).collect();
+        let cuts: Vec<u64> = m.heads.iter().map(|(key, _)| *key).collect();
         assert_eq!(cuts, [0, 3000, 6000]);
         assert_eq!(m.heads_built(), 0, "a summary builds no head");
         let mut out = Vec::new();
@@ -1594,6 +1768,95 @@ mod tests {
     }
 
     #[test]
+    fn a_venue_year_page_is_a_slice_of_its_cuts_head() {
+        // Two venues, the even and the odd ids, with scores falling with
+        // id: each list's whole head holds only early ids. Cut at ids 3000
+        // and 6000, each list keeps a head from position 1500 and 3000.
+        let s: Vec<f64> = (0..6400).map(|i| f64::from(6400 - i)).collect();
+        let postings: Vec<u32> = (0..6400).step_by(2).chain((1..6400).step_by(2)).collect();
+        let offsets = [0, 3200, 6400];
+        let m = BlockMaxima::over_postings(&s, &offsets, &postings, &[6000, 3000]);
+        let cuts: Vec<u64> = m.heads.iter().map(|(key, _)| *key).collect();
+        let want = [(0, 0), (0, 1500), (0, 3000), (1, 0), (1, 1500), (1, 3000)];
+        assert_eq!(cuts, want.map(|(list, at)| head_key(list, at)));
+        assert_eq!(m.heads_built(), 0, "a summary builds no head");
+        let (even, odd) = (&postings[..3200], &postings[3200..]);
+        let since = |list: &'static str, ids: std::ops::Range<u32>| {
+            let l = if list == "even" { even } else { odd };
+            let span =
+                l.partition_point(|&id| id < ids.start)..l.partition_point(|&id| id < ids.end);
+            Segment::band((list == "odd") as usize, l, span)
+        };
+        let mut out = Vec::new();
+        // `venue=even,year=6000..`: a slice of the cut at 3000's head.
+        let late = [since("even", 6000..6400)];
+        let walk = top_k_pruned_into(&s, &m, late, 25, None, None, &mut out);
+        assert_eq!(out, (6000..6050).step_by(2).collect::<Vec<u32>>());
+        let sliced = (
+            walk.matched,
+            walk.blocks_scanned,
+            walk.head_slices,
+            walk.heads_built,
+        );
+        assert_eq!(sliced, (200, 0, 1, 1));
+        assert_eq!(walk.blocks_in_range, 7);
+        // `venue=even|odd,year=6000..`: two bands' slices, merged; the odd
+        // venue's head is built now, the even one's is read again.
+        let both = [since("even", 6000..6400), since("odd", 6000..6400)];
+        let walk = top_k_pruned_into(&s, &m, both, 25, None, None, &mut out);
+        assert_eq!(out, (6000..6025).collect::<Vec<u32>>());
+        assert_eq!(
+            (walk.matched, walk.blocks_scanned, walk.heads_built),
+            (400, 0, 1)
+        );
+        // Page 2 behind a cursor: still the heads.
+        let frontier = Frontier {
+            score: s[6024],
+            id: 6024,
+            scale: 1.0,
+            base: 0,
+        };
+        let walk = top_k_pruned_into(&s, &m, both, 25, Some(&frontier), None, &mut out);
+        assert_eq!(out, (6025..6050).collect::<Vec<u32>>());
+        assert_eq!(
+            (walk.matched, walk.blocks_scanned, walk.head_slices),
+            (375, 0, 1)
+        );
+        // A band that starts between cuts, and one that ends before its
+        // list does: the heads of the cuts below them.
+        for ids in [6100..6400, 6000..6100, 3001..3300] {
+            let band = [since("odd", ids.clone())];
+            let walk = top_k_pruned_into(&s, &m, band, 10, None, None, &mut out);
+            let want: Vec<u32> = ids.clone().filter(|i| i % 2 == 1).collect();
+            assert_eq!(out, want[..10], "{ids:?}");
+            assert_eq!(
+                (walk.matched, walk.blocks_scanned),
+                (want.len(), 0),
+                "{ids:?}"
+            );
+        }
+        assert_eq!(m.heads_built(), 3);
+        // Deeper than a head: walked, and nothing built.
+        let walk = top_k_pruned_into(&s, &m, late, 200, None, None, &mut out);
+        assert_eq!(out, (6000..6400).step_by(2).take(200).collect::<Vec<u32>>());
+        assert!(walk.blocks_scanned > 0);
+        assert_eq!((walk.head_slices, walk.heads_built), (0, 0));
+        // A band the cut's head holds too little of: walked.
+        let band = [since("even", 3000..6000)];
+        let frontier = Frontier {
+            score: s[5000],
+            id: 5000,
+            scale: 1.0,
+            base: 0,
+        };
+        let walk = top_k_pruned_into(&s, &m, band, 10, Some(&frontier), None, &mut out);
+        assert_eq!(out, (5002..5022).step_by(2).collect::<Vec<u32>>());
+        assert!(walk.blocks_scanned > 0);
+        assert_eq!(walk.head_slices, 0);
+        assert_eq!(m.heads_built(), 4);
+    }
+
+    #[test]
     fn an_unseeded_band_is_walked_best_block_first() {
         // Twenty 32-posting blocks cannot seed k = 15 (two whole blocks a
         // wanted item), and the scores climb with id. In id order every
@@ -1601,7 +1864,7 @@ mod tests {
         // and every other one is skipped.
         let s: Vec<f64> = (0..640).map(f64::from).collect();
         let list: Vec<u32> = (0..640).collect();
-        let m = BlockMaxima::over_postings_with_block_len(&s, &[0, 640], &list, 32);
+        let m = BlockMaxima::over_postings_with_block_len(&s, &[0, 640], &list, 32, 0, &[]);
         let band = [Segment::band(0, &list, 0..640)];
         let mut out = Vec::new();
         let walk = top_k_pruned_into(&s, &m, band, 15, None, None, &mut out);

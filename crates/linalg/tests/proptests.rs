@@ -719,6 +719,131 @@ proptest! {
     }
 
     #[test]
+    fn top_k_band_heads_equal_walk_and_sort(
+        raw in proptest::collection::vec((-8i32..8, 0u8..5), 0..110),
+        n_lists in 1usize..5,
+        pick in 0u8..16,
+        cuts in proptest::collection::vec(0u32..115, 0..7),
+        head_len in 1usize..40,
+        start in 0u8..3,
+        at_cut in 0usize..8,
+        len in 0u32..100,
+        shape in 0u8..4,
+        block_len in 1usize..6,
+        at in 0usize..110,
+        tweak in 0u8..5,
+        scale in 0usize..3,
+        base in 0u32..1000,
+        residual in 1u32..4,
+    ) {
+        use sparsela::{cmp_score_desc, top_k_pruned_into, BlockMaxima, Frontier, Segment};
+        let scale = [1.0, 0.25, 0.75][scale];
+        // Ties, NaNs and `-inf`s; scores that fall with id, so a later
+        // cut's head differs from its list's whole head; scores that
+        // climb. Each id on at most one of `n_lists` posting lists (owner
+        // ≥ `n_lists`: on none), so the lists are disjoint and ascending,
+        // like a venue table's.
+        let scores: Vec<f64> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, &(v, _))| match shape {
+                0 => (v / 2) as f64,
+                1 if v == -8 => f64::NAN,
+                1 if v == 7 => f64::NEG_INFINITY,
+                1 => (v / 3) as f64 / 4.0,
+                2 => -((i / 3) as f64),
+                _ => (i / 2) as f64,
+            })
+            .collect();
+        let n = scores.len();
+        let mut offsets = vec![0usize];
+        let mut postings: Vec<u32> = Vec::new();
+        for list in 0..n_lists {
+            let on = raw.iter().enumerate().filter(|(_, &(_, o))| o as usize == list);
+            postings.extend(on.map(|(id, _)| id as u32));
+            offsets.push(postings.len());
+        }
+        // Each list is cut where each of 0–6 ids starts in it.
+        let headed = BlockMaxima::over_postings_with_block_len(
+            &scores, &offsets, &postings, block_len, head_len, &cuts,
+        );
+        let walked = BlockMaxima::over_postings_with_block_len(
+            &scores, &offsets, &postings, block_len, 0, &[],
+        );
+        // The OR of 1–4 lists, each cut to the id window `lo..hi` — a
+        // venue's year suffix or year range — starting on a cut, between
+        // two, or before one, and running to the lists' end or not.
+        let mut kept: Vec<u32> = cuts.clone();
+        kept.push(0);
+        kept.sort_unstable();
+        let on = kept[at_cut % kept.len()];
+        let lo = match start {
+            0 => on,
+            1 => on + (at_cut as u32 % 5),
+            _ => on.saturating_sub(1 + at_cut as u32 % 3),
+        };
+        // From 80 on, to the end.
+        let hi = if len < 80 { lo.saturating_add(len) } else { u32::MAX };
+        let mut picked: Vec<usize> = (0..n_lists).filter(|&l| pick >> l & 1 == 1).collect();
+        if picked.is_empty() {
+            picked.push(at_cut % n_lists);
+        }
+        let bands = picked.iter().map(|&l| {
+            let list = &postings[offsets[l]..offsets[l + 1]];
+            let cut = list.partition_point(|&id| id < lo)..list.partition_point(|&id| id < hi);
+            Segment::band(l, list, cut)
+        });
+        // A frontier on an item (inside a tie run, on a NaN or `-inf`),
+        // beside it, between items, or with a NaN score.
+        let frontier = (n > 0 && tweak < 4).then(|| {
+            let on = at % n;
+            let (score, id) = match tweak {
+                0 => (scores[on] * scale, base + on as u32),
+                1 => (scores[on] * scale, base + (on as u32).saturating_sub(1)),
+                2 => (scores[on] * scale + 0.125, base + on as u32),
+                _ => (f64::NAN, base + on as u32),
+            };
+            Frontier { score, id, scale, base }
+        });
+        let sorted = sort_indices_desc(&scores);
+        let in_bands = |i: u32| {
+            i >= lo && i < hi && picked.contains(&(raw[i as usize].1 as usize))
+        };
+        let after = |i: u32| frontier.is_none_or(|f| {
+            cmp_score_desc(scores[i as usize] * scale, base + i, f.score, f.id)
+                == std::cmp::Ordering::Greater
+        });
+        let eligible: Vec<u32> = sorted.iter().copied().filter(|&i| in_bands(i) && after(i)).collect();
+        let (mut out, mut reference) = (vec![7u32; 3], vec![9u32; 2]);
+        for k in 0..=n {
+            let f = frontier.as_ref();
+            let walk = top_k_pruned_into(&scores, &headed, bands.clone(), k, f, None, &mut out);
+            let parent = top_k_pruned_into(&scores, &walked, bands.clone(), k, f, None, &mut reference);
+            prop_assert_eq!(&out, &reference, "k={} {}..{}", k, lo, hi);
+            prop_assert_eq!(&out, &eligible[..k.min(eligible.len())], "k={}", k);
+            prop_assert_eq!(walk.matched, parent.matched, "k={}", k);
+            prop_assert_eq!(walk.matched, eligible.len(), "k={}", k);
+            prop_assert_eq!(walk.blocks_in_range, parent.blocks_in_range, "k={}", k);
+            prop_assert!(walk.blocks_scanned <= parent.blocks_scanned, "k={}", k);
+            prop_assert!(walk.head_slices == 0 || walk.blocks_scanned == 0, "k={}", k);
+        }
+        // Under an author-like residual the heads are ignored: the walk is
+        // the head-less one, block for block.
+        let passes = |id: u32| !id.is_multiple_of(residual + 1);
+        for k in [0, 1, n / 2, n] {
+            let f = frontier.as_ref();
+            let mut pred = passes;
+            let walk = top_k_pruned_into(&scores, &headed, bands.clone(), k, f, Some(&mut pred), &mut out);
+            let mut pred = passes;
+            let parent =
+                top_k_pruned_into(&scores, &walked, bands.clone(), k, f, Some(&mut pred), &mut reference);
+            prop_assert_eq!((&out, walk), (&reference, parent), "residual k={}", k);
+            let want: Vec<u32> = eligible.iter().copied().filter(|&i| passes(i)).take(k).collect();
+            prop_assert_eq!(&out, &want, "residual k={}", k);
+        }
+    }
+
+    #[test]
     fn top_k_pruned_bands_equal_sort_lists_range_frontier_truncate(
         raw in proptest::collection::vec((-6i32..6, 0u8..5), 0..110),
         n_lists in 1usize..5,
@@ -753,7 +878,7 @@ proptest! {
             postings.extend(on.map(|(id, _)| id as u32));
             offsets.push(postings.len());
         }
-        let maxima = BlockMaxima::over_postings_with_block_len(&scores, &offsets, &postings, block_len);
+        let maxima = BlockMaxima::over_postings_with_block_len(&scores, &offsets, &postings, block_len, 0, &[]);
         // The OR of the picked lists, each cut to the id range `lo..hi` —
         // a year window — so bands start and end mid-block.
         let (lo, hi) = (bounds.0.min(bounds.1), bounds.0.max(bounds.1));
