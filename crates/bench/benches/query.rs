@@ -59,12 +59,15 @@
 //!   through `query_at`: a slice of the head of the venue's cut at that
 //!   year (the first 128 ids, in order, of the suffix of its posting list
 //!   from the year's first paper);
+//! * `venue_year_slice_200k` — the kernel alone on the same band over the
+//!   epoch's posting summary with heads (its cut's head built before the
+//!   timing): the slice `venue_year_200k` serves, without the query path
+//!   around it;
 //! * `venue_year_walk_200k` — the kernel alone on the same band over a
 //!   posting summary without heads: the walk of the per-venue block
 //!   maxima the cut's head replaced. `repro bench-check` gates
-//!   `venue_year_walk_200k / venue_year_200k ≥ 1.5`
-//!   (`query/venue_head_slice_speedup`; at `k` = 10 the walk is ~1 µs, so
-//!   the query path's own cost holds the ratio near 2.2×);
+//!   `venue_year_walk_200k / venue_year_slice_200k ≥ 5`
+//!   (`query/venue_head_slice_speedup`);
 //! * `venue_year_gather_200k` — the kernel the walk replaced on the same
 //!   band: copy the band, then `top_k_filtered_into` (quickselect).
 //!   `repro bench-check` gates `venue_year_gather_200k / venue_year_200k
@@ -77,7 +80,8 @@ use citegraph::{CitationNetwork, VenueId};
 use rankengine::{Query, QueryEngine, RerankPolicy};
 use sparsela::{
     sort_indices_desc, top_k_filtered_into, top_k_indices_into, top_k_masked, top_k_pruned_into,
-    top_k_where_into, BlockMaxima, Frontier, IdMask, Segment, BLOCK_LEN, POSTING_BLOCK_LEN,
+    top_k_where_into, BlockMaxima, Frontier, HeadCuts, IdMask, Segment, BLOCK_LEN,
+    POSTING_BLOCK_LEN,
 };
 
 /// The most-populated venue — a *selective* predicate that still has
@@ -185,9 +189,10 @@ fn bench_query(c: &mut Criterion) {
                 b.iter(|| top_k_pruned_into(scores, &walked, suffix, 25, None, None, &mut out))
             });
 
-            // A recent-years venue page, the walk of its band over a
-            // posting summary without heads, and the gather + quickselect
-            // the walk replaced on the same band.
+            // A recent-years venue page; on its band, the slice of its
+            // cut's head and the walk over a posting summary without
+            // heads, kernels alone; and the gather + quickselect the walk
+            // replaced.
             let net = snap.network();
             let recent = net.current_year().expect("corpus is not empty") - 6;
             let venue_year_q: Query = format!("k=10,year={recent}..,venue={venue}")
@@ -204,12 +209,19 @@ fn bench_query(c: &mut Criterion) {
                 postings,
                 POSTING_BLOCK_LEN,
                 0,
-                &[],
+                &HeadCuts::default(),
             );
+            let headed =
+                BlockMaxima::over_postings(scores, offsets, postings, net.venue_year_cuts());
             let list = table.papers_at(venue);
             let recent_ids = net.id_range_for_years(Some(recent), None);
             let span = citegraph::band_span(list, &recent_ids);
             let venue_band = [Segment::band(venue as usize, list, span)];
+            let built = top_k_pruned_into(scores, &headed, venue_band, 10, None, None, &mut out);
+            assert_eq!(built.heads_built, 1, "the band starts on a cut");
+            group.bench_function(format!("venue_year_slice_{label}"), |b| {
+                b.iter(|| top_k_pruned_into(scores, &headed, venue_band, 10, None, None, &mut out))
+            });
             group.bench_function(format!("venue_year_walk_{label}"), |b| {
                 b.iter(|| {
                     top_k_pruned_into(scores, &unheaded, venue_band, 10, None, None, &mut out)

@@ -65,6 +65,28 @@ mod tests {
     }
 
     #[test]
+    fn every_venue_year_band_starts_on_a_cut() {
+        // The cuts are exactly where each venue's `year=Y..` bands start:
+        // position 0 of each list and each year's first posting in it.
+        let net = corpus();
+        let venues = net.venues().unwrap();
+        let mut want = Vec::new();
+        for v in 0..venues.n_venues() as u32 {
+            let list = venues.papers_at(v);
+            for year in 1999..=2012 {
+                let span = band_span(list, &net.id_range_for_years(Some(year), None));
+                if span.start < list.len() {
+                    want.push((v as usize, span.start));
+                }
+            }
+        }
+        want.dedup();
+        let cuts: Vec<(usize, usize)> = net.venue_year_cuts().iter().collect();
+        assert_eq!(cuts, want);
+        assert_eq!(cuts.len(), 8, "two venues of four papers each");
+    }
+
+    #[test]
     fn band_matches_residual_filter_on_real_postings() {
         let net = corpus();
         let venues = net.venues().unwrap();

@@ -6,6 +6,8 @@
 //! structures are optional on a [`crate::CitationNetwork`] — the paper runs
 //! WSDM only on PMC and DBLP "for which this data was available" (§4.3).
 
+use sparsela::HeadCuts;
+
 use crate::network::PaperId;
 
 /// Dense author identifier.
@@ -384,6 +386,25 @@ impl VenueTable {
         let v = v as usize;
         assert!(v < self.n_venues, "venue id {v} out of range");
         &self.post_papers[self.post_offsets[v]..self.post_offsets[v + 1]]
+    }
+
+    /// The head cuts of the venue posting lists ([`Self::postings`]) at
+    /// `starts` (ids, ascending): each venue's list is cut where each of
+    /// them starts in it — the start of [`crate::band_span`] for an id
+    /// range from it — so at the network's year starts
+    /// ([`crate::CitationNetwork::year_starts`]) every `venue=V,year=Y..`
+    /// band starts on a cut. One binary search per venue and start, each
+    /// past the last.
+    pub fn cut_positions(&self, starts: &[PaperId]) -> HeadCuts {
+        HeadCuts::new((0..self.n_venues as VenueId).map(|v| {
+            let list = self.papers_at(v);
+            let mut from = 0;
+            let positions = starts.iter().map(move |&s| {
+                from += list[from..].partition_point(|&p| p < s);
+                from
+            });
+            (list.len(), positions)
+        }))
     }
 
     /// Number of papers at venue `v` (posting-list length, O(1)) — the

@@ -2,7 +2,7 @@
 
 use std::sync::OnceLock;
 
-use sparsela::{CitationOperator, Csr};
+use sparsela::{CitationOperator, Csr, HeadCuts};
 
 use crate::metadata::{AuthorTable, VenueTable};
 
@@ -37,6 +37,8 @@ pub struct CitationNetwork {
     /// one build serves every ranker; grid searches used to rebuild it —
     /// including a full adjacency clone — once per parameter setting).
     operator: OnceLock<CitationOperator>,
+    /// The venue lists' year cuts, found on first use.
+    venue_cuts: OnceLock<HeadCuts>,
 }
 
 /// Why raw network parts were rejected by
@@ -120,6 +122,7 @@ impl CitationNetwork {
             authors,
             venues,
             operator: OnceLock::new(),
+            venue_cuts: OnceLock::new(),
         }
     }
 
@@ -316,6 +319,19 @@ impl CitationNetwork {
             at += self.years[at..].partition_point(|&y| y <= year);
         }
         starts
+    }
+
+    /// The head cuts of the venue posting lists at the start of each year
+    /// ([`VenueTable::cut_positions`] at [`Self::year_starts`]), where a
+    /// `venue=V,year=Y..` band starts: found on first use and kept with
+    /// the network, so every vector summarized over it shares one set.
+    /// Empty without venue metadata.
+    pub fn venue_year_cuts(&self) -> &HeadCuts {
+        self.venue_cuts.get_or_init(|| {
+            self.venues
+                .as_ref()
+                .map_or_else(HeadCuts::default, |t| t.cut_positions(&self.year_starts()))
+        })
     }
 
     /// The contiguous id range of papers published within `[lo, hi]`

@@ -189,7 +189,8 @@ pub(crate) struct BlockSummaries {
     /// Over the network's venue posting lists, blocks aligned to each
     /// venue's start (no lists without venue metadata), with one head per
     /// (venue, year cut) — the suffix of the venue's list from the
-    /// position where each year starts in it — each built on the first
+    /// position where each year starts in it, found once per network
+    /// ([`CitationNetwork::venue_year_cuts`]) — each built on the first
     /// page that reads it: what venue pages read — slices of their bands'
     /// heads when those hold the page, a walk of the blocks otherwise (and
     /// always under an author residual).
@@ -200,10 +201,9 @@ impl BlockSummaries {
     /// Both summaries of `scores`, which rank `net`'s papers.
     pub(crate) fn new(scores: &[f64], net: &CitationNetwork) -> Self {
         let (offsets, postings) = net.venues().map_or((&[0][..], &[][..]), |t| t.postings());
-        let cuts = net.year_starts();
         Self {
-            ids: BlockMaxima::with_cuts(scores, &cuts),
-            venues: BlockMaxima::over_postings(scores, offsets, postings, &cuts),
+            ids: BlockMaxima::with_cuts(scores, &net.year_starts()),
+            venues: BlockMaxima::over_postings(scores, offsets, postings, net.venue_year_cuts()),
         }
     }
 

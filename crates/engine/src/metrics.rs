@@ -11,8 +11,12 @@
 //! `repro metrics` renders them in one exposition. Each bundle owns the
 //! registry it renders through.
 //!
-//! The hot path records through pre-resolved handles — a histogram
-//! observation per query, counter bumps on planner/cursor events.
+//! The hot path records per-query counts — planner decisions, latency,
+//! selection blocks and heads — into the serving scratch's own
+//! [`ScratchTally`], bumped by plain loads and stores (one writer per
+//! scratch) and folded into the families by a registry collector at every
+//! render; latency is timed on one query in [`TIMED_EVERY`] per scratch
+//! and shape. Rarer events (cursor errors) bump their counters directly.
 //! Everything sampled from live state (cache occupancy, epoch lag, replay
 //! depth, admission stats) is refreshed at *render* time from what the
 //! owning engine hands the bundle's `render`, which keeps those subsystems
@@ -20,8 +24,9 @@
 //! [`obsv::Counter::record_total`] (a `fetch_max`, so the exposed series
 //! stay monotone) and gauges through [`obsv::Gauge::set`].
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Instant;
 
 use obsv::{
     Counter, CounterVec, Gauge, GaugeVec, Histogram, HistogramVec, MetricsRegistry,
@@ -97,10 +102,121 @@ const SELECT_HEAD_LABELS: [&str; 2] = ["slice", "build"];
 const PUSH_STATE_LABELS: [&str; 3] = ["restored", "absent", "corrupt"];
 
 /// Refreshes a counter family from cumulative totals, in label order.
-fn record_totals<const N: usize>(family: &CounterVec, totals: [u64; N]) {
+fn record_totals(family: &CounterVec, totals: impl IntoIterator<Item = u64>) {
     for (i, total) in totals.into_iter().enumerate() {
         family.at(i).record_total(total);
     }
+}
+
+/// Queries of one shape a scratch serves per timed one. Two clock reads
+/// cost ~90 ns on the reference container, a quarter of a head-slice
+/// venue page (~350 ns); one query in 16 pays them, ~6 ns a query.
+pub(crate) const TIMED_EVERY: u32 = 16;
+
+/// Bins of a [`LATENCY_BOUNDS_NS`] histogram, `+Inf` last.
+const LATENCY_BINS: usize = LATENCY_BOUNDS_NS.len() + 1;
+
+/// Adds `n` to a count only its tally's scratch writes: a load and a
+/// store (~1 ns), not a read-modify-write (~8 ns). A scratch serves one
+/// query at a time, and passes between threads only through a lock or a
+/// `&mut`, so no two writes race.
+fn bump(count: &AtomicU64, n: u64) {
+    count.store(count.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+}
+
+/// The per-query counts one scratch has added up on one stack: planner
+/// decisions by driver, latency bins and sum by the layout's label,
+/// selection blocks scanned / skipped and head slices / builds.
+#[derive(Debug)]
+struct QueryTally {
+    planner: Box<[AtomicU64]>,
+    /// Per label: its [`LATENCY_BINS`] bins, then its sum in ns.
+    latency: Box<[AtomicU64]>,
+    blocks: [AtomicU64; 2],
+    heads: [AtomicU64; 2],
+}
+
+impl QueryTally {
+    fn new(labels: usize) -> Self {
+        let zeros = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect();
+        Self {
+            planner: zeros(QueryDriver::NAMES.len()),
+            latency: zeros(labels * (LATENCY_BINS + 1)),
+            blocks: Default::default(),
+            heads: Default::default(),
+        }
+    }
+
+    /// Every count, in field order.
+    fn counts(&self) -> impl Iterator<Item = &AtomicU64> {
+        self.planner
+            .iter()
+            .chain(self.latency.iter())
+            .chain(&self.blocks)
+            .chain(&self.heads)
+    }
+}
+
+/// One stack's tallies: slot 0 holds what the scratches dropped so far
+/// left, every other slot one live scratch's.
+#[derive(Debug)]
+struct Tallies {
+    labels: usize,
+    slots: Mutex<Vec<Arc<QueryTally>>>,
+}
+
+impl Tallies {
+    fn slots(&self) -> std::sync::MutexGuard<'_, Vec<Arc<QueryTally>>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Every slot's counts summed, in [`QueryTally`] field order.
+    fn totals(&self) -> Vec<u64> {
+        let slots = self.slots();
+        let mut totals = vec![0; slots[0].counts().count()];
+        for tally in slots.iter() {
+            for (total, count) in totals.iter_mut().zip(tally.counts()) {
+                *total += count.load(Ordering::Relaxed);
+            }
+        }
+        totals
+    }
+}
+
+/// A scratch's tally on one stack ([`ServingMetrics::begin`] joins it on
+/// the scratch's first query there), and what it needs to time one query
+/// in [`TIMED_EVERY`] per shape: an untimed query is counted at the last
+/// timed latency of its label on this scratch, or of its shape before its
+/// label has one. Dropped with its scratch, it leaves its counts to the
+/// stack.
+#[derive(Debug)]
+pub(crate) struct ScratchTally {
+    tallies: Arc<Tallies>,
+    tally: Arc<QueryTally>,
+    /// Queries begun per shape.
+    begun: [u32; SHAPE_LABELS.len()],
+    /// The last timed `(bin, ns)` per label, then per shape.
+    held: Box<[Option<(usize, u64)>]>,
+}
+
+impl Drop for ScratchTally {
+    fn drop(&mut self) {
+        let mut slots = self.tallies.slots();
+        if let Some(at) = slots.iter().position(|t| Arc::ptr_eq(t, &self.tally)) {
+            let gone = slots.swap_remove(at);
+            for (total, count) in slots[0].counts().zip(gone.counts()) {
+                bump(total, count.load(Ordering::Relaxed));
+            }
+        }
+    }
+}
+
+/// How a served query's latency is known: timed from an instant, or held
+/// — the `(bin, ns)` of its shape's last timed query on the scratch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum QueryClock {
+    Timed(Instant),
+    Held(usize, u64),
 }
 
 /// Which stack a [`ServingMetrics`] bundle serves — its family prefix,
@@ -197,14 +313,43 @@ pub(crate) struct ServingMetrics {
     push_state_restores: CounterVec,
     wal_append_seconds: Arc<Histogram>,
     wal_fsync_seconds: Arc<Histogram>,
+    /// The scratches' per-query counts, folded into `query_seconds`,
+    /// `planner_decisions`, `select_blocks` and `select_heads` at every
+    /// render of the registry.
+    tallies: Arc<Tallies>,
     /// Teleport-absorbed boundary edges per shard
     /// (`attrank_shard_boundary_edges`; sharded layout only).
     boundary_edges: Option<GaugeVec>,
 }
 
+/// Folds a stack's tallies into the families they count for, every
+/// render of its registry.
+fn collect_tallies(
+    tallies: Arc<Tallies>,
+    planner_decisions: CounterVec,
+    query_seconds: HistogramVec,
+    select_blocks: CounterVec,
+    select_heads: CounterVec,
+) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let totals = tallies.totals();
+        let (planner, rest) = totals.split_at(QueryDriver::NAMES.len());
+        let (latency, rest) = rest.split_at(tallies.labels * (LATENCY_BINS + 1));
+        record_totals(&planner_decisions, planner.iter().copied());
+        for (label, counts) in latency.chunks(LATENCY_BINS + 1).enumerate() {
+            let (bins, sum) = counts.split_at(LATENCY_BINS);
+            query_seconds.at(label).record_totals(bins, sum[0]);
+        }
+        record_totals(&select_blocks, rest[..2].iter().copied());
+        record_totals(&select_heads, rest[2..].iter().copied());
+    }
+}
+
 impl ServingMetrics {
     /// Registers every family of `layout` on `registry`, one write-path
-    /// child per entry of `children` (the partition engines, in order).
+    /// child per entry of `children` (the partition engines, in order),
+    /// and the collector that folds the scratches' tallies into the
+    /// per-query families at every render.
     ///
     /// # Panics
     /// Panics if any family name is already registered (two bundles of
@@ -226,7 +371,7 @@ impl ServingMetrics {
         let per_child_latency = |family: &str, help: &str| {
             r.histogram_vec(&name(family), help, child, children, &LATENCY_BOUNDS_NS)
         };
-        Self {
+        let metrics = Self {
             query_seconds: r.histogram_vec(
                 &name("query_seconds"),
                 &format!("Per-query serving latency by {axis}"),
@@ -351,6 +496,10 @@ impl ServingMetrics {
                 "WAL fsync latency inside append",
                 &LATENCY_BOUNDS_NS,
             ),
+            tallies: Arc::new(Tallies {
+                labels: labels.len(),
+                slots: Mutex::new(vec![Arc::new(QueryTally::new(labels.len()))]),
+            }),
             boundary_edges: (layout == Layout::Sharded).then(|| {
                 r.gauge_vec(
                     "attrank_shard_boundary_edges",
@@ -360,8 +509,16 @@ impl ServingMetrics {
                 )
             }),
             layout,
-            registry,
-        }
+            registry: Arc::clone(&registry),
+        };
+        registry.add_collector(collect_tallies(
+            Arc::clone(&metrics.tallies),
+            metrics.planner_decisions.clone(),
+            metrics.query_seconds.clone(),
+            metrics.select_blocks.clone(),
+            metrics.select_heads.clone(),
+        ));
+        metrics
     }
 
     /// The live instruments for the partition engine at child index
@@ -395,45 +552,94 @@ impl ServingMetrics {
         self.cursor_errors.at(kind).inc();
     }
 
+    /// The scratch's tally on this stack, joined now if the scratch has
+    /// none here yet (its tally on another stack, if any, is left there).
+    fn tally<'s>(&self, slot: &'s mut Option<ScratchTally>) -> &'s mut ScratchTally {
+        match slot {
+            Some(t) if Arc::ptr_eq(&t.tallies, &self.tallies) => {}
+            _ => {
+                let tally = Arc::new(QueryTally::new(self.tallies.labels));
+                self.tallies.slots().push(Arc::clone(&tally));
+                *slot = Some(ScratchTally {
+                    tallies: Arc::clone(&self.tallies),
+                    tally,
+                    begun: [0; SHAPE_LABELS.len()],
+                    held: vec![None; self.tallies.labels + SHAPE_LABELS.len()].into(),
+                });
+            }
+        }
+        slot.as_mut().expect("joined above")
+    }
+
+    /// Starts one query on the scratch whose tally is `slot`: reads the
+    /// clock for the first query of its shape on the scratch and every
+    /// [`TIMED_EVERY`]th after, and holds its shape's last timed latency
+    /// for the others.
+    pub(crate) fn begin(&self, slot: &mut Option<ScratchTally>, q: &Query) -> QueryClock {
+        let t = self.tally(slot);
+        let shape = shape_index(q);
+        let begun = t.begun[shape];
+        t.begun[shape] = begun.wrapping_add(1);
+        match t.held[self.tallies.labels + shape] {
+            Some((bin, ns)) if !begun.is_multiple_of(TIMED_EVERY) => QueryClock::Held(bin, ns),
+            _ => QueryClock::Timed(Instant::now()),
+        }
+    }
+
     /// Counts the planner's decisions: one per partition plan, or one
     /// `id_range` (an empty one) when no partition can match.
-    pub(crate) fn planned(&self, plans: &[(usize, QueryPlan)]) {
+    pub(crate) fn planned(&self, slot: &mut Option<ScratchTally>, plans: &[(usize, QueryPlan)]) {
+        let planner = &self.tally(slot).tally.planner;
         if plans.is_empty() {
-            self.planner_decisions.at(first_driver(plans)).inc();
+            bump(&planner[first_driver(plans)], 1);
         }
         for (_, plan) in plans {
-            self.planner_decisions.at(plan.driver.index()).inc();
+            bump(&planner[plan.driver.index()], 1);
         }
     }
 
     /// Records one served query: its latency under the layout's axis —
-    /// the executed plan's driver, or the query's shape — and its
-    /// selection's block and head counts. Id-range and venue-band
-    /// selections count blocks; selections that walked none (author
-    /// bands, masks) touch no block counter.
+    /// the executed plan's driver, or the query's shape — timed or held
+    /// as [`Self::begin`] decided, and its selection's block and head
+    /// counts. Id-range and venue-band selections count blocks;
+    /// selections that walked none (author bands, masks) touch no block
+    /// counter.
     pub(crate) fn served(
         &self,
+        slot: &mut Option<ScratchTally>,
         q: &Query,
         plans: &[(usize, QueryPlan)],
-        elapsed: Duration,
+        clock: QueryClock,
         walk: &BlockWalk,
     ) {
+        let labels = self.tallies.labels;
+        let t = self.tally(slot);
+        let shape = shape_index(q);
         let label = match self.layout {
             Layout::Flat => first_driver(plans),
-            Layout::Sharded => shape_index(q),
+            Layout::Sharded => shape,
         };
-        self.query_seconds.at(label).observe(elapsed);
+        let (bin, ns) = match clock {
+            QueryClock::Timed(at) => {
+                let ns = u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                let timed = (LATENCY_BOUNDS_NS.partition_point(|&b| b < ns), ns);
+                t.held[label] = Some(timed);
+                t.held[labels + shape] = Some(timed);
+                timed
+            }
+            QueryClock::Held(bin, ns) => t.held[label].unwrap_or((bin, ns)),
+        };
+        let tally = &t.tally;
+        let latency = &tally.latency[label * (LATENCY_BINS + 1)..][..LATENCY_BINS + 1];
+        bump(&latency[bin], 1);
+        bump(&latency[LATENCY_BINS], ns);
         if walk.blocks_in_range > 0 {
             let skipped = walk.blocks_in_range - walk.blocks_scanned;
-            self.select_blocks.at(0).add(walk.blocks_scanned as u64);
-            self.select_blocks.at(1).add(skipped as u64);
+            bump(&tally.blocks[0], walk.blocks_scanned as u64);
+            bump(&tally.blocks[1], skipped as u64);
         }
-        if walk.head_slices > 0 {
-            self.select_heads.at(0).add(walk.head_slices as u64);
-        }
-        if walk.heads_built > 0 {
-            self.select_heads.at(1).add(walk.heads_built as u64);
-        }
+        bump(&tally.heads[0], walk.head_slices as u64);
+        bump(&tally.heads[1], walk.heads_built as u64);
     }
 
     /// Refreshes every sampled family — the personalization cache,

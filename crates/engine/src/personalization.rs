@@ -604,7 +604,8 @@ mod tests {
         // head cells for the 12 year cuts (the venue summary has no list,
         // so no cell), and each cut's head — the whole suffix, built or
         // not; a bound one byte short of two entries holds exactly one.
-        let entry = 192 + 8192 + 3 * 8 + 8192 + (1..=12).sum::<usize>() * 4;
+        let cell = std::mem::size_of::<std::sync::OnceLock<Box<[u32]>>>();
+        let entry = 192 + 8192 + 3 * 8 + 8192 / cell * cell + (1..=12).sum::<usize>() * 4;
         let tight = PersonalizationCache::new(CacheConfig {
             capacity: 10,
             max_bytes: 2 * entry - 1,

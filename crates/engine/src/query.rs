@@ -138,7 +138,6 @@ use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
-use std::time::Instant;
 
 use citegraph::{
     AuthorId, CitationNetwork, GraphDelta, PaperId, SeedError, SeedPersonalization, VenueId, Year,
@@ -155,7 +154,7 @@ use crate::admission::{
 use crate::engine::{
     EngineError, EpochSnapshot, IngestReport, Ranking, RankingEngine, RerankPolicy,
 };
-use crate::metrics::{Layout, ServingMetrics};
+use crate::metrics::{Layout, ScratchTally, ServingMetrics};
 use crate::personalization::{CacheConfig, CacheStats, CachedRanking, PersonalizationCache};
 use crate::spec::{MethodSpec, SpecError};
 
@@ -1079,7 +1078,9 @@ impl PlanCache {
 /// A scratch is warm capacity and nothing more: every query rebuilds
 /// what it reads — its facet lists, its author-band candidates, its
 /// mask — so no query can see another's contents, whatever epoch or
-/// engine each ran on.
+/// engine each ran on. On an instrumented stack it also carries that
+/// stack's per-query counts for the queries it served, which only the
+/// stack's metrics read.
 #[derive(Default)]
 pub struct QueryScratch {
     /// Deduplicated venue list of the current query
@@ -1110,6 +1111,9 @@ pub struct QueryScratch {
     merge: MergeScratch,
     /// The merged page.
     merged: Vec<(f64, PaperId)>,
+    /// This scratch's per-query counts on the last instrumented stack it
+    /// served.
+    tally: Option<ScratchTally>,
 }
 
 impl QueryScratch {
@@ -2333,7 +2337,8 @@ impl Core {
     /// through `scratch` — zero heap allocations for a steady-state
     /// unseeded query. `cursor` is an explicit resume argument beside
     /// `q.cursor`. Returns how many partitions were read. Without metrics
-    /// no clock is read.
+    /// no clock is read; with them, one query in
+    /// [`TIMED_EVERY`](crate::metrics::TIMED_EVERY) per shape on `scratch`.
     fn serve<P: Pin + ?Sized>(
         &self,
         m: usize,
@@ -2350,7 +2355,7 @@ impl Core {
             generation: pin.generation(),
         };
         let metrics = self.metrics.as_deref();
-        let started = metrics.is_some().then(Instant::now);
+        let clock = metrics.map(|m| m.begin(&mut scratch.tally, q));
         scratch.set_facets(q);
         let fp = scratch.set_identity(&view.method.name, q);
         let resume =
@@ -2379,7 +2384,7 @@ impl Core {
                     ))
                 })?;
         if let Some(metrics) = metrics {
-            metrics.planned(&plans);
+            metrics.planned(&mut scratch.tally, &plans);
         }
         // The ticket (when admission is on) holds the in-flight cost
         // reservation until the page is built.
@@ -2462,8 +2467,8 @@ impl Core {
         out.matched = walked.matched;
         out.method.clear();
         out.method.push_str(&view.method.name);
-        if let (Some(metrics), Some(at)) = (metrics, started) {
-            metrics.served(q, &plans, at.elapsed(), &walked);
+        if let (Some(metrics), Some(clock)) = (metrics, clock) {
+            metrics.served(&mut scratch.tally, q, &plans, clock, &walked);
         }
         Ok(plans.len())
     }

@@ -52,7 +52,7 @@ pub use ranks::{
     average_ranks, cmp_score_desc, merge_k_sorted, merge_k_sorted_into, ordinal_ranks,
     sort_indices_desc, top_k_filtered, top_k_filtered_into, top_k_indices, top_k_indices_into,
     top_k_masked, top_k_masked_into, top_k_pruned_into, top_k_where, top_k_where_into, BlockMaxima,
-    BlockWalk, Frontier, MergeScratch, Segment, BLOCK_LEN, HEAD_LEN, POSTING_BLOCK_LEN,
+    BlockWalk, Frontier, HeadCuts, MergeScratch, Segment, BLOCK_LEN, HEAD_LEN, POSTING_BLOCK_LEN,
 };
 pub use stochastic::CitationOperator;
 pub use vector::{KernelWorkspace, ScoreVec};

@@ -28,7 +28,7 @@
 //! copies a short explicit candidate list and partitions it instead.
 //! [`merge_k_sorted`] merges per-partition pages.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::mask::IdMask;
 
@@ -423,61 +423,66 @@ pub const HEAD_LEN: usize = 128;
 /// year.
 const STORAGE_STEP: usize = 1024;
 
-/// One head of a [`BlockMaxima`]: its list and cut (a position in the
-/// list) as one [`head_key`], and the head, built on first use.
-type HeadCell = (u64, OnceLock<Box<[u32]>>);
-
-/// The key of position `at` of list `list`: cells sorted by it are by
-/// list, then position, and one integer compare orders two (searched by a
-/// `(list, position)` tuple, a head lookup read 10 ns slower).
-fn head_key(list: usize, at: usize) -> u64 {
-    (list as u64) << 32 | at as u64
-}
+/// One head of a [`BlockMaxima`], built on first use.
+type HeadCell = OnceLock<Box<[u32]>>;
 
 /// Head cells a summary's storage grows by: the bytes of [`STORAGE_STEP`]
 /// maxima.
 const CELL_STEP: usize =
     STORAGE_STEP * std::mem::size_of::<f64>() / std::mem::size_of::<HeadCell>();
 
-/// The head cells of `lists` — `(length, postings)`, `None` for the id
-/// space — with heads of `head_len` ids (0: none), ordered by list, then
-/// cut: one at position 0 of each list, and one at each position where
-/// one of `cuts` (ids) starts in the list — the start of
-/// `citegraph::band_span` for a range from that id — below the list's
-/// end; and the ids they hold once all are built. The storage holds a
-/// cell for every list and cut, so it changes size only with their count.
-fn head_cells<'a, L>(lists: L, head_len: usize, cuts: &[u32]) -> (Vec<HeadCell>, usize)
-where
-    L: ExactSizeIterator<Item = (usize, Option<&'a [u32]>)>,
-{
-    if head_len == 0 {
-        return (Vec::new(), 0);
-    }
-    let mut cuts = cuts.to_vec();
-    cuts.sort_unstable();
-    let bound = lists.len() * (cuts.len() + 1);
-    let mut cells = Vec::with_capacity(bound.next_multiple_of(CELL_STEP));
-    let mut ids = 0;
-    for (list, (len, postings)) in lists.enumerate() {
-        let (mut cut, mut rest) = (0, cuts.iter());
-        while cut < len {
-            cells.push((head_key(list, cut), OnceLock::new()));
-            ids += head_len.min(len - cut);
-            // Ascending ids start at ascending positions: the next cut is
-            // the first later one, searched for past this one.
-            let from = cut;
-            let at = |&c: &u32| {
-                postings.map_or(c as usize, |l| {
-                    from + l[from..].partition_point(|&id| id < c)
-                })
-            };
-            match rest.by_ref().map(at).find(|&at| at > from) {
-                Some(at) => cut = at,
-                None => break,
-            }
+/// The key of position `at` of list `list`: keys sorted are by list, then
+/// position, and one integer compare orders two (searched by a `(list,
+/// position)` tuple, a head lookup read 10 ns slower).
+fn head_key(list: usize, at: usize) -> u64 {
+    (list as u64) << 32 | at as u64
+}
+
+/// Where the heads of a [`BlockMaxima`] start: one **cut** at position 0
+/// of each non-empty list and more at given positions inside it, sorted by
+/// list, then position. Cuts depend only on the lists, not on the scores,
+/// so one set serves every summary over the same lists — an epoch's
+/// network finds its venue cuts once (`CitationNetwork::venue_year_cuts`)
+/// and each vector summarized over it shares them.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct HeadCuts(Arc<[u64]>);
+
+impl HeadCuts {
+    /// The cuts of `lists`, each given as its length and positions (in any
+    /// order; 0, repeats and those at or past the length add nothing).
+    pub fn new<P: IntoIterator<Item = usize>>(lists: impl IntoIterator<Item = (usize, P)>) -> Self {
+        let mut keys = Vec::new();
+        for (list, (len, positions)) in lists.into_iter().enumerate() {
+            let from = keys.len();
+            keys.extend(
+                positions
+                    .into_iter()
+                    .chain((len > 0).then_some(0))
+                    .filter(|&at| at < len)
+                    .map(|at| head_key(list, at)),
+            );
+            keys[from..].sort_unstable();
         }
+        keys.dedup();
+        Self(keys.into())
     }
-    (cells, ids)
+
+    /// How many cuts there are: heads a summary over the lists can hold.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether there is no cut (no list holds an id).
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Each cut as `(list, position)`, by list, then position.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.0
+            .iter()
+            .map(|&key| ((key >> 32) as usize, key as u32 as usize))
+    }
 }
 
 /// The maximum of `xs`, NaN ignored, `-inf` when it holds no number.
@@ -505,21 +510,21 @@ fn max_number(xs: impl Iterator<Item = f64>) -> f64 {
 /// [`top_k_pruned_into`] skip every block whose best score cannot reach
 /// the page. `n / block length × 8` bytes, rounded up to 8 KiB.
 ///
-/// A summary also keeps one **head** per list and **cut**: the first
+/// A summary also keeps one **head** per [`HeadCuts`] cut: the first
 /// [`HEAD_LEN`] ids, in [`cmp_score_desc`] order, of the list's suffix
-/// from that position on. Position 0 of every list is a cut, and the
-/// constructors' `cuts` add more: each is an id, and cuts a list where
-/// its ids reach it (an epoch's are the first id of each year of the
-/// network it ranks, so each venue's list is cut where each year starts
-/// in it). Rule 0 of [`top_k_pruned_into`] serves a shallow page of an id
-/// range — everything, a year window, either behind a cursor — or of a
-/// union of posting bands — `venue=a|b`, within a year window — as slices
-/// of the heads of the largest cuts at or below each segment's start. No
-/// head is built with the maxima: each is one walk of its suffix over
-/// them, run on the first page that reads it (a `OnceLock` per cut, so
-/// racing readers build it once). A head keeps what that walk was given,
-/// so a summary must only ever be handed the scores it was built from —
-/// as every walk's exactness already requires.
+/// from that position on. Position 0 of every list is a cut; an epoch's
+/// id space is also cut at the first id of each year of the network it
+/// ranks, and each venue's list where each year starts in it. Rule 0 of
+/// [`top_k_pruned_into`] serves a shallow page of an id range —
+/// everything, a year window, either behind a cursor — or of a union of
+/// posting bands — `venue=a|b`, within a year window — as slices of the
+/// heads of the largest cuts at or below each segment's start. A freeze
+/// lays out no head: the first page that reads one lays out a cell per
+/// cut, and each head is one walk of its suffix over the maxima, run on
+/// the first page that reads it (a `OnceLock` per cell, so racing readers
+/// build it once). A head keeps what that walk was given, so a summary
+/// must only ever be handed the scores it was built from — as every
+/// walk's exactness already requires.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockMaxima {
     block_len: usize,
@@ -530,9 +535,11 @@ pub struct BlockMaxima {
     maxima: Vec<f64>,
     /// Ids in each head; 0 without heads.
     head_len: usize,
-    /// Each list's cuts, by list, then ascending from 0, with their heads;
-    /// empty without heads.
-    heads: Vec<HeadCell>,
+    /// Where each head starts; empty without heads.
+    cuts: HeadCuts,
+    /// One cell per cut (in [`CELL_STEP`]s), laid out on the first head
+    /// read.
+    heads: OnceLock<Box<[HeadCell]>>,
     /// Ids the heads hold once all are built.
     head_ids: usize,
 }
@@ -545,7 +552,7 @@ impl BlockMaxima {
     }
 
     /// [`Self::new`] with a head also at each of `cuts` (ids, in any
-    /// order; those past the vector are dropped).
+    /// order; those past the vector add nothing).
     pub fn with_cuts(scores: &[f64], cuts: &[u32]) -> Self {
         Self::with_block_len(scores, BLOCK_LEN, HEAD_LEN, cuts)
     }
@@ -568,32 +575,63 @@ impl BlockMaxima {
                 .chunks(block_len)
                 .map(|block| max_number(block.iter().copied())),
         );
-        let (heads, head_ids) = head_cells(std::iter::once((scores.len(), None)), head_len, cuts);
-        Self {
+        let cuts = HeadCuts::new([(scores.len(), cuts.iter().map(|&c| c as usize))]);
+        Self::with_heads(
             block_len,
-            len: scores.len(),
-            lists: vec![0, n_blocks],
+            scores.len(),
+            vec![0, n_blocks],
             maxima,
             head_len,
-            heads,
+            cuts,
+            |_| scores.len(),
+        )
+    }
+
+    /// A summary of `len` scores over lists of lengths `list_len` whose
+    /// blocks start at `lists`, with heads of `head_len` ids (0: none) at
+    /// `cuts`, none laid out yet.
+    fn with_heads(
+        block_len: usize,
+        len: usize,
+        lists: Vec<usize>,
+        maxima: Vec<f64>,
+        head_len: usize,
+        cuts: HeadCuts,
+        list_len: impl Fn(usize) -> usize,
+    ) -> Self {
+        let cuts = if head_len == 0 {
+            HeadCuts::default()
+        } else {
+            cuts
+        };
+        let suffix = |&key: &u64| list_len((key >> 32) as usize) - key as u32 as usize;
+        let head_ids = cuts.0.iter().map(|key| head_len.min(suffix(key))).sum();
+        Self {
+            block_len,
+            len,
+            lists,
+            maxima,
+            head_len,
+            cuts,
+            heads: OnceLock::new(),
             head_ids,
         }
     }
 
     /// The summary of `scores` over posting lists at the serving posting
     /// block length ([`POSTING_BLOCK_LEN`]), with a head of [`HEAD_LEN`]
-    /// ids at the start of each list and where each of `cuts` (ids, in any
-    /// order) starts in it: list `l` is `postings[offsets[l]..offsets[l +
-    /// 1]]`, as `VenueTable::postings` lays them out, each ascending.
+    /// ids at each of `cuts` (made over these lists): list `l` is
+    /// `postings[offsets[l]..offsets[l + 1]]`, as `VenueTable::postings`
+    /// lays them out, each ascending.
     ///
     /// # Panics
-    /// When `offsets` is empty or decreasing, runs past `postings`, or a
-    /// posting is not an index into `scores`.
+    /// When `offsets` is empty or decreasing, runs past `postings`, a
+    /// posting is not an index into `scores`, or a cut is past its list.
     pub fn over_postings(
         scores: &[f64],
         offsets: &[usize],
         postings: &[u32],
-        cuts: &[u32],
+        cuts: &HeadCuts,
     ) -> Self {
         Self::over_postings_with_block_len(
             scores,
@@ -617,7 +655,7 @@ impl BlockMaxima {
         postings: &[u32],
         block_len: usize,
         head_len: usize,
-        cuts: &[u32],
+        cuts: &HeadCuts,
     ) -> Self {
         assert!(block_len > 0, "a block holds at least one id");
         assert!(!offsets.is_empty(), "posting offsets start at 0");
@@ -625,7 +663,7 @@ impl BlockMaxima {
         let n_blocks: usize = lists.clone().map(|l| l.len().div_ceil(block_len)).sum();
         let mut starts = Vec::with_capacity(offsets.len());
         let mut maxima = Vec::with_capacity(n_blocks.next_multiple_of(STORAGE_STEP));
-        for list in lists.clone() {
+        for list in lists {
             starts.push(maxima.len());
             maxima.extend(
                 list.chunks(block_len)
@@ -633,25 +671,33 @@ impl BlockMaxima {
             );
         }
         starts.push(maxima.len());
-        let (heads, head_ids) = head_cells(lists.map(|l| (l.len(), Some(l))), head_len, cuts);
-        Self {
+        let list_len = |l: usize| offsets[l + 1] - offsets[l];
+        let cuts = cuts.clone();
+        Self::with_heads(
             block_len,
-            len: scores.len(),
-            lists: starts,
+            scores.len(),
+            starts,
             maxima,
             head_len,
-            heads,
-            head_ids,
-        }
+            cuts,
+            list_len,
+        )
     }
 
-    /// Heap bytes held, every head counted at its full length whether it
-    /// is built yet or not (so the figure never changes after the build).
+    /// Heap bytes held, the head cells and every head counted at their
+    /// full length whether they are laid out and built yet or not (so the
+    /// figure never changes after the build). The cuts are shared with
+    /// every summary over the same lists, and not counted.
     pub fn bytes(&self) -> usize {
         self.maxima.capacity() * std::mem::size_of::<f64>()
             + self.lists.capacity() * std::mem::size_of::<usize>()
-            + self.heads.capacity() * std::mem::size_of::<HeadCell>()
+            + self.cells_len() * std::mem::size_of::<HeadCell>()
             + self.head_ids * std::mem::size_of::<u32>()
+    }
+
+    /// Cells the heads take once laid out: one per cut, in [`CELL_STEP`]s.
+    fn cells_len(&self) -> usize {
+        self.cuts.len().next_multiple_of(CELL_STEP)
     }
 
     /// The head of an id-space summary's largest cut at or below id
@@ -671,7 +717,8 @@ impl BlockMaxima {
 
     /// How many heads have been built so far.
     pub fn heads_built(&self) -> usize {
-        self.heads.iter().filter(|(_, h)| h.get().is_some()).count()
+        let cells = self.heads.get().map_or(&[][..], |cells| cells);
+        cells.iter().filter(|h| h.get().is_some()).count()
     }
 
     fn check_len(&self, scores: &[f64]) {
@@ -691,16 +738,20 @@ impl BlockMaxima {
     fn head_from(&self, scores: &[f64], seg: Segment<'_>) -> Option<((usize, &[u32]), bool)> {
         let key = head_key(seg.list, seg.start);
         let at = self
-            .heads
-            .partition_point(|(cell, _)| *cell <= key)
+            .cuts
+            .0
+            .partition_point(|&cut| cut <= key)
             .checked_sub(1)?;
-        let (cell, head) = &self.heads[at];
-        if cell >> 32 != key >> 32 {
+        let cut = self.cuts.0[at];
+        if cut >> 32 != key >> 32 {
             return None;
         }
-        let cut = *cell as u32 as usize;
+        let cut = cut as u32 as usize;
+        let cells = self
+            .heads
+            .get_or_init(|| (0..self.cells_len()).map(|_| OnceLock::new()).collect());
         let mut built = false;
-        let head = head.get_or_init(|| {
+        let head = cells[at].get_or_init(|| {
             let list_len = seg.postings.map_or(self.len, <[u32]>::len);
             let list = |at: usize| at..list_len.min(at + self.block_len);
             let block_max = |at| max_number(list(at).map(|p| scores[seg.id_at(p) as usize]));
@@ -1727,8 +1778,7 @@ mod tests {
         // head of its own, built by the first page that reads it.
         let s: Vec<f64> = (0..6400).map(|i| f64::from(6400 - i)).collect();
         let m = BlockMaxima::with_cuts(&s, &[6000, 7000, 3000]);
-        let cuts: Vec<u64> = m.heads.iter().map(|(key, _)| *key).collect();
-        assert_eq!(cuts, [0, 3000, 6000]);
+        assert_eq!(*m.cuts.0, [0, 3000, 6000]);
         assert_eq!(m.heads_built(), 0, "a summary builds no head");
         let mut out = Vec::new();
         for (range, cut) in [(6000..6400, 6000), (6100..6200, 6000), (3050..6400, 3000)] {
@@ -1770,15 +1820,15 @@ mod tests {
     #[test]
     fn a_venue_year_page_is_a_slice_of_its_cuts_head() {
         // Two venues, the even and the odd ids, with scores falling with
-        // id: each list's whole head holds only early ids. Cut at ids 3000
-        // and 6000, each list keeps a head from position 1500 and 3000.
+        // id: each list's whole head holds only early ids. Cut where ids
+        // 3000 and 6000 start in each list, at positions 1500 and 3000.
         let s: Vec<f64> = (0..6400).map(|i| f64::from(6400 - i)).collect();
         let postings: Vec<u32> = (0..6400).step_by(2).chain((1..6400).step_by(2)).collect();
         let offsets = [0, 3200, 6400];
-        let m = BlockMaxima::over_postings(&s, &offsets, &postings, &[6000, 3000]);
-        let cuts: Vec<u64> = m.heads.iter().map(|(key, _)| *key).collect();
+        let cuts = HeadCuts::new([(3200, [3000, 1500]), (3200, [1500, 3000])]);
+        let m = BlockMaxima::over_postings(&s, &offsets, &postings, &cuts);
         let want = [(0, 0), (0, 1500), (0, 3000), (1, 0), (1, 1500), (1, 3000)];
-        assert_eq!(cuts, want.map(|(list, at)| head_key(list, at)));
+        assert_eq!(*m.cuts.0, want.map(|(list, at)| head_key(list, at)));
         assert_eq!(m.heads_built(), 0, "a summary builds no head");
         let (even, odd) = (&postings[..3200], &postings[3200..]);
         let since = |list: &'static str, ids: std::ops::Range<u32>| {
@@ -1864,7 +1914,14 @@ mod tests {
         // and every other one is skipped.
         let s: Vec<f64> = (0..640).map(f64::from).collect();
         let list: Vec<u32> = (0..640).collect();
-        let m = BlockMaxima::over_postings_with_block_len(&s, &[0, 640], &list, 32, 0, &[]);
+        let m = BlockMaxima::over_postings_with_block_len(
+            &s,
+            &[0, 640],
+            &list,
+            32,
+            0,
+            &HeadCuts::default(),
+        );
         let band = [Segment::band(0, &list, 0..640)];
         let mut out = Vec::new();
         let walk = top_k_pruned_into(&s, &m, band, 15, None, None, &mut out);

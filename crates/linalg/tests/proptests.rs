@@ -736,7 +736,7 @@ proptest! {
         base in 0u32..1000,
         residual in 1u32..4,
     ) {
-        use sparsela::{cmp_score_desc, top_k_pruned_into, BlockMaxima, Frontier, Segment};
+        use sparsela::{cmp_score_desc, top_k_pruned_into, BlockMaxima, Frontier, HeadCuts, Segment};
         let scale = [1.0, 0.25, 0.75][scale];
         // Ties, NaNs and `-inf`s; scores that fall with id, so a later
         // cut's head differs from its list's whole head; scores that
@@ -764,11 +764,15 @@ proptest! {
             offsets.push(postings.len());
         }
         // Each list is cut where each of 0–6 ids starts in it.
+        let lists = offsets.windows(2).map(|w| &postings[w[0]..w[1]]);
+        let at_cuts = HeadCuts::new(lists.map(|list| {
+            (list.len(), cuts.iter().map(|&c| list.partition_point(|&id| id < c)))
+        }));
         let headed = BlockMaxima::over_postings_with_block_len(
-            &scores, &offsets, &postings, block_len, head_len, &cuts,
+            &scores, &offsets, &postings, block_len, head_len, &at_cuts,
         );
         let walked = BlockMaxima::over_postings_with_block_len(
-            &scores, &offsets, &postings, block_len, 0, &[],
+            &scores, &offsets, &postings, block_len, 0, &HeadCuts::default(),
         );
         // The OR of 1–4 lists, each cut to the id window `lo..hi` — a
         // venue's year suffix or year range — starting on a cut, between
@@ -857,7 +861,7 @@ proptest! {
         base in 0u32..1000,
         residual in 0u8..3,
     ) {
-        use sparsela::{cmp_score_desc, top_k_pruned_into, BlockMaxima, Frontier, Segment};
+        use sparsela::{cmp_score_desc, top_k_pruned_into, BlockMaxima, Frontier, HeadCuts, Segment};
         let scale = [1.0, 0.25, 1.0 / 3.0][scale];
         // Scores in ties of two, with NaNs and `-inf`s; each id on at most
         // one of `n_lists` posting lists (owner ≥ `n_lists`: on none), so
@@ -878,7 +882,7 @@ proptest! {
             postings.extend(on.map(|(id, _)| id as u32));
             offsets.push(postings.len());
         }
-        let maxima = BlockMaxima::over_postings_with_block_len(&scores, &offsets, &postings, block_len, 0, &[]);
+        let maxima = BlockMaxima::over_postings_with_block_len(&scores, &offsets, &postings, block_len, 0, &HeadCuts::default());
         // The OR of the picked lists, each cut to the id range `lo..hi` —
         // a year window — so bands start and end mid-block.
         let (lo, hi) = (bounds.0.min(bounds.1), bounds.0.max(bounds.1));

@@ -160,6 +160,21 @@ impl Histogram {
         self.observe_ns(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
     }
 
+    /// Refresh from externally maintained running totals: the count of
+    /// each bin (`+Inf` last) and the sum of the observations, in
+    /// nanoseconds. Each is raised with a `fetch_max`, as
+    /// [`Counter::record_total`], so the exposed series stay monotone.
+    ///
+    /// # Panics
+    /// Panics if `bins` does not hold one count per bin.
+    pub fn record_totals(&self, bins: &[u64], sum_ns: u64) {
+        assert_eq!(bins.len(), self.bins.len(), "one total per bin");
+        for (bin, &total) in self.bins.iter().zip(bins) {
+            bin.fetch_max(total, Ordering::Relaxed);
+        }
+        self.sum_ns.fetch_max(sum_ns, Ordering::Relaxed);
+    }
+
     /// Total number of observations (sum of all bins).
     pub fn count(&self) -> u64 {
         self.bins.iter().map(|b| b.load(Ordering::Relaxed)).sum()
@@ -287,10 +302,16 @@ struct Family {
 /// Registration hands back `Arc` handles (or vec wrappers over them); the
 /// hot path works purely on those handles. The registry's mutex guards only
 /// the family list — it is taken on register and render, never on observe.
+/// A collector ([`Self::add_collector`]) refreshes instruments that are
+/// kept elsewhere on the hot path, on every render.
 #[derive(Default)]
 pub struct MetricsRegistry {
     families: Mutex<Vec<Family>>,
+    collectors: Mutex<Vec<Collector>>,
 }
+
+/// A refresh [`MetricsRegistry::render`] runs before it reads a family.
+type Collector = Box<dyn Fn() + Send + Sync>;
 
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -420,12 +441,31 @@ impl MetricsRegistry {
         HistogramVec { children }
     }
 
+    /// Runs `collect` at the start of every [`Self::render`]: for counts
+    /// the hot path keeps outside the registered instruments, which it
+    /// folds into them (with [`Counter::record_total`] and
+    /// [`Histogram::record_totals`], so the series stay monotone).
+    pub fn add_collector(&self, collect: impl Fn() + Send + Sync + 'static) {
+        self.collectors
+            .lock()
+            .expect("metrics registry poisoned")
+            .push(Box::new(collect));
+    }
+
     /// Render every registered family as Prometheus text-format v0.0.4.
     ///
     /// Latency histograms are stored in nanoseconds and rendered in seconds
     /// (bucket `le` labels and `_sum`); `_count` is derived from the bins so
     /// the cumulative buckets are always internally consistent.
     pub fn render(&self) -> String {
+        for collect in self
+            .collectors
+            .lock()
+            .expect("metrics registry poisoned")
+            .iter()
+        {
+            collect();
+        }
         let families = self.families.lock().expect("metrics registry poisoned");
         let mut out = String::new();
         for family in families.iter() {
@@ -532,6 +572,15 @@ mod tests {
         assert_eq!(h.bin_counts(), vec![2, 1, 1, 1]);
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum_ns(), 99 + 100 + 101 + 10_000 + 10_001);
+    }
+
+    #[test]
+    fn histogram_totals_only_rise() {
+        let h = Histogram::new(&[100, 1_000]);
+        h.record_totals(&[3, 0, 1], 5_000);
+        h.record_totals(&[2, 4, 1], 4_000);
+        assert_eq!(h.bin_counts(), vec![3, 4, 1]);
+        assert_eq!(h.sum_ns(), 5_000);
     }
 
     #[test]
