@@ -6,8 +6,8 @@
 //! `α = 0.5` (Chen et al. 2007), the default here.
 
 use citegraph::{
-    try_push_lane, CitationNetwork, DanglingResolution, DeltaRank, DeltaStrategy, GraphDelta,
-    Personalization, PushRankConfig, Ranker,
+    try_push_lanes, CitationNetwork, DeltaRank, DeltaStrategy, GraphDelta, Personalization,
+    PushLane, PushRankConfig, Ranker,
 };
 use sparsela::{KernelWorkspace, PowerEngine, PowerOptions, ScoreVec};
 
@@ -78,8 +78,8 @@ impl Ranker for PageRank {
     }
 
     /// Residual-push delta update against the uniform teleport
-    /// personalization; falls back to the full solve when the push is not
-    /// worthwhile.
+    /// personalization, on a pooled copy of `previous`; falls back to the
+    /// full solve when the push is not worthwhile.
     fn rank_delta(
         &self,
         old: &CitationNetwork,
@@ -90,31 +90,34 @@ impl Ranker for PageRank {
     ) -> DeltaRank {
         let alpha = self.alpha;
         if alpha > 0.0 && old.n_papers() > 0 {
+            let mut x = workspace.take_zeros(previous.len());
+            x.copy_from_slice(previous);
+            let mut r = workspace.take_zeros(new.n_papers()).into_vec();
+            let lane = PushLane {
+                x: &mut x,
+                b_old: Personalization::Uniform((1.0 - alpha) / old.n_papers() as f64),
+                b_new: Personalization::Uniform((1.0 - alpha) / new.n_papers() as f64),
+            };
+            let cfg = PushRankConfig::default();
+            let pushed = try_push_lanes(old, delta, new, [lane], alpha, &cfg, &mut r);
+            workspace.recycle(r.into());
             // PageRank is proportional to the uniform kernel itself
             // (`x* = (1−α)·u`), so deferred dangling mass resolves in
-            // closed form — no flushes, no kernel cache needed.
-            let pushed = try_push_lane(
-                old,
-                delta,
-                new,
-                previous,
-                Personalization::Uniform((1.0 - alpha) / old.n_papers() as f64),
-                Personalization::Uniform((1.0 - alpha) / new.n_papers() as f64),
-                alpha,
-                DanglingResolution::SelfSimilar {
-                    kernel_factor: 1.0 / (1.0 - alpha),
-                },
-                &PushRankConfig::default(),
-                workspace,
-            );
-            if let Some((scores, outcome)) = pushed {
-                return DeltaRank {
-                    scores,
-                    strategy: DeltaStrategy::Push {
-                        pushes: outcome.pushes,
-                        edge_work: outcome.edge_work,
-                    },
-                };
+            // closed form, `x / (1 − g/(1−α))`, which needs the
+            // denominator safely positive — no kernel cache needed.
+            let denom = |g: f64| 1.0 - g * (1.0 / (1.0 - alpha));
+            match pushed.filter(|o| denom(o.deferred[0]) > 0.5) {
+                Some(outcome) => {
+                    x.scale(1.0 / denom(outcome.deferred[0]));
+                    return DeltaRank {
+                        scores: x,
+                        strategy: DeltaStrategy::Push {
+                            pushes: outcome.pushes,
+                            edge_work: outcome.edge_work + new.n_papers() as u64,
+                        },
+                    };
+                }
+                None => workspace.recycle(x),
             }
         }
         DeltaRank {
@@ -139,6 +142,53 @@ mod tests {
             b.add_citation(c, d).unwrap();
         }
         b.build().unwrap()
+    }
+
+    #[test]
+    fn rank_delta_leaves_previous_alone() {
+        // A 200-paper chain over 20 years; every tenth paper also cites 0.
+        let mut b = NetworkBuilder::new();
+        for i in 0..200u32 {
+            b.add_paper(1990 + i as i32 / 10);
+            if i > 0 {
+                b.add_citation(i, i - 1).unwrap();
+            }
+            if i % 10 == 9 {
+                b.add_citation(i, 0).unwrap();
+            }
+        }
+        let net = b.build().unwrap();
+        let mut d = GraphDelta::new();
+        let p = (net.n_papers() + d.add_paper(2010)) as u32;
+        d.add_citation(p, 0);
+        d.add_citation(p, 150);
+        let new = net.with_delta(&d).unwrap();
+        let pr = PageRank::default_citation();
+        let mut ws = KernelWorkspace::new();
+        let bits = |v: &ScoreVec| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let prev = pr.rank(&net);
+        let before = bits(&prev);
+        let pushed = pr.rank_delta(&net, &d, &new, &prev, &mut ws);
+        assert!(matches!(pushed.strategy, DeltaStrategy::Push { .. }));
+        assert_eq!(bits(&prev), before, "a push leaves `previous` alone");
+        let full = pr.rank(&new);
+        for i in 0..new.n_papers() {
+            assert!((pushed.scores[i] - full[i]).abs() < 1e-9, "paper {i}");
+        }
+
+        // A NaN passes the gates and fails the seeding, which has already
+        // rescaled its lane: the lane is a copy.
+        let mut nan = prev.clone();
+        nan[3] = f64::NAN;
+        let before = bits(&nan);
+        let declined = pr.rank_delta(&net, &d, &new, &nan, &mut ws);
+        assert_eq!(declined.strategy, DeltaStrategy::Full);
+        assert_eq!(
+            bits(&nan),
+            before,
+            "a declined push leaves `previous` alone"
+        );
     }
 
     #[test]

@@ -22,18 +22,20 @@
 //! alone at e2ebench's batch sizes (1 / 100 / 1000 papers × 8 references,
 //! default `attrank` parameters): carried personalization, one 3-lane
 //! push, one resolution sweep. `three_pushes_200k/800` is its same-run
-//! comparator — the sequence the 3-lane push replaced, driven through the
-//! public `K = 1` entry points over the same transition (uniform kernel,
-//! then each component against it; the new personalization is handed to
-//! it precomputed). `three_pushes_200k/800` over `update_delta_200k/800`
-//! is gated by bench-check as `incremental/fused_push_speedup`.
+//! comparator — the sequence the 3-lane push replaced: three one-lane
+//! runs of the same seeding and loop (`try_push_lanes` at `K = 1`) over
+//! the same transition, the uniform kernel first (`update_uniform_kernel`)
+//! and then each component on a copy of its vector, resolved against the
+//! new kernel by one AXPY (the new personalization is handed to it
+//! precomputed). `three_pushes_200k/800` over `update_delta_200k/800` is
+//! gated by bench-check as `incremental/fused_push_speedup`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 use attrank::{jump_components, AttRank, AttRankParams, IncrementalAttRank};
 use citegen::{generate, publish_delta, DatasetProfile};
 use citegraph::{
-    try_push_lane, uniform_kernel, update_uniform_kernel, DanglingResolution, Personalization,
+    try_push_lanes, uniform_kernel, update_uniform_kernel, Personalization, PushLane,
     PushRankConfig, Ranker,
 };
 use repro_bench::DEFAULT_SEED;
@@ -188,20 +190,19 @@ fn bench_update_delta(c: &mut Criterion) {
                 update_uniform_kernel(&primed, &delta, &new, &kernel0, alpha, &cfg, &mut ws)
                     .expect("a 100-paper batch pushes");
             let mut component = |previous: &ScoreVec, b_old: &ScoreVec, b_new: &ScoreVec| {
-                try_push_lane(
-                    &primed,
-                    &delta,
-                    &new,
-                    previous,
-                    Personalization::Dense(b_old.as_slice()),
-                    Personalization::Dense(b_new.as_slice()),
-                    alpha,
-                    DanglingResolution::Kernel(kernel1.as_slice()),
-                    &cfg,
-                    &mut ws,
-                )
-                .expect("a 100-paper batch pushes")
-                .0
+                let mut x = ws.take_zeros(previous.len());
+                x.copy_from_slice(previous);
+                let mut r = ws.take_zeros(new.n_papers()).into_vec();
+                let lane = PushLane {
+                    x: &mut x,
+                    b_old: Personalization::Dense(b_old.as_slice()),
+                    b_new: Personalization::Dense(b_new.as_slice()),
+                };
+                let out = try_push_lanes(&primed, &delta, &new, [lane], alpha, &cfg, &mut r)
+                    .expect("a 100-paper batch pushes");
+                ws.recycle(r.into());
+                x.axpy(out.deferred[0], &kernel1);
+                x
             };
             let mut total = component(&att0, &b_att0, &b_att1);
             let rec1 = component(&rec0, &b_rec0, &b_rec1);

@@ -236,7 +236,10 @@ impl CitationNetwork {
     /// plus `O(batch · log batch)` to sort the batch and merge it into the
     /// rows it touches ([`sparsela::Csr::merged_with`], once for the
     /// references and once for the citers). The result is structurally
-    /// identical to a from-scratch [`crate::NetworkBuilder`] build.
+    /// identical to a from-scratch [`crate::NetworkBuilder`] build. When
+    /// this network's venue cuts were found, the result carries them
+    /// ([`CitationNetwork::venue_year_cuts`]), searching again only where
+    /// the delta appended papers to a venue.
     ///
     /// Validation mirrors the builder: new papers must not be older than the
     /// current year (ids are time-sorted), edges must point backwards (or
@@ -415,7 +418,9 @@ impl CitationNetwork {
                 }
             });
 
-        CitationNetwork::from_parts_with_citers(years, refs, citers, authors, venues)
+        let next = CitationNetwork::from_parts_with_citers(years, refs, citers, authors, venues);
+        self.carry_venue_cuts(&next);
+        next
     }
 }
 

@@ -45,12 +45,12 @@ pub use index::{band, band_span};
 pub use metadata::{AuthorId, AuthorTable, VenueId, VenueTable};
 pub use network::{CitationNetwork, PaperId, PartsError, Year};
 pub use personalize::{
-    dense_personalized, personalize, repersonalize, seed_personalization, PersonalizedScores,
-    SeedError, SeedPersonalization, WarmStart,
+    dense_personalized, personalize, repersonalize, PersonalizedScores, SeedError,
+    SeedPersonalization, WarmStart,
 };
 pub use pushrank::{
-    try_push_lane, try_push_lanes, uniform_kernel, update_uniform_kernel, DanglingResolution,
-    Personalization, PushLane, PushRankConfig,
+    try_push_lanes, uniform_kernel, update_uniform_kernel, Personalization, PushLane,
+    PushRankConfig,
 };
 pub use rank::{DeltaRank, DeltaStrategy, Ranker};
 pub use shard::{ShardPlan, ShardPlanError, ShardSpec};

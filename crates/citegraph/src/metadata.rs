@@ -398,12 +398,37 @@ impl VenueTable {
     pub fn cut_positions(&self, starts: &[PaperId]) -> HeadCuts {
         HeadCuts::new((0..self.n_venues as VenueId).map(|v| {
             let list = self.papers_at(v);
-            let mut from = 0;
-            let positions = starts.iter().map(move |&s| {
-                from += list[from..].partition_point(|&p| p < s);
-                from
+            (list.len(), positions_in(list, starts))
+        }))
+    }
+
+    /// [`Self::cut_positions`] at `starts` for a table that extends the
+    /// lists `parent` cut (a delta's successor, whose new papers start at
+    /// id `n_old`). Every list keeps `parent`'s cuts, since the start of
+    /// an old year finds the same old postings before it. Only the starts
+    /// past the last old posting of a list the delta appended to can move
+    /// or add a cut (a start past a list's last posting cuts nothing), so
+    /// only they are searched.
+    pub(crate) fn carried_cut_positions(
+        &self,
+        parent: &HeadCuts,
+        n_old: PaperId,
+        starts: &[PaperId],
+    ) -> HeadCuts {
+        let kept: Vec<(usize, usize)> = parent.iter().collect();
+        let mut at = 0;
+        HeadCuts::new((0..self.n_venues as VenueId).map(|v| {
+            let list = self.papers_at(v);
+            let len = kept[at..].partition_point(|&(l, _)| l == v as usize);
+            let old = kept[at..at + len].iter().map(|&(_, p)| p);
+            at += len;
+            let n_old_postings = list.partition_point(|&p| p < n_old);
+            let moved = (n_old_postings < list.len()).then(|| {
+                let last_old = list[..n_old_postings].last();
+                let from = last_old.map_or(0, |&p| starts.partition_point(|&s| s <= p));
+                positions_in(list, &starts[from..])
             });
-            (list.len(), positions)
+            (list.len(), old.chain(moved.into_iter().flatten()))
         }))
     }
 
@@ -504,6 +529,19 @@ impl VenueTable {
         assert!(start <= end && end <= self.n_papers());
         VenueTable::new(self.venue[start..end].to_vec(), self.n_venues)
     }
+}
+
+/// Where each of `starts` (ascending) begins in `list`: one binary search
+/// per start, each past the last.
+fn positions_in<'a>(
+    list: &'a [PaperId],
+    starts: &'a [PaperId],
+) -> impl Iterator<Item = usize> + 'a {
+    let mut from = 0;
+    starts.iter().map(move |&s| {
+        from += list[from..].partition_point(|&p| p < s);
+        from
+    })
 }
 
 /// Checks a persisted copy of facet posting lists against the `built`

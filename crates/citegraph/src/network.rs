@@ -37,7 +37,8 @@ pub struct CitationNetwork {
     /// one build serves every ranker; grid searches used to rebuild it —
     /// including a full adjacency clone — once per parameter setting).
     operator: OnceLock<CitationOperator>,
-    /// The venue lists' year cuts, found on first use.
+    /// The venue lists' year cuts, found on first use or carried from the
+    /// network a delta grew this one from.
     venue_cuts: OnceLock<HeadCuts>,
 }
 
@@ -323,15 +324,31 @@ impl CitationNetwork {
 
     /// The head cuts of the venue posting lists at the start of each year
     /// ([`VenueTable::cut_positions`] at [`Self::year_starts`]), where a
-    /// `venue=V,year=Y..` band starts: found on first use and kept with
-    /// the network, so every vector summarized over it shares one set.
-    /// Empty without venue metadata.
+    /// `venue=V,year=Y..` band starts: found on first use — or carried
+    /// across [`Self::with_delta`] from a network whose cuts were found —
+    /// and kept with the network, so every vector summarized over it
+    /// shares one set. Empty without venue metadata.
     pub fn venue_year_cuts(&self) -> &HeadCuts {
         self.venue_cuts.get_or_init(|| {
             self.venues
                 .as_ref()
                 .map_or_else(HeadCuts::default, |t| t.cut_positions(&self.year_starts()))
         })
+    }
+
+    /// Hands `next` — this network grown by a delta — its venue cuts,
+    /// carried from this network's when they were found
+    /// ([`VenueTable::carried_cut_positions`]): only the venues the delta
+    /// appended papers to are searched again, from their last old posting
+    /// on.
+    pub(crate) fn carry_venue_cuts(&self, next: &CitationNetwork) {
+        let (Some(cuts), Some(table)) = (self.venue_cuts.get(), next.venues()) else {
+            return;
+        };
+        let n_old = self.n_papers() as PaperId;
+        let carried = table.carried_cut_positions(cuts, n_old, &next.year_starts());
+        // `next` is fresh, so its cell is empty.
+        let _ = next.venue_cuts.set(carried);
     }
 
     /// The contiguous id range of papers published within `[lo, hi]`
@@ -382,6 +399,30 @@ mod tests {
             b.add_citation(citing, cited).unwrap();
         }
         b.build().unwrap()
+    }
+
+    #[test]
+    fn a_successor_carries_the_venue_cuts_its_parent_found() {
+        let mut b = NetworkBuilder::new();
+        for (year, venue) in [(1990, 0), (1990, 1), (1991, 0), (1992, 1)] {
+            b.add_paper_with_metadata(year, Vec::new(), Some(venue));
+        }
+        let net = b.build().unwrap();
+        let mut d = crate::GraphDelta::new();
+        d.add_paper_with_metadata(1993, Vec::new(), Some(0));
+        d.add_paper_with_metadata(1993, Vec::new(), Some(2));
+        let unfound = net.with_delta(&d).unwrap();
+        assert!(
+            unfound.venue_cuts.get().is_none(),
+            "nothing found, nothing carried"
+        );
+        net.venue_year_cuts();
+        let next = net.with_delta(&d).unwrap();
+        let carried = next.venue_cuts.get().expect("found cuts are carried");
+        let table = next.venues().unwrap();
+        assert_eq!(carried, &table.cut_positions(&next.year_starts()));
+        // Venue 0 now runs past 1992 and gains a cut there; venue 2 is new.
+        assert_eq!(carried.len(), 6);
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //!   residual drizzle to cascade through reference cones.
 
 use sparsela::{
-    push, KernelWorkspace, PowerEngine, PowerOptions, PushConfig, PushOutcome, ScoreVec,
+    push, KernelWorkspace, LanesOutcome, PowerEngine, PowerOptions, PushConfig, ScoreVec,
 };
 
 use crate::delta::GraphDelta;
@@ -108,16 +108,6 @@ impl std::error::Error for SeedError {}
 pub struct SeedPersonalization {
     seeds: Vec<PaperId>,
     weights: Vec<f64>,
-}
-
-/// Builds a uniform [`SeedPersonalization`] over `seeds`, validated
-/// against a network of `n_papers` papers. See
-/// [`SeedPersonalization::uniform`].
-pub fn seed_personalization(
-    seeds: &[PaperId],
-    n_papers: usize,
-) -> Result<SeedPersonalization, SeedError> {
-    SeedPersonalization::uniform(seeds, n_papers)
 }
 
 impl SeedPersonalization {
@@ -199,7 +189,7 @@ pub struct PersonalizedScores {
     /// The personalized score vector (fixed point of `x = α·S·x + b`).
     pub scores: ScoreVec,
     /// Push diagnostics; the edge work includes the `n`-entry resolution.
-    pub outcome: PushOutcome,
+    pub outcome: LanesOutcome<1>,
     /// The unresolved pure-citation part `y` (`scores` minus the
     /// `α·(dᵀy)·u` dangling term). This is what [`repersonalize`]
     /// warm-starts from.
@@ -234,7 +224,7 @@ pub struct WarmStart<'a> {
 
 /// Cold push solve of the personalized fixed point from a zero start.
 ///
-/// One [`push::solve_deferring`] run from `x = 0, r = b` at `cfg.epsilon`
+/// One [`push::solve_lanes`] run from `x = 0, r = b` at `cfg.epsilon`
 /// with no work budget: on a citation DAG the descending-id cursor pushes
 /// each paper of the seeds' reference cone once (a same-year citation to
 /// a higher id costs it another pass, never a wrong answer). The deferred
@@ -274,17 +264,11 @@ pub fn personalize(
         epsilon: cfg.epsilon,
         max_edge_work: u64::MAX,
     };
-    let mut outcome = push::solve_deferring(
-        net.refs_csr(),
-        &push_cfg,
-        y.as_mut_slice(),
-        r.as_mut_slice(),
-        0.0,
-    );
+    let mut outcome = push::solve_lanes(net.refs_csr(), &push_cfg, [&mut y], &mut r, [0.0]);
     workspace.recycle(r);
     // The deferred scalar is `α·(dᵀy)` by construction: every push at a
     // dangling row deferred exactly `α` times the mass it settled there.
-    let g = outcome.deferred;
+    let g = outcome.deferred[0];
     let scores = resolve(&y, g, u, workspace);
     outcome.edge_work += n as u64;
     PersonalizedScores {
@@ -348,7 +332,7 @@ pub fn dense_personalized(
 /// * one dense AXPY resolving the dangling part (`O(n)`).
 ///
 /// Unlike a scale-fitted re-seed of the *resolved* vector
-/// ([`crate::pushrank::try_push_lane`], which stays the right tool for
+/// ([`crate::pushrank::try_push_lanes`], which stays the right tool for
 /// dense teleports like global PageRank), no `α·d/n`-sized residual
 /// lands on appended rows, so there is no drizzle to cascade through
 /// their reference cones.
@@ -403,12 +387,12 @@ pub fn repersonalize(
     changed.sort_unstable();
     changed.dedup();
 
-    let mut outcome = PushOutcome {
+    let mut outcome = LanesOutcome {
         converged: true,
         pushes: 0,
         edge_work: 0,
-        residual_l1: 0.0,
-        deferred: 0.0,
+        residual_l1: [0.0],
+        deferred: [0.0],
     };
     let mut seed_work = 0u64;
     if !changed.is_empty() {
@@ -447,13 +431,7 @@ pub fn repersonalize(
                 epsilon: cfg.epsilon,
                 max_edge_work: cfg.max_edge_work(new.n_citations(), n_new),
             };
-            outcome = push::solve_deferring(
-                new.refs_csr(),
-                &push_cfg,
-                y.as_mut_slice(),
-                r.as_mut_slice(),
-                0.0,
-            );
+            outcome = push::solve_lanes(new.refs_csr(), &push_cfg, [&mut y], &mut r, [0.0]);
         }
         workspace.recycle(r);
         if !outcome.converged {
@@ -463,7 +441,7 @@ pub fn repersonalize(
         // Each push at a dangling row deferred `α·ρ` while the mass `ρ`
         // itself settled there — i.e. joined `dᵀy`.
         if alpha > 0.0 {
-            dangling_mass += outcome.deferred / alpha;
+            dangling_mass += outcome.deferred[0] / alpha;
         }
     }
 

@@ -52,15 +52,18 @@
 //! dangling sums of every lane, then the rewired columns once for all
 //! lanes) and **one** run of [`sparsela::push::solve_lanes`]. A
 //! [`Personalization`] is a dense slice or a uniform constant, so
-//! `(1/n)·1` teleports are never materialized. [`try_push_lane`] and
-//! [`update_uniform_kernel`] are the `K = 1` callers of the same seeding
-//! and the same loop, on a copy of the caller's vector.
+//! `(1/n)·1` teleports are never materialized. It is the only seeding
+//! entry: one system is `K = 1` — [`update_uniform_kernel`], and
+//! PageRank's delta re-rank — run on a pooled copy of the caller's
+//! vector, never on the vector itself.
 //!
-//! Every push here defers its dangling mass (see [`sparsela::push`]) and
-//! resolves it against the uniform kernel, or in closed form for a system
-//! that is a multiple of the kernel ([`DanglingResolution`]). The kernel
-//! itself is one cold push from zero ([`uniform_kernel`]), as is a
-//! seed-set solve ([`crate::personalize()`]).
+//! Every push here defers its dangling mass (see [`sparsela::push`]). The
+//! caller resolves it: against the uniform kernel `u` (`x + g·u`), or in
+//! closed form for a system that is a multiple `u = f·x*` of the kernel
+//! (`x / (1 − g·f)`: the kernel itself, `f = 1`, and PageRank,
+//! `f = 1/(1−α)`). The kernel is one cold push from zero
+//! ([`uniform_kernel`]), as is a seed-set solve
+//! ([`crate::personalize()`]).
 //!
 //! When the delta is too large a fraction of the graph, or the push
 //! exhausts its work budget (a few full-SpMV equivalents, shared by all
@@ -68,31 +71,10 @@
 //! to its full solve — the worst case never regresses beyond the bounded
 //! budget.
 
-use sparsela::{push, KernelWorkspace, LanesOutcome, PushConfig, PushOutcome, ScoreVec};
+use sparsela::{push, KernelWorkspace, LanesOutcome, PushConfig, ScoreVec};
 
 use crate::delta::GraphDelta;
 use crate::network::CitationNetwork;
-
-/// How deferred uniform (dangling-direction) residual mass is resolved.
-///
-/// Pushing a dangling paper's residual would touch every node; the solver
-/// instead accumulates that mass into a scalar `g` (see
-/// [`sparsela::push`]), and the exact missing contribution is `g·u` where
-/// `u = (I − α·S)⁻¹·(1/n)·1` is the *uniform kernel* of the operator.
-#[derive(Debug, Clone, Copy)]
-pub enum DanglingResolution<'a> {
-    /// Resolve against a maintained uniform-kernel solution for the *new*
-    /// network state: `x += g·u`. One dense AXPY, no densification.
-    Kernel(&'a [f64]),
-    /// The solution itself is a scalar multiple of the kernel,
-    /// `u = kernel_factor · x*` (e.g. PageRank: `x* = (1−α)·u`, so
-    /// `kernel_factor = 1/(1−α)`; the kernel itself: factor 1). Resolves
-    /// in closed form: `x* = x / (1 − g·kernel_factor)`.
-    SelfSimilar {
-        /// The factor `f` with `u = f·x*`.
-        kernel_factor: f64,
-    },
-}
 
 /// Tuning knobs for the push-vs-full decision and the push run itself.
 #[derive(Debug, Clone, Copy)]
@@ -324,24 +306,45 @@ fn seed_lanes<const K: usize>(
     Some(initial_deferred)
 }
 
-/// The gates every push entry point shares, then the fused seeding
-/// ([`seed_lanes`]) of the lanes and of the caller's residual `r`
-/// (`new.n_papers()·K` entries). Returns the per-lane deferred mass to
-/// start from and the push configuration — or `None` when the push is not
-/// worthwhile or the inputs are inconsistent (no lane is touched unless
-/// the gates pass).
-#[allow(clippy::too_many_arguments)] // the two network states, the delta between them, the knobs
-fn prepare_lanes<const K: usize>(
+/// Attempts a push-based re-rank of `K` systems `x_k = α·S·x_k + b_k`
+/// across a delta in **one** traversal of the perturbed cone: one fused
+/// seeding pass, one [`push::solve_lanes`] run, each lane's vector
+/// updated in place.
+///
+/// `old` is the network every `lanes[k].x` was solved on and `new` must
+/// be `old.with_delta(delta)`. `residual` is the caller's
+/// lane-interleaved scratch (resized here to `new.n_papers()·K`; keep it
+/// across publishes, and out of an `n`-sized [`KernelWorkspace`] pool,
+/// whose every buffer it would drift to its own size). Each `lane.x` is
+/// grown and rewritten in place, so a caller whose vector is published
+/// (read by a live snapshot) hands over a copy.
+///
+/// Dangling mass is always deferred: on success the lanes hold
+/// *unresolved* estimates and [`LanesOutcome::deferred`] each lane's
+/// uniform-direction mass `g_k`; lane `k`'s fixed point is
+/// `x_k + g_k·u` with `u` the uniform kernel of `new` (which may itself
+/// be one of the lanes, resolved in closed form). Returns `None` when the
+/// push is not worthwhile, the inputs are inconsistent (no lane is
+/// touched unless the gates pass), or it did not converge in budget — the
+/// caller then runs its full solve.
+///
+/// Accuracy: the result deviates from the true new fixed point by at most
+/// `ε/(1−α)` plus the (same-scale) residual the old solve left behind
+/// (errors of chained push publishes accumulate *additively*, ~`ε/(1−α)`
+/// per publish — serving deployments bound the drift by letting their
+/// rerank policy force an occasional full solve).
+pub fn try_push_lanes<const K: usize>(
     old: &CitationNetwork,
     delta: &GraphDelta,
     new: &CitationNetwork,
-    lanes: &mut [PushLane<'_>; K],
+    mut lanes: [PushLane<'_>; K],
     alpha: f64,
     cfg: &PushRankConfig,
-    r: &mut [f64],
-) -> Option<([f64; K], PushConfig)> {
+    residual: &mut Vec<f64>,
+) -> Option<LanesOutcome<K>> {
     let n_old = old.n_papers();
     let n_new = new.n_papers();
+    residual.resize(n_new * K, 0.0);
     if n_old == 0
         || !(0.0..1.0).contains(&alpha)
         || n_new != n_old + delta.n_papers()
@@ -352,44 +355,12 @@ fn prepare_lanes<const K: usize>(
     {
         return None;
     }
-    let initial_deferred = seed_lanes(old, delta, new, lanes, alpha, r)?;
+    let initial_deferred = seed_lanes(old, delta, new, &mut lanes, alpha, residual)?;
     let push_cfg = PushConfig {
         alpha,
         epsilon: cfg.epsilon,
         max_edge_work: cfg.max_edge_work(new.n_citations(), n_new),
     };
-    Some((initial_deferred, push_cfg))
-}
-
-/// Attempts a push-based re-rank of `K` systems `x_k = α·S·x_k + b_k`
-/// across a delta in **one** traversal of the perturbed cone: one fused
-/// seeding pass, one [`push::solve_lanes`] run, each lane's vector
-/// updated in place.
-///
-/// `old` is the network every `lanes[k].x` was solved on and `new` must
-/// be `old.with_delta(delta)`. `residual` is the caller's
-/// lane-interleaved scratch (resized here to `new.n_papers()·K`; keep it
-/// across publishes, and out of an `n`-sized [`KernelWorkspace`] pool,
-/// whose every buffer it would drift to its own size).
-///
-/// Dangling mass is always deferred: on success the lanes hold
-/// *unresolved* estimates and [`LanesOutcome::deferred`] each lane's
-/// uniform-direction mass `g_k`; lane `k`'s fixed point is
-/// `x_k + g_k·u` with `u` the uniform kernel of `new` (which may itself
-/// be one of the lanes — see [`DanglingResolution`]). Returns `None` when
-/// the push is not worthwhile / did not converge in budget.
-pub fn try_push_lanes<const K: usize>(
-    old: &CitationNetwork,
-    delta: &GraphDelta,
-    new: &CitationNetwork,
-    mut lanes: [PushLane<'_>; K],
-    alpha: f64,
-    cfg: &PushRankConfig,
-    residual: &mut Vec<f64>,
-) -> Option<LanesOutcome<K>> {
-    residual.resize(new.n_papers() * K, 0.0);
-    let (initial_deferred, push_cfg) =
-        prepare_lanes(old, delta, new, &mut lanes, alpha, cfg, residual)?;
     let outcome = push::solve_lanes(
         new.refs_csr(),
         &push_cfg,
@@ -398,91 +369,6 @@ pub fn try_push_lanes<const K: usize>(
         initial_deferred,
     );
     outcome.converged.then_some(outcome)
-}
-
-/// Attempts a push-based re-rank of `x = α·S·x + b` across a delta.
-///
-/// `old` is the network `previous` was solved on, `new` must be
-/// `old.with_delta(delta)`, and `b_old`/`b_new` are the personalization
-/// vectors of the two states, each a dense slice or a uniform constant
-/// (for PageRank the uniform teleport, for AttRank `β·A + γ·T`). The push
-/// runs on a pooled copy of `previous` (the `K = 1` caller of the fused
-/// seeding), with the deferred mass resolved as `resolution` says.
-/// Returns the updated scores and push diagnostics, or `None` when the
-/// push is not worthwhile / did not converge in budget — the caller then
-/// runs its full solve.
-///
-/// Accuracy: the result deviates from the true new fixed point by at most
-/// `ε/(1−α)` plus the (same-scale) residual the old solve left behind
-/// (errors of chained push publishes accumulate *additively*, ~`ε/(1−α)`
-/// per publish — serving deployments bound the drift by letting their
-/// rerank policy force an occasional full solve).
-#[allow(clippy::too_many_arguments)] // one call site per ranker; a params struct would only rename the coupling
-pub fn try_push_lane(
-    old: &CitationNetwork,
-    delta: &GraphDelta,
-    new: &CitationNetwork,
-    previous: &ScoreVec,
-    b_old: Personalization<'_>,
-    b_new: Personalization<'_>,
-    alpha: f64,
-    resolution: DanglingResolution<'_>,
-    cfg: &PushRankConfig,
-    workspace: &mut KernelWorkspace,
-) -> Option<(ScoreVec, PushOutcome)> {
-    let n_new = new.n_papers();
-    if let DanglingResolution::Kernel(u) = resolution {
-        if u.len() != n_new {
-            return None;
-        }
-    }
-    let mut x = workspace.take_zeros(previous.len());
-    x.copy_from_slice(previous);
-    let mut r = workspace.take_zeros(n_new);
-    let mut lane = [PushLane {
-        x: &mut x,
-        b_old,
-        b_new,
-    }];
-    let prepared = prepare_lanes(old, delta, new, &mut lane, alpha, cfg, r.as_mut_slice());
-    let pushed = prepared.map(|([initial_deferred], push_cfg)| {
-        push::solve_deferring(
-            new.refs_csr(),
-            &push_cfg,
-            x.as_mut_slice(),
-            r.as_mut_slice(),
-            initial_deferred,
-        )
-    });
-    workspace.recycle(r);
-    // The self-similar closed form needs (1 − g·f) safely positive; a
-    // delta perturbation keeps g tiny, so failing this means the caller
-    // handed us an inconsistent state — decline.
-    let denom = |outcome: &PushOutcome| match resolution {
-        DanglingResolution::SelfSimilar { kernel_factor } => 1.0 - outcome.deferred * kernel_factor,
-        _ => 1.0,
-    };
-    let Some(mut outcome) = pushed.filter(|o| o.converged && denom(o) > 0.5) else {
-        workspace.recycle(x);
-        return None;
-    };
-    // Resolve the deferred uniform mass exactly (see DanglingResolution).
-    match resolution {
-        DanglingResolution::Kernel(u) => {
-            let g = outcome.deferred;
-            for (xi, &ui) in x.iter_mut().zip(u) {
-                *xi += g * ui;
-            }
-        }
-        DanglingResolution::SelfSimilar { .. } => {
-            let inv = 1.0 / denom(&outcome);
-            for xi in x.iter_mut() {
-                *xi *= inv;
-            }
-        }
-    }
-    outcome.edge_work += n_new as u64;
-    Some((x, outcome))
 }
 
 /// Cold-builds the uniform kernel `u = (I − α·S)⁻¹·(1/n)·1` for `net`:
@@ -508,17 +394,18 @@ pub fn uniform_kernel(
         epsilon: PushRankConfig::default().epsilon,
         max_edge_work: u64::MAX,
     };
-    let outcome = push::solve_deferring(net.refs_csr(), &cfg, &mut x, &mut r, 0.0);
+    let outcome = push::solve_lanes(net.refs_csr(), &cfg, [&mut x], &mut r, [0.0]);
     workspace.recycle(r);
-    x.scale(1.0 / (1.0 - outcome.deferred));
+    x.scale(1.0 / (1.0 - outcome.deferred[0]));
     x
 }
 
-/// Push-updates the uniform kernel across a delta (its personalization
-/// `(1/n)·1` rescales *exactly* by `n₀/n₁`, so the seed is always sparse;
-/// the deferred mass resolves in closed form because the kernel is
-/// self-similar). Returns `None` on fallback — rebuild with
-/// [`uniform_kernel`].
+/// Push-updates the uniform kernel across a delta: one
+/// [`try_push_lanes`] lane on a pooled copy of `previous` (its
+/// personalization `(1/n)·1` rescales *exactly* by `n₀/n₁`, so the seed
+/// is always sparse), resolved in closed form, `x / (1 − g)`, because the
+/// kernel is self-similar. The edge work counts that `n`-entry sweep.
+/// Returns `None` on fallback — rebuild with [`uniform_kernel`].
 pub fn update_uniform_kernel(
     old: &CitationNetwork,
     delta: &GraphDelta,
@@ -527,19 +414,26 @@ pub fn update_uniform_kernel(
     alpha: f64,
     cfg: &PushRankConfig,
     workspace: &mut KernelWorkspace,
-) -> Option<(ScoreVec, PushOutcome)> {
-    try_push_lane(
-        old,
-        delta,
-        new,
-        previous,
-        Personalization::Uniform(1.0 / old.n_papers() as f64),
-        Personalization::Uniform(1.0 / new.n_papers() as f64),
-        alpha,
-        DanglingResolution::SelfSimilar { kernel_factor: 1.0 },
-        cfg,
-        workspace,
-    )
+) -> Option<(ScoreVec, LanesOutcome<1>)> {
+    let mut x = workspace.take_zeros(previous.len());
+    x.copy_from_slice(previous);
+    let mut r = workspace.take_zeros(new.n_papers()).into_vec();
+    let lane = PushLane {
+        x: &mut x,
+        b_old: Personalization::Uniform(1.0 / old.n_papers() as f64),
+        b_new: Personalization::Uniform(1.0 / new.n_papers() as f64),
+    };
+    let pushed = try_push_lanes(old, delta, new, [lane], alpha, cfg, &mut r);
+    workspace.recycle(r.into());
+    // The closed form needs (1 − g) safely positive; a delta perturbation
+    // keeps g tiny, so failing this means an inconsistent state — decline.
+    let Some(mut outcome) = pushed.filter(|o| 1.0 - o.deferred[0] > 0.5) else {
+        workspace.recycle(x);
+        return None;
+    };
+    x.scale(1.0 / (1.0 - outcome.deferred[0]));
+    outcome.edge_work += new.n_papers() as u64;
+    Some((x, outcome))
 }
 
 #[cfg(test)]
@@ -580,13 +474,6 @@ mod tests {
         vec![(1.0 - alpha) / n as f64; n]
     }
 
-    /// PageRank's fixed point is `(1−α)·u`: a multiple of the kernel.
-    fn pagerank_resolution(alpha: f64) -> DanglingResolution<'static> {
-        DanglingResolution::SelfSimilar {
-            kernel_factor: 1.0 / (1.0 - alpha),
-        }
-    }
-
     /// On the tiny fixture graphs the perturbed frontier *is* the whole
     /// graph, so the production-scale gates would (correctly) decline;
     /// open them up to exercise the push numerics themselves.
@@ -596,6 +483,33 @@ mod tests {
             max_delta_fraction: 1.0,
             ..PushRankConfig::default()
         }
+    }
+
+    /// One dense-personalization lane pushed across `d` from a copy of
+    /// `prev`, its deferred mass resolved against `new`'s kernel.
+    #[allow(clippy::too_many_arguments)]
+    fn push_one(
+        old: &CitationNetwork,
+        d: &GraphDelta,
+        new: &CitationNetwork,
+        prev: &ScoreVec,
+        b0: &[f64],
+        b1: &[f64],
+        alpha: f64,
+        cfg: &PushRankConfig,
+    ) -> Option<(ScoreVec, LanesOutcome<1>)> {
+        let mut x = prev.clone();
+        let lane = PushLane {
+            x: &mut x,
+            b_old: Personalization::Dense(b0),
+            b_new: Personalization::Dense(b1),
+        };
+        let out = try_push_lanes(old, d, new, [lane], alpha, cfg, &mut Vec::new())?;
+        x.axpy(
+            out.deferred[0],
+            &uniform_kernel(new, alpha, &mut KernelWorkspace::new()),
+        );
+        Some((x, out))
     }
 
     #[test]
@@ -613,22 +527,8 @@ mod tests {
         let new = old.with_delta(&d).unwrap();
         let b1 = uniform_b(new.n_papers(), alpha);
 
-        let mut ws = KernelWorkspace::new();
-        let u = uniform_kernel(&new, alpha, &mut ws);
-        let cfg = permissive();
-        let (pushed, stats) = try_push_lane(
-            &old,
-            &d,
-            &new,
-            &prev,
-            Personalization::Dense(&b0),
-            Personalization::Dense(&b1),
-            alpha,
-            DanglingResolution::Kernel(u.as_slice()),
-            &cfg,
-            &mut ws,
-        )
-        .expect("push should run on a small delta");
+        let (pushed, stats) = push_one(&old, &d, &new, &prev, &b0, &b1, alpha, &permissive())
+            .expect("push should run on a small delta");
         assert!(stats.pushes > 0);
         let scratch = full_solve(&new, alpha, &b1);
         for i in 0..new.n_papers() {
@@ -654,21 +554,9 @@ mod tests {
         }
         let new = old.with_delta(&d).unwrap();
         let b1 = uniform_b(new.n_papers(), alpha);
-        let mut ws = KernelWorkspace::new();
         // 6 delta items on a ~25-item graph exceed a 10% gate.
-        assert!(try_push_lane(
-            &old,
-            &d,
-            &new,
-            &prev,
-            Personalization::Dense(&b0),
-            Personalization::Dense(&b1),
-            alpha,
-            pagerank_resolution(alpha),
-            &PushRankConfig::default(),
-            &mut ws
-        )
-        .is_none());
+        let cfg = PushRankConfig::default();
+        assert!(push_one(&old, &d, &new, &prev, &b0, &b1, alpha, &cfg).is_none());
     }
 
     #[test]
@@ -681,24 +569,11 @@ mod tests {
         d.add_citation(9, 2);
         let new = old.with_delta(&d).unwrap();
         let b1 = uniform_b(new.n_papers(), alpha);
-        let mut ws = KernelWorkspace::new();
         let cfg = PushRankConfig {
             max_delta_fraction: 1.0,
             ..PushRankConfig::forced_fallback()
         };
-        assert!(try_push_lane(
-            &old,
-            &d,
-            &new,
-            &prev,
-            Personalization::Dense(&b0),
-            Personalization::Dense(&b1),
-            alpha,
-            pagerank_resolution(alpha),
-            &cfg,
-            &mut ws,
-        )
-        .is_none());
+        assert!(push_one(&old, &d, &new, &prev, &b0, &b1, alpha, &cfg).is_none());
     }
 
     #[test]
@@ -710,37 +585,12 @@ mod tests {
         d.add_citation(9, 2);
         let new = old.with_delta(&d).unwrap();
         let b1 = uniform_b(new.n_papers(), alpha);
-        let mut ws = KernelWorkspace::new();
         let cfg = permissive();
         let short = ScoreVec::uniform(3);
-        assert!(try_push_lane(
-            &old,
-            &d,
-            &new,
-            &short,
-            Personalization::Dense(&b0),
-            Personalization::Dense(&b1),
-            alpha,
-            pagerank_resolution(alpha),
-            &cfg,
-            &mut ws
-        )
-        .is_none());
+        assert!(push_one(&old, &d, &new, &short, &b0, &b1, alpha, &cfg).is_none());
         let mut nan = ScoreVec::uniform(old.n_papers());
         nan[0] = f64::NAN;
-        assert!(try_push_lane(
-            &old,
-            &d,
-            &new,
-            &nan,
-            Personalization::Dense(&b0),
-            Personalization::Dense(&b1),
-            alpha,
-            pagerank_resolution(alpha),
-            &cfg,
-            &mut ws
-        )
-        .is_none());
+        assert!(push_one(&old, &d, &new, &nan, &b0, &b1, alpha, &cfg).is_none());
     }
 
     #[test]
@@ -757,24 +607,48 @@ mod tests {
         d.add_citation(p, 0);
         let new = old.with_delta(&d).unwrap();
         let b1 = uniform_b(new.n_papers(), alpha);
-        let mut ws = KernelWorkspace::new();
-        let cfg = permissive();
-        let (pushed, _) = try_push_lane(
-            &old,
-            &d,
-            &new,
-            &prev,
-            Personalization::Dense(&b0),
-            Personalization::Dense(&b1),
-            alpha,
-            pagerank_resolution(alpha),
-            &cfg,
-            &mut ws,
-        )
-        .unwrap();
+        let (pushed, _) = push_one(&old, &d, &new, &prev, &b0, &b1, alpha, &permissive()).unwrap();
         let scratch = full_solve(&new, alpha, &b1);
         for i in 0..new.n_papers() {
             assert!((pushed[i] - scratch[i]).abs() < 1e-9, "paper {i}");
         }
+    }
+
+    #[test]
+    fn kernel_update_matches_a_cold_build_and_leaves_previous_alone() {
+        let old = base();
+        let alpha = 0.5;
+        let mut ws = KernelWorkspace::new();
+        let prev = uniform_kernel(&old, alpha, &mut ws);
+        let bits = |v: &ScoreVec| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let before = bits(&prev);
+        let mut d = GraphDelta::new();
+        let p = (old.n_papers() + d.add_paper(2001)) as PaperId;
+        d.add_citation(p, 0);
+        d.add_citation(9, 3);
+        let new = old.with_delta(&d).unwrap();
+
+        let (pushed, out) =
+            update_uniform_kernel(&old, &d, &new, &prev, alpha, &permissive(), &mut ws)
+                .expect("a small delta pushes");
+        assert!(out.pushes > 0);
+        assert_eq!(bits(&prev), before, "a push leaves `previous` alone");
+        let cold = uniform_kernel(&new, alpha, &mut ws);
+        for i in 0..new.n_papers() {
+            assert!((pushed[i] - cold[i]).abs() < 1e-9, "paper {i}");
+        }
+
+        // A declined push (here: no budget, after the gates pass) seeds and
+        // rewrites its lane; the lane is a copy.
+        let cfg = PushRankConfig {
+            max_delta_fraction: 1.0,
+            ..PushRankConfig::forced_fallback()
+        };
+        assert!(update_uniform_kernel(&old, &d, &new, &prev, alpha, &cfg, &mut ws).is_none());
+        assert_eq!(
+            bits(&prev),
+            before,
+            "a declined push leaves `previous` alone"
+        );
     }
 }

@@ -55,20 +55,6 @@ pub fn yearly_citations(net: &CitationNetwork, p: PaperId) -> Vec<(Year, u32)> {
         .collect()
 }
 
-/// Cumulative citation count of `p` per year (running sum of
-/// [`yearly_citations`]); useful for "total citations by year Y" queries
-/// like the Fig. 1b narrative ("at 1998 the older paper has a higher count").
-pub fn cumulative_citations(net: &CitationNetwork, p: PaperId) -> Vec<(Year, u32)> {
-    let mut acc = 0;
-    yearly_citations(net, p)
-        .into_iter()
-        .map(|(y, c)| {
-            acc += c;
-            (y, acc)
-        })
-        .collect()
-}
-
 /// Summary statistics of a network, printable as a dataset card.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkSummary {
@@ -176,13 +162,6 @@ mod tests {
         let net = aged();
         let series = yearly_citations(&net, 3); // 1993 paper, never cited
         assert_eq!(series, vec![(1993, 0)]);
-    }
-
-    #[test]
-    fn cumulative_is_running_sum() {
-        let net = aged();
-        let series = cumulative_citations(&net, 0);
-        assert_eq!(series, vec![(1990, 0), (1991, 2), (1992, 2), (1993, 3)]);
     }
 
     #[test]

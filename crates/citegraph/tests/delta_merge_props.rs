@@ -2,11 +2,13 @@
 //! [`CitationNetwork::with_delta`] calls must be structurally identical to
 //! one from-scratch [`NetworkBuilder`] build of the same papers and edges —
 //! years, both adjacencies, both metadata tables — and the citers must stay
-//! the exact transpose of the references.
+//! the exact transpose of the references. The venue cuts a successor
+//! carries from its parent must equal a fresh search of its own lists.
 
 use citegraph::{AuthorId, CitationNetwork, GraphDelta, NetworkBuilder, PaperId, VenueId, Year};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use sparsela::HeadCuts;
 
 /// Everything ingested so far, in id order — the input of the scratch
 /// build each successor is compared with.
@@ -124,6 +126,29 @@ proptest! {
             let delta = stage(&mut mirror, raw);
             net = net.with_delta(&delta).unwrap();
             assert_same(&net, &mirror.scratch());
+        }
+    }
+
+    /// Each parent's venue cuts are found before its delta applies, so
+    /// every successor carries them: over new years, new venues, and
+    /// batches with and without metadata (and a base without any), they
+    /// equal `cut_positions` at the successor's own year starts.
+    #[test]
+    fn carried_venue_cuts_equal_a_fresh_search(
+        base in batch_strategy(12, 30),
+        batches in vec(batch_strategy(6, 8), 1..6),
+    ) {
+        let mut mirror = Mirror::default();
+        stage(&mut mirror, &base);
+        let mut net = mirror.scratch();
+        for raw in &batches {
+            net.venue_year_cuts();
+            let delta = stage(&mut mirror, raw);
+            net = net.with_delta(&delta).unwrap();
+            let fresh = net
+                .venues()
+                .map_or_else(HeadCuts::default, |t| t.cut_positions(&net.year_starts()));
+            prop_assert_eq!(net.venue_year_cuts(), &fresh);
         }
     }
 }

@@ -203,11 +203,6 @@ impl IncrementalAttRank {
         &self.params
     }
 
-    /// `true` once at least one snapshot has been scored.
-    pub fn is_warm(&self) -> bool {
-        self.previous.is_some()
-    }
-
     /// The personalization state [`Self::update_delta`] carries from one
     /// snapshot to the next; `None` while no push state is cached.
     pub fn carried_personalization(&self) -> Option<CarriedPersonalization<'_>> {
@@ -471,7 +466,6 @@ mod tests {
         for i in 0..net.n_papers() {
             assert!((d.scores[i] - batch[i]).abs() < 1e-10, "paper {i}");
         }
-        assert!(inc.is_warm());
         assert!(inc.push_state().is_none(), "update keeps no push state");
     }
 
@@ -524,11 +518,20 @@ mod tests {
     #[test]
     fn reset_clears_state() {
         let net = generate(&DatasetProfile::hepth().scaled(400), 13);
+        let delta = small_delta(&net);
+        let mid = net.with_delta(&delta).unwrap();
         let mut inc = IncrementalAttRank::new(params());
-        inc.update(&net);
-        assert!(inc.is_warm());
+        inc.set_push_config(permissive_push());
+        // A delta publish keeps the push state its full solve leaves.
+        inc.update_delta(&net, &delta, &mid);
+        assert!(inc.push_state().is_some());
         inc.reset();
-        assert!(!inc.is_warm());
+        assert!(inc.push_state().is_none());
+        assert!(inc.carried_personalization().is_none());
+        let delta = small_delta(&mid);
+        let new = mid.with_delta(&delta).unwrap();
+        let (_, strategy) = inc.update_delta(&mid, &delta, &new);
+        assert_eq!(strategy, DeltaStrategy::Full, "a reset scorer re-solves");
     }
 
     #[test]
@@ -549,7 +552,6 @@ mod tests {
         let mut inc = IncrementalAttRank::new(params());
         let d = inc.update(&net);
         assert!(d.converged);
-        assert!(inc.is_warm());
     }
 
     /// Push gates opened up for fixtures whose delta is a large fraction

@@ -2703,12 +2703,6 @@ impl QueryEngine {
         self.core.read.cache.stats()
     }
 
-    /// Reconfigures the personalization cache (bounds, push budget).
-    /// Drops every cached vector — the next seeded queries re-solve.
-    pub fn set_personalization_config(&mut self, config: CacheConfig) {
-        self.core.read.cache = PersonalizationCache::new(config);
-    }
-
     /// Registers this engine's metric families (`attrank_*`, one
     /// `method` child per served method) on `registry` and wires live
     /// instruments (publish/solve latency, push-work gauges, WAL

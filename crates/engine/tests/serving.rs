@@ -115,6 +115,26 @@ fn attrank_delta_publishes_take_the_push_path() {
 }
 
 #[test]
+fn a_pinned_pagerank_snapshot_keeps_its_bits_across_an_ingest() {
+    // The push re-rank grows and rewrites its lane in place, so it must
+    // run on a copy of the published scores, never on what a reader holds.
+    let full = generate(&DatasetProfile::dblp().scaled(3000), 43);
+    let (base, deltas) = replay_deltas(&full, 2990);
+    let engine =
+        RankingEngine::from_config(base, "pagerank:d=0.5", RerankPolicy::EveryBatch).unwrap();
+    let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for d in &deltas {
+        let pinned = engine.snapshot();
+        let before = bits(pinned.scores());
+        assert!(engine.ingest(d).unwrap().published);
+        let after = engine.snapshot();
+        assert!(matches!(after.strategy(), RerankStrategy::Push { .. }));
+        assert!(after.epoch() > pinned.epoch());
+        assert_eq!(bits(pinned.scores()), before, "epoch {}", pinned.epoch());
+    }
+}
+
+#[test]
 fn pagerank_delta_publishes_push_without_split_build() {
     // PageRank's push is stateless (self-similar dangling resolution), so
     // even the *first* delta publish can push.

@@ -101,16 +101,6 @@ pub struct Heatmap {
 }
 
 impl Heatmap {
-    /// The α axis labels.
-    pub fn alphas() -> Vec<f64> {
-        (0..=5).map(|i| i as f64 / 10.0).collect()
-    }
-
-    /// The β axis labels.
-    pub fn betas() -> Vec<f64> {
-        (0..=10).map(|i| i as f64 / 10.0).collect()
-    }
-
     /// Best value for a given `y` (1-based), with its (α, β).
     pub fn best_for_y(&self, y: u32) -> Option<(f64, f64, f64)> {
         let grid = &self.values[(y - 1) as usize];

@@ -339,15 +339,6 @@ impl Csr {
             ncols,
         })
     }
-
-    /// A borrowed view of this matrix (same accessors, no ownership).
-    pub fn as_view(&self) -> CsrView<'_> {
-        CsrView {
-            indptr: &self.indptr,
-            indices: &self.indices,
-            ncols: self.ncols,
-        }
-    }
 }
 
 /// Shared validation for [`Csr::from_store_parts`] / [`CsrView::new`].
@@ -432,15 +423,6 @@ impl<'a> CsrView<'a> {
     pub fn degree(&self, r: u32) -> usize {
         let r = r as usize;
         (self.indptr[r + 1] - self.indptr[r]) as usize
-    }
-
-    /// Copies the view into an owned [`Csr`] (two memcpys).
-    pub fn to_csr(&self) -> Csr {
-        Csr {
-            indptr: self.indptr.to_vec(),
-            indices: self.indices.to_vec(),
-            ncols: self.ncols,
-        }
     }
 }
 
@@ -545,14 +527,6 @@ impl WeightedCsr {
             .iter()
             .copied()
             .zip(self.values[s..e].iter().copied())
-    }
-
-    /// Sum of the weights in row `r`.
-    pub fn row_sum(&self, r: u32) -> f64 {
-        let r = r as usize;
-        self.values[self.indptr[r] as usize..self.indptr[r + 1] as usize]
-            .iter()
-            .sum()
     }
 
     /// Dense `y = M · x` (matrix times column vector), parallel over a
@@ -740,7 +714,6 @@ mod tests {
         assert_eq!(m.nnz(), 2);
         let row0: Vec<_> = m.row(0).collect();
         assert_eq!(row0, vec![(1, 0.75)]);
-        assert!((m.row_sum(0) - 0.75).abs() < 1e-15);
         assert!((m.total() - 1.75).abs() < 1e-15);
     }
 
@@ -863,7 +836,7 @@ mod tests {
     #[test]
     fn view_matches_owned() {
         let m = sample();
-        let v = m.as_view();
+        let v = CsrView::new(m.indptr(), m.indices(), m.ncols()).unwrap();
         assert_eq!(v.nrows(), m.nrows());
         assert_eq!(v.ncols(), m.ncols());
         assert_eq!(v.nnz(), m.nnz());
@@ -871,8 +844,5 @@ mod tests {
             assert_eq!(v.row(r), m.row(r));
             assert_eq!(v.degree(r), m.degree(r));
         }
-        assert_eq!(v.to_csr(), m);
-        let rebuilt = CsrView::new(m.indptr(), m.indices(), m.ncols()).unwrap();
-        assert_eq!(rebuilt.to_csr(), m);
     }
 }

@@ -47,7 +47,7 @@ pub use csr::{check_nnz, Csr, CsrError, CsrView, WeightedCsr, MAX_NNZ};
 pub use fit::{fit_exponential, ExpFit};
 pub use mask::IdMask;
 pub use power::{PowerEngine, PowerOptions, PowerOutcome};
-pub use push::{LanesOutcome, PushConfig, PushOutcome};
+pub use push::{LanesOutcome, PushConfig};
 pub use ranks::{
     average_ranks, cmp_score_desc, merge_k_sorted, merge_k_sorted_into, ordinal_ranks,
     sort_indices_desc, top_k_filtered, top_k_filtered_into, top_k_indices, top_k_indices_into,

@@ -37,18 +37,6 @@ impl IdMask {
         }
     }
 
-    /// A mask covering ids `0..len` with exactly `range` set (the range is
-    /// clamped to `len`).
-    pub fn from_range(len: usize, range: std::ops::Range<u32>) -> Self {
-        let mut mask = Self::new(len);
-        let start = (range.start as usize).min(len);
-        let end = (range.end as usize).min(len).max(start);
-        for id in start..end {
-            mask.words[id / 64] |= 1u64 << (id % 64);
-        }
-        mask
-    }
-
     /// A mask covering ids `0..len` with the given ids set (duplicates are
     /// harmless).
     ///
@@ -214,14 +202,6 @@ mod tests {
         let ids = [3u32, 64, 65, 127, 128, 191];
         let m = IdMask::from_ids(200, ids.iter().copied());
         assert_eq!(m.ones().collect::<Vec<_>>(), ids);
-    }
-
-    #[test]
-    fn from_range_clamps() {
-        let m = IdMask::from_range(10, 7..25);
-        assert_eq!(m.ones().collect::<Vec<_>>(), vec![7, 8, 9]);
-        let empty = IdMask::from_range(10, 25..30);
-        assert_eq!(empty.count_ones(), 0);
     }
 
     #[test]

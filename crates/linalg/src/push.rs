@@ -30,7 +30,7 @@
 //! every node above the push threshold, degenerating the run into dense
 //! sweeps. The solver therefore never pushes that mass: it accumulates
 //! all uniform-direction residual into one scalar `g` and returns it
-//! ([`solve_deferring`]). The caller resolves it *analytically* against a
+//! ([`LanesOutcome::deferred`]). The caller resolves it *analytically* against a
 //! maintained solution `u` of the uniform system `u = α·S·u + (1/n)·1`
 //! (the "uniform kernel"): the exact missing contribution is `g·u`, one
 //! dense AXPY, with no residual re-densification at all — or, when the
@@ -49,8 +49,7 @@
 //! (a push is exact for any amount, so a sub-threshold lane loses
 //! nothing), and deferred dangling mass and the final `‖r‖₁` are kept per
 //! lane. Each traversed edge is walked — and counted — once for all
-//! lanes. [`solve_deferring`] is the `K = 1` instantiation of that same
-//! loop.
+//! lanes. A single system is the same loop at `K = 1`.
 //!
 //! ## One pass on a citation DAG
 //!
@@ -87,27 +86,6 @@ pub struct PushConfig {
     pub max_edge_work: u64,
 }
 
-/// Diagnostics of a residual-push run (the push-side analogue of
-/// [`crate::PowerOutcome`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PushOutcome {
-    /// Whether the residual bound dropped below `epsilon` within the work
-    /// budget. On `false` the estimate is partially refined but carries no
-    /// accuracy guarantee; callers should fall back to a full solve.
-    pub converged: bool,
-    /// Number of pushes executed.
-    pub pushes: u64,
-    /// Total edge traversals (the push-side analogue of
-    /// `iterations × nnz` for the power method).
-    pub edge_work: u64,
-    /// Final `‖r‖₁` (the deferred mass is excluded: the caller resolves it
-    /// exactly).
-    pub residual_l1: f64,
-    /// Uniform-direction residual mass accumulated by [`solve_deferring`],
-    /// on top of its `initial_deferred` seed.
-    pub deferred: f64,
-}
-
 /// Diagnostics of a `K`-lane run ([`solve_lanes`]). The lanes share one
 /// traversal, so convergence, the push count and the edge work are single
 /// figures; the residual bound and the deferred mass are per lane.
@@ -129,58 +107,27 @@ pub struct LanesOutcome<const K: usize> {
     pub deferred: [f64; K],
 }
 
-impl From<LanesOutcome<1>> for PushOutcome {
-    fn from(o: LanesOutcome<1>) -> Self {
-        Self {
-            converged: o.converged,
-            pushes: o.pushes,
-            edge_work: o.edge_work,
-            residual_l1: o.residual_l1[0],
-            deferred: o.deferred[0],
-        }
-    }
-}
-
-/// Refines `x` in place until the residual `r` of `x = α·S·x + b` is below
-/// `cfg.epsilon` in L1 (or the work budget runs out).
+/// The push loop, over `K` systems `x_k = α·S·x_k + b_k` on the same
+/// matrix at once (see the module docs, "Lanes"); one system is `K = 1`.
+/// `x[k]` is lane `k`'s estimate; `r` holds all residuals
+/// lane-interleaved, `r[i·K + k]` = lane `k` at node `i`. Processes the
+/// residual until every entry of every lane is below the threshold
+/// (success: `Σ|r_k| ≤ ε/2 ≤ ε` per lane) or the shared budget runs out.
 ///
 /// `columns` is the column view of `S` (row `u` = rows with
 /// `S[i,u] = 1/degree(u)`; degree-0 rows are dangling columns spreading
-/// `1/n`). The caller must seed `x` and `r` such that the push invariant
-/// `x* = x + (I − α·S)⁻¹·r` holds — e.g. `x = 0, r = b` for a cold solve,
-/// or `x = previous fixed point, r = `perturbation residual` for an
-/// incremental update. `r` is consumed (left near zero on success).
+/// `1/n`). The caller seeds each lane so that the push invariant
+/// `x* = x + (I − α·S)⁻¹·r` holds — `x = 0, r = b` for a cold solve, or
+/// `x` = the previous fixed point and `r` = the perturbation residual
+/// for an incremental update. `r` is consumed (left near zero on
+/// success).
 ///
-/// Uniform-direction residual mass is never pushed: it accumulates into
-/// [`PushOutcome::deferred`] (on top of the caller's `initial_deferred`
-/// seed) and is *not* counted against convergence. The caller owns the
-/// resolution: the exact missing contribution is `deferred · u` where `u`
-/// solves `u = α·S·u + (1/n)·1` on the same matrix (see the module docs),
-/// so the final answer is `x + deferred·u` — or, when `x` itself is a
-/// scalar multiple `u = f·x*` of the kernel, the closed form
-/// `x / (1 − deferred·f)`.
-///
-/// # Panics
-/// Panics unless `0 ≤ α < 1`, `epsilon > 0`, `columns` is square, and
-/// `x`/`r` match its dimension.
-pub fn solve_deferring(
-    columns: &Csr,
-    cfg: &PushConfig,
-    x: &mut [f64],
-    r: &mut [f64],
-    initial_deferred: f64,
-) -> PushOutcome {
-    solve_lanes(columns, cfg, [x], r, [initial_deferred]).into()
-}
-
-/// The push loop, over `K` systems `x_k = α·S·x_k + b_k` on the same
-/// matrix at once (see the module docs, "Lanes"). `x[k]` is lane `k`'s
-/// estimate; `r` holds all residuals lane-interleaved,
-/// `r[i·K + k]` = lane `k` at node `i`. Processes the residual until every
-/// entry of every lane is below the threshold (success: `Σ|r_k| ≤ ε/2 ≤ ε`
-/// per lane) or the shared budget runs out. Uniform mass is never flushed:
-/// it accumulates per lane into [`LanesOutcome::deferred`], as in
-/// [`solve_deferring`] — which is this function at `K = 1`.
+/// Uniform-direction mass is never pushed: it accumulates per lane into
+/// [`LanesOutcome::deferred`] (on top of `initial_deferred`) and is not
+/// counted against convergence. The caller resolves it: the missing
+/// contribution is `g·u` with `u` the solution of `u = α·S·u + (1/n)·1`
+/// on the same matrix, or — when `x` is a multiple `u = f·x*` of that
+/// kernel — the closed form `x / (1 − g·f)`.
 ///
 /// # Panics
 /// Panics unless `0 ≤ α < 1`, `epsilon > 0`, `columns` is square, every
@@ -374,10 +321,10 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| 0.1 + 0.05 * i as f64).collect();
         let mut x = vec![0.0; n];
         let mut r = b.clone();
-        let out = solve_deferring(&refs, &cfg(alpha), &mut x, &mut r, 0.0);
+        let out = solve_lanes(&refs, &cfg(alpha), [&mut x], &mut r, [0.0]);
         assert!(out.converged);
-        assert!(out.residual_l1 <= 1e-12);
-        resolve(&mut x, out.deferred, &u);
+        assert!(out.residual_l1[0] <= 1e-12);
+        resolve(&mut x, out.deferred[0], &u);
         let reference = dense_solve(&refs, alpha, &b);
         for i in 0..n {
             assert!(
@@ -398,18 +345,18 @@ mod tests {
         let b0: Vec<f64> = vec![1.0 / n as f64; n];
         let mut x = vec![0.0; n];
         let mut r = b0.clone();
-        let out = solve_deferring(&refs, &cfg(alpha), &mut x, &mut r, 0.0);
+        let out = solve_lanes(&refs, &cfg(alpha), [&mut x], &mut r, [0.0]);
         assert!(out.converged);
-        resolve(&mut x, out.deferred, &u);
+        resolve(&mut x, out.deferred[0], &u);
 
         // Perturb b and seed the residual with the difference only.
         let mut b1 = b0.clone();
         b1[2] += 0.3;
         b1[5] -= 0.05;
         let mut r: Vec<f64> = b1.iter().zip(&b0).map(|(a, c)| a - c).collect();
-        let out = solve_deferring(&refs, &cfg(alpha), &mut x, &mut r, 0.0);
+        let out = solve_lanes(&refs, &cfg(alpha), [&mut x], &mut r, [0.0]);
         assert!(out.converged);
-        resolve(&mut x, out.deferred, &u);
+        resolve(&mut x, out.deferred[0], &u);
         let reference = dense_solve(&refs, alpha, &b1);
         for i in 0..n {
             assert!((x[i] - reference[i]).abs() < 1e-10, "component {i}");
@@ -426,12 +373,12 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| 0.05 + 0.02 * i as f64).collect();
         let mut x = vec![0.0; n];
         let mut r = b.clone();
-        let out = solve_deferring(&refs, &cfg(alpha), &mut x, &mut r, 0.0);
+        let out = solve_lanes(&refs, &cfg(alpha), [&mut x], &mut r, [0.0]);
         assert!(out.converged);
-        assert!(out.residual_l1 <= 1e-12);
+        assert!(out.residual_l1[0] <= 1e-12);
         // Dangling node 0 is heavily cited, so mass must have deferred.
-        assert!(out.deferred > 0.0);
-        resolve(&mut x, out.deferred, &u);
+        assert!(out.deferred[0] > 0.0);
+        resolve(&mut x, out.deferred[0], &u);
         let reference = dense_solve(&refs, alpha, &b);
         for i in 0..n {
             assert!(
@@ -453,9 +400,9 @@ mod tests {
         let b = vec![1.0 / n as f64; n];
         let mut x = vec![0.0; n];
         let mut r = b.clone();
-        let out = solve_deferring(&refs, &cfg(alpha), &mut x, &mut r, 0.0);
+        let out = solve_lanes(&refs, &cfg(alpha), [&mut x], &mut r, [0.0]);
         assert!(out.converged);
-        let scale = 1.0 / (1.0 - out.deferred);
+        let scale = 1.0 / (1.0 - out.deferred[0]);
         let reference = dense_solve(&refs, alpha, &b);
         for i in 0..n {
             assert!((x[i] * scale - reference[i]).abs() < 1e-9, "component {i}");
@@ -467,19 +414,19 @@ mod tests {
         let refs = sample_refs();
         let mut x = vec![0.0; 6];
         let mut r = vec![0.5; 6];
-        let out = solve_deferring(
+        let out = solve_lanes(
             &refs,
             &PushConfig {
                 alpha: 0.5,
                 epsilon: 1e-12,
                 max_edge_work: 0,
             },
-            &mut x,
+            [&mut x],
             &mut r,
-            0.0,
+            [0.0],
         );
         assert!(!out.converged);
-        assert!(out.residual_l1 > 1e-12);
+        assert!(out.residual_l1[0] > 1e-12);
     }
 
     #[test]
@@ -488,7 +435,7 @@ mod tests {
         let mut x = vec![0.25; 6];
         let before = x.clone();
         let mut r = vec![0.0; 6];
-        let out = solve_deferring(&refs, &cfg(0.5), &mut x, &mut r, 0.0);
+        let out = solve_lanes(&refs, &cfg(0.5), [&mut x], &mut r, [0.0]);
         assert!(out.converged);
         assert_eq!(out.pushes, 0);
         assert_eq!(x, before);
@@ -499,7 +446,7 @@ mod tests {
         let refs = sample_refs();
         let mut x = vec![0.0; 6];
         let mut r = vec![0.1, 0.2, 0.0, 0.0, 0.3, 0.0];
-        let out = solve_deferring(&refs, &cfg(0.0), &mut x, &mut r, 0.0);
+        let out = solve_lanes(&refs, &cfg(0.0), [&mut x], &mut r, [0.0]);
         assert!(out.converged);
         assert_eq!(x, vec![0.1, 0.2, 0.0, 0.0, 0.3, 0.0]);
         assert_eq!(out.pushes, 3);
@@ -508,7 +455,7 @@ mod tests {
     #[test]
     fn empty_system_converges_trivially() {
         let refs = Csr::empty(0, 0);
-        let out = solve_deferring(&refs, &cfg(0.5), &mut [], &mut [], 0.0);
+        let out = solve_lanes(&refs, &cfg(0.5), [&mut []], &mut [], [0.0]);
         assert!(out.converged);
         assert_eq!(out.edge_work, 0);
     }
@@ -517,16 +464,16 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn alpha_one_panics() {
         let refs = Csr::empty(2, 2);
-        let _ = solve_deferring(
+        let _ = solve_lanes(
             &refs,
             &PushConfig {
                 alpha: 1.0,
                 epsilon: 1e-9,
                 max_edge_work: 10,
             },
+            [&mut [0.0; 2]],
             &mut [0.0; 2],
-            &mut [0.0; 2],
-            0.0,
+            [0.0],
         );
     }
 
@@ -591,14 +538,14 @@ mod tests {
             for k in 0..3 {
                 let mut x1 = vec![0.0; n];
                 let mut r1 = seeds[k].clone();
-                let out1 = solve_deferring(&refs, &cfg, &mut x1, &mut r1, 0.0);
+                let out1 = solve_lanes(&refs, &cfg, [&mut x1], &mut r1, [0.0]);
                 assert!(out1.converged);
                 assert!(out3.residual_l1[k] <= cfg.epsilon);
                 assert!(
-                    (out3.deferred[k] - out1.deferred).abs() <= deferred_bound,
+                    (out3.deferred[k] - out1.deferred[0]).abs() <= deferred_bound,
                     "lane {k}: deferred {} vs {}",
                     out3.deferred[k],
-                    out1.deferred
+                    out1.deferred[0]
                 );
                 let reference = dense_solve(&refs, alpha, &seeds[k]);
                 let resolved = |x: &[f64], g: f64| -> Vec<f64> {
@@ -608,7 +555,7 @@ mod tests {
                     a.iter().zip(b).map(|(a, b)| (a - b).abs()).sum()
                 };
                 let lanes = resolved(&x3[k], out3.deferred[k]);
-                let single = resolved(&x1, out1.deferred);
+                let single = resolved(&x1, out1.deferred[0]);
                 assert!(l1(&lanes, &reference) <= bound, "lane {k} vs dense");
                 assert!(l1(&single, &reference) <= bound, "single {k} vs dense");
                 assert!(l1(&lanes, &single) <= bound, "lane {k} vs single");
@@ -670,7 +617,7 @@ mod tests {
         let n = refs.nrows();
         let b = three_seeds(n)[0].clone();
         let mut x1 = vec![0.0; n];
-        let single = solve_deferring(&refs, &cfg(0.5), &mut x1, &mut b.clone(), 0.0);
+        let single = solve_lanes(&refs, &cfg(0.5), [&mut x1], &mut b.clone(), [0.0]);
         let mut x3 = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
         let lanes = solve_lanes(
             &refs,
@@ -697,16 +644,16 @@ mod tests {
         // Converged state for b = uniform is not needed; seed a residual at
         // one node of a *zero* system (b = 0 everywhere except the seed).
         r[(n - 1) as usize] = 1.0;
-        let out = solve_deferring(
+        let out = solve_lanes(
             &refs,
             &PushConfig {
                 alpha: 0.5,
                 epsilon: 1e-6,
                 max_edge_work: u64::MAX,
             },
-            &mut x,
+            [&mut x],
             &mut r,
-            0.0,
+            [0.0],
         );
         assert!(out.converged);
         // α^k decays below ε/(2n) after ~log₂(2n/ε) ≈ 32 hops; the other

@@ -84,24 +84,6 @@ impl ScoreVec {
         sum
     }
 
-    /// L1 norm (sum of absolute values).
-    pub fn norm_l1(&self) -> f64 {
-        let mut sum = 0.0f64;
-        let mut c = 0.0f64;
-        for &x in &self.data {
-            let y = x.abs() - c;
-            let t = sum + y;
-            c = (t - sum) - y;
-            sum = t;
-        }
-        sum
-    }
-
-    /// L∞ norm (maximum absolute value); 0 for an empty vector.
-    pub fn norm_linf(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, &x| m.max(x.abs()))
-    }
-
     /// L1 distance to another vector of the same length.
     ///
     /// This is the convergence error used throughout the paper
@@ -319,14 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn norms() {
-        let v = ScoreVec::from_vec(vec![1.0, -2.0, 3.0]);
-        assert!((v.norm_l1() - 6.0).abs() < 1e-15);
-        assert!((v.norm_linf() - 3.0).abs() < 1e-15);
-        assert!((v.sum() - 2.0).abs() < 1e-15);
-    }
-
-    #[test]
     fn l1_distance_basic() {
         let a = ScoreVec::from_vec(vec![1.0, 0.0, 2.0]);
         let b = ScoreVec::from_vec(vec![0.0, 1.0, 2.0]);
@@ -424,5 +398,7 @@ mod tests {
         let v = ScoreVec::from_vec(data);
         let expected = 1.0 + 1e-16 * 10_000.0;
         assert!((v.sum() - expected).abs() < 1e-18);
+        // Signs are kept, not folded into a norm.
+        assert_eq!(ScoreVec::from_vec(vec![1.0, -2.0, 3.0]).sum(), 2.0);
     }
 }

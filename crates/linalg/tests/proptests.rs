@@ -71,19 +71,19 @@ proptest! {
         for k in 0..3 {
             let mut x1 = vec![0.0; n];
             let mut r1 = seeds[k].clone();
-            let out1 = push::solve_deferring(&refs, &cfg, &mut x1, &mut r1, 0.0);
+            let out1 = push::solve_lanes(&refs, &cfg, [&mut x1], &mut r1, [0.0]);
             prop_assert!(out1.converged);
             prop_assert!(out3.residual_l1[k] <= cfg.epsilon);
             prop_assert!(
-                (out3.deferred[k] - out1.deferred).abs() <= deferred_bound,
-                "lane {}: deferred {} vs {}", k, out3.deferred[k], out1.deferred
+                (out3.deferred[k] - out1.deferred[0]).abs() <= deferred_bound,
+                "lane {}: deferred {} vs {}", k, out3.deferred[k], out1.deferred[0]
             );
             let resolved = |x: &[f64], g: f64| -> Vec<f64> {
                 x.iter().zip(&kernel).map(|(x, u)| x + g * u).collect()
             };
             let reference = dense_fixed_point(&refs, alpha, &seeds[k]);
             let lanes = resolved(&x3[k], out3.deferred[k]);
-            let single = resolved(&x1, out1.deferred);
+            let single = resolved(&x1, out1.deferred[0]);
             prop_assert!(l1_gap(&lanes, &reference) <= bound, "lane {} vs dense", k);
             prop_assert!(l1_gap(&single, &reference) <= bound, "single {} vs dense", k);
             prop_assert!(l1_gap(&lanes, &single) <= bound, "lane {} vs single", k);
