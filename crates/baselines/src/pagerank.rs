@@ -4,11 +4,15 @@
 //! baseline and as the reference implementation the AttRank special case
 //! (`β = 0, w = 0`) is tested against. Citation-analysis work commonly uses
 //! `α = 0.5` (Chen et al. 2007), the default here.
+//!
+//! This is the reproduction's power iteration. Eq. 1's fixed point is
+//! `(1−α)·u`, `u` the uniform kernel `(I − α·S)⁻¹·(1/n)·1`, and the
+//! serving engine ranks `pagerank` that way: one push pass
+//! ([`citegraph::uniform_kernel`]) and push updates across deltas
+//! ([`citegraph::update_uniform_kernel`]), pinned within 1e-9 of this
+//! solve.
 
-use citegraph::{
-    try_push_lanes, CitationNetwork, DeltaRank, DeltaStrategy, GraphDelta, Personalization,
-    PushLane, PushRankConfig, Ranker,
-};
+use citegraph::{CitationNetwork, Ranker};
 use sparsela::{KernelWorkspace, PowerEngine, PowerOptions, ScoreVec};
 
 /// PageRank with damping `alpha`.
@@ -76,55 +80,6 @@ impl Ranker for PageRank {
     fn rank_into(&self, net: &CitationNetwork, workspace: &mut KernelWorkspace) -> ScoreVec {
         self.rank_with_diagnostics_in(net, workspace).scores
     }
-
-    /// Residual-push delta update against the uniform teleport
-    /// personalization, on a pooled copy of `previous`; falls back to the
-    /// full solve when the push is not worthwhile.
-    fn rank_delta(
-        &self,
-        old: &CitationNetwork,
-        delta: &GraphDelta,
-        new: &CitationNetwork,
-        previous: &ScoreVec,
-        workspace: &mut KernelWorkspace,
-    ) -> DeltaRank {
-        let alpha = self.alpha;
-        if alpha > 0.0 && old.n_papers() > 0 {
-            let mut x = workspace.take_zeros(previous.len());
-            x.copy_from_slice(previous);
-            let mut r = workspace.take_zeros(new.n_papers()).into_vec();
-            let lane = PushLane {
-                x: &mut x,
-                b_old: Personalization::Uniform((1.0 - alpha) / old.n_papers() as f64),
-                b_new: Personalization::Uniform((1.0 - alpha) / new.n_papers() as f64),
-            };
-            let cfg = PushRankConfig::default();
-            let pushed = try_push_lanes(old, delta, new, [lane], alpha, &cfg, &mut r);
-            workspace.recycle(r.into());
-            // PageRank is proportional to the uniform kernel itself
-            // (`x* = (1−α)·u`), so deferred dangling mass resolves in
-            // closed form, `x / (1 − g/(1−α))`, which needs the
-            // denominator safely positive — no kernel cache needed.
-            let denom = |g: f64| 1.0 - g * (1.0 / (1.0 - alpha));
-            match pushed.filter(|o| denom(o.deferred[0]) > 0.5) {
-                Some(outcome) => {
-                    x.scale(1.0 / denom(outcome.deferred[0]));
-                    return DeltaRank {
-                        scores: x,
-                        strategy: DeltaStrategy::Push {
-                            pushes: outcome.pushes,
-                            edge_work: outcome.edge_work + new.n_papers() as u64,
-                        },
-                    };
-                }
-                None => workspace.recycle(x),
-            }
-        }
-        DeltaRank {
-            scores: self.rank_into(new, workspace),
-            strategy: DeltaStrategy::Full,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -142,53 +97,6 @@ mod tests {
             b.add_citation(c, d).unwrap();
         }
         b.build().unwrap()
-    }
-
-    #[test]
-    fn rank_delta_leaves_previous_alone() {
-        // A 200-paper chain over 20 years; every tenth paper also cites 0.
-        let mut b = NetworkBuilder::new();
-        for i in 0..200u32 {
-            b.add_paper(1990 + i as i32 / 10);
-            if i > 0 {
-                b.add_citation(i, i - 1).unwrap();
-            }
-            if i % 10 == 9 {
-                b.add_citation(i, 0).unwrap();
-            }
-        }
-        let net = b.build().unwrap();
-        let mut d = GraphDelta::new();
-        let p = (net.n_papers() + d.add_paper(2010)) as u32;
-        d.add_citation(p, 0);
-        d.add_citation(p, 150);
-        let new = net.with_delta(&d).unwrap();
-        let pr = PageRank::default_citation();
-        let mut ws = KernelWorkspace::new();
-        let bits = |v: &ScoreVec| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-
-        let prev = pr.rank(&net);
-        let before = bits(&prev);
-        let pushed = pr.rank_delta(&net, &d, &new, &prev, &mut ws);
-        assert!(matches!(pushed.strategy, DeltaStrategy::Push { .. }));
-        assert_eq!(bits(&prev), before, "a push leaves `previous` alone");
-        let full = pr.rank(&new);
-        for i in 0..new.n_papers() {
-            assert!((pushed.scores[i] - full[i]).abs() < 1e-9, "paper {i}");
-        }
-
-        // A NaN passes the gates and fails the seeding, which has already
-        // rescaled its lane: the lane is a copy.
-        let mut nan = prev.clone();
-        nan[3] = f64::NAN;
-        let before = bits(&nan);
-        let declined = pr.rank_delta(&net, &d, &new, &nan, &mut ws);
-        assert_eq!(declined.strategy, DeltaStrategy::Full);
-        assert_eq!(
-            bits(&nan),
-            before,
-            "a declined push leaves `previous` alone"
-        );
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! The push scorer is primed (one full publish leaves its push state);
 //! each measured iteration then replays the same delta publish from a
 //! cloned scorer so state mutation does not compound across iterations.
-//! The 10% delta intentionally sits at the push gate — it measures the
-//! fallback cost, not a push win. The `warm_*` rows keep their ids from
+//! No delta size is gated: the 10% delta is a push too, whose cone is
+//! most of the graph, so it measures what a push costs where it buys
+//! little over the one-pass full solve. The `warm_*` rows keep their ids from
 //! when the full solve was a warm-started power iteration; they now time
 //! `IncrementalAttRank::update`, the one-pass 3-lane push solve, which
 //! starts from nothing. `scratch_*` is `AttRank`'s power iteration.

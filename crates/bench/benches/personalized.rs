@@ -10,7 +10,7 @@
 //!   ([`citegraph::dense_personalized`]): every iteration touches every
 //!   edge, the cost every personalized request would pay without the
 //!   push machinery. Reference row only, never gated on its own;
-//! * `cold_push_200k` — the budgeted push solve
+//! * `cold_push_200k` — the one-pass push solve
 //!   ([`citegraph::personalize`]) with the uniform kernel resolving the
 //!   dangling rank-1 part: a near-topological sweep of the seed set's
 //!   ancestor cone. Forms the gated `personalized_push_speedup` ratio
@@ -36,7 +36,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use citegen::{generate, publish_delta, DatasetProfile};
 use citegraph::{
-    dense_personalized, personalize, repersonalize, uniform_kernel, PaperId, SeedPersonalization,
+    dense_personalized, personalize, repersonalize, uniform_kernel, PaperId, PushRankConfig,
+    SeedPersonalization,
 };
 use rankengine::{CacheConfig, CacheOutcome, PersonalizationCache, RankingEngine, RerankPolicy};
 use sparsela::KernelWorkspace;
@@ -56,7 +57,7 @@ fn bench_personalized(c: &mut Criterion) {
         (SCALE - 9_000) as PaperId,
     ];
     let seed = SeedPersonalization::uniform(&seeds, net.n_papers()).expect("seeds in range");
-    let push_cfg = CacheConfig::default().push;
+    let push_cfg = PushRankConfig::default();
     let kernel = uniform_kernel(&net, ALPHA, &mut ws);
 
     // Sanity: the push must match the dense reference, otherwise the

@@ -52,6 +52,6 @@ pub use pushrank::{
     try_push_lanes, uniform_kernel, update_uniform_kernel, Personalization, PushLane,
     PushRankConfig,
 };
-pub use rank::{DeltaRank, DeltaStrategy, Ranker};
+pub use rank::{DeltaStrategy, Ranker};
 pub use shard::{ShardPlan, ShardPlanError, ShardSpec};
 pub use split::{ratio_split, RatioSplit};

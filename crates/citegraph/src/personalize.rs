@@ -32,7 +32,10 @@
 //!   lives entirely in the closed-form resolution `x = y + α·(dᵀy)·u` —
 //!   so a publish costs a residual push over the rewired *old* columns
 //!   plus one kernel AXPY: `O(affected + n)`, with no per-appended-row
-//!   residual drizzle to cascade through reference cones.
+//!   residual drizzle to cascade through reference cones. No delta is too
+//!   large: the push settles each paper of the rewired columns' cone
+//!   once, at most one pass, so it declines only on a missing kernel or
+//!   an exhausted work budget, and the caller then solves cold.
 
 use sparsela::{
     push, KernelWorkspace, LanesOutcome, PowerEngine, PowerOptions, PushConfig, ScoreVec,
@@ -231,8 +234,8 @@ pub struct WarmStart<'a> {
 /// dangling mass `g` resolves as `x = y + g·u` against `kernel`, which
 /// must be the uniform kernel `u = (I − α·S)⁻¹·(1/n)·1` of `net` (see
 /// [`crate::pushrank::uniform_kernel`]); a missing or mis-sized kernel is
-/// built here. `cfg`'s budget and gate are not read: they bound warm
-/// pushes, whose fallback is a cold solve.
+/// built here. `cfg`'s budget is not read: it bounds warm pushes, whose
+/// fallback is a cold solve.
 ///
 /// # Panics
 /// Panics unless `0 ≤ α < 1`.
@@ -337,10 +340,12 @@ pub fn dense_personalized(
 /// lands on appended rows, so there is no drizzle to cascade through
 /// their reference cones.
 ///
-/// Returns `None` when the delta exceeds [`PushRankConfig`]'s re-rank
-/// gate, the kernel is missing or mis-sized, the seed set reaches
-/// outside `old`, or the push exhausts its budget; the caller then
-/// re-solves cold ([`personalize`]).
+/// Returns `None` when the kernel is missing or mis-sized, the seed set
+/// reaches outside `old`, or the push exhausts its budget
+/// ([`PushRankConfig::budget_sweeps`]); the caller then re-solves cold
+/// ([`personalize`]). The delta's size is no reason to decline: the push
+/// settles each paper of the rewired columns' cone once, at most one pass
+/// over `new`.
 #[allow(clippy::too_many_arguments)] // mirrors personalize; the arguments are the coupling
 pub fn repersonalize(
     old: &CitationNetwork,
@@ -359,10 +364,7 @@ pub fn repersonalize(
         return None;
     }
     let u = kernel.filter(|u| u.len() == n_new)?;
-    if previous.raw.len() != n_old
-        || n_new != n_old + delta.n_papers()
-        || !cfg.gates_delta(old, delta)
-    {
+    if previous.raw.len() != n_old || n_new != n_old + delta.n_papers() {
         return None;
     }
     assert!(
@@ -477,14 +479,6 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn permissive() -> PushRankConfig {
-        PushRankConfig {
-            budget_sweeps: 1e6,
-            max_delta_fraction: 1.0,
-            ..PushRankConfig::default()
-        }
-    }
-
     #[test]
     fn builder_canonicalizes_and_validates() {
         let s = SeedPersonalization::uniform(&[7, 3, 5], 12).unwrap();
@@ -538,11 +532,12 @@ mod tests {
         let alpha = 0.6;
         let mut ws = KernelWorkspace::new();
         let u = uniform_kernel(&net, alpha, &mut ws);
+        let cfg = PushRankConfig::default();
         for seeds in [vec![11], vec![0, 7], vec![2, 5, 9]] {
             let seed = SeedPersonalization::uniform(&seeds, net.n_papers()).unwrap();
             let dense = dense_personalized(&net, &seed, alpha, &mut ws);
             for kernel in [Some(u.as_slice()), None] {
-                let got = personalize(&net, &seed, alpha, kernel, &permissive(), &mut ws);
+                let got = personalize(&net, &seed, alpha, kernel, &cfg, &mut ws);
                 for i in 0..net.n_papers() {
                     assert!(
                         (got.scores[i] - dense[i]).abs() < 1e-9,
@@ -567,7 +562,7 @@ mod tests {
             &seed,
             alpha,
             Some(u_old.as_slice()),
-            &permissive(),
+            &PushRankConfig::default(),
             &mut ws,
         );
 
@@ -590,7 +585,7 @@ mod tests {
             &seed,
             alpha,
             Some(u_new.as_slice()),
-            &permissive(),
+            &PushRankConfig::default(),
             &mut ws,
         )
         .expect("small delta warm re-push");
@@ -621,7 +616,7 @@ mod tests {
             &seed,
             alpha,
             Some(u_old.as_slice()),
-            &permissive(),
+            &PushRankConfig::default(),
             &mut ws,
         );
 
@@ -642,11 +637,73 @@ mod tests {
             &seed,
             alpha,
             Some(u_new.as_slice()),
-            &permissive(),
+            &PushRankConfig::default(),
             &mut ws,
         )
         .expect("tail delta warm re-push");
         assert_eq!(warm.outcome.pushes, 0, "tail publish seeds no residuals");
+        let dense = dense_personalized(&new, &seed, alpha, &mut ws);
+        for i in 0..new.n_papers() {
+            assert!(
+                (warm.scores[i] - dense[i]).abs() < 1e-9,
+                "paper {i}: warm {} vs dense {}",
+                warm.scores[i],
+                dense[i]
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_delta_repushes_and_matches_dense() {
+        // A 200-paper chain over 20 years; every tenth paper also cites 0.
+        let mut b = NetworkBuilder::new();
+        for i in 0..200u32 {
+            b.add_paper(1990 + i as i32 / 10);
+            if i > 0 {
+                b.add_citation(i, i - 1).unwrap();
+            }
+            if i % 10 == 9 {
+                b.add_citation(i, 0).unwrap();
+            }
+        }
+        let net = b.build().unwrap();
+        let alpha = 0.5;
+        let mut ws = KernelWorkspace::new();
+        let seed = SeedPersonalization::uniform(&[150, 199], net.n_papers()).unwrap();
+        let u_old = uniform_kernel(&net, alpha, &mut ws);
+        let cfg = PushRankConfig::default();
+        let prev = personalize(&net, &seed, alpha, Some(u_old.as_slice()), &cfg, &mut ws);
+
+        // 30 tail papers citing three papers each, and 12 old papers whose
+        // bibliographies grow: 132 items on a 419-item graph.
+        let mut d = GraphDelta::new();
+        for t in 0..30u32 {
+            let p = (net.n_papers() + d.add_paper(2010)) as PaperId;
+            for k in 0..3 {
+                d.add_citation(p, (t * 7 + k * 61) % 200);
+            }
+        }
+        for j in (110..200u32).step_by(9).chain([151, 197]) {
+            d.add_citation(j, j / 3);
+        }
+        let size = net.n_citations() + net.n_papers();
+        assert!(d.n_papers() + d.n_citations() > size / 5);
+        let new = net.with_delta(&d).unwrap();
+        let u_new = uniform_kernel(&new, alpha, &mut ws);
+
+        let warm = repersonalize(
+            &net,
+            &d,
+            &new,
+            prev.warm_start().unwrap(),
+            &seed,
+            alpha,
+            Some(u_new.as_slice()),
+            &cfg,
+            &mut ws,
+        )
+        .expect("a delta of any size re-pushes");
+        assert!(warm.outcome.pushes > 0, "rewired columns seed pushes");
         let dense = dense_personalized(&new, &seed, alpha, &mut ws);
         for i in 0..new.n_papers() {
             assert!(
@@ -666,7 +723,14 @@ mod tests {
         let seed = SeedPersonalization::uniform(&[8], net.n_papers()).unwrap();
 
         // A solve without a kernel builds one and keeps its warm form.
-        let unkerneled = personalize(&net, &seed, alpha, None, &permissive(), &mut ws);
+        let unkerneled = personalize(
+            &net,
+            &seed,
+            alpha,
+            None,
+            &PushRankConfig::default(),
+            &mut ws,
+        );
         assert!(unkerneled.warm_start().is_some());
 
         // A warm re-push without the new kernel declines.
@@ -676,7 +740,7 @@ mod tests {
             &seed,
             alpha,
             Some(u_old.as_slice()),
-            &permissive(),
+            &PushRankConfig::default(),
             &mut ws,
         );
         let mut d = GraphDelta::new();
@@ -691,7 +755,7 @@ mod tests {
             &seed,
             alpha,
             None,
-            &permissive(),
+            &PushRankConfig::default(),
             &mut ws
         )
         .is_none());
@@ -721,7 +785,7 @@ mod tests {
             &seed,
             0.5,
             Some(u_new.as_slice()),
-            &permissive(),
+            &PushRankConfig::default(),
             &mut ws
         )
         .is_none());

@@ -53,30 +53,35 @@
 //! lanes) and **one** run of [`sparsela::push::solve_lanes`]. A
 //! [`Personalization`] is a dense slice or a uniform constant, so
 //! `(1/n)·1` teleports are never materialized. It is the only seeding
-//! entry: one system is `K = 1` — [`update_uniform_kernel`], and
-//! PageRank's delta re-rank — run on a pooled copy of the caller's
-//! vector, never on the vector itself.
+//! entry: one system is `K = 1` — [`update_uniform_kernel`] — run on a
+//! pooled copy of the caller's vector, never on the vector itself.
 //!
 //! Every push here defers its dangling mass (see [`sparsela::push`]). The
-//! caller resolves it: against the uniform kernel `u` (`x + g·u`), or in
-//! closed form for a system that is a multiple `u = f·x*` of the kernel
-//! (`x / (1 − g·f)`: the kernel itself, `f = 1`, and PageRank,
-//! `f = 1/(1−α)`). The kernel is one cold push from zero
-//! ([`uniform_kernel`]), as is a seed-set solve
-//! ([`crate::personalize()`]).
+//! caller resolves it: against the uniform kernel `u` (`x + g·u`), or, for
+//! the kernel itself, in closed form (`x / (1 − g)`). The kernel is one
+//! cold push from zero ([`uniform_kernel`]), as is a seed-set solve
+//! ([`crate::personalize()`]). PageRank is the kernel scaled, Eq. 1's
+//! fixed point being `(1−α)·u`, so the serving engine ranks it with these
+//! two functions and no seeding of its own.
 //!
-//! When the delta is too large a fraction of the graph, or the push
-//! exhausts its work budget (a few full-SpMV equivalents, shared by all
-//! lanes of a run), the function returns `None` and the caller falls back
-//! to its full solve — the worst case never regresses beyond the bounded
-//! budget.
+//! ## No size gate
+//!
+//! A push is tried whatever the size of the delta. Citations point back
+//! in time and the push runs in descending id order, so on a citation DAG
+//! it settles each paper of the perturbed cone once: its cost is bounded
+//! by one pass over the successor network (`E + n` edge work), the same
+//! bound as the one-pass full solve a size gate would fall back to. A
+//! push declines only on inconsistent inputs or when it exhausts its work
+//! budget (a few full passes, shared by all lanes of a run, spent only
+//! when same-year citations to higher ids cycle residual back above the
+//! cursor); the caller then runs its full solve.
 
 use sparsela::{push, KernelWorkspace, LanesOutcome, PushConfig, ScoreVec};
 
 use crate::delta::GraphDelta;
 use crate::network::CitationNetwork;
 
-/// Tuning knobs for the push-vs-full decision and the push run itself.
+/// Tuning knobs for a push run across a delta.
 #[derive(Debug, Clone, Copy)]
 pub struct PushRankConfig {
     /// Target L1 residual bound (mirrors the power method's `ε = 10⁻¹²`).
@@ -87,25 +92,19 @@ pub struct PushRankConfig {
     /// ([`uniform_kernel`], [`crate::personalize()`]) is one unbudgeted
     /// pass.
     pub budget_sweeps: f64,
-    /// Skip the push entirely when the delta touches more than this
-    /// fraction of the graph (`(new papers + new edges) / (E + n)`): past
-    /// that point the perturbed frontier approaches the whole graph and a
-    /// full solve is the better tool.
-    pub max_delta_fraction: f64,
 }
 
 impl Default for PushRankConfig {
     fn default() -> Self {
         Self {
             epsilon: 1e-12,
-            // 4 sweeps leave gate-sized deltas comfortable headroom (a 1%
-            // publish measures ~0.8 sweeps for its one K-lane stage: a
-            // traversed edge is counted once whatever the lane count).
-            // A full solve is one pass, about one sweep, so a push that
-            // exhausts the cap has spent up to four full solves' work
-            // before its caller falls back.
+            // A push on a citation DAG is at most one pass (a 1% publish
+            // measures ~0.8 sweeps for its one K-lane stage: a traversed
+            // edge is counted once whatever the lane count), so 4 sweeps
+            // are headroom. A full solve is one pass, about one sweep, so
+            // a push that exhausts the cap has spent up to four full
+            // solves' work before its caller falls back.
             budget_sweeps: 4.0,
-            max_delta_fraction: 0.05,
         }
     }
 }
@@ -118,14 +117,6 @@ impl PushRankConfig {
             budget_sweeps: 0.0,
             ..Self::default()
         }
-    }
-
-    /// Whether `delta` is small enough (relative to `old`) to attempt a
-    /// push at all: `(new papers + new edges) ≤ max_delta_fraction·(E + n)`.
-    pub fn gates_delta(&self, old: &CitationNetwork, delta: &GraphDelta) -> bool {
-        let graph_size = (old.n_citations() + old.n_papers()).max(1);
-        let delta_size = delta.n_papers() + delta.n_citations();
-        delta_size as f64 <= self.max_delta_fraction * graph_size as f64
     }
 
     /// The absolute edge-traversal budget this config grants a push run
@@ -169,8 +160,8 @@ impl Personalization<'_> {
 pub struct PushLane<'a> {
     /// In: the fixed point on `old` (`old.n_papers()` entries). Out, when
     /// the push succeeds: the estimate on `new`. When it declines after
-    /// its gates passed, the vector is left part-way (grown, rescaled,
-    /// partially pushed) and is only good as a warm start.
+    /// its input checks passed, the vector is left part-way (grown,
+    /// rescaled, partially pushed) and is only good as a warm start.
     pub x: &'a mut ScoreVec,
     /// Personalization of the old state (`old.n_papers()` entries).
     pub b_old: Personalization<'a>,
@@ -324,9 +315,9 @@ fn seed_lanes<const K: usize>(
 /// uniform-direction mass `g_k`; lane `k`'s fixed point is
 /// `x_k + g_k·u` with `u` the uniform kernel of `new` (which may itself
 /// be one of the lanes, resolved in closed form). Returns `None` when the
-/// push is not worthwhile, the inputs are inconsistent (no lane is
-/// touched unless the gates pass), or it did not converge in budget — the
-/// caller then runs its full solve.
+/// inputs are inconsistent (no lane is touched then) or the push did not
+/// converge in budget — the caller then runs its full solve. There is no
+/// gate on the delta's size (see the module docs).
 ///
 /// Accuracy: the result deviates from the true new fixed point by at most
 /// `ε/(1−α)` plus the (same-scale) residual the old solve left behind
@@ -351,7 +342,6 @@ pub fn try_push_lanes<const K: usize>(
         || lanes.iter().any(|lane| {
             lane.x.len() != n_old || !lane.b_old.covers(n_old) || !lane.b_new.covers(n_new)
         })
-        || !cfg.gates_delta(old, delta)
     {
         return None;
     }
@@ -474,17 +464,6 @@ mod tests {
         vec![(1.0 - alpha) / n as f64; n]
     }
 
-    /// On the tiny fixture graphs the perturbed frontier *is* the whole
-    /// graph, so the production-scale gates would (correctly) decline;
-    /// open them up to exercise the push numerics themselves.
-    fn permissive() -> PushRankConfig {
-        PushRankConfig {
-            budget_sweeps: 1e6,
-            max_delta_fraction: 1.0,
-            ..PushRankConfig::default()
-        }
-    }
-
     /// One dense-personalization lane pushed across `d` from a copy of
     /// `prev`, its deferred mass resolved against `new`'s kernel.
     #[allow(clippy::too_many_arguments)]
@@ -527,7 +506,8 @@ mod tests {
         let new = old.with_delta(&d).unwrap();
         let b1 = uniform_b(new.n_papers(), alpha);
 
-        let (pushed, stats) = push_one(&old, &d, &new, &prev, &b0, &b1, alpha, &permissive())
+        let cfg = PushRankConfig::default();
+        let (pushed, stats) = push_one(&old, &d, &new, &prev, &b0, &b1, alpha, &cfg)
             .expect("push should run on a small delta");
         assert!(stats.pushes > 0);
         let scratch = full_solve(&new, alpha, &b1);
@@ -542,24 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn oversized_delta_declines() {
-        let old = base();
-        let alpha = 0.5;
-        let b0 = uniform_b(old.n_papers(), alpha);
-        let prev = full_solve(&old, alpha, &b0);
-        let mut d = GraphDelta::new();
-        let p = (old.n_papers() + d.add_paper(2001)) as PaperId;
-        for cited in 0..5 {
-            d.add_citation(p, cited);
-        }
-        let new = old.with_delta(&d).unwrap();
-        let b1 = uniform_b(new.n_papers(), alpha);
-        // 6 delta items on a ~25-item graph exceed a 10% gate.
-        let cfg = PushRankConfig::default();
-        assert!(push_one(&old, &d, &new, &prev, &b0, &b1, alpha, &cfg).is_none());
-    }
-
-    #[test]
     fn zero_budget_declines() {
         let old = base();
         let alpha = 0.5;
@@ -569,10 +531,7 @@ mod tests {
         d.add_citation(9, 2);
         let new = old.with_delta(&d).unwrap();
         let b1 = uniform_b(new.n_papers(), alpha);
-        let cfg = PushRankConfig {
-            max_delta_fraction: 1.0,
-            ..PushRankConfig::forced_fallback()
-        };
+        let cfg = PushRankConfig::forced_fallback();
         assert!(push_one(&old, &d, &new, &prev, &b0, &b1, alpha, &cfg).is_none());
     }
 
@@ -585,7 +544,7 @@ mod tests {
         d.add_citation(9, 2);
         let new = old.with_delta(&d).unwrap();
         let b1 = uniform_b(new.n_papers(), alpha);
-        let cfg = permissive();
+        let cfg = PushRankConfig::default();
         let short = ScoreVec::uniform(3);
         assert!(push_one(&old, &d, &new, &short, &b0, &b1, alpha, &cfg).is_none());
         let mut nan = ScoreVec::uniform(old.n_papers());
@@ -607,7 +566,8 @@ mod tests {
         d.add_citation(p, 0);
         let new = old.with_delta(&d).unwrap();
         let b1 = uniform_b(new.n_papers(), alpha);
-        let (pushed, _) = push_one(&old, &d, &new, &prev, &b0, &b1, alpha, &permissive()).unwrap();
+        let cfg = PushRankConfig::default();
+        let (pushed, _) = push_one(&old, &d, &new, &prev, &b0, &b1, alpha, &cfg).unwrap();
         let scratch = full_solve(&new, alpha, &b1);
         for i in 0..new.n_papers() {
             assert!((pushed[i] - scratch[i]).abs() < 1e-9, "paper {i}");
@@ -628,9 +588,9 @@ mod tests {
         d.add_citation(9, 3);
         let new = old.with_delta(&d).unwrap();
 
-        let (pushed, out) =
-            update_uniform_kernel(&old, &d, &new, &prev, alpha, &permissive(), &mut ws)
-                .expect("a small delta pushes");
+        let cfg = PushRankConfig::default();
+        let (pushed, out) = update_uniform_kernel(&old, &d, &new, &prev, alpha, &cfg, &mut ws)
+            .expect("a small delta pushes");
         assert!(out.pushes > 0);
         assert_eq!(bits(&prev), before, "a push leaves `previous` alone");
         let cold = uniform_kernel(&new, alpha, &mut ws);
@@ -638,12 +598,9 @@ mod tests {
             assert!((pushed[i] - cold[i]).abs() < 1e-9, "paper {i}");
         }
 
-        // A declined push (here: no budget, after the gates pass) seeds and
-        // rewrites its lane; the lane is a copy.
-        let cfg = PushRankConfig {
-            max_delta_fraction: 1.0,
-            ..PushRankConfig::forced_fallback()
-        };
+        // A declined push (here: no budget, after the input checks pass)
+        // seeds and rewrites its lane; the lane is a copy.
+        let cfg = PushRankConfig::forced_fallback();
         assert!(update_uniform_kernel(&old, &d, &new, &prev, alpha, &cfg, &mut ws).is_none());
         assert_eq!(
             bits(&prev),

@@ -9,7 +9,6 @@
 
 use sparsela::{KernelWorkspace, ScoreVec};
 
-use crate::delta::GraphDelta;
 use crate::network::CitationNetwork;
 
 /// How a delta re-rank was computed (recorded in serving-epoch metadata).
@@ -28,16 +27,6 @@ pub enum DeltaStrategy {
         /// [`crate::PushRankConfig::max_edge_work`].
         edge_work: u64,
     },
-}
-
-/// Result of [`Ranker::rank_delta`]: the successor scores plus which
-/// strategy produced them.
-#[derive(Debug, Clone)]
-pub struct DeltaRank {
-    /// Scores over the successor network (length `new.n_papers()`).
-    pub scores: ScoreVec,
-    /// Which computation path ran.
-    pub strategy: DeltaStrategy,
 }
 
 /// A paper-ranking method.
@@ -67,29 +56,6 @@ pub trait Ranker {
         let _ = workspace;
         self.rank(net)
     }
-
-    /// Re-scores after a delta, given the previous scores.
-    ///
-    /// `new` must be `old.with_delta(delta)` and `previous` this ranker's
-    /// scores on `old`. Methods in the damped fixed-point family override
-    /// this with a residual-push update whose cost scales with the delta,
-    /// not the graph; the default simply runs a full solve on `new` (which
-    /// is always correct). Callers must be prepared for either strategy —
-    /// inspect [`DeltaRank::strategy`] to learn which one ran.
-    fn rank_delta(
-        &self,
-        old: &CitationNetwork,
-        delta: &GraphDelta,
-        new: &CitationNetwork,
-        previous: &ScoreVec,
-        workspace: &mut KernelWorkspace,
-    ) -> DeltaRank {
-        let _ = (old, delta, previous);
-        DeltaRank {
-            scores: self.rank_into(new, workspace),
-            strategy: DeltaStrategy::Full,
-        }
-    }
 }
 
 /// Blanket implementation so boxed rankers can be collected in
@@ -105,17 +71,6 @@ impl<T: Ranker + ?Sized> Ranker for Box<T> {
 
     fn rank_into(&self, net: &CitationNetwork, workspace: &mut KernelWorkspace) -> ScoreVec {
         (**self).rank_into(net, workspace)
-    }
-
-    fn rank_delta(
-        &self,
-        old: &CitationNetwork,
-        delta: &GraphDelta,
-        new: &CitationNetwork,
-        previous: &ScoreVec,
-        workspace: &mut KernelWorkspace,
-    ) -> DeltaRank {
-        (**self).rank_delta(old, delta, new, previous, workspace)
     }
 }
 

@@ -98,11 +98,6 @@ pub enum ShardPlanError {
         /// Human-readable description.
         message: String,
     },
-    /// Restored boundaries don't form a valid partition of the id space.
-    BadBoundaries {
-        /// Human-readable description.
-        message: String,
-    },
 }
 
 impl std::fmt::Display for ShardPlanError {
@@ -110,9 +105,6 @@ impl std::fmt::Display for ShardPlanError {
         match self {
             ShardPlanError::EmptyNetwork => write!(f, "cannot shard an empty network"),
             ShardPlanError::BadSpec { message } => write!(f, "bad shard spec: {message}"),
-            ShardPlanError::BadBoundaries { message } => {
-                write!(f, "bad shard boundaries: {message}")
-            }
         }
     }
 }
@@ -189,42 +181,6 @@ impl ShardPlan {
             let band_last = first + (band + 1) * width - 1;
             at = years.partition_point(|&y| y <= band_last);
             boundaries.push(at as PaperId);
-        }
-        Ok(Self::with_boundaries(net, boundaries))
-    }
-
-    /// Rebuilds a plan from persisted boundaries (the sharded manifest's
-    /// load path), re-validating the partition against the network.
-    ///
-    /// # Errors
-    /// [`ShardPlanError::BadBoundaries`] unless the boundaries are
-    /// strictly increasing from 0 to `net.n_papers()`.
-    pub fn from_boundaries(
-        net: &CitationNetwork,
-        boundaries: Vec<PaperId>,
-    ) -> Result<Self, ShardPlanError> {
-        let bad = |message: String| ShardPlanError::BadBoundaries { message };
-        if boundaries.len() < 2 {
-            return Err(bad(format!(
-                "need at least 2 boundaries, got {}",
-                boundaries.len()
-            )));
-        }
-        if boundaries[0] != 0 {
-            return Err(bad(format!("first boundary is {}, not 0", boundaries[0])));
-        }
-        if *boundaries.last().expect("non-empty") as usize != net.n_papers() {
-            return Err(bad(format!(
-                "last boundary is {} but the network has {} papers",
-                boundaries.last().expect("non-empty"),
-                net.n_papers()
-            )));
-        }
-        if let Some(w) = boundaries.windows(2).find(|w| w[0] >= w[1]) {
-            return Err(bad(format!(
-                "boundaries not increasing at {} >= {}",
-                w[0], w[1]
-            )));
         }
         Ok(Self::with_boundaries(net, boundaries))
     }
@@ -505,28 +461,6 @@ mod tests {
                 dropped += boundary;
             }
             assert_eq!(kept + dropped, net.n_citations(), "{spec}");
-        }
-    }
-
-    #[test]
-    fn boundaries_roundtrip_through_from_boundaries() {
-        let net = sample();
-        let plan = ShardPlan::year_bands(&net, 2).unwrap();
-        let back = ShardPlan::from_boundaries(&net, plan.boundaries().to_vec()).unwrap();
-        assert_eq!(back, plan);
-        // Invalid restorations are typed errors.
-        for bad in [
-            vec![],
-            vec![0],
-            vec![1, 9],
-            vec![0, 5],
-            vec![0, 4, 4, 9],
-            vec![0, 6, 3, 9],
-        ] {
-            assert!(matches!(
-                ShardPlan::from_boundaries(&net, bad),
-                Err(ShardPlanError::BadBoundaries { .. })
-            ));
         }
     }
 

@@ -172,26 +172,16 @@ proptest! {
             &net, &delta, &new, start.unwrap(), &seed, alpha,
             Some(kernel_new.as_slice()), &cfg, &mut ws,
         );
-        match warm {
-            Some(ps) => {
-                let want = dense_personalized(&new, &seed, alpha, &mut ws);
-                for i in 0..new.n_papers() {
-                    prop_assert!(
-                        (ps.scores[i] - want[i]).abs() < 1e-9,
-                        "paper {i}: warm {} vs dense {}", ps.scores[i], want[i]
-                    );
-                }
-            }
-            // A tiny graph can push the delta past `max_delta_fraction`;
-            // declining is legal there, silently wrong scores are not.
-            None => {
-                let touched = delta.n_papers() + delta.n_citations();
-                let size = net.n_citations() + n;
-                prop_assert!(
-                    touched as f64 / size as f64 > cfg.max_delta_fraction,
-                    "repersonalize declined a {touched}-item delta on a {size}-item graph"
-                );
-            }
+        // No size gate: a tail delta of any size re-pushes (it seeds no
+        // residual at all).
+        prop_assert!(warm.is_some(), "repersonalize declined a tail delta");
+        let ps = warm.unwrap();
+        let want = dense_personalized(&new, &seed, alpha, &mut ws);
+        for i in 0..new.n_papers() {
+            prop_assert!(
+                (ps.scores[i] - want[i]).abs() < 1e-9,
+                "paper {i}: warm {} vs dense {}", ps.scores[i], want[i]
+            );
         }
     }
 }

@@ -40,7 +40,12 @@
 //! almost the whole perturbed cone, so a publish is **one** 3-lane push
 //! ([`citegraph::try_push_lanes`]: one fused seeding pass and one
 //! traversal, the three vectors updated in place) followed by the same
-//! resolution sweep as the full solve.
+//! resolution sweep as the full solve. Any delta is pushed, whatever its
+//! size: on a citation DAG the push settles each paper of the perturbed
+//! cone once, so its cost is bounded by one pass over the successor
+//! network, the full solve's own cost. Only an exhausted work budget
+//! ([`PushRankConfig::budget_sweeps`]) or a state that does not belong to
+//! the old network sends a publish to the full solve.
 //!
 //! The personalization is carried across the delta too rather than
 //! rebuilt from the corpus: the attention window's integer citation
@@ -161,8 +166,8 @@ pub struct CarriedPersonalization<'a> {
 #[derive(Debug, Clone)]
 pub struct IncrementalAttRank {
     params: AttRankParams,
-    /// Push-vs-full decision knobs for [`Self::update_delta`]; their `ε`
-    /// is the full solve's too.
+    /// Push knobs for [`Self::update_delta`]: the work budget, and the `ε`
+    /// of every solve, full or pushed.
     push_config: PushRankConfig,
     /// Fixed point of the previously scored snapshot.
     previous: Option<ScoreVec>,
@@ -191,9 +196,9 @@ impl IncrementalAttRank {
         }
     }
 
-    /// Overrides the push-vs-full decision knobs used by
-    /// [`Self::update_delta`] (e.g. [`PushRankConfig::forced_fallback`] to
-    /// pin the fallback path in tests).
+    /// Overrides the push knobs used by [`Self::update_delta`] (e.g.
+    /// [`PushRankConfig::forced_fallback`] to pin the fallback path in
+    /// tests).
     pub fn set_push_config(&mut self, config: PushRankConfig) {
         self.push_config = config;
     }
@@ -300,10 +305,9 @@ impl IncrementalAttRank {
         diag
     }
 
-    /// Scores `new = old.with_delta(delta)`, choosing between a residual
-    /// push localized to the delta's neighborhood and the full solve (the
-    /// push falls back automatically when the delta is too large or its
-    /// work budget runs out — see [`PushRankConfig`]).
+    /// Scores `new = old.with_delta(delta)` by a residual push localized
+    /// to the delta's neighborhood, or by the full solve when the push
+    /// declines (its work budget runs out — see [`PushRankConfig`]).
     ///
     /// `old` must be the network the previous [`Self::update`] /
     /// [`Self::update_delta`] call scored; when it is not (cold scorer,
@@ -336,11 +340,7 @@ impl IncrementalAttRank {
         let alpha = self.params.alpha();
         let (n_old, n_new) = (old.n_papers(), new.n_papers());
         let split = self.split.as_mut()?;
-        if alpha == 0.0
-            || n_old == 0
-            || split.att.len() != n_old
-            || !self.push_config.gates_delta(old, delta)
-        {
+        if alpha == 0.0 || n_old == 0 || split.att.len() != n_old {
             return None;
         }
 
@@ -521,7 +521,6 @@ mod tests {
         let delta = small_delta(&net);
         let mid = net.with_delta(&delta).unwrap();
         let mut inc = IncrementalAttRank::new(params());
-        inc.set_push_config(permissive_push());
         // A delta publish keeps the push state its full solve leaves.
         inc.update_delta(&net, &delta, &mid);
         assert!(inc.push_state().is_some());
@@ -554,16 +553,6 @@ mod tests {
         assert!(d.converged);
     }
 
-    /// Push gates opened up for fixtures whose delta is a large fraction
-    /// of the (small) graph.
-    fn permissive_push() -> PushRankConfig {
-        PushRankConfig {
-            budget_sweeps: 1e6,
-            max_delta_fraction: 1.0,
-            ..PushRankConfig::default()
-        }
-    }
-
     fn small_delta(net: &CitationNetwork) -> GraphDelta {
         let year = net.current_year().unwrap() + 1;
         let mut d = GraphDelta::new();
@@ -577,7 +566,6 @@ mod tests {
     fn update_delta_push_matches_scratch() {
         let net = generate(&DatasetProfile::hepth().scaled(1000), 17);
         let mut inc = IncrementalAttRank::new(params());
-        inc.set_push_config(permissive_push());
         inc.update(&net);
         // `update` keeps no push state, so the first delta publish runs
         // the full solve; the next one pushes.
@@ -594,6 +582,44 @@ mod tests {
             "a two-edge delta must take the push path, got {strategy:?}"
         );
         assert!(diag.converged);
+        let scratch = AttRank::new(params()).rank(&new);
+        for i in 0..new.n_papers() {
+            assert!(
+                (diag.scores[i] - scratch[i]).abs() < 1e-9,
+                "paper {i}: push {} vs scratch {}",
+                diag.scores[i],
+                scratch[i]
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_delta_pushes_and_matches_scratch() {
+        let net = generate(&DatasetProfile::hepth().scaled(800), 37);
+        let mut inc = IncrementalAttRank::new(params());
+        // The first delta publish runs the full solve that builds the
+        // push state.
+        let d0 = small_delta(&net);
+        let mid = net.with_delta(&d0).unwrap();
+        inc.update_delta(&net, &d0, &mid);
+
+        // New papers carrying 10 % of E + n in citations, plus rewired
+        // bibliographies of old papers.
+        let size = mid.n_citations() + mid.n_papers();
+        let mut delta = citegen::publish_delta(&mid, size / 10, 5, 41);
+        for j in (mid.n_papers() / 2..mid.n_papers()).step_by(97) {
+            let j = j as u32;
+            if !mid.references(j).contains(&0) {
+                delta.add_citation(j, 0);
+            }
+        }
+        assert!(delta.n_papers() + delta.n_citations() > size / 10);
+        let new = mid.with_delta(&delta).unwrap();
+        let (diag, strategy) = inc.update_delta(&mid, &delta, &new);
+        assert!(
+            matches!(strategy, DeltaStrategy::Push { .. }),
+            "a 10 % delta pushes, got {strategy:?}"
+        );
         let scratch = AttRank::new(params()).rank(&new);
         for i in 0..new.n_papers() {
             assert!(
@@ -632,7 +658,6 @@ mod tests {
         let delta = small_delta(&net);
         let new = net.with_delta(&delta).unwrap();
         let mut inc = IncrementalAttRank::new(params());
-        inc.set_push_config(permissive_push());
         // No prior update: nothing to seed a push from.
         let (diag, strategy) = inc.update_delta(&net, &delta, &new);
         assert_eq!(strategy, DeltaStrategy::Full);
@@ -651,7 +676,6 @@ mod tests {
         // follows an `update` and runs full.)
         let mut net = generate(&DatasetProfile::hepth().scaled(800), 29);
         let mut inc = IncrementalAttRank::new(params());
-        inc.set_push_config(permissive_push());
         inc.update(&net);
         let mut push_count = 0;
         for _ in 0..6 {

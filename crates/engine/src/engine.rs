@@ -26,7 +26,11 @@
 //! epoch's solution over the part of the network the batch perturbed, and
 //! a full solve is one push pass over the citations in descending id
 //! order — the incremental path the paper's monitoring use-case (§1)
-//! calls for.
+//! calls for. PageRank takes the same path as one system: its scores are
+//! the uniform kernel scaled by `1−α`, built by one push pass
+//! ([`citegraph::uniform_kernel`]) and pushed across each publish
+//! ([`citegraph::update_uniform_kernel`]). Every other method re-ranks
+//! from scratch.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,7 +40,8 @@ use std::time::Instant;
 
 use attrank::{AttRankParams, IncrementalAttRank};
 use citegraph::{
-    CitationNetwork, DeltaError, DeltaStrategy, GraphDelta, PaperId, PushRankConfig, Year,
+    uniform_kernel, update_uniform_kernel, CitationNetwork, DeltaError, DeltaStrategy, GraphDelta,
+    PaperId, PushRankConfig, Year,
 };
 use graphstore::{DeltaWal, Store, StoreBuilder, StoreError};
 use sparsela::{
@@ -392,12 +397,14 @@ pub struct IngestReport {
     pub pending_batches: usize,
 }
 
-/// The configured method: AttRank runs through the push-capable
-/// incremental solver, everything else through the `Ranker::rank_delta`
-/// entry point (which methods in the damped fixed-point family override
-/// with a push of their own; the rest re-rank from scratch).
+/// The configured method, with one delta path each: AttRank runs through
+/// the push-capable incremental solver; PageRank is the uniform kernel
+/// scaled (Eq. 1's fixed point is `(1−α)·u`), one push pass from zero and
+/// pushed across each delta; every other method re-ranks from scratch.
 enum EngineRanker {
     Incremental(Box<IncrementalAttRank>),
+    /// PageRank with damping `α`.
+    Kernel(f64),
     Batch(BoxedRanker),
 }
 
@@ -405,13 +412,19 @@ impl EngineRanker {
     fn rank_full(&mut self, net: &CitationNetwork, workspace: &mut KernelWorkspace) -> ScoreVec {
         match self {
             EngineRanker::Incremental(inc) => inc.update(net).scores,
+            EngineRanker::Kernel(alpha) => {
+                let mut scores = uniform_kernel(net, *alpha, workspace);
+                scores.scale(1.0 - *alpha);
+                scores
+            }
             EngineRanker::Batch(r) => r.rank_into(net, workspace),
         }
     }
 
     /// Re-rank across a delta, reporting which strategy ran. `previous`
-    /// holds the last successfully published scores for the batch path
-    /// (the incremental solver carries its own state).
+    /// holds the last successfully published scores, which the kernel
+    /// arm pushes from (the incremental solver carries its own state).
+    /// A declined push runs the full re-rank.
     fn rank_delta(
         &mut self,
         old: &CitationNetwork,
@@ -425,13 +438,31 @@ impl EngineRanker {
                 let (diag, strategy) = inc.update_delta(old, delta, new);
                 (diag.scores, strategy.into())
             }
-            EngineRanker::Batch(r) => match previous {
-                Some(prev) => {
-                    let ranked = r.rank_delta(old, delta, new, prev, workspace);
-                    (ranked.scores, ranked.strategy.into())
-                }
-                None => (r.rank_into(new, workspace), RerankStrategy::Full),
-            },
+            EngineRanker::Kernel(alpha) => {
+                let alpha = *alpha;
+                // `prev / (1−α)` is the old kernel, pushed on a pooled copy:
+                // `prev` belongs to a published snapshot.
+                let pushed = previous.and_then(|prev| {
+                    let inv = 1.0 / (1.0 - alpha);
+                    let mut kernel = workspace.take_zeros(prev.len());
+                    kernel
+                        .iter_mut()
+                        .zip(prev.iter())
+                        .for_each(|(u, &p)| *u = p * inv);
+                    let cfg = PushRankConfig::default();
+                    let updated =
+                        update_uniform_kernel(old, delta, new, &kernel, alpha, &cfg, workspace);
+                    workspace.recycle(kernel);
+                    updated
+                });
+                let Some((mut scores, out)) = pushed else {
+                    return (self.rank_full(new, workspace), RerankStrategy::Full);
+                };
+                scores.scale(1.0 - alpha);
+                let (pushes, edge_work) = (out.pushes, out.edge_work);
+                (scores, RerankStrategy::Push { pushes, edge_work })
+            }
+            EngineRanker::Batch(r) => (r.rank_into(new, workspace), RerankStrategy::Full),
         }
     }
 
@@ -469,8 +500,8 @@ struct WriterState {
     pending_batches: usize,
     next_epoch: u64,
     /// The last successfully published snapshot (an `Arc` share, not a
-    /// score copy): its scores are the `previous` the batch rankers' push
-    /// path seeds from. Cleared when a solve is rejected (stale scores
+    /// score copy): its scores are the `previous` PageRank's kernel push
+    /// seeds from. Cleared when a solve is rejected (stale scores
     /// must not seed a push against a newer network).
     previous: Option<Arc<EpochSnapshot>>,
     /// Durability log: when attached, every accepted ingest is appended
@@ -564,6 +595,7 @@ impl RankingEngine {
             MethodSpec::AttRank { alpha, beta, y, w } => EngineRanker::Incremental(Box::new(
                 IncrementalAttRank::new(AttRankParams::new(alpha, beta, y, w)?),
             )),
+            MethodSpec::PageRank { d } => EngineRanker::Kernel(d),
             _ => EngineRanker::Batch(registry::build(spec)?),
         })
     }
@@ -867,9 +899,10 @@ impl RankingEngine {
     /// warmup thread restores AttRank's push state from the snapshot
     /// (verifying its checksum there, off the first page's path) and
     /// replays the un-compacted WAL batches through the configured
-    /// ranker's `rank_delta` path. With the push state restored every
-    /// replayed batch is a push; without it ([`PushStateRestore`]) the
-    /// first one runs the full solve that rebuilds it. No solve runs when
+    /// method's delta path, as live publishes. With the push state
+    /// restored every replayed batch is a push; without it
+    /// ([`PushStateRestore`]) the first one runs the full solve that
+    /// rebuilds it. No solve runs when
     /// there is nothing to replay: the restored epoch is the persisted
     /// fixed point of the persisted network.
     ///
@@ -1143,7 +1176,7 @@ impl RankingEngine {
 /// What the background warmup of [`RankingEngine::open_from_store`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarmupReport {
-    /// WAL batches replayed through `rank_delta`.
+    /// WAL batches replayed as delta publishes.
     pub replayed: usize,
     /// WAL batches the validator rejected (a corrupt-but-checksummed log
     /// or a snapshot/WAL mismatch; the engine keeps serving either way).
@@ -1161,9 +1194,10 @@ pub enum PushStateRestore {
     /// Restored: every replayed batch (and the first live one) can push.
     Restored,
     /// The snapshot holds none for its epoch — written before the section
-    /// existed, by a method without one, or while the scorer had none
-    /// (e.g. after an oversized delta). The first batch runs the full
-    /// solve that rebuilds it.
+    /// existed, by a method without one, or while the scorer had none (at
+    /// epoch 0, or after a [`RankingEngine::rerank`] with nothing staged:
+    /// a full re-rank keeps none). The first batch runs the full solve
+    /// that rebuilds it.
     Absent,
     /// The section failed its checksum and was not used; the engine
     /// proceeds as for [`Self::Absent`].
@@ -1512,6 +1546,55 @@ mod tests {
             RankingEngine::from_config(base_net(), "nope", RerankPolicy::EveryBatch),
             Err(SpecError::UnknownMethod { .. })
         ));
+    }
+
+    #[test]
+    fn pagerank_kernel_push_leaves_previous_alone_and_a_nan_declines() {
+        // A 200-paper chain over 20 years; every tenth paper also cites 0.
+        let mut b = NetworkBuilder::new();
+        for i in 0..200u32 {
+            b.add_paper(1990 + i as i32 / 10);
+            if i > 0 {
+                b.add_citation(i, i - 1).unwrap();
+            }
+            if i % 10 == 9 {
+                b.add_citation(i, 0).unwrap();
+            }
+        }
+        let net = b.build().unwrap();
+        let mut d = GraphDelta::new();
+        let p = (net.n_papers() + d.add_paper(2010)) as PaperId;
+        d.add_citation(p, 0);
+        d.add_citation(p, 150);
+        let new = net.with_delta(&d).unwrap();
+        let mut ranker = RankingEngine::make_ranker(&MethodSpec::PageRank { d: 0.5 }).unwrap();
+        let mut ws = KernelWorkspace::new();
+        let bits = |v: &ScoreVec| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let prev = ranker.rank_full(&net, &mut ws);
+        let before = bits(&prev);
+        let (pushed, strategy) = ranker.rank_delta(&net, &d, &new, Some(&prev), &mut ws);
+        assert!(matches!(strategy, RerankStrategy::Push { .. }));
+        assert_eq!(bits(&prev), before, "a push leaves `previous` alone");
+        let full = ranker.rank_full(&new, &mut ws);
+        for i in 0..new.n_papers() {
+            assert!((pushed[i] - full[i]).abs() < 1e-9, "paper {i}");
+        }
+
+        // A NaN passes the input checks and fails the seeding, which has
+        // already rescaled its lane: the lane is a copy, and the decline
+        // runs the full re-rank.
+        let mut nan = prev.clone();
+        nan[3] = f64::NAN;
+        let before = bits(&nan);
+        let (declined, strategy) = ranker.rank_delta(&net, &d, &new, Some(&nan), &mut ws);
+        assert_eq!(strategy, RerankStrategy::Full);
+        assert_eq!(bits(&declined), bits(&full));
+        assert_eq!(
+            bits(&nan),
+            before,
+            "a declined push leaves `previous` alone"
+        );
     }
 
     #[test]

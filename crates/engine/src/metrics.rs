@@ -263,9 +263,9 @@ pub(crate) struct EngineInstruments {
     /// network under the default config).
     pub(crate) push_edge_budget: Arc<Gauge>,
     /// Publishes that had a staged delta and still ran a full solve: the
-    /// push declined (oversized delta, exhausted budget, state not yet
-    /// built — the first delta after a start) or the method has no push
-    /// at all, in which case every delta publish counts.
+    /// push declined (exhausted budget, state not yet built — the first
+    /// AttRank delta after a start) or the method has no push at all, in
+    /// which case every delta publish counts.
     pub(crate) push_fallbacks: Arc<Counter>,
     /// WAL append/fsync latency observers, attached to the engine's log.
     pub(crate) wal: WalObservers,

@@ -50,7 +50,10 @@ use sparsela::{KernelWorkspace, ScoreVec};
 
 use crate::engine::{BlockSummaries, EpochSnapshot, Ranking};
 
-/// Capacity/memory bounds and solve tuning for a [`PersonalizationCache`].
+/// Capacity and memory bounds for a [`PersonalizationCache`]. Every solve
+/// runs under [`PushRankConfig::default`]: its `epsilon` for every push,
+/// its budget for warm re-pushes and kernel updates (a cold solve has
+/// none).
 #[derive(Debug, Clone, Copy)]
 pub struct CacheConfig {
     /// Maximum number of cached personalization vectors (LRU-evicted).
@@ -62,10 +65,6 @@ pub struct CacheConfig {
     /// not) and the unresolved warm-start form; all are counted. Uniform
     /// kernels (one per partition label and `α`) are not.
     pub max_bytes: usize,
-    /// Push tuning: `epsilon` for every solve, the budget and the delta
-    /// gate for warm re-pushes and kernel updates (a cold solve has no
-    /// budget).
-    pub push: PushRankConfig,
 }
 
 impl Default for CacheConfig {
@@ -73,7 +72,6 @@ impl Default for CacheConfig {
         Self {
             capacity: 1024,
             max_bytes: 256 << 20,
-            push: PushRankConfig::default(),
         }
     }
 }
@@ -323,7 +321,7 @@ impl PersonalizationCache {
                 seed,
                 alpha,
                 Some(kernel.as_slice()),
-                &self.config.push,
+                &PushRankConfig::default(),
                 &mut ws,
             ) {
                 let ranking = CachedRanking::new(solved.scores, snap.network());
@@ -344,7 +342,7 @@ impl PersonalizationCache {
             seed,
             alpha,
             Some(kernel.as_slice()),
-            &self.config.push,
+            &PushRankConfig::default(),
             &mut ws,
         );
         self.cold_pushes.fetch_add(1, Ordering::Relaxed);
@@ -394,7 +392,7 @@ impl PersonalizationCache {
                 snap.network(),
                 &prev,
                 alpha,
-                &self.config.push,
+                &PushRankConfig::default(),
                 ws,
             )
             .map(|(k, _)| k)
@@ -482,17 +480,6 @@ mod tests {
         RankingEngine::from_config(base_net(), "pagerank:d=0.5", RerankPolicy::EveryBatch).unwrap()
     }
 
-    fn permissive() -> CacheConfig {
-        CacheConfig {
-            push: PushRankConfig {
-                budget_sweeps: 1e6,
-                max_delta_fraction: 1.0,
-                ..PushRankConfig::default()
-            },
-            ..CacheConfig::default()
-        }
-    }
-
     fn seed(ids: &[PaperId], n: usize) -> SeedPersonalization {
         SeedPersonalization::uniform(ids, n).unwrap()
     }
@@ -500,7 +487,7 @@ mod tests {
     #[test]
     fn cold_then_hit_shares_the_vector() {
         let engine = engine();
-        let cache = PersonalizationCache::new(permissive());
+        let cache = PersonalizationCache::new(CacheConfig::default());
         let snap = engine.snapshot();
         let s = seed(&[11], snap.n_papers());
         let (a, o1) = cache.scores("pagerank:d=0.5", &snap, &s, 0.5);
@@ -516,7 +503,7 @@ mod tests {
     #[test]
     fn publish_turns_entries_into_warm_starts() {
         let engine = engine();
-        let cache = PersonalizationCache::new(permissive());
+        let cache = PersonalizationCache::new(CacheConfig::default());
         let alpha = 0.5;
         let old = engine.snapshot();
         let s = seed(&[5, 9], old.n_papers());
@@ -551,7 +538,7 @@ mod tests {
     #[test]
     fn pinned_old_epoch_never_sees_new_scores() {
         let engine = engine();
-        let cache = PersonalizationCache::new(permissive());
+        let cache = PersonalizationCache::new(CacheConfig::default());
         let alpha = 0.5;
         let old = engine.snapshot();
         let s = seed(&[9], old.n_papers());
@@ -579,7 +566,7 @@ mod tests {
         let engine = engine();
         let cache = PersonalizationCache::new(CacheConfig {
             capacity: 2,
-            ..permissive()
+            ..CacheConfig::default()
         });
         let snap = engine.snapshot();
         let n = snap.n_papers();
@@ -609,7 +596,6 @@ mod tests {
         let tight = PersonalizationCache::new(CacheConfig {
             capacity: 10,
             max_bytes: 2 * entry - 1,
-            ..permissive()
         });
         tight.scores("m", &snap, &s1, 0.5);
         tight.scores("m", &snap, &s2, 0.5);
@@ -621,7 +607,7 @@ mod tests {
     #[test]
     fn method_label_partitions_the_key_space() {
         let engine = engine();
-        let cache = PersonalizationCache::new(permissive());
+        let cache = PersonalizationCache::new(CacheConfig::default());
         let snap = engine.snapshot();
         let s = seed(&[4], snap.n_papers());
         cache.scores("pagerank:d=0.5", &snap, &s, 0.5);

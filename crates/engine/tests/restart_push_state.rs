@@ -2,7 +2,7 @@
 //! replaying the log ends **bit for bit** where the live engine it was
 //! persisted from stands, and every replayed publish is a push — at every
 //! persist point (after pushes, with batches staged, straight after a
-//! restore, after an oversized delta's full solve), flat and with 4
+//! restore, after the first delta's full solve), flat and with 4
 //! shards. Where the store holds no usable push state (a legacy or
 //! corrupted store, or a shard that never published a delta) the report
 //! says so and the replay still ends ≤ 1e-9 from scratch.
@@ -215,24 +215,15 @@ fn repersist_straight_after_a_restore_keeps_the_push_state() {
 }
 
 #[test]
-fn oversized_delta_persists_the_full_solves_push_state() {
-    let dir = temp_dir("oversized");
+fn first_delta_full_solve_persists_its_push_state() {
+    let dir = temp_dir("firstfull");
+    // Epoch 0 keeps no push state, so the live engine's one delta publish
+    // was a full solve, whose push state is kept like a push's.
     let (live, net) = live_engine(&dir, RerankPolicy::EveryBatch);
-    // Far past the push gate (5% of E + n): a full solve, whose push
-    // state is kept like a push's.
-    let mut big = GraphDelta::new();
-    for p in 0..N / 5 {
-        big.add_paper(net.current_year().unwrap());
-        for i in 0..4 {
-            big.add_citation((N + 1 + p) as PaperId, ((p * 13 + i * 101) % N) as PaperId);
-        }
-    }
-    live.ingest(&big).unwrap();
     assert_eq!(live.snapshot().strategy(), RerankStrategy::Full);
     let epoch = live.persist_epoch(dir.join("e.store")).unwrap();
-    let n = N + 1 + N / 5;
-    for t in 0..2 {
-        live.ingest(&batch(&net, n + t, N / 2, 5)).unwrap();
+    for t in 1..=2 {
+        live.ingest(&batch(&net, N + t, N / 2, 5)).unwrap();
     }
     copy_into(&[dir.join("e.store"), dir.join("e.wal")], &dir.join("copy"));
 

@@ -172,11 +172,6 @@ impl Csr {
         self.row(r).binary_search(&c).is_ok()
     }
 
-    /// Iterates all `(row, col)` pairs in row-major order.
-    pub fn iter_edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        (0..self.nrows() as u32).flat_map(move |r| self.row(r).iter().map(move |&c| (r, c)))
-    }
-
     /// Transposes the matrix (rows become columns). `O(V + E)`.
     pub fn transpose(&self) -> Csr {
         let mut counts = vec![0u32; self.ncols];
@@ -683,13 +678,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_edges_row_major() {
-        let m = Csr::from_edges(3, 3, &[(2, 0), (0, 1)]);
-        let edges: Vec<_> = m.iter_edges().collect();
-        assert_eq!(edges, vec![(0, 1), (2, 0)]);
-    }
-
-    #[test]
     fn empty_matrix() {
         let m = Csr::empty(3, 5);
         assert_eq!(m.nrows(), 3);
@@ -747,7 +735,9 @@ mod tests {
     /// `from_edges` over the old entries plus `extra` — what `merged_with`
     /// must reproduce.
     fn rebuilt(m: &Csr, nrows: usize, ncols: usize, extra: &[(u32, u32)]) -> Csr {
-        let mut edges: Vec<_> = m.iter_edges().collect();
+        let mut edges: Vec<_> = (0..m.nrows() as u32)
+            .flat_map(|r| m.row(r).iter().map(move |&c| (r, c)))
+            .collect();
         edges.extend_from_slice(extra);
         Csr::from_edges(nrows, ncols, &edges)
     }

@@ -110,37 +110,6 @@ impl IdMask {
         }
     }
 
-    /// Unions in place with `other`.
-    ///
-    /// # Panics
-    /// Panics if the masks cover different id spaces.
-    pub fn union_with(&mut self, other: &IdMask) {
-        assert_eq!(
-            self.len, other.len,
-            "mask length mismatch: {} vs {}",
-            self.len, other.len
-        );
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
-    }
-
-    /// Complements in place: every covered id flips set/clear.
-    ///
-    /// Bits past `len()` in the last storage word stay clear, so
-    /// `count_ones` and `ones()` never report ids outside the id space.
-    pub fn negate(&mut self) {
-        for w in self.words.iter_mut() {
-            *w = !*w;
-        }
-        let tail = self.len % 64;
-        if tail != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << tail) - 1;
-            }
-        }
-    }
-
     /// Iterates the set ids in ascending order, skipping empty words.
     pub fn ones(&self) -> Ones<'_> {
         Ones {
@@ -213,33 +182,9 @@ mod tests {
     }
 
     #[test]
-    fn union() {
-        let mut a = IdMask::from_ids(100, [1u32, 5, 70]);
-        let b = IdMask::from_ids(100, [5u32, 80, 99]);
-        a.union_with(&b);
-        assert_eq!(a.ones().collect::<Vec<_>>(), vec![1, 5, 70, 80, 99]);
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
-    fn union_length_mismatch_panics() {
-        IdMask::new(10).union_with(&IdMask::new(11));
-    }
-
-    #[test]
-    fn negate_clears_tail_bits() {
-        // len deliberately not a multiple of 64: the complement of the last
-        // word must not leak ids 65..128 into the id space.
-        let mut m = IdMask::from_ids(65, [0u32, 64]);
-        m.negate();
-        assert_eq!(m.count_ones(), 63);
-        assert!(!m.contains(0) && !m.contains(64));
-        assert!(m.contains(1) && m.contains(63));
-        assert!(m.ones().all(|id| id < 65));
-        // Exact word boundary: every bit of the last word is in range.
-        let mut full = IdMask::new(128);
-        full.negate();
-        assert_eq!(full.count_ones(), 128);
+    fn intersect_length_mismatch_panics() {
+        IdMask::new(10).intersect_with(&IdMask::new(11));
     }
 
     #[test]

@@ -968,11 +968,11 @@ proptest! {
         }
     }
 
-    // --- IdMask set algebra vs a naive Vec<bool> model -------------------
+    // --- IdMask intersection vs a naive Vec<bool> model ------------------
     //
     // Lengths are drawn around word boundaries (0, 63, 64, 65, 127, 128,
-    // 129, ...) on purpose: the NOT tail-clear and the word-wise AND/OR
-    // loops are exactly the places a off-by-one in `len % 64` would hide.
+    // 129, ...) on purpose: the word-wise AND loop and the last word are
+    // exactly the places a off-by-one in `len % 64` would hide.
 
     #[test]
     fn mask_algebra_matches_bool_model(
@@ -989,43 +989,11 @@ proptest! {
         let mask_of = |m: &[bool]| {
             IdMask::from_ids(len, m.iter().enumerate().filter(|(_, &b)| b).map(|(i, _)| i as u32))
         };
-        let (a, b) = (mask_of(&ma), mask_of(&mb));
-
-        // AND
-        let mut and = a.clone();
+        let (mut and, b) = (mask_of(&ma), mask_of(&mb));
         and.intersect_with(&b);
         let want: Vec<u32> = (0..len).filter(|&i| ma[i] && mb[i]).map(|i| i as u32).collect();
         prop_assert_eq!(and.ones().collect::<Vec<_>>(), want.clone());
         prop_assert_eq!(and.count_ones(), want.len());
-
-        // OR
-        let mut or = a.clone();
-        or.union_with(&b);
-        let want: Vec<u32> = (0..len).filter(|&i| ma[i] || mb[i]).map(|i| i as u32).collect();
-        prop_assert_eq!(or.ones().collect::<Vec<_>>(), want.clone());
-        prop_assert_eq!(or.count_ones(), want.len());
-
-        // NOT — must never surface ids past `len` from the last word's tail.
-        let mut not = a.clone();
-        not.negate();
-        let want: Vec<u32> = (0..len).filter(|&i| !ma[i]).map(|i| i as u32).collect();
-        prop_assert_eq!(not.ones().collect::<Vec<_>>(), want.clone());
-        prop_assert_eq!(not.count_ones(), want.len());
-        prop_assert!(not.ones().all(|id| (id as usize) < len));
-
-        // Double negation restores the original mask bit-for-bit.
-        not.negate();
-        prop_assert_eq!(not, a);
-
-        // De Morgan: !(a & b) == !a | !b.
-        let mut lhs = a.clone();
-        lhs.intersect_with(&b);
-        lhs.negate();
-        let (mut na, mut nb) = (a.clone(), b.clone());
-        na.negate();
-        nb.negate();
-        na.union_with(&nb);
-        prop_assert_eq!(lhs, na);
     }
 
     #[test]

@@ -2,19 +2,21 @@
 //!
 //! The incremental residual-push re-ranking path must be indistinguishable
 //! (within 1e-9 per paper) from solving the updated network from scratch —
-//! for AttRank (through the stateful component-split scorer) and PageRank
-//! (through the stateless `Ranker::rank_delta` override), across deltas
-//! mixing new papers, new citations from new papers, bibliography
-//! corrections between existing papers, and attention-window shifts. The
-//! forced-fallback path (zero push budget) must degrade to the same
-//! answer via the full solve.
+//! for AttRank (through the stateful component-split scorer) and for the
+//! serving engine's PageRank (the uniform kernel scaled by `1−α`, pushed
+//! across every publish) against the power iteration of
+//! [`baselines::PageRank`], across deltas mixing new papers, new
+//! citations from new papers, dangling new papers, bibliography
+//! corrections between existing papers, and attention-window shifts. No
+//! delta is too large to push. The forced-fallback path (zero push
+//! budget) must degrade to the same answer via the full solve.
 
 use attrank::{AttRank, AttRankParams, IncrementalAttRank};
 use baselines::PageRank;
 use citegen::{generate, DatasetProfile};
 use citegraph::{CitationNetwork, DeltaStrategy, GraphDelta, PushRankConfig, Ranker};
 use proptest::prelude::*;
-use sparsela::KernelWorkspace;
+use rankengine::{RankingEngine, RerankPolicy, RerankStrategy};
 
 /// A randomized, always-valid delta against `net`: `n_new` papers in the
 /// current year (so ids stay time-sorted), each citing a few distinct
@@ -50,14 +52,22 @@ fn random_delta(net: &CitationNetwork, n_new: usize, extra_edges: usize, seed: u
     d
 }
 
-/// Tiny fixtures need open gates: on a 300-paper graph even a two-edge
-/// delta exceeds production thresholds.
-fn permissive() -> PushRankConfig {
-    PushRankConfig {
-        budget_sweeps: 1e6,
-        max_delta_fraction: 1.0,
-        ..PushRankConfig::default()
+/// The engine's `pagerank` scores against the power iteration on the
+/// same network, ≤ 1e-9 per paper.
+fn assert_pagerank_close(engine: &RankingEngine, damping: f64) -> Result<(), TestCaseError> {
+    let snap = engine.snapshot();
+    let scratch = PageRank::new(damping).rank(snap.network());
+    for p in 0..snap.n_papers() {
+        prop_assert!(
+            (snap.scores()[p] - scratch[p]).abs() <= 1e-9,
+            "epoch {} paper {}: engine {} vs scratch {}",
+            snap.epoch(),
+            p,
+            snap.scores()[p],
+            scratch[p]
+        );
     }
+    Ok(())
 }
 
 proptest! {
@@ -76,7 +86,6 @@ proptest! {
         let net = generate(&DatasetProfile::hepth().scaled(scale), seed);
 
         let mut inc = IncrementalAttRank::new(params);
-        inc.set_push_config(permissive());
         inc.update(&net);
         // First delta publish builds the component split (full solve)…
         let prime = random_delta(&net, 1, 1, seed ^ 0xabcd);
@@ -127,48 +136,51 @@ proptest! {
     }
 
     #[test]
-    fn pagerank_rank_delta_matches_scratch(
+    fn pagerank_engine_epochs_match_scratch(
         seed in 0u64..1_000_000,
         scale in 300usize..700,
-        n_new in 0usize..3,
-        extra in 1usize..4,
-        d_pct in 2u32..9,
+        d_idx in 0usize..3,
+        batches in proptest::collection::vec((0usize..3, 0usize..3, 1usize..4), 1..5),
     ) {
-        let damping = d_pct as f64 * 0.1;
+        let damping = [0.0, 0.5, 0.85][d_idx];
         let net = generate(&DatasetProfile::dblp().scaled(scale), seed);
-        let delta = random_delta(&net, n_new, extra, seed ^ 0x5555);
-        let new = net.with_delta(&delta).unwrap();
-
-        let pr = PageRank::new(damping);
-        let mut ws = KernelWorkspace::new();
-        let previous = pr.rank_into(&net, &mut ws);
-        let ranked = pr.rank_delta(&net, &delta, &new, &previous, &mut ws);
-        let scratch = pr.rank(&new);
-        for p in 0..new.n_papers() {
+        let spec = format!("pagerank:d={damping}");
+        let engine = RankingEngine::from_config(net, spec.as_str(), RerankPolicy::EveryBatch)
+            .unwrap();
+        assert_pagerank_close(&engine, damping)?;
+        for (i, &(n_new, n_dangling, extra)) in batches.iter().enumerate() {
+            let snap = engine.snapshot();
+            let net = snap.network();
+            let mut delta = random_delta(net, n_new, extra, seed ^ ((i as u64 + 1) * 0x5555));
+            // New papers that cite nothing: the dangling mass moves.
+            let year = net.current_year().unwrap();
+            for _ in 0..n_dangling {
+                delta.add_paper(year);
+            }
+            engine.ingest(&delta).unwrap();
+            let strategy = engine.snapshot().strategy();
             prop_assert!(
-                (ranked.scores[p] - scratch[p]).abs() < 1e-9,
-                "paper {} ({:?}): delta {} vs scratch {}",
-                p, ranked.strategy, ranked.scores[p], scratch[p]
+                matches!(strategy, RerankStrategy::Push { .. }),
+                "publish {} ran {:?}", i, strategy
             );
+            assert_pagerank_close(&engine, damping)?;
         }
     }
 }
 
-/// The PageRank override must actually *push* when the delta is a small
-/// fraction of a moderately sized graph (the gates are the production
-/// defaults here, not the permissive test ones).
+/// The engine's PageRank pushes even its *first* delta publish under the
+/// default config: the kernel is its own push state, so the full re-rank
+/// of epoch 0 leaves one.
 #[test]
 fn pagerank_small_delta_takes_push_path() {
     let net = generate(&DatasetProfile::dblp().scaled(2500), 7);
     let delta = random_delta(&net, 1, 2, 99);
-    let new = net.with_delta(&delta).unwrap();
-    let pr = PageRank::new(0.5);
-    let mut ws = KernelWorkspace::new();
-    let previous = pr.rank_into(&net, &mut ws);
-    let ranked = pr.rank_delta(&net, &delta, &new, &previous, &mut ws);
+    let engine =
+        RankingEngine::from_config(net, "pagerank:d=0.5", RerankPolicy::EveryBatch).unwrap();
+    engine.ingest(&delta).unwrap();
+    let strategy = engine.snapshot().strategy();
     assert!(
-        matches!(ranked.strategy, DeltaStrategy::Push { .. }),
-        "expected the push path under default gates, got {:?}",
-        ranked.strategy
+        matches!(strategy, RerankStrategy::Push { .. }),
+        "expected the push path, got {strategy:?}"
     );
 }
