@@ -158,6 +158,11 @@ impl NetworkBuilder {
         Ok(())
     }
 
+    /// Publication year of the paper with provisional id `id`, if added.
+    pub fn year(&self, id: PaperId) -> Option<Year> {
+        self.years.get(id as usize).copied()
+    }
+
     /// Number of papers added so far.
     pub fn n_papers(&self) -> usize {
         self.years.len()
@@ -181,20 +186,42 @@ impl NetworkBuilder {
         self.build_impl().map(|(net, _)| net)
     }
 
+    /// Cost: the citation list is remapped in place and handed to
+    /// [`Csr::from_edges`], and each author list is moved, not cloned, into
+    /// final order — the build holds the builder's lists plus the network
+    /// it lays out, no second copy of either (at 200k generated papers the
+    /// edge list is 16 MB and the author lists are 200k `Vec`s).
     fn build_impl(self) -> Result<(CitationNetwork, Vec<PaperId>), BuildError> {
-        let n = self.years.len();
+        let NetworkBuilder {
+            years: provisional_years,
+            mut citations,
+            mut authors,
+            venues,
+            has_metadata,
+            max_author,
+            max_venue,
+        } = self;
+        let n = provisional_years.len();
         // Stable sort by year: preserves insertion order within a year.
         let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by_key(|&i| self.years[i as usize]);
+        order.sort_by_key(|&i| provisional_years[i as usize]);
         // old id → new id
         let mut remap = vec![0u32; n];
         for (new_id, &old_id) in order.iter().enumerate() {
             remap[old_id as usize] = new_id as u32;
         }
-        let years: Vec<Year> = order.iter().map(|&i| self.years[i as usize]).collect();
+        let years: Vec<Year> = order
+            .iter()
+            .map(|&i| provisional_years[i as usize])
+            .collect();
+        drop(provisional_years);
 
-        let mut edges = Vec::with_capacity(self.citations.len());
-        for &(citing_old, cited_old) in &self.citations {
+        // Each entry is read (provisional ids) before it is overwritten
+        // (final ids), so an error names the provisional ids the caller
+        // passed to `add_citation`; the entries before it are already
+        // remapped, which is harmless as the builder is consumed.
+        for edge in citations.iter_mut() {
+            let (citing_old, cited_old) = *edge;
             let citing = remap[citing_old as usize];
             let cited = remap[cited_old as usize];
             let (cy, dy) = (years[citing as usize], years[cited as usize]);
@@ -206,19 +233,21 @@ impl NetworkBuilder {
                     cited_year: dy,
                 });
             }
-            edges.push((citing, cited));
+            *edge = (citing, cited);
         }
-        let refs = Csr::from_edges(n, n, &edges);
+        let refs = Csr::from_edges(n, n, &citations);
+        drop(citations);
 
-        let (authors, venues) = if self.has_metadata {
-            let mut per_paper = vec![Vec::new(); n];
-            let mut venue = vec![None; n];
-            for (old, &new) in remap.iter().enumerate() {
-                per_paper[new as usize] = self.authors[old].clone();
-                venue[new as usize] = self.venues[old];
-            }
-            let n_authors = self.max_author.map_or(0, |m| m as usize + 1);
-            let n_venues = self.max_venue.map_or(0, |m| m as usize + 1);
+        let (authors, venues) = if has_metadata {
+            let per_paper: Vec<Vec<AuthorId>> = order
+                .iter()
+                .map(|&old| std::mem::take(&mut authors[old as usize]))
+                .collect();
+            drop(authors);
+            let venue: Vec<Option<VenueId>> =
+                order.iter().map(|&old| venues[old as usize]).collect();
+            let n_authors = max_author.map_or(0, |m| m as usize + 1);
+            let n_venues = max_venue.map_or(0, |m| m as usize + 1);
             (
                 Some(AuthorTable::new(&per_paper, n_authors)),
                 Some(VenueTable::new(venue, n_venues)),
@@ -331,6 +360,57 @@ mod tests {
     }
 
     #[test]
+    fn future_citation_after_remapped_entries_names_provisional_ids() {
+        // Provisional → final: p0 (2005) → 3, p1 (2003) → 2, p2 (1999) → 0,
+        // p3 (2000) → 1. The remap rewrites the citation list in place, so
+        // the two valid edges ahead of the bad one are already in final ids
+        // when it is reached; the error must still speak provisional ids.
+        let mut b = NetworkBuilder::new();
+        let p0 = b.add_paper(2005);
+        let p1 = b.add_paper(2003);
+        let p2 = b.add_paper(1999);
+        let p3 = b.add_paper(2000);
+        b.add_citation(p0, p2).unwrap();
+        b.add_citation(p1, p3).unwrap();
+        b.add_citation(p3, p1).unwrap(); // 2000 cites 2003
+        assert_eq!(
+            b.build().unwrap_err(),
+            BuildError::FutureCitation {
+                citing: p3,
+                cited: p1,
+                citing_year: 2000,
+                cited_year: 2003,
+            }
+        );
+    }
+
+    #[test]
+    fn build_with_mapping_remaps_edges_and_metadata_out_of_order() {
+        let mut b = NetworkBuilder::new();
+        let p0 = b.add_paper_with_metadata(2005, vec![4], Some(2));
+        let p1 = b.add_paper_with_metadata(2003, vec![1, 2], None);
+        let p2 = b.add_paper_with_metadata(1999, vec![0], Some(0));
+        let p3 = b.add_paper(2000);
+        b.add_citation(p0, p2).unwrap();
+        b.add_citation(p1, p3).unwrap();
+        b.add_citation(p0, p1).unwrap();
+        b.add_citation(p0, p2).unwrap(); // duplicate
+        let (net, mapping) = b.build_with_mapping().unwrap();
+        assert_eq!(mapping, vec![3, 2, 0, 1]);
+        assert_eq!(net.years(), &[1999, 2000, 2003, 2005]);
+        assert_eq!(net.references(3), &[0, 2]);
+        assert_eq!(net.references(2), &[1]);
+        assert_eq!(net.n_citations(), 3);
+        let authors = net.authors().unwrap();
+        assert_eq!(authors.authors_of(mapping[p0 as usize]), &[4]);
+        assert_eq!(authors.authors_of(mapping[p1 as usize]), &[1, 2]);
+        assert_eq!(authors.authors_of(mapping[p2 as usize]), &[0]);
+        assert!(authors.authors_of(mapping[p3 as usize]).is_empty());
+        let venues = net.venues().unwrap();
+        assert_eq!(venues.slots(), &[Some(0), None, None, Some(2)]);
+    }
+
+    #[test]
     fn self_citation_rejected_eagerly() {
         let mut b = NetworkBuilder::new();
         let p = b.add_paper(2000);
@@ -401,6 +481,8 @@ mod tests {
         let mut b = NetworkBuilder::with_capacity(10, 10);
         b.add_paper(1999);
         assert_eq!(b.n_papers(), 1);
+        assert_eq!(b.year(0), Some(1999));
+        assert_eq!(b.year(1), None);
         assert_eq!(b.n_citations(), 0);
     }
 }

@@ -121,9 +121,6 @@ pub fn citations_to_tsv(net: &CitationNetwork) -> String {
 pub fn from_tsv(papers: &str, citations: &str) -> Result<CitationNetwork, IoError> {
     let mut builder = NetworkBuilder::new();
     let mut id_map: HashMap<u32, u32> = HashMap::new();
-    // Year per internal (insertion-order) id — lets the citation loop
-    // report temporal violations with the offending line number.
-    let mut years: Vec<i32> = Vec::new();
 
     for (lineno, line) in papers.lines().enumerate() {
         let line = line.trim();
@@ -167,8 +164,6 @@ pub fn from_tsv(papers: &str, citations: &str) -> Result<CitationNetwork, IoErro
         } else {
             builder.add_paper_with_metadata(year, authors, venue)
         };
-        debug_assert_eq!(internal as usize, years.len());
-        years.push(year);
         id_map.insert(id, internal);
     }
 
@@ -192,7 +187,8 @@ pub fn from_tsv(papers: &str, citations: &str) -> Result<CitationNetwork, IoErro
             .ok_or_else(|| at_line(format!("citation to unknown paper {cited_ext}")))?;
         // The builder's temporal check only fires at build(), where line
         // numbers are gone — check here so the error points at the edge.
-        let (citing_year, cited_year) = (years[citing as usize], years[cited as usize]);
+        let year = |id| builder.year(id).expect("mapped ids are added papers");
+        let (citing_year, cited_year) = (year(citing), year(cited));
         if cited_year > citing_year {
             return Err(at_line(format!(
                 "paper {citing_ext} ({citing_year}) cites paper {cited_ext} \

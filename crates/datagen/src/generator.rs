@@ -27,6 +27,24 @@
 //! events* starting `burst_delay` years after publication: they become
 //! popular late, like the 1997 BLAST paper of Fig. 1b. Phantom events only
 //! bias target selection; they are never edges.
+//!
+//! ## The attention pool
+//!
+//! Components 1 and 3 draw a uniform index `k` into a pool of citation
+//! events, so a paper's chance is its event count. Each year's events are
+//! kept run-length encoded (`RunPool`): one `(paper, end)` pair per run of
+//! consecutive events for one paper, `end` the year's cumulative count, and
+//! event `k` is the run whose `end > k`. Phantom events come in runs — a
+//! fitness boost or a burst adds tens to thousands of events for one paper
+//! at once — so the encoding is what keeps the pool near the size of the
+//! edge list: at `dblp().scaled(200_000)` a flat pool holds 29,834,209
+//! `u32` events (119 MB) for 2,037,642 citations, the runs are 2,292,415
+//! pairs (18 MB), and generation peaks at ~55 MB (VmHWM) for a 43 MB
+//! network where the flat pool peaked at ~200 MB. The draws (`k`, and
+//! every RNG call) are those of the flat pool, so a seed generates the same
+//! corpus either way (`tests/corpus_pin.rs`).
+
+use std::ops::Range;
 
 use citegraph::{CitationNetwork, NetworkBuilder, Year};
 use rand::rngs::StdRng;
@@ -45,15 +63,16 @@ pub fn generate(profile: &DatasetProfile, seed: u64) -> CitationNetwork {
 pub struct Generator {
     profile: DatasetProfile,
     rng: StdRng,
-    /// Paper ids per year offset (filled as generation proceeds).
-    papers_by_year: Vec<Vec<u32>>,
-    /// Citation events (cited paper ids) per citing-year offset; includes
-    /// phantom burst events.
-    events_by_year: Vec<Vec<u32>>,
+    /// Paper ids per year offset: papers are born in year order with
+    /// consecutive ids, so each year is one id range.
+    papers_by_year: Vec<Range<u32>>,
+    /// Citation events (cited paper ids) per citing-year offset, phantom
+    /// events included.
+    events_by_year: Vec<RunPool>,
+    /// Events over all years (the background component's pool size).
+    events_total: usize,
     /// Topic of every paper.
     topics: Vec<u16>,
-    /// Intrinsic fitness per paper (log-normal; 1.0 when disabled).
-    fitness: Vec<f64>,
     /// Burst papers scheduled as `(year_offset, paper)` activations.
     burst_schedule: Vec<Vec<u32>>,
     /// Fitness phantom events scheduled as `(paper, count)` per year.
@@ -63,6 +82,10 @@ pub struct Generator {
     author_events: Vec<u32>,
     next_author: u32,
     author_pool_max: u32,
+    /// Per-paper scratch of [`Generator::cite`], kept for its capacity:
+    /// the reference list being drawn and the recency year CDF.
+    chosen: Vec<u32>,
+    recency_cdf: Vec<f64>,
 }
 
 impl Generator {
@@ -76,15 +99,17 @@ impl Generator {
             ((profile.n_papers as f64 * profile.author_pool_factor).ceil() as u32).max(1);
         Self {
             rng: StdRng::seed_from_u64(seed),
-            papers_by_year: vec![Vec::new(); ny],
-            events_by_year: vec![Vec::new(); ny],
+            papers_by_year: vec![0..0; ny],
+            events_by_year: vec![RunPool::default(); ny],
+            events_total: 0,
             topics: Vec::with_capacity(profile.n_papers),
-            fitness: Vec::with_capacity(profile.n_papers),
             burst_schedule: vec![Vec::new(); ny],
             fitness_schedule: vec![Vec::new(); ny],
             author_events: Vec::new(),
             next_author: 0,
             author_pool_max,
+            chosen: Vec::new(),
+            recency_cdf: Vec::new(),
             profile,
         }
     }
@@ -108,6 +133,10 @@ impl Generator {
                 }
             }
         }
+        // The growth state (attention pool, schedules, author pool) is
+        // garbage once the last paper is born: free it before the build
+        // lays out the network beside the builder's lists.
+        drop(self);
         builder
             .build()
             .expect("generator produces temporally valid citations")
@@ -128,7 +157,12 @@ impl Generator {
         };
         let id = builder.add_paper_with_metadata(year, authors, venue);
         self.topics.push(topic);
-        self.papers_by_year[year_off].push(id);
+        let papers = &mut self.papers_by_year[year_off];
+        if papers.start == papers.end {
+            *papers = id..id;
+        }
+        debug_assert_eq!(papers.end, id, "papers are born with consecutive ids");
+        papers.end = id + 1;
         // Intrinsic fitness: log-normal with median 1. High-fitness papers
         // seed phantom attention events at birth ("initial attractiveness"),
         // which the preferential loop then amplifies into persistent
@@ -142,7 +176,6 @@ impl Generator {
         } else {
             1.0
         };
-        self.fitness.push(fitness);
         // The boost lands in the paper's first and second *full* years —
         // citation lag means even a hot paper needs time to be read.
         let phantom = ((fitness - 1.0).max(0.0)
@@ -153,10 +186,7 @@ impl Generator {
             // Partially visible immediately: a hot paper shows early
             // momentum that observers (and AttRank's attention vector) can
             // pick up before the full wave arrives.
-            self.events_by_year[year_off].push(id);
-            for _ in 0..phantom / 2 {
-                self.events_by_year[year_off].push(id);
-            }
+            self.push_events(year_off, id, 1 + phantom / 2);
             if year_off + 1 < self.fitness_schedule.len() {
                 self.fitness_schedule[year_off + 1].push((id, phantom));
             }
@@ -179,9 +209,11 @@ impl Generator {
     /// Draws this paper's reference list and records the edges.
     fn cite(&mut self, builder: &mut NetworkBuilder, citing: u32, year_off: usize) {
         let n_refs = self.sample_ref_count();
-        let mut chosen = Vec::with_capacity(n_refs);
+        let mut chosen = std::mem::take(&mut self.chosen);
+        chosen.clear();
         let topic = self.topics[citing as usize];
-        let recency_cdf = self.recency_year_cdf(year_off);
+        let mut recency_cdf = std::mem::take(&mut self.recency_cdf);
+        self.recency_year_cdf(year_off, &mut recency_cdf);
         for _ in 0..n_refs {
             // A handful of attempts to satisfy topic + dedup constraints;
             // on exhaustion the reference is dropped (papers citing fewer
@@ -208,8 +240,16 @@ impl Generator {
             builder
                 .add_citation(citing, cited)
                 .expect("targets are existing, distinct papers");
-            self.events_by_year[year_off].push(cited);
+            self.push_events(year_off, cited, 1);
         }
+        self.chosen = chosen;
+        self.recency_cdf = recency_cdf;
+    }
+
+    /// Adds `n` attention events for `paper` in year `year_off`.
+    fn push_events(&mut self, year_off: usize, paper: u32, n: usize) {
+        self.events_by_year[year_off].push_n(paper, n);
+        self.events_total += n;
     }
 
     /// One mixture draw; `None` when the chosen component has no candidates
@@ -231,27 +271,22 @@ impl Generator {
     /// the corpus's one-year time resolution).
     fn sample_attention(&mut self, year_off: usize) -> Option<u32> {
         let lo = year_off.saturating_sub(self.profile.attention_window as usize - 1);
-        let counts: Vec<usize> = (lo..=year_off)
-            .map(|y| self.events_by_year[y].len())
-            .collect();
-        let total: usize = counts.iter().sum();
+        let window = lo..=year_off;
+        let total: usize = self.events_by_year[window.clone()]
+            .iter()
+            .map(RunPool::len)
+            .sum();
         if total == 0 {
             return None;
         }
-        let mut k = self.rng.gen_range(0..total);
-        for (i, &c) in counts.iter().enumerate() {
-            if k < c {
-                return Some(self.events_by_year[lo + i][k]);
-            }
-            k -= c;
-        }
-        unreachable!("k < total by construction")
+        let k = self.rng.gen_range(0..total);
+        Some(nth_event(&self.events_by_year[window], k))
     }
 
     /// Cumulative year weights `count(year)·e^{decay·age}` for the recency
-    /// component, recomputed once per paper (years are few).
-    fn recency_year_cdf(&self, year_off: usize) -> Vec<f64> {
-        let mut cdf = Vec::with_capacity(year_off + 1);
+    /// component into `cdf`, recomputed once per paper (years are few).
+    fn recency_year_cdf(&self, year_off: usize, cdf: &mut Vec<f64>) {
+        cdf.clear();
         let mut acc = 0.0;
         for y in 0..=year_off {
             let age = (year_off - y) as f64;
@@ -263,7 +298,6 @@ impl Generator {
                 * lag;
             cdf.push(acc);
         }
-        cdf
     }
 
     fn sample_recency(&mut self, year_off: usize, cdf: &[f64]) -> Option<u32> {
@@ -273,11 +307,11 @@ impl Generator {
         }
         let x = self.rng.gen::<f64>() * total;
         let year = cdf.partition_point(|&c| c <= x).min(year_off);
-        let papers = &self.papers_by_year[year];
+        let papers = self.papers_by_year[year].clone();
         if papers.is_empty() {
             return None;
         }
-        Some(papers[self.rng.gen_range(0..papers.len())])
+        Some(papers.start + self.rng.gen_range(0..papers.len()) as u32)
     }
 
     /// Long-memory background: preferential on cumulative citations with a
@@ -287,18 +321,12 @@ impl Generator {
         if citing == 0 {
             return None;
         }
-        let total: usize = self.events_by_year.iter().map(Vec::len).sum();
+        let total = self.events_total;
         if total == 0 || self.rng.gen_bool(0.2) {
             return Some(self.rng.gen_range(0..citing));
         }
-        let mut k = self.rng.gen_range(0..total);
-        for events in &self.events_by_year {
-            if k < events.len() {
-                return Some(events[k]);
-            }
-            k -= events.len();
-        }
-        unreachable!("k < total by construction")
+        let k = self.rng.gen_range(0..total);
+        Some(nth_event(&self.events_by_year, k))
     }
 
     /// Log-normal reference count, clamped to `[0, max_refs]`.
@@ -363,9 +391,7 @@ impl Generator {
     fn inject_burst_events(&mut self, year_off: usize, volume: usize) {
         let boosts = std::mem::take(&mut self.fitness_schedule[year_off]);
         for (paper, count) in boosts {
-            for _ in 0..count {
-                self.events_by_year[year_off].push(paper);
-            }
+            self.push_events(year_off, paper, count);
         }
         if self.burst_schedule[year_off].is_empty() {
             return;
@@ -374,10 +400,83 @@ impl Generator {
             ((self.profile.burst_boost * volume as f64).round() as usize).max(1);
         let bursting = std::mem::take(&mut self.burst_schedule[year_off]);
         for paper in bursting {
-            for _ in 0..phantom_per_paper {
-                self.events_by_year[year_off].push(paper);
-            }
+            self.push_events(year_off, paper, phantom_per_paper);
         }
+    }
+}
+
+/// Event `k` of the concatenation of `pools` (`k` below their total).
+fn nth_event(pools: &[RunPool], mut k: usize) -> u32 {
+    for pool in pools {
+        if k < pool.len() {
+            return pool.get(k);
+        }
+        k -= pool.len();
+    }
+    unreachable!("k < total by construction")
+}
+
+/// One year's attention events, run-length encoded: `runs[i] = (paper,
+/// end)` holds the events `runs[i-1].end..end`, all for `paper`. Behaves
+/// as the flat `Vec<u32>` of events it encodes: [`RunPool::len`] and
+/// [`RunPool::get`] read exactly what that vector's `len()` and `[k]`
+/// would.
+///
+/// `get` narrows its search with a coarse index, `buckets[j]` = the run
+/// holding event `j·BUCKET`: event `k` lies in `runs[buckets[k / BUCKET]
+/// ..= buckets[k / BUCKET + 1]]`, a few runs in one or two cache lines.
+/// A plain binary search over a year's runs (up to 222k at
+/// `dblp().scaled(200_000)`) made APS generation ~15 % slower than the
+/// flat pool's one load; with the index (1.9 MB at that scale) no profile
+/// generates slower than it did over the flat pool.
+#[derive(Debug, Clone, Default)]
+struct RunPool {
+    runs: Vec<(u32, u32)>,
+    buckets: Vec<u32>,
+    /// The last run's `end`, kept beside the runs so that walking the
+    /// years reads no run.
+    len: u32,
+}
+
+/// Events per [`RunPool`] index bucket.
+const BUCKET: u32 = 64;
+
+impl RunPool {
+    /// Number of events (not runs).
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Appends `n` events for `paper`, extending the last run when it is
+    /// the same paper's; `n = 0` appends nothing.
+    fn push_n(&mut self, paper: u32, n: usize) {
+        if n == 0 {
+            return;
+        }
+        self.len = u32::try_from(self.len() + n).expect("one year's events fit a u32");
+        match self.runs.last_mut() {
+            Some(last) if last.0 == paper => last.1 = self.len,
+            _ => self.runs.push((paper, self.len)),
+        }
+        // Every bucket whose first event was just appended starts in the
+        // last run.
+        let last = self.runs.len() as u32 - 1;
+        let n_buckets = self.len.div_ceil(BUCKET) as usize;
+        self.buckets.resize(n_buckets, last);
+    }
+
+    /// The `k`-th event (`k < len`): the paper of the first run whose
+    /// `end > k`.
+    fn get(&self, k: usize) -> u32 {
+        let k = k as u32;
+        let bucket = (k / BUCKET) as usize;
+        let lo = self.buckets[bucket] as usize;
+        let hi = self
+            .buckets
+            .get(bucket + 1)
+            .map_or(self.runs.len(), |&run| run as usize + 1);
+        let run = lo + self.runs[lo..hi].partition_point(|&(_, end)| end <= k);
+        self.runs[run].0
     }
 }
 
@@ -385,6 +484,7 @@ impl Generator {
 mod tests {
     use super::*;
     use citegraph::stats;
+    use proptest::prelude::*;
 
     fn small_profile() -> DatasetProfile {
         DatasetProfile::hepth().scaled(1500)
@@ -551,6 +651,86 @@ mod tests {
         let ceiling = (p.n_papers as f64 * p.author_pool_factor).ceil() as usize;
         assert!(table.n_authors() <= ceiling + 1);
         assert!(table.n_authors() > ceiling / 4, "pool should fill up");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A run pool reads as the flat event vector it encodes. Papers
+        /// come from a small range so consecutive calls often repeat one
+        /// (a run extends), `n` is often 0 (nothing appended), and one
+        /// call in three is a phantom-sized run that crosses index
+        /// buckets.
+        #[test]
+        fn run_pool_matches_the_flat_model(
+            pushes in proptest::collection::vec(
+                (0u32..4, 0usize..6, 0usize..3).prop_map(|(paper, n, big)| {
+                    (paper, if big == 0 { n * 29 } else { n })
+                }),
+                0..48,
+            ),
+        ) {
+            let mut pool = RunPool::default();
+            let mut flat: Vec<u32> = Vec::new();
+            for &(paper, n) in &pushes {
+                pool.push_n(paper, n);
+                flat.extend(std::iter::repeat_n(paper, n));
+                prop_assert_eq!(pool.len(), flat.len());
+            }
+            for (k, &paper) in flat.iter().enumerate() {
+                prop_assert_eq!(pool.get(k), paper);
+            }
+            // Maximal runs: no two neighbours hold one paper.
+            prop_assert!(pool.runs.windows(2).all(|w| w[0].0 != w[1].0 && w[0].1 < w[1].1));
+            // The index is tight: bucket j names the run holding event
+            // j·BUCKET (a looser bucket still reads right, only slower).
+            prop_assert_eq!(pool.buckets.len(), flat.len().div_ceil(BUCKET as usize));
+            for (j, &run) in pool.buckets.iter().enumerate() {
+                let run = run as usize;
+                let start = if run == 0 { 0 } else { pool.runs[run - 1].1 };
+                let first = j as u32 * BUCKET;
+                prop_assert!(start <= first && first < pool.runs[run].1);
+            }
+        }
+
+        /// `nth_event` over several years' pools reads their concatenation.
+        #[test]
+        fn run_pools_concatenate_in_nth_event(
+            years in proptest::collection::vec(
+                proptest::collection::vec((0u32..3, 0usize..4), 0..8),
+                1..5,
+            ),
+        ) {
+            let mut flat: Vec<u32> = Vec::new();
+            let pools: Vec<RunPool> = years
+                .iter()
+                .map(|pushes| {
+                    let mut pool = RunPool::default();
+                    for &(paper, n) in pushes {
+                        pool.push_n(paper, n);
+                        flat.extend(std::iter::repeat_n(paper, n));
+                    }
+                    pool
+                })
+                .collect();
+            for (k, &paper) in flat.iter().enumerate() {
+                prop_assert_eq!(nth_event(&pools, k), paper);
+            }
+        }
+    }
+
+    #[test]
+    fn run_pool_alternating_papers_keep_one_run_each() {
+        let mut pool = RunPool::default();
+        pool.push_n(7, 3);
+        pool.push_n(7, 0);
+        pool.push_n(7, 2); // extends the first run
+        pool.push_n(9, 1);
+        pool.push_n(7, 1);
+        pool.push_n(9, 0);
+        assert_eq!(pool.runs, vec![(7, 5), (9, 6), (7, 7)]);
+        let flat: Vec<u32> = (0..pool.len()).map(|k| pool.get(k)).collect();
+        assert_eq!(flat, vec![7, 7, 7, 7, 7, 9, 7]);
     }
 
     #[test]
