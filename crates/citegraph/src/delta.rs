@@ -233,10 +233,12 @@ impl CitationNetwork {
     ///
     /// Cost: an `O(V + E)` copy of the existing arrays (row spans between
     /// touched rows move as whole slices — memcpy speed, no per-edge work)
-    /// plus `O(batch · log batch)` to sort the batch and merge it into the
-    /// rows it touches ([`sparsela::Csr::merged_with`], once for the
-    /// references and once for the citers). The result is structurally
-    /// identical to a from-scratch [`crate::NetworkBuilder`] build. When
+    /// plus `O(batch · log batch)` to sort the batch, merge it into the
+    /// reference rows it touches ([`sparsela::Csr::merged_with`]) and add
+    /// the edges it really added to the parent's in-degrees. The citers
+    /// transpose is not merged: the result builds it on first use, like
+    /// every network. The result is structurally identical to a
+    /// from-scratch [`crate::NetworkBuilder`] build. When
     /// this network's venue cuts were found, the result carries them
     /// ([`CitationNetwork::venue_year_cuts`]), searching again only where
     /// the delta appended papers to a venue.
@@ -337,26 +339,25 @@ impl CitationNetwork {
         years.extend_from_slice(self.years());
         years.extend_from_slice(&delta.papers);
 
-        // Both adjacencies take the batch as a sorted union-merge: `refs`
-        // by (citing, cited), `citers` by the flipped pairs. A union on
-        // each side keeps `citers == refs.transpose()` exact whether or
-        // not an edge was already present.
+        // `refs` takes the batch as a sorted union-merge by (citing,
+        // cited). The in-degrees are the parent's plus the edges the batch
+        // really added: deduplicated, an edge the parent already held
+        // counts nothing, so they stay the column counts of `refs`.
         let mut extra = delta.citations.clone();
         extra.sort_unstable();
         extra.dedup();
-        let refs = self
-            .refs_csr()
+        let old_refs = self.refs_csr();
+        let refs = old_refs
             .merged_with(n_new, n_new, &extra)
             .expect("a validated delta's edges are in range");
-        for e in &mut extra {
-            *e = (e.1, e.0);
+        let mut in_degree = Vec::with_capacity(n_new);
+        in_degree.extend_from_slice(self.in_degrees());
+        in_degree.resize(n_new, 0);
+        for &(citing, cited) in &extra {
+            if citing as usize >= n_old || !old_refs.contains(citing, cited) {
+                in_degree[cited as usize] += 1;
+            }
         }
-        extra.sort_unstable();
-        let citers = self
-            .citers_csr()
-            .merged_with(n_new, n_new, &extra)
-            .expect("a validated delta's edges are in range");
-        debug_assert!(citers == refs.transpose(), "citers must transpose refs");
 
         // Metadata: append the delta's rows to the existing tables in one
         // linear pass (`extend` — O(batch) new postings, no re-sort), so
@@ -418,7 +419,8 @@ impl CitationNetwork {
                 }
             });
 
-        let next = CitationNetwork::from_parts_with_citers(years, refs, citers, authors, venues);
+        let next =
+            CitationNetwork::from_parts_with_in_degrees(years, refs, in_degree, authors, venues);
         self.carry_venue_cuts(&next);
         next
     }
@@ -469,6 +471,25 @@ mod tests {
         // Existing ids are untouched.
         assert_eq!(next.references(2), net.references(2));
         assert_eq!(next.citations(0), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn a_successor_carries_in_degrees_and_no_transpose() {
+        let net = base();
+        let mut d = GraphDelta::new();
+        d.add_paper(1995);
+        d.add_citation(3, 0);
+        d.add_citation(3, 0); // a duplicate inside the batch counts once
+        d.add_citation(2, 1); // already held — counts nothing
+        let next = net.with_delta(&d).unwrap();
+        assert!(!next.citers_built());
+        assert_eq!(next.citation_counts(), [3, 1, 0, 0]);
+        // A parent's built transpose is not carried either.
+        net.stochastic_operator();
+        let next = net.with_delta(&d).unwrap();
+        assert!(!next.citers_built());
+        assert_eq!(next.citation_counts(), next.citers_csr().degrees());
+        assert_eq!(next.citers_csr(), &next.refs_csr().transpose());
     }
 
     #[test]

@@ -98,6 +98,13 @@ impl AuthorTable {
         self.offsets.len() - 1
     }
 
+    /// Heap bytes held by both views.
+    pub fn heap_bytes(&self) -> usize {
+        (self.offsets.capacity() + self.rev_offsets.capacity()) * std::mem::size_of::<usize>()
+            + (self.author_ids.capacity() + self.rev_paper_ids.capacity())
+                * std::mem::size_of::<u32>()
+    }
+
     /// Number of distinct authors.
     pub fn n_authors(&self) -> usize {
         self.n_authors
@@ -357,6 +364,13 @@ impl VenueTable {
     /// Number of papers covered.
     pub fn n_papers(&self) -> usize {
         self.venue.len()
+    }
+
+    /// Heap bytes held by the slots and the posting lists.
+    pub fn heap_bytes(&self) -> usize {
+        self.venue.capacity() * std::mem::size_of::<Option<VenueId>>()
+            + self.post_offsets.capacity() * std::mem::size_of::<usize>()
+            + self.post_papers.capacity() * std::mem::size_of::<PaperId>()
     }
 
     /// Number of distinct venues.

@@ -26,16 +26,22 @@ pub struct CitationNetwork {
     /// Publication year per paper; non-decreasing in paper id.
     years: Vec<Year>,
     /// Row `j`: papers that `j` cites ("reference lists", edges j → i).
+    /// The one adjacency every network carries: AttRank pushes along it
+    /// and counts its attention window from it.
     refs: Csr,
-    /// Row `i`: papers citing `i` (transpose of `refs`, cached).
-    citers: Csr,
+    /// Citations received per paper — the column counts of `refs`, which
+    /// is all CC needs.
+    in_degree: Vec<u32>,
     /// Optional paper–author incidence.
     authors: Option<AuthorTable>,
     /// Optional paper–venue assignment.
     venues: Option<VenueTable>,
-    /// Lazily built stochastic operator `S` (the network is immutable, so
-    /// one build serves every ranker; grid searches used to rebuild it —
-    /// including a full adjacency clone — once per parameter setting).
+    /// The stochastic operator `S`, which holds the citers transpose of
+    /// `refs` (row `i`: papers citing `i`): built on the first call to
+    /// [`Self::stochastic_operator`], [`Self::citers_csr`] or
+    /// [`Self::citations`] and kept, since the network is immutable. Only
+    /// the reproduction's power-iteration baselines ask for it, so a
+    /// serving network never builds it.
     operator: OnceLock<CitationOperator>,
     /// The venue lists' year cuts, found on first use or carried from the
     /// network a delta grew this one from.
@@ -96,22 +102,27 @@ impl CitationNetwork {
         authors: Option<AuthorTable>,
         venues: Option<VenueTable>,
     ) -> Self {
-        let citers = refs.transpose();
-        Self::from_parts_with_citers(years, refs, citers, authors, venues)
+        let mut in_degree = vec![0u32; refs.ncols()];
+        for &cited in refs.indices() {
+            in_degree[cited as usize] += 1;
+        }
+        Self::from_parts_with_in_degrees(years, refs, in_degree, authors, venues)
     }
 
-    /// [`Self::from_parts`] for a caller that already holds the transpose
-    /// (the delta path merges both adjacencies instead of re-deriving one
-    /// from the other); `citers` must equal `refs.transpose()`.
-    pub(crate) fn from_parts_with_citers(
+    /// [`Self::from_parts`] for a caller that already holds the in-degrees
+    /// (the delta path carries its parent's and adds the batch's new
+    /// edges; the store load counts them while it validates the edges);
+    /// `in_degree` must equal the column counts of `refs`.
+    pub(crate) fn from_parts_with_in_degrees(
         years: Vec<Year>,
         refs: Csr,
-        citers: Csr,
+        in_degree: Vec<u32>,
         authors: Option<AuthorTable>,
         venues: Option<VenueTable>,
     ) -> Self {
         debug_assert_eq!(refs.nrows(), years.len());
         debug_assert_eq!(refs.ncols(), years.len());
+        debug_assert_eq!(in_degree.len(), years.len());
         debug_assert!(
             years.windows(2).all(|w| w[0] <= w[1]),
             "years must be sorted"
@@ -119,7 +130,7 @@ impl CitationNetwork {
         Self {
             years,
             refs,
-            citers,
+            in_degree,
             authors,
             venues,
             operator: OnceLock::new(),
@@ -136,8 +147,10 @@ impl CitationNetwork {
     /// Validation is `O(V + E)` integer comparisons — orders of magnitude
     /// cheaper than re-parsing text, but strong enough that a corrupted
     /// snapshot cannot smuggle in a state the solvers would misbehave on.
-    /// The citers transpose is rebuilt (not loaded), so a round-tripped
-    /// network is structurally identical to the one that was saved.
+    /// The in-degrees are counted in the same pass over the edges; the
+    /// citers transpose is neither loaded nor built (it is built on first
+    /// use, like every network's), so a round-tripped network is
+    /// structurally identical to the one that was saved.
     pub fn from_store_parts(
         years: Vec<Year>,
         refs: sparsela::Csr,
@@ -173,6 +186,7 @@ impl CitationNetwork {
                 id: (w + 1) as PaperId,
             });
         }
+        let mut in_degree = vec![0u32; n];
         for citing in 0..n as u32 {
             for &cited in refs.row(citing) {
                 // Column bounds were validated by the Csr constructor;
@@ -180,9 +194,12 @@ impl CitationNetwork {
                 if cited == citing || years[cited as usize] > years[citing as usize] {
                     return Err(PartsError::InvalidEdge { citing, cited });
                 }
+                in_degree[cited as usize] += 1;
             }
         }
-        Ok(Self::from_parts(years, refs, authors, venues))
+        Ok(Self::from_parts_with_in_degrees(
+            years, refs, in_degree, authors, venues,
+        ))
     }
 
     /// Number of papers `|P|`.
@@ -221,14 +238,15 @@ impl CitationNetwork {
         self.refs.row(p)
     }
 
-    /// The papers citing `p`.
+    /// The papers citing `p`. The first call builds the citers transpose
+    /// ([`Self::citers_csr`]).
     pub fn citations(&self, p: PaperId) -> &[PaperId] {
-        self.citers.row(p)
+        self.citers_csr().row(p)
     }
 
     /// Citation count `CC(p)` — in-degree of `p` (paper §2).
     pub fn citation_count(&self, p: PaperId) -> usize {
-        self.citers.degree(p)
+        self.in_degree[p as usize] as usize
     }
 
     /// Reference count `k_p` — out-degree of `p`.
@@ -241,9 +259,17 @@ impl CitationNetwork {
         &self.refs
     }
 
-    /// The citation adjacency (row `i` = papers citing `i`).
+    /// The citation adjacency (row `i` = papers citing `i`): the transpose
+    /// of [`Self::refs_csr`], held by the stochastic operator and built
+    /// with it on first use.
     pub fn citers_csr(&self) -> &Csr {
-        &self.citers
+        self.stochastic_operator().citers()
+    }
+
+    /// Whether the citers transpose (and the operator holding it) has been
+    /// built — what a serving path must never cause.
+    pub fn citers_built(&self) -> bool {
+        self.operator.get().is_some()
     }
 
     /// Papers with no references (dangling columns of the citation matrix).
@@ -252,11 +278,11 @@ impl CitationNetwork {
     }
 
     /// The column-stochastic operator `S` of paper §2 for this state of the
-    /// network, built on first use and cached (the network is immutable).
+    /// network, built on first use and cached (the network is immutable):
+    /// one transpose of `refs`, which [`Self::citers_csr`] also reads.
     pub fn stochastic_operator(&self) -> &CitationOperator {
-        self.operator.get_or_init(|| {
-            CitationOperator::from_citers(self.citers.clone(), &self.refs.degrees())
-        })
+        self.operator
+            .get_or_init(|| CitationOperator::from_references(&self.refs))
     }
 
     /// Author metadata, if present.
@@ -375,9 +401,27 @@ impl CitationNetwork {
         start as PaperId..end.max(start) as PaperId
     }
 
+    /// The carried in-degrees, one per paper.
+    pub(crate) fn in_degrees(&self) -> &[u32] {
+        &self.in_degree
+    }
+
     /// In-degree of every paper as a dense vector (`CC` for all papers).
     pub fn citation_counts(&self) -> Vec<usize> {
-        self.citers.degrees()
+        self.in_degree.iter().map(|&c| c as usize).collect()
+    }
+
+    /// Heap bytes held: the years, `refs`, the in-degrees, the author and
+    /// venue tables and, once found, the venue cuts; the citers transpose
+    /// and its operator only once built.
+    pub fn heap_bytes(&self) -> usize {
+        self.years.capacity() * std::mem::size_of::<Year>()
+            + self.refs.heap_bytes()
+            + self.in_degree.capacity() * std::mem::size_of::<u32>()
+            + self.authors.as_ref().map_or(0, AuthorTable::heap_bytes)
+            + self.venues.as_ref().map_or(0, VenueTable::heap_bytes)
+            + self.venue_cuts.get().map_or(0, HeadCuts::heap_bytes)
+            + self.operator.get().map_or(0, CitationOperator::heap_bytes)
     }
 }
 
@@ -399,6 +443,52 @@ mod tests {
             b.add_citation(citing, cited).unwrap();
         }
         b.build().unwrap()
+    }
+
+    #[test]
+    fn no_construction_builds_the_transpose() {
+        let net = small();
+        assert!(!net.citers_built(), "builder");
+        assert!(!net.prefix(3).citers_built(), "prefix");
+        let plan = crate::ShardPlan::fixed(&net, 2).unwrap();
+        for s in 0..plan.n_shards() {
+            assert!(!plan.extract(&net, s).0.citers_built(), "extract {s}");
+        }
+        let back = CitationNetwork::from_store_parts(
+            net.years().to_vec(),
+            net.refs_csr().clone(),
+            None,
+            None,
+        )
+        .unwrap();
+        assert!(!back.citers_built(), "from_store_parts");
+        assert_eq!(back.citation_counts(), net.citation_counts());
+        // Counts, degrees and heap bytes read no transpose either.
+        assert_eq!(net.citation_count(0), 3);
+        let bytes = net.heap_bytes();
+        assert!(!net.citers_built());
+        net.stochastic_operator();
+        assert!(net.heap_bytes() > bytes, "a built transpose is counted");
+    }
+
+    #[test]
+    fn the_first_reader_builds_the_transpose_once() {
+        let readers: [fn(&CitationNetwork); 3] = [
+            |net| assert_eq!(net.citations(0), &[1, 2, 4]),
+            |net| assert_eq!(net.citers_csr().nnz(), 7),
+            |net| assert_eq!(net.stochastic_operator().n(), 5),
+        ];
+        for read in readers {
+            let net = small();
+            read(&net);
+            assert!(net.citers_built());
+            let built: *const Csr = net.citers_csr();
+            assert_eq!(net.citers_csr(), &net.refs_csr().transpose());
+            // Every reader shares the one transpose the operator holds.
+            assert!(std::ptr::eq(built, net.stochastic_operator().citers()));
+            assert!(std::ptr::eq(built, net.citers_csr()));
+            assert_eq!(net.citations(4), &[] as &[PaperId]);
+        }
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Exactness of the copy-and-merge successor: a chain of
 //! [`CitationNetwork::with_delta`] calls must be structurally identical to
 //! one from-scratch [`NetworkBuilder`] build of the same papers and edges —
-//! years, both adjacencies, both metadata tables — and the citers must stay
-//! the exact transpose of the references. The venue cuts a successor
-//! carries from its parent must equal a fresh search of its own lists.
+//! years, both adjacencies, the in-degrees, both metadata tables — and the
+//! citers (built on first use) must be the exact transpose of the
+//! references. The in-degrees a successor carries from its parent must
+//! count each citation once: an edge the parent held, or a duplicate inside
+//! the batch, adds nothing. The venue cuts a successor carries from its
+//! parent must equal a fresh search of its own lists.
 
 use citegraph::{AuthorId, CitationNetwork, GraphDelta, NetworkBuilder, PaperId, VenueId, Year};
 use proptest::collection::vec;
@@ -101,6 +104,11 @@ fn stage(mirror: &mut Mirror, (papers, mode, edges): &RawBatch) -> GraphDelta {
 fn assert_same(incremental: &CitationNetwork, scratch: &CitationNetwork) {
     assert_eq!(incremental.years(), scratch.years());
     assert_eq!(incremental.refs_csr(), scratch.refs_csr());
+    assert_eq!(incremental.citation_counts(), scratch.citation_counts());
+    assert_eq!(
+        incremental.citation_counts(),
+        incremental.citers_csr().degrees()
+    );
     assert_eq!(incremental.citers_csr(), scratch.citers_csr());
     assert_eq!(
         incremental.citers_csr(),
@@ -175,4 +183,11 @@ fn corrections_on_the_first_and_last_old_rows_with_duplicates() {
     assert_eq!(next.references(3), &[0, 2]);
     assert_eq!(next.citations(0), &[3, 4]);
     assert_eq!(next.n_citations(), 6);
+    // (3, 0) was held already and (4, 0) comes twice: paper 0 counts each
+    // citer once. (0, 2) and (3, 2) are new, so paper 2 gains two.
+    assert_eq!(next.citation_count(0), 2);
+    assert_eq!(next.citation_count(1), 1);
+    assert_eq!(next.citation_count(2), 2);
+    assert_eq!(next.citation_count(3), 1);
+    assert_eq!(next.citation_counts(), [2, 1, 2, 1, 0]);
 }

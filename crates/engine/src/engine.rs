@@ -1,8 +1,9 @@
 //! The serving engine: epoch-snapshot score publication over a growing
 //! citation network.
 //!
-//! A [`RankingEngine`] owns the authoritative [`CitationNetwork`] (whose
-//! stochastic operator is built once and cached per state), a
+//! A [`RankingEngine`] owns the authoritative [`CitationNetwork`] (its
+//! reference adjacency and in-degrees; no serving path builds the citers
+//! transpose), a
 //! [`KernelWorkspace`] buffer pool for allocation-free re-ranks, and the
 //! configured ranking method. Scores are published as immutable
 //! [`EpochSnapshot`]s behind an `Arc` swap — each frozen together with
@@ -492,7 +493,8 @@ struct WriterState {
     workspace: KernelWorkspace,
     /// Validated-but-unapplied additions. Ingests merge into this staged
     /// delta in O(batch); the successor network — an O(V + E) copy of the
-    /// arrays plus an O(batch log batch) merge, see
+    /// references, the in-degrees and the metadata plus an O(batch log
+    /// batch) merge into the reference rows (no citers transpose), see
     /// [`CitationNetwork::with_delta`] — is built once per publish, not
     /// once per batch, and not at all when a sibling engine over the same
     /// parent network has already built it.
@@ -551,8 +553,8 @@ impl RankingEngine {
     ///
     /// `net` is an owned network or an `Arc` share of one: engines built
     /// over clones of one `Arc` hold a single copy of the corpus between
-    /// them (and of its cached stochastic operator) — networks are
-    /// immutable, a publish swaps in a successor `Arc`.
+    /// them — networks are immutable, a publish swaps in a successor
+    /// `Arc`.
     pub fn new(
         net: impl Into<Arc<CitationNetwork>>,
         spec: &MethodSpec,
@@ -1121,7 +1123,11 @@ impl RankingEngine {
             parent_net,
             delta,
         });
+        let freeze_started = Instant::now();
         let snapshot = Self::freeze_with(epoch, &state.net, scores, strategy, lineage);
+        if let Some(ins) = self.instruments.get() {
+            ins.freeze_seconds.observe(freeze_started.elapsed());
+        }
         state.previous = Some(snapshot.clone());
         *self
             .published

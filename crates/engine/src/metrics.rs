@@ -233,13 +233,13 @@ pub(crate) enum Layout {
 }
 
 /// Per-partition live instruments handed to a [`RankingEngine`]:
-/// publish/apply/solve latency, successor-network reuse, push work
+/// publish/apply/solve/freeze latency, successor-network reuse, push work
 /// gauges, push fallbacks, and the WAL's append/fsync observers. The
 /// handles alias children of the registering [`ServingMetrics`], so the
 /// engine records directly into the rendered families.
 #[derive(Debug, Clone)]
 pub(crate) struct EngineInstruments {
-    /// Whole-publish latency (apply + solve + snapshot build + swap).
+    /// Whole-publish latency (apply + solve + freeze + swap).
     pub(crate) publish_seconds: Arc<Histogram>,
     /// Obtaining the successor network: the copy-and-merge
     /// `with_delta`, or the check that adopts a sibling's. Not observed by
@@ -251,6 +251,10 @@ pub(crate) struct EngineInstruments {
     pub(crate) successor_shared: Arc<Counter>,
     /// The ranking solve alone (`rank_full` / `rank_delta`).
     pub(crate) solve_seconds: Arc<Histogram>,
+    /// Freezing the solved scores into the published snapshot: the block
+    /// summaries (and the venue cuts, when the network has not found or
+    /// carried them). Not observed by a publish whose solve was rejected.
+    pub(crate) freeze_seconds: Arc<Histogram>,
     /// Pushes spent by the last incremental publish (0 on full solves).
     pub(crate) push_pushes: Arc<Gauge>,
     /// Edge traversals spent by the last incremental publish. A traversed
@@ -306,6 +310,7 @@ pub(crate) struct ServingMetrics {
     apply_seconds: HistogramVec,
     successor_networks: CounterVec,
     solve_seconds: HistogramVec,
+    freeze_seconds: HistogramVec,
     push_pushes: GaugeVec,
     push_edge_work: GaugeVec,
     push_edge_budget: GaugeVec,
@@ -446,7 +451,7 @@ impl ServingMetrics {
             ),
             publish_seconds: per_child_latency(
                 "publish_seconds",
-                "Whole-publish latency (apply + solve + snapshot swap)",
+                "Whole-publish latency (apply + solve + freeze + snapshot swap)",
             ),
             apply_seconds: per_child_latency(
                 "apply_seconds",
@@ -461,6 +466,10 @@ impl ServingMetrics {
             solve_seconds: per_child_latency(
                 "solve_seconds",
                 "Ranking solve latency inside publish",
+            ),
+            freeze_seconds: per_child_latency(
+                "freeze_seconds",
+                "Snapshot freeze latency inside publish (block summaries, venue cuts)",
             ),
             push_pushes: per_child_gauge(
                 "push_pushes",
@@ -532,6 +541,7 @@ impl ServingMetrics {
             successor_built: self.successor_networks.share(0),
             successor_shared: self.successor_networks.share(1),
             solve_seconds: self.solve_seconds.share(idx),
+            freeze_seconds: self.freeze_seconds.share(idx),
             push_pushes: self.push_pushes.share(idx),
             push_edge_work: self.push_edge_work.share(idx),
             push_edge_budget: self.push_edge_budget.share(idx),

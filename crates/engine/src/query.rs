@@ -2615,8 +2615,8 @@ pub struct QueryEngine {
 
 impl QueryEngine {
     /// Builds one engine per spec, all sharing one `Arc` of `net` (one
-    /// resident corpus and one cached stochastic operator however many
-    /// methods are served), and publishes each method's epoch 0. The
+    /// resident corpus however many methods are served), and publishes
+    /// each method's epoch 0. The
     /// first spec is the default method.
     pub fn new(
         net: impl Into<Arc<CitationNetwork>>,

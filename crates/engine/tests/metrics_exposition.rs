@@ -20,7 +20,7 @@ fn temp_wal(name: &str) -> PathBuf {
 }
 
 /// Every family the two stacks register, flat then sharded.
-const FAMILIES: [&str; 53] = [
+const FAMILIES: [&str; 55] = [
     "attrank_query_seconds",
     "attrank_planner_decisions_total",
     "attrank_cursor_errors_total",
@@ -39,6 +39,7 @@ const FAMILIES: [&str; 53] = [
     "attrank_apply_seconds",
     "attrank_successor_networks_total",
     "attrank_solve_seconds",
+    "attrank_freeze_seconds",
     "attrank_push_pushes",
     "attrank_push_edge_work",
     "attrank_push_edge_budget",
@@ -66,6 +67,7 @@ const FAMILIES: [&str; 53] = [
     "attrank_sharded_apply_seconds",
     "attrank_sharded_successor_networks_total",
     "attrank_sharded_solve_seconds",
+    "attrank_sharded_freeze_seconds",
     "attrank_sharded_push_pushes",
     "attrank_sharded_push_edge_work",
     "attrank_sharded_push_edge_budget",
@@ -194,6 +196,25 @@ fn scripted_workload_renders_valid_exposition() {
     assert!(text.contains("attrank_successor_networks_total{outcome=\"built\"} 1"));
     assert!(text.contains("attrank_successor_networks_total{outcome=\"shared\"} 1"));
     assert!(text.contains("attrank_apply_seconds_count{method=\"cc\"} 1"));
+    // Every publish that kept its scores froze them once: the freeze
+    // count is the publish count.
+    let count = |series: &str| {
+        let line = text.lines().find(|l| l.starts_with(series));
+        line.and_then(|l| l.rsplit(' ').next())
+            .unwrap_or_else(|| panic!("{series} missing from the exposition"))
+    };
+    for method in ["attrank", "cc"] {
+        let publishes = count(&format!(
+            "attrank_publish_seconds_count{{method=\"{method}\"}}"
+        ));
+        assert_ne!(publishes, "0");
+        assert_eq!(
+            count(&format!(
+                "attrank_freeze_seconds_count{{method=\"{method}\"}}"
+            )),
+            publishes
+        );
+    }
     // That ingest was each method's only publish with a staged delta, and
     // neither could push it: attrank's first delta builds its push state
     // behind a full solve, cc has no push. The `rerank()` further up had
@@ -268,6 +289,10 @@ fn the_sharded_write_path_renders_per_shard() {
     };
     let shard = |family: &str, s: usize| format!("{family}{{shard=\"{s}\"}}");
     assert!(sample(&shard("attrank_sharded_publish_seconds_count", tail)) >= 1.0);
+    assert_eq!(
+        sample(&shard("attrank_sharded_freeze_seconds_count", tail)),
+        sample(&shard("attrank_sharded_publish_seconds_count", tail))
+    );
     let tail_epoch = sh.shard_engines()[tail].snapshot().epoch();
     assert_eq!(
         sample(&shard("attrank_sharded_epoch", tail)),

@@ -18,6 +18,10 @@
 //! | `Store::open` + [`Store::top_k`] | O(file) read + checksum, O(n) select       |
 //! | `+ to_network` (to keep serving) | + O(V + E) validate, memcpys, inversions   |
 //!
+//! `to_network` builds no citers transpose: the validation pass over the
+//! references also counts the in-degrees, and the transpose is built only
+//! if something asks for it (no serving path does).
+//!
 //! Every byte a cold start reads is checked once: the section checksums
 //! run at memory speed (four independent multiply lanes over u64 words),
 //! and a persisted posting index costs one sequential comparison against
@@ -98,7 +102,8 @@
 //! | 15  | PUSH_STATE     | f64  | att ‖ rec ‖ kernel, 3·n values | epoch no.  |
 //!
 //! Sections 1–3 are mandatory and describe the reference adjacency (row
-//! `j` = papers cited by `j`); the citers transpose is rebuilt on load.
+//! `j` = papers cited by `j`); the citers transpose is not stored, and a
+//! load does not build it (a network builds it on first use).
 //! Sections 4–6 appear only when the network carries metadata (5 and 6
 //! always together). Sections 11–14 persist the secondary posting
 //! indexes (the venue→papers and author→papers inversions, CSR with

@@ -878,7 +878,9 @@ impl Store {
 
     /// Materializes the stored network, re-validating every structural
     /// and temporal invariant (two memcpys for the adjacency, `O(V + E)`
-    /// integer checks, no text parsing).
+    /// integer checks that also count the in-degrees, no text parsing).
+    /// The citers transpose is not built: the network builds it on first
+    /// use, and no serving path uses it.
     pub fn to_network(&self) -> Result<CitationNetwork, StoreError> {
         let n = self.n_papers;
         let refs = Csr::from_store_parts(self.indptr().to_vec(), self.indices().to_vec(), n)

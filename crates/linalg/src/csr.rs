@@ -292,6 +292,11 @@ impl Csr {
         })
     }
 
+    /// Heap bytes held by the two arrays.
+    pub fn heap_bytes(&self) -> usize {
+        (self.indptr.capacity() + self.indices.capacity()) * std::mem::size_of::<u32>()
+    }
+
     /// Returns the out-degree of every row as a dense vector.
     pub fn degrees(&self) -> Vec<usize> {
         (0..self.nrows())

@@ -477,6 +477,11 @@ impl HeadCuts {
         self.0.is_empty()
     }
 
+    /// Heap bytes held (one key per cut), counted by whoever owns the set.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.0)
+    }
+
     /// Each cut as `(list, position)`, by list, then position.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.0

@@ -64,8 +64,7 @@ impl CitationOperator {
     /// Builds the operator directly from the in-citation adjacency (row `i`
     /// lists papers citing `i`) plus the out-degree of every paper.
     ///
-    /// This avoids a transpose when the caller already stores in-citations,
-    /// which the citation-network substrate does.
+    /// This avoids a transpose when the caller already stores in-citations.
     pub fn from_citers(citers: Csr, out_degrees: &[usize]) -> Self {
         let n = citers.nrows();
         assert_eq!(n, citers.ncols(), "citation matrix must be square");
@@ -288,6 +287,14 @@ impl CitationOperator {
     /// The in-citation adjacency backing this operator.
     pub fn citers(&self) -> &Csr {
         &self.citers
+    }
+
+    /// Heap bytes held: the in-citation adjacency, the reciprocal
+    /// out-degrees and the dangling list.
+    pub fn heap_bytes(&self) -> usize {
+        self.citers.heap_bytes()
+            + self.inv_out_degree.capacity() * std::mem::size_of::<f64>()
+            + self.dangling.capacity() * std::mem::size_of::<u32>()
     }
 }
 
