@@ -199,6 +199,10 @@ pub struct PersonalizedScores {
     pub raw: ScoreVec,
     /// Total pure-citation mass sitting on dangling papers, `dᵀy`.
     pub dangling_mass: f64,
+    /// The kernel's scale in the resolution: `scores[i]` is exactly
+    /// `raw[i] + g * u[i]` for the kernel `u` the solve was given, so a
+    /// reader holding `raw`, `g` and `u` reads every score bit for bit.
+    pub g: f64,
 }
 
 impl PersonalizedScores {
@@ -279,11 +283,13 @@ pub fn personalize(
         outcome,
         raw: y,
         dangling_mass: if alpha > 0.0 { g / alpha } else { 0.0 },
+        g,
     }
 }
 
 /// The closed-form dangling resolution `x = y + g·u`, into a fresh vector
-/// so `y` survives as the warm-start form.
+/// so `y` survives as the warm-start form. `sparsela::Cone` reads the same
+/// expression per id, so a cached cone serves these scores bit for bit.
 fn resolve(y: &ScoreVec, g: f64, u: &[f64], workspace: &mut KernelWorkspace) -> ScoreVec {
     let mut scores = workspace.take_zeros(y.len());
     for ((s, &yi), &ui) in scores.iter_mut().zip(y.iter()).zip(u) {
@@ -448,13 +454,15 @@ pub fn repersonalize(
     }
 
     // Closed-form dangling resolution: x = y + α·(dᵀy)·u.
-    let scores = resolve(&y, alpha * dangling_mass, u, workspace);
+    let g = alpha * dangling_mass;
+    let scores = resolve(&y, g, u, workspace);
     outcome.edge_work += seed_work + n_new as u64;
     Some(PersonalizedScores {
         scores,
         outcome,
         raw: y,
         dangling_mass,
+        g,
     })
 }
 

@@ -213,22 +213,30 @@ impl BlockSummaries {
         }
     }
 
-    /// Heap bytes held, heads counted whether built or not.
+    /// Heap bytes held now: head cells once laid out, heads once built.
     pub(crate) fn bytes(&self) -> usize {
         self.ids.bytes() + self.venues.bytes()
     }
 }
 
 /// A frozen ranking vector with the block summaries built when it was
-/// frozen — an epoch's scores or a cached personalized solve. What the
-/// query layer's block-walk selection arms read, seeded or not.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Ranking<'a> {
+/// frozen — an epoch's dense scores, or a cached personalized solve in
+/// cone form ([`sparsela::Cone`]). What the query layer's selection arms
+/// read, seeded or not.
+pub(crate) struct Ranking<'a, S: ?Sized = [f64]> {
     /// The scores, indexed by (partition-local) paper id.
-    pub(crate) scores: &'a [f64],
+    pub(crate) scores: &'a S,
     /// Their block maxima over ids and over venue postings.
     pub(crate) blocks: &'a BlockSummaries,
 }
+
+impl<S: ?Sized> Clone for Ranking<'_, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S: ?Sized> Copy for Ranking<'_, S> {}
 
 /// One immutable published ranking state.
 ///

@@ -1,5 +1,5 @@
 //! [`PersonalizationCache`] — epoch-keyed LRU of completed personalized
-//! score vectors.
+//! solves, each kept in cone form.
 //!
 //! Personalized ranking is a per-request solve ([`citegraph::personalize()`]),
 //! and the read pattern that motivates it (a user's "related papers" panel,
@@ -7,10 +7,9 @@
 //! same epoch many times. The cache turns that workload into three tiers:
 //!
 //! * **hit** — the entry was solved on exactly the requested epoch: serve
-//!   the `Arc`'d vector with zero solve work — and, to the engines, the
-//!   block maxima built when the entry was inserted, so a seeded page is
-//!   block-pruned like an unseeded one instead of re-scanning the vector
-//!   it just got for free;
+//!   it with zero solve work — and, to the engines, with the block maxima
+//!   built when the entry was inserted, so a seeded page is block-pruned
+//!   (or sliced from a head) like an unseeded one;
 //! * **warm re-push** — the entry was solved on the epoch's *parent*
 //!   (recorded in the snapshot's lineage): every entry keeps its
 //!   *unresolved* form (pure-citation part + dangling mass,
@@ -23,30 +22,45 @@
 //!   fallback — on a citation DAG each cone paper is pushed once), then
 //!   cache.
 //!
-//! The dangling rank-1 part of every solve resolves against a **uniform
-//! kernel** sub-cache keyed like the entries, by partition label and `α`:
-//! a kernel belongs to the partition whose graph it was solved on, so one
+//! **Cone form.** Every solve is `x = y + g·u`: `y`, the seeds' push, is
+//! zero outside their reference cone (a three-seed set's cone is about a
+//! fifth of a 200k corpus), and `u` is the partition's **uniform kernel**,
+//! which a sub-cache keeps once per (partition label, `α`, epoch). An
+//! entry therefore stores `y` block-sparse ([`sparsela::Cone`]: a mask and
+//! an offset per 64-id block, and the values whose bits are not zero), the
+//! scalars `g` and `dᵀy`, an `Arc` of its epoch's kernel and its block
+//! summaries — no dense vector. Every read of a score computes
+//! `y_i + g·u_i`, the expression the solve's own resolution evaluates, so
+//! pages, block maxima and heads are bit-identical to a dense copy's. The
+//! summaries are built from the solve's dense `x` before it is dropped; a
+//! warm re-push scatters `y` into a zeroed buffer for
+//! [`citegraph::repersonalize`], which is unchanged.
+//!
+//! A kernel belongs to the partition whose graph it was solved on, so one
 //! shard's kernel never resolves another's vectors. Each is cold-built
 //! once per (label, α, epoch) and warm-updated by
 //! [`citegraph::update_uniform_kernel`] only from the lineage's parent
 //! epoch — so the only dense work in steady state is one kernel AXPY per
-//! solve.
+//! solve. An entry keeps its own epoch's kernel alive until it is
+//! re-pushed or evicted.
 //!
 //! Concurrency follows the engine's snapshot discipline: completed
-//! vectors are immutable behind `Arc`s, the interior mutex guards only
-//! map bookkeeping (never a solve), and every entry is tagged with the
-//! epoch it was solved on — a reader holding a pinned [`EpochSnapshot`]
-//! can never be served scores from a different epoch.
+//! solves are immutable behind `Arc`s (their heads and the dense copy
+//! [`PersonalizationCache::scores`] hands out are built once, on first
+//! use), the interior mutex guards only map bookkeeping (never a solve),
+//! and every entry is tagged with the epoch it was solved on — a reader
+//! holding a pinned [`EpochSnapshot`] can never be served scores from a
+//! different epoch.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use citegraph::{
     personalize, repersonalize, uniform_kernel, update_uniform_kernel, CitationNetwork, PaperId,
-    PushRankConfig, SeedPersonalization, WarmStart,
+    PersonalizedScores, PushRankConfig, SeedPersonalization, WarmStart,
 };
-use sparsela::{KernelWorkspace, ScoreVec};
+use sparsela::{Cone, KernelWorkspace, ScoreVec};
 
 use crate::engine::{BlockSummaries, EpochSnapshot, Ranking};
 
@@ -58,12 +72,19 @@ use crate::engine::{BlockSummaries, EpochSnapshot, Ranking};
 pub struct CacheConfig {
     /// Maximum number of cached personalization vectors (LRU-evicted).
     pub capacity: usize,
-    /// Memory bound over the cached vectors, in bytes. Each entry holds
-    /// the resolved scores, their block-maxima summaries (1/64 of the
-    /// scores over ids, 1/32 over venue postings, in 8 KiB steps; their
-    /// head cells in 8 KiB steps; every head at its full length, built or
-    /// not) and the unresolved warm-start form; all are counted. Uniform
-    /// kernels (one per partition label and `α`) are not.
+    /// Memory bound over the cached entries, in bytes. Each entry counts
+    /// its sparse part (a `u64` mask and a `u32` offset per 64 ids, eight
+    /// bytes per stored value), its block-maxima summaries (1/64 of the
+    /// scores over ids, 1/32 over venue postings, in 8 KiB steps), its
+    /// head cells once a page has laid them out (in 8 KiB steps), each
+    /// head once it is built, and the dense copy once
+    /// [`PersonalizationCache::scores`] has built it. Pages build heads
+    /// after an entry is inserted, so every entry's count is re-read
+    /// whenever the cache is sized — at each insert, before evicting, and
+    /// on each [`PersonalizationCache::stats`] — not on a hit, which stays
+    /// one probe and one `Arc` clone. Uniform kernels (one per partition
+    /// label, `α` and epoch, shared by every entry over them) are not
+    /// counted.
     pub max_bytes: usize,
 }
 
@@ -104,7 +125,8 @@ pub struct CacheStats {
     pub fallbacks: u64,
     /// Vectors currently cached.
     pub entries: usize,
-    /// Bytes currently held by cached vectors.
+    /// Bytes currently held by cached entries, each re-read for this
+    /// call (see [`CacheConfig::max_bytes`]).
     pub bytes: usize,
 }
 
@@ -130,34 +152,67 @@ impl CacheKey {
     }
 }
 
-/// A cached personalized vector with the block summaries (over ids and
-/// over the epoch's venue postings, with room for a head per year cut of
-/// each list) built when it was solved, kept beside the scores they
-/// describe: what [`PersonalizationCache::ranking`] hands the query layer,
-/// so a shallow seeded page — a `year=Y..` or venue one included — is a
-/// slice of heads like an unseeded one, and every other seeded page
-/// prunes like an unseeded one.
-#[derive(Debug, Clone)]
-pub(crate) struct CachedRanking {
-    pub(crate) scores: Arc<ScoreVec>,
-    blocks: Arc<BlockSummaries>,
+/// One completed solve in cone form (see the module docs).
+#[derive(Debug)]
+struct Solved {
+    /// `x = y + g·u` over the epoch's kernel.
+    cone: Cone,
+    /// `dᵀy` of the cone's `y`: with `y`, the warm-start form.
+    dangling_mass: f64,
+    /// Block summaries of `x` over ids and over the epoch's venue
+    /// postings, with room for a head per year cut of each list.
+    blocks: BlockSummaries,
+    /// The dense `x`, built by the first [`PersonalizationCache::scores`]
+    /// call; no serve path reads it.
+    dense: OnceLock<Arc<ScoreVec>>,
 }
 
+/// A cached personalized solve with the block summaries built when it was
+/// solved: what [`PersonalizationCache::ranking`] hands the query layer,
+/// so a shallow seeded page — a `year=Y..` or venue one included — is a
+/// slice of heads like an unseeded one, and every other seeded page
+/// prunes like an unseeded one. Cloning shares it.
+#[derive(Debug, Clone)]
+pub(crate) struct CachedRanking(Arc<Solved>);
+
 impl CachedRanking {
-    /// `scores`, solved on `net`, with its summaries.
-    fn new(scores: ScoreVec, net: &CitationNetwork) -> Self {
-        Self {
-            blocks: Arc::new(BlockSummaries::new(scores.as_slice(), net)),
-            scores: Arc::new(scores),
-        }
+    /// `solved`, solved on `net` against `kernel`, in cone form with its
+    /// summaries; its dense vectors are dropped here.
+    fn new(solved: PersonalizedScores, kernel: Arc<ScoreVec>, net: &CitationNetwork) -> Self {
+        Self(Arc::new(Solved {
+            blocks: BlockSummaries::new(solved.scores.as_slice(), net),
+            cone: Cone::new(solved.raw.as_slice(), solved.g, kernel),
+            dangling_mass: solved.dangling_mass,
+            dense: OnceLock::new(),
+        }))
     }
 
     /// The borrowed form the selection block reads.
-    pub(crate) fn view(&self) -> Ranking<'_> {
+    pub(crate) fn view(&self) -> Ranking<'_, Cone> {
         Ranking {
-            scores: self.scores.as_slice(),
-            blocks: &self.blocks,
+            scores: &self.0.cone,
+            blocks: &self.0.blocks,
         }
+    }
+
+    /// Papers ranked.
+    fn len(&self) -> usize {
+        sparsela::Scores::len(&self.0.cone)
+    }
+
+    /// The dense scores, built on the first call.
+    fn dense(&self) -> Arc<ScoreVec> {
+        let dense = self
+            .0
+            .dense
+            .get_or_init(|| Arc::new(self.0.cone.to_dense()));
+        Arc::clone(dense)
+    }
+
+    /// Heap bytes held now (the kernel is shared, and not counted).
+    fn bytes(&self) -> usize {
+        let dense = self.0.dense.get().map_or(0, |d| d.len());
+        self.0.cone.bytes() + self.0.blocks.bytes() + dense * std::mem::size_of::<f64>()
     }
 }
 
@@ -165,19 +220,12 @@ struct CacheEntry {
     /// Epoch the vector was solved on (must match the serving snapshot,
     /// directly or through one lineage hop).
     epoch: u64,
+    /// Papers it ranks: a probe checks it without reading the solve.
+    papers: usize,
     ranking: CachedRanking,
-    /// Warm-start form (unresolved pure-citation part).
-    raw: Arc<ScoreVec>,
-    /// `dᵀy` of [`Self::raw`].
-    dangling_mass: f64,
+    /// What [`CachedRanking::bytes`] read when the cache was last sized.
+    bytes: usize,
     last_used: u64,
-}
-
-impl CacheEntry {
-    fn bytes(&self) -> usize {
-        (self.ranking.scores.len() + self.raw.len()) * std::mem::size_of::<f64>()
-            + self.ranking.blocks.bytes()
-    }
 }
 
 struct KernelEntry {
@@ -195,8 +243,41 @@ pub(crate) struct CacheInner {
     bytes: usize,
 }
 
-/// Epoch-keyed LRU cache of completed personalized score vectors. See the
-/// module docs for the serving tiers and concurrency discipline.
+impl CacheInner {
+    /// Re-reads every entry's bytes (pages may have built heads since
+    /// the last count) into the total.
+    fn recount(&mut self) {
+        self.bytes = 0;
+        for e in self.entries.values_mut() {
+            e.bytes = e.ranking.bytes();
+            self.bytes += e.bytes;
+        }
+    }
+
+    /// Evicts least-recently-used entries past the bounds; the last entry
+    /// stays whatever its size.
+    fn evict(&mut self, config: &CacheConfig) {
+        while self.entries.len() > config.capacity
+            || (self.bytes > config.max_bytes && self.entries.len() > 1)
+        {
+            let Some(victim) = self
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| k.clone())
+            else {
+                break;
+            };
+            if let Some(evicted) = self.entries.remove(&victim) {
+                self.bytes -= evicted.bytes;
+            }
+        }
+    }
+}
+
+/// Epoch-keyed LRU cache of completed personalized solves. See the
+/// module docs for the serving tiers, the cone form and the concurrency
+/// discipline.
 pub struct PersonalizationCache {
     config: CacheConfig,
     pub(crate) inner: Mutex<CacheInner>,
@@ -241,7 +322,8 @@ impl PersonalizationCache {
 
     /// Current counters and occupancy.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.lock();
+        let mut inner = self.lock();
+        inner.recount();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             warm_repushes: self.warm_repushes.load(Ordering::Relaxed),
@@ -262,6 +344,10 @@ impl PersonalizationCache {
     /// cached vector is served only when its recorded epoch matches, or
     /// after a push across the exact lineage delta connecting parent to
     /// `snap`.
+    ///
+    /// An entry is kept in cone form; the dense vector is built by the
+    /// first call that asks for it, kept with the entry and counted in
+    /// its bytes from then on. No serve path calls this.
     pub fn scores(
         &self,
         method: &str,
@@ -270,11 +356,15 @@ impl PersonalizationCache {
         alpha: f64,
     ) -> (Arc<ScoreVec>, CacheOutcome) {
         let (ranking, outcome) = self.ranking(method, snap, seed, alpha);
-        (ranking.scores, outcome)
+        let dense = ranking.dense();
+        let mut inner = self.lock();
+        inner.recount();
+        inner.evict(&self.config);
+        (dense, outcome)
     }
 
-    /// [`Self::scores`] with the entry's block-maxima summary — the form
-    /// the engines serve seeded pages from.
+    /// The solve of [`Self::scores`] in cone form with its block-maxima
+    /// summaries — the form the engines serve seeded pages from.
     pub(crate) fn ranking(
         &self,
         method: &str,
@@ -284,13 +374,14 @@ impl PersonalizationCache {
     ) -> (CachedRanking, CacheOutcome) {
         let key = CacheKey::new(method, seed);
         // Fast path under the lock: exact-epoch hit, or a warm-start
-        // candidate to re-push outside the lock.
-        let warm_start: Option<(Arc<ScoreVec>, f64)> = {
+        // candidate to re-push outside the lock. A hit reads no byte of
+        // the solve; its bytes are re-read when the cache is next sized.
+        let warm_start: Option<CachedRanking> = {
             let mut inner = self.lock();
             inner.tick += 1;
             let tick = inner.tick;
             match inner.entries.get_mut(&key) {
-                Some(e) if e.epoch == snap.epoch() && e.ranking.scores.len() == snap.n_papers() => {
+                Some(e) if e.epoch == snap.epoch() && e.papers == snap.n_papers() => {
                     e.last_used = tick;
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return (e.ranking.clone(), CacheOutcome::Hit);
@@ -298,9 +389,9 @@ impl PersonalizationCache {
                 Some(e) => snap
                     .lineage()
                     .filter(|lin| {
-                        e.epoch == lin.parent_epoch && e.raw.len() == lin.parent_net.n_papers()
+                        e.epoch == lin.parent_epoch && e.papers == lin.parent_net.n_papers()
                     })
-                    .map(|_| (e.raw.clone(), e.dangling_mass)),
+                    .map(|_| e.ranking.clone()),
                 None => None,
             }
         };
@@ -308,30 +399,28 @@ impl PersonalizationCache {
         let mut ws = KernelWorkspace::new();
         let kernel = self.kernel(method, snap, alpha, &mut ws);
 
-        if let Some((raw, dangling_mass)) = warm_start {
+        if let Some(previous) = warm_start {
             let lin = snap.lineage().expect("warm start implies lineage");
-            if let Some(solved) = repersonalize(
+            let mut raw = ws.take_zeros(previous.len());
+            previous.0.cone.scatter_y(raw.as_mut_slice());
+            let solved = repersonalize(
                 &lin.parent_net,
                 &lin.delta,
                 snap.network(),
                 WarmStart {
                     raw: &raw,
-                    dangling_mass,
+                    dangling_mass: previous.0.dangling_mass,
                 },
                 seed,
                 alpha,
                 Some(kernel.as_slice()),
                 &PushRankConfig::default(),
                 &mut ws,
-            ) {
-                let ranking = CachedRanking::new(solved.scores, snap.network());
-                self.insert(
-                    key,
-                    snap.epoch(),
-                    ranking.clone(),
-                    solved.raw,
-                    solved.dangling_mass,
-                );
+            );
+            ws.recycle(raw);
+            if let Some(solved) = solved {
+                let ranking = CachedRanking::new(solved, kernel, snap.network());
+                self.insert(key, snap.epoch(), ranking.clone());
                 self.warm_repushes.fetch_add(1, Ordering::Relaxed);
                 return (ranking, CacheOutcome::WarmRepush);
             }
@@ -346,14 +435,8 @@ impl PersonalizationCache {
             &mut ws,
         );
         self.cold_pushes.fetch_add(1, Ordering::Relaxed);
-        let ranking = CachedRanking::new(solved.scores, snap.network());
-        self.insert(
-            key,
-            snap.epoch(),
-            ranking.clone(),
-            solved.raw,
-            solved.dangling_mass,
-        );
+        let ranking = CachedRanking::new(solved, kernel, snap.network());
+        self.insert(key, snap.epoch(), ranking.clone());
         (ranking, CacheOutcome::ColdPush)
     }
 
@@ -414,47 +497,21 @@ impl PersonalizationCache {
         kernel
     }
 
-    /// Stores a completed vector (with its summary and its warm-start
-    /// form) and evicts least-recently-used
-    /// entries past the capacity/memory bounds.
-    fn insert(
-        &self,
-        key: CacheKey,
-        epoch: u64,
-        ranking: CachedRanking,
-        raw: ScoreVec,
-        dangling_mass: f64,
-    ) {
+    /// Stores a completed solve and evicts least-recently-used entries
+    /// past the capacity/memory bounds.
+    fn insert(&self, key: CacheKey, epoch: u64, ranking: CachedRanking) {
         let mut inner = self.lock();
         inner.tick += 1;
-        let tick = inner.tick;
         let entry = CacheEntry {
             epoch,
+            papers: ranking.len(),
+            bytes: 0,
             ranking,
-            raw: Arc::new(raw),
-            dangling_mass,
-            last_used: tick,
+            last_used: inner.tick,
         };
-        let bytes = entry.bytes();
-        if let Some(old) = inner.entries.insert(key, entry) {
-            inner.bytes -= old.bytes();
-        }
-        inner.bytes += bytes;
-        while inner.entries.len() > self.config.capacity
-            || (inner.bytes > self.config.max_bytes && inner.entries.len() > 1)
-        {
-            let Some(victim) = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            if let Some(evicted) = inner.entries.remove(&victim) {
-                inner.bytes -= evicted.bytes();
-            }
-        }
+        inner.entries.insert(key, entry);
+        inner.recount();
+        inner.evict(&self.config);
     }
 }
 
@@ -584,24 +641,117 @@ mod tests {
             "s2 was evicted"
         );
 
-        // Byte bound: one 12-paper entry is 192 bytes of vectors (resolved
-        // plus warm-start form), one 8 KiB step of block maxima over ids,
-        // three words of list offsets (two for the id space, one for the
-        // venue summary of a corpus without venues), one 8 KiB step of
-        // head cells for the 12 year cuts (the venue summary has no list,
-        // so no cell), and each cut's head — the whole suffix, built or
-        // not; a bound one byte short of two entries holds exactly one.
-        let cell = std::mem::size_of::<std::sync::OnceLock<Box<[u32]>>>();
-        let entry = 192 + 8192 + 3 * 8 + 8192 / cell * cell + (1..=12).sum::<usize>() * 4;
+        // Byte bound: a 12-paper entry is its cone — one block's mask and
+        // offset, and the `y` of each paper in the seed's reference cone
+        // (seed 1 cites 0: two; seed 2 cites 1: three) — one 8 KiB step
+        // of block maxima over ids, three words of list offsets (two for
+        // the id space, one for the venue summary of a corpus without
+        // venues) and, once `scores` has built it, the dense vector. No
+        // page has read a head, so no head cell or head is counted. A
+        // bound one byte short of two entries holds exactly one.
+        let entry = |cone: usize| 16 + cone * 8 + 8192 + 3 * 8 + 12 * 8;
         let tight = PersonalizationCache::new(CacheConfig {
             capacity: 10,
-            max_bytes: 2 * entry - 1,
+            max_bytes: entry(2) + entry(3) - 1,
         });
         tight.scores("m", &snap, &s1, 0.5);
+        assert_eq!(tight.stats().bytes, entry(2));
         tight.scores("m", &snap, &s2, 0.5);
         let stats = tight.stats();
         assert_eq!(stats.entries, 1);
-        assert_eq!(stats.bytes, entry);
+        assert_eq!(stats.bytes, entry(3));
+    }
+
+    #[test]
+    fn heads_built_since_an_insert_count_when_the_cache_is_sized() {
+        let engine = engine();
+        let snap = engine.snapshot();
+        let n = snap.n_papers();
+        let (s1, s2) = (seed(&[11], n), seed(&[10], n));
+        let cache = PersonalizationCache::new(CacheConfig::default());
+        let (ranking, _) = cache.ranking("m", &snap, &s1, 0.5);
+        let solved = cache.stats().bytes;
+        assert_eq!(solved, ranking.bytes(), "no head, no dense copy yet");
+        assert_eq!(ranking.view().blocks.ids.heads_built(), 0);
+
+        // A page reads the whole vector's head: the cells are laid out
+        // (the cells that fit one 8 KiB step) and one head of all 12 ids
+        // is built; the next count sees them.
+        let cell = std::mem::size_of::<std::sync::OnceLock<Box<[u32]>>>();
+        let heads = 8192 / cell * cell + 12 * 4;
+        let view = ranking.view();
+        assert_eq!(view.blocks.ids.head(view.scores, 0).len(), 12);
+        assert_eq!(view.blocks.ids.heads_built(), 1);
+        assert_eq!(cache.stats().bytes, solved + heads);
+
+        // The dense copy `scores` hands out is counted as soon as it is
+        // built, and matches the cone bit for bit.
+        let (dense, _) = cache.scores("m", &snap, &s1, 0.5);
+        assert_eq!(cache.stats().bytes, solved + heads + 12 * 8);
+        let cone = ranking.view().scores;
+        for (i, x) in dense.iter().enumerate() {
+            assert_eq!(x.to_bits(), sparsela::Scores::at(cone, i).to_bits());
+        }
+
+        // An insert re-reads every entry before it evicts: a bound that
+        // holds two headless entries holds one once the first has a head.
+        let tight = PersonalizationCache::new(CacheConfig {
+            capacity: 10,
+            max_bytes: 2 * solved + heads / 2,
+        });
+        let (first, _) = tight.ranking("m", &snap, &s1, 0.5);
+        let view = first.view();
+        view.blocks.ids.head(view.scores, 0);
+        tight.ranking("m", &snap, &s2, 0.5);
+        assert_eq!(tight.stats().entries, 1, "the headed entry was evicted");
+        assert_eq!(tight.ranking("m", &snap, &s2, 0.5).1, CacheOutcome::Hit);
+    }
+
+    #[test]
+    fn a_three_seed_entry_at_200k_papers_is_a_fraction_of_its_dense_layout() {
+        // The corpus the end-to-end benchmark serves, and three seeds drawn
+        // from its newer half as its seeded requests draw them. A `cc`
+        // epoch is enough: the cache reads only the snapshot's network.
+        let net = citegen::generate(&citegen::DatasetProfile::dblp().scaled(200_000), 7);
+        let n = net.n_papers();
+        let engine = RankingEngine::from_config(net, "cc", RerankPolicy::Manual).unwrap();
+        let snap = engine.snapshot();
+        let cache = PersonalizationCache::new(CacheConfig::default());
+        let s = seed(
+            &[
+                (n - 500) as PaperId,
+                (n - 30_000) as PaperId,
+                (n / 2) as PaperId,
+            ],
+            n,
+        );
+        let (ranking, _) = cache.ranking("pagerank", &snap, &s, 0.5);
+        // A page reads the whole vector's head, as a seeded `k=10` does.
+        let view = ranking.view();
+        assert_eq!(
+            view.blocks.ids.head(view.scores, 0).len(),
+            sparsela::HEAD_LEN
+        );
+        cache.ranking("pagerank", &snap, &s, 0.5);
+        let entry = cache.stats().bytes;
+        assert_eq!(entry, ranking.bytes());
+
+        // The dense layout kept `x` and `y` over every paper beside the
+        // same summaries (and counted every head cell and head besides,
+        // built or not; those are left out here, so the bound is tighter).
+        let summaries = BlockSummaries::new(&vec![0.0; n], snap.network()).bytes();
+        let dense = 2 * n * std::mem::size_of::<f64>() + summaries;
+        let cone = ranking.view().scores;
+        assert!(
+            cone.stored() > n / 20,
+            "a three-seed cone is a sizeable share of the corpus: {} of {n}",
+            cone.stored()
+        );
+        assert!(
+            entry * 4 <= dense,
+            "{entry} bytes in cone form against {dense} dense ({} stored)",
+            cone.stored()
+        );
     }
 
     #[test]

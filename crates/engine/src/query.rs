@@ -144,8 +144,8 @@ use citegraph::{
 };
 use obsv::MetricsRegistry;
 use sparsela::{
-    merge_k_sorted_into, top_k_filtered_into, top_k_pruned_into, BlockWalk, Frontier, IdMask,
-    MergeScratch, Segment, BLOCK_LEN, POSTING_BLOCK_LEN,
+    cmp_score_desc, merge_k_sorted_into, top_k_filtered_into, top_k_pruned_into, BlockWalk,
+    Frontier, IdMask, MergeScratch, Scores, Segment, BLOCK_LEN, POSTING_BLOCK_LEN,
 };
 
 use crate::admission::{
@@ -1752,9 +1752,11 @@ fn build_facet_mask(
 
 /// The one selection block under both engines: runs `plan` — priced for
 /// this partition by [`price_partition`] — over `ranking`, the scores
-/// of partition snapshot `snap` (or a personalized solve on its epoch),
-/// and leaves the best `k` partition-local ids strictly after `frontier`
-/// in `scratch.select`, best first. Returns how many candidates matched the
+/// of partition snapshot `snap` (dense), or a personalized solve on its
+/// epoch (a cached [`sparsela::Cone`]; the function is monomorphized per
+/// score source, and the serve loop picks one per partition), and leaves
+/// the best `k` partition-local ids strictly after `frontier` in
+/// `scratch.select`, best first. Returns how many candidates matched the
 /// filters at and after the frontier (and, for the block-pruned arms, how
 /// many blocks the walk read of how many the range spans). `scratch`
 /// holds the query's deduplicated facet lists
@@ -1775,9 +1777,9 @@ fn build_facet_mask(
 /// Within one partition, ordering ties by local id equals ordering them
 /// by global id (`global = start + local` is monotone), so the ids a
 /// shard selects merge globally without re-sorting.
-fn select_partition(
+fn select_partition<S: Scores + ?Sized>(
     snap: &EpochSnapshot,
-    Ranking { scores, blocks }: Ranking<'_>,
+    Ranking { scores, blocks }: Ranking<'_, S>,
     frontier: Option<Frontier>,
     q: &Query,
     k: usize,
@@ -1801,7 +1803,7 @@ fn select_partition(
     // residual walks the paper's (collapsed) author row.
     let venues: &[VenueId] = venues;
     let authors: &[AuthorId] = authors;
-    let after_cursor = |id: u32| frontier.is_none_or(|f| f.admits(scores[id as usize], id));
+    let after_cursor = |id: u32| frontier.is_none_or(|f| f.admits(scores.at(id as usize), id));
     let venue_ok = |id: u32| {
         venues.is_empty()
             || net
@@ -1888,6 +1890,60 @@ fn select_partition(
             top_k_filtered_into(scores, candidates, k, select);
             counted(candidates.len())
         }
+    }
+}
+
+/// Partition `start`'s part of a page into `scratch.runs[run]` (made if
+/// missing): the first `k` of its ids that `select(want, scratch)` picks
+/// into `scratch.select` — the best `want` partition-local ids after the
+/// frontier in [`cmp_score_desc`] order of their raw `scores` — as
+/// `(score · scale, start + id)` pairs in the order pages are merged
+/// under. Returns the selection's walk (its heads built summed over
+/// every call).
+///
+/// At `scale` 1.0 the raw order is the merged order, bit for bit. A seed
+/// share below one keeps the order of two scores, but can round two
+/// distinct ones to the same product, whose pairs must then come out by
+/// id — and a lower id past the `k`-th raw pick may belong on the page:
+/// left behind, it would sort before the cursor the page mints and never
+/// be served. So a scaled run selects one more id than it keeps, doubles
+/// that while the last pick still scales to the `k`-th's product, then
+/// sorts its pairs and keeps the first `k`.
+fn partition_run<S: Scores + ?Sized>(
+    scores: &S,
+    scale: f64,
+    start: PaperId,
+    k: usize,
+    scratch: &mut QueryScratch,
+    run: usize,
+    select: impl Fn(usize, &mut QueryScratch) -> BlockWalk,
+) -> BlockWalk {
+    let scaled = |l: u32| (scores.at(l as usize) * scale, start + l);
+    let mut want = if scale == 1.0 || k == 0 { k } else { k + 1 };
+    let mut heads_built = 0;
+    let walk = loop {
+        let walk = select(want, scratch);
+        heads_built += walk.heads_built;
+        let picked = &scratch.select;
+        if want == k || picked.len() < want || scaled(picked[want - 1]).0 != scaled(picked[k - 1]).0
+        {
+            break walk;
+        }
+        want *= 2;
+    };
+    if scratch.runs.len() == run {
+        scratch.runs.push(Vec::new());
+    }
+    let out = &mut scratch.runs[run];
+    out.clear();
+    out.extend(scratch.select.iter().map(|&l| scaled(l)));
+    if want > k {
+        out.sort_unstable_by(|&(x, a), &(y, b)| cmp_score_desc(x, a, y, b));
+        out.truncate(k);
+    }
+    BlockWalk {
+        heads_built,
+        ..walk
     }
 }
 
@@ -2401,41 +2457,47 @@ impl Core {
         let mut used = 0;
         for (s, plan) in plans.iter() {
             let snap = view.snap(*s);
-            // A seeded partition ranks by its solve, scaled by its seed
-            // share; a positive scale keeps the order the kernels see on
-            // the raw scores the order of the scaled runs.
-            let (ranking, scale) = match seeded.and_then(|per| per[*s].as_ref()) {
-                Some((cached, share)) => (cached.view(), *share),
-                None => (snap.ranking(), 1.0),
-            };
             let start = view.starts[*s];
-            let frontier = resume.map(|(score, id)| Frontier {
-                score,
-                id,
-                scale,
-                base: start,
-            });
-            let walk = select_partition(snap, ranking, frontier, q, k, plan, scratch);
+            let frontier = |scale| {
+                resume.map(|(score, id)| Frontier {
+                    score,
+                    id,
+                    scale,
+                    base: start,
+                })
+            };
+            // A seeded partition ranks by its solve in cone form, scaled
+            // by its seed share; an unseeded one by its epoch's scores.
+            // One dispatch per partition: each arm runs the selection
+            // monomorphized for its score source.
+            let walk = match seeded.and_then(|per| per[*s].as_ref()) {
+                Some((cached, share)) => {
+                    let (ranking, frontier) = (cached.view(), frontier(*share));
+                    partition_run(
+                        ranking.scores,
+                        *share,
+                        start,
+                        k,
+                        scratch,
+                        used,
+                        |want, sc| select_partition(snap, ranking, frontier, q, want, plan, sc),
+                    )
+                }
+                None => {
+                    let (ranking, frontier) = (snap.ranking(), frontier(1.0));
+                    partition_run(ranking.scores, 1.0, start, k, scratch, used, |want, sc| {
+                        select_partition(snap, ranking, frontier, q, want, plan, sc)
+                    })
+                }
+            };
             walked.matched += walk.matched;
             walked.blocks_scanned += walk.blocks_scanned;
             walked.blocks_in_range += walk.blocks_in_range;
             walked.head_slices += walk.head_slices;
             walked.heads_built += walk.heads_built;
-            if scratch.select.is_empty() {
-                continue;
+            if !scratch.runs[used].is_empty() {
+                used += 1;
             }
-            if used == scratch.runs.len() {
-                scratch.runs.push(Vec::new());
-            }
-            let run = &mut scratch.runs[used];
-            run.clear();
-            run.extend(
-                scratch
-                    .select
-                    .iter()
-                    .map(|&l| (ranking.scores[l as usize] * scale, start + l)),
-            );
-            used += 1;
         }
         merge_k_sorted_into(
             &scratch.runs[..used],
@@ -2895,7 +2957,103 @@ impl QueryEngine {
 mod tests {
     use super::*;
     use citegraph::{dense_personalized, NetworkBuilder};
-    use sparsela::{sort_indices_desc, KernelWorkspace};
+    use sparsela::{sort_indices_desc, BlockMaxima, KernelWorkspace};
+
+    /// Pages `scores` — one partition whose local id 0 is global id
+    /// `start` — at `k` per page under seed share `scale`, each page's
+    /// run built by [`partition_run`] over a block walk of `maxima`
+    /// behind the last page's frontier, and returns every pair served.
+    fn page_through(
+        scores: &[f64],
+        maxima: &BlockMaxima,
+        scale: f64,
+        start: PaperId,
+        k: usize,
+    ) -> Vec<(u64, PaperId)> {
+        let mut scratch = QueryScratch::new();
+        let mut served = Vec::new();
+        let mut resume: Option<(f64, PaperId)> = None;
+        let all = [Segment::range(0..scores.len() as u32)];
+        for _ in 0..=scores.len() {
+            let frontier = resume.map(|(score, id)| Frontier {
+                score,
+                id,
+                scale,
+                base: start,
+            });
+            let walk = partition_run(scores, scale, start, k, &mut scratch, 0, |want, sc| {
+                top_k_pruned_into(
+                    scores,
+                    maxima,
+                    all,
+                    want,
+                    frontier.as_ref(),
+                    None,
+                    &mut sc.select,
+                )
+            });
+            let page = &scratch.runs[0];
+            served.extend(page.iter().map(|&(x, id)| (x.to_bits(), id)));
+            match page.last() {
+                Some(&last) if walk.matched > page.len() => resume = Some(last),
+                _ => return served,
+            }
+        }
+        panic!("pagination did not end");
+    }
+
+    #[test]
+    fn scaled_runs_order_collapsed_ties_by_id_across_page_boundaries() {
+        // Two adjacent doubles whose products under a one-third seed share
+        // round to one value: the higher raw score sits at the higher id,
+        // so the raw order and the merged order disagree on the pair.
+        let scale = 1.0 / 3.0;
+        let a = 1.75f64;
+        let b = f64::from_bits(a.to_bits() - 1);
+        assert_eq!(a * scale, b * scale, "the crafted pair collapses");
+        let n = 150; // not a multiple of any block length
+        let mut scores: Vec<f64> = (0..n).map(|i| 1.0 / (i + 2) as f64).collect();
+        for (i, top) in [3usize, 40, 77, 101, 130].into_iter().enumerate() {
+            scores[top] = 4.0 + i as f64;
+        }
+        scores[20] = b;
+        scores[90] = a;
+        let start = 1_000;
+        let mut want: Vec<(f64, PaperId)> = (0..n as u32)
+            .map(|l| (scores[l as usize] * scale, start + l))
+            .collect();
+        want.sort_by(|&(x, i), &(y, j)| cmp_score_desc(x, i, y, j));
+        let want: Vec<(u64, PaperId)> = want.iter().map(|&(x, id)| (x.to_bits(), id)).collect();
+        assert_eq!(
+            &want[5..7],
+            &[(b * scale).to_bits(), (a * scale).to_bits()]
+                .into_iter()
+                .zip([start + 20, start + 90])
+                .collect::<Vec<_>>()[..]
+        );
+
+        let headed = BlockMaxima::new(&scores);
+        let walked = BlockMaxima::with_block_len(&scores, 4, 0, &[]);
+        // k = 6 puts the boundary between the pair, k = 7 the pair inside
+        // one page, k = 1 one pair per page; every page is sliced from a
+        // head or walked.
+        for k in [1, 2, 5, 6, 7, 10] {
+            for maxima in [&headed, &walked] {
+                assert_eq!(
+                    page_through(&scores, maxima, scale, start, k),
+                    want,
+                    "k={k}"
+                );
+            }
+        }
+
+        // A whole share keeps the raw order and its bits.
+        let whole: Vec<(u64, PaperId)> = sort_indices_desc(&scores)
+            .iter()
+            .map(|&l| (scores[l as usize].to_bits(), start + l))
+            .collect();
+        assert_eq!(page_through(&scores, &headed, 1.0, start, 6), whole);
+    }
 
     /// 12 papers over 2000–2011 with venues, authors and enough citation
     /// ties (cc scores) to exercise deterministic tie-breaking.

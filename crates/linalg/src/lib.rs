@@ -21,7 +21,10 @@
 //!   variant skips by, and the k-way run merge the sharded
 //!   scatter-gather read path gathers pages with,
 //! * [`mask`] — dense id bitsets with set algebra, the currency of
-//!   composed query predicates.
+//!   composed query predicates,
+//! * [`cone`] — the score sources the selection kernels read: a dense
+//!   slice, or a [`Cone`] — `x = y + g·u` with `y` block-sparse over a
+//!   shared kernel `u`, the form a cached personalized solve is kept in.
 //!
 //! All kernels are deterministic and allocation-conscious: hot loops reuse
 //! caller-provided buffers (see [`vector::KernelWorkspace`]) so grid
@@ -33,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cone;
 pub mod csr;
 pub mod fit;
 pub mod mask;
@@ -43,6 +47,7 @@ pub mod ranks;
 pub mod stochastic;
 pub mod vector;
 
+pub use cone::{Cone, Scores};
 pub use csr::{check_nnz, Csr, CsrError, CsrView, WeightedCsr, MAX_NNZ};
 pub use fit::{fit_exponential, ExpFit};
 pub use mask::IdMask;

@@ -27,9 +27,17 @@
 //! [`top_k_filtered`]
 //! copies a short explicit candidate list and partitions it instead.
 //! [`merge_k_sorted`] merges per-partition pages.
+//!
+//! The kernels the serving layer runs on frozen vectors —
+//! [`top_k_pruned_into`], [`top_k_filtered_into`] and the head builds and
+//! slices of [`BlockMaxima`] — read scores through [`Scores`], so a cached
+//! personalized solve is selected from its cone form ([`crate::Cone`])
+//! with the same results, bit for bit, as from a dense copy.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use crate::cone::Scores;
 use crate::mask::IdMask;
 
 /// The total descending order on `(score, id)` pairs every ranking helper
@@ -56,10 +64,10 @@ pub fn cmp_score_desc(x: f64, a: u32, y: f64, b: u32) -> std::cmp::Ordering {
     }
 }
 
-/// The index comparator form of [`cmp_score_desc`] over a score slice.
+/// The index comparator form of [`cmp_score_desc`] over a score source.
 #[inline]
-fn desc_by_score(scores: &[f64]) -> impl Fn(&u32, &u32) -> std::cmp::Ordering + '_ {
-    |&a, &b| cmp_score_desc(scores[a as usize], a, scores[b as usize], b)
+fn desc_by_score<S: Scores + ?Sized>(scores: &S) -> impl Fn(&u32, &u32) -> std::cmp::Ordering + '_ {
+    |&a, &b| cmp_score_desc(scores.at(a as usize), a, scores.at(b as usize), b)
 }
 
 /// Indices that sort `scores` in descending order; ties break by smaller
@@ -136,7 +144,14 @@ pub fn top_k_filtered(scores: &[f64], candidates: &[u32], k: usize) -> Vec<u32> 
 /// stream only wins from ~10k candidates up, where the planner has
 /// usually picked a scan anyway. A caller with a [`BlockMaxima`] summary
 /// of its posting lists walks them with [`top_k_pruned_into`] instead.
-pub fn top_k_filtered_into(scores: &[f64], candidates: &[u32], k: usize, out: &mut Vec<u32>) {
+///
+/// Generic over the score source: a dense slice, or a [`crate::Cone`].
+pub fn top_k_filtered_into<S: Scores + ?Sized>(
+    scores: &S,
+    candidates: &[u32],
+    k: usize,
+    out: &mut Vec<u32>,
+) {
     out.clear();
     let k = k.min(candidates.len());
     if k == 0 {
@@ -160,8 +175,8 @@ pub fn top_k_filtered_into(scores: &[f64], candidates: &[u32], k: usize, out: &m
 ///
 /// The candidates live in `buf[base..]`; `buf[..base]` is the caller's
 /// scratch (a block order), dropped by [`Self::finish`].
-struct TopK<'a> {
-    scores: &'a [f64],
+struct TopK<'a, S: Scores + ?Sized> {
+    scores: &'a S,
     buf: &'a mut Vec<u32>,
     base: usize,
     k: usize,
@@ -169,14 +184,14 @@ struct TopK<'a> {
     threshold: Option<(f64, u32)>,
 }
 
-impl<'a> TopK<'a> {
+impl<'a, S: Scores + ?Sized> TopK<'a, S> {
     /// An empty accumulator over `buf` (cleared; warmed to `2k` once).
-    fn new(scores: &'a [f64], k: usize, buf: &'a mut Vec<u32>) -> Self {
+    fn new(scores: &'a S, k: usize, buf: &'a mut Vec<u32>) -> Self {
         Self::after_scratch(scores, k, buf, 0)
     }
 
     /// [`Self::new`] behind `base` ids of scratch at the front of `buf`.
-    fn after_scratch(scores: &'a [f64], k: usize, buf: &'a mut Vec<u32>, base: usize) -> Self {
+    fn after_scratch(scores: &'a S, k: usize, buf: &'a mut Vec<u32>, base: usize) -> Self {
         buf.clear();
         buf.resize(base, 0);
         let cap = 2 * k.min(scores.len().max(1));
@@ -213,7 +228,7 @@ impl<'a> TopK<'a> {
         let mut threshold = self.threshold;
         for id in ids {
             if let Some((ts, tid)) = threshold {
-                if cmp_score_desc(scores[id as usize], id, ts, tid) != std::cmp::Ordering::Less {
+                if cmp_score_desc(scores.at(id as usize), id, ts, tid) != std::cmp::Ordering::Less {
                     continue;
                 }
             }
@@ -222,7 +237,7 @@ impl<'a> TopK<'a> {
                 buf[base..].select_nth_unstable_by(k - 1, desc_by_score(scores));
                 buf.truncate(base + k);
                 let worst = buf[base + k - 1];
-                threshold = Some((scores[worst as usize], worst));
+                threshold = Some((scores.at(worst as usize), worst));
             }
         }
         self.threshold = threshold;
@@ -545,8 +560,47 @@ pub struct BlockMaxima {
     /// One cell per cut (in [`CELL_STEP`]s), laid out on the first head
     /// read.
     heads: OnceLock<Box<[HeadCell]>>,
-    /// Ids the heads hold once all are built.
-    head_ids: usize,
+    /// What the heads built so far hold.
+    built: BuiltHeads,
+}
+
+/// The heads of a [`BlockMaxima`] built so far and the ids they hold,
+/// counted where each is built: read in `O(1)` by
+/// [`BlockMaxima::heads_built`] and [`BlockMaxima::bytes`].
+#[derive(Debug, Default)]
+struct BuiltHeads {
+    heads: AtomicUsize,
+    ids: AtomicUsize,
+}
+
+impl BuiltHeads {
+    fn add(&self, ids: usize) {
+        self.heads.fetch_add(1, Ordering::Relaxed);
+        self.ids.fetch_add(ids, Ordering::Relaxed);
+    }
+
+    fn get(&self) -> (usize, usize) {
+        (
+            self.heads.load(Ordering::Relaxed),
+            self.ids.load(Ordering::Relaxed),
+        )
+    }
+}
+
+impl Clone for BuiltHeads {
+    fn clone(&self) -> Self {
+        let (heads, ids) = self.get();
+        Self {
+            heads: heads.into(),
+            ids: ids.into(),
+        }
+    }
+}
+
+impl PartialEq for BuiltHeads {
+    fn eq(&self, other: &Self) -> bool {
+        self.get() == other.get()
+    }
 }
 
 impl BlockMaxima {
@@ -588,13 +642,12 @@ impl BlockMaxima {
             maxima,
             head_len,
             cuts,
-            |_| scores.len(),
         )
     }
 
-    /// A summary of `len` scores over lists of lengths `list_len` whose
-    /// blocks start at `lists`, with heads of `head_len` ids (0: none) at
-    /// `cuts`, none laid out yet.
+    /// A summary of `len` scores over lists whose blocks start at
+    /// `lists`, with heads of `head_len` ids (0: none) at `cuts`, none laid
+    /// out yet.
     fn with_heads(
         block_len: usize,
         len: usize,
@@ -602,15 +655,12 @@ impl BlockMaxima {
         maxima: Vec<f64>,
         head_len: usize,
         cuts: HeadCuts,
-        list_len: impl Fn(usize) -> usize,
     ) -> Self {
         let cuts = if head_len == 0 {
             HeadCuts::default()
         } else {
             cuts
         };
-        let suffix = |&key: &u64| list_len((key >> 32) as usize) - key as u32 as usize;
-        let head_ids = cuts.0.iter().map(|key| head_len.min(suffix(key))).sum();
         Self {
             block_len,
             len,
@@ -619,7 +669,7 @@ impl BlockMaxima {
             head_len,
             cuts,
             heads: OnceLock::new(),
-            head_ids,
+            built: BuiltHeads::default(),
         }
     }
 
@@ -676,28 +726,20 @@ impl BlockMaxima {
             );
         }
         starts.push(maxima.len());
-        let list_len = |l: usize| offsets[l + 1] - offsets[l];
         let cuts = cuts.clone();
-        Self::with_heads(
-            block_len,
-            scores.len(),
-            starts,
-            maxima,
-            head_len,
-            cuts,
-            list_len,
-        )
+        Self::with_heads(block_len, scores.len(), starts, maxima, head_len, cuts)
     }
 
-    /// Heap bytes held, the head cells and every head counted at their
-    /// full length whether they are laid out and built yet or not (so the
-    /// figure never changes after the build). The cuts are shared with
-    /// every summary over the same lists, and not counted.
+    /// Heap bytes held now: the maxima, the list starts, the head cells
+    /// once the first head read has laid them out, and each head once it
+    /// is built — so the figure grows as pages read heads. The cuts are
+    /// shared with every summary over the same lists, and not counted.
     pub fn bytes(&self) -> usize {
+        let cells = self.heads.get().map_or(0, |cells| cells.len());
         self.maxima.capacity() * std::mem::size_of::<f64>()
             + self.lists.capacity() * std::mem::size_of::<usize>()
-            + self.cells_len() * std::mem::size_of::<HeadCell>()
-            + self.head_ids * std::mem::size_of::<u32>()
+            + cells * std::mem::size_of::<HeadCell>()
+            + self.built.get().1 * std::mem::size_of::<u32>()
     }
 
     /// Cells the heads take once laid out: one per cut, in [`CELL_STEP`]s.
@@ -713,20 +755,20 @@ impl BlockMaxima {
     /// # Panics
     /// When `scores` is not as long as the vector summarized; they must
     /// be the scores it was built from.
-    pub fn head(&self, scores: &[f64], start: u32) -> &[u32] {
+    pub fn head<S: Scores + ?Sized>(&self, scores: &S, start: u32) -> &[u32] {
         self.check_len(scores);
         let n = self.len as u32;
         self.head_from(scores, Segment::range(start.min(n)..n))
             .map_or(&[], |((_, head), _)| head)
     }
 
-    /// How many heads have been built so far.
+    /// How many heads have been built so far (a count kept where each is
+    /// built, not a scan of the cells).
     pub fn heads_built(&self) -> usize {
-        let cells = self.heads.get().map_or(&[][..], |cells| cells);
-        cells.iter().filter(|h| h.get().is_some()).count()
+        self.built.get().0
     }
 
-    fn check_len(&self, scores: &[f64]) {
+    fn check_len<S: Scores + ?Sized>(&self, scores: &S) {
         assert_eq!(
             self.len,
             scores.len(),
@@ -740,7 +782,11 @@ impl BlockMaxima {
     /// head, built by one walk of the suffix on first use — and whether
     /// this call built it; `None` when the list has no head at or below
     /// the segment's start.
-    fn head_from(&self, scores: &[f64], seg: Segment<'_>) -> Option<((usize, &[u32]), bool)> {
+    fn head_from<S: Scores + ?Sized>(
+        &self,
+        scores: &S,
+        seg: Segment<'_>,
+    ) -> Option<((usize, &[u32]), bool)> {
         let key = head_key(seg.list, seg.start);
         let at = self
             .cuts
@@ -759,7 +805,7 @@ impl BlockMaxima {
         let head = cells[at].get_or_init(|| {
             let list_len = seg.postings.map_or(self.len, <[u32]>::len);
             let list = |at: usize| at..list_len.min(at + self.block_len);
-            let block_max = |at| max_number(list(at).map(|p| scores[seg.id_at(p) as usize]));
+            let block_max = |at| max_number(list(at).map(|p| scores.at(seg.id_at(p) as usize)));
             debug_assert!(
                 (0..list_len)
                     .step_by(self.block_len)
@@ -777,6 +823,7 @@ impl BlockMaxima {
                 ..seg
             }];
             walk_blocks(scores, self, suffix, self.head_len, None, None, &mut head);
+            self.built.add(head.len());
             head.into_boxed_slice()
         });
         Some(((cut, head), built))
@@ -816,9 +863,9 @@ impl BlockMaxima {
     /// the head of its list's largest cut at or below its start; the bands
     /// are disjoint, so the best `k` of their slices are the page, and
     /// `matched` is summed over them. Adds the heads it built to `built`.
-    fn head_slices<'a>(
+    fn head_slices<'a, S: Scores + ?Sized>(
         &self,
-        scores: &[f64],
+        scores: &S,
         segments: impl Iterator<Item = Segment<'a>> + Clone,
         k: usize,
         frontier: Option<&Frontier>,
@@ -859,9 +906,9 @@ impl BlockMaxima {
     /// score clears it (later scores are no higher, or NaN). Then the ids
     /// behind the frontier are all in the head, and `matched` is the
     /// segment less those.
-    fn head_slice(
+    fn head_slice<S: Scores + ?Sized>(
         &self,
-        scores: &[f64],
+        scores: &S,
         (cut, head): (usize, &[u32]),
         seg: Segment<'_>,
         k: usize,
@@ -870,19 +917,21 @@ impl BlockMaxima {
     ) -> Option<BlockWalk> {
         let &last = head.last()?;
         let whole = head.len() == seg.postings.map_or(self.len, <[u32]>::len) - cut;
-        if !whole && frontier.is_some_and(|f| !f.clears(scores[last as usize])) {
+        if !whole && frontier.is_some_and(|f| !f.clears(scores.at(last as usize))) {
             return None;
         }
         let ids = seg.ids();
         let (mut taken, mut behind) = (0, 0);
+        // Only a frontier reads a score: without one, the slice is the
+        // head's order itself.
+        let score = |id: u32| scores.at(id as usize);
         for &id in head.iter().filter(|id| ids.contains(id)) {
-            let score = scores[id as usize];
-            if frontier.is_some_and(|f| !f.admits(score, id)) {
+            if frontier.is_some_and(|f| !f.admits(score(id), id)) {
                 behind += 1;
             } else if taken < k {
                 out.push(id);
                 taken += 1;
-            } else if frontier.is_none_or(|f| f.clears(score)) {
+            } else if frontier.is_none_or(|f| f.clears(score(id))) {
                 // The page is full, and no id from here on is behind.
                 break;
             }
@@ -899,7 +948,7 @@ impl BlockMaxima {
 /// in [`cmp_score_desc`] order and of distinct ids, in that order: one
 /// pass over their fronts, the result written behind them, then moved to
 /// the front.
-fn merge_front(scores: &[f64], out: &mut Vec<u32>, mid: usize, k: usize) {
+fn merge_front<S: Scores + ?Sized>(scores: &S, out: &mut Vec<u32>, mid: usize, k: usize) {
     let end = out.len();
     if mid == 0 || mid == end {
         return;
@@ -1093,18 +1142,19 @@ macro_rules! each_block {
 /// # Panics
 /// When `maxima` summarizes a vector of a different length, or lists
 /// other than the segments'.
-pub fn top_k_pruned_into<'a, S>(
-    scores: &[f64],
+pub fn top_k_pruned_into<'a, V, I>(
+    scores: &V,
     maxima: &BlockMaxima,
-    segments: S,
+    segments: I,
     k: usize,
     frontier: Option<&Frontier>,
     residual: Option<&mut dyn FnMut(u32) -> bool>,
     out: &mut Vec<u32>,
 ) -> BlockWalk
 where
-    S: IntoIterator<Item = Segment<'a>>,
-    S::IntoIter: Clone,
+    V: Scores + ?Sized,
+    I: IntoIterator<Item = Segment<'a>>,
+    I::IntoIter: Clone,
 {
     maxima.check_len(scores);
     let segments = segments.into_iter();
@@ -1127,18 +1177,19 @@ where
 
 /// Rules 1–4 of [`top_k_pruned_into`]: its walk, which also builds the
 /// heads rule 0 slices.
-fn walk_blocks<'a, S>(
-    scores: &[f64],
+fn walk_blocks<'a, V, I>(
+    scores: &V,
     maxima: &BlockMaxima,
-    segments: S,
+    segments: I,
     k: usize,
     frontier: Option<&Frontier>,
     mut residual: Option<&mut dyn FnMut(u32) -> bool>,
     out: &mut Vec<u32>,
 ) -> BlockWalk
 where
-    S: IntoIterator<Item = Segment<'a>>,
-    S::IntoIter: Clone,
+    V: Scores + ?Sized,
+    I: IntoIterator<Item = Segment<'a>>,
+    I::IntoIter: Clone,
 {
     let segments = segments.into_iter();
     let segments = segments.map(|s| maxima.resolve(s));
@@ -1226,7 +1277,7 @@ where
                         }
                     } else {
                         walk.blocks_scanned += 1;
-                        let (at, after) = (span(b), |id: u32| f.admits(scores[id as usize], id));
+                        let (at, after) = (span(b), |id: u32| f.admits(scores.at(id as usize), id));
                         let behind =
                             at.len() - offer_passing(&mut top, offer, seg.postings, at, after);
                         walk.matched -= behind;
@@ -1240,7 +1291,8 @@ where
                     walk.blocks_scanned += 1;
                     let offer = keeps && !top.skips(max(b));
                     let passes = |id: u32| {
-                        frontier.is_none_or(|f| f.admits(scores[id as usize], id)) && residual(id)
+                        frontier.is_none_or(|f| f.admits(scores.at(id as usize), id))
+                            && residual(id)
                     };
                     walk.matched += offer_passing(&mut top, offer, seg.postings, span(b), passes);
                 });
@@ -1253,7 +1305,11 @@ where
 
 /// Sorts a segment's `blocks` into `top`'s scratch best maximum first
 /// (`maxima` is its list's) and returns how many there are.
-fn sort_best_first(top: &mut TopK<'_>, blocks: std::ops::Range<usize>, maxima: &[f64]) -> usize {
+fn sort_best_first<S: Scores + ?Sized>(
+    top: &mut TopK<'_, S>,
+    blocks: std::ops::Range<usize>,
+    maxima: &[f64],
+) -> usize {
     let order = &mut top.scratch()[..blocks.len()];
     for (slot, b) in order.iter_mut().zip(blocks) {
         *slot = b as u32;
@@ -1267,8 +1323,8 @@ fn sort_best_first(top: &mut TopK<'_>, blocks: std::ops::Range<usize>, maxima: &
 /// or the id space when `None`) that pass `test`, and offers them to
 /// `top` when `offer`. Returns the count.
 #[inline]
-fn offer_passing(
-    top: &mut TopK<'_>,
+fn offer_passing<S: Scores + ?Sized>(
+    top: &mut TopK<'_, S>,
     offer: bool,
     postings: Option<&[u32]>,
     at: std::ops::Range<usize>,
@@ -1282,8 +1338,8 @@ fn offer_passing(
 
 /// [`offer_passing`] over one id source.
 #[inline]
-fn offer_passing_ids(
-    top: &mut TopK<'_>,
+fn offer_passing_ids<S: Scores + ?Sized>(
+    top: &mut TopK<'_, S>,
     offer: bool,
     ids: impl Iterator<Item = u32>,
     mut test: impl FnMut(u32) -> bool,
