@@ -78,8 +78,7 @@ impl CiteRank {
         let rho = self.start_distribution(net);
         let op = net.stochastic_operator();
         let alpha = self.alpha;
-        let mut initial = workspace.take_zeros(n);
-        initial.as_mut_slice().copy_from_slice(rho.as_slice());
+        let initial = workspace.take_copy(rho.as_slice());
         // T ← ρ + α·W·T with leaky dangling handling (original model),
         // fused into one sweep. The closure borrows `ρ` so it can be
         // recycled after the solve.

@@ -88,8 +88,7 @@ impl Ecm {
         m.mul_vec_into(ones.as_slice(), seed.as_mut_slice());
         workspace.recycle(ones);
         let alpha = self.alpha;
-        let mut initial = workspace.take_zeros(n);
-        initial.as_mut_slice().copy_from_slice(seed.as_slice());
+        let initial = workspace.take_copy(seed.as_slice());
         // s ← seed + α·M·s, fused into one sweep. The closure borrows
         // `seed` so it can be recycled after the solve.
         let seed_ref = &seed;

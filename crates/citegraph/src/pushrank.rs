@@ -405,8 +405,7 @@ pub fn update_uniform_kernel(
     cfg: &PushRankConfig,
     workspace: &mut KernelWorkspace,
 ) -> Option<(ScoreVec, LanesOutcome<1>)> {
-    let mut x = workspace.take_zeros(previous.len());
-    x.copy_from_slice(previous);
+    let mut x = workspace.take_copy(previous);
     let mut r = workspace.take_zeros(new.n_papers()).into_vec();
     let lane = PushLane {
         x: &mut x,

@@ -62,6 +62,13 @@
 //! rebuilds the rest from the network — the window counts by one recount,
 //! `β·A` / `γ·T` from them, bit for bit what the live scorer carried — so
 //! the first publish after a restore pushes.
+//!
+//! The kernel lane is shared, not copied: [`IncrementalAttRank::kernel`]
+//! hands out the `Arc` the last solve resolved, which a serving layer
+//! keeps beside the scores it published, and the next push copies it on
+//! write into a pooled buffer before updating it in place.
+
+use std::sync::Arc;
 
 use citegraph::{
     try_push_lanes, CitationNetwork, DeltaStrategy, GraphDelta, Personalization, PushLane,
@@ -92,8 +99,10 @@ struct PushSplit {
     /// seeding diffs against.
     b_att: ScoreVec,
     b_rec: ScoreVec,
-    /// Uniform kernel `u = (I − α·S)⁻¹·(1/n)·1`.
-    kernel: ScoreVec,
+    /// Uniform kernel `u = (I − α·S)⁻¹·(1/n)·1`, shared with whoever
+    /// holds [`IncrementalAttRank::kernel`]; a solve updates it through
+    /// [`unshare`].
+    kernel: Arc<ScoreVec>,
     /// The attention window's citation counts behind `b_att`.
     window: WindowCounts,
 }
@@ -114,8 +123,7 @@ impl PushSplit {
         let (g_att, g_rec) = (out.deferred[ATT], out.deferred[REC]);
         let mut total = workspace.take_zeros(n);
         let mut kept = workspace.take_zeros(n);
-        for ((((u, a), r), t), k) in self
-            .kernel
+        for ((((u, a), r), t), k) in unshare(&mut self.kernel, workspace)
             .iter_mut()
             .zip(self.att.iter_mut())
             .zip(self.rec.iter_mut())
@@ -139,6 +147,15 @@ impl PushSplit {
             error_log: Vec::new(),
         }
     }
+}
+
+/// `kernel`, owned: when a reader still shares it, it is first copied
+/// into a pooled buffer (copy on write), and the reader keeps the old one.
+fn unshare<'a>(kernel: &'a mut Arc<ScoreVec>, workspace: &mut KernelWorkspace) -> &'a mut ScoreVec {
+    if Arc::get_mut(kernel).is_none() {
+        *kernel = Arc::new(workspace.take_copy(kernel));
+    }
+    Arc::get_mut(kernel).expect("a fresh Arc is unshared")
 }
 
 /// What a test may read of the personalization carried across deltas
@@ -224,6 +241,13 @@ impl IncrementalAttRank {
         self.previous.as_ref()
     }
 
+    /// The uniform kernel of the last scored snapshot at the scorer's
+    /// `α` — lane 0 of [`Self::push_state`] as a shared `Arc`, not a copy
+    /// — or `None` while no split is cached.
+    pub fn kernel(&self) -> Option<&Arc<ScoreVec>> {
+        self.split.as_ref().map(|s| &s.kernel)
+    }
+
     /// The push state of the last scored snapshot — its attention
     /// component, recency component and uniform kernel, in that order —
     /// or `None` while no split is cached. With the network and
@@ -248,8 +272,7 @@ impl IncrementalAttRank {
     ) -> bool {
         let n = net.n_papers();
         self.drop_split();
-        let mut kept = self.workspace.take_zeros(scores.len());
-        kept.as_mut_slice().copy_from_slice(scores);
+        let kept = self.workspace.take_copy(scores);
         if let Some(stale) = self.previous.replace(kept) {
             self.workspace.recycle(stale);
         }
@@ -261,17 +284,13 @@ impl IncrementalAttRank {
         let window = WindowCounts::count(net, self.params.attention_years);
         let (b_att, b_rec) =
             components_from_counts(net, &self.params, window.counts(), &mut self.workspace);
-        let [att, rec, kernel] = state.map(|lane| {
-            let mut v = self.workspace.take_zeros(n);
-            v.as_mut_slice().copy_from_slice(lane);
-            v
-        });
+        let [att, rec, kernel] = state.map(|lane| self.workspace.take_copy(lane));
         self.split = Some(PushSplit {
             att,
             rec,
             b_att,
             b_rec,
-            kernel,
+            kernel: Arc::new(kernel),
             window,
         });
         true
@@ -287,8 +306,12 @@ impl IncrementalAttRank {
     /// Invalidates the per-component push state (recycling its buffers).
     fn drop_split(&mut self) {
         if let Some(split) = self.split.take() {
-            for v in [split.att, split.rec, split.b_att, split.b_rec, split.kernel] {
+            for v in [split.att, split.rec, split.b_att, split.b_rec] {
                 self.workspace.recycle(v);
+            }
+            // A kernel a snapshot still shares stays with the snapshot.
+            if let Some(kernel) = Arc::into_inner(split.kernel) {
+                self.workspace.recycle(kernel);
             }
         }
     }
@@ -355,7 +378,7 @@ impl IncrementalAttRank {
         );
         let lanes = [
             PushLane {
-                x: &mut split.kernel,
+                x: unshare(&mut split.kernel, &mut self.workspace),
                 b_old: Personalization::Uniform(1.0 / n_old as f64),
                 b_new: Personalization::Uniform(1.0 / n_new as f64),
             },
@@ -415,14 +438,7 @@ impl IncrementalAttRank {
                 .zip(b_rec.iter())
                 .flat_map(|(&a, &r)| [uniform, a, r]),
         );
-        let mut split = PushSplit {
-            att: self.workspace.take_zeros(n),
-            rec: self.workspace.take_zeros(n),
-            b_att,
-            b_rec,
-            kernel: self.workspace.take_zeros(n),
-            window,
-        };
+        let [mut kernel, mut att, mut rec] = [(); 3].map(|_| self.workspace.take_zeros(n));
         let cfg = PushConfig {
             alpha: self.params.alpha(),
             epsilon: self.push_config.epsilon,
@@ -432,13 +448,21 @@ impl IncrementalAttRank {
             net.refs_csr(),
             &cfg,
             [
-                split.kernel.as_mut_slice(),
-                split.att.as_mut_slice(),
-                split.rec.as_mut_slice(),
+                kernel.as_mut_slice(),
+                att.as_mut_slice(),
+                rec.as_mut_slice(),
             ],
             &mut self.lane_residual,
             [0.0; 3],
         );
+        let mut split = PushSplit {
+            att,
+            rec,
+            b_att,
+            b_rec,
+            kernel: Arc::new(kernel),
+            window,
+        };
         let diag = split.resolve(&out, &mut self.previous, &mut self.workspace);
         self.split = Some(split);
         diag

@@ -30,8 +30,17 @@
 //! calls for. PageRank takes the same path as one system: its scores are
 //! the uniform kernel scaled by `1−α`, built by one push pass
 //! ([`citegraph::uniform_kernel`]) and pushed across each publish
-//! ([`citegraph::update_uniform_kernel`]). Every other method re-ranks
-//! from scratch.
+//! ([`citegraph::update_uniform_kernel`]) from the previous epoch's
+//! kernel. Every other method re-ranks from scratch.
+//!
+//! The snapshot owns its kernel: each epoch holds the uniform kernel of
+//! its network at its method's damping factor ([`EpochSnapshot::kernel`]),
+//! the one vector every seeded solve over it resolves against. AttRank's
+//! is the kernel lane its publish solved (shared, not copied), PageRank's
+//! is its scores over `1−α` — the vector the next publish pushes from, so
+//! a restart replays it bit for bit from the persisted scores — and a
+//! restored AttRank epoch's is the persisted push state's, set by the
+//! warmup. Any other epoch builds its kernel on the first read.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -163,11 +172,11 @@ impl RerankPolicy {
 /// produce this one.
 ///
 /// Recorded so per-epoch derived state (the personalization cache's
-/// vectors and uniform kernels) can be *warm re-pushed* across a publish
-/// instead of rebuilt: a cached vector tagged with `parent_epoch` is one
-/// `O(affected)` push away from valid, not one full solve. An
-/// empty-staged publish records an empty delta over the same network —
-/// derived state then revalidates with a zero-residual push.
+/// vectors; the snapshot owns its kernel) can be *warm re-pushed* across
+/// a publish instead of rebuilt: a cached vector tagged with
+/// `parent_epoch` is one `O(affected)` push away from valid, not one full
+/// solve. An empty-staged publish records an empty delta over the same
+/// network — derived state then revalidates with a zero-residual push.
 #[derive(Debug, Clone)]
 pub(crate) struct EpochLineage {
     /// Epoch of the snapshot whose network `delta` was applied to.
@@ -271,6 +280,13 @@ pub struct EpochSnapshot {
     /// (`None` for epoch 0, restored epochs, and publishes after a
     /// rejected solve).
     lineage: Option<EpochLineage>,
+    /// The damping factor of the method these scores rank by, if it has
+    /// one: the `α` of the kernel below.
+    damping: Option<f64>,
+    /// The uniform kernel of `net` at `damping` (see [`Self::kernel`]):
+    /// set at freeze from the publish's solve, by the warmup from a
+    /// restored push state, or on the first read.
+    kernel: OnceLock<Arc<ScoreVec>>,
 }
 
 impl EpochSnapshot {
@@ -372,6 +388,21 @@ impl EpochSnapshot {
         order.partition_point(ahead)
     }
 
+    /// The uniform kernel `u = (I − α·S)⁻¹·(1/n)·1` of this epoch's
+    /// network at `alpha`, which every seeded solve over the epoch
+    /// resolves its dangling mass against. At the method's damping factor
+    /// it is the epoch's one kernel — the one its publish solved, or one
+    /// cold push pass on the first call, kept. At any other `alpha` it is
+    /// built cold and not kept.
+    pub fn kernel(&self, alpha: f64) -> Arc<ScoreVec> {
+        let net = &self.net;
+        let cold = || Arc::new(uniform_kernel(net, alpha, &mut KernelWorkspace::new()));
+        if self.damping.map(f64::to_bits) != Some(alpha.to_bits()) {
+            return cold();
+        }
+        Arc::clone(self.kernel.get_or_init(cold))
+    }
+
     /// Provenance of this epoch relative to its parent, when known.
     pub(crate) fn lineage(&self) -> Option<&EpochLineage> {
         self.lineage.as_ref()
@@ -414,7 +445,8 @@ enum EngineRanker {
     Incremental(Box<IncrementalAttRank>),
     /// PageRank with damping `α`.
     Kernel(f64),
-    Batch(BoxedRanker),
+    /// Any other method, with its damping factor if it has one (CiteRank).
+    Batch(BoxedRanker, Option<f64>),
 }
 
 impl EngineRanker {
@@ -426,20 +458,20 @@ impl EngineRanker {
                 scores.scale(1.0 - *alpha);
                 scores
             }
-            EngineRanker::Batch(r) => r.rank_into(net, workspace),
+            EngineRanker::Batch(r, _) => r.rank_into(net, workspace),
         }
     }
 
     /// Re-rank across a delta, reporting which strategy ran. `previous`
-    /// holds the last successfully published scores, which the kernel
-    /// arm pushes from (the incremental solver carries its own state).
-    /// A declined push runs the full re-rank.
+    /// is the last successfully published snapshot, whose kernel the
+    /// kernel arm pushes from on a pooled copy (the incremental solver
+    /// carries its own state). A declined push runs the full re-rank.
     fn rank_delta(
         &mut self,
         old: &CitationNetwork,
         delta: &GraphDelta,
         new: &CitationNetwork,
-        previous: Option<&ScoreVec>,
+        previous: Option<&EpochSnapshot>,
         workspace: &mut KernelWorkspace,
     ) -> (ScoreVec, RerankStrategy) {
         match self {
@@ -449,20 +481,10 @@ impl EngineRanker {
             }
             EngineRanker::Kernel(alpha) => {
                 let alpha = *alpha;
-                // `prev / (1−α)` is the old kernel, pushed on a pooled copy:
-                // `prev` belongs to a published snapshot.
+                let cfg = PushRankConfig::default();
                 let pushed = previous.and_then(|prev| {
-                    let inv = 1.0 / (1.0 - alpha);
-                    let mut kernel = workspace.take_zeros(prev.len());
-                    kernel
-                        .iter_mut()
-                        .zip(prev.iter())
-                        .for_each(|(u, &p)| *u = p * inv);
-                    let cfg = PushRankConfig::default();
-                    let updated =
-                        update_uniform_kernel(old, delta, new, &kernel, alpha, &cfg, workspace);
-                    workspace.recycle(kernel);
-                    updated
+                    let kernel = prev.kernel(alpha);
+                    update_uniform_kernel(old, delta, new, &kernel, alpha, &cfg, workspace)
                 });
                 let Some((mut scores, out)) = pushed else {
                     return (self.rank_full(new, workspace), RerankStrategy::Full);
@@ -471,7 +493,34 @@ impl EngineRanker {
                 let (pushes, edge_work) = (out.pushes, out.edge_work);
                 (scores, RerankStrategy::Push { pushes, edge_work })
             }
-            EngineRanker::Batch(r) => (r.rank_into(new, workspace), RerankStrategy::Full),
+            EngineRanker::Batch(r, _) => (r.rank_into(new, workspace), RerankStrategy::Full),
+        }
+    }
+
+    /// The configured method's damping factor, if it has one: the `α` of
+    /// each snapshot's kernel.
+    fn damping(&self) -> Option<f64> {
+        match self {
+            EngineRanker::Incremental(inc) => Some(inc.params().alpha()),
+            EngineRanker::Kernel(alpha) => Some(*alpha),
+            EngineRanker::Batch(_, damping) => *damping,
+        }
+    }
+
+    /// The uniform kernel of the solve that just produced `scores`, for
+    /// the snapshot that publishes them: AttRank's kernel lane (an `Arc`
+    /// share; `None` after a plain `update`, which keeps no push state),
+    /// PageRank's `scores / (1−α)` — the same vector from the live scores
+    /// and from the persisted ones — and `None` for every other method.
+    fn solved_kernel(&self, scores: &ScoreVec) -> Option<Arc<ScoreVec>> {
+        match self {
+            EngineRanker::Incremental(inc) => inc.kernel().cloned(),
+            EngineRanker::Kernel(alpha) => {
+                let inv = 1.0 / (1.0 - alpha);
+                let kernel: Vec<f64> = scores.iter().map(|&p| p * inv).collect();
+                Some(Arc::new(kernel.into()))
+            }
+            EngineRanker::Batch(..) => None,
         }
     }
 
@@ -510,9 +559,9 @@ struct WriterState {
     pending_batches: usize,
     next_epoch: u64,
     /// The last successfully published snapshot (an `Arc` share, not a
-    /// score copy): its scores are the `previous` PageRank's kernel push
-    /// seeds from. Cleared when a solve is rejected (stale scores
-    /// must not seed a push against a newer network).
+    /// score copy): its kernel is the one PageRank's push seeds from.
+    /// Cleared when a solve is rejected (stale scores must not seed a
+    /// push against a newer network).
     previous: Option<Arc<EpochSnapshot>>,
     /// Durability log: when attached, every accepted ingest is appended
     /// (and fsynced) *before* it is staged.
@@ -572,7 +621,7 @@ impl RankingEngine {
         let mut ranker = Self::make_ranker(spec)?;
         let mut workspace = KernelWorkspace::new();
         let scores = ranker.rank_full(&net, &mut workspace);
-        let snapshot = Self::freeze(0, &net, scores, RerankStrategy::Initial);
+        let snapshot = Self::freeze(0, &net, scores, RerankStrategy::Initial, None, &ranker);
         let previous = Some(snapshot.clone());
         Ok(Self {
             method: spec.to_string(),
@@ -606,7 +655,7 @@ impl RankingEngine {
                 IncrementalAttRank::new(AttRankParams::new(alpha, beta, y, w)?),
             )),
             MethodSpec::PageRank { d } => EngineRanker::Kernel(d),
-            _ => EngineRanker::Batch(registry::build(spec)?),
+            _ => EngineRanker::Batch(registry::build(spec)?, spec.damping()),
         })
     }
 
@@ -953,7 +1002,7 @@ impl RankingEngine {
         let watermark = store.wal_watermark().unwrap_or(0);
         let net = Arc::new(store.to_network()?);
         let ranker = Self::make_ranker(&spec)?;
-        let snapshot = Self::freeze(epoch, &net, scores, RerankStrategy::Restored);
+        let snapshot = Self::freeze(epoch, &net, scores, RerankStrategy::Restored, None, &ranker);
         let engine = Arc::new(Self {
             method: spec.to_string(),
             policy,
@@ -1030,7 +1079,9 @@ impl RankingEngine {
 
     /// Seeds the incremental scorer with the restored epoch — its scores,
     /// and the push state `store` holds for `epoch` when that verifies —
-    /// before any batch replays.
+    /// before any batch replays. A restored push state's kernel lane
+    /// becomes the restored epoch's kernel too (unless a seeded read has
+    /// already built one).
     fn restore_push_state(&self, store: &Store, epoch: u64) -> PushStateRestore {
         let mut guard = self.writer.lock().expect("writer lock poisoned");
         let state = &mut *guard;
@@ -1041,6 +1092,9 @@ impl RankingEngine {
         let verified = store.push_state(epoch);
         let lanes = verified.as_ref().ok().copied().flatten();
         let restored = inc.restore(&state.net, snap.scores().as_slice(), lanes);
+        if let Some(kernel) = inc.kernel() {
+            let _ = snap.kernel.set(Arc::clone(kernel));
+        }
         match verified {
             Err(_) => PushStateRestore::Corrupt,
             Ok(_) if restored => PushStateRestore::Restored,
@@ -1098,7 +1152,7 @@ impl RankingEngine {
                 &state.net,
                 &staged,
                 &next,
-                state.previous.as_deref().map(EpochSnapshot::scores),
+                state.previous.as_deref(),
                 &mut state.workspace,
             );
             state.net = next;
@@ -1132,7 +1186,7 @@ impl RankingEngine {
             delta,
         });
         let freeze_started = Instant::now();
-        let snapshot = Self::freeze_with(epoch, &state.net, scores, strategy, lineage);
+        let snapshot = Self::freeze(epoch, &state.net, scores, strategy, lineage, &state.ranker);
         if let Some(ins) = self.instruments.get() {
             ins.freeze_seconds.observe(freeze_started.elapsed());
         }
@@ -1157,24 +1211,18 @@ impl RankingEngine {
         true
     }
 
+    /// The one place a snapshot is frozen — initial rank, publish and
+    /// restore alike — so the scores' summaries can never be stale, and
+    /// the kernel `ranker` just solved, if any, is the snapshot's.
     fn freeze(
         epoch: u64,
         net: &Arc<CitationNetwork>,
         scores: ScoreVec,
         strategy: RerankStrategy,
-    ) -> Arc<EpochSnapshot> {
-        Self::freeze_with(epoch, net, scores, strategy, None)
-    }
-
-    /// The one place a snapshot is frozen — initial rank, publish and
-    /// restore alike — so the scores' summaries can never be stale.
-    fn freeze_with(
-        epoch: u64,
-        net: &Arc<CitationNetwork>,
-        scores: ScoreVec,
-        strategy: RerankStrategy,
         lineage: Option<EpochLineage>,
+        ranker: &EngineRanker,
     ) -> Arc<EpochSnapshot> {
+        let kernel = ranker.solved_kernel(&scores);
         Arc::new(EpochSnapshot {
             epoch,
             strategy,
@@ -1183,6 +1231,8 @@ impl RankingEngine {
             scores,
             order: OnceLock::new(),
             lineage,
+            damping: ranker.damping(),
+            kernel: kernel.map_or_else(OnceLock::new, OnceLock::from),
         })
     }
 }
@@ -1305,6 +1355,7 @@ mod tests {
             b.add_paper(2000);
         }
         let net = Arc::new(b.build().unwrap());
+        let cc = RankingEngine::make_ranker(&MethodSpec::CitationCount).unwrap();
         let patterns: [fn(usize) -> f64; 2] = [
             |i| match i % 11 {
                 0 => f64::NAN,
@@ -1320,7 +1371,7 @@ mod tests {
             let scores: Vec<f64> = (0..n).map(pattern).collect();
             let full = sparsela::sort_indices_desc(&scores);
             let vector = ScoreVec::from_vec(scores);
-            let snap = RankingEngine::freeze(0, &net, vector, RerankStrategy::Initial);
+            let snap = RankingEngine::freeze(0, &net, vector, RerankStrategy::Initial, None, &cc);
             assert_eq!(snap.blocks.ids.heads_built(), 0, "a freeze builds no head");
             assert_eq!(
                 snap.blocks.ids.head(snap.scores.as_slice(), 0),
@@ -1583,32 +1634,36 @@ mod tests {
         let new = net.with_delta(&d).unwrap();
         let mut ranker = RankingEngine::make_ranker(&MethodSpec::PageRank { d: 0.5 }).unwrap();
         let mut ws = KernelWorkspace::new();
-        let bits = |v: &ScoreVec| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let net = Arc::new(net);
+        let freeze = |scores: ScoreVec, ranker: &EngineRanker| {
+            RankingEngine::freeze(0, &net, scores, RerankStrategy::Initial, None, ranker)
+        };
 
-        let prev = ranker.rank_full(&net, &mut ws);
-        let before = bits(&prev);
+        // The snapshot's kernel is its scores over `1−α`, frozen with it.
+        let prev = freeze(ranker.rank_full(&net, &mut ws), &ranker);
+        let kernel = prev.kernel.get().expect("frozen with its kernel").clone();
+        assert_eq!(
+            bits(&kernel),
+            bits(&prev.scores().iter().map(|&p| p * 2.0).collect::<Vec<_>>())
+        );
+        assert!(Arc::ptr_eq(&prev.kernel(0.5), &kernel));
         let (pushed, strategy) = ranker.rank_delta(&net, &d, &new, Some(&prev), &mut ws);
         assert!(matches!(strategy, RerankStrategy::Push { .. }));
-        assert_eq!(bits(&prev), before, "a push leaves `previous` alone");
+        assert_eq!(bits(&prev.kernel(0.5)), bits(&kernel), "a push copies it");
         let full = ranker.rank_full(&new, &mut ws);
         for i in 0..new.n_papers() {
             assert!((pushed[i] - full[i]).abs() < 1e-9, "paper {i}");
         }
 
         // A NaN passes the input checks and fails the seeding, which has
-        // already rescaled its lane: the lane is a copy, and the decline
-        // runs the full re-rank.
-        let mut nan = prev.clone();
+        // already rescaled its lane: the decline runs the full re-rank.
+        let mut nan = prev.scores().clone();
         nan[3] = f64::NAN;
-        let before = bits(&nan);
+        let nan = freeze(nan, &ranker);
         let (declined, strategy) = ranker.rank_delta(&net, &d, &new, Some(&nan), &mut ws);
         assert_eq!(strategy, RerankStrategy::Full);
         assert_eq!(bits(&declined), bits(&full));
-        assert_eq!(
-            bits(&nan),
-            before,
-            "a declined push leaves `previous` alone"
-        );
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //! **Cone form.** Every solve is `x = y + g·u`: `y`, the seeds' push, is
 //! zero outside their reference cone (a three-seed set's cone is about a
 //! fifth of a 200k corpus), and `u` is the partition's **uniform kernel**,
-//! which a sub-cache keeps once per (partition label, `α`, epoch). An
-//! entry therefore stores `y` block-sparse ([`sparsela::Cone`]: a mask and
-//! an offset per 64-id block, and the values whose bits are not zero), the
+//! which the snapshot owns ([`EpochSnapshot::kernel`]). An entry
+//! therefore stores `y` block-sparse ([`sparsela::Cone`]: a mask and an
+//! offset per 64-id block, and the values whose bits are not zero), the
 //! scalars `g` and `dᵀy`, an `Arc` of its epoch's kernel and its block
 //! summaries — no dense vector. Every read of a score computes
 //! `y_i + g·u_i`, the expression the solve's own resolution evaluates, so
@@ -36,13 +36,13 @@
 //! warm re-push scatters `y` into a zeroed buffer for
 //! [`citegraph::repersonalize`], which is unchanged.
 //!
-//! A kernel belongs to the partition whose graph it was solved on, so one
-//! shard's kernel never resolves another's vectors. Each is cold-built
-//! once per (label, α, epoch) and warm-updated by
-//! [`citegraph::update_uniform_kernel`] only from the lineage's parent
-//! epoch — so the only dense work in steady state is one kernel AXPY per
-//! solve. An entry keeps its own epoch's kernel alive until it is
-//! re-pushed or evicted.
+//! The snapshot owns its kernel: each partition's epoch holds the one
+//! kernel of its own graph at its method's damping factor — the one its
+//! publish solved, or one cold push pass on the first seeded read — so
+//! one shard's kernel never resolves another's vectors, the cache keeps
+//! no kernel of its own, and a seeded miss does no kernel work beyond
+//! that first read. An entry keeps its own epoch's kernel alive until it
+//! is re-pushed or evicted.
 //!
 //! Concurrency follows the engine's snapshot discipline: completed
 //! solves are immutable behind `Arc`s (their heads and the dense copy
@@ -57,8 +57,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use citegraph::{
-    personalize, repersonalize, uniform_kernel, update_uniform_kernel, CitationNetwork, PaperId,
-    PersonalizedScores, PushRankConfig, SeedPersonalization, WarmStart,
+    personalize, repersonalize, CitationNetwork, PaperId, PersonalizedScores, PushRankConfig,
+    SeedPersonalization, WarmStart,
 };
 use sparsela::{Cone, KernelWorkspace, ScoreVec};
 
@@ -82,9 +82,8 @@ pub struct CacheConfig {
     /// after an entry is inserted, so every entry's count is re-read
     /// whenever the cache is sized — at each insert, before evicting, and
     /// on each [`PersonalizationCache::stats`] — not on a hit, which stays
-    /// one probe and one `Arc` clone. Uniform kernels (one per partition
-    /// label, `α` and epoch, shared by every entry over them) are not
-    /// counted.
+    /// one probe and one `Arc` clone. The uniform kernels entries share
+    /// are not counted: the snapshot owns its kernel.
     pub max_bytes: usize,
 }
 
@@ -228,17 +227,9 @@ struct CacheEntry {
     last_used: u64,
 }
 
-struct KernelEntry {
-    epoch: u64,
-    kernel: Arc<ScoreVec>,
-}
-
 #[derive(Default)]
 pub(crate) struct CacheInner {
     entries: HashMap<CacheKey, CacheEntry>,
-    /// Uniform kernels keyed by partition label and `α` bit pattern; one
-    /// (latest-epoch) kernel per partition and damping factor.
-    kernels: HashMap<(String, u64), KernelEntry>,
     tick: u64,
     bytes: usize,
 }
@@ -307,13 +298,12 @@ impl PersonalizationCache {
     }
 
     /// The bookkeeping; a lock poisoned by a panic mid-update is recovered
-    /// by dropping every vector and kernel (each is one solve away), so
-    /// the byte count restarts at zero with them.
+    /// by dropping every vector (each is one solve away), so the byte
+    /// count restarts at zero with them.
     fn lock(&self) -> MutexGuard<'_, CacheInner> {
         self.inner.lock().unwrap_or_else(|poisoned| {
             let mut inner = poisoned.into_inner();
             inner.entries.clear();
-            inner.kernels.clear();
             inner.bytes = 0;
             self.inner.clear_poison();
             inner
@@ -338,7 +328,9 @@ impl PersonalizationCache {
     /// the epoch `snap` pins, plus how it was obtained.
     ///
     /// `alpha` must be the damping factor of the method (`[0, 1)`,
-    /// resolved by the caller from the parsed spec). The returned vector
+    /// resolved by the caller from the parsed spec): the solve resolves
+    /// against [`EpochSnapshot::kernel`], the epoch's own kernel at that
+    /// `α` and a cold one, not kept, at any other. The returned vector
     /// always has `snap.n_papers()` entries and was solved on
     /// `snap.network()` — entries can never leak across epochs because a
     /// cached vector is served only when its recorded epoch matches, or
@@ -397,7 +389,7 @@ impl PersonalizationCache {
         };
 
         let mut ws = KernelWorkspace::new();
-        let kernel = self.kernel(method, snap, alpha, &mut ws);
+        let kernel = snap.kernel(alpha);
 
         if let Some(previous) = warm_start {
             let lin = snap.lineage().expect("warm start implies lineage");
@@ -438,63 +430,6 @@ impl PersonalizationCache {
         let ranking = CachedRanking::new(solved, kernel, snap.network());
         self.insert(key, snap.epoch(), ranking.clone());
         (ranking, CacheOutcome::ColdPush)
-    }
-
-    /// The uniform kernel `u = (I − α·S)⁻¹·(1/n)·1` for `snap`'s network,
-    /// the partition `method` labels: served from the sub-cache,
-    /// warm-updated from the lineage's parent epoch when that is what the
-    /// sub-cache holds, cold-built otherwise.
-    fn kernel(
-        &self,
-        method: &str,
-        snap: &EpochSnapshot,
-        alpha: f64,
-        ws: &mut KernelWorkspace,
-    ) -> Arc<ScoreVec> {
-        let key = (method.to_string(), alpha.to_bits());
-        let parent: Option<Arc<ScoreVec>> = {
-            let inner = self.lock();
-            match inner.kernels.get(&key) {
-                Some(e) if e.epoch == snap.epoch() && e.kernel.len() == snap.n_papers() => {
-                    return e.kernel.clone();
-                }
-                Some(e) => snap
-                    .lineage()
-                    .filter(|lin| {
-                        e.epoch == lin.parent_epoch && e.kernel.len() == lin.parent_net.n_papers()
-                    })
-                    .map(|_| e.kernel.clone()),
-                None => None,
-            }
-        };
-        let updated = parent.and_then(|prev| {
-            let lin = snap.lineage()?;
-            update_uniform_kernel(
-                &lin.parent_net,
-                &lin.delta,
-                snap.network(),
-                &prev,
-                alpha,
-                &PushRankConfig::default(),
-                ws,
-            )
-            .map(|(k, _)| k)
-        });
-        let kernel = Arc::new(match updated {
-            Some(k) => k,
-            None => uniform_kernel(snap.network(), alpha, ws),
-        });
-        let mut inner = self.lock();
-        // A racing builder may have stored a kernel meanwhile; last write
-        // wins — both are correct for this epoch.
-        inner.kernels.insert(
-            key,
-            KernelEntry {
-                epoch: snap.epoch(),
-                kernel: kernel.clone(),
-            },
-        );
-        kernel
     }
 
     /// Stores a completed solve and evicts least-recently-used entries

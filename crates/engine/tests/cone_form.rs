@@ -1,8 +1,8 @@
 //! Seeded pages served from cone-form cache entries.
 //!
 //! The personalization cache keeps each seeded solve as `x = y + g·u`:
-//! `y` block-sparse over the seeds' reference cone, `u` the partition's
-//! shared uniform kernel. These tests pin that nothing a reader sees
+//! `y` block-sparse over the seeds' reference cone, `u` the uniform
+//! kernel the partition's snapshot owns. These tests pin that nothing a reader sees
 //! depends on the form:
 //!
 //! * every plan driver (unfiltered, cursor page 2, year window, venue
@@ -14,8 +14,8 @@
 
 use citegen::{generate, DatasetProfile};
 use citegraph::{
-    personalize, repersonalize, uniform_kernel, update_uniform_kernel, CitationNetwork, GraphDelta,
-    PaperId, PushRankConfig, SeedPersonalization, ShardSpec,
+    personalize, repersonalize, CitationNetwork, GraphDelta, PaperId, PushRankConfig,
+    SeedPersonalization, ShardSpec,
 };
 use rankengine::{
     CacheConfig, Hit, PersonalizationCache, Query, QueryDriver, QueryEngine, RerankPolicy,
@@ -279,11 +279,11 @@ fn a_warm_repush_from_the_cone_equals_one_from_the_dense_warm_start() {
     qe.query(&all).unwrap();
 
     // The dense path the cache replaces: a cold solve on epoch 0 against
-    // a cold kernel, kept dense.
+    // the epoch's kernel, kept dense.
     let seed = SeedPersonalization::uniform(&seeds, n).unwrap();
     let cfg = PushRankConfig::default();
     let mut ws = KernelWorkspace::new();
-    let k0 = uniform_kernel(&net, ALPHA, &mut ws);
+    let k0 = qe.snapshot(None).unwrap().kernel(ALPHA);
     let cold = personalize(&net, &seed, ALPHA, Some(k0.as_slice()), &cfg, &mut ws);
     let cone = |raw: &ScoreVec| raw.iter().filter(|y| y.to_bits() != 0).count();
 
@@ -317,10 +317,8 @@ fn a_warm_repush_from_the_cone_equals_one_from_the_dense_warm_start() {
     );
 
     // The same re-push from the dense warm start, against the kernel the
-    // cache warm-updates across the same lineage.
-    let k1 = update_uniform_kernel(&net, &delta, &new, &k0, ALPHA, &cfg, &mut ws)
-        .map(|(k, _)| k)
-        .unwrap_or_else(|| uniform_kernel(&new, ALPHA, &mut ws));
+    // new epoch owns.
+    let k1 = qe.snapshot(None).unwrap().kernel(ALPHA);
     let start = cold.warm_start().unwrap();
     let warm = repersonalize(
         &net,

@@ -5,10 +5,13 @@
 //! no paper from a newer epoch leaks into an older page, and the
 //! personalization cache never mixes vectors across epochs.
 //!
-//! The uniform kernel every seeded solve resolves against belongs to one
-//! partition's graph at one epoch: two more tests serve seeded pages
-//! after a kernel of another shard, and of a grandparent epoch, was
-//! cached, and pin them to the dense reference too.
+//! The snapshot owns its kernel: the uniform kernel every seeded solve
+//! resolves against belongs to one partition's graph at one epoch. Two
+//! more tests serve seeded pages from two shards of equal length, and
+//! after a rewiring publish that keeps the length, and pin them to the
+//! dense reference too. The last three pin the cold kernel — built on
+//! the first seeded read of an epoch whose publish solved none (CiteRank,
+//! flat and over 2 shards), or at a damping other than the snapshot's.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -18,7 +21,10 @@ use citegraph::{
     dense_personalized, CitationNetwork, GraphDelta, NetworkBuilder, PaperId, SeedPersonalization,
     ShardSpec,
 };
-use rankengine::{EpochSnapshot, Hit, Query, QueryEngine, RerankPolicy, ShardedEngine};
+use rankengine::{
+    CacheConfig, EpochSnapshot, Hit, PersonalizationCache, Query, QueryEngine, RankingEngine,
+    RerankPolicy, ShardedEngine,
+};
 use sparsela::KernelWorkspace;
 
 const ALPHA: f64 = 0.5;
@@ -127,8 +133,19 @@ fn seeded_reads_pin_their_epoch_under_concurrent_publishes() {
 /// The largest gap between served scores and the dense personalized
 /// reference of `seeds` (local ids) on `snap`, whose ids start at `start`.
 fn max_error(snap: &EpochSnapshot, seeds: &[PaperId], start: PaperId, items: &[Hit]) -> f64 {
+    max_error_at(ALPHA, snap, seeds, start, items)
+}
+
+/// [`max_error`] at damping `alpha`.
+fn max_error_at(
+    alpha: f64,
+    snap: &EpochSnapshot,
+    seeds: &[PaperId],
+    start: PaperId,
+    items: &[Hit],
+) -> f64 {
     let seed = SeedPersonalization::uniform(seeds, snap.n_papers()).unwrap();
-    let want = dense_personalized(snap.network(), &seed, ALPHA, &mut KernelWorkspace::new());
+    let want = dense_personalized(snap.network(), &seed, alpha, &mut KernelWorkspace::new());
     items
         .iter()
         .map(|h| (h.score - want[(h.id - start) as usize]).abs())
@@ -190,7 +207,7 @@ fn citations_only(net: &CitationNetwork, count: usize) -> GraphDelta {
 }
 
 #[test]
-fn a_kernel_warm_updates_only_from_the_parent_epoch() {
+fn each_epoch_resolves_against_its_own_kernel() {
     let net = generate(&DatasetProfile::dblp().scaled(400), 31);
     let n = net.n_papers();
     let engine =
@@ -200,8 +217,7 @@ fn a_kernel_warm_updates_only_from_the_parent_epoch() {
     engine.query(&q).unwrap();
 
     // Epoch 1 rewires old columns and keeps the length; epoch 2 appends a
-    // paper. The kernel cached at epoch 0 has epoch 1's length but not
-    // its graph.
+    // paper. Epoch 0's kernel has epoch 1's length but not its graph.
     let rewire = citations_only(&net, 20);
     let epoch1 = net.with_delta(&rewire).unwrap();
     engine.ingest(&rewire).unwrap();
@@ -221,4 +237,111 @@ fn a_kernel_warm_updates_only_from_the_parent_epoch() {
         err < 1e-9,
         "a new seed set at epoch 2 served {err:e} off dense"
     );
+}
+
+const CITERANK: &str = "citerank:alpha=0.31,tau=1.6";
+const CITERANK_ALPHA: f64 = 0.31;
+
+/// `net` after two tail publishes.
+fn two_publishes(net: &CitationNetwork) -> [GraphDelta; 2] {
+    let first = publish_delta(net, 9, 3, 71);
+    let second = publish_delta(&net.with_delta(&first).unwrap(), 9, 3, 72);
+    [first, second]
+}
+
+#[test]
+fn a_citerank_seeded_page_builds_its_kernel_cold() {
+    let net = generate(&DatasetProfile::dblp().scaled(400), 37);
+    let n = net.n_papers();
+    let engine =
+        QueryEngine::from_configs(net.clone(), &[CITERANK], RerankPolicy::EveryBatch).unwrap();
+    let seeds = [7, (n / 2) as PaperId, (n - 3) as PaperId];
+    let q: Query = format!("k={},seed=7|{}|{}", n + 18, n / 2, n - 3)
+        .parse()
+        .unwrap();
+    // Served at every epoch: each page after a publish is a warm re-push
+    // over that epoch's cold kernel.
+    for delta in two_publishes(&net) {
+        engine.query(&q).unwrap();
+        engine.ingest(&delta).unwrap();
+    }
+    let snap = engine.snapshot(None).unwrap();
+    assert_eq!(snap.epoch(), 2);
+    let page = engine.query_at(&snap, &q).unwrap();
+    assert_eq!(page.items.len(), snap.n_papers());
+    let err = max_error_at(CITERANK_ALPHA, &snap, &seeds, 0, &page.items);
+    assert!(err < 1e-9, "citerank seeded page served {err:e} off dense");
+    // The cold kernel is the epoch's from then on.
+    assert!(Arc::ptr_eq(
+        &snap.kernel(CITERANK_ALPHA),
+        &snap.kernel(CITERANK_ALPHA)
+    ));
+}
+
+#[test]
+fn a_sharded_citerank_seeded_page_builds_its_kernel_cold() {
+    let net = generate(&DatasetProfile::dblp().scaled(400), 37);
+    let plan = ShardSpec::Fixed(2).plan(&net).unwrap();
+    let eng = ShardedEngine::from_plan(&net, &plan, CITERANK, RerankPolicy::EveryBatch).unwrap();
+    // One seed in each band, served at every epoch.
+    let n = net.n_papers();
+    let seeds = [7, (n - 3) as PaperId];
+    let q: Query = format!("k={},seed=7|{}", n + 18, n - 3).parse().unwrap();
+    for delta in two_publishes(&net) {
+        eng.query(&q, None).unwrap();
+        eng.ingest(&delta).unwrap();
+    }
+    let snaps = eng.snapshots();
+    let page = eng.query_at(&snaps, &q, None).unwrap();
+    assert_eq!(page.items.len(), snaps.n_papers());
+    for s in 0..snaps.n_shards() {
+        let snap = snaps.snapshot(s);
+        let start = snaps.start(s);
+        let end = start + snap.n_papers() as PaperId;
+        let local: Vec<PaperId> = seeds
+            .iter()
+            .filter(|&&g| (start..end).contains(&g))
+            .map(|&g| g - start)
+            .collect();
+        assert_eq!(local.len(), 1, "band {s} holds one seed");
+        // Each band's share of the seed mass (one seed of two) scales its
+        // scores.
+        let items: Vec<Hit> = page
+            .items
+            .iter()
+            .filter(|h| (start..end).contains(&h.id))
+            .map(|h| Hit {
+                score: h.score * 2.0,
+                ..*h
+            })
+            .collect();
+        let err = max_error_at(CITERANK_ALPHA, snap, &local, start, &items);
+        assert!(err < 1e-9, "band {s} served {err:e} off dense");
+    }
+}
+
+#[test]
+fn a_solve_at_another_damping_builds_a_kernel_it_does_not_keep() {
+    let net = generate(&DatasetProfile::dblp().scaled(400), 41);
+    let engine =
+        RankingEngine::from_config(net, "pagerank:d=0.85", RerankPolicy::EveryBatch).unwrap();
+    let snap = engine.snapshot();
+    let n = snap.n_papers();
+    let cache = PersonalizationCache::new(CacheConfig::default());
+    let seeds = [3, (n / 3) as PaperId, (n - 1) as PaperId];
+    let seed = SeedPersonalization::uniform(&seeds, n).unwrap();
+    let (scores, _) = cache.scores(engine.method(), &snap, &seed, ALPHA);
+    let want = dense_personalized(snap.network(), &seed, ALPHA, &mut KernelWorkspace::new());
+    let err = scores
+        .iter()
+        .zip(want.iter())
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0, f64::max);
+    assert!(
+        err < 1e-9,
+        "a solve at α = {ALPHA} served {err:e} off dense"
+    );
+    // Only the snapshot's own damping factor is kept.
+    assert!(!Arc::ptr_eq(&snap.kernel(ALPHA), &snap.kernel(ALPHA)));
+    assert!(Arc::ptr_eq(&snap.kernel(0.85), &snap.kernel(0.85)));
 }

@@ -6,17 +6,29 @@
 //! shards. Where the store holds no usable push state (a legacy or
 //! corrupted store, or a shard that never published a delta) the report
 //! says so and the replay still ends ≤ 1e-9 from scratch.
+//!
+//! The snapshot owns its kernel, and a restored push state carries the
+//! kernel lane, so seeded pages replay bit for bit too: a cold seeded
+//! solve over the restored epoch equals the live engine's, flat and in
+//! the tail of 4 shards. An epoch restored without a push state builds
+//! its kernel cold, and its seeded pages are pinned to ≤ 1e-9 only (by
+//! `personalized_serving` and `cone_form`). PageRank keeps no push state:
+//! its kernel is its scores over `1−α`, so its restart replays bit for
+//! bit from the persisted scores alone.
 
 use std::path::{Path, PathBuf};
 
 use citegen::{generate, DatasetProfile};
-use citegraph::{CitationNetwork, GraphDelta, PaperId, ShardSpec};
+use citegraph::{CitationNetwork, GraphDelta, PaperId, SeedPersonalization, ShardSpec};
 use graphstore::{Store, StoreBuilder, StoreError};
 use rankengine::{
-    PushStateRestore, RankingEngine, RerankPolicy, RerankStrategy, ShardedEngine, WarmupReport,
+    CacheConfig, PersonalizationCache, PushStateRestore, Query, RankingEngine, RerankPolicy,
+    RerankStrategy, ShardedEngine, WarmupReport,
 };
 
 const SPEC: &str = "attrank:alpha=0.2,beta=0.4,y=3,w=-0.16";
+/// `SPEC`'s damping factor.
+const ALPHA: f64 = 0.2;
 const N: usize = 600;
 const N_SHARDS: usize = 4;
 
@@ -47,6 +59,13 @@ fn batch(net: &CitationNetwork, n: usize, lo: usize, k: usize) -> GraphDelta {
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Asserts `got` and `want` are equal, reporting how many entries differ.
+fn assert_same<T: PartialEq + std::fmt::Debug>(got: &[T], want: &[T]) {
+    assert_eq!(got.len(), want.len());
+    let differ = got.iter().zip(want).filter(|(g, w)| g != w).count();
+    assert_eq!(differ, 0, "{differ} of {} entries differ", want.len());
 }
 
 fn copy_into(files: &[PathBuf], dir: &Path) {
@@ -120,6 +139,75 @@ fn every_batch_restart_replays_pushes_bit_for_bit() {
             bits(want.scores().as_slice())
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A cold seeded solve of `seeds` through `cache` over `engine`'s epoch.
+fn seeded_bits(
+    cache: &PersonalizationCache,
+    engine: &RankingEngine,
+    seeds: &[PaperId],
+) -> Vec<u64> {
+    let snap = engine.snapshot();
+    let seed = SeedPersonalization::uniform(seeds, snap.n_papers()).unwrap();
+    bits(&cache.scores(engine.method(), &snap, &seed, ALPHA).0)
+}
+
+#[test]
+fn a_restored_push_state_serves_seeded_solves_bit_for_bit() {
+    let dir = temp_dir("seeded");
+    let (live, net) = live_engine(&dir, RerankPolicy::EveryBatch);
+    // The live cache serves one seed set at every epoch; three more delta
+    // publishes land after the first.
+    let cache = PersonalizationCache::new(CacheConfig::default());
+    let kept = [5, (N / 2) as PaperId];
+    seeded_bits(&cache, &live, &kept);
+    for t in 1..=2 {
+        live.ingest(&batch(&net, N + t, N / 2, 4 + t)).unwrap();
+        seeded_bits(&cache, &live, &kept);
+    }
+    live.persist_epoch(dir.join("e.store")).unwrap();
+    copy_into(&[dir.join("e.store"), dir.join("e.wal")], &dir.join("copy"));
+
+    let (engine, report) = reopen(&dir.join("copy"), RerankPolicy::EveryBatch);
+    assert_eq!(report.push_state, PushStateRestore::Restored);
+    assert_eq!(engine.snapshot().epoch(), live.snapshot().epoch());
+    // A seed set neither side has solved: both solves run cold, over the
+    // live epoch's kernel and over the restored one's.
+    let fresh = [11, (N - 40) as PaperId, (N - 3) as PaperId];
+    let restored = PersonalizationCache::new(CacheConfig::default());
+    assert_same(
+        &seeded_bits(&restored, &engine, &fresh),
+        &seeded_bits(&cache, &live, &fresh),
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_pagerank_restart_replays_its_pushes_bit_for_bit() {
+    let dir = temp_dir("pagerank");
+    let net = base_net();
+    let live = RankingEngine::from_config(net.clone(), "pagerank:d=0.5", RerankPolicy::EveryBatch)
+        .unwrap();
+    live.attach_wal(dir.join("e.wal")).unwrap();
+    live.ingest(&batch(&net, N, 0, 6)).unwrap();
+    let epoch = live.persist_epoch(dir.join("e.store")).unwrap();
+    for t in 1..=3 {
+        live.ingest(&batch(&net, N + t, N / 2, 4 + t)).unwrap();
+    }
+    copy_into(&[dir.join("e.store"), dir.join("e.wal")], &dir.join("copy"));
+
+    let (engine, report) = reopen(&dir.join("copy"), RerankPolicy::EveryBatch);
+    assert_eq!(report.push_state, PushStateRestore::Absent);
+    assert_eq!((report.replayed, report.rejected), (3, 0));
+    assert_eq!(report.final_epoch, epoch + 3);
+    let (snap, want) = (engine.snapshot(), live.snapshot());
+    assert!(matches!(snap.strategy(), RerankStrategy::Push { .. }));
+    assert_eq!(snap.strategy(), want.strategy());
+    assert_eq!(
+        bits(snap.scores().as_slice()),
+        bits(want.scores().as_slice())
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -427,5 +515,41 @@ fn sharded_empty_log_restart_runs_no_solve() {
     let tail = engine.shard_engines()[N_SHARDS - 1].snapshot();
     assert!(matches!(tail.strategy(), RerankStrategy::Push { .. }));
     assert_shards_equal(&engine, &live);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_restored_tail_serves_a_seeded_page_bit_for_bit() {
+    let dir = temp_dir("shardedseeded");
+    let stem = dir.join("e");
+    let (live, net, tail_start) = live_sharded(&dir);
+    // The live engine serves one tail seed set at every tail epoch.
+    let kept: Query = format!("k=10,seed={}", tail_start + 3).parse().unwrap();
+    live.query(&kept, None).unwrap();
+    for t in 1..=2 {
+        live.ingest(&batch(&net, N + t, tail_start, 3 + t)).unwrap();
+        live.query(&kept, None).unwrap();
+    }
+    live.persist_epochs(&stem).unwrap();
+    copy_into(&shard_files(&stem), &dir.join("copy"));
+
+    let cold =
+        ShardedEngine::open_from_store(dir.join("copy/e"), true, RerankPolicy::EveryBatch).unwrap();
+    let (engine, reports) = cold.wait();
+    assert_eq!(reports[N_SHARDS - 1].push_state, PushStateRestore::Restored);
+    assert_shards_equal(&engine, &live);
+    // A tail seed set neither side has solved.
+    let q: Query = format!("k=50,seed={}|{}", tail_start + 1, N + 1)
+        .parse()
+        .unwrap();
+    let page = |e: &ShardedEngine| -> Vec<(PaperId, u64)> {
+        let page = e.query(&q, None).unwrap();
+        assert_eq!(page.items.len(), 50);
+        page.items
+            .iter()
+            .map(|h| (h.id, h.score.to_bits()))
+            .collect()
+    };
+    assert_same(&page(&engine), &page(&live));
     std::fs::remove_dir_all(&dir).ok();
 }

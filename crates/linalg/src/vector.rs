@@ -225,6 +225,15 @@ impl KernelWorkspace {
         }
     }
 
+    /// Hands out a copy of `src`, reusing a pooled buffer when one is
+    /// available (one pass: the buffer is not zero-filled first).
+    pub fn take_copy(&mut self, src: &[f64]) -> ScoreVec {
+        let mut buf = self.pool.pop().unwrap_or_default();
+        buf.clear();
+        buf.extend_from_slice(src);
+        ScoreVec { data: buf }
+    }
+
     /// Hands out a vector of length `n` filled with `1/n` (empty for
     /// `n == 0`, mirroring [`ScoreVec::uniform`]).
     pub fn take_uniform(&mut self, n: usize) -> ScoreVec {
