@@ -21,26 +21,27 @@
 //!
 //! `update_delta_200k/{8,800,8000}` time the steady-state push publish
 //! alone at e2ebench's batch sizes (1 / 100 / 1000 papers × 8 references,
-//! default `attrank` parameters): carried personalization, one 3-lane
-//! push, one resolution sweep. `three_pushes_200k/800` is its same-run
-//! comparator — the sequence the 3-lane push replaced: three one-lane
-//! runs of the same seeding and loop (`try_push_lanes` at `K = 1`) over
-//! the same transition, the uniform kernel first (`update_uniform_kernel`)
-//! and then each component on a copy of its vector, resolved against the
-//! new kernel by one AXPY (the new personalization is handed to it
-//! precomputed). `three_pushes_200k/800` over `update_delta_200k/800` is
-//! gated by bench-check as `incremental/fused_push_speedup`.
+//! default `attrank` parameters): carried window counts, one 3-lane push
+//! of the unresolved lanes, one resolution sweep.
+//! `three_pushes_200k/800` is its same-run comparator — the sequence the
+//! 3-lane push replaced: three one-lane runs of the same seeding and loop
+//! (`push_delta` at `K = 1`) over the same transition, the uniform kernel
+//! first (`update_uniform_kernel`) and then each component's lane on a
+//! copy, resolved against the new kernel with its scale (the
+//! personalization change and the scales are handed to it precomputed).
+//! `three_pushes_200k/800` over `update_delta_200k/800` is gated by
+//! bench-check as `incremental/fused_push_speedup`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
-use attrank::{jump_components, AttRank, AttRankParams, IncrementalAttRank};
+use attrank::{AttRank, AttRankParams, IncrementalAttRank};
 use citegen::{generate, publish_delta, DatasetProfile};
 use citegraph::{
-    try_push_lanes, uniform_kernel, update_uniform_kernel, Personalization, PushLane,
+    push_delta, uniform_kernel, update_uniform_kernel, window, CitationNetwork, PaperId,
     PushRankConfig, Ranker,
 };
 use repro_bench::DEFAULT_SEED;
-use sparsela::{Csr, KernelWorkspace, PowerEngine, PowerOptions, ScoreVec};
+use sparsela::{push, Csr, KernelWorkspace, PushConfig, ScoreVec};
 
 /// The paper's primary convergence setting (§4.4 studies α = 0.5).
 fn params() -> AttRankParams {
@@ -166,47 +167,84 @@ fn bench_update_delta(c: &mut Criterion) {
         );
     }
 
-    // The comparator's state on `primed`: the kernel and both component
-    // fixed points, each with its personalization.
+    // The comparator's state on `primed`: the kernel, and each component's
+    // unresolved lane at unit mass with its `g`; then each component's
+    // personalization change and scale on `new`.
     let delta = publish_delta(&primed, 800, 8, 99);
     let new = primed.with_delta(&delta).unwrap();
     let mut ws = KernelWorkspace::new();
     let kernel0 = uniform_kernel(&primed, alpha, &mut ws);
-    let (b_att0, b_rec0) = jump_components(&primed, &params, &mut ws);
-    let (b_att1, b_rec1) = jump_components(&new, &params, &mut ws);
-    let op = primed.stochastic_operator();
-    let solve = |b: &ScoreVec| {
-        let start = ScoreVec::uniform(primed.n_papers());
-        PowerEngine::new(PowerOptions::default())
-            .run(start, |cur, next| {
-                op.apply_damped(alpha, cur.as_slice(), b.as_slice(), next.as_mut_slice())
-            })
-            .scores
+    let (n0, year0, w) = (
+        primed.n_papers(),
+        primed.current_year().unwrap(),
+        params.decay_w,
+    );
+    let recency = |net: &CitationNetwork| -> Vec<f64> {
+        let years = net.years().iter();
+        years.map(|&t| (w * (year0 - t) as f64).exp()).collect()
     };
-    let (att0, rec0) = (solve(&b_att0), solve(&b_rec0));
+    let counts = |net: &CitationNetwork| -> Vec<f64> {
+        let counts = window::recent_citation_counts(net, params.attention_years);
+        counts.into_iter().map(f64::from).collect()
+    };
+    let lane = |b_hat: &[f64]| {
+        let mass: f64 = b_hat.iter().sum();
+        let mut r: Vec<f64> = b_hat.iter().map(|b| b / mass).collect();
+        let mut y = ScoreVec::zeros(b_hat.len());
+        let cfg = PushConfig {
+            alpha,
+            epsilon: PushRankConfig::default().epsilon,
+            max_edge_work: u64::MAX,
+        };
+        let out = push::solve_lanes(primed.refs_csr(), &cfg, [y.as_mut_slice()], &mut r, [0.0]);
+        (y, out.deferred[0], mass)
+    };
+    // Δb̂ over the rows it touches, at the lane's mass, and the lane's
+    // scale on `new`.
+    let change = |old: &[f64], new: &[f64], mass: f64, weight: f64| {
+        let db: Vec<(PaperId, [f64; 1])> = (0..new.len())
+            .filter(|&p| old.get(p) != Some(&new[p]))
+            .map(|p| (p as PaperId, [(new[p] - old.get(p).unwrap_or(&0.0)) / mass]))
+            .collect();
+        (db, weight * mass / new.iter().sum::<f64>())
+    };
+    let (att_old, att_new) = (counts(&primed), counts(&new));
+    let (rec_old, rec_new) = (recency(&primed), recency(&new));
+    let (y_att, g_att, m_att) = lane(&att_old);
+    let (y_rec, g_rec, m_rec) = lane(&rec_old);
+    let (db_att, s_att) = change(&att_old, &att_new, m_att, params.beta());
+    let (db_rec, s_rec) = change(&rec_old, &rec_new, m_rec, params.gamma());
+    assert!(db_rec.iter().all(|&(p, _)| p as usize >= n0));
     let cfg = PushRankConfig::default();
     group.bench_function(BenchmarkId::new("three_pushes_200k", 800), |b| {
         b.iter(|| {
             let (kernel1, _) =
                 update_uniform_kernel(&primed, &delta, &new, &kernel0, alpha, &cfg, &mut ws)
                     .expect("a 100-paper batch pushes");
-            let mut component = |previous: &ScoreVec, b_old: &ScoreVec, b_new: &ScoreVec| {
-                let mut x = ws.take_zeros(previous.len());
-                x.copy_from_slice(previous);
-                let mut r = ws.take_zeros(new.n_papers()).into_vec();
-                let lane = PushLane {
-                    x: &mut x,
-                    b_old: Personalization::Dense(b_old.as_slice()),
-                    b_new: Personalization::Dense(b_new.as_slice()),
-                };
-                let out = try_push_lanes(&primed, &delta, &new, [lane], alpha, &cfg, &mut r)
-                    .expect("a 100-paper batch pushes");
+            let mut component = |y0: &ScoreVec, g0: f64, db: &[(PaperId, [f64; 1])], s: f64| {
+                let mut y = ws.take_copy(y0);
+                let mut g = [g0];
+                let mut r = ws.take_zeros(0).into_vec();
+                push_delta(
+                    &primed,
+                    &delta,
+                    &new,
+                    [&mut y],
+                    &mut g,
+                    db,
+                    alpha,
+                    &cfg,
+                    &mut r,
+                )
+                .expect("a 100-paper batch pushes");
                 ws.recycle(r.into());
-                x.axpy(out.deferred[0], &kernel1);
-                x
+                for (x, &u) in y.iter_mut().zip(kernel1.iter()) {
+                    *x = s * (*x + g[0] * u);
+                }
+                y
             };
-            let mut total = component(&att0, &b_att0, &b_att1);
-            let rec1 = component(&rec0, &b_rec0, &b_rec1);
+            let mut total = component(&y_att, g_att, &db_att, s_att);
+            let rec1 = component(&y_rec, g_rec, &db_rec, s_rec);
             total.axpy(1.0, &rec1);
             let sum = total.sum();
             for v in [kernel1, total, rec1] {

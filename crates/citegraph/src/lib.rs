@@ -49,8 +49,7 @@ pub use personalize::{
     SeedPersonalization, WarmStart,
 };
 pub use pushrank::{
-    try_push_lanes, uniform_kernel, update_uniform_kernel, Personalization, PushLane,
-    PushRankConfig,
+    kernel_scale, push_delta, seed_delta, uniform_kernel, update_uniform_kernel, PushRankConfig,
 };
 pub use rank::{DeltaStrategy, Ranker};
 pub use shard::{ShardPlan, ShardPlanError, ShardSpec};

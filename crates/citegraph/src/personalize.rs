@@ -25,14 +25,13 @@
 //!   pinned against (≤ 1e-9, proptest-enforced); no serving path calls it,
 //! * [`repersonalize`] — warm re-push of a previously solved vector
 //!   across a [`GraphDelta`]. Every solve keeps its *unresolved* form
-//!   ([`WarmStart`]): the pure-citation part `y = (I − α·C)⁻¹·b`
-//!   (dangling columns spread nothing in `C`) plus the scalar dangling
-//!   mass `dᵀy`. Both are invariant under pure growth — the teleport
-//!   never renormalizes and the `1/n`-uniform dangling redistribution
-//!   lives entirely in the closed-form resolution `x = y + α·(dᵀy)·u` —
-//!   so a publish costs a residual push over the rewired *old* columns
-//!   plus one kernel AXPY: `O(affected + n)`, with no per-appended-row
-//!   residual drizzle to cascade through reference cones. No delta is too
+//!   ([`WarmStart`]): the pure-citation part `y = (I − α·N)⁻¹·b` (dangling
+//!   columns spread nothing in `N`) plus the scalar dangling mass `dᵀy`.
+//!   The teleport never renormalizes and the `1/n`-uniform dangling
+//!   redistribution lives entirely in the closed-form resolution
+//!   `x = y + α·(dᵀy)·u`, so a publish is one lane of the one delta
+//!   seeding ([`crate::pushrank::push_delta`], with no personalization
+//!   change) plus one kernel AXPY: `O(affected + n)`. No delta is too
 //!   large: the push settles each paper of the rewired columns' cone
 //!   once, at most one pass, so it declines only on a missing kernel or
 //!   an exhausted work budget, and the caller then solves cold.
@@ -43,7 +42,7 @@ use sparsela::{
 
 use crate::delta::GraphDelta;
 use crate::network::{CitationNetwork, PaperId};
-use crate::pushrank::{uniform_kernel, PushRankConfig};
+use crate::pushrank::{push_delta, uniform_kernel, PushRankConfig};
 
 /// A seed-set validation failure. Every variant names the offending id,
 /// so query layers can surface a precise, typed `BadValue`.
@@ -223,7 +222,7 @@ impl PersonalizedScores {
 /// [`repersonalize`].
 #[derive(Debug, Clone, Copy)]
 pub struct WarmStart<'a> {
-    /// The pure-citation part `y = (I − α·C)⁻¹·b` on the old network.
+    /// The pure-citation part `y = (I − α·N)⁻¹·b` on the old network.
     pub raw: &'a ScoreVec,
     /// `dᵀy` — total `y` mass on the old network's dangling papers.
     pub dangling_mass: f64,
@@ -326,25 +325,19 @@ pub fn dense_personalized(
 ///
 /// `previous` is the warm-start form of the personalized fixed point of
 /// `seed` on `old` ([`PersonalizedScores::warm_start`]), and `new` must
-/// be `old.with_delta(delta)`. The pure-citation part `y` and its
-/// dangling mass are invariant under pure growth: the teleport never
-/// renormalizes, appended papers carry no `y` mass (nothing cites them
-/// in `y`'s system and they hold no teleport), and the `1/n`-uniform
-/// dangling redistribution — the only operator term that shifts when
-/// papers are appended — is resolved in closed form as
-/// `x = y + α·(dᵀy)·u` against `kernel`, the uniform kernel of the
-/// **new** state. A publish therefore costs:
+/// be `old.with_delta(delta)`. The pure-citation part `y` is one
+/// unresolved lane whose personalization — the teleport — never changes:
+/// appended papers carry no `y` mass (nothing cites them in `y`'s system
+/// and they hold no teleport), and the `1/n`-uniform dangling
+/// redistribution, the only operator term that shifts when papers are
+/// appended, is resolved in closed form as `x = y + α·(dᵀy)·u` against
+/// `kernel`, the uniform kernel of the **new** state. A publish is
+/// therefore one [`push_delta`] lane with no personalization change:
 ///
-/// * a pure-citation residual push seeded only at delta-rewired *old*
-///   columns (`O(affected)` — *zero* for a pure tail publish, where
-///   every new edge originates at an appended paper), and
+/// * a residual push seeded only at delta-rewired *old* columns
+///   (`O(affected)` — *zero* pushes for a pure tail publish, where every
+///   new edge originates at an appended paper), and
 /// * one dense AXPY resolving the dangling part (`O(n)`).
-///
-/// Unlike a scale-fitted re-seed of the *resolved* vector
-/// ([`crate::pushrank::try_push_lanes`], which stays the right tool for
-/// dense teleports like global PageRank), no `α·d/n`-sized residual
-/// lands on appended rows, so there is no drizzle to cascade through
-/// their reference cones.
 ///
 /// Returns `None` when the kernel is missing or mis-sized, the seed set
 /// reaches outside `old`, or the push exhausts its budget
@@ -364,105 +357,36 @@ pub fn repersonalize(
     cfg: &PushRankConfig,
     workspace: &mut KernelWorkspace,
 ) -> Option<PersonalizedScores> {
-    let n_old = old.n_papers();
     let n_new = new.n_papers();
-    if seed.seeds.last().is_some_and(|&id| (id as usize) >= n_old) {
+    if seed
+        .seeds
+        .last()
+        .is_some_and(|&id| (id as usize) >= old.n_papers())
+    {
         return None;
     }
     let u = kernel.filter(|u| u.len() == n_new)?;
-    if previous.raw.len() != n_old || n_new != n_old + delta.n_papers() {
-        return None;
-    }
     assert!(
         (0.0..1.0).contains(&alpha),
         "repersonalize: alpha {alpha} outside [0, 1)"
     );
-
-    // Extend `y` with zero rows: appended papers carry no pure-citation
-    // mass until a rewired old column pushes into them.
-    let mut y = workspace.take_zeros(n_new);
-    y.as_mut_slice()[..n_old].copy_from_slice(previous.raw.as_slice());
-    let mut dangling_mass = previous.dangling_mass;
-
-    // Old columns rewired by the delta. Edges whose citing paper is
-    // appended seed nothing — their source rows are zero in `y`.
-    let mut changed: Vec<PaperId> = delta
-        .citations
-        .iter()
-        .map(|&(citing, _)| citing)
-        .filter(|&citing| (citing as usize) < n_old)
-        .collect();
-    changed.sort_unstable();
-    changed.dedup();
-
-    let mut outcome = LanesOutcome {
-        converged: true,
-        pushes: 0,
-        edge_work: 0,
-        residual_l1: [0.0],
-        deferred: [0.0],
+    let mut y = workspace.take_copy(previous.raw);
+    let mut g = [alpha * previous.dangling_mass];
+    let mut r = workspace.take_zeros(0).into_vec();
+    let pushed = push_delta(old, delta, new, [&mut y], &mut g, &[], alpha, cfg, &mut r);
+    workspace.recycle(r.into());
+    let Some(mut outcome) = pushed else {
+        workspace.recycle(y);
+        return None;
     };
-    let mut seed_work = 0u64;
-    if !changed.is_empty() {
-        let mut r = workspace.take_zeros(n_new);
-        let rs = r.as_mut_slice();
-        let mut seeded = false;
-        for &j in &changed {
-            let yj = y[j as usize];
-            if yj == 0.0 {
-                continue;
-            }
-            let refs_old = old.references(j);
-            if refs_old.is_empty() {
-                // `j` was dangling: its pure-citation mass died in place
-                // (and sat in `dᵀy`); after the rewire it flows.
-                dangling_mass -= yj;
-            } else {
-                let w = alpha * yj / refs_old.len() as f64;
-                for &i in refs_old {
-                    rs[i as usize] -= w;
-                }
-            }
-            let refs_new = new.references(j);
-            if !refs_new.is_empty() {
-                let w = alpha * yj / refs_new.len() as f64;
-                for &i in refs_new {
-                    rs[i as usize] += w;
-                }
-            }
-            seed_work += (refs_old.len() + refs_new.len()) as u64;
-            seeded = true;
-        }
-        if seeded && alpha > 0.0 {
-            let push_cfg = PushConfig {
-                alpha,
-                epsilon: cfg.epsilon,
-                max_edge_work: cfg.max_edge_work(new.n_citations(), n_new),
-            };
-            outcome = push::solve_lanes(new.refs_csr(), &push_cfg, [&mut y], &mut r, [0.0]);
-        }
-        workspace.recycle(r);
-        if !outcome.converged {
-            workspace.recycle(y);
-            return None;
-        }
-        // Each push at a dangling row deferred `α·ρ` while the mass `ρ`
-        // itself settled there — i.e. joined `dᵀy`.
-        if alpha > 0.0 {
-            dangling_mass += outcome.deferred[0] / alpha;
-        }
-    }
-
-    // Closed-form dangling resolution: x = y + α·(dᵀy)·u.
-    let g = alpha * dangling_mass;
-    let scores = resolve(&y, g, u, workspace);
-    outcome.edge_work += seed_work + n_new as u64;
+    let scores = resolve(&y, g[0], u, workspace);
+    outcome.edge_work += n_new as u64;
     Some(PersonalizedScores {
         scores,
         outcome,
         raw: y,
-        dangling_mass,
-        g,
+        dangling_mass: if alpha > 0.0 { g[0] / alpha } else { 0.0 },
+        g: g[0],
     })
 }
 

@@ -2,67 +2,65 @@
 //!
 //! Every damped fixed point in this workspace (`x = α·S·x + b` — AttRank,
 //! PageRank, and structurally CiteRank/FutureRank/ECM) can be *updated*
-//! instead of re-solved when the network changes by a delta: the previous
-//! fixed point stays a near-solution of the new system, and the exact gap
-//! is captured by a residual that is **sparse in magnitude** — large only
-//! where reference lists or personalization mass actually moved.
+//! instead of re-solved when the network changes by a delta. Write
+//! `S = N + (1/n)·1·dᵀ`: `N` holds the non-dangling citation columns and
+//! `d` marks the dangling papers, whose uniform columns are the one place
+//! `n` enters the operator.
 //!
-//! The entry points here seed that residual in `O(n + |delta-adjacent
-//! edges|)` cheap vector work (no SpMV) and hand it to [`sparsela::push`],
-//! which localizes the remaining work to the perturbed neighborhood. The
-//! derivation, writing `S = N + (1/n)·1·dᵀ`
-//! (non-dangling columns plus the uniform dangling rank-1 part) and using
-//! that the old state satisfied `b₀ + α·S₀·x₀ − x₀ ≈ 0`:
+//! ## The unresolved form
+//!
+//! A system is kept **unresolved**, as its pure-citation part
 //!
 //! ```text
-//! r[i] = (b₁ − b₀)[i]                                  (personalization)
-//!      + α·Σ_{j ∈ changed} x₀[j]·(N₁[:,j] − N₀[:,j])   (rewired columns)
-//!      + α·(D₁/n₁ − D₀/n₀)                             (dangling shift, old rows)
-//! r[i] = b₁[i] + α·(N₁·x̃)[i] + α·D₁/n₁                (new rows, x̃[i] = 0)
+//! y = (I − α·N)⁻¹·b̂      and the scalar      g = α·dᵀy
 //! ```
 //!
-//! where `D` is the score mass held by dangling papers and `changed` is
-//! the set of existing papers whose reference lists the delta touched.
-//! Because deltas only *add* papers and edges, `changed` is exactly the
-//! distinct old citing ids in the batch.
+//! where `b̂` is a per-paper personalization that never changes once
+//! written — 1 for the uniform kernel, a window count for AttRank's
+//! attention, `e^{−w·(year − y₀)}` for its recency, a seed's teleport.
+//! The normalizers (`1/n`, `1/Σ counts`, `1/Σ recency`) stay out of the
+//! lane: the served vector is the lane times one scalar, so growth that
+//! only renormalizes a personalization rewrites no entry of it. Two
+//! closed forms turn lanes into fixed points of `S` (the fixed point is
+//! linear in its personalization — Jeh & Widom, "Scaling Personalized Web
+//! Search", WWW 2003):
 //!
-//! ## Scale-invariant seeding
+//! ```text
+//! u = v / (n − α·dᵀv)       the uniform kernel, v = (I − α·N)⁻¹·1
+//! x = y + g·u               the fixed point for b̂, against that kernel
+//! ```
 //!
-//! Normalized personalization vectors shift *everywhere* when the network
-//! grows — `A` and `T` are probability vectors, so adding papers rescales
-//! every old entry — and a naive `b₁ − b₀` seed is therefore dense with
-//! entries far above the push threshold, degenerating the push into a
-//! slow power iteration. But the fixed point is linear in `b`: warm-
-//! starting from `c·x₀` instead of `x₀` turns the personalization term of
-//! the residual into `b₁ − c·b₀`, which vanishes identically wherever the
-//! shift was the pure rescaling `b₁ = c·b₀`. The seeding below fits `c`
-//! as a robust median of entry ratios (exact for uniform teleports and
-//! for recency vectors, whose age shift `e^{w·Δt}` is one global factor),
-//! leaving a residual that is sparse again: only genuinely perturbed
-//! entries survive.
+//! and back, `v = u·n / (1 + α·dᵀu)`. A lane whose `b̂` is divided by its
+//! mass `M` at the last full solve (so the push ε keeps its meaning)
+//! resolves the kernel as `u = y / (n/M − g)` ([`kernel_scale`]).
 //!
-//! ## One traversal for K systems
+//! ## One seeding
 //!
-//! Systems on the same operator that differ only in `b` — AttRank's
-//! attention and recency components and the uniform kernel they resolve
-//! against — are perturbed by a delta over almost the same cone, so they
-//! are seeded and pushed together: [`try_push_lanes`] takes `K`
-//! [`PushLane`]s — each a fixed point to update in place — makes **one**
-//! fused seeding pass (scaled warm starts, personalization residuals and
-//! dangling sums of every lane, then the rewired columns once for all
-//! lanes) and **one** run of [`sparsela::push::solve_lanes`]. A
-//! [`Personalization`] is a dense slice or a uniform constant, so
-//! `(1/n)·1` teleports are never materialized. It is the only seeding
-//! entry: one system is `K = 1` — [`update_uniform_kernel`] — run on a
-//! pooled copy of the caller's vector, never on the vector itself.
+//! Across a delta, `N` changes only in the columns of old papers whose
+//! reference lists grew, and `b̂` only on appended papers and on old papers
+//! whose personalization the batch changed (a window count). Starting from
+//! the old lanes, zero-extended over the appended papers, the residual of
+//! the new system is therefore **exactly**
 //!
-//! Every push here defers its dangling mass (see [`sparsela::push`]). The
-//! caller resolves it: against the uniform kernel `u` (`x + g·u`), or, for
-//! the kernel itself, in closed form (`x / (1 − g)`). The kernel is one
-//! cold push from zero ([`uniform_kernel`]), as is a seed-set solve
-//! ([`crate::personalize()`]). PageRank is the kernel scaled, Eq. 1's
-//! fixed point being `(1−α)·u`, so the serving engine ranks it with these
-//! two functions and no seeding of its own.
+//! ```text
+//! r = Δb̂ + α·Σ_{j rewired} y[j]·(N₁[:,j] − N₀[:,j])
+//! ```
+//!
+//! and a formerly dangling column leaves `dᵀy` as its mass starts to
+//! flow. [`seed_delta`] writes that seed — nothing dense, no fitted scale
+//! — and [`push_delta`] hands it to [`sparsela::push`] for `K` lanes in
+//! one traversal (one system is `K = 1`). It is the only delta seeding:
+//! the incremental AttRank scorer pushes its three lanes (kernel,
+//! attention, recency) with it, [`update_uniform_kernel`] unresolves a
+//! kernel and pushes one lane, and [`crate::repersonalize`] pushes a seed
+//! set's lane with `Δb̂ = 0`.
+//!
+//! Every push here defers its dangling mass (see [`sparsela::push`]); the
+//! deferred scalar *is* the lane's `g`, carried from push to push. The
+//! kernel is one cold push from zero ([`uniform_kernel`]), as is a
+//! seed-set solve ([`crate::personalize()`]). PageRank is the kernel
+//! scaled, Eq. 1's fixed point being `(1−α)·u`, so the serving engine
+//! ranks it with these two functions and no seeding of its own.
 //!
 //! ## No size gate
 //!
@@ -79,7 +77,7 @@
 use sparsela::{push, KernelWorkspace, LanesOutcome, PushConfig, ScoreVec};
 
 use crate::delta::GraphDelta;
-use crate::network::CitationNetwork;
+use crate::network::{CitationNetwork, PaperId};
 
 /// Tuning knobs for a push run across a delta.
 #[derive(Debug, Clone, Copy)]
@@ -128,246 +126,165 @@ impl PushRankConfig {
     }
 }
 
-/// A personalization vector `b` as the push seeding reads it: a dense
-/// slice, or one constant in every entry — the uniform teleports of
-/// PageRank and of the uniform kernel, which are then never materialized.
-#[derive(Debug, Clone, Copy)]
-pub enum Personalization<'a> {
-    /// One entry per paper.
-    Dense(&'a [f64]),
-    /// Every entry equals this constant.
-    Uniform(f64),
-}
-
-impl Personalization<'_> {
-    fn at(self, i: usize) -> f64 {
-        match self {
-            Personalization::Dense(b) => b[i],
-            Personalization::Uniform(c) => c,
-        }
-    }
-
-    fn covers(self, n: usize) -> bool {
-        match self {
-            Personalization::Dense(b) => b.len() == n,
-            Personalization::Uniform(_) => true,
-        }
-    }
-}
-
-/// One system `x = α·S·x + b` carried across a delta, updated in place.
-#[derive(Debug)]
-pub struct PushLane<'a> {
-    /// In: the fixed point on `old` (`old.n_papers()` entries). Out, when
-    /// the push succeeds: the estimate on `new`. When it declines after
-    /// its input checks passed, the vector is left part-way (grown,
-    /// rescaled, partially pushed) and is only good as a warm start.
-    pub x: &'a mut ScoreVec,
-    /// Personalization of the old state (`old.n_papers()` entries).
-    pub b_old: Personalization<'a>,
-    /// Personalization of the new state (`new.n_papers()` entries).
-    pub b_new: Personalization<'a>,
-}
-
-/// Fits the global rescaling factor `c` with `b_new ≈ c·b_old` as the
-/// median of sampled entry ratios over the first `n` entries (robust: any
-/// sparse set of genuinely perturbed entries cannot move the median as
-/// long as most sampled entries carry the pure rescaling). Returns 1.0
-/// when no informative entries exist.
-fn fit_scale(b_old: Personalization<'_>, b_new: Personalization<'_>, n: usize) -> f64 {
-    const SAMPLES: usize = 129;
-    let stride = (n / SAMPLES).max(1);
-    let mut ratios: Vec<f64> = (0..n)
-        .step_by(stride)
-        .filter(|&i| b_old.at(i) != 0.0 && b_new.at(i).is_finite())
-        .map(|i| b_new.at(i) / b_old.at(i))
-        .filter(|r| r.is_finite() && *r > 0.0)
-        .collect();
-    if ratios.is_empty() {
-        return 1.0;
-    }
-    let mid = ratios.len() / 2;
-    *ratios.select_nth_unstable_by(mid, |a, b| a.total_cmp(b)).1
-}
-
-/// Seeds `K` lanes for a push across `delta` in one fused pass over the
-/// old rows: the scale-invariant warm start `x_k ← c_k·x_k` (zero-padded
-/// for the new papers), the personalization residual `b_new − c_k·b_old`,
-/// and the dangling score sums behind the denominator shift — then the
-/// rewired columns, walked once for all lanes. Every entry of the
-/// lane-interleaved `r` is assigned.
+/// Seeds `K` unresolved lanes for a push across `delta` (see the module
+/// docs): grows each lane `y_k` with zero rows for the appended papers,
+/// writes the lane-interleaved residual `r[i·K + k]` (resized to
+/// `new.n_papers()·K`, or left empty when there is nothing to seed) as
+/// the personalization change `db` — a sparse list of `(paper, Δb̂)` rows,
+/// repeats adding up — plus the rewired columns of the old citing papers
+/// in `delta`, and moves the mass of each formerly dangling rewired
+/// column out of `g_k = α·dᵀy_k`.
 ///
-/// The dangling-denominator shift decomposes into one scalar `kappa`
-/// uniform over *all* rows plus a sparse correction on the (few) new rows.
-/// The uniform part is returned, per lane, as the deferred mass `kappa·n₁`
-/// the push starts from. Returns `None` when a fixed point is not finite.
-fn seed_lanes<const K: usize>(
+/// `old` is the network the lanes were solved on and `new` must be
+/// `old.with_delta(delta)`. Returns the reference-list entries walked, or
+/// `None` — touching nothing — when the inputs are inconsistent.
+#[allow(clippy::too_many_arguments)] // the transition, the lanes and their scalars
+pub fn seed_delta<const K: usize>(
     old: &CitationNetwork,
     delta: &GraphDelta,
     new: &CitationNetwork,
-    lanes: &mut [PushLane<'_>; K],
+    lanes: &mut [&mut ScoreVec; K],
+    g: &mut [f64; K],
+    db: &[(PaperId, [f64; K])],
     alpha: f64,
-    r: &mut [f64],
-) -> Option<[f64; K]> {
-    let n_old = old.n_papers();
-    let n_new = new.n_papers();
-    // Scale-invariant warm start: begin from `c·x₀` so the ubiquitous
-    // renormalization component of the personalization shift cancels out
-    // of the seed (see the module docs) and only genuinely perturbed
-    // entries carry residual.
-    let scale = lanes
-        .each_ref()
-        .map(|lane| fit_scale(lane.b_old, lane.b_new, n_old));
-    let b_old = lanes.each_ref().map(|lane| lane.b_old);
-    let b_new = lanes.each_ref().map(|lane| lane.b_new);
-    let x = lanes.each_mut().map(|lane| {
-        lane.x.resize(n_new);
-        lane.x.as_mut_slice()
-    });
-
-    // Dangling score mass before/after the delta (only old papers carry
-    // score; a paper can gain references but never lose them).
-    let mut d_old = [0.0f64; K];
-    let mut d_new = [0.0f64; K];
-    let mut finite = true;
-    for (i, ri) in r[..n_old * K].chunks_exact_mut(K).enumerate() {
-        let was_dangling = old.reference_count(i as u32) == 0;
-        let still_dangling = was_dangling && new.reference_count(i as u32) == 0;
-        for k in 0..K {
-            let xi = scale[k] * x[k][i];
-            finite &= xi.is_finite();
-            x[k][i] = xi;
-            ri[k] = b_new[k].at(i) - scale[k] * b_old[k].at(i);
-            if was_dangling {
-                d_old[k] += xi;
-            }
-            if still_dangling {
-                d_new[k] += xi;
-            }
-        }
-    }
-    if !finite {
+    r: &mut Vec<f64>,
+) -> Option<u64> {
+    let (n_old, n_new) = (old.n_papers(), new.n_papers());
+    if !(0.0..1.0).contains(&alpha)
+        || n_new != n_old + delta.n_papers()
+        || lanes.iter().any(|y| y.len() != n_old)
+        || g.iter().any(|g| !g.is_finite())
+        || db.iter().any(|&(i, _)| i as usize >= n_new)
+    {
         return None;
     }
-
-    let mut initial_deferred = [0.0f64; K];
-    for k in 0..K {
-        let kappa = alpha * (d_new[k] / n_new as f64 - d_old[k] / n_old as f64);
-        let new_row_extra = alpha * d_old[k] / n_old as f64;
-        initial_deferred[k] = kappa * n_new as f64;
-        // New rows hold no score; the residual seeds them with their full
-        // score mass.
-        for i in n_old..n_new {
-            r[i * K + k] = b_new[k].at(i) + new_row_extra;
-        }
-    }
-
     // Rewired columns: distinct old papers whose reference lists the
-    // delta extended (new papers hold no score and contribute nothing).
-    let mut changed: Vec<u32> = delta
+    // delta extended and that hold `y`. Appended papers hold none and seed
+    // nothing.
+    let mut changed: Vec<PaperId> = delta
         .citations
         .iter()
         .map(|&(citing, _)| citing)
-        .filter(|&c| (c as usize) < n_old)
+        .filter(|&c| (c as usize) < n_old && lanes.iter().any(|y| y[c as usize] != 0.0))
         .collect();
     changed.sort_unstable();
     changed.dedup();
-    let mut spread = |row: &[u32], w: [f64; K]| {
-        for &i in row {
-            for (ri, w) in r[i as usize * K..][..K].iter_mut().zip(w) {
-                *ri += w;
-            }
-        }
-    };
-    for &j in &changed {
-        let xj: [f64; K] = std::array::from_fn(|k| x[k][j as usize]);
-        if xj.iter().all(|&xj| xj == 0.0) {
-            continue;
-        }
-        // A column that was dangling (no old row) is already handled by
-        // the dangling shift above.
-        let (before, after) = (old.references(j), new.references(j));
-        if !before.is_empty() {
-            spread(before, xj.map(|xj| -(alpha * xj / before.len() as f64)));
-        }
-        if !after.is_empty() {
-            spread(after, xj.map(|xj| alpha * xj / after.len() as f64));
+    for y in lanes.iter_mut() {
+        y.resize(n_new);
+    }
+    r.clear();
+    if db.is_empty() && changed.is_empty() {
+        return Some(0);
+    }
+    r.resize(n_new * K, 0.0);
+    for &(i, db) in db {
+        for (ri, db) in r[i as usize * K..][..K].iter_mut().zip(db) {
+            *ri += db;
         }
     }
-    Some(initial_deferred)
+    let mut work = 0u64;
+    for j in changed {
+        let yj: [f64; K] = std::array::from_fn(|k| lanes[k][j as usize]);
+        let (before, after) = (old.references(j), new.references(j));
+        if before.is_empty() {
+            // `j` was dangling: its mass sat in `dᵀy`; now it flows.
+            for k in 0..K {
+                g[k] -= alpha * yj[k];
+            }
+        }
+        for (row, sign) in [(before, -1.0), (after, 1.0)] {
+            if row.is_empty() {
+                continue;
+            }
+            let w = yj.map(|yj| sign * alpha * yj / row.len() as f64);
+            for &i in row {
+                for (ri, w) in r[i as usize * K..][..K].iter_mut().zip(w) {
+                    *ri += w;
+                }
+            }
+        }
+        work += (before.len() + after.len()) as u64;
+    }
+    Some(work)
 }
 
-/// Attempts a push-based re-rank of `K` systems `x_k = α·S·x_k + b_k`
-/// across a delta in **one** traversal of the perturbed cone: one fused
-/// seeding pass, one [`push::solve_lanes`] run, each lane's vector
-/// updated in place.
+/// Pushes `K` unresolved lanes across a delta in **one** traversal of the
+/// perturbed cone: [`seed_delta`], then one [`push::solve_lanes`] run that
+/// updates each lane in place and carries its `g_k` (the push's deferred
+/// mass) on. Nothing is resolved here: the caller reads lane `k` as
+/// `y_k + g_k·u` against the new kernel, times its own scalar.
 ///
-/// `old` is the network every `lanes[k].x` was solved on and `new` must
-/// be `old.with_delta(delta)`. `residual` is the caller's
-/// lane-interleaved scratch (resized here to `new.n_papers()·K`; keep it
-/// across publishes, and out of an `n`-sized [`KernelWorkspace`] pool,
-/// whose every buffer it would drift to its own size). Each `lane.x` is
-/// grown and rewritten in place, so a caller whose vector is published
-/// (read by a live snapshot) hands over a copy.
-///
-/// Dangling mass is always deferred: on success the lanes hold
-/// *unresolved* estimates and [`LanesOutcome::deferred`] each lane's
-/// uniform-direction mass `g_k`; lane `k`'s fixed point is
-/// `x_k + g_k·u` with `u` the uniform kernel of `new` (which may itself
-/// be one of the lanes, resolved in closed form). Returns `None` when the
+/// `residual` is the caller's lane-interleaved scratch (keep it across
+/// publishes, and out of an `n`-sized [`KernelWorkspace`] pool, whose
+/// every buffer it would drift to its own size). Returns `None` when the
 /// inputs are inconsistent (no lane is touched then) or the push did not
-/// converge in budget — the caller then runs its full solve. There is no
-/// gate on the delta's size (see the module docs).
+/// converge in budget (the lanes are then part-way, only good as a warm
+/// start) — the caller then runs its full solve. The edge work counts the
+/// seed's reference-list walk; with nothing to seed (a pure tail publish
+/// under an unchanged personalization) no push runs and no residual is
+/// written.
 ///
-/// Accuracy: the result deviates from the true new fixed point by at most
-/// `ε/(1−α)` plus the (same-scale) residual the old solve left behind
-/// (errors of chained push publishes accumulate *additively*, ~`ε/(1−α)`
-/// per publish — serving deployments bound the drift by letting their
-/// rerank policy force an occasional full solve).
-pub fn try_push_lanes<const K: usize>(
+/// Accuracy: each lane deviates from its true new value by at most
+/// `ε/(1−α)` plus the (same-scale) residual the previous solve left
+/// behind (errors of chained push publishes accumulate *additively*,
+/// ~`ε/(1−α)` per publish — serving deployments bound the drift by
+/// letting their rerank policy force an occasional full solve).
+#[allow(clippy::too_many_arguments)] // the transition, the lanes and their scalars
+pub fn push_delta<const K: usize>(
     old: &CitationNetwork,
     delta: &GraphDelta,
     new: &CitationNetwork,
-    mut lanes: [PushLane<'_>; K],
+    mut lanes: [&mut ScoreVec; K],
+    g: &mut [f64; K],
+    db: &[(PaperId, [f64; K])],
     alpha: f64,
     cfg: &PushRankConfig,
     residual: &mut Vec<f64>,
 ) -> Option<LanesOutcome<K>> {
-    let n_old = old.n_papers();
-    let n_new = new.n_papers();
-    residual.resize(n_new * K, 0.0);
-    if n_old == 0
-        || !(0.0..1.0).contains(&alpha)
-        || n_new != n_old + delta.n_papers()
-        || lanes.iter().any(|lane| {
-            lane.x.len() != n_old || !lane.b_old.covers(n_old) || !lane.b_new.covers(n_new)
-        })
-    {
-        return None;
-    }
-    let initial_deferred = seed_lanes(old, delta, new, &mut lanes, alpha, residual)?;
-    let push_cfg = PushConfig {
-        alpha,
-        epsilon: cfg.epsilon,
-        max_edge_work: cfg.max_edge_work(new.n_citations(), n_new),
+    let seed_work = seed_delta(old, delta, new, &mut lanes, g, db, alpha, residual)?;
+    let mut outcome = LanesOutcome {
+        converged: true,
+        pushes: 0,
+        edge_work: 0,
+        residual_l1: [0.0; K],
+        deferred: *g,
     };
-    let outcome = push::solve_lanes(
-        new.refs_csr(),
-        &push_cfg,
-        lanes.map(|lane| lane.x.as_mut_slice()),
-        residual,
-        initial_deferred,
-    );
+    if !residual.is_empty() {
+        let push_cfg = PushConfig {
+            alpha,
+            epsilon: cfg.epsilon,
+            max_edge_work: cfg.max_edge_work(new.n_citations(), new.n_papers()),
+        };
+        outcome = push::solve_lanes(
+            new.refs_csr(),
+            &push_cfg,
+            lanes.map(|y| y.as_mut_slice()),
+            residual,
+            *g,
+        );
+    }
+    outcome.edge_work += seed_work;
+    *g = outcome.deferred;
     outcome.converged.then_some(outcome)
 }
 
+/// The factor `c` with `u = c·y` turning a kernel lane into the uniform
+/// kernel of an `n`-paper network: `1 / (n/mass − g)`, where the lane's
+/// personalization is `1/mass` per paper and `g = α·dᵀy`. `None` unless
+/// positive and finite — in exact arithmetic `n/mass − g ≥ (1−α)·n/mass`,
+/// so failing this means an inconsistent state.
+pub fn kernel_scale(n: usize, mass: f64, g: f64) -> Option<f64> {
+    let c = 1.0 / (n as f64 / mass - g);
+    (c.is_finite() && c > 0.0).then_some(c)
+}
+
 /// Cold-builds the uniform kernel `u = (I − α·S)⁻¹·(1/n)·1` for `net`:
-/// one push from a zero estimate with the residual `(1/n)·1`, at the
-/// default push ε and no work budget — a single pass in descending id
-/// order when no paper cites a same-year paper with a higher id — with
-/// the deferred dangling mass resolved in closed form (the kernel is
-/// self-similar: `u = x / (1 − g)`). The incremental path then maintains
-/// it by push via [`update_uniform_kernel`].
+/// one push from a zero estimate with the residual `(1/n)·1` — the kernel
+/// lane at mass `n` — at the default push ε and no work budget — a single
+/// pass in descending id order when no paper cites a same-year paper with
+/// a higher id — resolved in closed form, `u = y / (1 − g)`
+/// ([`kernel_scale`] at mass `n`). The incremental path then maintains it by push via
+/// [`update_uniform_kernel`].
 ///
 /// # Panics
 /// Panics unless `0 ≤ α < 1`.
@@ -390,12 +307,15 @@ pub fn uniform_kernel(
     x
 }
 
-/// Push-updates the uniform kernel across a delta: one
-/// [`try_push_lanes`] lane on a pooled copy of `previous` (its
-/// personalization `(1/n)·1` rescales *exactly* by `n₀/n₁`, so the seed
-/// is always sparse), resolved in closed form, `x / (1 − g)`, because the
-/// kernel is self-similar. The edge work counts that `n`-entry sweep.
-/// Returns `None` on fallback — rebuild with [`uniform_kernel`].
+/// Push-updates the uniform kernel across a delta as one unresolved lane:
+/// `previous` (the kernel of `old`) is unresolved with one scaling,
+/// `y = u / (1 + α·dᵀu)` — the kernel lane at mass `n₀`, so
+/// `g = α·dᵀy` — into a pooled buffer (`previous` is never written), each
+/// appended paper seeds `1/n₀`, one [`push_delta`] lane runs, and the
+/// lane resolves against the new size ([`kernel_scale`]). The edge work
+/// counts the `n`-entry resolve. Returns `None` on fallback (a non-finite
+/// or mis-sized `previous`, or an exhausted budget) — rebuild with
+/// [`uniform_kernel`].
 pub fn update_uniform_kernel(
     old: &CitationNetwork,
     delta: &GraphDelta,
@@ -405,36 +325,50 @@ pub fn update_uniform_kernel(
     cfg: &PushRankConfig,
     workspace: &mut KernelWorkspace,
 ) -> Option<(ScoreVec, LanesOutcome<1>)> {
-    let mut x = workspace.take_copy(previous);
-    let mut r = workspace.take_zeros(new.n_papers()).into_vec();
-    let lane = PushLane {
-        x: &mut x,
-        b_old: Personalization::Uniform(1.0 / old.n_papers() as f64),
-        b_new: Personalization::Uniform(1.0 / new.n_papers() as f64),
-    };
-    let pushed = try_push_lanes(old, delta, new, [lane], alpha, cfg, &mut r);
+    let n_old = old.n_papers();
+    if n_old == 0 || previous.len() != n_old || !previous.all_finite() {
+        return None;
+    }
+    let dangling: f64 = (0..n_old)
+        .filter(|&i| old.reference_count(i as PaperId) == 0)
+        .map(|i| previous[i])
+        .sum();
+    let unresolve = 1.0 / (1.0 + alpha * dangling);
+    let mut y = workspace.take_zeros(n_old);
+    for (yi, &ui) in y.iter_mut().zip(previous.iter()) {
+        *yi = ui * unresolve;
+    }
+    let mut g = [alpha * dangling * unresolve];
+    let mass = n_old as f64;
+    let db: Vec<(PaperId, [f64; 1])> = (n_old..new.n_papers())
+        .map(|i| (i as PaperId, [1.0 / mass]))
+        .collect();
+    let mut r = workspace.take_zeros(0).into_vec();
+    let pushed = push_delta(old, delta, new, [&mut y], &mut g, &db, alpha, cfg, &mut r);
     workspace.recycle(r.into());
-    // The closed form needs (1 − g) safely positive; a delta perturbation
-    // keeps g tiny, so failing this means an inconsistent state — decline.
-    let Some(mut outcome) = pushed.filter(|o| 1.0 - o.deferred[0] > 0.5) else {
-        workspace.recycle(x);
+    let resolved = pushed.zip(kernel_scale(new.n_papers(), mass, g[0]));
+    let Some((mut outcome, c)) = resolved else {
+        workspace.recycle(y);
         return None;
     };
-    x.scale(1.0 / (1.0 - outcome.deferred[0]));
+    y.scale(c);
     outcome.edge_work += new.n_papers() as u64;
-    Some((x, outcome))
+    Some((y, outcome))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::NetworkBuilder;
-    use crate::network::PaperId;
 
+    /// Ten papers, one a year; paper 5 is dangling, 0 too.
     fn base() -> CitationNetwork {
         let mut b = NetworkBuilder::new();
         let ids: Vec<_> = (1990..2000).map(|y| b.add_paper(y)).collect();
         for (i, &citing) in ids.iter().enumerate().skip(1) {
+            if i == 5 {
+                continue;
+            }
             b.add_citation(citing, ids[i - 1]).unwrap();
             if i >= 4 {
                 b.add_citation(citing, ids[0]).unwrap();
@@ -443,8 +377,8 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Full PageRank-style solve on `net` with personalization `b`: the
-    /// plain Jacobi sweep, run until it stops moving.
+    /// Full solve on `net` with personalization `b`: the plain Jacobi
+    /// sweep, run until it stops moving.
     fn full_solve(net: &CitationNetwork, alpha: f64, b: &[f64]) -> ScoreVec {
         let op = net.stochastic_operator();
         let mut x = ScoreVec::uniform(net.n_papers());
@@ -459,118 +393,188 @@ mod tests {
         panic!("the reference sweep did not converge");
     }
 
-    fn uniform_b(n: usize, alpha: f64) -> Vec<f64> {
-        vec![(1.0 - alpha) / n as f64; n]
+    /// A fixed per-paper personalization: never rewritten as papers are
+    /// appended.
+    fn b_hat(n: usize) -> Vec<f64> {
+        (0..n).map(|i| 1.0 + (i % 3) as f64).collect()
     }
 
-    /// One dense-personalization lane pushed across `d` from a copy of
-    /// `prev`, its deferred mass resolved against `new`'s kernel.
-    #[allow(clippy::too_many_arguments)]
+    /// The unresolved lane of `b_hat` on `net`, cold: `(y, g)`.
+    fn cold_lane(net: &CitationNetwork, alpha: f64) -> (ScoreVec, f64) {
+        let mut y = ScoreVec::zeros(net.n_papers());
+        let mut r = b_hat(net.n_papers());
+        let cfg = PushConfig {
+            alpha,
+            epsilon: 1e-13,
+            max_edge_work: u64::MAX,
+        };
+        let out = push::solve_lanes(net.refs_csr(), &cfg, [y.as_mut_slice()], &mut r, [0.0]);
+        (y, out.deferred[0])
+    }
+
+    /// `b_hat`'s lane on `old` pushed across `d`, resolved on `new`.
     fn push_one(
         old: &CitationNetwork,
         d: &GraphDelta,
         new: &CitationNetwork,
-        prev: &ScoreVec,
-        b0: &[f64],
-        b1: &[f64],
         alpha: f64,
         cfg: &PushRankConfig,
     ) -> Option<(ScoreVec, LanesOutcome<1>)> {
-        let mut x = prev.clone();
-        let lane = PushLane {
-            x: &mut x,
-            b_old: Personalization::Dense(b0),
-            b_new: Personalization::Dense(b1),
-        };
-        let out = try_push_lanes(old, d, new, [lane], alpha, cfg, &mut Vec::new())?;
-        x.axpy(
-            out.deferred[0],
+        let (mut y, g) = cold_lane(old, alpha);
+        let b1 = b_hat(new.n_papers());
+        let db: Vec<(PaperId, [f64; 1])> = (old.n_papers()..new.n_papers())
+            .map(|i| (i as PaperId, [b1[i]]))
+            .collect();
+        let mut g = [g];
+        let out = push_delta(
+            old,
+            d,
+            new,
+            [&mut y],
+            &mut g,
+            &db,
+            alpha,
+            cfg,
+            &mut Vec::new(),
+        )?;
+        y.axpy(
+            g[0],
             &uniform_kernel(new, alpha, &mut KernelWorkspace::new()),
         );
-        Some((x, out))
+        Some((y, out))
     }
 
-    #[test]
-    fn push_rerank_matches_scratch_solve() {
-        let old = base();
-        let alpha = 0.5;
-        let b0 = uniform_b(old.n_papers(), alpha);
-        let prev = full_solve(&old, alpha, &b0);
-
-        let mut d = GraphDelta::new();
-        let p = (old.n_papers() + d.add_paper(2001)) as PaperId;
-        d.add_citation(p, 0);
-        d.add_citation(p, 9);
-        d.add_citation(9, 3); // bibliography correction on an old paper
-        let new = old.with_delta(&d).unwrap();
-        let b1 = uniform_b(new.n_papers(), alpha);
-
-        let cfg = PushRankConfig::default();
-        let (pushed, stats) = push_one(&old, &d, &new, &prev, &b0, &b1, alpha, &cfg)
-            .expect("push should run on a small delta");
-        assert!(stats.pushes > 0);
-        let scratch = full_solve(&new, alpha, &b1);
+    fn assert_matches_scratch(new: &CitationNetwork, alpha: f64, got: &ScoreVec) {
+        let scratch = full_solve(new, alpha, &b_hat(new.n_papers()));
         for i in 0..new.n_papers() {
             assert!(
-                (pushed[i] - scratch[i]).abs() < 1e-9,
+                (got[i] - scratch[i]).abs() < 1e-9,
                 "paper {i}: push {} vs scratch {}",
-                pushed[i],
+                got[i],
                 scratch[i]
             );
         }
     }
 
     #[test]
-    fn zero_budget_declines() {
+    fn push_rerank_matches_scratch_solve() {
         let old = base();
         let alpha = 0.5;
-        let b0 = uniform_b(old.n_papers(), alpha);
-        let prev = full_solve(&old, alpha, &b0);
         let mut d = GraphDelta::new();
-        d.add_citation(9, 2);
+        let p = (old.n_papers() + d.add_paper(2001)) as PaperId;
+        d.add_citation(p, 0);
+        d.add_citation(p, 9);
+        d.add_citation(9, 3); // bibliography correction on an old paper
         let new = old.with_delta(&d).unwrap();
-        let b1 = uniform_b(new.n_papers(), alpha);
-        let cfg = PushRankConfig::forced_fallback();
-        assert!(push_one(&old, &d, &new, &prev, &b0, &b1, alpha, &cfg).is_none());
-    }
-
-    #[test]
-    fn mismatched_previous_declines() {
-        let old = base();
-        let alpha = 0.5;
-        let b0 = uniform_b(old.n_papers(), alpha);
-        let mut d = GraphDelta::new();
-        d.add_citation(9, 2);
-        let new = old.with_delta(&d).unwrap();
-        let b1 = uniform_b(new.n_papers(), alpha);
-        let cfg = PushRankConfig::default();
-        let short = ScoreVec::uniform(3);
-        assert!(push_one(&old, &d, &new, &short, &b0, &b1, alpha, &cfg).is_none());
-        let mut nan = ScoreVec::uniform(old.n_papers());
-        nan[0] = f64::NAN;
-        assert!(push_one(&old, &d, &new, &nan, &b0, &b1, alpha, &cfg).is_none());
+        let (pushed, stats) = push_one(&old, &d, &new, alpha, &PushRankConfig::default())
+            .expect("push should run on a small delta");
+        assert!(stats.pushes > 0);
+        assert_matches_scratch(&new, alpha, &pushed);
     }
 
     #[test]
     fn dangling_shift_is_exact() {
         // Paper 0 is dangling in `base` (its uniform column spreads 1/n).
-        // Growing the network changes that denominator to 1/(n+1) — the
-        // rank-1 dangling correction the seeding must account for.
+        // Growing the network changes that denominator to 1/(n+1): the
+        // lane does not see it, the resolve against the new kernel does.
         let old = base();
         let alpha = 0.3;
-        let b0 = uniform_b(old.n_papers(), alpha);
-        let prev = full_solve(&old, alpha, &b0);
         let mut d = GraphDelta::new();
         let p = (old.n_papers() + d.add_paper(2002)) as PaperId;
         d.add_citation(p, 0);
         let new = old.with_delta(&d).unwrap();
-        let b1 = uniform_b(new.n_papers(), alpha);
+        let (pushed, _) = push_one(&old, &d, &new, alpha, &PushRankConfig::default()).unwrap();
+        assert_matches_scratch(&new, alpha, &pushed);
+    }
+
+    #[test]
+    fn a_formerly_dangling_column_moves_its_mass() {
+        // Paper 5 cited nothing; the delta gives it two references, and a
+        // new paper cites it.
+        let old = base();
+        let alpha = 0.3;
+        assert_eq!(old.reference_count(5), 0);
+        let mut d = GraphDelta::new();
+        d.add_citation(5, 2);
+        d.add_citation(5, 4);
+        let p = (old.n_papers() + d.add_paper(2002)) as PaperId;
+        d.add_citation(p, 5);
+        let new = old.with_delta(&d).unwrap();
+        let (pushed, _) = push_one(&old, &d, &new, alpha, &PushRankConfig::default()).unwrap();
+        assert_matches_scratch(&new, alpha, &pushed);
+    }
+
+    #[test]
+    fn the_seed_is_the_batch_and_its_rewired_columns() {
+        let old = base();
+        let alpha = 0.5;
+        let (y0, g0) = cold_lane(&old, alpha);
+        let mut d = GraphDelta::new();
+        let p = (old.n_papers() + d.add_paper(2001)) as PaperId;
+        d.add_citation(p, 9);
+        d.add_citation(8, 1);
+        let new = old.with_delta(&d).unwrap();
+        let mut y = y0.clone();
+        let (mut g, mut r) = ([g0], Vec::new());
+        let db = [(p, [7.0])];
+        let work = seed_delta(&old, &d, &new, &mut [&mut y], &mut g, &db, alpha, &mut r);
+        assert_eq!(work, Some(5), "paper 8's old and new reference lists");
+        assert_eq!(g, [g0], "no dangling column was rewired");
+        assert_eq!(&y.as_slice()[..old.n_papers()], y0.as_slice());
+        let support: Vec<usize> = (0..r.len()).filter(|&i| r[i] != 0.0).collect();
+        // Paper 8 cited 7 and 0, and now cites 1 too; the appended paper
+        // carries its Δb̂.
+        assert_eq!(support, [0, 1, 7, p as usize]);
+        assert_eq!(r[p as usize], 7.0);
+    }
+
+    #[test]
+    fn zero_budget_declines() {
+        let old = base();
+        let mut d = GraphDelta::new();
+        d.add_citation(9, 2);
+        let new = old.with_delta(&d).unwrap();
+        let cfg = PushRankConfig::forced_fallback();
+        assert!(push_one(&old, &d, &new, 0.5, &cfg).is_none());
+    }
+
+    #[test]
+    fn mismatched_previous_declines() {
+        let old = base();
+        let mut d = GraphDelta::new();
+        d.add_citation(9, 2);
+        let new = old.with_delta(&d).unwrap();
         let cfg = PushRankConfig::default();
-        let (pushed, _) = push_one(&old, &d, &new, &prev, &b0, &b1, alpha, &cfg).unwrap();
-        let scratch = full_solve(&new, alpha, &b1);
-        for i in 0..new.n_papers() {
-            assert!((pushed[i] - scratch[i]).abs() < 1e-9, "paper {i}");
-        }
+        let mut short = ScoreVec::uniform(3);
+        let mut g = [0.0];
+        let out = push_delta(
+            &old,
+            &d,
+            &new,
+            [&mut short],
+            &mut g,
+            &[],
+            0.5,
+            &cfg,
+            &mut Vec::new(),
+        );
+        assert!(out.is_none());
+        assert_eq!(short.len(), 3);
+        let mut y = ScoreVec::uniform(old.n_papers());
+        let mut g = [f64::NAN];
+        let out = push_delta(
+            &old,
+            &d,
+            &new,
+            [&mut y],
+            &mut g,
+            &[],
+            0.5,
+            &cfg,
+            &mut Vec::new(),
+        );
+        assert!(out.is_none());
+        assert_eq!(y.len(), old.n_papers());
     }
 
     #[test]
@@ -585,6 +589,7 @@ mod tests {
         let p = (old.n_papers() + d.add_paper(2001)) as PaperId;
         d.add_citation(p, 0);
         d.add_citation(9, 3);
+        d.add_citation(5, 1);
         let new = old.with_delta(&d).unwrap();
 
         let cfg = PushRankConfig::default();
@@ -598,7 +603,7 @@ mod tests {
         }
 
         // A declined push (here: no budget, after the input checks pass)
-        // seeds and rewrites its lane; the lane is a copy.
+        // works on a copy.
         let cfg = PushRankConfig::forced_fallback();
         assert!(update_uniform_kernel(&old, &d, &new, &prev, alpha, &cfg, &mut ws).is_none());
         assert_eq!(
@@ -606,5 +611,8 @@ mod tests {
             before,
             "a declined push leaves `previous` alone"
         );
+        let mut nan = prev.clone();
+        nan[3] = f64::NAN;
+        assert!(update_uniform_kernel(&old, &d, &new, &nan, alpha, &cfg, &mut ws).is_none());
     }
 }

@@ -41,23 +41,27 @@ pub(crate) fn scaled_attention_into(counts: &[u32], scale: f64, out: &mut [f64])
 }
 
 /// The attention window's integer citation counts
-/// ([`window::recent_citation_counts`]), maintained across deltas: a batch
-/// changes a handful of counts, so the incremental scorer updates them
-/// from the batch instead of recounting the window's edges, and recounts
-/// only when the window itself moves.
+/// ([`window::recent_citation_counts`]) and their total, maintained
+/// across deltas: a batch changes a handful of counts, so the incremental
+/// scorer updates them from the batch instead of recounting the window's
+/// edges, and recounts only when the window itself moves.
 #[derive(Debug, Clone)]
 pub(crate) struct WindowCounts {
     /// First citing id of the window ([`window::recent_window_start`]).
     start: usize,
     counts: Vec<u32>,
+    /// `Σ counts`: the attention vector's normalizer.
+    total: u64,
 }
 
 impl WindowCounts {
     /// Counts the trailing `y`-year window of `net` from its edges.
     pub(crate) fn count(net: &CitationNetwork, y: u32) -> Self {
+        let counts = window::recent_citation_counts(net, y);
         Self {
             start: window::recent_window_start(net, y),
-            counts: window::recent_citation_counts(net, y),
+            total: counts.iter().map(|&c| u64::from(c)).sum(),
+            counts,
         }
     }
 
@@ -66,18 +70,33 @@ impl WindowCounts {
         &self.counts
     }
 
-    /// Carries the counts of `old` over to `new = old.with_delta(delta)`.
+    /// Citations made inside the window.
+    pub(crate) fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// Carries the counts of `old` over to `new = old.with_delta(delta)`,
+    /// reporting each change as `changed(paper, Δcount)` — repeats of a
+    /// paper add up.
     pub(crate) fn advance(
         &mut self,
         old: &CitationNetwork,
         delta: &GraphDelta,
         new: &CitationNetwork,
         y: u32,
+        mut changed: impl FnMut(PaperId, f64),
     ) {
         if window::recent_window_start(new, y) != self.start {
             // The batch advanced `t_N`: citing papers fell out of the
             // window, and only a recount knows which edges were theirs.
-            *self = Self::count(new, y);
+            let fresh = Self::count(new, y);
+            for (p, &c) in fresh.counts.iter().enumerate() {
+                let before = self.counts.get(p).copied().unwrap_or(0);
+                if c != before {
+                    changed(p as PaperId, f64::from(c) - f64::from(before));
+                }
+            }
+            *self = fresh;
             return;
         }
         self.counts.resize(new.n_papers(), 0);
@@ -100,11 +119,13 @@ impl WindowCounts {
                 &[]
             };
             let mut before = old_row.iter().peekable();
-            for cited in new.references(citing) {
-                if before.peek() == Some(&cited) {
+            for &cited in new.references(citing) {
+                if before.peek() == Some(&&cited) {
                     before.next();
                 } else {
-                    self.counts[*cited as usize] += 1;
+                    self.counts[cited as usize] += 1;
+                    self.total += 1;
+                    changed(cited, 1.0);
                 }
             }
         }

@@ -3,171 +3,189 @@
 //! A production deployment re-ranks the corpus as new papers arrive (the
 //! paper's §1 motivates exactly this monitoring use-case).
 //! [`IncrementalAttRank`] solves Eq. 4 as three systems on the same
-//! operator: the attention-component fixed point (`x = α·S·x + β·A`), the
-//! recency-component one (`x = α·S·x + γ·T`) — the served total is their
-//! sum — and the operator's *uniform kernel* `u = (I − α·S)⁻¹·(1/n)·1`,
-//! against which both resolve the dangling mass their pushes defer. All
-//! three are solved by one residual push ([`sparsela::push::solve_lanes`]:
-//! one traversal, the three residuals interleaved) followed by one
-//! resolution sweep, and every solve — full or across a delta — is that.
+//! operator, each kept **unresolved** (see [`citegraph::pushrank`]): a
+//! lane `y_k = (I − α·N)⁻¹·b̂_k` over the non-dangling citation columns
+//! `N`, with its dangling mass as one scalar `g_k = α·dᵀy_k`. The lanes'
+//! personalizations are per paper and never rewritten:
+//!
+//! * the uniform kernel's, `1`;
+//! * attention's, the paper's citation count inside the window;
+//! * recency's, `e^{−w·(year − y₀)}` against a fixed reference year `y₀`
+//!   (Eq. 3's normalizer cancels `t_N`, so only the scalar moves).
+//!
+//! Each is divided by its mass `M_k` at the last full solve, so the push
+//! ε keeps its meaning, and each lane's drift since then is one scalar
+//! `s_k`: `M_kernel/n`, `β·M_att/Σ counts`, `γ·M_rec/Σ recency`. One
+//! resolution sweep writes the kernel and the served scores:
+//!
+//! ```text
+//! u     = y_kernel / (n/M_kernel − g_kernel)
+//! total = s_att·(y_att + g_att·u) + s_rec·(y_rec + g_rec·u)
+//! ```
+//!
+//! The lanes are never resolved in place: the kernel is an output of the
+//! sweep, a fresh vector a serving layer shares with the snapshot it
+//! publishes ([`IncrementalAttRank::kernel`]) and nothing writes again.
 //!
 //! ## The full solve is one pass
 //!
 //! Citations point back in time and ids are time-sorted, so the citation
 //! part of `I − α·S` is triangular wherever no paper cites a same-year
 //! paper with a higher id. The push's descending-id cursor therefore
-//! settles all of a paper's inflow before it pushes the paper: from a zero
-//! estimate and the residual `[1/n, β·A, γ·T]`, each paper is pushed once
-//! and the solve is one pass over the edges — the triangular solve
-//! Langville & Meyer reach by reordering ("A Reordering for the PageRank
-//! Problem", SIAM J. Sci. Comput. 27(6), 2006); for a citation graph the
-//! order is free. A same-year citation to a higher id (legal input: a
-//! cycle inside one year) lands residual above the cursor and costs
-//! another pass over what it reaches, never accuracy. The run stops at the
-//! scorer's push ε with no work budget. A dangling paper's uniform column
-//! is never walked: each lane defers that mass to one scalar `g`, and the
-//! sweep resolves it in closed form — the kernel is self-similar,
-//! `u = x_u / (1 − g_u)`, and each component is `x + g·u`.
+//! settles all of a paper's inflow before it pushes the paper: from zero
+//! lanes and the residual `b̂_k/M_k`, each paper is pushed once and the
+//! solve is one pass over the edges — the triangular solve Langville &
+//! Meyer reach by reordering ("A Reordering for the PageRank Problem",
+//! SIAM J. Sci. Comput. 27(6), 2006); for a citation graph the order is
+//! free. A same-year citation to a higher id (legal input: a cycle inside
+//! one year) lands residual above the cursor and costs another pass over
+//! what it reaches, never accuracy. The run stops at the scorer's push ε
+//! with no work budget.
 //!
 //! ## Delta updates at push cost
 //!
-//! [`IncrementalAttRank::update_delta`] pushes residuals seeded only where
-//! the [`GraphDelta`] actually perturbed the system (see
-//! [`citegraph::pushrank`]). Making those seeds sparse is why the state is
-//! split per component: AttRank's personalization `β·A + γ·T` is two
-//! probability vectors that rescale by *different* global factors as the
-//! network grows. The three systems share the matrix and, after a delta,
-//! almost the whole perturbed cone, so a publish is **one** 3-lane push
-//! ([`citegraph::try_push_lanes`]: one fused seeding pass and one
-//! traversal, the three vectors updated in place) followed by the same
-//! resolution sweep as the full solve. Any delta is pushed, whatever its
+//! [`IncrementalAttRank::update_delta`] carries the window counts across
+//! the delta (recounting only when a year rollover moves the window) and
+//! hands the lanes to [`citegraph::push_delta`], the one delta seeding:
+//! its seed is exactly the personalization change — the appended papers'
+//! entries and the counts the batch changed — plus the rewired columns,
+//! pushed in **one** 3-lane traversal. Any delta is pushed, whatever its
 //! size: on a citation DAG the push settles each paper of the perturbed
 //! cone once, so its cost is bounded by one pass over the successor
 //! network, the full solve's own cost. Only an exhausted work budget
 //! ([`PushRankConfig::budget_sweeps`]) or a state that does not belong to
 //! the old network sends a publish to the full solve.
 //!
-//! The personalization is carried across the delta too rather than
-//! rebuilt from the corpus: the attention window's integer citation
-//! counts are updated from the batch (and recounted only when a year
-//! rollover moves the window), so `β·A` is one scaling pass over them,
-//! and `γ·T` costs one `exp` per distinct year.
-//!
 //! The push state is what a full solve leaves behind, so it costs nothing
-//! to build: the full path of `update_delta` keeps it, and the publish
-//! after a fallback pushes again. [`IncrementalAttRank::update`] drops it,
-//! so a scorer that never publishes a delta holds none. A restart does
-//! not solve: [`IncrementalAttRank::push_state`] is the split's three
-//! solved vectors (24 B per paper), and [`IncrementalAttRank::restore`]
-//! rebuilds the rest from the network — the window counts by one recount,
-//! `β·A` / `γ·T` from them, bit for bit what the live scorer carried — so
-//! the first publish after a restore pushes.
-//!
-//! The kernel lane is shared, not copied: [`IncrementalAttRank::kernel`]
-//! hands out the `Arc` the last solve resolved, which a serving layer
-//! keeps beside the scores it published, and the next push copies it on
-//! write into a pooled buffer before updating it in place.
+//! to build: [`IncrementalAttRank::update`] and the full path of
+//! `update_delta` both keep it, so the first publish after either
+//! pushes. A restart does not solve: [`IncrementalAttRank::push_state`]
+//! is the three lanes (24 B per paper) and the scalars their resolve
+//! needs ([`PUSH_STATE_SCALARS`]), and [`IncrementalAttRank::restore`]
+//! recounts the window and resolves the kernel from them, bit for bit what
+//! the live scorer carried, so the first publish after a restore pushes.
 
 use std::sync::Arc;
 
 use citegraph::{
-    try_push_lanes, CitationNetwork, DeltaStrategy, GraphDelta, Personalization, PushLane,
-    PushRankConfig,
+    kernel_scale, push_delta, CitationNetwork, DeltaStrategy, GraphDelta, PaperId, PushRankConfig,
+    Year,
 };
 use sparsela::{push, KernelWorkspace, LanesOutcome, PushConfig, ScoreVec};
 
 use crate::attention::WindowCounts;
-use crate::model::{components_from_counts, AttRankDiagnostics};
+use crate::model::AttRankDiagnostics;
 use crate::params::AttRankParams;
+use crate::recency::{recency_mass, recency_weight};
 
-/// Lane order of the 3-lane push: the uniform kernel, then the attention
-/// and recency components it resolves.
+/// Lane order: the uniform kernel, then the attention and recency
+/// components it resolves.
 const KERNEL: usize = 0;
 const ATT: usize = 1;
 const REC: usize = 2;
 
-/// The per-snapshot state the push path updates in place: everything here
-/// belongs to the same network state as [`IncrementalAttRank::previous`].
+/// The scalars of a persisted push state ([`IncrementalAttRank::push_state`]),
+/// in order: each lane's `g_k`, each lane's mass `M_k`, and the recency
+/// reference year `y₀`.
+pub const PUSH_STATE_SCALARS: usize = 7;
+
+/// The unresolved lanes of the last scored snapshot and what their
+/// resolve reads.
 #[derive(Debug, Clone)]
-struct PushSplit {
-    /// Attention-component fixed point (`x = α·S·x + β·A`).
-    att: ScoreVec,
-    /// Recency-component fixed point (`x = α·S·x + γ·T`); `att + rec` is
-    /// the served total.
-    rec: ScoreVec,
-    /// Personalization components `β·A` and `γ·T` — the `b₀`s the push
-    /// seeding diffs against.
-    b_att: ScoreVec,
-    b_rec: ScoreVec,
-    /// Uniform kernel `u = (I − α·S)⁻¹·(1/n)·1`, shared with whoever
-    /// holds [`IncrementalAttRank::kernel`]; a solve updates it through
-    /// [`unshare`].
-    kernel: Arc<ScoreVec>,
-    /// The attention window's citation counts behind `b_att`.
+struct Lanes {
+    /// `y_k = (I − α·N)⁻¹·b̂_k/M_k`, in lane order.
+    y: [ScoreVec; 3],
+    /// `g_k = α·dᵀy_k`, the mass each lane's pushes deferred.
+    g: [f64; 3],
+    /// `M_k`: each personalization's mass at the last full solve (1 for
+    /// an empty attention window).
+    mass: [f64; 3],
+    /// The recency reference year `y₀`: `t_N` at the last full solve.
+    year0: Year,
+    /// `s_k` at the last resolve: `M_kernel/n`, `β·M_att/Σ counts`,
+    /// `γ·M_rec/Σ recency`.
+    scale: [f64; 3],
+    /// The attention window's citation counts.
     window: WindowCounts,
+    /// The uniform kernel the last resolve wrote, shared with whoever
+    /// holds [`IncrementalAttRank::kernel`].
+    kernel: Arc<ScoreVec>,
 }
 
-impl PushSplit {
-    /// The resolution sweep every solve ends in: the kernel in closed form
-    /// (`u = x_u / (1 − g_u)`), each component against the fresh kernel
-    /// (`x + g·u`), and the served sum of the components — written twice,
-    /// one copy returned and one kept in `previous`.
+impl Lanes {
+    /// Sets each lane's scale on `net` and returns the kernel factor
+    /// `1/(n/M_kernel − g_kernel)`; `None` when that is not positive.
+    fn rescale(&mut self, net: &CitationNetwork, params: &AttRankParams) -> Option<f64> {
+        let n = net.n_papers();
+        let c = kernel_scale(n, self.mass[KERNEL], self.g[KERNEL])?;
+        let counted = self.window.total();
+        self.scale = [
+            self.mass[KERNEL] / n as f64,
+            if counted == 0 {
+                0.0
+            } else {
+                params.beta() * self.mass[ATT] / counted as f64
+            },
+            params.gamma() * self.mass[REC] / recency_mass(net.years(), params.decay_w, self.year0),
+        ];
+        Some(c)
+    }
+
+    /// The resolution sweep every solve ends in: writes a fresh kernel
+    /// (`u = c·y_kernel`) and the served scores, and leaves the lanes as
+    /// they are.
     fn resolve(
         &mut self,
-        out: &LanesOutcome<3>,
-        previous: &mut Option<ScoreVec>,
+        net: &CitationNetwork,
+        params: &AttRankParams,
         workspace: &mut KernelWorkspace,
-    ) -> AttRankDiagnostics {
-        let n = self.kernel.len();
-        let inv = 1.0 / (1.0 - out.deferred[KERNEL]);
-        let (g_att, g_rec) = (out.deferred[ATT], out.deferred[REC]);
+    ) -> Option<ScoreVec> {
+        let c = self.rescale(net, params)?;
+        let [_, s_att, s_rec] = self.scale;
+        let [_, g_att, g_rec] = self.g;
+        let [y_u, y_att, y_rec] = &self.y;
+        let n = net.n_papers();
+        let mut kernel = workspace.take_zeros(n);
         let mut total = workspace.take_zeros(n);
-        let mut kept = workspace.take_zeros(n);
-        for ((((u, a), r), t), k) in unshare(&mut self.kernel, workspace)
+        for ((((u, t), &yu), &ya), &yr) in kernel
             .iter_mut()
-            .zip(self.att.iter_mut())
-            .zip(self.rec.iter_mut())
             .zip(total.iter_mut())
-            .zip(kept.iter_mut())
+            .zip(y_u.iter())
+            .zip(y_att.iter())
+            .zip(y_rec.iter())
         {
-            *u *= inv;
-            *a += g_att * *u;
-            *r += g_rec * *u;
-            *t = *a + *r;
-            *k = *t;
+            *u = c * yu;
+            *t = s_att * (ya + g_att * *u) + s_rec * (yr + g_rec * *u);
         }
-        if let Some(stale) = previous.replace(kept) {
-            workspace.recycle(stale);
-        }
-        AttRankDiagnostics {
-            scores: total,
-            iterations: out.pushes as usize,
-            converged: out.converged,
-            final_error: out.residual_l1.iter().sum(),
-            error_log: Vec::new(),
-        }
+        self.set_kernel(kernel, workspace);
+        Some(total)
     }
-}
 
-/// `kernel`, owned: when a reader still shares it, it is first copied
-/// into a pooled buffer (copy on write), and the reader keeps the old one.
-fn unshare<'a>(kernel: &'a mut Arc<ScoreVec>, workspace: &mut KernelWorkspace) -> &'a mut ScoreVec {
-    if Arc::get_mut(kernel).is_none() {
-        *kernel = Arc::new(workspace.take_copy(kernel));
+    /// Replaces the shared kernel; the old one is pooled unless a reader
+    /// still holds it.
+    fn set_kernel(&mut self, kernel: ScoreVec, workspace: &mut KernelWorkspace) {
+        let old = std::mem::replace(&mut self.kernel, Arc::new(kernel));
+        if let Some(old) = Arc::into_inner(old) {
+            workspace.recycle(old);
+        }
     }
-    Arc::get_mut(kernel).expect("a fresh Arc is unshared")
 }
 
 /// What a test may read of the personalization carried across deltas
-/// ([`IncrementalAttRank::carried_personalization`]).
+/// ([`IncrementalAttRank::carried_personalization`]). Lane `k` (kernel,
+/// attention, recency) stands for the personalization
+/// `scales[k] / masses[k] · b̂_k`, `b̂` being 1, the window count and
+/// `e^{−w·(year − year0)}`.
 #[derive(Debug, Clone, Copy)]
 pub struct CarriedPersonalization<'a> {
     /// Citations received inside the attention window, per paper.
     pub window_counts: &'a [u32],
-    /// `β·A` of the last scored snapshot.
-    pub b_att: &'a ScoreVec,
-    /// `γ·T` of the last scored snapshot.
-    pub b_rec: &'a ScoreVec,
+    /// The recency lane's reference year `y₀`.
+    pub year0: Year,
+    /// Each lane's personalization mass at the last full solve.
+    pub masses: [f64; 3],
+    /// Each lane's scale at the last resolve.
+    pub scales: [f64; 3],
 }
 
 /// AttRank re-scored across network snapshots: every full solve is one
@@ -186,11 +204,9 @@ pub struct IncrementalAttRank {
     /// Push knobs for [`Self::update_delta`]: the work budget, and the `ε`
     /// of every solve, full or pushed.
     push_config: PushRankConfig,
-    /// Fixed point of the previously scored snapshot.
-    previous: Option<ScoreVec>,
-    /// Push state of the same snapshot, present after a full solve or a
-    /// push by [`Self::update_delta`], or a [`Self::restore`].
-    split: Option<PushSplit>,
+    /// Push state of the last scored snapshot, present after any solve on
+    /// a non-empty network or a [`Self::restore`].
+    lanes: Option<Lanes>,
     /// Scratch buffers reused across updates (a daily re-scoring loop
     /// allocates nothing after the first solve).
     workspace: KernelWorkspace,
@@ -206,8 +222,7 @@ impl IncrementalAttRank {
         Self {
             params,
             push_config: PushRankConfig::default(),
-            previous: None,
-            split: None,
+            lanes: None,
             workspace: KernelWorkspace::new(),
             lane_residual: Vec::new(),
         }
@@ -228,102 +243,107 @@ impl IncrementalAttRank {
     /// The personalization state [`Self::update_delta`] carries from one
     /// snapshot to the next; `None` while no push state is cached.
     pub fn carried_personalization(&self) -> Option<CarriedPersonalization<'_>> {
-        self.split.as_ref().map(|split| CarriedPersonalization {
-            window_counts: split.window.counts(),
-            b_att: &split.b_att,
-            b_rec: &split.b_rec,
+        self.lanes.as_ref().map(|lanes| CarriedPersonalization {
+            window_counts: lanes.window.counts(),
+            year0: lanes.year0,
+            masses: lanes.mass,
+            scales: lanes.scale,
         })
     }
 
-    /// The fixed point of the last scored snapshot — what a caller checks
-    /// [`Self::push_state`] against before persisting it.
-    pub fn fixed_point(&self) -> Option<&ScoreVec> {
-        self.previous.as_ref()
-    }
-
     /// The uniform kernel of the last scored snapshot at the scorer's
-    /// `α` — lane 0 of [`Self::push_state`] as a shared `Arc`, not a copy
-    /// — or `None` while no split is cached.
+    /// `α`, as the shared `Arc` its resolve wrote — or `None` while no
+    /// push state is cached.
     pub fn kernel(&self) -> Option<&Arc<ScoreVec>> {
-        self.split.as_ref().map(|s| &s.kernel)
+        self.lanes.as_ref().map(|lanes| &lanes.kernel)
     }
 
-    /// The push state of the last scored snapshot — its attention
-    /// component, recency component and uniform kernel, in that order —
-    /// or `None` while no split is cached. With the network and
-    /// [`Self::fixed_point`] it is everything [`Self::restore`] needs.
-    pub fn push_state(&self) -> Option<[&[f64]; 3]> {
-        self.split
-            .as_ref()
-            .map(|s| [s.att.as_slice(), s.rec.as_slice(), s.kernel.as_slice()])
+    /// The push state of the last scored snapshot — its unresolved kernel,
+    /// attention and recency lanes, in that order, and the
+    /// [`PUSH_STATE_SCALARS`] scalars their resolve needs — or `None`
+    /// while none is cached. With the network it is everything
+    /// [`Self::restore`] needs.
+    pub fn push_state(&self) -> Option<([&[f64]; 3], [f64; PUSH_STATE_SCALARS])> {
+        self.lanes.as_ref().map(|lanes| {
+            let [g0, g1, g2] = lanes.g;
+            let [m0, m1, m2] = lanes.mass;
+            (
+                lanes.y.each_ref().map(|y| y.as_slice()),
+                [g0, g1, g2, m0, m1, m2, f64::from(lanes.year0)],
+            )
+        })
     }
 
-    /// Resumes from a persisted epoch of `net`: `scores` become the fixed
-    /// point of the last scored snapshot, and a [`Self::push_state`] whose
-    /// three vectors all have `net`'s length rebuilds the component split —
-    /// the window counts recounted, `β·A` / `γ·T` computed from them — so
-    /// the next [`Self::update_delta`] can push. Returns whether the split
-    /// was restored.
-    pub fn restore(
-        &mut self,
-        net: &CitationNetwork,
-        scores: &[f64],
-        state: Option<[&[f64]; 3]>,
-    ) -> bool {
+    /// Resumes from a persisted epoch of `net`: a [`Self::push_state`]
+    /// whose lanes all have `net`'s length and whose scalars are sane
+    /// becomes the push state — the window recounted, the kernel resolved
+    /// from its lane — so the next [`Self::update_delta`] can push.
+    /// Returns whether it was restored.
+    pub fn restore(&mut self, net: &CitationNetwork, state: Option<([&[f64]; 3], &[f64])>) -> bool {
+        self.drop_lanes();
         let n = net.n_papers();
-        self.drop_split();
-        let kept = self.workspace.take_copy(scores);
-        if let Some(stale) = self.previous.replace(kept) {
-            self.workspace.recycle(stale);
-        }
-        let Some(state) =
-            state.filter(|lanes| scores.len() == n && lanes.iter().all(|lane| lane.len() == n))
+        let Some((y, scalars)) = state.filter(|(y, _)| n > 0 && y.iter().all(|y| y.len() == n))
         else {
             return false;
         };
-        let window = WindowCounts::count(net, self.params.attention_years);
-        let (b_att, b_rec) =
-            components_from_counts(net, &self.params, window.counts(), &mut self.workspace);
-        let [att, rec, kernel] = state.map(|lane| self.workspace.take_copy(lane));
-        self.split = Some(PushSplit {
-            att,
-            rec,
-            b_att,
-            b_rec,
-            kernel: Arc::new(kernel),
-            window,
-        });
+        let Ok([g0, g1, g2, m0, m1, m2, year0]) = <[f64; PUSH_STATE_SCALARS]>::try_from(scalars)
+        else {
+            return false;
+        };
+        let (g, mass) = ([g0, g1, g2], [m0, m1, m2]);
+        if g.iter().any(|g| !g.is_finite())
+            || mass.iter().any(|m| !(m.is_finite() && *m > 0.0))
+            || f64::from(year0 as Year) != year0
+        {
+            return false;
+        }
+        let mut lanes = Lanes {
+            y: y.map(|y| self.workspace.take_copy(y)),
+            g,
+            mass,
+            year0: year0 as Year,
+            scale: [0.0; 3],
+            window: WindowCounts::count(net, self.params.attention_years),
+            kernel: Arc::new(ScoreVec::zeros(0)),
+        };
+        let Some(c) = lanes.rescale(net, &self.params) else {
+            return false;
+        };
+        let mut kernel = self.workspace.take_zeros(n);
+        for (u, &yu) in kernel.iter_mut().zip(lanes.y[KERNEL].iter()) {
+            *u = c * yu;
+        }
+        lanes.kernel = Arc::new(kernel);
+        self.lanes = Some(lanes);
         true
     }
 
-    /// Drops the cached fixed point and push state (the next
-    /// [`Self::update_delta`] runs the full solve).
+    /// Drops the push state (the next [`Self::update_delta`] runs the
+    /// full solve).
     pub fn reset(&mut self) {
-        self.previous = None;
-        self.drop_split();
+        self.drop_lanes();
     }
 
-    /// Invalidates the per-component push state (recycling its buffers).
-    fn drop_split(&mut self) {
-        if let Some(split) = self.split.take() {
-            for v in [split.att, split.rec, split.b_att, split.b_rec] {
-                self.workspace.recycle(v);
+    /// Invalidates the push state, recycling its buffers (a kernel a
+    /// snapshot still shares stays with the snapshot).
+    fn drop_lanes(&mut self) {
+        if let Some(lanes) = self.lanes.take() {
+            for y in lanes.y {
+                self.workspace.recycle(y);
             }
-            // A kernel a snapshot still shares stays with the snapshot.
-            if let Some(kernel) = Arc::into_inner(split.kernel) {
+            if let Some(kernel) = Arc::into_inner(lanes.kernel) {
                 self.workspace.recycle(kernel);
             }
         }
     }
 
-    /// Scores `net` by the full solve and drops the push state it leaves,
-    /// so a scorer that only ever runs `update` holds none. `net` need not
-    /// be related to the previously scored snapshot.
+    /// Scores `net` by the full solve and keeps the push state it leaves,
+    /// so the next [`Self::update_delta`] from `net` pushes. `net` need
+    /// not be related to the previously scored snapshot. The residual
+    /// scratch is freed, not pooled: a scorer that only runs `update`
+    /// keeps the lanes alone.
     pub fn update(&mut self, net: &CitationNetwork) -> AttRankDiagnostics {
         let diag = self.solve_full(net);
-        // Freed, not pooled: a scorer that only runs `update` keeps no
-        // push buffers.
-        self.split = None;
         self.lane_residual = Vec::new();
         diag
     }
@@ -334,9 +354,9 @@ impl IncrementalAttRank {
     ///
     /// `old` must be the network the previous [`Self::update`] /
     /// [`Self::update_delta`] call scored; when it is not (cold scorer,
-    /// shape mismatch, non-finite cache) the full path runs. The full path
-    /// keeps the push state its solve leaves, so the publish *after* a
-    /// fallback pushes again.
+    /// shape mismatch) the full path runs. The full path keeps the push
+    /// state its solve leaves, so the publish *after* a fallback pushes
+    /// again.
     pub fn update_delta(
         &mut self,
         old: &CitationNetwork,
@@ -349,96 +369,82 @@ impl IncrementalAttRank {
         (self.solve_full(new), DeltaStrategy::Full)
     }
 
-    /// The push attempt: carries the personalization across the delta,
-    /// then updates the uniform kernel and both components in place in one
-    /// 3-lane push and resolves them in one sweep. Returns `None` when the
-    /// push declines — the split may then be part-way, and the full solve
-    /// replaces it.
+    /// The push attempt: carries the window counts across the delta,
+    /// collecting the personalization change, pushes the three lanes in
+    /// one [`push_delta`] and resolves them in one sweep. Returns `None`
+    /// when the push declines — the lanes may then be part-way, and the
+    /// full solve replaces them.
     fn try_push_delta(
         &mut self,
         old: &CitationNetwork,
         delta: &GraphDelta,
         new: &CitationNetwork,
     ) -> Option<(AttRankDiagnostics, DeltaStrategy)> {
-        let alpha = self.params.alpha();
         let (n_old, n_new) = (old.n_papers(), new.n_papers());
-        let split = self.split.as_mut()?;
-        if alpha == 0.0 || n_old == 0 || split.att.len() != n_old {
+        let lanes = self.lanes.as_mut()?;
+        if lanes.y[KERNEL].len() != n_old {
             return None;
         }
-
-        split
+        let inv = lanes.mass.map(|m| 1.0 / m);
+        let (w, year0) = (self.params.decay_w, lanes.year0);
+        // Δb̂: the appended papers' kernel and recency entries, then every
+        // window count the batch changed.
+        let mut db: Vec<(PaperId, [f64; 3])> = (n_old..n_new)
+            .map(|p| {
+                let rec = recency_weight(w, year0, new.years()[p]) * inv[REC];
+                (p as PaperId, [inv[KERNEL], 0.0, rec])
+            })
+            .collect();
+        lanes
             .window
-            .advance(old, delta, new, self.params.attention_years);
-        let (b_att1, b_rec1) = components_from_counts(
-            new,
-            &self.params,
-            split.window.counts(),
-            &mut self.workspace,
-        );
-        let lanes = [
-            PushLane {
-                x: unshare(&mut split.kernel, &mut self.workspace),
-                b_old: Personalization::Uniform(1.0 / n_old as f64),
-                b_new: Personalization::Uniform(1.0 / n_new as f64),
-            },
-            PushLane {
-                x: &mut split.att,
-                b_old: Personalization::Dense(&split.b_att),
-                b_new: Personalization::Dense(&b_att1),
-            },
-            PushLane {
-                x: &mut split.rec,
-                b_old: Personalization::Dense(&split.b_rec),
-                b_new: Personalization::Dense(&b_rec1),
-            },
-        ];
-        let pushed = try_push_lanes(
+            .advance(old, delta, new, self.params.attention_years, |p, dc| {
+                db.push((p, [0.0, dc * inv[ATT], 0.0]))
+            });
+        let out = push_delta(
             old,
             delta,
             new,
-            lanes,
-            alpha,
+            lanes.y.each_mut(),
+            &mut lanes.g,
+            &db,
+            self.params.alpha(),
             &self.push_config,
             &mut self.lane_residual,
-        );
-        // The new personalization replaces the old one whatever the push
-        // said (a declined push leaves the split to the full path anyway).
-        self.workspace
-            .recycle(std::mem::replace(&mut split.b_att, b_att1));
-        self.workspace
-            .recycle(std::mem::replace(&mut split.b_rec, b_rec1));
-        // The kernel is its own resolution (`u = x_u / (1 − g_u)`), which
-        // needs the denominator safely positive; a delta perturbation
-        // keeps `g_u` tiny, so failing this means an inconsistent state.
-        let out = pushed.filter(|out| 1.0 - out.deferred[KERNEL] > 0.5)?;
-        let diag = split.resolve(&out, &mut self.previous, &mut self.workspace);
+        )?;
+        let scores = lanes.resolve(new, &self.params, &mut self.workspace)?;
         let strategy = DeltaStrategy::Push {
             pushes: out.pushes,
             edge_work: out.edge_work + n_new as u64,
         };
-        Some((diag, strategy))
+        Some((diagnostics(scores, &out), strategy))
     }
 
-    /// The one full solve: the three lanes pushed from a zero estimate
-    /// with the residual `[1/n, β·A, γ·T]`, at the push ε with no work
-    /// budget, then [`PushSplit::resolve`]. Replaces the push state with
-    /// the one it solved.
+    /// The one full solve: the three lanes pushed from zero with the
+    /// residual `b̂_k/M_k`, at the push ε with no work budget, then
+    /// [`Lanes::resolve`]. Replaces the push state with the one it solved.
     fn solve_full(&mut self, net: &CitationNetwork) -> AttRankDiagnostics {
         let n = net.n_papers();
-        self.drop_split();
+        self.drop_lanes();
+        let year0 = net.current_year().unwrap_or_default();
+        let w = self.params.decay_w;
         let window = WindowCounts::count(net, self.params.attention_years);
-        let (b_att, b_rec) =
-            components_from_counts(net, &self.params, window.counts(), &mut self.workspace);
-        let uniform = 1.0 / n as f64;
+        let mass = [
+            n as f64,
+            window.total().max(1) as f64,
+            recency_mass(net.years(), w, year0),
+        ];
+        let inv = mass.map(|m| 1.0 / m);
         self.lane_residual.clear();
-        self.lane_residual.extend(
-            b_att
-                .iter()
-                .zip(b_rec.iter())
-                .flat_map(|(&a, &r)| [uniform, a, r]),
-        );
-        let [mut kernel, mut att, mut rec] = [(); 3].map(|_| self.workspace.take_zeros(n));
+        self.lane_residual.reserve(3 * n);
+        let mut counts = window.counts().iter();
+        for run in net.years().chunk_by(|a, b| a == b) {
+            let rec = recency_weight(w, year0, run[0]) * inv[REC];
+            for &c in counts.by_ref().take(run.len()) {
+                self.lane_residual
+                    .extend([inv[KERNEL], f64::from(c) * inv[ATT], rec]);
+            }
+        }
+        let mut y = [(); 3].map(|_| self.workspace.take_zeros(n));
         let cfg = PushConfig {
             alpha: self.params.alpha(),
             epsilon: self.push_config.epsilon,
@@ -447,25 +453,38 @@ impl IncrementalAttRank {
         let out = push::solve_lanes(
             net.refs_csr(),
             &cfg,
-            [
-                kernel.as_mut_slice(),
-                att.as_mut_slice(),
-                rec.as_mut_slice(),
-            ],
+            y.each_mut().map(|y| y.as_mut_slice()),
             &mut self.lane_residual,
             [0.0; 3],
         );
-        let mut split = PushSplit {
-            att,
-            rec,
-            b_att,
-            b_rec,
-            kernel: Arc::new(kernel),
+        let mut lanes = Lanes {
+            y,
+            g: out.deferred,
+            mass,
+            year0,
+            scale: [0.0; 3],
             window,
+            kernel: Arc::new(ScoreVec::zeros(0)),
         };
-        let diag = split.resolve(&out, &mut self.previous, &mut self.workspace);
-        self.split = Some(split);
-        diag
+        // `n/M_kernel − g` is `1 − g ≥ 1 − α` on a non-empty network; a
+        // NaN vector (which no publish accepts) stands in for the
+        // impossible failure. An empty network keeps no push state.
+        let scores = lanes
+            .resolve(net, &self.params, &mut self.workspace)
+            .unwrap_or_else(|| ScoreVec::from_vec(vec![f64::NAN; n]));
+        self.lanes = (n > 0).then_some(lanes);
+        diagnostics(scores, &out)
+    }
+}
+
+/// The diagnostics of a solve that served `scores`.
+fn diagnostics(scores: ScoreVec, out: &LanesOutcome<3>) -> AttRankDiagnostics {
+    AttRankDiagnostics {
+        scores,
+        iterations: out.pushes as usize,
+        converged: out.converged,
+        final_error: out.residual_l1.iter().sum(),
+        error_log: Vec::new(),
     }
 }
 
@@ -490,7 +509,7 @@ mod tests {
         for i in 0..net.n_papers() {
             assert!((d.scores[i] - batch[i]).abs() < 1e-10, "paper {i}");
         }
-        assert!(inc.push_state().is_none(), "update keeps no push state");
+        assert!(inc.push_state().is_some(), "update keeps its push state");
     }
 
     #[test]
@@ -591,12 +610,15 @@ mod tests {
         let net = generate(&DatasetProfile::hepth().scaled(1000), 17);
         let mut inc = IncrementalAttRank::new(params());
         inc.update(&net);
-        // `update` keeps no push state, so the first delta publish runs
-        // the full solve; the next one pushes.
+        // `update` keeps its push state, so the first delta publish
+        // pushes, and so does the next.
         let d0 = small_delta(&net);
         let mid = net.with_delta(&d0).unwrap();
         let (_, s0) = inc.update_delta(&net, &d0, &mid);
-        assert_eq!(s0, DeltaStrategy::Full, "no push state after update");
+        assert!(
+            matches!(s0, DeltaStrategy::Push { .. }),
+            "the push state of update: {s0:?}"
+        );
 
         let delta = small_delta(&mid);
         let new = mid.with_delta(&delta).unwrap();
@@ -696,8 +718,7 @@ mod tests {
     #[test]
     fn chained_delta_updates_stay_accurate() {
         // Consecutive push publishes must not drift: compare the final
-        // state against a cold scratch solve. (The first delta publish
-        // follows an `update` and runs full.)
+        // state against a cold scratch solve.
         let mut net = generate(&DatasetProfile::hepth().scaled(800), 29);
         let mut inc = IncrementalAttRank::new(params());
         inc.update(&net);
@@ -711,7 +732,7 @@ mod tests {
             }
             net = new;
         }
-        assert!(push_count >= 5, "only {push_count}/6 updates pushed");
+        assert_eq!(push_count, 6, "only {push_count}/6 updates pushed");
         let (diag, _) = {
             // Re-rank the unchanged network through the incremental path.
             let empty = GraphDelta::new();

@@ -50,7 +50,7 @@ pub mod params;
 pub mod recency;
 
 pub use attention::attention_vector;
-pub use incremental::{CarriedPersonalization, IncrementalAttRank};
+pub use incremental::{CarriedPersonalization, IncrementalAttRank, PUSH_STATE_SCALARS};
 pub use model::{jump_components, AttRank, AttRankDiagnostics};
 pub use params::{AttRankParams, ParamError};
 pub use recency::{fit_decay_from_network, recency_vector};

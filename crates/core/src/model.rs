@@ -23,38 +23,22 @@ pub(crate) fn jump_vector(
     jump
 }
 
-/// The two personalization components `β·A` and `γ·T` separately.
-///
-/// The incremental push path maintains a fixed-point solution *per
-/// component*: each component shifts by (almost) one global scaling factor
-/// as the network grows, which is what keeps its push seed sparse — their
-/// sum shifts by two different factors and cannot be seeded sparsely as a
-/// single vector.
+/// The two personalization components `β·A` and `γ·T` separately, as
+/// a full solve on `net` would build them — the reference the incremental
+/// scorer's carried lanes are checked against.
 pub fn jump_components(
     net: &CitationNetwork,
     params: &AttRankParams,
     workspace: &mut KernelWorkspace,
 ) -> (ScoreVec, ScoreVec) {
-    let counts = window::recent_citation_counts(net, params.attention_years);
-    components_from_counts(net, params, &counts, workspace)
-}
-
-/// [`jump_components`] given the attention window's citation counts of
-/// `net` — what the incremental scorer, which carries the counts across
-/// deltas, calls instead of recounting the window.
-pub(crate) fn components_from_counts(
-    net: &CitationNetwork,
-    params: &AttRankParams,
-    window_counts: &[u32],
-    workspace: &mut KernelWorkspace,
-) -> (ScoreVec, ScoreVec) {
     let n = net.n_papers();
-    let mut b_att = workspace.take_zeros(n);
-    scaled_attention_into(window_counts, params.beta(), &mut b_att);
-    let mut b_rec = workspace.take_zeros(n);
-    recency_into(net, params.decay_w, &mut b_rec);
-    b_rec.scale(params.gamma());
-    (b_att, b_rec)
+    let counts = window::recent_citation_counts(net, params.attention_years);
+    let mut attention = workspace.take_zeros(n);
+    scaled_attention_into(&counts, params.beta(), &mut attention);
+    let mut recency = workspace.take_zeros(n);
+    recency_into(net, params.decay_w, &mut recency);
+    recency.scale(params.gamma());
+    (attention, recency)
 }
 
 /// The AttRank ranking method.

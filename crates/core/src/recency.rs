@@ -10,7 +10,7 @@
 //! of the citation-age distribution (Fig. 1a); [`fit_decay_from_network`]
 //! reproduces that procedure with the workspace's least-squares fitter.
 
-use citegraph::{stats, CitationNetwork};
+use citegraph::{stats, CitationNetwork, Year};
 use sparsela::{fit_exponential, ScoreVec};
 
 /// Computes the normalized recency vector for the current state of `net`.
@@ -35,11 +35,31 @@ pub(crate) fn recency_into(net: &CitationNetwork, w: f64, out: &mut ScoreVec) {
     // per paper.
     let mut filled = 0;
     for run in net.years().chunk_by(|a, b| a == b) {
-        let age = (t_n - run[0]) as f64;
-        out.as_mut_slice()[filled..filled + run.len()].fill((w * age).exp());
+        out.as_mut_slice()[filled..filled + run.len()].fill(recency_weight(w, t_n, run[0]));
         filled += run.len();
     }
     out.normalize_l1();
+}
+
+/// The recency weight of a paper of `year` against the reference year
+/// `year0`: `e^{w·(year0 − year)}`, the unnormalized `T` entry when
+/// `year0` is `t_N`. Normalizing cancels `t_N`, so the incremental scorer
+/// keeps it per paper against a fixed `year0` and never rewrites it.
+pub(crate) fn recency_weight(w: f64, year0: Year, year: Year) -> f64 {
+    (w * (year0 - year) as f64).exp()
+}
+
+/// `Σ_p recency_weight(w, year0, years[p])` over time-sorted `years`: one
+/// `exp` and one binary search per distinct year.
+pub(crate) fn recency_mass(years: &[Year], w: f64, year0: Year) -> f64 {
+    let mut mass = 0.0;
+    let mut at = 0;
+    while let Some(&year) = years.get(at) {
+        let run = years[at..].partition_point(|&y| y <= year);
+        mass += run as f64 * recency_weight(w, year0, year);
+        at += run;
+    }
+    mass
 }
 
 /// Fits the exponential decay rate `w` from the network's citation-age

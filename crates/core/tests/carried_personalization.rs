@@ -1,13 +1,19 @@
 //! Exactness of the personalization [`IncrementalAttRank`] carries across
 //! deltas: after every `update_delta` the attention window's counts equal
-//! a recount of the successor network, the carried `β·A` / `γ·T` equal
-//! [`jump_components`] of it bit for bit, and the served scores stay
-//! within 1e-9 of a from-scratch [`AttRank`] solve — over chains that mix
-//! new papers, bibliography corrections from old citing papers inside and
-//! outside the window, duplicate edges, metadata-bearing and metadata-free
-//! batches, and year rollovers that move the window start.
+//! a recount of the successor network, the lane scalars stand for a full
+//! solve's personalization — each lane's `scale/mass` times its per-paper
+//! `b̂` equals [`jump_components`] of the successor to rounding, and a full
+//! solve's own scalars are exactly `[1, β, γ]` over `[n, Σ counts,
+//! Σ recency]` — and the served scores stay within 1e-9 of a from-scratch
+//! [`AttRank`] solve — over chains that mix new papers, bibliography
+//! corrections from old citing papers inside and outside the window,
+//! duplicate edges, metadata-bearing and metadata-free batches, and year
+//! rollovers that move the window start.
 
-use attrank::{jump_components, recency_vector, AttRank, AttRankParams, IncrementalAttRank};
+use attrank::{
+    jump_components, recency_vector, AttRank, AttRankParams, CarriedPersonalization,
+    IncrementalAttRank,
+};
 use citegen::{generate, publish_delta, DatasetProfile};
 use citegraph::{
     window, CitationNetwork, DeltaStrategy, GraphDelta, NetworkBuilder, PaperId, PushRankConfig,
@@ -31,7 +37,15 @@ fn bits(v: &ScoreVec) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Everything the issue pins after one `update_delta` onto `new`.
+/// `|got − want| ≤ 1e-13·|want|`: equal to rounding.
+fn assert_rounding(got: f64, want: f64, what: &str) {
+    assert!(
+        (got - want).abs() <= 1e-13 * want.abs(),
+        "{what}: carried {got:e} vs a full solve's {want:e}"
+    );
+}
+
+/// Everything pinned after one `update_delta` onto `new`.
 fn assert_carried_exact(
     inc: &IncrementalAttRank,
     params: &AttRankParams,
@@ -40,15 +54,24 @@ fn assert_carried_exact(
 ) {
     let carried = inc
         .carried_personalization()
-        .expect("a push-sized delta update leaves the split cached");
+        .expect("a delta update leaves its push state cached");
     assert_eq!(
         carried.window_counts,
         window::recent_citation_counts(new, params.attention_years),
         "carried window counts differ from a recount"
     );
-    let (b_att, b_rec) = jump_components(new, params, &mut KernelWorkspace::new());
-    assert_eq!(bits(carried.b_att), bits(&b_att), "carried β·A");
-    assert_eq!(bits(carried.b_rec), bits(&b_rec), "carried γ·T");
+    // Each lane stands for `scale/mass · b̂`: the kernel's `1/n`, and the
+    // β·A and γ·T a full solve on `new` builds.
+    let weight = |k: usize| carried.scales[k] / carried.masses[k];
+    assert_rounding(weight(0), 1.0 / new.n_papers() as f64, "kernel");
+    let (att_full, rec_full) = jump_components(new, params, &mut KernelWorkspace::new());
+    for p in 0..new.n_papers() {
+        let att = weight(1) * f64::from(carried.window_counts[p]);
+        assert_rounding(att, att_full[p], &format!("β·A of paper {p}"));
+        let age = f64::from(carried.year0 - new.years()[p]);
+        let rec = weight(2) * (params.decay_w * age).exp();
+        assert_rounding(rec, rec_full[p], &format!("γ·T of paper {p}"));
+    }
     let scratch = AttRank::new(*params).rank(new);
     for p in 0..new.n_papers() {
         assert!(
@@ -173,14 +196,39 @@ proptest! {
             net = new;
         }
         let fork = fork.expect("forked mid-chain");
-        let (a, b) = (
+        assert_same_carried(
             inc.carried_personalization().unwrap(),
             fork.carried_personalization().unwrap(),
         );
-        prop_assert_eq!(a.window_counts, b.window_counts);
-        prop_assert_eq!(bits(a.b_att), bits(b.b_att));
-        prop_assert_eq!(bits(a.b_rec), bits(b.b_rec));
     }
+}
+
+fn assert_same_carried(a: CarriedPersonalization<'_>, b: CarriedPersonalization<'_>) {
+    assert_eq!(a.window_counts, b.window_counts);
+    assert_eq!(a.year0, b.year0);
+    assert_eq!(a.masses.map(f64::to_bits), b.masses.map(f64::to_bits));
+    assert_eq!(a.scales.map(f64::to_bits), b.scales.map(f64::to_bits));
+}
+
+/// A full solve's scalars: each lane at the mass it was solved with, so
+/// every scale is its personalization's weight exactly.
+#[test]
+fn a_full_solve_carries_unit_drift() {
+    let params = AttRankParams::new(0.2, 0.4, 3, -0.16).unwrap();
+    let net = generate(&DatasetProfile::hepth().scaled(1_500), 7);
+    let mut inc = IncrementalAttRank::new(params);
+    inc.update(&net);
+    let carried = inc.carried_personalization().unwrap();
+    let counted: u64 = carried.window_counts.iter().map(|&c| u64::from(c)).sum();
+    assert!(counted > 0);
+    assert_eq!(carried.year0, net.current_year().unwrap());
+    assert_eq!(carried.masses[0], net.n_papers() as f64);
+    assert_eq!(carried.masses[1], counted as f64);
+    assert_eq!(
+        carried.scales,
+        [1.0, params.beta(), params.gamma()],
+        "no drift at the solve"
+    );
 }
 
 /// The scripted chain: every case the issue names, each on the push path
@@ -206,19 +254,19 @@ fn every_named_case_pushes_and_stays_exact() {
     };
 
     let steps = [
-        "split build",
+        "first publish",
         "new papers",
         "corrections",
         "duplicates",
         "metadata",
         "year rollover",
     ];
-    for (step, name) in steps.into_iter().enumerate() {
+    for name in steps {
         let n = net.n_papers() as PaperId;
         let mut delta = GraphDelta::new();
         match name {
-            // Publishes full while the push state is built.
-            "split build" => delta = publish_delta(&net, 10, 5, 1),
+            // Pushes from the state `update` left.
+            "first publish" => delta = publish_delta(&net, 10, 5, 1),
             "new papers" => {
                 delta.add_paper(t_n);
                 delta.add_paper(t_n);
@@ -252,14 +300,10 @@ fn every_named_case_pushes_and_stays_exact() {
         let start_before = window::recent_window_start(&net, y);
         let new = net.with_delta(&delta).unwrap();
         let (diag, strategy) = inc.update_delta(&net, &delta, &new);
-        if step == 0 {
-            assert_eq!(strategy, DeltaStrategy::Full, "{name}");
-        } else {
-            assert!(
-                matches!(strategy, DeltaStrategy::Push { .. }),
-                "{name}: expected the push path, got {strategy:?}"
-            );
-        }
+        assert!(
+            matches!(strategy, DeltaStrategy::Push { .. }),
+            "{name}: expected the push path, got {strategy:?}"
+        );
         let moved = window::recent_window_start(&new, y) != start_before;
         assert_eq!(moved, name == "year rollover", "{name}");
         assert_carried_exact(&inc, &params, &new, &diag.scores);
@@ -267,16 +311,16 @@ fn every_named_case_pushes_and_stays_exact() {
     }
 }
 
-/// A fresh scorer given a live one's fixed point and push state — what a
-/// restart reads back from its store — carries the same personalization
-/// and pushes the next delta to the same bits.
+/// A fresh scorer given a live one's push state — what a restart reads
+/// back from its store — carries the same personalization, resolves the
+/// same kernel and pushes the next delta to the same bits.
 #[test]
 fn restored_push_state_continues_like_the_live_scorer() {
     let params = AttRankParams::new(0.2, 0.4, 3, -0.16).unwrap();
     let mut net = generate(&DatasetProfile::hepth().scaled(1_500), 7);
     let mut live = IncrementalAttRank::new(params);
     live.update(&net);
-    // The split build (full), then one push.
+    // Two pushes from the state `update` left.
     for seed in 1..=2 {
         let delta = publish_delta(&net, 10, 5, seed);
         let new = net.with_delta(&delta).unwrap();
@@ -285,17 +329,23 @@ fn restored_push_state_continues_like_the_live_scorer() {
     }
 
     let mut restored = IncrementalAttRank::new(params);
-    let scores = live.fixed_point().unwrap().as_slice();
-    assert!(!restored.restore(&net, scores, None), "no state, no split");
+    assert!(!restored.restore(&net, None), "no state, no lanes");
     assert!(restored.carried_personalization().is_none());
-    assert!(restored.restore(&net, scores, live.push_state()));
-    let (a, b) = (
+    let (lanes, scalars) = live.push_state().unwrap();
+    assert!(
+        !restored.restore(&net, Some((lanes, &scalars[..6]))),
+        "a scalar short"
+    );
+    assert!(restored.restore(&net, Some((lanes, &scalars))));
+    assert_same_carried(
         live.carried_personalization().unwrap(),
         restored.carried_personalization().unwrap(),
     );
-    assert_eq!(a.window_counts, b.window_counts);
-    assert_eq!(bits(a.b_att), bits(b.b_att));
-    assert_eq!(bits(a.b_rec), bits(b.b_rec));
+    assert_eq!(
+        bits(restored.kernel().unwrap()),
+        bits(live.kernel().unwrap()),
+        "the restored kernel"
+    );
 
     let delta = publish_delta(&net, 10, 5, 3);
     let new = net.with_delta(&delta).unwrap();

@@ -133,7 +133,7 @@ proptest! {
                 let solved = inc.update(&net);
                 prop_assert!(solved.converged);
                 prop_assert!(solved.iterations >= net.n_papers(), "every paper is pushed");
-                prop_assert!(inc.push_state().is_none(), "update keeps no push state");
+                prop_assert!(inc.push_state().is_some(), "update keeps its push state");
                 let want = power.rank_with_diagnostics(&net);
                 prop_assert!(want.converged);
                 let err = l1(&solved.scores, &want.scores);

@@ -36,11 +36,12 @@
 //! The snapshot owns its kernel: each epoch holds the uniform kernel of
 //! its network at its method's damping factor ([`EpochSnapshot::kernel`]),
 //! the one vector every seeded solve over it resolves against. AttRank's
-//! is the kernel lane its publish solved (shared, not copied), PageRank's
-//! is its scores over `1−α` — the vector the next publish pushes from, so
-//! a restart replays it bit for bit from the persisted scores — and a
-//! restored AttRank epoch's is the persisted push state's, set by the
-//! warmup. Any other epoch builds its kernel on the first read.
+//! is the kernel its solve resolved (shared, not copied; every AttRank
+//! solve, epoch 0's included, leaves one), PageRank's is its scores over
+//! `1−α` — the vector the next publish pushes from, so a restart replays
+//! it bit for bit from the persisted scores — and a restored AttRank
+//! epoch's is resolved from the persisted push state by the warmup. Any
+//! other epoch builds its kernel on the first read.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -53,7 +54,7 @@ use citegraph::{
     uniform_kernel, update_uniform_kernel, CitationNetwork, DeltaError, DeltaStrategy, GraphDelta,
     PaperId, PushRankConfig, Year,
 };
-use graphstore::{DeltaWal, Store, StoreBuilder, StoreError};
+use graphstore::{DeltaWal, PushState, Store, StoreBuilder, StoreError};
 use sparsela::{
     cmp_score_desc, top_k_pruned_into, BlockMaxima, KernelWorkspace, ScoreVec, Segment,
 };
@@ -464,8 +465,9 @@ impl EngineRanker {
 
     /// Re-rank across a delta, reporting which strategy ran. `previous`
     /// is the last successfully published snapshot, whose kernel the
-    /// kernel arm pushes from on a pooled copy (the incremental solver
-    /// carries its own state). A declined push runs the full re-rank.
+    /// kernel arm unresolves into a pooled lane and pushes (the
+    /// incremental solver carries its own lanes). A declined push runs the
+    /// full re-rank.
     fn rank_delta(
         &mut self,
         old: &CitationNetwork,
@@ -508,10 +510,10 @@ impl EngineRanker {
     }
 
     /// The uniform kernel of the solve that just produced `scores`, for
-    /// the snapshot that publishes them: AttRank's kernel lane (an `Arc`
-    /// share; `None` after a plain `update`, which keeps no push state),
-    /// PageRank's `scores / (1−α)` — the same vector from the live scores
-    /// and from the persisted ones — and `None` for every other method.
+    /// the snapshot that publishes them: the one AttRank's resolve wrote
+    /// (an `Arc` share), PageRank's `scores / (1−α)` — the same vector
+    /// from the live scores and from the persisted ones — and `None` for
+    /// every other method.
     fn solved_kernel(&self, scores: &ScoreVec) -> Option<Arc<ScoreVec>> {
         match self {
             EngineRanker::Incremental(inc) => inc.kernel().cloned(),
@@ -524,20 +526,19 @@ impl EngineRanker {
         }
     }
 
-    /// The incremental scorer's push state, if it belongs to the epoch
-    /// whose scores are `scores`: the scorer's cached fixed point must
-    /// equal them bit for bit, which rules out every path by which the
-    /// split could describe another network state.
-    fn push_state_of(&self, scores: &[f64]) -> Option<[&[f64]; 3]> {
+    /// The incremental scorer's push state, if it belongs to `snap`: the
+    /// kernel the scorer's last resolve wrote must be the very `Arc` the
+    /// snapshot holds, which rules out every path by which the lanes could
+    /// describe another network state.
+    fn push_state_of(
+        &self,
+        snap: &EpochSnapshot,
+    ) -> Option<([&[f64]; 3], [f64; attrank::PUSH_STATE_SCALARS])> {
         let EngineRanker::Incremental(inc) = self else {
             return None;
         };
-        let fixed = inc.fixed_point()?.as_slice();
-        let same = fixed
-            .iter()
-            .map(|x| x.to_bits())
-            .eq(scores.iter().map(|x| x.to_bits()));
-        inc.push_state().filter(|_| same)
+        let own = Arc::ptr_eq(inc.kernel()?, snap.kernel.get()?);
+        inc.push_state().filter(|_| own)
     }
 }
 
@@ -935,8 +936,12 @@ impl RankingEngine {
                 .epoch(&self.method, snap.epoch(), scores);
         // The push state rides along whenever it is the epoch's own, so a
         // restart resumes pushing (see `open_from_store`).
-        if let Some(lanes) = state.ranker.push_state_of(scores) {
-            builder = builder.push_state(snap.epoch(), lanes);
+        if let Some((lanes, scalars)) = state.ranker.push_state_of(&snap) {
+            let persisted = PushState {
+                lanes,
+                scalars: &scalars,
+            };
+            builder = builder.push_state(snap.epoch(), persisted);
         }
         extra(builder.wal_watermark(watermark)).write_to(path)?;
         // With nothing staged, every WAL record is now folded into the
@@ -1077,11 +1082,11 @@ impl RankingEngine {
         Ok(ColdStart { engine, warmup })
     }
 
-    /// Seeds the incremental scorer with the restored epoch — its scores,
-    /// and the push state `store` holds for `epoch` when that verifies —
-    /// before any batch replays. A restored push state's kernel lane
-    /// becomes the restored epoch's kernel too (unless a seeded read has
-    /// already built one).
+    /// Seeds the incremental scorer with the push state `store` holds for
+    /// the restored `epoch`, when that verifies, before any batch replays.
+    /// The kernel the scorer resolves from it becomes the restored epoch's
+    /// kernel too (unless a seeded read has already built one — the
+    /// epoch's push state is then not persisted again).
     fn restore_push_state(&self, store: &Store, epoch: u64) -> PushStateRestore {
         let mut guard = self.writer.lock().expect("writer lock poisoned");
         let state = &mut *guard;
@@ -1090,8 +1095,8 @@ impl RankingEngine {
             return PushStateRestore::Absent;
         };
         let verified = store.push_state(epoch);
-        let lanes = verified.as_ref().ok().copied().flatten();
-        let restored = inc.restore(&state.net, snap.scores().as_slice(), lanes);
+        let persisted = verified.as_ref().ok().copied().flatten();
+        let restored = inc.restore(&state.net, persisted.map(|s| (s.lanes, s.scalars)));
         if let Some(kernel) = inc.kernel() {
             let _ = snap.kernel.set(Arc::clone(kernel));
         }
@@ -1258,10 +1263,10 @@ pub enum PushStateRestore {
     /// Restored: every replayed batch (and the first live one) can push.
     Restored,
     /// The snapshot holds none for its epoch — written before the section
-    /// existed, by a method without one, or while the scorer had none (at
-    /// epoch 0, or after a [`RankingEngine::rerank`] with nothing staged:
-    /// a full re-rank keeps none). The first batch runs the full solve
-    /// that rebuilds it.
+    /// existed or by a build that persisted the retired resolved form, by
+    /// a method without one, or for an epoch whose kernel a seeded read
+    /// built before the warmup restored the push state. The first batch
+    /// runs the full solve that rebuilds it.
     Absent,
     /// The section failed its checksum and was not used; the engine
     /// proceeds as for [`Self::Absent`].
@@ -1650,14 +1655,18 @@ mod tests {
         assert!(Arc::ptr_eq(&prev.kernel(0.5), &kernel));
         let (pushed, strategy) = ranker.rank_delta(&net, &d, &new, Some(&prev), &mut ws);
         assert!(matches!(strategy, RerankStrategy::Push { .. }));
-        assert_eq!(bits(&prev.kernel(0.5)), bits(&kernel), "a push copies it");
+        assert_eq!(
+            bits(&prev.kernel(0.5)),
+            bits(&kernel),
+            "a push unresolves a copy"
+        );
         let full = ranker.rank_full(&new, &mut ws);
         for i in 0..new.n_papers() {
             assert!((pushed[i] - full[i]).abs() < 1e-9, "paper {i}");
         }
 
-        // A NaN passes the input checks and fails the seeding, which has
-        // already rescaled its lane: the decline runs the full re-rank.
+        // A NaN kernel fails the push's input checks: the decline runs the
+        // full re-rank.
         let mut nan = prev.scores().clone();
         nan[3] = f64::NAN;
         let nan = freeze(nan, &ranker);
@@ -1678,6 +1687,27 @@ mod tests {
         let engine = RankingEngine::from_config(base_net(), "cc", RerankPolicy::Manual).unwrap();
         engine.rerank();
         assert_eq!(engine.snapshot().strategy(), RerankStrategy::Full);
+    }
+
+    #[test]
+    fn an_attrank_epoch_zero_holds_its_kernel_and_its_first_publish_pushes() {
+        let engine =
+            RankingEngine::from_config(base_net(), "attrank", RerankPolicy::EveryBatch).unwrap();
+        let snap = engine.snapshot();
+        assert_eq!(snap.strategy(), RerankStrategy::Initial);
+        let kernel = snap
+            .kernel
+            .get()
+            .expect("frozen with the kernel its solve resolved");
+        assert_eq!(kernel.len(), snap.n_papers());
+        engine.ingest(&growth_delta(10, 2011)).unwrap();
+        let next = engine.snapshot();
+        assert!(
+            matches!(next.strategy(), RerankStrategy::Push { .. }),
+            "{:?}",
+            next.strategy()
+        );
+        assert!(next.kernel.get().is_some());
     }
 
     #[test]

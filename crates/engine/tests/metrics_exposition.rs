@@ -215,11 +215,11 @@ fn scripted_workload_renders_valid_exposition() {
             publishes
         );
     }
-    // That ingest was each method's only publish with a staged delta, and
-    // neither could push it: attrank's first delta builds its push state
-    // behind a full solve, cc has no push. The `rerank()` further up had
-    // nothing staged, so it is a full solve but not a fallback.
-    assert!(text.contains("attrank_push_fallbacks_total{method=\"attrank\"} 1"));
+    // That ingest was each method's only publish with a staged delta:
+    // attrank pushed it from the state its full solves keep, cc has no
+    // push. The `rerank()` further up had nothing staged, so it is a full
+    // solve but not a fallback.
+    assert!(text.contains("attrank_push_fallbacks_total{method=\"attrank\"} 0"));
     assert!(text.contains("attrank_push_fallbacks_total{method=\"cc\"} 1"));
     // The deep page walked its range by blocks, and the shallow
     // unfiltered, year-window and venue pages were slices of heads, which
@@ -331,10 +331,10 @@ fn payload_offset(bytes: &[u8], tag: u32) -> Option<usize> {
 
 #[test]
 fn a_corrupt_push_state_is_counted_on_restore() {
-    // A 3-shard AttRank engine whose tail has pushed: the tail's store
-    // holds a push state, the other shards' hold none. One byte of the
-    // tail's `PUSH_STATE` section (tag 15) flipped, the cold start counts
-    // it `corrupt`, and the other shards `absent`.
+    // A 3-shard AttRank engine whose tail has pushed: every shard's store
+    // holds a push state (epoch 0's full solve keeps one). One byte of the
+    // tail's `PUSH_STATE` section (tag 16) flipped, the cold start counts
+    // it `corrupt`, and the other shards `restored`.
     let net = generate(&DatasetProfile::dblp().scaled(1_500), 11);
     let plan = ShardSpec::Fixed(3).plan(&net).unwrap();
     let live = ShardedEngine::from_plan(&net, &plan, "attrank", RerankPolicy::EveryBatch).unwrap();
@@ -352,7 +352,7 @@ fn a_corrupt_push_state_is_counted_on_restore() {
     live.persist_epochs(&stem).unwrap();
     let tail = ShardedEngine::shard_store_path(&stem, 2);
     let mut bytes = std::fs::read(&tail).unwrap();
-    let at = payload_offset(&bytes, 15).expect("the tail persisted its push state") + 8;
+    let at = payload_offset(&bytes, 16).expect("the tail persisted its push state") + 8;
     bytes[at] ^= 0x01;
     std::fs::write(&tail, &bytes).unwrap();
 
@@ -365,7 +365,7 @@ fn a_corrupt_push_state_is_counted_on_restore() {
     let text = sh.render_metrics().unwrap();
     obsv::validate::validate(&text)
         .unwrap_or_else(|e| panic!("exposition failed self-validation: {e}\n{text}"));
-    for (outcome, count) in [("restored", 0), ("absent", 2), ("corrupt", 1)] {
+    for (outcome, count) in [("restored", 2), ("absent", 0), ("corrupt", 1)] {
         let series =
             format!("attrank_sharded_push_state_restore_total{{outcome=\"{outcome}\"}} {count}");
         assert!(text.lines().any(|l| l == series), "{series} not in\n{text}");

@@ -2,15 +2,15 @@
 //! replaying the log ends **bit for bit** where the live engine it was
 //! persisted from stands, and every replayed publish is a push — at every
 //! persist point (after pushes, with batches staged, straight after a
-//! restore, after the first delta's full solve), flat and with 4
-//! shards. Where the store holds no usable push state (a legacy or
-//! corrupted store, or a shard that never published a delta) the report
-//! says so and the replay still ends ≤ 1e-9 from scratch.
+//! restore, after a full solve: epoch 0 or a rerank), flat and with 4
+//! shards. Where the store holds no usable push state (a legacy store —
+//! without the section, or with the retired resolved one — or a corrupted
+//! one) the report says so and the replay still ends ≤ 1e-9 from scratch.
 //!
-//! The snapshot owns its kernel, and a restored push state carries the
-//! kernel lane, so seeded pages replay bit for bit too: a cold seeded
-//! solve over the restored epoch equals the live engine's, flat and in
-//! the tail of 4 shards. An epoch restored without a push state builds
+//! The snapshot owns its kernel, and a restored push state resolves the
+//! same kernel from its lane, so seeded pages replay bit for bit too: a
+//! cold seeded solve over the restored epoch equals the live engine's,
+//! flat and in the tail of 4 shards. An epoch restored without a push state builds
 //! its kernel cold, and its seeded pages are pinned to ≤ 1e-9 only (by
 //! `personalized_serving` and `cone_form`). PageRank keeps no push state:
 //! its kernel is its scores over `1−α`, so its restart replays bit for
@@ -94,8 +94,8 @@ fn assert_scratch_close(engine: &RankingEngine) {
     assert!(diff <= 1e-9, "replay ended {diff:e} from scratch");
 }
 
-/// A live engine that has published once by delta, so its scorer holds the
-/// push state, with its log at `dir/e.wal`.
+/// A live engine that has published once by delta, with its log at
+/// `dir/e.wal`.
 fn live_engine(dir: &Path, policy: RerankPolicy) -> (RankingEngine, CitationNetwork) {
     let net = base_net();
     let engine = RankingEngine::from_config(net.clone(), SPEC, policy).unwrap();
@@ -303,34 +303,48 @@ fn repersist_straight_after_a_restore_keeps_the_push_state() {
 }
 
 #[test]
-fn first_delta_full_solve_persists_its_push_state() {
-    let dir = temp_dir("firstfull");
-    // Epoch 0 keeps no push state, so the live engine's one delta publish
-    // was a full solve, whose push state is kept like a push's.
-    let (live, net) = live_engine(&dir, RerankPolicy::EveryBatch);
-    assert_eq!(live.snapshot().strategy(), RerankStrategy::Full);
-    let epoch = live.persist_epoch(dir.join("e.store")).unwrap();
-    for t in 1..=2 {
-        live.ingest(&batch(&net, N + t, N / 2, 5)).unwrap();
-    }
-    copy_into(&[dir.join("e.store"), dir.join("e.wal")], &dir.join("copy"));
+fn a_full_solve_epoch_persists_its_push_state() {
+    // Epoch 0, and a rerank with nothing staged: each is a full solve,
+    // whose push state is kept like a push's.
+    for rerank in [false, true] {
+        let dir = temp_dir(if rerank { "rerank" } else { "epoch0" });
+        let net = base_net();
+        let live = RankingEngine::from_config(net.clone(), SPEC, RerankPolicy::EveryBatch).unwrap();
+        live.attach_wal(dir.join("e.wal")).unwrap();
+        if rerank {
+            live.ingest(&batch(&net, N, 0, 6)).unwrap();
+            live.rerank();
+            assert_eq!(live.snapshot().strategy(), RerankStrategy::Full);
+        } else {
+            assert_eq!(live.snapshot().strategy(), RerankStrategy::Initial);
+        }
+        let base = live.snapshot().n_papers();
+        let epoch = live.persist_epoch(dir.join("e.store")).unwrap();
+        for t in 0..2 {
+            live.ingest(&batch(&net, base + t, N / 2, 5)).unwrap();
+        }
+        copy_into(&[dir.join("e.store"), dir.join("e.wal")], &dir.join("copy"));
 
-    let store = Store::open(dir.join("copy/e.store")).unwrap();
-    assert_eq!(store.epochs()[0].epoch, epoch);
-    assert!(store.push_state(epoch).unwrap().is_some());
-    drop(store);
-    let (engine, report) = reopen(&dir.join("copy"), RerankPolicy::EveryBatch);
-    assert_eq!(report.push_state, PushStateRestore::Restored);
-    assert_eq!(report.replayed, 2);
-    let (snap, want) = (engine.snapshot(), live.snapshot());
-    assert!(matches!(snap.strategy(), RerankStrategy::Push { .. }));
-    assert_eq!(snap.strategy(), want.strategy());
-    assert_eq!(
-        bits(snap.scores().as_slice()),
-        bits(want.scores().as_slice())
-    );
-    assert_scratch_close(&engine);
-    std::fs::remove_dir_all(&dir).ok();
+        let store = Store::open(dir.join("copy/e.store")).unwrap();
+        assert_eq!(store.epochs()[0].epoch, epoch);
+        assert!(
+            store.push_state(epoch).unwrap().is_some(),
+            "rerank {rerank}"
+        );
+        drop(store);
+        let (engine, report) = reopen(&dir.join("copy"), RerankPolicy::EveryBatch);
+        assert_eq!(report.push_state, PushStateRestore::Restored);
+        assert_eq!(report.replayed, 2);
+        let (snap, want) = (engine.snapshot(), live.snapshot());
+        assert!(matches!(snap.strategy(), RerankStrategy::Push { .. }));
+        assert_eq!(snap.strategy(), want.strategy());
+        assert_eq!(
+            bits(snap.scores().as_slice()),
+            bits(want.scores().as_slice())
+        );
+        assert_scratch_close(&engine);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
@@ -363,6 +377,84 @@ fn legacy_store_without_the_section_replays_from_a_full_solve() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `bytes` (a current store image) with one more section — tagged
+/// `tag`, holding `values` — re-stamped whole as format v1: version 1 in
+/// the header and every section checksummed with byte FNV-1a 64 over its
+/// header and payload, as a v1 writer did.
+fn with_v1_section(bytes: &[u8], tag: u32, aux: u64, values: &[f64]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let count = u32::from_le_bytes(out[12..16].try_into().unwrap());
+    out[12..16].copy_from_slice(&(count + 1).to_le_bytes());
+    out.extend_from_slice(&tag.to_le_bytes());
+    out.extend_from_slice(&3u32.to_le_bytes()); // f64
+    out.extend_from_slice(&(8 * values.len() as u64).to_le_bytes());
+    out.extend_from_slice(&aux.to_le_bytes());
+    out.extend_from_slice(&[0; 8]);
+    out.extend(values.iter().flat_map(|v| v.to_le_bytes()));
+    out[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let mut offset = 16;
+    while offset + 32 <= out.len() {
+        let len = u64::from_le_bytes(out[offset + 8..offset + 16].try_into().unwrap()) as usize;
+        let payload = &out[offset + 32..offset + 32 + len];
+        let checksum =
+            graphstore::fnv1a64_with(graphstore::fnv1a64(&out[offset..offset + 24]), payload);
+        out[offset + 24..offset + 32].copy_from_slice(&checksum.to_le_bytes());
+        offset += 32 + len;
+        offset += (8 - offset % 8) % 8;
+    }
+    out
+}
+
+#[test]
+fn a_store_with_the_retired_resolved_push_state_replays_from_a_full_solve() {
+    let dir = temp_dir("resolved");
+    let (live, net) = live_engine(&dir, RerankPolicy::EveryBatch);
+    live.persist_epoch(dir.join("e.store")).unwrap();
+    let snap = live.snapshot();
+    for t in 1..=2 {
+        live.ingest(&batch(&net, N + t, N / 2, 5)).unwrap();
+    }
+    // What a build from before the unresolved lanes wrote: network,
+    // epoch, watermark, and the resolved attention component, recency
+    // component and kernel under tag 15.
+    let legacy = {
+        let store = Store::open(dir.join("e.store")).unwrap();
+        let e = store.epochs()[0];
+        let bytes = StoreBuilder::new()
+            .network(&store.to_network().unwrap())
+            .epoch(e.spec, e.epoch, e.scores)
+            .wal_watermark(store.wal_watermark().unwrap())
+            .to_bytes();
+        let kernel = snap.kernel(ALPHA);
+        let scores = snap.scores().as_slice();
+        // β = γ = 0.4: about half the scores each.
+        let half = scores.iter().map(|x| x * 0.5);
+        let resolved: Vec<f64> = half
+            .clone()
+            .chain(half)
+            .chain(kernel.iter().copied())
+            .collect();
+        with_v1_section(&bytes, 15, e.epoch, &resolved)
+    };
+    std::fs::create_dir_all(dir.join("copy")).unwrap();
+    std::fs::write(dir.join("copy/e.store"), legacy).unwrap();
+    copy_into(&[dir.join("e.wal")], &dir.join("copy"));
+
+    let store = Store::open(dir.join("copy/e.store")).expect("a v1 store with tag 15 opens");
+    assert!(store.push_state(snap.epoch()).unwrap().is_none());
+    drop(store);
+    let (engine, report) = reopen(&dir.join("copy"), RerankPolicy::EveryBatch);
+    assert_eq!(report.push_state, PushStateRestore::Absent);
+    assert_eq!(report.replayed, 2);
+    // The first replayed batch rebuilt the push state; the second pushed.
+    assert!(matches!(
+        engine.snapshot().strategy(),
+        RerankStrategy::Push { .. }
+    ));
+    assert_scratch_close(&engine);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Byte offset of the first payload byte of the section tagged `tag`.
 fn payload_offset(bytes: &[u8], tag: u32) -> Option<usize> {
     let mut offset = 16;
@@ -389,7 +481,7 @@ fn corrupt_push_state_is_reported_and_not_used() {
     copy_into(&[dir.join("e.store"), dir.join("e.wal")], &dir.join("copy"));
     let path = dir.join("copy/e.store");
     let mut bytes = std::fs::read(&path).unwrap();
-    let at = payload_offset(&bytes, 15).expect("push state persisted") + 8 * N;
+    let at = payload_offset(&bytes, 16).expect("push state persisted") + 8 * N;
     bytes[at] ^= 0x01;
     std::fs::write(&path, &bytes).unwrap();
 
@@ -467,12 +559,9 @@ fn sharded_restart_replays_tail_pushes_bit_for_bit() {
         let (engine, reports) = cold.wait();
         for (s, r) in reports.iter().enumerate() {
             let tail = s == N_SHARDS - 1;
-            let restored = if tail {
-                PushStateRestore::Restored
-            } else {
-                PushStateRestore::Absent
-            };
-            assert_eq!(r.push_state, restored, "shard {s}");
+            // Every shard's epoch 0 was a full solve, which keeps its push
+            // state; only the tail published since.
+            assert_eq!(r.push_state, PushStateRestore::Restored, "shard {s}");
             assert_eq!(r.replayed, if tail { t } else { 0 }, "shard {s}");
             if !tail {
                 assert_eq!(r.final_epoch, epochs[s], "shard {s}: no solve ran");

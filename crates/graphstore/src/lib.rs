@@ -99,7 +99,9 @@
 //! | 12  | VENUE_POST_IDS | u32  | venue→papers posting ids       | n_venues   |
 //! | 13  | AUTHOR_POST_OFFSETS | u64 | author→papers offsets, A+1 | n_authors  |
 //! | 14  | AUTHOR_POST_IDS| u32  | author→papers posting ids      | n_authors  |
-//! | 15  | PUSH_STATE     | f64  | att ‖ rec ‖ kernel, 3·n values | epoch no.  |
+//! | 15  | (retired)      | f64  | resolved att ‖ rec ‖ kernel    | epoch no.  |
+//! | 16  | PUSH_STATE     | f64  | 3 unresolved lanes, 3·n values,| epoch no.  |
+//! |     |                |      | then ≤ 16 scalars              |            |
 //!
 //! Sections 1–3 are mandatory and describe the reference adjacency (row
 //! `j` = papers cited by `j`); the citers transpose is not stored, and a
@@ -120,13 +122,19 @@
 //! order: the EPOCH_SCORES section belongs to the closest preceding
 //! EPOCH_META, and both carry the epoch number in `aux`. At most one
 //! PUSH_STATE section follows a complete 7+8 pair and carries that pair's
-//! epoch number in `aux`: the incremental AttRank scorer's attention
-//! component, recency component and uniform kernel, so a restart resumes
-//! pushing instead of re-solving. It is the one section whose checksum
+//! epoch number in `aux`: the incremental AttRank scorer's unresolved
+//! kernel, attention and recency lanes and the scalars their resolve
+//! needs ([`PushState`]), so a restart resumes pushing instead of
+//! re-solving. It is the one section whose checksum
 //! [`Store::open`] does **not** verify — the first page never reads its
-//! `24·n` bytes — so its shape (kind, length `3·n`, owning epoch, count)
+//! `24·n` bytes — so its shape (kind, length `3·n` plus at most
+//! [`MAX_PUSH_SCALARS`], owning epoch, count)
 //! is checked at open and its checksum by [`Store::push_state`], before
-//! any byte of it is handed out. A
+//! any byte of it is handed out. Tag 15 held the *resolved* vectors
+//! (attention component, recency component, kernel) that builds before
+//! the unresolved lanes wrote; it is skipped unread and unverified, so
+//! such a store restores with no push state and its first replayed batch
+//! runs the full solve. A
 //! WAL_WATERMARK section carries (in `aux`) the sequence number of the
 //! first WAL record the snapshot does *not* contain; restart replay and
 //! [`compact`] fold in only records at or past it, which makes the
@@ -202,7 +210,9 @@ pub mod snapshot;
 pub mod wal;
 
 pub use net::{compact, load_network, save_network, CompactReport};
-pub use snapshot::{EpochRef, ShardManifest, Store, StoreBuilder, StoreError};
+pub use snapshot::{
+    EpochRef, PushState, ShardManifest, Store, StoreBuilder, StoreError, MAX_PUSH_SCALARS,
+};
 pub use wal::{DeltaWal, WalObservers, WalRecord, WalRecovery};
 
 /// The FNV-1a 64 prime: every checksum step here is `h = (h ^ x)·P`.

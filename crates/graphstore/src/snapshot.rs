@@ -45,7 +45,24 @@ mod tag {
     pub const VENUE_POST_IDS: u32 = 12;
     pub const AUTHOR_POST_OFFSETS: u32 = 13;
     pub const AUTHOR_POST_IDS: u32 = 14;
-    pub const PUSH_STATE: u32 = 15;
+    /// The resolved push state older builds wrote: skipped, never read,
+    /// never verified.
+    pub const RESOLVED_PUSH_STATE: u32 = 15;
+    pub const PUSH_STATE: u32 = 16;
+}
+
+/// The most scalars a PUSH_STATE section may carry after its lanes.
+pub const MAX_PUSH_SCALARS: usize = 16;
+
+/// An incremental scorer's push state as a snapshot persists it: three
+/// lanes of one entry per paper, then a few scalars (at most
+/// [`MAX_PUSH_SCALARS`]) whose meaning belongs to the scorer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PushState<'a> {
+    /// The lanes, one entry per paper each.
+    pub lanes: [&'a [f64]; 3],
+    /// The scalars the lanes' resolve needs.
+    pub scalars: &'a [f64],
 }
 
 /// Element kinds (see the crate-level format table).
@@ -218,17 +235,14 @@ impl StoreBuilder {
         self
     }
 
-    /// Stages the push state of `epoch` — the attention component, the
-    /// recency component and the uniform kernel an incremental AttRank
-    /// scorer resumes pushing from, concatenated in that order. Stage it
-    /// right after the [`Self::epoch`] it belongs to.
-    pub fn push_state(mut self, epoch: u64, lanes: [&[f64]; 3]) -> Self {
-        self.push(
-            tag::PUSH_STATE,
-            kind::F64,
-            epoch,
-            encode_f64s(&lanes.concat()),
-        );
+    /// Stages the push state of `epoch` — the unresolved lanes an
+    /// incremental AttRank scorer resumes pushing from, then their
+    /// scalars, concatenated in that order. Stage it right after the
+    /// [`Self::epoch`] it belongs to.
+    pub fn push_state(mut self, epoch: u64, state: PushState<'_>) -> Self {
+        let [a, b, c] = state.lanes;
+        let payload = [a, b, c, state.scalars].concat();
+        self.push(tag::PUSH_STATE, kind::F64, epoch, encode_f64s(&payload));
         self
     }
 
@@ -498,8 +512,9 @@ impl Store {
             }
             // The push state is the one section the first page never
             // reads: its checksum is verified by `push_state`, off the
-            // cold-start path.
+            // cold-start path. The retired resolved form is never read.
             if tag != tag::PUSH_STATE
+                && tag != tag::RESOLVED_PUSH_STATE
                 && section_checksum(version, &h[0..24], &bytes[start..start + len]) != checksum
             {
                 return Err(StoreError::Corrupt(format!(
@@ -715,9 +730,12 @@ impl Store {
                             s.aux
                         )));
                     }
-                    if s.kind != kind::F64 || s.len / 8 != 3 * n {
+                    if s.kind != kind::F64
+                        || !(3 * n..=3 * n + MAX_PUSH_SCALARS).contains(&(s.len / 8))
+                    {
                         return Err(StoreError::Format(format!(
-                            "PUSH_STATE has the wrong kind or length (expected 3 x {n} f64)"
+                            "PUSH_STATE has the wrong kind or length \
+                             (expected 3 x {n} f64 and at most {MAX_PUSH_SCALARS} scalars)"
                         )));
                     }
                     if push_state.replace(i).is_some() {
@@ -824,8 +842,9 @@ impl Store {
     }
 
     /// The push state persisted with `epoch` (see
-    /// [`StoreBuilder::push_state`]) as its three lanes, `None` when the
-    /// snapshot carries none for that epoch.
+    /// [`StoreBuilder::push_state`]), `None` when the snapshot carries
+    /// none for that epoch — as it is for a snapshot that holds only the
+    /// retired resolved form older builds wrote.
     ///
     /// The section's checksum is verified here, on every call, not in
     /// [`Self::open`]: a cold start serves its first page without reading
@@ -833,7 +852,7 @@ impl Store {
     ///
     /// # Errors
     /// [`StoreError::Corrupt`] when the section fails its checksum.
-    pub fn push_state(&self, epoch: u64) -> Result<Option<[&[f64]; 3]>, StoreError> {
+    pub fn push_state(&self, epoch: u64) -> Result<Option<PushState<'_>>, StoreError> {
         let Some(s) = self.push_state.map(|i| &self.sections[i]) else {
             return Ok(None);
         };
@@ -848,9 +867,12 @@ impl Store {
                 "PUSH_STATE of epoch {epoch}: checksum mismatch"
             )));
         }
-        let lanes = as_f64s(payload);
+        let values = as_f64s(payload);
         let n = self.n_papers;
-        Ok(Some([&lanes[..n], &lanes[n..2 * n], &lanes[2 * n..]]))
+        Ok(Some(PushState {
+            lanes: [&values[..n], &values[n..2 * n], &values[2 * n..3 * n]],
+            scalars: &values[3 * n..],
+        }))
     }
 
     /// The shard manifest stored in this snapshot (see

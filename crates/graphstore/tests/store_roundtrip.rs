@@ -5,7 +5,10 @@
 use proptest::prelude::*;
 
 use citegraph::{CitationNetwork, GraphDelta, NetworkBuilder};
-use graphstore::{compact, load_network, save_network, DeltaWal, Store, StoreBuilder, StoreError};
+use graphstore::{
+    compact, load_network, save_network, DeltaWal, PushState, Store, StoreBuilder, StoreError,
+    MAX_PUSH_SCALARS,
+};
 
 /// Strategy: a valid temporal citation network plus one score per paper.
 ///
@@ -91,14 +94,15 @@ proptest! {
         let bytes = StoreBuilder::new()
             .network(&net)
             .epoch("attrank", 4, &scores)
-            .push_state(4, [&lanes[0], &lanes[1], &lanes[2]])
+            .push_state(4, push_state(&lanes))
             .wal_watermark(9)
             .to_bytes();
         let store = Store::from_bytes(&bytes).unwrap();
         let back = store.push_state(4).unwrap().expect("section present");
-        for (lane, got) in lanes.iter().zip(back) {
+        for (lane, got) in lanes.iter().zip(back.lanes) {
             prop_assert_eq!(bits(lane), bits(got));
         }
+        prop_assert_eq!(bits(back.scalars), bits(&PUSH_SCALARS));
         // Another epoch's push state is not this one.
         prop_assert!(store.push_state(3).unwrap().is_none());
     }
@@ -110,7 +114,7 @@ proptest! {
         let lanes = push_lanes(&scores);
         let mut builder = StoreBuilder::new().network(&net).epoch("cc", 0, &scores);
         if with_push_state == 1 {
-            builder = builder.push_state(0, [&lanes[0], &lanes[1], &lanes[2]]);
+            builder = builder.push_state(0, push_state(&lanes));
         }
         let bytes = builder.to_bytes();
         // Flip one byte anywhere past the file header: either a section
@@ -439,6 +443,16 @@ fn push_lanes(scores: &[f64]) -> [Vec<f64>; 3] {
     [1.0, 0.5, -2.0].map(|k| scores.iter().map(|s| s * k + k).collect())
 }
 
+/// The scalars every fixture's push state carries after its lanes.
+const PUSH_SCALARS: [f64; 7] = [0.1, 0.2, 0.3, 5.0, 7.0, 9.0, 2004.0];
+
+fn push_state(lanes: &[Vec<f64>; 3]) -> PushState<'_> {
+    PushState {
+        lanes: [&lanes[0], &lanes[1], &lanes[2]],
+        scalars: &PUSH_SCALARS,
+    }
+}
+
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
@@ -466,15 +480,19 @@ fn full_store() -> StoreBuilder {
     StoreBuilder::new()
         .network(&rich_network())
         .epoch("attrank", 2, &SCORES)
-        .push_state(2, [&lanes[0], &lanes[1], &lanes[2]])
+        .push_state(2, push_state(&lanes))
         .wal_watermark(3)
 }
 
 #[test]
 fn one_bit_tag_flips_onto_the_push_state_tag_are_caught() {
-    // The push state's checksum is deferred past `open`, so a section
-    // whose tag flips to 15 is not checksummed there: the pair and shape
-    // checks must reject it.
+    // The push state's checksum (tag 16) is deferred past `open`, and the
+    // retired resolved push state (tag 15) is never verified, so a section
+    // whose tag flips to either is not checksummed there. No tag in use is
+    // one bit from 16; for 15 the pair and shape checks must reject it.
+    for used in 1u32..=15 {
+        assert_ne!((used ^ 16).count_ones(), 1, "tag {used}");
+    }
     let bytes = full_store().to_bytes();
     let headers = section_headers(&bytes);
     for from in [14u32, 11, 13, 7] {
@@ -493,17 +511,24 @@ fn one_bit_tag_flips_onto_the_push_state_tag_are_caught() {
 fn malformed_push_state_is_a_format_error() {
     let net = rich_network();
     let lanes = push_lanes(&SCORES);
-    let lanes = [&lanes[0][..], &lanes[1][..], &lanes[2][..]];
+    let lanes = push_state(&lanes);
     let with_epoch = || {
         StoreBuilder::new()
             .network(&net)
             .epoch("attrank", 2, &SCORES)
     };
+    let short = PushState {
+        lanes: [lanes.lanes[0], lanes.lanes[1], &lanes.lanes[2][..1]],
+        scalars: &[],
+    };
+    let too_many = [0.5; MAX_PUSH_SCALARS + 1];
+    let too_many = PushState {
+        scalars: &too_many,
+        ..lanes
+    };
     let cases = [
-        (
-            "length",
-            with_epoch().push_state(2, [lanes[0], lanes[1], &lanes[2][..3]]),
-        ),
+        ("length", with_epoch().push_state(2, short)),
+        ("scalars", with_epoch().push_state(2, too_many)),
         ("orphan aux", with_epoch().push_state(1, lanes)),
         (
             "no epoch",
@@ -525,7 +550,7 @@ fn malformed_push_state_is_a_format_error() {
     let mut bytes = full_store().to_bytes();
     let &(_, at) = section_headers(&bytes)
         .iter()
-        .find(|&&(tag, _)| tag == 15)
+        .find(|&&(tag, _)| tag == 16)
         .unwrap();
     bytes[at + 4..at + 8].copy_from_slice(&4u32.to_le_bytes());
     assert!(matches!(
@@ -539,14 +564,12 @@ fn push_state_checksum_is_verified_on_read() {
     let bytes = full_store().to_bytes();
     let &(_, at) = section_headers(&bytes)
         .iter()
-        .find(|&&(tag, _)| tag == 15)
+        .find(|&&(tag, _)| tag == 16)
         .unwrap();
     let clean = Store::from_bytes(&bytes).unwrap();
     let lanes = push_lanes(&SCORES);
     let got = clean.push_state(2).unwrap().unwrap();
-    for (lane, got) in lanes.iter().zip(got) {
-        assert_eq!(bits(lane), bits(got));
-    }
+    assert_eq!(got, push_state(&lanes));
     // One payload byte flipped: the store opens (the first page never
     // reads the section) and the push state is refused.
     let mut evil = bytes.clone();
@@ -625,9 +648,7 @@ fn v1_store_still_opens_and_verifies() {
     assert_eq!((ea[0].spec, ea[0].epoch), (eb[0].spec, eb[0].epoch));
     assert_eq!(bits(ea[0].scores), bits(eb[0].scores));
     let (pa, pb) = (old.push_state(2).unwrap(), new.push_state(2).unwrap());
-    for (la, lb) in pa.unwrap().iter().zip(pb.unwrap()) {
-        assert_eq!(bits(la), bits(lb));
-    }
+    assert_eq!(pa.unwrap(), pb.unwrap());
     assert_eq!(old.wal_watermark(), Some(3));
 
     // A v1 file is checked with the v1 function: one flipped payload byte

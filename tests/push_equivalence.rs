@@ -87,11 +87,11 @@ proptest! {
 
         let mut inc = IncrementalAttRank::new(params);
         inc.update(&net);
-        // First delta publish builds the component split (full solve)…
+        // The first delta publish pushes from the state `update` kept…
         let prime = random_delta(&net, 1, 1, seed ^ 0xabcd);
         let mid = net.with_delta(&prime).unwrap();
         let (_, s0) = inc.update_delta(&net, &prime, &mid);
-        prop_assert_eq!(s0, DeltaStrategy::Full);
+        prop_assert!(matches!(s0, DeltaStrategy::Push { .. }), "{:?}", s0);
 
         // …then the randomized batch must push and agree with scratch.
         let delta = random_delta(&mid, n_new, extra, seed ^ 0x1234);
