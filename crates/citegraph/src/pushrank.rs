@@ -47,9 +47,9 @@
 //! ```
 //!
 //! and a formerly dangling column leaves `dᵀy` as its mass starts to
-//! flow. [`seed_delta`] writes that seed — nothing dense, no fitted scale
-//! — and [`push_delta`] hands it to [`sparsela::push`] for `K` lanes in
-//! one traversal (one system is `K = 1`). It is the only delta seeding:
+//! flow. [`seed_delta`] writes that seed (its one dense step is zeroing
+//! the residual) and [`push_delta`] hands it to [`sparsela::push`] for
+//! `K` lanes in one traversal (one system is `K = 1`). It is the only delta seeding:
 //! the incremental AttRank scorer pushes its three lanes (kernel,
 //! attention, recency) with it, [`update_uniform_kernel`] unresolves a
 //! kernel and pushes one lane, and [`crate::repersonalize`] pushes a seed
