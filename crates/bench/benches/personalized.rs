@@ -1,6 +1,6 @@
 //! Personalized-ranking benchmarks: seed-set push solves against the
-//! dense reference, the epoch-keyed cache's hit path, and warm re-pushes
-//! across a publish batch.
+//! dense reference, the epoch-keyed cache's hit path, and the library's
+//! warm re-push across a publish batch.
 //!
 //! Four entries at 200k papers (DBLP profile), one 3-seed set over
 //! recent papers (the "related papers" shape — a reader personalizes on
@@ -25,7 +25,10 @@
 //!   the pure-citation part untouched, so the cost is the closed-form
 //!   dangling resolution (one kernel AXPY) plus zero pushes. Forms the
 //!   gated `personalized_warm_speedup` ratio (cold push / warm, floor
-//!   1x — warm must never lose to cold).
+//!   1x — warm must never lose to cold). This is the library reference,
+//!   not the cache's warm tier: the cache carries such an entry onto the
+//!   new epoch's kernel without calling it (its `warm_repushes` counter
+//!   counts carries).
 //!
 //! All three gated ratios divide two measurements from the same run, so
 //! they hold across machines. Kernels are built in setup: both solve

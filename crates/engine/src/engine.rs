@@ -56,7 +56,7 @@ use citegraph::{
 };
 use graphstore::{DeltaWal, PushState, Store, StoreBuilder, StoreError};
 use sparsela::{
-    cmp_score_desc, top_k_pruned_into, BlockMaxima, KernelWorkspace, ScoreVec, Segment,
+    cmp_score_desc, top_k_pruned_into, BlockMaxima, KernelWorkspace, ScoreVec, Scores, Segment,
 };
 
 use crate::metrics::EngineInstruments;
@@ -173,11 +173,11 @@ impl RerankPolicy {
 /// produce this one.
 ///
 /// Recorded so per-epoch derived state (the personalization cache's
-/// vectors; the snapshot owns its kernel) can be *warm re-pushed* across
-/// a publish instead of rebuilt: a cached vector tagged with
-/// `parent_epoch` is one `O(affected)` push away from valid, not one full
-/// solve. An empty-staged publish records an empty delta over the same
-/// network — derived state then revalidates with a zero-residual push.
+/// vectors; the snapshot owns its kernel) can be *carried* across a
+/// publish instead of rebuilt: a cached vector tagged with `parent_epoch`
+/// whose cone `delta` rewired nowhere is valid over this epoch's kernel
+/// as it stands. An empty-staged publish records an empty delta over the
+/// same network, which carries every such vector.
 #[derive(Debug, Clone)]
 pub(crate) struct EpochLineage {
     /// Epoch of the snapshot whose network `delta` was applied to.
@@ -214,8 +214,9 @@ pub(crate) struct BlockSummaries {
 }
 
 impl BlockSummaries {
-    /// Both summaries of `scores`, which rank `net`'s papers.
-    pub(crate) fn new(scores: &[f64], net: &CitationNetwork) -> Self {
+    /// Both summaries of `scores` — a dense slice or a cone — which rank
+    /// `net`'s papers.
+    pub(crate) fn new<S: Scores + ?Sized>(scores: &S, net: &CitationNetwork) -> Self {
         let (offsets, postings) = net.venues().map_or((&[0][..], &[][..]), |t| t.postings());
         Self {
             ids: BlockMaxima::with_cuts(scores, &net.year_starts()),
@@ -526,19 +527,12 @@ impl EngineRanker {
         }
     }
 
-    /// The incremental scorer's push state, if it belongs to `snap`: the
-    /// kernel the scorer's last resolve wrote must be the very `Arc` the
-    /// snapshot holds, which rules out every path by which the lanes could
-    /// describe another network state.
-    fn push_state_of(
-        &self,
-        snap: &EpochSnapshot,
-    ) -> Option<([&[f64]; 3], [f64; attrank::PUSH_STATE_SCALARS])> {
-        let EngineRanker::Incremental(inc) = self else {
-            return None;
-        };
-        let own = Arc::ptr_eq(inc.kernel()?, snap.kernel.get()?);
-        inc.push_state().filter(|_| own)
+    /// The incremental scorer's push state, if it has one.
+    fn push_state(&self) -> Option<([&[f64]; 3], [f64; attrank::PUSH_STATE_SCALARS])> {
+        match self {
+            EngineRanker::Incremental(inc) => inc.push_state(),
+            _ => None,
+        }
     }
 }
 
@@ -548,6 +542,9 @@ struct WriterState {
     /// successor `Arc`.
     net: Arc<CitationNetwork>,
     ranker: EngineRanker,
+    /// The epoch the ranker's push state was solved or restored for: the
+    /// one a persist may write it with.
+    push_epoch: Option<u64>,
     workspace: KernelWorkspace,
     /// Validated-but-unapplied additions. Ingests merge into this staged
     /// delta in O(batch); the successor network — an O(V + E) copy of the
@@ -630,6 +627,7 @@ impl RankingEngine {
             writer: Mutex::new(WriterState {
                 net,
                 ranker,
+                push_epoch: Some(0),
                 workspace,
                 staged: GraphDelta::new(),
                 pending_batches: 0,
@@ -936,7 +934,8 @@ impl RankingEngine {
                 .epoch(&self.method, snap.epoch(), scores);
         // The push state rides along whenever it is the epoch's own, so a
         // restart resumes pushing (see `open_from_store`).
-        if let Some((lanes, scalars)) = state.ranker.push_state_of(&snap) {
+        let own = state.push_epoch == Some(snap.epoch());
+        if let Some((lanes, scalars)) = state.ranker.push_state().filter(|_| own) {
             let persisted = PushState {
                 lanes,
                 scalars: &scalars,
@@ -990,23 +989,42 @@ impl RankingEngine {
         wal_path: Option<Q>,
         policy: RerankPolicy,
     ) -> Result<ColdStart, EngineError> {
-        let (spec, epoch, scores) = {
-            let epochs = store.epochs();
-            let restored = epochs.first().ok_or_else(|| {
-                EngineError::Restore(
-                    "snapshot holds no score epoch (write one with persist_epoch)".into(),
-                )
-            })?;
-            let spec: MethodSpec = restored.spec.parse()?;
-            (
-                spec,
-                restored.epoch,
-                ScoreVec::from_vec(restored.scores.to_vec()),
+        let (engine, epoch, replay) = Self::restore_epoch(&store, wal_path, policy)?;
+        let worker = engine.clone();
+        let warmup = thread::spawn(move || worker.warm_up(store, epoch, &replay));
+        Ok(ColdStart { engine, warmup })
+    }
+
+    /// The engine serving `store`'s epoch, that epoch, and the WAL batches
+    /// the warmup must replay.
+    fn restore_epoch<Q: AsRef<Path>>(
+        store: &Store,
+        wal_path: Option<Q>,
+        policy: RerankPolicy,
+    ) -> Result<(Arc<Self>, u64, Vec<GraphDelta>), EngineError> {
+        let epochs = store.epochs();
+        let restored = epochs.first().ok_or_else(|| {
+            EngineError::Restore(
+                "snapshot holds no score epoch (write one with persist_epoch)".into(),
             )
-        };
+        })?;
+        let spec: MethodSpec = restored.spec.parse()?;
+        let (epoch, scores) = (restored.epoch, restored.scores.to_vec().into());
         let watermark = store.wal_watermark().unwrap_or(0);
         let net = Arc::new(store.to_network()?);
         let ranker = Self::make_ranker(&spec)?;
+        let (wal, recovery) = wal_path.map(DeltaWal::open).transpose()?.unzip();
+        let next_seq = recovery
+            .as_ref()
+            .map_or(watermark, |r| r.next_seq().max(watermark));
+        // Only records past the snapshot's watermark are missing from the
+        // restored network.
+        let replay: Vec<GraphDelta> = recovery
+            .into_iter()
+            .flat_map(|r| r.records)
+            .filter(|r| r.seq >= watermark)
+            .map(|r| r.delta)
+            .collect();
         let snapshot = Self::freeze(epoch, &net, scores, RerankStrategy::Restored, None, &ranker);
         let engine = Arc::new(Self {
             method: spec.to_string(),
@@ -1014,13 +1032,14 @@ impl RankingEngine {
             writer: Mutex::new(WriterState {
                 net,
                 ranker,
+                push_epoch: None,
                 workspace: KernelWorkspace::new(),
                 staged: GraphDelta::new(),
                 pending_batches: 0,
                 next_epoch: epoch + 1,
                 previous: Some(snapshot.clone()),
-                wal: None,
-                next_seq: watermark,
+                wal,
+                next_seq,
                 // Cleared by the warmup thread once replay is done; until
                 // then new ingests are rejected so replayed batches keep
                 // their original id assignment.
@@ -1028,65 +1047,45 @@ impl RankingEngine {
             }),
             published: RwLock::new(snapshot),
             instruments: OnceLock::new(),
-            replay_backlog: AtomicUsize::new(0),
+            replay_backlog: AtomicUsize::new(replay.len()),
             push_state: OnceLock::new(),
         });
+        Ok((engine, epoch, replay))
+    }
 
-        let mut replay: Vec<GraphDelta> = Vec::new();
-        if let Some(wal_path) = wal_path {
-            let (wal, recovery) = DeltaWal::open(wal_path)?;
-            let mut state = engine.writer.lock().expect("writer lock poisoned");
-            state.next_seq = recovery.next_seq().max(watermark);
-            state.wal = Some(wal);
-            // Only records past the snapshot's watermark are missing
-            // from the restored network.
-            replay = recovery
-                .records
-                .into_iter()
-                .filter(|r| r.seq >= watermark)
-                .map(|r| r.delta)
-                .collect();
+    /// The cold start's background warmup: restores the push state
+    /// `store` holds for the restored `epoch`, then replays `replay`.
+    fn warm_up(&self, store: Store, epoch: u64, replay: &[GraphDelta]) -> WarmupReport {
+        let push_state = self.restore_push_state(&store, epoch);
+        let _ = self.push_state.set(push_state);
+        drop(store);
+        let mut replayed = 0usize;
+        let mut rejected = 0usize;
+        for delta in replay {
+            match self.ingest_replayed(delta) {
+                Ok(_) => replayed += 1,
+                Err(_) => rejected += 1,
+            }
+            self.replay_backlog.fetch_sub(1, Ordering::Relaxed);
         }
-
-        engine.replay_backlog.store(replay.len(), Ordering::Relaxed);
-        let worker = engine.clone();
-        let warmup = thread::spawn(move || {
-            let push_state = worker.restore_push_state(&store, epoch);
-            let _ = worker.push_state.set(push_state);
-            drop(store);
-            let mut replayed = 0usize;
-            let mut rejected = 0usize;
-            for delta in &replay {
-                match worker.ingest_replayed(delta) {
-                    Ok(_) => replayed += 1,
-                    Err(_) => rejected += 1,
-                }
-                worker.replay_backlog.fetch_sub(1, Ordering::Relaxed);
-            }
-            worker
-                .writer
-                .lock()
-                .expect("writer lock poisoned")
-                .restoring = false;
-            if worker.pending() != (0, 0) {
-                // Deferred-publish policies: fold the replayed batches in.
-                worker.rerank();
-            }
-            WarmupReport {
-                replayed,
-                rejected,
-                final_epoch: worker.snapshot().epoch(),
-                push_state,
-            }
-        });
-        Ok(ColdStart { engine, warmup })
+        self.writer.lock().expect("writer lock poisoned").restoring = false;
+        if self.pending() != (0, 0) {
+            // Deferred-publish policies: fold the replayed batches in.
+            self.rerank();
+        }
+        WarmupReport {
+            replayed,
+            rejected,
+            final_epoch: self.snapshot().epoch(),
+            push_state,
+        }
     }
 
     /// Seeds the incremental scorer with the push state `store` holds for
     /// the restored `epoch`, when that verifies, before any batch replays.
     /// The kernel the scorer resolves from it becomes the restored epoch's
-    /// kernel too (unless a seeded read has already built one — the
-    /// epoch's push state is then not persisted again).
+    /// kernel too, unless a seeded read has already built one; the push
+    /// state is the epoch's either way.
     fn restore_push_state(&self, store: &Store, epoch: u64) -> PushStateRestore {
         let mut guard = self.writer.lock().expect("writer lock poisoned");
         let state = &mut *guard;
@@ -1097,6 +1096,7 @@ impl RankingEngine {
         let verified = store.push_state(epoch);
         let persisted = verified.as_ref().ok().copied().flatten();
         let restored = inc.restore(&state.net, persisted.map(|s| (s.lanes, s.scalars)));
+        state.push_epoch = restored.then_some(epoch);
         if let Some(kernel) = inc.kernel() {
             let _ = snap.kernel.set(Arc::clone(kernel));
         }
@@ -1117,7 +1117,7 @@ impl RankingEngine {
         state.pending_batches = 0;
         // Lineage capture: the pre-publish network and the batch folded
         // in, so derived per-epoch state (personalization vectors) can be
-        // warm re-pushed across this publish.
+        // carried across this publish.
         let parent_epoch = state.previous.as_ref().map(|p| p.epoch());
         let parent_net = state.net.clone();
         let solve_started;
@@ -1196,6 +1196,7 @@ impl RankingEngine {
             ins.freeze_seconds.observe(freeze_started.elapsed());
         }
         state.previous = Some(snapshot.clone());
+        state.push_epoch = Some(epoch);
         *self
             .published
             .write()
@@ -1263,10 +1264,9 @@ pub enum PushStateRestore {
     /// Restored: every replayed batch (and the first live one) can push.
     Restored,
     /// The snapshot holds none for its epoch — written before the section
-    /// existed or by a build that persisted the retired resolved form, by
-    /// a method without one, or for an epoch whose kernel a seeded read
-    /// built before the warmup restored the push state. The first batch
-    /// runs the full solve that rebuilds it.
+    /// existed or by a build that persisted the retired resolved form, or
+    /// by a method without one. The first batch runs the full solve that
+    /// rebuilds it.
     Absent,
     /// The section failed its checksum and was not used; the engine
     /// proceeds as for [`Self::Absent`].
@@ -1708,6 +1708,44 @@ mod tests {
             next.strategy()
         );
         assert!(next.kernel.get().is_some());
+    }
+
+    #[test]
+    fn a_seeded_read_before_the_restore_leaves_the_push_state_persistable() {
+        let dir = std::env::temp_dir().join(format!(
+            "rankengine_restore_after_read-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (first, second) = (dir.join("first.store"), dir.join("second.store"));
+        let engine =
+            RankingEngine::from_config(base_net(), "attrank", RerankPolicy::EveryBatch).unwrap();
+        engine.ingest(&growth_delta(10, 2011)).unwrap();
+        engine.persist_epoch(&first).unwrap();
+
+        // The restored epoch's kernel slot is filled by a seeded read
+        // before the warmup restores the push state.
+        let store = Store::open(&first).unwrap();
+        let (restored, epoch, replay) =
+            RankingEngine::restore_epoch(&store, None::<&Path>, RerankPolicy::EveryBatch).unwrap();
+        let snap = restored.snapshot();
+        let alpha = snap.damping.expect("AttRank has a damping factor");
+        let built = snap.kernel(alpha);
+        let report = restored.warm_up(store, epoch, &replay);
+        assert_eq!(report.push_state, PushStateRestore::Restored);
+        assert!(
+            Arc::ptr_eq(&snap.kernel(alpha), &built),
+            "the read's kernel stays"
+        );
+
+        // The push state is still the epoch's, so it is persisted again.
+        restored.persist_epoch(&second).unwrap();
+        let (_, report) =
+            RankingEngine::open_from_store(&second, None::<&Path>, RerankPolicy::EveryBatch)
+                .unwrap()
+                .wait();
+        assert_eq!(report.push_state, PushStateRestore::Restored);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -64,7 +64,8 @@ fn shape_index(q: &Query) -> usize {
 }
 
 /// Label values of the cache `outcome` axis (order matches
-/// [`CacheStats`] field order: hits, warm repushes, cold pushes).
+/// [`CacheStats`] field order: hits, carries, cold pushes; a carry keeps
+/// the label of the warm re-push it replaced).
 const CACHE_OUTCOME_LABELS: [&str; 3] = ["hit", "warm_repush", "cold_push"];
 
 /// Label values of the admission `decision` axis.

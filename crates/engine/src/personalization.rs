@@ -10,17 +10,23 @@
 //!   it with zero solve work — and, to the engines, with the block maxima
 //!   built when the entry was inserted, so a seeded page is block-pruned
 //!   (or sliced from a head) like an unseeded one;
-//! * **warm re-push** — the entry was solved on the epoch's *parent*
-//!   (recorded in the snapshot's lineage): every entry keeps its
-//!   *unresolved* form (pure-citation part + dangling mass,
-//!   [`citegraph::WarmStart`]), which is invariant under pure growth, so
-//!   [`citegraph::repersonalize`] revalidates it with a push over the
-//!   delta-rewired columns plus one kernel AXPY — an epoch publish
-//!   *invalidates lazily*; stale entries are warm starts, not discards;
-//! * **cold** — no usable entry: one push pass from zero over the seeds'
-//!   reference cone ([`citegraph::personalize()`]: no work budget, no
-//!   fallback — on a citation DAG each cone paper is pushed once), then
-//!   cache.
+//! * **carry** — the entry is of the epoch's *parent* (recorded in the
+//!   snapshot's lineage), and the published delta rewired no column of its
+//!   cone: no delta citation comes from an old paper holding `y`, which is
+//!   always so when a publish only appends papers. Such a publish changes
+//!   neither `y` nor `g` (appended papers hold no `y`, the seed teleport
+//!   never renormalizes, and the `1/n` dangling redistribution lives in the
+//!   kernel), so the entry becomes the same `y` and `g` over the new
+//!   epoch's kernel, grown by empty blocks ([`sparsela::Cone::over`]), its
+//!   summaries rebuilt by reading the cone: no push and no dense vector.
+//!   It is the re-push [`citegraph::repersonalize`] makes with nothing to
+//!   push, `y` bit for bit (the re-push rounds `g` through `dᵀy = g/α`;
+//!   the carry keeps it). An epoch publish *invalidates lazily*: stale
+//!   entries are carried, not discarded;
+//! * **cold** — no usable entry, or one whose cone the delta rewired: one
+//!   push pass from zero over the seeds' reference cone
+//!   ([`citegraph::personalize()`]: no work budget, no fallback — on a
+//!   citation DAG each cone paper is pushed once), then cache.
 //!
 //! **Cone form.** Every solve is `x = y + g·u`: `y`, the seeds' push, is
 //! zero outside their reference cone (a three-seed set's cone is about a
@@ -28,21 +34,21 @@
 //! which the snapshot owns ([`EpochSnapshot::kernel`]). An entry
 //! therefore stores `y` block-sparse ([`sparsela::Cone`]: a mask and an
 //! offset per 64-id block, and the values whose bits are not zero), the
-//! scalars `g` and `dᵀy`, an `Arc` of its epoch's kernel and its block
-//! summaries — no dense vector. Every read of a score computes
-//! `y_i + g·u_i`, the expression the solve's own resolution evaluates, so
-//! pages, block maxima and heads are bit-identical to a dense copy's. The
-//! summaries are built from the solve's dense `x` before it is dropped; a
-//! warm re-push scatters `y` into a zeroed buffer for
-//! [`citegraph::repersonalize`], which is unchanged.
+//! scalar `g`, an `Arc` of its epoch's kernel and its block summaries — no
+//! dense vector. Every read of a score computes `y_i + g·u_i`, the
+//! expression the solve's own resolution evaluates, so pages, block maxima
+//! and heads are bit-identical to a dense copy's. A cold solve builds its
+//! summaries from the dense `x` it wrote before dropping it; a carry
+//! builds them from the cone.
 //!
 //! The snapshot owns its kernel: each partition's epoch holds the one
 //! kernel of its own graph at its method's damping factor — the one its
 //! publish solved, or one cold push pass on the first seeded read — so
 //! one shard's kernel never resolves another's vectors, the cache keeps
 //! no kernel of its own, and a seeded miss does no kernel work beyond
-//! that first read. An entry keeps its own epoch's kernel alive until it
-//! is re-pushed or evicted.
+//! that first read. The key holds `α`, so a solve is never served, or
+//! carried, at another damping factor. An entry keeps its own epoch's
+//! kernel alive until it is carried or evicted.
 //!
 //! Concurrency follows the engine's snapshot discipline: completed
 //! solves are immutable behind `Arc`s (their heads and the dense copy
@@ -57,17 +63,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use citegraph::{
-    personalize, repersonalize, CitationNetwork, PaperId, PersonalizedScores, PushRankConfig,
-    SeedPersonalization, WarmStart,
+    personalize, CitationNetwork, GraphDelta, PaperId, PersonalizedScores, PushRankConfig,
+    SeedPersonalization,
 };
 use sparsela::{Cone, KernelWorkspace, ScoreVec};
 
 use crate::engine::{BlockSummaries, EpochSnapshot, Ranking};
 
-/// Capacity and memory bounds for a [`PersonalizationCache`]. Every solve
-/// runs under [`PushRankConfig::default`]: its `epsilon` for every push,
-/// its budget for warm re-pushes and kernel updates (a cold solve has
-/// none).
+/// Capacity and memory bounds for a [`PersonalizationCache`]. Every cold
+/// solve runs under [`PushRankConfig::default`]'s `epsilon`; a carry
+/// solves nothing.
 #[derive(Debug, Clone, Copy)]
 pub struct CacheConfig {
     /// Maximum number of cached personalization vectors (LRU-evicted).
@@ -99,12 +104,15 @@ impl Default for CacheConfig {
 /// How a [`PersonalizationCache::scores`] request was served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
-    /// Entry solved on exactly this epoch: zero solve work.
+    /// Entry of exactly this epoch, served as it is.
     Hit,
-    /// Entry from the parent epoch revalidated by an `O(affected)` push
-    /// across the published delta.
+    /// Entry from the parent epoch, whose cone the published delta did not
+    /// rewire, carried onto this epoch's kernel: the same `y` and `g`, its
+    /// summaries rebuilt from the cone, zero solve work. (The name is the
+    /// re-push it replaces, which would push nothing.)
     WarmRepush,
-    /// No usable entry; one push pass from a zero start.
+    /// No usable entry, or one whose cone the delta rewired; one push pass
+    /// from a zero start.
     ColdPush,
 }
 
@@ -112,9 +120,10 @@ pub enum CacheOutcome {
 /// current occupancy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Requests served with zero solve work.
+    /// Requests served by an entry of exactly their epoch.
     pub hits: u64,
-    /// Requests served by a warm re-push of a parent-epoch entry.
+    /// Requests served by carrying a parent-epoch entry onto the epoch's
+    /// kernel ([`CacheOutcome::WarmRepush`]).
     pub warm_repushes: u64,
     /// Requests served by a cold push solve.
     pub cold_pushes: u64,
@@ -129,12 +138,15 @@ pub struct CacheStats {
     pub bytes: usize,
 }
 
-/// Canonical cache key: method label + canonicalized seed distribution.
-/// (The epoch is *not* in the key — it tags the entry, so a stale entry
-/// stays findable as a warm start for its successor epoch.)
+/// Canonical cache key: method label, damping factor and canonicalized
+/// seed distribution. (The epoch is *not* in the key — it tags the entry,
+/// so a stale entry stays findable for its successor epoch to carry.)
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
     method: String,
+    /// `α` as its IEEE bit pattern: a solve at one damping factor never
+    /// serves, or is carried onto the kernel of, another.
+    alpha_bits: u64,
     seeds: Vec<PaperId>,
     /// Normalized weights as IEEE bit patterns (canonical per
     /// [`SeedPersonalization`], so equal distributions hash equally).
@@ -142,9 +154,10 @@ struct CacheKey {
 }
 
 impl CacheKey {
-    fn new(method: &str, seed: &SeedPersonalization) -> Self {
+    fn new(method: &str, seed: &SeedPersonalization, alpha: f64) -> Self {
         Self {
             method: method.to_string(),
+            alpha_bits: alpha.to_bits(),
             seeds: seed.seeds().to_vec(),
             weight_bits: seed.weights().iter().map(|w| w.to_bits()).collect(),
         }
@@ -156,8 +169,6 @@ impl CacheKey {
 struct Solved {
     /// `x = y + g·u` over the epoch's kernel.
     cone: Cone,
-    /// `dᵀy` of the cone's `y`: with `y`, the warm-start form.
-    dangling_mass: f64,
     /// Block summaries of `x` over ids and over the epoch's venue
     /// postings, with room for a head per year cut of each list.
     blocks: BlockSummaries,
@@ -172,16 +183,42 @@ struct Solved {
 /// slice of heads like an unseeded one, and every other seeded page
 /// prunes like an unseeded one. Cloning shares it.
 #[derive(Debug, Clone)]
-pub(crate) struct CachedRanking(Arc<Solved>);
+pub struct CachedRanking(Arc<Solved>);
 
 impl CachedRanking {
-    /// `solved`, solved on `net` against `kernel`, in cone form with its
-    /// summaries; its dense vectors are dropped here.
+    /// The solve in cone form: `y`, `g` and the kernel it reads.
+    pub fn cone(&self) -> &Cone {
+        &self.0.cone
+    }
+
+    /// `solved`, solved on `net` against `kernel`, in cone form with the
+    /// summaries of its dense `x`; its dense vectors are dropped here.
     fn new(solved: PersonalizedScores, kernel: Arc<ScoreVec>, net: &CitationNetwork) -> Self {
         Self(Arc::new(Solved {
             blocks: BlockSummaries::new(solved.scores.as_slice(), net),
             cone: Cone::new(solved.raw.as_slice(), solved.g, kernel),
-            dangling_mass: solved.dangling_mass,
+            dense: OnceLock::new(),
+        }))
+    }
+
+    /// Whether `delta` rewires a column of this ranking's cone: one of its
+    /// citations comes from an old paper holding `y`.
+    fn rewired_by(&self, delta: &GraphDelta) -> bool {
+        let n = self.len();
+        delta
+            .citations
+            .iter()
+            .any(|&(citing, _)| (citing as usize) < n && self.0.cone.y(citing as usize) != 0.0)
+    }
+
+    /// This ranking carried onto `net`, which grew from its own network by
+    /// a delta that rewired none of its cone: the same `y` and `g` over
+    /// `net`'s `kernel`, summarized by reading the cone.
+    fn carry(&self, kernel: Arc<ScoreVec>, net: &CitationNetwork) -> Self {
+        let cone = self.0.cone.over(kernel);
+        Self(Arc::new(Solved {
+            blocks: BlockSummaries::new(&cone, net),
+            cone,
             dense: OnceLock::new(),
         }))
     }
@@ -272,9 +309,8 @@ impl CacheInner {
 pub struct PersonalizationCache {
     config: CacheConfig,
     pub(crate) inner: Mutex<CacheInner>,
-    hits: AtomicU64,
-    warm_repushes: AtomicU64,
-    cold_pushes: AtomicU64,
+    /// Requests served, per [`CacheOutcome`], in its order.
+    served: [AtomicU64; 3],
 }
 
 impl PersonalizationCache {
@@ -286,9 +322,7 @@ impl PersonalizationCache {
                 ..config
             },
             inner: Mutex::new(CacheInner::default()),
-            hits: AtomicU64::new(0),
-            warm_repushes: AtomicU64::new(0),
-            cold_pushes: AtomicU64::new(0),
+            served: Default::default(),
         }
     }
 
@@ -315,9 +349,9 @@ impl PersonalizationCache {
         let mut inner = self.lock();
         inner.recount();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            warm_repushes: self.warm_repushes.load(Ordering::Relaxed),
-            cold_pushes: self.cold_pushes.load(Ordering::Relaxed),
+            hits: self.served[CacheOutcome::Hit as usize].load(Ordering::Relaxed),
+            warm_repushes: self.served[CacheOutcome::WarmRepush as usize].load(Ordering::Relaxed),
+            cold_pushes: self.served[CacheOutcome::ColdPush as usize].load(Ordering::Relaxed),
             fallbacks: 0,
             entries: inner.entries.len(),
             bytes: inner.bytes,
@@ -331,11 +365,11 @@ impl PersonalizationCache {
     /// resolved by the caller from the parsed spec): the solve resolves
     /// against [`EpochSnapshot::kernel`], the epoch's own kernel at that
     /// `α` and a cold one, not kept, at any other. The returned vector
-    /// always has `snap.n_papers()` entries and was solved on
-    /// `snap.network()` — entries can never leak across epochs because a
-    /// cached vector is served only when its recorded epoch matches, or
-    /// after a push across the exact lineage delta connecting parent to
-    /// `snap`.
+    /// always has `snap.n_papers()` entries and ranks `snap.network()` —
+    /// entries can never leak across epochs because a cached vector is
+    /// served only when its recorded epoch matches, or carried across the
+    /// exact lineage delta connecting parent to `snap` when that delta
+    /// rewired none of its cone.
     ///
     /// An entry is kept in cone form; the dense vector is built by the
     /// first call that asks for it, kept with the entry and counted in
@@ -357,25 +391,25 @@ impl PersonalizationCache {
 
     /// The solve of [`Self::scores`] in cone form with its block-maxima
     /// summaries — the form the engines serve seeded pages from.
-    pub(crate) fn ranking(
+    pub fn ranking(
         &self,
         method: &str,
         snap: &EpochSnapshot,
         seed: &SeedPersonalization,
         alpha: f64,
     ) -> (CachedRanking, CacheOutcome) {
-        let key = CacheKey::new(method, seed);
-        // Fast path under the lock: exact-epoch hit, or a warm-start
-        // candidate to re-push outside the lock. A hit reads no byte of
-        // the solve; its bytes are re-read when the cache is next sized.
-        let warm_start: Option<CachedRanking> = {
+        let key = CacheKey::new(method, seed, alpha);
+        // Fast path under the lock: exact-epoch hit, or a parent-epoch
+        // entry to carry outside the lock. A hit reads no byte of the
+        // solve; its bytes are re-read when the cache is next sized.
+        let parent = {
             let mut inner = self.lock();
             inner.tick += 1;
             let tick = inner.tick;
             match inner.entries.get_mut(&key) {
                 Some(e) if e.epoch == snap.epoch() && e.papers == snap.n_papers() => {
                     e.last_used = tick;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    self.served[CacheOutcome::Hit as usize].fetch_add(1, Ordering::Relaxed);
                     return (e.ranking.clone(), CacheOutcome::Hit);
                 }
                 Some(e) => snap
@@ -383,53 +417,33 @@ impl PersonalizationCache {
                     .filter(|lin| {
                         e.epoch == lin.parent_epoch && e.papers == lin.parent_net.n_papers()
                     })
-                    .map(|_| e.ranking.clone()),
+                    .map(|lin| (e.ranking.clone(), &lin.delta)),
                 None => None,
             }
         };
 
-        let mut ws = KernelWorkspace::new();
         let kernel = snap.kernel(alpha);
-
-        if let Some(previous) = warm_start {
-            let lin = snap.lineage().expect("warm start implies lineage");
-            let mut raw = ws.take_zeros(previous.len());
-            previous.0.cone.scatter_y(raw.as_mut_slice());
-            let solved = repersonalize(
-                &lin.parent_net,
-                &lin.delta,
-                snap.network(),
-                WarmStart {
-                    raw: &raw,
-                    dangling_mass: previous.0.dangling_mass,
-                },
-                seed,
-                alpha,
-                Some(kernel.as_slice()),
-                &PushRankConfig::default(),
-                &mut ws,
-            );
-            ws.recycle(raw);
-            if let Some(solved) = solved {
+        let (ranking, outcome) = match parent {
+            Some((parent, delta)) if !parent.rewired_by(delta) => (
+                parent.carry(kernel, snap.network()),
+                CacheOutcome::WarmRepush,
+            ),
+            _ => {
+                let solved = personalize(
+                    snap.network(),
+                    seed,
+                    alpha,
+                    Some(kernel.as_slice()),
+                    &PushRankConfig::default(),
+                    &mut KernelWorkspace::new(),
+                );
                 let ranking = CachedRanking::new(solved, kernel, snap.network());
-                self.insert(key, snap.epoch(), ranking.clone());
-                self.warm_repushes.fetch_add(1, Ordering::Relaxed);
-                return (ranking, CacheOutcome::WarmRepush);
+                (ranking, CacheOutcome::ColdPush)
             }
-        }
-
-        let solved = personalize(
-            snap.network(),
-            seed,
-            alpha,
-            Some(kernel.as_slice()),
-            &PushRankConfig::default(),
-            &mut ws,
-        );
-        self.cold_pushes.fetch_add(1, Ordering::Relaxed);
-        let ranking = CachedRanking::new(solved, kernel, snap.network());
+        };
+        self.served[outcome as usize].fetch_add(1, Ordering::Relaxed);
         self.insert(key, snap.epoch(), ranking.clone());
-        (ranking, CacheOutcome::ColdPush)
+        (ranking, outcome)
     }
 
     /// Stores a completed solve and evicts least-recently-used entries
@@ -511,7 +525,17 @@ mod tests {
         assert_eq!(new.epoch(), 1);
 
         let (warm, o) = cache.scores(engine.method(), &new, &s, alpha);
-        assert_eq!(o, CacheOutcome::WarmRepush);
+        assert_eq!(
+            o,
+            CacheOutcome::WarmRepush,
+            "a tail publish carries the entry"
+        );
+        let (carried, o) = cache.ranking(engine.method(), &new, &s, alpha);
+        assert_eq!(o, CacheOutcome::Hit);
+        assert!(
+            Arc::ptr_eq(carried.view().scores.kernel(), &new.kernel(alpha)),
+            "the carried entry reads the new snapshot's kernel"
+        );
         let mut ws = KernelWorkspace::new();
         let dense = dense_personalized(new.network(), &s, alpha, &mut ws);
         for i in 0..new.n_papers() {
@@ -522,9 +546,6 @@ mod tests {
                 dense[i]
             );
         }
-        // The revalidated entry now hits on the new epoch.
-        let (_, o) = cache.scores(engine.method(), &new, &s, alpha);
-        assert_eq!(o, CacheOutcome::Hit);
     }
 
     #[test]
@@ -545,7 +566,7 @@ mod tests {
         assert_eq!(after.len(), new.n_papers());
 
         // A reader still pinning the old epoch gets a vector of the old
-        // epoch's length and values, not the re-pushed one.
+        // epoch's length and values, not the carried one.
         let (pinned, _) = cache.scores(engine.method(), &old, &s, alpha);
         assert_eq!(pinned.len(), old.n_papers());
         for i in 0..old.n_papers() {
@@ -699,5 +720,23 @@ mod tests {
         // Same seed set under a different method label must not hit.
         let (_, o) = cache.scores("citerank:alpha=0.31,tau=1.6", &snap, &s, 0.31);
         assert_eq!(o, CacheOutcome::ColdPush);
+    }
+
+    #[test]
+    fn damping_factor_partitions_the_key_space() {
+        let engine = engine();
+        let cache = PersonalizationCache::new(CacheConfig::default());
+        let snap = engine.snapshot();
+        let s = seed(&[9], snap.n_papers());
+        cache.scores("m", &snap, &s, 0.5);
+        // The same label and seeds at another α is another solve.
+        let (x, o) = cache.scores("m", &snap, &s, 0.3);
+        assert_eq!(o, CacheOutcome::ColdPush);
+        let dense = dense_personalized(snap.network(), &s, 0.3, &mut KernelWorkspace::new());
+        for i in 0..snap.n_papers() {
+            assert!((x[i] - dense[i]).abs() < 1e-9, "paper {i}");
+        }
+        assert_eq!(cache.scores("m", &snap, &s, 0.5).1, CacheOutcome::Hit);
+        assert_eq!(cache.stats().entries, 2);
     }
 }

@@ -4,7 +4,7 @@
 //! solve for a seeded one — so they can never describe another vector.
 //! Pinned here for every way a vector comes to be served: the initial
 //! rank, a push publish, a full-solve publish, an epoch restored from a
-//! store, a cache entry warm-re-pushed across a publish, and a sharded
+//! store, a cache entry served on a later epoch, and a sharded
 //! tail partition re-frozen by a tail publish. In each, the block-pruned
 //! pages (unfiltered, year windows, one venue and an OR of two, each
 //! resumed behind cursors) and the shallow pages the summaries' heads
@@ -218,7 +218,7 @@ fn a_summary_is_never_stale() {
         assert_pages_are_the_full_sort(&qe, &snap, method, "initial rank");
     }
 
-    // A seeded solve cached on epoch 0, for the warm re-push below.
+    // A seeded solve cached on epoch 0, for the later epoch below.
     let seeded = "method=pagerank,seed=5|17|1200";
     let snap = qe.snapshot(Some("pagerank")).unwrap();
     let cold = walk(&qe, &snap, seeded, 97, snap.n_papers());
@@ -238,8 +238,8 @@ fn a_summary_is_never_stale() {
     assert_eq!(cc.strategy(), RerankStrategy::Full);
     assert_pages_are_the_full_sort(&qe, &cc, "cc", "full-solve publish");
 
-    // The cached seeded vector, re-pushed across the last publish: its
-    // pages are in order, complete, and not the old epoch's.
+    // The seeded vector served on the last epoch: its pages are in
+    // order, complete, and not the old epoch's.
     let snap = qe.snapshot(Some("pagerank")).unwrap();
     let stale = qe.personalization_stats();
     let warm = walk(&qe, &snap, seeded, 97, snap.n_papers());

@@ -9,13 +9,15 @@
 //!   bands, author bands, mask, compare) serves, flat and on four shards,
 //!   the page a full sort of a dense copy of the same `x` gives — ids,
 //!   score bits and match counts;
-//! * a warm re-push from the compressed warm start equals one from the
-//!   dense warm start bit for bit, across a publish that grows the cone.
+//! * across a publish that rewires the cone, the entry is solved cold on
+//!   the new epoch, bit for bit as `personalize` against its kernel;
+//! * across a tail publish, the entry is carried onto the new epoch's
+//!   kernel, bit for bit as `repersonalize` from the dense warm start.
 
 use citegen::{generate, DatasetProfile};
 use citegraph::{
-    personalize, repersonalize, CitationNetwork, GraphDelta, PaperId, PushRankConfig,
-    SeedPersonalization, ShardSpec,
+    personalize, repersonalize, CitationNetwork, GraphDelta, PaperId, PersonalizedScores,
+    PushRankConfig, SeedPersonalization, ShardSpec,
 };
 use rankengine::{
     CacheConfig, Hit, PersonalizationCache, Query, QueryDriver, QueryEngine, RerankPolicy,
@@ -264,8 +266,25 @@ fn sharded_seeded_pages_equal_pages_over_a_dense_copy() {
     }
 }
 
-#[test]
-fn a_warm_repush_from_the_cone_equals_one_from_the_dense_warm_start() {
+/// One publish of a delta under a cached seeded ranking: the corpus before
+/// and after it, the cold solve the cache held for epoch 0, the delta, the
+/// kernel the new epoch owns, the carries and cold solves the page after
+/// the publish cost, and that page of every paper.
+struct Publish {
+    net: CitationNetwork,
+    new: CitationNetwork,
+    seed: SeedPersonalization,
+    cold: PersonalizedScores,
+    delta: GraphDelta,
+    kernel: std::sync::Arc<ScoreVec>,
+    outcome: (u64, u64),
+    page: Vec<(u64, PaperId)>,
+    all: Query,
+}
+
+/// Serves a seeded page of every paper on epoch 0, publishes the delta
+/// `delta` builds from the corpus and the cached solve, and serves it again.
+fn publish(delta: impl FnOnce(&CitationNetwork, &PersonalizedScores) -> GraphDelta) -> Publish {
     let net = corpus();
     let n = net.n_papers();
     let seeds = seeds(n);
@@ -275,76 +294,151 @@ fn a_warm_repush_from_the_cone_equals_one_from_the_dense_warm_start() {
         .map(|s| s.to_string())
         .collect::<Vec<_>>()
         .join("|");
-    let all: Query = format!("k={},seed={seed_text}", n + 64).parse().unwrap();
+    let mut all: Query = format!("k={},seed={seed_text}", n + 64).parse().unwrap();
     qe.query(&all).unwrap();
 
-    // The dense path the cache replaces: a cold solve on epoch 0 against
-    // the epoch's kernel, kept dense.
+    // The solve the cache holds for epoch 0, kept dense.
     let seed = SeedPersonalization::uniform(&seeds, n).unwrap();
-    let cfg = PushRankConfig::default();
-    let mut ws = KernelWorkspace::new();
     let k0 = qe.snapshot(None).unwrap().kernel(ALPHA);
-    let cold = personalize(&net, &seed, ALPHA, Some(k0.as_slice()), &cfg, &mut ws);
-    let cone = |raw: &ScoreVec| raw.iter().filter(|y| y.to_bits() != 0).count();
-
-    // A publish that grows the cone: the middle seed, an old paper, now
-    // also cites every paper of its year and before that it did not reach,
-    // and a new paper cites two old ones.
-    let s = seeds[0];
-    let outside: Vec<PaperId> = (0..s)
-        .filter(|&p| cold.raw[p as usize].to_bits() == 0 && net.year(p) <= net.year(s))
-        .take(25)
-        .collect();
-    assert!(!outside.is_empty());
-    let mut delta = GraphDelta::new();
-    for &p in &outside {
-        delta.add_citation(s, p);
-    }
-    let fresh = n as PaperId + delta.add_paper(net.current_year().unwrap()) as PaperId;
-    delta.add_citation(fresh, 3);
-    delta.add_citation(fresh, s);
+    let cold = personalize(
+        &net,
+        &seed,
+        ALPHA,
+        Some(k0.as_slice()),
+        &PushRankConfig::default(),
+        &mut KernelWorkspace::new(),
+    );
+    let delta = delta(&net, &cold);
     qe.ingest(&delta).unwrap();
     let new = net.with_delta(&delta).unwrap();
 
-    let before = qe.personalization_stats().warm_repushes;
-    let mut all = all;
+    let before = qe.personalization_stats();
     all.k = new.n_papers();
-    let page = qe.query(&all).unwrap();
-    assert_eq!(
-        qe.personalization_stats().warm_repushes,
-        before + 1,
-        "the entry was re-pushed from its cone"
-    );
+    let page = bits(&qe.query(&all).unwrap().items);
+    let after = qe.personalization_stats();
+    Publish {
+        kernel: qe.snapshot(None).unwrap().kernel(ALPHA),
+        outcome: (
+            after.warm_repushes - before.warm_repushes,
+            after.cold_pushes - before.cold_pushes,
+        ),
+        net,
+        new,
+        seed,
+        cold,
+        delta,
+        page,
+        all,
+    }
+}
 
-    // The same re-push from the dense warm start, against the kernel the
-    // new epoch owns.
-    let k1 = qe.snapshot(None).unwrap().kernel(ALPHA);
-    let start = cold.warm_start().unwrap();
-    let warm = repersonalize(
-        &net,
-        &delta,
-        &new,
-        start,
-        &seed,
+/// Ids whose `y` is stored.
+fn cone(raw: &ScoreVec) -> usize {
+    raw.iter().filter(|y| y.to_bits() != 0).count()
+}
+
+#[test]
+fn a_rewired_cone_solves_cold_bit_for_bit() {
+    // The middle seed, an old paper, now also cites every paper of its
+    // year and before that it did not reach, and a new paper cites two old
+    // ones.
+    let mut outside = Vec::new();
+    let p = publish(|net, cold| {
+        let s = seeds(net.n_papers())[0];
+        outside = (0..s)
+            .filter(|&q| cold.raw[q as usize].to_bits() == 0 && net.year(q) <= net.year(s))
+            .take(25)
+            .collect();
+        assert!(!outside.is_empty());
+        let mut delta = GraphDelta::new();
+        for &q in &outside {
+            delta.add_citation(s, q);
+        }
+        let fresh =
+            net.n_papers() as PaperId + delta.add_paper(net.current_year().unwrap()) as PaperId;
+        delta.add_citation(fresh, 3);
+        delta.add_citation(fresh, s);
+        delta
+    });
+    assert_eq!(p.outcome, (0, 1), "a rewired cone is solved cold");
+
+    // The cold solve on the new network against the kernel its epoch owns.
+    let solved = personalize(
+        &p.new,
+        &p.seed,
         ALPHA,
-        Some(k1.as_slice()),
-        &cfg,
-        &mut ws,
-    )
-    .expect("a re-push of a small delta");
+        Some(p.kernel.as_slice()),
+        &PushRankConfig::default(),
+        &mut KernelWorkspace::new(),
+    );
     assert!(
-        cone(&warm.raw) > cone(&cold.raw) + outside.len() / 2,
+        cone(&solved.raw) > cone(&p.cold.raw) + outside.len() / 2,
         "the publish grew the cone: {} → {}",
-        cone(&cold.raw),
-        cone(&warm.raw)
+        cone(&p.cold.raw),
+        cone(&solved.raw)
     );
     let parts = [Part {
-        net: &new,
+        net: &p.new,
+        start: 0,
+        dense: solved.scores,
+        share: 1.0,
+    }];
+    assert_eq!(p.page.len(), p.new.n_papers());
+    assert_eq!(
+        p.page,
+        reference(&parts, &p.all),
+        "every score, bit for bit"
+    );
+}
+
+#[test]
+fn a_tail_publish_carries_the_cone_bit_for_bit_as_repersonalize() {
+    // Two new papers: one cites a seed and an old paper of the cone, the
+    // other cites papers outside it.
+    let p = publish(|net, cold| {
+        let n = net.n_papers() as PaperId;
+        let s = seeds(net.n_papers())[0];
+        let outside = (0..n)
+            .find(|&q| cold.raw[q as usize].to_bits() == 0)
+            .unwrap();
+        let year = net.current_year().unwrap();
+        let mut delta = GraphDelta::new();
+        let (a, b) = (
+            n + delta.add_paper(year) as PaperId,
+            n + delta.add_paper(year) as PaperId,
+        );
+        delta.add_citation(a, s);
+        delta.add_citation(a, 3);
+        delta.add_citation(b, outside);
+        delta.add_citation(b, a);
+        delta
+    });
+    assert_eq!(p.outcome, (1, 0), "a tail publish carries the entry");
+
+    // The re-push from the dense warm start, against the same kernel.
+    let warm = repersonalize(
+        &p.net,
+        &p.delta,
+        &p.new,
+        p.cold.warm_start().unwrap(),
+        &p.seed,
+        ALPHA,
+        Some(p.kernel.as_slice()),
+        &PushRankConfig::default(),
+        &mut KernelWorkspace::new(),
+    )
+    .expect("a re-push of a tail delta");
+    assert_eq!(cone(&warm.raw), cone(&p.cold.raw), "nothing was pushed");
+    let parts = [Part {
+        net: &p.new,
         start: 0,
         dense: warm.scores,
         share: 1.0,
     }];
-    let want = reference(&parts, &all);
-    assert_eq!(page.items.len(), new.n_papers());
-    assert_eq!(bits(&page.items), want, "every score, bit for bit");
+    assert_eq!(p.page.len(), p.new.n_papers());
+    assert_eq!(
+        p.page,
+        reference(&parts, &p.all),
+        "every score, bit for bit"
+    );
 }

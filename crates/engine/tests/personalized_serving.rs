@@ -109,7 +109,7 @@ fn seeded_reads_pin_their_epoch_under_concurrent_publishes() {
         }
 
         // Writer: 60 tail publishes, each a few new papers citing into
-        // the existing corpus — stale cache entries become warm re-pushes.
+        // the existing corpus — stale cache entries are carried.
         let mut current = net.clone();
         for i in 0..PUBLISHES {
             let delta = publish_delta(&current, 9, 3, 1000 + i as u64);
@@ -259,8 +259,8 @@ fn a_citerank_seeded_page_builds_its_kernel_cold() {
     let q: Query = format!("k={},seed=7|{}|{}", n + 18, n / 2, n - 3)
         .parse()
         .unwrap();
-    // Served at every epoch: each page after a publish is a warm re-push
-    // over that epoch's cold kernel.
+    // Served at every epoch: each page after a publish is a carry onto
+    // that epoch's cold kernel.
     for delta in two_publishes(&net) {
         engine.query(&q).unwrap();
         engine.ingest(&delta).unwrap();

@@ -146,9 +146,36 @@ impl Cone {
         }
     }
 
+    /// The same `y` and `g` over `kernel`, which may be longer: the ids
+    /// past this cone's end hold no `y` (empty blocks). What a cached
+    /// solve becomes when its graph grows by papers that do not reach its
+    /// cone, and only the kernel changes.
+    ///
+    /// # Panics
+    /// When `kernel` is shorter than this cone.
+    pub fn over(&self, kernel: Arc<ScoreVec>) -> Self {
+        assert!(
+            kernel.len() >= self.len(),
+            "a cone moves onto a kernel at least as long as its own"
+        );
+        let (n_blocks, offset) = (kernel.len().div_ceil(CONE_BLOCK), self.values.len() as u32);
+        let mut blocks = Vec::with_capacity(n_blocks);
+        blocks.extend_from_slice(&self.blocks);
+        blocks.resize(n_blocks, ConeBlock { mask: 0, offset });
+        Self {
+            blocks,
+            values: self.values.clone(),
+            g: self.g,
+            kernel,
+        }
+    }
+
     /// The sparse part's value at id `i`: `+0.0` outside the stored ids.
+    ///
+    /// # Panics
+    /// When `i` lies past the cone's last 64-id block.
     #[inline]
-    fn y(&self, i: usize) -> f64 {
+    pub fn y(&self, i: usize) -> f64 {
         let ConeBlock { mask, offset } = self.blocks[i / CONE_BLOCK];
         let bit = i % CONE_BLOCK;
         if mask >> bit & 1 == 0 {
@@ -163,26 +190,14 @@ impl Cone {
         self.values.len()
     }
 
-    /// Writes the sparse part `y` into `out`, which must hold `+0.0` at
-    /// every id (a zeroed buffer) and be exactly as long as the cone.
-    ///
-    /// # Panics
-    /// When `out` is not as long as the cone.
-    pub fn scatter_y(&self, out: &mut [f64]) {
-        assert_eq!(
-            out.len(),
-            self.kernel.len(),
-            "scatter into a same-length buffer"
-        );
-        let mut values = self.values.iter();
-        for (b, block) in self.blocks.iter().enumerate() {
-            let mut rest = block.mask;
-            while rest != 0 {
-                let bit = rest.trailing_zeros() as usize;
-                out[b * CONE_BLOCK + bit] = *values.next().expect("one value per mask bit");
-                rest &= rest - 1;
-            }
-        }
+    /// The kernel's scale `g`.
+    pub fn g(&self) -> f64 {
+        self.g
+    }
+
+    /// The kernel `u`.
+    pub fn kernel(&self) -> &Arc<ScoreVec> {
+        &self.kernel
     }
 
     /// Every score, dense.
@@ -241,9 +256,6 @@ mod tests {
             );
             assert_eq!(cone.y(i).to_bits(), y[i].to_bits(), "id {i}");
         }
-        let mut back = vec![0.0; n];
-        cone.scatter_y(&mut back);
-        assert!(back.iter().zip(&y).all(|(a, b)| a.to_bits() == b.to_bits()));
         assert_eq!(
             cone.bytes(),
             3 * 16 + 4 * 8,
@@ -251,6 +263,12 @@ mod tests {
         );
         let dense = cone.to_dense();
         assert!((0..n).all(|i| dense[i].to_bits() == cone.at(i).to_bits()));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least as long")]
+    fn a_shorter_kernel_is_refused() {
+        Cone::new(&[0.0; 3], 1.0, kernel(3)).over(kernel(2));
     }
 
     #[test]

@@ -29,10 +29,11 @@
 //! [`merge_k_sorted`] merges per-partition pages.
 //!
 //! The kernels the serving layer runs on frozen vectors —
-//! [`top_k_pruned_into`], [`top_k_filtered_into`] and the head builds and
-//! slices of [`BlockMaxima`] — read scores through [`Scores`], so a cached
-//! personalized solve is selected from its cone form ([`crate::Cone`])
-//! with the same results, bit for bit, as from a dense copy.
+//! [`top_k_pruned_into`], [`top_k_filtered_into`], the builds of
+//! [`BlockMaxima`] and their head builds and slices — read scores through
+//! [`Scores`], so a cached personalized solve is summarized and selected
+//! from its cone form ([`crate::Cone`]) with the same results, bit for
+//! bit, as from a dense copy.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -606,13 +607,13 @@ impl PartialEq for BuiltHeads {
 impl BlockMaxima {
     /// The summary of `scores` over the id space at the serving block
     /// length ([`BLOCK_LEN`]), with a head of [`HEAD_LEN`] ids at cut 0.
-    pub fn new(scores: &[f64]) -> Self {
+    pub fn new<S: Scores + ?Sized>(scores: &S) -> Self {
         Self::with_cuts(scores, &[])
     }
 
     /// [`Self::new`] with a head also at each of `cuts` (ids, in any
     /// order; those past the vector add nothing).
-    pub fn with_cuts(scores: &[f64], cuts: &[u32]) -> Self {
+    pub fn with_cuts<S: Scores + ?Sized>(scores: &S, cuts: &[u32]) -> Self {
         Self::with_block_len(scores, BLOCK_LEN, HEAD_LEN, cuts)
     }
 
@@ -625,24 +626,23 @@ impl BlockMaxima {
     ///
     /// # Panics
     /// When `block_len` is 0.
-    pub fn with_block_len(scores: &[f64], block_len: usize, head_len: usize, cuts: &[u32]) -> Self {
+    pub fn with_block_len<S: Scores + ?Sized>(
+        scores: &S,
+        block_len: usize,
+        head_len: usize,
+        cuts: &[u32],
+    ) -> Self {
         assert!(block_len > 0, "a block holds at least one id");
-        let n_blocks = scores.len().div_ceil(block_len);
+        let n = scores.len();
+        let n_blocks = n.div_ceil(block_len);
         let mut maxima = Vec::with_capacity(n_blocks.next_multiple_of(STORAGE_STEP));
         maxima.extend(
-            scores
-                .chunks(block_len)
-                .map(|block| max_number(block.iter().copied())),
+            (0..n)
+                .step_by(block_len)
+                .map(|start| max_number((start..(start + block_len).min(n)).map(|i| scores.at(i)))),
         );
-        let cuts = HeadCuts::new([(scores.len(), cuts.iter().map(|&c| c as usize))]);
-        Self::with_heads(
-            block_len,
-            scores.len(),
-            vec![0, n_blocks],
-            maxima,
-            head_len,
-            cuts,
-        )
+        let cuts = HeadCuts::new([(n, cuts.iter().map(|&c| c as usize))]);
+        Self::with_heads(block_len, n, vec![0, n_blocks], maxima, head_len, cuts)
     }
 
     /// A summary of `len` scores over lists whose blocks start at
@@ -682,8 +682,8 @@ impl BlockMaxima {
     /// # Panics
     /// When `offsets` is empty or decreasing, runs past `postings`, a
     /// posting is not an index into `scores`, or a cut is past its list.
-    pub fn over_postings(
-        scores: &[f64],
+    pub fn over_postings<S: Scores + ?Sized>(
+        scores: &S,
         offsets: &[usize],
         postings: &[u32],
         cuts: &HeadCuts,
@@ -704,8 +704,8 @@ impl BlockMaxima {
     ///
     /// # Panics
     /// As [`Self::over_postings`], and when `block_len` is 0.
-    pub fn over_postings_with_block_len(
-        scores: &[f64],
+    pub fn over_postings_with_block_len<S: Scores + ?Sized>(
+        scores: &S,
         offsets: &[usize],
         postings: &[u32],
         block_len: usize,
@@ -722,7 +722,7 @@ impl BlockMaxima {
             starts.push(maxima.len());
             maxima.extend(
                 list.chunks(block_len)
-                    .map(|block| max_number(block.iter().map(|&id| scores[id as usize]))),
+                    .map(|block| max_number(block.iter().map(|&id| scores.at(id as usize)))),
             );
         }
         starts.push(maxima.len());

@@ -1,6 +1,7 @@
 //! A [`Cone`] reads every score of `x = y + g·u` bit for bit as the dense
-//! resolution writes it, and every selection kernel over a cone returns
-//! what it returns over the dense copy.
+//! resolution writes it, a cone moved onto a longer kernel is the cone of
+//! its `y` grown by zeros, and every selection kernel and block summary
+//! over a cone returns what it returns over the dense copy.
 //!
 //! `y` is drawn per id from `+0.0` (left out of the cone), `-0.0`, tiny,
 //! negative and ordinary values, then optionally forced empty or full;
@@ -71,17 +72,43 @@ proptest! {
             let dense = y[i] + g * u[i];
             prop_assert_eq!(cone.at(i).to_bits(), dense.to_bits(), "id {} of {}", i, n);
         }
-        let mut back = vec![0.0; n];
-        cone.scatter_y(&mut back);
-        for i in 0..n {
-            prop_assert_eq!(back[i].to_bits(), y[i].to_bits(), "y at {}", i);
+        for (i, y) in y.iter().enumerate() {
+            prop_assert_eq!(cone.y(i).to_bits(), y.to_bits(), "y at {}", i);
         }
+        prop_assert_eq!(cone.g().to_bits(), g.to_bits());
+        prop_assert!(Arc::ptr_eq(cone.kernel(), &u));
         let dense = cone.to_dense();
         for i in 0..n {
             prop_assert_eq!(dense[i].to_bits(), cone.at(i).to_bits());
         }
         let blocks = n.div_ceil(64);
         prop_assert_eq!(cone.bytes(), blocks * 16 + cone.stored() * 8);
+    }
+
+    #[test]
+    fn a_cone_over_a_longer_kernel_is_the_cone_of_y_grown_by_zeros(
+        cells in proptest::collection::vec((0u32..8, 0.0f64..1.0), 1..200),
+        u_raw in proptest::collection::vec(0.0f64..1.0, 300),
+        shape in 0u32..3,
+        g_kind in 0u32..3,
+        g in -2.0f64..2.0,
+        extra in 0usize..100,
+    ) {
+        let n = cells.len();
+        let mut y = sparse_part(&cells, shape);
+        let g = scale(g_kind, g);
+        let cone = Cone::new(&y, g, kernel(n, &u_raw));
+        let u = kernel(n + extra, &u_raw);
+        let grown = cone.over(Arc::clone(&u));
+        y.resize(n + extra, 0.0);
+        let want = Cone::new(&y, g, Arc::clone(&u));
+        prop_assert!(Arc::ptr_eq(grown.kernel(), &u));
+        prop_assert_eq!(grown.g().to_bits(), g.to_bits());
+        prop_assert_eq!((grown.stored(), grown.bytes()), (want.stored(), want.bytes()));
+        for i in 0..n + extra {
+            prop_assert_eq!(grown.y(i).to_bits(), want.y(i).to_bits(), "y at {} of {}", i, n + extra);
+            prop_assert_eq!(grown.at(i).to_bits(), want.at(i).to_bits(), "id {} of {}", i, n + extra);
+        }
     }
 
     #[test]
@@ -103,6 +130,8 @@ proptest! {
         // One summary per source, so each builds its own heads.
         let summary = || BlockMaxima::with_block_len(&dense, 8, 16, &[(n / 2) as u32]);
         let (of_cone, of_dense) = (summary(), summary());
+        // A summary read through the cone is the one of its dense copy.
+        prop_assert_eq!(&BlockMaxima::with_block_len(&cone, 8, 16, &[(n / 2) as u32]), &of_dense);
         let lo = (lo % n) as u32;
         let range = [Segment::range(lo..(lo as usize + len).min(n) as u32)];
         let c = (cursor_at % n) as u32;
